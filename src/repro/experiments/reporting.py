@@ -45,6 +45,7 @@ _RECORDED_TOGGLES = (
     "REPRO_HOOK_PIPELINE",
     "REPRO_ADAPTIVE",
     "REPRO_TRACE",
+    "REPRO_SANITIZE",
     "REPRO_KERNEL",
 )
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..nn.conv import Conv2d
 from ..nn.embedding import Embedding
-from ..nn.functional import im2col
+from ..nn.functional import BatchNorm2dFunction, Conv2dFunction, batch_normalize, conv_patch_matrix
 from ..nn.linear import Linear
 from ..nn.module import Module
 from ..nn.norm import BatchNorm2d, LayerNorm
@@ -199,7 +199,7 @@ class KFACLayer:
         if not module.training or not self._should_accumulate():
             return
         x = inputs[0]
-        self._accumulate_a(x.data if isinstance(x, Tensor) else np.asarray(x))
+        self._accumulate_a(x.data if isinstance(x, Tensor) else np.asarray(x), output)
 
     def _backward_hook(self, module: Module, grad_input, grad_output) -> None:
         """Full backward hook: accumulate G statistics from the output gradient.
@@ -219,7 +219,12 @@ class KFACLayer:
             grad = grad / scale
         self._accumulate_g(grad)
 
-    def _accumulate_a(self, x: np.ndarray) -> None:
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
+        """Fold one forward call into the A statistics.
+
+        ``x`` is the module input; ``output`` is what the call returned, for
+        handlers that reuse what the call's autograd node already computed.
+        """
         raise NotImplementedError
 
     def _accumulate_g(self, grad_output: np.ndarray) -> None:
@@ -250,12 +255,15 @@ class KFACLayer:
         return np.einsum("rnb,rnc->nbc", blocks, blocks)
 
     def _add_a_stat(self, rows: np.ndarray) -> None:
-        contribution = self._row_outer_contribution(rows, self.a_repr)
+        self._add_a_contribution(self._row_outer_contribution(rows, self.a_repr), rows.shape[0])
+
+    def _add_a_contribution(self, contribution: np.ndarray, count: int) -> None:
+        """Accumulate an already formed ``Σ rowᵀ row`` over ``count`` rows."""
         if self._a_accum is None:
             self._a_accum = contribution
         else:
             self._a_accum += contribution
-        self._a_count += rows.shape[0]
+        self._a_count += count
 
     def _add_g_stat(self, rows: np.ndarray) -> None:
         contribution = self._row_outer_contribution(rows, self.g_repr)
@@ -550,7 +558,7 @@ class KFACLinearLayer(KFACLayer):
     def g_dim(self) -> int:
         return self.module.out_features
 
-    def _accumulate_a(self, x: np.ndarray) -> None:
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
         rows = x.reshape(-1, x.shape[-1])
         if self.has_bias:
             ones = np.ones((rows.shape[0], 1), dtype=rows.dtype)
@@ -585,9 +593,11 @@ class KFACConv2dLayer(KFACLayer):
     """K-FAC handler for :class:`~repro.nn.conv.Conv2d` modules.
 
     Following Grosse & Martens (2016), the activation factor is built from the
-    im2col patches of the layer input (each spatial location of each example
-    is one row) and the gradient factor from the per-location gradients of
-    the layer output.
+    patches of the layer input (each spatial location of each example is one
+    sample) and the gradient factor from the per-location gradients of the
+    layer output.  The patch matrix is the one the forward call already built
+    (``output._ctx.cols``, read in place and never retained here); a call that
+    recorded no graph gets it from the same kernel.
     """
 
     @property
@@ -599,14 +609,22 @@ class KFACConv2dLayer(KFACLayer):
     def g_dim(self) -> int:
         return self.module.out_channels
 
-    def _accumulate_a(self, x: np.ndarray) -> None:
-        cols, _, _ = im2col(x, self.module.kernel_size, self.module.stride, self.module.padding)
-        # (N, C*kh*kw, L) -> (N*L, C*kh*kw)
-        rows = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
+        ctx = getattr(output, "_ctx", None)
+        if isinstance(ctx, Conv2dFunction):
+            cols = ctx.cols
+        else:
+            cols = conv_patch_matrix(x, self.module.kernel_size, self.module.stride, self.module.padding)
+        # (C*kh*kw, L*N): one column per output location of each sample.
+        cols = cols.astype(np.float32, copy=False)
+        k, count = cols.shape
+        contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
+        contribution[:k, :k] = cols @ cols.T
         if self.has_bias:
-            ones = np.ones((rows.shape[0], 1), dtype=rows.dtype)
-            rows = np.concatenate([rows, ones], axis=1)
-        self._add_a_stat(rows)
+            # The homogeneous coordinate's row and column are the column sums.
+            contribution[k, :k] = contribution[:k, k] = cols.sum(axis=1)
+            contribution[k, k] = count
+        self._add_a_contribution(contribution, count)
 
     def _accumulate_g(self, grad_output: np.ndarray) -> None:
         n, out_c, oh, ow = grad_output.shape
@@ -677,7 +695,7 @@ class KFACEmbeddingLayer(KFACLayer):
             return FactorRepr.dense(self.g_dim)
         return FactorRepr.block_diagonal(self.g_dim, int(self.g_block_size))
 
-    def _accumulate_a(self, x: np.ndarray) -> None:
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
         ids = np.asarray(x).reshape(-1).astype(np.int64)
         counts = np.bincount(ids, minlength=self.module.num_embeddings).astype(np.float32)
         if self.a_repr.is_dense:
@@ -735,7 +753,7 @@ class KFACLayerNormLayer(KFACLayer):
     def _g_repr_impl(self) -> FactorRepr:
         return FactorRepr.diagonal(self.g_dim)
 
-    def _accumulate_a(self, x: np.ndarray) -> None:
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
         # Recompute the normalized activations the affine transform consumes
         # (the forward hook observes the module *input*, not x-hat).
         x = np.asarray(x, dtype=np.float32)
@@ -782,12 +800,12 @@ class KFACBatchNorm2dLayer(KFACLayer):
     contributes one activation row ``[x̂, 1]`` (dense 2x2 A factor) and the G
     statistics are per-channel second moments stored as a diagonal vector.
 
-    The handler is *running-stat aware*: the Kronecker statistics are
-    recomputed from the pre-normalization batch statistics of the hook input
-    (mean/biased variance over the ``(N, H, W)`` axes — exactly what the
-    training-mode forward normalizes with), and the module's
-    ``running_mean``/``running_var`` buffers are never read or written here,
-    so preconditioning leaves the inference statistics untouched.
+    The handler is *running-stat aware*: the Kronecker statistics use the
+    batch-normalized activations the training-mode forward produced
+    (``output._ctx.x_hat``; a call that recorded no graph gets them from the
+    same kernel), and the module's ``running_mean``/``running_var`` buffers
+    are never read or written here, so preconditioning leaves the inference
+    statistics untouched.
     """
 
     @classmethod
@@ -806,15 +824,10 @@ class KFACBatchNorm2dLayer(KFACLayer):
     def _g_repr_impl(self) -> FactorRepr:
         return FactorRepr.diagonal(self.g_dim)
 
-    def _accumulate_a(self, x: np.ndarray) -> None:
-        # Recompute x-hat from batch statistics (the forward hook observes the
-        # module *input*); running buffers are deliberately not consulted.
-        x = np.asarray(x, dtype=np.float32)
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean
-        var = np.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
-        x_hat = centered / np.sqrt(var + self.module.eps)
-        rows = x_hat.reshape(-1, 1)
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
+        ctx = getattr(output, "_ctx", None)
+        x_hat = ctx.x_hat if isinstance(ctx, BatchNorm2dFunction) else batch_normalize(x, self.module.eps)[0]
+        rows = x_hat.astype(np.float32, copy=False).reshape(-1, 1)
         if self.has_bias:
             ones = np.ones((rows.shape[0], 1), dtype=rows.dtype)
             rows = np.concatenate([rows, ones], axis=1)

@@ -1,4 +1,4 @@
-"""2D convolution via differentiable im2col."""
+"""2D convolution (one fused autograd node per call) and nearest-neighbour upsampling."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from . import init
-from .functional import conv_output_size, unfold
+from .functional import conv2d, conv_output_size
 from .module import Module, Parameter
 
 __all__ = ["Conv2d", "Upsample2d"]
@@ -24,9 +24,10 @@ def _pair(value: Union[int, Tuple[int, int]]) -> Tuple[int, int]:
 class Conv2d(Module):
     """2D convolution over ``(N, C, H, W)`` inputs.
 
-    Implemented as ``unfold`` (im2col) followed by a matrix multiply so that
-    both the layer itself and the K-FAC factor computation share the exact
-    same patch extraction.
+    Each call is one :func:`~repro.nn.functional.conv2d` node: the input's
+    patch matrix is built once, multiplied by the weight in a single GEMM and
+    kept on the node, where the backward pass and the K-FAC ``A`` factor
+    computation both read it.
     """
 
     def __init__(
@@ -62,14 +63,7 @@ class Conv2d(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        n, _, h, w = x.shape
-        out_h, out_w = self.output_shape(h, w)
-        cols = unfold(x, self.kernel_size, self.stride, self.padding)  # (N, C*kh*kw, L)
-        weight = self.weight.reshape(self.out_channels, -1)  # (out_c, C*kh*kw)
-        out = weight @ cols  # broadcasts to (N, out_c, L)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, self.out_channels, 1)
-        return out.reshape(n, self.out_channels, out_h, out_w)
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
     def __repr__(self) -> str:
         return (

@@ -1,13 +1,27 @@
-"""Functional building blocks: im2col/col2im, unfold, softmax, gelu, one-hot.
+"""Functional building blocks: the conv/batch-norm substrate, softmax, gelu, one-hot.
 
-The im2col helpers are shared between the :class:`~repro.nn.conv.Conv2d` layer
-and the K-FAC Conv2d factor computation (the ``A`` factor of a convolution is
-built from the unfolded input patches, Grosse & Martens 2016).
+Patch extraction has one implementation (:func:`_extract_patches` and its
+adjoint :func:`_fold_patches`) that works on a *slab* ``(A, H, W, B)`` -- the
+spatial axes in the middle, anything before and after them.  The two callers
+only differ in how they view their data as a slab:
+
+* the public ``im2col`` / ``col2im`` / ``unfold`` keep their ``(N, C, H, W)
+  -> (N, C*kh*kw, out_h*out_w)`` contract (pooling and the tests use it):
+  ``A = N*C``, ``B = 1``;
+* the fused :class:`Conv2dFunction` node works channel-major with the batch
+  innermost, ``A = C``, ``B = N``, so every one of the ``kh*kw`` copies moves
+  runs of ``out_w*N`` contiguous floats and the whole layer is one GEMM
+  ``(out_c, C*kh*kw) @ (C*kh*kw, out_h*out_w*N)``.
+
+The patch matrix of a conv call is built once, owned by that call's autograd
+node (``output._ctx.cols``) and dies with the graph; the K-FAC Conv2d handler
+reads it from there instead of unfolding the input again.  Public tensors are
+``NCHW`` throughout.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +33,10 @@ __all__ = [
     "im2col",
     "col2im",
     "unfold",
+    "conv_patch_matrix",
+    "conv2d",
+    "batch_normalize",
+    "batch_norm",
     "softmax",
     "log_softmax",
     "gelu",
@@ -29,6 +47,48 @@ __all__ = [
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling along one dimension."""
     return (size + 2 * padding - kernel) // stride + 1
+
+
+# --------------------------------------------------------------------------
+# The slab kernel: one patch extraction, one fold
+# --------------------------------------------------------------------------
+def _padded_slab(slab: np.ndarray, padding: int) -> np.ndarray:
+    """An ``(A, H, W, B)`` view as a contiguous array with ``padding`` zeros around H and W."""
+    if padding == 0:
+        return np.ascontiguousarray(slab)
+    a, h, w, b = slab.shape
+    padded = np.zeros((a, h + 2 * padding, w + 2 * padding, b), dtype=slab.dtype)
+    padded[:, padding : padding + h, padding : padding + w] = slab
+    return padded
+
+
+def _windows(kh: int, kw: int, out_h: int, out_w: int, stride: int):
+    """Per kernel offset ``(i, j)``: the padded-slab rows and columns every output location reads there."""
+    for i in range(kh):
+        rows = slice(i, i + stride * out_h, stride)
+        for j in range(kw):
+            yield i, j, rows, slice(j, j + stride * out_w, stride)
+
+
+def _extract_patches(padded: np.ndarray, kernel: Tuple[int, int], stride: int) -> np.ndarray:
+    """Sliding patches of a padded slab: ``(A, Hp, Wp, B) -> (A, kh, kw, out_h, out_w, B)``."""
+    a, hp, wp, b = padded.shape
+    kh, kw = kernel
+    out_h = (hp - kh) // stride + 1
+    out_w = (wp - kw) // stride + 1
+    patches = np.empty((a, kh, kw, out_h, out_w, b), dtype=padded.dtype)
+    for i, j, rows, cols in _windows(kh, kw, out_h, out_w, stride):
+        patches[:, i, j] = padded[:, rows, cols]
+    return patches
+
+
+def _fold_patches(patches: np.ndarray, height: int, width: int, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of pad + extract: scatter-add ``(A, kh, kw, out_h, out_w, B)`` into ``(A, H, W, B)``."""
+    a, kh, kw, out_h, out_w, b = patches.shape
+    padded = np.zeros((a, height + 2 * padding, width + 2 * padding, b), dtype=patches.dtype)
+    for i, j, rows, cols in _windows(kh, kw, out_h, out_w, stride):
+        padded[:, rows, cols] += patches[:, i, j]
+    return padded[:, padding : padding + height, padding : padding + width]
 
 
 def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
@@ -50,17 +110,9 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int) ->
     """
     n, c, h, w = x.shape
     kh, kw = kernel
-    out_h = conv_output_size(h, kh, stride, padding)
-    out_w = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + stride * out_h
-        for j in range(kw):
-            j_end = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+    patches = _extract_patches(_padded_slab(x.reshape(n * c, h, w, 1), padding), kernel, stride)
+    out_h, out_w = patches.shape[3:5]
+    return patches.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 def col2im(
@@ -75,16 +127,8 @@ def col2im(
     kh, kw = kernel
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + stride * out_h
-        for j in range(kw):
-            j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    patches = cols.reshape(n * c, kh, kw, out_h, out_w, 1)
+    return _fold_patches(patches, h, w, stride, padding).reshape(n, c, h, w)
 
 
 class Unfold(Function):
@@ -103,6 +147,141 @@ class Unfold(Function):
 def unfold(x: Tensor, kernel: Tuple[int, int], stride: int = 1, padding: int = 0) -> Tensor:
     """Differentiable patch extraction on a :class:`Tensor`."""
     return Unfold.apply(x, kernel=tuple(kernel), stride=int(stride), padding=int(padding))
+
+
+# --------------------------------------------------------------------------
+# Fused convolution
+# --------------------------------------------------------------------------
+def conv_patch_matrix(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int) -> np.ndarray:
+    """Patch matrix of a convolution input: ``(N, C, H, W) -> (C*kh*kw, out_h*out_w*N)``.
+
+    Row ``(c, i, j)`` holds input channel ``c`` at kernel offset ``(i, j)``;
+    column ``(oh, ow, n)`` is one output location of one sample (batch
+    innermost).  This is the matrix :class:`Conv2dFunction` multiplies the
+    weight with and the K-FAC ``A`` factor is the second moment of.
+    """
+    kh, kw = kernel
+    patches = _extract_patches(_padded_slab(x.transpose(1, 2, 3, 0), padding), kernel, stride)
+    return patches.reshape(x.shape[1] * kh * kw, -1)
+
+
+class Conv2dFunction(Function):
+    """A whole ``Conv2d`` call as one autograd node: one GEMM forward, two backward.
+
+    ``cols`` (the patch matrix, see :func:`conv_patch_matrix`) is built once
+    in ``forward`` and kept on the node for ``backward`` and for whoever
+    observes the call through a forward hook (``output._ctx.cols``).
+    """
+
+    def forward(self, x, weight, bias=None, *, stride, padding):
+        n, _, h, w = x.shape
+        out_c, _, kh, kw = weight.shape
+        self.cols = conv_patch_matrix(x, (kh, kw), stride, padding)
+        out = weight.reshape(out_c, -1) @ self.cols
+        if bias is not None:
+            out += bias[:, None]
+        out_h = conv_output_size(h, kh, stride, padding)
+        out_w = conv_output_size(w, kw, stride, padding)
+        self.save_for_backward(weight, x.shape, stride, padding)
+        return np.ascontiguousarray(out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2))
+
+    def backward(self, grad):
+        weight, (n, c, h, w), stride, padding = self.saved
+        out_c, _, kh, kw = weight.shape
+        out_h, out_w = grad.shape[2:]
+        needs_x, needs_weight = self.needs_input_grad[:2]
+        grad2 = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(out_c, -1)
+        grad_x = grad_weight = None
+        if needs_weight:
+            # grad2 @ colsᵀ, taken as (cols @ grad2ᵀ)ᵀ: BLAS is ~2x faster with the long axis leading.
+            grad_weight = (self.cols @ grad2.T).T.reshape(weight.shape)
+        if needs_x:
+            grad_patches = (weight.reshape(out_c, -1).T @ grad2).reshape(c, kh, kw, out_h, out_w, n)
+            grad_x = np.ascontiguousarray(_fold_patches(grad_patches, h, w, stride, padding).transpose(3, 0, 1, 2))
+        if len(self.parents) == 2:
+            return grad_x, grad_weight
+        return grad_x, grad_weight, (grad2.sum(axis=1) if self.needs_input_grad[2] else None)
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2D convolution of ``(N, C, H, W)`` by ``(out_c, C, kh, kw)`` as a single autograd node."""
+    return Conv2dFunction.apply(x, weight, bias, stride=int(stride), padding=int(padding))
+
+
+# --------------------------------------------------------------------------
+# Fused batch normalization
+# --------------------------------------------------------------------------
+_CHANNEL_AXES = (0, 2, 3)
+
+
+def batch_normalize(x: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize ``(N, C, H, W)`` per channel with its own batch statistics.
+
+    Returns ``(x_hat, inv_std, mean, var)``; the statistics are ``(1, C, 1, 1)``
+    and ``var`` is the biased variance.
+    """
+    mean = x.mean(axis=_CHANNEL_AXES, keepdims=True)
+    x_hat = x - mean
+    var = np.mean(x_hat * x_hat, axis=_CHANNEL_AXES, keepdims=True)
+    std = np.sqrt(var + eps)
+    x_hat /= std
+    inv_std = 1.0 / std
+    return x_hat, inv_std, mean, var
+
+
+class BatchNorm2dFunction(Function):
+    """The affine half of ``BatchNorm2d`` plus the closed-form backward of the whole layer.
+
+    The module normalizes (it also needs the batch statistics for its running
+    averages) and hands ``x_hat`` / ``inv_std`` over; ``batch_stats`` says
+    whether they were computed from ``x`` itself (training) or from constants
+    (running statistics), which decides the input gradient.  ``x_hat`` stays
+    on the node for observers (``output._ctx.x_hat``).
+    """
+
+    def forward(self, x, weight=None, bias=None, *, x_hat, inv_std, batch_stats):
+        self.x_hat = x_hat
+        self.save_for_backward(weight, inv_std, batch_stats)
+        if weight is None:
+            return x_hat
+        out = x_hat * weight.reshape(1, -1, 1, 1)
+        out += bias.reshape(1, -1, 1, 1)
+        return out
+
+    def backward(self, grad):
+        weight, inv_std, batch_stats = self.saved
+        x_hat = self.x_hat
+        needs_x = self.needs_input_grad[0]
+        grad_weight = grad_bias = None
+        if weight is not None or (needs_x and batch_stats):
+            grad_bias = np.einsum("nchw->c", grad)
+            grad_weight = np.einsum("nchw,nchw->c", grad, x_hat)
+        grad_x = None
+        if needs_x:
+            scale = inv_std if weight is None else inv_std * weight.reshape(1, -1, 1, 1)
+            if batch_stats:
+                count = grad.size // grad.shape[1]
+                grad_x = x_hat * (grad_weight.reshape(1, -1, 1, 1) / -count)
+                grad_x -= grad_bias.reshape(1, -1, 1, 1) / count
+                grad_x += grad
+                grad_x *= scale
+            else:
+                grad_x = grad * scale
+        if weight is None:
+            return (grad_x,)
+        return grad_x, grad_weight, grad_bias
+
+
+def batch_norm(
+    x: Tensor,
+    weight: Optional[Tensor],
+    bias: Optional[Tensor],
+    x_hat: np.ndarray,
+    inv_std: np.ndarray,
+    batch_stats: bool,
+) -> Tensor:
+    """Affine transform of an already normalized ``x`` as one node (see :class:`BatchNorm2dFunction`)."""
+    return BatchNorm2dFunction.apply(x, weight, bias, x_hat=x_hat, inv_std=inv_std, batch_stats=batch_stats)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
+from .functional import batch_norm, batch_normalize
 from .module import Module, Parameter
 
 __all__ = ["BatchNorm2d", "LayerNorm"]
@@ -27,25 +28,20 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
-            with no_grad():
-                m = self.momentum
-                batch_mean = mean.data.reshape(-1).astype(np.float32)
-                batch_var = var.data.reshape(-1).astype(np.float32)
-                new_mean = (1 - m) * self._buffers["running_mean"] + m * batch_mean
-                new_var = (1 - m) * self._buffers["running_var"] + m * batch_var
-                self._buffers["running_mean"] = new_mean
-                self._buffers["running_var"] = new_var
-                object.__setattr__(self, "running_mean", new_mean)
-                object.__setattr__(self, "running_var", new_var)
+            x_hat, inv_std, mean, var = batch_normalize(x.data, self.eps)
+            # Running statistics are bookkeeping, not part of the graph.
+            m = self.momentum
+            for name, batch_stat in (("running_mean", mean), ("running_var", var)):
+                updated = (1 - m) * self._buffers[name] + m * batch_stat.reshape(-1).astype(np.float32)
+                self._buffers[name] = updated
+                object.__setattr__(self, name, updated)
         else:
-            mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1).astype(x.dtype))
-            var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1).astype(x.dtype))
-        x_hat = (x - mean) / ((var + self.eps) ** 0.5)
-        if self.affine:
-            x_hat = x_hat * self.weight.reshape(1, -1, 1, 1) + self.bias.reshape(1, -1, 1, 1)
-        return x_hat
+            mean = self._buffers["running_mean"].reshape(1, -1, 1, 1).astype(x.dtype)
+            var = self._buffers["running_var"].reshape(1, -1, 1, 1).astype(x.dtype)
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            x_hat = (x.data - mean) * inv_std
+        weight, bias = (self.weight, self.bias) if self.affine else (None, None)
+        return batch_norm(x, weight, bias, x_hat, inv_std, batch_stats=self.training)
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features}, eps={self.eps}, momentum={self.momentum})"

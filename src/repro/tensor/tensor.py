@@ -111,10 +111,14 @@ class Function:
 
     Subclasses implement ``forward`` (returning a numpy array) and
     ``backward`` (returning one gradient array, or ``None``, per parent).
+    ``needs_input_grad`` holds one flag per parent, set by :meth:`apply` from
+    the parents' ``requires_grad``: a ``backward`` may return ``None`` for a
+    parent that does not need a gradient instead of computing it.
     """
 
     def __init__(self, *parents: "Tensor"):
         self.parents = parents
+        self.needs_input_grad: tuple = (True,) * len(parents)
         self.saved: tuple = ()
 
     def save_for_backward(self, *values) -> None:
@@ -130,9 +134,10 @@ class Function:
     def apply(cls, *args, **kwargs) -> "Tensor":
         tensor_args = [a for a in args if isinstance(a, Tensor)]
         ctx = cls(*tensor_args)
+        ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_args)
         raw = [a.data if isinstance(a, Tensor) else a for a in args]
         out_data = ctx.forward(*raw, **kwargs)
-        requires_grad = _GRAD_ENABLED and any(t.requires_grad for t in tensor_args)
+        requires_grad = _GRAD_ENABLED and any(ctx.needs_input_grad)
         out = Tensor(out_data, requires_grad=requires_grad, _copy=False)
         if requires_grad:
             out._ctx = ctx

@@ -1,0 +1,259 @@
+"""Fused Conv2d / BatchNorm2d autograd nodes against the composite they replaced."""
+
+import numpy as np
+import pytest
+
+from composite_oracle import batchnorm2d_composite, conv2d_composite
+from gradcheck import numerical_gradient
+from repro import nn
+from repro.nn import functional as F
+from repro.tensor import Tensor, no_grad
+
+KERNELS = [1, 3, (2, 3)]
+STRIDES = [1, 2]
+PADDINGS = [0, 1, 2]
+
+
+def pair(kernel):
+    return kernel if isinstance(kernel, tuple) else (kernel, kernel)
+
+
+def conv_problem(kernel, bias, seed=0):
+    """Float64 input, weight, bias of a small conv (2 -> 3 channels on 5x6 images)."""
+    rng = np.random.default_rng(seed)
+    kh, kw = pair(kernel)
+    x = rng.standard_normal((2, 2, 5, 6))
+    weight = rng.standard_normal((3, 2, kh, kw))
+    return x, weight, (rng.standard_normal(3) if bias else None)
+
+
+def tensors(arrays, dtype, requires_grad=True):
+    return [None if a is None else Tensor(a.astype(dtype), requires_grad=requires_grad) for a in arrays]
+
+
+def backward_through(conv_fn, arrays, dtype, stride, padding, probe=None):
+    """Output and parent gradients of ``sum(conv * probe)`` (a loss linear in every parent)."""
+    parents = tensors(arrays, dtype)
+    out = conv_fn(*parents, stride, padding)
+    if probe is None:
+        probe = np.random.default_rng(1).standard_normal(out.shape)
+    (out * Tensor(probe.astype(dtype))).sum().backward()
+    return out.data, [None if p is None else p.grad for p in parents], probe
+
+
+class TestConv2dNode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_gradcheck(self, stride, padding, bias, kernel, dtype):
+        arrays = conv_problem(kernel, bias)
+        _, grads, probe = backward_through(F.conv2d, arrays, dtype, stride, padding)
+        # The loss is linear in each parent, so central differences are exact up to rounding.
+        tol = 1e-9 if dtype is np.float64 else 2e-4
+        for index, (array, grad) in enumerate(zip(arrays, grads)):
+            if array is None:
+                continue
+
+            def loss(values, index=index):
+                trial = list(arrays)
+                trial[index] = values
+                out = F.conv2d(*tensors(trial, np.float64, requires_grad=False), stride, padding)
+                return float((out.data * probe).sum())
+
+            numeric = numerical_gradient(loss, array, eps=1e-3)
+            assert grad.dtype == dtype
+            np.testing.assert_allclose(grad, numeric, rtol=tol, atol=tol * np.abs(numeric).max())
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("padding", PADDINGS)
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_fp64_parity_with_composite(self, stride, padding, bias, kernel):
+        arrays = conv_problem(kernel, bias, seed=3)
+        out, grads, _ = backward_through(F.conv2d, arrays, np.float64, stride, padding)
+        ref_out, ref_grads, _ = backward_through(conv2d_composite, arrays, np.float64, stride, padding)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            if ref is not None:
+                np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+    def test_output_is_contiguous_nchw(self):
+        x, weight, bias = conv_problem(3, True)
+        out = F.conv2d(*tensors((x, weight, bias), np.float32), 1, 1)
+        assert out.shape == (2, 3, 5, 6) and out.data.flags.c_contiguous
+
+    def test_constant_input_skips_grad_x_and_keeps_weight_grads(self, monkeypatch):
+        """A conv on data (the stem) never folds a gradient back to its input."""
+        folds = []
+        fold = F._fold_patches
+        monkeypatch.setattr(F, "_fold_patches", lambda *args: folds.append(1) or fold(*args))
+        arrays = conv_problem(3, True)
+        probe = np.random.default_rng(1).standard_normal((2, 3, 5, 6)).astype(np.float32)
+
+        def run(input_requires_grad):
+            x = Tensor(arrays[0].astype(np.float32), requires_grad=input_requires_grad)
+            weight, bias = tensors(arrays[1:], np.float32)
+            out = F.conv2d(x, weight, bias, 1, 1)
+            assert out._ctx.needs_input_grad == (input_requires_grad, True, True)
+            (out * Tensor(probe)).sum().backward()
+            return x.grad, weight.grad, bias.grad
+
+        _, weight_grad, bias_grad = run(True)
+        assert len(folds) == 1
+        grad_x, const_weight_grad, const_bias_grad = run(False)
+        assert len(folds) == 1 and grad_x is None
+        np.testing.assert_array_equal(const_weight_grad, weight_grad)
+        np.testing.assert_array_equal(const_bias_grad, bias_grad)
+
+    def test_frozen_weight_gets_no_gradient(self):
+        x, weight, _ = conv_problem(3, False)
+        x_t = Tensor(x.astype(np.float32), requires_grad=True)
+        w_t = Tensor(weight.astype(np.float32))
+        F.conv2d(x_t, w_t, None, 1, 1).sum().backward()
+        assert w_t.grad is None and x_t.grad.shape == x.shape
+
+    @pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (2, 0, (2, 3)), (2, 2, 1)])
+    def test_patch_matrix_is_im2col_with_the_batch_innermost(self, stride, padding, kernel):
+        """The two views of the one slab kernel hold the same patches."""
+        x = np.random.default_rng(5).standard_normal((3, 2, 6, 5)).astype(np.float32)
+        cols, out_h, out_w = F.im2col(x, pair(kernel), stride, padding)  # (N, K, L)
+        matrix = F.conv_patch_matrix(x, pair(kernel), stride, padding)  # (K, L*N)
+        np.testing.assert_array_equal(matrix.reshape(-1, out_h * out_w, 3), cols.transpose(1, 2, 0))
+
+    def test_module_calls_the_node(self):
+        conv = nn.Conv2d(2, 3, (2, 3), stride=2, padding=1, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 2, 5, 6)).astype(np.float32))
+        out = conv(x)
+        assert isinstance(out._ctx, F.Conv2dFunction)
+        assert out._ctx.parents == (x, conv.weight, conv.bias)
+        assert out._ctx.cols.shape == (2 * 2 * 3, out.shape[2] * out.shape[3] * 2)
+        with no_grad():
+            assert conv(x)._ctx is None
+
+
+# ------------------------------------------------------------------------------ BatchNorm2d
+def bn_pair(affine, dtype, seed=0):
+    """A module with non-trivial parameters and running statistics, and an input."""
+    rng = np.random.default_rng(seed)
+    bn = nn.BatchNorm2d(3, affine=affine)
+    if affine:
+        bn.weight.data = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+        bn.bias.data = rng.standard_normal(3).astype(np.float32)
+    bn.running_mean = bn._buffers["running_mean"] = rng.standard_normal(3).astype(np.float32)
+    bn.running_var = bn._buffers["running_var"] = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+    x = (rng.standard_normal((4, 3, 5, 2)) * 2.0 + 1.0).astype(dtype)
+    return bn, x
+
+
+def bn_reference(bn, x, probe, training):
+    """Composite output, input/parameter gradients and batch statistics for ``bn``'s state."""
+    x_t = Tensor(x, requires_grad=True)
+    weight = Tensor(bn.weight.data, requires_grad=True) if bn.affine else None
+    bias = Tensor(bn.bias.data, requires_grad=True) if bn.affine else None
+    running = None if training else (bn.running_mean, bn.running_var)
+    out, mean, var = batchnorm2d_composite(x_t, weight, bias, bn.eps, running)
+    (out * Tensor(probe)).sum().backward()
+    grads = [x_t.grad] + ([weight.grad, bias.grad] if bn.affine else [])
+    return out.data, grads, mean, var
+
+
+class TestBatchNorm2dNode:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_fp64_parity_with_composite(self, affine, training):
+        bn, x = bn_pair(affine, np.float64)
+        bn.train(training)
+        probe = np.random.default_rng(2).standard_normal(x.shape)
+        ref_out, ref_grads, _, _ = bn_reference(bn, x, probe, training)
+        x_t = Tensor(x, requires_grad=True)
+        out = bn(x_t)
+        assert isinstance(out._ctx, F.BatchNorm2dFunction)
+        (out * Tensor(probe)).sum().backward()
+        grads = [x_t.grad] + ([bn.weight.grad, bn.bias.grad] if affine else [])
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-10, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_input_gradcheck(self, training, dtype):
+        bn, x = bn_pair(True, dtype, seed=4)
+        bn.train(training)
+        probe = np.random.default_rng(2).standard_normal(x.shape)
+        running = (bn.running_mean.copy(), bn.running_var.copy())
+        x_t = Tensor(x, requires_grad=True)
+        (bn(x_t) * Tensor(probe.astype(dtype))).sum().backward()
+
+        def loss(values):
+            bn.running_mean, bn.running_var = bn._buffers["running_mean"], bn._buffers["running_var"] = running
+            with no_grad():
+                return float((bn(Tensor(values)).data * probe).sum())
+
+        numeric = numerical_gradient(loss, x.astype(np.float64), eps=1e-5)
+        tol = 1e-6 if dtype is np.float64 else 2e-3
+        np.testing.assert_allclose(x_t.grad, numeric, rtol=tol, atol=tol * np.abs(numeric).max())
+
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_running_statistics_update_like_the_composite(self, affine):
+        bn, x = bn_pair(affine, np.float32)
+        before = (bn.running_mean.copy(), bn.running_var.copy())
+        _, _, mean, var = bn_reference(bn, x, np.ones_like(x), training=True)
+        bn(Tensor(x))
+        m = bn.momentum
+        np.testing.assert_array_equal(bn.running_mean, (1 - m) * before[0] + m * mean.astype(np.float32))
+        np.testing.assert_array_equal(bn.running_var, (1 - m) * before[1] + m * var.astype(np.float32))
+        assert bn.running_mean is bn._buffers["running_mean"] and bn.running_mean.dtype == np.float32
+
+    def test_eval_leaves_running_statistics_alone(self):
+        bn, x = bn_pair(True, np.float32)
+        bn.eval()
+        before = (bn.running_mean.copy(), bn.running_var.copy())
+        with no_grad():
+            out = bn(Tensor(x))
+        ref_out, _, _, _ = bn_reference(bn, x, np.ones_like(x), training=False)
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(bn.running_mean, before[0])
+        np.testing.assert_array_equal(bn.running_var, before[1])
+
+    def test_constant_input_needs_no_input_gradient(self):
+        bn, x = bn_pair(True, np.float32)
+        x_t = Tensor(x)
+        out = bn(x_t)
+        assert out._ctx.needs_input_grad == (False, True, True)
+        out.sum().backward()
+        assert x_t.grad is None and bn.weight.grad.shape == (3,)
+
+
+# ------------------------------------------------------------------------------ module hooks
+class ConvNet(nn.Module):
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.conv1 = nn.Conv2d(2, 3, 3, padding=1, bias=False, rng=rng)
+        self.bn1 = nn.BatchNorm2d(3)
+        self.conv2 = nn.Conv2d(3, 2, 3, stride=2, padding=1, rng=rng)
+        self.bn2 = nn.BatchNorm2d(2)
+
+    def forward(self, x):
+        return self.bn2(self.conv2(self.bn1(self.conv1(x)).relu()))
+
+
+def test_full_backward_hooks_fire_once_per_backward_in_reverse_layer_order():
+    net = ConvNet()
+    order = []
+    for name, module in net.named_modules():
+        if name:
+            module.register_full_backward_hook(lambda m, gi, go, name=name: order.append((name, go[0].shape)))
+    # The input requires grad, so conv1's event too waits for its local backward.
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 2, 6, 6)).astype(np.float32), requires_grad=True)
+    loss = (net(x) ** 2).sum()
+    loss.backward()
+    expected = [("bn2", (2, 2, 3, 3)), ("conv2", (2, 2, 3, 3)), ("bn1", (2, 3, 6, 6)), ("conv1", (2, 3, 6, 6))]
+    assert order == expected
+    first = {name: p.grad.copy() for name, p in net.named_parameters()}
+    loss.backward()  # the nodes keep their state: a repeated backward fires again and accumulates
+    assert order == expected * 2
+    for name, param in net.named_parameters():
+        np.testing.assert_allclose(param.grad, 2 * first[name], rtol=1e-6)

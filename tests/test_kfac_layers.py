@@ -1,9 +1,13 @@
 """Tests for per-layer K-FAC handlers: factor capture, accumulation and gradient round-trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.kfac import layers as kfac_layers
 from repro.kfac.layers import KFACConv2dLayer, KFACLinearLayer, make_kfac_layer
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
@@ -242,3 +246,72 @@ class TestGradientRoundTrip:
         handler.remove()
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         assert not handler.has_accumulated_data
+
+
+class TestForwardNodeReuse:
+    """Conv2d / BatchNorm2d handlers read what the forward call's autograd node already built."""
+
+    @staticmethod
+    def make(kind):
+        if kind == "conv":
+            module = nn.Conv2d(2, 3, 3, stride=2, padding=1, bias=True, rng=np.random.default_rng(0))
+        else:
+            module = nn.BatchNorm2d(2)
+        handler = make_kfac_layer("layer", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
+        return module, handler
+
+    @staticmethod
+    def forbid_recompute(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("handler recomputed what the forward node holds")
+
+        monkeypatch.setattr(kfac_layers, "conv_patch_matrix", fail)
+        monkeypatch.setattr(kfac_layers, "batch_normalize", fail)
+
+    def test_conv_a_from_captured_columns_matches_im2col_brute_force(self, monkeypatch):
+        """Bias, stride 2 and two accumulated micro-batches."""
+        self.forbid_recompute(monkeypatch)
+        layer, handler = self.make("conv")
+        batches = [RNG.standard_normal((n, 2, 7, 6)).astype(np.float32) for n in (2, 3)]
+        rows = []
+        for x in batches:
+            run_forward_backward(layer, Tensor(x))
+            cols, _, _ = F.im2col(x, layer.kernel_size, layer.stride, layer.padding)
+            patches = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
+            rows.append(np.concatenate([patches, np.ones((patches.shape[0], 1), dtype=np.float32)], axis=1))
+        a_new, _ = handler.compute_batch_factors()
+        rows = np.concatenate(rows)
+        np.testing.assert_allclose(a_new, rows.T @ rows / rows.shape[0], rtol=1e-4)
+
+    @pytest.mark.parametrize("kind", ["conv", "bn"])
+    def test_eval_forward_under_no_grad_neither_accumulates_nor_fails(self, kind):
+        layer, handler = self.make(kind)
+        layer.eval()
+        with no_grad():
+            out = layer(Tensor(RNG.standard_normal((2, 2, 6, 6)).astype(np.float32)))
+        assert out._ctx is None and not handler.has_accumulated_data and handler._a_accum is None
+
+    @pytest.mark.parametrize("kind", ["conv", "bn"])
+    def test_training_forward_without_a_graph_falls_back_to_the_shared_kernel(self, kind):
+        """No node to read from (``no_grad``): same statistics, from the kernel the node itself calls."""
+        x = RNG.standard_normal((3, 2, 6, 6)).astype(np.float32)
+        layer, handler = self.make(kind)
+        layer(Tensor(x))
+        captured = handler._a_accum.copy()
+        handler.reset_accumulators()
+        with no_grad():
+            assert layer(Tensor(x))._ctx is None
+        np.testing.assert_array_equal(handler._a_accum, captured)
+        assert handler._a_count == (3 * 3 * 3 if kind == "conv" else 3 * 2 * 6 * 6)
+
+    @pytest.mark.parametrize("kind,attr", [("conv", "cols"), ("bn", "x_hat")])
+    def test_node_buffer_dies_with_the_graph(self, kind, attr):
+        """Neither the module nor the handler keeps the patch matrix / x-hat alive."""
+        layer, handler = self.make(kind)
+        loss = layer(Tensor(RNG.standard_normal((2, 2, 6, 6)).astype(np.float32))).sum()
+        buffer = weakref.ref(getattr(loss._ctx.parents[0]._ctx, attr))
+        loss.backward()
+        assert buffer() is not None and handler._a_accum is not None
+        del loss
+        gc.collect()
+        assert buffer() is None

@@ -332,6 +332,7 @@ def test_write_bench_json_envelope(tmp_path):
         "REPRO_HOOK_PIPELINE",
         "REPRO_ADAPTIVE",
         "REPRO_TRACE",
+        "REPRO_SANITIZE",
         "REPRO_KERNEL",
     }
 
