@@ -195,7 +195,6 @@ def _train_bert(adaptive: bool):
         # The adaptive preset's knobs on top of the workload's hyperparameters
         # (drift-driven stretching, LM damping, pi split, CG for small layers).
         kfac_config = kfac_config.replace(
-            adaptive_schedule=True,
             drift_tol=0.05,
             max_staleness=8 * kfac_config.inv_update_freq,
             adaptive_damping=True,

@@ -30,7 +30,7 @@ FEATURES = RNG.standard_normal((512, 10)).astype(np.float32)
 LABELS = (FEATURES @ RNG.standard_normal((10, 4)).astype(np.float32)).argmax(axis=1)
 
 
-def run_strategy(grad_worker_frac: float, comm_overlap: bool = False):
+def run_strategy(grad_worker_frac: float, bucket_cap_mb: float = 25.0):
     """Train on a fresh 4-rank world; return (final params, per-rank memory, comm log)."""
     world = ThreadedWorld(WORLD_SIZE, cost_model=PerformanceModel())
     final_params = [None] * WORLD_SIZE
@@ -42,7 +42,7 @@ def run_strategy(grad_worker_frac: float, comm_overlap: bool = False):
         ddp = DistributedDataParallel(model, comm)  # broadcast rank 0's weights
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         config = KFACConfig.hybrid(
-            grad_worker_frac, lr=0.05, factor_update_freq=2, inv_update_freq=4, comm_overlap=comm_overlap
+            grad_worker_frac, lr=0.05, factor_update_freq=2, inv_update_freq=4, bucket_cap_mb=bucket_cap_mb
         )
         preconditioner = KFAC.from_config(model, config, comm=comm)
         loss_fn = nn.CrossEntropyLoss()
@@ -108,14 +108,15 @@ def main() -> None:
         "(more memory, no per-iteration broadcast), MEM-OPT does the opposite, HYBRID-OPT interpolates."
     )
 
-    # The asynchronous bucketed engine (comm_overlap=True) fuses the per-layer
-    # collectives into capped buffers: same bytes, same bits, fewer messages.
-    params_sync, _, log_sync = run_strategy(0.5, comm_overlap=False)
-    params_fused, _, log_fused = run_strategy(0.5, comm_overlap=True)
-    assert all(np.array_equal(a, b) for a, b in zip(params_sync, params_fused))
+    # The bucketed collective engine fuses the per-layer collectives into
+    # bucket_cap_mb-capped buffers: same bytes, same bits, fewer messages.  A
+    # cap smaller than any tensor sends every tensor alone, for comparison.
+    params_alone, _, log_alone = run_strategy(0.5, bucket_cap_mb=1e-6)
+    params_fused, _, log_fused = run_strategy(0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(params_alone, params_fused))
     print(
-        f"\ncomm_overlap=True is bitwise identical and fuses HYBRID-OPT's "
-        f"{log_sync.total_messages()} collective messages into {log_fused.total_messages()} "
+        f"\nThe default 25 MB bucket cap is bitwise identical to one message per tensor and fuses "
+        f"HYBRID-OPT's {log_alone.total_messages()} collective messages into {log_fused.total_messages()} "
         f"({log_fused.total_bytes() / 1024:.1f} KiB moved either way)."
     )
 
@@ -123,7 +124,7 @@ def main() -> None:
     # averaging and K-FAC factor buckets are posted *during* backward, as the
     # autograd tape finalizes each layer's gradients — still bitwise identical.
     params_hooked, posted = run_hooked_pipeline(0.5)
-    assert all(np.array_equal(a, b) for a, b in zip(params_sync, params_hooked))
+    assert all(np.array_equal(a, b) for a, b in zip(params_fused, params_hooked))
     print(
         f"\nThe hook-driven GradientPipeline posts buckets mid-backward "
         f"(rank 0 launched {posted[0]} buckets before flush()) and stays bitwise identical."

@@ -5,7 +5,7 @@ K-FAC's *communication* well matters as much as distributing its compute:
 hundreds of small per-layer collectives pay a per-message latency ``α`` each,
 and issuing them synchronously serialises them behind one another and behind
 local compute.  This module is the communication engine that removes both
-costs while keeping numerics bitwise identical to the synchronous path:
+costs without changing a result bit:
 
 ``BucketManager``
     Coalesces many small same-dtype tensors into flat *fused buffers* capped
@@ -27,13 +27,17 @@ costs while keeping numerics bitwise identical to the synchronous path:
     skipped, so one globally-deterministic schedule serves every rank of an
     SPMD program — exactly how K-FAC's per-layer plans are already built.
 
-The K-FAC preconditioner drives this engine for its factor allreduces, eigen
-broadcasts and preconditioned-gradient broadcasts when
-``KFACConfig.comm_overlap`` is enabled (``bucket_cap_mb`` tunes the fusion
-granularity), and :func:`repro.distributed.ddp.allreduce_gradients` uses the
-same bucketing for data-parallel gradient averaging.  The synchronous
-per-tensor path remains the default and the two produce bitwise-identical
-training trajectories.
+    A channel whose group is the local rank alone exchanges nothing: its
+    payloads are handed to their callbacks at :meth:`OverlapScheduler.drain`
+    and the communicator is never called, so a world-size-1 run (or a
+    sub-group of one) costs no message.
+
+The K-FAC preconditioner executes every factor allreduce, eigen broadcast and
+preconditioned-gradient broadcast through this engine (``bucket_cap_mb`` tunes
+the fusion granularity; a cap smaller than any tensor sends each tensor
+alone), and :func:`repro.distributed.ddp.allreduce_gradients` uses the same
+bucketing for data-parallel gradient averaging.  Element values never depend
+on the cap, so every cap produces the same training trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..observability import NULL_TRACER
-from .backend import Communicator, WorkHandle
+from .backend import Communicator, CompletedWork, WorkHandle
 
 __all__ = [
     "BucketEntry",
@@ -103,11 +107,16 @@ class TensorBucket:
     def nbytes(self) -> int:
         return self._size * self.dtype.itemsize
 
-    def pack(self, arrays: Dict[str, np.ndarray]) -> np.ndarray:
-        """Copy the member tensors into one flat buffer in entry order."""
+    def pack(self, payload_of: Callable[[str], np.ndarray]) -> np.ndarray:
+        """Copy the member tensors into one flat buffer in entry order.
+
+        ``payload_of(key)`` is called once per entry, right before its copy,
+        so a payload produced on demand is dropped again before the next one
+        exists: at most one tensor is alive beside the flat buffer.
+        """
         flat = np.empty(self._size, dtype=self.dtype)
         for entry in self.entries:
-            array = arrays[entry.key]
+            array = payload_of(entry.key)
             if array.size != entry.size:
                 raise ValueError(
                     f"bucket entry {entry.key!r} expects {entry.size} elements, got {array.size}"
@@ -168,7 +177,10 @@ class BroadcastSpec:
 
     Every rank of the group constructs the same spec (same key, shape, dtype
     — the metadata needed to unpack the fused buffer); only the source rank
-    supplies ``payload``.  ``on_complete`` receives the received array.
+    supplies ``payload``, a callable evaluated when the spec's bucket is
+    packed (so a payload that has to be assembled, like a packed eigen
+    decomposition, exists only while it is copied into the fused buffer).
+    ``on_complete`` receives the received array.
     """
 
     key: str
@@ -176,7 +188,7 @@ class BroadcastSpec:
     group: Optional[Tuple[int, ...]]  # None = the whole world
     shape: Tuple[int, ...]
     dtype: np.dtype
-    payload: Optional[np.ndarray] = None
+    payload: Optional[Callable[[], np.ndarray]] = None
     on_complete: Optional[Callable[[np.ndarray], None]] = None
 
 
@@ -265,6 +277,33 @@ class OverlapScheduler:
             return tuple(range(self.comm.world_size))
         return tuple(sorted(set(int(r) for r in group)))
 
+    def _launch(
+        self,
+        op: str,
+        bucket: TensorBucket,
+        spec_by_key: Dict[str, object],
+        flat: Optional[np.ndarray],
+        members: Tuple[int, ...],
+        src: Optional[int] = None,
+    ) -> None:
+        """Put one fused bucket in flight (or complete it locally for a group of one)."""
+        if len(members) == 1:
+            # Nobody to exchange with: the payload already is the result.  The
+            # communicator is not called, so there is no message to log, stamp
+            # or time; the callbacks still fire at drain(), in posting order.
+            if flat is None:
+                raise ValueError(f"{op} group {members} does not contain its source rank")
+            self._in_flight.append((CompletedWork(flat), bucket, spec_by_key, None, None))
+            return
+        group = None if len(members) == self.comm.world_size else members
+        if op == "broadcast":
+            handle = self.comm.ibroadcast(flat, src=src, group=group, fused_count=len(bucket))
+        else:
+            handle = self.comm.iallreduce_average(flat, group=group, fused_count=len(bucket))
+        token = self._stamp(op, bucket, flat)
+        posted = (op, len(members), self.tracer.now() if self.tracer.enabled else 0.0)
+        self._in_flight.append((handle, bucket, spec_by_key, posted, token))
+
     # ------------------------------------------------------------ broadcasts
     def post_broadcasts(self, specs: Sequence[BroadcastSpec]) -> None:
         """Fuse and post a broadcast schedule without awaiting it.
@@ -276,44 +315,28 @@ class OverlapScheduler:
         """
         rank = self.comm.rank
         channels: Dict[Tuple, List[BroadcastSpec]] = {}
-        order: List[Tuple] = []
         for spec in specs:
             members = self._group_members(spec.group)
-            if rank not in members:
-                continue
-            channel = (int(spec.src), members)
-            if channel not in channels:
-                channels[channel] = []
-                order.append(channel)
-            channels[channel].append(spec)
+            if rank in members:
+                channels.setdefault((int(spec.src), members), []).append(spec)
 
-        for channel in order:
-            src, members = channel
-            channel_specs = channels[channel]
+        for (src, members), channel_specs in channels.items():
             spec_by_key = {spec.key: spec for spec in channel_specs}
             if len(spec_by_key) != len(channel_specs):
                 raise ValueError(
                     f"duplicate broadcast keys in channel (src={src}, group={members}); "
                     "every spec of a channel needs a unique key"
                 )
+
+            def source_payload(key: str) -> np.ndarray:
+                payload = spec_by_key[key].payload
+                if payload is None:
+                    raise ValueError(f"broadcast source rank {src} has no payload for {key!r}")
+                return payload()
+
             for bucket in self.buckets.build([(s.key, s.shape, s.dtype) for s in channel_specs]):
-                if rank == src:
-                    payloads = {}
-                    for entry in bucket.entries:
-                        payload = spec_by_key[entry.key].payload
-                        if payload is None:
-                            raise ValueError(f"broadcast source rank {src} has no payload for {entry.key!r}")
-                        payloads[entry.key] = payload
-                    flat = bucket.pack(payloads)
-                else:
-                    flat = None
-                handle = self.comm.ibroadcast(
-                    flat, src=src, group=None if len(members) == self.comm.world_size else members,
-                    fused_count=len(bucket),
-                )
-                token = self._stamp("broadcast", bucket, flat)
-                posted = ("broadcast", len(members), self.tracer.now() if self.tracer.enabled else 0.0)
-                self._in_flight.append((handle, bucket, spec_by_key, posted, token))
+                flat = bucket.pack(source_payload) if rank == src else None
+                self._launch("broadcast", bucket, spec_by_key, flat, members, src=src)
 
     def run_broadcasts(self, specs: Sequence[BroadcastSpec]) -> None:
         """Fuse and execute a broadcast schedule (post + drain)."""
@@ -325,18 +348,12 @@ class OverlapScheduler:
         """Fuse and post an allreduce-average schedule without awaiting it."""
         rank = self.comm.rank
         channels: Dict[Tuple[int, ...], List[AllreduceSpec]] = {}
-        order: List[Tuple[int, ...]] = []
         for spec in specs:
             members = self._group_members(spec.group)
-            if rank not in members:
-                continue
-            if members not in channels:
-                channels[members] = []
-                order.append(members)
-            channels[members].append(spec)
+            if rank in members:
+                channels.setdefault(members, []).append(spec)
 
-        for members in order:
-            channel_specs = channels[members]
+        for members, channel_specs in channels.items():
             spec_by_key = {spec.key: spec for spec in channel_specs}
             if len(spec_by_key) != len(channel_specs):
                 raise ValueError(
@@ -346,14 +363,8 @@ class OverlapScheduler:
             for bucket in self.buckets.build(
                 [(s.key, s.payload.shape, s.payload.dtype) for s in channel_specs]
             ):
-                flat = bucket.pack({key: spec_by_key[key].payload for key in (e.key for e in bucket.entries)})
-                handle = self.comm.iallreduce_average(
-                    flat, group=None if len(members) == self.comm.world_size else members,
-                    fused_count=len(bucket),
-                )
-                token = self._stamp("allreduce", bucket, flat)
-                posted = ("allreduce", len(members), self.tracer.now() if self.tracer.enabled else 0.0)
-                self._in_flight.append((handle, bucket, spec_by_key, posted, token))
+                flat = bucket.pack(lambda key: spec_by_key[key].payload)
+                self._launch("allreduce", bucket, spec_by_key, flat, members)
 
     def run_allreduces(self, specs: Sequence[AllreduceSpec]) -> None:
         """Fuse and execute an allreduce-average schedule (post + drain)."""
@@ -362,9 +373,16 @@ class OverlapScheduler:
 
     # ----------------------------------------------------------------- drain
     def drain(self) -> None:
-        """Await every posted bucket in posting order and dispatch callbacks."""
+        """Await every posted bucket in posting order and dispatch callbacks.
+
+        Each bucket's handle and flat buffer are released as soon as its
+        callbacks ran, so a long schedule never holds more than the buckets
+        still in flight.
+        """
         in_flight, self._in_flight = self._in_flight, []
-        for handle, bucket, spec_by_key, posted, token in in_flight:
+        in_flight.reverse()
+        while in_flight:
+            handle, bucket, spec_by_key, posted, token = in_flight.pop()
             result = bucket.unpack(handle.wait())
             if token is not None:
                 self.sanitizer.buffers.release(token)
@@ -373,6 +391,7 @@ class OverlapScheduler:
                 spec = spec_by_key[entry.key]
                 if spec.on_complete is not None:
                     spec.on_complete(result[entry.key])
+            del handle, result
 
     def discard(self) -> None:
         """Await posted buckets but drop their results without any callbacks.
@@ -389,7 +408,9 @@ class OverlapScheduler:
                 self.sanitizer.buffers.release(token)
             self._record_comm_span(bucket, posted, discarded=True)
 
-    def _record_comm_span(self, bucket: TensorBucket, posted: Tuple[str, int, float], discarded: bool = False) -> None:
+    def _record_comm_span(
+        self, bucket: TensorBucket, posted: Optional[Tuple[str, int, float]], discarded: bool = False
+    ) -> None:
         """Record the post->finish window of one fused bucket on the tracer.
 
         The interval covers the collective's entire in-flight life on this
@@ -397,7 +418,7 @@ class OverlapScheduler:
         moment its result was awaited — which is exactly the window measured
         overlap reporting intersects with the backward spans.
         """
-        if not self.tracer.enabled:
+        if posted is None or not self.tracer.enabled:
             return
         op, group_size, t_post = posted
         self.tracer.record_span(

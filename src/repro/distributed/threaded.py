@@ -24,6 +24,10 @@ from .cost_model import PerformanceModel
 
 __all__ = ["ThreadedWorld", "ThreadedCommunicator", "ThreadedWork", "run_spmd"]
 
+#: Elements averaged at a time by the allreduce-average reducer: the stacked
+#: temporary is ``group_size`` chunks, however large a fused bucket is.
+_REDUCE_CHUNK = 1 << 16
+
 
 class _CollectiveSlot:
     """Rendezvous point for a single collective operation."""
@@ -216,8 +220,11 @@ class ThreadedWorld:
                 is_producer_complete = src in slot.values
             if is_producer_complete and not slot.ready.is_set():
                 if reducer is not None:
-                    ordered = [slot.values[r] for r in sorted(slot.values)]
-                    slot.result = reducer(ordered)
+                    slot.result = reducer([slot.values[r] for r in sorted(slot.values)])
+                    # The contributions are folded in; holding them until the
+                    # last rank collects would keep every rank's fused buffer
+                    # alive beside the result.
+                    slot.values.clear()
                 else:
                     slot.result = slot.values[src]
                 nbytes = int(slot.result.nbytes) if isinstance(slot.result, np.ndarray) else 0
@@ -316,8 +323,16 @@ class ThreadedCommunicator(Communicator):
     @staticmethod
     def _mean_reducer(values: List[np.ndarray]) -> np.ndarray:
         # Elementwise mean over the rank axis: bitwise-identical whether the
-        # tensors are reduced individually or coalesced into a fused buffer.
-        return np.mean(np.stack(values, axis=0), axis=0).astype(values[0].dtype)
+        # tensors are reduced individually or coalesced into a fused buffer,
+        # and whether that buffer is reduced whole or (as here, so a fused
+        # bucket costs one result buffer instead of three) chunk by chunk.
+        out = np.empty(values[0].shape, dtype=values[0].dtype)
+        out_flat = out.reshape(-1)
+        flats = [np.asarray(value).reshape(-1) for value in values]
+        for start in range(0, out_flat.size, _REDUCE_CHUNK):
+            chunk = slice(start, start + _REDUCE_CHUNK)
+            out_flat[chunk] = np.mean(np.stack([flat[chunk] for flat in flats], axis=0), axis=0)
+        return out
 
     def allreduce_average(self, array: np.ndarray, group: Optional[Sequence[int]] = None) -> np.ndarray:
         group_t = self._normalize_group(group)

@@ -41,9 +41,7 @@ BENCH_SCHEMA_VERSION = 1
 
 #: Environment toggles recorded in every benchmark file (reproducibility).
 _RECORDED_TOGGLES = (
-    "REPRO_COMM_OVERLAP",
     "REPRO_HOOK_PIPELINE",
-    "REPRO_ADAPTIVE",
     "REPRO_TRACE",
     "REPRO_SANITIZE",
     "REPRO_KERNEL",

@@ -364,9 +364,10 @@ def model_comm_schedule(
 ) -> CommSchedule:
     """Model the collective schedule the real engine would issue.
 
-    The unfused schedule mirrors the synchronous path: one blocking message
-    per factor matrix, per packed eigen decomposition (plus the cached outer
-    product under HYBRID/MEM-OPT) and per preconditioned-gradient broadcast.
+    The unfused schedule is the engine with a bucket cap below any tensor:
+    one message per factor matrix, per packed eigen decomposition (plus the
+    cached outer product under HYBRID/MEM-OPT) and per preconditioned-gradient
+    broadcast.
     The fused schedule coalesces tensors sharing a communication channel —
     the world for factor allreduces, a ``(src, group)`` pair for broadcasts —
     into :class:`~repro.distributed.collectives.BucketManager` buckets capped
@@ -583,7 +584,7 @@ def update_fractions_from_stats(stats: Dict[str, Any]) -> Tuple[float, float]:
 
     The preconditioner already normalizes its counters against the fixed base
     cadence; this helper just extracts the two ratios (defaulting to 1.0 for
-    stat dicts from the fixed-frequency path or older runs).
+    stat dicts that carry none).
     """
     return (
         float(stats.get("factor_update_fraction", 1.0)),

@@ -1,8 +1,8 @@
 """Validated, serializable configuration for the KAISA preconditioner.
 
 :class:`KFACConfig` is the single source of truth for K-FAC hyperparameters.
-It replaces the long keyword list of the original ``KFAC.__init__`` with a
-frozen dataclass that
+``KFAC.__init__`` takes one (or builds one from keyword hyperparameters); it
+is a frozen dataclass that
 
 * validates every field once, at construction time (the same rules apply
   whether the config comes from code, a checkpoint or a JSON file),
@@ -12,16 +12,14 @@ frozen dataclass that
 * provides the paper's three named operating points as presets
   (:meth:`mem_opt`, :meth:`comm_opt`, :meth:`hybrid`, section 3.1).
 
-Construct the preconditioner from a config with ``KFAC.from_config(model,
-config)``; per-run objects (the communicator, the grad scaler, skipped
-modules, a profiler) stay out of the config because they are not
-serializable state.
+Construct the preconditioner from a config with ``KFAC(model, config)``;
+per-run objects (the communicator, the grad scaler, skipped modules, a
+profiler) stay out of the config because they are not serializable state.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Union
 
@@ -29,33 +27,7 @@ from ..tensor import PrecisionPolicy
 from .kernels import available_kernel_backends, default_kernel_backend
 from .scheduling.solvers import available_solve_strategies
 
-__all__ = [
-    "KFACConfig",
-    "default_comm_overlap",
-    "default_adaptive_schedule",
-    "default_kernel_backend",
-]
-
-
-def default_comm_overlap() -> bool:
-    """Default for :attr:`KFACConfig.comm_overlap`, overridable via environment.
-
-    Setting ``REPRO_COMM_OVERLAP=1`` (or ``true``/``yes``/``on``) flips the
-    default to the asynchronous bucketed engine — used by CI to run the whole
-    test suite through the overlap path without code changes.
-    """
-    return os.environ.get("REPRO_COMM_OVERLAP", "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def default_adaptive_schedule() -> bool:
-    """Default for :attr:`KFACConfig.adaptive_schedule`, overridable via environment.
-
-    Setting ``REPRO_ADAPTIVE=1`` (or ``true``/``yes``/``on``) routes every
-    preconditioner through the :mod:`repro.kfac.scheduling` planner — used by
-    CI to run the whole suite through the scheduler path (which is bitwise
-    identical to the fixed path while ``drift_tol`` is 0).
-    """
-    return os.environ.get("REPRO_ADAPTIVE", "").strip().lower() in ("1", "true", "yes", "on")
+__all__ = ["KFACConfig", "default_kernel_backend"]
 
 
 @dataclass(frozen=True)
@@ -85,24 +57,14 @@ class KFACConfig:
     #: reproduces the pre-structured numerics bitwise, so it serves as the
     #: parity oracle for the packed representations.
     dense_factors: bool = False
-    #: Route factor allreduces, eigen broadcasts and gradient broadcasts
-    #: through the asynchronous bucketed collective engine
-    #: (:mod:`repro.distributed.collectives`).  Numerics are bitwise
-    #: identical to the synchronous path; only the communication schedule
-    #: changes.  Default honours the ``REPRO_COMM_OVERLAP`` env toggle.
-    comm_overlap: bool = field(default_factory=default_comm_overlap)
-    #: Fused-buffer size cap (MB) used by the engine's bucket manager, or the
-    #: string ``"auto"`` to derive the cap from the alpha-beta network model
-    #: and the registered layer shapes at preconditioner construction
-    #: (:func:`repro.distributed.cost_model.choose_bucket_cap`).
+    #: Fused-buffer size cap (MB) of the bucketed collective engine
+    #: (:mod:`repro.distributed.collectives`) that carries every factor
+    #: allreduce, eigen broadcast and gradient broadcast, or the string
+    #: ``"auto"`` to derive the cap from the alpha-beta network model and the
+    #: registered layer shapes at preconditioner construction
+    #: (:func:`repro.distributed.cost_model.choose_bucket_cap`).  The cap
+    #: changes the message count, never a result bit.
     bucket_cap_mb: Union[float, str] = 25.0
-    #: Route update timing through the :mod:`repro.kfac.scheduling` planner
-    #: (:class:`~repro.kfac.scheduling.FactorUpdateScheduler`).  With the
-    #: remaining adaptive knobs at their defaults the plan is the fixed
-    #: cadence bit for bit; it also unlocks drift-driven refresh, adaptive
-    #: damping and the inverse-free solvers below.  Default honours the
-    #: ``REPRO_ADAPTIVE`` env toggle.
-    adaptive_schedule: bool = field(default_factory=default_adaptive_schedule)
     #: Normalized Frobenius factor-drift tolerance; 0 disables drift
     #: tracking (fixed cadence).  Positive values stretch stale-tolerant
     #: layers' eigen intervals and pull refreshes forward on drift spikes.
@@ -150,8 +112,6 @@ class KFACConfig:
             ("compute_eigen_outer", bool),
             ("triangular_comm", bool),
             ("dense_factors", bool),
-            ("comm_overlap", bool),
-            ("adaptive_schedule", bool),
             ("drift_tol", float),
             ("max_staleness", int),
             ("adaptive_damping", bool),
@@ -170,33 +130,6 @@ class KFACConfig:
             object.__setattr__(self, "bucket_cap_mb", float(self.bucket_cap_mb))
         if self.factor_update_freq < 1 or self.inv_update_freq < 1:
             raise ValueError("update frequencies must be >= 1")
-        if not self.adaptive_schedule:
-            # The fixed-frequency path decomposes on factor-update steps only,
-            # so the static cadences must nest.  Adaptive plans legitimately
-            # violate the divisibility (a second-order refresh forces its own
-            # factor update), hence the check is scoped to the static case.
-            if self.inv_update_freq % self.factor_update_freq != 0:
-                raise ValueError(
-                    "inv_update_freq must be a multiple of factor_update_freq when adaptive "
-                    f"scheduling is off (got inv_update_freq={self.inv_update_freq}, "
-                    f"factor_update_freq={self.factor_update_freq}); set adaptive_schedule=True "
-                    "to allow independent cadences"
-                )
-            # Every adaptive knob needs the scheduler path to take effect;
-            # silently ignoring one would make configs lie about behavior.
-            for name, neutral in (
-                ("drift_tol", 0.0),
-                ("max_staleness", 0),
-                ("adaptive_damping", False),
-                ("damping_pi_correction", False),
-                ("small_layer_dim", 0),
-                ("solve_strategy", "eigen"),
-            ):
-                if getattr(self, name) != neutral:
-                    raise ValueError(
-                        f"{name}={getattr(self, name)!r} requires adaptive_schedule=True "
-                        "(the fixed-frequency path ignores adaptive knobs)"
-                    )
         if self.drift_tol < 0.0:
             raise ValueError("drift_tol must be >= 0")
         if self.max_staleness < 0:
@@ -272,7 +205,6 @@ class KFACConfig:
         still be overridden.
         """
         defaults: Dict[str, Any] = dict(
-            adaptive_schedule=True,
             drift_tol=0.05,
             adaptive_damping=True,
             damping_pi_correction=True,
@@ -294,7 +226,14 @@ class KFACConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "KFACConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``."""
+        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
+
+        Two fields of earlier versions selected between code paths that no
+        longer exist; they never changed a result, so they are dropped rather
+        than rejected and old checkpoints and manifests stay loadable.
+        """
+        retired = ("comm_overlap", "adaptive_schedule")
+        data = {key: value for key, value in data.items() if key not in retired}
         field_names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - field_names
         if unknown:

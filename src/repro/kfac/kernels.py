@@ -129,17 +129,14 @@ class KernelBackend:
     """Dispatch surface for the K-FAC hot math ops.
 
     The default method bodies delegate to the reference implementations, so
-    a backend only overrides the ops it accelerates.  ``supports_batched_eigen``
-    tells the preconditioner whether to collect due layers into shape groups
-    and call :meth:`batched_symmetric_eigen` instead of walking the
-    per-layer strategy path.
+    a backend only overrides the ops it accelerates.  The preconditioner
+    always collects the due dense factors into shape groups and calls
+    :meth:`batched_symmetric_eigen` once per group; the default is a loop over
+    :meth:`symmetric_eigen`, so a backend without a batched kernel decomposes
+    factor by factor exactly as before.
     """
 
     name: str = "?"
-    #: Whether the preconditioner should group due factors by shape and call
-    #: :meth:`batched_symmetric_eigen` (the grouped dispatch respects the
-    #: adaptive scheduler's due-set — only due layers enter a batch).
-    supports_batched_eigen: bool = False
 
     # ----------------------------------------------------------------- eigen
     def symmetric_eigen(
@@ -287,8 +284,6 @@ class BatchedKernelBackend(KernelBackend):
     shared between ranks; :class:`~repro.kfac.KFAC` builds its own via
     :func:`make_kernel_backend`.
     """
-
-    supports_batched_eigen = True
 
     def __init__(self) -> None:
         # (shape, dtype-str) -> scratch array.  Three independent pools so

@@ -1,11 +1,11 @@
 """The KAISA K-FAC gradient preconditioner.
 
-Usage mirrors the paper's Listing 1, now driven by a validated config::
+Usage mirrors the paper's Listing 1, driven by a validated config::
 
     model = ...                                   # any repro.nn model
     optimizer = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
     config = KFACConfig.hybrid(grad_worker_frac=0.5, lr=0.1)
-    preconditioner = KFAC.from_config(model, config)
+    preconditioner = KFAC(model, config)
 
     for data, target in loader:
         optimizer.zero_grad()
@@ -14,8 +14,8 @@ Usage mirrors the paper's Listing 1, now driven by a validated config::
         preconditioner.step()                      # precondition gradients in-place
         optimizer.step()
 
-(The legacy keyword constructor ``KFAC(model, lr=0.1, ...)`` remains
-supported; it validates through the same :class:`KFACConfig` rules.)
+(``KFAC(model, lr=0.1, ...)`` builds the :class:`KFACConfig` from the keyword
+hyperparameters, so both spellings validate through the same rules.)
 
 A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 
@@ -30,25 +30,27 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 4. apply the KL-clip scaling and write the preconditioned gradients back into
    ``param.grad`` so the following ``optimizer.step()`` consumes them.
 
-``grad_worker_frac`` selects the distribution strategy (section 3.1):
-``1/world_size`` is MEM-OPT, ``1`` is COMM-OPT, anything between is
-HYBRID-OPT.  Stages 2 and 3 are delegated to the strategy object, which owns
-the eigen-compute placement and all broadcast plans — adding a new
-distribution scheme means adding one
+There is one path through these stages.  *When* each layer refreshes is a
+per-layer plan kept by a :class:`~repro.kfac.scheduling.FactorUpdateScheduler`
+(at ``drift_tol=0`` the plan is the fixed ``step % freq`` cadence and the
+scheduler is integer bookkeeping); *how* a layer is preconditioned is its
+:class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
+of Eq. 15-17).  ``grad_worker_frac`` selects the distribution strategy
+(section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is COMM-OPT, anything
+between is HYBRID-OPT.  The strategy object publishes which factors each rank
+decomposes and which collectives move the results; the preconditioner batches
+the decompositions through its kernel backend and executes every factor
+allreduce, eigen broadcast and gradient broadcast through one bucketed
+collective engine (:mod:`repro.distributed.collectives`), which coalesces the
+per-layer tensors into ``bucket_cap_mb``-capped fused buffers posted via
+nonblocking primitives.  Adding a distribution scheme means adding one
 :class:`~repro.kfac.strategy.DistributionStrategy` subclass.
-
-With ``KFACConfig.comm_overlap`` enabled, the factor allreduces, eigen
-broadcasts and gradient broadcasts are executed through the asynchronous
-bucketed collective engine (:mod:`repro.distributed.collectives`): the
-per-layer tensors are coalesced into ``bucket_cap_mb``-capped fused buffers
-posted via nonblocking primitives, so they pipeline instead of blocking one
-by one.  Fusion order is deterministic and the collectives are elementwise,
-so the overlap path is bitwise identical to the synchronous default.
 
 :class:`KFAC` implements the :class:`~repro.kfac.base.Preconditioner`
 protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
-factors, eigen state and step counter (per rank), so checkpoint/resume
-reproduces the exact training trajectory under every distribution strategy.
+factors, eigen state, refresh plan and step counter (per rank), so
+checkpoint/resume reproduces the exact training trajectory under every
+distribution strategy.
 """
 
 from __future__ import annotations
@@ -81,97 +83,57 @@ class KFAC(Preconditioner):
     def __init__(
         self,
         model: Module,
-        lr: float = 0.1,
-        factor_decay: float = 0.95,
-        damping: float = 0.003,
-        kl_clip: float = 0.001,
-        factor_update_freq: int = 10,
-        inv_update_freq: int = 100,
-        grad_worker_frac: Optional[float] = None,
-        precision: Union[str, PrecisionPolicy] = "fp32",
-        grad_scaler=None,
+        config: Optional[KFACConfig] = None,
+        *,
         comm: Optional[Communicator] = None,
+        grad_scaler=None,
         skip_modules: Sequence[Module] = (),
-        assignment_balance: Optional[str] = None,
-        compute_eigen_outer: bool = True,
-        triangular_comm: bool = False,
-        dense_factors: Optional[bool] = None,
-        comm_overlap: Optional[bool] = None,
-        bucket_cap_mb: Union[float, str, None] = None,
-        adaptive_schedule: Optional[bool] = None,
-        drift_tol: Optional[float] = None,
-        max_staleness: Optional[int] = None,
-        adaptive_damping: Optional[bool] = None,
-        damping_pi_correction: Optional[bool] = None,
-        solve_strategy: Optional[str] = None,
-        small_layer_solver: Optional[str] = None,
-        small_layer_dim: Optional[int] = None,
-        cg_tol: Optional[float] = None,
-        cg_max_iter: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
         profiler=None,
         tracer=None,
         strategy: Optional[DistributionStrategy] = None,
+        precision: Union[str, PrecisionPolicy, None] = None,
+        **hyperparams: Any,
     ) -> None:
-        if isinstance(precision, PrecisionPolicy):
-            policy = precision
-            precision_name = policy.name or "fp32"  # custom policies validate the rest of the config
-        else:
-            policy = PrecisionPolicy.from_name(precision)
-            precision_name = precision
-        if strategy is not None:
-            # The strategy object owns these; a conflicting explicit argument
-            # would be silently dropped, so reject it instead.
-            if grad_worker_frac is not None or assignment_balance is not None:
-                raise ValueError(
-                    "pass either an explicit strategy or grad_worker_frac/assignment_balance, not both"
-                )
-            grad_worker_frac = getattr(strategy, "grad_worker_frac", 1.0)
-            assignment_balance = getattr(strategy, "balance", "compute")
-        # All hyperparameter validation lives in KFACConfig so code, checkpoints
-        # and experiment manifests are checked by the same rules; the instance
-        # reads its hyperparameters back from the validated config.
-        # comm_overlap / bucket_cap_mb: None defers to the KFACConfig defaults
-        # (including the REPRO_COMM_OVERLAP environment toggle).
-        overlap_overrides = {}
-        if comm_overlap is not None:
-            overlap_overrides["comm_overlap"] = comm_overlap
-        if bucket_cap_mb is not None:
-            overlap_overrides["bucket_cap_mb"] = bucket_cap_mb
-        # Adaptive-scheduling knobs: None defers to the KFACConfig defaults
-        # (including the REPRO_ADAPTIVE environment toggle).
-        for key, value in (
-            ("dense_factors", dense_factors),
-            ("adaptive_schedule", adaptive_schedule),
-            ("drift_tol", drift_tol),
-            ("max_staleness", max_staleness),
-            ("adaptive_damping", adaptive_damping),
-            ("damping_pi_correction", damping_pi_correction),
-            ("solve_strategy", solve_strategy),
-            ("small_layer_solver", small_layer_solver),
-            ("small_layer_dim", small_layer_dim),
-            ("cg_tol", cg_tol),
-            ("cg_max_iter", cg_max_iter),
-            # Kernel backend: None defers to the KFACConfig default
-            # (including the REPRO_KERNEL environment toggle).
-            ("kernel_backend", kernel_backend),
-        ):
-            if value is not None:
-                overlap_overrides[key] = value
-        config = KFACConfig(
-            lr=lr,
-            factor_decay=factor_decay,
-            damping=damping,
-            kl_clip=kl_clip,
-            factor_update_freq=factor_update_freq,
-            inv_update_freq=inv_update_freq,
-            grad_worker_frac=1.0 if grad_worker_frac is None else grad_worker_frac,
-            precision=precision_name,
-            assignment_balance="compute" if assignment_balance is None else assignment_balance,
-            compute_eigen_outer=compute_eigen_outer,
-            triangular_comm=triangular_comm,
-            **overlap_overrides,
-        )
+        """Register ``model``'s layers and build this rank's plans.
+
+        Hyperparameters come either as a :class:`KFACConfig` or as its fields
+        by keyword (``KFAC(model, lr=0.1, damping=0.01)``); all validation
+        lives in :class:`KFACConfig`, so code, checkpoints and experiment
+        manifests are checked by the same rules.  Per-run objects (the
+        communicator, grad scaler, skipped modules, profiler, tracer, a custom
+        strategy instance or a custom :class:`PrecisionPolicy` object in place
+        of a precision name) are passed separately because they are not
+        serializable hyperparameters.
+        """
+        if isinstance(precision, str):
+            hyperparams["precision"] = precision
+            precision = None
+        frac = getattr(strategy, "grad_worker_frac", 1.0)
+        balance = getattr(strategy, "balance", "compute")
+        if config is None:
+            if strategy is not None:
+                # The strategy object owns these; a conflicting explicit
+                # argument would be silently dropped, so reject it instead.
+                if "grad_worker_frac" in hyperparams or "assignment_balance" in hyperparams:
+                    raise ValueError(
+                        "pass either an explicit strategy or grad_worker_frac/assignment_balance, not both"
+                    )
+                hyperparams.update(grad_worker_frac=frac, assignment_balance=balance)
+            if precision is not None:
+                # A custom policy validates the rest of the config under its name.
+                hyperparams["precision"] = precision.name or "fp32"
+            config = KFACConfig(**hyperparams)
+        elif not isinstance(config, KFACConfig):
+            raise TypeError(f"expected KFACConfig, got {type(config).__name__}")
+        elif hyperparams:
+            raise TypeError("pass either a KFACConfig or keyword hyperparameters, not both")
+        elif strategy is not None and (frac, balance) != (config.grad_worker_frac, config.assignment_balance):
+            # Require the config to agree with the strategy object so a
+            # checkpointed config round-trips to the same behavior.
+            raise ValueError(
+                "config and strategy disagree on grad_worker_frac/assignment_balance; "
+                "align the config with the strategy instance"
+            )
 
         self.model = model
         self.lr = config.lr
@@ -185,7 +147,6 @@ class KFAC(Preconditioner):
         self.compute_eigen_outer = config.compute_eigen_outer
         self.triangular_comm = config.triangular_comm
         self.dense_factors = config.dense_factors
-        self.comm_overlap = config.comm_overlap
         self.bucket_cap_mb = config.bucket_cap_mb  # may be the string "auto"
         self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -193,7 +154,7 @@ class KFAC(Preconditioner):
             self.profiler.tracer = self.tracer
         self._base_config = config
 
-        self.precision = policy
+        self.precision = precision if precision is not None else config.precision_policy()
         if strategy is None:
             strategy = DistributionStrategy(
                 world_size=self.comm.world_size,
@@ -215,12 +176,7 @@ class KFAC(Preconditioner):
         self._pipeline_folded: set = set()
         self._pipeline_folded_step = -1
         self._skip_ids = {id(m) for m in skip_modules}
-        # The scheduling subsystem attributes exist before registration so
-        # the per-layer accumulate closures can consult them at hook time.
         self.damping_pi_correction = config.damping_pi_correction
-        self.factor_scheduler: Optional[FactorUpdateScheduler] = None
-        self.solvers: Optional[Dict[str, SolveStrategy]] = None
-        self.damping_controller: Optional[AdaptiveDampingController] = None
         # One kernel-backend instance per preconditioner (per rank): backends
         # may own mutable scratch buffers, so they must not be shared across
         # the threaded ranks of a multi-rank world.  Built before layer
@@ -241,28 +197,25 @@ class KFAC(Preconditioner):
         self.groups: Dict[str, LayerWorkGroups] = self.strategy.assign(
             [layer.shape_info() for layer in self.layers.values()]
         )
-        if config.adaptive_schedule:
-            self.factor_scheduler = FactorUpdateScheduler(
-                list(self.layers),
-                config.factor_update_freq,
-                config.inv_update_freq,
-                drift_tol=config.drift_tol,
-                max_staleness=config.max_staleness,
-            )
-            self.solvers = {
-                name: self._make_solver(self._solver_name_for(layer))
-                for name, layer in self.layers.items()
-            }
-            if config.adaptive_damping:
-                self.damping_controller = AdaptiveDampingController(config.damping)
+        # The per-layer refresh plan (when) and solve strategies (how), keyed by
+        # layer name; the layer hooks first consult the plan in a forward pass.
+        self.factor_scheduler = FactorUpdateScheduler(
+            list(self.layers),
+            config.factor_update_freq,
+            config.inv_update_freq,
+            drift_tol=config.drift_tol,
+            max_staleness=config.max_staleness,
+        )
+        self.solvers: Dict[str, SolveStrategy] = {
+            name: self._make_solver(self._solver_name_for(layer)) for name, layer in self.layers.items()
+        }
+        self.damping_controller: Optional[AdaptiveDampingController] = (
+            AdaptiveDampingController(config.damping) if config.adaptive_damping else None
+        )
         # "auto" sizes the fused-buffer cap from the alpha-beta model and the
         # registered factor shapes, so it must resolve after registration.
         self.resolved_bucket_cap_mb = self._resolve_bucket_cap()
-        self.scheduler = (
-            OverlapScheduler(self.comm, self.resolved_bucket_cap_mb, tracer=self.tracer)
-            if self.comm_overlap
-            else None
-        )
+        self.scheduler = OverlapScheduler(self.comm, self.resolved_bucket_cap_mb, tracer=self.tracer)
 
     def set_tracer(self, tracer) -> None:
         """Adopt ``tracer`` for stage spans, scheduling events and comm spans.
@@ -273,8 +226,7 @@ class KFAC(Preconditioner):
         its own) to the profiler.
         """
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.scheduler is not None:
-            self.scheduler.tracer = self.tracer
+        self.scheduler.tracer = self.tracer
         if self.profiler is not None and getattr(self.profiler, "tracer", None) is None and self.tracer.enabled:
             self.profiler.tracer = self.tracer
 
@@ -310,47 +262,9 @@ class KFAC(Preconditioner):
 
     # ----------------------------------------------------------- construction
     @classmethod
-    def from_config(
-        cls,
-        model: Module,
-        config: KFACConfig,
-        *,
-        comm: Optional[Communicator] = None,
-        grad_scaler=None,
-        skip_modules: Sequence[Module] = (),
-        profiler=None,
-        tracer=None,
-        strategy: Optional[DistributionStrategy] = None,
-    ) -> "KFAC":
-        """Build a preconditioner from a :class:`KFACConfig`.
-
-        Per-run objects (communicator, grad scaler, skipped modules, profiler,
-        tracer, or a custom strategy instance) are passed separately because
-        they are not serializable hyperparameters.
-        """
-        if not isinstance(config, KFACConfig):
-            raise TypeError(f"expected KFACConfig, got {type(config).__name__}")
-        hyperparams = config.to_dict()
-        if strategy is not None:
-            # The strategy object owns distribution; require the config to agree
-            # so a checkpointed config round-trips to the same behavior.
-            frac = hyperparams.pop("grad_worker_frac")
-            balance = hyperparams.pop("assignment_balance")
-            if getattr(strategy, "grad_worker_frac", frac) != frac or getattr(strategy, "balance", balance) != balance:
-                raise ValueError(
-                    "config and strategy disagree on grad_worker_frac/assignment_balance; "
-                    "align the config with the strategy instance"
-                )
-        return cls(
-            model,
-            **hyperparams,
-            grad_scaler=grad_scaler,
-            comm=comm,
-            skip_modules=skip_modules,
-            profiler=profiler,
-            tracer=tracer,
-            strategy=strategy,
-        )
+    def from_config(cls, model: Module, config: KFACConfig, **run_objects: Any) -> "KFAC":
+        """Alias of ``KFAC(model, config, **run_objects)``."""
+        return cls(model, config, **run_objects)
 
     # ------------------------------------------------------------ registration
     def _register_model(self, model: Module) -> None:
@@ -373,13 +287,10 @@ class KFAC(Preconditioner):
     def _should_accumulate(self, layer_name: str) -> bool:
         """Layer hooks accumulate statistics only on factor-update iterations.
 
-        With adaptive scheduling the decision is per layer: hooks of layers
-        whose factor update is not due this step skip the (quadratic)
-        statistics accumulation entirely.
+        The decision is per layer: hooks of layers whose factor update is not
+        due this step skip the (quadratic) statistics accumulation entirely.
         """
-        if self.factor_scheduler is not None:
-            return self.factor_scheduler.factors_due(layer_name, self._steps)
-        return self._steps % self.factor_update_freq == 0
+        return self.factor_scheduler.factors_due(layer_name, self._steps)
 
     def _current_grad_scale(self) -> float:
         if self.grad_scaler is None:
@@ -456,147 +367,104 @@ class KFAC(Preconditioner):
                 # as a named divergence instead of a buffer-size crash.
                 sanitizer.check_consistent(self.rank, "kfac/reprs", self._repr_signature)
         with self.tracer.span("kfac/step", category="kfac", step=self._steps):
-            if self.factor_scheduler is not None:
-                self._step_scheduled(loss)
-                return
-            update_factors = self._steps % self.factor_update_freq == 0
-            update_eigen = self._steps % self.inv_update_freq == 0
-            if self.tracer.enabled:
-                # Counter semantics mirror scheduler_stats(): "skips" are
-                # base-cadence opportunities not taken, so the fixed cadence
-                # never skips.
-                n_layers = len(self.layers)
-                self.tracer.counter_add("kfac/factor_updates", n_layers if update_factors else 0)
-                self.tracer.counter_add("kfac/factor_skips", 0)
-                self.tracer.counter_add("kfac/eigen_updates", n_layers if update_eigen else 0)
-                self.tracer.counter_add("kfac/eigen_skips", 0)
-                self.tracer.gauge_set("kfac/damping", self.damping)
+            sched = self.factor_scheduler
+            step = self._steps
+            mean_loss: Optional[float] = None
+            if self.damping_controller is not None and loss is not None:
+                # Average the loss across ranks so every rank applies the same
+                # damping adjustment and the SPMD plan stays in lock step.
+                mean_loss = self._mean_loss(loss)
+                previous_damping = self.damping
+                self.damping = self.damping_controller.observe_loss(mean_loss)
+                if self.tracer.enabled and self.damping != previous_damping:
+                    self.tracer.instant(
+                        "kfac/damping_adjusted",
+                        category="scheduling",
+                        step=step,
+                        old=previous_damping,
+                        new=self.damping,
+                    )
+                    self.tracer.counter_add("kfac/damping_adjustments")
 
-            if update_factors and self._pipeline_factor_step != self._steps:
+            factor_layers = self._factor_layers_due()
+            if factor_layers and self._pipeline_factor_step != step:
                 with self._profile("factor_compute"):
-                    self._update_local_factors()
+                    self._update_local_factors(factor_layers)
                 with self._profile("factor_allreduce"):
-                    self._allreduce_factors()
-            if update_eigen:
+                    self._allreduce_factors(factor_layers)
+            for name in factor_layers:
+                layer = self.layers[name]
+                # Post-allreduce: all ranks observe identical factors and hence
+                # derive the identical plan without extra communication.
+                sched.observe_factors(name, step, layer.factor_a, layer.factor_g)
+
+            if sanitizer is not None:
+                # The refresh plan and damping are functions of allreduced state
+                # only; verify every rank derived the identical plan *before*
+                # acting on it, so a divergence surfaces here instead of as a
+                # mismatched collective schedule downstream.
+                sanitizer.check_consistent(
+                    self.rank,
+                    f"kfac/plan:{step}",
+                    (sched.plan_fingerprint(step), self.damping, self._repr_signature),
+                )
+
+            second_layers = [name for name in self.layers if sched.second_order_due(name, step)]
+            eigen_layers = [name for name in second_layers if self.solvers[name].needs_eigen]
+            if self.tracer.enabled:
+                # "Skips" match FactorUpdateScheduler.advance(): base-cadence
+                # opportunities (step % freq == 0) the plan chose not to take.
+                n_layers = len(self.layers)
+                factor_skips = n_layers - len(factor_layers) if step % self.factor_update_freq == 0 else 0
+                eigen_skips = n_layers - len(second_layers) if step % self.inv_update_freq == 0 else 0
+                self.tracer.counter_add("kfac/factor_updates", len(factor_layers))
+                self.tracer.counter_add("kfac/factor_skips", factor_skips)
+                self.tracer.counter_add("kfac/eigen_updates", len(second_layers))
+                self.tracer.counter_add("kfac/eigen_skips", eigen_skips)
+                self.tracer.gauge_set("kfac/damping", self.damping)
+                solver_counts: Dict[str, int] = {}
+                for name in second_layers:
+                    solver = self.solvers[name].name
+                    solver_counts[solver] = solver_counts.get(solver, 0) + 1
+                self.tracer.instant(
+                    "kfac/refresh_decision",
+                    category="scheduling",
+                    step=step,
+                    factor_layers=len(factor_layers),
+                    second_order_layers=len(second_layers),
+                    eigen_solver_layers=len(eigen_layers),
+                    solvers=solver_counts,
+                    damping=self.damping,
+                )
+            if second_layers:
                 with self._profile("eigen_decomposition"):
-                    self._compute_eigen_decompositions()
+                    self._compute_eigen_decompositions(eigen_layers)
+                    for name in second_layers:
+                        solver = self.solvers[name]
+                        if solver.needs_eigen:
+                            continue
+                        if self.groups[name].is_grad_worker(self.rank):
+                            layer = self.layers[name]
+                            solver.prepare(layer, self.damping, pi=self.damping_pi(layer))
                 with self._profile("eigen_broadcast"):
-                    self._broadcast_eigen_decompositions()
+                    self._broadcast_eigen_decompositions(eigen_layers)
+                for name in second_layers:
+                    layer = self.layers[name]
+                    sched.mark_second_order(name, step, layer.factor_a, layer.factor_g)
+
             with self._profile("precondition"):
                 preconditioned = self._precondition_gradients()
             with self._profile("grad_broadcast"):
                 preconditioned = self._broadcast_preconditioned_gradients(preconditioned)
             with self._profile("scale_and_update"):
-                self._apply_preconditioned_gradients(preconditioned)
+                nu, raw_total = self._apply_preconditioned_gradients(preconditioned)
+            if self.damping_controller is not None and mean_loss is not None:
+                # First-order predicted reduction of the update just written:
+                # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
+                # a decrease of lr·ν·Σ⟨grad, precond⟩.
+                self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
+            sched.advance(step)
             self._steps += 1
-
-    def _step_scheduled(self, loss: Optional[float]) -> None:
-        """Scheduler-planned step: per-layer factor/second-order refreshes.
-
-        With ``drift_tol=0`` and nested frequencies the per-layer plan is the
-        fixed cadence for every layer, all subsets below cover every layer on
-        the same steps as the legacy body, and the arithmetic is untouched —
-        the two paths are bitwise identical.
-        """
-        sched = self.factor_scheduler
-        step = self._steps
-        mean_loss: Optional[float] = None
-        if self.damping_controller is not None and loss is not None:
-            # Average the loss across ranks so every rank applies the same
-            # damping adjustment and the SPMD plan stays in lock step.
-            mean_loss = self._mean_loss(loss)
-            previous_damping = self.damping
-            self.damping = self.damping_controller.observe_loss(mean_loss)
-            if self.tracer.enabled and self.damping != previous_damping:
-                self.tracer.instant(
-                    "kfac/damping_adjusted",
-                    category="scheduling",
-                    step=step,
-                    old=previous_damping,
-                    new=self.damping,
-                )
-                self.tracer.counter_add("kfac/damping_adjustments")
-
-        factor_layers = [name for name in self.layers if sched.factors_due(name, step)]
-        if factor_layers and self._pipeline_factor_step != step:
-            with self._profile("factor_compute"):
-                self._update_local_factors(factor_layers)
-            with self._profile("factor_allreduce"):
-                self._allreduce_factors(factor_layers)
-        for name in factor_layers:
-            layer = self.layers[name]
-            # Post-allreduce: all ranks observe identical factors and hence
-            # derive the identical plan without extra communication.
-            sched.observe_factors(name, step, layer.factor_a, layer.factor_g)
-
-        sanitizer = getattr(self.comm, "sanitizer", None)
-        if sanitizer is not None:
-            # The refresh plan and damping are functions of allreduced state
-            # only; verify every rank derived the identical plan *before*
-            # acting on it, so a divergence surfaces here instead of as a
-            # mismatched collective schedule downstream.
-            sanitizer.check_consistent(
-                self.rank,
-                f"kfac/plan:{step}",
-                (sched.plan_fingerprint(step), self.damping, self._repr_signature),
-            )
-
-        second_layers = [name for name in self.layers if sched.second_order_due(name, step)]
-        eigen_layers = [name for name in second_layers if self.solvers[name].needs_eigen]
-        if self.tracer.enabled:
-            # "Skips" match FactorUpdateScheduler.advance(): base-cadence
-            # opportunities (step % freq == 0) the plan chose not to take.
-            n_layers = len(self.layers)
-            factor_skips = n_layers - len(factor_layers) if step % self.factor_update_freq == 0 else 0
-            eigen_skips = n_layers - len(second_layers) if step % self.inv_update_freq == 0 else 0
-            self.tracer.counter_add("kfac/factor_updates", len(factor_layers))
-            self.tracer.counter_add("kfac/factor_skips", factor_skips)
-            self.tracer.counter_add("kfac/eigen_updates", len(second_layers))
-            self.tracer.counter_add("kfac/eigen_skips", eigen_skips)
-            self.tracer.gauge_set("kfac/damping", self.damping)
-            solver_counts: Dict[str, int] = {}
-            for name in second_layers:
-                solver = self.solvers[name].name
-                solver_counts[solver] = solver_counts.get(solver, 0) + 1
-            self.tracer.instant(
-                "kfac/refresh_decision",
-                category="scheduling",
-                step=step,
-                factor_layers=len(factor_layers),
-                second_order_layers=len(second_layers),
-                eigen_solver_layers=len(eigen_layers),
-                solvers=solver_counts,
-                damping=self.damping,
-            )
-        if second_layers:
-            with self._profile("eigen_decomposition"):
-                self._compute_eigen_decompositions(eigen_layers)
-                for name in second_layers:
-                    solver = self.solvers[name]
-                    if solver.needs_eigen:
-                        continue
-                    if self.groups[name].is_grad_worker(self.rank):
-                        layer = self.layers[name]
-                        solver.prepare(layer, self.damping, pi=self.damping_pi(layer))
-            with self._profile("eigen_broadcast"):
-                self._broadcast_eigen_decompositions(eigen_layers)
-            for name in second_layers:
-                layer = self.layers[name]
-                sched.mark_second_order(name, step, layer.factor_a, layer.factor_g)
-
-        with self._profile("precondition"):
-            preconditioned = self._precondition_gradients()
-        with self._profile("grad_broadcast"):
-            preconditioned = self._broadcast_preconditioned_gradients(preconditioned)
-        with self._profile("scale_and_update"):
-            nu, raw_total = self._apply_preconditioned_gradients(preconditioned)
-        if self.damping_controller is not None and mean_loss is not None:
-            # First-order predicted reduction of the update just written:
-            # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
-            # a decrease of lr·ν·Σ⟨grad, precond⟩.
-            self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
-        sched.advance(step)
-        self._steps += 1
 
     def _mean_loss(self, loss: float) -> float:
         value = np.asarray([float(loss)], dtype=np.float64)
@@ -606,34 +474,21 @@ class KFAC(Preconditioner):
         """The factor-trace π correction for ``layer``, or None when disabled.
 
         ``None`` keeps every downstream damping formula on its uncorrected
-        branch bit for bit, so the legacy path never sees a π.
+        branch bit for bit.
         """
-        if self.factor_scheduler is None or not self.damping_pi_correction:
+        if not self.damping_pi_correction:
             return None
         if layer.factor_a is None or layer.factor_g is None:
             return None
         return tikhonov_pi(layer.factor_a, layer.factor_g)
 
     # ------------------------------------------------------------ stage 1: factors
-    # Stage helpers take an optional layer-name subset (registration order
-    # preserved): the legacy path passes None (= all layers), the scheduler
-    # path passes the layers whose refresh is due this step.  Skipped layers
-    # contribute no local compute and no collective traffic.
-    def _layer_subset(self, names: Optional[Sequence[str]]) -> List[str]:
-        if names is None:
-            return list(self.layers)
-        # Canonicalize to registration order: every stage then iterates (and
-        # hence posts collectives) in the same deterministic order on every
-        # rank regardless of how the caller assembled the subset.
-        wanted = set(names)
-        subset = [name for name in self.layers if name in wanted]
-        if len(subset) != len(wanted):
-            unknown = sorted(wanted - set(self.layers))
-            raise KeyError(f"unknown layer name(s) in subset: {unknown}")
-        return subset
-
-    def _update_local_factors(self, names: Optional[Sequence[str]] = None) -> None:
-        for name in self._layer_subset(names):
+    # Stage helpers take the layer names whose refresh is due this step, in
+    # registration order (every rank iterates, and hence posts collectives, in
+    # the same order).  Skipped layers contribute no local compute and no
+    # collective traffic.
+    def _update_local_factors(self, names: Sequence[str]) -> None:
+        for name in names:
             layer = self.layers[name]
             if not layer.has_accumulated_data:
                 raise RuntimeError(
@@ -643,72 +498,41 @@ class KFAC(Preconditioner):
             a_new, g_new = layer.compute_batch_factors()
             layer.update_factors(a_new, g_new, self.factor_decay)
 
-    def _allreduce_factors(self, names: Optional[Sequence[str]] = None) -> None:
-        if self.comm.world_size == 1:
-            return
-        if self.scheduler is not None:
-            self._allreduce_factors_fused(names)
-            return
-        for name in self._layer_subset(names):
-            layer = self.layers[name]
-            a_repr, g_repr = layer.a_repr, layer.g_repr
-            # Each factor travels in its repr's wire form: dense optionally as
-            # the packed upper triangle, structured factors as their (already
-            # packed) storage — O(F) on the wire for diagonal layers.
-            reduced_a = self.comm.allreduce_average(a_repr.pack_comm(layer.factor_a, self.triangular_comm))
-            reduced_g = self.comm.allreduce_average(g_repr.pack_comm(layer.factor_g, self.triangular_comm))
-            layer.set_factors(
-                a_repr.unpack_comm(reduced_a, self.triangular_comm),
-                g_repr.unpack_comm(reduced_g, self.triangular_comm),
-            )
-
-    def _allreduce_factors_fused(self, names: Optional[Sequence[str]] = None) -> None:
-        """Factor allreduce through the bucketed engine (bitwise-identical).
+    def _allreduce_factors(self, names: Sequence[str]) -> None:
+        """Average the due layers' factors over the world through the bucketed engine.
 
         Allreduce-average is elementwise, so coalescing the per-layer factor
         matrices into fused buckets changes the message count (and hence the
-        latency cost) but not a single result bit.  Buckets are posted
-        back-to-back via the nonblocking primitives, pipelining the factor
-        traffic instead of serialising one blocking call per tensor.  The
-        per-layer plan (keys, packing, installation) is owned by the
-        strategy and shared with the backward-hook gradient pipeline.
+        latency cost) but not a single result bit.  Each factor travels in its
+        repr's wire form: dense optionally as the packed upper triangle,
+        structured factors as their (already packed) storage — O(F) on the
+        wire for diagonal layers.  The per-layer plan (keys, packing,
+        installation) is owned by the strategy and shared with the
+        backward-hook gradient pipeline.
         """
         specs: List[AllreduceSpec] = []
-        for name in self._layer_subset(names):
+        for name in names:
             layer = self.layers[name]
             for key, _shape, _dtype, pack, install in self.strategy.factor_allreduce_entries(layer, self):
                 specs.append(AllreduceSpec(key=key, payload=pack(), on_complete=install))
         self.scheduler.run_allreduces(specs)
 
     # -------------------------------------------------------- stage 2: eigen decomp
-    # The placement of the decompositions, which ranks keep them, and every
-    # broadcast plan are owned by the strategy object (section 3.1).
-    def _compute_eigen_decompositions(self, names: Optional[Sequence[str]] = None) -> None:
-        subset = self._layer_subset(names)
-        if self.kernels.supports_batched_eigen and self._compute_eigen_batched(subset):
-            return
-        for name in subset:
-            self.strategy.compute_eigen(self.layers[name], self.groups[name], self)
-
-    def _compute_eigen_batched(self, subset: Sequence[str]) -> bool:
-        """Shape-grouped batched eigen dispatch for the due-layer ``subset``.
+    # Which rank decomposes which factor, which ranks keep the results, and
+    # every broadcast plan are owned by the strategy object (section 3.1).
+    def _compute_eigen_decompositions(self, names: Sequence[str]) -> None:
+        """Decompose the factors this rank owns among the due layers ``names``.
 
         The strategy publishes which factors this rank decomposes
         (:meth:`~repro.kfac.strategy.DistributionStrategy.local_eigen_tasks`);
-        the factors are grouped by shape/dtype and each group goes through
+        dense factors are grouped by shape/dtype and each group goes through
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
-        call, landing the decompositions exactly where the per-layer path
-        would have.  Only due layers enter a batch, so the adaptive
-        scheduler's skip decisions are preserved verbatim.  Returns ``False``
-        (caller falls back to per-layer ``compute_eigen``) when the strategy
-        has no grouped plan — custom strategies keep working unbatched.
+        call (a plain loop on the ``reference`` backend).  Only due layers
+        enter a batch, so the scheduler's skip decisions are preserved.
         """
         tasks: List[tuple] = []
-        for name in subset:
-            which_list = self.strategy.local_eigen_tasks(self.layers[name], self.groups[name], self)
-            if which_list is None:
-                return False
-            for which in which_list:
+        for name in names:
+            for which in self.strategy.local_eigen_tasks(self.layers[name], self.groups[name], self):
                 tasks.append((name, which))
         compute = self.precision.compute_dtype
         store = self.precision.inverse_dtype
@@ -759,40 +583,27 @@ class KFAC(Preconditioner):
                 batches=len(batch_sizes),
                 batch_sizes=batch_sizes,
             )
-        for name in subset:
+        for name in names:
             self.strategy.finalize_local_eigen(self.layers[name], self.groups[name], self)
-        return True
 
-    def _broadcast_eigen_decompositions(self, names: Optional[Sequence[str]] = None) -> None:
-        subset = self._layer_subset(names)
-        if not subset:
-            return
-        if self.scheduler is not None:
-            # One deterministic schedule across all layers: specs sharing a
-            # (src, group) channel fuse into capped buckets, and all buckets
-            # fly concurrently instead of one blocking broadcast per tensor.
-            specs: List[BroadcastSpec] = []
-            for name in subset:
-                specs.extend(self.strategy.eigen_broadcast_specs(self.layers[name], self.groups[name], self))
-            self.scheduler.run_broadcasts(specs)
-            for name in subset:
-                if self.groups[name].is_grad_worker(self.rank):
-                    self.strategy.finalize_eigen(self.layers[name], self.groups[name], self)
-            return
-        for name in subset:
-            self.strategy.broadcast_eigen(self.layers[name], self.groups[name], self)
+    def _broadcast_eigen_decompositions(self, names: Sequence[str]) -> None:
+        # One deterministic schedule across all due layers: specs sharing a
+        # (src, group) channel fuse into capped buckets, and all buckets fly
+        # concurrently instead of one blocking broadcast per tensor.
+        specs: List[BroadcastSpec] = []
+        for name in names:
+            specs.extend(self.strategy.eigen_broadcast_specs(self.layers[name], self.groups[name], self))
+        self.scheduler.run_broadcasts(specs)
+        for name in names:
+            if self.groups[name].is_grad_worker(self.rank):
+                self.strategy.finalize_eigen(self.layers[name], self.groups[name], self)
 
     # ------------------------------------------------------ stage 3: precondition
     def _precondition_gradients(self) -> Dict[str, Optional[np.ndarray]]:
         preconditioned: Dict[str, Optional[np.ndarray]] = {}
         for name, layer in self.layers.items():
-            group = self.groups[name]
-            if group.is_grad_worker(self.rank):
-                if self.solvers is not None:
-                    solver = self.solvers[name]
-                    preconditioned[name] = solver.solve(layer, self.damping, pi=self.damping_pi(layer))
-                else:
-                    preconditioned[name] = layer.precondition(self.damping)
+            if self.groups[name].is_grad_worker(self.rank):
+                preconditioned[name] = self.solvers[name].solve(layer, self.damping, pi=self.damping_pi(layer))
             else:
                 preconditioned[name] = None
         return preconditioned
@@ -801,25 +612,19 @@ class KFAC(Preconditioner):
         self, preconditioned: Dict[str, Optional[np.ndarray]]
     ) -> Dict[str, Optional[np.ndarray]]:
         out: Dict[str, Optional[np.ndarray]] = {}
-        if self.scheduler is not None:
-            specs: List[BroadcastSpec] = []
+        specs: List[BroadcastSpec] = []
 
-            def collect(key: str):
-                def install(array: Optional[np.ndarray]) -> None:
-                    out[key] = array
+        def collect(key: str):
+            def install(array: Optional[np.ndarray]) -> None:
+                out[key] = array
 
-                return install
+            return install
 
-            for name in self.layers:
-                specs.extend(
-                    self.strategy.gradient_broadcast_specs(
-                        self.groups[name], preconditioned[name], self, collect(name)
-                    )
-                )
-            self.scheduler.run_broadcasts(specs)
-            return out
         for name in self.layers:
-            out[name] = self.strategy.broadcast_gradient(self.groups[name], preconditioned[name], self)
+            specs.extend(
+                self.strategy.gradient_broadcast_specs(self.groups[name], preconditioned[name], self, collect(name))
+            )
+        self.scheduler.run_broadcasts(specs)
         return out
 
     # --------------------------------------------------- stage 4: scale and update
@@ -924,16 +729,11 @@ class KFAC(Preconditioner):
     def _factor_layers_due(self) -> List[str]:
         """Layer names whose factor fold + allreduce run this step.
 
-        The scheduler path asks the per-layer plan; the legacy path is the
-        global fixed cadence (all layers or none).  The plan only mutates
-        inside :meth:`step`, after the pipeline drained, so the due-set is
-        stable between ``pipeline_specs`` and ``on_pipeline_flush``.
+        The plan only mutates inside :meth:`step`, after the pipeline
+        drained, so the due-set is stable between ``pipeline_specs`` and
+        ``on_pipeline_flush``.
         """
-        if self.factor_scheduler is not None:
-            return [name for name in self.layers if self.factor_scheduler.factors_due(name, self._steps)]
-        if self._steps % self.factor_update_freq != 0:
-            return []
-        return list(self.layers)
+        return [name for name in self.layers if self.factor_scheduler.factors_due(name, self._steps)]
 
     def on_pipeline_flush(self, pipeline) -> None:
         """Mark this iteration's factor stages complete once the pipeline drained."""
@@ -966,9 +766,8 @@ class KFAC(Preconditioner):
             "config": config,
             "layers": {name: layer.state_dict() for name, layer in self.layers.items()},
         }
-        if self.factor_scheduler is not None:
-            state["scheduler"] = self.factor_scheduler.state_dict()
-            state["solvers"] = {name: solver.state_dict() for name, solver in self.solvers.items()}
+        state["scheduler"] = self.factor_scheduler.state_dict()
+        state["solvers"] = {name: solver.state_dict() for name, solver in self.solvers.items()}
         if self.damping_controller is not None:
             state["damping_controller"] = self.damping_controller.state_dict()
         return state
@@ -992,16 +791,17 @@ class KFAC(Preconditioner):
         for name, layer in self.layers.items():
             layer.load_state_dict(layer_states[name])
         self._steps = int(state["steps"])
-        # Scheduling-subsystem state: tolerated as absent (checkpoints written
-        # before the scheduler existed, or with adaptive scheduling off) — a
-        # fresh plan restarts at the base cadence, which only affects *when*
-        # work happens, never its numerics.
-        if self.factor_scheduler is not None and state.get("scheduler") is not None:
+        # A checkpoint without a plan was written by the fixed step % freq
+        # cadence (every version before the scheduler became the only path):
+        # position a fresh plan on that cadence at the restored step, so the
+        # resumed run refreshes exactly when the uninterrupted one would.
+        if state.get("scheduler") is not None:
             self.factor_scheduler.load_state_dict(state["scheduler"])
-        if self.solvers is not None:
-            for name, solver_state in (state.get("solvers") or {}).items():
-                if name in self.solvers:
-                    self.solvers[name].load_state_dict(solver_state)
+        else:
+            self.factor_scheduler.reset(at_step=self._steps)
+        for name, solver_state in (state.get("solvers") or {}).items():
+            if name in self.solvers:
+                self.solvers[name].load_state_dict(solver_state)
         if self.damping_controller is not None and state.get("damping_controller") is not None:
             self.damping_controller.load_state_dict(state["damping_controller"])
             self.damping = self.damping_controller.damping
@@ -1017,7 +817,7 @@ class KFAC(Preconditioner):
         """Bytes of K-FAC state held on *this* rank (the paper's K-FAC overhead)."""
         factors = sum(layer.factor_bytes() for layer in self.layers.values())
         eigen = sum(layer.eigen_bytes() for layer in self.layers.values())
-        solver = 0 if self.solvers is None else sum(s.solver_bytes() for s in self.solvers.values())
+        solver = sum(s.solver_bytes() for s in self.solvers.values())
         return {"factors": factors, "eigen": eigen, "solver": solver, "total": factors + eigen + solver}
 
     def reset(self) -> None:
@@ -1031,11 +831,9 @@ class KFAC(Preconditioner):
         self._pipeline_factor_step = -1
         self._pipeline_folded = set()
         self._pipeline_folded_step = -1
-        if self.factor_scheduler is not None:
-            self.factor_scheduler.reset()
-        if self.solvers is not None:
-            for solver in self.solvers.values():
-                solver.reset()
+        self.factor_scheduler.reset()
+        for solver in self.solvers.values():
+            solver.reset()
         if self.damping_controller is not None:
             self.damping_controller = AdaptiveDampingController(self._base_config.damping)
             self.damping = self._base_config.damping
@@ -1048,43 +846,20 @@ class KFAC(Preconditioner):
         performed updates relative to what the fixed base cadence would have
         performed over the same steps — the knob
         :func:`repro.kfac.analysis.apply_measured_fractions` feeds into the
-        cost model.  The fixed-frequency path reports synthesized counters
-        (fractions exactly 1.0, zero skips) so callers need not branch.
+        cost model (exactly 1.0, with zero skips, while ``drift_tol`` is 0).
+        ``enabled`` says whether drift tracking can move the plan off that
+        cadence.
         """
         n_layers = len(self.layers)
         expected_factor = n_layers * self._expected_updates(self.factor_update_freq)
         expected_eigen = n_layers * self._expected_updates(self.inv_update_freq)
         stats: Dict[str, Any] = {
-            "enabled": self.factor_scheduler is not None,
+            "enabled": self.factor_scheduler.drift_tol > 0.0,
             "steps": self._steps,
             "damping": {"value": self.damping, "adaptive": self.damping_controller is not None},
         }
         if self.damping_controller is not None:
             stats["damping"].update(self.damping_controller.stats())
-        if self.factor_scheduler is None:
-            per_factor = expected_factor // n_layers if n_layers else 0
-            per_eigen = expected_eigen // n_layers if n_layers else 0
-            stats["layers"] = {
-                name: {
-                    "factor_updates": per_factor,
-                    "eigen_updates": per_eigen,
-                    "factor_skips": 0,
-                    "eigen_skips": 0,
-                    "drift_triggers": 0,
-                    "solver": "eigen",
-                }
-                for name in self.layers
-            }
-            stats["totals"] = {
-                "factor_updates": expected_factor,
-                "eigen_updates": expected_eigen,
-                "factor_skips": 0,
-                "eigen_skips": 0,
-                "drift_triggers": 0,
-            }
-            stats["factor_update_fraction"] = 1.0
-            stats["eigen_update_fraction"] = 1.0
-            return stats
         layers = self.factor_scheduler.layer_stats()
         for name, entry in layers.items():
             solver = self.solvers[name]

@@ -20,9 +20,10 @@ makes both decisions per layer and adaptive:
   warm-started conjugate-gradient solve (:func:`kronecker_cg`) that skips
   the O(F³) eigen decomposition entirely — the right trade for small layers.
 
-:class:`~repro.kfac.KFAC` drives all three when
-``KFACConfig.adaptive_schedule`` is on (``REPRO_ADAPTIVE=1`` flips the
-default); the fixed-frequency path remains the reference oracle.
+:class:`~repro.kfac.KFAC` always drives all three: with the adaptive knobs
+at their defaults (``drift_tol=0``, fixed damping, the eigen solver) they
+reproduce the paper's fixed-cadence step, and each knob departs from it on
+its own.
 """
 
 from .damping import MAX_DAMPING, MIN_DAMPING, AdaptiveDampingController

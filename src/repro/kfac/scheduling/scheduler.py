@@ -18,8 +18,7 @@ The plan is queried at three points of an optimization step:
 * :meth:`advance` — at the end of the step, for skip bookkeeping.
 
 With ``drift_tol=0`` (the default) no snapshots are kept and the due-steps
-are exactly the fixed ``step % freq == 0`` cadence, so the scheduler path is
-provably equivalent to the fixed-frequency oracle.
+are exactly the fixed ``step % freq == 0`` cadence.
 """
 
 from __future__ import annotations
@@ -94,11 +93,10 @@ class FactorUpdateScheduler:
         Registration-ordered layer names; the plan is keyed by name so it
         survives checkpoint/resume independently of object identity.
     factor_update_freq, inv_update_freq:
-        Base cadences (the paper's F_freq and K_freq).  Unlike the fixed
-        path, ``inv_update_freq`` need not be a multiple of
-        ``factor_update_freq`` — a second-order refresh forces a factor
-        update on the same step so decompositions always consume fresh
-        statistics.
+        Base cadences (the paper's F_freq and K_freq).  ``inv_update_freq``
+        need not be a multiple of ``factor_update_freq`` — a second-order
+        refresh forces a factor update on the same step so decompositions
+        always consume fresh statistics.
     drift_tol:
         Normalized Frobenius drift threshold.  ``0`` disables drift tracking
         entirely (fixed cadence, no snapshots).  With a positive tolerance,
@@ -329,8 +327,19 @@ class FactorUpdateScheduler:
             target.eigen_skips = int(entry["eigen_skips"])
             target.drift_triggers = int(entry["drift_triggers"])
 
-    def reset(self) -> None:
-        """Forget all drift/interval state (e.g. between experiments)."""
+    def reset(self, at_step: int = 0) -> None:
+        """Forget all drift/interval state and restart the base cadence.
+
+        ``at_step`` positions the fresh plan mid-run: every layer's next
+        refresh is the first multiple of its base frequency at or after
+        ``at_step``, i.e. where the fixed ``step % freq == 0`` cadence would
+        refresh next (used to resume checkpoints that carry no plan).
+        """
         self._layers = {
             name: _LayerSchedule(self.factor_update_freq, self.inv_update_freq) for name in self._layers
         }
+        next_factor_step = -(-at_step // self.factor_update_freq) * self.factor_update_freq
+        next_eigen_step = -(-at_step // self.inv_update_freq) * self.inv_update_freq
+        for state in self._layers.values():
+            state.next_factor_step = next_factor_step
+            state.next_eigen_step = next_eigen_step

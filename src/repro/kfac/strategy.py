@@ -15,11 +15,18 @@ precondition its gradient locally:
   broadcasts the preconditioned gradient to its own (smaller) receiver group,
   and those broadcasts proceed concurrently.
 
-Each strategy is one class owning its complete execution plan — worker
-assignment (:meth:`DistributionStrategy.assign`), eigen-decomposition
-placement (:meth:`DistributionStrategy.compute_eigen`), eigen broadcast
-(:meth:`DistributionStrategy.broadcast_eigen`) and per-iteration gradient
-broadcast (:meth:`DistributionStrategy.broadcast_gradient`).  A new
+Each strategy is one class that *publishes plans* and executes nothing
+itself: worker assignment (:meth:`DistributionStrategy.assign`), which factors
+this rank decomposes (:meth:`DistributionStrategy.local_eigen_tasks`), and the
+collectives to run as lists of specs
+(:meth:`DistributionStrategy.factor_allreduce_entries`,
+:meth:`DistributionStrategy.eigen_broadcast_specs`,
+:meth:`DistributionStrategy.gradient_broadcast_specs`), with
+:meth:`DistributionStrategy.finalize_local_eigen` /
+:meth:`DistributionStrategy.finalize_eigen` as the hooks that run once the
+decompositions / broadcasts of a layer landed.  :class:`~repro.kfac.KFAC`
+batches the decompositions through its kernel backend and runs every spec
+through one :class:`~repro.distributed.collectives.OverlapScheduler`.  A new
 distribution scheme is a new subclass; the preconditioner never branches on
 the scheme itself.  Constructing the base class dispatches to the matching
 subclass from ``grad_worker_frac``, so ``DistributionStrategy(world, frac)``
@@ -28,7 +35,6 @@ keeps working as a factory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +46,6 @@ from .factors import FactorRepr
 from .kmath import EigenDecomposition, eigenvalue_outer_product
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
-    from ..distributed.backend import Communicator
     from .layers import KFACLayer
     from .preconditioner import KFAC
 
@@ -51,7 +56,6 @@ __all__ = [
     "CommOptStrategy",
     "HybridOptStrategy",
     "MemOptStrategy",
-    "broadcast_eigen_packed",
     "pack_eigen",
     "unpack_eigen",
     "unpack_eigen_repr",
@@ -183,90 +187,68 @@ class LayerWorkGroups:
         return 1 + max(len(r) for r in self.receiver_map.values())
 
 
-def broadcast_eigen_packed(
-    comm: "Communicator",
-    eigen: Optional[EigenDecomposition],
-    src: int,
-    group: Optional[Sequence[int]],
-    dtype=np.float32,
-    repr: Optional[FactorRepr] = None,
-) -> EigenDecomposition:
-    """Broadcast an eigen decomposition as a single packed buffer in ``dtype``.
-
-    ``dtype`` should be the precision policy's inverse dtype so a fp64 (or
-    fp16) policy is not silently truncated to float32 on the wire.  ``repr``
-    names the factor representation and sizes the O(F) structured payloads;
-    when ``None`` (the legacy dense protocol) the dimension is recovered from
-    the buffer length (``len = n + n*n``) instead of a header value, so no
-    dtype has to represent ``n`` exactly.
-    """
-    group_size = len(group) if group is not None else comm.world_size
-    if group_size <= 1:
-        if eigen is None:
-            raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
-        return eigen.astype(dtype)
-    if comm.rank == src:
-        if eigen is None:
-            raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
-        packed = pack_eigen(eigen, dtype)
-    else:
-        packed = None
-    received = comm.broadcast(packed, src=src, group=group)
-    if repr is not None:
-        return unpack_eigen_repr(received, repr, dtype)
-    n = (math.isqrt(4 * received.size + 1) - 1) // 2
-    if n * (n + 1) != received.size:
-        raise RuntimeError(f"packed eigen buffer of length {received.size} is not n + n*n for any n")
-    return unpack_eigen(received, n, dtype)
-
-
-def _packed_eigen_spec(
+def _packed_eigen_specs(
     layer: "KFACLayer",
-    which: str,
-    src: int,
+    sources: Sequence[Tuple[str, int]],
     group: Optional[Tuple[int, ...]],
-    dtype: np.dtype,
-    is_src: bool,
-) -> BroadcastSpec:
-    """Build the fused-engine spec moving one packed eigen decomposition.
+    pre: "KFAC",
+) -> List[BroadcastSpec]:
+    """Specs moving ``layer``'s packed eigen decompositions within ``group``.
 
-    Shared by every strategy: packs on the source exactly like
-    :func:`broadcast_eigen_packed` and installs the unpacked decomposition
-    into ``layer.eigen_a`` / ``layer.eigen_g`` on completion.
+    One spec per ``(which, src)`` in ``sources``.  The source packs when its
+    bucket is filled (eigenvalues then stored eigenvectors, in the precision
+    policy's inverse dtype so fp64/fp16 are not truncated on the wire); every
+    member, the source included, installs the unpacked decomposition into
+    ``layer.eigen_a`` / ``layer.eigen_g`` on completion.
+
+    A group of one publishes no spec: its only member computed the
+    decompositions and keeps them exactly as they are.  (Packing and unpacking
+    them anyway would copy all eigen state twice and re-lay the eigenvectors
+    out row-major, which shifts BLAS rounding in every later precondition.)
     """
-    repr = layer.factor_repr(which)
-    eigen = layer.eigen_a if which == "a" else layer.eigen_g
-    if is_src and eigen is None:
-        raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
+    dtype = np.dtype(pre.precision.inverse_dtype)
+    alone = (pre.world_size if group is None else len(group)) <= 1
+    specs: List[BroadcastSpec] = []
+    for which, src in sources:
+        is_src = pre.rank == src
+        if is_src and (layer.eigen_a if which == "a" else layer.eigen_g) is None:
+            raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
+        if alone:
+            continue
+        repr = layer.factor_repr(which)
 
-    def install(flat: np.ndarray) -> None:
-        decomposition = unpack_eigen_repr(flat, repr, dtype)
-        if which == "a":
-            layer.eigen_a = decomposition
-        else:
-            layer.eigen_g = decomposition
+        def payload(which: str = which) -> np.ndarray:
+            return pack_eigen(layer.eigen_a if which == "a" else layer.eigen_g, dtype)
 
-    return BroadcastSpec(
-        key=f"{layer.name}/eigen_{which}",
-        src=src,
-        group=group,
-        # Packed payload: n + n*n for dense, just n for diagonal factors.
-        shape=(repr.packed_eigen_numel,),
-        dtype=dtype,
-        payload=pack_eigen(eigen, dtype) if is_src else None,
-        on_complete=install,
+        def install(flat: np.ndarray, which: str = which, repr: FactorRepr = repr) -> None:
+            decomposition = unpack_eigen_repr(flat, repr, dtype)
+            if which == "a":
+                layer.eigen_a = decomposition
+            else:
+                layer.eigen_g = decomposition
+
+        specs.append(
+            BroadcastSpec(
+                key=f"{layer.name}/eigen_{which}",
+                src=src,
+                group=group,
+                # Packed payload: n + n*n for dense, just n for diagonal factors.
+                shape=(repr.packed_eigen_numel,),
+                dtype=dtype,
+                payload=payload if is_src else None,
+                on_complete=install,
+            )
+        )
+    return specs
+
+
+def _eigen_outer(layer: "KFACLayer", pre: "KFAC") -> Optional[np.ndarray]:
+    """The cached ``1 / (v_G v_Aᵀ + γ)`` for ``layer``'s current decompositions, if configured."""
+    if not pre.compute_eigen_outer:
+        return None
+    return eigenvalue_outer_product(
+        layer.eigen_a, layer.eigen_g, pre.damping, dtype=pre.precision.inverse_dtype, pi=pre.damping_pi(layer)
     )
-
-
-def _compute_single_eigen(layer: "KFACLayer", which: str, precision) -> EigenDecomposition:
-    factor = layer.factor_a if which == "a" else layer.factor_g
-    if factor is None:
-        raise RuntimeError(f"layer {layer.name!r} has no {which.upper()} factor")
-    # Route through the layer's kernel backend so per-factor placement
-    # (COMM-OPT) uses the same eigen kernel as layer.compute_eigen().
-    return layer.kernels.structured_eigen(
-        factor, layer.factor_repr(which), compute_dtype=precision.compute_dtype
-    ).astype(precision.inverse_dtype)
 
 
 class DistributionStrategy:
@@ -275,8 +257,9 @@ class DistributionStrategy:
     ``DistributionStrategy(world_size, grad_worker_frac, balance)`` returns
     the subclass matching the fraction (COMM-OPT / HYBRID-OPT / MEM-OPT); a
     custom scheme subclasses this and implements :meth:`assign`,
-    :meth:`compute_eigen`, :meth:`broadcast_eigen` and
-    :meth:`broadcast_gradient`.
+    :meth:`local_eigen_tasks`, :meth:`eigen_broadcast_specs` and
+    :meth:`gradient_broadcast_specs` (plus the two ``finalize_*`` hooks where
+    it derives state from the decompositions).
     """
 
     name: str = "CUSTOM"
@@ -353,43 +336,23 @@ class DistributionStrategy:
         """
         raise NotImplementedError
 
-    # -------------------------------------------------------- execution plan
-    def compute_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        """Compute this rank's share of ``layer``'s eigen decompositions."""
-        raise NotImplementedError
-
-    def local_eigen_tasks(
-        self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC"
-    ) -> Optional[List[str]]:
+    # ------------------------------------------------------------ eigen plan
+    def local_eigen_tasks(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[str]:
         """Which of ``layer``'s factors (``"a"``/``"g"``) this rank decomposes.
 
-        The grouped-dispatch seam for batched kernel backends: the
-        preconditioner collects every (layer, factor) pair this rank owns,
-        groups the factors by shape, and decomposes each group in one
-        batched call — so decompositions land exactly where
-        :meth:`compute_eigen` would have placed them.  ``None`` (the base
-        default) means the strategy publishes no grouped plan and the
-        preconditioner falls back to per-layer :meth:`compute_eigen`.
+        The preconditioner collects every (layer, factor) pair this rank
+        owns, groups the dense factors by shape, and decomposes each group in
+        one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
+        call, installing the results in ``layer.eigen_a`` / ``layer.eigen_g``.
         """
-        return None
+        raise NotImplementedError
 
     def finalize_local_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        """Post-batch hook mirroring the non-eigen tail of :meth:`compute_eigen`.
+        """Hook run once per due layer after its local decompositions are installed.
 
-        Runs once per layer after its batched decompositions are installed
-        (e.g. HYBRID-OPT's eigen worker forms the cached eigenvalue outer
-        product here, exactly as ``layer.compute_eigen`` would have).
+        E.g. HYBRID-OPT's eigen worker forms the cached eigenvalue outer
+        product here, before broadcasting it to its block.
         """
-
-    def broadcast_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        """Distribute (or drop) the eigen state according to the memory plan."""
-        raise NotImplementedError
-
-    def broadcast_gradient(
-        self, group: LayerWorkGroups, value: Optional[np.ndarray], pre: "KFAC"
-    ) -> Optional[np.ndarray]:
-        """Send one layer's preconditioned gradient from its worker(s) to this rank."""
-        raise NotImplementedError
 
     # ---------------------------------------------------- factor allreduces
     def factor_allreduce_entries(
@@ -399,7 +362,7 @@ class DistributionStrategy:
 
         The base plan allreduce-averages both Kronecker factors over the
         whole world, honoring ``pre.triangular_comm`` packing — shared by the
-        ``KFAC.step()``-time fused schedule and the backward-hook gradient
+        ``KFAC.step()``-time schedule and the backward-hook gradient
         pipeline, which differ only in *when* the entries are posted.
         ``pack`` reads the layer's current running factor at posting time;
         ``install`` collects both reduced factors and writes them back via
@@ -447,29 +410,22 @@ class DistributionStrategy:
             )
         return entries
 
-    # ------------------------------------------- fused (overlap-engine) plan
-    # When `KFACConfig.comm_overlap` is on, the preconditioner collects one
-    # deterministic schedule of BroadcastSpecs across all layers and hands it
-    # to the OverlapScheduler, which fuses specs sharing a (src, group)
-    # channel into capped buckets and pipelines them.  The specs move exactly
-    # the bytes the synchronous methods move (same packing, same dtypes), so
-    # both paths are bitwise identical.  The base-class defaults execute the
-    # synchronous methods and return no specs, so a custom strategy that only
-    # implements the synchronous interface keeps working (unfused) when the
-    # engine is enabled — overriding these is the opt-in to fusion.
+    # -------------------------------------------------------- broadcast plans
+    # The preconditioner collects one deterministic schedule of BroadcastSpecs
+    # across all layers and hands it to its OverlapScheduler, which fuses
+    # specs sharing a (src, group) channel into capped buckets and pipelines
+    # them.  A spec names what moves; a rank that needs no message for a
+    # layer (it already holds the value, or must not keep it) returns none.
     def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
-        """Fused-schedule equivalent of :meth:`broadcast_eigen`.
+        """Specs distributing ``layer``'s fresh eigen state to its gradient workers.
 
         Also applies this rank's local memory plan (e.g. dropping eigen state
-        on gradient receivers), exactly as the synchronous method does.
-        Default: run :meth:`broadcast_eigen` synchronously, contribute no
-        fused specs.
+        on gradient receivers).
         """
-        self.broadcast_eigen(layer, group, pre)
-        return []
+        raise NotImplementedError
 
     def finalize_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        """Hook run after every eigen-broadcast spec of ``layer`` completed."""
+        """Hook run on gradient workers after every eigen-broadcast spec of ``layer`` completed."""
 
     def gradient_broadcast_specs(
         self,
@@ -478,15 +434,13 @@ class DistributionStrategy:
         pre: "KFAC",
         install: "Callable[[np.ndarray], None]",
     ) -> List[BroadcastSpec]:
-        """Fused-schedule equivalent of :meth:`broadcast_gradient`.
+        """Specs sending one layer's preconditioned gradient from its worker(s) to this rank.
 
         ``install`` receives the layer's preconditioned gradient — either
-        immediately (no communication needed on this rank) or from the
-        engine when the fused broadcast completes.  Default: run
-        :meth:`broadcast_gradient` synchronously and install its result.
+        immediately (this rank preconditioned it, or needs no message) or as
+        the ``on_complete`` of the returned spec.
         """
-        install(self.broadcast_gradient(group, value, pre))
-        return []
+        raise NotImplementedError
 
 
 class CommOptStrategy(DistributionStrategy):
@@ -535,18 +489,8 @@ class CommOptStrategy(DistributionStrategy):
             )
         return groups
 
-    def compute_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        # The A and G factors of one layer may live on different ranks; the
-        # eigenvalue outer product is formed locally by every rank after the
-        # eigen broadcast since all ranks cache the decompositions anyway.
-        if pre.rank == group.eigen_worker_a:
-            layer.eigen_a = _compute_single_eigen(layer, "a", pre.precision)
-        if pre.rank == group.eigen_worker_g:
-            layer.eigen_g = _compute_single_eigen(layer, "g", pre.precision)
-
-    def local_eigen_tasks(
-        self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC"
-    ) -> Optional[List[str]]:
+    def local_eigen_tasks(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[str]:
+        # The A and G factors of one layer may live on different ranks.
         tasks: List[str] = []
         if pre.rank == group.eigen_worker_a:
             tasks.append("a")
@@ -554,49 +498,16 @@ class CommOptStrategy(DistributionStrategy):
             tasks.append("g")
         return tasks
 
-    # finalize_local_eigen: nothing to do — the outer product is formed by
-    # every rank after the eigen broadcast (see broadcast_eigen's tail).
-
-    def broadcast_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        dtype = pre.precision.inverse_dtype
-        layer.eigen_a = broadcast_eigen_packed(
-            pre.comm, layer.eigen_a, group.eigen_worker_a, None, dtype, repr=layer.a_repr
-        )
-        layer.eigen_g = broadcast_eigen_packed(
-            pre.comm, layer.eigen_g, group.eigen_worker_g, None, dtype, repr=layer.g_repr
-        )
-        if pre.compute_eigen_outer:
-            layer.inverse_outer = eigenvalue_outer_product(
-                layer.eigen_a, layer.eigen_g, pre.damping, dtype=dtype, pi=pre.damping_pi(layer)
-            )
-        else:
-            layer.inverse_outer = None
-
-    def broadcast_gradient(
-        self, group: LayerWorkGroups, value: Optional[np.ndarray], pre: "KFAC"
-    ) -> Optional[np.ndarray]:
-        return value  # every rank is a gradient worker; nothing to send
-
-    # ------------------------------------------- fused (overlap-engine) plan
     def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
-        dtype = np.dtype(pre.precision.inverse_dtype)
         # The A and G decompositions come from (possibly) different source
         # ranks and go to the whole world.
-        return [
-            _packed_eigen_spec(layer, which, src, None, dtype, is_src=pre.rank == src)
-            for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
-        ]
+        sources = (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
+        return _packed_eigen_specs(layer, sources, None, pre)
 
     def finalize_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        # Same as the tail of broadcast_eigen: every rank forms the
-        # eigenvalue outer product locally from the received decompositions.
-        dtype = pre.precision.inverse_dtype
-        if pre.compute_eigen_outer:
-            layer.inverse_outer = eigenvalue_outer_product(
-                layer.eigen_a, layer.eigen_g, pre.damping, dtype=dtype, pi=pre.damping_pi(layer)
-            )
-        else:
-            layer.inverse_outer = None
+        # Every rank caches the decompositions anyway, so each forms the
+        # eigenvalue outer product locally instead of receiving it.
+        layer.inverse_outer = _eigen_outer(layer, pre)
 
     def gradient_broadcast_specs(
         self,
@@ -657,106 +568,46 @@ class HybridOptStrategy(DistributionStrategy):
             )
         return groups
 
-    def compute_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        if pre.rank == group.eigen_worker:
-            layer.compute_eigen(pre.damping, compute_outer=pre.compute_eigen_outer, pi=pre.damping_pi(layer))
-
-    def local_eigen_tasks(
-        self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC"
-    ) -> Optional[List[str]]:
-        if pre.rank == group.eigen_worker:
-            return ["a", "g"]
-        return []
+    def local_eigen_tasks(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[str]:
+        return ["a", "g"] if pre.rank == group.eigen_worker else []
 
     def finalize_local_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        # The tail of layer.compute_eigen(): the eigen worker caches the
-        # eigenvalue outer product before broadcasting it to its block.
-        if pre.rank != group.eigen_worker:
-            return
-        if pre.compute_eigen_outer:
-            layer.inverse_outer = eigenvalue_outer_product(
-                layer.eigen_a,
-                layer.eigen_g,
-                pre.damping,
-                dtype=layer.precision.inverse_dtype,
-                pi=pre.damping_pi(layer),
-            )
-        else:
-            layer.inverse_outer = None
+        # The eigen worker caches the eigenvalue outer product before
+        # broadcasting it to its block.
+        if pre.rank == group.eigen_worker:
+            layer.inverse_outer = _eigen_outer(layer, pre)
 
-    def broadcast_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
+    def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
         # Only the gradient workers receive (and keep) the eigen decompositions
         # — this is exactly the tunable memory footprint of section 3.1.
         if not group.is_grad_worker(pre.rank):
             layer.clear_eigen()
-            return
-        dtype = pre.precision.inverse_dtype
-        bcast_group = group.grad_workers
-        src = group.eigen_worker
-        layer.eigen_a = broadcast_eigen_packed(
-            pre.comm, layer.eigen_a, src, bcast_group, dtype, repr=layer.a_repr
-        )
-        layer.eigen_g = broadcast_eigen_packed(
-            pre.comm, layer.eigen_g, src, bcast_group, dtype, repr=layer.g_repr
-        )
-        if pre.compute_eigen_outer:
-            if len(bcast_group) <= 1:
-                outer = layer.inverse_outer
-            else:
-                outer = layer.inverse_outer if pre.rank == src else None
-                outer = pre.comm.broadcast(outer, src=src, group=bcast_group)
-            layer.inverse_outer = outer
-        else:
-            layer.inverse_outer = None
-
-    def broadcast_gradient(
-        self, group: LayerWorkGroups, value: Optional[np.ndarray], pre: "KFAC"
-    ) -> Optional[np.ndarray]:
-        worker = group.grad_worker_for(pre.rank)
-        members = (worker,) + group.receivers_of(worker)
-        if len(members) == 1:
-            return value
-        send = value if pre.rank == worker else None
-        return pre.comm.broadcast(send, src=worker, group=members)
-
-    # ------------------------------------------- fused (overlap-engine) plan
-    def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
-        if not group.is_grad_worker(pre.rank):
-            layer.clear_eigen()
             return []
-        dtype = np.dtype(pre.precision.inverse_dtype)
         bcast_group = group.grad_workers
         src = group.eigen_worker
-        is_src = pre.rank == src
         # One eigen worker holds both decompositions; they go to its block.
-        specs = [
-            _packed_eigen_spec(layer, which, src, bcast_group, dtype, is_src=is_src)
-            for which in ("a", "g")
-        ]
-        if pre.compute_eigen_outer:
-            if len(bcast_group) <= 1:
-                pass  # sole gradient worker keeps its locally computed outer product
-            else:
-
-                def install_outer(outer: np.ndarray, layer=layer) -> None:
-                    # Copy out of the fused bucket: this array outlives the
-                    # broadcast (kept until the next inverse update), and a
-                    # view would pin the whole bucket buffer in memory.
-                    layer.inverse_outer = outer.copy()
-
-                specs.append(
-                    BroadcastSpec(
-                        key=f"{layer.name}/inverse_outer",
-                        src=src,
-                        group=bcast_group,
-                        shape=(layer.g_dim, layer.a_dim),
-                        dtype=dtype,
-                        payload=layer.inverse_outer if is_src else None,
-                        on_complete=install_outer,
-                    )
-                )
-        else:
+        specs = _packed_eigen_specs(layer, (("a", src), ("g", src)), bcast_group, pre)
+        if not pre.compute_eigen_outer:
             layer.inverse_outer = None
+        elif len(bcast_group) > 1:  # a sole gradient worker keeps its locally computed outer product
+
+            def install_outer(outer: np.ndarray) -> None:
+                # Copy out of the fused bucket: this array outlives the
+                # broadcast (kept until the next inverse update), and a
+                # view would pin the whole bucket buffer in memory.
+                layer.inverse_outer = outer.copy()
+
+            specs.append(
+                BroadcastSpec(
+                    key=f"{layer.name}/inverse_outer",
+                    src=src,
+                    group=bcast_group,
+                    shape=(layer.g_dim, layer.a_dim),
+                    dtype=np.dtype(pre.precision.inverse_dtype),
+                    payload=(lambda: layer.inverse_outer) if pre.rank == src else None,
+                    on_complete=install_outer,
+                )
+            )
         return specs
 
     def gradient_broadcast_specs(
@@ -780,7 +631,7 @@ class HybridOptStrategy(DistributionStrategy):
                 # precondition() returns the float32 bias-folded matrix (g_dim, a_dim)
                 shape=(layer.g_dim, layer.a_dim),
                 dtype=np.dtype(np.float32),
-                payload=value if pre.rank == worker else None,
+                payload=(lambda: value) if pre.rank == worker else None,
                 on_complete=install,
             )
         ]

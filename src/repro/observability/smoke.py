@@ -65,7 +65,6 @@ def run_traced_bert(
             inv_update_freq=inv_update_freq,
             grad_worker_frac=grad_worker_frac,
             comm=comm,
-            comm_overlap=True,
             skip_modules=workload.kfac_skip_modules,
         )
         tracer = Tracer(rank=comm.rank)

@@ -4,9 +4,9 @@ Covers the nonblocking communicator primitives (WorkHandle semantics on both
 backends), the BucketManager's deterministic fusion, the OverlapScheduler's
 fused broadcast/allreduce execution, the CommunicationLog's fused-message
 accounting, bucketed DDP gradient averaging, the analytic fused-vs-unfused
-schedule model, and the acceptance criterion: with ``comm_overlap=True`` all
-three distribution strategies produce bitwise-identical preconditioned steps
-to the synchronous path on the threaded backend.
+schedule model, and the acceptance criterion: all three distribution
+strategies produce bitwise-identical preconditioned steps whatever the bucket
+cap, from one message per tensor to everything fused, on the threaded backend.
 """
 
 import threading
@@ -31,7 +31,6 @@ from repro.distributed import (
 )
 from repro.experiments import paper_workload_spec
 from repro.kfac import KFAC, KFACConfig, DistributionStrategy, model_comm_schedule
-from repro.kfac.config import default_comm_overlap
 from repro.models import MLP
 from repro.tensor import Tensor
 
@@ -145,7 +144,7 @@ class TestBucketManager:
         rng = np.random.default_rng(0)
         arrays = {"x": rng.random((3, 4)).astype(np.float32), "y": rng.random(7).astype(np.float32)}
         (bucket,) = manager.build([("x", (3, 4), np.float32), ("y", (7,), np.float32)])
-        unpacked = bucket.unpack(bucket.pack(arrays))
+        unpacked = bucket.unpack(bucket.pack(arrays.__getitem__))
         for key, original in arrays.items():
             np.testing.assert_array_equal(unpacked[key], original)
 
@@ -153,7 +152,7 @@ class TestBucketManager:
         manager = BucketManager(10.0)
         (bucket,) = manager.build([("x", (4,), np.float32)])
         with pytest.raises(ValueError):
-            bucket.pack({"x": np.zeros(5, dtype=np.float32)})
+            bucket.pack(lambda key: np.zeros(5, dtype=np.float32))
 
 
 class TestOverlapScheduler:
@@ -195,7 +194,7 @@ class TestOverlapScheduler:
                         group=None,
                         shape=(8,),
                         dtype=np.dtype(np.float32),
-                        payload=payload,
+                        payload=(lambda payload=payload: payload) if comm.rank == src else None,
                         on_complete=lambda a, k=f"b{i}": out.__setitem__(k, a),
                     )
                 )
@@ -218,7 +217,7 @@ class TestOverlapScheduler:
                     group=g,
                     shape=(4,),
                     dtype=np.dtype(np.float32),
-                    payload=np.full(4, float(g[0]), dtype=np.float32) if comm.rank == g[0] else None,
+                    payload=(lambda g=g: np.full(4, float(g[0]), dtype=np.float32)) if comm.rank == g[0] else None,
                     on_complete=lambda a, k=g: out.__setitem__(k, a),
                 )
                 for g in ((0, 1), (2, 3))
@@ -239,6 +238,58 @@ class TestOverlapScheduler:
         )
         with pytest.raises(ValueError, match="no payload"):
             scheduler.run_broadcasts([spec])
+
+    def test_single_member_channels_post_nothing(self):
+        """A group of one exchanges nothing: no communicator call, no logged
+        message or byte, yet on_complete fires with the payload at drain()."""
+
+        class CountingCommunicator(SingleProcessCommunicator):
+            posted = 0
+
+            def iallreduce_average(self, array, group=None, fused_count=1):
+                self.posted += 1
+                return super().iallreduce_average(array, group=group, fused_count=fused_count)
+
+            def ibroadcast(self, array, src, group=None, fused_count=1):
+                self.posted += 1
+                return super().ibroadcast(array, src=src, group=group, fused_count=fused_count)
+
+        def specs_for(rank, out):
+            payload = np.arange(6, dtype=np.float32) + rank
+            return (
+                [BroadcastSpec(key="b", src=rank, group=(rank,), shape=(6,), dtype=payload.dtype,
+                               payload=lambda: payload, on_complete=lambda a: out.__setitem__("b", a))],
+                [AllreduceSpec(key="a", payload=payload, group=(rank,), on_complete=lambda a: out.__setitem__("a", a))],
+            )
+
+        comm, out = CountingCommunicator(), {}
+        scheduler = OverlapScheduler(comm, bucket_cap_mb=1.0)
+        broadcasts, allreduces = specs_for(0, out)
+        scheduler.post_broadcasts(broadcasts)
+        scheduler.post_allreduces(allreduces)
+        assert out == {}  # results arrive at drain(), like any other channel
+        scheduler.drain()
+        assert comm.posted == 0
+        np.testing.assert_array_equal(out["b"], np.arange(6, dtype=np.float32))
+        np.testing.assert_array_equal(out["a"], np.arange(6, dtype=np.float32))
+
+        world = ThreadedWorld(2)
+
+        def program(comm):
+            out = {}
+            scheduler = OverlapScheduler(comm, bucket_cap_mb=1.0)
+            broadcasts, allreduces = specs_for(comm.rank, out)
+            scheduler.run_broadcasts(broadcasts)
+            scheduler.run_allreduces(allreduces)
+            assert out["b"][0] == out["a"][0] == comm.rank
+
+        threads = [threading.Thread(target=program, args=(world.communicator(r),)) for r in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert world.log.total_messages() == 0
+        assert world.log.total_bytes() == 0
 
 
 class TestFusedAccounting:
@@ -314,7 +365,7 @@ class TestFusedAccounting:
                             group=group,
                             shape=(32,),
                             dtype=np.dtype(np.float32),
-                            payload=np.ones(32, dtype=np.float32) if comm.rank == group[0] else None,
+                            payload=(lambda: np.ones(32, dtype=np.float32)) if comm.rank == group[0] else None,
                         )
                         for i in range(3)
                     ]
@@ -376,13 +427,20 @@ class TestBucketedDDP:
         assert world.log.messages_by_op["allreduce"] == 1
 
 
+#: A cap smaller than any tensor: every tensor travels in a message of its own
+#: (the schedule the retired blocking per-tensor path used to post).
+ALONE_CAP_MB = 1e-6
+DEFAULT_CAP_MB = KFACConfig().bucket_cap_mb
+
+
 class TestKFACOverlapBitwise:
-    """Acceptance: comm_overlap=True is bitwise-identical to the synchronous path."""
+    """Acceptance: the bucket cap never changes a bit — one message per tensor
+    and the fused 25 MB default produce identical gradients on every rank."""
 
     WORLD = 4
     STEPS = 3
 
-    def _train(self, frac, overlap, bucket_cap_mb=0.001, triangular=False, world=None):
+    def _train(self, frac, bucket_cap_mb, triangular=False, world=None):
         world_size = world or self.WORLD
         x, y = make_problem(seed=11)
         loss_fn = nn.CrossEntropyLoss()
@@ -394,7 +452,6 @@ class TestKFACOverlapBitwise:
                 grad_worker_frac=frac,
                 factor_update_freq=1,
                 inv_update_freq=1,
-                comm_overlap=overlap,
                 bucket_cap_mb=bucket_cap_mb,
                 triangular_comm=triangular,
             )
@@ -414,36 +471,36 @@ class TestKFACOverlapBitwise:
 
     @pytest.mark.parametrize("frac", [0.25, 0.5, 1.0], ids=["mem-opt", "hybrid-opt", "comm-opt"])
     def test_all_strategies_bitwise_identical(self, frac):
-        sync = self._train(frac, overlap=False)
-        fused = self._train(frac, overlap=True)
-        for rank, (a, b) in enumerate(zip(sync, fused)):
-            np.testing.assert_array_equal(a, b, err_msg=f"rank {rank} diverged under frac={frac}")
+        alone = self._train(frac, ALONE_CAP_MB)
+        for cap in (0.001, DEFAULT_CAP_MB):
+            for rank, (a, b) in enumerate(zip(alone, self._train(frac, cap))):
+                np.testing.assert_array_equal(a, b, err_msg=f"rank {rank} diverged under frac={frac}, cap={cap}")
 
     def test_overlap_with_triangular_comm(self):
-        sync = self._train(0.5, overlap=False, triangular=True)
-        fused = self._train(0.5, overlap=True, triangular=True)
-        for a, b in zip(sync, fused):
+        alone = self._train(0.5, ALONE_CAP_MB, triangular=True)
+        fused = self._train(0.5, DEFAULT_CAP_MB, triangular=True)
+        for a, b in zip(alone, fused):
             np.testing.assert_array_equal(a, b)
 
     def test_overlap_single_process(self):
         x, y = make_problem()
         loss_fn = nn.CrossEntropyLoss()
 
-        def run(overlap):
+        def run(bucket_cap_mb):
             model = MLP(6, [12], 3, rng=np.random.default_rng(0))
-            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, comm_overlap=overlap)
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb=bucket_cap_mb)
             loss = loss_fn(model(Tensor(x[:32])), y[:32])
             loss.backward()
             pre.step()
             return np.concatenate([p.grad.ravel() for p in model.parameters()])
 
-        np.testing.assert_array_equal(run(False), run(True))
+        np.testing.assert_array_equal(run(ALONE_CAP_MB), run(DEFAULT_CAP_MB))
 
     def test_overlap_issues_fewer_messages_same_bytes(self):
         x, y = make_problem(seed=3)
         loss_fn = nn.CrossEntropyLoss()
 
-        def run(overlap):
+        def run(bucket_cap_mb):
             world = ThreadedWorld(self.WORLD)
 
             def program(comm):
@@ -454,7 +511,7 @@ class TestKFACOverlapBitwise:
                     factor_update_freq=1,
                     inv_update_freq=1,
                     grad_worker_frac=0.5,
-                    comm_overlap=overlap,
+                    bucket_cap_mb=bucket_cap_mb,
                     comm=comm,
                 )
                 n = x.shape[0] // comm.world_size
@@ -475,41 +532,30 @@ class TestKFACOverlapBitwise:
                 t.join()
             return world.log
 
-        sync_log = run(False)
-        fused_log = run(True)
-        assert fused_log.total_bytes() == sync_log.total_bytes()
-        assert fused_log.total_tensors() == sync_log.total_messages()
-        assert fused_log.total_messages() < sync_log.total_messages()
+        alone_log = run(ALONE_CAP_MB)
+        fused_log = run(DEFAULT_CAP_MB)
+        assert fused_log.total_bytes() == alone_log.total_bytes()
+        assert fused_log.total_tensors() == alone_log.total_messages() == alone_log.total_tensors()
+        assert fused_log.total_messages() < alone_log.total_messages()
 
 
 class TestConfigKnobs:
     def test_defaults(self):
-        config = KFACConfig()
-        assert config.comm_overlap == default_comm_overlap()
-        assert config.bucket_cap_mb == 25.0
+        assert KFACConfig().bucket_cap_mb == 25.0
 
     def test_invalid_bucket_cap(self):
         with pytest.raises(ValueError):
             KFACConfig(bucket_cap_mb=0.0)
 
-    def test_env_toggle_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMM_OVERLAP", "1")
-        assert KFACConfig().comm_overlap is True
-        monkeypatch.setenv("REPRO_COMM_OVERLAP", "off")
-        assert KFACConfig().comm_overlap is False
-
     def test_round_trips_through_dict(self):
-        config = KFACConfig(comm_overlap=True, bucket_cap_mb=4.0)
+        config = KFACConfig(bucket_cap_mb=4.0)
         restored = KFACConfig.from_dict(config.to_dict())
-        assert restored.comm_overlap is True
         assert restored.bucket_cap_mb == 4.0
 
-    def test_kfac_exposes_scheduler_only_when_enabled(self):
+    def test_kfac_scheduler_uses_configured_cap(self):
         model = MLP(4, [6], 2, rng=np.random.default_rng(0))
-        assert KFAC(model, comm_overlap=False).scheduler is None
-        pre = KFAC(model, comm_overlap=True, bucket_cap_mb=2.0)
-        assert pre.scheduler is not None
-        assert pre.scheduler.buckets.bucket_cap_mb == 2.0
+        assert KFAC(model).scheduler.buckets.bucket_cap_mb == 25.0
+        assert KFAC(model, bucket_cap_mb=2.0).scheduler.buckets.bucket_cap_mb == 2.0
 
 
 class TestCommScheduleModel:
@@ -542,8 +588,9 @@ class TestCommScheduleModel:
 
 
 class TestCustomStrategyFallback:
-    """A strategy implementing only the synchronous PR-1 interface must keep
-    working when comm_overlap is enabled (e.g. via REPRO_COMM_OVERLAP=1)."""
+    """A custom strategy is written against the plan interface — which
+    factors this rank decomposes, which specs move the results — and needs
+    nothing else to run through the one step pipeline."""
 
     class ReplicatedStrategy(DistributionStrategy):
         """Every rank computes every eigen decomposition locally; no broadcasts."""
@@ -565,18 +612,21 @@ class TestCustomStrategyFallback:
                 for layer in layers
             }
 
-        def compute_eigen(self, layer, group, pre):
-            layer.compute_eigen(pre.damping, compute_outer=pre.compute_eigen_outer)
+        def local_eigen_tasks(self, layer, group, pre):
+            return ["a", "g"]  # factors were allreduced, so local decompositions already agree
 
-        def broadcast_eigen(self, layer, group, pre):
-            pass  # factors were allreduced, so local decompositions already agree
+        def eigen_broadcast_specs(self, layer, group, pre):
+            return []
 
-        def broadcast_gradient(self, group, value, pre):
-            return value
+        def gradient_broadcast_specs(self, group, value, pre, install):
+            install(value)
+            return []
 
-    def _train(self, overlap):
+    def _train(self, strategy_for):
         x, y = make_problem(seed=21)
         loss_fn = nn.CrossEntropyLoss()
+        world = ThreadedWorld(2)
+        grads = [None, None]
 
         def program(comm):
             model = MLP(6, [10], 3, rng=np.random.default_rng(0))
@@ -585,9 +635,8 @@ class TestCustomStrategyFallback:
                 model,
                 factor_update_freq=1,
                 inv_update_freq=1,
-                comm_overlap=overlap,
                 comm=comm,
-                strategy=self.ReplicatedStrategy(comm.world_size),
+                strategy=strategy_for(comm.world_size),
             )
             for p in model.parameters():
                 p.grad = None
@@ -595,12 +644,23 @@ class TestCustomStrategyFallback:
             loss.backward()
             ddp.sync_gradients()
             pre.step()
-            return np.concatenate([p.grad.ravel() for p in model.parameters()])
+            grads[comm.rank] = np.concatenate([p.grad.ravel() for p in model.parameters()])
 
-        return run_spmd(2, program)
+        threads = [threading.Thread(target=program, args=(world.communicator(r),)) for r in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        return grads, world.log
 
     def test_sync_only_strategy_survives_comm_overlap(self):
-        sync = self._train(overlap=False)
-        fused = self._train(overlap=True)
-        for a, b in zip(sync, fused):
-            np.testing.assert_array_equal(a, b)
+        replicated, replicated_log = self._train(self.ReplicatedStrategy)
+        comm_opt, comm_opt_log = self._train(lambda world: DistributionStrategy(world, 1.0))
+        # Same factors everywhere -> the replicated plan computes COMM-OPT's update...
+        for a, b in zip(replicated, comm_opt):
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
+        np.testing.assert_array_equal(replicated[0], replicated[1])
+        # ...without an eigen broadcast: DDP's initial weight sync is the only one left.
+        assert replicated_log.messages_by_op["broadcast"] == 1
+        assert comm_opt_log.messages_by_op["broadcast"] > 1
+        assert replicated_log.bytes_by_op["allreduce"] == comm_opt_log.bytes_by_op["allreduce"]

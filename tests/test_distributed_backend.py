@@ -123,6 +123,21 @@ class TestThreadedWorld:
         for result in results:
             np.testing.assert_allclose(result, 1.5)
 
+    def test_allreduce_average_of_a_large_fused_buffer_matches_whole_buffer_mean(self):
+        """The reducer averages in bounded chunks (so a fused bucket costs one
+        result buffer, not a stacked copy of every rank's); the result must be
+        the whole-buffer ``np.mean`` bit for bit, for every dtype and layout."""
+        size = 3 * (1 << 16) + 17  # several chunks plus a ragged tail
+        for dtype in (np.float16, np.float32, np.float64):
+            contributions = [
+                (np.random.default_rng(rank).standard_normal((size // 5, 5)) * 3).astype(dtype) for rank in range(3)
+            ]
+            contributions[1] = np.asfortranarray(contributions[1])
+            expected = np.mean(np.stack(contributions, axis=0), axis=0).astype(dtype)
+            for result in run_spmd(3, lambda comm: comm.allreduce_average(contributions[comm.rank])):
+                assert result.dtype == dtype
+                np.testing.assert_array_equal(result, expected)
+
     def test_allreduce_sum(self):
         def program(comm):
             return comm.allreduce_sum(np.array([1.0], dtype=np.float32))

@@ -272,9 +272,12 @@ class TestStructuredVsDenseParity:
                 grad_worker_frac=frac,
                 factor_update_freq=1,
                 inv_update_freq=2,
-                comm_overlap=(mode == "overlap"),
-                bucket_cap_mb=0.001,
-                adaptive_schedule=adaptive,
+                # "sync": a cap below any tensor, one message per tensor;
+                # otherwise a cap that fuses a few tensors per bucket.
+                bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
+                # Drift-driven refresh: both representations must derive the same plan.
+                drift_tol=0.05 if adaptive else 0.0,
+                max_staleness=8 if adaptive else 0,
                 dense_factors=dense_factors,
             )
             pre = KFAC.from_config(model, config, comm=comm)

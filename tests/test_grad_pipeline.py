@@ -61,7 +61,7 @@ def build_model(kind, seed=0):
 
 
 class TestPipelineParity:
-    """Acceptance: hooked == synchronous == step()-time overlap, bitwise."""
+    """Acceptance: hooked == one message per tensor == step()-time fused, bitwise."""
 
     WORLD = 4
     STEPS = 3
@@ -76,8 +76,9 @@ class TestPipelineParity:
                 grad_worker_frac=frac,
                 factor_update_freq=factor_freq,
                 inv_update_freq=factor_freq,
-                comm_overlap=(mode == "overlap"),
-                bucket_cap_mb=0.001,
+                # "sync": a cap below any tensor, one message per tensor;
+                # otherwise a cap that fuses a few tensors per bucket.
+                bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
             )
             pre = KFAC.from_config(model, config, comm=comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -598,7 +599,7 @@ class TestChooseBucketCap:
 
     def test_kfac_resolves_auto_cap(self):
         model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
-        pre = KFAC(model, comm_overlap=True, bucket_cap_mb="auto")
+        pre = KFAC(model, bucket_cap_mb="auto")
         assert isinstance(pre.resolved_bucket_cap_mb, float)
         assert pre.resolved_bucket_cap_mb > 0
         assert pre.scheduler.buckets.bucket_cap_mb == pre.resolved_bucket_cap_mb
@@ -614,8 +615,7 @@ class TestChooseBucketCap:
                 model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
                 ddp = DistributedDataParallel(model, comm)
                 pre = KFAC(
-                    model, factor_update_freq=1, inv_update_freq=1,
-                    comm_overlap=True, bucket_cap_mb=cap, comm=comm,
+                    model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb=cap, comm=comm,
                 )
                 loss = loss_fn(model(Tensor(x[: 32])), y[:32])
                 loss.backward()

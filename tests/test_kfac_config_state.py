@@ -22,11 +22,12 @@ from repro.kfac import (
     KFACLinearLayer,
     MemOptStrategy,
     Preconditioner,
-    broadcast_eigen_packed,
     make_kfac_layer,
+    pack_eigen,
     register_kfac_layer,
     registered_kfac_layers,
     resolve_kfac_layer,
+    unpack_eigen_repr,
 )
 from repro.kfac.kmath import EigenDecomposition
 from repro.kfac.layers import _LAYER_REGISTRY
@@ -55,9 +56,7 @@ class TestKFACConfig:
         [
             dict(factor_update_freq=0),
             dict(inv_update_freq=0),
-            # The divisibility rule applies only to the fixed-frequency path;
-            # adaptive scheduling legitimately decouples the two cadences.
-            dict(factor_update_freq=3, inv_update_freq=10, adaptive_schedule=False),
+            dict(max_staleness=50),  # positive, but below inv_update_freq=100
             dict(factor_decay=0.0),
             dict(factor_decay=1.5),
             dict(damping=0.0),
@@ -81,6 +80,17 @@ class TestKFACConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             KFACConfig.from_dict({"lr": 0.1, "momentum": 0.9})
+
+    def test_from_dict_drops_exactly_the_retired_keys(self):
+        """Old checkpoints/manifests carry the two path-selection keys; they
+        no longer change behaviour, so they load — any other stray key raises."""
+        data = KFACConfig(damping=0.01).to_dict()
+        assert "comm_overlap" not in data and "adaptive_schedule" not in data
+        for overlap, adaptive in ((True, False), (False, True)):
+            restored = KFACConfig.from_dict(dict(data, comm_overlap=overlap, adaptive_schedule=adaptive))
+            assert restored == KFACConfig(damping=0.01)
+        with pytest.raises(ValueError, match="unknown"):
+            KFACConfig.from_dict(dict(data, comm_overlap=True, hook_pipeline=True))
 
     def test_replace_revalidates(self):
         config = KFACConfig()
@@ -166,7 +176,8 @@ class TestStrategyDispatch:
 class TestEigenBroadcastPrecision:
     def test_packed_broadcast_honors_inverse_dtype(self):
         """fp64 eigen state must survive the wire without a float32 truncation."""
-        from repro.distributed import ThreadedWorld
+        from repro.distributed import BroadcastSpec, OverlapScheduler
+        from repro.kfac import FactorRepr
 
         n = 5
         rng = np.random.default_rng(0)
@@ -174,30 +185,67 @@ class TestEigenBroadcastPrecision:
         sym = (mat + mat.T).astype(np.float64)
         values, vectors = np.linalg.eigh(sym)
         eigen = EigenDecomposition(eigenvectors=vectors, eigenvalues=values)
-
-        world = ThreadedWorld(2)
+        repr_ = FactorRepr.dense(n)
 
         def program(comm):
-            src_eigen = eigen if comm.rank == 0 else None
-            received = broadcast_eigen_packed(comm, src_eigen, src=0, group=(0, 1), dtype=np.float64)
-            return received
+            received = []
+            spec = BroadcastSpec(
+                key="eigen",
+                src=0,
+                group=(0, 1),
+                shape=(repr_.packed_eigen_numel,),
+                dtype=np.dtype(np.float64),
+                payload=(lambda: pack_eigen(eigen, np.float64)) if comm.rank == 0 else None,
+                on_complete=lambda flat: received.append(unpack_eigen_repr(flat, repr_, np.float64)),
+            )
+            OverlapScheduler(comm).run_broadcasts([spec])
+            return received[0]
 
-        results = run_spmd(2, program)
-        for received in results:
+        for received in run_spmd(2, program):
             assert received.eigenvalues.dtype == np.float64
             assert received.eigenvectors.dtype == np.float64
             # Exact: no intermediate float32 cast anywhere on the path.
             np.testing.assert_array_equal(received.eigenvalues, values)
             np.testing.assert_array_equal(received.eigenvectors, vectors)
 
-    def test_single_member_group_short_circuits(self):
-        from repro.distributed.backend import SingleProcessCommunicator
+    def test_pack_unpack_round_trip_sizes_per_representation(self):
+        """Structured decompositions pack to their O(F) payloads and unpack exactly."""
+        from repro.kfac import FactorRepr
 
-        eigen = EigenDecomposition(
-            eigenvectors=np.eye(3, dtype=np.float64), eigenvalues=np.ones(3, dtype=np.float64)
-        )
-        out = broadcast_eigen_packed(SingleProcessCommunicator(), eigen, src=0, group=None, dtype=np.float64)
-        assert out.eigenvectors.dtype == np.float64
+        rng = np.random.default_rng(1)
+        cases = [
+            (FactorRepr.dense(4), rng.standard_normal((4, 4)), 4 + 16),
+            (FactorRepr.diagonal(6), None, 6),  # the identity eigenbasis never hits the wire
+            (FactorRepr.block_diagonal(6, 2), rng.standard_normal((3, 2, 2)), 6 + 3 * 4),
+        ]
+        for repr_, vectors, numel in cases:
+            eigen = EigenDecomposition(eigenvectors=vectors, eigenvalues=rng.random(repr_.dim))
+            packed = pack_eigen(eigen, np.float64)
+            assert packed.shape == (numel,) == (repr_.packed_eigen_numel,)
+            restored = unpack_eigen_repr(packed, repr_, np.float64)
+            np.testing.assert_array_equal(restored.eigenvalues, eigen.eigenvalues)
+            if vectors is None:
+                assert restored.eigenvectors is None
+            else:
+                np.testing.assert_array_equal(restored.eigenvectors, vectors)
+        with pytest.raises(ValueError, match="expected"):
+            unpack_eigen_repr(np.zeros(7), FactorRepr.diagonal(6), np.float64)
+
+    def test_single_member_group_short_circuits(self):
+        """A group of one moves nothing: the decompositions stay exactly as the
+        kernel backend returned them — same dtype, same memory layout (a
+        pack/unpack round trip would re-lay them out row-major)."""
+        x, y = make_problem()
+        model = MLP(6, [8], 3, rng=np.random.default_rng(0))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, precision="fp64")
+        nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+        pre.step()
+        for layer in pre.layers.values():
+            for eigen, factor in ((layer.eigen_a, layer.factor_a), (layer.eigen_g, layer.factor_g)):
+                computed = pre.kernels.symmetric_eigen(factor, compute_dtype=np.float64).eigenvectors
+                assert eigen.eigenvectors.dtype == np.float64
+                np.testing.assert_array_equal(eigen.eigenvectors, computed)
+                assert eigen.eigenvectors.flags.c_contiguous == computed.flags.c_contiguous
 
 
 def train_steps(model, pre, opt, x, y, steps, batch=32):
@@ -249,6 +297,43 @@ class TestStateDictResume:
         grads_b = np.concatenate([p.grad.ravel() for p in model_b.parameters()])
 
         np.testing.assert_array_equal(grads_a, grads_b)
+
+    def test_resume_of_checkpoint_without_plan_stays_on_cadence(self):
+        """A checkpoint from before the refresh plan was saved (steps, config with
+        the two retired keys, layers — nothing else) resumed mid-interval must
+        refresh when the uninterrupted run does, bit for bit."""
+        x, y = make_problem(6)
+        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4)
+
+        def one_step(model, pre, batch):
+            model.zero_grad()
+            nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
+            pre.step()
+            return np.concatenate([p.grad.ravel() for p in model.parameters()])
+
+        model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
+        pre_a = KFAC(model_a, config)
+        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=5)
+        state = pre_a.state_dict()
+        old_format = {
+            "steps": state["steps"],  # 5: next factor update at 6, next eigen refresh at 8
+            "config": dict(state["config"], comm_overlap=False, adaptive_schedule=False),
+            "layers": state["layers"],
+        }
+        model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
+        model_b.load_state_dict(model_a.state_dict())
+        pre_b = KFAC(model_b, KFACConfig.from_dict(old_format["config"]))
+        pre_b.load_state_dict(old_format)
+        assert pre_b.config == config
+        assert pre_b.factor_scheduler.plan_fingerprint(5) == pre_a.factor_scheduler.plan_fingerprint(5)
+
+        batch_rng = np.random.default_rng(9)
+        for _ in range(4):  # steps 5..8: plain, factor, plain, factor + eigen
+            batch = batch_rng.integers(0, len(x), 32)
+            np.testing.assert_array_equal(one_step(model_a, pre_a, batch), one_step(model_b, pre_b, batch))
+        assert pre_b.scheduler_stats()["layers"] != {}
+        for name, entry in pre_b.factor_scheduler.layer_stats().items():
+            assert (entry["factor_updates"], entry["eigen_updates"]) == (2, 1), name
 
     def test_state_dict_includes_pending_accumulators(self):
         """A checkpoint between backward() and step() keeps the pending statistics."""

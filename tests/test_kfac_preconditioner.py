@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn, optim
-from repro.kfac import KFAC
+from repro.kfac import KFAC, KFACConfig
 from repro.models import MLP, bert_tiny
 from repro.profiling import StageProfiler
 from repro.tensor import Tensor
@@ -70,10 +70,10 @@ class TestConstruction:
             KFAC(model, damping=0.0)
         with pytest.raises(ValueError):
             KFAC(model, factor_decay=0.0)
-        with pytest.raises(ValueError):
-            # Divisibility is enforced only on the fixed-frequency path; the
-            # adaptive scheduler decouples the two cadences.
-            KFAC(model, factor_update_freq=3, inv_update_freq=10, adaptive_schedule=False)
+        with pytest.raises(TypeError):
+            KFAC(model, momentum=0.9)  # not a KFACConfig field
+        with pytest.raises(TypeError):
+            KFAC(model, KFACConfig(), lr=0.2)  # a config or keyword hyperparameters, not both
 
     def test_precision_from_string(self):
         model = MLP(4, [8], 2, rng=RNG)

@@ -2,17 +2,20 @@
 
 Covers the `repro.kfac.scheduling` package (drift-driven per-layer update
 planning, Levenberg-Marquardt adaptive damping, inverse-free solve
-strategies), its KFACConfig knobs (including the relaxed frequency
-validation), the scheduler-path-equals-fixed-path bitwise oracle, mid-epoch
+strategies), its KFACConfig knobs (including cadences that need not nest),
+the planned-step-equals-fixed-cadence oracle (a hand-written Listing-1 K-FAC
+step as the reference), mid-epoch
 checkpoint resume with drift tracking on under all three distribution
 strategies, and the measured-fraction hooks into the analytic cost model.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro import nn, optim
-from repro.distributed import DistributedDataParallel, run_spmd
+from repro.distributed import DistributedDataParallel, ThreadedWorld, run_spmd
 from repro.kfac import (
     KFAC,
     AdaptiveDampingController,
@@ -25,12 +28,14 @@ from repro.kfac import (
     available_solve_strategies,
     factor_drift,
     kronecker_cg,
+    make_kernel_backend,
+    make_kfac_layer,
     make_solve_strategy,
     tikhonov_pi,
     update_fractions_from_stats,
 )
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
-from repro.kfac.kmath import damped_inverse, precondition_with_inverse
+from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondition_with_inverse
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
 from repro.tensor import Tensor
@@ -60,12 +65,14 @@ def spd_factor(dim, seed=0, scale=1.0):
 
 class TestConfigKnobs:
     def test_divisibility_relaxed_under_adaptive(self):
-        config = KFACConfig(factor_update_freq=3, inv_update_freq=10, adaptive_schedule=True)
+        """Cadences need not nest: the planner forces a factor update on every eigen step."""
+        config = KFACConfig(factor_update_freq=3, inv_update_freq=10)
         assert config.inv_update_freq == 10
-
-    def test_divisibility_enforced_when_static(self):
-        with pytest.raises(ValueError, match="adaptive_schedule=True"):
-            KFACConfig(factor_update_freq=3, inv_update_freq=10, adaptive_schedule=False)
+        sched = FactorUpdateScheduler(["l"], config.factor_update_freq, config.inv_update_freq)
+        sched.observe_factors("l", 0, np.eye(2), np.eye(2))
+        sched.mark_second_order("l", 0, np.eye(2), np.eye(2))
+        assert [step for step in range(1, 13) if sched.factors_due("l", step)][:3] == [3, 4, 5]
+        assert sched.factors_due("l", 10) and sched.second_order_due("l", 10)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -79,8 +86,20 @@ class TestConfigKnobs:
         ],
     )
     def test_adaptive_knobs_require_adaptive_schedule(self, kwargs):
-        with pytest.raises(ValueError, match="requires adaptive_schedule=True"):
-            KFACConfig(adaptive_schedule=False, **kwargs)
+        """Each adaptive knob reaches the scheduling subsystem on its own, with no enabling flag."""
+        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, **kwargs)
+        run_single_process(pre, model, steps=2, with_loss=True)
+        (key, value), = kwargs.items()
+        observed = {
+            "drift_tol": pre.factor_scheduler.drift_tol,
+            "max_staleness": pre.factor_scheduler.max_staleness,
+            "adaptive_damping": pre.damping_controller is not None,
+            "damping_pi_correction": pre.damping_pi(next(iter(pre.layers.values()))) is not None,
+            "small_layer_dim": 16 if {s.name for s in pre.solvers.values()} == {"cg", "eigen"} else 0,
+            "solve_strategy": next(iter(pre.solvers.values())).name,
+        }
+        assert observed[key] == value
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -97,11 +116,10 @@ class TestConfigKnobs:
     )
     def test_invalid_adaptive_values_raise(self, kwargs):
         with pytest.raises(ValueError):
-            KFACConfig(adaptive_schedule=True, **kwargs)
+            KFACConfig(**kwargs)
 
     def test_adaptive_preset(self):
         config = KFACConfig.adaptive()
-        assert config.adaptive_schedule
         assert config.drift_tol == 0.05
         assert config.adaptive_damping
         assert config.damping_pi_correction
@@ -377,50 +395,101 @@ class TestKFACSchedulerIntegration:
         return m1, m2
 
     def test_scheduler_path_bitwise_equals_fixed_path(self):
-        """Acceptance criterion: drift_tol=0 + fixed frequencies -> the
-        scheduler path is bitwise identical to the legacy fixed path."""
+        """Acceptance criterion: at drift_tol=0 the planned step is bitwise the
+        fixed-cadence K-FAC step of Listing 1, written out by hand below from
+        the layer primitives (fold on step % F, decompose on step % K,
+        precondition and KL-clip every step)."""
         m1, m2 = self.paired_models()
-        fixed = KFAC.from_config(m1, KFACConfig(factor_update_freq=2, inv_update_freq=4, adaptive_schedule=False))
-        adaptive = KFAC.from_config(m2, KFACConfig(factor_update_freq=2, inv_update_freq=4, adaptive_schedule=True))
-        for a, b in zip(run_single_process(fixed, m1), run_single_process(adaptive, m2)):
-            np.testing.assert_array_equal(a, b)
+        config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
+        planned = run_single_process(KFAC(m1, config), m1)
+
+        step = 0
+        layers = [
+            make_kfac_layer(
+                name,
+                module,
+                config.precision_policy(),
+                should_accumulate=lambda: step % config.factor_update_freq == 0,
+                grad_scale=lambda: 1.0,
+                kernels=make_kernel_backend(config.kernel_backend),
+            )
+            for name, module in m2.named_modules()
+        ]
+        layers = [layer for layer in layers if layer is not None]
+        loss_fn = nn.CrossEntropyLoss()
+        x, y = make_problem(7, samples=128, in_dim=6, classes=3)
+        rng = np.random.default_rng(8)
+        for step in range(len(planned)):
+            idx = rng.integers(0, len(x), 32)
+            m2.zero_grad()
+            loss_fn(m2(Tensor(x[idx])), y[idx]).backward()
+            for layer in layers:
+                if step % config.factor_update_freq == 0:
+                    layer.update_factors(*layer.compute_batch_factors(), config.factor_decay)
+                if step % config.inv_update_freq == 0:
+                    layer.compute_eigen(config.damping)
+            pairs = [(layer.get_gradient(), layer.precondition(config.damping)) for layer in layers]
+            total = sum(float(np.sum(g.astype(np.float64) * p.astype(np.float64))) for g, p in pairs)
+            nu = kl_clip_scale_from_total(total, config.lr, config.kl_clip)
+            for layer, (_, precond) in zip(layers, pairs):
+                layer.set_gradient(precond * nu)
+            reference = np.concatenate([np.asarray(p.grad).ravel() for p in m2.parameters()])
+            np.testing.assert_array_equal(planned[step], reference, err_msg=f"step {step}")
 
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_scheduler_path_bitwise_equals_fixed_path_distributed(self, grad_worker_frac):
+        """At drift_tol=0 every rank plans, and communicates on, exactly the
+        fixed cadence: factor traffic on step % 2, eigen traffic on step % 4
+        (none under MEM-OPT, whose eigen groups have one member), and nothing
+        but (MEM/HYBRID-OPT's) gradient broadcasts in between."""
         x_global, y_global = make_problem(17, samples=256, in_dim=6, classes=3)
-
-        def make_config(adaptive):
-            return KFACConfig(
-                lr=0.05,
-                factor_update_freq=2,
-                inv_update_freq=4,
-                grad_worker_frac=grad_worker_frac,
-                adaptive_schedule=adaptive,
-            )
+        config = KFACConfig(
+            lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac
+        )
+        world = ThreadedWorld(4)
+        traffic = {}
 
         def program(comm):
             loss_fn = nn.CrossEntropyLoss()
-            outputs = []
-            for adaptive in (False, True):
-                model = MLP(6, [16], 3, rng=np.random.default_rng(42))
-                ddp = DistributedDataParallel(model, comm)
-                pre = KFAC.from_config(model, make_config(adaptive), comm=comm)
-                batch_rng = np.random.default_rng(99)
-                grads = []
-                for _ in range(6):
-                    indices = batch_rng.integers(0, len(x_global), 32)
-                    local = indices[comm.rank :: comm.world_size]
-                    model.zero_grad()
-                    loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
-                    ddp.sync_gradients()
-                    pre.step()
-                    grads.append(np.concatenate([p.grad.ravel().copy() for p in model.parameters()]))
-                outputs.append(grads)
-            return outputs
+            model = MLP(6, [16], 3, rng=np.random.default_rng(42))
+            ddp = DistributedDataParallel(model, comm)
+            pre = KFAC(model, config, comm=comm)
+            batch_rng = np.random.default_rng(99)
+            for step in range(8):
+                plan = pre.factor_scheduler.plan_fingerprint(step)
+                assert plan == tuple((name, step % 2 == 0, step % 4 == 0) for name in pre.layers)
+                indices = batch_rng.integers(0, len(x_global), 32)
+                local = indices[comm.rank :: comm.world_size]
+                model.zero_grad()
+                loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
+                ddp.sync_gradients()
+                comm.barrier()
+                before = dict(world.log.bytes_by_op)
+                comm.barrier()
+                pre.step()
+                comm.barrier()
+                if comm.rank == 0:
+                    traffic[step] = {
+                        op: world.log.bytes_by_op.get(op, 0) - before.get(op, 0) for op in ("allreduce", "broadcast")
+                    }
+            stats = pre.scheduler_stats()
+            assert stats["factor_update_fraction"] == stats["eigen_update_fraction"] == 1.0
+            assert stats["totals"]["factor_skips"] == stats["totals"]["eigen_skips"] == 0
 
-        for fixed_grads, adaptive_grads in run_spmd(4, program):
-            for a, b in zip(fixed_grads, adaptive_grads):
-                np.testing.assert_array_equal(a, b)
+        threads = [
+            threading.Thread(target=program, args=(world.communicator(r),), daemon=True) for r in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(traffic) == 8
+        plain = traffic[1]["broadcast"]  # gradient broadcasts only (none under COMM-OPT)
+        for step, moved in traffic.items():
+            assert (moved["allreduce"] > 0) == (step % 2 == 0), (step, moved)
+            assert (moved["broadcast"] > plain) == (step % 4 == 0 and grad_worker_frac > 0.25), (step, moved)
+        assert (plain == 0) == (grad_worker_frac == 1.0)
 
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_adaptive_resume_mid_epoch_bitwise_all_strategies(self, grad_worker_frac):
@@ -433,7 +502,6 @@ class TestKFACSchedulerIntegration:
             factor_update_freq=1,
             inv_update_freq=2,
             grad_worker_frac=grad_worker_frac,
-            adaptive_schedule=True,
             drift_tol=0.05,
             max_staleness=8,
             adaptive_damping=True,
@@ -482,7 +550,6 @@ class TestKFACSchedulerIntegration:
         config = KFACConfig(
             factor_update_freq=1,
             inv_update_freq=2,
-            adaptive_schedule=True,
             drift_tol=1.0,  # everything is stale-tolerant -> maximal stretch
             max_staleness=8,
         )
@@ -498,7 +565,7 @@ class TestKFACSchedulerIntegration:
 
     def test_fixed_path_scheduler_stats_are_neutral(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=2, inv_update_freq=4, adaptive_schedule=False))
+        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=2, inv_update_freq=4))
         run_single_process(pre, model, steps=5)
         stats = pre.scheduler_stats()
         assert not stats["enabled"]
@@ -511,7 +578,7 @@ class TestKFACSchedulerIntegration:
         # First Linear: a_dim=5, g_dim=4 (<= 8 -> cg); second: a_dim=5, g_dim=16.
         model = MLP(4, [4], 16, rng=np.random.default_rng(5))
         config = KFACConfig(
-            adaptive_schedule=True, small_layer_dim=8, small_layer_solver="cg"
+            small_layer_dim=8, small_layer_solver="cg"
         )
         pre = KFAC.from_config(model, config)
         names = {pre.solvers[name].name for name in pre.solvers}
@@ -533,7 +600,6 @@ class TestKFACSchedulerIntegration:
             KFACConfig(
                 factor_update_freq=1,
                 inv_update_freq=1,
-                adaptive_schedule=True,
                 damping_pi_correction=True,
             ),
         )
@@ -542,7 +608,6 @@ class TestKFACSchedulerIntegration:
             KFACConfig(
                 factor_update_freq=1,
                 inv_update_freq=1,
-                adaptive_schedule=True,
                 damping_pi_correction=True,
                 solve_strategy=solver,
                 cg_tol=1e-10,
@@ -557,7 +622,7 @@ class TestKFACSchedulerIntegration:
     def test_inverse_solver_reports_memory(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         config = KFACConfig(
-            factor_update_freq=1, inv_update_freq=1, adaptive_schedule=True, solve_strategy="inverse"
+            factor_update_freq=1, inv_update_freq=1, solve_strategy="inverse"
         )
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=2)
@@ -568,12 +633,12 @@ class TestKFACSchedulerIntegration:
     def test_pi_correction_changes_but_preserves_descent(self):
         m1, m2 = self.paired_models()
         plain = KFAC.from_config(
-            m1, KFACConfig(factor_update_freq=1, inv_update_freq=1, adaptive_schedule=True)
+            m1, KFACConfig(factor_update_freq=1, inv_update_freq=1)
         )
         corrected = KFAC.from_config(
             m2,
             KFACConfig(
-                factor_update_freq=1, inv_update_freq=1, adaptive_schedule=True, damping_pi_correction=True
+                factor_update_freq=1, inv_update_freq=1, damping_pi_correction=True
             ),
         )
         loss_fn = nn.CrossEntropyLoss()
@@ -595,7 +660,7 @@ class TestKFACSchedulerIntegration:
     def test_adaptive_damping_moves_damping_in_training(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         config = KFACConfig(
-            factor_update_freq=1, inv_update_freq=1, adaptive_schedule=True, adaptive_damping=True
+            factor_update_freq=1, inv_update_freq=1, adaptive_damping=True
         )
         pre = KFAC.from_config(model, config)
         assert pre.accepts_loss_feedback
@@ -608,7 +673,7 @@ class TestKFACSchedulerIntegration:
     def test_trainer_feeds_loss_to_adaptive_damping(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         config = KFACConfig(
-            lr=0.05, factor_update_freq=1, inv_update_freq=1, adaptive_schedule=True, adaptive_damping=True
+            lr=0.05, factor_update_freq=1, inv_update_freq=1, adaptive_damping=True
         )
         pre = KFAC.from_config(model, config)
         optimizer = optim.SGD(model.parameters(), lr=0.05)
@@ -633,7 +698,6 @@ class TestKFACSchedulerIntegration:
             lr=0.05,
             factor_update_freq=1,
             inv_update_freq=2,
-            adaptive_schedule=True,
             drift_tol=1.0,
             max_staleness=8,
         )
@@ -730,7 +794,6 @@ class TestModeledFractions:
         config = KFACConfig(
             factor_update_freq=1,
             inv_update_freq=2,
-            adaptive_schedule=True,
             drift_tol=1.0,
             max_staleness=8,
         )

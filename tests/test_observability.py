@@ -328,9 +328,7 @@ def test_write_bench_json_envelope(tmp_path):
     run = doc["run"]
     assert set(run) >= {"timestamp", "python", "numpy", "platform", "env"}
     assert set(run["env"]) == {
-        "REPRO_COMM_OVERLAP",
         "REPRO_HOOK_PIPELINE",
-        "REPRO_ADAPTIVE",
         "REPRO_TRACE",
         "REPRO_SANITIZE",
         "REPRO_KERNEL",
@@ -365,8 +363,9 @@ def train_spmd(frac, mode, traced, seed=11):
             grad_worker_frac=frac,
             factor_update_freq=1,
             inv_update_freq=1,
-            comm_overlap=(mode in ("overlap", "hooked")),
-            bucket_cap_mb=0.001,
+            # "sync": a cap below any tensor, one message per tensor;
+            # otherwise a cap that fuses a few tensors per bucket.
+            bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
         )
         pre = KFAC.from_config(model, config, comm=comm)
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -455,7 +454,6 @@ class TestTracedTrainingArtifacts:
         config = KFACConfig(
             factor_update_freq=2,
             inv_update_freq=4,
-            adaptive_schedule=True,
             drift_tol=0.05,
             max_staleness=32,
             adaptive_damping=True,
