@@ -15,8 +15,9 @@ exposes strictly less communication than the step-time fused one, and emits
 the numbers to ``BENCH_comm_fusion.json`` to seed the performance trajectory.
 
 A second test closes the loop on *measured* overlap: a tiny BERT is trained
-for real on 4 threaded ranks with tracing enabled (hook pipeline + fused
-nonblocking collectives), the per-rank comm spans are intersected with the
+for real on 4 threaded ranks with tracing enabled (a pipeline instance the
+trainer arms + fused nonblocking collectives), the per-rank comm spans are
+intersected with the
 backward spans (:func:`repro.observability.measured_comm_schedule`), and the
 measured exposed/hidden split is reported next to the analytic model's
 prediction for the same layer set (``BENCH_comm_fusion_measured.json``).
@@ -147,7 +148,7 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
     real thread synchronization — wall-clock magnitudes are not InfiniBand's
     — so the assertions check structural invariants, not absolute times:
     every rank posted comm spans, the hidden+exposed split covers the comm
-    occupancy exactly, and with the hook pipeline some communication
+    occupancy exactly, and with an armed pipeline some communication
     genuinely overlapped the backward pass.
     """
     world_size, steps = 4, 3
@@ -181,7 +182,7 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
             stats["exposed_comm_time"] + stats["hidden_comm_time"] - stats["comm_time"]
         ) < 1e-9, rank
     assert measured.exposed_comm_time <= measured.comm_time + 1e-9
-    # The hook pipeline posts factor/gradient buckets mid-backward, so some
+    # The armed pipeline posts factor/gradient buckets mid-backward, so some
     # measured communication is hidden behind the backward window.
     assert measured.hidden_comm_time > 0.0
 

@@ -8,9 +8,9 @@ interval), gradient preconditioning grows, and the preconditioned-gradient
 broadcast shrinks to zero — and shrinks faster than preconditioning grows.
 
 Two views are produced: (a) the analytic per-stage model on the real ResNet-50
-layer shapes at world size 64, and (b) wall-clock stage timings measured with
-the StageProfiler on a real (small) model so the instrumentation path itself
-is exercised.
+layer shapes at world size 64, and (b) wall-clock stage timings read off the
+tracer's ``kfac/<stage>`` spans (via ``MetricsReport``) on a real (small)
+model so the instrumentation path itself is exercised.
 
 A third test compares the adaptive scheduling subsystem against the fixed
 cadence on the BERT workload: a live training run under both configurations
@@ -34,7 +34,7 @@ from repro.kfac import (
     update_fractions_from_stats,
 )
 from repro.models import MLP
-from repro.profiling import StageProfiler
+from repro.observability import MetricsReport, Tracer
 from repro.tensor import Tensor
 from repro.training import Trainer
 
@@ -83,39 +83,40 @@ def test_fig07_analytic_stage_breakdown(benchmark):
     assert (grad_bcast[0] - grad_bcast[-1]) > (precondition[-1] - precondition[0]) * 0.5
 
 
-def test_fig07_measured_stage_breakdown(benchmark):
-    """Wall-clock stage timings from the live profiler hooks (small model, 30 steps)."""
+def _traced_mlp_run(kernel_backend: str = "reference") -> MetricsReport:
+    """30 preconditioned steps of a small MLP; the ``kfac/<stage>`` spans of the run."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((512, 16)).astype(np.float32)
     y = rng.integers(0, 5, 512)
+    model = MLP(16, [64, 64], 5, rng=np.random.default_rng(1))
+    tracer = Tracer()
+    config = KFACConfig(lr=0.05, factor_update_freq=5, inv_update_freq=10, kernel_backend=kernel_backend)
+    preconditioner = KFAC.from_config(model, config, tracer=tracer)
+    loss_fn = nn.CrossEntropyLoss()
+    optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+    for step in range(30):
+        idx = np.random.default_rng(step).integers(0, 512, 64)
+        optimizer.zero_grad()
+        loss_fn(model(Tensor(x[idx])), y[idx]).backward()
+        preconditioner.step()
+        optimizer.step()
+    return MetricsReport.from_tracers(tracer)
 
-    def run():
-        model = MLP(16, [64, 64], 5, rng=np.random.default_rng(1))
-        profiler = StageProfiler()
-        config = KFACConfig(lr=0.05, factor_update_freq=5, inv_update_freq=10)
-        preconditioner = KFAC.from_config(model, config, profiler=profiler)
-        loss_fn = nn.CrossEntropyLoss()
-        from repro import optim
 
-        optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-        for step in range(30):
-            idx = np.random.default_rng(step).integers(0, 512, 64)
-            optimizer.zero_grad()
-            loss_fn(model(Tensor(x[idx])), y[idx]).backward()
-            preconditioner.step()
-            optimizer.step()
-        return profiler
-
-    profiler = benchmark.pedantic(run, iterations=1, rounds=1)
-    summary = profiler.summary(per_call=False)
-    rows = [[stage, round(summary.get(stage, 0.0) * 1000, 3), profiler.count(stage)] for stage in STAGES]
+def test_fig07_measured_stage_breakdown(benchmark):
+    """Wall-clock stage timings from the live ``kfac/<stage>`` spans (small model, 30 steps)."""
+    report = benchmark.pedantic(_traced_mlp_run, iterations=1, rounds=1)
+    rows = [
+        [stage, round(report.total(f"kfac/{stage}") * 1000, 3), report.count(f"kfac/{stage}")]
+        for stage in STAGES
+    ]
     print_section("Figure 7 (measured) - wall-clock totals over 30 preconditioned steps (MLP, single process)")
     print(format_table(["stage", "total time (ms)", "calls"], rows))
 
     # Infrequent stages run on the update intervals only; preconditioning runs every step.
-    assert profiler.count("precondition") == 30
-    assert profiler.count("eigen_decomposition") == 3
-    assert profiler.count("factor_compute") == 6
+    assert report.count("kfac/precondition") == 30
+    assert report.count("kfac/eigen_decomposition") == 3
+    assert report.count("kfac/factor_compute") == 6
 
 
 def test_fig07_stage_breakdown_kernel_backends(benchmark):
@@ -126,26 +127,9 @@ def test_fig07_stage_breakdown_kernel_backends(benchmark):
     reused contractions); the other stages are untouched, so the speedup
     column doubles as a regression check that dispatch overhead stays small.
     """
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((512, 16)).astype(np.float32)
-    y = rng.integers(0, 5, 512)
 
     def run(kernel_backend):
-        model = MLP(16, [64, 64], 5, rng=np.random.default_rng(1))
-        profiler = StageProfiler()
-        config = KFACConfig(
-            lr=0.05, factor_update_freq=5, inv_update_freq=10, kernel_backend=kernel_backend
-        )
-        preconditioner = KFAC.from_config(model, config, profiler=profiler)
-        loss_fn = nn.CrossEntropyLoss()
-        optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-        for step in range(30):
-            idx = np.random.default_rng(step).integers(0, 512, 64)
-            optimizer.zero_grad()
-            loss_fn(model(Tensor(x[idx])), y[idx]).backward()
-            preconditioner.step()
-            optimizer.step()
-        return profiler.summary(per_call=False)
+        return _traced_mlp_run(kernel_backend).stage_summary(per_call=False)
 
     def run_both():
         # Min-of-3 per backend: stage totals are microseconds-scale and noisy.

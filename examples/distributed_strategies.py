@@ -120,19 +120,21 @@ def main() -> None:
         f"({log_fused.total_bytes() / 1024:.1f} KiB moved either way)."
     )
 
-    # The hook-driven gradient pipeline goes one step further: gradient
-    # averaging and K-FAC factor buckets are posted *during* backward, as the
-    # autograd tape finalizes each layer's gradients — still bitwise identical.
+    # A Trainer synchronises gradients at one seam, a GradientPipeline.  Its own
+    # posts everything at flush(), like sync_gradients() above; hand it an
+    # instance and it arms it, so gradient averaging and K-FAC factor buckets
+    # are posted *during* backward, as the autograd tape finalizes each layer's
+    # gradients — still bitwise identical.
     params_hooked, posted = run_hooked_pipeline(0.5)
     assert all(np.array_equal(a, b) for a, b in zip(params_fused, params_hooked))
     print(
-        f"\nThe hook-driven GradientPipeline posts buckets mid-backward "
+        f"\nA GradientPipeline instance handed to the Trainer posts buckets mid-backward "
         f"(rank 0 launched {posted[0]} buckets before flush()) and stays bitwise identical."
     )
 
 
 def run_hooked_pipeline(grad_worker_frac: float):
-    """The same HYBRID-OPT job driven through Trainer + GradientPipeline."""
+    """The same HYBRID-OPT job driven through a Trainer that arms a GradientPipeline."""
     from repro.training import GradientPipeline, Trainer
 
     world = ThreadedWorld(WORLD_SIZE, cost_model=PerformanceModel())

@@ -12,15 +12,15 @@ The package is organised as the paper's system is:
 * :mod:`repro.distributed` - data-parallel training on a simulated cluster
   (in-process multi-rank backend + alpha-beta performance model),
 * :mod:`repro.memory` - per-rank memory accounting,
-* :mod:`repro.data`, :mod:`repro.training`, :mod:`repro.profiling`,
-  :mod:`repro.experiments` - synthetic workloads, training loops, profiling
-  and the experiment harness used by ``benchmarks/``,
+* :mod:`repro.data`, :mod:`repro.training`, :mod:`repro.experiments` -
+  synthetic workloads, training loops and the experiment harness used by
+  ``benchmarks/``,
 * :mod:`repro.analysis` - SPMD correctness tooling: the collective-order
   lint (``python -m repro.analysis.lint``) and the ``REPRO_SANITIZE=1``
   runtime sanitizer/race detector for the async comm stack.
 """
 
-from . import analysis, data, distributed, experiments, kfac, memory, models, nn, optim, profiling, tensor, training
+from . import analysis, data, distributed, experiments, kfac, memory, models, nn, optim, tensor, training
 from .kfac import KFAC, KFACConfig, Preconditioner
 from .tensor import Tensor, no_grad
 
@@ -41,7 +41,6 @@ __all__ = [
     "memory",
     "data",
     "training",
-    "profiling",
     "experiments",
     "analysis",
     "__version__",

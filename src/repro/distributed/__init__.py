@@ -31,7 +31,6 @@ from .cost_model import (
 from .ddp import (
     DistributedDataParallel,
     GradientAveragingSubscriber,
-    allreduce_gradients,
     broadcast_parameters,
     flatten_arrays,
     unflatten_array,
@@ -59,7 +58,6 @@ __all__ = [
     "run_spmd",
     "DistributedDataParallel",
     "GradientAveragingSubscriber",
-    "allreduce_gradients",
     "broadcast_parameters",
     "flatten_arrays",
     "unflatten_array",

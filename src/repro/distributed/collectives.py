@@ -35,9 +35,10 @@ costs without changing a result bit:
 The K-FAC preconditioner executes every factor allreduce, eigen broadcast and
 preconditioned-gradient broadcast through this engine (``bucket_cap_mb`` tunes
 the fusion granularity; a cap smaller than any tensor sends each tensor
-alone), and :func:`repro.distributed.ddp.allreduce_gradients` uses the same
-bucketing for data-parallel gradient averaging.  Element values never depend
-on the cap, so every cap produces the same training trajectory bit for bit.
+alone), and data-parallel gradient averaging
+(:class:`repro.distributed.ddp.GradientAveragingSubscriber`) posts its buckets
+through the same engine.  Element values never depend on the cap, so every
+cap produces the same training trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -228,6 +229,10 @@ class GradientBucketSpec:
     #: None or False the spec is dropped.  Must be a deterministic function
     #: of training state (identical on every rank).
     flush_ready: Optional[Callable[[], bool]] = None
+
+    def to_allreduce(self) -> AllreduceSpec:
+        """Evaluate the payload: the spec as the scheduler posts it."""
+        return AllreduceSpec(key=self.key, payload=self.payload(), on_complete=self.on_complete)
 
 
 class OverlapScheduler:

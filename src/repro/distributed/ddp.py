@@ -3,28 +3,29 @@
 Gradients are averaged across ranks after the backward pass, mirroring the
 bucketed allreduce of ``torch.nn.parallel.DistributedDataParallel`` that the
 paper uses for the first-order (data-parallel) part of training (Figure 3,
-blue boxes).  By default all gradients travel in one flattened allreduce;
-passing ``bucket_cap_mb`` routes them through the asynchronous bucketed
-engine (:mod:`repro.distributed.collectives`): buckets are filled in reverse
-parameter order (the order gradients become ready during backward, as in
-DDP) and all posted nonblocking before any is awaited, so successive buckets
-pipeline.  Both paths average elementwise and are bitwise identical.
+blue boxes).  There is one description of that traffic,
+:class:`GradientAveragingSubscriber`: one float32 spec per trainable
+parameter in reverse parameter order (the order gradients become ready during
+backward, as in DDP), fused into ``bucket_cap_mb``-capped buffers by the
+bucketed engine (:mod:`repro.distributed.collectives`).  The
+:class:`~repro.training.trainer.Trainer` posts those specs through its
+:class:`~repro.training.pipeline.GradientPipeline`; a hand-written Listing-1
+loop posts the same specs with :meth:`DistributedDataParallel.sync_gradients`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..nn.module import Module, Parameter
 from .backend import Communicator
-from .collectives import AllreduceSpec, GradientBucketSpec, OverlapScheduler
+from .collectives import GradientBucketSpec, OverlapScheduler
 
 __all__ = [
     "flatten_arrays",
     "unflatten_array",
-    "allreduce_gradients",
     "broadcast_parameters",
     "GradientAveragingSubscriber",
     "DistributedDataParallel",
@@ -51,51 +52,6 @@ def unflatten_array(flat: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndarra
     return out
 
 
-def allreduce_gradients(model: Module, comm: Communicator, bucket_cap_mb: Optional[float] = None) -> None:
-    """Average all parameter gradients across the world (explicit/compat path).
-
-    With ``bucket_cap_mb=None`` (default) every gradient travels in a single
-    flattened blocking allreduce.  With a cap, gradients are coalesced into
-    capped buckets in reverse parameter order and posted through the
-    nonblocking ``iallreduce_average`` primitive back-to-back, so buckets
-    overlap each other in flight; the numerical result is identical.
-
-    This is the synchronous fallback kept for direct callers; hook-driven
-    training uses :class:`GradientAveragingSubscriber` on a
-    :class:`~repro.training.pipeline.GradientPipeline`, which posts the same
-    buckets while the backward pass is still running and is bitwise
-    identical to this function.
-    """
-    if comm.world_size == 1:
-        return
-    params = [p for p in model.parameters() if p.grad is not None]
-    if not params:
-        return
-    if bucket_cap_mb is None:
-        flat = flatten_arrays([p.grad for p in params])
-        reduced = comm.allreduce_average(flat)
-        for param, grad in zip(params, unflatten_array(reduced, [p.grad.shape for p in params])):
-            param.grad = grad.astype(np.float32)
-        return
-    # Reverse order: the last layers' gradients are ready first during
-    # backward, so their buckets would be posted earliest in a hooked
-    # implementation — keep the same deterministic schedule here.
-    specs = []
-    for index, param in list(enumerate(params))[::-1]:
-
-        def install(reduced: np.ndarray, param=param) -> None:
-            param.grad = reduced.astype(np.float32).reshape(param.grad.shape)
-
-        specs.append(
-            AllreduceSpec(
-                key=str(index),
-                payload=np.asarray(param.grad, dtype=np.float32),
-                on_complete=install,
-            )
-        )
-    OverlapScheduler(comm, bucket_cap_mb).run_allreduces(specs)
-
-
 def broadcast_parameters(model: Module, comm: Communicator, src: int = 0) -> None:
     """Broadcast rank ``src``'s parameters to every rank (initial replica synchronization)."""
     if comm.world_size == 1:
@@ -110,46 +66,55 @@ def broadcast_parameters(model: Module, comm: Communicator, src: int = 0) -> Non
 class GradientAveragingSubscriber:
     """DDP gradient averaging as a gradient-pipeline subscriber.
 
-    Registers one bucket spec per trainable parameter, in reverse parameter
+    Publishes one bucket spec per trainable parameter, in reverse parameter
     order (the order gradients become ready during backward, exactly as
     ``torch.nn.parallel.DistributedDataParallel`` fills its buckets).  Each
     spec is gated on the parameter's grad-ready event, its payload applies
-    the pipeline's micro-batch ``grad_scale`` before the allreduce-average —
-    the same scale-then-average ordering as the synchronous path, so results
-    are bitwise identical — and completion installs the averaged gradient
-    back into ``param.grad``.
+    the micro-batch ``grad_scale`` before the allreduce-average, and
+    completion installs the averaged gradient back into ``param.grad``.
+
+    Between ranks gradients travel, and are installed, as float32.  A single
+    rank has nobody to average with: without a micro-batch scale it publishes
+    nothing (``param.grad`` is left untouched — not copied, not cast), and
+    under gradient accumulation the ``1/n`` scale keeps the gradient's dtype.
     """
 
     def __init__(self, model: Module) -> None:
         self.model = model
 
     def pipeline_specs(self, pipeline) -> List[GradientBucketSpec]:
-        scale = float(pipeline.grad_scale)
+        return self.specs(pipeline.grad_scale, pipeline.comm.world_size)
+
+    def specs(self, grad_scale: float, world_size: int) -> List[GradientBucketSpec]:
+        scale = float(grad_scale)
+        if world_size == 1 and scale == 1.0:
+            return []
         params = [p for p in self.model.parameters() if p.requires_grad]
         specs: List[GradientBucketSpec] = []
         for index, param in list(enumerate(params))[::-1]:
+            dtype = np.dtype(np.float32) if world_size > 1 else param.data.dtype
 
-            def payload(param=param) -> np.ndarray:
-                grad = np.asarray(param.grad, dtype=np.float32)
+            def payload(param=param, dtype=dtype) -> np.ndarray:
+                grad = np.asarray(param.grad, dtype=dtype)
                 if scale != 1.0:
                     grad = grad * scale
                 return grad
 
-            def install(reduced: np.ndarray, param=param) -> None:
-                param.grad = reduced.astype(np.float32).reshape(param.data.shape)
+            def install(reduced: np.ndarray, param=param, dtype=dtype) -> None:
+                param.grad = reduced.astype(dtype).reshape(param.data.shape)
 
             specs.append(
                 GradientBucketSpec(
                     key=f"grad/{index}",
                     shape=param.data.shape,
-                    dtype=np.dtype(np.float32),
+                    dtype=dtype,
                     payload=payload,
                     on_complete=install,
                     params=(param,),
-                    # A parameter can accumulate gradients in earlier
-                    # micro-batches yet sit out the final (armed) backward;
-                    # its grad-ready gate then never fires, but the sync path
-                    # still scales and averages it — so must flush().
+                    # Posted at flush() whenever a gradient exists: on a
+                    # pipeline that was never armed, and for a parameter that
+                    # accumulated gradients in earlier micro-batches yet sat
+                    # out the armed backward (its gate then never fires).
                     flush_ready=lambda param=param: param.grad is not None,
                 )
             )
@@ -169,11 +134,11 @@ class DistributedDataParallel:
         model: Module,
         comm: Communicator,
         broadcast_initial: bool = True,
-        bucket_cap_mb: Optional[float] = None,
+        bucket_cap_mb: float = 25.0,
     ) -> None:
         self.module = model
         self.comm = comm
-        self.bucket_cap_mb = bucket_cap_mb
+        self.scheduler = OverlapScheduler(comm, bucket_cap_mb)
         if broadcast_initial:
             broadcast_parameters(model, comm, src=0)
 
@@ -192,8 +157,9 @@ class DistributedDataParallel:
         return self
 
     def sync_gradients(self) -> None:
-        """Allreduce-average gradients across all ranks (bucketed when configured)."""
-        allreduce_gradients(self.module, self.comm, bucket_cap_mb=self.bucket_cap_mb)
+        """Allreduce-average every existing gradient across all ranks (fused per ``bucket_cap_mb``)."""
+        specs = self.subscriber().specs(grad_scale=1.0, world_size=self.comm.world_size)
+        self.scheduler.run_allreduces([spec.to_allreduce() for spec in specs if spec.flush_ready()])
 
     def subscriber(self) -> GradientAveragingSubscriber:
         """Pipeline subscriber averaging this replica's gradients during backward."""

@@ -41,7 +41,6 @@ BENCH_SCHEMA_VERSION = 1
 
 #: Environment toggles recorded in every benchmark file (reproducibility).
 _RECORDED_TOGGLES = (
-    "REPRO_HOOK_PIPELINE",
     "REPRO_TRACE",
     "REPRO_SANITIZE",
     "REPRO_KERNEL",

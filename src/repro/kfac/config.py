@@ -14,7 +14,7 @@ is a frozen dataclass that
 
 Construct the preconditioner from a config with ``KFAC(model, config)``;
 per-run objects (the communicator, the grad scaler, skipped modules, a
-profiler) stay out of the config because they are not serializable state.
+tracer) stay out of the config because they are not serializable state.
 """
 
 from __future__ import annotations

@@ -55,8 +55,7 @@ distribution strategy.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -88,7 +87,6 @@ class KFAC(Preconditioner):
         comm: Optional[Communicator] = None,
         grad_scaler=None,
         skip_modules: Sequence[Module] = (),
-        profiler=None,
         tracer=None,
         strategy: Optional[DistributionStrategy] = None,
         precision: Union[str, PrecisionPolicy, None] = None,
@@ -100,7 +98,7 @@ class KFAC(Preconditioner):
         by keyword (``KFAC(model, lr=0.1, damping=0.01)``); all validation
         lives in :class:`KFACConfig`, so code, checkpoints and experiment
         manifests are checked by the same rules.  Per-run objects (the
-        communicator, grad scaler, skipped modules, profiler, tracer, a custom
+        communicator, grad scaler, skipped modules, tracer, a custom
         strategy instance or a custom :class:`PrecisionPolicy` object in place
         of a precision name) are passed separately because they are not
         serializable hyperparameters.
@@ -148,10 +146,7 @@ class KFAC(Preconditioner):
         self.triangular_comm = config.triangular_comm
         self.dense_factors = config.dense_factors
         self.bucket_cap_mb = config.bucket_cap_mb  # may be the string "auto"
-        self.profiler = profiler
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.profiler is not None and self.tracer.enabled and getattr(self.profiler, "tracer", None) is None:
-            self.profiler.tracer = self.tracer
         self._base_config = config
 
         self.precision = precision if precision is not None else config.precision_policy()
@@ -169,12 +164,7 @@ class KFAC(Preconditioner):
         self.strategy = strategy
 
         self._steps = 0
-        # Backward-hook pipeline bookkeeping: the step whose factor fold +
-        # allreduce already ran during backward, and the layers folded for
-        # the step currently being assembled (``_pipeline_folded_step``).
-        self._pipeline_factor_step = -1
-        self._pipeline_folded: set = set()
-        self._pipeline_folded_step = -1
+        self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
         self.damping_pi_correction = config.damping_pi_correction
         # One kernel-backend instance per preconditioner (per rank): backends
@@ -221,14 +211,10 @@ class KFAC(Preconditioner):
         """Adopt ``tracer`` for stage spans, scheduling events and comm spans.
 
         Called by the :class:`~repro.training.trainer.Trainer` when it shares
-        its tracer; propagates to the collective scheduler and (when the
-        legacy :class:`~repro.profiling.StageProfiler` shim has no tracer of
-        its own) to the profiler.
+        its tracer; propagates to the collective scheduler.
         """
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.scheduler.tracer = self.tracer
-        if self.profiler is not None and getattr(self.profiler, "tracer", None) is None and self.tracer.enabled:
-            self.profiler.tracer = self.tracer
 
     def _solver_name_for(self, layer: KFACLayer) -> str:
         """Which registered solve strategy preconditions ``layer``.
@@ -297,14 +283,9 @@ class KFAC(Preconditioner):
             return 1.0
         return float(self.grad_scaler.get_scale())
 
-    def _profile(self, stage: str):
-        # The profiler shim emits the kfac/<stage> span itself when a tracer
-        # is attached to it, so the two branches never double-record.
-        if self.profiler is not None:
-            return self.profiler.region(stage)
-        if self.tracer.enabled:
-            return self.tracer.span(f"kfac/{stage}", category="kfac")
-        return contextlib.nullcontext()
+    def _stage(self, stage: str):
+        """The ``kfac/<stage>`` span of one Figure-7 column."""
+        return self.tracer.span(f"kfac/{stage}", category="kfac")
 
     # --------------------------------------------------------------- properties
     @property
@@ -387,11 +368,17 @@ class KFAC(Preconditioner):
                     self.tracer.counter_add("kfac/damping_adjustments")
 
             factor_layers = self._factor_layers_due()
-            if factor_layers and self._pipeline_factor_step != step:
-                with self._profile("factor_compute"):
-                    self._update_local_factors(factor_layers)
-                with self._profile("factor_allreduce"):
-                    self._allreduce_factors(factor_layers)
+            if factor_layers and not self._factors_reduced:
+                with self._stage("factor_compute"):
+                    for name in factor_layers:
+                        self._fold_layer_window(self.layers[name])
+                with self._stage("factor_allreduce"):
+                    self.scheduler.run_allreduces(
+                        [
+                            AllreduceSpec(key=key, payload=pack(), on_complete=install)
+                            for _layer, key, _shape, _dtype, pack, install in self._factor_entries(factor_layers)
+                        ]
+                    )
             for name in factor_layers:
                 layer = self.layers[name]
                 # Post-allreduce: all ranks observe identical factors and hence
@@ -437,7 +424,7 @@ class KFAC(Preconditioner):
                     damping=self.damping,
                 )
             if second_layers:
-                with self._profile("eigen_decomposition"):
+                with self._stage("eigen_decomposition"):
                     self._compute_eigen_decompositions(eigen_layers)
                     for name in second_layers:
                         solver = self.solvers[name]
@@ -446,17 +433,17 @@ class KFAC(Preconditioner):
                         if self.groups[name].is_grad_worker(self.rank):
                             layer = self.layers[name]
                             solver.prepare(layer, self.damping, pi=self.damping_pi(layer))
-                with self._profile("eigen_broadcast"):
+                with self._stage("eigen_broadcast"):
                     self._broadcast_eigen_decompositions(eigen_layers)
                 for name in second_layers:
                     layer = self.layers[name]
                     sched.mark_second_order(name, step, layer.factor_a, layer.factor_g)
 
-            with self._profile("precondition"):
+            with self._stage("precondition"):
                 preconditioned = self._precondition_gradients()
-            with self._profile("grad_broadcast"):
+            with self._stage("grad_broadcast"):
                 preconditioned = self._broadcast_preconditioned_gradients(preconditioned)
-            with self._profile("scale_and_update"):
+            with self._stage("scale_and_update"):
                 nu, raw_total = self._apply_preconditioned_gradients(preconditioned)
             if self.damping_controller is not None and mean_loss is not None:
                 # First-order predicted reduction of the update just written:
@@ -465,6 +452,7 @@ class KFAC(Preconditioner):
                 self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
             sched.advance(step)
             self._steps += 1
+            self._begin_factor_window()
 
     def _mean_loss(self, loss: float) -> float:
         value = np.asarray([float(loss)], dtype=np.float64)
@@ -483,23 +471,48 @@ class KFAC(Preconditioner):
         return tikhonov_pi(layer.factor_a, layer.factor_g)
 
     # ------------------------------------------------------------ stage 1: factors
-    # Stage helpers take the layer names whose refresh is due this step, in
-    # registration order (every rank iterates, and hence posts collectives, in
-    # the same order).  Skipped layers contribute no local compute and no
-    # collective traffic.
-    def _update_local_factors(self, names: Sequence[str]) -> None:
-        for name in names:
-            layer = self.layers[name]
-            if not layer.has_accumulated_data:
-                raise RuntimeError(
-                    f"layer {layer.name!r} has no forward/backward statistics for this factor update; "
-                    "ensure the forward and backward passes ran in training mode before KFAC.step()"
-                )
-            a_new, g_new = layer.compute_batch_factors()
-            layer.update_factors(a_new, g_new, self.factor_decay)
+    # One fold and one spec builder serve both callers: ``step()`` folds every
+    # due layer, then posts the entries as one schedule; a GradientPipeline
+    # the preconditioner subscribes to (see ``pipeline_specs``) posts the same
+    # entries from backward events, folding each layer inside its payload.
+    # Due layers are walked in registration order (every rank iterates, and
+    # hence posts collectives, in the same order); skipped layers contribute
+    # no local compute and no collective traffic.
+    def _begin_factor_window(self) -> None:
+        """Forget what was folded / reduced: the next factor update starts clean.
 
-    def _allreduce_factors(self, names: Sequence[str]) -> None:
-        """Average the due layers' factors over the world through the bucketed engine.
+        The one reset point of the per-step factor bookkeeping — construction,
+        the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`.
+        """
+        self._folded: set = set()  # ids of the layers folded for the pending step
+        self._factors_reduced = False  # a pipeline already allreduced the pending step's factors
+
+    def _factor_layers_due(self) -> List[str]:
+        """Layer names whose factor fold + allreduce run this step.
+
+        The plan only mutates inside :meth:`step`, after any pipeline
+        drained, so the due-set is stable between ``pipeline_specs`` and
+        ``on_pipeline_flush``.
+        """
+        return [name for name in self.layers if self.factor_scheduler.factors_due(name, self._steps)]
+
+    def _fold_layer_window(self, layer: KFACLayer) -> None:
+        """Fold one layer's accumulated statistics into its running factors (once per step)."""
+        if id(layer) in self._folded:
+            # A re-armed (retried) step must not fold its window — and apply
+            # factor_decay — a second time.
+            return
+        if not layer.has_accumulated_data:
+            raise RuntimeError(
+                f"layer {layer.name!r} has no forward/backward statistics for this factor update; "
+                "ensure the forward and backward passes ran in training mode before KFAC.step()"
+            )
+        a_new, g_new = layer.compute_batch_factors()
+        layer.update_factors(a_new, g_new, self.factor_decay)
+        self._folded.add(id(layer))
+
+    def _factor_entries(self, names: Iterable[str]):
+        """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``names``.
 
         Allreduce-average is elementwise, so coalescing the per-layer factor
         matrices into fused buckets changes the message count (and hence the
@@ -507,15 +520,12 @@ class KFAC(Preconditioner):
         repr's wire form: dense optionally as the packed upper triangle,
         structured factors as their (already packed) storage — O(F) on the
         wire for diagonal layers.  The per-layer plan (keys, packing,
-        installation) is owned by the strategy and shared with the
-        backward-hook gradient pipeline.
+        installation) is owned by the strategy.
         """
-        specs: List[AllreduceSpec] = []
         for name in names:
             layer = self.layers[name]
-            for key, _shape, _dtype, pack, install in self.strategy.factor_allreduce_entries(layer, self):
-                specs.append(AllreduceSpec(key=key, payload=pack(), on_complete=install))
-        self.scheduler.run_allreduces(specs)
+            for entry in self.strategy.factor_allreduce_entries(layer, self):
+                yield (layer, *entry)
 
     # -------------------------------------------------------- stage 2: eigen decomp
     # Which rank decomposes which factor, which ranks keep the results, and
@@ -652,9 +662,9 @@ class KFAC(Preconditioner):
             layer.set_gradient(precond * nu)
         return nu, raw_total
 
-    # ------------------------------------- backward-hook pipeline subscription
+    # ------------------------------------------ gradient-pipeline subscription
     # KFAC is a GradientPipeline subscriber: on factor-update iterations it
-    # registers one bucket spec per Kronecker factor, gated on the owning
+    # publishes one bucket spec per Kronecker factor, gated on the owning
     # module's full-backward event.  The payload lazily folds the layer's
     # accumulated forward/backward window into the running factors (once per
     # layer) and returns the factor to allreduce, so a layer's factor traffic
@@ -672,81 +682,41 @@ class KFAC(Preconditioner):
                 "GradientPipeline and KFAC must share one communicator; posting the factor "
                 "allreduces on a different communicator would desynchronize collective ordering"
             )
-        if self._pipeline_folded_step != self._steps:
-            # Fold state is per optimization step, not per arm: a re-armed
-            # (retried) step must not fold its window — and apply
-            # factor_decay — a second time; already-folded layers simply
-            # repost their factors via flush_ready.
-            self._pipeline_folded = set()
-            self._pipeline_folded_step = self._steps
-        due = set(self._factor_layers_due())
-        if not due:
-            return []
         specs: List[GradientBucketSpec] = []
         # Reverse registration order: the last layers' backward events fire
         # first, so their factor buckets fill (and post) earliest.
-        for name in reversed(list(self.layers)):
-            if name not in due:
-                continue
-            layer = self.layers[name]
-            for key, shape, dtype, pack, install in self.strategy.factor_allreduce_entries(layer, self):
+        for layer, key, shape, dtype, pack, install in self._factor_entries(reversed(self._factor_layers_due())):
 
-                def payload(layer=layer, pack=pack) -> np.ndarray:
-                    self._fold_layer_window(layer)
-                    return pack()
+            def payload(layer=layer, pack=pack) -> np.ndarray:
+                self._fold_layer_window(layer)
+                return pack()
 
-                specs.append(
-                    GradientBucketSpec(
-                        key=f"kfac/{key}",
-                        shape=shape,
-                        dtype=dtype,
-                        payload=payload,
-                        on_complete=install,
-                        modules=(layer.module,),
-                        # A layer skipped by the final micro-batch still has a
-                        # window of statistics from earlier ones; fold and
-                        # allreduce it at flush exactly as step() would.
-                        flush_ready=lambda layer=layer: (
-                            id(layer) in self._pipeline_folded or layer.has_accumulated_data
-                        ),
-                    )
+            specs.append(
+                GradientBucketSpec(
+                    key=f"kfac/{key}",
+                    shape=shape,
+                    dtype=dtype,
+                    payload=payload,
+                    on_complete=install,
+                    modules=(layer.module,),
+                    # A layer skipped by the final micro-batch still has a
+                    # window of statistics from earlier ones; fold and
+                    # allreduce it at flush exactly as step() would.
+                    flush_ready=lambda layer=layer: id(layer) in self._folded or layer.has_accumulated_data,
                 )
-        return specs
-
-    def _fold_layer_window(self, layer: KFACLayer) -> None:
-        """Fold one layer's accumulated statistics into its running factors (once)."""
-        if id(layer) in self._pipeline_folded:
-            return
-        if not layer.has_accumulated_data:
-            raise RuntimeError(
-                f"layer {layer.name!r} has no forward/backward statistics for this factor update; "
-                "ensure the forward and backward passes ran in training mode before KFAC.step()"
             )
-        a_new, g_new = layer.compute_batch_factors()
-        layer.update_factors(a_new, g_new, self.factor_decay)
-        self._pipeline_folded.add(id(layer))
-
-    def _factor_layers_due(self) -> List[str]:
-        """Layer names whose factor fold + allreduce run this step.
-
-        The plan only mutates inside :meth:`step`, after the pipeline
-        drained, so the due-set is stable between ``pipeline_specs`` and
-        ``on_pipeline_flush``.
-        """
-        return [name for name in self.layers if self.factor_scheduler.factors_due(name, self._steps)]
+        return specs
 
     def on_pipeline_flush(self, pipeline) -> None:
         """Mark this iteration's factor stages complete once the pipeline drained."""
         required = self._factor_layers_due()
-        if not required:
-            return
-        missing = [name for name in required if id(self.layers[name]) not in self._pipeline_folded]
+        missing = [name for name in required if id(self.layers[name]) not in self._folded]
         if missing:
             raise RuntimeError(
                 f"gradient pipeline flushed but layers {missing} produced no backward event; "
                 "their factor windows were never folded or allreduced"
             )
-        self._pipeline_factor_step = self._steps
+        self._factors_reduced = bool(required)
 
     # ------------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, Any]:
@@ -805,12 +775,10 @@ class KFAC(Preconditioner):
         if self.damping_controller is not None and state.get("damping_controller") is not None:
             self.damping_controller.load_state_dict(state["damping_controller"])
             self.damping = self.damping_controller.damping
-        # Pipeline bookkeeping refers to this instance's own history, not the
+        # Factor bookkeeping refers to this instance's own history, not the
         # checkpoint's: after a restore the next step() must run its factor
-        # stages itself unless the pipeline runs them again.
-        self._pipeline_factor_step = -1
-        self._pipeline_folded = set()
-        self._pipeline_folded_step = -1
+        # stages itself unless a pipeline runs them again.
+        self._begin_factor_window()
 
     # ------------------------------------------------------------------- memory
     def memory_usage(self) -> Dict[str, int]:
@@ -828,9 +796,7 @@ class KFAC(Preconditioner):
             layer.factor_g = None
             layer.clear_eigen()
         self._steps = 0
-        self._pipeline_factor_step = -1
-        self._pipeline_folded = set()
-        self._pipeline_folded_step = -1
+        self._begin_factor_window()
         self.factor_scheduler.reset()
         for solver in self.solvers.values():
             solver.reset()

@@ -5,9 +5,7 @@ per-rank tracers into the numbers benchmarks and experiment reports consume:
 per-span-name duration statistics (count, total, mean, p50, p95, max —
 aggregated across ranks), summed counter totals, and last-value gauges.
 ``to_dict()`` emits a plain JSON-ready structure; ``stage_summary()`` offers
-the ``{stage: mean_seconds}`` mapping the legacy
-:class:`~repro.profiling.StageProfiler` reported, so Figure-7-style
-consumers work unchanged on trace data.
+the ``{stage: mean_seconds}`` mapping Figure-7-style consumers read.
 """
 
 from __future__ import annotations
@@ -109,9 +107,8 @@ class MetricsReport:
     def stage_summary(self, prefix: str = "kfac/", per_call: bool = True) -> Dict[str, float]:
         """``{stage: mean_or_total_seconds}`` for span names under ``prefix``.
 
-        Mirrors :meth:`repro.profiling.StageProfiler.summary` (stage names are
-        reported without the prefix), so trace-driven reports slot into the
-        Figure-7 consumers unchanged.
+        Stage names are reported without the prefix: ``kfac/precondition``
+        becomes ``precondition``, one entry per Figure-7 column.
         """
         out: Dict[str, float] = {}
         for name, stats in self.spans.items():

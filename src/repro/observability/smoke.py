@@ -1,9 +1,10 @@
 """End-to-end trace smoke: a tiny traced BERT run under the threaded world.
 
-Runs the full instrumented stack — hook-driven gradient pipeline, fused
-nonblocking collectives, K-FAC with per-stage spans — across ``--world``
-threaded ranks with tracing enabled, then exports and validates a Chrome
-trace (loadable in Perfetto / ``chrome://tracing``), prints the aggregated
+Runs the full instrumented stack — a gradient pipeline armed for overlap
+with backward, fused nonblocking collectives, K-FAC with per-stage spans —
+across ``--world`` threaded ranks with tracing enabled, then exports and
+validates a Chrome trace (loadable in Perfetto / ``chrome://tracing``),
+prints the aggregated
 :class:`~repro.observability.MetricsReport`, and reports the *measured*
 exposed/hidden communication next to the analytic model's prediction for
 the same layer set.  Used three ways:
@@ -37,10 +38,11 @@ def run_traced_bert(
 ):
     """Train a tiny BERT for ``steps`` iterations on ``world_size`` threaded ranks.
 
-    Every rank runs with a live :class:`~repro.observability.Tracer`, the
-    hook-driven gradient pipeline (unless ``use_pipeline=False``) and the
-    fused nonblocking collective engine, so the returned per-rank tracers
-    carry comm spans overlapping the backward spans.  Returns
+    Every rank runs with a live :class:`~repro.observability.Tracer`, a
+    gradient pipeline instance the trainer arms (``use_pipeline=False`` leaves
+    the trainer on its own pipeline, which posts everything at ``flush()``)
+    and the fused nonblocking collective engine, so the returned per-rank
+    tracers carry comm spans overlapping the backward spans.  Returns
     ``(tracers, run_info)`` where ``run_info`` records the knobs needed to
     rebuild the matching analytic schedule.
     """
@@ -149,7 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--world", type=int, default=4, help="threaded world size")
     parser.add_argument("--steps", type=int, default=3, help="optimization steps")
     parser.add_argument("--frac", type=float, default=0.5, help="grad_worker_frac")
-    parser.add_argument("--no-pipeline", action="store_true", help="disable the hook pipeline")
+    parser.add_argument("--no-pipeline", action="store_true", help="post at flush() instead of during backward")
     args = parser.parse_args(argv)
 
     tracers, run_info = run_traced_bert(

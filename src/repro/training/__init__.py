@@ -1,4 +1,4 @@
-"""Training loops, the hook-driven gradient pipeline, metrics and convergence bookkeeping."""
+"""Training loops, the gradient pipeline (the one gradient-synchronisation seam), metrics and convergence bookkeeping."""
 
 from .convergence import CurvePoint, TrainingCurve
 from .metrics import (
@@ -8,13 +8,12 @@ from .metrics import (
     masked_lm_accuracy,
     segmentation_dice,
 )
-from .pipeline import GradientPipeline, default_hook_pipeline
+from .pipeline import GradientPipeline
 from .trainer import Trainer
 
 __all__ = [
     "Trainer",
     "GradientPipeline",
-    "default_hook_pipeline",
     "TrainingCurve",
     "CurvePoint",
     "classification_accuracy",

@@ -1,94 +1,81 @@
-"""Hook-driven gradient pipeline: communication posted while backward runs.
+"""The trainer's one gradient-synchronisation seam.
 
-The paper's scalability claim is that KAISA hides its communication behind
-backprop.  PR 2's engine could *fuse and pipeline* collectives, but it only
-posted them once ``allreduce_gradients`` / ``KFAC.step()`` ran — after the
-backward pass had already finished.  :class:`GradientPipeline` closes that
-gap using the module/parameter event API of :mod:`repro.nn.module` and
-:mod:`repro.tensor`:
+The paper's Listing 1 has a single synchronisation point between
+``loss.backward()`` and ``preconditioner.step()``.  :class:`GradientPipeline`
+is that point: subscribers (DDP-style gradient averaging, K-FAC factor
+allreduces) publish :class:`~repro.distributed.collectives.GradientBucketSpec`
+lists, the pipeline plans deterministic ``bucket_cap_mb``-capped fused
+buckets over them (every rank builds the identical plan), posts them through
+one :class:`~repro.distributed.collectives.OverlapScheduler` and drains them
+in :meth:`GradientPipeline.flush` — the call the
+:class:`~repro.training.trainer.Trainer` awaits before the preconditioner /
+optimizer step.
 
-* subscribers (DDP-style gradient averaging, K-FAC factor allreduces)
-  register :class:`~repro.distributed.collectives.GradientBucketSpec` lists
-  when the pipeline is **armed** for an optimization step;
-* the pipeline plans deterministic, ``bucket_cap_mb``-capped fused buckets
-  over those specs (every rank builds the identical plan) and registers
-  grad-ready hooks on the gating parameters plus full backward hooks on the
-  gating modules;
-* as the autograd tape finalizes gradients — in reverse-layer order — each
-  bucket whose events have all fired is posted immediately through the
-  :class:`~repro.distributed.collectives.OverlapScheduler`, so collectives
-  fly while backprop is still computing earlier layers;
-* :meth:`flush` posts any remaining buckets, drains the scheduler, removes
-  the per-step hooks and notifies subscribers — the single synchronization
-  point the :class:`~repro.training.trainer.Trainer` awaits before
-  ``optimizer.step()``.
+*When* the buckets are posted is the only thing that varies:
+
+* **Never armed** (what a default ``Trainer`` does): ``flush()`` plans the
+  step and posts every spec whose ``flush_ready`` predicate holds, after
+  backward has finished — one fused gradient allreduce, then ``KFAC.step()``.
+  No hook is registered, so the step pays no per-step registration cost.
+* **Armed** (a pipeline instance handed to the ``Trainer``): :meth:`arm`
+  plans the step *before* the final backward and registers grad-ready hooks
+  on the gating parameters plus full backward hooks on the gating modules;
+  as the autograd tape finalizes gradients — in reverse-layer order — each
+  bucket whose events have all fired is posted immediately, so collectives
+  fly while backprop is still computing earlier layers (the paper's
+  hide-communication-behind-backprop argument).  ``flush()`` then posts
+  whatever is left and removes the per-step hooks.
 
 Bucket *payloads* are callables evaluated at posting time, so a subscriber
 can fold statistics lazily (K-FAC folds a layer's factor window inside the
 payload of the first factor bucket that needs it).  All collectives are
-elementwise allreduce-averages over deterministic schedules, so the hooked
-path is bitwise identical to the synchronous `allreduce_gradients` +
-``KFAC.step()``-time paths.
+elementwise allreduce-averages over deterministic schedules, so armed and
+un-armed steps produce the same bits.
 
 Gradient accumulation: hooks fire once per micro-batch backward, but the
 pipeline is armed only for the *final* micro-batch, so every bucket is
 posted exactly once per optimization step, carrying the accumulated (and
 micro-batch-scaled) gradients.
 
-Subscribers may register a different spec list every arm — K-FAC under
+Subscribers may register a different spec list every step — K-FAC under
 adaptive scheduling (:mod:`repro.kfac.scheduling`) registers buckets only
 for the layers whose factor refresh is due this step, so skipped layers
 contribute no buckets and no traffic.  The plan a subscriber derives its
 specs from must stay stable from ``arm()`` until ``flush()`` returns; the
 scheduler guarantees this by only mutating the plan inside ``KFAC.step()``.
-
-Setting ``REPRO_HOOK_PIPELINE=1`` makes every :class:`Trainer` construct and
-drive a pipeline by default (the CI hook-pipeline matrix entry).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..distributed.backend import Communicator, SingleProcessCommunicator
-from ..distributed.collectives import AllreduceSpec, GradientBucketSpec, OverlapScheduler, TensorBucket
+from ..distributed.collectives import GradientBucketSpec, OverlapScheduler, TensorBucket
 from ..observability import NULL_TRACER
 from ..tensor import Tensor, is_grad_enabled
 
-__all__ = ["GradientPipeline", "default_hook_pipeline"]
-
-
-def default_hook_pipeline() -> bool:
-    """Default for the Trainer's ``pipeline="auto"``, overridable via environment.
-
-    Setting ``REPRO_HOOK_PIPELINE=1`` (or ``true``/``yes``/``on``) makes every
-    :class:`~repro.training.trainer.Trainer` drive a :class:`GradientPipeline`
-    — used by CI to run the whole suite through the hook-driven path.
-    """
-    return os.environ.get("REPRO_HOOK_PIPELINE", "").strip().lower() in ("1", "true", "yes", "on")
+__all__ = ["GradientPipeline"]
 
 
 class _PlannedSpec:
-    """One subscriber spec plus its gate ids.
+    """One subscriber spec plus the gates that have not fired yet.
 
-    ``gates`` preserves the spec's declaration order (params then modules,
-    first appearance wins) so gate registration iterates deterministically on
-    every rank; ``pending`` is the same ids as a set, for O(1) firing.
+    ``gates`` lists the distinct gating objects in the spec's declaration
+    order (params then modules) so hook registration iterates
+    deterministically on every rank; ``pending`` holds their ids as a set,
+    for O(1) firing.
     """
 
     __slots__ = ("spec", "gates", "pending")
 
     def __init__(self, spec: GradientBucketSpec) -> None:
         self.spec = spec
-        gates: List[int] = []
-        for gate in (*spec.params, *spec.modules):
-            gate_id = id(gate)
-            if gate_id not in gates:
-                gates.append(gate_id)
-        self.gates = tuple(gates)
+        gates: Dict[int, Tuple[object, str]] = {}
+        for param in spec.params:
+            gates.setdefault(id(param), (param, "param"))
+        for module in spec.modules:
+            gates.setdefault(id(module), (module, "module"))
+        self.gates = gates
         self.pending = set(gates)
 
     @property
@@ -112,7 +99,7 @@ class _PlannedBucket:
 
 
 class GradientPipeline:
-    """Posts subscriber communication buckets as gradients become ready.
+    """Plans, posts and drains the subscribers' communication buckets of one step.
 
     Parameters
     ----------
@@ -163,10 +150,10 @@ class GradientPipeline:
         """Register a subscriber.
 
         A subscriber provides ``pipeline_specs(pipeline) ->
-        Sequence[GradientBucketSpec]`` (called at every :meth:`arm`; may
-        return an empty list for steps with nothing to communicate) and may
-        provide ``on_pipeline_flush(pipeline)``, called after :meth:`flush`
-        has drained all collectives.
+        Sequence[GradientBucketSpec]`` (called once per step, when the step is
+        planned; may return an empty list for steps with nothing to
+        communicate) and may provide ``on_pipeline_flush(pipeline)``, called
+        after :meth:`flush` has drained all collectives.
         """
         if not hasattr(subscriber, "pipeline_specs"):
             raise TypeError(
@@ -175,9 +162,28 @@ class GradientPipeline:
             )
         self.subscribers.append(subscriber)
 
+    # ------------------------------------------------------------------ plan
+    def _plan_step(self, grad_scale: float) -> None:
+        """Collect this step's subscriber specs into fused buckets.
+
+        Per-subscriber bucket plan: deterministic greedy fusion in the order
+        the subscriber emitted its specs (reverse-layer order by convention,
+        matching gradient readiness during backward).
+        """
+        self.grad_scale = float(grad_scale)
+        self.stats = {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 0}
+        self._plan = []
+        for subscriber in self.subscribers:
+            specs = list(subscriber.pipeline_specs(self))
+            planned = {spec.key: _PlannedSpec(spec) for spec in specs}
+            if len(planned) != len(specs):
+                raise ValueError(f"duplicate pipeline spec keys from {type(subscriber).__name__}")
+            for bucket in self.scheduler.buckets.build([(s.key, s.shape, s.dtype) for s in specs]):
+                self._plan.append(_PlannedBucket(bucket, [planned[entry.key] for entry in bucket.entries]))
+
     # ------------------------------------------------------------------- arm
     def arm(self, grad_scale: float = 1.0) -> None:
-        """Prepare the bucket plan for the *final* backward of this step.
+        """Plan the step and post its buckets *during* the final backward.
 
         ``grad_scale`` is the micro-batch averaging factor (``1/n`` under
         gradient accumulation) subscribers fold into their payloads.  Arm
@@ -189,39 +195,16 @@ class GradientPipeline:
         if self._armed:
             self._disarm()
             self.scheduler.discard()
-        self.grad_scale = float(grad_scale)
-        self.stats = {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 0}
-        self._plan = []
-        self._gates = {}
+        self._plan_step(grad_scale)
         gate_objects: Dict[int, Tuple[object, str]] = {}
-        for subscriber in self.subscribers:
-            specs = list(subscriber.pipeline_specs(self))
-            if not specs:
-                continue
-            planned = [_PlannedSpec(spec) for spec in specs]
-            for spec in specs:
-                for param in spec.params:
-                    gate_objects.setdefault(id(param), (param, "param"))
-                for module in spec.modules:
-                    gate_objects.setdefault(id(module), (module, "module"))
-            by_key = {p.spec.key: p for p in planned}
-            if len(by_key) != len(planned):
-                raise ValueError(f"duplicate pipeline spec keys from {type(subscriber).__name__}")
-            # Per-subscriber bucket plan: deterministic greedy fusion in the
-            # order the subscriber emitted its specs (reverse-layer order by
-            # convention, matching gradient readiness during backward).
-            for bucket in self.scheduler.buckets.build(
-                [(p.spec.key, p.spec.shape, p.spec.dtype) for p in planned]
-            ):
-                bucket_specs = [by_key[entry.key] for entry in bucket.entries]
-                planned_bucket = _PlannedBucket(bucket, bucket_specs)
-                self._plan.append(planned_bucket)
-                for planned_spec in bucket_specs:
-                    # Iterate the declaration-ordered gate tuple, not the
-                    # `pending` set: registration order must be identical on
-                    # every rank (SPMD103).
-                    for gate in planned_spec.gates:
-                        self._gates.setdefault(gate, []).append((planned_bucket, planned_spec))
+        for planned_bucket in self._plan:
+            for planned_spec in planned_bucket.specs:
+                # Iterate the declaration-ordered gate dict, not the `pending`
+                # set: registration order must be identical on every rank
+                # (SPMD103).
+                for gate_id, gate in planned_spec.gates.items():
+                    gate_objects.setdefault(gate_id, gate)
+                    self._gates.setdefault(gate_id, []).append((planned_bucket, planned_spec))
         # One readiness hook per distinct gating object.  A parameter's
         # grad-ready event already fires only once its *last* consumer
         # contributed (the tape counts consumer edges), but a module invoked
@@ -275,29 +258,27 @@ class GradientPipeline:
                 fused_count=len(planned_bucket.bucket),
             )
             self.tracer.counter_add(f"pipeline/buckets_posted_{phase}")
-        self.scheduler.post_allreduces(
-            [
-                AllreduceSpec(key=spec.key, payload=spec.payload(), on_complete=spec.on_complete)
-                for spec in specs
-            ]
-        )
+        self.scheduler.post_allreduces([spec.to_allreduce() for spec in specs])
         planned_bucket.posted = True
 
     # ----------------------------------------------------------------- flush
-    def flush(self) -> None:
+    def flush(self, grad_scale: float = 1.0) -> None:
         """Post remaining buckets, drain all collectives and notify subscribers.
 
-        Buckets whose events all fired during backward were already posted.
-        Anything left is posted here with the members that are safe to send:
-        specs whose gates fired, plus specs whose gates never fired but whose
-        ``flush_ready`` predicate confirms the payload is valid anyway (e.g.
-        a parameter that accumulated gradients in an earlier micro-batch but
-        sat out the final one — the synchronous path averages it too).  Specs
-        that are neither are dropped, mirroring the synchronous path's
-        skip-parameters-without-gradients rule.
+        On a pipeline that was never armed this *is* the step's gradient
+        synchronisation: the step is planned here with ``grad_scale`` (an
+        armed pipeline fixed its scale at :meth:`arm` and ignores this one)
+        and nothing has been posted yet.  Buckets whose events all fired
+        during an armed backward were already posted.  Anything left is
+        posted here with the members that are safe to send: specs whose gates
+        fired, plus specs whose ``flush_ready`` predicate confirms the payload
+        is valid anyway (every gradient that exists, when no hook ever ran; a
+        parameter that accumulated gradients in an earlier micro-batch but
+        sat out the armed one).  Specs that are neither are dropped — a
+        parameter without a gradient is not averaged.
         """
         if not self._armed:
-            raise RuntimeError("GradientPipeline.flush() called without a matching arm()")
+            self._plan_step(grad_scale)
         with self.tracer.span("pipeline/flush", category="pipeline"):
             for planned_bucket in self._plan:
                 if planned_bucket.posted:

@@ -6,28 +6,24 @@ synchronization (data parallel), ``preconditioner.step()``,
 scaling (section 4.1) slot in around that ordering the same way they do in
 the reference implementation.
 
-Gradient synchronization has two seams:
-
-* the explicit path — micro-batch scaling plus
-  :func:`~repro.distributed.ddp.allreduce_gradients` after backward (the
-  compat wrapper, kept for callers driving the loop by hand), and
-* the hook-driven path — a :class:`~repro.training.pipeline.GradientPipeline`
-  armed before the final micro-batch: gradient-averaging (and K-FAC factor)
-  buckets are posted *during* the backward pass as grad-ready events fire,
-  and the trainer awaits a single ``flush()`` before the preconditioner /
-  optimizer step.  Both paths are bitwise identical; ``pipeline="auto"``
-  (the default) selects the hook-driven path when ``REPRO_HOOK_PIPELINE=1``.
+Gradient synchronization has one seam, a
+:class:`~repro.training.pipeline.GradientPipeline`, and every step ends it
+with one ``flush()`` before the preconditioner / optimizer step.  The trainer
+owns a pipeline it never arms unless the caller supplies one: ``flush()`` then
+posts the gradient-averaging buckets after backward — one fused float32
+allreduce, Listing 1's synchronisation point.  A pipeline passed in by the
+caller is armed before the final micro-batch, so the same buckets (and the
+K-FAC factor allreduces) are posted *during* the backward pass as grad-ready
+events fire.  Both produce the same bits.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..distributed.backend import Communicator
-from ..distributed.ddp import GradientAveragingSubscriber, allreduce_gradients
+from ..distributed.ddp import GradientAveragingSubscriber
 from ..kfac.base import Preconditioner
 from ..nn.module import Module
 from ..observability import NULL_TRACER, Tracer, default_tracing
@@ -35,7 +31,7 @@ from ..optim.grad_scaler import GradScaler
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
 from .convergence import TrainingCurve
-from .pipeline import GradientPipeline, default_hook_pipeline
+from .pipeline import GradientPipeline
 
 __all__ = ["Trainer"]
 
@@ -60,15 +56,19 @@ class Trainer:
         Optional simulated seconds per iteration (from
         :class:`repro.kfac.IterationTimeModel`), used to accumulate the
         simulated wall-clock recorded in training curves.
+    bucket_cap_mb:
+        Fused-buffer cap of the pipeline the trainer builds.  ``None``
+        (default) takes the preconditioner's resolved cap, else 25 MB.
     pipeline:
-        Gradient-synchronization seam.  ``"auto"`` (default) builds a
-        :class:`~repro.training.pipeline.GradientPipeline` when
-        ``REPRO_HOOK_PIPELINE=1`` is set; pass an instance to drive a
-        pre-configured pipeline, or ``None`` to force the explicit
-        ``allreduce_gradients`` path.  A pipeline the trainer builds (or
-        receives with no subscribers) is wired with gradient averaging over
-        ``comm`` plus the preconditioner's factor subscription when the
-        preconditioner supports it.
+        ``None`` (default): the trainer builds a
+        :class:`~repro.training.pipeline.GradientPipeline` over ``comm`` with
+        gradient averaging subscribed and never arms it, so everything is
+        posted at ``flush()``; without a ``comm`` no gradient is averaged,
+        whatever the preconditioner communicates over.  Pass an instance to
+        overlap communication with backward: it is armed before the final
+        micro-batch and, when it has no subscribers yet, wired with gradient
+        averaging plus the preconditioner's factor subscription (when the
+        preconditioner supports it).
     tracer:
         Optional :class:`repro.observability.Tracer`.  ``None`` (default)
         constructs a per-rank tracer when ``REPRO_TRACE=1`` is set and the
@@ -92,7 +92,7 @@ class Trainer:
         grad_accumulation_steps: int = 1,
         iteration_time: Optional[float] = None,
         bucket_cap_mb: Optional[float] = None,
-        pipeline: Union[GradientPipeline, str, None] = "auto",
+        pipeline: Optional[GradientPipeline] = None,
         tracer=None,
     ) -> None:
         if grad_accumulation_steps < 1:
@@ -111,9 +111,6 @@ class Trainer:
         self.comm = comm
         self.grad_accumulation_steps = int(grad_accumulation_steps)
         self.iteration_time = iteration_time
-        # None = single flattened allreduce; a cap routes gradient averaging
-        # through the bucketed nonblocking engine (numerically identical).
-        self.bucket_cap_mb = bucket_cap_mb
         if tracer is None:
             if default_tracing():
                 rank = comm.rank if comm is not None else getattr(getattr(preconditioner, "comm", None), "rank", 0)
@@ -125,67 +122,39 @@ class Trainer:
             set_tracer = getattr(self.preconditioner, "set_tracer", None)
             if set_tracer is not None and not getattr(self.preconditioner, "tracer", NULL_TRACER).enabled:
                 set_tracer(self.tracer)
-        if pipeline == "auto":
-            pipeline = self._build_default_pipeline() if default_hook_pipeline() else None
-        elif pipeline is not None and not isinstance(pipeline, GradientPipeline):
-            raise TypeError(f"pipeline must be a GradientPipeline, 'auto' or None, got {pipeline!r}")
-        if isinstance(pipeline, GradientPipeline):
-            if (
-                comm is not None
-                and pipeline.comm is not comm
-                and (comm.world_size > 1 or pipeline.comm.world_size > 1)
-            ):
-                # A pipeline left on its default single-process communicator
-                # would silently turn gradient averaging into a no-op while
-                # the trainer believes it is training data-parallel.
-                raise ValueError(
-                    "GradientPipeline and Trainer must share one communicator: the pipeline "
-                    f"synchronizes over {pipeline.comm.world_size} rank(s) but the trainer's "
-                    f"communicator spans {comm.world_size}; pass GradientPipeline(model, comm=...)"
-                )
-            if not pipeline.subscribers:
-                self._wire_pipeline(pipeline)
-            if self.tracer.enabled and not pipeline.tracer.enabled:
-                pipeline.set_tracer(self.tracer)
+        # Overlap with backward is the caller's request: only a supplied
+        # pipeline is ever armed.
+        self._overlap = pipeline is not None
+        if pipeline is None:
+            if bucket_cap_mb is None:
+                # The preconditioner's resolved cap (including the
+                # cost-model-sized bucket_cap_mb="auto"), so gradient and
+                # factor traffic share one fusion granularity.
+                bucket_cap_mb = getattr(preconditioner, "resolved_bucket_cap_mb", None) or 25.0
+            pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb, tracer=self.tracer)
+        elif not isinstance(pipeline, GradientPipeline):
+            raise TypeError(f"pipeline must be a GradientPipeline or None, got {pipeline!r}")
+        elif comm is not None and pipeline.comm is not comm and (comm.world_size > 1 or pipeline.comm.world_size > 1):
+            # A pipeline left on its default single-process communicator
+            # would silently turn gradient averaging into a no-op while
+            # the trainer believes it is training data-parallel.
+            raise ValueError(
+                "GradientPipeline and Trainer must share one communicator: the pipeline "
+                f"synchronizes over {pipeline.comm.world_size} rank(s) but the trainer's "
+                f"communicator spans {comm.world_size}; pass GradientPipeline(model, comm=...)"
+            )
+        if not pipeline.subscribers:
+            pipeline.add_subscriber(GradientAveragingSubscriber(model))
+            if self._overlap and hasattr(preconditioner, "pipeline_specs"):
+                # Factor allreduces overlap backward too; on the trainer's own
+                # pipeline the factor stage stays inside preconditioner.step().
+                pipeline.add_subscriber(preconditioner)
+        if self.tracer.enabled and not pipeline.tracer.enabled:
+            pipeline.set_tracer(self.tracer)
         self.pipeline = pipeline
         self.iterations = 0
         self.simulated_time = 0.0
         self._start_time = time.perf_counter()
-
-    def _build_default_pipeline(self) -> GradientPipeline:
-        cap = self.bucket_cap_mb
-        if cap is None:
-            # Honor the preconditioner's resolved cap (including the
-            # cost-model-sized bucket_cap_mb="auto") so the pipeline's factor
-            # traffic uses the fusion granularity K-FAC was configured with.
-            cap = getattr(self.preconditioner, "resolved_bucket_cap_mb", None)
-        if cap is None:
-            cap = 25.0
-        comm = self.comm
-        if comm is None:
-            # A single-rank preconditioner communicator can be shared freely
-            # (its collectives are no-ops).  A multi-rank one cannot: the
-            # explicit path with comm=None performs NO gradient averaging, so
-            # borrowing it here would silently change training semantics —
-            # demand the explicit configuration instead.
-            pre_comm = getattr(self.preconditioner, "comm", None)
-            if pre_comm is not None and pre_comm.world_size > 1:
-                raise ValueError(
-                    "REPRO_HOOK_PIPELINE=1: the preconditioner communicates over "
-                    f"{pre_comm.world_size} ranks but the Trainer has no communicator; the hook "
-                    "pipeline will not silently begin averaging gradients across ranks — pass "
-                    "comm= to the Trainer (or pipeline=None to keep the explicit path)"
-                )
-            comm = pre_comm
-        pipeline = GradientPipeline(self.model, comm=comm, bucket_cap_mb=cap, tracer=self.tracer)
-        self._wire_pipeline(pipeline)
-        return pipeline
-
-    def _wire_pipeline(self, pipeline: GradientPipeline) -> None:
-        """Attach the default subscribers: gradient averaging + K-FAC factors."""
-        pipeline.add_subscriber(GradientAveragingSubscriber(self.model))
-        if self.preconditioner is not None and hasattr(self.preconditioner, "pipeline_specs"):
-            pipeline.add_subscriber(self.preconditioner)
 
     # ------------------------------------------------------------------ step
     def train_step(self, batches) -> float:
@@ -201,13 +170,15 @@ class Trainer:
         self.optimizer.zero_grad()
         total_loss = 0.0
         final_index = len(micro_batches) - 1
+        # Accumulated gradients are averaged so the effective loss is the mean.
+        grad_scale = 1.0 / len(micro_batches)
         for index, micro in enumerate(micro_batches):
             with self.tracer.span("trainer/micro_batch", category="step", index=index):
-                if self.pipeline is not None and index == final_index:
+                if self._overlap and index == final_index:
                     # Arm for the final micro-batch only: hooks fire every
                     # backward, but buckets post exactly once per step, carrying
                     # the accumulated gradients with the 1/n micro-batch scale.
-                    self.pipeline.arm(grad_scale=1.0 / len(micro_batches))
+                    self.pipeline.arm(grad_scale)
                 with self.tracer.span("trainer/forward", category="forward"):
                     loss = self.forward_loss(self.model, micro)
                 total_loss += float(loss.item())
@@ -219,21 +190,10 @@ class Trainer:
                         self.grad_scaler.scale(loss).backward()
                     else:
                         loss.backward()
-        if self.pipeline is not None:
-            # Hook-driven path: buckets were posted during backward; one
-            # flush synchronizes gradients (and K-FAC factors) before the
-            # preconditioner / optimizer step.
-            self.pipeline.flush()
-        else:
-            if len(micro_batches) > 1:
-                # Average accumulated gradients so the effective loss is the mean.
-                scale = 1.0 / len(micro_batches)
-                for param in self.model.parameters():
-                    if param.grad is not None:
-                        param.grad = param.grad * scale
-            if self.comm is not None:
-                with self.tracer.span("trainer/allreduce_gradients", category="comm_sync"):
-                    allreduce_gradients(self.model, self.comm, bucket_cap_mb=self.bucket_cap_mb)
+        # The one synchronisation point: whatever backward events did not post
+        # already (everything, on a pipeline that was never armed) is posted
+        # and drained here, scaled by 1/n and averaged across ranks.
+        self.pipeline.flush(grad_scale)
         if self.grad_scaler is not None:
             self.grad_scaler.unscale_(self.optimizer)
         if self.preconditioner is not None:

@@ -26,7 +26,6 @@ from repro.distributed import (
     PerformanceModel,
     SingleProcessCommunicator,
     ThreadedWorld,
-    allreduce_gradients,
     run_spmd,
 )
 from repro.experiments import paper_workload_spec
@@ -401,7 +400,7 @@ class TestBucketedDDP:
 
             return run_spmd(4, program)
 
-        flat = run(None)
+        flat = run(25.0)  # every gradient in one fused buffer
         bucketed = run(0.0005)  # ~512 B cap forces several buckets
         for a, b in zip(flat, bucketed):
             np.testing.assert_array_equal(a, b)
@@ -415,7 +414,7 @@ class TestBucketedDDP:
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(0))
             loss = loss_fn(model(Tensor(x[:16])), y[:16])
             loss.backward()
-            allreduce_gradients(model, comm, bucket_cap_mb=25.0)
+            DistributedDataParallel(model, comm, broadcast_initial=False, bucket_cap_mb=25.0).sync_gradients()
 
         threads = [threading.Thread(target=program, args=(world.communicator(r),)) for r in range(2)]
         for t in threads:
@@ -505,7 +504,7 @@ class TestKFACOverlapBitwise:
 
             def program(comm):
                 model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
-                ddp = DistributedDataParallel(model, comm)
+                ddp = DistributedDataParallel(model, comm, bucket_cap_mb=bucket_cap_mb)
                 pre = KFAC(
                     model,
                     factor_update_freq=1,

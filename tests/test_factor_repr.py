@@ -6,7 +6,8 @@ Acceptance coverage for the FactorRepr refactor:
   state serialization of :class:`FactorRepr` itself;
 * structured eigensolves agree with the dense oracle on both kernel backends;
 * structured-vs-forced-dense training parity, **bitwise**, across
-  COMM-OPT / HYBRID-OPT / MEM-OPT x sync / overlap / hooked x adaptive
+  COMM-OPT / HYBRID-OPT / MEM-OPT x sync / overlap / hooked (the default
+  un-armed pipeline at two bucket caps / an armed instance) x adaptive
   (``dense_factors=True`` runs the historical dense code verbatim, so any
   drift is a real divergence in the structured fast paths);
 * checkpoints store the representation tags, resume bitwise, and refuse to
@@ -273,7 +274,9 @@ class TestStructuredVsDenseParity:
                 factor_update_freq=1,
                 inv_update_freq=2,
                 # "sync": a cap below any tensor, one message per tensor;
-                # otherwise a cap that fuses a few tensors per bucket.
+                # otherwise a cap that fuses a few tensors per bucket.  "sync"
+                # and "overlap" run the trainer's default (never armed)
+                # pipeline, "hooked" a supplied instance the trainer arms.
                 bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
                 # Drift-driven refresh: both representations must derive the same plan.
                 drift_tol=0.05 if adaptive else 0.0,

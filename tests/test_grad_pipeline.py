@@ -1,14 +1,18 @@
-"""Tests for the hook-driven gradient pipeline (backward/grad-ready events).
+"""Tests for the gradient pipeline, the trainer's one gradient-sync seam.
 
-Covers the GradientPipeline lifecycle (arm/flush, event-driven bucket
-posting, partial buckets), gradient accumulation semantics (hooks fire once
-per micro-batch but buckets post once), the acceptance criterion that the
-hooked path is bitwise identical to both the synchronous path and the
-``KFAC.step()``-time overlap engine for MEM/HYBRID/COMM-OPT on the threaded
-backend, the registry-driven LayerNorm coverage exercised through the new
-hooks, the adaptive ``bucket_cap_mb="auto"`` selection, and the cost model's
-exposed-vs-hidden communication split for hooked schedules.
+Covers the GradientPipeline lifecycle (un-armed flush, arm/flush,
+event-driven bucket posting, partial buckets), gradient accumulation
+semantics (hooks fire once per micro-batch but buckets post once), the
+acceptance criterion that an armed pipeline (a supplied instance, buckets
+posted during backward) is bitwise identical to the default un-armed one
+(everything posted at ``flush()``) for MEM/HYBRID/COMM-OPT on the threaded
+backend, what the default seam puts on the wire, the registry-driven
+LayerNorm coverage exercised through the hooks, the adaptive
+``bucket_cap_mb="auto"`` selection, and the cost model's exposed-vs-hidden
+communication split for hooked schedules.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from repro.experiments import paper_workload_spec
 from repro.kfac import KFAC, KFACConfig, KFACLayerNormLayer, model_comm_schedule, resolve_kfac_layer
 from repro.models import MLP
 from repro.tensor import Tensor
-from repro.training import GradientPipeline, Trainer, default_hook_pipeline
+from repro.training import GradientPipeline, Trainer
 
 
 def make_problem(seed=0, samples=64, in_dim=6, classes=3):
@@ -60,8 +64,35 @@ def build_model(kind, seed=0):
     return MLP(6, [12, 8], 3, rng=rng)
 
 
+def run_on(world, program):
+    """``program(comm)`` on every rank of an existing world (so its log can be read)."""
+    results = [None] * world.world_size
+    errors = []
+
+    def target(rank):
+        try:
+            results[rank] = program(world.communicator(rank))
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            errors.append(error)
+
+    threads = [threading.Thread(target=target, args=(rank,), daemon=True) for rank in range(world.world_size)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 class TestPipelineParity:
-    """Acceptance: hooked == one message per tensor == step()-time fused, bitwise."""
+    """Acceptance: armed instance == default un-armed seam, at any bucket cap, bitwise.
+
+    Modes: ``"sync"`` and ``"overlap"`` run the default trainer (pipeline
+    never armed, everything posted at ``flush()``) with one message per tensor
+    and with fused buckets; ``"hooked"`` hands the trainer a pipeline
+    instance, which it arms so buckets post during backward.
+    """
 
     WORLD = 4
     STEPS = 3
@@ -91,7 +122,7 @@ class TestPipelineParity:
                 lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
                 preconditioner=pre,
                 comm=comm,
-                pipeline=pipeline,  # None forces the explicit allreduce path
+                pipeline=pipeline,  # None: the trainer's own pipeline, never armed
             )
             n = x.shape[0] // comm.world_size
             sl = slice(comm.rank * n, (comm.rank + 1) * n)
@@ -207,15 +238,7 @@ class TestPipelineMechanics:
                 pipeline.stats["buckets_posted_in_backward"] + pipeline.stats["buckets_posted_at_flush"]
             )
 
-        import threading
-
-        threads = [
-            threading.Thread(target=lambda r=r: program(world.communicator(r))) for r in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_on(world, program)
         # The grad-ready hook fired once per micro-batch backward...
         assert fired == {0: 3, 1: 3}
         # ...but the whole step issued exactly ONE fused allreduce message
@@ -224,6 +247,7 @@ class TestPipelineMechanics:
         assert world.log.tensors_by_op["allreduce"] == 6
 
     def test_pipeline_matches_explicit_allreduce_bitwise(self):
+        """Armed pipeline == ``DistributedDataParallel.sync_gradients`` in a hand-written loop."""
         x, y = make_problem(seed=9)
         loss_fn = nn.CrossEntropyLoss()
 
@@ -268,7 +292,7 @@ class TestPipelineMechanics:
     def test_branch_skipped_in_final_microbatch_still_averaged(self):
         """A param with gradients from earlier micro-batches only: its gate
         never fires during the armed backward, but flush() must still scale
-        and average it exactly like the synchronous path."""
+        and average it exactly like the default un-armed pipeline."""
         x, y = make_problem(seed=19)
         loss_fn = nn.CrossEntropyLoss()
 
@@ -331,7 +355,7 @@ class TestPipelineMechanics:
     def test_shared_module_folds_factors_after_last_invocation(self):
         """A module applied twice per forward emits two backward events; the
         K-FAC factor bucket must wait for the LAST one so both invocations'
-        G statistics are folded — bitwise identical to the sync path."""
+        G statistics are folded — bitwise identical to the un-armed default."""
         x, y = make_problem(seed=23)
         loss_fn = nn.CrossEntropyLoss()
 
@@ -381,7 +405,8 @@ class TestPipelineMechanics:
         pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=0.0005)
         pipeline.add_subscriber(GradientAveragingSubscriber(model))
 
-        pipeline.arm()
+        # A single rank publishes gradient specs only under a micro-batch scale.
+        pipeline.arm(grad_scale=0.5)
         loss_fn(model(Tensor(x[:16])), y[:16]).backward()
         assert pipeline.stats["buckets_posted_in_backward"] > 0  # work in flight
         pipeline.abort()  # step failed; posted buckets must be swallowed
@@ -389,38 +414,79 @@ class TestPipelineMechanics:
 
         for p in model.parameters():
             p.grad = None
-        pipeline.arm()
+        pipeline.arm(grad_scale=0.5)
         loss_fn(model(Tensor(x[16:32])), y[16:32]).backward()
-        expected = [p.grad.copy() for p in model.parameters()]
+        expected = [p.grad * 0.5 for p in model.parameters()]
         pipeline.flush()  # must dispatch ONLY this step's buckets
         for param, reference in zip(model.parameters(), expected):
             np.testing.assert_array_equal(param.grad, reference)
 
-    def test_env_pipeline_refuses_to_borrow_multirank_comm(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOOK_PIPELINE", "1")
+    def test_trainer_without_comm_averages_nothing_and_does_not_raise(self):
+        """``Trainer(comm=None)`` means no gradient averaging, whatever the
+        preconditioner communicates over: the seam must not borrow K-FAC's
+        multi-rank communicator, and must not refuse the configuration."""
+        x, y = make_problem(seed=31)
+        loss_fn = nn.CrossEntropyLoss()
+        world = ThreadedWorld(2)
+        n_params = sum(p.data.size for p in build_model("mlp").parameters())
 
         def program(comm):
             model = build_model("mlp")
             pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, comm=comm)
-            try:
-                Trainer(
-                    model,
-                    optim.SGD(model.parameters(), lr=0.1),
-                    lambda m, batch: m(Tensor(batch)).sum(),
-                    preconditioner=pre,
-                    comm=None,  # explicit path would do NO gradient averaging
-                )
-            except ValueError as error:
-                return "averaging" in str(error)
-            return False
+            trainer = Trainer(
+                model,
+                optim.SGD(model.parameters(), lr=0.1),
+                lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
+                preconditioner=pre,
+                comm=None,
+            )
+            assert trainer.pipeline.comm.world_size == 1
+            sl = slice(comm.rank * 16, (comm.rank + 1) * 16)
+            trainer.train_step((x[sl], y[sl]))
 
-        assert all(run_spmd(2, program))
+        run_on(world, program)
+        # K-FAC's own collectives ran; no message carried the gradients.
+        assert world.log.events
+        assert all(event.nbytes != 4 * n_params for event in world.log.events)
 
-    def test_flush_without_arm_raises(self):
-        model = build_model("mlp")
-        pipeline = GradientPipeline(model)
-        with pytest.raises(RuntimeError, match="arm"):
-            pipeline.flush()
+    def test_flush_without_arm_posts_flush_ready_specs_once(self):
+        """A never-armed pipeline is the explicit path: flush() plans the step,
+        posts every spec whose gradient exists, once, and registers no hook."""
+        x, y = make_problem(seed=33)
+        loss_fn = nn.CrossEntropyLoss()
+        world = ThreadedWorld(2)
+        hook_counts = []
+
+        def program(comm):
+            model = build_model("mlp")
+            frozen = list(model.parameters())[0]
+            frozen.requires_grad = False
+            pipeline = GradientPipeline(model, comm=comm)
+            pipeline.add_subscriber(GradientAveragingSubscriber(model))
+            for _ in range(2):
+                for p in model.parameters():
+                    p.grad = None
+                self._sharded_loss(comm, model, x, y, loss_fn).backward()
+                local = [p.grad.copy() for p in model.parameters() if p.grad is not None]
+                pipeline.flush()
+                assert not pipeline.armed
+                assert pipeline.stats == {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 1}
+                averaged = [p.grad for p in model.parameters() if p.grad is not None]
+                assert len(averaged) == len(local) == 5 and frozen.grad is None
+            hook_counts.append(
+                sum(len(p._grad_ready_hooks or ()) for p in model.parameters())
+                + len(pipeline._hook_handles)
+            )
+            return np.concatenate([g.ravel() for g in averaged]), np.concatenate([g.ravel() for g in local])
+
+        results = run_on(world, program)
+        mean_of_locals = (results[0][1] + results[1][1]) / 2
+        for averaged, _ in results:
+            np.testing.assert_array_equal(averaged, mean_of_locals.astype(np.float32))
+        assert hook_counts == [0, 0]
+        # Two steps, one fused message each, five tensors in it.
+        assert world.log.messages_by_op["allreduce"] == 2
+        assert world.log.tensors_by_op["allreduce"] == 10
 
     def test_non_subscriber_rejected(self):
         pipeline = GradientPipeline(build_model("mlp"))
@@ -434,9 +500,10 @@ class TestPipelineMechanics:
         comm = SingleProcessCommunicator()
         pipeline = GradientPipeline(model, comm=comm)
         pipeline.add_subscriber(GradientAveragingSubscriber(model))
-        pipeline.arm()
+        pipeline.arm(grad_scale=0.5)  # a single rank publishes specs only under a scale
+        assert pipeline._hook_handles
         pipeline.abort()
-        assert not pipeline.armed
+        assert not pipeline.armed and not pipeline._hook_handles
         # Backward after abort posts nothing (hooks were removed).
         loss_fn(model(Tensor(x[:8])), y[:8]).backward()
         total = pipeline.stats["buckets_posted_in_backward"] + pipeline.stats["buckets_posted_at_flush"]
@@ -456,28 +523,9 @@ class TestPipelineMechanics:
 
         assert all(run_spmd(2, program))
 
-    def test_trainer_env_flag_builds_pipeline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOOK_PIPELINE", "1")
-        assert default_hook_pipeline()
-        model = build_model("mlp")
-        trainer = Trainer(
-            model,
-            optim.SGD(model.parameters(), lr=0.1),
-            lambda m, batch: m(Tensor(batch)).sum(),
-        )
-        assert trainer.pipeline is not None
-        assert len(trainer.pipeline.subscribers) == 1  # gradient averaging only
-        monkeypatch.setenv("REPRO_HOOK_PIPELINE", "0")
-        trainer = Trainer(
-            model,
-            optim.SGD(model.parameters(), lr=0.1),
-            lambda m, batch: m(Tensor(batch)).sum(),
-        )
-        assert trainer.pipeline is None
-
     def test_reset_after_pipeline_step_restores_sync_factor_stage(self):
-        """reset() must clear the pipeline's factor bookkeeping: a fresh run
-        driven by the sync path afterwards has to fold its own factors."""
+        """reset() must clear the factor bookkeeping a pipeline step left: a
+        fresh hand-driven run afterwards has to fold its own factors."""
         x, y = make_problem(seed=29)
         loss_fn = nn.CrossEntropyLoss()
         model = build_model("mlp")
@@ -492,15 +540,14 @@ class TestPipelineMechanics:
         )
         trainer.train_step((x[:32], y[:32]))  # flush marks factor step 0 done
         pre.reset()
-        # Sync-path step at the same _steps value must not skip the fold.
+        # A hand-driven step at the same _steps value must not skip the fold.
         for p in model.parameters():
             p.grad = None
         loss_fn(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()
         assert all(layer.factor_a is not None for layer in pre.layers.values())
 
-    def test_trainer_pipeline_uses_resolved_auto_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOOK_PIPELINE", "1")
+    def test_trainer_pipeline_uses_resolved_auto_cap(self):
         model = build_model("mlp")
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb="auto")
         trainer = Trainer(
@@ -511,18 +558,159 @@ class TestPipelineMechanics:
         )
         assert trainer.pipeline.bucket_cap_mb == pre.resolved_bucket_cap_mb
 
-    def test_trainer_wires_kfac_subscriber(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOOK_PIPELINE", "1")
+    def test_trainer_wires_kfac_subscriber(self):
+        """A supplied pipeline overlaps K-FAC's factor allreduces with backward
+        too; the trainer's own keeps the factor stage inside ``KFAC.step()``."""
         model = build_model("mlp")
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+
+        def trainer_with(pipeline):
+            return Trainer(
+                model,
+                optim.SGD(model.parameters(), lr=0.1),
+                lambda m, batch: m(Tensor(batch)).sum(),
+                preconditioner=pre,
+                pipeline=pipeline,
+            )
+
+        assert pre in trainer_with(GradientPipeline(model)).pipeline.subscribers
+        default = trainer_with(None).pipeline
+        assert [type(s) for s in default.subscribers] == [GradientAveragingSubscriber]
+
+    def test_trainer_pipeline_must_be_an_instance_or_none(self):
+        model = build_model("mlp")
+        with pytest.raises(TypeError, match="GradientPipeline"):
+            Trainer(
+                model,
+                optim.SGD(model.parameters(), lr=0.1),
+                lambda m, batch: m(Tensor(batch)).sum(),
+                pipeline="auto",
+            )
+
+
+class TestDefaultSeam:
+    """What a default ``Trainer`` (pipeline never armed) does at its one sync point."""
+
+    STEPS = 3
+
+    def _run(self, with_kfac, micro=1, tracer_factory=None):
+        x, y = make_problem(seed=37)
+        loss_fn = nn.CrossEntropyLoss()
+        world = ThreadedWorld(2)
+
+        def program(comm):
+            model = build_model("mlp")
+            pre = None
+            if with_kfac:
+                pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=0.5, comm=comm)
+            trainer = Trainer(
+                model,
+                optim.SGD(model.parameters(), lr=0.05),
+                lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
+                preconditioner=pre,
+                comm=comm,
+                tracer=tracer_factory(comm.rank) if tracer_factory else None,
+            )
+            sl = slice(comm.rank * 32, (comm.rank + 1) * 32)
+            batch = (x[sl], y[sl])
+            for _ in range(self.STEPS):
+                trainer.train_step([batch] * micro if micro > 1 else batch)
+            assert not trainer.pipeline.armed
+            return trainer
+
+        return world, run_on(world, program)
+
+    @pytest.mark.parametrize("with_kfac", [False, True], ids=["first-order", "kfac"])
+    @pytest.mark.parametrize("micro", [1, 2], ids=["one-batch", "two-micro-batches"])
+    def test_one_flat_gradient_allreduce_per_step_before_any_kfac_collective(self, with_kfac, micro):
+        world, trainers = self._run(with_kfac, micro=micro)
+        grad_nbytes = 4 * sum(p.data.size for p in trainers[0].model.parameters())
+        n_tensors = len(list(trainers[0].model.parameters()))
+        events = world.log.events
+        grad_events = [i for i, e in enumerate(events) if (e.op, e.nbytes, e.fused_count) == ("allreduce", grad_nbytes, n_tensors)]
+        assert len(grad_events) == self.STEPS
+        if not with_kfac:
+            assert len(events) == self.STEPS
+            return
+        # Each step's traffic opens with the gradient bucket: the K-FAC
+        # collectives of step k all sit between gradient message k and k+1.
+        assert grad_events[0] == 0
+        per_step = np.diff(grad_events + [len(events)])
+        assert np.all(per_step > 1) and len(set(per_step)) == 1
+
+    def test_traced_default_run_records_gradient_comm_span(self):
+        """The gradient bucket goes through the OverlapScheduler like every
+        other collective, so measured-comm reporting sees it."""
+        from repro.observability import Tracer
+
+        _, trainers = self._run(with_kfac=False, tracer_factory=lambda rank: Tracer(rank=rank))
+        grad_nbytes = 4 * sum(p.data.size for p in trainers[0].model.parameters())
+        for trainer in trainers:
+            spans = [s for s in trainer.tracer.spans if s.name == "comm/allreduce"]
+            assert [s.attrs["nbytes"] for s in spans] == [grad_nbytes] * self.STEPS
+            flushes = [s for s in trainer.tracer.spans if s.name == "pipeline/flush"]
+            assert len(flushes) == self.STEPS
+            assert trainer.tracer.counters()["pipeline/buckets_posted_flush"] == self.STEPS
+            assert "pipeline/buckets_posted_backward" not in trainer.tracer.counters()
+
+    @pytest.mark.parametrize("armed", [False, True], ids=["default", "instance"])
+    @pytest.mark.parametrize("micro", [1, 2], ids=["one-batch", "two-micro-batches"])
+    def test_single_rank_keeps_gradient_dtype(self, armed, micro):
+        """One rank has nobody to average with: float64 gradients stay float64
+        (the armed pipeline used to install float32), scaled by 1/n under
+        accumulation and nothing else."""
+        rng = np.random.default_rng(0)
+        x, y = make_problem(seed=41)
+        model = MLP(6, [8], 3, rng=rng)
+        for p in model.parameters():
+            p.data = p.data.astype(np.float64)
+        seen = {}
+
+        class Spy(optim.SGD):
+            def step(self):
+                seen.update({id(p): p.grad for p in model.parameters()})
+                super().step()
+
+        loss_fn = nn.CrossEntropyLoss()
+
+        def forward_loss(m, batch):
+            return loss_fn(m(Tensor(batch[0].astype(np.float64))), batch[1])
+
         trainer = Trainer(
             model,
-            optim.SGD(model.parameters(), lr=0.1),
-            lambda m, batch: m(Tensor(batch)).sum(),
-            preconditioner=pre,
+            Spy(model.parameters(), lr=0.0),
+            forward_loss,
+            pipeline=GradientPipeline(model) if armed else None,
         )
-        assert trainer.pipeline is not None
-        assert pre in trainer.pipeline.subscribers
+        batch = (x[:16], y[:16])
+        trainer.train_step([batch] * micro if micro > 1 else batch)
+        # Reference: the same gradient by hand, summed over micro-batches.
+        for p in model.parameters():
+            p.grad = None
+        for _ in range(micro):
+            forward_loss(model, batch).backward()
+        for p in model.parameters():
+            got = seen[id(p)]
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, p.grad * (1.0 / micro) if micro > 1 else p.grad)
+
+    def test_single_rank_unscaled_step_leaves_gradient_arrays_alone(self):
+        x, y = make_problem(seed=43)
+        model = build_model("mlp")
+        loss_fn = nn.CrossEntropyLoss()
+        after_backward = {}
+        for p in model.parameters():
+            p.register_grad_ready_hook(lambda t: after_backward.__setitem__(id(t), t.grad))
+        at_step = {}
+
+        class Spy(optim.SGD):
+            def step(self):
+                at_step.update({id(p): p.grad for p in model.parameters()})
+
+        trainer = Trainer(model, Spy(model.parameters(), lr=0.1), lambda m, b: loss_fn(m(Tensor(b[0])), b[1]))
+        trainer.train_step((x[:16], y[:16]))
+        assert all(at_step[key] is after_backward[key] for key in after_backward)
+        assert trainer.pipeline.stats == {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 0}
 
 
 class TestLayerNormRegistry:

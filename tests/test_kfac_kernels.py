@@ -410,7 +410,9 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
         grad_worker_frac=grad_worker_frac,
         precision=precision,
         kernel_backend=backend,
-        # "sync": a cap below any tensor, one message per tensor; otherwise the fused default.
+        # "sync": a cap below any tensor, one message per tensor; otherwise the fused
+        # default.  Both run the trainer's default (never armed) pipeline; "hooked"
+        # hands it an instance, which it arms.
         bucket_cap_mb=1e-6 if mode == "sync" else 25.0,
         drift_tol=0.5 if adaptive else 0.0,
         max_staleness=8 if adaptive else 0,

@@ -6,7 +6,7 @@ import pytest
 from repro import nn, optim
 from repro.kfac import KFAC, KFACConfig
 from repro.models import MLP, bert_tiny
-from repro.profiling import StageProfiler
+from repro.observability import MetricsReport, Tracer
 from repro.tensor import Tensor
 
 RNG = np.random.default_rng(33)
@@ -171,14 +171,26 @@ class TestStepMechanics:
         assert pre.steps == 0
 
     def test_profiler_records_all_stages(self):
+        """The Figure-7 stage profile is read off the tracer's ``kfac/<stage>`` spans."""
         model = MLP(4, [8], 2, rng=RNG)
         x, y = make_problem(7, in_dim=4, classes=2)
-        profiler = StageProfiler()
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, profiler=profiler)
+        tracer = Tracer()
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, tracer=tracer)
         nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
         pre.step()
-        for stage in ("factor_compute", "eigen_decomposition", "precondition", "scale_and_update"):
-            assert profiler.count(stage) == 1
+        report = MetricsReport.from_tracers(tracer)
+        stages = (
+            "factor_compute", "factor_allreduce", "eigen_decomposition", "eigen_broadcast",
+            "precondition", "grad_broadcast", "scale_and_update",
+        )
+        for stage in stages:
+            assert report.count(f"kfac/{stage}") == 1
+        summary = report.stage_summary()
+        assert set(summary) == {"step", *stages}
+        assert all(summary[stage] > 0 for stage in stages)
+        assert report.stage_summary(per_call=False)["precondition"] == report.total("kfac/precondition")
+        with pytest.raises(TypeError):
+            KFAC(model, profiler=object())
 
     def test_kl_clip_bounds_update_magnitude(self):
         model_clipped = MLP(6, [12], 3, rng=np.random.default_rng(1))

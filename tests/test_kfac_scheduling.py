@@ -684,7 +684,7 @@ class TestKFACSchedulerIntegration:
             data, target = batch
             return loss_fn(mdl(Tensor(data)), target)
 
-        trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre, pipeline=None)
+        trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre)
         for _ in range(6):
             trainer.train_step((x[:32], y[:32]))
         stats = pre.scheduler_stats()["damping"]
@@ -692,8 +692,9 @@ class TestKFACSchedulerIntegration:
 
     def test_hook_pipeline_matches_step_time_path_with_drift(self):
         """Plan-filtered pipeline specs: with layers skipping factor updates,
-        the hook-driven pipeline stays bitwise identical to the synchronous
-        scheduler path."""
+        an armed pipeline instance (factor buckets posted from backward
+        events) stays bitwise identical to the default un-armed one (factor
+        stage inside ``KFAC.step()``)."""
         config = KFACConfig(
             lr=0.05,
             factor_update_freq=1,

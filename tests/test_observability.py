@@ -3,17 +3,16 @@
 Covers the tracer core (span nesting/ordering invariants, async spans,
 counters/gauges, the no-op NullTracer), Chrome trace-event export and its
 validator (round-trip through JSON, monotonic timestamps, one pid per rank,
-non-overlapping comm lanes), aggregated metrics (MetricsReport, the
-StageProfiler compat shim and its thread-safety regression), measured
+non-overlapping comm lanes), aggregated metrics (MetricsReport), measured
 exposed-vs-hidden communication from real span overlap, the versioned
 BENCH json envelope, and the acceptance criterion that tracing never
 perturbs numerics: with tracing on and off, training trajectories are
-bitwise identical for MEM/HYBRID/COMM-OPT across the synchronous,
-step-time-overlap and hook-pipeline paths on the threaded backend.
+bitwise identical for MEM/HYBRID/COMM-OPT on the threaded backend, with the
+trainer's default (never armed) pipeline at two bucket caps and with a
+supplied (armed) pipeline instance.
 """
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from repro.observability import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.profiling import StageProfiler
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
 
@@ -221,7 +219,7 @@ class TestChromeExport:
 
 
 # ---------------------------------------------------------------------------
-# Metrics aggregation + StageProfiler shim
+# Metrics aggregation
 # ---------------------------------------------------------------------------
 
 
@@ -238,43 +236,12 @@ class TestMetricsReport:
         assert stats.total == pytest.approx(0.4 * 2 + 0.5 * 2)
         assert stats.p50 <= stats.p95 <= stats.max
 
-    def test_stage_summary_matches_profiler_shape(self):
-        tracer = Tracer(clock=FakeClock())
-        profiler = StageProfiler(tracer=tracer)
-        for _ in range(3):
-            with profiler.region("precondition"):
-                pass
-        report = MetricsReport.from_tracers(tracer)
-        summary = report.stage_summary()
-        assert set(summary) == set(profiler.summary())
-        assert summary["precondition"] > 0
-
     def test_to_dict_is_json_ready(self):
         report = MetricsReport.from_tracers(make_traced_pair())
         dumped = json.loads(json.dumps(report.to_dict()))
         assert dumped["ranks"] == [0, 1]
         assert "comm/allreduce" in dumped["spans"]
         assert dumped["spans"]["step"]["count"] == 2
-
-
-class TestStageProfilerThreadSafety:
-    def test_concurrent_record_loses_no_updates(self):
-        """Regression: defaultdict mutation from parallel region() exits raced."""
-        profiler = StageProfiler()
-        threads_n, per_thread = 8, 500
-
-        def hammer(seed):
-            for i in range(per_thread):
-                profiler.record(f"stage{(seed + i) % 3}", 0.001)
-
-        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        total = sum(profiler.count(f"stage{i}") for i in range(3))
-        assert total == threads_n * per_thread
-        assert sum(profiler.summary(per_call=False).values()) == pytest.approx(0.001 * total)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +295,6 @@ def test_write_bench_json_envelope(tmp_path):
     run = doc["run"]
     assert set(run) >= {"timestamp", "python", "numpy", "platform", "env"}
     assert set(run["env"]) == {
-        "REPRO_HOOK_PIPELINE",
         "REPRO_TRACE",
         "REPRO_SANITIZE",
         "REPRO_KERNEL",
@@ -364,7 +330,9 @@ def train_spmd(frac, mode, traced, seed=11):
             factor_update_freq=1,
             inv_update_freq=1,
             # "sync": a cap below any tensor, one message per tensor;
-            # otherwise a cap that fuses a few tensors per bucket.
+            # otherwise a cap that fuses a few tensors per bucket.  "sync" and
+            # "overlap" run the trainer's default pipeline (never armed),
+            # "hooked" a supplied instance the trainer arms.
             bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
         )
         pre = KFAC.from_config(model, config, comm=comm)

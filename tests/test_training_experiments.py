@@ -22,7 +22,6 @@ from repro.experiments import (
 from repro.experiments.reporting import ascii_curve
 from repro.kfac import KFAC
 from repro.models import MLP, bert_tiny
-from repro.profiling import StageProfiler
 from repro.tensor import Tensor
 from repro.training import (
     Trainer,
@@ -176,19 +175,6 @@ class TestTrainer:
         model, forward_loss, _, _, _ = self._components(6)
         with pytest.raises(ValueError):
             Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss, grad_accumulation_steps=0)
-
-
-class TestStageProfiler:
-    def test_region_timing_and_summary(self):
-        profiler = StageProfiler()
-        with profiler.region("stage_a"):
-            pass
-        profiler.record("stage_b", 0.5)
-        assert profiler.count("stage_a") == 1
-        assert profiler.total("stage_b") == pytest.approx(0.5)
-        assert set(profiler.summary()) == {"stage_a", "stage_b"}
-        profiler.reset()
-        assert profiler.stages() == []
 
 
 class TestConfigs:
