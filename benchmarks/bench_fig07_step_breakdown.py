@@ -83,14 +83,14 @@ def test_fig07_analytic_stage_breakdown(benchmark):
     assert (grad_bcast[0] - grad_bcast[-1]) > (precondition[-1] - precondition[0]) * 0.5
 
 
-def _traced_mlp_run(kernel_backend: str = "reference") -> MetricsReport:
+def _traced_mlp_run() -> MetricsReport:
     """30 preconditioned steps of a small MLP; the ``kfac/<stage>`` spans of the run."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((512, 16)).astype(np.float32)
     y = rng.integers(0, 5, 512)
     model = MLP(16, [64, 64], 5, rng=np.random.default_rng(1))
     tracer = Tracer()
-    config = KFACConfig(lr=0.05, factor_update_freq=5, inv_update_freq=10, kernel_backend=kernel_backend)
+    config = KFACConfig(lr=0.05, factor_update_freq=5, inv_update_freq=10)
     preconditioner = KFAC.from_config(model, config, tracer=tracer)
     loss_fn = nn.CrossEntropyLoss()
     optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -117,47 +117,6 @@ def test_fig07_measured_stage_breakdown(benchmark):
     assert report.count("kfac/precondition") == 30
     assert report.count("kfac/eigen_decomposition") == 3
     assert report.count("kfac/factor_compute") == 6
-
-
-def test_fig07_stage_breakdown_kernel_backends(benchmark):
-    """Per-stage wall clock, reference vs batched kernel backend, same run.
-
-    The batched backend vectorizes eigen_decomposition (shape-grouped stacked
-    eigh), factor_compute (fused in-place decay) and precondition (scratch-
-    reused contractions); the other stages are untouched, so the speedup
-    column doubles as a regression check that dispatch overhead stays small.
-    """
-
-    def run(kernel_backend):
-        return _traced_mlp_run(kernel_backend).stage_summary(per_call=False)
-
-    def run_both():
-        # Min-of-3 per backend: stage totals are microseconds-scale and noisy.
-        reference = [run("reference") for _ in range(3)]
-        batched = [run("batched") for _ in range(3)]
-        best = lambda runs, stage: min(s.get(stage, 0.0) for s in runs)
-        return (
-            {stage: best(reference, stage) for stage in STAGES},
-            {stage: best(batched, stage) for stage in STAGES},
-        )
-
-    reference, batched = benchmark.pedantic(run_both, iterations=1, rounds=1)
-    rows = []
-    for stage in STAGES:
-        ref_ms, bat_ms = reference[stage] * 1000, batched[stage] * 1000
-        speedup = ref_ms / bat_ms if bat_ms > 0 else float("nan")
-        rows.append([stage, round(ref_ms, 3), round(bat_ms, 3), round(speedup, 2)])
-    print_section(
-        "Figure 7 (measured) - per-stage reference vs batched kernel backend "
-        "(min-of-3 totals over 30 steps, MLP, single process)"
-    )
-    print(format_table(["stage", "reference (ms)", "batched (ms)", "speedup"], rows))
-
-    # Both backends execute the same schedule; the batched backend must not
-    # slow down the end-to-end preconditioned step path.
-    reference_total = sum(reference[stage] for stage in STAGES)
-    batched_total = sum(batched[stage] for stage in STAGES)
-    assert batched_total < reference_total * 1.25
 
 
 # --------------------------------------------------------------------------

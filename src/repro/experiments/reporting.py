@@ -43,7 +43,6 @@ BENCH_SCHEMA_VERSION = 1
 _RECORDED_TOGGLES = (
     "REPRO_TRACE",
     "REPRO_SANITIZE",
-    "REPRO_KERNEL",
 )
 
 

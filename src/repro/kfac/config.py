@@ -20,14 +20,14 @@ tracer) stay out of the config because they are not serializable state.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Union
 
 from ..tensor import PrecisionPolicy
-from .kernels import available_kernel_backends, default_kernel_backend
+from .kernels import DEFAULT_KERNEL_BACKEND, available_kernel_backends
 from .scheduling.solvers import available_solve_strategies
 
-__all__ = ["KFACConfig", "default_kernel_backend"]
+__all__ = ["KFACConfig"]
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,10 @@ class KFACConfig:
     #: Relative residual tolerance and iteration cap of the CG solver.
     cg_tol: float = 1e-8
     cg_max_iter: int = 50
-    #: Named kernel backend for the hot math paths
-    #: (:mod:`repro.kfac.kernels`): ``"reference"`` is the pure-NumPy oracle,
-    #: ``"batched"`` adds shape-grouped batched eigendecomposition, fused
-    #: in-place factor updates and scratch-reusing preconditioning
-    #: contractions.  Default honours the ``REPRO_KERNEL`` env toggle.
-    kernel_backend: str = field(default_factory=default_kernel_backend)
+    #: Registered name of the kernel backend for the hot math paths
+    #: (:mod:`repro.kfac.kernels`).  One is built in (``"batched"``); the
+    #: field exists for backends added with ``register_kernel_backend``.
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND
 
     def __post_init__(self) -> None:
         # Canonicalize numeric types first so consumers always see float/int.
@@ -230,10 +228,15 @@ class KFACConfig:
 
         Two fields of earlier versions selected between code paths that no
         longer exist; they never changed a result, so they are dropped rather
-        than rejected and old checkpoints and manifests stay loadable.
+        than rejected and old checkpoints and manifests stay loadable.  For
+        the same reason ``kernel_backend="reference"`` (the default every
+        earlier checkpoint carries; its kernels are now the test oracle)
+        loads onto the built-in backend; any other unregistered name raises.
         """
         retired = ("comm_overlap", "adaptive_schedule")
         data = {key: value for key, value in data.items() if key not in retired}
+        if data.get("kernel_backend") == "reference" and "reference" not in available_kernel_backends():
+            data["kernel_backend"] = DEFAULT_KERNEL_BACKEND
         field_names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - field_names
         if unknown:

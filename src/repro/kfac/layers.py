@@ -3,11 +3,18 @@
 Each supported module type gets a handler (``Linear``, ``Conv2d`` per paper
 section 3.4, plus ``Embedding`` as a registered extension) that:
 
-* captures the layer input during the forward pass (module forward hook) and
-  the gradient w.r.t. the layer output during the backward pass (module full
-  backward hook, fired by the autograd tape in reverse-layer order),
+* observes the forward call (module forward hook) and the gradient w.r.t. the
+  layer output during the backward pass (module full backward hook, fired by
+  the autograd tape in reverse-layer order),
 * accumulates the Kronecker factor statistics ``A = a aᵀ`` and ``G = g gᵀ``
   across the mini-batches of a gradient-accumulation window (section 4.2),
+  reading, never rebuilding: the activation is the buffer the call's fused
+  autograd node already holds (``output._ctx``: the flattened input of a
+  ``Linear``, the patch matrix of a ``Conv2d``, ``x_hat`` of a norm layer), it
+  is cast to float32 at most once, and each dense factor is one product of
+  that buffer with its own transpose -- which NumPy hands to BLAS ``syrk``,
+  half a GEMM's flops and an exactly symmetric result -- with the bias
+  coordinate filled in from sums instead of an appended column of ones,
 * maintains exponential running averages of the factors (section 2.1.2),
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
@@ -28,13 +35,21 @@ import numpy as np
 
 from ..nn.conv import Conv2d
 from ..nn.embedding import Embedding
-from ..nn.functional import BatchNorm2dFunction, Conv2dFunction, batch_normalize, conv_patch_matrix
+from ..nn.functional import (
+    BatchNorm2dFunction,
+    Conv2dFunction,
+    LayerNormFunction,
+    LinearFunction,
+    batch_normalize,
+    conv_patch_matrix,
+    layer_normalize,
+)
 from ..nn.linear import Linear
 from ..nn.module import Module
 from ..nn.norm import BatchNorm2d, LayerNorm
 from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
-from .kernels import KernelBackend, ReferenceKernelBackend
+from .kernels import DEFAULT_KERNEL_BACKEND, KernelBackend, make_kernel_backend
 from .kmath import EigenDecomposition, eigenvalue_outer_product
 from .strategy import LayerShapeInfo
 
@@ -53,10 +68,6 @@ __all__ = [
 
 #: Module type -> handler class.  Mutated only through :func:`register_kfac_layer`.
 _LAYER_REGISTRY: Dict[Type[Module], Type["KFACLayer"]] = {}
-
-#: Stateless fallback backend for layers built without an explicit one
-#: (direct ``KFACLayer(...)`` construction in tests and tools).
-_REFERENCE_KERNELS = ReferenceKernelBackend()
 
 
 def register_kfac_layer(*module_types: Type[Module]):
@@ -94,6 +105,12 @@ def registered_kfac_layers() -> Dict[Type[Module], Type["KFACLayer"]]:
     return dict(_LAYER_REGISTRY)
 
 
+def _forward_node(output, node_type):
+    """The autograd node of the observed forward call, if it recorded a ``node_type`` (else ``None``)."""
+    ctx = getattr(output, "_ctx", None)
+    return ctx if isinstance(ctx, node_type) else None
+
+
 class KFACLayer:
     """Base class holding K-FAC state for a single preconditioned module."""
 
@@ -125,8 +142,9 @@ class KFACLayer:
         self._grad_scale = grad_scale
         # Kernel backend for the hot math (eigen solve, decay blend, Eq. 15-17
         # contraction).  The owning preconditioner passes its per-instance
-        # backend; standalone construction gets the stateless reference one.
-        self.kernels = kernels if kernels is not None else _REFERENCE_KERNELS
+        # backend; a standalone layer builds its own, because a backend holds
+        # scratch buffers that two threads must not share.
+        self.kernels = kernels if kernels is not None else make_kernel_backend(DEFAULT_KERNEL_BACKEND)
         # Parity oracle: force dense factor representations on structured
         # handlers, reproducing the pre-structured code paths bitwise.
         self.force_dense = bool(dense_factors)
@@ -235,20 +253,20 @@ class KFACLayer:
         """
         rows = grad_output.reshape(-1, grad_output.shape[-1])
         # Undo the 1/N averaging of the loss so G estimates E[g gᵀ] per sample.
-        rows = rows * rows.shape[0]
-        self._add_g_stat(rows)
+        self._add_g_stat(rows, rows.shape[0])
 
     @staticmethod
     def _row_outer_contribution(rows: np.ndarray, repr: FactorRepr) -> np.ndarray:
-        """``Σ rowᵀ row`` projected onto ``repr``, computed in packed form.
+        """``Σ rowᵀ row`` projected onto ``repr``, computed in packed form (float32).
 
-        The dense branch is the historical expression verbatim (bitwise
-        oracle); diagonal keeps only per-coordinate squares; block-diagonal
-        keeps per-block outer products — no dense temporary is ever built.
+        Dense is one product of the (once-cast) buffer with its own transpose,
+        i.e. ``syrk``; diagonal keeps only per-coordinate squares;
+        block-diagonal keeps per-block outer products — no dense temporary is
+        ever built.
         """
+        rows32 = rows.astype(np.float32, copy=False)
         if repr.kind == "dense":
-            return rows.T.astype(np.float32) @ rows.astype(np.float32)
-        rows32 = rows.astype(np.float32)
+            return rows32.T @ rows32
         if repr.kind == "diagonal":
             return np.sum(rows32 * rows32, axis=0)
         blocks = rows32.reshape(rows32.shape[0], repr.num_blocks, repr.block_size)
@@ -258,15 +276,34 @@ class KFACLayer:
         self._add_a_contribution(self._row_outer_contribution(rows, self.a_repr), rows.shape[0])
 
     def _add_a_contribution(self, contribution: np.ndarray, count: int) -> None:
-        """Accumulate an already formed ``Σ rowᵀ row`` over ``count`` rows."""
+        """Accumulate an already formed float32 ``Σ rowᵀ row`` over ``count`` rows (adopts the array)."""
         if self._a_accum is None:
             self._a_accum = contribution
         else:
             self._a_accum += contribution
         self._a_count += count
 
-    def _add_g_stat(self, rows: np.ndarray) -> None:
+    def _add_bias_folded_a(self, cols: np.ndarray) -> None:
+        """Fold activations ``cols`` (features x samples) into a dense A with the bias coordinate.
+
+        ``A[:k, :k]`` is ``cols @ colsᵀ``; the homogeneous coordinate's row
+        and column are the feature sums and its corner the sample count, so
+        the column of ones is never materialised.
+        """
+        cols = cols.astype(np.float32, copy=False)
+        k, count = cols.shape
+        contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
+        np.matmul(cols, cols.T, out=contribution[:k, :k])
+        if self.has_bias:
+            contribution[k, :k] = contribution[:k, k] = cols.sum(axis=1)
+            contribution[k, k] = count
+        self._add_a_contribution(contribution, count)
+
+    def _add_g_stat(self, rows: np.ndarray, row_scale: float = 1.0) -> None:
+        """Accumulate ``Σ (s·row)ᵀ (s·row)`` for ``s = row_scale``: the product first, then ``s²`` on its small result."""
         contribution = self._row_outer_contribution(rows, self.g_repr)
+        if row_scale != 1.0:
+            contribution *= float(row_scale) ** 2
         if self._g_accum is None:
             self._g_accum = contribution
         else:
@@ -296,11 +333,16 @@ class KFACLayer:
         return self._a_accum is not None and self._g_accum is not None
 
     def compute_batch_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Average the accumulated statistics into per-window factors and reset."""
+        """Average the accumulated statistics into per-window factors and reset.
+
+        The accumulators are averaged in place and handed over: the caller
+        owns the returned arrays.
+        """
         if not self.has_accumulated_data:
             raise RuntimeError(f"layer {self.name!r} has no accumulated forward/backward data")
-        a_new = (self._a_accum / max(self._a_count, 1)).astype(np.float32)
-        g_new = (self._g_accum / max(self._g_count, 1)).astype(np.float32)
+        a_new, g_new = self._a_accum, self._g_accum
+        a_new /= max(self._a_count, 1)
+        g_new /= max(self._g_count, 1)
         self.reset_accumulators()
         return a_new, g_new
 
@@ -311,7 +353,11 @@ class KFACLayer:
         self._g_count = 0
 
     def update_factors(self, a_new: np.ndarray, g_new: np.ndarray, factor_decay: float) -> None:
-        """Fold new batch factors into the running averages (Eq. 9 running estimate)."""
+        """Fold new batch factors into the running averages (Eq. 9 running estimate).
+
+        Consumes ``a_new`` / ``g_new`` (the kernel backend may scale them in
+        place); pass copies to keep them.
+        """
         dtype = self.precision.factor_dtype
         if self.factor_a is None:
             self.factor_a = a_new.astype(dtype)
@@ -472,8 +518,9 @@ class KFACLayer:
                     f"expected {(self.g_dim, self.a_dim)}"
                 )
             self.inverse_outer = outer.astype(inverse_dtype)
-        self._a_accum = None if state["a_accum"] is None else np.asarray(state["a_accum"], dtype=np.float32)
-        self._g_accum = None if state["g_accum"] is None else np.asarray(state["g_accum"], dtype=np.float32)
+        # Copies: the accumulators are updated and averaged in place.
+        self._a_accum = None if state["a_accum"] is None else np.array(state["a_accum"], dtype=np.float32)
+        self._g_accum = None if state["g_accum"] is None else np.array(state["g_accum"], dtype=np.float32)
         self._a_count = int(state["a_count"])
         self._g_count = int(state["g_count"])
 
@@ -546,8 +593,10 @@ class KFACLinearLayer(KFACLayer):
     """K-FAC handler for :class:`~repro.nn.linear.Linear` modules.
 
     Inputs of shape ``(..., in_features)`` are flattened to rows; the bias is
-    handled by appending a homogeneous coordinate of 1 to the activations
-    (making ``A`` of size ``in_features+1``).
+    a homogeneous coordinate of 1 on every row (making ``A`` of size
+    ``in_features+1``).  The rows are the flattened activation the forward
+    call's node already holds (``output._ctx.x2``, read in place and never
+    retained here); a call that recorded no graph flattens its input itself.
     """
 
     @property
@@ -559,11 +608,9 @@ class KFACLinearLayer(KFACLayer):
         return self.module.out_features
 
     def _accumulate_a(self, x: np.ndarray, output) -> None:
-        rows = x.reshape(-1, x.shape[-1])
-        if self.has_bias:
-            ones = np.ones((rows.shape[0], 1), dtype=rows.dtype)
-            rows = np.concatenate([rows, ones], axis=1)
-        self._add_a_stat(rows)
+        node = _forward_node(output, LinearFunction)
+        rows = node.x2 if node is not None else x.reshape(-1, x.shape[-1])
+        self._add_bias_folded_a(rows.T)
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -610,28 +657,19 @@ class KFACConv2dLayer(KFACLayer):
         return self.module.out_channels
 
     def _accumulate_a(self, x: np.ndarray, output) -> None:
-        ctx = getattr(output, "_ctx", None)
-        if isinstance(ctx, Conv2dFunction):
-            cols = ctx.cols
+        node = _forward_node(output, Conv2dFunction)
+        if node is not None:
+            cols = node.cols
         else:
             cols = conv_patch_matrix(x, self.module.kernel_size, self.module.stride, self.module.padding)
         # (C*kh*kw, L*N): one column per output location of each sample.
-        cols = cols.astype(np.float32, copy=False)
-        k, count = cols.shape
-        contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
-        contribution[:k, :k] = cols @ cols.T
-        if self.has_bias:
-            # The homogeneous coordinate's row and column are the column sums.
-            contribution[k, :k] = contribution[:k, k] = cols.sum(axis=1)
-            contribution[k, k] = count
-        self._add_a_contribution(contribution, count)
+        self._add_bias_folded_a(cols)
 
     def _accumulate_g(self, grad_output: np.ndarray) -> None:
         n, out_c, oh, ow = grad_output.shape
         rows = grad_output.transpose(0, 2, 3, 1).reshape(-1, out_c)
         # Undo the 1/N batch averaging of the loss.
-        rows = rows * n
-        self._add_g_stat(rows)
+        self._add_g_stat(rows, n)
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -722,57 +760,41 @@ class KFACEmbeddingLayer(KFACLayer):
         )
 
 
-@register_kfac_layer(LayerNorm)
-class KFACLayerNormLayer(KFACLayer):
-    """K-FAC handler for :class:`~repro.nn.norm.LayerNorm` modules (diagonal factors).
+class _KFACScaleShiftLayer(KFACLayer):
+    """Shared by the normalization handlers: the affine part ``y = w * x̂ + b`` per feature.
 
-    The affine part of layer normalization, ``y_i = w_i * x̂_i + b_i``, is an
-    elementwise scale-and-shift whose Fisher block is diagonal per feature.
-    It is folded into the Kronecker template the same way convolution folds
-    its spatial positions: every ``(sample, feature)`` pair contributes one
-    activation row ``[x̂, 1]`` — giving a dense 2x2 ``A`` factor (the
-    weight/bias homogeneous coordinate) — while the ``G`` statistics are
-    accumulated *only on the diagonal* (per-feature second moments of the
-    output gradient), so no feature-feature cross terms are estimated and the
-    eigen basis of ``G`` stays axis-aligned.  G is therefore *stored* as its
-    diagonal (a length-``num_features`` vector): O(F) allreduce bytes and an
-    O(F) "eigen" stage instead of F²/F³.  The gradient matrix is the
-    ``(num_features, 2)`` stack of ``[dL/dw, dL/db]`` columns, preconditioned
-    by the standard eigen machinery (forcing ``dense_factors`` restores the
-    historical dense-diagonal storage bitwise).
+    An elementwise scale-and-shift has a Fisher block that is diagonal per
+    feature.  It is folded into the Kronecker template the same way
+    convolution folds its spatial positions: every element of ``x̂``
+    contributes one activation row ``[x̂, 1]`` — giving a dense 2x2 ``A``
+    factor (the weight/bias homogeneous coordinate), filled in from ``Σx̂²``,
+    ``Σx̂`` and the element count — while the ``G`` statistics are accumulated
+    *only on the diagonal* (per-feature second moments of the output
+    gradient), so no feature-feature cross terms are estimated and the eigen
+    basis of ``G`` stays axis-aligned.  G is therefore *stored* as its
+    diagonal (a length-``g_dim`` vector): O(F) allreduce bytes and an O(F)
+    "eigen" stage instead of F²/F³.  The gradient matrix is the ``(g_dim, 2)``
+    stack of ``[dL/dw, dL/db]`` columns, preconditioned by the standard eigen
+    machinery (forcing ``dense_factors`` restores the historical
+    dense-diagonal storage bitwise).
     """
 
     @property
     def a_dim(self) -> int:
         return 1 + (1 if self.has_bias else 0)
 
-    @property
-    def g_dim(self) -> int:
-        return self.module.normalized_shape
-
     def _g_repr_impl(self) -> FactorRepr:
         return FactorRepr.diagonal(self.g_dim)
 
-    def _accumulate_a(self, x: np.ndarray, output) -> None:
-        # Recompute the normalized activations the affine transform consumes
-        # (the forward hook observes the module *input*, not x-hat).
-        x = np.asarray(x, dtype=np.float32)
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = np.mean(centered * centered, axis=-1, keepdims=True)
-        x_hat = centered / np.sqrt(var + self.module.eps)
-        rows = x_hat.reshape(-1, 1)
+    def _add_x_hat_stat(self, x_hat: np.ndarray) -> None:
+        """Fold the normalized activations into A: ``Σ [x̂, 1]ᵀ [x̂, 1]`` over every element."""
+        flat = x_hat.astype(np.float32, copy=False).reshape(-1)
+        contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
+        contribution[0, 0] = flat @ flat
         if self.has_bias:
-            ones = np.ones((rows.shape[0], 1), dtype=rows.dtype)
-            rows = np.concatenate([rows, ones], axis=1)
-        self._add_a_stat(rows)
-
-    def _accumulate_g(self, grad_output: np.ndarray) -> None:
-        rows = grad_output.reshape(-1, grad_output.shape[-1])
-        # Undo the 1/N loss averaging, matching the dense handlers.
-        rows = rows * rows.shape[0]
-        squares = np.sum(rows.astype(np.float32) ** 2, axis=0)
-        self._add_diagonal_g_stat(squares, rows.shape[0])
+            contribution[0, 1] = contribution[1, 0] = flat.sum()
+            contribution[1, 1] = flat.size
+        self._add_a_contribution(contribution, flat.size)
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -791,21 +813,43 @@ class KFACLayerNormLayer(KFACLayer):
             bias.grad = matrix[:, 1].astype(bias.data.dtype, copy=False).reshape(bias.shape)
 
 
+@register_kfac_layer(LayerNorm)
+class KFACLayerNormLayer(_KFACScaleShiftLayer):
+    """K-FAC handler for :class:`~repro.nn.norm.LayerNorm` modules (2x2 A, diagonal G).
+
+    ``x̂`` is the one the forward call's node computed (``output._ctx.x_hat``,
+    read in place and never retained here); a call that recorded no graph gets
+    it from the kernel the node itself calls.
+    """
+
+    @property
+    def g_dim(self) -> int:
+        return self.module.normalized_shape
+
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
+        node = _forward_node(output, LayerNormFunction)
+        self._add_x_hat_stat(node.x_hat if node is not None else layer_normalize(x, self.module.eps)[0])
+
+    def _accumulate_g(self, grad_output: np.ndarray) -> None:
+        rows = grad_output.reshape(-1, grad_output.shape[-1]).astype(np.float32, copy=False)
+        squares = np.einsum("nf,nf->f", rows, rows)
+        # Undo the 1/N loss averaging, matching the dense handlers.
+        squares *= float(rows.shape[0]) ** 2
+        self._add_diagonal_g_stat(squares, rows.shape[0])
+
+
 @register_kfac_layer(BatchNorm2d)
-class KFACBatchNorm2dLayer(KFACLayer):
-    """K-FAC handler for :class:`~repro.nn.norm.BatchNorm2d` modules (diagonal G).
+class KFACBatchNorm2dLayer(_KFACScaleShiftLayer):
+    """K-FAC handler for :class:`~repro.nn.norm.BatchNorm2d` modules (2x2 A, diagonal G).
 
-    Like LayerNorm, the affine part ``y_c = w_c * x̂_c + b_c`` is an
-    elementwise scale-and-shift: every ``(sample, channel, spatial)`` element
-    contributes one activation row ``[x̂, 1]`` (dense 2x2 A factor) and the G
-    statistics are per-channel second moments stored as a diagonal vector.
-
-    The handler is *running-stat aware*: the Kronecker statistics use the
-    batch-normalized activations the training-mode forward produced
-    (``output._ctx.x_hat``; a call that recorded no graph gets them from the
-    same kernel), and the module's ``running_mean``/``running_var`` buffers
-    are never read or written here, so preconditioning leaves the inference
-    statistics untouched.
+    Every ``(sample, channel, spatial)`` element is one activation row and the
+    G statistics are per-channel second moments.  The handler is
+    *running-stat aware*: the Kronecker statistics use the batch-normalized
+    activations the training-mode forward produced (``output._ctx.x_hat``; a
+    call that recorded no graph gets them from the same kernel), and the
+    module's ``running_mean``/``running_var`` buffers are never read or
+    written here, so preconditioning leaves the inference statistics
+    untouched.
     """
 
     @classmethod
@@ -814,48 +858,19 @@ class KFACBatchNorm2dLayer(KFACLayer):
         return bool(getattr(module, "affine", False))
 
     @property
-    def a_dim(self) -> int:
-        return 1 + (1 if self.has_bias else 0)
-
-    @property
     def g_dim(self) -> int:
         return self.module.num_features
 
-    def _g_repr_impl(self) -> FactorRepr:
-        return FactorRepr.diagonal(self.g_dim)
-
     def _accumulate_a(self, x: np.ndarray, output) -> None:
-        ctx = getattr(output, "_ctx", None)
-        x_hat = ctx.x_hat if isinstance(ctx, BatchNorm2dFunction) else batch_normalize(x, self.module.eps)[0]
-        rows = x_hat.astype(np.float32, copy=False).reshape(-1, 1)
-        if self.has_bias:
-            ones = np.ones((rows.shape[0], 1), dtype=rows.dtype)
-            rows = np.concatenate([rows, ones], axis=1)
-        self._add_a_stat(rows)
+        node = _forward_node(output, BatchNorm2dFunction)
+        self._add_x_hat_stat(node.x_hat if node is not None else batch_normalize(x, self.module.eps)[0])
 
     def _accumulate_g(self, grad_output: np.ndarray) -> None:
-        n = grad_output.shape[0]
-        rows = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.g_dim)
+        grad = grad_output.astype(np.float32, copy=False)
+        squares = np.einsum("nchw,nchw->c", grad, grad)
         # Undo the 1/N batch averaging of the loss (Conv2d convention).
-        rows = rows * n
-        squares = np.sum(rows.astype(np.float32) ** 2, axis=0)
-        self._add_diagonal_g_stat(squares, rows.shape[0])
-
-    def get_gradient(self) -> np.ndarray:
-        weight_grad = self.module.weight.grad
-        if weight_grad is None:
-            raise RuntimeError(f"layer {self.name!r} has no weight gradient")
-        columns = [weight_grad.astype(np.float32, copy=False).reshape(-1, 1)]
-        if self.has_bias:
-            columns.append(self.module.bias.grad.astype(np.float32, copy=False).reshape(-1, 1))
-        return np.concatenate(columns, axis=1)
-
-    def set_gradient(self, matrix: np.ndarray) -> None:
-        weight = self.module.weight
-        weight.grad = matrix[:, 0].astype(weight.data.dtype, copy=False).reshape(weight.shape)
-        if self.has_bias:
-            bias = self.module.bias
-            bias.grad = matrix[:, 1].astype(bias.data.dtype, copy=False).reshape(bias.shape)
+        squares *= float(grad.shape[0]) ** 2
+        self._add_diagonal_g_stat(squares, grad.size // self.g_dim)
 
 
 def make_kfac_layer(

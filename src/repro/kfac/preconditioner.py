@@ -167,9 +167,9 @@ class KFAC(Preconditioner):
         self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
         self.damping_pi_correction = config.damping_pi_correction
-        # One kernel-backend instance per preconditioner (per rank): backends
-        # may own mutable scratch buffers, so they must not be shared across
-        # the threaded ranks of a multi-rank world.  Built before layer
+        # One kernel-backend instance per preconditioner (per rank): a backend
+        # owns mutable scratch buffers, so it must not be shared across the
+        # threaded ranks of a multi-rank world.  Built before layer
         # registration because every layer routes its hot math through it.
         self.kernel_backend = config.kernel_backend
         self.kernels = make_kernel_backend(config.kernel_backend)
@@ -537,8 +537,8 @@ class KFAC(Preconditioner):
         (:meth:`~repro.kfac.strategy.DistributionStrategy.local_eigen_tasks`);
         dense factors are grouped by shape/dtype and each group goes through
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
-        call (a plain loop on the ``reference`` backend).  Only due layers
-        enter a batch, so the scheduler's skip decisions are preserved.
+        call.  Only due layers enter a batch, so the scheduler's skip
+        decisions are preserved.
         """
         tasks: List[tuple] = []
         for name in names:

@@ -1,4 +1,13 @@
-"""Functional building blocks: the conv/batch-norm substrate, softmax, gelu, one-hot.
+"""Functional building blocks: the fused layer nodes, softmax, gelu, one-hot.
+
+``Conv2d``, ``BatchNorm2d``, ``Linear`` and ``LayerNorm`` each run as a single
+autograd node (:class:`Conv2dFunction`, :class:`BatchNorm2dFunction`,
+:class:`LinearFunction`, :class:`LayerNormFunction`) whose backward is written
+out by hand, ``needs_input_grad``-aware.  A node keeps the one buffer the
+layer's K-FAC statistics are the second moment of -- the patch matrix, the
+flattened activation, ``x_hat`` -- so the handlers in :mod:`repro.kfac.layers`
+read ``output._ctx`` instead of rebuilding it; the buffer dies with the graph.
+Attention, softmax, GELU and the losses are still composites of tensor ops.
 
 Patch extraction has one implementation (:func:`_extract_patches` and its
 adjoint :func:`_fold_patches`) that works on a *slab* ``(A, H, W, B)`` -- the
@@ -13,10 +22,7 @@ only differ in how they view their data as a slab:
   runs of ``out_w*N`` contiguous floats and the whole layer is one GEMM
   ``(out_c, C*kh*kw) @ (C*kh*kw, out_h*out_w*N)``.
 
-The patch matrix of a conv call is built once, owned by that call's autograd
-node (``output._ctx.cols``) and dies with the graph; the K-FAC Conv2d handler
-reads it from there instead of unfolding the input again.  Public tensors are
-``NCHW`` throughout.
+Public tensors are ``NCHW`` throughout.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ __all__ = [
     "conv2d",
     "batch_normalize",
     "batch_norm",
+    "linear",
+    "layer_normalize",
+    "layer_norm",
     "softmax",
     "log_softmax",
     "gelu",
@@ -282,6 +291,100 @@ def batch_norm(
 ) -> Tensor:
     """Affine transform of an already normalized ``x`` as one node (see :class:`BatchNorm2dFunction`)."""
     return BatchNorm2dFunction.apply(x, weight, bias, x_hat=x_hat, inv_std=inv_std, batch_stats=batch_stats)
+
+
+# --------------------------------------------------------------------------
+# Fused linear layer
+# --------------------------------------------------------------------------
+def _add_bias(out: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``out + bias`` along the last axis: in place unless the sum promotes to a wider dtype."""
+    if np.result_type(out, bias) != out.dtype:
+        return out + bias
+    out += bias
+    return out
+
+
+class LinearFunction(Function):
+    """A whole ``Linear`` call as one autograd node: one GEMM forward, two backward.
+
+    The leading axes of ``x`` are flattened, so an ``(N, L, in)`` activation is
+    one ``(N*L, in) @ (in, out)`` product instead of ``N`` small ones and the
+    weight gradient is one GEMM instead of an ``(N, in, out)`` stack summed
+    afterwards.  ``x2`` (the flattened activation; a view when ``x`` is
+    contiguous) stays on the node for ``backward`` and for whoever observes
+    the call through a forward hook (``output._ctx.x2``).
+    """
+
+    def forward(self, x, weight, bias=None):
+        self.x2 = x.reshape(-1, x.shape[-1])
+        out = self.x2 @ weight.T
+        if bias is not None:
+            out = _add_bias(out, bias)
+        self.save_for_backward(weight, x.shape)
+        return out.reshape(*x.shape[:-1], weight.shape[0])
+
+    def backward(self, grad):
+        weight, x_shape = self.saved
+        needs_x, needs_weight = self.needs_input_grad[:2]
+        grad2 = grad.reshape(-1, weight.shape[0])
+        grad_x = (grad2 @ weight).reshape(x_shape) if needs_x else None
+        grad_weight = grad2.T @ self.x2 if needs_weight else None
+        if len(self.parents) == 2:
+            return grad_x, grad_weight
+        return grad_x, grad_weight, (grad2.sum(axis=0) if self.needs_input_grad[2] else None)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weightᵀ + bias`` over the last axis of ``x`` as a single autograd node."""
+    return LinearFunction.apply(x, weight, bias)
+
+
+# --------------------------------------------------------------------------
+# Fused layer normalization
+# --------------------------------------------------------------------------
+def layer_normalize(x: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalize over the last axis with the biased variance; returns ``(x_hat, inv_std)``."""
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(x_hat * x_hat, axis=-1, keepdims=True) + eps)
+    x_hat /= std
+    return x_hat, 1.0 / std
+
+
+class LayerNormFunction(Function):
+    """A whole ``LayerNorm`` call as one autograd node with the closed-form backward.
+
+    ``x_hat`` and ``inv_std`` are computed once in ``forward`` and kept on the
+    node for ``backward`` and for observers (``output._ctx.x_hat``).
+    """
+
+    def forward(self, x, weight, bias, *, eps):
+        self.x_hat, self.inv_std = layer_normalize(x, eps)
+        self.save_for_backward(weight)
+        return _add_bias(self.x_hat * weight, bias)
+
+    def backward(self, grad):
+        (weight,) = self.saved
+        features = weight.shape[0]
+        needs_x, needs_weight, needs_bias = self.needs_input_grad
+        grad2 = grad.reshape(-1, features)
+        x_hat2 = self.x_hat.reshape(-1, features)
+        grad_x = None
+        if needs_x:
+            # d x_hat, minus its mean and its projection on x_hat over the normalized axis.
+            grad_hat = grad2 * weight
+            projection = np.einsum("nf,nf->n", grad_hat, x_hat2)[:, None] / -features
+            grad_x = x_hat2 * projection
+            grad_x -= grad_hat.mean(axis=-1, keepdims=True)
+            grad_x += grad_hat
+            grad_x *= self.inv_std.reshape(-1, 1)
+            grad_x = grad_x.reshape(grad.shape)
+        grad_weight = np.einsum("nf,nf->f", grad2, x_hat2) if needs_weight else None
+        return grad_x, grad_weight, (grad2.sum(axis=0) if needs_bias else None)
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer normalization over the last axis plus scale and shift as a single autograd node."""
+    return LayerNormFunction.apply(x, weight, bias, eps=float(eps))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

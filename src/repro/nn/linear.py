@@ -9,6 +9,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from . import init
+from .functional import linear
 from .module import Module, Parameter
 
 __all__ = ["Linear"]
@@ -40,10 +41,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear(in_features={self.in_features}, out_features={self.out_features}, bias={self.bias is not None})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor
-from .functional import batch_norm, batch_normalize
+from .functional import batch_norm, batch_normalize, layer_norm
 from .module import Module, Parameter
 
 __all__ = ["BatchNorm2d", "LayerNorm"]
@@ -58,10 +58,7 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(self.normalized_shape, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        x_hat = (x - mean) / ((var + self.eps) ** 0.5)
-        return x_hat * self.weight + self.bias
+        return layer_norm(x, self.weight, self.bias, self.eps)
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.normalized_shape}, eps={self.eps})"

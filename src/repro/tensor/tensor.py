@@ -703,6 +703,22 @@ class Pad(Function):
         return (grad[slices],)
 
 
+def _scatter_add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(out, rows, values)`` for a flat row index: sort once, one segment sum per distinct row.
+
+    The stable sort keeps duplicates in index order, so the result is a
+    deterministic function of the index (equal to ``np.add.at`` up to the
+    association order of a row's sum).
+    """
+    if rows.size == 0:
+        return
+    rows = np.where(rows < 0, rows + out.shape[0], rows)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    out[rows[starts]] = np.add.reduceat(values[order].astype(out.dtype, copy=False), starts, axis=0)
+
+
 class GetItem(Function):
     def forward(self, a, index):
         self.save_for_backward(a.shape, a.dtype, index)
@@ -711,7 +727,11 @@ class GetItem(Function):
     def backward(self, grad):
         shape, dtype, index = self.saved
         out = np.zeros(shape, dtype=dtype)
-        np.add.at(out, index, grad)
+        if len(shape) == 2 and isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+            # A row gather (embedding lookup, masked-position select).
+            _scatter_add_rows(out, index.reshape(-1), grad.reshape(-1, shape[1]))
+        else:
+            np.add.at(out, index, grad)
         return (out,)
 
 

@@ -1,9 +1,10 @@
-"""The composite Conv2d / BatchNorm2d forward passes the fused nodes replaced.
+"""The composite Conv2d / BatchNorm2d / Linear / LayerNorm forward passes the fused nodes replaced.
 
 Kept as the test oracle: many small autograd nodes built from ``F.unfold``,
 matmul and elementwise tensor ops, so both the values and the gradients of
-:func:`repro.nn.functional.conv2d` / :class:`repro.nn.BatchNorm2d` can be
-compared against an independent derivation by the tape.
+:func:`repro.nn.functional.conv2d` / :class:`repro.nn.BatchNorm2d` /
+:func:`repro.nn.functional.linear` / :func:`repro.nn.functional.layer_norm`
+can be compared against an independent derivation by the tape.
 """
 
 from __future__ import annotations
@@ -45,3 +46,19 @@ def batchnorm2d_composite(x: Tensor, weight, bias, eps: float, running=None):
     if weight is not None:
         out = out * weight.reshape(1, -1, 1, 1) + bias.reshape(1, -1, 1, 1)
     return out, stats[0], stats[1]
+
+
+def linear_composite(x: Tensor, weight: Tensor, bias) -> Tensor:
+    """broadcast matmul -> add (transpose, matmul, add: three nodes; one GEMM per leading index)."""
+    out = x @ weight.T
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def layernorm_composite(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Elementwise layer norm over the last axis (a dozen nodes)."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    x_hat = (x - mean) / ((var + eps) ** 0.5)
+    return x_hat * weight + bias

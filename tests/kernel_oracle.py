@@ -1,0 +1,73 @@
+"""The plain-expression K-FAC kernels the one kernel backend replaced.
+
+Kept as the test oracle (as ``composite_oracle.py`` keeps the composite
+layers): SciPy's default ``syevr`` eigensolver one factor at a time, a
+decay blend and an Eq. 15-17 contraction that allocate their temporaries, and
+a ``sum(a * b)`` KL-clip accumulation.  ``tests/test_kfac_kernels.py`` and
+``tests/test_factor_repr.py`` hold :class:`repro.kfac.KernelBackend` to it:
+bitwise for the decay fold and the contraction, at float32 resolution for
+everything downstream of an eigendecomposition.
+
+The oracle is deliberately *not* registered under a name: a fresh import of
+``repro`` has one backend, and a test that wants a whole preconditioner on
+these kernels swaps them in with :func:`use_reference_kernels`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import linalg as sla
+
+from repro.kfac import EigenDecomposition, KernelBackend, precondition_with_eigen
+
+
+def reference_symmetric_eigen(factor, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
+    """Symmetrise, solve with ``syevr`` in at least single precision, clamp round-off negatives."""
+    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+        raise ValueError(f"factor must be square, got shape {factor.shape}")
+    compute_dtype = np.dtype(compute_dtype)
+    solve_dtype = np.dtype(eigh_dtype) if eigh_dtype is not None else np.promote_types(compute_dtype, np.float32)
+    work = factor.astype(solve_dtype, copy=False)
+    eigenvalues, eigenvectors = sla.eigh(0.5 * (work + work.T))
+    if clamp_negative:
+        eigenvalues = np.maximum(eigenvalues, 0.0)
+    return EigenDecomposition(
+        eigenvectors=eigenvectors.astype(compute_dtype, copy=False),
+        eigenvalues=eigenvalues.astype(compute_dtype, copy=False),
+    )
+
+
+class ReferenceKernelBackend(KernelBackend):
+    """Every op as the expression one would write first."""
+
+    name = "reference"
+
+    def batched_symmetric_eigen(self, factors, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
+        return [
+            reference_symmetric_eigen(
+                factor, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+            )
+            for factor in factors
+        ]
+
+    def fused_decay_update(self, running, new, decay, store_dtype):
+        decay = float(decay)
+        return (decay * running.astype(np.float32, copy=False) + (1.0 - decay) * new).astype(store_dtype)
+
+    def precondition_contract(self, grad, eig_a, eig_g, damping, inverse_outer=None, pi=None):
+        return precondition_with_eigen(grad, eig_a, eig_g, damping, inverse_outer, pi=pi)
+
+    def kl_clip_accumulate(self, grads_and_precond):
+        total = 0.0
+        for grad, precond in grads_and_precond:
+            total += float(np.sum(grad.astype(np.float64, copy=False) * precond.astype(np.float64, copy=False)))
+        return total
+
+
+def use_reference_kernels(preconditioner):
+    """Swap ``preconditioner`` and every layer it registered onto one oracle instance; returns it."""
+    oracle = ReferenceKernelBackend()
+    preconditioner.kernels = oracle
+    for layer in preconditioner.layers.values():
+        layer.kernels = oracle
+    return preconditioner

@@ -1,10 +1,10 @@
-"""Fused Conv2d / BatchNorm2d autograd nodes against the composite they replaced."""
+"""Fused Conv2d / BatchNorm2d / Linear / LayerNorm autograd nodes against the composites they replaced."""
 
 import numpy as np
 import pytest
 
-from composite_oracle import batchnorm2d_composite, conv2d_composite
-from gradcheck import numerical_gradient
+from composite_oracle import batchnorm2d_composite, conv2d_composite, layernorm_composite, linear_composite
+from gradcheck import check_gradient, numerical_gradient
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad
@@ -226,6 +226,208 @@ class TestBatchNorm2dNode:
         assert x_t.grad is None and bn.weight.grad.shape == (3,)
 
 
+# ------------------------------------------------------------------------------ Linear
+#: Leading axes of the activation: a plain batch, (batch, sequence), (batch, heads, sequence).
+LEADING = [(5,), (2, 3), (2, 3, 2)]
+
+
+def graph_nodes(out):
+    """Every autograd node reachable from ``out`` (the leaves have none)."""
+    nodes, stack = [], [out]
+    while stack:
+        tensor = stack.pop()
+        if tensor._ctx is not None:
+            nodes.append(tensor._ctx)
+            stack.extend(tensor._ctx.parents)
+    return nodes
+
+
+def run_layer(fn, arrays, dtype, probe, requires_grad=(True, True, True), extra=()):
+    """Output and parent gradients of ``sum(fn(*parents) * probe)``; ``None`` parents are passed through."""
+    parents = [
+        None if a is None else Tensor(np.asarray(a, dtype=dtype), requires_grad=flag)
+        for a, flag in zip(arrays, requires_grad)
+    ]
+    out = fn(*parents, *extra)
+    (out * Tensor(probe.astype(out.dtype))).sum().backward()
+    return out, [None if p is None else p.grad for p in parents]
+
+
+def linear_problem(leading, bias, seed=0, in_features=4, out_features=6):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(leading + (in_features,))
+    weight = rng.standard_normal((out_features, in_features))
+    probe = rng.standard_normal(leading + (out_features,))
+    return (x, weight, rng.standard_normal(out_features) if bias else None), probe
+
+
+class TestLinearNode:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("leading", LEADING)
+    def test_fp64_parity_with_composite(self, leading, bias):
+        arrays, probe = linear_problem(leading, bias)
+        out, grads = run_layer(F.linear, arrays, np.float64, probe)
+        ref_out, ref_grads = run_layer(linear_composite, arrays, np.float64, probe)
+        assert out.shape == ref_out.shape == leading + (6,)
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=1e-10, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            if ref is not None:
+                assert grad.shape == ref.shape
+                np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("leading", LEADING)
+    def test_gradcheck_float64(self, leading, bias):
+        arrays, probe = linear_problem(leading, bias, seed=2)
+        for index, array in enumerate(arrays):
+            if array is None:
+                continue
+
+            def loss(tensor, index=index):
+                parents = [None if a is None else Tensor(a, dtype="float64") for a in arrays]
+                parents[index] = tensor
+                return (F.linear(*parents) * Tensor(probe, dtype="float64")).sum()
+
+            check_gradient(loss, array, atol=1e-7, rtol=1e-6)
+
+    def test_non_contiguous_input(self):
+        """A transposed view (what attention hands its output projection) is flattened by copy."""
+        (x, weight, bias), probe = linear_problem((3, 2), True, seed=3)
+        view = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(view, x)
+        out, grads = run_layer(F.linear, (view, weight, bias), np.float64, probe)
+        ref_out, ref_grads = run_layer(linear_composite, (x, weight, bias), np.float64, probe)
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=1e-10, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+    def test_frozen_weight_and_constant_input_return_none(self):
+        """``needs_input_grad`` skips the dead GEMM: the node hands ``None`` to the tape."""
+        arrays, probe = linear_problem((2, 3), True, seed=4)
+        _, full = run_layer(F.linear, arrays, np.float32, probe)
+        for flags in [(True, False, True), (False, True, True), (True, True, False), (False, True, False)]:
+            out, grads = run_layer(F.linear, arrays, np.float32, probe, requires_grad=flags)
+            assert out._ctx.needs_input_grad == flags
+            returned = out._ctx.backward(probe.astype(np.float32))
+            for flag, value, grad, reference in zip(flags, returned, grads, full):
+                assert (value is not None) == flag and (grad is not None) == flag
+                if flag:
+                    np.testing.assert_array_equal(grad, reference)
+
+    def test_float16_activation_with_float32_parameters(self):
+        """Same result dtype (and values, at half precision) as the composite's promotion."""
+        (x, weight, bias), probe = linear_problem((2, 3), True, seed=5)
+        x16 = Tensor(x.astype(np.float16), requires_grad=True)
+        w32, b32 = Tensor(weight.astype(np.float32), requires_grad=True), Tensor(bias.astype(np.float32), requires_grad=True)
+        out = F.linear(x16, w32, b32)
+        ref = linear_composite(Tensor(x.astype(np.float16)), Tensor(weight.astype(np.float32)), Tensor(bias.astype(np.float32)))
+        assert out.dtype == ref.dtype == np.float32
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-6, atol=1e-6)
+        (out * Tensor(probe.astype(np.float32))).sum().backward()
+        assert (x16.grad.dtype, w32.grad.dtype, b32.grad.dtype) == (np.float16, np.float32, np.float32)
+        # A wider bias promotes the sum instead of being squeezed into the GEMM's dtype.
+        wide = F.linear(Tensor(x.astype(np.float32)), Tensor(weight.astype(np.float32)), Tensor(bias, dtype="float64"))
+        assert wide.dtype == np.float64
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_module_records_exactly_one_node(self, bias):
+        layer = nn.Linear(4, 6, bias=bias, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+        out = layer(x)
+        (node,) = graph_nodes(out)
+        assert isinstance(node, F.LinearFunction)
+        assert node.parents == ((x, layer.weight, layer.bias) if bias else (x, layer.weight))
+        # The flattened activation is kept on the node, as a view of a contiguous input.
+        assert node.x2.shape == (6, 4) and np.shares_memory(node.x2, x.data)
+        with no_grad():
+            assert layer(x)._ctx is None
+
+
+# ------------------------------------------------------------------------------ LayerNorm
+def layernorm_problem(leading, seed=0, features=5):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(leading + (features,)) * 2.0 + 0.5
+    probe = rng.standard_normal(leading + (features,))
+    return (x, rng.uniform(0.5, 1.5, features), rng.standard_normal(features)), probe
+
+
+class TestLayerNormNode:
+    EPS = 1e-5
+
+    @pytest.mark.parametrize("leading", LEADING)
+    def test_fp64_parity_with_composite(self, leading):
+        arrays, probe = layernorm_problem(leading)
+        out, grads = run_layer(F.layer_norm, arrays, np.float64, probe, extra=(self.EPS,))
+        ref_out, ref_grads = run_layer(layernorm_composite, arrays, np.float64, probe, extra=(self.EPS,))
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=1e-10, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            assert grad.shape == ref.shape
+            np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("leading", LEADING)
+    def test_gradcheck_float64(self, leading):
+        arrays, probe = layernorm_problem(leading, seed=2)
+        for index, array in enumerate(arrays):
+
+            def loss(tensor, index=index):
+                parents = [Tensor(a, dtype="float64") for a in arrays]
+                parents[index] = tensor
+                return (F.layer_norm(*parents, self.EPS) * Tensor(probe, dtype="float64")).sum()
+
+            check_gradient(loss, array, atol=1e-6, rtol=1e-5)
+
+    def test_non_contiguous_input(self):
+        (x, weight, bias), probe = layernorm_problem((3, 2), seed=3)
+        view = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        out, grads = run_layer(F.layer_norm, (view, weight, bias), np.float64, probe, extra=(self.EPS,))
+        ref_out, ref_grads = run_layer(layernorm_composite, (x, weight, bias), np.float64, probe, extra=(self.EPS,))
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=1e-10, atol=1e-10)
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+    def test_frozen_parameters_and_constant_input_return_none(self):
+        arrays, probe = layernorm_problem((2, 3), seed=4)
+        _, full = run_layer(F.layer_norm, arrays, np.float32, probe, extra=(self.EPS,))
+        for flags in [(True, False, True), (False, True, True), (True, True, False), (True, False, False)]:
+            out, grads = run_layer(F.layer_norm, arrays, np.float32, probe, requires_grad=flags, extra=(self.EPS,))
+            assert out._ctx.needs_input_grad == flags
+            returned = out._ctx.backward(probe.astype(np.float32))
+            for flag, value, grad, reference in zip(flags, returned, grads, full):
+                assert (value is not None) == flag and (grad is not None) == flag
+                if flag:
+                    np.testing.assert_array_equal(grad, reference)
+
+    def test_float16_activation_with_float32_parameters(self):
+        (x, weight, bias), probe = layernorm_problem((2, 3), seed=5)
+        x16 = Tensor(x.astype(np.float16), requires_grad=True)
+        w32, b32 = Tensor(weight.astype(np.float32), requires_grad=True), Tensor(bias.astype(np.float32), requires_grad=True)
+        out = F.layer_norm(x16, w32, b32, self.EPS)
+        ref = layernorm_composite(
+            Tensor(x.astype(np.float16)), Tensor(weight.astype(np.float32)), Tensor(bias.astype(np.float32)), self.EPS
+        )
+        assert out.dtype == ref.dtype == np.float32
+        assert out._ctx.x_hat.dtype == np.float16  # normalized in the activation's precision, like the composite
+        np.testing.assert_allclose(out.data, ref.data, rtol=5e-3, atol=5e-3)
+        (out * Tensor(probe.astype(np.float32))).sum().backward()
+        assert (x16.grad.dtype, w32.grad.dtype, b32.grad.dtype) == (np.float16, np.float32, np.float32)
+
+    def test_module_records_exactly_one_node_and_keeps_x_hat(self):
+        layer = nn.LayerNorm(5)
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 5)).astype(np.float32) * 3.0, requires_grad=True)
+        out = layer(x)
+        (node,) = graph_nodes(out)
+        assert isinstance(node, F.LayerNormFunction) and node.parents == (x, layer.weight, layer.bias)
+        x_hat, inv_std = F.layer_normalize(x.data, layer.eps)
+        np.testing.assert_array_equal(node.x_hat, x_hat)
+        np.testing.assert_array_equal(node.inv_std, inv_std)
+        np.testing.assert_allclose(node.x_hat.mean(axis=-1), 0.0, atol=1e-6)
+        np.testing.assert_allclose(node.x_hat.var(axis=-1), 1.0, atol=1e-4)
+        with no_grad():
+            assert layer(x)._ctx is None
+
+
 # ------------------------------------------------------------------------------ module hooks
 class ConvNet(nn.Module):
     def __init__(self):
@@ -254,6 +456,45 @@ def test_full_backward_hooks_fire_once_per_backward_in_reverse_layer_order():
     assert order == expected
     first = {name: p.grad.copy() for name, p in net.named_parameters()}
     loss.backward()  # the nodes keep their state: a repeated backward fires again and accumulates
+    assert order == expected * 2
+    for name, param in net.named_parameters():
+        np.testing.assert_allclose(param.grad, 2 * first[name], rtol=1e-6)
+
+
+class TokenNet(nn.Module):
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.fc1 = nn.Linear(4, 6, rng=rng)
+        self.norm = nn.LayerNorm(6)
+        self.fc2 = nn.Linear(6, 3, bias=False, rng=rng)
+
+    def forward(self, x):
+        return self.fc2(self.norm(self.fc1(x)).relu())
+
+
+@pytest.mark.parametrize("input_requires_grad", [True, False])
+def test_linear_layernorm_hooks_fire_once_per_backward_in_reverse_layer_order(input_requires_grad):
+    """Also when the first layer's node returns ``None`` for a constant input (data feeding the stem)."""
+    net = TokenNet()
+    order = []
+    for name, module in net.named_modules():
+        if name:
+            module.register_full_backward_hook(lambda m, gi, go, name=name: order.append((name, go[0].shape)))
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 5, 4)).astype(np.float32), requires_grad=input_requires_grad)
+    out = net(x)
+    assert len(graph_nodes(out)) == 4  # fc1, norm, relu, fc2
+    loss = (out**2).sum()
+    loss.backward()
+    expected = [("fc2", (2, 5, 3)), ("norm", (2, 5, 6)), ("fc1", (2, 5, 6))]
+    if not input_requires_grad:
+        # fc1 has no input gradient to wait for, so its event is its output gradient -- the very tape
+        # event norm's waits for -- and the module that registered on that tensor first (fc1) goes first.
+        expected = [expected[0], expected[2], expected[1]]
+    assert order == expected
+    assert (x.grad is not None) == input_requires_grad
+    first = {name: p.grad.copy() for name, p in net.named_parameters()}
+    loss.backward()
     assert order == expected * 2
     for name, param in net.named_parameters():
         np.testing.assert_allclose(param.grad, 2 * first[name], rtol=1e-6)

@@ -92,6 +92,22 @@ class TestKFACConfig:
         with pytest.raises(ValueError, match="unknown"):
             KFACConfig.from_dict(dict(data, comm_overlap=True, hook_pipeline=True))
 
+    def test_from_dict_loads_the_retired_reference_backend_onto_the_one_backend(self):
+        """Every checkpoint and manifest written before the backends were collapsed
+        carries ``kernel_backend="reference"`` (the old default); its kernels are the
+        test oracle now, so the name loads onto the built-in backend — and only it."""
+        parent_format = dict(KFACConfig(damping=0.01).to_dict(), kernel_backend="reference")
+        restored = KFACConfig.from_dict(parent_format)
+        assert restored == KFACConfig(damping=0.01) and restored.kernel_backend == "batched"
+        # With the two keys PR 15 retired, as a parent-era manifest really looks.
+        assert KFACConfig.from_dict(dict(parent_format, comm_overlap=False, adaptive_schedule=False)) == restored
+        for unknown in ("cuda", "Reference2", ""):
+            with pytest.raises(ValueError, match="kernel_backend"):
+                KFACConfig.from_dict(dict(parent_format, kernel_backend=unknown))
+        # The constructor never accepted a name that is not registered, and still does not.
+        with pytest.raises(ValueError, match="kernel_backend"):
+            KFACConfig(kernel_backend="reference")
+
     def test_replace_revalidates(self):
         config = KFACConfig()
         assert config.replace(damping=0.5).damping == 0.5
@@ -334,6 +350,67 @@ class TestStateDictResume:
         assert pre_b.scheduler_stats()["layers"] != {}
         for name, entry in pre_b.factor_scheduler.layer_stats().items():
             assert (entry["factor_updates"], entry["eigen_updates"]) == (2, 1), name
+
+    def test_parent_format_state_dict_with_reference_backend_resumes_bitwise(self):
+        """A full ``KFAC.state_dict()`` whose config names the retired ``reference``
+        backend round-trips: the config loads, the state restores, the next
+        steps match the uninterrupted run bit for bit."""
+        x, y = make_problem(8)
+        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4)
+        model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
+        pre_a = KFAC(model_a, config)
+        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=5)
+        checkpoint = pre_a.state_dict()
+        assert checkpoint["config"]["kernel_backend"] == "batched"
+        checkpoint["config"] = dict(checkpoint["config"], kernel_backend="reference")  # as the parent wrote it
+
+        model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
+        model_b.load_state_dict(model_a.state_dict())
+        pre_b = KFAC(model_b, KFACConfig.from_dict(checkpoint["config"]))
+        pre_b.load_state_dict(checkpoint)
+        assert pre_b.config == config and pre_b.kernel_backend == "batched"
+        assert pre_b.state_dict()["config"] == pre_a.state_dict()["config"]
+
+        batch_rng = np.random.default_rng(9)
+        for _ in range(4):
+            batch = batch_rng.integers(0, len(x), 32)
+            grads = []
+            for model, pre in ((model_a, pre_a), (model_b, pre_b)):
+                model.zero_grad()
+                nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
+                pre.step()
+                grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
+            np.testing.assert_array_equal(*grads)
+
+    def test_restored_run_leaves_the_checkpoint_arrays_alone(self):
+        """Statistics are accumulated, averaged and folded in place, so a restore must
+        copy what it loads: one checkpoint restored twice resumes identically."""
+        x, y = make_problem(2)
+        model = MLP(6, [12], 3, rng=np.random.default_rng(3))
+        pre = KFAC(model, factor_update_freq=2, inv_update_freq=2)
+        train_steps(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)
+        model.zero_grad()
+        nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()  # a pending window
+        state = pre.state_dict()
+        model_state = model.state_dict()
+        frozen = {name: {k: np.copy(v) for k, v in layer.items() if isinstance(v, np.ndarray)}
+                  for name, layer in state["layers"].items()}
+
+        def resume():
+            clone = MLP(6, [12], 3, rng=np.random.default_rng(5))
+            clone.load_state_dict(model_state)
+            pre2 = KFAC(clone, factor_update_freq=2, inv_update_freq=2)
+            pre2.load_state_dict(state)
+            clone.zero_grad()
+            nn.CrossEntropyLoss()(clone(Tensor(x[16:32])), y[16:32]).backward()  # second micro-batch, same window
+            pre2.step()
+            return np.concatenate([p.grad.ravel() for p in clone.parameters()])
+
+        first = resume()
+        for name, arrays in frozen.items():
+            for key, value in arrays.items():
+                np.testing.assert_array_equal(state["layers"][name][key], value, err_msg=f"{name}.{key}")
+        np.testing.assert_array_equal(resume(), first)
 
     def test_state_dict_includes_pending_accumulators(self):
         """A checkpoint between backward() and step() keeps the pending statistics."""

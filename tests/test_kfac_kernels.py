@@ -1,41 +1,44 @@
-"""Tests for the pluggable vectorized kernel backend (`repro.kfac.kernels`).
+"""Tests for the kernel backend (`repro.kfac.kernels`) against `tests/kernel_oracle.py`.
 
-Covers the backend registry and its config/env selection, per-op parity of
-the batched backend against the reference oracle (bitwise for the fused
-decay update and the preconditioning contraction, tolerance-tiered for the
-batched eigendecomposition and the einsum KL accumulation), degenerate
-factors, the satellite no-copy regression tests on buffer identity,
-end-to-end reference-vs-batched training parity across all three
-distribution strategies x sync/overlap/hooked x adaptive due-subsets and
-mixed precision, and checkpoint resume with ``kernel_backend`` flipped
-between save and load.
+Covers the backend registry and its config selection, per-op parity of the
+one built-in backend (registered as ``batched``) against the plain-expression
+oracle (bitwise for the decay fold and the preconditioning contraction,
+tolerance-tiered for the eigendecomposition and the einsum KL accumulation),
+degenerate factors, the no-copy regression tests on buffer identity,
+end-to-end oracle-vs-backend training parity across all three distribution
+strategies x sync/overlap/hooked x adaptive due-subsets and mixed precision,
+and checkpoint resume with the kernels flipped between save and load.
+"reference" below always means the oracle's kernels, swapped into a
+preconditioner with ``use_reference_kernels``.
 
-Parity tiers (documented in README "Kernel backends"): batched training
-trajectories are compared at float32 resolution — ``rtol=5e-3`` with
-``atol=1e-5`` — because the stacked/``syevd`` eigen solvers are exact
-eigendecompositions but not bit-identical to the reference ``syevr`` path.
+Parity tiers (documented in README "Kernels"): training trajectories are
+compared at float32 resolution — ``rtol=5e-3`` with ``atol=1e-5`` — because
+the stacked/``syevd`` eigen solvers are exact eigendecompositions but not
+bit-identical to the oracle's ``syevr``.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
+from kernel_oracle import ReferenceKernelBackend, reference_symmetric_eigen, use_reference_kernels
 from repro.kfac import (
     KFAC,
-    BatchedKernelBackend,
     KFACConfig,
     KernelBackend,
-    ReferenceKernelBackend,
     available_kernel_backends,
-    default_kernel_backend,
     kl_clip_scale,
     make_kernel_backend,
+    make_kfac_layer,
     precondition_with_eigen,
     register_kernel_backend,
     symmetric_eigen,
 )
-from repro.kfac.kernels import STACK_EIGH_MAX_DIM
+from repro.kfac.kernels import _BACKEND_REGISTRY, STACK_EIGH_MAX_DIM
 from repro.models import MLP
 from repro.nn.linear import Linear
 from repro.nn.norm import LayerNorm
@@ -43,8 +46,8 @@ from repro.observability import Tracer
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import GradientPipeline, Trainer
 
-# The documented tolerance tier for batched-eigh parity: downstream results
-# (preconditioned gradients, training trajectories) agree to float32
+# The documented tolerance tier for eigh parity with the oracle: downstream
+# results (preconditioned gradients, training trajectories) agree to float32
 # resolution; factors and the fused/contract ops stay bitwise.
 EIGH_RTOL = 5e-3
 EIGH_ATOL = 1e-5
@@ -85,12 +88,46 @@ def assert_valid_eigen(decomposition, factor, rtol=1e-4, atol=1e-5):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"reference", "batched"} <= set(available_kernel_backends())
+        assert available_kernel_backends() == ["batched"]
+        assert KFACConfig().kernel_backend == "batched"
+
+    def test_fresh_import_registers_one_backend(self):
+        """Whatever this process registered, ``import repro`` alone offers exactly one name."""
+        import subprocess
+
+        code = "import repro; from repro.kfac import available_kernel_backends as names; print(names())"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "['batched']"
 
     def test_make_returns_fresh_instances(self):
         first, second = make_kernel_backend("batched"), make_kernel_backend("batched")
-        assert isinstance(first, BatchedKernelBackend)
+        assert type(first) is KernelBackend
         assert first is not second  # backends own scratch; never shared
+
+    def test_registering_a_custom_backend_makes_it_selectable(self):
+        """The README recipe: subclass, override, register, name it in the config."""
+
+        class CountingBackend(KernelBackend):
+            calls = 0
+
+            def batched_symmetric_eigen(self, factors, **kwargs):
+                type(self).calls += 1
+                return super().batched_symmetric_eigen(factors, **kwargs)
+
+        try:
+            register_kernel_backend("counting")(CountingBackend)
+            assert available_kernel_backends() == ["batched", "counting"]
+            model = MLP(6, [8], 3, rng=np.random.default_rng(0))
+            pre = KFAC.from_config(
+                model, KFACConfig(factor_update_freq=1, inv_update_freq=1, kernel_backend="counting")
+            )
+            assert isinstance(pre.kernels, CountingBackend) and pre.kernel_backend == "counting"
+            x, y = make_problem(0, samples=16)
+            nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
+            pre.step()
+            assert CountingBackend.calls > 0
+        finally:
+            _BACKEND_REGISTRY.pop("counting", None)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -101,14 +138,6 @@ class TestRegistry:
             register_kernel_backend("bogus")(dict)
         assert "bogus" not in available_kernel_backends()
 
-    def test_default_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert default_kernel_backend() == "reference"
-        monkeypatch.setenv("REPRO_KERNEL", "batched")
-        assert default_kernel_backend() == "batched"
-        monkeypatch.setenv("REPRO_KERNEL", "")
-        assert default_kernel_backend() == "reference"
-
     def test_config_validates_backend(self):
         assert KFACConfig(kernel_backend="batched").kernel_backend == "batched"
         assert KFACConfig(kernel_backend=" Batched ").kernel_backend == "batched"
@@ -118,14 +147,15 @@ class TestRegistry:
     def test_config_round_trip_and_env_default(self, monkeypatch):
         config = KFACConfig(kernel_backend="batched")
         assert KFACConfig.from_dict(config.to_dict()) == config
-        monkeypatch.setenv("REPRO_KERNEL", "batched")
+        # The default is a constant: the retired REPRO_KERNEL variable is not read.
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
         assert KFACConfig().kernel_backend == "batched"
 
     def test_preconditioner_owns_backend_instance(self):
         model = MLP(6, [8], 3, rng=np.random.default_rng(0))
         pre = KFAC.from_config(model, KFACConfig(kernel_backend="batched"))
         assert pre.kernel_backend == "batched"
-        assert isinstance(pre.kernels, BatchedKernelBackend)
+        assert type(pre.kernels) is KernelBackend
         for layer in pre.layers.values():
             assert layer.kernels is pre.kernels
 
@@ -143,18 +173,18 @@ class TestRegistry:
 class TestBatchedEigen:
     @pytest.mark.parametrize("dim", [1, 2, 8, STACK_EIGH_MAX_DIM, STACK_EIGH_MAX_DIM + 1, 48, 96])
     def test_matches_reference_eigenvalues_and_reconstruction(self, dim):
-        backend = BatchedKernelBackend()
+        backend = KernelBackend()
         factors = [spd_factor(dim, seed) for seed in range(4)]
         batched = backend.batched_symmetric_eigen(factors)
         for factor, decomposition in zip(factors, batched):
             assert_valid_eigen(decomposition, factor)
-            reference = symmetric_eigen(factor)
+            reference = reference_symmetric_eigen(factor)
             np.testing.assert_allclose(
                 decomposition.eigenvalues, reference.eigenvalues, rtol=1e-4, atol=1e-5
             )
 
     def test_single_op_equals_batch_of_one(self):
-        backend = BatchedKernelBackend()
+        backend = KernelBackend()
         factor = spd_factor(16, 3)
         single = backend.symmetric_eigen(factor)
         batch = backend.batched_symmetric_eigen([factor])[0]
@@ -164,7 +194,7 @@ class TestBatchedEigen:
     def test_batch_composition_does_not_change_results(self):
         """Distributed determinism: a factor decomposes identically whether it
         shares a batch with 1 or 7 peers (ranks batch different subsets)."""
-        backend = BatchedKernelBackend()
+        backend = KernelBackend()
         target = spd_factor(8, 42)
         alone = backend.batched_symmetric_eigen([target])[0]
         crowd = backend.batched_symmetric_eigen([spd_factor(8, s) for s in range(7)] + [target])[-1]
@@ -172,10 +202,10 @@ class TestBatchedEigen:
         np.testing.assert_array_equal(alone.eigenvectors, crowd.eigenvectors)
 
     def test_empty_batch(self):
-        assert BatchedKernelBackend().batched_symmetric_eigen([]) == []
+        assert KernelBackend().batched_symmetric_eigen([]) == []
 
     def test_mismatched_shapes_raise(self):
-        backend = BatchedKernelBackend()
+        backend = KernelBackend()
         with pytest.raises(ValueError, match="same-shape"):
             backend.batched_symmetric_eigen([spd_factor(4), spd_factor(5)])
         with pytest.raises(ValueError, match="square"):
@@ -188,7 +218,7 @@ class TestBatchedEigen:
         rng = np.random.default_rng(9)
         v = rng.standard_normal(dim).astype(np.float32)
         factor = np.outer(v, v).astype(np.float32)
-        for backend in (ReferenceKernelBackend(), BatchedKernelBackend()):
+        for backend in (ReferenceKernelBackend(), KernelBackend()):
             decomposition = backend.batched_symmetric_eigen([factor])[0]
             assert np.all(decomposition.eigenvalues >= 0.0)
             assert_valid_eigen(decomposition, factor, rtol=1e-3, atol=1e-3)
@@ -196,7 +226,7 @@ class TestBatchedEigen:
     def test_layernorm_shaped_factors(self):
         """The 1x1 (no-bias) and 2x2 LayerNorm A factors go through the
         stacked path; a diagonal G factor stays diagonal."""
-        backend = BatchedKernelBackend()
+        backend = KernelBackend()
         one = backend.batched_symmetric_eigen([np.array([[2.5]], dtype=np.float32)])[0]
         np.testing.assert_allclose(one.eigenvalues, [2.5])
         np.testing.assert_allclose(np.abs(one.eigenvectors), [[1.0]])
@@ -230,7 +260,7 @@ class TestBatchedEigen:
 
 class TestFusedDecayUpdate:
     def test_bitwise_equals_reference_float32(self):
-        reference, batched = ReferenceKernelBackend(), BatchedKernelBackend()
+        reference, batched = ReferenceKernelBackend(), KernelBackend()
         running_ref = spd_factor(32, 1)
         running_bat = running_ref.copy()
         for step in range(5):
@@ -241,33 +271,42 @@ class TestFusedDecayUpdate:
             running_ref, running_bat = expected, actual
 
     def test_in_place_and_zero_scratch_growth(self):
-        backend = BatchedKernelBackend()
-        running = spd_factor(16, 2)
-        result = backend.fused_decay_update(running, spd_factor(16, 3), 0.9, np.float32)
-        assert result is running  # satellite: buffer identity, no new array
-        first_bytes = backend.scratch_bytes()
-        backend.fused_decay_update(running, spd_factor(16, 4), 0.9, np.float32)
-        assert backend.scratch_bytes() == first_bytes  # scratch reused, not grown
+        backend = KernelBackend()
+        running, new = spd_factor(16, 2), spd_factor(16, 3)
+        scaled = new * np.float32(1.0 - 0.9)
+        result = backend.fused_decay_update(running, new, 0.9, np.float32)
+        assert result is running  # buffer identity, no new array
+        np.testing.assert_array_equal(new, scaled)  # the window average is consumed as the staging buffer
+        assert backend.scratch_bytes() == 0  # and no scratch pool is held for the fold
 
     def test_non_float32_falls_back_to_reference(self):
-        reference, batched = ReferenceKernelBackend(), BatchedKernelBackend()
+        reference, batched = ReferenceKernelBackend(), KernelBackend()
         running = spd_factor(8, 1, dtype=np.float16)
         new = spd_factor(8, 2).astype(np.float32)
         expected = reference.fused_decay_update(running.copy(), new, 0.95, np.float16)
+        snapshot = new.copy()
         actual = batched.fused_decay_update(running.copy(), new, 0.95, np.float16)
         np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(new, snapshot)  # the fallback consumes nothing
         assert actual.dtype == np.float16
 
     def test_frozen_buffer_falls_back_without_mutation(self):
         """A read-only running factor (e.g. sanitizer-frozen bucket memory)
         must not be written in place — the backend detects it and allocates."""
-        batched = BatchedKernelBackend()
+        batched = KernelBackend()
         running = spd_factor(8, 1)
         running.flags.writeable = False
         snapshot = running.copy()
         result = batched.fused_decay_update(running, spd_factor(8, 2), 0.9, np.float32)
         assert result is not running
         np.testing.assert_array_equal(running, snapshot)
+        # Likewise a read-only window average is blended, not scaled in place.
+        frozen_new = spd_factor(8, 2)
+        frozen_new.flags.writeable = False
+        writable = snapshot.copy()
+        again = batched.fused_decay_update(writable, frozen_new, 0.9, np.float32)
+        np.testing.assert_array_equal(again, result)
+        np.testing.assert_array_equal(frozen_new, spd_factor(8, 2))
 
 
 class TestPreconditionContract:
@@ -277,7 +316,7 @@ class TestPreconditionContract:
         return eig_a, eig_g
 
     def test_bitwise_equals_reference(self):
-        batched = BatchedKernelBackend()
+        batched = KernelBackend()
         eig_a, eig_g = self._eigen_pair()
         rng = np.random.default_rng(4)
         for seed in range(3):  # repeat: scratch reuse must not perturb results
@@ -289,7 +328,7 @@ class TestPreconditionContract:
     def test_results_are_fresh_arrays(self):
         """Outputs coexist across layers until stage 4 — returning scratch
         would let a same-shape layer overwrite an earlier layer's result."""
-        batched = BatchedKernelBackend()
+        batched = KernelBackend()
         eig_a, eig_g = self._eigen_pair()
         rng = np.random.default_rng(5)
         first = batched.precondition_contract(
@@ -303,7 +342,7 @@ class TestPreconditionContract:
         np.testing.assert_array_equal(first, first_copy)
 
     def test_cached_outer_and_pi_paths(self):
-        batched = BatchedKernelBackend()
+        batched = KernelBackend()
         eig_a, eig_g = self._eigen_pair(seed=7)
         grad = np.random.default_rng(8).standard_normal((9, 12)).astype(np.float32)
         from repro.kfac import eigenvalue_outer_product
@@ -327,11 +366,11 @@ class TestKlClipAccumulate:
             for _ in range(4)
         ]
         reference = ReferenceKernelBackend().kl_clip_accumulate(pairs)
-        batched = BatchedKernelBackend().kl_clip_accumulate(pairs)
+        batched = KernelBackend().kl_clip_accumulate(pairs)
         # Tolerance tier: einsum reduces in a different order than sum(a*b).
         np.testing.assert_allclose(batched, reference, rtol=1e-12)
         np.testing.assert_allclose(
-            BatchedKernelBackend().kl_clip_scale(pairs, 0.1, 0.001),
+            KernelBackend().kl_clip_scale(pairs, 0.1, 0.001),
             kl_clip_scale(pairs, 0.1, 0.001),
             rtol=1e-12,
         )
@@ -351,8 +390,6 @@ class TestKlClipAccumulate:
 
 class TestNoCopy:
     def _linear_layer(self, bias):
-        from repro.kfac import make_kfac_layer
-
         module = Linear(6, 4, bias=bias, rng=np.random.default_rng(0))
         module.weight.grad = np.random.default_rng(1).standard_normal((4, 6)).astype(np.float32)
         if bias:
@@ -372,8 +409,6 @@ class TestNoCopy:
         assert np.shares_memory(module.weight.grad, matrix)
 
     def test_layernorm_gradient_round_trip(self):
-        from repro.kfac import make_kfac_layer
-
         module = LayerNorm(5)
         module.weight.grad = np.ones(5, dtype=np.float32)
         module.bias.grad = np.zeros(5, dtype=np.float32)
@@ -393,8 +428,83 @@ class TestNoCopy:
 
 
 # ---------------------------------------------------------------------------
+# Standalone layers own their backend (the contraction scratch is per instance)
+# ---------------------------------------------------------------------------
+
+
+class TestStandaloneLayerBackend:
+    """A ``KFACLayer`` built without a ``KFAC`` used to share one module-level
+    backend.  The only backend now owns ``out=`` contraction buffers, so two
+    threaded ranks building layers directly would race on them."""
+
+    @staticmethod
+    def _ready_layer(seed):
+        """A 48 -> 40 Linear handler with eigen state and a gradient to precondition."""
+        module = Linear(48, 40, rng=np.random.default_rng(0))
+        layer = make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
+        layer.set_factors(spd_factor(49, seed), spd_factor(40, seed + 1))
+        layer.compute_eigen(damping=0.003)
+        rng = np.random.default_rng(seed + 2)
+        module.weight.grad = rng.standard_normal((40, 48)).astype(np.float32)
+        module.bias.grad = rng.standard_normal(40).astype(np.float32)
+        return layer
+
+    def test_each_standalone_layer_builds_its_own_instance(self):
+        first, second = self._ready_layer(1), self._ready_layer(1)
+        assert type(first.kernels) is KernelBackend and first.kernels is not second.kernels
+        first.precondition(0.003), second.precondition(0.003)
+        for pool in ("_contract_scratch", "_contract_scratch2"):
+            (mine,), (theirs,) = getattr(first.kernels, pool).values(), getattr(second.kernels, pool).values()
+            assert not np.shares_memory(mine, theirs)
+
+    def test_two_threads_preconditioning_same_shape_layers_do_not_race(self):
+        """Each thread builds its layer (as a rank of a threaded world would) and
+        preconditions it repeatedly while the others do the same with different
+        data: every result must equal the serial one.  With one shared backend the
+        contractions interleave on the same scratch buffers.  More threads than
+        cores and a short switch interval, so they really do interleave."""
+        rounds, seeds = 100, (10, 20, 30, 40)
+        expected = {seed: self._ready_layer(seed).precondition(0.003).copy() for seed in seeds}
+        built, wrong, errors = {}, [], []
+        barrier = threading.Barrier(len(seeds))
+
+        def rank(seed):
+            try:
+                layer = built[seed] = self._ready_layer(seed)
+                barrier.wait(timeout=30)
+                for _ in range(rounds):
+                    if not np.array_equal(layer.precondition(0.003), expected[seed]):
+                        wrong.append(seed)
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+                barrier.abort()
+
+        threads = [threading.Thread(target=rank, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads), errors
+        total = rounds * len(seeds)
+        assert not wrong, f"{len(wrong)} of {total} concurrent contractions differ from the serial result"
+        # What rules the interleaving out, not luck: no two layers share an instance.
+        assert len({id(layer.kernels) for layer in built.values()}) == len(seeds)
+
+
+# ---------------------------------------------------------------------------
 # End-to-end parity: reference vs batched
 # ---------------------------------------------------------------------------
+
+
+def make_preconditioner(model, config, backend, **run_objects):
+    """A preconditioner on the built-in backend (``"batched"``) or on the oracle's kernels (``"reference"``)."""
+    pre = KFAC.from_config(model, config, **run_objects)
+    return use_reference_kernels(pre) if backend == "reference" else pre
 
 
 def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
@@ -409,7 +519,6 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
         inv_update_freq=2 if adaptive else 4,
         grad_worker_frac=grad_worker_frac,
         precision=precision,
-        kernel_backend=backend,
         # "sync": a cap below any tensor, one message per tensor; otherwise the fused
         # default.  Both run the trainer's default (never armed) pipeline; "hooked"
         # hands it an instance, which it arms.
@@ -417,7 +526,7 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
         drift_tol=0.5 if adaptive else 0.0,
         max_staleness=8 if adaptive else 0,
     )
-    pre = KFAC.from_config(model, config, comm=comm)
+    pre = make_preconditioner(model, config, backend, comm=comm)
     optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
     pipeline = (
         GradientPipeline(model, comm=pre.comm, bucket_cap_mb=0.001) if mode == "hooked" else None
@@ -499,11 +608,6 @@ class TestTrainingParity:
         for expected, actual in zip(reference, batched):
             np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol)
 
-    def test_env_toggle_selects_batched_end_to_end(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "batched")
-        _, pre = train_trajectory(KFACConfig().kernel_backend, steps=2)
-        assert isinstance(pre.kernels, BatchedKernelBackend)
-
     def test_kernel_dispatch_traced(self):
         """The batched eigen stage emits kfac/kernel_dispatch instants naming
         the backend and the shape-group batch sizes."""
@@ -530,8 +634,8 @@ class TestTrainingParity:
         assert sorted(attrs["batch_sizes"], reverse=True)[0] == 2
 
     def test_reference_backend_is_bitwise_noop(self):
-        """The refactor itself must not move a single bit on the default
-        backend: two reference runs through different code paths agree."""
+        """Swapping the oracle in is deterministic: two reference runs agree
+        bit for bit (so any reference-vs-batched gap is the kernels')."""
         first, _ = train_trajectory("reference")
         second, _ = train_trajectory("reference")
         for expected, actual in zip(first, second):
@@ -565,22 +669,23 @@ class TestCheckpointBackendFlip:
         config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
 
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        pre = KFAC.from_config(model, config.replace(kernel_backend=save_backend))
+        pre = make_preconditioner(model, config, save_backend)
         self._run(pre, model, warmup, x, y)
         checkpoint = pre.state_dict()
         model_state = model.state_dict()
-        assert checkpoint["config"]["kernel_backend"] == save_backend
+        # The checkpoint names the one registered backend, whichever kernels wrote it.
+        assert checkpoint["config"]["kernel_backend"] == "batched"
         continued = self._run(pre, model, future, x, y)
 
         restored = MLP(6, [16], 3, rng=np.random.default_rng(99))
         restored.load_state_dict(model_state)
-        pre2 = KFAC.from_config(restored, config.replace(kernel_backend=load_backend))
+        pre2 = make_preconditioner(restored, config, load_backend)
         pre2.load_state_dict(checkpoint)
         resumed = self._run(pre2, restored, future, x, y)
 
-        # The checkpoint stores factors/eigen state, not backend identity:
-        # resuming under the other backend reproduces the trajectory within
-        # the documented eigh tolerance tier (bitwise when backends match).
+        # The checkpoint stores factors/eigen state, not kernel identity:
+        # resuming under the other kernels reproduces the trajectory within
+        # the documented eigh tolerance tier (bitwise when they match).
         for expected, actual in zip(continued, resumed):
             np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
 
@@ -613,17 +718,22 @@ class TestCheckpointBackendFlip:
 
 class TestCustomBackend:
     def test_partial_backend_inherits_reference_ops(self):
-        """A backend overriding nothing behaves exactly like the reference."""
+        """A backend overriding nothing behaves exactly like the built-in one."""
 
         class PassthroughBackend(KernelBackend):
             pass
 
         backend = PassthroughBackend()
-        factor = spd_factor(8, 1)
-        reference = symmetric_eigen(factor)
-        actual = backend.symmetric_eigen(factor)
-        np.testing.assert_array_equal(actual.eigenvalues, reference.eigenvalues)
-        np.testing.assert_array_equal(actual.eigenvectors, reference.eigenvectors)
-        # The grouped dispatch the preconditioner always uses is a plain loop here.
-        (batched,) = backend.batched_symmetric_eigen([factor])
-        np.testing.assert_array_equal(batched.eigenvectors, reference.eigenvectors)
+        for dim in (8, STACK_EIGH_MAX_DIM + 8):  # the stacked path and the syevd path
+            factor = spd_factor(dim, 1)
+            builtin = make_kernel_backend("batched").symmetric_eigen(factor)
+            actual = backend.symmetric_eigen(factor)
+            np.testing.assert_array_equal(actual.eigenvalues, builtin.eigenvalues)
+            np.testing.assert_array_equal(actual.eigenvectors, builtin.eigenvectors)
+            (grouped,) = backend.batched_symmetric_eigen([factor])
+            np.testing.assert_array_equal(grouped.eigenvectors, builtin.eigenvectors)
+        # Above the stacking threshold the solver is the public single-factor one.
+        wide = spd_factor(STACK_EIGH_MAX_DIM + 8, 2)
+        np.testing.assert_array_equal(
+            backend.symmetric_eigen(wide).eigenvectors, symmetric_eigen(wide).eigenvectors
+        )

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.kfac import KFAC
 from repro.kfac import layers as kfac_layers
 from repro.kfac.layers import KFACConv2dLayer, KFACLinearLayer, make_kfac_layer
 from repro.nn import functional as F
+from repro.optim import GradScaler
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
 
 RNG = np.random.default_rng(21)
@@ -163,9 +165,11 @@ class TestRunningAverages:
         ones = np.eye(5, dtype=np.float32)
         twos = 2 * np.eye(5, dtype=np.float32)
         gid = np.eye(3, dtype=np.float32)
-        handler.update_factors(ones, gid, factor_decay=0.9)
-        handler.update_factors(twos, gid, factor_decay=0.9)
+        # update_factors consumes its arguments (the fold scales them in place), so hand over copies.
+        handler.update_factors(ones.copy(), gid.copy(), factor_decay=0.9)
+        handler.update_factors(twos.copy(), gid.copy(), factor_decay=0.9)
         np.testing.assert_allclose(handler.factor_a, 0.9 * ones + 0.1 * twos, rtol=1e-5)
+        np.testing.assert_allclose(handler.factor_g, gid, rtol=1e-6)
 
     def test_fp16_storage(self):
         layer, handler = make_linear_handler(precision=PrecisionPolicy.amp())
@@ -248,17 +252,35 @@ class TestGradientRoundTrip:
         assert not handler.has_accumulated_data
 
 
+#: Per layer kind: the input shape its module takes, the node attribute its handler reads,
+#: and how many activation rows one sample of that input contributes to A.
+NODE_KINDS = {
+    "conv": ((2, 6, 6), "cols", 3 * 3),
+    "bn": ((2, 6, 6), "x_hat", 2 * 6 * 6),
+    "linear": ((5, 4), "x2", 5),
+    "ln": ((5, 4), "x_hat", 5 * 4),
+}
+
+
 class TestForwardNodeReuse:
-    """Conv2d / BatchNorm2d handlers read what the forward call's autograd node already built."""
+    """Handlers read what the forward call's autograd node already built."""
 
     @staticmethod
     def make(kind):
         if kind == "conv":
             module = nn.Conv2d(2, 3, 3, stride=2, padding=1, bias=True, rng=np.random.default_rng(0))
-        else:
+        elif kind == "bn":
             module = nn.BatchNorm2d(2)
+        elif kind == "linear":
+            module = nn.Linear(4, 3, rng=np.random.default_rng(0))
+        else:
+            module = nn.LayerNorm(4)
         handler = make_kfac_layer("layer", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
         return module, handler
+
+    @staticmethod
+    def batch(kind, n=3):
+        return RNG.standard_normal((n,) + NODE_KINDS[kind][0]).astype(np.float32)
 
     @staticmethod
     def forbid_recompute(monkeypatch):
@@ -267,6 +289,20 @@ class TestForwardNodeReuse:
 
         monkeypatch.setattr(kfac_layers, "conv_patch_matrix", fail)
         monkeypatch.setattr(kfac_layers, "batch_normalize", fail)
+        monkeypatch.setattr(kfac_layers, "layer_normalize", fail)
+
+    @pytest.mark.parametrize("kind", list(NODE_KINDS))
+    def test_a_statistics_come_from_the_node_not_from_the_hook_input(self, kind, monkeypatch):
+        """Hand the handler garbage as the module input: with a graph recorded it never looks at it."""
+        self.forbid_recompute(monkeypatch)
+        layer, handler = self.make(kind)
+        x = self.batch(kind)
+        out = layer(Tensor(x))
+        expected, count = handler._a_accum.copy(), handler._a_count
+        handler.reset_accumulators()
+        handler._accumulate_a(np.full_like(x, np.nan), out)
+        np.testing.assert_array_equal(handler._a_accum, expected)
+        assert handler._a_count == count == 3 * NODE_KINDS[kind][2]
 
     def test_conv_a_from_captured_columns_matches_im2col_brute_force(self, monkeypatch):
         """Bias, stride 2 and two accumulated micro-batches."""
@@ -283,18 +319,18 @@ class TestForwardNodeReuse:
         rows = np.concatenate(rows)
         np.testing.assert_allclose(a_new, rows.T @ rows / rows.shape[0], rtol=1e-4)
 
-    @pytest.mark.parametrize("kind", ["conv", "bn"])
+    @pytest.mark.parametrize("kind", list(NODE_KINDS))
     def test_eval_forward_under_no_grad_neither_accumulates_nor_fails(self, kind):
         layer, handler = self.make(kind)
         layer.eval()
         with no_grad():
-            out = layer(Tensor(RNG.standard_normal((2, 2, 6, 6)).astype(np.float32)))
+            out = layer(Tensor(self.batch(kind, 2)))
         assert out._ctx is None and not handler.has_accumulated_data and handler._a_accum is None
 
-    @pytest.mark.parametrize("kind", ["conv", "bn"])
+    @pytest.mark.parametrize("kind", list(NODE_KINDS))
     def test_training_forward_without_a_graph_falls_back_to_the_shared_kernel(self, kind):
         """No node to read from (``no_grad``): same statistics, from the kernel the node itself calls."""
-        x = RNG.standard_normal((3, 2, 6, 6)).astype(np.float32)
+        x = self.batch(kind)
         layer, handler = self.make(kind)
         layer(Tensor(x))
         captured = handler._a_accum.copy()
@@ -302,16 +338,189 @@ class TestForwardNodeReuse:
         with no_grad():
             assert layer(Tensor(x))._ctx is None
         np.testing.assert_array_equal(handler._a_accum, captured)
-        assert handler._a_count == (3 * 3 * 3 if kind == "conv" else 3 * 2 * 6 * 6)
+        assert handler._a_count == 3 * NODE_KINDS[kind][2]
 
-    @pytest.mark.parametrize("kind,attr", [("conv", "cols"), ("bn", "x_hat")])
+    @pytest.mark.parametrize("kind,attr", [(kind, spec[1]) for kind, spec in NODE_KINDS.items()])
     def test_node_buffer_dies_with_the_graph(self, kind, attr):
-        """Neither the module nor the handler keeps the patch matrix / x-hat alive."""
+        """Neither the module nor the handler keeps the patch matrix / activation / x-hat alive."""
         layer, handler = self.make(kind)
-        loss = layer(Tensor(RNG.standard_normal((2, 2, 6, 6)).astype(np.float32))).sum()
-        buffer = weakref.ref(getattr(loss._ctx.parents[0]._ctx, attr))
+        # A fresh array per call, so for Linear (whose node holds a view of its input) the buffer is the graph's.
+        loss = layer(Tensor(self.batch(kind, 2) + 1.0, requires_grad=True)).sum()
+        held = getattr(loss._ctx.parents[0]._ctx, attr)
+        buffer = weakref.ref(held if held.base is None else held.base)
+        del held
         loss.backward()
         assert buffer() is not None and handler._a_accum is not None
         del loss
         gc.collect()
         assert buffer() is None
+
+
+# ------------------------------------------------------------------------------ statistics
+def concat_gemm_a(activations, bias=True):
+    """The oracle's A statistic: append a column of ones to the rows, one float64 GEMM, divide by the count."""
+    rows = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1, a.shape[-1]) for a in activations])
+    if bias:
+        rows = np.concatenate([rows, np.ones((rows.shape[0], 1))], axis=1)
+    return rows.T @ rows / rows.shape[0]
+
+
+def scaled_gemm_g(grads):
+    """The oracle's G statistic: every micro-batch's rows scaled by its own row count, then one GEMM."""
+    rows = np.concatenate([np.asarray(g, dtype=np.float64).reshape(-1, g.shape[-1]) * (g.size // g.shape[-1]) for g in grads])
+    return rows.T @ rows / rows.shape[0]
+
+
+def layer_norm_rows(x, eps):
+    x = np.asarray(x, dtype=np.float64)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return (centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)).reshape(-1, 1)
+
+
+def batch_norm_rows(x, eps):
+    x = np.asarray(x, dtype=np.float64)
+    centered = x - x.mean(axis=(0, 2, 3), keepdims=True)
+    return (centered / np.sqrt((centered**2).mean(axis=(0, 2, 3), keepdims=True) + eps)).reshape(-1, 1)
+
+
+def make_handler(module, scale=1.0, dense_factors=False, precision=None):
+    return make_kfac_layer(
+        "layer", module, precision or PrecisionPolicy.fp32(), lambda: True, lambda: scale, dense_factors=dense_factors
+    )
+
+
+def capture_output_grads(module):
+    grads = []
+    module.register_full_backward_hook(lambda m, gi, go: grads.append(go[0].copy()))
+    return grads
+
+
+class TestNodeStatistics:
+    """Factor statistics read from the node equal the concat-and-GEMM oracle, and are exactly symmetric."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("leading", [(8,), (3, 5), (2, 3, 4)])
+    def test_linear_factors_match_the_oracle_over_two_micro_batches(self, leading, bias):
+        layer = nn.Linear(6, 4, bias=bias, rng=np.random.default_rng(0))
+        handler = make_handler(layer)
+        grads = capture_output_grads(layer)
+        batches = [RNG.standard_normal(leading + (6,)).astype(np.float32), RNG.standard_normal((7,) + leading[1:] + (6,)).astype(np.float32)]
+        for x in batches:  # two micro-batches of different sizes
+            (layer(Tensor(x)) ** 2).mean().backward()
+        a_new, g_new = handler.compute_batch_factors()
+        assert a_new.dtype == g_new.dtype == np.float32
+        np.testing.assert_allclose(a_new, concat_gemm_a(batches, bias), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(g_new, scaled_gemm_g(grads), rtol=1e-4, atol=1e-9)
+        # syrk computes one triangle and mirrors it: symmetric to the bit, which a GEMM never promised.
+        np.testing.assert_array_equal(a_new, a_new.T)
+        np.testing.assert_array_equal(g_new, g_new.T)
+
+    def test_linear_bias_coordinate_is_the_column_sums_and_the_count(self):
+        layer = nn.Linear(5, 3, rng=np.random.default_rng(0))
+        handler = make_handler(layer)
+        x = RNG.standard_normal((4, 6, 5)).astype(np.float32)
+        layer(Tensor(x))
+        rows = x.reshape(-1, 5)
+        np.testing.assert_array_equal(handler._a_accum[5, :5], rows.sum(axis=0))
+        np.testing.assert_array_equal(handler._a_accum[:5, 5], rows.sum(axis=0))
+        assert handler._a_accum[5, 5] == 24 and handler._a_count == 24
+
+    def test_linear_float16_activation_is_cast_once_and_matches(self):
+        layer = nn.Linear(6, 4, rng=np.random.default_rng(0))
+        handler = make_handler(layer)
+        x = RNG.standard_normal((3, 5, 6)).astype(np.float16)
+        layer(Tensor(x))
+        a_new = handler._a_accum / handler._a_count
+        assert a_new.dtype == np.float32
+        np.testing.assert_allclose(a_new, concat_gemm_a([x]), rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(a_new, a_new.T)
+
+    @pytest.mark.parametrize("kind", ["ln", "bn"])
+    def test_norm_factors_match_the_oracle_over_two_micro_batches(self, kind):
+        if kind == "ln":
+            layer, shapes, normalize = nn.LayerNorm(6), [(3, 5, 6), (4, 5, 6)], layer_norm_rows
+        else:
+            layer, shapes, normalize = nn.BatchNorm2d(6), [(3, 6, 4, 2), (5, 6, 4, 2)], batch_norm_rows
+        layer.weight.data = RNG.uniform(0.5, 1.5, 6).astype(np.float32)
+        handler = make_handler(layer)
+        grads = capture_output_grads(layer)
+        batches = [(RNG.standard_normal(shape) * 2.0 + 0.3).astype(np.float32) for shape in shapes]
+        for x in batches:
+            (layer(Tensor(x)) ** 2).mean().backward()
+        a_new, g_new = handler.compute_batch_factors()
+        x_hat = [normalize(x, layer.eps) for x in batches]
+        np.testing.assert_allclose(a_new, concat_gemm_a(x_hat), rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(a_new, a_new.T)
+        assert a_new[1, 1] == 1.0  # count / count
+        if kind == "bn":  # (N, C, H, W) -> one row per (sample, location), scaled by the batch size N
+            grads = [g.transpose(0, 2, 3, 1).reshape(-1, 6) * (g.shape[0] / (g.size // 6)) for g in grads]
+        assert g_new.shape == (6,)  # stored as its diagonal
+        np.testing.assert_allclose(g_new, np.diag(scaled_gemm_g(grads)), rtol=1e-4)
+
+    @pytest.mark.parametrize("kind", ["linear", "ln", "bn"])
+    def test_grad_scaler_scale_is_divided_out_of_g(self, kind):
+        """AMP (section 4.1): a loss scale != 1 leaves the G statistic where scale 1 puts it."""
+
+        def run(scale):
+            if kind == "linear":
+                layer, shape = nn.Linear(6, 4, rng=np.random.default_rng(0)), (3, 5, 6)
+            elif kind == "ln":
+                layer, shape = nn.LayerNorm(6), (3, 5, 6)
+            else:
+                layer, shape = nn.BatchNorm2d(6), (3, 6, 4, 2)
+            scaler = GradScaler(init_scale=scale)
+            handler = make_handler(layer, scale=scaler.get_scale())
+            x = np.random.default_rng(5).standard_normal(shape).astype(np.float32)
+            scaler.scale((layer(Tensor(x)) ** 2).mean()).backward()
+            return handler.compute_batch_factors()
+
+        (a_plain, g_plain), (a_scaled, g_scaled) = run(1.0), run(1024.0)
+        np.testing.assert_array_equal(a_scaled, a_plain)
+        np.testing.assert_allclose(g_scaled, g_plain, rtol=1e-5)
+
+    def test_dense_factors_store_the_same_statistics_densely(self):
+        """The forced-dense oracle: LayerNorm's G as a dense matrix holding the packed diagonal, A identical."""
+        x = RNG.standard_normal((3, 5, 6)).astype(np.float32)
+        results = {}
+        for dense in (False, True):
+            layer = nn.LayerNorm(6)
+            handler = make_handler(layer, dense_factors=dense)
+            (layer(Tensor(x)) ** 2).mean().backward()
+            results[dense] = handler.compute_batch_factors()
+        (a_packed, g_packed), (a_dense, g_dense) = results[False], results[True]
+        np.testing.assert_array_equal(a_dense, a_packed)
+        assert g_packed.shape == (6,) and g_dense.shape == (6, 6)
+        np.testing.assert_array_equal(g_dense, np.diag(g_packed))
+
+    def test_dense_factors_preconditioner_matches_structured_on_linear_and_layernorm(self):
+        """End to end through KFAC: node-read statistics, both storage modes, identical gradients."""
+
+        class Net(nn.Module):
+            def __init__(self):
+                super().__init__()
+                rng = np.random.default_rng(0)
+                self.fc1, self.norm, self.fc2 = nn.Linear(6, 8, rng=rng), nn.LayerNorm(8), nn.Linear(8, 3, bias=False, rng=rng)
+
+            def forward(self, x):
+                return self.fc2(self.norm(self.fc1(x)).relu())
+
+        x = RNG.standard_normal((4, 5, 6)).astype(np.float32)
+        grads = {}
+        for dense in (False, True):
+            net = Net()
+            pre = KFAC(net, factor_update_freq=1, inv_update_freq=1, dense_factors=dense)
+            for _ in range(2):
+                net.zero_grad()
+                (net(Tensor(x)) ** 2).mean().backward()
+                pre.step()
+            grads[dense] = np.concatenate([p.grad.ravel() for p in net.parameters()])
+        np.testing.assert_array_equal(grads[True], grads[False])
+
+    def test_compute_batch_factors_averages_in_place(self):
+        layer = nn.Linear(4, 3, rng=np.random.default_rng(0))
+        handler = make_handler(layer)
+        (layer(Tensor(RNG.standard_normal((8, 4)).astype(np.float32))) ** 2).mean().backward()
+        a_accum, g_accum = handler._a_accum, handler._g_accum
+        a_new, g_new = handler.compute_batch_factors()
+        assert a_new is a_accum and g_new is g_accum  # handed over, not copied
+        assert not handler.has_accumulated_data

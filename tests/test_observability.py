@@ -297,7 +297,6 @@ def test_write_bench_json_envelope(tmp_path):
     assert set(run["env"]) == {
         "REPRO_TRACE",
         "REPRO_SANITIZE",
-        "REPRO_KERNEL",
     }
 
 

@@ -141,6 +141,55 @@ class TestReductionsAndShapes:
         out.sum().backward()
         np.testing.assert_allclose(t.grad, [2.0, 0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "index",
+        [
+            np.array([3, 0, 3, 3, 1, 0]),  # duplicates, unsorted
+            np.array([-1, 2, -4, 2, 3, -1]),  # negative rows alias positive ones (row -1 is row 3, -4 is 0)
+            np.array([], dtype=np.int64),  # nothing gathered
+            np.array([[1, 1, 0], [3, 1, -2]]),  # a 2-D index (batch x sequence of token ids)
+            np.array([2, 0, 1], dtype=np.uint8),  # unsigned, no duplicates
+        ],
+        ids=["duplicates", "negative", "empty", "two-dimensional", "unsigned"],
+    )
+    def test_getitem_row_gather_backward_equals_add_at(self, index, dtype):
+        """Integer-array rows of a 2-D source: the sort-and-segment-sum scatter against ``np.add.at``."""
+        rng = np.random.default_rng(7)
+        source = Tensor(rng.standard_normal((4, 5)).astype(dtype), requires_grad=True)
+        out = source[index]
+        assert out.shape == index.shape + (5,)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(grad)
+        expected = np.zeros((4, 5), dtype=dtype)
+        np.add.at(expected, index, grad)
+        assert source.grad.dtype == dtype
+        # Equal up to the association order of a repeated row's sum; exact where no row repeats.
+        np.testing.assert_allclose(source.grad, expected, rtol=1e-6 if dtype is np.float32 else 1e-14, atol=0)
+        if np.unique(index % 4).size == index.size:
+            np.testing.assert_array_equal(source.grad, expected)
+        untouched = np.setdiff1d(np.arange(4), index % 4)
+        assert not source.grad[untouched].any()
+
+    def test_getitem_other_index_forms_keep_their_gradients(self):
+        """Slices, tuples of arrays, boolean masks and 1-D / 3-D sources take the generic scatter."""
+        rng = np.random.default_rng(8)
+        cases = [
+            ((4, 5), (np.array([0, 0, 2]), np.array([1, 1, 4]))),  # the masked-LM loss's (row, target) gather
+            ((4, 5), slice(1, 3)),
+            ((4, 5), np.array([True, False, True, True])),
+            ((6,), np.array([0, 0, 5, -1])),
+            ((3, 4, 2), np.array([2, 2, 0])),
+        ]
+        for shape, index in cases:
+            source = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+            out = source[index]
+            grad = rng.standard_normal(out.shape).astype(np.float32)
+            out.backward(grad)
+            expected = np.zeros(shape, dtype=np.float32)
+            np.add.at(expected, index, grad)
+            np.testing.assert_array_equal(source.grad, expected)
+
     def test_concatenate_forward_backward(self):
         a = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
         b = Tensor(np.full((3, 2), 2.0, dtype=np.float32), requires_grad=True)
