@@ -9,10 +9,15 @@ class, :class:`KernelBackend`, registered under one name (``batched``):
 * **eigendecomposition** over shape-grouped factor stacks: small factors
   (dim <= :data:`STACK_EIGH_MAX_DIM`) are stacked and decomposed in one
   ``np.linalg.eigh`` call (amortising the per-call LAPACK setup that dominates
-  at those sizes), larger factors go one by one through LAPACK's
-  divide-and-conquer ``syevd`` driver, which is 1.6-1.9x faster than SciPy's
-  default ``syevr`` at BERT-sized dimensions.  Factors are symmetrised and
-  checked for non-finite entries first;
+  at those sizes), larger factors go one by one through
+  :func:`~repro.kfac.kmath.symmetric_eigen`: LAPACK's divide-and-conquer
+  ``syevd`` (1.6-1.9x faster than ``syevr`` at BERT-sized dimensions), called
+  on the C pointer ``scipy.linalg.cython_lapack`` publishes, so the interpreter
+  lock is released for the solve and the threaded ranks of one process
+  decompose their shares of the factors at the same time.  Factors are
+  symmetrised first; the ``syevd`` path also rejects non-finite entries and a
+  non-zero LAPACK ``info`` with an error that says which member of the group
+  failed (``error.batch_index``);
 * **in-place decay fold**: ``new *= 1-decay; running *= decay; running +=
   new`` on the window average the caller hands over, so a float32 factor is
   updated without a temporary or a held scratch buffer;
@@ -35,11 +40,15 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
 
 * ``fused_decay_update``, ``precondition_contract`` -- **bitwise** equal for
   float32 state (identical elementwise/BLAS operations in the identical order);
+* the ``syevd`` call itself -- **bitwise** the eigenvalues and eigenvectors
+  SciPy's own wrapper of that driver returns (the same routine on the same
+  symmetrised input; SciPy is the test-side reference, ``src/`` does not call
+  it);
 * ``batched_symmetric_eigen`` -- ``syevd`` and the stacked path are exact
-  eigendecompositions but not bit-identical to ``syevr``, so parity is
-  asserted on the *preconditioned gradients* (which are invariant to the
-  eigenbasis ambiguity) at float32 resolution (``rtol=5e-3`` with an ``atol``
-  scaled to the gradient magnitude);
+  eigendecompositions but not bit-identical to ``syevr``, so parity with the
+  oracle is asserted on the *preconditioned gradients* (which are invariant to
+  the eigenbasis ambiguity) at float32 resolution (``rtol=5e-3`` with an
+  ``atol`` scaled to the gradient magnitude);
 * ``kl_clip_accumulate`` -- a different float64 summation order, which
   perturbs the scalar ``nu`` by O(1e-12) relative.
 """
@@ -166,7 +175,8 @@ class KernelBackend:
         shape before dispatch).  Results are per-matrix identical regardless
         of batch composition (LAPACK is applied matrix-by-matrix under the
         hood), so distributed plans stay deterministic even though different
-        ranks batch different factor subsets.
+        ranks batch different factor subsets.  An error raised by the solve
+        of one member carries its position as ``error.batch_index``.
         """
         factors = list(factors)
         if not factors:
@@ -180,12 +190,18 @@ class KernelBackend:
                     f"batched_symmetric_eigen requires same-shape factors, got {factor.shape} and {(n, n)}"
                 )
         if n > STACK_EIGH_MAX_DIM:
-            return [
-                symmetric_eigen(
-                    factor, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
-                )
-                for factor in factors
-            ]
+            decompositions = []
+            for index, factor in enumerate(factors):
+                try:
+                    decompositions.append(
+                        symmetric_eigen(
+                            factor, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+                        )
+                    )
+                except (ValueError, np.linalg.LinAlgError) as error:
+                    error.batch_index = index  # lets the caller name the factor
+                    raise
+            return decompositions
         compute_dtype = np.dtype(compute_dtype)
         solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
         stack = np.stack([factor.astype(solve_dtype, copy=False) for factor in factors])

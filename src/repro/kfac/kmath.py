@@ -12,11 +12,12 @@ Implements the paper's equations:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import cython_lapack
 
 __all__ = [
     "EigenDecomposition",
@@ -77,6 +78,54 @@ def eigh_solve_dtype(compute_dtype, eigh_dtype=None) -> np.dtype:
     return np.promote_types(compute_dtype, np.float32)
 
 
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _bind_syevd(name: str, real: str):
+    """LAPACK ``?syevd`` as a ``ctypes`` function on the C pointer SciPy publishes for it.
+
+    ``scipy.linalg.cython_lapack.__pyx_capi__`` holds one capsule per routine,
+    named by its C signature, so that other extensions can call LAPACK without
+    linking it (the route numba takes).  A ``ctypes`` foreign call releases the
+    interpreter lock for its duration, which SciPy's and NumPy's own ``eigh``
+    wrappers do not: threaded ranks decompose their factors side by side.
+    There is no fallback, so a SciPy whose capsule reads differently fails at
+    import, naming both signatures.
+    """
+    scalar = f"__pyx_t_5scipy_6linalg_13cython_lapack_{real}"
+    expected = f"void (char *, char *, int *, {scalar} *, int *, {scalar} *, {scalar} *, int *, int *, int *, int *)"
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    if signature != expected.encode():
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} has signature {signature!r}, expected {expected!r}")
+    int_p = ctypes.POINTER(ctypes.c_int)
+    prototype = ctypes.CFUNCTYPE(
+        None,
+        ctypes.c_char_p,  # jobz
+        ctypes.c_char_p,  # uplo
+        int_p,  # n
+        ctypes.c_void_p,  # a
+        int_p,  # lda
+        ctypes.c_void_p,  # w
+        ctypes.c_void_p,  # work
+        int_p,  # lwork
+        ctypes.c_void_p,  # iwork
+        int_p,  # liwork
+        int_p,  # info
+    )
+    return prototype(_capsule_pointer(capsule, signature))
+
+
+#: Solve dtype -> the LAPACK divide-and-conquer routine for it, bound once at import.
+_SYEVD = {
+    np.dtype(np.float32): _bind_syevd("ssyevd", "s"),
+    np.dtype(np.float64): _bind_syevd("dsyevd", "d"),
+}
+
+
 def symmetric_eigen(
     factor: np.ndarray,
     compute_dtype=np.float32,
@@ -94,18 +143,54 @@ def symmetric_eigen(
     fp32 and fp64 policies in fp64.  ``eigh_dtype`` overrides the solve
     precision explicitly (e.g. ``np.float64`` to force a double-precision
     decomposition under an fp32 policy).  The solver is LAPACK's
-    divide-and-conquer ``syevd``: all eigenpairs are wanted, and at K-FAC
-    factor sizes it is 1.6-1.9x faster than SciPy's default ``syevr``.
+    divide-and-conquer ``syevd`` (all eigenpairs are wanted, and at K-FAC
+    factor sizes it is 1.6-1.9x faster than ``syevr``), called without the
+    interpreter lock (:func:`_bind_syevd`); this is the only place that calls
+    it.  The input is not modified.
+
+    Raises ``ValueError`` for a factor with non-finite entries and
+    ``np.linalg.LinAlgError`` when LAPACK reports ``info != 0``, both naming
+    the dimension.
     """
     if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
         raise ValueError(f"factor must be square, got shape {factor.shape}")
     compute_dtype = np.dtype(compute_dtype)
-    work = factor.astype(eigh_solve_dtype(compute_dtype, eigh_dtype), copy=False)
-    # Symmetrize to protect against accumulation drift before decomposition.
-    work = 0.5 * (work + work.T)
-    eigenvalues, eigenvectors = sla.eigh(work, driver="evd")
+    solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
+    if solve_dtype not in _SYEVD:
+        raise TypeError(f"eigen solve dtype must be float32 or float64, got {solve_dtype}")
+    n = factor.shape[0]
+    lwork, liwork = 1 + 6 * n + 2 * n * n, 3 + 5 * n
+    if lwork > np.iinfo(np.intc).max:
+        raise ValueError(f"factor of dimension {n} needs a workspace beyond LAPACK's 32-bit sizes")
+    work = factor.astype(solve_dtype, copy=False)
+    # Symmetrize (protects against accumulation drift) straight into the
+    # column-major buffer LAPACK overwrites with the eigenvectors.
+    eigenvectors = np.empty((n, n), dtype=solve_dtype, order="F")
+    np.add(work, work.T, out=eigenvectors)
+    eigenvectors *= 0.5
+    if not np.isfinite(eigenvectors).all():
+        raise ValueError(f"factor of dimension {n} contains infs or NaNs")
+    eigenvalues = np.empty(n, dtype=solve_dtype)
+    scratch = np.empty(lwork, dtype=solve_dtype)
+    iscratch = np.empty(liwork, dtype=np.intc)
+    order, info = ctypes.c_int(n), ctypes.c_int(0)
+    _SYEVD[solve_dtype](
+        b"V",
+        b"L",
+        order,
+        eigenvectors.ctypes.data,
+        order,
+        eigenvalues.ctypes.data,
+        scratch.ctypes.data,
+        ctypes.c_int(lwork),
+        iscratch.ctypes.data,
+        ctypes.c_int(liwork),
+        info,
+    )
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"syevd failed on a factor of dimension {n}: info={info.value}")
     if clamp_negative:
-        eigenvalues = np.maximum(eigenvalues, 0.0)
+        np.maximum(eigenvalues, 0.0, out=eigenvalues)
     return EigenDecomposition(
         eigenvectors=eigenvectors.astype(compute_dtype, copy=False),
         eigenvalues=eigenvalues.astype(compute_dtype, copy=False),

@@ -76,6 +76,12 @@ from .strategy import DistributionStrategy, LayerWorkGroups
 __all__ = ["KFAC"]
 
 
+def _named_eigen_failure(error: Exception, culprits: Sequence[tuple]) -> Exception:
+    """``error`` from a kernel's eigen solve, re-worded to say which ``(layer name, 'a' | 'g', ...)`` it was."""
+    named = ", ".join(f"{which.upper()} factor of layer {name!r}" for name, which, *_ in culprits)
+    return type(error)(f"eigendecomposition of the {named} failed: {error}")
+
+
 class KFAC(Preconditioner):
     """K-FAC second-order gradient preconditioner with a tunable memory footprint."""
 
@@ -538,7 +544,9 @@ class KFAC(Preconditioner):
         dense factors are grouped by shape/dtype and each group goes through
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
         call.  Only due layers enter a batch, so the scheduler's skip
-        decisions are preserved.
+        decisions are preserved.  A solve that fails (a non-finite factor, a
+        LAPACK ``info``) is re-raised naming its layer and factor, before any
+        layer's previous decomposition has been replaced.
         """
         tasks: List[tuple] = []
         for name in names:
@@ -546,8 +554,8 @@ class KFAC(Preconditioner):
                 tasks.append((name, which))
         compute = self.precision.compute_dtype
         store = self.precision.inverse_dtype
+        done: List[tuple] = []  # (name, which, decomposition): installed only once every solve succeeded
         shape_groups: Dict[tuple, List[tuple]] = {}
-        structured_count = 0
         for name, which in tasks:
             layer = self.layers[name]
             factor = layer.factor_a if which == "a" else layer.factor_g
@@ -558,29 +566,27 @@ class KFAC(Preconditioner):
                 # Structured factors have their own fast path (a spectrum
                 # clamp for diagonal, a per-block batch for block-diagonal)
                 # and never enter the square shape-grouped batches below.
-                decomposition = self.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
-                if which == "a":
-                    layer.eigen_a = decomposition.astype(store)
-                else:
-                    layer.eigen_g = decomposition.astype(store)
-                structured_count += 1
+                try:
+                    decomposition = self.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
+                except (ValueError, np.linalg.LinAlgError) as error:
+                    raise _named_eigen_failure(error, [(name, which)]) from error
+                done.append((name, which, decomposition))
                 continue
             key = (factor.shape, factor.dtype.str)
-            shape_groups.setdefault(key, []).append((name, which))
-        batch_sizes: List[int] = []
+            shape_groups.setdefault(key, []).append((name, which, factor))
+        structured_count = len(done)
         for members in shape_groups.values():
-            factors = []
-            for name, which in members:
-                layer = self.layers[name]
-                factors.append(layer.factor_a if which == "a" else layer.factor_g)
-            decompositions = self.kernels.batched_symmetric_eigen(factors, compute_dtype=compute)
-            for (name, which), decomposition in zip(members, decompositions):
-                layer = self.layers[name]
-                if which == "a":
-                    layer.eigen_a = decomposition.astype(store)
-                else:
-                    layer.eigen_g = decomposition.astype(store)
-            batch_sizes.append(len(members))
+            try:
+                decompositions = self.kernels.batched_symmetric_eigen(
+                    [factor for _, _, factor in members], compute_dtype=compute
+                )
+            except (ValueError, np.linalg.LinAlgError) as error:
+                index = getattr(error, "batch_index", None)
+                raise _named_eigen_failure(error, members if index is None else [members[index]]) from error
+            done.extend((name, which, dec) for (name, which, _), dec in zip(members, decompositions))
+        for name, which, decomposition in done:
+            setattr(self.layers[name], "eigen_a" if which == "a" else "eigen_g", decomposition.astype(store))
+        batch_sizes = [len(members) for members in shape_groups.values()]
         if self.tracer.enabled:
             self.tracer.instant(
                 "kfac/kernel_dispatch",

@@ -20,7 +20,7 @@ class ReLU(Module):
 
 
 class GELU(Module):
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation), one autograd node per call."""
 
     def forward(self, x: Tensor) -> Tensor:
         return gelu(x)
@@ -50,7 +50,7 @@ class Tanh(Module):
 
 
 class Softmax(Module):
-    """Softmax along a fixed axis."""
+    """Softmax along a fixed axis, one autograd node per call."""
 
     def __init__(self, axis: int = -1) -> None:
         super().__init__()

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from .dropout import Dropout
-from .functional import softmax
+from .functional import scaled_dot_product_attention
 from .linear import Linear
 from .module import Module
 
@@ -21,7 +21,9 @@ class MultiHeadSelfAttention(Module):
 
     The query/key/value/output projections are plain :class:`Linear` layers,
     which is exactly the layer population KAISA preconditions inside each
-    BERT transformer block.
+    BERT transformer block; everything between them (scores, padding bias,
+    softmax, attention dropout, context) is one autograd node,
+    :func:`~repro.nn.functional.scaled_dot_product_attention`.
     """
 
     def __init__(
@@ -53,15 +55,16 @@ class MultiHeadSelfAttention(Module):
         k = self._split_heads(self.key(x), batch, length)
         v = self._split_heads(self.value(x), batch, length)
 
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
+        bias = None
         if attention_mask is not None:
             # attention_mask: (N, L) with 1 for valid tokens, 0 for padding.
-            mask = np.asarray(attention_mask, dtype=x.dtype)
+            mask = np.asarray(attention_mask, dtype=q.dtype)
             bias = (1.0 - mask)[:, None, None, :] * -1e4
-            scores = scores + Tensor(bias.astype(x.dtype))
-        weights = softmax(scores, axis=-1)
-        weights = self.dropout(weights)
-        context = weights @ v  # (N, H, L, d)
+        # Attention dropout acts on the softmax weights; the mask comes from the Dropout module's stream.
+        dropout_mask = self.dropout.keep_mask((batch, self.num_heads, length, length), q.dtype)
+        context = scaled_dot_product_attention(
+            q, k, v, bias, 1.0 / math.sqrt(self.head_dim), dropout_mask
+        )  # (N, H, L, d)
         context = context.transpose(0, 2, 1, 3).reshape(batch, length, self.embed_dim)
         return self.out(context)
 

@@ -22,12 +22,16 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = rng if rng is not None else np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
+    def keep_mask(self, shape, dtype) -> Optional[np.ndarray]:
+        """Draw this call's mask (``0`` or ``1/keep`` per element); ``None`` when dropout is inactive."""
         if not self.training or self.p == 0.0:
-            return x
+            return None
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * Tensor(mask)
+        return (self._rng.random(shape) < keep).astype(dtype) / keep
+
+    def forward(self, x: Tensor) -> Tensor:
+        mask = self.keep_mask(x.shape, x.dtype)
+        return x if mask is None else x * Tensor(mask)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

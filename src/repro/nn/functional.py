@@ -1,13 +1,16 @@
-"""Functional building blocks: the fused layer nodes, softmax, gelu, one-hot.
+"""Functional building blocks: the fused layer nodes, log-softmax, one-hot.
 
-``Conv2d``, ``BatchNorm2d``, ``Linear`` and ``LayerNorm`` each run as a single
-autograd node (:class:`Conv2dFunction`, :class:`BatchNorm2dFunction`,
-:class:`LinearFunction`, :class:`LayerNormFunction`) whose backward is written
-out by hand, ``needs_input_grad``-aware.  A node keeps the one buffer the
-layer's K-FAC statistics are the second moment of -- the patch matrix, the
-flattened activation, ``x_hat`` -- so the handlers in :mod:`repro.kfac.layers`
-read ``output._ctx`` instead of rebuilding it; the buffer dies with the graph.
-Attention, softmax, GELU and the losses are still composites of tensor ops.
+``Conv2d``, ``BatchNorm2d``, ``Linear``, ``LayerNorm``, ``GELU``, softmax, the
+attention core and the masked-LM loss each run as a single autograd node
+(:class:`Conv2dFunction`, :class:`BatchNorm2dFunction`, :class:`LinearFunction`,
+:class:`LayerNormFunction`, :class:`GeluFunction`, :class:`SoftmaxFunction`,
+:class:`AttentionFunction`, :class:`MaskedLMLossFunction`) whose backward is
+written out by hand, ``needs_input_grad``-aware.  A layer node keeps the one
+buffer the layer's K-FAC statistics are the second moment of -- the patch
+matrix, the flattened activation, ``x_hat`` -- so the handlers in
+:mod:`repro.kfac.layers` read ``output._ctx`` instead of rebuilding it; the
+buffer dies with the graph.  ``log_softmax`` (under ``CrossEntropyLoss``) is
+still a composite of tensor ops.
 
 Patch extraction has one implementation (:func:`_extract_patches` and its
 adjoint :func:`_fold_patches`) that works on a *slab* ``(A, H, W, B)`` -- the
@@ -47,8 +50,10 @@ __all__ = [
     "layer_normalize",
     "layer_norm",
     "softmax",
+    "scaled_dot_product_attention",
     "log_softmax",
     "gelu",
+    "masked_lm_loss",
     "one_hot",
 ]
 
@@ -387,11 +392,99 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
     return LayerNormFunction.apply(x, weight, bias, eps=float(eps))
 
 
+# --------------------------------------------------------------------------
+# Softmax and fused attention
+# --------------------------------------------------------------------------
+def _softmax(scores: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable softmax along ``axis``; ``out=scores`` overwrites the input."""
+    out = np.subtract(scores, scores.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_backward(
+    grad: np.ndarray, weights: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Gradient of the softmax input, ``w * (g - sum(g * w))``; ``out=grad`` overwrites the gradient."""
+    out = np.subtract(grad, (grad * weights).sum(axis=axis, keepdims=True), out=out)
+    out *= weights
+    return out
+
+
+class SoftmaxFunction(Function):
+    """Softmax along one axis as a single autograd node (on the kernel the attention node runs)."""
+
+    def forward(self, x, *, axis):
+        out = _softmax(x, axis)
+        self.save_for_backward(out, axis)
+        return out
+
+    def backward(self, grad):
+        out, axis = self.saved
+        return (_softmax_backward(grad, out, axis),)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis`` as a single autograd node."""
+    return SoftmaxFunction.apply(x, axis=axis)
+
+
+class AttentionFunction(Function):
+    """The core of multi-head attention over ``(N, H, L, d)`` heads as one autograd node.
+
+    ``softmax(q kᵀ * scale + bias) [* dropout_mask] @ v``: two batched GEMMs
+    with the scale, the additive padding bias and the softmax applied in place
+    on the one ``(N, H, L, L)`` score buffer between them.  The softmax weights
+    stay on the node for ``backward``, which is three elementwise passes over
+    that shape and four batched GEMMs, each skipped when its parent is dead.
+    """
+
+    def forward(self, q, k, v, bias=None, *, scale, dropout_mask=None):
+        weights = q @ np.swapaxes(k, -1, -2)
+        weights *= scale
+        if bias is not None:
+            weights += bias
+        _softmax(weights, out=weights)
+        self.save_for_backward(q, k, v, weights, scale, dropout_mask)
+        return (weights if dropout_mask is None else weights * dropout_mask) @ v
+
+    def backward(self, grad):
+        q, k, v, weights, scale, dropout_mask = self.saved
+        needs_q, needs_k, needs_v = self.needs_input_grad
+        grad_q = grad_k = grad_v = None
+        if needs_v:
+            dropped = weights if dropout_mask is None else weights * dropout_mask
+            grad_v = np.swapaxes(dropped, -1, -2) @ grad
+        if needs_q or needs_k:
+            grad_scores = grad @ np.swapaxes(v, -1, -2)
+            if dropout_mask is not None:
+                grad_scores *= dropout_mask
+            _softmax_backward(grad_scores, weights, out=grad_scores)
+            grad_scores *= scale
+            if needs_q:
+                grad_q = grad_scores @ k
+            if needs_k:
+                grad_k = np.swapaxes(grad_scores, -1, -2) @ q
+        return grad_q, grad_k, grad_v
+
+
+def scaled_dot_product_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    bias: Optional[np.ndarray],
+    scale: float,
+    dropout_mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """``softmax(q kᵀ * scale + bias) @ v`` over ``(N, H, L, d)`` heads as a single autograd node.
+
+    ``bias`` is a constant added to the scores (``-1e4`` at padded keys,
+    broadcast over heads and queries) and ``dropout_mask`` a constant keep-mask
+    (``0`` or ``1/keep``) multiplied into the softmax weights; either may be
+    ``None``.
+    """
+    return AttentionFunction.apply(q, k, v, bias, scale=float(scale), dropout_mask=dropout_mask)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -400,13 +493,97 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
+# --------------------------------------------------------------------------
+# Fused GELU
+# --------------------------------------------------------------------------
 _GELU_CONST = float(np.sqrt(2.0 / np.pi))
+_GELU_CUBIC = 0.044715
+
+
+class GeluFunction(Function):
+    """GELU (tanh approximation) as one autograd node: ``0.5 x (1 + tanh(c (x + a x^3)))``.
+
+    ``x`` and ``t = tanh(inner)`` are kept; the backward is the closed form
+    ``0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)``, evaluated in two
+    temporaries of the activation's shape.
+    """
+
+    def forward(self, x):
+        inner = np.multiply(x, x, out=np.empty_like(x))
+        inner *= _GELU_CUBIC
+        inner += 1.0
+        inner *= x
+        inner *= _GELU_CONST
+        tanh = np.tanh(inner, out=inner)
+        self.save_for_backward(x, tanh)
+        out = tanh + 1.0
+        out *= x
+        out *= 0.5
+        return out
+
+    def backward(self, grad):
+        x, tanh = self.saved
+        slope = np.multiply(x, x, out=np.empty_like(x))
+        slope *= 3.0 * _GELU_CUBIC * _GELU_CONST
+        slope += _GELU_CONST  # d inner / dx
+        sech2 = np.multiply(tanh, tanh, out=np.empty_like(x))
+        np.subtract(1.0, sech2, out=sech2)
+        slope *= sech2
+        slope *= x
+        slope += tanh
+        slope += 1.0
+        slope *= 0.5
+        slope *= grad
+        return (slope,)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian Error Linear Unit (tanh approximation, as used in BERT)."""
-    inner = _GELU_CONST * (x + 0.044715 * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
+    """Gaussian Error Linear Unit (tanh approximation, as used in BERT) as a single autograd node."""
+    return GeluFunction.apply(x)
+
+
+# --------------------------------------------------------------------------
+# Fused masked-LM loss
+# --------------------------------------------------------------------------
+class MaskedLMLossFunction(Function):
+    """Mean cross entropy over the positions whose target is not ``ignore_index``, as one node.
+
+    Gathers the valid rows of the ``(N, L, V)`` logits, takes their
+    log-softmax and the mean negative log-likelihood of the targets; the
+    rows' softmax stays on the node, so ``backward`` writes ``(softmax -
+    onehot) / n`` into the valid rows of a zero gradient.  With every position
+    ignored the loss is zero and so is its gradient.
+    """
+
+    def forward(self, logits, targets, *, ignore_index):
+        flat_targets = targets.reshape(-1)
+        valid = np.flatnonzero(flat_targets != ignore_index)
+        picked = (np.arange(valid.size), flat_targets[valid])
+        probs = logits.reshape(-1, logits.shape[-1])[valid]
+        self.save_for_backward(logits.shape, valid, picked, probs)
+        if valid.size == 0:
+            return np.zeros((), dtype=logits.dtype)
+        probs -= probs.max(axis=-1, keepdims=True)
+        target_logits = probs[picked]
+        np.exp(probs, out=probs)
+        normalizer = probs.sum(axis=-1, keepdims=True)
+        probs /= normalizer
+        return -(target_logits - np.log(normalizer[:, 0])).mean()
+
+    def backward(self, grad):
+        shape, valid, picked, probs = self.saved
+        grad_logits = np.zeros(shape, dtype=probs.dtype)
+        if valid.size:
+            rows = probs * (grad / valid.size)
+            rows[picked] -= grad / valid.size
+            grad_logits.reshape(-1, shape[-1])[valid] = rows
+        return (grad_logits,)
+
+
+def masked_lm_loss(logits: Tensor, targets: np.ndarray, ignore_index: int = -100) -> Tensor:
+    """Masked-LM cross entropy of ``(N, L, V)`` logits against ``(N, L)`` integer targets as a single node."""
+    targets = np.asarray(targets, dtype=np.int64)
+    return MaskedLMLossFunction.apply(logits, targets, ignore_index=int(ignore_index))
 
 
 def one_hot(indices: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:

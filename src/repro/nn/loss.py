@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import Tensor
-from .functional import log_softmax
+from .functional import log_softmax, masked_lm_loss
 from .module import Module
 
 __all__ = [
@@ -52,16 +52,7 @@ class MaskedLMCrossEntropyLoss(Module):
         self.ignore_index = int(ignore_index)
 
     def forward(self, logits: Tensor, targets) -> Tensor:
-        targets = np.asarray(targets, dtype=np.int64)
-        n, length, vocab = logits.shape
-        flat_logits = logits.reshape(n * length, vocab)
-        flat_targets = targets.reshape(-1)
-        valid = np.nonzero(flat_targets != self.ignore_index)[0]
-        if valid.size == 0:
-            return (flat_logits * 0.0).sum()
-        selected = flat_logits[valid]
-        logp = log_softmax(selected, axis=-1)
-        return -logp[np.arange(valid.size), flat_targets[valid]].mean()
+        return masked_lm_loss(logits, targets, self.ignore_index)
 
 
 class BCEWithLogitsLoss(Module):

@@ -48,8 +48,9 @@ class LAMB(Optimizer):
             for param in group["params"]:
                 if param.grad is None:
                     continue
-                grad = param.grad.astype(np.float32)
-                data = param.data.astype(np.float32)
+                # float32 arithmetic throughout; float32 parameters are read where they are.
+                grad = param.grad.astype(np.float32, copy=False)
+                data = param.data.astype(np.float32, copy=False)
                 state = self.state_for(param)
                 if "step" not in state:
                     state["step"] = 0
@@ -57,13 +58,25 @@ class LAMB(Optimizer):
                     state["exp_avg_sq"] = np.zeros_like(data)
                 state["step"] += 1
                 step = state["step"]
-                state["exp_avg"] = beta1 * state["exp_avg"] + (1 - beta1) * grad
-                state["exp_avg_sq"] = beta2 * state["exp_avg_sq"] + (1 - beta2) * grad * grad
-                m_hat = state["exp_avg"] / (1 - beta1 ** step)
-                v_hat = state["exp_avg_sq"] / (1 - beta2 ** step)
-                update = m_hat / (np.sqrt(v_hat) + eps)
+                exp_avg, exp_avg_sq = state["exp_avg"], state["exp_avg_sq"]
+                # The moments are updated where they live; ``scratch`` holds each
+                # temporary in turn and ``update`` ends up as the new parameter.
+                scratch, update = np.empty_like(data), np.empty_like(data)
+                np.multiply(grad, 1 - beta1, out=scratch)
+                exp_avg *= beta1
+                exp_avg += scratch
+                np.multiply(grad, 1 - beta2, out=scratch)
+                scratch *= grad
+                exp_avg_sq *= beta2
+                exp_avg_sq += scratch
+                np.divide(exp_avg_sq, 1 - beta2 ** step, out=scratch)  # v_hat
+                np.sqrt(scratch, out=scratch)
+                scratch += eps
+                np.divide(exp_avg, 1 - beta1 ** step, out=update)  # m_hat
+                update /= scratch
                 if weight_decay != 0.0:
-                    update = update + weight_decay * data
+                    np.multiply(data, weight_decay, out=scratch)
+                    update += scratch
 
                 weight_norm = float(np.linalg.norm(data))
                 update_norm = float(np.linalg.norm(update))
@@ -73,4 +86,6 @@ class LAMB(Optimizer):
                         trust_ratio = min(max(trust_ratio, low), high)
                 else:
                     trust_ratio = 1.0
-                param.data = (data - lr * trust_ratio * update).astype(param.data.dtype)
+                update *= lr * trust_ratio
+                np.subtract(data, update, out=update)
+                param.data = update.astype(param.data.dtype, copy=False)

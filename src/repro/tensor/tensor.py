@@ -477,7 +477,11 @@ class Add(Function):
 
     def backward(self, grad):
         a_shape, b_shape = self.saved
-        return _unbroadcast(grad, a_shape), _unbroadcast(grad, b_shape)
+        needs_a, needs_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad, a_shape) if needs_a else None,
+            _unbroadcast(grad, b_shape) if needs_b else None,
+        )
 
 
 class Sub(Function):
@@ -487,7 +491,11 @@ class Sub(Function):
 
     def backward(self, grad):
         a_shape, b_shape = self.saved
-        return _unbroadcast(grad, a_shape), _unbroadcast(-grad, b_shape)
+        needs_a, needs_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad, a_shape) if needs_a else None,
+            _unbroadcast(-grad, b_shape) if needs_b else None,
+        )
 
 
 class Mul(Function):
@@ -497,7 +505,11 @@ class Mul(Function):
 
     def backward(self, grad):
         a, b = self.saved
-        return _unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)
+        needs_a, needs_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad * b, a.shape) if needs_a else None,
+            _unbroadcast(grad * a, b.shape) if needs_b else None,
+        )
 
 
 class Div(Function):
@@ -507,9 +519,10 @@ class Div(Function):
 
     def backward(self, grad):
         a, b = self.saved
+        needs_a, needs_b = self.needs_input_grad
         return (
-            _unbroadcast(grad / b, a.shape),
-            _unbroadcast(-grad * a / (b * b), b.shape),
+            _unbroadcast(grad / b, a.shape) if needs_a else None,
+            _unbroadcast(-grad * a / (b * b), b.shape) if needs_b else None,
         )
 
 
@@ -613,12 +626,12 @@ class MatMul(Function):
 
     def backward(self, grad):
         a, b = self.saved
-        if a.ndim == 2 and b.ndim == 2:
-            return grad @ b.T, a.T @ grad
-        # Batched matmul: contract over batch dimensions as needed.
-        grad_a = grad @ np.swapaxes(b, -1, -2)
-        grad_b = np.swapaxes(a, -1, -2) @ grad
-        return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
+        needs_a, needs_b = self.needs_input_grad
+        # Batched operands contract over their broadcast batch dimensions.
+        return (
+            _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape) if needs_a else None,
+            _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape) if needs_b else None,
+        )
 
 
 class Sum(Function):

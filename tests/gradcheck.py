@@ -1,4 +1,4 @@
-"""Numerical-gradient helpers shared by the test suite.
+"""Numerical-gradient and tape-inspection helpers shared by the test suite.
 
 Kept in a uniquely-named module (not ``conftest``) so test modules can import
 it by name under rootdir pytest runs, where ``benchmarks/conftest.py`` would
@@ -46,3 +46,15 @@ def check_gradient(build_loss, x: np.ndarray, atol: float = 1e-3, rtol: float = 
 
     numeric = numerical_gradient(scalar, np.asarray(x, dtype=np.float64))
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
+
+
+def graph_nodes(out: Tensor) -> list:
+    """Every distinct autograd node reachable from ``out`` (the leaves have none)."""
+    nodes, seen, stack = [], set(), [out]
+    while stack:
+        tensor = stack.pop()
+        if tensor._ctx is not None and id(tensor._ctx) not in seen:
+            seen.add(id(tensor._ctx))
+            nodes.append(tensor._ctx)
+            stack.extend(tensor._ctx.parents)
+    return nodes

@@ -6,7 +6,9 @@ decay blend and an Eq. 15-17 contraction that allocate their temporaries, and
 a ``sum(a * b)`` KL-clip accumulation.  ``tests/test_kfac_kernels.py`` and
 ``tests/test_factor_repr.py`` hold :class:`repro.kfac.KernelBackend` to it:
 bitwise for the decay fold and the contraction, at float32 resolution for
-everything downstream of an eigendecomposition.
+everything downstream of an eigendecomposition.  :func:`scipy_syevd` is the
+second reference: SciPy's wrapper of the very driver ``kmath.symmetric_eigen``
+calls through ``cython_lapack``, which the call must equal to the bit.
 
 The oracle is deliberately *not* registered under a name: a fresh import of
 ``repro`` has one backend, and a test that wants a whole preconditioner on
@@ -19,6 +21,11 @@ import numpy as np
 from scipy import linalg as sla
 
 from repro.kfac import EigenDecomposition, KernelBackend, precondition_with_eigen
+
+
+def scipy_syevd(factor):
+    """``(eigenvalues, eigenvectors)`` of the symmetrised factor from ``scipy.linalg.eigh(driver="evd")``."""
+    return sla.eigh(0.5 * (factor + factor.T), driver="evd")
 
 
 def reference_symmetric_eigen(factor, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):

@@ -1,10 +1,20 @@
-"""Fused Conv2d / BatchNorm2d / Linear / LayerNorm autograd nodes against the composites they replaced."""
+"""The fused autograd nodes (Conv2d, BatchNorm2d, Linear, LayerNorm, GELU, softmax, attention, masked-LM loss)
+against the composites they replaced."""
 
 import numpy as np
 import pytest
 
-from composite_oracle import batchnorm2d_composite, conv2d_composite, layernorm_composite, linear_composite
-from gradcheck import check_gradient, numerical_gradient
+from composite_oracle import (
+    attention_composite,
+    batchnorm2d_composite,
+    conv2d_composite,
+    gelu_composite,
+    layernorm_composite,
+    linear_composite,
+    masked_lm_loss_composite,
+    softmax_composite,
+)
+from gradcheck import check_gradient, graph_nodes, numerical_gradient
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad
@@ -231,17 +241,6 @@ class TestBatchNorm2dNode:
 LEADING = [(5,), (2, 3), (2, 3, 2)]
 
 
-def graph_nodes(out):
-    """Every autograd node reachable from ``out`` (the leaves have none)."""
-    nodes, stack = [], [out]
-    while stack:
-        tensor = stack.pop()
-        if tensor._ctx is not None:
-            nodes.append(tensor._ctx)
-            stack.extend(tensor._ctx.parents)
-    return nodes
-
-
 def run_layer(fn, arrays, dtype, probe, requires_grad=(True, True, True), extra=()):
     """Output and parent gradients of ``sum(fn(*parents) * probe)``; ``None`` parents are passed through."""
     parents = [
@@ -426,6 +425,211 @@ class TestLayerNormNode:
         np.testing.assert_allclose(node.x_hat.var(axis=-1), 1.0, atol=1e-4)
         with no_grad():
             assert layer(x)._ctx is None
+
+
+# ------------------------------------------------------------------------------ GELU / softmax
+#: The tolerance every transformer node is held to against its composite: float32 rounding.
+NODE_TOL = dict(rtol=1e-5, atol=1e-6)
+DTYPES = [np.float32, np.float64]
+
+
+def assert_matches(got, reference):
+    """(output, parent gradients) of :func:`run_layer` against the oracle's, dtype and shape included."""
+    (out, grads), (ref_out, ref_grads) = got, reference
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape
+    np.testing.assert_allclose(out.data, ref_out.data, **NODE_TOL)
+    for grad, ref in zip(grads, ref_grads):
+        assert grad.dtype == ref.dtype and grad.shape == ref.shape
+        np.testing.assert_allclose(grad, ref, **NODE_TOL)
+
+
+class TestGeluNode:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 5)])
+    def test_matches_composite(self, shape, dtype):
+        rng = np.random.default_rng(0)
+        x, probe = rng.standard_normal(shape) * 3.0, rng.standard_normal(shape)
+        assert_matches(run_layer(F.gelu, (x,), dtype, probe), run_layer(gelu_composite, (x,), dtype, probe))
+
+    def test_gradcheck_float64(self):
+        rng = np.random.default_rng(1)
+        x, probe = rng.standard_normal((3, 4)) * 2.0, rng.standard_normal((3, 4))
+        check_gradient(lambda t: (F.gelu(t) * Tensor(probe, dtype="float64")).sum(), x, atol=1e-7, rtol=1e-6)
+
+    def test_non_contiguous_input_through_the_module(self):
+        rng = np.random.default_rng(2)
+        x, probe = rng.standard_normal((4, 3, 5)), rng.standard_normal((4, 3, 5))
+        view = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous
+        got = run_layer(nn.GELU(), (view,), np.float32, probe)
+        assert_matches(got, run_layer(gelu_composite, (x,), np.float32, probe))
+
+    def test_module_records_exactly_one_node_and_backward_repeats(self):
+        x = Tensor(np.random.default_rng(3).standard_normal((2, 6)).astype(np.float32), requires_grad=True)
+        out = nn.GELU()(x)
+        (node,) = graph_nodes(out)
+        assert isinstance(node, F.GeluFunction) and node.parents == (x,)
+        out.sum().backward()
+        first = x.grad.copy()
+        out.sum().backward()  # the saved buffers are not consumed by a backward
+        np.testing.assert_array_equal(x.grad, 2 * first)
+        with no_grad():
+            assert nn.GELU()(x)._ctx is None
+
+
+class TestSoftmaxNode:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    def test_matches_composite(self, axis, dtype):
+        rng = np.random.default_rng(4)
+        x, probe = rng.standard_normal((3, 4, 5)) * 4.0, rng.standard_normal((3, 4, 5))
+        got = run_layer(F.softmax, (x,), dtype, probe, extra=(axis,))
+        assert_matches(got, run_layer(softmax_composite, (x,), dtype, probe, extra=(axis,)))
+        np.testing.assert_allclose(got[0].data.sum(axis=axis), 1.0, rtol=1e-6)
+
+    def test_gradcheck_float64_and_one_node(self):
+        rng = np.random.default_rng(5)
+        x, probe = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        check_gradient(lambda t: (F.softmax(t) * Tensor(probe, dtype="float64")).sum(), x, atol=1e-7, rtol=1e-6)
+        source = Tensor(x.astype(np.float32), requires_grad=True)
+        (node,) = graph_nodes(nn.Softmax(axis=0)(source))
+        assert isinstance(node, F.SoftmaxFunction)
+        np.testing.assert_array_equal(source.data, x.astype(np.float32))  # the input is not overwritten
+
+
+# ------------------------------------------------------------------------------ attention core
+def attention_problem(seed=0, batch=2, heads=3, length=5, head_dim=4):
+    """q, k, v as the head split hands them over (transposed views), a probe, a padding bias."""
+    rng = np.random.default_rng(seed)
+    qkv = tuple(rng.standard_normal((batch, length, heads, head_dim)).transpose(0, 2, 1, 3) for _ in range(3))
+    probe = rng.standard_normal((batch, heads, length, head_dim))
+    bias = np.zeros((batch, 1, 1, length))
+    bias[0, ..., 3:] = -1e4  # sample 0: the last two keys are padding
+    bias[1] = -1e4  # sample 1: every key is padding (a fully padded row attends uniformly)
+    keep_mask = (rng.random((batch, heads, length, length)) < 0.7) / 0.7
+    return qkv, probe, bias, keep_mask
+
+
+class TestAttentionNode:
+    SCALE = 0.5
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("padding", [False, True])
+    def test_matches_composite(self, padding, dropout, dtype):
+        qkv, probe, bias, keep_mask = attention_problem()
+        bias = bias.astype(dtype) if padding else None
+        keep_mask = keep_mask.astype(dtype) if dropout else None
+        got = run_layer(F.scaled_dot_product_attention, qkv, dtype, probe, extra=(bias, self.SCALE, keep_mask))
+        drop = (lambda weights: weights * Tensor(keep_mask)) if dropout else None
+        assert_matches(got, run_layer(attention_composite, qkv, dtype, probe, extra=(bias, self.SCALE, drop)))
+        if padding and not dropout and dtype == np.float64:
+            # Every key of sample 1 carries the same bias, so it attends as if unmasked
+            # (in float32 the -1e4 costs the scores their low bits, for node and composite alike).
+            free = run_layer(F.scaled_dot_product_attention, qkv, dtype, probe, extra=(None, self.SCALE))
+            np.testing.assert_allclose(got[0].data[1], free[0].data[1], **NODE_TOL)
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_gradcheck_float64(self, dropout):
+        qkv, probe, bias, keep_mask = attention_problem(seed=1, length=3, head_dim=2)
+        bias[0, ..., 2:] = -3.0  # a finite bias, so the finite differences see every key
+        bias[1] = 0.0
+        mask = keep_mask if dropout else None
+        for index, array in enumerate(qkv):
+
+            def loss(tensor, index=index):
+                parents = [Tensor(a, dtype="float64") for a in qkv]
+                parents[index] = tensor
+                out = F.scaled_dot_product_attention(*parents, bias, self.SCALE, mask)
+                return (out * Tensor(probe, dtype="float64")).sum()
+
+            check_gradient(loss, np.ascontiguousarray(array), atol=1e-7, rtol=1e-6)
+
+    def test_dead_parents_return_none(self):
+        """``q`` (or any of the three) not requiring grad: ``None`` in its slot, the others bitwise unchanged."""
+        qkv, probe, bias, keep_mask = attention_problem(seed=2)
+        extra = (bias.astype(np.float32), self.SCALE, keep_mask.astype(np.float32))
+        _, full = run_layer(F.scaled_dot_product_attention, qkv, np.float32, probe, extra=extra)
+        for flags in [(False, True, True), (True, False, True), (True, True, False), (False, False, True)]:
+            out, grads = run_layer(
+                F.scaled_dot_product_attention, qkv, np.float32, probe, requires_grad=flags, extra=extra
+            )
+            assert out._ctx.needs_input_grad == flags
+            returned = out._ctx.backward(probe.astype(np.float32))
+            for flag, value, grad, reference in zip(flags, returned, grads, full):
+                assert (value is not None) == flag and (grad is not None) == flag
+                if flag:
+                    np.testing.assert_array_equal(grad, reference)
+
+    def test_one_node_whose_backward_repeats(self):
+        qkv, probe, bias, _ = attention_problem(seed=3)
+        parents = [Tensor(a.astype(np.float32), requires_grad=True) for a in qkv]
+        out = F.scaled_dot_product_attention(*parents, bias.astype(np.float32), self.SCALE)
+        (node,) = graph_nodes(out)
+        assert isinstance(node, F.AttentionFunction) and node.parents == tuple(parents)
+        loss = (out * Tensor(probe.astype(np.float32))).sum()
+        loss.backward()
+        first = [p.grad.copy() for p in parents]
+        loss.backward()
+        for parent, grad in zip(parents, first):
+            np.testing.assert_allclose(parent.grad, 2 * grad, rtol=1e-6)
+
+
+# ------------------------------------------------------------------------------ masked-LM loss
+def mlm_problem(targets, seed=0, vocab=11):
+    targets = np.asarray(targets)
+    logits = np.random.default_rng(seed).standard_normal(targets.shape + (vocab,)) * 3.0
+    return logits, targets
+
+
+IGNORE = -100
+MLM_TARGETS = {
+    "none_masked": [[IGNORE] * 4, [IGNORE] * 4],
+    "one_masked": [[IGNORE, 7, IGNORE, IGNORE], [IGNORE] * 4],
+    "duplicate_targets": [[3, IGNORE, 3, 10], [IGNORE, 3, 0, IGNORE]],
+    "all_masked": [[1, 2, 3, 4], [5, 6, 7, 8]],
+}
+
+
+class TestMaskedLMLossNode:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(MLM_TARGETS))
+    def test_matches_composite(self, case, dtype):
+        logits, targets = mlm_problem(MLM_TARGETS[case])
+        probe = np.asarray(1.7)
+        got = run_layer(F.masked_lm_loss, (logits,), dtype, probe, extra=(targets, IGNORE))
+        assert_matches(got, run_layer(masked_lm_loss_composite, (logits,), dtype, probe, extra=(targets, IGNORE)))
+        out, (grad,) = got
+        assert out.shape == ()
+        ignored = targets == IGNORE
+        assert not grad[ignored].any()  # only the masked positions receive a gradient
+        if case == "none_masked":
+            assert out.item() == 0.0 and not grad.any()  # a zero loss that backpropagates zeros
+        else:
+            np.testing.assert_allclose(grad[~ignored].sum(axis=-1), 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["one_masked", "duplicate_targets"])
+    def test_gradcheck_float64(self, case):
+        logits, targets = mlm_problem(MLM_TARGETS[case], seed=1, vocab=5)
+        targets = np.minimum(targets, 4)
+        check_gradient(lambda t: F.masked_lm_loss(t, targets, IGNORE), logits, atol=1e-7, rtol=1e-6)
+
+    def test_module_records_exactly_one_node_and_backward_repeats(self):
+        logits, targets = mlm_problem(MLM_TARGETS["duplicate_targets"], seed=2)
+        source = Tensor(logits.astype(np.float32), requires_grad=True)
+        loss = nn.MaskedLMCrossEntropyLoss()(source, targets)
+        (node,) = graph_nodes(loss)
+        assert isinstance(node, F.MaskedLMLossFunction) and node.parents == (source,)
+        loss.backward()
+        first = source.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(source.grad, 2 * first)
+        np.testing.assert_array_equal(source.data, logits.astype(np.float32))  # the logits are not overwritten
+        # Another ignore_index is honoured the same way.
+        targets = np.where(targets == IGNORE, 0, targets)
+        other = nn.MaskedLMCrossEntropyLoss(ignore_index=0)(Tensor(logits.astype(np.float32)), targets)
+        reference = masked_lm_loss_composite(Tensor(logits.astype(np.float32)), targets, ignore_index=0)
+        np.testing.assert_allclose(other.data, reference.data, **NODE_TOL)
 
 
 # ------------------------------------------------------------------------------ module hooks

@@ -19,13 +19,15 @@ bit-identical to the oracle's ``syevr``.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
-from kernel_oracle import ReferenceKernelBackend, reference_symmetric_eigen, use_reference_kernels
+from kernel_oracle import ReferenceKernelBackend, reference_symmetric_eigen, scipy_syevd, use_reference_kernels
 from repro.kfac import (
     KFAC,
     KFACConfig,
@@ -256,6 +258,88 @@ class TestBatchedEigen:
         half = symmetric_eigen(factor.astype(np.float16), compute_dtype=np.float16)
         assert half.eigenvalues.dtype == np.float16
         assert np.all(np.isfinite(half.eigenvalues.astype(np.float64)))
+
+
+class TestEigenCallAcrossThreads:
+    """The ``syevd`` call holds no interpreter lock, so threaded ranks solve side by side: it must be re-entrant."""
+
+    def test_four_threads_return_what_a_serial_loop_returns(self):
+        factors = [spd_factor(dim, seed=dim) for dim in (65, 96, 129, 160)]
+        serial = [symmetric_eigen(factor) for factor in factors]
+        for (values, vectors), decomposition in zip(map(scipy_syevd, factors), serial):
+            np.testing.assert_array_equal(decomposition.eigenvalues, values)
+            np.testing.assert_array_equal(decomposition.eigenvectors, vectors)
+        for _ in range(20):
+            results = [None] * len(factors)
+            gate = threading.Barrier(len(factors))
+
+            def solve(index):
+                gate.wait(timeout=30)
+                results[index] = symmetric_eigen(factors[index])
+
+            threads = [threading.Thread(target=solve, args=(index,)) for index in range(len(factors))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            for decomposition, reference in zip(results, serial):
+                np.testing.assert_array_equal(decomposition.eigenvalues, reference.eigenvalues)
+                np.testing.assert_array_equal(decomposition.eigenvectors, reference.eigenvectors)
+
+    def test_the_interpreter_lock_is_released_for_the_solve(self):
+        """A helper thread keeps counting while the main thread is inside LAPACK.
+
+        The counter is read immediately before and after each call.  A call
+        that holds the lock throughout lets the helper run only in the
+        hand-over slices around it (the shortened switch interval plus however
+        long the host takes to wake the main thread: anything from a hundred
+        counts to tens of thousands on a shared box, whatever the call's
+        length); a call that releases it lets the helper count for the whole
+        solve.  That noise only ever adds counts, so each call is measured several
+        times and its *slowest* counting rate kept.  ``sum`` over a ``range``
+        -- one C loop that never drops the lock -- is measured the same way as
+        the calibration of the first case; SciPy's f2py wrapper of the same
+        routine is printed beside ours, not asserted (a later SciPy may
+        release the lock itself).
+        """
+        factor = spd_factor(640, seed=11)
+        fortran = np.asfortranarray(factor)
+        counter, stop = [0], threading.Event()
+
+        def count():
+            while not stop.is_set():
+                counter[0] += 1
+
+        def measure(call, repeats=5):
+            """(smallest counter advance, smallest advance per ms of call) over ``repeats`` calls."""
+            advances, rates = [], []
+            for _ in range(repeats):
+                before, start = counter[0], time.perf_counter()
+                call()
+                advances.append(counter[0] - before)
+                rates.append(advances[-1] / ((time.perf_counter() - start) * 1e3))
+            return min(advances), min(rates)
+
+        helper = threading.Thread(target=count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            helper.start()
+            held, held_rate = measure(lambda: sum(range(2_000_000)), repeats=10)
+            ours, ours_rate = measure(lambda: symmetric_eigen(factor))
+            scipys, scipys_rate = measure(lambda: lapack.ssyevd(fortran, lower=1))
+        finally:
+            stop.set()
+            helper.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not helper.is_alive()
+        print(
+            f"\ncounter advance per call (per ms of call): lock-free ctypes syevd {ours} ({ours_rate:.0f}), "
+            f"scipy f2py ssyevd {scipys} ({scipys_rate:.0f}), lock-holding C loop {held} ({held_rate:.0f})"
+        )
+        assert ours > 1000
+        assert ours_rate > 3 * held_rate
 
 
 class TestFusedDecayUpdate:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_oracle import scipy_syevd
+from repro.kfac import kmath
 from repro.kfac import (
     EigenDecomposition,
     damped_inverse,
@@ -78,6 +80,78 @@ class TestSymmetricEigen:
     def test_compute_dtype_respected(self):
         eig = symmetric_eigen(random_spd(5, 9), compute_dtype=np.float64)
         assert eig.eigenvectors.dtype == np.float64
+
+    @pytest.mark.parametrize("layout", ["c_ordered", "f_ordered", "non_contiguous"])
+    @pytest.mark.parametrize("dim", [33, 128, 129, 513])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_scipys_wrapper_of_the_same_driver(self, dtype, dim, layout):
+        """Eigenvalues *and* eigenvectors, whatever the memory layout; the input is left alone."""
+        factor = random_spd(dim, seed=dim).astype(dtype)
+        factor[0, -1] += 1e-3  # not exactly symmetric: the symmetrisation is part of the contract
+        if layout == "f_ordered":
+            factor = np.asfortranarray(factor)
+        elif layout == "non_contiguous":
+            factor = np.ascontiguousarray(np.pad(factor, ((0, 0), (0, 3))))[:, :dim]
+            assert not factor.flags.c_contiguous and not factor.flags.f_contiguous
+        before = factor.copy()
+        eig = symmetric_eigen(factor, compute_dtype=dtype, clamp_negative=False)
+        eigenvalues, eigenvectors = scipy_syevd(before)
+        assert eig.eigenvalues.dtype == eig.eigenvectors.dtype == dtype
+        np.testing.assert_array_equal(eig.eigenvalues, eigenvalues)
+        np.testing.assert_array_equal(eig.eigenvectors, eigenvectors)
+        # Same layout as SciPy's result too: downstream GEMMs round by layout.
+        assert eig.eigenvectors.flags.f_contiguous == eigenvectors.flags.f_contiguous
+        np.testing.assert_array_equal(factor, before)
+
+    def test_clamp_and_solve_dtype_options_on_the_direct_call(self):
+        factor = random_spd(40, 3) - 0.5 * np.eye(40, dtype=np.float32)  # indefinite
+        eigenvalues, eigenvectors = scipy_syevd(factor)
+        assert eigenvalues.min() < 0
+        raw = symmetric_eigen(factor, clamp_negative=False)
+        clamped = symmetric_eigen(factor)
+        np.testing.assert_array_equal(raw.eigenvalues, eigenvalues)
+        np.testing.assert_array_equal(clamped.eigenvalues, np.maximum(eigenvalues, 0.0))
+        np.testing.assert_array_equal(clamped.eigenvectors, eigenvectors)
+        # eigh_dtype forces the solve precision; the result comes back in compute_dtype.
+        forced = symmetric_eigen(factor, compute_dtype=np.float32, eigh_dtype=np.float64, clamp_negative=False)
+        wide_values, wide_vectors = scipy_syevd(factor.astype(np.float64))
+        assert forced.eigenvalues.dtype == forced.eigenvectors.dtype == np.float32
+        np.testing.assert_array_equal(forced.eigenvalues, wide_values.astype(np.float32))
+        np.testing.assert_array_equal(forced.eigenvectors, wide_vectors.astype(np.float32))
+        # fp16 factors are solved in single precision (paper section 3.3) and handed back as fp16.
+        half = symmetric_eigen(factor.astype(np.float16), compute_dtype=np.float16, clamp_negative=False)
+        half_values, _ = scipy_syevd(factor.astype(np.float16).astype(np.float32))
+        assert half.eigenvalues.dtype == np.float16
+        np.testing.assert_array_equal(half.eigenvalues, half_values.astype(np.float16))
+        with pytest.raises(TypeError, match="float32 or float64"):
+            symmetric_eigen(factor, eigh_dtype=np.float16)
+
+    def test_dimension_beyond_the_32_bit_workspace_is_rejected_up_front(self):
+        huge = np.lib.stride_tricks.as_strided(np.zeros(1, dtype=np.float32), shape=(32768, 32768), strides=(0, 0))
+        with pytest.raises(ValueError, match="dimension 32768 needs a workspace beyond"):
+            symmetric_eigen(huge)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_raises_value_error_naming_the_dimension(self, poison):
+        factor = random_spd(37, 1)
+        factor[5, 9] = poison
+        before = factor.copy()
+        with pytest.raises(ValueError, match="dimension 37 contains infs or NaNs"):
+            symmetric_eigen(factor)
+        np.testing.assert_array_equal(factor, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lapack_info_raises_linalg_error_carrying_it(self, monkeypatch, dtype):
+        """A solve LAPACK reports as not converged (``info > 0``) is an error, not a silent wrong answer."""
+
+        def not_converged(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info):
+            assert (jobz, uplo, n.value, lda.value) == (b"V", b"L", 41, 41)
+            assert (lwork.value, liwork.value) == (1 + 6 * 41 + 2 * 41 * 41, 3 + 5 * 41)
+            info.value = 3
+
+        monkeypatch.setitem(kmath._SYEVD, np.dtype(dtype), not_converged)
+        with pytest.raises(np.linalg.LinAlgError, match=r"dimension 41: info=3"):
+            symmetric_eigen(random_spd(41, 2), compute_dtype=dtype)
 
 
 class TestPreconditioning:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn, optim
-from repro.kfac import KFAC, KFACConfig
+from repro.kfac import KFAC, KFACConfig, kmath
 from repro.models import MLP, bert_tiny
 from repro.observability import MetricsReport, Tracer
 from repro.tensor import Tensor
@@ -322,3 +322,67 @@ class TestMathematicalCorrectness:
             pre.step()
             results[cached] = model.layers[0].weight.grad.copy()
         np.testing.assert_allclose(results[True], results[False], rtol=1e-5)
+
+
+class TestEigenFailuresAreNamed:
+    """A failed eigen solve says which layer and which factor, and replaces no layer's decomposition."""
+
+    @staticmethod
+    def warmed_up():
+        """A preconditioner two steps in (every layer holds factors and a decomposition) with fresh statistics."""
+        model = MLP(40, [48, 36], 3, rng=np.random.default_rng(0))  # factor dims 41/48, 49/36, 37/3
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        x, y = make_problem(in_dim=40)
+        training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)
+        nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
+        return pre
+
+    @staticmethod
+    def snapshot(pre):
+        return {
+            name: (layer.factor_a.copy(), layer.factor_g.copy(), layer.eigen_a, layer.eigen_g)
+            for name, layer in pre.layers.items()
+        }
+
+    @staticmethod
+    def assert_untouched(pre, before):
+        for name, layer in pre.layers.items():
+            factor_a, factor_g, eigen_a, eigen_g = before[name]
+            np.testing.assert_array_equal(layer.factor_a, factor_a)
+            np.testing.assert_array_equal(layer.factor_g, factor_g)
+            assert layer.eigen_a is eigen_a and layer.eigen_g is eigen_g, name
+
+    @pytest.mark.parametrize("which, dim", [("a", 37), ("g", 36)])
+    def test_nan_in_a_running_factor_names_the_layer_and_the_factor(self, which, dim):
+        pre = self.warmed_up()
+        name = "layers.4" if which == "a" else "layers.2"
+        factor = getattr(pre.layers[name], f"factor_{which}")
+        factor[2, 3] = np.nan
+        before = self.snapshot(pre)
+        message = rf"{which.upper()} factor of layer '{name}' failed: factor of dimension {dim} contains infs or NaNs"
+        with pytest.raises(ValueError, match=message) as raised:
+            pre._compute_eigen_decompositions(list(pre.layers))
+        assert isinstance(raised.value.__cause__, ValueError)
+        self.assert_untouched(pre, before)
+        # The same through the public step: the decay fold keeps the NaN, the eigen stage names it.
+        with pytest.raises(ValueError, match=rf"{which.upper()} factor of layer '{name}'"):
+            pre.step()
+
+    def test_lapack_info_names_the_factor_it_was_solving(self, monkeypatch):
+        pre = self.warmed_up()
+        real = kmath._SYEVD[np.dtype(np.float32)]
+        solved = []
+
+        def fails_on_dim_49(jobz, uplo, n, *rest):
+            solved.append(n.value)
+            if n.value == 49:
+                rest[-1].value = 3  # info: three off-diagonal elements did not converge
+            else:
+                real(jobz, uplo, n, *rest)
+
+        monkeypatch.setitem(kmath._SYEVD, np.dtype(np.float32), fails_on_dim_49)
+        before = self.snapshot(pre)
+        with pytest.raises(np.linalg.LinAlgError, match=r"A factor of layer 'layers.2' failed: .*dimension 49: info=3"):
+            pre._compute_eigen_decompositions(list(pre.layers))
+        assert 49 in solved and len(solved) > 1  # other factors had been solved before it and are discarded
+        self.assert_untouched(pre, before)

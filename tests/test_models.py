@@ -1,12 +1,20 @@
 """Tests for the model zoo: forward shapes, structure and trainability hooks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro import models, nn
+from composite_oracle import use_composite_transformer
+from repro import models, nn, optim
+from repro.data import DataLoader, SyntheticMaskedLM
+from repro.distributed import run_spmd
+from repro.experiments import SMALL_WORKLOADS
+from repro.kfac import KFAC
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.tensor import Tensor
+from repro.training import Trainer
 
 RNG = np.random.default_rng(3)
 
@@ -145,6 +153,56 @@ class TestBert:
         model = models.bert_tiny(vocab_size=50, rng=RNG)
         # 2 blocks x (4 attention projections + 2 feed-forward) + 1 MLM head.
         assert count_layers(model, Linear) == 2 * 6 + 1
+
+
+def bert_kaisa_losses(world_size, grad_worker_frac, steps=20):
+    """Per-rank loss series of ``steps`` LAMB + KAISA steps of a narrow ``BertModel``, ranks as threads.
+
+    ``bert_tiny``'s block structure at a quarter of its width (factor dims 33 and 65, so the ``syevd`` path
+    still runs) with the ``bert`` workload's hyperparameters: 17 K-FAC layers for a fraction of a second per run.
+    """
+    hyper = SMALL_WORKLOADS["bert"]
+    loss_fn = nn.MaskedLMCrossEntropyLoss()
+
+    def forward_loss(model, batch):
+        return loss_fn(model(batch["input_ids"], attention_mask=batch["attention_mask"]), batch["labels"])
+
+    def program(comm):
+        # Every rank owns its corpus: the dataset masks tokens from its own generator as items are read.
+        data = SyntheticMaskedLM(64, vocab_size=60, seq_length=12, seed=3)
+        config = models.BertConfig(vocab_size=60, hidden_size=32, num_layers=2, num_heads=4, intermediate_size=64)
+        model = models.BertModel(config, rng=np.random.default_rng(3))
+        optimizer = optim.LAMB(model.parameters(), lr=hyper.kfac_lr, weight_decay=hyper.weight_decay)
+        preconditioner = KFAC.from_config(
+            model,
+            hyper.kfac_config(grad_worker_frac=grad_worker_frac),
+            comm=comm,
+            skip_modules=model.kfac_excluded_modules(),
+        )
+        trainer = Trainer(model, optimizer, forward_loss, preconditioner=preconditioner, comm=comm)
+        losses = []
+        for batch in itertools.islice(itertools.cycle(DataLoader(data, batch_size=16, shuffle=True, seed=3)), steps):
+            local = {key: value[comm.rank :: comm.world_size] for key, value in batch.items()}
+            losses.append(trainer.train_step(local))
+        return losses
+
+    return np.asarray(run_spmd(world_size, program))
+
+
+class TestBertOnTheFusedNodes:
+    """The whole training trajectory on the GELU / attention / masked-LM-loss nodes against the composite model."""
+
+    # HYBRID-OPT needs 1 < gradient workers < world size, so it runs at world 4; MEM- and COMM-OPT at world 2.
+    @pytest.mark.parametrize(
+        "world_size, grad_worker_frac", [(2, 0.5), (4, 0.5), (2, 1.0)], ids=["mem-opt", "hybrid-opt", "comm-opt"]
+    )
+    def test_twenty_kaisa_lamb_steps_match_the_composite_model(self, monkeypatch, world_size, grad_worker_frac):
+        fused = bert_kaisa_losses(world_size, grad_worker_frac)
+        use_composite_transformer(monkeypatch)
+        composite = bert_kaisa_losses(world_size, grad_worker_frac)
+        assert fused.shape == (world_size, 20) and np.isfinite(fused).all()
+        assert fused[:, -5:].mean() < fused[:, :5].mean()  # it trains
+        np.testing.assert_allclose(fused, composite, rtol=1e-4)
 
 
 class TestMaskRCNN:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from composite_oracle import attention_forward_composite
+from gradcheck import graph_nodes
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad
+from repro.tensor import tensor as tape
 
 RNG = np.random.default_rng(11)
 
@@ -248,6 +251,116 @@ class TestEmbeddingAttention:
     def test_attention_invalid_heads(self):
         with pytest.raises(ValueError):
             nn.MultiHeadSelfAttention(10, 3)
+
+
+def attention_pair(dropout=0.0, dtype=np.float32, seed=5):
+    """Two identically initialised attention modules (same weights, same dropout stream) and an input."""
+    modules = [nn.MultiHeadSelfAttention(8, 2, dropout=dropout, rng=np.random.default_rng(seed)) for _ in range(2)]
+    if dtype != np.float32:
+        for module in modules:
+            for param in module.parameters():
+                param.data = param.data.astype(dtype)
+    rng = np.random.default_rng(seed + 1)
+    return modules, rng.standard_normal((3, 5, 8)).astype(dtype), rng.standard_normal((3, 5, 8)).astype(dtype)
+
+
+def attention_backward(forward, module, x, probe, mask, input_requires_grad=True):
+    source = Tensor(x, requires_grad=input_requires_grad)
+    out = forward(module, source, mask)
+    (out * Tensor(probe)).sum().backward()
+    return out, source.grad, {name: p.grad for name, p in module.named_parameters()}
+
+
+#: (N, L) padding masks: none, a ragged batch, and one with a fully padded sample.
+PADDING = {
+    "no_mask": None,
+    "ragged": np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]]),
+    "fully_padded_row": np.array([[1, 1, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 0, 0, 0]]),
+}
+
+
+class TestAttentionModuleOnTheNode:
+    """``MultiHeadSelfAttention`` on the fused core against the same module on the composite core."""
+
+    TOL = dict(rtol=1e-5, atol=1e-6)
+
+    def assert_same(self, got, reference):
+        (out, grad_x, grads), (ref_out, ref_grad_x, ref_grads) = got, reference
+        assert out.dtype == ref_out.dtype
+        np.testing.assert_allclose(out.data, ref_out.data, **self.TOL)
+        np.testing.assert_allclose(grad_x, ref_grad_x, **self.TOL)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], err_msg=name, **self.TOL)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", sorted(PADDING))
+    def test_matches_composite_with_and_without_padding(self, padding, dtype):
+        (fused, composite), x, probe = attention_pair(dtype=dtype)
+        got = attention_backward(nn.MultiHeadSelfAttention.forward, fused, x, probe, PADDING[padding])
+        self.assert_same(got, attention_backward(attention_forward_composite, composite, x, probe, PADDING[padding]))
+
+    @pytest.mark.parametrize("padding", ["no_mask", "ragged"])
+    def test_train_mode_dropout_draws_the_mask_dropout_forward_would(self, padding):
+        (fused, composite), x, probe = attention_pair(dropout=0.3)
+        got = attention_backward(nn.MultiHeadSelfAttention.forward, fused, x, probe, PADDING[padding])
+        self.assert_same(got, attention_backward(attention_forward_composite, composite, x, probe, PADDING[padding]))
+        # Same seed -> same mask; and the stream was advanced by exactly one (N, H, L, L) draw.
+        assert fused.dropout._rng.bit_generator.state == composite.dropout._rng.bit_generator.state
+        assert fused.dropout._rng.bit_generator.state != np.random.default_rng(5).bit_generator.state
+        undropped = attention_pair(dropout=0.0)[0][0]
+        assert not np.allclose(got[0].data, undropped(Tensor(x), PADDING[padding]).data)
+
+    def test_eval_mode_draws_nothing(self):
+        (fused, composite), x, probe = attention_pair(dropout=0.3)
+        fused.eval(), composite.eval()
+        before = fused.dropout._rng.bit_generator.state
+        got = attention_backward(nn.MultiHeadSelfAttention.forward, fused, x, probe, PADDING["ragged"])
+        self.assert_same(got, attention_backward(attention_forward_composite, composite, x, probe, PADDING["ragged"]))
+        assert fused.dropout._rng.bit_generator.state == before
+        undropped = attention_pair(dropout=0.0)[0][0]
+        np.testing.assert_array_equal(got[0].data, undropped(Tensor(x), PADDING["ragged"]).data)
+
+    def test_query_not_requiring_grad(self):
+        """A frozen query projection on constant input: ``q`` is dead, the node skips its gradient."""
+        (fused, composite), x, probe = attention_pair()
+        for module in (fused, composite):
+            for param in module.query.parameters():
+                param.requires_grad = False
+        got = attention_backward(nn.MultiHeadSelfAttention.forward, fused, x, probe, None, input_requires_grad=False)
+        reference = attention_backward(attention_forward_composite, composite, x, probe, None, input_requires_grad=False)
+        assert got[1] is None and reference[1] is None
+        assert got[2]["query.weight"] is None and got[2]["key.weight"] is not None
+        for name, grad in got[2].items():
+            if grad is not None:
+                np.testing.assert_allclose(grad, reference[2][name], err_msg=name, **self.TOL)
+        node = next(n for n in graph_nodes(got[0]) if isinstance(n, F.AttentionFunction))
+        assert node.needs_input_grad == (False, True, True)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_forward_records_no_elementwise_node(self, dropout):
+        """Four ``LinearFunction``s, the attention node, and the head split / merge reshapes; nothing else."""
+        (module, _), x, _ = attention_pair(dropout=dropout)
+        out = module(Tensor(x, requires_grad=True), PADDING["ragged"])
+        kinds = sorted(type(node).__name__ for node in graph_nodes(out))
+        # q, k, v: reshape + transpose each; context: transpose + reshape.
+        assert kinds == sorted(
+            ["LinearFunction"] * 4 + ["AttentionFunction"] + ["Reshape"] * 4 + ["Transpose"] * 4
+        )
+        elementwise = (tape.Mul, tape.Add, tape.Sub, tape.Div, tape.Exp, tape.Max, tape.Sum, tape.MatMul)
+        assert not any(isinstance(node, elementwise) for node in graph_nodes(out))
+
+    def test_backward_hooks_on_the_projections_fire_once_in_reverse_order(self):
+        (module, _), x, probe = attention_pair()
+        order = []
+        for name in ("query", "key", "value", "out"):
+            getattr(module, name).register_full_backward_hook(lambda m, gi, go, name=name: order.append(name))
+        loss = (module(Tensor(x, requires_grad=True), PADDING["ragged"]) * Tensor(probe)).sum()
+        loss.backward()
+        # The output projection first, then the three sibling projections in the order the composite tape ran them.
+        assert order == ["out", "query", "key", "value"]
+        loss.backward()
+        assert order == ["out", "query", "key", "value"] * 2
 
 
 class TestLosses:

@@ -21,6 +21,35 @@ def quadratic_problem(dim=5, seed=0):
     return param, target, loss_and_grad
 
 
+def lamb_reference_step(data, grad, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-6, clamp=(0.0, 10.0)):
+    """One LAMB update as the plain expression ``LAMB.step`` ran before it went in place (the oracle)."""
+    beta1, beta2 = betas
+    low, high = clamp
+    out_dtype = data.dtype
+    grad = grad.astype(np.float32)
+    data = data.astype(np.float32)
+    if state is None:
+        state = {"step": 0, "exp_avg": np.zeros_like(data), "exp_avg_sq": np.zeros_like(data)}
+    state["step"] += 1
+    step = state["step"]
+    state["exp_avg"] = beta1 * state["exp_avg"] + (1 - beta1) * grad
+    state["exp_avg_sq"] = beta2 * state["exp_avg_sq"] + (1 - beta2) * grad * grad
+    m_hat = state["exp_avg"] / (1 - beta1 ** step)
+    v_hat = state["exp_avg_sq"] / (1 - beta2 ** step)
+    update = m_hat / (np.sqrt(v_hat) + eps)
+    if weight_decay != 0.0:
+        update = update + weight_decay * data
+    weight_norm = float(np.linalg.norm(data))
+    update_norm = float(np.linalg.norm(update))
+    if weight_norm > 0.0 and update_norm > 0.0:
+        trust_ratio = weight_norm / update_norm
+        if high > 0:
+            trust_ratio = min(max(trust_ratio, low), high)
+    else:
+        trust_ratio = 1.0
+    return (data - lr * trust_ratio * update).astype(out_dtype), state
+
+
 class TestSGD:
     def test_plain_sgd_step(self):
         param = Parameter(np.array([1.0], dtype=np.float32))
@@ -120,6 +149,38 @@ class TestAdamLamb:
             losses.append(loss_and_grad())
             opt.step()
         assert losses[-1] < losses[0] * 0.1
+
+    @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.float64])
+    def test_lamb_in_place_step_is_bitwise_the_plain_expression(self, dtype, weight_decay):
+        """25 steps of ``LAMB.step`` (in-place moments, one scratch) against the expression it replaced."""
+        rng = np.random.default_rng(7)
+        shapes = [(6, 5), (7,), (), (3, 2, 4)]
+        initial = [np.asarray(rng.standard_normal(shape), dtype=dtype) for shape in shapes]
+        params = [Parameter(value.copy()) for value in initial]
+        assert all(param.data.dtype == dtype for param in params)
+        opt = optim.LAMB(params, lr=0.05, weight_decay=weight_decay)
+        ref_data = [value.copy() for value in initial]
+        ref_state = [None] * len(shapes)
+        for step in range(25):
+            for index, param in enumerate(params):
+                before = param.data
+                # A zero gradient on the vector exercises the trust_ratio = 1 branch on the first step.
+                scale = 0.0 if (index == 1 and step == 0) else 1.0
+                param.grad = np.asarray(rng.standard_normal(param.data.shape) * scale, dtype=dtype)
+                ref_data[index], ref_state[index] = lamb_reference_step(
+                    ref_data[index], param.grad, ref_state[index], lr=0.05, weight_decay=weight_decay
+                )
+            opt.step()
+            for index, param in enumerate(params):
+                moments = opt.state_for(param)
+                assert param.data.dtype == dtype and moments["exp_avg"].dtype == np.float32
+                np.testing.assert_array_equal(param.data, ref_data[index])
+                np.testing.assert_array_equal(moments["exp_avg"], ref_state[index]["exp_avg"])
+                np.testing.assert_array_equal(moments["exp_avg_sq"], ref_state[index]["exp_avg_sq"])
+                assert moments["step"] == step + 1
+        assert before is not params[-1].data  # the step rebinds ``data``; an array handed out earlier is not written
+        assert sorted(opt.state_dict()["state"][0]) == ["exp_avg", "exp_avg_sq", "step"]
 
     def test_state_bytes_counts_moments(self):
         param = Parameter(np.zeros(10, dtype=np.float32))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, no_grad, is_grad_enabled, float16, float32
+from repro.tensor import tensor as tape
+from repro.tensor.tensor import _unbroadcast
 
 
 class TestConstruction:
@@ -311,3 +313,89 @@ class TestAutogradMechanics:
         b = Tensor([2.0])
         assert (a + b).requires_grad
         assert not (b + b).requires_grad
+
+
+# The two-parent elementary ops compute a gradient only for the parents that need one.
+BINARY_OPS = {
+    "Add": lambda a, b: a + b,
+    "Sub": lambda a, b: a - b,
+    "Mul": lambda a, b: a * b,
+    "Div": lambda a, b: a / b,
+    "MatMul": lambda a, b: a @ b,
+}
+#: Shapes of the constant against a (3, 4, 4) variable: a scalar, a broadcast row and column, the same shape.
+CONSTANT_SHAPES = {"scalar": (), "row": (4,), "column": (3, 1, 1), "same": (3, 4, 4)}
+
+
+def parent_expression(op, grad, a, b):
+    """Both parents' gradients as the ops computed them before they looked at ``needs_input_grad``."""
+    if op == "MatMul":
+        return (
+            _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape),
+            _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape),
+        )
+    grad_a, grad_b = {
+        "Add": (grad, grad),
+        "Sub": (grad, -grad),
+        "Mul": (grad * b, grad * a),
+        "Div": (grad / b, -grad * a / (b * b)),
+    }[op]
+    return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
+
+
+class TestDeadGradientsInElementaryOps:
+    @staticmethod
+    def spy(monkeypatch, op):
+        """Record what ``<op>.backward`` hands back to the engine."""
+        cls, returned = getattr(tape, op), []
+        original = cls.backward
+
+        def backward(self, grad):
+            result = original(self, grad)
+            returned.append(result)
+            return result
+
+        monkeypatch.setattr(cls, "backward", backward)
+        return returned
+
+    @staticmethod
+    def operands(op, constant):
+        rng = np.random.default_rng(0)
+        shape = (4, 4) if (op == "MatMul" and constant == "row") else CONSTANT_SHAPES[constant]
+        variable = rng.standard_normal((3, 4, 4)).astype(np.float32)
+        return variable, (rng.standard_normal(shape) + 3.0).astype(np.float32), rng.standard_normal((3, 4, 4)).astype(np.float32)
+
+    @pytest.mark.parametrize("constant_first", [False, True])
+    @pytest.mark.parametrize(
+        "op, constant",
+        # matmul takes no scalar operand; its broadcast operand is one (4, 4) matrix for the whole batch
+        [(op, c) for op in sorted(BINARY_OPS) for c in sorted(CONSTANT_SHAPES) if op != "MatMul" or c in ("row", "same")],
+    )
+    def test_constant_operand_gets_none_and_the_variable_keeps_its_gradient(self, monkeypatch, op, constant, constant_first):
+        variable, value, probe = self.operands(op, constant)
+        returned = self.spy(monkeypatch, op)
+        x = Tensor(variable, requires_grad=True)
+        # A Python scalar takes the same route: the operators wrap it in a constant tensor.
+        c = float(value) if constant == "scalar" else Tensor(value)
+        out = BINARY_OPS[op](c, x) if constant_first else BINARY_OPS[op](x, c)
+        out.backward(probe)
+        (result,) = returned
+        a, b = out._ctx.parents  # ``2.0 + x`` records (x, 2.0): the reflected operators of + and * swap
+        slot = 0 if a is x else 1
+        assert out._ctx.needs_input_grad == (slot == 0, slot == 1)
+        assert result[1 - slot] is None and result[slot] is not None
+        np.testing.assert_array_equal(x.grad, parent_expression(op, probe, a.data, b.data)[slot])
+
+    @pytest.mark.parametrize("constant", ["row", "same"])
+    @pytest.mark.parametrize("op", sorted(BINARY_OPS))
+    def test_an_operand_that_requires_grad_still_gets_it(self, monkeypatch, op, constant):
+        variable, value, probe = self.operands(op, constant)
+        returned = self.spy(monkeypatch, op)
+        x, c = Tensor(variable, requires_grad=True), Tensor(value, requires_grad=True)
+        BINARY_OPS[op](x, c).backward(probe)
+        (result,) = returned
+        expected = parent_expression(op, probe, variable, value)
+        for tensor, got, reference in zip((x, c), result, expected):
+            np.testing.assert_array_equal(got, reference)
+            np.testing.assert_array_equal(tensor.grad, reference)
+            assert tensor.grad.shape == tensor.shape
