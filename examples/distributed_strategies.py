@@ -83,6 +83,7 @@ def main() -> None:
                 "yes" if identical else "NO",
                 "yes" if same_as_reference else "NO",
                 round(sum(m["eigen"] for m in memory) / 1024, 1),
+                round(max(m["total"] for m in memory) / 1024, 1),
                 round(log.bytes_by_op.get("broadcast", 0) / 1024, 1),
                 round(log.bytes_by_op.get("allreduce", 0) / 1024, 1),
             ]
@@ -96,6 +97,7 @@ def main() -> None:
                 "replicas identical",
                 "same result as MEM-OPT",
                 "total eigen memory (KiB)",
+                "busiest rank's K-FAC state (KiB)",
                 "broadcast volume (KiB)",
                 "allreduce volume (KiB)",
             ],
@@ -105,7 +107,9 @@ def main() -> None:
     )
     print(
         "\nAll strategies compute the same update; COMM-OPT caches every eigen decomposition everywhere "
-        "(more memory, no per-iteration broadcast), MEM-OPT does the opposite, HYBRID-OPT interpolates."
+        "(more memory, no per-iteration broadcast), MEM-OPT does the opposite, HYBRID-OPT interpolates.  "
+        "A running factor is kept only by the rank that decomposes it, so under MEM-OPT a rank's K-FAC state "
+        "is its share of the layers and nothing else."
     )
 
     # The bucketed collective engine fuses the per-layer collectives into

@@ -24,10 +24,6 @@ from .cost_model import PerformanceModel
 
 __all__ = ["ThreadedWorld", "ThreadedCommunicator", "ThreadedWork", "run_spmd"]
 
-#: Elements averaged at a time by the allreduce-average reducer: the stacked
-#: temporary is ``group_size`` chunks, however large a fused bucket is.
-_REDUCE_CHUNK = 1 << 16
-
 
 class _CollectiveSlot:
     """Rendezvous point for a single collective operation."""
@@ -323,16 +319,20 @@ class ThreadedCommunicator(Communicator):
     @staticmethod
     def _mean_reducer(values: List[np.ndarray]) -> np.ndarray:
         # Elementwise mean over the rank axis: bitwise-identical whether the
-        # tensors are reduced individually or coalesced into a fused buffer,
-        # and whether that buffer is reduced whole or (as here, so a fused
-        # bucket costs one result buffer instead of three) chunk by chunk.
-        out = np.empty(values[0].shape, dtype=values[0].dtype)
-        out_flat = out.reshape(-1)
-        flats = [np.asarray(value).reshape(-1) for value in values]
-        for start in range(0, out_flat.size, _REDUCE_CHUNK):
-            chunk = slice(start, start + _REDUCE_CHUNK)
-            out_flat[chunk] = np.mean(np.stack([flat[chunk] for flat in flats], axis=0), axis=0)
-        return out
+        # tensors are reduced individually or coalesced into a fused buffer.
+        # Accumulated in rank order straight into the one result buffer, which
+        # for float32 / float64 is bit for bit ``np.mean(np.stack(values), axis=0)``
+        # (a reduction over the leading axis adds the rows in order, then
+        # divides) without the stacked temporary.  Other dtypes keep that
+        # expression's accumulator (float32 for float16, float64 for integers)
+        # and are cast back once at the end.
+        dtype = values[0].dtype
+        wide = np.promote_types(dtype, np.float32) if dtype.kind == "f" else np.float64
+        out = np.add(values[0], values[1], dtype=wide)
+        for value in values[2:]:
+            out += value
+        out /= len(values)
+        return out.astype(dtype, copy=False)
 
     def allreduce_average(self, array: np.ndarray, group: Optional[Sequence[int]] = None) -> np.ndarray:
         group_t = self._normalize_group(group)

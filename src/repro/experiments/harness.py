@@ -167,10 +167,13 @@ def sweep_grad_worker_frac(
         # layers than ranks the busiest rank's eigen memory saturates early, while
         # the paper's per-GPU measurements grow smoothly (linearly) with the fraction.
         overhead = memory_model.overhead_bytes(world_size, frac, rank="mean")
+        # The paper's layout keeps every factor on every rank (its Figure 6 right axes).
+        replicated = memory_model.factor_bytes() + int(memory_model.eigen_bytes_per_rank(world_size, frac).mean())
         results[frac] = {
             "iteration_time": breakdown.total,
             "kfac_overhead_time": breakdown.kfac_overhead,
             "memory_overhead_bytes": float(overhead),
+            "replicated_memory_overhead_bytes": float(replicated),
             "baseline_iteration_time": time_model.baseline_iteration_time(spec, world_size),
         }
     return results
@@ -190,11 +193,11 @@ def measured_memory_report(
     Trains ``steps`` optimization steps of a real (small) workload under the
     requested distribution strategy with factor and eigen updates every
     iteration, then reads :meth:`KFAC.memory_usage` on every rank.  The
-    analytic per-rank prediction for the *same registered layers* (factors on
-    every rank; eigen state on each layer's gradient workers) is returned
-    alongside, so paper-style memory tables (Tables 4/5) can print a
-    live-measured column next to the modeled one and the two can be checked
-    against each other byte-exactly.
+    analytic per-rank prediction for the *same registered layers* (each
+    factor on the ranks that hold it, :meth:`KFAC.holds_factor`; eigen state
+    on each layer's gradient workers) is returned alongside, so paper-style
+    memory tables (Tables 4/5) can print a live-measured column next to the
+    modeled one and the two can be checked against each other byte-exactly.
     """
 
     def program(comm):
@@ -226,11 +229,17 @@ def measured_memory_report(
                     break
         measured = preconditioner.memory_usage()
         include_outer = preconditioner.compute_eigen_outer
-        predicted_factors = sum(layer.expected_factor_bytes() for layer in preconditioner.layers.values())
+        predicted_factors = sum(
+            layer.expected_factor_bytes(which)
+            for layer_name, layer in preconditioner.layers.items()
+            for which in ("a", "g")
+            if preconditioner.holds_factor(layer_name, which)
+        )
         predicted_eigen = sum(
             layer.expected_eigen_bytes(include_outer=include_outer)
             for layer_name, layer in preconditioner.layers.items()
             if preconditioner.groups[layer_name].is_grad_worker(comm.rank)
+            and preconditioner.solvers[layer_name].needs_eigen
         )
         # Solver-state bytes (cached inverses / CG warm starts) exist only on
         # a layer's gradient workers and only for non-eigen solve strategies;

@@ -286,7 +286,9 @@ class KernelBackend:
             running *= decay
             running += new
             return running
-        return (decay * running.astype(np.float32, copy=False) + (1.0 - decay) * new).astype(store_dtype)
+        # Both operands upcast: a window that travelled in a narrower factor dtype is blended in float32 too.
+        blend = decay * running.astype(np.float32, copy=False) + (1.0 - decay) * new.astype(np.float32, copy=False)
+        return blend.astype(store_dtype)
 
     # ---------------------------------------------------------- precondition
     def precondition_contract(

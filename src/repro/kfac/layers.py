@@ -352,26 +352,21 @@ class KFACLayer:
         self._a_count = 0
         self._g_count = 0
 
-    def update_factors(self, a_new: np.ndarray, g_new: np.ndarray, factor_decay: float) -> None:
-        """Fold new batch factors into the running averages (Eq. 9 running estimate).
+    def fold_factor(self, which: str, window: np.ndarray, factor_decay: float) -> None:
+        """Fold one window average into the running ``"a"`` / ``"g"`` factor (Eq. 9 running estimate).
 
-        Consumes ``a_new`` / ``g_new`` (the kernel backend may scale them in
-        place); pass copies to keep them.
+        The first window is adopted as a copy (``window`` may be a view of a
+        received bucket, which a kept view would pin); later ones go through
+        the kernel backend's decay blend, which may scale ``window`` in place
+        -- pass a copy to keep it.
         """
         dtype = self.precision.factor_dtype
-        if self.factor_a is None:
-            self.factor_a = a_new.astype(dtype)
-            self.factor_g = g_new.astype(dtype)
+        attr = "factor_a" if which == "a" else "factor_g"
+        running = getattr(self, attr)
+        if running is None:
+            setattr(self, attr, window.astype(dtype))
         else:
-            decay = float(factor_decay)
-            self.factor_a = self.kernels.fused_decay_update(self.factor_a, a_new, decay, dtype)
-            self.factor_g = self.kernels.fused_decay_update(self.factor_g, g_new, decay, dtype)
-
-    def set_factors(self, factor_a: np.ndarray, factor_g: np.ndarray) -> None:
-        """Overwrite the running-average factors (used after the factor allreduce)."""
-        dtype = self.precision.factor_dtype
-        self.factor_a = factor_a.astype(dtype)
-        self.factor_g = factor_g.astype(dtype)
+            setattr(self, attr, self.kernels.fused_decay_update(running, window, float(factor_decay), dtype))
 
     # ---------------------------------------------------------------- eigen
     def compute_eigen(self, damping: float, compute_outer: bool = True, pi: Optional[float] = None) -> None:
@@ -426,7 +421,9 @@ class KFACLayer:
         def pack_eigen(eigen: Optional[EigenDecomposition]):
             if eigen is None:
                 return None
-            eigenvectors = None if eigen.eigenvectors is None else eigen.eigenvectors.copy()
+            # order="K": ``syevd`` hands back a column-major basis, and BLAS rounds by layout, so a
+            # row-major copy would make the resumed run's preconditioned gradients differ in the last bits.
+            eigenvectors = None if eigen.eigenvectors is None else eigen.eigenvectors.copy(order="K")
             return {"eigenvalues": eigen.eigenvalues.copy(), "eigenvectors": eigenvectors}
 
         def copy(array: Optional[np.ndarray]):
@@ -565,14 +562,15 @@ class KFACLayer:
             total += self.inverse_outer.nbytes
         return total
 
-    def expected_factor_bytes(self) -> int:
-        """Bytes the factors will occupy once computed (for the planning memory model).
+    def expected_factor_bytes(self, which: Optional[str] = None) -> int:
+        """Bytes the factors (or just factor ``which``) will occupy once computed (for the planning memory model).
 
         Uses the packed representation size — O(F) for diagonal factors — so
         the memory model prices structured layers at their real footprint.
         """
         itemsize = np.dtype(self.precision.factor_dtype).itemsize
-        return (self.a_repr.packed_numel + self.g_repr.packed_numel) * itemsize
+        reprs = (self.a_repr, self.g_repr) if which is None else (self.factor_repr(which),)
+        return sum(repr.packed_numel for repr in reprs) * itemsize
 
     def expected_eigen_bytes(self, include_outer: bool = True) -> int:
         """Bytes the eigen decompositions will occupy once computed."""

@@ -19,9 +19,10 @@ hyperparameters, so both spellings validate through the same rules.)
 
 A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 
-1. fold the forward/backward statistics accumulated by the layer hooks into
-   the running-average Kronecker factors and allreduce them (every
-   ``factor_update_freq`` iterations),
+1. average the forward/backward statistics accumulated by the layer hooks
+   into this rank's *window* factors, allreduce those, and fold the averaged
+   window into the running-average Kronecker factors on the ranks that hold
+   them (every ``factor_update_freq`` iterations),
 2. compute the eigen decompositions on their assigned workers and broadcast
    them to the layer's gradient workers (every ``inv_update_freq``
    iterations),
@@ -377,7 +378,7 @@ class KFAC(Preconditioner):
             if factor_layers and not self._factors_reduced:
                 with self._stage("factor_compute"):
                     for name in factor_layers:
-                        self._fold_layer_window(self.layers[name])
+                        self.factor_window(self.layers[name])
                 with self._stage("factor_allreduce"):
                     self.scheduler.run_allreduces(
                         [
@@ -385,10 +386,24 @@ class KFAC(Preconditioner):
                             for _layer, key, _shape, _dtype, pack, install in self._factor_entries(factor_layers)
                         ]
                     )
+            if self._rejected_windows and step == 0:
+                # Every layer is due at step 0 and a later step is only reached
+                # once every layer accepted a window, so this is the one case
+                # with nothing to fall back on -- and, like the rejection
+                # itself, every rank reaches it together.
+                rejected = self._rejected_windows
+                self._begin_factor_window()  # a retried step takes a fresh window
+                raise ValueError(
+                    f"the first factor window of layer(s) {rejected} is not finite (non-finite "
+                    "activations or output gradients, e.g. an overflowed loss-scaled step) and "
+                    "there are no earlier factors to keep"
+                )
             for name in factor_layers:
                 layer = self.layers[name]
-                # Post-allreduce: all ranks observe identical factors and hence
-                # derive the identical plan without extra communication.
+                # Post-allreduce: with drift tracking on, every rank holds (and
+                # observes) identical factors and hence derives the identical
+                # plan without extra communication; with it off the factors are
+                # not read here and a rank that does not hold them passes None.
                 sched.observe_factors(name, step, layer.factor_a, layer.factor_g)
 
             if sanitizer is not None:
@@ -477,21 +492,81 @@ class KFAC(Preconditioner):
         return tikhonov_pi(layer.factor_a, layer.factor_g)
 
     # ------------------------------------------------------------ stage 1: factors
-    # One fold and one spec builder serve both callers: ``step()`` folds every
-    # due layer, then posts the entries as one schedule; a GradientPipeline
-    # the preconditioner subscribes to (see ``pipeline_specs``) posts the same
-    # entries from backward events, folding each layer inside its payload.
-    # Due layers are walked in registration order (every rank iterates, and
-    # hence posts collectives, in the same order); skipped layers contribute
-    # no local compute and no collective traffic.
+    # Every rank contributes its *window average*; the average over ranks is
+    # folded once, where the factor is read.  One spec builder serves both
+    # callers: ``step()`` takes every due layer's window, then posts the
+    # entries as one schedule; a GradientPipeline the preconditioner
+    # subscribes to (see ``pipeline_specs``) posts the same entries from
+    # backward events, taking each layer's window inside its payload.  Due
+    # layers are walked in registration order (every rank iterates, and hence
+    # posts collectives, in the same order); skipped layers contribute no
+    # local compute and no collective traffic.
     def _begin_factor_window(self) -> None:
-        """Forget what was folded / reduced: the next factor update starts clean.
+        """Forget what was taken / reduced / rejected: the next factor update starts clean.
 
         The one reset point of the per-step factor bookkeeping — construction,
         the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`.
         """
-        self._folded: set = set()  # ids of the layers folded for the pending step
+        self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
+        self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._factors_reduced = False  # a pipeline already allreduced the pending step's factors
+
+    def factor_window(self, layer: KFACLayer) -> tuple:
+        """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
+
+        Taken from the layer's accumulators once per pending step and kept
+        until the step ends: a re-armed (retried) step posts the same window
+        again, and it is folded once, when an allreduce of it is installed.
+        """
+        window = self._windows.get(layer.name)
+        if window is None:
+            if not layer.has_accumulated_data:
+                raise RuntimeError(
+                    f"layer {layer.name!r} has no forward/backward statistics for this factor update; "
+                    "ensure the forward and backward passes ran in training mode before KFAC.step()"
+                )
+            dtype = self.precision.factor_dtype
+            window = tuple(part.astype(dtype, copy=False) for part in layer.compute_batch_factors())
+            self._windows[layer.name] = window
+        return window
+
+    def holds_factor(self, name: str, which: str) -> bool:
+        """Whether this rank keeps layer ``name``'s running ``"a"`` / ``"g"`` factor.
+
+        A rank holds a factor iff one of its own plans reads it: the
+        decompositions the strategy publishes for this rank
+        (:meth:`~repro.kfac.strategy.DistributionStrategy.local_eigen_tasks`),
+        the layer's gradient workers when its solve strategy reads the
+        factors instead of an eigenbasis (``inverse``, ``cg``), and every rank
+        when the configuration makes every rank read them -- ``drift_tol > 0``
+        derives the refresh plan from factor drift on every rank, and
+        ``damping_pi_correction`` takes both traces wherever it damps.  A
+        factor this rank does not hold stays ``None``.
+        """
+        if self.factor_scheduler.drift_tol > 0.0 or self.damping_pi_correction:
+            return True
+        group = self.groups[name]
+        if not self.solvers[name].needs_eigen:
+            return group.is_grad_worker(self.rank)
+        return which in self.strategy.local_eigen_tasks(self.layers[name], group, self)
+
+    def accept_factor_window(self, layer: KFACLayer, window_a: np.ndarray, window_g: np.ndarray) -> bool:
+        """Whether ``layer``'s averaged window pair may be folded: the same answer on every rank.
+
+        Every rank receives the same averaged pair, so the decision needs no
+        communication.  A non-finite pair (one bad activation, an overflowed
+        loss-scaled backward) would never decay out of a running average; it
+        is folded nowhere and counted, and the step goes on with the factors
+        and decompositions it had.
+        """
+        if np.isfinite(window_a).all() and np.isfinite(window_g).all():
+            return True
+        self._rejected_windows.append(layer.name)
+        self.factor_scheduler.reject_window(layer.name)
+        if self.tracer.enabled:
+            self.tracer.counter_add("kfac/factor_windows_rejected")
+            self.tracer.instant("kfac/factor_window_rejected", category="kfac", step=self._steps, layer=layer.name)
+        return False
 
     def _factor_layers_due(self) -> List[str]:
         """Layer names whose factor fold + allreduce run this step.
@@ -501,21 +576,6 @@ class KFAC(Preconditioner):
         ``on_pipeline_flush``.
         """
         return [name for name in self.layers if self.factor_scheduler.factors_due(name, self._steps)]
-
-    def _fold_layer_window(self, layer: KFACLayer) -> None:
-        """Fold one layer's accumulated statistics into its running factors (once per step)."""
-        if id(layer) in self._folded:
-            # A re-armed (retried) step must not fold its window — and apply
-            # factor_decay — a second time.
-            return
-        if not layer.has_accumulated_data:
-            raise RuntimeError(
-                f"layer {layer.name!r} has no forward/backward statistics for this factor update; "
-                "ensure the forward and backward passes ran in training mode before KFAC.step()"
-            )
-        a_new, g_new = layer.compute_batch_factors()
-        layer.update_factors(a_new, g_new, self.factor_decay)
-        self._folded.add(id(layer))
 
     def _factor_entries(self, names: Iterable[str]):
         """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``names``.
@@ -671,11 +731,11 @@ class KFAC(Preconditioner):
     # ------------------------------------------ gradient-pipeline subscription
     # KFAC is a GradientPipeline subscriber: on factor-update iterations it
     # publishes one bucket spec per Kronecker factor, gated on the owning
-    # module's full-backward event.  The payload lazily folds the layer's
-    # accumulated forward/backward window into the running factors (once per
-    # layer) and returns the factor to allreduce, so a layer's factor traffic
-    # is posted the moment *its* backward completes — while earlier layers
-    # are still backpropagating.  After the pipeline drains, KFAC.step()
+    # module's full-backward event.  The payload lazily takes the layer's
+    # accumulated forward/backward window (once per layer) and returns its
+    # half to allreduce, so a layer's factor traffic is posted the moment
+    # *its* backward completes — while earlier layers are still
+    # backpropagating — and folded when the pipeline drains.  KFAC.step() then
     # skips its factor stages for that iteration; everything else (eigen,
     # precondition, broadcasts) is unchanged and bitwise identical.
     def pipeline_specs(self, pipeline) -> List[GradientBucketSpec]:
@@ -692,23 +752,18 @@ class KFAC(Preconditioner):
         # Reverse registration order: the last layers' backward events fire
         # first, so their factor buckets fill (and post) earliest.
         for layer, key, shape, dtype, pack, install in self._factor_entries(reversed(self._factor_layers_due())):
-
-            def payload(layer=layer, pack=pack) -> np.ndarray:
-                self._fold_layer_window(layer)
-                return pack()
-
             specs.append(
                 GradientBucketSpec(
                     key=f"kfac/{key}",
                     shape=shape,
                     dtype=dtype,
-                    payload=payload,
+                    payload=pack,
                     on_complete=install,
                     modules=(layer.module,),
                     # A layer skipped by the final micro-batch still has a
-                    # window of statistics from earlier ones; fold and
+                    # window of statistics from earlier ones; take and
                     # allreduce it at flush exactly as step() would.
-                    flush_ready=lambda layer=layer: id(layer) in self._folded or layer.has_accumulated_data,
+                    flush_ready=lambda layer=layer: layer.name in self._windows or layer.has_accumulated_data,
                 )
             )
         return specs
@@ -716,11 +771,11 @@ class KFAC(Preconditioner):
     def on_pipeline_flush(self, pipeline) -> None:
         """Mark this iteration's factor stages complete once the pipeline drained."""
         required = self._factor_layers_due()
-        missing = [name for name in required if id(self.layers[name]) not in self._folded]
+        missing = [name for name in required if name not in self._windows]
         if missing:
             raise RuntimeError(
                 f"gradient pipeline flushed but layers {missing} produced no backward event; "
-                "their factor windows were never folded or allreduced"
+                "their factor windows were never taken or allreduced"
             )
         self._factors_reduced = bool(required)
 
@@ -730,8 +785,9 @@ class KFAC(Preconditioner):
 
         The dict contains the step counter, the hyperparameters (as a
         :class:`KFACConfig` dict, for bookkeeping) and per-layer factor/eigen
-        state.  Under MEM-OPT / HYBRID-OPT different ranks hold different
-        eigen state, so each rank checkpoints and restores its own dict.
+        state.  Different ranks hold different factors (:meth:`holds_factor`)
+        and, under MEM-OPT / HYBRID-OPT, different eigen state, so each rank
+        checkpoints and restores its own dict.
         """
         try:
             config = self.config.to_dict()
@@ -754,7 +810,10 @@ class KFAC(Preconditioner):
         The registered layers must match the checkpoint exactly (same names,
         same shapes); arrays are cast to this instance's precision policy.
         Hyperparameters are *not* overwritten — construct the instance from
-        the same :class:`KFACConfig` to resume the identical schedule.
+        the same :class:`KFACConfig` to resume the identical schedule.  Factors
+        this rank does not hold (:meth:`holds_factor`) are dropped, so a
+        checkpoint that carries every factor on every rank resumes; a held
+        factor the checkpoint lacks raises, once a factor update has run.
         """
         layer_states = state["layers"]
         missing = sorted(set(self.layers) - set(layer_states))
@@ -764,9 +823,18 @@ class KFAC(Preconditioner):
                 "preconditioner state does not match the registered layers "
                 f"(missing: {missing}, unexpected: {unexpected})"
             )
+        self._steps = int(state["steps"])
         for name, layer in self.layers.items():
             layer.load_state_dict(layer_states[name])
-        self._steps = int(state["steps"])
+            for which, attr in (("a", "factor_a"), ("g", "factor_g")):
+                if not self.holds_factor(name, which):
+                    setattr(layer, attr, None)
+                elif getattr(layer, attr) is None and self._steps > 0:
+                    raise ValueError(
+                        f"checkpoint has no {which.upper()} factor for layer {name!r}, which rank {self.rank} "
+                        "holds under this configuration; restore each rank from its own state_dict(), "
+                        "written under the same strategy and knobs"
+                    )
         # A checkpoint without a plan was written by the fixed step % freq
         # cadence (every version before the scheduler became the only path):
         # position a fresh plan on that cadence at the restored step, so the

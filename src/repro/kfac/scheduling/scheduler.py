@@ -1,10 +1,11 @@
 """Per-layer factor/eigen update planning with drift-driven interval stretching.
 
 :class:`FactorUpdateScheduler` owns the *when* of second-order maintenance.
-Every rank constructs the identical plan from the allreduced factors (drift
-is measured after the factor allreduce, so the inputs are bitwise identical
-across ranks), which keeps the collective schedules of all ranks in lock
-step without any extra communication.
+Every rank constructs the identical plan from the allreduced factor windows
+(drift is measured after the factor allreduce on factors every rank then
+holds, so the inputs are bitwise identical across ranks), which keeps the
+collective schedules of all ranks in lock step without any extra
+communication.
 
 The plan is queried at three points of an optimization step:
 
@@ -65,6 +66,7 @@ class _LayerSchedule:
         "factor_skips",
         "eigen_skips",
         "drift_triggers",
+        "factor_windows_rejected",
     )
 
     def __init__(self, factor_interval: int, eigen_interval: int) -> None:
@@ -82,6 +84,7 @@ class _LayerSchedule:
         self.factor_skips = 0
         self.eigen_skips = 0
         self.drift_triggers = 0
+        self.factor_windows_rejected = 0
 
 
 class FactorUpdateScheduler:
@@ -166,8 +169,10 @@ class FactorUpdateScheduler:
     def observe_factors(self, name: str, step: int, factor_a: np.ndarray, factor_g: np.ndarray) -> float:
         """Record a performed factor update and measure drift (post-allreduce).
 
-        Must be called with the *allreduced* factors so every rank observes
-        identical values and derives the identical plan.  Returns the
+        With drift tracking on, must be called with the factors folded from
+        the *allreduced* windows (every rank then holds all of them), so every
+        rank observes identical values and derives the identical plan; with
+        it off the factors are not read and may be ``None``.  Returns the
         measured drift (0.0 when drift tracking is off or no snapshot
         exists yet).  A drift above ``drift_tol`` schedules a second-order
         refresh for this very step and resets the stretched intervals.
@@ -188,6 +193,14 @@ class FactorUpdateScheduler:
                 state.drift_triggers += 1
         state.next_factor_step = step + state.factor_interval
         return drift
+
+    def reject_window(self, name: str) -> None:
+        """Count a factor window of ``name`` that was not finite and was folded nowhere.
+
+        The update still counts as performed (:meth:`observe_factors` runs as
+        usual), so a bad batch never moves the cadence.
+        """
+        self._layers[name].factor_windows_rejected += 1
 
     def mark_second_order(self, name: str, step: int, factor_a: np.ndarray, factor_g: np.ndarray) -> None:
         """Record a performed second-order refresh and schedule the next one.
@@ -234,6 +247,7 @@ class FactorUpdateScheduler:
                 "factor_skips": state.factor_skips,
                 "eigen_skips": state.eigen_skips,
                 "drift_triggers": state.drift_triggers,
+                "factor_windows_rejected": state.factor_windows_rejected,
                 "last_drift": state.last_drift,
                 "factor_interval": state.factor_interval,
                 "eigen_interval": state.eigen_interval,
@@ -243,7 +257,14 @@ class FactorUpdateScheduler:
         return out
 
     def totals(self) -> Dict[str, int]:
-        keys = ("factor_updates", "eigen_updates", "factor_skips", "eigen_skips", "drift_triggers")
+        keys = (
+            "factor_updates",
+            "eigen_updates",
+            "factor_skips",
+            "eigen_skips",
+            "drift_triggers",
+            "factor_windows_rejected",
+        )
         sums = {key: 0 for key in keys}
         for state in self._layers.values():
             for key in keys:
@@ -289,6 +310,7 @@ class FactorUpdateScheduler:
                 "factor_skips": state.factor_skips,
                 "eigen_skips": state.eigen_skips,
                 "drift_triggers": state.drift_triggers,
+                "factor_windows_rejected": state.factor_windows_rejected,
             }
         return {
             "factor_update_freq": self.factor_update_freq,
@@ -326,6 +348,8 @@ class FactorUpdateScheduler:
             target.factor_skips = int(entry["factor_skips"])
             target.eigen_skips = int(entry["eigen_skips"])
             target.drift_triggers = int(entry["drift_triggers"])
+            # Absent from checkpoints written before the window gate existed.
+            target.factor_windows_rejected = int(entry.get("factor_windows_rejected", 0))
 
     def reset(self, at_step: int = 0) -> None:
         """Forget all drift/interval state and restart the base cadence.

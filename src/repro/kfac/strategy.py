@@ -26,7 +26,16 @@ collectives to run as lists of specs
 :meth:`DistributionStrategy.finalize_eigen` as the hooks that run once the
 decompositions / broadcasts of a layer landed.  :class:`~repro.kfac.KFAC`
 batches the decompositions through its kernel backend and runs every spec
-through one :class:`~repro.distributed.collectives.OverlapScheduler`.  A new
+through one :class:`~repro.distributed.collectives.OverlapScheduler`.
+
+The plans also say where K-FAC state lives.  Eigen state is kept by a layer's
+gradient workers (the paper's tunable footprint).  A *running factor* is kept
+only by the ranks whose plan reads it -- with the default knobs the one rank
+that :meth:`~DistributionStrategy.local_eigen_tasks` makes decompose it
+(:meth:`repro.kfac.KFAC.holds_factor` is the rule): the factor stage
+allreduces the ranks' window averages and the average is folded there, so no
+rank keeps a running factor it never reads, and a scheme that only overrides
+``local_eigen_tasks`` moves the factors with the decompositions.  A new
 distribution scheme is a new subclass; the preconditioner never branches on
 the scheme itself.  Constructing the base class dispatches to the matching
 subclass from ``grad_worker_frac``, so ``DistributionStrategy(world, frac)``
@@ -344,6 +353,8 @@ class DistributionStrategy:
         owns, groups the dense factors by shape, and decomposes each group in
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
         call, installing the results in ``layer.eigen_a`` / ``layer.eigen_g``.
+        The answer must not change between steps: it is also what makes this
+        rank hold those running factors (:meth:`repro.kfac.KFAC.holds_factor`).
         """
         raise NotImplementedError
 
@@ -360,13 +371,19 @@ class DistributionStrategy:
     ) -> List[Tuple[str, Tuple[int, ...], np.dtype, Callable[[], np.ndarray], Callable[[np.ndarray], None]]]:
         """Per-layer factor-allreduce plan: ``(key, shape, dtype, pack, install)``.
 
-        The base plan allreduce-averages both Kronecker factors over the
-        whole world, honoring ``pre.triangular_comm`` packing — shared by the
-        ``KFAC.step()``-time schedule and the backward-hook gradient
-        pipeline, which differ only in *when* the entries are posted.
-        ``pack`` reads the layer's current running factor at posting time;
-        ``install`` collects both reduced factors and writes them back via
-        :meth:`KFACLayer.set_factors` once the pair arrived.  Structured
+        The base plan allreduce-averages the *window averages* of both
+        Kronecker factors over the whole world, honoring
+        ``pre.triangular_comm`` packing — shared by the ``KFAC.step()``-time
+        schedule and the backward-hook gradient pipeline, which differ only
+        in *when* the entries are posted.  ``pack`` returns this rank's
+        window average (:meth:`KFAC.factor_window`, taken once per pending
+        step); ``install`` collects the averaged pair and, if every rank
+        alike finds it finite (:meth:`KFAC.accept_factor_window`), folds each
+        half into the running factor with :meth:`KFACLayer.fold_factor` — on
+        the ranks that hold that factor (:meth:`KFAC.holds_factor`) and
+        nowhere else.  The running average is linear, so folding the averaged
+        window once is the estimator every rank used to fold for itself, and
+        a running factor exists only where a plan reads it.  Structured
         factors travel in their packed form — O(F) bytes for a diagonal
         factor, never the dense F² — and the bucket manager fuses on the
         flattened packed sizes.  A topology-aware strategy can override this
@@ -375,36 +392,35 @@ class DistributionStrategy:
         dtype = np.dtype(pre.precision.factor_dtype)
         received: Dict[str, np.ndarray] = {}
 
-        def make_pack(which: str, repr: FactorRepr) -> Callable[[], np.ndarray]:
+        def make_pack(index: int, repr: FactorRepr) -> Callable[[], np.ndarray]:
             def pack() -> np.ndarray:
-                factor = layer.factor_a if which == "a" else layer.factor_g
-                if factor is None:
-                    raise RuntimeError(f"layer {layer.name!r} has no {which.upper()} factor to allreduce")
-                return repr.pack_comm(factor, pre.triangular_comm)
+                return repr.pack_comm(pre.factor_window(layer)[index], pre.triangular_comm)
 
             return pack
 
         def make_install(which: str) -> Callable[[np.ndarray], None]:
             def install(array: np.ndarray) -> None:
                 received[which] = array
-                if len(received) == 2:
-                    layer.set_factors(
-                        layer.a_repr.unpack_comm(received["a"], pre.triangular_comm),
-                        layer.g_repr.unpack_comm(received["g"], pre.triangular_comm),
-                    )
-                    received.clear()
+                if len(received) < 2:
+                    return
+                if pre.accept_factor_window(layer, received["a"], received["g"]):
+                    for held in ("a", "g"):
+                        if pre.holds_factor(layer.name, held):
+                            window = layer.factor_repr(held).unpack_comm(received[held], pre.triangular_comm)
+                            layer.fold_factor(held, window, pre.factor_decay)
+                received.clear()
 
             return install
 
         entries = []
-        for which in ("a", "g"):
+        for index, which in enumerate(("a", "g")):
             repr = layer.factor_repr(which)
             entries.append(
                 (
                     f"{layer.name}/factor_{which}",
                     repr.comm_shape(pre.triangular_comm),
                     dtype,
-                    make_pack(which, repr),
+                    make_pack(index, repr),
                     make_install(which),
                 )
             )

@@ -1,12 +1,22 @@
 """Per-rank memory accounting (Table 5 and the right axes of Figure 6).
 
 The paper's "K-FAC memory overhead" is the per-GPU memory used by K-FAC state
-on top of regular training: the running-average Kronecker factors (held by
-every rank, because the factor allreduce leaves a copy everywhere) plus the
+on top of regular training: the running-average Kronecker factors plus the
 eigen decompositions and the cached eigenvalue outer product (held only by
-the ranks that act as *gradient workers* for a layer).  That makes the
-overhead a linear function of ``grad_worker_frac``, which is exactly what
-Table 5's min/max columns and Figure 6's right axes show.
+the ranks that act as *gradient workers* for a layer).  Two layouts of the
+factors are modelled:
+
+* **this tree's**: a running factor lives only on the rank that decomposes it
+  (the ranks allreduce their *window* factors and the average is folded where
+  it is read, :meth:`repro.kfac.KFAC.holds_factor`), so per-rank state is
+  ``(factors + eigen) / world`` at MEM-OPT --
+  :meth:`KFACMemoryModel.factor_bytes_per_rank`, :meth:`KFACMemoryModel.breakdown`;
+* **the paper's**: every rank keeps every factor, because its factor
+  allreduce leaves a copy of the running average everywhere, so the overhead
+  is ``factors + eigen / world`` and a linear function of
+  ``grad_worker_frac`` -- Table 5's min/max columns and Figure 6's right
+  axes.  :meth:`KFACMemoryModel.factor_bytes` is that term, kept for the
+  paper columns the benchmarks print beside this tree's.
 
 Regular training memory is modelled as weights + gradients + optimizer state
 + an activation estimate proportional to the local batch size.  Activation
@@ -133,7 +143,7 @@ class KFACMemoryModel:
 
     # ------------------------------------------------------------- components
     def factor_bytes(self) -> int:
-        """Bytes of all Kronecker factors held by every rank.
+        """Bytes of all Kronecker factors: what every rank holds in the paper's replicated layout.
 
         Each factor is charged at its stored (packed) size: ``n²`` elements
         for dense, ``n`` for diagonal, ``blocks·bs²`` for block-diagonal —
@@ -142,6 +152,22 @@ class KFACMemoryModel:
         return sum(
             (l.a_repr.packed_numel + l.g_repr.packed_numel) * self.factor_dtype_bytes for l in self.layers
         )
+
+    def factor_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
+        """Running-factor bytes held by each rank: a factor lives on the rank that decomposes it.
+
+        From the same assignment as :meth:`eigen_bytes_per_rank`, under the
+        default knobs (``drift_tol``, ``damping_pi_correction`` and the
+        non-eigen solve strategies make more ranks hold factors, see
+        :meth:`repro.kfac.KFAC.holds_factor`).  Sums to :meth:`factor_bytes`.
+        """
+        groups = DistributionStrategy(world_size, grad_worker_frac).assign(self.layers)
+        per_rank = np.zeros(world_size, dtype=np.int64)
+        for layer in self.layers:
+            group = groups[layer.name]
+            per_rank[group.eigen_worker_a] += layer.a_repr.packed_numel * self.factor_dtype_bytes
+            per_rank[group.eigen_worker_g] += layer.g_repr.packed_numel * self.factor_dtype_bytes
+        return per_rank
 
     def eigen_bytes_for_layer(self, layer: LayerShapeInfo) -> int:
         # Eigenvalues + stored eigenvectors per factor; a diagonal factor's
@@ -174,8 +200,8 @@ class KFACMemoryModel:
         """Memory breakdown for one rank.
 
         ``grad_worker_frac=None`` gives the baseline (no K-FAC) breakdown.
-        ``rank`` selects ``"max"`` (busiest rank, the paper's reported number),
-        ``"min"`` or ``"mean"``.
+        ``rank`` selects ``"max"`` (the rank with the most K-FAC state,
+        factors and eigen state together), ``"min"`` or ``"mean"``.
         """
         weights = self.param_count * self.weight_dtype_bytes
         gradients = self.param_count * self.weight_dtype_bytes
@@ -186,14 +212,14 @@ class KFACMemoryModel:
         )
         if grad_worker_frac is None:
             return result
-        result.kfac_factors = self.factor_bytes()
-        per_rank = self.eigen_bytes_per_rank(world_size, grad_worker_frac)
-        if rank == "max":
-            result.kfac_eigen = int(per_rank.max())
-        elif rank == "min":
-            result.kfac_eigen = int(per_rank.min())
-        elif rank == "mean":
-            result.kfac_eigen = int(per_rank.mean())
+        factors = self.factor_bytes_per_rank(world_size, grad_worker_frac)
+        eigen = self.eigen_bytes_per_rank(world_size, grad_worker_frac)
+        if rank == "mean":
+            result.kfac_factors, result.kfac_eigen = int(factors.mean()), int(eigen.mean())
+        elif rank in ("max", "min"):
+            total = factors + eigen
+            index = int(total.argmax() if rank == "max" else total.argmin())
+            result.kfac_factors, result.kfac_eigen = int(factors[index]), int(eigen[index])
         else:
             raise ValueError("rank must be 'max', 'min' or 'mean'")
         return result

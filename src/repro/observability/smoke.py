@@ -10,7 +10,8 @@ exposed/hidden communication next to the analytic model's prediction for
 the same layer set.  Used three ways:
 
 * the CI trace-smoke job: ``python -m repro.observability.smoke --out
-  trace.json`` (exit code non-zero if the exported trace fails validation);
+  trace.json`` (exit code non-zero if the exported trace fails validation, or
+  if the ranks' running factors do not add up to every factor stored once);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert` /
   :func:`modeled_schedule_for_run` to print modeled-vs-measured columns;
 * the observability tests, as the canonical "real workload, real ranks"
@@ -44,7 +45,9 @@ def run_traced_bert(
     and the fused nonblocking collective engine, so the returned per-rank
     tracers carry comm spans overlapping the backward spans.  Returns
     ``(tracers, run_info)`` where ``run_info`` records the knobs needed to
-    rebuild the matching analytic schedule.
+    rebuild the matching analytic schedule, each rank's final
+    :meth:`KFAC.memory_usage` (``"memory_usage"``) and the bytes of all
+    registered factors (``"registered_factor_bytes"``).
     """
     from ..distributed.threaded import run_spmd
     from .tracer import Tracer
@@ -86,9 +89,11 @@ def run_traced_bert(
         )
         for batch in itertools.islice(iter(workload.train_loader), steps):
             trainer.train_step(batch)
-        return trainer.tracer
+        registered = sum(layer.expected_factor_bytes() for layer in preconditioner.layers.values())
+        return trainer.tracer, preconditioner.memory_usage(), registered
 
-    tracers = run_spmd(world_size, program)
+    per_rank = run_spmd(world_size, program)
+    tracers = [tracer for tracer, _, _ in per_rank]
     run_info = {
         "world_size": world_size,
         "steps": steps,
@@ -97,6 +102,8 @@ def run_traced_bert(
         "factor_update_freq": factor_update_freq,
         "inv_update_freq": inv_update_freq,
         "use_pipeline": use_pipeline,
+        "memory_usage": [usage for _, usage, _ in per_rank],
+        "registered_factor_bytes": per_rank[0][2],
     }
     return tracers, run_info
 
@@ -199,6 +206,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="\nExposed communication: modeled vs measured (busiest rank)",
         )
     )
+    print("\nK-FAC state per rank (bytes):")
+    for rank, usage in enumerate(run_info["memory_usage"]):
+        print(f"  rank {rank}: " + ", ".join(f"{key}={value}" for key, value in usage.items()))
+    held = sum(usage["factors"] for usage in run_info["memory_usage"])
+    registered = run_info["registered_factor_bytes"]
+    print(f"  running factors over all ranks: {held} bytes; all registered factors, once: {registered} bytes")
+    if held != registered:
+        # A factor lives only on the rank that decomposes it (KFAC.holds_factor,
+        # default knobs); more bytes than that is the replicated layout.
+        print("ERROR: the running factors summed over ranks are not every factor stored once", file=sys.stderr)
+        return 1
     if measured.exposed_comm_time > measured.comm_time + 1e-9:
         print("ERROR: measured exposed comm exceeds total comm occupancy", file=sys.stderr)
         return 1

@@ -71,6 +71,23 @@ class ReferenceKernelBackend(KernelBackend):
         return total
 
 
+def replicated_fold_reference(layer, a_new, g_new, factor_decay):
+    """The factor fold as every rank used to run it for itself (``KFACLayer.update_factors``).
+
+    Both running factors blended from this rank's own window, as plain
+    expressions.  At world size 1 the sharded factor stage (window average
+    through the bucket, folded by ``KFACLayer.fold_factor`` where it is held)
+    must equal it to the bit.
+    """
+    dtype = layer.precision.factor_dtype
+    if layer.factor_a is None:
+        layer.factor_a, layer.factor_g = a_new.astype(dtype), g_new.astype(dtype)
+        return
+    decay = float(factor_decay)
+    layer.factor_a = (decay * layer.factor_a.astype(np.float32, copy=False) + (1.0 - decay) * a_new).astype(dtype)
+    layer.factor_g = (decay * layer.factor_g.astype(np.float32, copy=False) + (1.0 - decay) * g_new).astype(dtype)
+
+
 def use_reference_kernels(preconditioner):
     """Swap ``preconditioner`` and every layer it registered onto one oracle instance; returns it."""
     oracle = ReferenceKernelBackend()

@@ -124,19 +124,25 @@ class TestThreadedWorld:
             np.testing.assert_allclose(result, 1.5)
 
     def test_allreduce_average_of_a_large_fused_buffer_matches_whole_buffer_mean(self):
-        """The reducer averages in bounded chunks (so a fused bucket costs one
-        result buffer, not a stacked copy of every rank's); the result must be
-        the whole-buffer ``np.mean`` bit for bit, for every dtype and layout."""
-        size = 3 * (1 << 16) + 17  # several chunks plus a ragged tail
-        for dtype in (np.float16, np.float32, np.float64):
-            contributions = [
-                (np.random.default_rng(rank).standard_normal((size // 5, 5)) * 3).astype(dtype) for rank in range(3)
-            ]
-            contributions[1] = np.asfortranarray(contributions[1])
-            expected = np.mean(np.stack(contributions, axis=0), axis=0).astype(dtype)
-            for result in run_spmd(3, lambda comm: comm.allreduce_average(contributions[comm.rank])):
-                assert result.dtype == dtype
-                np.testing.assert_array_equal(result, expected)
+        """The reducer accumulates the contributions in rank order into one result
+        buffer (a fused bucket costs no stacked copy of every rank's); the result
+        must be the whole-buffer ``np.mean`` bit for bit, for every world size,
+        dtype (float16 accumulates in float32, as ``np.mean`` does) and layout."""
+        size = 100_003
+        for world in (2, 3, 4):
+            for dtype in (np.float16, np.float32, np.float64):
+                contributions = [
+                    (np.random.default_rng(rank).standard_normal((size // 5, 5)) * 3 * 10**rank).astype(dtype)
+                    for rank in range(world)
+                ]
+                contributions[1] = np.asfortranarray(contributions[1])
+                expected = np.mean(np.stack(contributions, axis=0), axis=0).astype(dtype)
+                results = run_spmd(world, lambda comm: comm.allreduce_average(contributions[comm.rank]))
+                for rank, result in enumerate(results):
+                    assert result.dtype == dtype
+                    np.testing.assert_array_equal(result, expected)
+                    # A private copy: the K-FAC fold consumes the received buffer in place.
+                    assert not any(np.shares_memory(result, other) for other in results[:rank] + contributions)
 
     def test_allreduce_sum(self):
         def program(comm):

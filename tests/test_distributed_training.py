@@ -12,9 +12,10 @@ import pytest
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, PerformanceModel, run_spmd
-from repro.kfac import KFAC
+from repro.kfac import KFAC, HybridOptStrategy
 from repro.models import MLP
 from repro.tensor import Tensor
+from repro.training import GradientPipeline, Trainer
 
 RNG = np.random.default_rng(17)
 X_GLOBAL = RNG.standard_normal((256, 6)).astype(np.float32)
@@ -155,8 +156,13 @@ class TestDistributedKFAC:
         total_mem_opt_eigen = sum(u["eigen"] for u in mem_opt_usage)
         total_comm_opt_eigen = sum(u["eigen"] for u in comm_opt_usage)
         assert total_mem_opt_eigen < total_comm_opt_eigen
-        # Factors are allreduced, so every rank holds them under both strategies.
-        assert all(u["factors"] > 0 for u in mem_opt_usage)
+        # The factor *windows* are allreduced; a running factor lives only where it is
+        # decomposed, so under both strategies the ranks together hold every factor once.
+        all_factors = ((6 + 1) ** 2 + 16**2 + (16 + 1) ** 2 + 3**2) * 4
+        assert sum(u["factors"] for u in mem_opt_usage) == all_factors
+        assert sum(u["factors"] for u in comm_opt_usage) == all_factors
+        # Two layers, four ranks: MEM-OPT leaves two ranks without any K-FAC state.
+        assert sorted(u["total"] > 0 for u in mem_opt_usage) == [False, False, True, True]
 
     def test_communication_volume_mem_opt_higher_per_iteration(self):
         """MEM-OPT broadcasts preconditioned gradients every iteration; COMM-OPT does not."""
@@ -193,3 +199,185 @@ class TestDistributedKFAC:
         mem_opt_log = run_world(0.25)
         comm_opt_log = run_world(1.0)
         assert mem_opt_log.bytes_by_op["broadcast"] > comm_opt_log.bytes_by_op["broadcast"]
+
+
+class GradWorkersDecompose(HybridOptStrategy):
+    """A custom scheme that overrides nothing but ``local_eigen_tasks``: every gradient worker of a
+    layer decomposes both factors itself (the eigen worker's broadcast then lands on equal values)."""
+
+    def local_eigen_tasks(self, layer, group, pre):
+        return ["a", "g"] if group.is_grad_worker(pre.rank) else []
+
+
+def layout_program(steps=3, armed=False, strategy=None, **kfac_kwargs):
+    """Train MLP(6, [16, 8], 3) through a ``Trainer`` and report what each rank ends up holding."""
+
+    def program(comm):
+        model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
+        kwargs = dict(lr=0.05, factor_update_freq=2, inv_update_freq=4, comm=comm, **kfac_kwargs)
+        if strategy is not None:
+            kwargs["strategy"] = strategy(comm.world_size)
+        pre = KFAC(model, **kwargs)
+        loss_fn = nn.CrossEntropyLoss()
+        trainer = Trainer(
+            model,
+            optim.SGD(model.parameters(), lr=0.05, momentum=0.9),
+            lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
+            preconditioner=pre,
+            comm=comm,
+            pipeline=GradientPipeline(model, comm=comm, bucket_cap_mb=0.001) if armed else None,
+        )
+        batch_rng = np.random.default_rng(99)
+        for _ in range(steps):
+            local = batch_rng.integers(0, len(X_GLOBAL), 32)[comm.rank :: comm.world_size]
+            trainer.train_step((X_GLOBAL[local], Y_GLOBAL[local]))
+        return {
+            "params": np.concatenate([p.data.ravel() for p in model.parameters()]),
+            "memory": pre.memory_usage(),
+            "held": {
+                (name, which): getattr(layer, f"factor_{which}") is not None
+                for name, layer in pre.layers.items()
+                for which in ("a", "g")
+            },
+            "decomposes": {
+                (name, which): which in pre.strategy.local_eigen_tasks(layer, pre.groups[name], pre)
+                for name, layer in pre.layers.items()
+                for which in ("a", "g")
+            },
+            "grad_worker": {name: pre.groups[name].is_grad_worker(comm.rank) for name in pre.layers},
+            "all_factor_bytes": sum(layer.expected_factor_bytes() for layer in pre.layers.values()),
+        }
+
+    return program
+
+
+class TestShardedFactorLayout:
+    """A running factor lives only on the ranks whose own plan reads it (``KFAC.holds_factor``)."""
+
+    @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
+    def test_default_knobs_store_each_factor_once_on_the_rank_that_decomposes_it(self, world, frac):
+        ranks = run_spmd(world, layout_program(grad_worker_frac=frac))
+        for key in ranks[0]["held"]:
+            holders = [rank for rank, entry in enumerate(ranks) if entry["held"][key]]
+            assert holders == [rank for rank, entry in enumerate(ranks) if entry["decomposes"][key]]
+            assert len(holders) == 1, f"{key} held by {holders}"
+        assert sum(entry["memory"]["factors"] for entry in ranks) == ranks[0]["all_factor_bytes"]
+
+    @pytest.mark.parametrize("knob", [{"drift_tol": 0.05, "max_staleness": 8}, {"damping_pi_correction": True}])
+    @pytest.mark.parametrize("frac", [0.25, 1.0])
+    def test_knobs_every_rank_reads_factors_for_make_every_rank_hold_them(self, knob, frac):
+        """``drift_tol`` derives the plan from factor drift on every rank and ``damping_pi_correction``
+        takes both traces wherever it damps; the sanitizer's plan check holds the ranks to one plan."""
+        ranks = run_spmd(4, layout_program(steps=6, grad_worker_frac=frac, **knob), sanitize=True)
+        for entry in ranks:
+            assert all(entry["held"].values())
+            assert entry["memory"]["factors"] == ranks[0]["all_factor_bytes"]
+            np.testing.assert_array_equal(entry["params"], ranks[0]["params"])
+
+    @pytest.mark.parametrize("solver", ["inverse", "cg"])
+    def test_solvers_that_read_the_factors_hold_them_on_the_gradient_workers(self, solver):
+        ranks = run_spmd(4, layout_program(grad_worker_frac=0.5, solve_strategy=solver))
+        for (name, which), _ in ranks[0]["held"].items():
+            for entry in ranks:
+                assert entry["held"][(name, which)] == entry["grad_worker"][name]
+        assert sum(entry["memory"]["factors"] for entry in ranks) == 2 * ranks[0]["all_factor_bytes"]
+
+    def test_a_strategy_that_only_overrides_local_eigen_tasks_moves_the_factors_with_them(self):
+        ranks = run_spmd(4, layout_program(strategy=lambda world: GradWorkersDecompose(world, 0.5)))
+        for (name, which), _ in ranks[0]["held"].items():
+            for entry in ranks:
+                assert entry["held"][(name, which)] == entry["grad_worker"][name] == entry["decomposes"][(name, which)]
+
+    def test_strategies_agree_after_20_steps_armed_or_not(self):
+        """MEM / HYBRID / COMM-OPT and the custom scheme are one algorithm; arming the pipeline
+        (factor windows posted during backward) changes when, not what."""
+        finals = {}
+        for label, kwargs in {
+            "mem": dict(grad_worker_frac=0.25),
+            "hybrid": dict(grad_worker_frac=0.5),
+            "comm": dict(grad_worker_frac=1.0),
+            "custom": dict(strategy=lambda world: GradWorkersDecompose(world, 0.5)),
+        }.items():
+            plain = run_spmd(4, layout_program(steps=20, **kwargs))
+            armed = run_spmd(4, layout_program(steps=20, armed=True, **kwargs))
+            for entry in plain + armed:
+                np.testing.assert_array_equal(entry["params"], plain[0]["params"], err_msg=label)
+            finals[label] = plain[0]["params"]
+            assert np.all(np.isfinite(finals[label]))
+        for label in ("hybrid", "comm", "custom"):
+            np.testing.assert_allclose(finals[label], finals["mem"], atol=1e-4, err_msg=label)
+
+
+class TestBadWindowsAreContainedOnEveryRank:
+    """Every rank receives the same averaged window, so every rank rejects a non-finite one
+    without communication -- also when only one rank saw the bad data (ROADMAP "containment")."""
+
+    @staticmethod
+    def program(bad_step, steps=10, **kfac_kwargs):
+        def program(comm):
+            model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
+            ddp = DistributedDataParallel(model, comm)
+            optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            pre = KFAC(model, lr=0.05, factor_update_freq=1, inv_update_freq=2, comm=comm, **kfac_kwargs)
+            loss_fn = nn.CrossEntropyLoss()
+            batch_rng = np.random.default_rng(99)
+            report = {}
+            for step in range(steps):
+                local = batch_rng.integers(0, len(X_GLOBAL), 32)[comm.rank :: comm.world_size]
+                optimizer.zero_grad()
+                loss_fn(model(Tensor(X_GLOBAL[local])), Y_GLOBAL[local]).backward()
+                ddp.sync_gradients()
+                if step == bad_step:
+                    if comm.rank == 1:  # one rank, one layer, one entry
+                        pre.layers["layers.2"]._g_accum[0, 0] = np.inf
+                    before = {
+                        key: None if factor is None else factor.copy()
+                        for key, factor in TestBadWindowsAreContainedOnEveryRank.factors(pre).items()
+                    }
+                pre.step()
+                if step == bad_step:
+                    after = TestBadWindowsAreContainedOnEveryRank.factors(pre)
+                    report["layers.2 untouched"] = all(
+                        (before[key] is None and after[key] is None) or np.array_equal(before[key], after[key])
+                        for key in after
+                        if key[0] == "layers.2"
+                    )
+                    report["others folded"] = all(
+                        not np.array_equal(before[key], after[key])
+                        for key in after
+                        if key[0] != "layers.2" and after[key] is not None
+                    )
+                    report["rejected"] = pre.scheduler_stats()["totals"]["factor_windows_rejected"]
+                optimizer.step()
+            report["params"] = np.concatenate([p.data.ravel() for p in model.parameters()])
+            report["rejected at the end"] = pre.scheduler_stats()["layers"]["layers.2"]["factor_windows_rejected"]
+            return report
+
+        return program
+
+    @staticmethod
+    def factors(pre):
+        return {(name, which): getattr(layer, f"factor_{which}") for name, layer in pre.layers.items() for which in "ag"}
+
+    @pytest.mark.parametrize("frac", [0.5, 1.0], ids=["mem-opt", "comm-opt"])
+    def test_one_ranks_bad_window_is_rejected_by_both_and_training_goes_on(self, frac):
+        ranks = run_spmd(2, self.program(bad_step=4, grad_worker_frac=frac))  # returns: no rank is left waiting
+        for report in ranks:
+            assert report["layers.2 untouched"] and report["others folded"]
+            assert report["rejected"] == 1 and report["rejected at the end"] == 1
+            assert np.all(np.isfinite(report["params"]))
+            np.testing.assert_array_equal(report["params"], ranks[0]["params"])
+
+    @pytest.mark.parametrize("frac", [0.5, 1.0], ids=["mem-opt", "comm-opt"])
+    def test_a_bad_first_window_raises_the_same_named_error_on_every_rank(self, frac):
+        errors = []
+
+        def program(comm):
+            try:
+                self.program(bad_step=0, steps=1, grad_worker_frac=frac)(comm)
+            except ValueError as error:
+                errors.append((comm.rank, str(error)))
+
+        run_spmd(2, program)
+        assert sorted(rank for rank, _ in errors) == [0, 1]
+        assert len({message for _, message in errors}) == 1 and "['layers.2']" in errors[0][1]

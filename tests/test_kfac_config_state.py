@@ -314,6 +314,32 @@ class TestStateDictResume:
 
         np.testing.assert_array_equal(grads_a, grads_b)
 
+    def test_resume_between_eigen_refreshes_keeps_the_eigenvector_layout(self):
+        """Past the stacked-``eigh`` threshold ``syevd`` returns a column-major basis; a checkpoint that
+        re-laid it out row-major made BLAS round the resumed run's next precondition differently
+        (found by the generated resume suite in ``test_property_invariants.py``)."""
+        x, y = make_problem(2, in_dim=33)
+        config = KFACConfig(lr=0.1, factor_update_freq=1, inv_update_freq=4)
+        model_a = MLP(33, [40], 3, rng=np.random.default_rng(3))
+        pre_a = KFAC.from_config(model_a, config)
+        opt_a = optim.SGD(model_a.parameters(), lr=0.1)
+        train_steps(model_a, pre_a, opt_a, x, y, steps=2)  # the next step reuses step 0's decompositions
+        checkpoint, model_state = pre_a.state_dict(), model_a.state_dict()
+        stored = checkpoint["layers"]["layers.0"]["eigen_a"]["eigenvectors"]
+        assert stored.flags.f_contiguous and not np.shares_memory(stored, pre_a.layers["layers.0"].eigen_a.eigenvectors)
+
+        model_b = MLP(33, [40], 3, rng=np.random.default_rng(77))
+        model_b.load_state_dict(model_state)
+        pre_b = KFAC.from_config(model_b, config)
+        pre_b.load_state_dict(checkpoint)
+        grads = []
+        for model, pre in ((model_a, pre_a), (model_b, pre_b)):
+            model.zero_grad()
+            nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+            pre.step()
+            grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
+        np.testing.assert_array_equal(grads[0], grads[1])
+
     def test_resume_of_checkpoint_without_plan_stays_on_cadence(self):
         """A checkpoint from before the refresh plan was saved (steps, config with
         the two retired keys, layers — nothing else) resumed mid-interval must
@@ -508,6 +534,76 @@ class TestStateDictResume:
         results = run_spmd(4, program)
         for grads_original, grads_restored in results:
             np.testing.assert_array_equal(grads_original, grads_restored)
+
+    @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
+    def test_replicated_layout_checkpoint_resumes_to_the_same_bits(self, grad_worker_frac):
+        """A checkpoint in the layout every earlier version wrote (every factor on every rank)
+        resumes exactly like this tree's own: factors a rank does not hold are dropped on load."""
+        x_global, y_global = make_problem(11, samples=256, in_dim=6, classes=3)
+        config = KFACConfig(lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac)
+        loss_fn = nn.CrossEntropyLoss()
+
+        def one_step(ddp, model, pre, seed):
+            local = np.random.default_rng(seed).integers(0, len(x_global), 32)[pre.rank :: pre.world_size]
+            model.zero_grad()
+            loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
+            ddp.sync_gradients()
+            pre.step()
+            return np.concatenate([p.grad.ravel() for p in model.parameters()])
+
+        def train(comm):
+            model = MLP(6, [16], 3, rng=np.random.default_rng(1))
+            ddp = DistributedDataParallel(model, comm)
+            pre = KFAC.from_config(model, config, comm=comm)
+            for step in range(5):  # stops mid-interval: the next factor update is at step 6
+                one_step(ddp, model, pre, seed=step)
+            return pre.state_dict(), model.state_dict()
+
+        trained = run_spmd(4, train)
+        own = [state for state, _ in trained]
+        replicated = [
+            {**state, "layers": {name: dict(entry) for name, entry in state["layers"].items()}} for state in own
+        ]
+        for name in own[0]["layers"]:
+            for key in ("factor_a", "factor_g"):
+                (holder,) = [state["layers"][name][key] for state in own if state["layers"][name][key] is not None]
+                for state in replicated:
+                    state["layers"][name][key] = holder.copy()
+
+        def resume(checkpoints):
+            def program(comm):
+                model = MLP(6, [16], 3, rng=np.random.default_rng(77))
+                model.load_state_dict(trained[comm.rank][1])
+                ddp = DistributedDataParallel(model, comm)
+                pre = KFAC.from_config(model, config, comm=comm)
+                pre.load_state_dict(checkpoints[comm.rank])
+                grads = [one_step(ddp, model, pre, seed=100 + step) for step in range(4)]
+                return grads, pre.memory_usage()["factors"]
+
+            return run_spmd(4, program)
+
+        from_own, from_replicated = resume(own), resume(replicated)
+        for (grads_own, held_own), (grads_replicated, held_replicated) in zip(from_own, from_replicated):
+            assert held_own == held_replicated
+            for a, b in zip(grads_own, grads_replicated):
+                np.testing.assert_array_equal(a, b)
+        all_factors = ((6 + 1) ** 2 + 16**2 + (16 + 1) ** 2 + 3**2) * 4
+        assert sum(held for _, held in from_replicated) == all_factors
+
+    def test_checkpoint_without_a_held_factor_raises_naming_layer_and_factor(self):
+        x, y = make_problem(4)
+        model = MLP(6, [12], 3, rng=np.random.default_rng(3))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        train_steps(model, pre, optim.SGD(model.parameters(), lr=0.1), x, y, steps=2)
+        state = pre.state_dict()
+        state["layers"]["layers.2"]["factor_g"] = None  # e.g. another rank's (or another strategy's) checkpoint
+        clone = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(3)), factor_update_freq=1, inv_update_freq=1)
+        with pytest.raises(ValueError, match=r"no G factor for layer 'layers.2', which rank 0 holds"):
+            clone.load_state_dict(state)
+        # Before the first factor update nobody has factors yet: nothing to miss.
+        fresh = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(3)))
+        clone.load_state_dict(fresh.state_dict())
+        assert clone.steps == 0 and clone.memory_usage()["factors"] == 0
 
     def test_trainer_checkpoint_includes_preconditioner(self):
         x, y = make_problem(6)

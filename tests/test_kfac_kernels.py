@@ -526,7 +526,7 @@ class TestStandaloneLayerBackend:
         """A 48 -> 40 Linear handler with eigen state and a gradient to precondition."""
         module = Linear(48, 40, rng=np.random.default_rng(0))
         layer = make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-        layer.set_factors(spd_factor(49, seed), spd_factor(40, seed + 1))
+        layer.factor_a, layer.factor_g = spd_factor(49, seed), spd_factor(40, seed + 1)
         layer.compute_eigen(damping=0.003)
         rng = np.random.default_rng(seed + 2)
         module.weight.grad = rng.standard_normal((40, 48)).astype(np.float32)

@@ -152,12 +152,18 @@ class TestFactorAccumulation:
         np.testing.assert_allclose(g_scaled, g_plain, rtol=1e-4)
 
 
+def fold_window(handler, a_new, g_new, factor_decay):
+    """Fold one (A, G) window pair the way the factor stage does on a rank holding both."""
+    handler.fold_factor("a", a_new, factor_decay)
+    handler.fold_factor("g", g_new, factor_decay)
+
+
 class TestRunningAverages:
     def test_first_update_sets_factor(self):
         layer, handler = make_linear_handler()
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         a_new, g_new = handler.compute_batch_factors()
-        handler.update_factors(a_new, g_new, factor_decay=0.95)
+        fold_window(handler, a_new, g_new, factor_decay=0.95)
         np.testing.assert_allclose(handler.factor_a, a_new, rtol=1e-5)
 
     def test_running_average_formula(self):
@@ -165,17 +171,29 @@ class TestRunningAverages:
         ones = np.eye(5, dtype=np.float32)
         twos = 2 * np.eye(5, dtype=np.float32)
         gid = np.eye(3, dtype=np.float32)
-        # update_factors consumes its arguments (the fold scales them in place), so hand over copies.
-        handler.update_factors(ones.copy(), gid.copy(), factor_decay=0.9)
-        handler.update_factors(twos.copy(), gid.copy(), factor_decay=0.9)
+        # fold_factor consumes its window (the fold scales it in place), so hand over copies.
+        fold_window(handler, ones.copy(), gid.copy(), factor_decay=0.9)
+        fold_window(handler, twos.copy(), gid.copy(), factor_decay=0.9)
         np.testing.assert_allclose(handler.factor_a, 0.9 * ones + 0.1 * twos, rtol=1e-5)
         np.testing.assert_allclose(handler.factor_g, gid, rtol=1e-6)
+
+    def test_fold_factor_touches_one_factor_and_adopts_a_copy(self):
+        """A rank that holds only A folds only A; the first window is copied, not kept as a
+        view of the (bucket) buffer it arrived in."""
+        _, handler = make_linear_handler()
+        bucket = np.arange(50, dtype=np.float32)
+        handler.fold_factor("a", bucket[:25].reshape(5, 5), factor_decay=0.9)
+        assert handler.factor_g is None and handler.factor_bytes() == 25 * 4
+        assert not np.shares_memory(handler.factor_a, bucket)
+        first = handler.factor_a.copy()
+        handler.fold_factor("a", bucket[25:].reshape(5, 5), factor_decay=0.9)
+        np.testing.assert_allclose(handler.factor_a, 0.9 * first + 0.1 * np.arange(25, 50).reshape(5, 5), rtol=1e-6)
 
     def test_fp16_storage(self):
         layer, handler = make_linear_handler(precision=PrecisionPolicy.amp())
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         a_new, g_new = handler.compute_batch_factors()
-        handler.update_factors(a_new, g_new, factor_decay=0.95)
+        fold_window(handler, a_new, g_new, factor_decay=0.95)
         assert handler.factor_a.dtype == np.float16
         handler.compute_eigen(damping=0.01)
         assert handler.eigen_a.eigenvectors.dtype == np.float16
@@ -183,14 +201,14 @@ class TestRunningAverages:
     def test_factor_bytes_accounting(self):
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
-        handler.update_factors(*handler.compute_batch_factors(), factor_decay=0.95)
+        fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         assert handler.factor_bytes() == (5 * 5 + 3 * 3) * 4
         assert handler.expected_factor_bytes() == handler.factor_bytes()
 
     def test_expected_eigen_bytes_matches_actual(self):
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
-        handler.update_factors(*handler.compute_batch_factors(), factor_decay=0.95)
+        fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         handler.compute_eigen(damping=0.01)
         assert handler.eigen_bytes() == handler.expected_eigen_bytes()
 
@@ -229,7 +247,7 @@ class TestGradientRoundTrip:
     def test_precondition_after_eigen(self):
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((16, 4)).astype(np.float32)))
-        handler.update_factors(*handler.compute_batch_factors(), factor_decay=0.95)
+        fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         handler.compute_eigen(damping=0.01)
         preconditioned = handler.precondition(damping=0.01)
         assert preconditioned.shape == (3, 5)
@@ -238,7 +256,7 @@ class TestGradientRoundTrip:
     def test_clear_eigen_releases_state(self):
         layer, handler = make_linear_handler()
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
-        handler.update_factors(*handler.compute_batch_factors(), factor_decay=0.95)
+        fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         handler.compute_eigen(damping=0.01)
         assert handler.has_eigen
         handler.clear_eigen()

@@ -386,3 +386,111 @@ class TestEigenFailuresAreNamed:
             pre._compute_eigen_decompositions(list(pre.layers))
         assert 49 in solved and len(solved) > 1  # other factors had been solved before it and are discarded
         self.assert_untouched(pre, before)
+
+
+class TestBadFactorWindowsAreRejected:
+    """One non-finite window must not poison a running average for good (``decay * inf`` never decays):
+    the averaged pair is checked before it is folded, rejected pairs are counted, and training goes on."""
+
+    @staticmethod
+    def warmed_up(**kwargs):
+        model = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, **kwargs)
+        x, y = make_problem(3)
+        opt = optim.SGD(model.parameters(), lr=0.05)
+        training_loop(model, pre, opt, x, y, steps=2, batch=32)
+        return model, pre, opt, x, y
+
+    @staticmethod
+    def factors(pre):
+        return {name: (layer.factor_a.copy(), layer.factor_g.copy()) for name, layer in pre.layers.items()}
+
+    def assert_factors_equal(self, pre, before):
+        for name, layer in pre.layers.items():
+            np.testing.assert_array_equal(layer.factor_a, before[name][0], err_msg=name)
+            np.testing.assert_array_equal(layer.factor_g, before[name][1], err_msg=name)
+
+    def test_a_1e30_feature_is_folded_nowhere_and_the_next_step_succeeds(self):
+        model, pre, opt, x, y = self.warmed_up()
+        before, eigen_before = self.factors(pre), {n: l.eigen_a.eigenvalues.copy() for n, l in pre.layers.items()}
+        bad = x[32:64].copy()
+        bad[3, 2] = 1e30  # overflows float32 in A of every layer downstream of it
+        tracer = Tracer(rank=0)
+        pre.set_tracer(tracer)
+        with np.errstate(all="ignore"):
+            opt.zero_grad()
+            nn.CrossEntropyLoss()(model(Tensor(bad)), y[32:64]).backward()
+            pre.step()  # no raise: the step runs on the factors and decompositions it had
+        self.assert_factors_equal(pre, before)
+        for name, layer in pre.layers.items():
+            np.testing.assert_array_equal(layer.eigen_a.eigenvalues, eigen_before[name])
+        rejected = pre.scheduler_stats()["totals"]["factor_windows_rejected"]
+        assert rejected == len(pre.layers) == tracer.counters()["kfac/factor_windows_rejected"]
+        assert pre.scheduler_stats()["layers"]["layers.0"]["factor_windows_rejected"] == 1
+        assert pre.steps == 3
+        # The bad batch is gone with its window: a clean step folds and decomposes as ever.
+        opt.zero_grad()
+        nn.CrossEntropyLoss()(model(Tensor(x[64:96])), y[64:96]).backward()
+        pre.step()
+        for name, layer in pre.layers.items():
+            assert np.isfinite(layer.factor_a).all() and np.isfinite(layer.factor_g).all()
+            assert not np.array_equal(layer.factor_a, before[name][0])
+        assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == rejected
+
+    def test_an_overflowed_amp_step_leaves_the_factors_alone(self):
+        """``Trainer`` calls ``preconditioner.step()`` whether or not the scaler found an overflow."""
+        from repro.training import Trainer
+
+        scaler = optim.GradScaler(init_scale=2.0 ** 8)
+        model, pre, opt, x, y = self.warmed_up(grad_scaler=scaler)
+        loss_fn = nn.CrossEntropyLoss()
+        trainer = Trainer(
+            model, opt, lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]), preconditioner=pre, grad_scaler=scaler
+        )
+        trainer.train_step((x[:32], y[:32]))
+        before = self.factors(pre)
+        params = [p.data.copy() for p in model.parameters()]
+        scaler.load_state_dict({**scaler.state_dict(), "scale": 2.0 ** 130})  # float32(scale) is inf
+        with np.errstate(all="ignore"):
+            trainer.train_step((x[32:64], y[32:64]))
+        self.assert_factors_equal(pre, before)
+        assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == len(pre.layers)
+        for param, kept in zip(model.parameters(), params):
+            np.testing.assert_array_equal(param.data, kept)  # the scaler skipped the optimizer step
+        scaler.load_state_dict({**scaler.state_dict(), "scale": 2.0 ** 8})
+        trainer.train_step((x[64:96], y[64:96]))
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+        assert all(np.isfinite(l.factor_g).all() for l in pre.layers.values())
+
+    def test_a_rejected_window_survives_checkpoint_and_resume_as_a_count(self):
+        model, pre, opt, x, y = self.warmed_up()
+        opt.zero_grad()
+        nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+        pre.layers["layers.2"]._g_accum[0, 0] = np.inf
+        pre.step()
+        assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == 1
+        clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
+        restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
+        restored.load_state_dict(pre.state_dict())
+        assert restored.scheduler_stats()["layers"]["layers.2"]["factor_windows_rejected"] == 1
+        # A plan written before the gate existed has no such entry and loads as zero.
+        state = pre.state_dict()
+        for entry in state["scheduler"]["layers"].values():
+            del entry["factor_windows_rejected"]
+        restored.load_state_dict(state)
+        assert restored.scheduler_stats()["totals"]["factor_windows_rejected"] == 0
+
+    def test_a_non_finite_first_window_raises_naming_the_layer(self):
+        model = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        x, y = make_problem(3)
+        nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+        pre.layers["layers.2"]._a_accum[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"first factor window of layer\(s\) \['layers.2'\] is not finite"):
+            pre.step()
+        assert pre.steps == 0 and pre.layers["layers.2"].factor_a is None
+        # Nothing of the failed attempt is kept: the same step with clean statistics goes through.
+        model.zero_grad()
+        nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+        pre.step()
+        assert pre.steps == 1 and np.isfinite(pre.layers["layers.2"].factor_a).all()

@@ -41,6 +41,8 @@ from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
 
+from kernel_oracle import replicated_fold_reference
+
 RNG = np.random.default_rng(303)
 
 
@@ -398,7 +400,9 @@ class TestKFACSchedulerIntegration:
         """Acceptance criterion: at drift_tol=0 the planned step is bitwise the
         fixed-cadence K-FAC step of Listing 1, written out by hand below from
         the layer primitives (fold on step % F, decompose on step % K,
-        precondition and KL-clip every step)."""
+        precondition and KL-clip every step).  The fold is the expression every
+        rank used to run on its own copy of every factor, so this also holds the
+        sharded factor stage to the replicated one, bit for bit, at world 1."""
         m1, m2 = self.paired_models()
         config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
         planned = run_single_process(KFAC(m1, config), m1)
@@ -425,7 +429,7 @@ class TestKFACSchedulerIntegration:
             loss_fn(m2(Tensor(x[idx])), y[idx]).backward()
             for layer in layers:
                 if step % config.factor_update_freq == 0:
-                    layer.update_factors(*layer.compute_batch_factors(), config.factor_decay)
+                    replicated_fold_reference(layer, *layer.compute_batch_factors(), config.factor_decay)
                 if step % config.inv_update_freq == 0:
                     layer.compute_eigen(config.damping)
             pairs = [(layer.get_gradient(), layer.precondition(config.damping)) for layer in layers]

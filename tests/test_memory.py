@@ -43,9 +43,30 @@ class TestHelpers:
 
 class TestKFACMemoryModel:
     def test_factor_bytes_shared_by_all_ranks(self):
+        """``factor_bytes()`` is all factors: what every rank holds in the paper's replicated layout."""
         model = KFACMemoryModel(layers(), param_count=1_000_000)
         expected = sum((l.a_dim ** 2 + l.g_dim ** 2) * 4 for l in layers())
         assert model.factor_bytes() == expected
+
+    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (8, 1 / 8), (8, 0.5), (8, 1.0), (64, 1 / 64)])
+    def test_factor_bytes_per_rank_stores_each_factor_once(self, world, frac):
+        """This tree's layout: a factor lives on the one rank that decomposes it."""
+        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        per_rank = model.factor_bytes_per_rank(world, frac)
+        assert per_rank.sum() == model.factor_bytes()
+        # COMM-OPT spreads the six factors one by one, the others keep a layer's pair together.
+        assert np.count_nonzero(per_rank) == min(world, 6 if frac == 1.0 else 3)
+
+    def test_max_rank_takes_factors_and_eigen_state_of_one_rank_together(self):
+        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        factors, eigen = model.factor_bytes_per_rank(8, 1 / 8), model.eigen_bytes_per_rank(8, 1 / 8)
+        busiest = model.breakdown(8, 1 / 8, rank="max")
+        assert busiest.kfac_overhead == (factors + eigen).max()
+        assert (busiest.kfac_factors, busiest.kfac_eigen) in set(zip(factors.tolist(), eigen.tolist()))
+        # MEM-OPT: (factors + eigen) / world, not factors + eigen / world.
+        assert busiest.kfac_overhead == factors.max() + eigen.max() < model.factor_bytes() + eigen.max()
+        assert model.breakdown(8, 1 / 8, rank="min").kfac_overhead == 0  # three layers, eight ranks
+        assert model.breakdown(1, 1.0).kfac_factors == model.factor_bytes()  # one rank reads everything
 
     def test_overhead_linear_in_grad_worker_frac(self):
         """Table 5 / Figure 6: K-FAC memory overhead grows linearly with grad_worker_frac."""
@@ -53,7 +74,7 @@ class TestKFACMemoryModel:
         fracs = [1 / 64, 1 / 4, 1 / 2, 1.0]
         overheads = [model.overhead_bytes(64, frac, rank="mean") for frac in fracs]
         assert overheads[0] < overheads[1] < overheads[2] < overheads[3]
-        eigen_part = [o - model.factor_bytes() for o in overheads]
+        eigen_part = [o - model.factor_bytes() // 64 for o in overheads]  # the mean rank holds 1/64 of the factors
         # Eigen memory should scale (approximately) proportionally with the fraction.
         ratio = eigen_part[3] / eigen_part[2]
         assert ratio == pytest.approx(2.0, rel=0.1)
@@ -109,8 +130,12 @@ class TestKFACMemoryModel:
         baseline_batch = model.max_local_batch_size(budget, 64, None)
         comm_opt_batch = model.max_local_batch_size(budget, 64, 1.0)
         hybrid_batch = model.max_local_batch_size(budget, 64, 0.5)
-        assert baseline_batch > hybrid_batch >= comm_opt_batch
-        assert comm_opt_batch > 0
+        mem_opt_batch = model.max_local_batch_size(budget, 64, 1 / 64)
+        assert baseline_batch > mem_opt_batch > hybrid_batch > 0
+        # With three layers on 64 ranks HYBRID's busiest rank keeps one layer's *pair* of factors
+        # beside all eigen state while COMM-OPT spreads the six factors singly, so the two are a
+        # factor apart either way; both pay for every decomposition.
+        assert mem_opt_batch > comm_opt_batch > 0
 
     def test_max_local_batch_zero_when_budget_too_small(self):
         model = KFACMemoryModel(layers(), param_count=10_000_000, activation_bytes_per_sample=100_000)

@@ -4,7 +4,11 @@ These complement the example-based tests with randomized coverage of the
 algebraic identities the system relies on: broadcasting-consistent gradients,
 softmax normalisation, symmetric-positive-semidefiniteness of Kronecker
 factors, damping monotonicity, the memory model's linearity in
-``grad_worker_frac``, and strategy equivalence on generated layer shapes.
+``grad_worker_frac``, strategy equivalence on generated layer shapes, and the
+sharded factor layout (each running factor stored once, bit-identical resume)
+on generated shapes, worlds, strategies and cadences.  The multi-rank suites
+run a fixed, derandomized set of examples, so their time is the same in every
+CI configuration.
 """
 
 import numpy as np
@@ -170,7 +174,110 @@ class TestStrategyEquivalenceProperties:
         np.testing.assert_allclose(results[0.5][0], results[1.0][0], rtol=1e-3, atol=2e-4)
 
 
+class TestShardedFactorLayoutProperties:
+    """A running factor lives only where it is decomposed, whatever the shapes, world, strategy and cadence."""
+
+    @given(
+        world=st.integers(min_value=1, max_value=4),
+        workers=st.integers(min_value=1, max_value=4),  # gradient workers per layer, capped at the world size
+        balance=st.sampled_from(["compute", "memory"]),
+        in_features=st.integers(min_value=1, max_value=9),
+        hidden=st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3),
+        out_features=st.integers(min_value=1, max_value=5),
+        bias=st.booleans(),
+        factor_freq=st.integers(min_value=1, max_value=3),
+        inv_multiple=st.integers(min_value=1, max_value=3),
+        resume_at=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_each_factor_is_stored_once_and_kill_and_resume_is_bit_identical(
+        self, world, workers, balance, in_features, hidden, out_features, bias, factor_freq, inv_multiple, resume_at, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((16, in_features)).astype(np.float32)
+        target = rng.standard_normal((16, out_features)).astype(np.float32)
+        frac = min(workers, world) / world
+        loss_fn = nn.MSELoss()
+
+        def build(comm):
+            net_rng = np.random.default_rng(seed + 1)
+            widths = [in_features, *hidden]
+            blocks = []
+            for fan_in, fan_out in zip(widths, widths[1:]):
+                blocks += [nn.Linear(fan_in, fan_out, bias=bias, rng=net_rng), nn.LayerNorm(fan_out), nn.Tanh()]
+            model = nn.Sequential(*blocks, nn.Linear(widths[-1], out_features, bias=bias, rng=net_rng))
+            optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            pre = KFAC(
+                model,
+                lr=0.05,
+                factor_update_freq=factor_freq,
+                inv_update_freq=factor_freq * inv_multiple,
+                grad_worker_frac=frac,
+                assignment_balance=balance,
+                comm=comm,
+            )
+            return model, optimizer, pre
+
+        def train(comm, model, optimizer, pre, first, last):
+            ddp = DistributedDataParallel(model, comm)
+            for step in range(first, last):
+                local = np.arange(16)[(step + comm.rank) % world :: world]
+                optimizer.zero_grad()
+                loss_fn(model(Tensor(x[local])), target[local]).backward()
+                ddp.sync_gradients()
+                pre.step()
+                optimizer.step()
+            return np.concatenate([p.data.ravel() for p in model.parameters()])
+
+        def program(comm):
+            model, optimizer, pre = build(comm)
+            train(comm, model, optimizer, pre, 0, resume_at)
+            checkpoint = (model.state_dict(), optimizer.state_dict(), pre.state_dict())
+            uninterrupted = train(comm, model, optimizer, pre, resume_at, resume_at + 4)
+
+            model2, optimizer2, pre2 = build(comm)  # the process was killed: everything is rebuilt
+            for target_object, state in zip((model2, optimizer2, pre2), checkpoint):
+                target_object.load_state_dict(state)
+            resumed = train(comm, model2, optimizer2, pre2, resume_at, resume_at + 4)
+
+            layout = {}
+            for name, layer in pre2.layers.items():
+                tasks = pre2.strategy.local_eigen_tasks(layer, pre2.groups[name], pre2)
+                for which in ("a", "g"):
+                    held = getattr(layer, f"factor_{which}") is not None
+                    layout[(name, which)] = (held, which in tasks, pre2.holds_factor(name, which))
+            registered = sum(layer.expected_factor_bytes() for layer in pre2.layers.values())
+            return uninterrupted, resumed, layout, pre2.memory_usage()["factors"], registered
+
+        ranks = run_spmd(world, program)
+        for uninterrupted, resumed, layout, _, _ in ranks:
+            np.testing.assert_array_equal(resumed, uninterrupted)
+            np.testing.assert_array_equal(resumed, ranks[0][1])  # and the replicas agree to the bit
+            assert all(held == decomposes == rule for held, decomposes, rule in layout.values())
+        for key in ranks[0][2]:
+            assert sum(layout[key][0] for _, _, layout, _, _ in ranks) == 1, f"{key} is not held exactly once"
+        assert sum(held_bytes for *_, held_bytes, _ in ranks) == ranks[0][4]
+
+
 class TestMemoryModelProperties:
+    @given(
+        st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_factors_are_stored_once_and_the_busiest_rank_counts_them_with_its_eigen_state(self, dims, world_size, workers):
+        layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
+        model = KFACMemoryModel(layers, param_count=10_000)
+        frac = min(workers, world_size) / world_size
+        factors = model.factor_bytes_per_rank(world_size, frac)
+        eigen = model.eigen_bytes_per_rank(world_size, frac)
+        assert factors.sum() == model.factor_bytes()
+        assert np.all(eigen[factors > 0] > 0)  # whoever decomposes a factor is one of its gradient workers
+        assert model.overhead_bytes(world_size, frac, rank="max") == (factors + eigen).max()
+        assert model.overhead_bytes(world_size, frac, rank="max") <= model.factor_bytes() + eigen.max()
+
     @given(
         st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
         st.integers(min_value=2, max_value=32),

@@ -315,6 +315,40 @@ class TestMeasuredMemoryReport:
             assert entry["measured"] == entry["predicted"]
         assert report["measured_total_max"] >= report["measured_total_mean"]
 
+    @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
+    def test_live_memory_is_the_memory_model_byte_for_byte_on_every_rank(self, world, frac):
+        """The prediction above comes from the running system's own rule; this one comes from
+        ``KFACMemoryModel``, which only sees layer shapes: held factors + eigen state, per rank."""
+        from repro.experiments import build_workload, collect_layer_shapes, measured_memory_report
+        from repro.memory import KFACMemoryModel
+
+        workload = build_workload("mlp", seed=0)
+        layers = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules)
+        model = KFACMemoryModel(layers, param_count=0)
+        factors = model.factor_bytes_per_rank(world, frac)
+        eigen = model.eigen_bytes_per_rank(world, frac)
+        report = measured_memory_report("mlp", world_size=world, grad_worker_frac=frac, steps=1)
+        for rank, entry in enumerate(report["per_rank"]):
+            assert entry["measured"]["factors"] == factors[rank]
+            assert entry["measured"]["eigen"] == eigen[rank]
+        assert factors.sum() == model.factor_bytes()  # every factor once
+        assert report["measured_total_max"] == model.breakdown(world, frac, rank="max").kfac_overhead
+
+    def test_knobs_that_read_factors_everywhere_are_predicted_too(self):
+        from repro.experiments import measured_memory_report
+
+        for overrides in ({"drift_tol": 0.05}, {"damping_pi_correction": True}, {"solve_strategy": "inverse"}):
+            report = measured_memory_report(
+                "mlp", world_size=2, grad_worker_frac=0.5, steps=1, kfac_overrides=overrides
+            )
+            sharded = measured_memory_report("mlp", world_size=2, grad_worker_frac=0.5, steps=1)
+            for entry in report["per_rank"]:
+                assert entry["measured"] == entry["predicted"]
+            held = sum(entry["measured"]["factors"] for entry in report["per_rank"])
+            once = sum(entry["measured"]["factors"] for entry in sharded["per_rank"])
+            # drift / pi: both ranks hold everything; inverse at MEM-OPT: the one gradient worker does.
+            assert held == (once if "solve_strategy" in overrides else 2 * once)
+
     def test_comm_opt_holds_more_eigen_state_than_mem_opt(self):
         from repro.experiments import measured_memory_report
 
