@@ -1,18 +1,23 @@
-"""Communication fusion and backward-hook overlap: modeled schedules compared.
+"""Communication fusion and backward-hook overlap: one schedule, three ways to post it.
 
 The asynchronous bucketed collective engine (``repro.distributed.collectives``)
 coalesces K-FAC's per-layer factor allreduces, eigen broadcasts and
 preconditioned-gradient broadcasts into capped fused buffers, paying one
 latency (alpha) term per bucket instead of one per tensor; the hook-driven
 gradient pipeline additionally posts the factor and gradient buckets while
-the backward pass still runs, hiding them behind compute.  This benchmark
-prices all three schedules (unfused, step-time fused, hooked) with
+the backward pass still runs, hiding them behind compute.  There is one
+schedule -- the strategy's plan, bucketed by the engine's own grouping -- so
+this benchmark is a *cap sweep* on it: 0.001 MB (a cap below any tensor: one
+message per tensor), 25 MB (the default) and 25 MB ``hooked``, priced with
 :func:`repro.kfac.model_comm_schedule` on the BERT-Large layer set across
-MEM-OPT / HYBRID-OPT / COMM-OPT and world sizes >= 8, asserts the fused
-schedule issues strictly fewer collective messages and a strictly lower
-modeled iteration time at identical byte volume, asserts the hooked schedule
-exposes strictly less communication than the step-time fused one, and emits
-the numbers to ``BENCH_comm_fusion.json`` to seed the performance trajectory.
+MEM-OPT / HYBRID-OPT / COMM-OPT and world sizes >= 8.  It asserts the 25 MB
+cap issues strictly fewer collective messages and a strictly lower modeled
+iteration time at identical byte volume, asserts the hooked schedule exposes
+strictly less communication than the step-time one, and emits the numbers to
+``BENCH_comm_fusion.json``.  Beside each modeled row it can run -- world 2 and
+4, on the tiny BERT -- it prints what the threaded world's
+``CommunicationLog`` counted for one full update: the model reads the plan
+the engine follows, so the residual is 0 messages and 0 bytes, and asserted.
 
 A second test closes the loop on *measured* overlap: a tiny BERT is trained
 for real on 4 threaded ranks with tracing enabled (a pipeline instance the
@@ -28,22 +33,61 @@ from pathlib import Path
 from repro.experiments import format_table, paper_workload_spec, write_bench_json
 from repro.kfac import model_comm_schedule
 from repro.observability import MetricsReport, measured_comm_schedule
-from repro.observability.smoke import modeled_schedule_for_run, run_traced_bert
+from repro.observability.smoke import kfac_traffic, modeled_schedule_for_run, run_traced_bert
 
 from conftest import print_section
 
 WORLD_SIZES = [8, 16, 64]
+MEASURED_WORLD_SIZES = [2, 4]
+UNFUSED_CAP_MB = 0.001  # below any tensor: every tensor travels alone
 BUCKET_CAP_MB = 25.0
 OUTPUT = Path(__file__).with_name("BENCH_comm_fusion.json")
 MEASURED_OUTPUT = Path(__file__).with_name("BENCH_comm_fusion_measured.json")
 
 
 def strategy_fracs(world_size):
-    return {
-        "MEM-OPT": 1.0 / world_size,
-        "HYBRID-OPT (1/2)": 0.5,
-        "COMM-OPT": 1.0,
-    }
+    fracs = {"MEM-OPT": 1.0 / world_size, "HYBRID-OPT (1/2)": 0.5, "COMM-OPT": 1.0}
+    if world_size == 2:
+        del fracs["HYBRID-OPT (1/2)"]  # at world 2 a fraction of 1/2 *is* MEM-OPT
+    return fracs
+
+
+def measured_residuals():
+    """One full update of the tiny BERT per (world, strategy, posting mode): modeled vs logged, by op."""
+    rows = []
+    for world_size in MEASURED_WORLD_SIZES:
+        for label, frac in strategy_fracs(world_size).items():
+            for mode, cap, hooked in (
+                ("0.001 MB", UNFUSED_CAP_MB, False),
+                ("25 MB", BUCKET_CAP_MB, False),
+                ("25 MB hooked", BUCKET_CAP_MB, True),
+            ):
+                tracers, run_info = run_traced_bert(
+                    world_size=world_size,
+                    steps=1,
+                    grad_worker_frac=frac,
+                    factor_update_freq=1,
+                    inv_update_freq=1,
+                    use_pipeline=hooked,
+                    bucket_cap_mb=cap,
+                )
+                modeled = modeled_schedule_for_run(tracers, run_info)
+                traffic = kfac_traffic(modeled, run_info)  # one step = one full update: per-op (expected, logged)
+                assert all(expected == counted for expected, counted in traffic.values()), (label, world_size, mode)
+                logged = [sum(counted[index] for _, counted in traffic.values()) for index in (0, 1)]
+                assert logged == [modeled.messages_per_update, modeled.comm_bytes_per_update], (label, world_size, mode)
+                rows.append(
+                    {
+                        "strategy": label,
+                        "world_size": world_size,
+                        "posting": mode,
+                        "modeled_messages": modeled.messages_per_update,
+                        "logged_messages": logged[0],
+                        "modeled_bytes": modeled.comm_bytes_per_update,
+                        "logged_bytes": logged[1],
+                    }
+                )
+    return rows
 
 
 def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
@@ -53,9 +97,9 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
         results = []
         for world_size in WORLD_SIZES:
             for label, frac in strategy_fracs(world_size).items():
-                unfused = model_comm_schedule(spec, world_size, frac, fused=False, bucket_cap_mb=BUCKET_CAP_MB)
-                fused = model_comm_schedule(spec, world_size, frac, fused=True, bucket_cap_mb=BUCKET_CAP_MB)
-                hooked = model_comm_schedule(spec, world_size, frac, hooked=True, bucket_cap_mb=BUCKET_CAP_MB)
+                unfused = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=UNFUSED_CAP_MB)
+                fused = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=BUCKET_CAP_MB)
+                hooked = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=BUCKET_CAP_MB, hooked=True)
                 results.append((label, world_size, frac, unfused, fused, hooked))
         return results
 
@@ -64,6 +108,7 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
     rows = []
     payload = {
         "workload": spec.name,
+        "unfused_cap_mb": UNFUSED_CAP_MB,
         "bucket_cap_mb": BUCKET_CAP_MB,
         "results": [],
     }
@@ -76,6 +121,7 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
                 world_size,
                 unfused.messages_per_update,
                 fused.messages_per_update,
+                hooked.messages_per_update,
                 f"{100 * message_reduction:.1f}%",
                 round(unfused.kfac_comm_time * 1000, 3),
                 round(fused.kfac_comm_time * 1000, 3),
@@ -92,6 +138,7 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
                 "grad_worker_frac": frac,
                 "unfused_messages": unfused.messages_per_update,
                 "fused_messages": fused.messages_per_update,
+                "hooked_messages": hooked.messages_per_update,
                 "comm_bytes": unfused.comm_bytes_per_update,
                 "unfused_kfac_comm_time": unfused.kfac_comm_time,
                 "fused_kfac_comm_time": fused.kfac_comm_time,
@@ -116,24 +163,55 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
         assert hooked.iteration_time < fused.iteration_time, (label, world_size)
 
     print_section(
-        "Communication fusion + backward-hook overlap - BERT-Large layer set (modeled, EDR InfiniBand)"
+        "Bucket-cap sweep + backward-hook overlap - BERT-Large layer set (modeled, EDR InfiniBand)"
     )
     print(
         format_table(
             [
                 "Strategy",
                 "World",
-                "msgs unfused",
-                "msgs fused",
+                "msgs 0.001 MB",
+                "msgs 25 MB",
+                "msgs 25 MB hooked",
                 "msg reduction",
-                "KFAC comm unfused (ms)",
-                "KFAC comm fused (ms)",
+                "KFAC comm 0.001 MB (ms)",
+                "KFAC comm 25 MB (ms)",
                 "iter time saved (ms)",
-                "exposed fused (ms)",
+                "exposed 25 MB (ms)",
                 "exposed hooked (ms)",
                 "hidden hooked (ms)",
             ],
             rows,
+        )
+    )
+
+    payload["measured"] = measured_residuals()
+    print_section("The same schedule, run: tiny BERT, one full update (threaded world) - residual 0 by construction")
+    print(
+        format_table(
+            [
+                "Strategy",
+                "World",
+                "posting",
+                "msgs modeled",
+                "msgs logged",
+                "bytes modeled",
+                "bytes logged",
+                "residual",
+            ],
+            [
+                [
+                    row["strategy"],
+                    row["world_size"],
+                    row["posting"],
+                    row["modeled_messages"],
+                    row["logged_messages"],
+                    row["modeled_bytes"],
+                    row["logged_bytes"],
+                    (row["logged_messages"] - row["modeled_messages"], row["logged_bytes"] - row["modeled_bytes"]),
+                ]
+                for row in payload["measured"]
+            ],
         )
     )
 

@@ -20,9 +20,11 @@ what the fixed budget actually has to fit here; a measured column and
 ``BENCH_memory.json`` come with them.
 """
 
+import dataclasses
+
 from repro.distributed import A100, DGX_A100_FABRIC, EDR_INFINIBAND, V100, PerformanceModel
 from repro.experiments import PAPER_RESULTS, format_table, paper_workload_spec
-from repro.kfac import IterationTimeModel, KFACWorkloadSpec
+from repro.kfac import IterationTimeModel, KFACConfig, KFACWorkloadSpec
 from repro.memory import KFACMemoryModel
 
 from conftest import (
@@ -45,19 +47,10 @@ BERT_ACT_PER_SAMPLE = 2600 * MB
 
 def _rescale_compute(spec: KFACWorkloadSpec, batch: int) -> KFACWorkloadSpec:
     """Scale per-iteration compute time linearly with the local batch size."""
-    return KFACWorkloadSpec(
-        name=spec.name,
-        layers=spec.layers,
-        param_count=spec.param_count,
+    return dataclasses.replace(
+        spec,
         local_batch_size=batch,
         baseline_compute_time=spec.baseline_compute_time * batch / spec.local_batch_size,
-        factor_update_freq=spec.factor_update_freq,
-        inv_update_freq=spec.inv_update_freq,
-        samples_per_input=spec.samples_per_input,
-        grad_dtype_bytes=spec.grad_dtype_bytes,
-        factor_dtype_bytes=spec.factor_dtype_bytes,
-        eigen_dtype_bytes=spec.eigen_dtype_bytes,
-        grad_accumulation_steps=spec.grad_accumulation_steps,
     )
 
 
@@ -109,9 +102,8 @@ def test_table04_fixed_memory_budget(benchmark):
             spec.param_count,
             optimizer="lamb",
             weight_dtype_bytes=2,
-            factor_dtype_bytes=2,
-            eigen_dtype_bytes=2,
             activation_bytes_per_sample=BERT_ACT_PER_SAMPLE,
+            config=KFACConfig(precision=spec.precision),
         )
         time_model = IterationTimeModel(PerformanceModel(device=A100, network=DGX_A100_FABRIC))
         budget = int(0.9 * 40 * GB)

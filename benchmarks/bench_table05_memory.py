@@ -16,6 +16,7 @@ from real threaded runs; everything is recorded in ``BENCH_memory.json``.
 """
 
 from repro.experiments import PAPER_RESULTS, format_table, measured_memory_report, paper_workload_spec
+from repro.kfac import KFACConfig
 from repro.memory import KFACMemoryModel
 
 from conftest import (
@@ -68,9 +69,8 @@ def _memory_model(name):
         spec.param_count,
         optimizer=OPTIMIZER[name],
         weight_dtype_bytes=2 if precision == "fp16" else 4,
-        factor_dtype_bytes=spec.factor_dtype_bytes,
-        eigen_dtype_bytes=spec.eigen_dtype_bytes,
         activation_bytes_per_sample=ACTIVATION_PER_SAMPLE[name],
+        config=KFACConfig(precision=precision),
     )
 
 

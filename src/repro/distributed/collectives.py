@@ -58,6 +58,7 @@ __all__ = [
     "BroadcastSpec",
     "AllreduceSpec",
     "GradientBucketSpec",
+    "broadcast_messages",
     "OverlapScheduler",
 ]
 
@@ -235,6 +236,36 @@ class GradientBucketSpec:
         return AllreduceSpec(key=self.key, payload=self.payload(), on_complete=self.on_complete)
 
 
+def group_members(group: Optional[Tuple[int, ...]], world_size: int) -> Tuple[int, ...]:
+    """The sorted distinct ranks of ``group`` (``None`` = the whole world)."""
+    if group is None:
+        return tuple(range(world_size))
+    return tuple(sorted(set(int(r) for r in group)))
+
+
+def broadcast_messages(
+    specs: Sequence[BroadcastSpec], world_size: int, buckets: BucketManager, rank: Optional[int] = None
+) -> List[Tuple[int, Tuple[int, ...], List[BroadcastSpec], List[TensorBucket]]]:
+    """The fused messages a broadcast schedule becomes: ``(src, members, channel specs, buckets)`` per channel.
+
+    Specs are grouped by ``(src, members)`` in first-appearance order and each
+    channel's specs are bucketized in list order; every bucket is one message
+    among ``members``.  ``rank`` keeps only the channels that contain it (what
+    that rank posts); ``None`` keeps all of them (what the world exchanges).
+    Pure: this is both what :meth:`OverlapScheduler.post_broadcasts` posts
+    and what a cost model prices, so the two cannot drift apart.
+    """
+    channels: Dict[Tuple[int, Tuple[int, ...]], List[BroadcastSpec]] = {}
+    for spec in specs:
+        members = group_members(spec.group, world_size)
+        if rank is None or rank in members:
+            channels.setdefault((int(spec.src), members), []).append(spec)
+    return [
+        (src, members, channel, buckets.build([(s.key, s.shape, s.dtype) for s in channel]))
+        for (src, members), channel in channels.items()
+    ]
+
+
 class OverlapScheduler:
     """Executes fused, pipelined collective schedules over a :class:`Communicator`.
 
@@ -277,11 +308,6 @@ class OverlapScheduler:
         return self.sanitizer.buffers.stamp(key, flat, tracer=self.tracer)
 
     # ------------------------------------------------------------- internals
-    def _group_members(self, group: Optional[Tuple[int, ...]]) -> Tuple[int, ...]:
-        if group is None:
-            return tuple(range(self.comm.world_size))
-        return tuple(sorted(set(int(r) for r in group)))
-
     def _launch(
         self,
         op: str,
@@ -319,13 +345,8 @@ class OverlapScheduler:
         passed on every rank.  Results arrive at :meth:`drain`.
         """
         rank = self.comm.rank
-        channels: Dict[Tuple, List[BroadcastSpec]] = {}
-        for spec in specs:
-            members = self._group_members(spec.group)
-            if rank in members:
-                channels.setdefault((int(spec.src), members), []).append(spec)
-
-        for (src, members), channel_specs in channels.items():
+        messages = broadcast_messages(specs, self.comm.world_size, self.buckets, rank)
+        for src, members, channel_specs, buckets in messages:
             spec_by_key = {spec.key: spec for spec in channel_specs}
             if len(spec_by_key) != len(channel_specs):
                 raise ValueError(
@@ -339,7 +360,7 @@ class OverlapScheduler:
                     raise ValueError(f"broadcast source rank {src} has no payload for {key!r}")
                 return payload()
 
-            for bucket in self.buckets.build([(s.key, s.shape, s.dtype) for s in channel_specs]):
+            for bucket in buckets:
                 flat = bucket.pack(source_payload) if rank == src else None
                 self._launch("broadcast", bucket, spec_by_key, flat, members, src=src)
 
@@ -354,7 +375,7 @@ class OverlapScheduler:
         rank = self.comm.rank
         channels: Dict[Tuple[int, ...], List[AllreduceSpec]] = {}
         for spec in specs:
-            members = self._group_members(spec.group)
+            members = group_members(spec.group, self.comm.world_size)
             if rank in members:
                 channels.setdefault(members, []).append(spec)
 

@@ -131,36 +131,6 @@ class PerformanceModel:
         hops = math.ceil(math.log2(group_size))
         return hops * (self.network.latency + nbytes / self.network.bandwidth)
 
-    # ------------------------------------------------- fused-message variants
-    # Fusing k tensors into one bucket moves the same bytes but pays the
-    # per-message latency (alpha) terms once per *bucket* instead of once per
-    # tensor; the bandwidth term is unchanged.  These helpers price a volume
-    # split across `num_messages` messages, so `num_messages=1` is a single
-    # fused buffer and `num_messages=k` is the unfused per-tensor schedule.
-    def fused_allreduce_time(self, nbytes: float, world_size: int, num_messages: int = 1) -> float:
-        """Ring-allreduce time for ``nbytes`` split across ``num_messages`` messages."""
-        if world_size <= 1 or nbytes <= 0 or num_messages < 1:
-            return 0.0
-        extra_latency = (num_messages - 1) * 2.0 * (world_size - 1) * self.network.latency
-        return self.allreduce_time(nbytes, world_size) + extra_latency
-
-    def fused_broadcast_time(self, nbytes: float, group_size: int, num_messages: int = 1) -> float:
-        """MST-broadcast time for ``nbytes`` split across ``num_messages`` messages."""
-        if group_size <= 1 or nbytes <= 0 or num_messages < 1:
-            return 0.0
-        hops = math.ceil(math.log2(group_size))
-        return self.broadcast_time(nbytes, group_size) + (num_messages - 1) * hops * self.network.latency
-
-    @staticmethod
-    def exposed_comm_time(comm_time: float, overlap_window: float) -> float:
-        """Communication time left on the critical path after hiding it behind compute.
-
-        ``overlap_window`` is the concurrent local compute (e.g. the remaining
-        backward pass) that an asynchronous schedule can overlap with; the
-        synchronous path exposes the full ``comm_time``.
-        """
-        return max(0.0, comm_time - max(0.0, overlap_window))
-
     @staticmethod
     def backward_window(iteration_compute_time: float) -> float:
         """Backward-pass compute available to hide hook-posted communication behind.

@@ -156,9 +156,8 @@ def sweep_grad_worker_frac(
         spec.layers,
         spec.param_count,
         optimizer=optimizer,
-        factor_dtype_bytes=spec.factor_dtype_bytes,
-        eigen_dtype_bytes=spec.eigen_dtype_bytes,
         activation_bytes_per_sample=activation_bytes_per_sample,
+        config=KFACConfig(precision=spec.precision, compute_eigen_outer=spec.compute_eigen_outer),
     )
     results: Dict[float, Dict[str, float]] = {}
     for frac in fracs:
@@ -193,9 +192,9 @@ def measured_memory_report(
     Trains ``steps`` optimization steps of a real (small) workload under the
     requested distribution strategy with factor and eigen updates every
     iteration, then reads :meth:`KFAC.memory_usage` on every rank.  The
-    analytic per-rank prediction for the *same registered layers* (each
-    factor on the ranks that hold it, :meth:`KFAC.holds_factor`; eigen state
-    on each layer's gradient workers) is returned alongside, so paper-style
+    analytic per-rank prediction for the *same registered layers* (the
+    holders of the run's :class:`~repro.kfac.strategy.DistributionPlan`,
+    summed -- whatever the knobs) is returned alongside, so paper-style
     memory tables (Tables 4/5) can print a live-measured column next to the
     modeled one and the two can be checked against each other byte-exactly.
     """
@@ -228,27 +227,17 @@ def measured_memory_report(
                 if done >= steps:
                     break
         measured = preconditioner.memory_usage()
-        include_outer = preconditioner.compute_eigen_outer
-        predicted_factors = sum(
-            layer.expected_factor_bytes(which)
-            for layer_name, layer in preconditioner.layers.items()
-            for which in ("a", "g")
-            if preconditioner.holds_factor(layer_name, which)
-        )
-        predicted_eigen = sum(
-            layer.expected_eigen_bytes(include_outer=include_outer)
-            for layer_name, layer in preconditioner.layers.items()
-            if preconditioner.groups[layer_name].is_grad_worker(comm.rank)
-            and preconditioner.solvers[layer_name].needs_eigen
-        )
+        plan = preconditioner.plan
+        predicted_factors = int(plan.factor_bytes_per_rank()[comm.rank])
+        predicted_eigen = int(plan.eigen_bytes_per_rank()[comm.rank])
         # Solver-state bytes (cached inverses / CG warm starts) exist only on
         # a layer's gradient workers and only for non-eigen solve strategies;
         # the default eigen path predicts (and measures) zero.
-        predicted_solver = 0
-        if preconditioner.solvers is not None:
-            for layer_name, solver in preconditioner.solvers.items():
-                if preconditioner.groups[layer_name].is_grad_worker(comm.rank):
-                    predicted_solver += solver.solver_bytes()
+        predicted_solver = sum(
+            solver.solver_bytes()
+            for layer_name, solver in preconditioner.solvers.items()
+            if plan.groups[layer_name].is_grad_worker(comm.rank)
+        )
         predicted = {
             "factors": predicted_factors,
             "eigen": predicted_eigen,
@@ -294,19 +283,10 @@ def scaling_projection(
         working_spec = spec
         if scale_update_freq_with_world:
             scale = reference / world_size
-            working_spec = KFACWorkloadSpec(
-                name=spec.name,
-                layers=spec.layers,
-                param_count=spec.param_count,
-                local_batch_size=spec.local_batch_size,
-                baseline_compute_time=spec.baseline_compute_time,
+            working_spec = dataclasses.replace(
+                spec,
                 factor_update_freq=max(1, int(round(spec.factor_update_freq * scale))),
                 inv_update_freq=max(1, int(round(spec.inv_update_freq * scale))),
-                samples_per_input=spec.samples_per_input,
-                grad_dtype_bytes=spec.grad_dtype_bytes,
-                factor_dtype_bytes=spec.factor_dtype_bytes,
-                eigen_dtype_bytes=spec.eigen_dtype_bytes,
-                grad_accumulation_steps=spec.grad_accumulation_steps,
             )
         for strategy_name, frac in strategies.items():
             actual_frac = (1.0 / world_size) if frac is None else frac

@@ -223,7 +223,6 @@ def paper_workload_spec(name: str, precision: str = "fp32") -> KFACWorkloadSpec:
     """Build the :class:`KFACWorkloadSpec` used by the Figure 6/7/8 benchmarks."""
     layers, params = paper_layer_shapes(name)
     factor_freq, inv_freq = _UPDATE_FREQS[name]
-    dtype_bytes = 2 if precision in ("fp16", "amp", "half") else 4
     return KFACWorkloadSpec(
         name=name,
         layers=layers,
@@ -233,8 +232,6 @@ def paper_workload_spec(name: str, precision: str = "fp32") -> KFACWorkloadSpec:
         factor_update_freq=factor_freq,
         inv_update_freq=inv_freq,
         samples_per_input=_SAMPLES_PER_INPUT[name],
-        grad_dtype_bytes=dtype_bytes,
-        factor_dtype_bytes=dtype_bytes,
-        eigen_dtype_bytes=dtype_bytes,
+        precision=precision,
         grad_accumulation_steps=_GRAD_ACCUMULATION.get(name, 1),
     )

@@ -8,20 +8,26 @@ frequencies and a :class:`PerformanceModel`, it computes per-rank time for
 every stage of Figure 3 and reports the busiest rank (the makespan) as the
 iteration time.  Infrequent stages (factor update, eigen decomposition) are
 amortised over their update intervals exactly as the paper's averages are.
+
+Nothing here decides who computes, who holds or what moves: every model reads
+the :class:`~repro.kfac.strategy.DistributionPlan` the engine itself follows
+(:meth:`KFACWorkloadSpec.plan`) and buckets its specs with the collective
+engine's own grouping, so modeled messages and bytes are the engine's counts
+and only latency, bandwidth and flop rates are modeled.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..distributed.collectives import BucketManager
 from ..distributed.cost_model import PerformanceModel, amortized_update_time
+from ..tensor import PrecisionPolicy
 from .factors import FactorRepr
-from .strategy import DistributionStrategy, LayerShapeInfo, LayerWorkGroups
+from .strategy import DistributionPlan, DistributionStrategy, LayerShapeInfo, WirePolicy
 
 __all__ = [
     "repr_eigen_time",
@@ -71,9 +77,9 @@ class KFACWorkloadSpec:
     factor_update_freq: int  # F_freq in Table 2
     inv_update_freq: int  # K_freq in Table 2
     samples_per_input: float = 1.0  # rows contributed to the factors per example (spatial positions for convs)
-    grad_dtype_bytes: int = 4
-    factor_dtype_bytes: int = 4
-    eigen_dtype_bytes: int = 4
+    precision: str = "fp32"  # a PrecisionPolicy name: storage and wire dtypes of factors and eigen state
+    triangular_comm: bool = False
+    compute_eigen_outer: bool = True
     grad_accumulation_steps: int = 1
     #: Performed-vs-base-cadence update ratios (1.0 = the fixed schedule).
     #: The adaptive scheduler reports measured values via
@@ -84,6 +90,19 @@ class KFACWorkloadSpec:
     eigen_update_fraction: float = 1.0
 
     @property
+    def wire_policy(self) -> WirePolicy:
+        return WirePolicy(PrecisionPolicy.from_name(self.precision), self.triangular_comm, self.compute_eigen_outer)
+
+    def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
+        """The plan :class:`~repro.kfac.KFAC` follows for these layers and knobs at this operating point."""
+        return DistributionStrategy(world_size, grad_worker_frac).plan(self.layers, self.wire_policy)
+
+    @property
+    def dtype_bytes(self) -> int:
+        """Element size of the training precision (factors, and the data-parallel gradients)."""
+        return np.dtype(self.wire_policy.precision.factor_dtype).itemsize
+
+    @property
     def factor_bytes(self) -> int:
         """Total bytes of all Kronecker factors in their stored representation.
 
@@ -92,25 +111,12 @@ class KFACWorkloadSpec:
         :class:`~repro.kfac.factors.FactorRepr`) contribute their packed O(F)
         element counts, matching what the handlers actually allocate.
         """
-        return sum(
-            (l.a_repr.packed_numel + l.g_repr.packed_numel) * self.factor_dtype_bytes for l in self.layers
-        )
-
-    @property
-    def eigen_bytes_per_layer(self) -> Dict[str, int]:
-        out = {}
-        for l in self.layers:
-            # Packed eigenvalues + stored eigenvectors per factor (a diagonal
-            # factor's identity basis is implicit and costs nothing), plus the
-            # cached g x a outer product.
-            out[l.name] = (
-                l.a_repr.packed_eigen_numel + l.g_repr.packed_eigen_numel + l.a_dim * l.g_dim
-            ) * self.eigen_dtype_bytes
-        return out
+        policy = self.wire_policy
+        return sum(policy.factor_bytes(layer) for layer in self.layers)
 
     @property
     def gradient_bytes(self) -> int:
-        return self.param_count * self.grad_dtype_bytes
+        return self.param_count * self.dtype_bytes
 
 
 @dataclass
@@ -174,14 +180,17 @@ class IterationTimeModel:
     def stage_times_per_rank(
         self, spec: KFACWorkloadSpec, world_size: int, grad_worker_frac: float
     ) -> Dict[str, np.ndarray]:
-        """Amortised per-iteration time of every K-FAC stage, per rank."""
-        strategy = DistributionStrategy(world_size, grad_worker_frac)
-        groups = strategy.assign(list(spec.layers))
-        comm_opt = strategy.num_grad_workers >= world_size
-        ranks = np.arange(world_size)
+        """Amortised per-iteration time of every K-FAC stage, per rank.
+
+        Placement and message sizes are the plan's; each layer's messages are
+        priced unfused -- one broadcast per ``(src, group)`` channel of the
+        layer -- which is the per-layer schedule Figures 6-8 were measured on
+        (:func:`model_comm_schedule` prices the bucketed one).
+        """
+        plan = spec.plan(world_size, grad_worker_frac)
         f_freq = max(spec.factor_update_freq, 1)
         k_freq = max(spec.inv_update_freq, 1)
-        dtype_b = spec.factor_dtype_bytes
+        dtype_b = spec.dtype_bytes
 
         times: Dict[str, np.ndarray] = {
             name: np.zeros(world_size)
@@ -207,42 +216,34 @@ class IterationTimeModel:
         )
 
         # --- factor allreduce (all ranks, bucketed into one volume) ---------
+        factor_bytes = sum(
+            _nbytes(shape, dtype) for entries in plan.factor_round.values() for _, shape, dtype in entries
+        )
         times["factor_allreduce"][:] = amortized_update_time(
-            self.perf.allreduce_time(spec.factor_bytes, world_size), f_freq, spec.factor_update_fraction
+            self.perf.allreduce_time(factor_bytes, world_size), f_freq, spec.factor_update_fraction
         )
 
-        eigen_bytes = spec.eigen_bytes_per_layer
-        for layer in spec.layers:
-            group = groups[layer.name]
-            # --- eigen decomposition (assigned workers only) ----------------
-            time_a = repr_eigen_time(self.perf, layer.a_repr, dtype_b)
-            time_g = repr_eigen_time(self.perf, layer.g_repr, dtype_b)
-            eigen_fraction = spec.eigen_update_fraction
-            times["eigen_decomposition"][group.eigen_worker_a] += amortized_update_time(
-                time_a, k_freq, eigen_fraction
-            )
-            times["eigen_decomposition"][group.eigen_worker_g] += amortized_update_time(
-                time_g, k_freq, eigen_fraction
-            )
+        def add_broadcasts(stage: str, specs, every: int, fraction: float) -> None:
+            channels: Dict[Tuple, int] = {}
+            for message in specs:
+                channel = (message.src, message.group)
+                channels[channel] = channels.get(channel, 0) + _nbytes(message.shape, message.dtype)
+            for (_, members), nbytes in channels.items():
+                duration = amortized_update_time(self.perf.broadcast_time(nbytes, len(members)), every, fraction)
+                times[stage][list(members)] += duration
 
-            # --- eigen broadcast --------------------------------------------
-            if comm_opt:
-                # Dense keeps the historical n² proxy (eigenvectors dominate);
-                # structured factors are priced at their true packed payload
-                # (eigenvalues + any stored block eigenvectors).
-                bytes_a = (
-                    layer.a_repr.eigenvector_numel if layer.a_repr.is_dense else layer.a_repr.packed_eigen_numel
-                ) * spec.eigen_dtype_bytes
-                bytes_g = (
-                    layer.g_repr.eigenvector_numel if layer.g_repr.is_dense else layer.g_repr.packed_eigen_numel
-                ) * spec.eigen_dtype_bytes
-                duration = self.perf.broadcast_time(bytes_a, world_size) + self.perf.broadcast_time(bytes_g, world_size)
-                times["eigen_broadcast"] += amortized_update_time(duration, k_freq, eigen_fraction)
-            else:
-                group_size = len(group.grad_workers)
-                duration = self.perf.broadcast_time(eigen_bytes[layer.name], group_size)
-                for rank in group.grad_workers:
-                    times["eigen_broadcast"][rank] += amortized_update_time(duration, k_freq, eigen_fraction)
+        for layer in spec.layers:
+            group = plan.groups[layer.name]
+            # --- eigen decomposition (the plan's decomposers only) ----------
+            for which in ("a", "g"):
+                duration = amortized_update_time(
+                    repr_eigen_time(self.perf, layer.factor_repr(which), dtype_b), k_freq, spec.eigen_update_fraction
+                )
+                times["eigen_decomposition"][list(plan.decomposers[layer.name, which])] += duration
+
+            # --- eigen broadcast, preconditioned-gradient broadcast ---------
+            add_broadcasts("eigen_broadcast", plan.eigen_round[layer.name], k_freq, spec.eigen_update_fraction)
+            add_broadcasts("grad_broadcast", plan.gradient_round[layer.name], 1, 1.0)
 
             # --- gradient preconditioning (gradient workers, every iteration)
             # Two eigenbasis rotations per side (into and out of the basis);
@@ -251,21 +252,7 @@ class IterationTimeModel:
                 repr_basis_apply_flops(self.perf, layer.g_repr, layer.a_dim)
                 + repr_basis_apply_flops(self.perf, layer.a_repr, layer.g_dim)
             )
-            duration = self.perf.compute_time(precondition_flops, dtype_b)
-            for rank in group.grad_workers:
-                times["precondition"][rank] += duration
-
-            # --- preconditioned-gradient broadcast (every iteration) --------
-            if not comm_opt:
-                grad_bytes = layer.grad_numel * spec.grad_dtype_bytes
-                for worker in group.grad_workers:
-                    receivers = group.receivers_of(worker)
-                    if not receivers:
-                        continue
-                    duration = self.perf.broadcast_time(grad_bytes, 1 + len(receivers))
-                    times["grad_broadcast"][worker] += duration
-                    for receiver in receivers:
-                        times["grad_broadcast"][receiver] += duration
+            times["precondition"][list(group.grad_workers)] += self.perf.compute_time(precondition_flops, dtype_b)
 
             # --- scaling / writing the update back --------------------------
             times["scale_and_update"] += self.perf.compute_time(4.0 * layer.grad_numel, dtype_b)
@@ -315,22 +302,28 @@ class IterationTimeModel:
 
 
 # ---------------------------------------------------------------------------
-# Fused vs unfused communication schedules (the overlap engine, modeled)
+# The bucketed communication schedule (the overlap engine, modeled)
 # ---------------------------------------------------------------------------
+
+
+def _nbytes(shape: Sequence[int], dtype) -> int:
+    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
 
 
 @dataclass(frozen=True)
 class CommSchedule:
     """Modeled collective schedule of one K-FAC configuration.
 
-    ``messages_per_update`` counts the collective messages issued for one
-    full K-FAC update cycle — one factor allreduce round + one eigen
-    broadcast round + one preconditioned-gradient broadcast round — summed
-    over all ranks' distinct collectives (a fused bucket counts once).
+    ``messages_per_update`` / ``comm_bytes_per_update`` count the collective
+    messages issued for one full K-FAC update cycle — one factor allreduce
+    round + one eigen broadcast round + one preconditioned-gradient broadcast
+    round — summed over all ranks' distinct collectives (a fused bucket counts
+    once); ``rounds`` splits them as ``{"factor" | "eigen" | "gradient":
+    (messages, bytes)}``.  These are the engine's own counts, what a
+    :class:`~repro.distributed.CommunicationLog` records for such an update.
     ``kfac_comm_time`` is the busiest rank's amortised per-iteration K-FAC
     communication time; ``iteration_time`` adds the compute stages and the
-    data-parallel gradient allreduce so fused/unfused schedules can be
-    compared end to end.
+    data-parallel gradient allreduce so schedules can be compared end to end.
 
     ``exposed_comm_time`` / ``hidden_comm_time`` split the busiest rank's
     per-iteration communication into the part left on the critical path and
@@ -342,7 +335,6 @@ class CommSchedule:
 
     strategy: str
     world_size: int
-    fused: bool
     messages_per_update: int
     comm_bytes_per_update: int
     kfac_comm_time: float
@@ -350,188 +342,59 @@ class CommSchedule:
     hooked: bool = False
     exposed_comm_time: float = 0.0
     hidden_comm_time: float = 0.0
+    rounds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
 def model_comm_schedule(
     spec: KFACWorkloadSpec,
     world_size: int,
     grad_worker_frac: float,
-    fused: bool = False,
     bucket_cap_mb: float = 25.0,
     perf: Optional[PerformanceModel] = None,
-    overlap_window_s: float = 0.0,
     hooked: bool = False,
 ) -> CommSchedule:
-    """Model the collective schedule the real engine would issue.
+    """Price the collective schedule the engine issues for ``spec``'s plan.
 
-    The unfused schedule is the engine with a bucket cap below any tensor:
-    one message per factor matrix, per packed eigen decomposition (plus the
-    cached outer product under HYBRID/MEM-OPT) and per preconditioned-gradient
-    broadcast.
-    The fused schedule coalesces tensors sharing a communication channel —
-    the world for factor allreduces, a ``(src, group)`` pair for broadcasts —
-    into :class:`~repro.distributed.collectives.BucketManager` buckets capped
-    at ``bucket_cap_mb``, paying one latency term per bucket.  Bytes moved
-    are identical in both schedules; only message counts (alpha terms)
-    differ.
+    The messages are :meth:`~repro.kfac.strategy.DistributionPlan.messages`:
+    the plan's specs through the engine's own grouping, where tensors sharing
+    a communication channel — the world for factor allreduces, a ``(src,
+    group)`` pair for broadcasts — fuse into buckets capped at
+    ``bucket_cap_mb``, one latency term per bucket.  A cap below any
+    tensor is the unfused schedule: one message per factor matrix, per packed
+    eigen decomposition (plus the cached outer product where one rank ships
+    it) and per preconditioned-gradient broadcast.  Bytes moved do not depend
+    on the cap; only message counts (alpha terms) do.
 
-    ``hooked=True`` models the backward-hook gradient pipeline (which
-    implies the fused engine): the factor allreduces and the data-parallel
-    gradient averaging are posted while backprop still runs, so up to
-    :meth:`PerformanceModel.backward_window` seconds of that traffic are
-    hidden; ``exposed_comm_time``/``hidden_comm_time`` report the split and
-    ``iteration_time`` charges only the exposed part.  Eigen and
-    preconditioned-gradient broadcasts stay inside ``KFAC.step()`` and
-    remain exposed in every schedule.
-
-    ``overlap_window_s`` is the legacy manual knob crediting only the fused
-    factor allreduce with a fixed window; it is ignored when ``hooked``.
+    ``hooked=True`` models the backward-hook gradient pipeline: the factor
+    allreduces (bucketed in reverse layer order, the order backward produces
+    them) and the data-parallel gradient averaging are posted while backprop
+    still runs, so up to :meth:`PerformanceModel.backward_window` seconds of
+    that traffic are hidden; ``exposed_comm_time``/``hidden_comm_time`` report
+    the split and ``iteration_time`` charges only the exposed part.  Eigen and
+    preconditioned-gradient broadcasts stay inside ``KFAC.step()`` and remain
+    exposed in every schedule.
     """
     perf = perf if perf is not None else PerformanceModel()
-    fused = bool(fused or hooked)
-    strategy = DistributionStrategy(world_size, grad_worker_frac)
-    groups = strategy.assign(list(spec.layers))
-    comm_opt = strategy.num_grad_workers >= world_size
-    buckets = BucketManager(bucket_cap_mb)
-    f_dtype = np.dtype(np.float32 if spec.factor_dtype_bytes == 4 else np.float16)
-    e_dtype = np.dtype(np.float32 if spec.eigen_dtype_bytes == 4 else np.float16)
-    g_dtype = np.dtype(np.float32 if spec.grad_dtype_bytes == 4 else np.float16)
-    f_freq = max(spec.factor_update_freq, 1)
-    k_freq = max(spec.inv_update_freq, 1)
-
-    messages = 0
-    comm_bytes = 0
-    # Per-rank amortised time of the step-time broadcast rounds (eigen and
-    # preconditioned gradients); the factor allreduce — the round the hooked
-    # pipeline can hide — is tracked separately in ``factor_per_iter``.
-    comm_time = np.zeros(world_size)
+    plan = spec.plan(world_size, grad_worker_frac)
+    messages = plan.messages(bucket_cap_mb, hooked=hooked)
+    rounds = {label: (len(sent), sum(nbytes for _, nbytes in sent)) for label, sent in messages.items()}
 
     # --- factor allreduce (world-wide; every rank participates) ------------
-    factor_specs = []
-    for layer in spec.layers:
-        # The real engine allreduces each factor in its packed wire form:
-        # (n, n) for dense, (n,) for diagonal, (blocks, bs, bs) for
-        # block-diagonal — so the modeled fusion sees the true byte counts.
-        factor_specs.append((f"{layer.name}/a", layer.a_repr.comm_shape(), f_dtype))
-        factor_specs.append((f"{layer.name}/g", layer.g_repr.comm_shape(), f_dtype))
-    factor_time = 0.0
-    factor_per_iter = 0.0
-    if world_size > 1:
-        if fused:
-            for bucket in buckets.build(factor_specs):
-                messages += 1
-                comm_bytes += bucket.nbytes
-                factor_time += perf.fused_allreduce_time(bucket.nbytes, world_size, 1)
-        else:
-            for _, shape, dtype in factor_specs:
-                nbytes = int(np.prod(shape)) * dtype.itemsize
-                messages += 1
-                comm_bytes += nbytes
-                factor_time += perf.allreduce_time(nbytes, world_size)
-        if fused and not hooked and overlap_window_s > 0.0:
-            factor_time = perf.exposed_comm_time(factor_time, overlap_window_s)
-        factor_per_iter = amortized_update_time(factor_time, f_freq, spec.factor_update_fraction)
+    # The round the hooked pipeline can hide, so its time is kept apart from
+    # the step-time broadcast rounds below.
+    factor_time = sum(perf.allreduce_time(nbytes, len(members)) for members, nbytes in messages["factor"])
+    factor_per_iter = amortized_update_time(
+        factor_time, max(spec.factor_update_freq, 1), spec.factor_update_fraction
+    )
 
-    # --- eigen broadcast ----------------------------------------------------
-    def packed_eigen_elems(repr_: FactorRepr) -> int:
-        # Eigenvalues + stored eigenvectors; the identity basis of a diagonal
-        # factor is implicit, so its packed buffer is just the spectrum.
-        return repr_.packed_eigen_numel
-
-    eigen_channels: Dict[Tuple, List[Tuple[str, Tuple[int, ...], np.dtype]]] = {}
-    eigen_order: List[Tuple] = []
-
-    def add_to_channel(channel: Tuple, spec_entry: Tuple[str, Tuple[int, ...], np.dtype]) -> None:
-        if channel not in eigen_channels:
-            eigen_channels[channel] = []
-            eigen_order.append(channel)
-        eigen_channels[channel].append(spec_entry)
-
-    if world_size > 1:
-        for layer in spec.layers:
-            group = groups[layer.name]
-            if comm_opt:
-                world = tuple(range(world_size))
-                a_entry = (f"{layer.name}/ea", (packed_eigen_elems(layer.a_repr),), e_dtype)
-                g_entry = (f"{layer.name}/eg", (packed_eigen_elems(layer.g_repr),), e_dtype)
-                if fused:
-                    add_to_channel((group.eigen_worker_a, world), a_entry)
-                    add_to_channel((group.eigen_worker_g, world), g_entry)
-                else:
-                    for entry in (a_entry, g_entry):
-                        nbytes = int(np.prod(entry[1])) * e_dtype.itemsize
-                        messages += 1
-                        comm_bytes += nbytes
-                        comm_time += amortized_update_time(
-                            perf.broadcast_time(nbytes, world_size), k_freq, spec.eigen_update_fraction
-                        )
-            else:
-                members = group.grad_workers
-                if len(members) <= 1:
-                    continue
-                entries = [
-                    (f"{layer.name}/ea", (packed_eigen_elems(layer.a_repr),), e_dtype),
-                    (f"{layer.name}/eg", (packed_eigen_elems(layer.g_repr),), e_dtype),
-                    (f"{layer.name}/outer", (layer.g_dim, layer.a_dim), e_dtype),
-                ]
-                if fused:
-                    for entry in entries:
-                        add_to_channel((group.eigen_worker, members), entry)
-                else:
-                    for entry in entries:
-                        nbytes = int(np.prod(entry[1])) * e_dtype.itemsize
-                        messages += 1
-                        comm_bytes += nbytes
-                        duration = amortized_update_time(
-                            perf.broadcast_time(nbytes, len(members)), k_freq, spec.eigen_update_fraction
-                        )
-                        for rank in members:
-                            comm_time[rank] += duration
-        if fused:
-            for channel in eigen_order:
-                _, members = channel
-                for bucket in buckets.build(eigen_channels[channel]):
-                    messages += 1
-                    comm_bytes += bucket.nbytes
-                    duration = amortized_update_time(
-                        perf.fused_broadcast_time(bucket.nbytes, len(members), 1), k_freq, spec.eigen_update_fraction
-                    )
-                    for rank in members:
-                        comm_time[rank] += duration
-
-    # --- preconditioned-gradient broadcast (every iteration) ----------------
-    grad_channels: Dict[Tuple, List[Tuple[str, Tuple[int, ...], np.dtype]]] = {}
-    grad_order: List[Tuple] = []
-    if world_size > 1 and not comm_opt:
-        for layer in spec.layers:
-            group = groups[layer.name]
-            for worker in group.grad_workers:
-                receivers = group.receivers_of(worker)
-                if not receivers:
-                    continue
-                members = (worker,) + receivers
-                entry = (f"{layer.name}/pg", (layer.grad_numel,), g_dtype)
-                if fused:
-                    channel = (worker, members)
-                    if channel not in grad_channels:
-                        grad_channels[channel] = []
-                        grad_order.append(channel)
-                    grad_channels[channel].append(entry)
-                else:
-                    nbytes = layer.grad_numel * g_dtype.itemsize
-                    messages += 1
-                    comm_bytes += nbytes
-                    duration = perf.broadcast_time(nbytes, len(members))
-                    for rank in members:
-                        comm_time[rank] += duration
-        for channel in grad_order:
-            _, members = channel
-            for bucket in buckets.build(grad_channels[channel]):
-                messages += 1
-                comm_bytes += bucket.nbytes
-                duration = perf.fused_broadcast_time(bucket.nbytes, len(members), 1)
-                for rank in members:
-                    comm_time[rank] += duration
+    # --- eigen broadcast (per refresh), gradient broadcast (every step) ----
+    comm_time = np.zeros(world_size)  # per-rank amortised time of the step-time rounds
+    for members, nbytes in messages["eigen"]:
+        comm_time[list(members)] += amortized_update_time(
+            perf.broadcast_time(nbytes, len(members)), max(spec.inv_update_freq, 1), spec.eigen_update_fraction
+        )
+    for members, nbytes in messages["gradient"]:
+        comm_time[list(members)] += perf.broadcast_time(nbytes, len(members))
 
     step_comm_max = float(np.max(comm_time)) if world_size else 0.0
 
@@ -561,16 +424,16 @@ def model_comm_schedule(
     exposed_fraction = 1.0 - (hidden / overlappable if overlappable > 0.0 else 0.0)
     kfac_comm_time = factor_per_iter * exposed_fraction + step_comm_max
     return CommSchedule(
-        strategy=strategy.name,
+        strategy=plan.scheme,
         world_size=world_size,
-        fused=bool(fused),
-        messages_per_update=int(messages),
-        comm_bytes_per_update=int(comm_bytes),
+        messages_per_update=sum(count for count, _ in rounds.values()),
+        comm_bytes_per_update=sum(nbytes for _, nbytes in rounds.values()),
         kfac_comm_time=float(kfac_comm_time),
         iteration_time=float(compute_no_allreduce + exposed),
         hooked=bool(hooked),
         exposed_comm_time=float(exposed),
         hidden_comm_time=float(hidden),
+        rounds=rounds,
     )
 
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from ..tensor import PrecisionPolicy
 from .kernels import DEFAULT_KERNEL_BACKEND, available_kernel_backends
-from .scheduling.solvers import available_solve_strategies
+from .scheduling.solvers import available_solve_strategies, make_solve_strategy
+from .strategy import DistributionPlan, DistributionStrategy, LayerShapeInfo, WirePolicy
 
 __all__ = ["KFACConfig"]
 
@@ -250,3 +251,43 @@ class KFACConfig:
     # ----------------------------------------------------------- derived
     def precision_policy(self) -> PrecisionPolicy:
         return PrecisionPolicy.from_name(self.precision)
+
+    def wire_policy(self, precision: Optional[PrecisionPolicy] = None) -> WirePolicy:
+        """How state is stored and travels (``precision`` overrides the named policy with a custom object)."""
+        return WirePolicy(precision or self.precision_policy(), self.triangular_comm, self.compute_eigen_outer)
+
+    def solver_name_for(self, layer) -> str:
+        """Which registered solve strategy preconditions ``layer`` (anything with ``a_dim`` / ``g_dim``).
+
+        Layers whose factor dimensions both fit under ``small_layer_dim`` are
+        routed to ``small_layer_solver`` (skipping O(F³) eigen work entirely);
+        everything else uses the configured ``solve_strategy``.
+        """
+        if self.small_layer_dim > 0 and max(layer.a_dim, layer.g_dim) <= self.small_layer_dim:
+            return self.small_layer_solver
+        return self.solve_strategy
+
+    def distribution_plan(
+        self,
+        layers: Sequence[LayerShapeInfo],
+        world_size: int,
+        strategy: Optional[DistributionStrategy] = None,
+        precision: Optional[PrecisionPolicy] = None,
+    ) -> DistributionPlan:
+        """The :class:`~repro.kfac.strategy.DistributionPlan` a run with these hyperparameters follows.
+
+        The one translation from hyperparameters to the plan's inputs, shared
+        by :class:`~repro.kfac.KFAC` (which passes its strategy instance and
+        precision policy object) and the memory model (which passes neither).
+        """
+        if strategy is None:
+            strategy = DistributionStrategy(world_size, self.grad_worker_frac, self.assignment_balance)
+        needs_eigen = {
+            name: make_solve_strategy(name).needs_eigen for name in (self.solve_strategy, self.small_layer_solver)
+        }
+        return strategy.plan(
+            layers,
+            self.wire_policy(precision),
+            factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
+            eigen_free=[layer.name for layer in layers if not needs_eigen[self.solver_name_for(layer)]],
+        )

@@ -50,7 +50,7 @@ from ..nn.norm import BatchNorm2d, LayerNorm
 from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
 from .kernels import DEFAULT_KERNEL_BACKEND, KernelBackend, make_kernel_backend
-from .kmath import EigenDecomposition, eigenvalue_outer_product
+from .kmath import EigenDecomposition
 from .strategy import LayerShapeInfo
 
 __all__ = [
@@ -369,37 +369,6 @@ class KFACLayer:
             setattr(self, attr, self.kernels.fused_decay_update(running, window, float(factor_decay), dtype))
 
     # ---------------------------------------------------------------- eigen
-    def compute_eigen(self, damping: float, compute_outer: bool = True, pi: Optional[float] = None) -> None:
-        """Eigen-decompose both factors and (optionally) cache the outer product.
-
-        ``pi`` applies the factor-trace π damping correction to the cached
-        outer product (``None`` keeps the uncorrected formula bit for bit).
-        """
-        if self.factor_a is None or self.factor_g is None:
-            raise RuntimeError(f"layer {self.name!r} has no factors to decompose")
-        compute = self.precision.compute_dtype
-        store = self.precision.inverse_dtype
-        self.eigen_a = self.kernels.structured_eigen(self.factor_a, self.a_repr, compute_dtype=compute).astype(store)
-        self.eigen_g = self.kernels.structured_eigen(self.factor_g, self.g_repr, compute_dtype=compute).astype(store)
-        if compute_outer:
-            self.inverse_outer = eigenvalue_outer_product(self.eigen_a, self.eigen_g, damping, dtype=store, pi=pi)
-        else:
-            self.inverse_outer = None
-
-    def set_eigen(
-        self,
-        eigen_a: Optional[EigenDecomposition],
-        eigen_g: Optional[EigenDecomposition],
-        inverse_outer: Optional[np.ndarray],
-    ) -> None:
-        """Install eigen decompositions received from the eigen worker."""
-        if eigen_a is not None:
-            self.eigen_a = eigen_a
-        if eigen_g is not None:
-            self.eigen_g = eigen_g
-        if inverse_outer is not None:
-            self.inverse_outer = inverse_outer
-
     def clear_eigen(self) -> None:
         """Drop locally cached eigen decompositions (gradient receivers in MEM/HYBRID-OPT)."""
         self.eigen_a = None
@@ -560,24 +529,6 @@ class KFACLayer:
                 total += eig.nbytes
         if self.inverse_outer is not None:
             total += self.inverse_outer.nbytes
-        return total
-
-    def expected_factor_bytes(self, which: Optional[str] = None) -> int:
-        """Bytes the factors (or just factor ``which``) will occupy once computed (for the planning memory model).
-
-        Uses the packed representation size — O(F) for diagonal factors — so
-        the memory model prices structured layers at their real footprint.
-        """
-        itemsize = np.dtype(self.precision.factor_dtype).itemsize
-        reprs = (self.a_repr, self.g_repr) if which is None else (self.factor_repr(which),)
-        return sum(repr.packed_numel for repr in reprs) * itemsize
-
-    def expected_eigen_bytes(self, include_outer: bool = True) -> int:
-        """Bytes the eigen decompositions will occupy once computed."""
-        itemsize = np.dtype(self.precision.inverse_dtype).itemsize
-        total = (self.a_repr.packed_eigen_numel + self.g_repr.packed_eigen_numel) * itemsize
-        if include_outer:
-            total += self.a_dim * self.g_dim * itemsize
         return total
 
     def remove(self) -> None:

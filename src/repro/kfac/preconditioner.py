@@ -38,14 +38,16 @@ scheduler is integer bookkeeping); *how* a layer is preconditioned is its
 :class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
 of Eq. 15-17).  ``grad_worker_frac`` selects the distribution strategy
 (section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is COMM-OPT, anything
-between is HYBRID-OPT.  The strategy object publishes which factors each rank
-decomposes and which collectives move the results; the preconditioner batches
-the decompositions through its kernel backend and executes every factor
-allreduce, eigen broadcast and gradient broadcast through one bucketed
-collective engine (:mod:`repro.distributed.collectives`), which coalesces the
-per-layer tensors into ``bucket_cap_mb``-capped fused buffers posted via
-nonblocking primitives.  Adding a distribution scheme means adding one
-:class:`~repro.kfac.strategy.DistributionStrategy` subclass.
+between is HYBRID-OPT.  The strategy publishes one
+:class:`~repro.kfac.strategy.DistributionPlan` -- who decomposes, who holds,
+and the three communication rounds as unbound specs, the same data on every
+rank; the preconditioner batches the decompositions through its kernel
+backend, attaches this rank's arrays to the specs (:meth:`KFAC._bind`) and
+executes every factor allreduce, eigen broadcast and gradient broadcast
+through one bucketed collective engine (:mod:`repro.distributed.collectives`),
+which coalesces the per-layer tensors into ``bucket_cap_mb``-capped fused
+buffers posted via nonblocking primitives.  Adding a distribution scheme means
+adding one :class:`~repro.kfac.strategy.DistributionStrategy` subclass.
 
 :class:`KFAC` implements the :class:`~repro.kfac.base.Preconditioner`
 protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
@@ -56,6 +58,8 @@ distribution strategy.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -69,10 +73,10 @@ from ..tensor import PrecisionPolicy
 from .base import Preconditioner
 from .config import KFACConfig
 from .kernels import make_kernel_backend
-from .kmath import kl_clip_scale_from_total, tikhonov_pi
+from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
 from .scheduling import AdaptiveDampingController, FactorUpdateScheduler, SolveStrategy, make_solve_strategy
-from .strategy import DistributionStrategy, LayerWorkGroups
+from .strategy import DistributionPlan, DistributionStrategy, LayerWorkGroups, pack_eigen, unpack_eigen_repr
 
 __all__ = ["KFAC"]
 
@@ -191,9 +195,16 @@ class KFAC(Preconditioner):
             (name, layer.a_repr.describe(), layer.g_repr.describe())
             for name, layer in self.layers.items()
         )
-        self.groups: Dict[str, LayerWorkGroups] = self.strategy.assign(
-            [layer.shape_info() for layer in self.layers.values()]
+        # The run's one plan: placement, holders and the three rounds of an
+        # update as data.  Everything below that asks "who" or "what moves"
+        # looks it up here, and so do the cost and memory models.
+        self.plan: DistributionPlan = config.distribution_plan(
+            [layer.shape_info() for layer in self.layers.values()],
+            self.comm.world_size,
+            strategy=self.strategy,
+            precision=self.precision,
         )
+        self.groups: Dict[str, LayerWorkGroups] = self.plan.groups
         # The per-layer refresh plan (when) and solve strategies (how), keyed by
         # layer name; the layer hooks first consult the plan in a forward pass.
         self.factor_scheduler = FactorUpdateScheduler(
@@ -204,7 +215,7 @@ class KFAC(Preconditioner):
             max_staleness=config.max_staleness,
         )
         self.solvers: Dict[str, SolveStrategy] = {
-            name: self._make_solver(self._solver_name_for(layer)) for name, layer in self.layers.items()
+            name: self._make_solver(config.solver_name_for(layer)) for name, layer in self.layers.items()
         }
         self.damping_controller: Optional[AdaptiveDampingController] = (
             AdaptiveDampingController(config.damping) if config.adaptive_damping else None
@@ -222,18 +233,6 @@ class KFAC(Preconditioner):
         """
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.scheduler.tracer = self.tracer
-
-    def _solver_name_for(self, layer: KFACLayer) -> str:
-        """Which registered solve strategy preconditions ``layer``.
-
-        Layers whose factor dimensions both fit under ``small_layer_dim`` are
-        routed to ``small_layer_solver`` (skipping O(F³) eigen work entirely);
-        everything else uses the configured ``solve_strategy``.
-        """
-        config = self._base_config
-        if config.small_layer_dim > 0 and max(layer.a_dim, layer.g_dim) <= config.small_layer_dim:
-            return config.small_layer_solver
-        return config.solve_strategy
 
     def _make_solver(self, name: str) -> SolveStrategy:
         kwargs = {"tol": self._base_config.cg_tol, "max_iter": self._base_config.cg_max_iter} if name == "cg" else {}
@@ -350,10 +349,11 @@ class KFAC(Preconditioner):
             sanitizer.attach_tracer(self.rank, self.tracer)
             sanitizer.set_phase(self.rank, f"kfac/step:{self._steps}")
             if self._steps == 0:
-                # A rank disagreeing on any factor representation would post
-                # differently-shaped collective payloads; surface that here
-                # as a named divergence instead of a buffer-size crash.
-                sanitizer.check_consistent(self.rank, "kfac/reprs", self._repr_signature)
+                # A rank disagreeing on any factor representation, or on the
+                # plan derived from them, would post differently-shaped or
+                # differently-routed collectives; surface that here as a
+                # named divergence instead of a buffer-size crash or a hang.
+                sanitizer.check_consistent(self.rank, "kfac/reprs", (self._repr_signature, self.plan.digest()))
         with self.tracer.span("kfac/step", category="kfac", step=self._steps):
             sched = self.factor_scheduler
             step = self._steps
@@ -533,22 +533,13 @@ class KFAC(Preconditioner):
     def holds_factor(self, name: str, which: str) -> bool:
         """Whether this rank keeps layer ``name``'s running ``"a"`` / ``"g"`` factor.
 
-        A rank holds a factor iff one of its own plans reads it: the
-        decompositions the strategy publishes for this rank
-        (:meth:`~repro.kfac.strategy.DistributionStrategy.local_eigen_tasks`),
-        the layer's gradient workers when its solve strategy reads the
-        factors instead of an eigenbasis (``inverse``, ``cg``), and every rank
-        when the configuration makes every rank read them -- ``drift_tol > 0``
-        derives the refresh plan from factor drift on every rank, and
-        ``damping_pi_correction`` takes both traces wherever it damps.  A
-        factor this rank does not hold stays ``None``.
+        A lookup in the plan's ``factor_holders`` (the rule is
+        :meth:`~repro.kfac.strategy.DistributionStrategy.plan`'s: the ranks
+        that decompose it, the gradient workers of a layer whose solver reads
+        factors, every rank under ``drift_tol > 0`` / ``damping_pi_correction``).
+        A factor this rank does not hold stays ``None``.
         """
-        if self.factor_scheduler.drift_tol > 0.0 or self.damping_pi_correction:
-            return True
-        group = self.groups[name]
-        if not self.solvers[name].needs_eigen:
-            return group.is_grad_worker(self.rank)
-        return which in self.strategy.local_eigen_tasks(self.layers[name], group, self)
+        return self.rank in self.plan.factor_holders[name, which]
 
     def accept_factor_window(self, layer: KFACLayer, window_a: np.ndarray, window_g: np.ndarray) -> bool:
         """Whether ``layer``'s averaged window pair may be folded: the same answer on every rank.
@@ -585,33 +576,110 @@ class KFAC(Preconditioner):
         latency cost) but not a single result bit.  Each factor travels in its
         repr's wire form: dense optionally as the packed upper triangle,
         structured factors as their (already packed) storage — O(F) on the
-        wire for diagonal layers.  The per-layer plan (keys, packing,
-        installation) is owned by the strategy.
+        wire for diagonal layers.  Keys, wire shapes and dtype come from the
+        plan's ``factor_round``; bound here are ``pack``, which returns this
+        rank's window average (:meth:`factor_window`, taken once per pending
+        step), and ``install``, which collects the averaged pair and, if every
+        rank alike finds it finite (:meth:`accept_factor_window`), folds each
+        half into the running factor with :meth:`KFACLayer.fold_factor` -- on
+        the ranks that hold that factor (:meth:`holds_factor`) and nowhere
+        else.  The running average is linear, so folding the averaged window
+        once is the estimator every rank used to fold for itself.
         """
+        triangular = self.triangular_comm
+
+        def pack(layer: KFACLayer, index: int) -> np.ndarray:
+            return layer.factor_repr("ag"[index]).pack_comm(self.factor_window(layer)[index], triangular)
+
+        def install(layer: KFACLayer, received: Dict[str, np.ndarray], which: str, array: np.ndarray) -> None:
+            received[which] = array
+            if len(received) < 2:
+                return
+            if self.accept_factor_window(layer, received["a"], received["g"]):
+                for held in ("a", "g"):
+                    if self.holds_factor(layer.name, held):
+                        window = layer.factor_repr(held).unpack_comm(received[held], triangular)
+                        layer.fold_factor(held, window, self.factor_decay)
+            received.clear()
+
         for name in names:
             layer = self.layers[name]
-            for entry in self.strategy.factor_allreduce_entries(layer, self):
-                yield (layer, *entry)
+            received: Dict[str, np.ndarray] = {}
+            for index, (key, shape, dtype) in enumerate(self.plan.factor_round[name]):
+                on_complete = functools.partial(install, layer, received, "ag"[index])
+                yield layer, key, shape, dtype, functools.partial(pack, layer, index), on_complete
 
     # -------------------------------------------------------- stage 2: eigen decomp
-    # Which rank decomposes which factor, which ranks keep the results, and
-    # every broadcast plan are owned by the strategy object (section 3.1).
+    # Which rank decomposes which factor, which ranks keep the results, who
+    # forms the cached outer product and every message are read off the plan
+    # (section 3.1); ``_bind`` is the one place arrays meet its specs.
+    def _bind(self, spec: BroadcastSpec, gradients: Optional[Dict[str, Optional[np.ndarray]]] = None) -> BroadcastSpec:
+        """``spec`` of the plan's eigen or gradient round with this rank's side attached, by key.
+
+        ``payload`` is what the source rank sends, evaluated when the spec's
+        bucket is filled; ``on_complete`` is what every member of the group,
+        the source included, does with the received array.  ``gradients`` is
+        the gradient round's per-layer dict, read by the source and
+        overwritten by the receipt.
+        """
+        name, _, what = spec.key.rpartition("/")
+        layer = self.layers[name]
+        if what in ("eigen_a", "eigen_g"):
+            repr_ = layer.factor_repr(what[-1])
+
+            def payload() -> np.ndarray:
+                if getattr(layer, what) is None:
+                    raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
+                return pack_eigen(getattr(layer, what), spec.dtype)
+
+            def install(flat: np.ndarray) -> None:
+                setattr(layer, what, unpack_eigen_repr(flat, repr_, spec.dtype))
+
+        elif what == "inverse_outer":
+
+            def payload() -> np.ndarray:
+                return layer.inverse_outer
+
+            def install(outer: np.ndarray) -> None:
+                # Copy out of the fused bucket: this array outlives the
+                # broadcast (kept until the next inverse update), and a
+                # view would pin the whole bucket buffer in memory.
+                layer.inverse_outer = outer.copy()
+
+        else:  # "precond_grad"
+
+            def payload() -> np.ndarray:
+                return gradients[name]
+
+            def install(array: np.ndarray) -> None:
+                gradients[name] = array
+
+        return dataclasses.replace(spec, payload=payload if spec.src == self.rank else None, on_complete=install)
+
+    def _eigen_outer(self, layer: KFACLayer) -> Optional[np.ndarray]:
+        """The cached ``1 / (v_G v_Aᵀ + γ)`` for ``layer``'s current decompositions, if configured."""
+        if not self.compute_eigen_outer:
+            return None
+        return eigenvalue_outer_product(
+            layer.eigen_a, layer.eigen_g, self.damping, dtype=self.precision.inverse_dtype, pi=self.damping_pi(layer)
+        )
+
     def _compute_eigen_decompositions(self, names: Sequence[str]) -> None:
         """Decompose the factors this rank owns among the due layers ``names``.
 
-        The strategy publishes which factors this rank decomposes
-        (:meth:`~repro.kfac.strategy.DistributionStrategy.local_eigen_tasks`);
+        The plan says which factors this rank decomposes (``decomposers``);
         dense factors are grouped by shape/dtype and each group goes through
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
         call.  Only due layers enter a batch, so the scheduler's skip
         decisions are preserved.  A solve that fails (a non-finite factor, a
         LAPACK ``info``) is re-raised naming its layer and factor, before any
-        layer's previous decomposition has been replaced.
+        layer's previous decomposition has been replaced.  A layer's
+        ``outer_worker`` then caches the eigenvalue outer product, before
+        broadcasting it to its group.
         """
-        tasks: List[tuple] = []
-        for name in names:
-            for which in self.strategy.local_eigen_tasks(self.layers[name], self.groups[name], self):
-                tasks.append((name, which))
+        tasks: List[tuple] = [
+            (name, which) for name in names for which in ("a", "g") if self.rank in self.plan.decomposers[name, which]
+        ]
         compute = self.precision.compute_dtype
         store = self.precision.inverse_dtype
         done: List[tuple] = []  # (name, which, decomposition): installed only once every solve succeeded
@@ -660,19 +728,24 @@ class KFAC(Preconditioner):
                 batch_sizes=batch_sizes,
             )
         for name in names:
-            self.strategy.finalize_local_eigen(self.layers[name], self.groups[name], self)
+            if self.groups[name].outer_worker == self.rank:
+                self.layers[name].inverse_outer = self._eigen_outer(self.layers[name])
 
     def _broadcast_eigen_decompositions(self, names: Sequence[str]) -> None:
         # One deterministic schedule across all due layers: specs sharing a
         # (src, group) channel fuse into capped buckets, and all buckets fly
         # concurrently instead of one blocking broadcast per tensor.
-        specs: List[BroadcastSpec] = []
+        self.scheduler.run_broadcasts([self._bind(spec) for name in names for spec in self.plan.eigen_round[name]])
         for name in names:
-            specs.extend(self.strategy.eigen_broadcast_specs(self.layers[name], self.groups[name], self))
-        self.scheduler.run_broadcasts(specs)
-        for name in names:
-            if self.groups[name].is_grad_worker(self.rank):
-                self.strategy.finalize_eigen(self.layers[name], self.groups[name], self)
+            layer = self.layers[name]
+            if self.rank not in self.plan.eigen_holders[name]:
+                # Only the holders keep eigen state -- this is exactly the
+                # tunable memory footprint of section 3.1.
+                layer.clear_eigen()
+            elif self.groups[name].outer_worker is None or not self.compute_eigen_outer:
+                # No rank shipped the outer product: each holder forms it
+                # from the decompositions it now has (or drops a stale one).
+                layer.inverse_outer = self._eigen_outer(layer)
 
     # ------------------------------------------------------ stage 3: precondition
     def _precondition_gradients(self) -> Dict[str, Optional[np.ndarray]]:
@@ -687,21 +760,11 @@ class KFAC(Preconditioner):
     def _broadcast_preconditioned_gradients(
         self, preconditioned: Dict[str, Optional[np.ndarray]]
     ) -> Dict[str, Optional[np.ndarray]]:
-        out: Dict[str, Optional[np.ndarray]] = {}
-        specs: List[BroadcastSpec] = []
-
-        def collect(key: str):
-            def install(array: Optional[np.ndarray]) -> None:
-                out[key] = array
-
-            return install
-
-        for name in self.layers:
-            specs.extend(
-                self.strategy.gradient_broadcast_specs(self.groups[name], preconditioned[name], self, collect(name))
-            )
-        self.scheduler.run_broadcasts(specs)
-        return out
+        """Fill in (in place) the layers this rank did not precondition itself; no message where it did."""
+        self.scheduler.run_broadcasts(
+            [self._bind(spec, preconditioned) for name in self.layers for spec in self.plan.gradient_round[name]]
+        )
+        return preconditioned
 
     # --------------------------------------------------- stage 4: scale and update
     def _apply_preconditioned_gradients(

@@ -15,58 +15,52 @@ precondition its gradient locally:
   broadcasts the preconditioned gradient to its own (smaller) receiver group,
   and those broadcasts proceed concurrently.
 
-Each strategy is one class that *publishes plans* and executes nothing
-itself: worker assignment (:meth:`DistributionStrategy.assign`), which factors
-this rank decomposes (:meth:`DistributionStrategy.local_eigen_tasks`), and the
-collectives to run as lists of specs
-(:meth:`DistributionStrategy.factor_allreduce_entries`,
-:meth:`DistributionStrategy.eigen_broadcast_specs`,
-:meth:`DistributionStrategy.gradient_broadcast_specs`), with
-:meth:`DistributionStrategy.finalize_local_eigen` /
-:meth:`DistributionStrategy.finalize_eigen` as the hooks that run once the
-decompositions / broadcasts of a layer landed.  :class:`~repro.kfac.KFAC`
-batches the decompositions through its kernel backend and runs every spec
-through one :class:`~repro.distributed.collectives.OverlapScheduler`.
+A strategy sees layer *shapes* and a :class:`WirePolicy`, never the
+preconditioner or a live layer, and :meth:`DistributionStrategy.plan` returns
+**data, the same on every rank**: a :class:`DistributionPlan` naming which
+rank decomposes which factor, which ranks hold each running factor and each
+layer's eigen state, and the three communication rounds of one update as
+unbound specs -- ``(key, shape, dtype)`` per factor allreduce, a
+:class:`~repro.distributed.collectives.BroadcastSpec` without ``payload`` /
+``on_complete`` per eigen and preconditioned-gradient message.  The schedule
+is global (the collective engine skips the channels that do not contain the
+local rank), so nothing here branches on a rank.  :class:`~repro.kfac.KFAC`
+attaches the arrays to the specs and posts them; the cost and memory models
+price the same specs and sum the same holders.
 
-The plans also say where K-FAC state lives.  Eigen state is kept by a layer's
-gradient workers (the paper's tunable footprint).  A *running factor* is kept
-only by the ranks whose plan reads it -- with the default knobs the one rank
-that :meth:`~DistributionStrategy.local_eigen_tasks` makes decompose it
-(:meth:`repro.kfac.KFAC.holds_factor` is the rule): the factor stage
-allreduces the ranks' window averages and the average is folded there, so no
-rank keeps a running factor it never reads, and a scheme that only overrides
-``local_eigen_tasks`` moves the factors with the decompositions.  A new
-distribution scheme is a new subclass; the preconditioner never branches on
-the scheme itself.  Constructing the base class dispatches to the matching
-subclass from ``grad_worker_frac``, so ``DistributionStrategy(world, frac)``
-keeps working as a factory.
+The three built-in schemes differ only in :meth:`DistributionStrategy.assign`
+(placement).  A new scheme is one subclass: placement (``assign``), who
+decomposes (``decomposers``) and what moves (``eigen_round`` /
+``gradient_round``), each with a default derived from the placement.
+Constructing the base class dispatches to the matching subclass from
+``grad_worker_frac``, so ``DistributionStrategy(world, frac)`` keeps working
+as a factory.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..distributed.collectives import BroadcastSpec
+from ..distributed.collectives import BroadcastSpec, BucketManager, broadcast_messages
+from ..tensor import PrecisionPolicy
 from .assignment import greedy_lpt_assignment
 from .factors import FactorRepr
-from .kmath import EigenDecomposition, eigenvalue_outer_product
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
-    from .layers import KFACLayer
-    from .preconditioner import KFAC
+from .kmath import EigenDecomposition
 
 __all__ = [
     "LayerShapeInfo",
     "LayerWorkGroups",
+    "WirePolicy",
+    "DistributionPlan",
     "DistributionStrategy",
     "CommOptStrategy",
     "HybridOptStrategy",
     "MemOptStrategy",
     "pack_eigen",
-    "unpack_eigen",
     "unpack_eigen_repr",
 ]
 
@@ -83,15 +77,6 @@ def pack_eigen(eigen: EigenDecomposition, dtype=np.float32) -> np.ndarray:
     if eigen.eigenvectors is not None:
         parts.append(eigen.eigenvectors.astype(dtype).reshape(-1))
     return np.concatenate(parts)
-
-
-def unpack_eigen(packed: np.ndarray, n: int, dtype=np.float32) -> EigenDecomposition:
-    """Inverse of :func:`pack_eigen` for a *dense* factor of dimension ``n``."""
-    if packed.size != n + n * n:
-        raise ValueError(f"packed eigen buffer has {packed.size} elements, expected {n + n * n}")
-    eigenvalues = packed[:n].astype(dtype)
-    eigenvectors = packed[n:].reshape(n, n).astype(dtype)
-    return EigenDecomposition(eigenvectors=eigenvectors, eigenvalues=eigenvalues)
 
 
 def unpack_eigen_repr(packed: np.ndarray, repr: FactorRepr, dtype=np.float32) -> EigenDecomposition:
@@ -168,11 +153,11 @@ class LayerWorkGroups:
     eigen_worker_g: int
     grad_workers: Tuple[int, ...]
     receiver_map: Dict[int, Tuple[int, ...]]  # grad worker -> receivers it broadcasts to
-
-    @property
-    def eigen_worker(self) -> int:
-        """Rank responsible for the G decomposition and the cached eigenvalue outer product."""
-        return self.eigen_worker_g
+    #: Rank that forms the cached eigenvalue outer product ``1 / (v_G v_Aᵀ + γ)``
+    #: and ships it with the eigen round; ``None`` = every gradient worker forms
+    #: its own from the decompositions it receives (g·a flops instead of g·a
+    #: elements on the wire).
+    outer_worker: Optional[int] = None
 
     def is_grad_worker(self, rank: int) -> bool:
         return rank in self.grad_workers
@@ -180,84 +165,103 @@ class LayerWorkGroups:
     def receivers_of(self, rank: int) -> Tuple[int, ...]:
         return self.receiver_map.get(rank, ())
 
-    def grad_worker_for(self, rank: int) -> int:
-        """The gradient worker that sends the preconditioned gradient to ``rank``."""
-        if rank in self.grad_workers:
-            return rank
-        for worker, receivers in self.receiver_map.items():
-            if rank in receivers:
-                return worker
-        raise KeyError(f"rank {rank} is neither a gradient worker nor a receiver")
 
-    def broadcast_group_size(self) -> int:
-        """Size of each preconditioned-gradient broadcast group (worker + receivers)."""
-        if not self.receiver_map:
-            return 1
-        return 1 + max(len(r) for r in self.receiver_map.values())
+@dataclass(frozen=True)
+class WirePolicy:
+    """How K-FAC state is stored and travels: the knobs that size a tensor without moving it."""
+
+    precision: PrecisionPolicy = PrecisionPolicy.fp32()
+    triangular_comm: bool = False  # dense factors allreduced as their upper triangle (section 4.3)
+    compute_eigen_outer: bool = True  # cache (and, where one rank forms it, ship) the eigenvalue outer product
+
+    def factor_bytes(self, layer: LayerShapeInfo, which: str = "ag") -> int:
+        """Bytes of ``layer``'s stored running ``"a"`` / ``"g"`` factor, or both (packed: O(F) for a diagonal one)."""
+        numel = sum(layer.factor_repr(one).packed_numel for one in which)
+        return numel * np.dtype(self.precision.factor_dtype).itemsize
+
+    def eigen_bytes(self, layer: LayerShapeInfo) -> int:
+        """Bytes of ``layer``'s eigen state on one holder: eigenvalues, stored eigenvectors, cached outer product."""
+        numel = layer.a_repr.packed_eigen_numel + layer.g_repr.packed_eigen_numel
+        if self.compute_eigen_outer:
+            numel += layer.a_dim * layer.g_dim
+        return numel * np.dtype(self.precision.inverse_dtype).itemsize
 
 
-def _packed_eigen_specs(
-    layer: "KFACLayer",
-    sources: Sequence[Tuple[str, int]],
-    group: Optional[Tuple[int, ...]],
-    pre: "KFAC",
-) -> List[BroadcastSpec]:
-    """Specs moving ``layer``'s packed eigen decompositions within ``group``.
+#: One factor allreduce as the bucket manager takes it: ``(key, wire shape, dtype)``.
+FactorSpec = Tuple[str, Tuple[int, ...], np.dtype]
 
-    One spec per ``(which, src)`` in ``sources``.  The source packs when its
-    bucket is filled (eigenvalues then stored eigenvectors, in the precision
-    policy's inverse dtype so fp64/fp16 are not truncated on the wire); every
-    member, the source included, installs the unpacked decomposition into
-    ``layer.eigen_a`` / ``layer.eigen_g`` on completion.
 
-    A group of one publishes no spec: its only member computed the
-    decompositions and keeps them exactly as they are.  (Packing and unpacking
-    them anyway would copy all eigen state twice and re-lay the eigenvectors
-    out row-major, which shifts BLAS rounding in every later precondition.)
+@dataclass(frozen=True)
+class DistributionPlan:
+    """One K-FAC update as data: who computes, who holds, what moves.  Identical on every rank.
+
+    Every mapping is keyed by layer name -- or ``(layer name, "a" | "g")`` for
+    per-factor entries -- in registration order, so a step that refreshes a
+    subset of layers concatenates those layers' entries and keeps the order.
+    Ranks in ``decomposers`` / ``*_holders`` are sorted tuples.
     """
-    dtype = np.dtype(pre.precision.inverse_dtype)
-    alone = (pre.world_size if group is None else len(group)) <= 1
-    specs: List[BroadcastSpec] = []
-    for which, src in sources:
-        is_src = pre.rank == src
-        if is_src and (layer.eigen_a if which == "a" else layer.eigen_g) is None:
-            raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
-        if alone:
-            continue
-        repr = layer.factor_repr(which)
 
-        def payload(which: str = which) -> np.ndarray:
-            return pack_eigen(layer.eigen_a if which == "a" else layer.eigen_g, dtype)
+    scheme: str  # the strategy's name, e.g. "HYBRID-OPT"
+    world_size: int
+    policy: WirePolicy
+    groups: Dict[str, LayerWorkGroups]  # placement
+    decomposers: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that eigendecompose the factor
+    factor_holders: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that keep the running factor
+    eigen_holders: Dict[str, Tuple[int, ...]]  # ranks that keep the layer's eigen state
+    factor_round: Dict[str, Tuple[FactorSpec, ...]]  # world-wide window allreduces
+    eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh
+    gradient_round: Dict[str, Tuple[BroadcastSpec, ...]]  # every step
 
-        def install(flat: np.ndarray, which: str = which, repr: FactorRepr = repr) -> None:
-            decomposition = unpack_eigen_repr(flat, repr, dtype)
-            if which == "a":
-                layer.eigen_a = decomposition
-            else:
-                layer.eigen_g = decomposition
+    def factor_bytes_per_rank(self) -> np.ndarray:
+        """Running-factor bytes each rank holds."""
+        per_rank = np.zeros(self.world_size, dtype=np.int64)
+        for (name, which), holders in self.factor_holders.items():
+            per_rank[list(holders)] += self.policy.factor_bytes(self.groups[name].layer, which)
+        return per_rank
 
-        specs.append(
-            BroadcastSpec(
-                key=f"{layer.name}/eigen_{which}",
-                src=src,
-                group=group,
-                # Packed payload: n + n*n for dense, just n for diagonal factors.
-                shape=(repr.packed_eigen_numel,),
-                dtype=dtype,
-                payload=payload if is_src else None,
-                on_complete=install,
-            )
-        )
-    return specs
+    def eigen_bytes_per_rank(self) -> np.ndarray:
+        """Eigen-state bytes (decompositions + cached outer product) each rank holds."""
+        per_rank = np.zeros(self.world_size, dtype=np.int64)
+        for name, holders in self.eigen_holders.items():
+            per_rank[list(holders)] += self.policy.eigen_bytes(self.groups[name].layer)
+        return per_rank
 
+    def messages(
+        self, bucket_cap_mb: float = 25.0, hooked: bool = False
+    ) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
+        """Every message of one full update as the collective engine posts it.
 
-def _eigen_outer(layer: "KFACLayer", pre: "KFAC") -> Optional[np.ndarray]:
-    """The cached ``1 / (v_G v_Aᵀ + γ)`` for ``layer``'s current decompositions, if configured."""
-    if not pre.compute_eigen_outer:
-        return None
-    return eigenvalue_outer_product(
-        layer.eigen_a, layer.eigen_g, pre.damping, dtype=pre.precision.inverse_dtype, pi=pre.damping_pi(layer)
-    )
+        ``{"factor" | "eigen" | "gradient": [(members, nbytes), ...]}``, one
+        entry per fused bucket: the rounds' specs through the engine's own
+        grouping (:func:`~repro.distributed.collectives.broadcast_messages`,
+        one world-wide channel for the factor allreduces) under the same cap,
+        so the counts are what a communication log records.  ``hooked`` is the
+        armed gradient pipeline, which buckets the factor allreduces in
+        reverse layer order (the order backward produces them).  A group of
+        one exchanges nothing and is not a message.
+        """
+        buckets = BucketManager(bucket_cap_mb)
+        names = list(self.groups)
+        out: Dict[str, List[Tuple[Tuple[int, ...], int]]] = {"factor": [], "eigen": [], "gradient": []}
+        if self.world_size > 1:
+            everyone = tuple(range(self.world_size))
+            ordered = reversed(names) if hooked else names
+            factor_specs = [entry for name in ordered for entry in self.factor_round[name]]
+            out["factor"] = [(everyone, bucket.nbytes) for bucket in buckets.build(factor_specs)]
+        for label, per_layer in (("eigen", self.eigen_round), ("gradient", self.gradient_round)):
+            specs = [spec for name in names for spec in per_layer[name]]
+            for _, members, _, channel_buckets in broadcast_messages(specs, self.world_size, buckets):
+                if len(members) > 1:
+                    out[label] += [(members, bucket.nbytes) for bucket in channel_buckets]
+        return out
+
+    def digest(self) -> str:
+        """Fingerprint of everything above: the placement and every spec's key / src / group / shape / dtype.
+
+        What the sanitizer compares across ranks before the first schedule is
+        posted: ranks that disagree here would post mismatched collectives.
+        """
+        return hashlib.sha1(repr(self).encode()).hexdigest()
 
 
 class DistributionStrategy:
@@ -265,10 +269,9 @@ class DistributionStrategy:
 
     ``DistributionStrategy(world_size, grad_worker_frac, balance)`` returns
     the subclass matching the fraction (COMM-OPT / HYBRID-OPT / MEM-OPT); a
-    custom scheme subclasses this and implements :meth:`assign`,
-    :meth:`local_eigen_tasks`, :meth:`eigen_broadcast_specs` and
-    :meth:`gradient_broadcast_specs` (plus the two ``finalize_*`` hooks where
-    it derives state from the decompositions).
+    custom scheme subclasses this and implements :meth:`assign`, overriding
+    :meth:`decomposers`, :meth:`eigen_round` or :meth:`gradient_round` where
+    the defaults derived from the placement are not what it wants.
     """
 
     name: str = "CUSTOM"
@@ -329,7 +332,7 @@ class DistributionStrategy:
         """``max(1, grad_worker_frac * world_size)`` as defined in section 3.1."""
         return max(1, int(round(self.grad_worker_frac * self.world_size)))
 
-    # ------------------------------------------------------------ assignment
+    # ------------------------------------------------------------- placement
     def _layer_costs(self, layers: Sequence[LayerShapeInfo]) -> Dict[str, float]:
         if self.balance == "memory":
             return {layer.name: layer.memory_cost for layer in layers}
@@ -345,118 +348,109 @@ class DistributionStrategy:
         """
         raise NotImplementedError
 
-    # ------------------------------------------------------------ eigen plan
-    def local_eigen_tasks(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[str]:
-        """Which of ``layer``'s factors (``"a"``/``"g"``) this rank decomposes.
+    # ------------------------------------------------------- who decomposes
+    def decomposers(self, group: LayerWorkGroups) -> Dict[str, Tuple[int, ...]]:
+        """Ranks that eigendecompose the layer's ``"a"`` and ``"g"`` factor: by default its eigen workers.
 
-        The preconditioner collects every (layer, factor) pair this rank
-        owns, groups the dense factors by shape, and decomposes each group in
-        one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
-        call, installing the results in ``layer.eigen_a`` / ``layer.eigen_g``.
-        The answer must not change between steps: it is also what makes this
-        rank hold those running factors (:meth:`repro.kfac.KFAC.holds_factor`).
+        With the default knobs these are also the ranks that hold the running
+        factor, so a scheme that moves the decompositions moves the factors
+        with them.
         """
-        raise NotImplementedError
+        return {"a": (group.eigen_worker_a,), "g": (group.eigen_worker_g,)}
 
-    def finalize_local_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        """Hook run once per due layer after its local decompositions are installed.
+    # ----------------------------------------------------------- what moves
+    # A spec names one logical tensor; the collective engine fuses the specs
+    # that share a (src, group) channel into capped buckets, in list order.
+    def eigen_round(self, group: LayerWorkGroups, policy: WirePolicy) -> List[BroadcastSpec]:
+        """Messages that take one layer's fresh eigen state from its eigen workers to its gradient workers.
 
-        E.g. HYBRID-OPT's eigen worker forms the cached eigenvalue outer
-        product here, before broadcasting it to its block.
+        Each decomposition travels packed (eigenvalues then stored
+        eigenvectors, in the inverse dtype so fp64 / fp16 are not truncated on
+        the wire), followed by the cached outer product when one rank forms it
+        for the group.  A group of one moves nothing: its only member computed
+        the decompositions and keeps them exactly as they are.  (Packing and
+        unpacking them anyway would copy all eigen state twice and re-lay the
+        eigenvectors out row-major, which shifts BLAS rounding in every later
+        precondition.)
         """
+        members = group.grad_workers
+        if len(members) <= 1:
+            return []
+        layer = group.layer
+        dtype = np.dtype(policy.precision.inverse_dtype)
+        specs = []
+        for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
+            # Packed payload: n + n*n for dense, just n for diagonal factors.
+            shape = (layer.factor_repr(which).packed_eigen_numel,)
+            specs.append(BroadcastSpec(f"{layer.name}/eigen_{which}", src, members, shape, dtype))
+        if policy.compute_eigen_outer and group.outer_worker is not None:
+            shape = (layer.g_dim, layer.a_dim)
+            specs.append(BroadcastSpec(f"{layer.name}/inverse_outer", group.outer_worker, members, shape, dtype))
+        return specs
 
-    # ---------------------------------------------------- factor allreduces
-    def factor_allreduce_entries(
-        self, layer: "KFACLayer", pre: "KFAC"
-    ) -> List[Tuple[str, Tuple[int, ...], np.dtype, Callable[[], np.ndarray], Callable[[np.ndarray], None]]]:
-        """Per-layer factor-allreduce plan: ``(key, shape, dtype, pack, install)``.
-
-        The base plan allreduce-averages the *window averages* of both
-        Kronecker factors over the whole world, honoring
-        ``pre.triangular_comm`` packing — shared by the ``KFAC.step()``-time
-        schedule and the backward-hook gradient pipeline, which differ only
-        in *when* the entries are posted.  ``pack`` returns this rank's
-        window average (:meth:`KFAC.factor_window`, taken once per pending
-        step); ``install`` collects the averaged pair and, if every rank
-        alike finds it finite (:meth:`KFAC.accept_factor_window`), folds each
-        half into the running factor with :meth:`KFACLayer.fold_factor` — on
-        the ranks that hold that factor (:meth:`KFAC.holds_factor`) and
-        nowhere else.  The running average is linear, so folding the averaged
-        window once is the estimator every rank used to fold for itself, and
-        a running factor exists only where a plan reads it.  Structured
-        factors travel in their packed form — O(F) bytes for a diagonal
-        factor, never the dense F² — and the bucket manager fuses on the
-        flattened packed sizes.  A topology-aware strategy can override this
-        to route factor traffic over sub-groups.
-        """
-        dtype = np.dtype(pre.precision.factor_dtype)
-        received: Dict[str, np.ndarray] = {}
-
-        def make_pack(index: int, repr: FactorRepr) -> Callable[[], np.ndarray]:
-            def pack() -> np.ndarray:
-                return repr.pack_comm(pre.factor_window(layer)[index], pre.triangular_comm)
-
-            return pack
-
-        def make_install(which: str) -> Callable[[np.ndarray], None]:
-            def install(array: np.ndarray) -> None:
-                received[which] = array
-                if len(received) < 2:
-                    return
-                if pre.accept_factor_window(layer, received["a"], received["g"]):
-                    for held in ("a", "g"):
-                        if pre.holds_factor(layer.name, held):
-                            window = layer.factor_repr(held).unpack_comm(received[held], pre.triangular_comm)
-                            layer.fold_factor(held, window, pre.factor_decay)
-                received.clear()
-
-            return install
-
-        entries = []
-        for index, which in enumerate(("a", "g")):
-            repr = layer.factor_repr(which)
-            entries.append(
-                (
-                    f"{layer.name}/factor_{which}",
-                    repr.comm_shape(pre.triangular_comm),
-                    dtype,
-                    make_pack(index, repr),
-                    make_install(which),
-                )
+    def gradient_round(self, group: LayerWorkGroups) -> List[BroadcastSpec]:
+        """Messages that take one layer's preconditioned gradient from each gradient worker to its receivers."""
+        layer = group.layer
+        return [
+            BroadcastSpec(
+                key=f"{layer.name}/precond_grad",
+                src=worker,
+                group=(worker,) + group.receivers_of(worker),
+                # precondition() returns the float32 bias-folded matrix (g_dim, a_dim)
+                shape=(layer.g_dim, layer.a_dim),
+                dtype=np.dtype(np.float32),
             )
-        return entries
+            for worker in group.grad_workers
+            if group.receivers_of(worker)
+        ]
 
-    # -------------------------------------------------------- broadcast plans
-    # The preconditioner collects one deterministic schedule of BroadcastSpecs
-    # across all layers and hands it to its OverlapScheduler, which fuses
-    # specs sharing a (src, group) channel into capped buckets and pipelines
-    # them.  A spec names what moves; a rank that needs no message for a
-    # layer (it already holds the value, or must not keep it) returns none.
-    def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
-        """Specs distributing ``layer``'s fresh eigen state to its gradient workers.
-
-        Also applies this rank's local memory plan (e.g. dropping eigen state
-        on gradient receivers).
-        """
-        raise NotImplementedError
-
-    def finalize_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        """Hook run on gradient workers after every eigen-broadcast spec of ``layer`` completed."""
-
-    def gradient_broadcast_specs(
+    # -------------------------------------------------------------- the plan
+    def plan(
         self,
-        group: LayerWorkGroups,
-        value: Optional[np.ndarray],
-        pre: "KFAC",
-        install: "Callable[[np.ndarray], None]",
-    ) -> List[BroadcastSpec]:
-        """Specs sending one layer's preconditioned gradient from its worker(s) to this rank.
+        layers: Sequence[LayerShapeInfo],
+        policy: WirePolicy = WirePolicy(),
+        factors_read_everywhere: bool = False,
+        eigen_free: Iterable[str] = (),
+    ) -> DistributionPlan:
+        """The :class:`DistributionPlan` of ``layers`` under this scheme.
 
-        ``install`` receives the layer's preconditioned gradient — either
-        immediately (this rank preconditioned it, or needs no message) or as
-        the ``on_complete`` of the returned spec.
+        A running factor is held where a plan reads it: by the ranks that
+        decompose it; by the layer's gradient workers when the layer is in
+        ``eigen_free`` (its solve strategy reads the factors instead of an
+        eigenbasis -- ``inverse``, ``cg`` -- so nothing is decomposed or
+        broadcast for it); and by every rank when ``factors_read_everywhere``
+        (``drift_tol > 0`` derives the refresh plan from factor drift on every
+        rank, ``damping_pi_correction`` takes both traces wherever it damps).
+        Factors are allreduced world-wide as the ranks' *window* averages, in
+        their repr's wire form: structured factors packed (O(F) for a diagonal
+        one), dense optionally as the upper triangle.
         """
-        raise NotImplementedError
+        layers = list(layers)
+        groups = self.assign(layers)
+        eigen_free = frozenset(eigen_free)
+        everyone = tuple(range(self.world_size))
+        factor_dtype = np.dtype(policy.precision.factor_dtype)
+        plan = DistributionPlan(self.name, self.world_size, policy, groups, {}, {}, {}, {}, {}, {})
+        for layer in layers:
+            name, group = layer.name, groups[layer.name]
+            needs_eigen = name not in eigen_free
+            decomposers = self.decomposers(group) if needs_eigen else {"a": (), "g": ()}
+            for which in ("a", "g"):
+                plan.decomposers[name, which] = tuple(sorted(set(decomposers[which])))
+                if factors_read_everywhere:
+                    plan.factor_holders[name, which] = everyone
+                elif needs_eigen:
+                    plan.factor_holders[name, which] = plan.decomposers[name, which]
+                else:
+                    plan.factor_holders[name, which] = tuple(sorted(group.grad_workers))
+            plan.eigen_holders[name] = tuple(sorted(group.grad_workers)) if needs_eigen else ()
+            plan.factor_round[name] = tuple(
+                (f"{name}/factor_{which}", layer.factor_repr(which).comm_shape(policy.triangular_comm), factor_dtype)
+                for which in ("a", "g")
+            )
+            plan.eigen_round[name] = tuple(self.eigen_round(group, policy)) if needs_eigen else ()
+            plan.gradient_round[name] = tuple(self.gradient_round(group))
+        return plan
 
 
 class CommOptStrategy(DistributionStrategy):
@@ -464,8 +458,9 @@ class CommOptStrategy(DistributionStrategy):
 
     Individual factors (A and G separately) are distributed across ranks for
     the eigen decompositions, doubling worker utilisation; the decompositions
-    are broadcast world-wide, so preconditioning is local on every rank and no
-    per-iteration gradient broadcast is needed.
+    are broadcast world-wide, so preconditioning is local on every rank, each
+    forms the eigenvalue outer product itself and no per-iteration gradient
+    broadcast is needed.
     """
 
     name = "COMM-OPT"
@@ -496,6 +491,7 @@ class CommOptStrategy(DistributionStrategy):
         all_ranks = tuple(range(world))
         groups: Dict[str, LayerWorkGroups] = {}
         for layer in layers:
+            # The A and G factors of one layer may live on different ranks.
             groups[layer.name] = LayerWorkGroups(
                 layer=layer,
                 eigen_worker_a=result.assignment[(layer.name, "A")],
@@ -505,46 +501,19 @@ class CommOptStrategy(DistributionStrategy):
             )
         return groups
 
-    def local_eigen_tasks(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[str]:
-        # The A and G factors of one layer may live on different ranks.
-        tasks: List[str] = []
-        if pre.rank == group.eigen_worker_a:
-            tasks.append("a")
-        if pre.rank == group.eigen_worker_g:
-            tasks.append("g")
-        return tasks
-
-    def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
-        # The A and G decompositions come from (possibly) different source
-        # ranks and go to the whole world.
-        sources = (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
-        return _packed_eigen_specs(layer, sources, None, pre)
-
-    def finalize_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        # Every rank caches the decompositions anyway, so each forms the
-        # eigenvalue outer product locally instead of receiving it.
-        layer.inverse_outer = _eigen_outer(layer, pre)
-
-    def gradient_broadcast_specs(
-        self,
-        group: LayerWorkGroups,
-        value: Optional[np.ndarray],
-        pre: "KFAC",
-        install: Callable[[np.ndarray], None],
-    ) -> List[BroadcastSpec]:
-        install(value)  # every rank preconditioned locally; nothing to send
-        return []
-
 
 class HybridOptStrategy(DistributionStrategy):
     """HYBRID-OPT: a tunable gradient-worker subset per layer (Figure 4).
 
-    Whole layers are distributed; a layer's eigen worker handles both factors
-    and is one of its gradient workers.  Ranks are partitioned into fixed
-    blocks of ``num_grad_workers`` processes (the dashed red box of Figure 4);
-    the gradient workers of a layer are the block containing its eigen worker,
-    and each gradient worker broadcasts the preconditioned gradient to its
-    share of the remaining ranks, so the broadcasts are small and concurrent.
+    Whole layers are distributed; a layer's eigen worker handles both factors,
+    caches the eigenvalue outer product before broadcasting it to its block,
+    and is one of the layer's gradient workers.  Ranks are partitioned into
+    fixed blocks of ``num_grad_workers`` processes (the dashed red box of
+    Figure 4); the gradient workers of a layer are the block containing its
+    eigen worker -- only they receive (and keep) the eigen decompositions,
+    which is exactly the tunable memory footprint of section 3.1 -- and each
+    gradient worker broadcasts the preconditioned gradient to its share of the
+    remaining ranks, so the broadcasts are small and concurrent.
     """
 
     name = "HYBRID-OPT"
@@ -581,76 +550,9 @@ class HybridOptStrategy(DistributionStrategy):
                 eigen_worker_g=eigen_worker,
                 grad_workers=grad_workers,
                 receiver_map={worker: tuple(recv) for worker, recv in receiver_map.items()},
+                outer_worker=eigen_worker,
             )
         return groups
-
-    def local_eigen_tasks(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[str]:
-        return ["a", "g"] if pre.rank == group.eigen_worker else []
-
-    def finalize_local_eigen(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> None:
-        # The eigen worker caches the eigenvalue outer product before
-        # broadcasting it to its block.
-        if pre.rank == group.eigen_worker:
-            layer.inverse_outer = _eigen_outer(layer, pre)
-
-    def eigen_broadcast_specs(self, layer: "KFACLayer", group: LayerWorkGroups, pre: "KFAC") -> List[BroadcastSpec]:
-        # Only the gradient workers receive (and keep) the eigen decompositions
-        # — this is exactly the tunable memory footprint of section 3.1.
-        if not group.is_grad_worker(pre.rank):
-            layer.clear_eigen()
-            return []
-        bcast_group = group.grad_workers
-        src = group.eigen_worker
-        # One eigen worker holds both decompositions; they go to its block.
-        specs = _packed_eigen_specs(layer, (("a", src), ("g", src)), bcast_group, pre)
-        if not pre.compute_eigen_outer:
-            layer.inverse_outer = None
-        elif len(bcast_group) > 1:  # a sole gradient worker keeps its locally computed outer product
-
-            def install_outer(outer: np.ndarray) -> None:
-                # Copy out of the fused bucket: this array outlives the
-                # broadcast (kept until the next inverse update), and a
-                # view would pin the whole bucket buffer in memory.
-                layer.inverse_outer = outer.copy()
-
-            specs.append(
-                BroadcastSpec(
-                    key=f"{layer.name}/inverse_outer",
-                    src=src,
-                    group=bcast_group,
-                    shape=(layer.g_dim, layer.a_dim),
-                    dtype=np.dtype(pre.precision.inverse_dtype),
-                    payload=(lambda: layer.inverse_outer) if pre.rank == src else None,
-                    on_complete=install_outer,
-                )
-            )
-        return specs
-
-    def gradient_broadcast_specs(
-        self,
-        group: LayerWorkGroups,
-        value: Optional[np.ndarray],
-        pre: "KFAC",
-        install: Callable[[np.ndarray], None],
-    ) -> List[BroadcastSpec]:
-        worker = group.grad_worker_for(pre.rank)
-        members = (worker,) + group.receivers_of(worker)
-        if len(members) == 1:
-            install(value)
-            return []
-        layer = group.layer
-        return [
-            BroadcastSpec(
-                key=f"{layer.name}/precond_grad",
-                src=worker,
-                group=members,
-                # precondition() returns the float32 bias-folded matrix (g_dim, a_dim)
-                shape=(layer.g_dim, layer.a_dim),
-                dtype=np.dtype(np.float32),
-                payload=(lambda: value) if pre.rank == worker else None,
-                on_complete=install,
-            )
-        ]
 
 
 class MemOptStrategy(HybridOptStrategy):

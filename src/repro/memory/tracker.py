@@ -8,9 +8,11 @@ factors are modelled:
 
 * **this tree's**: a running factor lives only on the rank that decomposes it
   (the ranks allreduce their *window* factors and the average is folded where
-  it is read, :meth:`repro.kfac.KFAC.holds_factor`), so per-rank state is
-  ``(factors + eigen) / world`` at MEM-OPT --
-  :meth:`KFACMemoryModel.factor_bytes_per_rank`, :meth:`KFACMemoryModel.breakdown`;
+  it is read), so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
+  :meth:`KFACMemoryModel.factor_bytes_per_rank` /
+  :meth:`~KFACMemoryModel.eigen_bytes_per_rank` sum the holders of the
+  :class:`~repro.kfac.strategy.DistributionPlan` the engine follows under the
+  model's :class:`~repro.kfac.KFACConfig`, for every knob that moves state;
 * **the paper's**: every rank keeps every factor, because its factor
   allreduce leaves a copy of the running average everywhere, so the overhead
   is ``factors + eigen / world`` and a linear function of
@@ -32,9 +34,9 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..kfac.strategy import DistributionStrategy, LayerShapeInfo
+from ..kfac.config import KFACConfig
+from ..kfac.strategy import DistributionPlan, LayerShapeInfo
 from ..nn.module import Module
-from ..tensor import PrecisionPolicy
 
 __all__ = ["MemoryBreakdown", "model_parameter_bytes", "optimizer_state_multiplier", "KFACMemoryModel"]
 
@@ -107,7 +109,13 @@ def optimizer_state_multiplier(optimizer_name: str) -> int:
 
 
 class KFACMemoryModel:
-    """Computes per-rank memory breakdowns for a workload under a distribution strategy."""
+    """Computes per-rank memory breakdowns for a workload under a distribution strategy.
+
+    ``config`` carries every K-FAC knob that sizes or places state (precision,
+    ``compute_eigen_outer``, ``assignment_balance``, ``drift_tol``,
+    ``damping_pi_correction``, the solve strategies); its ``grad_worker_frac``
+    is replaced by the one each query passes.
+    """
 
     def __init__(
         self,
@@ -115,31 +123,19 @@ class KFACMemoryModel:
         param_count: int,
         optimizer: str = "sgd",
         weight_dtype_bytes: int = 4,
-        factor_dtype_bytes: int = 4,
-        eigen_dtype_bytes: int = 4,
         activation_bytes_per_sample: int = 0,
-        include_outer_product: bool = True,
+        config: Optional[KFACConfig] = None,
     ) -> None:
         self.layers = list(layers)
         self.param_count = int(param_count)
         self.optimizer = optimizer
         self.weight_dtype_bytes = int(weight_dtype_bytes)
-        self.factor_dtype_bytes = int(factor_dtype_bytes)
-        self.eigen_dtype_bytes = int(eigen_dtype_bytes)
         self.activation_bytes_per_sample = int(activation_bytes_per_sample)
-        self.include_outer_product = include_outer_product
+        self.config = config if config is not None else KFACConfig()
 
-    @classmethod
-    def from_precision(cls, layers, param_count, optimizer, precision: PrecisionPolicy, **kwargs) -> "KFACMemoryModel":
-        """Build the model using the factor/eigen dtypes of a precision policy."""
-        return cls(
-            layers,
-            param_count,
-            optimizer,
-            factor_dtype_bytes=np.dtype(precision.factor_dtype).itemsize,
-            eigen_dtype_bytes=np.dtype(precision.inverse_dtype).itemsize,
-            **kwargs,
-        )
+    def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
+        """The plan a :class:`~repro.kfac.KFAC` built from ``config`` follows at this operating point."""
+        return self.config.replace(grad_worker_frac=grad_worker_frac).distribution_plan(self.layers, world_size)
 
     # ------------------------------------------------------------- components
     def factor_bytes(self) -> int:
@@ -149,45 +145,20 @@ class KFACMemoryModel:
         for dense, ``n`` for diagonal, ``blocks·bs²`` for block-diagonal —
         matching the arrays the handlers actually allocate.
         """
-        return sum(
-            (l.a_repr.packed_numel + l.g_repr.packed_numel) * self.factor_dtype_bytes for l in self.layers
-        )
+        policy = self.config.wire_policy()
+        return sum(policy.factor_bytes(layer) for layer in self.layers)
 
     def factor_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
-        """Running-factor bytes held by each rank: a factor lives on the rank that decomposes it.
+        """Running-factor bytes held by each rank: the plan's ``factor_holders``, summed.
 
-        From the same assignment as :meth:`eigen_bytes_per_rank`, under the
-        default knobs (``drift_tol``, ``damping_pi_correction`` and the
-        non-eigen solve strategies make more ranks hold factors, see
-        :meth:`repro.kfac.KFAC.holds_factor`).  Sums to :meth:`factor_bytes`.
+        With the default knobs a factor lives on the rank that decomposes it
+        and this sums to :meth:`factor_bytes`.
         """
-        groups = DistributionStrategy(world_size, grad_worker_frac).assign(self.layers)
-        per_rank = np.zeros(world_size, dtype=np.int64)
-        for layer in self.layers:
-            group = groups[layer.name]
-            per_rank[group.eigen_worker_a] += layer.a_repr.packed_numel * self.factor_dtype_bytes
-            per_rank[group.eigen_worker_g] += layer.g_repr.packed_numel * self.factor_dtype_bytes
-        return per_rank
-
-    def eigen_bytes_for_layer(self, layer: LayerShapeInfo) -> int:
-        # Eigenvalues + stored eigenvectors per factor; a diagonal factor's
-        # identity eigenbasis is implicit and costs nothing.
-        total = (layer.a_repr.packed_eigen_numel + layer.g_repr.packed_eigen_numel) * self.eigen_dtype_bytes
-        if self.include_outer_product:
-            total += layer.a_dim * layer.g_dim * self.eigen_dtype_bytes
-        return total
+        return self.plan(world_size, grad_worker_frac).factor_bytes_per_rank()
 
     def eigen_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
-        """Eigen-decomposition bytes held by each rank under a given strategy."""
-        strategy = DistributionStrategy(world_size, grad_worker_frac)
-        groups = strategy.assign(self.layers)
-        per_rank = np.zeros(world_size, dtype=np.int64)
-        for layer in self.layers:
-            group = groups[layer.name]
-            nbytes = self.eigen_bytes_for_layer(layer)
-            for rank in group.grad_workers:
-                per_rank[rank] += nbytes
-        return per_rank
+        """Eigen-decomposition bytes held by each rank: the plan's ``eigen_holders``, summed."""
+        return self.plan(world_size, grad_worker_frac).eigen_bytes_per_rank()
 
     # ------------------------------------------------------------- breakdowns
     def breakdown(

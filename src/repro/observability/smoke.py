@@ -10,10 +10,12 @@ exposed/hidden communication next to the analytic model's prediction for
 the same layer set.  Used three ways:
 
 * the CI trace-smoke job: ``python -m repro.observability.smoke --out
-  trace.json`` (exit code non-zero if the exported trace fails validation, or
-  if the ranks' running factors do not add up to every factor stored once);
-* ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert` /
-  :func:`modeled_schedule_for_run` to print modeled-vs-measured columns;
+  trace.json`` (exit code non-zero if the exported trace fails validation, if
+  the ranks' running factors do not add up to every factor stored once, or if
+  the modeled K-FAC messages or bytes differ from the communication log's);
+* ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
+  :func:`modeled_schedule_for_run` and :func:`kfac_traffic` to print
+  modeled-vs-measured columns;
 * the observability tests, as the canonical "real workload, real ranks"
   fixture.
 """
@@ -25,7 +27,7 @@ import itertools
 import sys
 from typing import List, Optional, Tuple
 
-__all__ = ["run_traced_bert", "modeled_schedule_for_run", "main"]
+__all__ = ["run_traced_bert", "modeled_schedule_for_run", "kfac_traffic", "main"]
 
 
 def run_traced_bert(
@@ -36,6 +38,7 @@ def run_traced_bert(
     factor_update_freq: int = 2,
     inv_update_freq: int = 4,
     use_pipeline: bool = True,
+    bucket_cap_mb: float = 25.0,
 ):
     """Train a tiny BERT for ``steps`` iterations on ``world_size`` threaded ranks.
 
@@ -46,9 +49,15 @@ def run_traced_bert(
     tracers carry comm spans overlapping the backward spans.  Returns
     ``(tracers, run_info)`` where ``run_info`` records the knobs needed to
     rebuild the matching analytic schedule, each rank's final
-    :meth:`KFAC.memory_usage` (``"memory_usage"``) and the bytes of all
-    registered factors (``"registered_factor_bytes"``).
+    :meth:`KFAC.memory_usage` (``"memory_usage"``), the bytes of all
+    registered factors (``"registered_factor_bytes"``), what the world's
+    :class:`~repro.distributed.CommunicationLog` counted (``"logged"``:
+    ``{op: (messages, bytes)}``) and the part of it that is data-parallel
+    gradient averaging, per step (``"grad_sync"``: the same pair, from the
+    averaging subscriber's own specs under the run's bucket cap).
     """
+    from ..distributed.collectives import BucketManager
+    from ..distributed.ddp import GradientAveragingSubscriber
     from ..distributed.threaded import run_spmd
     from .tracer import Tracer
 
@@ -69,15 +78,12 @@ def run_traced_bert(
             factor_update_freq=factor_update_freq,
             inv_update_freq=inv_update_freq,
             grad_worker_frac=grad_worker_frac,
+            bucket_cap_mb=bucket_cap_mb,
             comm=comm,
             skip_modules=workload.kfac_skip_modules,
         )
         tracer = Tracer(rank=comm.rank)
-        pipeline = (
-            GradientPipeline(model, comm=comm, bucket_cap_mb=preconditioner.resolved_bucket_cap_mb)
-            if use_pipeline
-            else None
-        )
+        pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb) if use_pipeline else None
         trainer = Trainer(
             model,
             optimizer,
@@ -87,13 +93,20 @@ def run_traced_bert(
             pipeline=pipeline,
             tracer=tracer,
         )
-        for batch in itertools.islice(iter(workload.train_loader), steps):
+        # 16 samples per step is half a batch: go round the loader until ``steps`` steps ran.
+        epochs = itertools.chain.from_iterable(itertools.repeat(workload.train_loader))
+        for batch in itertools.islice(epochs, steps):
             trainer.train_step(batch)
-        registered = sum(layer.expected_factor_bytes() for layer in preconditioner.layers.values())
-        return trainer.tracer, preconditioner.memory_usage(), registered
+        plan = preconditioner.plan
+        registered = sum(plan.policy.factor_bytes(group.layer) for group in plan.groups.values())
+        averaging = GradientAveragingSubscriber(model).specs(1.0, comm.world_size)
+        grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
+        grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
+        return trainer.tracer, preconditioner.memory_usage(), registered, grad_sync, comm.log
 
     per_rank = run_spmd(world_size, program)
-    tracers = [tracer for tracer, _, _ in per_rank]
+    tracers = [entry[0] for entry in per_rank]
+    log = per_rank[0][4]  # one log per world, complete once every rank returned
     run_info = {
         "world_size": world_size,
         "steps": steps,
@@ -102,8 +115,11 @@ def run_traced_bert(
         "factor_update_freq": factor_update_freq,
         "inv_update_freq": inv_update_freq,
         "use_pipeline": use_pipeline,
-        "memory_usage": [usage for _, usage, _ in per_rank],
+        "bucket_cap_mb": bucket_cap_mb,
+        "memory_usage": [entry[1] for entry in per_rank],
         "registered_factor_bytes": per_rank[0][2],
+        "grad_sync": per_rank[0][3],
+        "logged": {op: (count, log.bytes_by_op[op]) for op, count in log.messages_by_op.items()},
     }
     return tracers, run_info
 
@@ -112,9 +128,10 @@ def modeled_schedule_for_run(tracers, run_info):
     """The analytic :class:`~repro.kfac.CommSchedule` matching a traced run.
 
     Rebuilds the same tiny BERT (same seed), collects its K-FAC layer shapes,
-    and prices the hooked schedule with :func:`repro.kfac.model_comm_schedule`
-    — calibrating the model's per-iteration compute time from the *measured*
-    forward+backward+optimizer spans so the two columns share a time base.
+    and prices the run's schedule (its bucket cap, hooked or not) with
+    :func:`repro.kfac.model_comm_schedule` — calibrating the model's
+    per-iteration compute time from the *measured* forward+backward+optimizer
+    spans so the two columns share a time base.
     """
     from ..experiments.model_shapes import collect_layer_shapes
     from ..experiments.workloads import build_bert_workload
@@ -131,7 +148,8 @@ def modeled_schedule_for_run(tracers, run_info):
     )
     spec = KFACWorkloadSpec(
         name="bert_tiny_traced",
-        layers=collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules),
+        # Everything K-FAC registers: the norm layers' diagonal-G factors are on the wire too.
+        layers=collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules, include_structured=True),
         param_count=sum(int(p.data.size) for p in workload.model.parameters()),
         local_batch_size=16,
         baseline_compute_time=max(compute_time, 1e-6),
@@ -142,9 +160,34 @@ def modeled_schedule_for_run(tracers, run_info):
         spec,
         run_info["world_size"],
         run_info["grad_worker_frac"],
+        bucket_cap_mb=run_info["bucket_cap_mb"],
         hooked=run_info["use_pipeline"],
-        fused=True,
     )
+
+
+def kfac_traffic(modeled, run_info):
+    """``{op: ((modeled messages, bytes), (logged messages, bytes))}`` for the K-FAC collectives of a run.
+
+    Modeled: the schedule's per-round counts times the rounds the cadence
+    ran in ``steps`` steps (a factor round every ``factor_update_freq``
+    steps from step 0, an eigen round every ``inv_update_freq``, a gradient
+    round every step).  Logged: the communication log, minus the
+    data-parallel gradient averaging.  The model reads the plan the engine
+    follows, so the two are equal -- any difference is a bug.
+    """
+    import numpy as np
+
+    steps = run_info["steps"]
+    factor_rounds = -(-steps // run_info["factor_update_freq"])
+    eigen_rounds = -(-steps // run_info["inv_update_freq"])
+    rounds = {label: np.array(counts) for label, counts in modeled.rounds.items()}  # (messages, bytes)
+    expected = {
+        "allreduce": factor_rounds * rounds["factor"],
+        "broadcast": eigen_rounds * rounds["eigen"] + steps * rounds["gradient"],
+    }
+    logged = {op: np.array(run_info["logged"].get(op, (0, 0))) for op in expected}
+    logged["allreduce"] -= steps * np.array(run_info["grad_sync"])
+    return {op: (tuple(map(int, expected[op])), tuple(map(int, logged[op]))) for op in expected}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -206,6 +249,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="\nExposed communication: modeled vs measured (busiest rank)",
         )
     )
+    traffic = kfac_traffic(modeled, run_info)
+    print(
+        format_table(
+            ["K-FAC collectives", "modeled messages", "logged messages", "modeled bytes", "logged bytes"],
+            [[op, expected[0], logged[0], expected[1], logged[1]] for op, (expected, logged) in traffic.items()],
+            title=(
+                f"\nK-FAC traffic over {run_info['steps']} steps: the plan's messages "
+                f"({modeled.messages_per_update} messages, {modeled.comm_bytes_per_update} bytes per full update) "
+                "vs the communication log"
+            ),
+        )
+    )
+    if any(expected != logged for expected, logged in traffic.values()):
+        print("ERROR: modeled K-FAC messages or bytes differ from the communication log", file=sys.stderr)
+        return 1
     print("\nK-FAC state per rank (bytes):")
     for rank, usage in enumerate(run_info["memory_usage"]):
         print(f"  rank {rank}: " + ", ".join(f"{key}={value}" for key, value in usage.items()))
@@ -213,8 +271,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     registered = run_info["registered_factor_bytes"]
     print(f"  running factors over all ranks: {held} bytes; all registered factors, once: {registered} bytes")
     if held != registered:
-        # A factor lives only on the rank that decomposes it (KFAC.holds_factor,
-        # default knobs); more bytes than that is the replicated layout.
+        # At the default knobs the plan's holder of a factor is the one rank
+        # that decomposes it; more bytes than that is the replicated layout.
         print("ERROR: the running factors summed over ranks are not every factor stored once", file=sys.stderr)
         return 1
     if measured.exposed_comm_time > measured.comm_time + 1e-9:

@@ -280,7 +280,7 @@ class Trainer:
     def preconditioner_memory(self) -> dict:
         """Per-rank preconditioner state bytes (empty categories when none is set)."""
         if self.preconditioner is None:
-            return {"factors": 0, "eigen": 0, "total": 0}
+            return {"factors": 0, "eigen": 0, "solver": 0, "total": 0}
         return dict(self.preconditioner.memory_usage())
 
     # ------------------------------------------------------------------- fit

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 
-from repro.kfac import EigenDecomposition, KernelBackend, precondition_with_eigen
+from repro.kfac import EigenDecomposition, KernelBackend, eigenvalue_outer_product, precondition_with_eigen
 
 
 def scipy_syevd(factor):
@@ -86,6 +86,25 @@ def replicated_fold_reference(layer, a_new, g_new, factor_decay):
     decay = float(factor_decay)
     layer.factor_a = (decay * layer.factor_a.astype(np.float32, copy=False) + (1.0 - decay) * a_new).astype(dtype)
     layer.factor_g = (decay * layer.factor_g.astype(np.float32, copy=False) + (1.0 - decay) * g_new).astype(dtype)
+
+
+def decompose_standalone(layer, damping, pi=None):
+    """The eigen stage for one handler outside a preconditioner, through the kernel calls the step makes.
+
+    ``KFAC._compute_eigen_decompositions`` sends dense factors through
+    ``batched_symmetric_eigen`` and structured ones through
+    ``structured_eigen``, stores the results in the inverse dtype, and the
+    layer's outer worker caches the eigenvalue outer product.
+    """
+    compute, store = layer.precision.compute_dtype, layer.precision.inverse_dtype
+    for which in ("a", "g"):
+        factor, repr_ = getattr(layer, f"factor_{which}"), layer.factor_repr(which)
+        if repr_.is_dense:
+            (decomposition,) = layer.kernels.batched_symmetric_eigen([factor], compute_dtype=compute)
+        else:
+            decomposition = layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
+        setattr(layer, f"eigen_{which}", decomposition.astype(store))
+    layer.inverse_outer = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, damping, dtype=store, pi=pi)
 
 
 def use_reference_kernels(preconditioner):

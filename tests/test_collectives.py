@@ -562,34 +562,32 @@ class TestCommScheduleModel:
         spec = paper_workload_spec("bert_large")
         for world_size in (8, 16):
             for frac in (1.0 / world_size, 0.5, 1.0):
-                unfused = model_comm_schedule(spec, world_size, frac, fused=False)
-                fused = model_comm_schedule(spec, world_size, frac, fused=True)
+                unfused = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=1e-6)  # a cap below any tensor
+                fused = model_comm_schedule(spec, world_size, frac)
                 assert fused.comm_bytes_per_update == unfused.comm_bytes_per_update
                 assert fused.messages_per_update < unfused.messages_per_update
                 assert fused.iteration_time < unfused.iteration_time
 
     def test_world_of_one_has_no_messages(self):
         spec = paper_workload_spec("resnet18")
-        schedule = model_comm_schedule(spec, 1, 1.0, fused=True)
+        schedule = model_comm_schedule(spec, 1, 1.0)
         assert schedule.messages_per_update == 0
         assert schedule.comm_bytes_per_update == 0
 
-    def test_fused_message_cost_helpers(self):
+    def test_one_message_costs_less_than_ten_at_the_same_bytes(self):
         perf = PerformanceModel()
-        # Same bytes in one message cost less than in ten.
-        assert perf.fused_allreduce_time(1e6, 8, 1) < perf.fused_allreduce_time(1e6, 8, 10)
-        assert perf.fused_broadcast_time(1e6, 8, 1) < perf.fused_broadcast_time(1e6, 8, 10)
-        # One message reduces to the classic formulae.
-        assert perf.fused_allreduce_time(1e6, 8, 1) == pytest.approx(perf.allreduce_time(1e6, 8))
-        assert perf.fused_broadcast_time(1e6, 8, 1) == pytest.approx(perf.broadcast_time(1e6, 8))
-        assert perf.exposed_comm_time(2.0, 0.5) == pytest.approx(1.5)
-        assert perf.exposed_comm_time(1.0, 3.0) == 0.0
+        # Same bytes in one message cost less than in ten: what a fused bucket saves is nine latency terms.
+        assert perf.allreduce_time(1e6, 8) < 10 * perf.allreduce_time(1e5, 8)
+        assert perf.broadcast_time(1e6, 8) < 10 * perf.broadcast_time(1e5, 8)
+        assert 10 * perf.allreduce_time(1e5, 8) - perf.allreduce_time(1e6, 8) == pytest.approx(
+            9 * 2.0 * 7 * perf.network.latency
+        )
 
 
 class TestCustomStrategyFallback:
-    """A custom strategy is written against the plan interface — which
-    factors this rank decomposes, which specs move the results — and needs
-    nothing else to run through the one step pipeline."""
+    """A custom strategy is written against shapes — placement, who
+    decomposes, what moves — and needs nothing else to run through the one
+    step pipeline."""
 
     class ReplicatedStrategy(DistributionStrategy):
         """Every rank computes every eigen decomposition locally; no broadcasts."""
@@ -611,14 +609,11 @@ class TestCustomStrategyFallback:
                 for layer in layers
             }
 
-        def local_eigen_tasks(self, layer, group, pre):
-            return ["a", "g"]  # factors were allreduced, so local decompositions already agree
+        def decomposers(self, group):
+            # The averaged windows are the same everywhere, so local decompositions already agree.
+            return {"a": group.grad_workers, "g": group.grad_workers}
 
-        def eigen_broadcast_specs(self, layer, group, pre):
-            return []
-
-        def gradient_broadcast_specs(self, group, value, pre, install):
-            install(value)
+        def eigen_round(self, group, policy):
             return []
 
     def _train(self, strategy_for):

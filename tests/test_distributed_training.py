@@ -202,11 +202,11 @@ class TestDistributedKFAC:
 
 
 class GradWorkersDecompose(HybridOptStrategy):
-    """A custom scheme that overrides nothing but ``local_eigen_tasks``: every gradient worker of a
+    """A custom scheme that overrides nothing but ``decomposers``: every gradient worker of a
     layer decomposes both factors itself (the eigen worker's broadcast then lands on equal values)."""
 
-    def local_eigen_tasks(self, layer, group, pre):
-        return ["a", "g"] if group.is_grad_worker(pre.rank) else []
+    def decomposers(self, group):
+        return {"a": group.grad_workers, "g": group.grad_workers}
 
 
 def layout_program(steps=3, armed=False, strategy=None, **kfac_kwargs):
@@ -240,12 +240,12 @@ def layout_program(steps=3, armed=False, strategy=None, **kfac_kwargs):
                 for which in ("a", "g")
             },
             "decomposes": {
-                (name, which): which in pre.strategy.local_eigen_tasks(layer, pre.groups[name], pre)
-                for name, layer in pre.layers.items()
+                (name, which): comm.rank in pre.plan.decomposers[name, which]
+                for name in pre.layers
                 for which in ("a", "g")
             },
             "grad_worker": {name: pre.groups[name].is_grad_worker(comm.rank) for name in pre.layers},
-            "all_factor_bytes": sum(layer.expected_factor_bytes() for layer in pre.layers.values()),
+            "all_factor_bytes": sum(pre.plan.policy.factor_bytes(group.layer) for group in pre.groups.values()),
         }
 
     return program
@@ -282,7 +282,7 @@ class TestShardedFactorLayout:
                 assert entry["held"][(name, which)] == entry["grad_worker"][name]
         assert sum(entry["memory"]["factors"] for entry in ranks) == 2 * ranks[0]["all_factor_bytes"]
 
-    def test_a_strategy_that_only_overrides_local_eigen_tasks_moves_the_factors_with_them(self):
+    def test_a_strategy_that_only_overrides_decomposers_moves_the_factors_with_them(self):
         ranks = run_spmd(4, layout_program(strategy=lambda world: GradWorkersDecompose(world, 0.5)))
         for (name, which), _ in ranks[0]["held"].items():
             for entry in ranks:

@@ -746,7 +746,7 @@ class TestLayerNormRegistry:
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()
         measured = pre.memory_usage()
-        expected_factors = sum(layer.expected_factor_bytes() for layer in pre.layers.values())
+        expected_factors = sum(pre.plan.policy.factor_bytes(group.layer) for group in pre.groups.values())
         assert measured["factors"] == expected_factors
 
 
@@ -822,18 +822,22 @@ class TestHookedCommSchedule:
         spec = paper_workload_spec("bert_large")
         for world_size in (8, 16):
             for frac in (1.0 / world_size, 0.5, 1.0):
-                fused = model_comm_schedule(spec, world_size, frac, fused=True)
+                fused = model_comm_schedule(spec, world_size, frac)
                 hooked = model_comm_schedule(spec, world_size, frac, hooked=True)
-                assert hooked.fused and hooked.hooked
+                assert hooked.hooked and not fused.hooked
                 assert hooked.comm_bytes_per_update == fused.comm_bytes_per_update
-                assert hooked.messages_per_update == fused.messages_per_update
+                # The pipeline buckets the factors in reverse layer order (the order backward
+                # produces them), which may close buckets elsewhere; the step-time rounds are the same.
+                assert hooked.rounds["factor"][1] == fused.rounds["factor"][1]
+                for step_time_round in ("eigen", "gradient"):
+                    assert hooked.rounds[step_time_round] == fused.rounds[step_time_round]
                 assert hooked.hidden_comm_time > 0.0
                 assert hooked.exposed_comm_time < fused.exposed_comm_time
                 assert hooked.iteration_time < fused.iteration_time
 
     def test_exposed_plus_hidden_is_conserved(self):
         spec = paper_workload_spec("resnet50")
-        fused = model_comm_schedule(spec, 16, 0.5, fused=True)
+        fused = model_comm_schedule(spec, 16, 0.5)
         hooked = model_comm_schedule(spec, 16, 0.5, hooked=True)
         total_fused = fused.exposed_comm_time + fused.hidden_comm_time
         total_hooked = hooked.exposed_comm_time + hooked.hidden_comm_time

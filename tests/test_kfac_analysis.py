@@ -37,14 +37,16 @@ class TestWorkloadSpec:
         assert small_spec().gradient_bytes == 2_000_000 * 4
 
     def test_fp16_halves_factor_bytes(self):
-        assert small_spec(factor_dtype_bytes=2).factor_bytes == small_spec().factor_bytes // 2
+        assert small_spec(precision="fp16").factor_bytes == small_spec().factor_bytes // 2
+        assert small_spec(precision="fp64").factor_bytes == small_spec().factor_bytes * 2
 
     def test_eigen_bytes_per_layer_includes_outer_product(self):
         spec = small_spec()
-        per_layer = spec.eigen_bytes_per_layer
         layer = spec.layers[0]
         expected = (layer.a_dim ** 2 + layer.a_dim + layer.g_dim ** 2 + layer.g_dim + layer.a_dim * layer.g_dim) * 4
-        assert per_layer["conv1"] == expected
+        assert spec.wire_policy.eigen_bytes(layer) == expected
+        without_outer = small_spec(compute_eigen_outer=False).wire_policy.eigen_bytes(layer)
+        assert expected - without_outer == layer.a_dim * layer.g_dim * 4
 
 
 class TestIterationModel:

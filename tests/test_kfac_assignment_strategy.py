@@ -111,7 +111,8 @@ class TestDistributionStrategy:
         groups = DistributionStrategy.mem_opt(8).assign(LAYERS)
         for group in groups.values():
             assert len(group.grad_workers) == 1
-            assert group.eigen_worker in group.grad_workers
+            assert group.eigen_worker_a == group.eigen_worker_g == group.outer_worker
+            assert group.outer_worker in group.grad_workers
             receivers = group.receivers_of(group.grad_workers[0])
             assert len(receivers) == 7
 
@@ -147,12 +148,13 @@ class TestDistributionStrategy:
                     covered.update(group.receivers_of(worker))
                 assert covered == set(range(8))
 
-    def test_grad_worker_for_resolves_every_rank(self):
-        groups = DistributionStrategy(8, 0.25).assign(LAYERS)
-        for group in groups.values():
+    def test_gradient_round_reaches_every_rank_from_one_grad_worker(self):
+        plan = DistributionStrategy(8, 0.25).plan(LAYERS)
+        for name, group in plan.groups.items():
             for rank in range(8):
-                worker = group.grad_worker_for(rank)
-                assert worker in group.grad_workers
+                senders = [spec.src for spec in plan.gradient_round[name] if rank in spec.group]
+                assert len(senders) == 1 and senders[0] in group.grad_workers
+                assert (senders[0] == rank) == (rank in group.grad_workers)
 
     def test_eigen_workers_balanced_across_layers(self):
         # With many equal-cost layers, eigen work must not pile onto one rank.
@@ -160,7 +162,7 @@ class TestDistributionStrategy:
         groups = DistributionStrategy(4, 0.25).assign(layers)
         counts = np.zeros(4)
         for group in groups.values():
-            counts[group.eigen_worker] += 1
+            counts[group.eigen_worker_g] += 1
         assert counts.max() - counts.min() <= 1
 
     def test_assignment_deterministic(self):
@@ -168,7 +170,7 @@ class TestDistributionStrategy:
         b = DistributionStrategy(8, 0.5).assign(LAYERS)
         for name in a:
             assert a[name].grad_workers == b[name].grad_workers
-            assert a[name].eigen_worker == b[name].eigen_worker
+            assert (a[name].eigen_worker_a, a[name].eigen_worker_g) == (b[name].eigen_worker_a, b[name].eigen_worker_g)
 
     def test_memory_balance_mode(self):
         groups = DistributionStrategy(4, 0.25, balance="memory").assign(LAYERS)
@@ -186,7 +188,7 @@ class TestDistributionStrategy:
         sizes = {}
         for frac in (1 / 8, 1 / 4, 1 / 2):
             groups = DistributionStrategy(8, frac).assign(LAYERS)
-            sizes[frac] = max(g.broadcast_group_size() for g in groups.values())
+            sizes[frac] = max(1 + len(g.receivers_of(w)) for g in groups.values() for w in g.grad_workers)
         assert sizes[1 / 8] > sizes[1 / 4] > sizes[1 / 2]
 
     @given(

@@ -27,7 +27,13 @@ from scipy.linalg import lapack
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
-from kernel_oracle import ReferenceKernelBackend, reference_symmetric_eigen, scipy_syevd, use_reference_kernels
+from kernel_oracle import (
+    ReferenceKernelBackend,
+    decompose_standalone,
+    reference_symmetric_eigen,
+    scipy_syevd,
+    use_reference_kernels,
+)
 from repro.kfac import (
     KFAC,
     KFACConfig,
@@ -527,7 +533,7 @@ class TestStandaloneLayerBackend:
         module = Linear(48, 40, rng=np.random.default_rng(0))
         layer = make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
         layer.factor_a, layer.factor_g = spd_factor(49, seed), spd_factor(40, seed + 1)
-        layer.compute_eigen(damping=0.003)
+        decompose_standalone(layer, damping=0.003)
         rng = np.random.default_rng(seed + 2)
         module.weight.grad = rng.standard_normal((40, 48)).astype(np.float32)
         module.bias.grad = rng.standard_normal(40).astype(np.float32)

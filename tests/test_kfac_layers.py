@@ -10,9 +10,12 @@ from repro import nn
 from repro.kfac import KFAC
 from repro.kfac import layers as kfac_layers
 from repro.kfac.layers import KFACConv2dLayer, KFACLinearLayer, make_kfac_layer
+from repro.kfac import WirePolicy
 from repro.nn import functional as F
 from repro.optim import GradScaler
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
+
+from kernel_oracle import decompose_standalone
 
 RNG = np.random.default_rng(21)
 
@@ -195,7 +198,7 @@ class TestRunningAverages:
         a_new, g_new = handler.compute_batch_factors()
         fold_window(handler, a_new, g_new, factor_decay=0.95)
         assert handler.factor_a.dtype == np.float16
-        handler.compute_eigen(damping=0.01)
+        decompose_standalone(handler, damping=0.01)
         assert handler.eigen_a.eigenvectors.dtype == np.float16
 
     def test_factor_bytes_accounting(self):
@@ -203,14 +206,15 @@ class TestRunningAverages:
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         assert handler.factor_bytes() == (5 * 5 + 3 * 3) * 4
-        assert handler.expected_factor_bytes() == handler.factor_bytes()
+        policy = WirePolicy(handler.precision)  # the one formula the plan, the models and the reports use
+        assert policy.factor_bytes(handler.shape_info()) == handler.factor_bytes()
 
     def test_expected_eigen_bytes_matches_actual(self):
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        handler.compute_eigen(damping=0.01)
-        assert handler.eigen_bytes() == handler.expected_eigen_bytes()
+        decompose_standalone(handler, damping=0.01)
+        assert handler.eigen_bytes() == WirePolicy(handler.precision).eigen_bytes(handler.shape_info())
 
 
 class TestGradientRoundTrip:
@@ -248,7 +252,7 @@ class TestGradientRoundTrip:
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((16, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        handler.compute_eigen(damping=0.01)
+        decompose_standalone(handler, damping=0.01)
         preconditioned = handler.precondition(damping=0.01)
         assert preconditioned.shape == (3, 5)
         assert np.all(np.isfinite(preconditioned))
@@ -257,7 +261,7 @@ class TestGradientRoundTrip:
         layer, handler = make_linear_handler()
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        handler.compute_eigen(damping=0.01)
+        decompose_standalone(handler, damping=0.01)
         assert handler.has_eigen
         handler.clear_eigen()
         assert not handler.has_eigen

@@ -41,7 +41,7 @@ from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
 
-from kernel_oracle import replicated_fold_reference
+from kernel_oracle import decompose_standalone, replicated_fold_reference
 
 RNG = np.random.default_rng(303)
 
@@ -431,7 +431,7 @@ class TestKFACSchedulerIntegration:
                 if step % config.factor_update_freq == 0:
                     replicated_fold_reference(layer, *layer.compute_batch_factors(), config.factor_decay)
                 if step % config.inv_update_freq == 0:
-                    layer.compute_eigen(config.damping)
+                    decompose_standalone(layer, config.damping)
             pairs = [(layer.get_gradient(), layer.precondition(config.damping)) for layer in layers]
             total = sum(float(np.sum(g.astype(np.float64) * p.astype(np.float64))) for g, p in pairs)
             nu = kl_clip_scale_from_total(total, config.lr, config.kl_clip)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.kfac import LayerShapeInfo
+from repro.kfac import KFACConfig, LayerShapeInfo
 from repro.memory import MB, KFACMemoryModel, MemoryBreakdown, model_parameter_bytes, optimizer_state_multiplier
 from repro.models import MLP
-from repro.tensor import PrecisionPolicy
 
 
 def layers():
@@ -90,18 +89,20 @@ class TestKFACMemoryModel:
         model = KFACMemoryModel(layers(), param_count=1_000_000)
         per_rank = model.eigen_bytes_per_rank(8, 1.0)
         assert len(set(per_rank.tolist())) == 1
-        assert per_rank[0] == sum(model.eigen_bytes_for_layer(l) for l in layers())
+        assert per_rank[0] == sum(model.config.wire_policy().eigen_bytes(l) for l in layers())
 
     def test_mem_opt_eigen_memory_spread_across_ranks(self):
         model = KFACMemoryModel(layers(), param_count=1_000_000)
         per_rank = model.eigen_bytes_per_rank(8, 1 / 8)
-        assert per_rank.sum() == sum(model.eigen_bytes_for_layer(l) for l in layers())
+        assert per_rank.sum() == sum(model.config.wire_policy().eigen_bytes(l) for l in layers())
         assert np.count_nonzero(per_rank) <= len(layers())
 
     def test_fp16_precision_halves_overhead(self):
-        fp32 = KFACMemoryModel.from_precision(layers(), 1_000_000, "sgd", PrecisionPolicy.fp32())
-        fp16 = KFACMemoryModel.from_precision(layers(), 1_000_000, "sgd", PrecisionPolicy.amp())
+        fp32 = KFACMemoryModel(layers(), 1_000_000, "sgd", config=KFACConfig(precision="fp32"))
+        fp16 = KFACMemoryModel(layers(), 1_000_000, "sgd", config=KFACConfig(precision="fp16"))
+        fp64 = KFACMemoryModel(layers(), 1_000_000, "sgd", config=KFACConfig(precision="fp64"))
         assert fp16.overhead_bytes(8, 1.0) == fp32.overhead_bytes(8, 1.0) // 2
+        assert fp64.overhead_bytes(8, 1.0) == fp32.overhead_bytes(8, 1.0) * 2
 
     def test_baseline_breakdown_has_no_kfac(self):
         model = KFACMemoryModel(layers(), param_count=500_000, optimizer="adam", activation_bytes_per_sample=1000)
@@ -119,8 +120,8 @@ class TestKFACMemoryModel:
             model.breakdown(8, 0.25, rank="median")
 
     def test_outer_product_can_be_excluded(self):
-        with_outer = KFACMemoryModel(layers(), 1_000_000, include_outer_product=True)
-        without = KFACMemoryModel(layers(), 1_000_000, include_outer_product=False)
+        with_outer = KFACMemoryModel(layers(), 1_000_000, config=KFACConfig(compute_eigen_outer=True))
+        without = KFACMemoryModel(layers(), 1_000_000, config=KFACConfig(compute_eigen_outer=False))
         assert with_outer.overhead_bytes(4, 1.0) > without.overhead_bytes(4, 1.0)
 
     def test_max_local_batch_size_shrinks_with_kfac(self):

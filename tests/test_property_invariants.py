@@ -4,21 +4,33 @@ These complement the example-based tests with randomized coverage of the
 algebraic identities the system relies on: broadcasting-consistent gradients,
 softmax normalisation, symmetric-positive-semidefiniteness of Kronecker
 factors, damping monotonicity, the memory model's linearity in
-``grad_worker_frac``, strategy equivalence on generated layer shapes, and the
+``grad_worker_frac``, strategy equivalence on generated layer shapes, the
 sharded factor layout (each running factor stored once, bit-identical resume)
-on generated shapes, worlds, strategies and cadences.  The multi-rank suites
-run a fixed, derandomized set of examples, so their time is the same in every
-CI configuration.
+on generated shapes, worlds, strategies and cadences, and the cost and memory
+models' counts against the engine's on generated shapes and knobs (messages,
+bytes and per-rank state: residual 0).  The multi-rank suites run a fixed,
+derandomized set of examples, so their time is the same in every CI
+configuration.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
-from repro.kfac import KFAC, LayerShapeInfo, precondition_with_eigen, symmetric_eigen
-from repro.kfac.layers import make_kfac_layer
+from repro.kfac import (
+    KFAC,
+    FactorRepr,
+    KFACConfig,
+    KFACWorkloadSpec,
+    LayerShapeInfo,
+    model_comm_schedule,
+    precondition_with_eigen,
+    symmetric_eigen,
+)
+from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
 from repro.memory import KFACMemoryModel
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor
@@ -243,11 +255,11 @@ class TestShardedFactorLayoutProperties:
 
             layout = {}
             for name, layer in pre2.layers.items():
-                tasks = pre2.strategy.local_eigen_tasks(layer, pre2.groups[name], pre2)
                 for which in ("a", "g"):
                     held = getattr(layer, f"factor_{which}") is not None
-                    layout[(name, which)] = (held, which in tasks, pre2.holds_factor(name, which))
-            registered = sum(layer.expected_factor_bytes() for layer in pre2.layers.values())
+                    decomposes = comm.rank in pre2.plan.decomposers[name, which]
+                    layout[(name, which)] = (held, decomposes, pre2.holds_factor(name, which))
+            registered = sum(pre2.plan.policy.factor_bytes(group.layer) for group in pre2.groups.values())
             return uninterrupted, resumed, layout, pre2.memory_usage()["factors"], registered
 
         ranks = run_spmd(world, program)
@@ -258,6 +270,132 @@ class TestShardedFactorLayoutProperties:
         for key in ranks[0][2]:
             assert sum(layout[key][0] for _, _, layout, _, _ in ranks) == 1, f"{key} is not held exactly once"
         assert sum(held_bytes for *_, held_bytes, _ in ranks) == ranks[0][4]
+
+
+class TestModelEqualsEngineProperties:
+    """The cost and memory models read the plan the engine follows, so their counts are the engine's.
+
+    One full update (factor + eigen + gradient round) of Embedding -> LayerNorm -> Linear -> Linear
+    (diagonal A, diagonal G, optionally a block-diagonal G, dense factors) with nothing else on the
+    wire: the communication log must equal the plan's messages and ``model_comm_schedule``, and every
+    rank's ``memory_usage()`` the memory model -- for every knob that sizes, routes or places state.
+    """
+
+    KNOBS = {
+        "default": {},
+        "drift": {"drift_tol": 0.05, "max_staleness": 8},
+        "pi": {"damping_pi_correction": True},
+        "inverse": {"solve_strategy": "inverse"},
+    }
+
+    # (world, gradient workers per layer): MEM-, HYBRID- and COMM-OPT at every world size that has them.
+    POINTS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
+    # bucket_cap_mb, triangular_comm, compute_eigen_outer, precision, assignment_balance, knob: every
+    # pair of values of two knobs appears in some row, and each row runs at every point.
+    WIRES = [
+        (0.001, False, True, "fp32", "compute", "default"),
+        (25.0, True, True, "fp16", "memory", "default"),
+        (0.001, True, False, "fp64", "compute", "default"),
+        (25.0, False, False, "fp16", "compute", "drift"),
+        (0.001, True, True, "fp64", "memory", "drift"),
+        (25.0, False, True, "fp32", "memory", "pi"),
+        (0.001, True, False, "fp16", "compute", "pi"),
+        (25.0, True, True, "fp64", "compute", "inverse"),
+        (0.001, False, False, "fp32", "memory", "inverse"),
+    ]
+
+    @pytest.mark.parametrize("wire", WIRES, ids=lambda wire: "-".join(str(value) for value in wire))
+    @pytest.mark.parametrize("point", POINTS, ids=lambda point: "w{}gw{}".format(*point))
+    @given(
+        vocab=st.integers(min_value=3, max_value=12),
+        blocks=st.sampled_from([None, 1, 2, 4]),  # Embedding G: dense, or block-diagonal with this many blocks
+        block_size=st.integers(min_value=1, max_value=6),
+        hidden=st.integers(min_value=2, max_value=40),
+        out_features=st.integers(min_value=1, max_value=5),
+        bias=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    def test_messages_bytes_and_per_rank_memory_have_residual_zero(
+        self, point, wire, vocab, blocks, block_size, hidden, out_features, bias, seed
+    ):
+        world, workers = point
+        bucket_cap_mb, triangular_comm, compute_eigen_outer, precision, balance, knob = wire
+        if knob == "inverse":
+            blocks = None  # the inverse solver has no block-diagonal path
+        dim = block_size * (blocks or 2)
+        config = KFACConfig(
+            factor_update_freq=1,
+            inv_update_freq=1,
+            grad_worker_frac=workers / world,
+            assignment_balance=balance,
+            bucket_cap_mb=bucket_cap_mb,
+            triangular_comm=triangular_comm,
+            compute_eigen_outer=compute_eigen_outer,
+            precision=precision,
+            **self.KNOBS[knob],
+        )
+        rng = np.random.default_rng(seed)
+        tokens = rng.integers(0, vocab, size=(4 * world, 3))
+        target = rng.standard_normal((4 * world, 3, out_features)).astype(np.float32)
+
+        def program(comm):
+            net_rng = np.random.default_rng(seed + 1)
+            model = nn.Sequential(
+                nn.Embedding(vocab, dim, rng=net_rng),
+                nn.LayerNorm(dim),
+                nn.Linear(dim, hidden, bias=bias, rng=net_rng),
+                nn.Tanh(),
+                nn.Linear(hidden, out_features, bias=bias, rng=net_rng),
+            )
+            pre = KFAC(model, config, comm=comm)
+            local = slice(comm.rank, None, world)
+            nn.MSELoss()(model(tokens[local]), target[local]).backward()
+            pre.step()  # no gradient averaging: K-FAC's collectives are the only ones in the log
+            return pre.memory_usage(), list(pre.layers), comm.log
+
+        previous = KFACEmbeddingLayer.g_block_size
+        KFACEmbeddingLayer.g_block_size = None if blocks is None else block_size
+        try:
+            ranks = run_spmd(world, program)
+        finally:
+            KFACEmbeddingLayer.g_block_size = previous
+
+        # The models' input: shapes written down from the architecture, not read off the engine.
+        embedding_g = FactorRepr.dense(dim) if blocks is None else FactorRepr.block_diagonal(dim, block_size)
+        extra = 1 if bias else 0
+        shapes = [
+            LayerShapeInfo("0", vocab, dim, vocab * dim, a_repr=FactorRepr.diagonal(vocab), g_repr=embedding_g),
+            LayerShapeInfo("1", 2, dim, 2 * dim, g_repr=FactorRepr.diagonal(dim)),
+            LayerShapeInfo("2", dim + extra, hidden, (dim + extra) * hidden),
+            LayerShapeInfo("4", hidden + extra, out_features, (hidden + extra) * out_features),
+        ]
+        assert ranks[0][1] == [shape.name for shape in shapes]
+
+        log = ranks[0][2]
+        messages = config.distribution_plan(shapes, world).messages(bucket_cap_mb)
+        modeled = {
+            "allreduce": messages["factor"],
+            "broadcast": messages["eigen"] + messages["gradient"],
+        }
+        for op, sent in modeled.items():
+            assert log.messages_by_op.get(op, 0) == len(sent), op
+            assert log.bytes_by_op.get(op, 0) == sum(nbytes for _, nbytes in sent), op
+        if balance == "compute" and knob in ("default", "drift", "pi"):  # what a KFACWorkloadSpec can express
+            spec = KFACWorkloadSpec(
+                "generated", shapes, param_count=0, local_batch_size=4, baseline_compute_time=1.0,
+                factor_update_freq=1, inv_update_freq=1, precision=precision,
+                triangular_comm=triangular_comm, compute_eigen_outer=compute_eigen_outer,
+            )  # fmt: skip
+            schedule = model_comm_schedule(spec, world, config.grad_worker_frac, bucket_cap_mb=bucket_cap_mb)
+            assert schedule.messages_per_update == log.total_messages()
+            assert schedule.comm_bytes_per_update == log.total_bytes()
+
+        memory = KFACMemoryModel(shapes, param_count=0, config=config)
+        factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
+        eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
+        for rank, (usage, _, _) in enumerate(ranks):
+            assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
 
 
 class TestMemoryModelProperties:
@@ -299,4 +437,4 @@ class TestMemoryModelProperties:
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
         model = KFACMemoryModel(layers, param_count=10_000)
         per_rank = model.eigen_bytes_per_rank(world_size, 1.0 / world_size)
-        assert per_rank.sum() == sum(model.eigen_bytes_for_layer(layer) for layer in layers)
+        assert per_rank.sum() == sum(model.config.wire_policy().eigen_bytes(layer) for layer in layers)

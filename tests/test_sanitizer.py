@@ -117,6 +117,45 @@ class TestScheduleDivergence:
         assert error.kind == "plan-divergence"
         assert "plan:0" in str(error)
 
+    def test_rank_dependent_distribution_plan_is_named_at_step_zero(self):
+        """A strategy whose plan depends on the rank would leave the other ranks waiting on a broadcast
+        nobody posts; the plan is data, so its digest rides the step-0 consistency check instead."""
+        import time
+
+        from repro import nn
+        from repro.kfac import KFAC, HybridOptStrategy
+        from repro.models import MLP
+        from repro.tensor import Tensor
+
+        class RankConditional(HybridOptStrategy):
+            def __init__(self, world_size, grad_worker_frac, rank):
+                super().__init__(world_size, grad_worker_frac)
+                self.rank = rank
+
+            def gradient_round(self, group):
+                return [] if self.rank == 1 else super().gradient_round(group)  # rank 1 expects no message
+
+        outcomes = {}
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((8, 6)).astype(np.float32), rng.integers(0, 3, 8)
+
+        def program(comm):
+            model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
+            pre = KFAC(model, strategy=RankConditional(comm.world_size, 0.5, comm.rank), comm=comm)
+            nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
+            try:
+                pre.step()
+            except SanitizerError as error:
+                outcomes[comm.rank] = (error.kind, "kfac/reprs" in str(error))
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as excinfo:
+            run_spmd(4, program, sanitize=True)
+        assert time.monotonic() - start < 30.0  # named well inside the 60 s collective timeout
+        assert spmd_failure(excinfo).kind == "plan-divergence"
+        assert outcomes == {rank: ("plan-divergence", True) for rank in range(4)}
+
     def test_consistent_plans_pass(self):
         def program(comm):
             for step in range(3):

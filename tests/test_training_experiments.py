@@ -170,6 +170,10 @@ class TestTrainer:
             trainer.train_step(batch)
         assert pre.steps == trainer.iterations
         assert opt.param_groups[0]["lr"] < 0.1  # scheduler engaged
+        # One report shape with or without a preconditioner: the keys of KFAC.memory_usage().
+        assert trainer.preconditioner_memory() == pre.memory_usage()
+        bare = Trainer(model, opt, forward_loss).preconditioner_memory()
+        assert bare == dict.fromkeys(pre.memory_usage(), 0)
 
     def test_invalid_accumulation_steps(self):
         model, forward_loss, _, _, _ = self._components(6)
@@ -251,7 +255,7 @@ class TestModelShapes:
 
     def test_paper_workload_spec_fp16(self):
         spec = paper_workload_spec("bert_large", precision="fp16")
-        assert spec.factor_dtype_bytes == 2
+        assert spec.dtype_bytes == 2
         assert spec.grad_accumulation_steps > 1
 
 
