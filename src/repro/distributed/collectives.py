@@ -109,21 +109,24 @@ class TensorBucket:
     def nbytes(self) -> int:
         return self._size * self.dtype.itemsize
 
-    def pack(self, payload_of: Callable[[str], np.ndarray]) -> np.ndarray:
-        """Copy the member tensors into one flat buffer in entry order.
+    def pack(self, payload_of: Callable[[str], np.ndarray], scale: float = 1.0) -> np.ndarray:
+        """The member tensors (``payload_of(key)``, in entry order) in one fresh flat buffer, times ``scale``.
 
-        ``payload_of(key)`` is called once per entry, right before its copy,
-        so a payload produced on demand is dropped again before the next one
-        exists: at most one tensor is alive beside the flat buffer.
+        One concatenate fills the buffer -- it is also the cast to the
+        bucket's dtype -- and ``scale`` is applied once, to the whole buffer.
         """
-        flat = np.empty(self._size, dtype=self.dtype)
+        arrays = []
         for entry in self.entries:
             array = payload_of(entry.key)
             if array.size != entry.size:
                 raise ValueError(
                     f"bucket entry {entry.key!r} expects {entry.size} elements, got {array.size}"
                 )
-            flat[entry.offset : entry.offset + entry.size] = np.asarray(array, dtype=self.dtype).reshape(-1)
+            arrays.append(array.reshape(-1))
+        flat = np.empty(self._size, dtype=self.dtype)
+        np.concatenate(arrays, out=flat, casting="unsafe")
+        if scale != 1.0:
+            flat *= scale
         return flat
 
     def unpack(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
@@ -202,6 +205,9 @@ class AllreduceSpec:
     payload: np.ndarray
     group: Optional[Tuple[int, ...]] = None  # None = the whole world
     on_complete: Optional[Callable[[np.ndarray], None]] = None
+    #: Multiplied into the payload where it sits in its fused buffer, once per
+    #: bucket (specs are fused with specs of the same scale only).
+    scale: float = 1.0
 
 
 @dataclass
@@ -230,10 +236,13 @@ class GradientBucketSpec:
     #: None or False the spec is dropped.  Must be a deterministic function
     #: of training state (identical on every rank).
     flush_ready: Optional[Callable[[], bool]] = None
+    #: What the payload is multiplied by on its way into the fused buffer
+    #: (the micro-batch ``1/n`` of gradient accumulation): see :class:`AllreduceSpec`.
+    scale: float = 1.0
 
     def to_allreduce(self) -> AllreduceSpec:
         """Evaluate the payload: the spec as the scheduler posts it."""
-        return AllreduceSpec(key=self.key, payload=self.payload(), on_complete=self.on_complete)
+        return AllreduceSpec(key=self.key, payload=self.payload(), on_complete=self.on_complete, scale=self.scale)
 
 
 def group_members(group: Optional[Tuple[int, ...]], world_size: int) -> Tuple[int, ...]:
@@ -373,13 +382,13 @@ class OverlapScheduler:
     def post_allreduces(self, specs: Sequence[AllreduceSpec]) -> None:
         """Fuse and post an allreduce-average schedule without awaiting it."""
         rank = self.comm.rank
-        channels: Dict[Tuple[int, ...], List[AllreduceSpec]] = {}
+        channels: Dict[Tuple[Tuple[int, ...], float], List[AllreduceSpec]] = {}
         for spec in specs:
             members = group_members(spec.group, self.comm.world_size)
             if rank in members:
-                channels.setdefault(members, []).append(spec)
+                channels.setdefault((members, float(spec.scale)), []).append(spec)
 
-        for members, channel_specs in channels.items():
+        for (members, scale), channel_specs in channels.items():
             spec_by_key = {spec.key: spec for spec in channel_specs}
             if len(spec_by_key) != len(channel_specs):
                 raise ValueError(
@@ -389,7 +398,7 @@ class OverlapScheduler:
             for bucket in self.buckets.build(
                 [(s.key, s.payload.shape, s.payload.dtype) for s in channel_specs]
             ):
-                flat = bucket.pack(lambda key: spec_by_key[key].payload)
+                flat = bucket.pack(lambda key: spec_by_key[key].payload, scale)
                 self._launch("allreduce", bucket, spec_by_key, flat, members)
 
     def run_allreduces(self, specs: Sequence[AllreduceSpec]) -> None:

@@ -69,9 +69,11 @@ class GradientAveragingSubscriber:
     Publishes one bucket spec per trainable parameter, in reverse parameter
     order (the order gradients become ready during backward, exactly as
     ``torch.nn.parallel.DistributedDataParallel`` fills its buckets).  Each
-    spec is gated on the parameter's grad-ready event, its payload applies
-    the micro-batch ``grad_scale`` before the allreduce-average, and
-    completion installs the averaged gradient back into ``param.grad``.
+    spec is gated on the parameter's grad-ready event and carries the
+    micro-batch ``grad_scale``, which the engine applies once per fused bucket
+    before the allreduce-average; completion binds ``param.grad`` to the
+    averaged gradient where it lies in the drained bucket (a view: nothing is
+    copied out, and the array ``param.grad`` was bound to is not written).
 
     Between ranks gradients travel, and are installed, as float32.  A single
     rank has nobody to average with: without a micro-batch scale it publishes
@@ -94,23 +96,20 @@ class GradientAveragingSubscriber:
         for index, param in list(enumerate(params))[::-1]:
             dtype = np.dtype(np.float32) if world_size > 1 else param.data.dtype
 
-            def payload(param=param, dtype=dtype) -> np.ndarray:
-                grad = np.asarray(param.grad, dtype=dtype)
-                if scale != 1.0:
-                    grad = grad * scale
-                return grad
-
             def install(reduced: np.ndarray, param=param, dtype=dtype) -> None:
-                param.grad = reduced.astype(dtype).reshape(param.data.shape)
+                # A view of the drained bucket, not a copy: the bucket is the
+                # gradient storage until ``zero_grad`` drops the last view.
+                param.grad = reduced.astype(dtype, copy=False).reshape(param.data.shape)
 
             specs.append(
                 GradientBucketSpec(
                     key=f"grad/{index}",
                     shape=param.data.shape,
                     dtype=dtype,
-                    payload=payload,
+                    payload=lambda param=param, dtype=dtype: np.asarray(param.grad, dtype=dtype),
                     on_complete=install,
                     params=(param,),
+                    scale=scale,
                     # Posted at flush() whenever a gradient exists: on a
                     # pipeline that was never armed, and for a parameter that
                     # accumulated gradients in earlier micro-batches yet sat

@@ -105,6 +105,19 @@ def registered_kfac_layers() -> Dict[Type[Module], Type["KFACLayer"]]:
     return dict(_LAYER_REGISTRY)
 
 
+def _write_gradient(param, values: np.ndarray, scale: float) -> None:
+    """Make ``param.grad`` hold ``scale * values`` (any layout, the gradient's element count), in the gradient's dtype.
+
+    Written into the buffer the gradient already occupies when that is
+    C-contiguous and writable: no temporary, and what the optimizer gathers
+    next is contiguous.  Otherwise a fresh contiguous array is bound.
+    """
+    grad = param.grad
+    if not (grad.flags.c_contiguous and grad.flags.writeable):
+        grad = param.grad = np.empty(grad.shape, dtype=grad.dtype)
+    np.multiply(values, scale, out=grad.reshape(values.shape))
+
+
 def _forward_node(output, node_type):
     """The autograd node of the observed forward call, if it recorded a ``node_type`` (else ``None``)."""
     ctx = getattr(output, "_ctx", None)
@@ -495,19 +508,25 @@ class KFACLayer:
         """Return the bias-folded gradient matrix of shape ``(g_dim, a_dim)``."""
         raise NotImplementedError
 
-    def set_gradient(self, matrix: np.ndarray) -> None:
-        """Write a (preconditioned) gradient matrix back into the module parameters."""
+    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
+        """Write ``scale * matrix`` (a preconditioned gradient matrix) back into the module parameters' gradients.
+
+        Each gradient is written where it already lies and keeps its dtype
+        (see :func:`_write_gradient`), so a matrix :meth:`get_gradient`
+        returned earlier may read the new values afterwards.
+        """
         raise NotImplementedError
 
-    def precondition(self, damping: float, pi: Optional[float] = None) -> np.ndarray:
-        """Precondition the current gradient with the cached eigen decompositions.
+    def precondition(self, damping: float, pi: Optional[float] = None, grad: Optional[np.ndarray] = None) -> np.ndarray:
+        """Precondition ``grad`` (default: the current gradient) with the cached eigen decompositions.
 
         ``pi`` is only consulted when no outer product is cached (a cached
         ``inverse_outer`` already embeds the π in force at eigen time).
         """
         if not self.has_eigen:
             raise RuntimeError(f"layer {self.name!r} has no eigen decompositions")
-        grad = self.get_gradient()
+        if grad is None:
+            grad = self.get_gradient()
         return self.kernels.precondition_contract(
             grad, self.eigen_a, self.eigen_g, damping, self.inverse_outer, pi=pi
         )
@@ -571,17 +590,11 @@ class KFACLinearLayer(KFACLayer):
             grad = np.concatenate([grad, bias_grad], axis=1)
         return grad
 
-    def set_gradient(self, matrix: np.ndarray) -> None:
+    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
         if self.has_bias:
-            weight, bias = matrix[:, :-1], matrix[:, -1]
-            self.module.bias.grad = bias.astype(self.module.bias.data.dtype, copy=False).reshape(
-                self.module.bias.shape
-            )
-        else:
-            weight = matrix
-        self.module.weight.grad = weight.astype(self.module.weight.data.dtype, copy=False).reshape(
-            self.module.weight.shape
-        )
+            _write_gradient(self.module.bias, matrix[:, -1], scale)
+            matrix = matrix[:, :-1]
+        _write_gradient(self.module.weight, matrix, scale)
 
 
 @register_kfac_layer(Conv2d)
@@ -630,17 +643,11 @@ class KFACConv2dLayer(KFACLayer):
             grad = np.concatenate([grad, bias_grad], axis=1)
         return grad
 
-    def set_gradient(self, matrix: np.ndarray) -> None:
+    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
         if self.has_bias:
-            weight, bias = matrix[:, :-1], matrix[:, -1]
-            self.module.bias.grad = bias.astype(self.module.bias.data.dtype, copy=False).reshape(
-                self.module.bias.shape
-            )
-        else:
-            weight = matrix
-        self.module.weight.grad = weight.astype(self.module.weight.data.dtype, copy=False).reshape(
-            self.module.weight.shape
-        )
+            _write_gradient(self.module.bias, matrix[:, -1], scale)
+            matrix = matrix[:, :-1]
+        _write_gradient(self.module.weight, matrix, scale)
 
 
 @register_kfac_layer(Embedding)
@@ -703,10 +710,8 @@ class KFACEmbeddingLayer(KFACLayer):
         # The handler convention is (g_dim, a_dim); the weight is (vocab, dim).
         return weight_grad.astype(np.float32, copy=False).T
 
-    def set_gradient(self, matrix: np.ndarray) -> None:
-        self.module.weight.grad = matrix.T.astype(self.module.weight.data.dtype, copy=False).reshape(
-            self.module.weight.shape
-        )
+    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
+        _write_gradient(self.module.weight, matrix.T, scale)
 
 
 class _KFACScaleShiftLayer(KFACLayer):
@@ -754,12 +759,10 @@ class _KFACScaleShiftLayer(KFACLayer):
             columns.append(self.module.bias.grad.astype(np.float32, copy=False).reshape(-1, 1))
         return np.concatenate(columns, axis=1)
 
-    def set_gradient(self, matrix: np.ndarray) -> None:
-        weight = self.module.weight
-        weight.grad = matrix[:, 0].astype(weight.data.dtype, copy=False).reshape(weight.shape)
+    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
+        _write_gradient(self.module.weight, matrix[:, 0], scale)
         if self.has_bias:
-            bias = self.module.bias
-            bias.grad = matrix[:, 1].astype(bias.data.dtype, copy=False).reshape(bias.shape)
+            _write_gradient(self.module.bias, matrix[:, 1], scale)
 
 
 @register_kfac_layer(LayerNorm)

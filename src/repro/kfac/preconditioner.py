@@ -42,7 +42,7 @@ between is HYBRID-OPT.  The strategy publishes one
 :class:`~repro.kfac.strategy.DistributionPlan` -- who decomposes, who holds,
 and the three communication rounds as unbound specs, the same data on every
 rank; the preconditioner batches the decompositions through its kernel
-backend, attaches this rank's arrays to the specs (:meth:`KFAC._bind`) and
+backend, attaches this rank's arrays to the specs (:meth:`KFAC._bind`, once) and
 executes every factor allreduce, eigen broadcast and gradient broadcast
 through one bucketed collective engine (:mod:`repro.distributed.collectives`),
 which coalesces the per-layer tensors into ``bucket_cap_mb``-capped fused
@@ -224,6 +224,12 @@ class KFAC(Preconditioner):
         # registered factor shapes, so it must resolve after registration.
         self.resolved_bucket_cap_mb = self._resolve_bucket_cap()
         self.scheduler = OverlapScheduler(self.comm, self.resolved_bucket_cap_mb, tracer=self.tracer)
+        # This rank's side of the plan's eigen and gradient rounds, attached
+        # once: the specs' callables read the layers and ``_preconditioned``
+        # when they run, so nothing about them changes from step to step.
+        self._preconditioned: Dict[str, Optional[np.ndarray]] = {}
+        self._eigen_round = {name: [self._bind(spec) for spec in specs] for name, specs in self.plan.eigen_round.items()}
+        self._gradient_round = [self._bind(spec) for name in self.layers for spec in self.plan.gradient_round[name]]
 
     def set_tracer(self, tracer) -> None:
         """Adopt ``tracer`` for stage spans, scheduling events and comm spans.
@@ -461,11 +467,12 @@ class KFAC(Preconditioner):
                     sched.mark_second_order(name, step, layer.factor_a, layer.factor_g)
 
             with self._stage("precondition"):
-                preconditioned = self._precondition_gradients()
+                gradients = self._precondition_gradients()
             with self._stage("grad_broadcast"):
-                preconditioned = self._broadcast_preconditioned_gradients(preconditioned)
+                # Fills in the layers this rank did not precondition itself; no message where it did.
+                self.scheduler.run_broadcasts(self._gradient_round)
             with self._stage("scale_and_update"):
-                nu, raw_total = self._apply_preconditioned_gradients(preconditioned)
+                nu, raw_total = self._apply_preconditioned_gradients(gradients)
             if self.damping_controller is not None and mean_loss is not None:
                 # First-order predicted reduction of the update just written:
                 # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
@@ -613,14 +620,14 @@ class KFAC(Preconditioner):
     # Which rank decomposes which factor, which ranks keep the results, who
     # forms the cached outer product and every message are read off the plan
     # (section 3.1); ``_bind`` is the one place arrays meet its specs.
-    def _bind(self, spec: BroadcastSpec, gradients: Optional[Dict[str, Optional[np.ndarray]]] = None) -> BroadcastSpec:
+    def _bind(self, spec: BroadcastSpec) -> BroadcastSpec:
         """``spec`` of the plan's eigen or gradient round with this rank's side attached, by key.
 
         ``payload`` is what the source rank sends, evaluated when the spec's
         bucket is filled; ``on_complete`` is what every member of the group,
-        the source included, does with the received array.  ``gradients`` is
-        the gradient round's per-layer dict, read by the source and
-        overwritten by the receipt.
+        the source included, does with the received array.  Both read their
+        layer (or, for the gradient round, ``_preconditioned``) when they run,
+        so a spec is bound once, at construction.
         """
         name, _, what = spec.key.rpartition("/")
         layer = self.layers[name]
@@ -649,10 +656,10 @@ class KFAC(Preconditioner):
         else:  # "precond_grad"
 
             def payload() -> np.ndarray:
-                return gradients[name]
+                return self._preconditioned[name]
 
             def install(array: np.ndarray) -> None:
-                gradients[name] = array
+                self._preconditioned[name] = array
 
         return dataclasses.replace(spec, payload=payload if spec.src == self.rank else None, on_complete=install)
 
@@ -735,7 +742,7 @@ class KFAC(Preconditioner):
         # One deterministic schedule across all due layers: specs sharing a
         # (src, group) channel fuse into capped buckets, and all buckets fly
         # concurrently instead of one blocking broadcast per tensor.
-        self.scheduler.run_broadcasts([self._bind(spec) for name in names for spec in self.plan.eigen_round[name]])
+        self.scheduler.run_broadcasts([spec for name in names for spec in self._eigen_round[name]])
         for name in names:
             layer = self.layers[name]
             if self.rank not in self.plan.eigen_holders[name]:
@@ -748,47 +755,47 @@ class KFAC(Preconditioner):
                 layer.inverse_outer = self._eigen_outer(layer)
 
     # ------------------------------------------------------ stage 3: precondition
-    def _precondition_gradients(self) -> Dict[str, Optional[np.ndarray]]:
-        preconditioned: Dict[str, Optional[np.ndarray]] = {}
-        for name, layer in self.layers.items():
-            if self.groups[name].is_grad_worker(self.rank):
-                preconditioned[name] = self.solvers[name].solve(layer, self.damping, pi=self.damping_pi(layer))
-            else:
-                preconditioned[name] = None
-        return preconditioned
+    def _precondition_gradients(self) -> Dict[str, np.ndarray]:
+        """Precondition the layers this rank is a gradient worker of, into ``_preconditioned``.
 
-    def _broadcast_preconditioned_gradients(
-        self, preconditioned: Dict[str, Optional[np.ndarray]]
-    ) -> Dict[str, Optional[np.ndarray]]:
-        """Fill in (in place) the layers this rank did not precondition itself; no message where it did."""
-        self.scheduler.run_broadcasts(
-            [self._bind(spec, preconditioned) for name in self.layers for spec in self.plan.gradient_round[name]]
-        )
-        return preconditioned
+        Returns those layers' bias-folded gradient matrices: stage 4 needs
+        them again (the KL clip) and must not assemble them a second time.
+        """
+        gradients: Dict[str, np.ndarray] = {}
+        for name, layer in self.layers.items():
+            self._preconditioned[name] = None
+            if self.groups[name].is_grad_worker(self.rank):
+                grad = gradients[name] = layer.get_gradient()
+                self._preconditioned[name] = self.solvers[name].solve(
+                    layer, grad, self.damping, pi=self.damping_pi(layer)
+                )
+        return gradients
 
     # --------------------------------------------------- stage 4: scale and update
-    def _apply_preconditioned_gradients(
-        self, preconditioned: Dict[str, Optional[np.ndarray]]
-    ) -> tuple:
+    def _apply_preconditioned_gradients(self, gradients: Dict[str, np.ndarray]) -> tuple:
         """Write back ν-scaled preconditioned gradients; return ``(ν, Σ⟨grad, precond⟩)``.
 
-        The raw inner-product total feeds the adaptive damping controller's
-        predicted-reduction estimate and is only computed when a controller
-        is attached.
+        ``gradients`` holds the gradient matrices stage 3 already built (the
+        layers this rank preconditioned); the others are read here.  Each
+        ν-scaled result goes straight into the gradient buffers it replaces
+        (:meth:`KFACLayer.set_gradient`).  The raw inner-product total also
+        feeds the adaptive damping controller's predicted-reduction estimate.
         """
         pairs = []
         for name, layer in self.layers.items():
-            precond = preconditioned[name]
+            precond = self._preconditioned[name]
             if precond is None:
                 raise RuntimeError(f"missing preconditioned gradient for layer {name!r}")
-            pairs.append((layer.get_gradient(), precond))
+            grad = gradients.get(name)
+            pairs.append((layer.get_gradient() if grad is None else grad, precond))
+        self._preconditioned = {}  # the views of the received buckets are released with ``pairs``
         # One backend-accumulated Σ⟨grad, precond⟩ feeds both ν and the
         # damping controller's prediction (the controller total used to be a
         # redundant second pass over the identical products).
         raw_total = self.kernels.kl_clip_accumulate(pairs)
         nu = kl_clip_scale_from_total(raw_total, self.lr, self.kl_clip)
-        for (name, layer), (_, precond) in zip(self.layers.items(), pairs):
-            layer.set_gradient(precond * nu)
+        for layer, (_, precond) in zip(self.layers.values(), pairs):
+            layer.set_gradient(precond, nu)
         return nu, raw_total
 
     # ------------------------------------------ gradient-pipeline subscription

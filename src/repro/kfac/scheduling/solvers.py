@@ -163,8 +163,8 @@ class SolveStrategy:
     def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:
         """Refresh cached solver state from the layer's current factors."""
 
-    def solve(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> np.ndarray:
-        """Precondition the layer's current gradient."""
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
+        """Precondition ``grad``, the layer's current bias-folded gradient matrix (:meth:`KFACLayer.get_gradient`)."""
         raise NotImplementedError
 
     def solver_bytes(self) -> int:
@@ -193,8 +193,8 @@ class EigenSolveStrategy(SolveStrategy):
 
     needs_eigen = True
 
-    def solve(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> np.ndarray:
-        return layer.precondition(damping, pi=pi)
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
+        return layer.precondition(damping, pi=pi, grad=grad)
 
 
 @register_solve_strategy("inverse")
@@ -212,13 +212,13 @@ class InverseSolveStrategy(SolveStrategy):
         self.inv_a = damped_inverse(layer.factor_a, damping_a)
         self.inv_g = damped_inverse(layer.factor_g, damping_g)
 
-    def solve(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> np.ndarray:
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
             raise RuntimeError(
                 f"layer {layer.name!r} has no cached inverses; prepare() must run on a "
                 "second-order refresh before solve()"
             )
-        return precondition_with_inverse(layer.get_gradient(), self.inv_a, self.inv_g)
+        return precondition_with_inverse(grad, self.inv_a, self.inv_g)
 
     def solver_bytes(self) -> int:
         return sum(inv.nbytes for inv in (self.inv_a, self.inv_g) if inv is not None)
@@ -265,10 +265,9 @@ class CGSolveStrategy(SolveStrategy):
         # Nothing to cache: the operator is applied factor-fresh at every
         # solve, so new factors (and new damping) take effect immediately.
 
-    def solve(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> np.ndarray:
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         if layer.factor_a is None or layer.factor_g is None:
             raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
-        grad = layer.get_gradient()
         damping_a, damping_g = split_damping(damping, pi)
         warm = self.last_solution if self.last_solution is not None and self.last_solution.shape == grad.shape else None
         solution, iterations = kronecker_cg(

@@ -12,7 +12,9 @@ the same layer set.  Used three ways:
 * the CI trace-smoke job: ``python -m repro.observability.smoke --out
   trace.json`` (exit code non-zero if the exported trace fails validation, if
   the ranks' running factors do not add up to every factor stored once, or if
-  the modeled K-FAC messages or bytes differ from the communication log's);
+  the modeled K-FAC messages or bytes differ from the communication log's;
+  beside the messages table it prints each rank's median optimizer step,
+  pipeline flush and K-FAC write-back, :data:`GLUE_SPANS`);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
   :func:`modeled_schedule_for_run` and :func:`kfac_traffic` to print
   modeled-vs-measured columns;
@@ -28,6 +30,10 @@ import sys
 from typing import List, Optional, Tuple
 
 __all__ = ["run_traced_bert", "modeled_schedule_for_run", "kfac_traffic", "main"]
+
+#: The spans whose work is once per parameter by nature (what is left of it runs once per block):
+#: their share of a step is Python glue under the interpreter lock, so every CI log prints it.
+GLUE_SPANS = ("trainer/optimizer_step", "pipeline/flush", "kfac/scale_and_update")
 
 
 def run_traced_bert(
@@ -259,6 +265,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({modeled.messages_per_update} messages, {modeled.comm_bytes_per_update} bytes per full update) "
                 "vs the communication log"
             ),
+        )
+    )
+    glue_rows = []
+    for tracer in tracers:
+        spans = MetricsReport.from_tracers(tracer).spans
+        glue_rows.append([tracer.rank, *(round(spans[name].p50 * 1e3, 3) for name in GLUE_SPANS)])
+    print(
+        format_table(
+            ["rank", *GLUE_SPANS],
+            glue_rows,
+            title="\nPer-parameter glue of a step, median ms per rank (fused optimizer step, gradient seam, K-FAC write-back)",
         )
     )
     if any(expected != logged for expected, logged in traffic.values()):

@@ -4,9 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optimizer import Optimizer
+from .optimizer import Optimizer, ParamRun
 
 __all__ = ["Adam", "AdamW"]
+
+
+def adam_direction(run: ParamRun, grad: np.ndarray, update: np.ndarray, beta1: float, beta2: float, eps: float) -> np.ndarray:
+    """Count the run's step, fold ``grad`` into its moments and leave ``m_hat / (sqrt(v_hat) + eps)`` in ``update``.
+
+    Shared by Adam and LAMB.  The moments are updated where they live,
+    ``update`` holds each temporary in turn, and ``grad`` is consumed: once the
+    moments have read it it holds the denominator, and it is returned as
+    scratch for the caller.
+    """
+    step = run.advance()
+    exp_avg, exp_avg_sq = run.state("exp_avg"), run.state("exp_avg_sq")
+    np.multiply(grad, 1 - beta1, out=update)
+    exp_avg *= beta1
+    exp_avg += update
+    np.multiply(grad, 1 - beta2, out=update)
+    update *= grad
+    exp_avg_sq *= beta2
+    exp_avg_sq += update
+    denom = np.divide(exp_avg_sq, 1 - beta2 ** step, out=grad)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(exp_avg, 1 - beta1 ** step, out=update)  # m_hat
+    update /= denom
+    return denom
 
 
 class Adam(Optimizer):
@@ -32,28 +57,21 @@ class Adam(Optimizer):
             beta1, beta2 = group["betas"]
             eps = group["eps"]
             weight_decay = group["weight_decay"]
-            for param in group["params"]:
-                if param.grad is None:
-                    continue
-                grad = param.grad.astype(np.float32)
-                data = param.data.astype(np.float32)
+            for run in self.runs(group):
+                # float32 arithmetic throughout; ``data`` is fresh and ends up as the new parameters.
+                grad = run.grads()
+                update = np.empty(run.size, dtype=np.float32)
+                data = run.data()
                 if weight_decay != 0.0 and not self.decoupled_weight_decay:
-                    grad = grad + weight_decay * data
-                state = self.state_for(param)
-                if "step" not in state:
-                    state["step"] = 0
-                    state["exp_avg"] = np.zeros_like(data)
-                    state["exp_avg_sq"] = np.zeros_like(data)
-                state["step"] += 1
-                step = state["step"]
-                state["exp_avg"] = beta1 * state["exp_avg"] + (1 - beta1) * grad
-                state["exp_avg_sq"] = beta2 * state["exp_avg_sq"] + (1 - beta2) * grad * grad
-                bias1 = 1 - beta1 ** step
-                bias2 = 1 - beta2 ** step
-                update = (state["exp_avg"] / bias1) / (np.sqrt(state["exp_avg_sq"] / bias2) + eps)
+                    np.multiply(data, weight_decay, out=update)
+                    grad += update
+                scratch = adam_direction(run, grad, update, beta1, beta2, eps)
                 if weight_decay != 0.0 and self.decoupled_weight_decay:
-                    update = update + weight_decay * data
-                param.data = (data - lr * update).astype(param.data.dtype)
+                    np.multiply(data, weight_decay, out=scratch)
+                    update += scratch
+                update *= lr
+                data -= update
+                run.assign(data)
 
 
 class AdamW(Adam):

@@ -10,11 +10,8 @@ KAISA integrates with the training GradScaler in two ways (paper section 4.1):
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from ..nn.module import Parameter
 from .optimizer import Optimizer
 
 __all__ = ["GradScaler"]
@@ -51,17 +48,23 @@ class GradScaler:
         return loss * self._scale
 
     def unscale_(self, optimizer: Optimizer) -> None:
-        """Divide all gradients held by ``optimizer`` by the loss scale in place."""
+        """Divide all gradients held by ``optimizer`` by the loss scale; they end up float32.
+
+        One cast-and-gather, one scale pass and one finiteness reduction per
+        run of the optimizer's block iterator; each gradient is rebound to its
+        view of the run's fresh buffer (the array it was bound to is not
+        written).
+        """
         if not self.enabled or self._unscaled:
             return
         inv = 1.0 / self._scale
-        for param in optimizer.parameters():
-            if param.grad is None:
-                continue
-            grad = param.grad.astype(np.float32) * inv
-            if not np.all(np.isfinite(grad)):
+        for run in optimizer.runs():
+            flat = run.grads()
+            flat *= inv
+            if not np.isfinite(flat).all():
                 self._found_inf = True
-            param.grad = grad
+            for param, grad in zip(run.params, run.shaped(flat)):
+                param.grad = grad
         self._unscaled = True
 
     def step(self, optimizer: Optimizer) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .adam import adam_direction
 from .optimizer import Optimizer
 
 __all__ = ["LAMB"]
@@ -14,8 +15,9 @@ class LAMB(Optimizer):
 
     The per-layer trust ratio ``||w|| / ||update||`` rescales the Adam-style
     update, which is what allows BERT pretraining with batch sizes of 32K+.
-    The paper uses NVIDIA's Fused LAMB; this is a functionally equivalent
-    unfused implementation.
+    The paper uses NVIDIA's Fused LAMB; like it, the step here is fused over
+    blocks of parameters (:meth:`Optimizer.runs`) and only the two norms and
+    the trust-ratio scale run per parameter.
     """
 
     def __init__(
@@ -45,47 +47,28 @@ class LAMB(Optimizer):
             eps = group["eps"]
             weight_decay = group["weight_decay"]
             low, high = group["clamp_trust_ratio"]
-            for param in group["params"]:
-                if param.grad is None:
-                    continue
-                # float32 arithmetic throughout; float32 parameters are read where they are.
-                grad = param.grad.astype(np.float32, copy=False)
-                data = param.data.astype(np.float32, copy=False)
-                state = self.state_for(param)
-                if "step" not in state:
-                    state["step"] = 0
-                    state["exp_avg"] = np.zeros_like(data)
-                    state["exp_avg_sq"] = np.zeros_like(data)
-                state["step"] += 1
-                step = state["step"]
-                exp_avg, exp_avg_sq = state["exp_avg"], state["exp_avg_sq"]
-                # The moments are updated where they live; ``scratch`` holds each
-                # temporary in turn and ``update`` ends up as the new parameter.
-                scratch, update = np.empty_like(data), np.empty_like(data)
-                np.multiply(grad, 1 - beta1, out=scratch)
-                exp_avg *= beta1
-                exp_avg += scratch
-                np.multiply(grad, 1 - beta2, out=scratch)
-                scratch *= grad
-                exp_avg_sq *= beta2
-                exp_avg_sq += scratch
-                np.divide(exp_avg_sq, 1 - beta2 ** step, out=scratch)  # v_hat
-                np.sqrt(scratch, out=scratch)
-                scratch += eps
-                np.divide(exp_avg, 1 - beta1 ** step, out=update)  # m_hat
-                update /= scratch
+            for run in self.runs(group):
+                # float32 arithmetic throughout; ``data`` is fresh and ends up as the new parameters.
+                grad = run.grads()
+                update = np.empty(run.size, dtype=np.float32)
+                data = run.data()
+                scratch = adam_direction(run, grad, update, beta1, beta2, eps)
                 if weight_decay != 0.0:
                     np.multiply(data, weight_decay, out=scratch)
                     update += scratch
 
-                weight_norm = float(np.linalg.norm(data))
-                update_norm = float(np.linalg.norm(update))
-                if weight_norm > 0.0 and update_norm > 0.0:
-                    trust_ratio = weight_norm / update_norm
-                    if high > 0:
-                        trust_ratio = min(max(trust_ratio, low), high)
-                else:
-                    trust_ratio = 1.0
-                update *= lr * trust_ratio
-                np.subtract(data, update, out=update)
-                param.data = update.astype(param.data.dtype, copy=False)
+                # The trust ratio is per parameter by definition: two norms and one scale, on views.
+                # ``sqrt(x . x)`` in float32 is what ``np.linalg.norm`` computes, without its wrapper.
+                weights, updates = run.split(data), run.split(update)
+                squares = [view.dot(view) for view in weights] + [view.dot(view) for view in updates]
+                norms = np.sqrt(np.array(squares, dtype=np.float32)).tolist()
+                for weight_norm, update_norm, layer_update in zip(norms, norms[len(weights) :], updates):
+                    if weight_norm > 0.0 and update_norm > 0.0:
+                        trust_ratio = weight_norm / update_norm
+                        if high > 0:
+                            trust_ratio = min(max(trust_ratio, low), high)
+                    else:
+                        trust_ratio = 1.0
+                    layer_update *= lr * trust_ratio
+                data -= update
+                run.assign(data)

@@ -38,19 +38,27 @@ class SGD(Optimizer):
             momentum = group["momentum"]
             weight_decay = group["weight_decay"]
             nesterov = group["nesterov"]
-            for param in group["params"]:
-                if param.grad is None:
-                    continue
-                grad = param.grad.astype(np.float32)
+            for run in self.runs(group):
+                # float32 arithmetic throughout; ``data`` is fresh and ends up as the new parameters.
+                grad = run.grads()
+                scratch = np.empty(run.size, dtype=np.float32)
+                data = run.data()
                 if weight_decay != 0.0:
-                    grad = grad + weight_decay * param.data.astype(np.float32)
+                    np.multiply(data, weight_decay, out=scratch)
+                    grad += scratch
                 if momentum != 0.0:
-                    state = self.state_for(param)
-                    buf = state.get("momentum_buffer")
-                    if buf is None:
-                        buf = grad.copy()
+                    first = "momentum_buffer" not in run.states[0]
+                    buf = run.state("momentum_buffer")
+                    if first:
+                        buf[...] = grad
                     else:
-                        buf = momentum * buf + grad
-                    state["momentum_buffer"] = buf
-                    grad = grad + momentum * buf if nesterov else buf
-                param.data = (param.data.astype(np.float32) - lr * grad).astype(param.data.dtype)
+                        buf *= momentum
+                        buf += grad
+                    if nesterov:
+                        np.multiply(buf, momentum, out=scratch)
+                        grad += scratch
+                    else:
+                        grad = buf
+                np.multiply(grad, lr, out=scratch)
+                data -= scratch
+                run.assign(data)

@@ -426,6 +426,99 @@ class TestBucketedDDP:
         assert world.log.messages_by_op["allreduce"] == 1
 
 
+class TestGradientSeam:
+    """``TensorBucket.pack`` fills with one cast-and-copy; averaged gradients are views of the drained bucket."""
+
+    @staticmethod
+    def model_with_gradients(rank=0, dtypes=(np.float32,)):
+        model = MLP(6, [16, 8], 3, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(100 + rank)
+        for index, param in enumerate(model.parameters()):
+            dtype = dtypes[index % len(dtypes)]
+            param.data = param.data.astype(dtype)
+            param.grad = rng.standard_normal(param.data.shape).astype(dtype)
+        return model
+
+    def test_pack_casts_scales_once_and_leaves_the_payloads_alone(self):
+        rng = np.random.default_rng(0)
+        arrays = {
+            "half": rng.standard_normal((3, 4)).astype(np.float16),
+            "double": rng.standard_normal(7),
+            "strided": rng.standard_normal((5, 6)).astype(np.float32)[:, ::2],  # not contiguous
+            "scalar": np.float32(2.5).reshape(()),
+        }
+        kept = {key: array.copy() for key, array in arrays.items()}
+        (bucket,) = BucketManager(10.0).build([(key, array.shape, np.float32) for key, array in arrays.items()])
+        flat = bucket.pack(arrays.__getitem__, scale=0.25)
+        assert flat.dtype == np.float32 and flat.flags.c_contiguous and flat.size == bucket.size
+        for key, view in bucket.unpack(flat).items():
+            np.testing.assert_array_equal(view, kept[key].astype(np.float32) * np.float32(0.25))
+            np.testing.assert_array_equal(arrays[key], kept[key])
+            assert not np.shares_memory(view, arrays[key])
+
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "REPRO_SANITIZE"])
+    def test_averaged_gradients_are_views_of_the_drained_bucket(self, sanitize):
+        """World 2, accumulation scale 1/2: float32 views of one buffer, writable again once the token is released."""
+        from repro.distributed import GradientAveragingSubscriber
+        from repro.training import GradientPipeline
+
+        def program(comm):
+            model = self.model_with_gradients(comm.rank, dtypes=(np.float32, np.float64))
+            before = [param.grad for param in model.parameters()]
+            kept = [grad.copy() for grad in before]
+            pipeline = GradientPipeline(model, comm=comm)
+            pipeline.add_subscriber(GradientAveragingSubscriber(model))
+            pipeline.flush(grad_scale=0.5)  # asserts the rank is drained when the sanitizer is on
+            grads = [param.grad for param in model.parameters()]
+            bases = {id(grad.base) for grad in grads}
+            assert len(bases) == 1 and grads[0].base is not None  # one bucket is the gradient storage
+            for grad, param, array, copy in zip(grads, model.parameters(), before, kept):
+                assert grad.dtype == np.float32 and grad.shape == param.data.shape
+                assert grad.flags.c_contiguous and grad.flags.writeable
+                np.testing.assert_array_equal(array, copy)  # what param.grad was bound to is not written
+            if sanitize:  # this rank's buffer token is released (the other rank may still be draining)
+                mine = [key for key in comm.sanitizer.buffers.pending_keys() if key.startswith(f"rank{comm.rank}/")]
+                assert mine == [] and comm.sanitizer.pending_handles(comm.rank) == 0
+            return [grad.copy() for grad in grads], kept
+
+        results = run_spmd(2, program, sanitize=sanitize)
+        for index, averaged in enumerate(results[0][0]):
+            np.testing.assert_array_equal(averaged, results[1][0][index])
+            halves = [results[rank][1][index].astype(np.float32) * np.float32(0.5) for rank in range(2)]
+            np.testing.assert_array_equal(averaged, (halves[0] + halves[1]) / np.float32(2.0))
+
+    def test_mixed_dtype_schedule_on_one_rank_keeps_every_dtype(self):
+        """A single rank under accumulation: one bucket per dtype, each gradient scaled in its own dtype."""
+        dtypes = (np.float32, np.float16, np.float64)
+        model = self.model_with_gradients(dtypes=dtypes)
+        before = [param.grad.copy() for param in model.parameters()]
+        ddp = DistributedDataParallel(model, SingleProcessCommunicator(), broadcast_initial=False)
+        specs = ddp.subscriber().specs(grad_scale=0.5, world_size=1)
+        ddp.scheduler.run_allreduces([spec.to_allreduce() for spec in specs])
+        grads = [param.grad for param in model.parameters()]
+        assert len({id(grad.base) for grad in grads}) == len(dtypes)
+        for grad, original in zip(grads, before):
+            assert grad.dtype == original.dtype and grad.flags.c_contiguous
+            np.testing.assert_array_equal(grad, original * 0.5)
+
+    def test_specs_of_different_scales_never_share_a_bucket(self):
+        scheduler = OverlapScheduler(SingleProcessCommunicator(), bucket_cap_mb=1.0)
+        got = {}
+        ones = np.ones(4, dtype=np.float32)
+        scheduler.run_allreduces(
+            [
+                AllreduceSpec("a", ones, on_complete=lambda array: got.__setitem__("a", array), scale=0.5),
+                AllreduceSpec("b", ones, on_complete=lambda array: got.__setitem__("b", array)),
+                AllreduceSpec("c", ones, on_complete=lambda array: got.__setitem__("c", array), scale=0.5),
+            ]
+        )
+        np.testing.assert_array_equal(got["a"], 0.5)
+        np.testing.assert_array_equal(got["b"], 1.0)
+        np.testing.assert_array_equal(got["c"], 0.5)
+        assert got["a"].base is got["c"].base and got["b"].base is not got["a"].base
+        np.testing.assert_array_equal(ones, 1.0)
+
+
 #: A cap smaller than any tensor: every tensor travels in a message of its own
 #: (the schedule the retired blocking per-tensor path used to post).
 ALONE_CAP_MB = 1e-6

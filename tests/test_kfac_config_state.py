@@ -769,7 +769,7 @@ class TestEmbeddingLayer:
         module, handler = self.make_handler(6, 3)
         ids = np.array([[1, 4], [2, 1]])
         (module(ids) ** 2).sum().backward()
-        grad = handler.get_gradient()
+        grad = handler.get_gradient().copy()  # a view of weight.grad, which set_gradient writes in place
         assert grad.shape == (3, 6)  # (g_dim, a_dim) convention
         np.testing.assert_allclose(grad.T, module.weight.grad, rtol=1e-6)
         handler.set_gradient(grad * 0.5)

@@ -493,10 +493,13 @@ class TestNoCopy:
         assert np.shares_memory(layer.get_gradient(), module.weight.grad)
 
     def test_set_gradient_no_copy_when_dtype_matches(self):
+        """The write-back lands in the buffer the gradient already occupies: nothing is allocated or rebound."""
         module, layer = self._linear_layer(bias=False)
+        buffer = module.weight.grad
         matrix = np.random.default_rng(2).standard_normal((4, 6)).astype(np.float32)
         layer.set_gradient(matrix)
-        assert np.shares_memory(module.weight.grad, matrix)
+        assert module.weight.grad is buffer
+        np.testing.assert_array_equal(buffer, matrix)
 
     def test_layernorm_gradient_round_trip(self):
         module = LayerNorm(5)

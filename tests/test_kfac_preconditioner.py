@@ -235,6 +235,80 @@ class TestStepMechanics:
         assert pre.steps == 1
 
 
+class _TextNet(nn.Module):
+    """Embedding -> LayerNorm -> Linear: three of the four handler families in one backward."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.embed = nn.Embedding(10, 6, rng=rng)
+        self.norm = nn.LayerNorm(6)
+        self.head = nn.Linear(6, 4, rng=rng)
+
+    def forward(self, ids):
+        return self.head(self.norm(self.embed(ids)))
+
+
+class TestGradientWriteBack:
+    """``KFAC.step()`` leaves every gradient where it was: same buffer, same dtype, contiguous."""
+
+    @staticmethod
+    def preconditioned(kind):
+        """A model with K-FAC registered and one forward / backward done: ``(model, preconditioner)``."""
+        rng = np.random.default_rng(0)
+        if kind == "text":
+            model, inputs = _TextNet(rng), rng.integers(0, 10, size=(8, 5))
+        else:
+            model = nn.Sequential(nn.Conv2d(2, 3, 3, padding=1, rng=rng), nn.GlobalAvgPool2d(), nn.Linear(3, 2, rng=rng))
+            inputs = Tensor(rng.standard_normal((4, 2, 5, 5)).astype(np.float32))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        out = model(inputs)
+        (out * out).mean().backward()
+        return model, pre
+
+    @pytest.mark.parametrize("kind", ["text", "conv"])
+    def test_linear_conv_embedding_and_layernorm_gradients_stay_contiguous_in_their_dtype(self, kind):
+        model, pre = self.preconditioned(kind)
+        families = {type(layer).__name__ for layer in pre.layers.values()}
+        if kind == "text":
+            assert families == {"KFACEmbeddingLayer", "KFACLayerNormLayer", "KFACLinearLayer"}
+        else:
+            assert families == {"KFACConv2dLayer", "KFACLinearLayer"}
+        buffers = {id(param): param.grad for param in model.parameters()}
+        before = {id(param): param.grad.copy() for param in model.parameters()}
+        pre.step()
+        in_place = 0
+        for param in model.parameters():
+            grad, buffer = param.grad, buffers[id(param)]
+            assert grad.flags.c_contiguous and grad.dtype == before[id(param)].dtype and grad.shape == param.data.shape
+            assert grad.base is None or grad.base.size == grad.size  # no slice of a larger matrix kept alive
+            assert not np.array_equal(grad, before[id(param)])
+            if buffer.flags.c_contiguous:  # autograd leaves a Conv2d weight gradient in a permuted layout
+                assert grad is buffer  # written where it lay: nothing allocated, nothing rebound
+                in_place += 1
+            else:
+                np.testing.assert_array_equal(buffer, before[id(param)])
+        assert in_place >= len(buffers) - 1
+
+    def test_a_gradient_that_cannot_be_written_in_place_is_replaced_by_a_contiguous_copy(self):
+        """Read-only, Fortran-ordered and float64 gradients: same values as the in-place write, nobody's array written."""
+        reference, reference_pre = self.preconditioned("text")
+        reference_pre.step()
+        model, pre = self.preconditioned("text")
+        frozen = model.head.weight.grad
+        frozen.flags.writeable = False
+        fortran = model.embed.weight.grad = np.asfortranarray(model.embed.weight.grad)
+        model.norm.weight.grad = model.norm.weight.grad.astype(np.float64)
+        kept = [frozen.copy(), fortran.copy()]
+        pre.step()
+        np.testing.assert_array_equal(frozen, kept[0])
+        np.testing.assert_array_equal(fortran, kept[1])
+        assert model.head.weight.grad is not frozen and model.embed.weight.grad is not fortran
+        assert model.norm.weight.grad.dtype == np.float64
+        for param, twin in zip(model.parameters(), reference.parameters()):
+            assert param.grad.flags.c_contiguous and param.grad.flags.writeable
+            np.testing.assert_array_equal(param.grad, twin.grad)
+
+
 class TestMathematicalCorrectness:
     def test_matches_explicit_fisher_inverse_on_linear_model(self):
         """For a single Linear layer the preconditioned gradient must equal

@@ -1,10 +1,13 @@
-"""Tests for first-order optimizers, LR schedulers and the GradScaler."""
+"""Tests for first-order optimizers (block-fused; held to ``optimizer_oracle.py`` bit for bit), LR schedulers and the GradScaler."""
 
 import numpy as np
 import pytest
 
+from optimizer_oracle import LoopOptimizer, lamb_reference_step
+
 from repro import nn, optim
 from repro.nn.module import Parameter
+from repro.optim.optimizer import BLOCK_ELEMENTS
 from repro.tensor import Tensor
 
 
@@ -19,35 +22,6 @@ def quadratic_problem(dim=5, seed=0):
         return float(np.sum((param.data - target) ** 2))
 
     return param, target, loss_and_grad
-
-
-def lamb_reference_step(data, grad, state, lr, weight_decay, betas=(0.9, 0.999), eps=1e-6, clamp=(0.0, 10.0)):
-    """One LAMB update as the plain expression ``LAMB.step`` ran before it went in place (the oracle)."""
-    beta1, beta2 = betas
-    low, high = clamp
-    out_dtype = data.dtype
-    grad = grad.astype(np.float32)
-    data = data.astype(np.float32)
-    if state is None:
-        state = {"step": 0, "exp_avg": np.zeros_like(data), "exp_avg_sq": np.zeros_like(data)}
-    state["step"] += 1
-    step = state["step"]
-    state["exp_avg"] = beta1 * state["exp_avg"] + (1 - beta1) * grad
-    state["exp_avg_sq"] = beta2 * state["exp_avg_sq"] + (1 - beta2) * grad * grad
-    m_hat = state["exp_avg"] / (1 - beta1 ** step)
-    v_hat = state["exp_avg_sq"] / (1 - beta2 ** step)
-    update = m_hat / (np.sqrt(v_hat) + eps)
-    if weight_decay != 0.0:
-        update = update + weight_decay * data
-    weight_norm = float(np.linalg.norm(data))
-    update_norm = float(np.linalg.norm(update))
-    if weight_norm > 0.0 and update_norm > 0.0:
-        trust_ratio = weight_norm / update_norm
-        if high > 0:
-            trust_ratio = min(max(trust_ratio, low), high)
-    else:
-        trust_ratio = 1.0
-    return (data - lr * trust_ratio * update).astype(out_dtype), state
 
 
 class TestSGD:
@@ -153,7 +127,7 @@ class TestAdamLamb:
     @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.float64])
     def test_lamb_in_place_step_is_bitwise_the_plain_expression(self, dtype, weight_decay):
-        """25 steps of ``LAMB.step`` (in-place moments, one scratch) against the expression it replaced."""
+        """25 steps of ``LAMB.step`` (fused over the block, moments in flat buffers) against the plain expression."""
         rng = np.random.default_rng(7)
         shapes = [(6, 5), (7,), (), (3, 2, 4)]
         initial = [np.asarray(rng.standard_normal(shape), dtype=dtype) for shape in shapes]
@@ -188,6 +162,205 @@ class TestAdamLamb:
         opt = optim.Adam([param], lr=0.1)
         opt.step()
         assert opt.state_bytes() == 2 * 10 * 4
+
+
+#: name -> (repro.optim class, group defaults): every update rule and both weight-decay flavours.
+FUSED_CASES = {
+    "sgd": (optim.SGD, dict(lr=0.05)),
+    "sgd-momentum": (optim.SGD, dict(lr=0.05, momentum=0.9)),
+    "sgd-nesterov-decay": (optim.SGD, dict(lr=0.05, momentum=0.9, nesterov=True, weight_decay=0.01)),
+    "adam-l2": (optim.Adam, dict(lr=0.01, weight_decay=0.01)),
+    "adamw": (optim.AdamW, dict(lr=0.01, weight_decay=0.01)),
+    "lamb": (optim.LAMB, dict(lr=0.05, weight_decay=0.01)),
+    "lamb-no-decay": (optim.LAMB, dict(lr=0.05, weight_decay=0.0)),
+}
+
+
+def oracle_for(name, params):
+    """The per-parameter loop (``tests/optimizer_oracle.py``) for ``FUSED_CASES[name]`` over ``params``."""
+    return LoopOptimizer(name.split("-")[0], params, **FUSED_CASES[name][1])
+
+
+def copied(entry):
+    """A state entry with its arrays copied (scalars as they are)."""
+    return {key: value.copy() if isinstance(value, np.ndarray) else value for key, value in entry.items()}
+
+
+def assert_same_parameters_and_state(opt, params, oracle, twins):
+    for param, twin in zip(params, twins):
+        assert param.data.dtype == twin.data.dtype and param.data.shape == twin.data.shape
+        np.testing.assert_array_equal(param.data, twin.data)
+        state, expected = opt.state.get(id(param)) or {}, oracle.state.get(id(twin)) or {}
+        assert sorted(state) == sorted(expected)
+        for key, value in expected.items():
+            np.testing.assert_array_equal(state[key], value)
+            if isinstance(value, np.ndarray):
+                assert state[key].dtype == np.float32 and state[key].shape == param.data.shape
+
+
+class TestFusedStepMatchesTheLoop:
+    """The block-fused steps against ``tests/optimizer_oracle.py``, bit for bit."""
+
+    @staticmethod
+    def build(rng):
+        """Two identical parameter lists laid out to cross every seam of the block iterator.
+
+        Group one (its own ``lr``): float32 / float16 / float64 neighbours and
+        two 0-d parameters inside one block.  Group two: a parameter larger
+        than the block cap (a block of its own) between blocks of many small
+        ones, enough of them to fill more than one block.
+        """
+        small = [((6, 5), np.float32), ((7,), np.float32), ((), np.float32), ((3, 2, 4), np.float16)]
+        small += [((5,), np.float16), ((4, 4), np.float64), ((), np.float64), ((9,), np.float32)]
+        many = [((2048,), np.float32)] * 70  # 143 360 elements: more than one block of small parameters
+        large = [((BLOCK_ELEMENTS + 3,), np.float32)]
+        layout = small + many[:3] + large + many[3:]
+        values = [np.asarray(rng.standard_normal(shape), dtype=dtype) for shape, dtype in layout]
+        lists = [[Parameter(value.copy()) for value in values] for _ in range(2)]
+        groups = [[{"params": ps[: len(small)], "lr": 0.02}, {"params": ps[len(small) :]}] for ps in lists]
+        return lists, groups
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_25_steps_bitwise(self, name):
+        rng = np.random.default_rng(11)
+        (params, twins), (groups, twin_groups) = self.build(rng)
+        opt = FUSED_CASES[name][0](groups, **FUSED_CASES[name][1])
+        oracle = oracle_for(name, twin_groups)
+        assert [len(blocks) for blocks in opt._blocks] == [1, 4]
+        for step in range(25):
+            for index, (param, twin) in enumerate(zip(params, twins)):
+                # Parameter 5 never trains; the others each sit a step out now and then, so a
+                # block splits into runs and neighbours carry different step counts.
+                if index == 5 or (index + step) % 7 == 3:
+                    param.grad = twin.grad = None
+                    continue
+                grad = np.asarray(rng.standard_normal(param.data.shape), dtype=param.data.dtype)
+                if index % 3 == 0:
+                    grad = grad.astype(np.float32)  # a gradient need not have its parameter's dtype
+                param.grad, twin.grad = grad, grad.copy()
+            handed_out = params[0].data
+            kept = handed_out.copy()
+            opt.step()
+            oracle.step()
+            assert_same_parameters_and_state(opt, params, oracle, twins)
+            assert params[0].data is not handed_out or params[0].grad is None
+            np.testing.assert_array_equal(handed_out, kept)  # an array handed out earlier is never written
+        if name.startswith(("adam", "lamb")):
+            counts = {opt.state_for(param).get("step") for param in params}
+            assert None in counts and len(counts) > 2  # parameter 5 never stepped; the rest differ
+
+    def test_the_moments_are_all_the_optimizer_keeps(self):
+        """No persistent scratch and no flat copy of parameters or gradients: a step's temporaries are per run."""
+        rng = np.random.default_rng(0)
+        params = [Parameter(rng.standard_normal(2048).astype(np.float32)) for _ in range(200)]
+        opt = optim.LAMB(params, lr=0.01)
+        for param in params:
+            param.grad = np.ones_like(param.data)
+        opt.step()
+        buffers = [flat for blocks in opt._blocks for block in blocks for flat, _ in block.states.values()]
+        assert sum(buffer.nbytes for buffer in buffers) == opt.state_bytes() == 2 * 200 * 2048 * 4
+        assert max(buffer.size for buffer in buffers) <= BLOCK_ELEMENTS
+        assert not any(isinstance(value, np.ndarray) for value in vars(opt).values())
+
+
+class TestRebindingBetweenSteps:
+    """Whatever is rebound from outside between two steps is what the next step reads (the aliasing bug class)."""
+
+    @staticmethod
+    def pair(name, shapes=((4, 3), (3,), (), (5, 2))):
+        rng = np.random.default_rng(3)
+        values = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+        params, twins = ([Parameter(value.copy()) for value in values] for _ in range(2))
+        return params, twins, FUSED_CASES[name][0](params, **FUSED_CASES[name][1]), oracle_for(name, twins)
+
+    @staticmethod
+    def step_both(opt, params, oracle, twins, seed):
+        rng = np.random.default_rng(seed)
+        for param, twin in zip(params, twins):
+            param.grad = rng.standard_normal(param.data.shape).astype(np.float32)
+            twin.grad = param.grad.copy()
+        opt.step()
+        oracle.step()
+
+    @pytest.mark.parametrize("name", ["sgd-momentum", "adamw", "lamb"])
+    def test_parameter_data_rebound_from_outside_is_picked_up(self, name):
+        params, twins, opt, oracle = self.pair(name)
+        for step in range(6):
+            self.step_both(opt, params, oracle, twins, seed=step)
+            if step == 2:  # what Module.load_state_dict / broadcast_parameters do: a fresh array per parameter
+                for param, twin in zip(params, twins):
+                    param.data = np.full_like(param.data, 0.25)
+                    twin.data = np.full_like(twin.data, 0.25)
+            if step == 3:  # ... and an in-place edit of one parameter's current array
+                params[1].data[...] = 7.0
+                twins[1].data[...] = 7.0
+            assert_same_parameters_and_state(opt, params, oracle, twins)
+
+    @pytest.mark.parametrize("name", ["sgd-momentum", "adamw", "lamb"])
+    def test_moment_rebound_from_outside_is_picked_up(self, name):
+        params, twins, opt, oracle = self.pair(name)
+        for step in range(5):
+            self.step_both(opt, params, oracle, twins, seed=step)
+            if step == 1:
+                key = "momentum_buffer" if name.startswith("sgd") else "exp_avg"
+                foreign = np.full(params[0].data.shape, 0.5, dtype=np.float32)
+                opt.state_for(params[0])[key] = foreign
+                oracle.state[id(twins[0])][key] = foreign.copy()
+            assert_same_parameters_and_state(opt, params, oracle, twins)
+        np.testing.assert_array_equal(foreign, 0.5)  # copied in, never written
+
+    @pytest.mark.parametrize("name", ["sgd-momentum", "adamw", "lamb"])
+    def test_load_state_dict_into_a_stepped_optimizer_and_nobody_elses_array_is_written(self, name):
+        params, twins, opt, oracle = self.pair(name)
+        for step in range(3):
+            self.step_both(opt, params, oracle, twins, seed=step)
+        returned = opt.state_dict()
+        frozen = {index: copied(entry) for index, entry in returned["state"].items()}
+        snapshot = [param.data.copy() for param in params]
+        for step in range(3, 5):  # moves on: the flat buffers no longer hold what ``returned`` does
+            self.step_both(opt, params, oracle, twins, seed=step)
+        # Back to the checkpoint, on the optimizer that kept stepping (its flat buffers are stale now).
+        opt.load_state_dict(returned)
+        for param, twin, data in zip(params, twins, snapshot):
+            param.data, twin.data = data.copy(), data.copy()
+        for index, entry in returned["state"].items():
+            oracle.state[id(twins[index])] = copied(entry)
+        for step in range(5, 8):
+            self.step_both(opt, params, oracle, twins, seed=step)
+            assert_same_parameters_and_state(opt, params, oracle, twins)
+        for index, entry in frozen.items():  # neither the dict state_dict() returned nor the one loaded was written
+            for key, value in entry.items():
+                np.testing.assert_array_equal(returned["state"][index][key], value)
+
+    def test_param_group_added_after_the_first_step_is_stepped(self):
+        params, twins, opt, oracle = self.pair("lamb")
+        self.step_both(opt, params, oracle, twins, seed=0)
+        late, late_twin = (Parameter(np.full((3, 3), 2.0, dtype=np.float32)) for _ in range(2))
+        opt.add_param_group({"params": [late], "lr": 0.5})
+        oracle.param_groups.append({**oracle.param_groups[0], "params": [late_twin], "lr": 0.5})
+        params, twins = params + [late], twins + [late_twin]
+        for step in range(1, 4):
+            self.step_both(opt, params, oracle, twins, seed=step)
+            assert_same_parameters_and_state(opt, params, oracle, twins)
+        assert opt.state_for(late)["step"] == 3 and opt.state_for(params[0])["step"] == 4
+
+    def test_checkpoint_in_the_per_parameter_format_of_the_loop_resumes_bit_identically(self):
+        """Standalone arrays per parameter, as every commit before the fused step wrote them."""
+        params, twins, opt, oracle = self.pair("lamb")
+        for step in range(3):
+            for twin in twins:
+                twin.grad = np.random.default_rng(step).standard_normal(twin.data.shape).astype(np.float32)
+            oracle.step()
+        written = {
+            "state": {index: dict(oracle.state[id(twin)]) for index, twin in enumerate(twins)},
+            "param_groups": [{**FUSED_CASES["lamb"][1], "betas": (0.9, 0.999), "params": list(range(len(twins)))}],
+        }
+        opt.load_state_dict(written)
+        for param, twin in zip(params, twins):
+            param.data = twin.data.copy()
+        for step in range(3, 6):
+            self.step_both(opt, params, oracle, twins, seed=step)
+            assert_same_parameters_and_state(opt, params, oracle, twins)
 
 
 class TestParamGroups:
@@ -282,6 +455,34 @@ class TestGradScaler:
             scaler.step(opt)
             scaler.update()
         assert scaler.get_scale() == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("poison", [None, 0, 3])
+    def test_unscale_per_run_is_the_per_parameter_expression(self, poison):
+        """One scale pass and one finiteness reduction per run: same bits, same ``found_inf``, float32 installed."""
+        rng = np.random.default_rng(4)
+        dtypes = [np.float16, np.float32, np.float32, np.float64, np.float16]
+        params = [Parameter(np.zeros(shape, dtype=dtype)) for shape, dtype in zip([(3, 2), (4,), (), (2, 2), (5,)], dtypes)]
+        grads = [np.asarray(rng.standard_normal(p.data.shape) * 64.0, dtype=p.data.dtype) for p in params]
+        grads[2] = None  # a parameter without a gradient stays without one
+        if poison is not None:
+            grads[poison].reshape(-1)[0] = np.inf
+        for param, grad in zip(params, grads):
+            param.grad = grad
+        kept = [None if grad is None else grad.copy() for grad in grads]
+        opt = optim.SGD(params, lr=0.1)
+        scaler = optim.GradScaler(init_scale=2.0 ** 6)
+        scaler.unscale_(opt)
+        assert scaler._found_inf == (poison is not None)
+        for param, grad, copy in zip(params, grads, kept):
+            if grad is None:
+                assert param.grad is None
+                continue
+            assert param.grad.dtype == np.float32 and param.grad.shape == param.data.shape
+            np.testing.assert_array_equal(param.grad, copy.astype(np.float32) * (1.0 / 2.0 ** 6))
+            np.testing.assert_array_equal(grad, copy)  # the array the gradient was bound to is not written
+        before = [param.data.copy() for param in params]
+        assert scaler.step(opt) == (poison is None)
+        assert all(np.array_equal(p.data, b) for p, b in zip(params, before)) == (poison is not None)
 
     def test_disabled_scaler_is_identity(self):
         scaler = optim.GradScaler(enabled=False)
@@ -398,6 +599,32 @@ class TestOptimizerStateDict:
         resumed.train_step((x, y))
         for a, b in zip(trainer.model.parameters(), resumed.model.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("name", ["sgd-momentum", "lamb"])
+    def test_trainer_rolled_back_in_place_repeats_its_trajectory(self, name):
+        """``Module.load_state_dict`` and ``Optimizer.load_state_dict`` into objects that kept stepping."""
+        from repro.models import MLP
+        from repro.training import Trainer
+
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((32, 6)).astype(np.float32)
+        y = (x @ rng.standard_normal((6, 3)).astype(np.float32)).argmax(axis=1)
+        loss_fn = nn.CrossEntropyLoss()
+        model = MLP(6, [10], 3, rng=np.random.default_rng(0))
+        optimizer = FUSED_CASES[name][0](model.parameters(), **FUSED_CASES[name][1])
+        trainer = Trainer(model, optimizer, lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]))
+
+        def two_more_steps():
+            for _ in range(2):
+                trainer.train_step((x, y))
+            return np.concatenate([param.data.ravel() for param in model.parameters()])
+
+        for _ in range(3):
+            trainer.train_step((x, y))
+        state = trainer.state_dict()
+        first = two_more_steps()
+        trainer.load_state_dict(state)
+        np.testing.assert_array_equal(two_more_steps(), first)
 
     def test_trainer_rejects_checkpoint_without_optimizer_state(self):
         from repro.models import MLP

@@ -6,7 +6,9 @@ softmax normalisation, symmetric-positive-semidefiniteness of Kronecker
 factors, damping monotonicity, the memory model's linearity in
 ``grad_worker_frac``, strategy equivalence on generated layer shapes, the
 sharded factor layout (each running factor stored once, bit-identical resume)
-on generated shapes, worlds, strategies and cadences, and the cost and memory
+on generated shapes, worlds, strategies and cadences, whole ``Trainer``
+trajectories on the block-fused optimizers against the per-parameter loops of
+``optimizer_oracle.py`` (worlds, pipelines, accumulation), and the cost and memory
 models' counts against the engine's on generated shapes and knobs (messages,
 bytes and per-rank state: residual 0).  The multi-rank suites run a fixed,
 derandomized set of examples, so their time is the same in every CI
@@ -270,6 +272,96 @@ class TestShardedFactorLayoutProperties:
         for key in ranks[0][2]:
             assert sum(layout[key][0] for _, _, layout, _, _ in ranks) == 1, f"{key} is not held exactly once"
         assert sum(held_bytes for *_, held_bytes, _ in ranks) == ranks[0][4]
+
+
+class _NetWithASpare(nn.Module):
+    """Linear -> LayerNorm -> Tanh -> Linear, plus a layer no forward uses: its parameters never get a gradient."""
+
+    def __init__(self, in_features, hidden, out_features, bias, rng):
+        super().__init__()
+        self.first = nn.Linear(in_features, hidden, bias=bias, rng=rng)
+        self.spare = nn.Linear(hidden, 3, rng=rng)
+        self.norm = nn.LayerNorm(hidden)
+        self.tanh = nn.Tanh()
+        self.last = nn.Linear(hidden, out_features, bias=bias, rng=rng)
+
+    def forward(self, x):
+        return self.last(self.tanh(self.norm(self.first(x))))
+
+
+class TestFusedOptimizerProperties:
+    """A ``Trainer`` on the block-fused optimizers follows the per-parameter loops (``optimizer_oracle``) to the bit."""
+
+    #: name (also the oracle's) -> (repro.optim class, hyperparameters)
+    OPTIMIZERS = {
+        "sgd": (optim.SGD, dict(lr=0.05, momentum=0.9, nesterov=True, weight_decay=1e-3)),
+        "adamw": (optim.AdamW, dict(lr=0.01, weight_decay=0.01)),
+        "lamb": (optim.LAMB, dict(lr=0.02, weight_decay=0.01)),
+    }
+    STEPS = 6
+
+    @given(
+        world=st.integers(min_value=1, max_value=4),
+        workers=st.integers(min_value=1, max_value=4),
+        name=st.sampled_from(sorted(OPTIMIZERS)),
+        armed=st.booleans(),
+        micro_batches=st.integers(min_value=1, max_value=3),
+        in_features=st.integers(min_value=1, max_value=9),
+        hidden=st.integers(min_value=2, max_value=40),
+        out_features=st.integers(min_value=1, max_value=5),
+        bias=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_trajectory_is_the_oracle_optimizers(
+        self, world, workers, name, armed, micro_batches, in_features, hidden, out_features, bias, seed
+    ):
+        from optimizer_oracle import LoopOptimizer
+
+        from repro.training import GradientPipeline, Trainer
+
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((24, in_features)).astype(np.float32)
+        target = rng.standard_normal((24, out_features)).astype(np.float32)
+        loss_fn = nn.MSELoss()
+        optimizer_cls, hyper = self.OPTIMIZERS[name]
+
+        def program(comm, fused):
+            model = _NetWithASpare(in_features, hidden, out_features, bias, np.random.default_rng(seed + 1))
+            params = list(model.parameters())
+            optimizer = optimizer_cls(params, **hyper) if fused else LoopOptimizer(name, params, **hyper)
+            pre = KFAC(
+                model,
+                lr=hyper["lr"],
+                factor_update_freq=2,
+                inv_update_freq=4,
+                grad_worker_frac=min(workers, world) / world,
+                comm=comm,
+                skip_modules=[model.spare],
+            )
+            trainer = Trainer(
+                model,
+                optimizer,
+                lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
+                preconditioner=pre,
+                comm=comm,
+                pipeline=GradientPipeline(model, comm=comm) if armed else None,
+            )
+            losses = []
+            for step in range(self.STEPS):
+                local = np.arange(24)[(step + comm.rank) % world :: world]
+                batches = [(x[part], target[part]) for part in np.array_split(local, micro_batches)]
+                losses.append(trainer.train_step(batches))
+            assert all(param.grad is None for param in model.spare.parameters())
+            return losses, np.concatenate([p.data.ravel() for p in model.parameters()])
+
+        fused = run_spmd(world, lambda comm: program(comm, True))
+        oracle = run_spmd(world, lambda comm: program(comm, False))
+        for (losses, params), (oracle_losses, oracle_params) in zip(fused, oracle):
+            assert np.all(np.isfinite(params))
+            assert losses == oracle_losses
+            np.testing.assert_array_equal(params, oracle_params)
+            np.testing.assert_array_equal(params, fused[0][1])
 
 
 class TestModelEqualsEngineProperties:
