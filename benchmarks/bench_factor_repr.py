@@ -2,17 +2,18 @@
 
 Quantifies what the FactorRepr refactor buys at the paper's layer widths:
 
-* **Allreduce payloads** — every structured factor travels in packed form.
+* **Allreduce payloads** — every factor travels in the form it is stored in.
   A diagonal factor of dimension ``F`` costs exactly ``F`` elements (O(F)),
-  never the dense ``F²``: the BERT-Large vocabulary table's A factor drops
+  never the square ``F²``: the BERT-Large vocabulary table's A factor drops
   from ~3.7 GB to 122 KB per allreduce, which is what makes preconditioning
-  embedding tables feasible at all.
+  embedding tables feasible at all.  A dense factor is symmetric and travels
+  once, as the ``F(F+1)/2`` elements of its packed triangle.
 * **Eigen solves** — the diagonal "decomposition" is a clamped copy (O(F))
   against the dense ``O(F³)`` ``eigh``; block-diagonal factors decompose
   per-block through the batched kernel seam.  Measured at BERT widths
   (hidden 1024, vocab 30522) and ResNet widths (channels 64-512).
 * **Memory** — the per-rank factor storage charged by the Table 4/5 memory
-  model shrinks to the packed sizes.
+  model shrinks to the packed sizes (beside the paper's all-square layout).
 
 Results go to ``BENCH_factor_repr.json`` via the shared envelope writer.
 """
@@ -33,8 +34,10 @@ OUTPUT = Path(__file__).with_name("BENCH_factor_repr.json")
 ITEMSIZE = 4  # fp32
 ROUNDS = 5
 
-# Structured layers at the paper's widths: (name, repr, dense_dim).
+# Layers at the paper's widths: (name, repr).
 STRUCTURED_LAYERS = [
+    ("bert_large.attention.A", FactorRepr.dense(1025)),
+    ("resnet50.layer4.conv2.A", FactorRepr.dense(4608)),
     ("bert_large.token_embedding.A", FactorRepr.diagonal(30522)),
     ("bert_large.position_embedding.A", FactorRepr.diagonal(512)),
     ("bert_large.layernorm.G", FactorRepr.diagonal(1024)),
@@ -57,12 +60,12 @@ _RESULTS = {}
 
 
 def test_packed_allreduce_payloads_are_o_f(benchmark):
-    """Diagonal factors ship exactly F elements; dense would ship F^2."""
+    """Diagonal factors ship exactly F elements, dense ones their triangle; the square would be F^2."""
 
     def sweep():
         rows = []
         for name, repr_ in STRUCTURED_LAYERS:
-            packed_bytes = repr_.comm_numel(False) * ITEMSIZE
+            packed_bytes = repr_.packed_numel * ITEMSIZE
             dense_bytes = repr_.dim * repr_.dim * ITEMSIZE
             rows.append(
                 {
@@ -77,10 +80,10 @@ def test_packed_allreduce_payloads_are_o_f(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
-    print_section("Factor representations - packed vs dense allreduce payloads (fp32)")
+    print_section("Factor representations - packed vs square allreduce payloads (fp32)")
     print(
         format_table(
-            ["layer", "repr", "packed (KB)", "dense (KB)", "reduction"],
+            ["layer", "repr", "packed (KB)", "square (KB)", "reduction"],
             [
                 [r["layer"], r["repr"], round(r["packed_bytes"] / 1024, 1),
                  round(r["dense_bytes"] / 1024, 1), round(r["reduction"], 1)]
@@ -92,6 +95,9 @@ def test_packed_allreduce_payloads_are_o_f(benchmark):
         if row["repr"].startswith("diagonal"):
             # The O(F) acceptance criterion, byte-exact.
             assert row["packed_bytes"] == row["dim"] * ITEMSIZE, row
+        if row["repr"].startswith("dense"):
+            # A symmetric factor travels once: n(n+1)/2 elements.
+            assert row["packed_bytes"] == row["dim"] * (row["dim"] + 1) // 2 * ITEMSIZE, row
         assert row["packed_bytes"] <= row["dense_bytes"], row
     vocab = next(r for r in rows if "token_embedding" in r["layer"])
     assert vocab["reduction"] == vocab["dim"]  # F^2 / F
@@ -175,22 +181,30 @@ def test_memory_model_charges_packed_factor_bytes(benchmark):
     def measure():
         packed = build(structured=True).factor_bytes()
         dense = build(structured=False).factor_bytes()
-        return {"packed_bytes": packed, "dense_bytes": dense, "saved_mb": (dense - packed) / 1024 / 1024}
+        paper = build(structured=False).paper_factor_bytes()
+        return {
+            "packed_bytes": packed,
+            "dense_bytes": dense,
+            "paper_layout_bytes": paper,
+            "saved_mb": (dense - packed) / 1024 / 1024,
+        }
 
     result = benchmark.pedantic(measure, iterations=1, rounds=1)
-    print_section("Factor representations - memory-model factor bytes (packed vs dense)")
+    print_section("Factor representations - memory-model factor bytes (structured vs all-dense vs the paper's squares)")
     print(
         format_table(
             ["variant", "factor bytes (MB)"],
             [
-                ["dense", round(result["dense_bytes"] / 1024 / 1024, 1)],
-                ["packed", round(result["packed_bytes"] / 1024 / 1024, 1)],
+                ["paper layout: every factor a full square", round(result["paper_layout_bytes"] / 1024 / 1024, 1)],
+                ["all dense (packed triangles)", round(result["dense_bytes"] / 1024 / 1024, 1)],
+                ["diagonal vocabulary A", round(result["packed_bytes"] / 1024 / 1024, 1)],
             ],
         )
     )
-    # The vocabulary factor collapses from vocab^2 to vocab elements.
-    expected_saving = (vocab * vocab - vocab) * ITEMSIZE
+    # The vocabulary factor collapses from its triangle, vocab(vocab+1)/2 elements, to vocab.
+    expected_saving = (vocab * (vocab + 1) // 2 - vocab) * ITEMSIZE
     assert result["dense_bytes"] - result["packed_bytes"] == expected_saving, result
+    assert result["paper_layout_bytes"] == (vocab**2 + 2 * hidden**2 + (4 * hidden) ** 2) * ITEMSIZE
     _RESULTS["memory_model"] = result
 
     write_bench_json(OUTPUT, "factor_repr", dict(_RESULTS))

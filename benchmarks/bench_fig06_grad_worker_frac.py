@@ -21,7 +21,14 @@ import pytest
 from repro.experiments import PAPER_RESULTS, format_table, paper_workload_spec, sweep_grad_worker_frac
 from repro.kfac import IterationTimeModel
 
-from conftest import measured_memory_rows, measured_memory_table, print_section, record_memory_bench
+from conftest import (
+    busiest_rank_at_paper_scale,
+    busiest_rank_table,
+    measured_memory_rows,
+    measured_memory_table,
+    print_section,
+    record_memory_bench,
+)
 
 MB = 1024 ** 2
 WORLD_SIZE = 64
@@ -99,6 +106,8 @@ def test_fig06_measured_column(benchmark):
     measured_memory = benchmark.pedantic(measured_memory_rows, iterations=1, rounds=1)
     print_section("Figure 6 - measured K-FAC state of the mean rank (threaded ranks, refresh every step)")
     print(measured_memory_table(measured_memory, "mean"))
+    print(f"\nThe figure's left end (frac = 1/{WORLD_SIZE}), busiest rank, fp32:")
+    print(busiest_rank_table(busiest_rank_at_paper_scale(WORLD_SIZE)))
     for row in measured_memory:
         mean = sum(row["measured_bytes_per_rank"]) / row["world"]
         assert mean < row["paper_layout_mean_bytes"]

@@ -20,6 +20,8 @@ from repro.kfac import KFACConfig
 from repro.memory import KFACMemoryModel
 
 from conftest import (
+    busiest_rank_at_paper_scale,
+    busiest_rank_table,
     measured_memory_rows,
     measured_memory_table,
     paper_layout_overhead,
@@ -146,6 +148,11 @@ def test_table05_memory_usage(benchmark):
     print(f"\nPaper: max K-FAC overhead is {paper_ratio['min']}-{paper_ratio['max']}x the minimum overhead.")
     print_section("Table 5 - the same on this tree's layout: a factor lives only on the rank that decomposes it")
     print(format_table(sharded_headers, sharded_rows))
+    print(f"\nBusiest of {WORLD_SIZE} ranks at MEM-OPT, fp32 (a dense factor held as its triangle, not the square):")
+    busiest = busiest_rank_at_paper_scale(WORLD_SIZE)
+    print(busiest_rank_table(busiest))
+    for row in busiest:
+        assert row["stored once, packed triangle (MB)"] < row["stored once, square (MB)"] < row["paper layout (MB)"]
     record_memory_bench(
         "table05",
         {

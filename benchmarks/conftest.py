@@ -16,9 +16,16 @@ import functools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.experiments import build_workload, format_table, measured_memory_report, write_bench_json
+from repro.experiments import (
+    build_workload,
+    format_table,
+    measured_memory_report,
+    paper_workload_spec,
+    write_bench_json,
+)
 from repro.kfac import KFAC
 from repro.memory import KFACMemoryModel
 
@@ -32,19 +39,67 @@ def print_section(title: str) -> None:
 
 # ------------------------------------------------------------ memory layouts
 # The three memory scripts (Table 4, Table 5, Figure 6) print two layouts side
-# by side: the paper's, where every rank keeps every running factor, and this
-# tree's, where a factor lives only on the rank that decomposes it
-# (KFAC.holds_factor; KFACMemoryModel.breakdown).  They share one measured
-# column and one BENCH_memory.json.
+# by side: the paper's, where every rank keeps every running factor as a full
+# square, and this tree's, where a factor lives only on the rank that
+# decomposes it, a dense one as its packed triangle (KFAC.holds_factor;
+# KFACMemoryModel.breakdown).  They share one measured column and one
+# BENCH_memory.json.
 BENCH_MEMORY_JSON = Path(__file__).with_name("BENCH_memory.json")
 MEASURED_WORKLOADS = ("bert", "cifar_resnet")
 MEASURED_WORLDS = (2, 4)
 
 
 def paper_layout_overhead(memory, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
-    """K-FAC bytes per rank in the paper's layout: all factors everywhere + this rank's eigen state."""
+    """K-FAC bytes per rank in the paper's layout: all factors, square, everywhere + this rank's eigen state."""
     eigen = memory.eigen_bytes_per_rank(world_size, grad_worker_frac)
-    return memory.factor_bytes() + int(getattr(eigen, rank)())
+    return memory.paper_factor_bytes() + int(getattr(eigen, rank)())
+
+
+def square_storage_overhead(memory, world_size: int, grad_worker_frac: float) -> int:
+    """Busiest rank's K-FAC bytes under this tree's placement if every held dense factor were a full square.
+
+    The layout between "stored once across the ranks" and "stored once as a
+    triangle": what the busiest-rank figures read before packed storage.
+    """
+    plan = memory.plan(world_size, grad_worker_frac)
+    itemsize = np.dtype(plan.policy.precision.factor_dtype).itemsize
+    per_rank = np.zeros(world_size, dtype=np.int64)
+    for (name, which), holders in plan.factor_holders.items():
+        repr_ = plan.groups[name].layer.factor_repr(which)
+        per_rank[list(holders)] += itemsize * (repr_.dim**2 if repr_.is_dense else repr_.packed_numel)
+    return int((per_rank + plan.eigen_bytes_per_rank()).max())
+
+
+def busiest_rank_at_paper_scale(world_size: int = 64):
+    """BERT-Large and ResNet-50 (fp32) on ``world_size`` ranks at MEM-OPT: the busiest rank's modeled K-FAC state.
+
+    One row per model with the paper's layout, this tree's placement with
+    square factors and this tree's layout (placement + packed triangles), in
+    MB; printed by the Table 5 and Figure 6 scripts and recorded in
+    ``BENCH_memory.json``.
+    """
+    MB = 1024**2
+    rows = []
+    for name in ("bert_large", "resnet50"):
+        spec = paper_workload_spec(name, precision="fp32")
+        memory = KFACMemoryModel(spec.layers, spec.param_count)
+        frac = 1.0 / world_size
+        rows.append(
+            {
+                "model": name,
+                "world": world_size,
+                "paper layout (MB)": round(paper_layout_overhead(memory, world_size, frac, "max") / MB, 1),
+                "stored once, square (MB)": round(square_storage_overhead(memory, world_size, frac) / MB, 1),
+                "stored once, packed triangle (MB)": round(memory.overhead_bytes(world_size, frac, rank="max") / MB, 1),
+            }
+        )
+    record_memory_bench(f"busiest_rank_w{world_size}", rows)
+    return rows
+
+
+def busiest_rank_table(rows) -> str:
+    headers = list(rows[0])
+    return format_table(headers, [[row[header] for header in headers] for row in rows])
 
 
 def record_memory_bench(section: str, payload) -> None:

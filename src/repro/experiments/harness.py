@@ -167,7 +167,7 @@ def sweep_grad_worker_frac(
         # the paper's per-GPU measurements grow smoothly (linearly) with the fraction.
         overhead = memory_model.overhead_bytes(world_size, frac, rank="mean")
         # The paper's layout keeps every factor on every rank (its Figure 6 right axes).
-        replicated = memory_model.factor_bytes() + int(memory_model.eigen_bytes_per_rank(world_size, frac).mean())
+        replicated = memory_model.paper_factor_bytes() + int(memory_model.eigen_bytes_per_rank(world_size, frac).mean())
         results[frac] = {
             "iteration_time": breakdown.total,
             "kfac_overhead_time": breakdown.kfac_overhead,

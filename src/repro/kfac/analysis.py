@@ -78,7 +78,6 @@ class KFACWorkloadSpec:
     inv_update_freq: int  # K_freq in Table 2
     samples_per_input: float = 1.0  # rows contributed to the factors per example (spatial positions for convs)
     precision: str = "fp32"  # a PrecisionPolicy name: storage and wire dtypes of factors and eigen state
-    triangular_comm: bool = False
     compute_eigen_outer: bool = True
     grad_accumulation_steps: int = 1
     #: Performed-vs-base-cadence update ratios (1.0 = the fixed schedule).
@@ -91,7 +90,7 @@ class KFACWorkloadSpec:
 
     @property
     def wire_policy(self) -> WirePolicy:
-        return WirePolicy(PrecisionPolicy.from_name(self.precision), self.triangular_comm, self.compute_eigen_outer)
+        return WirePolicy(PrecisionPolicy.from_name(self.precision), self.compute_eigen_outer)
 
     def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
         """The plan :class:`~repro.kfac.KFAC` follows for these layers and knobs at this operating point."""
@@ -106,10 +105,10 @@ class KFACWorkloadSpec:
     def factor_bytes(self) -> int:
         """Total bytes of all Kronecker factors in their stored representation.
 
-        Dense layers contribute ``a² + g²`` elements exactly as before; layers
-        with structured factors (diagonal / block-diagonal,
-        :class:`~repro.kfac.factors.FactorRepr`) contribute their packed O(F)
-        element counts, matching what the handlers actually allocate.
+        Dense factors contribute the ``n(n+1)/2`` elements of their packed
+        triangle; structured ones (diagonal / block-diagonal,
+        :class:`~repro.kfac.factors.FactorRepr`) their packed O(F) element
+        counts, matching what the handlers actually allocate.
         """
         policy = self.wire_policy
         return sum(policy.factor_bytes(layer) for layer in self.layers)
@@ -208,8 +207,9 @@ class IterationTimeModel:
         # --- factor computation (data-parallel, identical on every rank) ----
         rows = spec.local_batch_size * spec.samples_per_input
         # Each factor's accumulation writes exactly its packed element count
-        # per row (dense: the full outer product; diagonal: the squared-row
-        # sum; block-diagonal: per-block outer products).
+        # per row (dense: one triangle of the outer product, which is what
+        # ``syrk`` computes; diagonal: the squared-row sum; block-diagonal:
+        # per-block outer products).
         factor_flops = sum(2.0 * rows * (l.a_repr.packed_numel + l.g_repr.packed_numel) for l in spec.layers)
         times["factor_compute"][:] = amortized_update_time(
             self.perf.compute_time(factor_flops, dtype_b), f_freq, spec.factor_update_fraction

@@ -51,7 +51,6 @@ class KFACConfig:
     precision: str = "fp32"
     assignment_balance: str = "compute"
     compute_eigen_outer: bool = True
-    triangular_comm: bool = False
     #: Force every layer onto the dense ``F x F`` factor representation,
     #: disabling the structured (diagonal / block-diagonal) storage, comm and
     #: eigen fast paths of :mod:`repro.kfac.factors`.  The forced-dense path
@@ -109,7 +108,6 @@ class KFACConfig:
             ("inv_update_freq", int),
             ("grad_worker_frac", float),
             ("compute_eigen_outer", bool),
-            ("triangular_comm", bool),
             ("dense_factors", bool),
             ("drift_tol", float),
             ("max_staleness", int),
@@ -227,14 +225,16 @@ class KFACConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "KFACConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
 
-        Two fields of earlier versions selected between code paths that no
-        longer exist; they never changed a result, so they are dropped rather
-        than rejected and old checkpoints and manifests stay loadable.  For
+        Three fields of earlier versions selected between code paths that no
+        longer exist (``triangular_comm`` chose the wire form of a dense
+        factor, which is now always its packed triangle); they moved bytes or
+        time, never a result, so they are dropped rather than rejected and old
+        checkpoints and manifests stay loadable.  For
         the same reason ``kernel_backend="reference"`` (the default every
         earlier checkpoint carries; its kernels are now the test oracle)
         loads onto the built-in backend; any other unregistered name raises.
         """
-        retired = ("comm_overlap", "adaptive_schedule")
+        retired = ("comm_overlap", "adaptive_schedule", "triangular_comm")
         data = {key: value for key, value in data.items() if key not in retired}
         if data.get("kernel_backend") == "reference" and "reference" not in available_kernel_backends():
             data["kernel_backend"] = DEFAULT_KERNEL_BACKEND
@@ -254,7 +254,7 @@ class KFACConfig:
 
     def wire_policy(self, precision: Optional[PrecisionPolicy] = None) -> WirePolicy:
         """How state is stored and travels (``precision`` overrides the named policy with a custom object)."""
-        return WirePolicy(precision or self.precision_policy(), self.triangular_comm, self.compute_eigen_outer)
+        return WirePolicy(precision or self.precision_policy(), self.compute_eigen_outer)
 
     def solver_name_for(self, layer) -> str:
         """Which registered solve strategy preconditions ``layer`` (anything with ``a_dim`` / ``g_dim``).

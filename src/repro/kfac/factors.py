@@ -8,11 +8,15 @@ diagonal A (token frequencies).  :class:`FactorRepr` names that structure
 once and every subsystem dispatches on it instead of assuming
 ``np.ndarray`` squares:
 
-* **storage** — handlers accumulate and store the packed form directly
-  (``(n,)`` for diagonal, ``(num_blocks, bs, bs)`` for block-diagonal), so
-  factor memory is O(F) / O(F·bs) instead of O(F²);
-* **communication** — allreduce/broadcast specs carry the packed payload
-  (:meth:`comm_shape`), so the bucket manager fuses on real byte counts;
+* **storage** — handlers accumulate and store the packed form directly: a
+  dense factor is symmetric and is held once, as the ``n(n+1)/2`` elements of
+  its upper triangle row by row (LAPACK's packed format,
+  :func:`~repro.kfac.kmath.pack_triangle`); a diagonal one is ``(n,)`` and a
+  block-diagonal one ``(num_blocks, bs, bs)``, so factor memory is O(F) /
+  O(F·bs) instead of O(F²);
+* **communication** — the stored form is the wire form: allreduce specs carry
+  the packed payload (:meth:`comm_shape`), so the bucket manager fuses on
+  real byte counts and a symmetric factor travels once;
 * **eigen** — a diagonal factor's eigendecomposition is a clamp (identity
   eigenbasis), a block-diagonal factor batches per-block through the
   kernel backends' ``batched_symmetric_eigen`` seam;
@@ -22,7 +26,12 @@ once and every subsystem dispatches on it instead of assuming
 
 Dense stays the default (Linear / Conv2d); forcing ``dense`` on a
 structured layer (``KFACConfig.dense_factors``) remains available as a
-parity oracle.
+parity oracle.  Nothing on the default step path needs the square matrix:
+the fold is elementwise and the eigen solve expands the triangle into the
+buffer LAPACK overwrites.  :meth:`FactorRepr.to_dense` /
+:meth:`~FactorRepr.from_dense` are the only conversions, for the readers that
+do (the ``inverse`` / ``cg`` solvers, tests).  A block-diagonal factor (the
+Embedding handler's ``g_block_size`` only) keeps square blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .triangular import pack_upper_triangle, triangular_size, unpack_upper_triangle
+from .kmath import expand_triangle, pack_triangle
 
 __all__ = ["FactorRepr", "FACTOR_REPR_KINDS"]
 
@@ -100,16 +109,16 @@ class FactorRepr:
     def packed_shape(self) -> Tuple[int, ...]:
         """Shape of the stored (packed) factor array."""
         if self.kind == "dense":
-            return (self.dim, self.dim)
+            return (self.packed_numel,)
         if self.kind == "diagonal":
             return (self.dim,)
         return (self.num_blocks, self.block_size, self.block_size)
 
     @property
     def packed_numel(self) -> int:
-        """Elements in the packed factor — the O(F) vs O(F²) accounting seam."""
+        """Elements in the packed factor — the accounting seam: one triangle of a dense factor, O(F) for a diagonal."""
         if self.kind == "dense":
-            return self.dim * self.dim
+            return self.dim * (self.dim + 1) // 2
         if self.kind == "diagonal":
             return self.dim
         return self.num_blocks * self.block_size * self.block_size
@@ -119,7 +128,9 @@ class FactorRepr:
         """Elements in the stored eigenbasis (0 for diagonal: identity, implicit)."""
         if self.kind == "diagonal":
             return 0
-        return self.packed_numel
+        if self.kind == "dense":
+            return self.dim * self.dim
+        return self.num_blocks * self.block_size * self.block_size
 
     @property
     def packed_eigen_numel(self) -> int:
@@ -140,34 +151,9 @@ class FactorRepr:
         return float(self.num_blocks) * float(self.block_size) ** 3
 
     # ---------------------------------------------------------- communication
-    def comm_shape(self, triangular: bool = False) -> Tuple[int, ...]:
-        """Wire shape of the factor payload in allreduce/broadcast specs.
-
-        Structured factors are already packed, so ``triangular`` (the dense
-        upper-triangle optimization of section 4.3) only applies to dense.
-        """
-        if self.kind == "dense" and triangular:
-            return (triangular_size(self.dim),)
+    def comm_shape(self) -> Tuple[int, ...]:
+        """Wire shape of the factor payload in allreduce specs: the stored form travels as it is."""
         return self.packed_shape
-
-    def comm_numel(self, triangular: bool = False) -> int:
-        shape = self.comm_shape(triangular)
-        numel = 1
-        for entry in shape:
-            numel *= int(entry)
-        return numel
-
-    def pack_comm(self, packed_factor: np.ndarray, triangular: bool = False) -> np.ndarray:
-        """Stored factor -> wire payload (identity except dense-triangular)."""
-        if self.kind == "dense" and triangular:
-            return pack_upper_triangle(packed_factor)
-        return packed_factor
-
-    def unpack_comm(self, payload: np.ndarray, triangular: bool = False) -> np.ndarray:
-        """Wire payload -> stored factor form."""
-        if self.kind == "dense" and triangular:
-            return unpack_upper_triangle(payload, self.dim)
-        return payload.reshape(self.packed_shape)
 
     # ------------------------------------------------------------ conversions
     def check_packed(self, packed: np.ndarray, what: str = "factor") -> None:
@@ -177,12 +163,24 @@ class FactorRepr:
                 f"{what} has shape {tuple(packed.shape)}, expected {self.packed_shape} for {self.describe()}"
             )
 
+    def diagonal_positions(self) -> np.ndarray:
+        """Where the diagonal of a dense factor sits in its packed triangle: row ``i`` starts at ``i·n − i(i−1)/2``."""
+        if self.kind != "dense":
+            raise ValueError(f"only a dense factor is stored as a packed triangle, not {self.describe()}")
+        rows = np.arange(self.dim)
+        return rows * self.dim - rows * (rows - 1) // 2
+
     def to_dense(self, packed: np.ndarray) -> np.ndarray:
         """Expand the packed factor to the mathematically equal dense matrix."""
         packed = np.asarray(packed)
         self.check_packed(packed)
         if self.kind == "dense":
-            return packed
+            # ``?tpttr`` fills the row-major upper triangle; the lower one is its mirror image.
+            work_dtype = np.promote_types(packed.dtype, np.float32)  # no half-precision LAPACK
+            upper = expand_triangle(packed.astype(work_dtype, copy=False), np.zeros((self.dim, self.dim), work_dtype))
+            dense = upper + upper.T
+            np.einsum("ii->i", dense)[...] = np.einsum("ii->i", upper)  # the sum counted the diagonal twice
+            return dense.astype(packed.dtype, copy=False)
         if self.kind == "diagonal":
             return np.diag(packed)
         out = np.zeros((self.dim, self.dim), dtype=packed.dtype)
@@ -193,26 +191,53 @@ class FactorRepr:
         return out
 
     def from_dense(self, dense: np.ndarray) -> np.ndarray:
-        """Project a dense matrix onto this representation (inverse of :meth:`to_dense`)."""
+        """Project a dense matrix onto this representation (inverse of :meth:`to_dense`).
+
+        A dense representation keeps the upper triangle: the matrix is taken
+        to be symmetric and its lower triangle is not read.
+        """
         dense = np.asarray(dense)
         if dense.shape != (self.dim, self.dim):
             raise ValueError(f"dense factor has shape {dense.shape}, expected {(self.dim, self.dim)}")
         if self.kind == "dense":
-            return dense
+            return pack_triangle(dense)
         if self.kind == "diagonal":
             return np.ascontiguousarray(np.diagonal(dense))
         bs = self.block_size
         blocks = [dense[i * bs : (i + 1) * bs, i * bs : (i + 1) * bs] for i in range(self.num_blocks)]
         return np.stack(blocks)
 
+    def as_packed(self, array: np.ndarray, what: str = "factor") -> np.ndarray:
+        """``array`` in this repr's storage form; a square matrix under a dense repr (the layout before
+        factors were stored as triangles, e.g. in an older checkpoint) is packed, anything else must fit."""
+        array = np.asarray(array)
+        if self.kind == "dense" and array.shape == (self.dim, self.dim):
+            return pack_triangle(array)
+        self.check_packed(array, what)
+        return array
+
     def trace(self, packed: np.ndarray) -> float:
         """Trace of the represented matrix, computed on the packed form."""
         packed = np.asarray(packed)
         if self.kind == "dense":
-            return float(np.trace(packed.astype(np.float64)))
+            return float(np.sum(packed[self.diagonal_positions()].astype(np.float64)))
         if self.kind == "diagonal":
             return float(np.sum(packed.astype(np.float64)))
         return float(np.einsum("nii->", packed.astype(np.float64)))
+
+    def frobenius_norm(self, packed: np.ndarray) -> float:
+        """Frobenius norm of the represented matrix (float64), computed on the packed form.
+
+        A packed triangle holds each off-diagonal entry of the matrix once, so
+        the full-matrix norm is ``sqrt(2·Σp² − Σdiag²)``; the other forms hold
+        exactly the nonzero entries.
+        """
+        packed = np.asarray(packed, dtype=np.float64)
+        squares = float(np.vdot(packed, packed))
+        if self.kind == "dense":
+            diagonal = packed[self.diagonal_positions()]
+            squares = 2.0 * squares - float(np.vdot(diagonal, diagonal))
+        return float(np.sqrt(squares))
 
     # ---------------------------------------------------------- serialization
     def to_state(self) -> dict:

@@ -14,10 +14,13 @@ class, :class:`KernelBackend`, registered under one name (``batched``):
   ``syevd`` (1.6-1.9x faster than ``syevr`` at BERT-sized dimensions), called
   on the C pointer ``scipy.linalg.cython_lapack`` publishes, so the interpreter
   lock is released for the solve and the threaded ranks of one process
-  decompose their shares of the factors at the same time.  Factors are
-  symmetrised first; the ``syevd`` path also rejects non-finite entries and a
-  non-zero LAPACK ``info`` with an error that says which member of the group
-  failed (``error.batch_index``);
+  decompose their shares of the factors at the same time.  A dense factor
+  arrives as its packed triangle (``?trttp`` / ``?tpttr`` are bound beside
+  ``?syevd``) and is expanded straight into the buffer the solver overwrites
+  -- a stacked group into one stack; one stored triangle is symmetric by
+  construction, so there is no symmetrise pass.  The ``syevd`` path also
+  rejects non-finite entries and a non-zero LAPACK ``info`` with an error that
+  says which member of the group failed (``error.batch_index``);
 * **in-place decay fold**: ``new *= 1-decay; running *= decay; running +=
   new`` on the window average the caller hands over, so a float32 factor is
   updated without a temporary or a held scratch buffer;
@@ -41,9 +44,9 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
 * ``fused_decay_update``, ``precondition_contract`` -- **bitwise** equal for
   float32 state (identical elementwise/BLAS operations in the identical order);
 * the ``syevd`` call itself -- **bitwise** the eigenvalues and eigenvectors
-  SciPy's own wrapper of that driver returns (the same routine on the same
-  symmetrised input; SciPy is the test-side reference, ``src/`` does not call
-  it);
+  SciPy's own wrapper of that driver returns on the expanded square (the same
+  routine on the same lower triangle; SciPy is the test-side reference,
+  ``src/`` does not call it);
 * ``batched_symmetric_eigen`` -- ``syevd`` and the stacked path are exact
   eigendecompositions but not bit-identical to ``syevr``, so parity with the
   oracle is asserted on the *preconditioned gradients* (which are invariant to
@@ -62,11 +65,14 @@ import numpy as np
 from .factors import FactorRepr
 from .kmath import (
     EigenDecomposition,
+    as_packed_triangle,
     eigenvalue_outer_product,
     eigh_solve_dtype,
+    expand_triangle,
     kl_clip_scale_from_total,
     structured_precondition,
     symmetric_eigen,
+    triangle_dim,
 )
 
 __all__ = [
@@ -157,7 +163,7 @@ class KernelBackend:
         clamp_negative: bool = True,
         eigh_dtype=None,
     ) -> EigenDecomposition:
-        """Eigendecompose one symmetric Kronecker factor."""
+        """Eigendecompose one symmetric Kronecker factor: its packed triangle, or the square matrix (packed on entry)."""
         return self.batched_symmetric_eigen(
             [factor], compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
         )[0]
@@ -169,26 +175,27 @@ class KernelBackend:
         clamp_negative: bool = True,
         eigh_dtype=None,
     ) -> List[EigenDecomposition]:
-        """Decompose same-shape factors as one group.
+        """Decompose dense symmetric factors of one dimension as one group.
 
-        Every factor must be square and share one shape (callers group by
-        shape before dispatch).  Results are per-matrix identical regardless
+        Each factor is the packed triangle a dense
+        :class:`~repro.kfac.factors.FactorRepr` stores (1-D, ``n(n+1)/2``
+        elements), or a square matrix, which is packed on entry; all must share
+        one dimension (callers group by it before dispatch).  A diagonal
+        factor's vector does not belong here -- :meth:`structured_eigen`
+        dispatches on the repr.  Results are per-matrix identical regardless
         of batch composition (LAPACK is applied matrix-by-matrix under the
         hood), so distributed plans stay deterministic even though different
         ranks batch different factor subsets.  An error raised by the solve
         of one member carries its position as ``error.batch_index``.
         """
-        factors = list(factors)
+        factors = [as_packed_triangle(factor) for factor in factors]
         if not factors:
             return []
-        n = factors[0].shape[0]
+        n = triangle_dim(factors[0].shape[0])
         for factor in factors:
-            if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-                raise ValueError(f"factor must be square, got shape {factor.shape}")
-            if factor.shape[0] != n:
-                raise ValueError(
-                    f"batched_symmetric_eigen requires same-shape factors, got {factor.shape} and {(n, n)}"
-                )
+            if factor.shape != factors[0].shape:
+                other = triangle_dim(factor.shape[0])
+                raise ValueError(f"batched_symmetric_eigen requires same-shape factors, got dimensions {other} and {n}")
         if n > STACK_EIGH_MAX_DIM:
             decompositions = []
             for index, factor in enumerate(factors):
@@ -204,9 +211,14 @@ class KernelBackend:
             return decompositions
         compute_dtype = np.dtype(compute_dtype)
         solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
-        stack = np.stack([factor.astype(solve_dtype, copy=False) for factor in factors])
-        work = 0.5 * (stack + stack.transpose(0, 2, 1))
-        eigenvalues, eigenvectors = np.linalg.eigh(work)
+        # The whole group expands into one stack.  ``?tpttr`` fills each member's row-major upper
+        # triangle, so the transposed view is what ``eigh`` (which uses the lower one) is given.  The
+        # other triangle is zeros, not uninitialised: it is still loaded, and ``eigh`` reports the
+        # FP-invalid flag a stray signalling NaN raises as non-convergence.
+        stack = np.zeros((len(factors), n, n), dtype=solve_dtype)
+        for member, factor in zip(stack, factors):
+            expand_triangle(factor.astype(solve_dtype, copy=False), member)
+        eigenvalues, eigenvectors = np.linalg.eigh(stack.transpose(0, 2, 1))
         if clamp_negative:
             np.maximum(eigenvalues, 0.0, out=eigenvalues)
         return [
@@ -227,7 +239,7 @@ class KernelBackend:
     ) -> EigenDecomposition:
         """Eigendecompose one factor stored in its packed representation.
 
-        * ``dense`` -- :meth:`symmetric_eigen`;
+        * ``dense`` -- :meth:`symmetric_eigen` on the packed triangle;
         * ``diagonal`` -- O(F): the eigenvalues *are* the (clamped) stored
           vector and the eigenbasis is the implicit identity.  The spectrum
           is kept in coordinate order rather than sorted -- sorting would
@@ -235,7 +247,8 @@ class KernelBackend:
           contraction is invariant to the ordering;
         * ``block_diagonal`` -- the per-block problems go through
           :meth:`batched_symmetric_eigen` (the same seam the shape-grouped
-          dispatch uses), so a backend's batched kernel covers them too.
+          dispatch uses), so a backend's batched kernel covers them too;
+          the blocks are stored square and packed on entry.
         """
         repr.check_packed(factor)
         if repr.kind == "dense":

@@ -13,6 +13,7 @@ Implements the paper's equations:
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -23,6 +24,10 @@ __all__ = [
     "EigenDecomposition",
     "eigh_solve_dtype",
     "symmetric_eigen",
+    "pack_triangle",
+    "expand_triangle",
+    "triangle_dim",
+    "as_packed_triangle",
     "eigenvalue_outer_product",
     "precondition_with_eigen",
     "structured_precondition",
@@ -84,46 +89,108 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 )
 
 
-def _bind_syevd(name: str, real: str):
-    """LAPACK ``?syevd`` as a ``ctypes`` function on the C pointer SciPy publishes for it.
+def _bind_lapack(name: str, arguments: str):
+    """LAPACK routine ``name`` as a ``ctypes`` function on the C pointer SciPy publishes for it.
 
     ``scipy.linalg.cython_lapack.__pyx_capi__`` holds one capsule per routine,
     named by its C signature, so that other extensions can call LAPACK without
     linking it (the route numba takes).  A ``ctypes`` foreign call releases the
-    interpreter lock for its duration, which SciPy's and NumPy's own ``eigh``
-    wrappers do not: threaded ranks decompose their factors side by side.
-    There is no fallback, so a SciPy whose capsule reads differently fails at
-    import, naming both signatures.
+    interpreter lock for its duration, which SciPy's and NumPy's own wrappers
+    do not: threaded ranks decompose their factors side by side.
+    ``arguments`` spells the signature one letter per argument -- ``c`` a
+    character flag, ``i`` an integer passed by reference, ``r`` an array of the
+    routine's real type, ``w`` an integer work array.  There is no fallback,
+    so a SciPy whose capsule reads differently fails at import, naming both
+    signatures.
     """
-    scalar = f"__pyx_t_5scipy_6linalg_13cython_lapack_{real}"
-    expected = f"void (char *, char *, int *, {scalar} *, int *, {scalar} *, {scalar} *, int *, int *, int *, int *)"
+    scalar = f"__pyx_t_5scipy_6linalg_13cython_lapack_{name[0]}"
+    c_types = {"c": "char *", "i": "int *", "r": f"{scalar} *", "w": "int *"}
+    expected = "void (" + ", ".join(c_types[letter] for letter in arguments) + ")"
     capsule = cython_lapack.__pyx_capi__[name]
     signature = _capsule_name(capsule)
     if signature != expected.encode():
         raise ImportError(f"scipy.linalg.cython_lapack.{name} has signature {signature!r}, expected {expected!r}")
-    int_p = ctypes.POINTER(ctypes.c_int)
-    prototype = ctypes.CFUNCTYPE(
-        None,
-        ctypes.c_char_p,  # jobz
-        ctypes.c_char_p,  # uplo
-        int_p,  # n
-        ctypes.c_void_p,  # a
-        int_p,  # lda
-        ctypes.c_void_p,  # w
-        ctypes.c_void_p,  # work
-        int_p,  # lwork
-        ctypes.c_void_p,  # iwork
-        int_p,  # liwork
-        int_p,  # info
-    )
+    # Arrays go in as addresses; a by-reference integer is a ``c_int`` the call site keeps alive.
+    ctypes_types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int), "r": ctypes.c_void_p, "w": ctypes.c_void_p}
+    prototype = ctypes.CFUNCTYPE(None, *(ctypes_types[letter] for letter in arguments))
     return prototype(_capsule_pointer(capsule, signature))
 
 
-#: Solve dtype -> the LAPACK divide-and-conquer routine for it, bound once at import.
-_SYEVD = {
-    np.dtype(np.float32): _bind_syevd("ssyevd", "s"),
-    np.dtype(np.float64): _bind_syevd("dsyevd", "d"),
-}
+def _bind_by_dtype(routine: str, arguments: str) -> dict:
+    """Solve dtype -> the single / double LAPACK ``?routine``, bound once at import."""
+    return {
+        np.dtype(np.float32): _bind_lapack("s" + routine, arguments),
+        np.dtype(np.float64): _bind_lapack("d" + routine, arguments),
+    }
+
+
+_SYEVD = _bind_by_dtype("syevd", "ccirirriwii")  # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+_TRTTP = _bind_by_dtype("trttp", "ciriri")  # uplo, n, a, lda, ap, info
+_TPTTR = _bind_by_dtype("tpttr", "cirrii")  # uplo, n, ap, a, lda, info
+
+
+def triangle_dim(numel: int) -> int:
+    """The ``n`` whose packed triangle has ``numel = n(n+1)/2`` elements; ``ValueError`` if there is none."""
+    n = (math.isqrt(8 * int(numel) + 1) - 1) // 2
+    if n < 1 or n * (n + 1) // 2 != numel:
+        raise ValueError(f"{numel} elements are not the packed triangle of a square matrix")
+    return n
+
+
+def _lapack_dtype(dtype) -> np.dtype:
+    """The dtype LAPACK moves ``dtype`` data in: itself for single / double, single for a narrower float."""
+    dtype = np.dtype(dtype)
+    if dtype.kind != "f":
+        raise TypeError(f"a packed triangle holds floating-point data, got {dtype}")
+    return np.promote_types(dtype, np.float32)
+
+
+def pack_triangle(square: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``square``, row by row: ``n(n+1)/2`` elements, in ``square``'s dtype.
+
+    The storage form, and the wire form, of a dense symmetric factor.  Row
+    ``i`` contributes columns ``i..n-1``, which is exactly LAPACK's packed
+    ``'L'`` format of the column-major matrix occupying the same memory, so
+    this is one ``?trttp`` call (no index arrays, the interpreter lock
+    released).  ``square`` is not modified; a float16 one goes through float32.
+    """
+    if square.ndim != 2 or square.shape[0] != square.shape[1]:
+        raise ValueError(f"factor must be square, got shape {square.shape}")
+    n = square.shape[0]
+    work = np.ascontiguousarray(square, dtype=_lapack_dtype(square.dtype))
+    packed = np.empty(n * (n + 1) // 2, dtype=work.dtype)
+    order, info = ctypes.c_int(n), ctypes.c_int(0)
+    _TRTTP[work.dtype](b"L", order, work.ctypes.data, order, packed.ctypes.data, info)
+    return packed.astype(square.dtype, copy=False)
+
+
+def expand_triangle(packed: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the packed triangle into ``out``'s memory with ``?tpttr``; returns ``out``.
+
+    ``out`` is a contiguous ``(n, n)`` array of ``packed``'s dtype (float32 or
+    float64).  Column-major, its *lower* triangle is filled -- what ``?syevd``
+    reads under ``UPLO='L'``; row-major, its *upper* triangle (the same
+    memory).  The other triangle is left as it was.
+    """
+    n = out.shape[0]
+    if out.shape != (n, n) or packed.shape != (n * (n + 1) // 2,):
+        raise ValueError(f"cannot expand a packed triangle of shape {packed.shape} into an array of shape {out.shape}")
+    if packed.dtype != out.dtype or out.dtype not in _TPTTR:
+        raise TypeError(f"packed triangle ({packed.dtype}) and output ({out.dtype}) must share float32 or float64")
+    if not (out.flags.c_contiguous or out.flags.f_contiguous) or not out.flags.writeable:
+        raise ValueError("the output of expand_triangle must be contiguous and writable")
+    packed = np.ascontiguousarray(packed)
+    order, info = ctypes.c_int(n), ctypes.c_int(0)
+    _TPTTR[out.dtype](b"L", order, packed.ctypes.data, out.ctypes.data, order, info)
+    return out
+
+
+def as_packed_triangle(factor: np.ndarray) -> np.ndarray:
+    """``factor`` as the packed triangle of a dense symmetric matrix: 1-D is taken as one, a square is packed."""
+    if factor.ndim == 1:
+        triangle_dim(factor.shape[0])
+        return factor
+    return pack_triangle(factor)
 
 
 def symmetric_eigen(
@@ -132,7 +199,12 @@ def symmetric_eigen(
     clamp_negative: bool = True,
     eigh_dtype=None,
 ) -> EigenDecomposition:
-    """Eigen-decompose a symmetric Kronecker factor.
+    """Eigen-decompose a symmetric Kronecker factor given as its packed triangle.
+
+    ``factor`` is the 1-D packed triangle a dense
+    :class:`~repro.kfac.factors.FactorRepr` stores (:func:`pack_triangle`); a
+    square matrix is accepted too and packed on entry, so both inputs take the
+    one solve path and only the upper triangle of a square is ever read.
 
     Factors are symmetric positive semi-definite by construction (Eq. 9), so
     eigenvalues are real and eigenvectors orthogonal; tiny negative
@@ -145,31 +217,30 @@ def symmetric_eigen(
     decomposition under an fp32 policy).  The solver is LAPACK's
     divide-and-conquer ``syevd`` (all eigenpairs are wanted, and at K-FAC
     factor sizes it is 1.6-1.9x faster than ``syevr``), called without the
-    interpreter lock (:func:`_bind_syevd`); this is the only place that calls
-    it.  The input is not modified.
+    interpreter lock (:func:`_bind_lapack`); this is the only place that calls
+    it.  The triangle is expanded with ``?tpttr`` straight into the
+    column-major buffer ``syevd`` overwrites with the eigenvectors: one stored
+    triangle is symmetric by construction, so there is no symmetrise pass.
+    The input is not modified.
 
     Raises ``ValueError`` for a factor with non-finite entries and
     ``np.linalg.LinAlgError`` when LAPACK reports ``info != 0``, both naming
     the dimension.
     """
-    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-        raise ValueError(f"factor must be square, got shape {factor.shape}")
     compute_dtype = np.dtype(compute_dtype)
     solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
     if solve_dtype not in _SYEVD:
         raise TypeError(f"eigen solve dtype must be float32 or float64, got {solve_dtype}")
-    n = factor.shape[0]
+    n = factor.shape[0] if factor.ndim == 2 else triangle_dim(factor.size)
     lwork, liwork = 1 + 6 * n + 2 * n * n, 3 + 5 * n
     if lwork > np.iinfo(np.intc).max:
         raise ValueError(f"factor of dimension {n} needs a workspace beyond LAPACK's 32-bit sizes")
-    work = factor.astype(solve_dtype, copy=False)
-    # Symmetrize (protects against accumulation drift) straight into the
-    # column-major buffer LAPACK overwrites with the eigenvectors.
-    eigenvectors = np.empty((n, n), dtype=solve_dtype, order="F")
-    np.add(work, work.T, out=eigenvectors)
-    eigenvectors *= 0.5
-    if not np.isfinite(eigenvectors).all():
+    work = as_packed_triangle(factor).astype(solve_dtype, copy=False)
+    if not np.isfinite(work).all():
         raise ValueError(f"factor of dimension {n} contains infs or NaNs")
+    # ``syevd`` uses the lower triangle only; the rest starts as zeros rather than uninitialised,
+    # because BLAS kernels still load it (and a stray signalling NaN would trip the FP-invalid flag).
+    eigenvectors = expand_triangle(work, np.zeros((n, n), dtype=solve_dtype, order="F"))
     eigenvalues = np.empty(n, dtype=solve_dtype)
     scratch = np.empty(lwork, dtype=solve_dtype)
     iscratch = np.empty(liwork, dtype=np.intc)
@@ -227,33 +298,20 @@ def eigenvalue_outer_product(
     return (1.0 / outer).astype(dtype)
 
 
-def _packed_trace_and_dim(factor: np.ndarray) -> Tuple[float, int]:
-    """Trace and represented dimension of a (possibly packed) factor.
-
-    Recognises the three storage forms of :class:`repro.kfac.factors.FactorRepr`
-    by rank: 2-D is a dense square, 1-D a diagonal vector, 3-D a stack of
-    diagonal blocks — so callers holding only the array stay repr-agnostic.
-    """
-    if factor.ndim == 1:
-        return float(np.sum(factor.astype(np.float64))), factor.shape[0]
-    if factor.ndim == 3:
-        return float(np.einsum("nii->", factor.astype(np.float64))), factor.shape[0] * factor.shape[1]
-    return float(np.trace(factor.astype(np.float64))), factor.shape[0]
-
-
-def tikhonov_pi(factor_a: np.ndarray, factor_g: np.ndarray, eps: float = 1e-12) -> float:
+def tikhonov_pi(factor_a: np.ndarray, factor_g: np.ndarray, a_repr, g_repr, eps: float = 1e-12) -> float:
     """Factor-trace π correction (Martens & Grosse 2015; torch-kfac's ``pi``).
 
     ``π = sqrt((tr(A)/dim_A) / (tr(G)/dim_G))`` balances the Tikhonov
     damping between the two Kronecker factors according to their relative
     scale.  Degenerate traces (zero, negative, non-finite) fall back to 1.0,
-    which reduces to the uncorrected split.  Accepts factors in any packed
-    representation (dense square, diagonal vector, block stack).
+    which reduces to the uncorrected split.  The factors come in their stored
+    form and ``a_repr`` / ``g_repr`` (their
+    :class:`~repro.kfac.factors.FactorRepr`) say which that is: a 1-D array is
+    a diagonal or the packed triangle of a dense factor, and only the repr
+    knows where its diagonal sits.
     """
-    raw_a, dim_a = _packed_trace_and_dim(factor_a)
-    raw_g, dim_g = _packed_trace_and_dim(factor_g)
-    trace_a = raw_a / max(dim_a, 1)
-    trace_g = raw_g / max(dim_g, 1)
+    trace_a = a_repr.trace(factor_a) / max(a_repr.dim, 1)
+    trace_g = g_repr.trace(factor_g) / max(g_repr.dim, 1)
     if not np.isfinite(trace_a) or not np.isfinite(trace_g) or trace_a <= eps or trace_g <= eps:
         return 1.0
     return float(np.sqrt(trace_a / trace_g))

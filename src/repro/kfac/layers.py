@@ -14,7 +14,10 @@ section 3.4, plus ``Embedding`` as a registered extension) that:
   is cast to float32 at most once, and each dense factor is one product of
   that buffer with its own transpose -- which NumPy hands to BLAS ``syrk``,
   half a GEMM's flops and an exactly symmetric result -- with the bias
-  coordinate filled in from sums instead of an appended column of ones,
+  coordinate filled in from sums instead of an appended column of ones; that
+  product is the only square array of a factor's life: its upper triangle is
+  packed (``?trttp``) as it enters the accumulator, and the window, the
+  allreduce, the running factor and the checkpoint all hold the triangle,
 * maintains exponential running averages of the factors (section 2.1.2),
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
@@ -50,7 +53,7 @@ from ..nn.norm import BatchNorm2d, LayerNorm
 from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
 from .kernels import DEFAULT_KERNEL_BACKEND, KernelBackend, make_kernel_backend
-from .kmath import EigenDecomposition
+from .kmath import EigenDecomposition, pack_triangle
 from .strategy import LayerShapeInfo
 
 __all__ = [
@@ -273,13 +276,13 @@ class KFACLayer:
         """``Σ rowᵀ row`` projected onto ``repr``, computed in packed form (float32).
 
         Dense is one product of the (once-cast) buffer with its own transpose,
-        i.e. ``syrk``; diagonal keeps only per-coordinate squares;
-        block-diagonal keeps per-block outer products — no dense temporary is
-        ever built.
+        i.e. ``syrk``, packed to its triangle; diagonal keeps only
+        per-coordinate squares; block-diagonal keeps per-block outer products
+        — no dense temporary is ever built for a structured factor.
         """
         rows32 = rows.astype(np.float32, copy=False)
         if repr.kind == "dense":
-            return rows32.T @ rows32
+            return pack_triangle(rows32.T @ rows32)
         if repr.kind == "diagonal":
             return np.sum(rows32 * rows32, axis=0)
         blocks = rows32.reshape(rows32.shape[0], repr.num_blocks, repr.block_size)
@@ -289,7 +292,7 @@ class KFACLayer:
         self._add_a_contribution(self._row_outer_contribution(rows, self.a_repr), rows.shape[0])
 
     def _add_a_contribution(self, contribution: np.ndarray, count: int) -> None:
-        """Accumulate an already formed float32 ``Σ rowᵀ row`` over ``count`` rows (adopts the array)."""
+        """Accumulate an already formed float32 ``Σ rowᵀ row`` over ``count`` rows, in packed form (adopts the array)."""
         if self._a_accum is None:
             self._a_accum = contribution
         else:
@@ -299,18 +302,19 @@ class KFACLayer:
     def _add_bias_folded_a(self, cols: np.ndarray) -> None:
         """Fold activations ``cols`` (features x samples) into a dense A with the bias coordinate.
 
-        ``A[:k, :k]`` is ``cols @ colsᵀ``; the homogeneous coordinate's row
-        and column are the feature sums and its corner the sample count, so
-        the column of ones is never materialised.
+        ``A[:k, :k]`` is ``cols @ colsᵀ``; the homogeneous coordinate's
+        column is the feature sums and its corner the sample count, so the
+        column of ones is never materialised.  Only the upper triangle is
+        kept, so the mirror-image row is never written.
         """
         cols = cols.astype(np.float32, copy=False)
         k, count = cols.shape
         contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
         np.matmul(cols, cols.T, out=contribution[:k, :k])
         if self.has_bias:
-            contribution[k, :k] = contribution[:k, k] = cols.sum(axis=1)
+            contribution[:k, k] = cols.sum(axis=1)
             contribution[k, k] = count
-        self._add_a_contribution(contribution, count)
+        self._add_a_contribution(pack_triangle(contribution), count)
 
     def _add_g_stat(self, rows: np.ndarray, row_scale: float = 1.0) -> None:
         """Accumulate ``Σ (s·row)ᵀ (s·row)`` for ``s = row_scale``: the product first, then ``s²`` on its small result."""
@@ -327,18 +331,21 @@ class KFACLayer:
         """Accumulate per-feature G second moments (normalization handlers).
 
         Structured storage adds straight into the packed vector; the forced
-        ``dense`` oracle reproduces the historical diagonal-view accumulation
-        into a dense matrix bitwise.
+        ``dense`` oracle adds to the diagonal of a dense factor's triangle.
         """
-        if self.g_repr.is_dense:
-            if self._g_accum is None:
-                self._g_accum = np.zeros((self.g_dim, self.g_dim), dtype=np.float32)
-            np.einsum("ii->i", self._g_accum)[...] += squares  # diagonal view: no cross terms
-        else:
-            if self._g_accum is None:
-                self._g_accum = np.zeros(self.g_dim, dtype=np.float32)
-            self._g_accum += squares
+        self._g_accum = self._add_to_diagonal(self._g_accum, self.g_repr, squares)
         self._g_count += count
+
+    @staticmethod
+    def _add_to_diagonal(accum: Optional[np.ndarray], repr: FactorRepr, values: np.ndarray) -> np.ndarray:
+        """``accum`` (zeros if ``None``) with ``values`` added on the diagonal: no cross terms, no dense temporary."""
+        if accum is None:
+            accum = np.zeros(repr.packed_shape, dtype=np.float32)
+        if repr.is_dense:
+            accum[repr.diagonal_positions()] += values
+        else:
+            accum += values
+        return accum
 
     # -------------------------------------------------------------- factors
     @property
@@ -430,7 +437,9 @@ class KFACLayer:
 
         The checkpoint's representation tags must match the layer's current
         representations — a checkpoint taken with structured factors cannot be
-        silently reinterpreted by a forced-dense layer (or vice versa).
+        silently reinterpreted by a forced-dense layer (or vice versa).  Under
+        a ``dense`` tag a factor or accumulator may be the packed triangle or
+        the square matrix earlier versions stored, which is packed here.
         """
         factor_dtype = self.precision.factor_dtype
         inverse_dtype = self.precision.inverse_dtype
@@ -443,15 +452,14 @@ class KFACLayer:
                     f"{FactorRepr.from_state(tag).describe()}, but the layer uses {repr.describe()}"
                 )
 
-        def load_factor(value: Optional[np.ndarray], repr: FactorRepr, what: str) -> Optional[np.ndarray]:
+        def load_factor(value: Optional[np.ndarray], repr: FactorRepr, what: str, dtype) -> Optional[np.ndarray]:
             if value is None:
                 return None
-            value = np.asarray(value)
             try:
-                repr.check_packed(value, what)
+                value = repr.as_packed(value, what)
             except ValueError as error:
                 raise ValueError(f"layer {self.name!r}: {error}") from None
-            return value.astype(factor_dtype)
+            return value.astype(dtype)  # a copy: factors and accumulators are updated in place
 
         def load_eigen(value, repr: FactorRepr, what: str) -> Optional[EigenDecomposition]:
             if value is None:
@@ -482,8 +490,8 @@ class KFACLayer:
                 eigenvectors=eigenvectors, eigenvalues=eigenvalues.astype(inverse_dtype)
             )
 
-        self.factor_a = load_factor(state["factor_a"], self.a_repr, "A factor")
-        self.factor_g = load_factor(state["factor_g"], self.g_repr, "G factor")
+        self.factor_a = load_factor(state["factor_a"], self.a_repr, "A factor", factor_dtype)
+        self.factor_g = load_factor(state["factor_g"], self.g_repr, "G factor", factor_dtype)
         self.eigen_a = load_eigen(state["eigen_a"], self.a_repr, "A")
         self.eigen_g = load_eigen(state["eigen_g"], self.g_repr, "G")
         outer = state["inverse_outer"]
@@ -497,9 +505,8 @@ class KFACLayer:
                     f"expected {(self.g_dim, self.a_dim)}"
                 )
             self.inverse_outer = outer.astype(inverse_dtype)
-        # Copies: the accumulators are updated and averaged in place.
-        self._a_accum = None if state["a_accum"] is None else np.array(state["a_accum"], dtype=np.float32)
-        self._g_accum = None if state["g_accum"] is None else np.array(state["g_accum"], dtype=np.float32)
+        self._a_accum = load_factor(state["a_accum"], self.a_repr, "A accumulator", np.float32)
+        self._g_accum = load_factor(state["g_accum"], self.g_repr, "G accumulator", np.float32)
         self._a_count = int(state["a_count"])
         self._g_count = int(state["g_count"])
 
@@ -692,15 +699,7 @@ class KFACEmbeddingLayer(KFACLayer):
     def _accumulate_a(self, x: np.ndarray, output) -> None:
         ids = np.asarray(x).reshape(-1).astype(np.int64)
         counts = np.bincount(ids, minlength=self.module.num_embeddings).astype(np.float32)
-        if self.a_repr.is_dense:
-            # Forced-dense parity oracle: the historical diagonal-view update.
-            if self._a_accum is None:
-                self._a_accum = np.zeros((self.a_dim, self.a_dim), dtype=np.float32)
-            np.einsum("ii->i", self._a_accum)[...] += counts  # diagonal view: no V x V temporary
-        else:
-            if self._a_accum is None:
-                self._a_accum = np.zeros(self.a_dim, dtype=np.float32)
-            self._a_accum += counts
+        self._a_accum = self._add_to_diagonal(self._a_accum, self.a_repr, counts)
         self._a_count += ids.size
 
     def get_gradient(self) -> np.ndarray:
@@ -721,8 +720,8 @@ class _KFACScaleShiftLayer(KFACLayer):
     feature.  It is folded into the Kronecker template the same way
     convolution folds its spatial positions: every element of ``x̂``
     contributes one activation row ``[x̂, 1]`` — giving a dense 2x2 ``A``
-    factor (the weight/bias homogeneous coordinate), filled in from ``Σx̂²``,
-    ``Σx̂`` and the element count — while the ``G`` statistics are accumulated
+    factor (the weight/bias homogeneous coordinate; three stored elements),
+    filled in from ``Σx̂²``, ``Σx̂`` and the element count — while the ``G`` statistics are accumulated
     *only on the diagonal* (per-feature second moments of the output
     gradient), so no feature-feature cross terms are estimated and the eigen
     basis of ``G`` stays axis-aligned.  G is therefore *stored* as its
@@ -743,11 +742,12 @@ class _KFACScaleShiftLayer(KFACLayer):
     def _add_x_hat_stat(self, x_hat: np.ndarray) -> None:
         """Fold the normalized activations into A: ``Σ [x̂, 1]ᵀ [x̂, 1]`` over every element."""
         flat = x_hat.astype(np.float32, copy=False).reshape(-1)
-        contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
-        contribution[0, 0] = flat @ flat
+        # The packed triangle of the 2x2 (or 1x1) matrix, written directly: [Σx̂², Σx̂, count].
+        contribution = np.empty(self.a_repr.packed_numel, dtype=np.float32)
+        contribution[0] = flat @ flat
         if self.has_bias:
-            contribution[0, 1] = contribution[1, 0] = flat.sum()
-            contribution[1, 1] = flat.size
+            contribution[1] = flat.sum()
+            contribution[2] = flat.size
         self._add_a_contribution(contribution, flat.size)
 
     def get_gradient(self) -> np.ndarray:

@@ -154,7 +154,6 @@ class KFAC(Preconditioner):
         self.grad_scaler = grad_scaler
         self.comm = comm if comm is not None else SingleProcessCommunicator()
         self.compute_eigen_outer = config.compute_eigen_outer
-        self.triangular_comm = config.triangular_comm
         self.dense_factors = config.dense_factors
         self.bucket_cap_mb = config.bucket_cap_mb  # may be the string "auto"
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -252,10 +251,9 @@ class KFAC(Preconditioner):
         tensor_nbytes = []
         for layer in self.layers.values():
             for repr_ in (layer.a_repr, layer.g_repr):
-                # Size the cap from the *wire* payloads: structured factors
-                # travel packed (O(F) for diagonal), dense optionally as the
-                # upper triangle.
-                tensor_nbytes.append(repr_.comm_numel(self.triangular_comm) * itemsize)
+                # Size the cap from the *wire* payloads: every factor travels as
+                # it is stored (a dense one as its triangle, O(F) for diagonal).
+                tensor_nbytes.append(repr_.packed_numel * itemsize)
         return choose_bucket_cap(EDR_INFINIBAND, tensor_nbytes, world_size=self.comm.world_size)
 
     # ----------------------------------------------------------- construction
@@ -410,7 +408,7 @@ class KFAC(Preconditioner):
                 # observes) identical factors and hence derives the identical
                 # plan without extra communication; with it off the factors are
                 # not read here and a rank that does not hold them passes None.
-                sched.observe_factors(name, step, layer.factor_a, layer.factor_g)
+                sched.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
 
             if sanitizer is not None:
                 # The refresh plan and damping are functions of allreduced state
@@ -496,7 +494,7 @@ class KFAC(Preconditioner):
             return None
         if layer.factor_a is None or layer.factor_g is None:
             return None
-        return tikhonov_pi(layer.factor_a, layer.factor_g)
+        return tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
 
     # ------------------------------------------------------------ stage 1: factors
     # Every rank contributes its *window average*; the average over ranks is
@@ -579,11 +577,10 @@ class KFAC(Preconditioner):
         """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``names``.
 
         Allreduce-average is elementwise, so coalescing the per-layer factor
-        matrices into fused buckets changes the message count (and hence the
-        latency cost) but not a single result bit.  Each factor travels in its
-        repr's wire form: dense optionally as the packed upper triangle,
-        structured factors as their (already packed) storage — O(F) on the
-        wire for diagonal layers.  Keys, wire shapes and dtype come from the
+        tensors into fused buckets changes the message count (and hence the
+        latency cost) but not a single result bit.  Each factor travels as it
+        is stored: a dense one as its packed triangle (a symmetric matrix is
+        shipped once), a diagonal one as O(F) elements.  Keys, wire shapes and dtype come from the
         plan's ``factor_round``; bound here are ``pack``, which returns this
         rank's window average (:meth:`factor_window`, taken once per pending
         step), and ``install``, which collects the averaged pair and, if every
@@ -593,10 +590,8 @@ class KFAC(Preconditioner):
         else.  The running average is linear, so folding the averaged window
         once is the estimator every rank used to fold for itself.
         """
-        triangular = self.triangular_comm
-
         def pack(layer: KFACLayer, index: int) -> np.ndarray:
-            return layer.factor_repr("ag"[index]).pack_comm(self.factor_window(layer)[index], triangular)
+            return self.factor_window(layer)[index]
 
         def install(layer: KFACLayer, received: Dict[str, np.ndarray], which: str, array: np.ndarray) -> None:
             received[which] = array
@@ -605,8 +600,7 @@ class KFAC(Preconditioner):
             if self.accept_factor_window(layer, received["a"], received["g"]):
                 for held in ("a", "g"):
                     if self.holds_factor(layer.name, held):
-                        window = layer.factor_repr(held).unpack_comm(received[held], triangular)
-                        layer.fold_factor(held, window, self.factor_decay)
+                        layer.fold_factor(held, received[held], self.factor_decay)
             received.clear()
 
         for name in names:
@@ -675,7 +669,7 @@ class KFAC(Preconditioner):
         """Decompose the factors this rank owns among the due layers ``names``.
 
         The plan says which factors this rank decomposes (``decomposers``);
-        dense factors are grouped by shape/dtype and each group goes through
+        dense factors (packed triangles) are grouped by dimension/dtype and each group goes through
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
         call.  Only due layers enter a batch, so the scheduler's skip
         decisions are preserved.  A solve that fails (a non-finite factor, a
@@ -700,14 +694,14 @@ class KFAC(Preconditioner):
             if not repr_.is_dense:
                 # Structured factors have their own fast path (a spectrum
                 # clamp for diagonal, a per-block batch for block-diagonal)
-                # and never enter the square shape-grouped batches below.
+                # and never enter the dimension-grouped dense batches below.
                 try:
                     decomposition = self.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
                 except (ValueError, np.linalg.LinAlgError) as error:
                     raise _named_eigen_failure(error, [(name, which)]) from error
                 done.append((name, which, decomposition))
                 continue
-            key = (factor.shape, factor.dtype.str)
+            key = (repr_.dim, factor.dtype.str)
             shape_groups.setdefault(key, []).append((name, which, factor))
         structured_count = len(done)
         for members in shape_groups.values():

@@ -33,19 +33,24 @@ __all__ = ["FactorUpdateScheduler", "factor_drift"]
 _DRIFT_EPS = 1e-12
 
 
-def factor_drift(new: np.ndarray, old: np.ndarray) -> float:
-    """Normalized Frobenius change ``||new - old||_F / ||old||_F`` (float64).
+def factor_drift(new: np.ndarray, old: np.ndarray, repr=None) -> float:
+    """Normalized Frobenius change ``||new - old||_F / ||old||_F`` of the represented matrices (float64).
 
-    Shape-agnostic: factors arrive in their stored representation (dense
-    ``(n, n)``, diagonal ``(n,)`` or block-diagonal ``(blocks, bs, bs)``
-    packed arrays, :class:`~repro.kfac.factors.FactorRepr`), and since the
-    packed form holds exactly the nonzero entries, the Frobenius norm over it
-    equals the norm over the equivalent dense matrix.
+    Factors arrive in their stored form and ``repr`` (their
+    :class:`~repro.kfac.factors.FactorRepr`) says which: the packed triangle of
+    a dense factor holds every off-diagonal entry once, so its norm weighs
+    them twice (:meth:`~repro.kfac.factors.FactorRepr.frobenius_norm`) and the
+    drift stays the full-matrix quantity ``drift_tol`` was tuned on.  A
+    diagonal vector or a block stack holds exactly the nonzero entries; with
+    ``repr=None`` the arrays are taken at face value (any shape).  ``old`` may
+    still be the square matrix a checkpoint from before packed storage holds.
     """
+    if repr is None:
+        norm = np.linalg.norm
+    else:
+        norm, old = repr.frobenius_norm, repr.as_packed(old, "drift snapshot")
     old64 = old.astype(np.float64)
-    new64 = new.astype(np.float64)
-    denom = float(np.linalg.norm(old64)) + _DRIFT_EPS
-    return float(np.linalg.norm(new64 - old64)) / denom
+    return float(norm(new.astype(np.float64) - old64)) / (float(norm(old64)) + _DRIFT_EPS)
 
 
 class _LayerSchedule:
@@ -166,8 +171,13 @@ class FactorUpdateScheduler:
         return step >= self._layers[name].next_eigen_step
 
     # -------------------------------------------------------------- observe
-    def observe_factors(self, name: str, step: int, factor_a: np.ndarray, factor_g: np.ndarray) -> float:
+    def observe_factors(
+        self, name: str, step: int, factor_a: np.ndarray, factor_g: np.ndarray, a_repr=None, g_repr=None
+    ) -> float:
         """Record a performed factor update and measure drift (post-allreduce).
+
+        ``a_repr`` / ``g_repr`` are the factors' representations, which
+        :func:`factor_drift` needs to weigh a packed triangle as its matrix.
 
         With drift tracking on, must be called with the factors folded from
         the *allreduced* windows (every rank then holds all of them), so every
@@ -183,7 +193,7 @@ class FactorUpdateScheduler:
         drift = 0.0
         if self.drift_tol > 0.0 and state.snapshot_a is not None:
             drift = 0.5 * (
-                factor_drift(factor_a, state.snapshot_a) + factor_drift(factor_g, state.snapshot_g)
+                factor_drift(factor_a, state.snapshot_a, a_repr) + factor_drift(factor_g, state.snapshot_g, g_repr)
             )
             state.last_drift = drift
             if drift > self.drift_tol and step < state.next_eigen_step:

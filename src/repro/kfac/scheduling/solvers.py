@@ -110,7 +110,9 @@ def kronecker_cg(
     (semi-)definite matrices plus damping, hence SPD under the Frobenius
     inner product — plain CG applies, with each operator application costing
     two small matmuls instead of ever forming or factorizing the Kronecker
-    product.  Runs in float64; returns ``(solution, iterations)``.
+    product.  ``factor_a`` / ``factor_g`` are square matrices
+    (:meth:`FactorRepr.to_dense` of the stored form).  Runs in float64;
+    returns ``(solution, iterations)``.
     """
     a64 = factor_a.astype(np.float64)
     g64 = factor_g.astype(np.float64)
@@ -209,8 +211,9 @@ class InverseSolveStrategy(SolveStrategy):
         if layer.factor_a is None or layer.factor_g is None:
             raise RuntimeError(f"layer {layer.name!r} has no factors to invert")
         damping_a, damping_g = split_damping(damping, pi)
-        self.inv_a = damped_inverse(layer.factor_a, damping_a)
-        self.inv_g = damped_inverse(layer.factor_g, damping_g)
+        # The inverse reads the whole matrix: one of the two places a stored factor is expanded.
+        self.inv_a = damped_inverse(layer.a_repr.to_dense(layer.factor_a), damping_a)
+        self.inv_g = damped_inverse(layer.g_repr.to_dense(layer.factor_g), damping_g)
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
@@ -271,8 +274,8 @@ class CGSolveStrategy(SolveStrategy):
         damping_a, damping_g = split_damping(damping, pi)
         warm = self.last_solution if self.last_solution is not None and self.last_solution.shape == grad.shape else None
         solution, iterations = kronecker_cg(
-            layer.factor_a,
-            layer.factor_g,
+            layer.a_repr.to_dense(layer.factor_a),
+            layer.g_repr.to_dense(layer.factor_g),
             grad,
             damping_a,
             damping_g,

@@ -69,7 +69,7 @@ def pack_eigen(eigen: EigenDecomposition, dtype=np.float32) -> np.ndarray:
     """Pack an eigen decomposition into one flat buffer in ``dtype``.
 
     The buffer is the eigenvalues followed by the stored eigenvectors —
-    ``n + n*n`` elements for a dense factor, ``n`` for a diagonal one (the
+    ``n + n*n`` elements for a dense factor (the eigenbasis is not symmetric: it stays square), ``n`` for a diagonal one (the
     identity eigenbasis is implicit and never hits the wire) and
     ``n + num_blocks*bs²`` for a block-diagonal stack.
     """
@@ -171,11 +171,10 @@ class WirePolicy:
     """How K-FAC state is stored and travels: the knobs that size a tensor without moving it."""
 
     precision: PrecisionPolicy = PrecisionPolicy.fp32()
-    triangular_comm: bool = False  # dense factors allreduced as their upper triangle (section 4.3)
     compute_eigen_outer: bool = True  # cache (and, where one rank forms it, ship) the eigenvalue outer product
 
     def factor_bytes(self, layer: LayerShapeInfo, which: str = "ag") -> int:
-        """Bytes of ``layer``'s stored running ``"a"`` / ``"g"`` factor, or both (packed: O(F) for a diagonal one)."""
+        """Bytes of ``layer``'s stored running ``"a"`` / ``"g"`` factor, or both (packed: one triangle of a dense one, O(F) for a diagonal one)."""
         numel = sum(layer.factor_repr(one).packed_numel for one in which)
         return numel * np.dtype(self.precision.factor_dtype).itemsize
 
@@ -422,8 +421,8 @@ class DistributionStrategy:
         (``drift_tol > 0`` derives the refresh plan from factor drift on every
         rank, ``damping_pi_correction`` takes both traces wherever it damps).
         Factors are allreduced world-wide as the ranks' *window* averages, in
-        their repr's wire form: structured factors packed (O(F) for a diagonal
-        one), dense optionally as the upper triangle.
+        the form they are stored in: a dense one as its packed triangle (section
+        4.3's optimisation, here the only layout), a diagonal one as O(F) elements.
         """
         layers = list(layers)
         groups = self.assign(layers)
@@ -445,7 +444,7 @@ class DistributionStrategy:
                     plan.factor_holders[name, which] = tuple(sorted(group.grad_workers))
             plan.eigen_holders[name] = tuple(sorted(group.grad_workers)) if needs_eigen else ()
             plan.factor_round[name] = tuple(
-                (f"{name}/factor_{which}", layer.factor_repr(which).comm_shape(policy.triangular_comm), factor_dtype)
+                (f"{name}/factor_{which}", layer.factor_repr(which).comm_shape(), factor_dtype)
                 for which in ("a", "g")
             )
             plan.eigen_round[name] = tuple(self.eigen_round(group, policy)) if needs_eigen else ()

@@ -8,17 +8,18 @@ factors are modelled:
 
 * **this tree's**: a running factor lives only on the rank that decomposes it
   (the ranks allreduce their *window* factors and the average is folded where
-  it is read), so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
+  it is read) and a dense one is stored once, as the ``n(n+1)/2`` elements of
+  its triangle, so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
   :meth:`KFACMemoryModel.factor_bytes_per_rank` /
   :meth:`~KFACMemoryModel.eigen_bytes_per_rank` sum the holders of the
   :class:`~repro.kfac.strategy.DistributionPlan` the engine follows under the
   model's :class:`~repro.kfac.KFACConfig`, for every knob that moves state;
-* **the paper's**: every rank keeps every factor, because its factor
-  allreduce leaves a copy of the running average everywhere, so the overhead
-  is ``factors + eigen / world`` and a linear function of
-  ``grad_worker_frac`` -- Table 5's min/max columns and Figure 6's right
-  axes.  :meth:`KFACMemoryModel.factor_bytes` is that term, kept for the
-  paper columns the benchmarks print beside this tree's.
+* **the paper's**: every rank keeps every factor as a full ``n x n`` square,
+  because its factor allreduce leaves a copy of the running average
+  everywhere, so the overhead is ``factors + eigen / world`` and a linear
+  function of ``grad_worker_frac`` -- Table 5's min/max columns and Figure 6's
+  right axes.  :meth:`KFACMemoryModel.paper_factor_bytes` is that term, kept
+  for the paper columns the benchmarks print beside this tree's.
 
 Regular training memory is modelled as weights + gradients + optimizer state
 + an activation estimate proportional to the local batch size.  Activation
@@ -139,14 +140,20 @@ class KFACMemoryModel:
 
     # ------------------------------------------------------------- components
     def factor_bytes(self) -> int:
-        """Bytes of all Kronecker factors: what every rank holds in the paper's replicated layout.
+        """Bytes of all Kronecker factors, each stored once: what the ranks of this tree hold between them.
 
-        Each factor is charged at its stored (packed) size: ``n²`` elements
-        for dense, ``n`` for diagonal, ``blocks·bs²`` for block-diagonal —
-        matching the arrays the handlers actually allocate.
+        Each factor is charged at its stored (packed) size: ``n(n+1)/2``
+        elements for dense, ``n`` for diagonal, ``blocks·bs²`` for
+        block-diagonal — matching the arrays the handlers actually allocate.
         """
         policy = self.config.wire_policy()
         return sum(policy.factor_bytes(layer) for layer in self.layers)
+
+    def paper_factor_bytes(self) -> int:
+        """What *every* rank holds in the paper's layout: all factors, a dense one as the full ``n x n`` square."""
+        itemsize = np.dtype(self.config.precision_policy().factor_dtype).itemsize
+        reprs = [repr_ for layer in self.layers for repr_ in (layer.a_repr, layer.g_repr)]
+        return itemsize * sum(repr_.dim**2 if repr_.is_dense else repr_.packed_numel for repr_ in reprs)
 
     def factor_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
         """Running-factor bytes held by each rank: the plan's ``factor_holders``, summed.

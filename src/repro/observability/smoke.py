@@ -11,10 +11,13 @@ the same layer set.  Used three ways:
 
 * the CI trace-smoke job: ``python -m repro.observability.smoke --out
   trace.json`` (exit code non-zero if the exported trace fails validation, if
-  the ranks' running factors do not add up to every factor stored once, or if
-  the modeled K-FAC messages or bytes differ from the communication log's;
-  beside the messages table it prints each rank's median optimizer step,
-  pipeline flush and K-FAC write-back, :data:`GLUE_SPANS`);
+  the ranks' running factors do not add up to every factor stored once, if a
+  rank's factor bytes are not the packed triangles of the factors it holds --
+  ``n(n+1)/2`` elements per dense factor, a regression to square storage --
+  or if the modeled K-FAC messages or bytes differ from the communication
+  log's; beside the messages table it prints the factor round's bytes per
+  update and each rank's median optimizer step, pipeline flush and K-FAC
+  write-back, :data:`GLUE_SPANS`);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
   :func:`modeled_schedule_for_run` and :func:`kfac_traffic` to print
   modeled-vs-measured columns;
@@ -56,7 +59,9 @@ def run_traced_bert(
     ``(tracers, run_info)`` where ``run_info`` records the knobs needed to
     rebuild the matching analytic schedule, each rank's final
     :meth:`KFAC.memory_usage` (``"memory_usage"``), the bytes of all
-    registered factors (``"registered_factor_bytes"``), what the world's
+    registered factors (``"registered_factor_bytes"``), the bytes the factors
+    each rank holds take as packed triangles, worked out from their dimensions
+    (``"held_triangle_bytes"``), what the world's
     :class:`~repro.distributed.CommunicationLog` counted (``"logged"``:
     ``{op: (messages, bytes)}``) and the part of it that is data-parallel
     gradient averaging, per step (``"grad_sync"``: the same pair, from the
@@ -105,10 +110,18 @@ def run_traced_bert(
             trainer.train_step(batch)
         plan = preconditioner.plan
         registered = sum(plan.policy.factor_bytes(group.layer) for group in plan.groups.values())
+        # From the dimensions, not from what the arrays or the plan say: n(n+1)/2 per dense factor held.
+        itemsize = preconditioner.precision.factor_dtype.itemsize
+        triangles = itemsize * sum(
+            repr_.dim * (repr_.dim + 1) // 2 if repr_.is_dense else repr_.packed_numel
+            for name, layer in preconditioner.layers.items()
+            for which, repr_ in (("a", layer.a_repr), ("g", layer.g_repr))
+            if preconditioner.holds_factor(name, which)
+        )
         averaging = GradientAveragingSubscriber(model).specs(1.0, comm.world_size)
         grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
         grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
-        return trainer.tracer, preconditioner.memory_usage(), registered, grad_sync, comm.log
+        return trainer.tracer, preconditioner.memory_usage(), registered, grad_sync, comm.log, triangles
 
     per_rank = run_spmd(world_size, program)
     tracers = [entry[0] for entry in per_rank]
@@ -124,6 +137,7 @@ def run_traced_bert(
         "bucket_cap_mb": bucket_cap_mb,
         "memory_usage": [entry[1] for entry in per_rank],
         "registered_factor_bytes": per_rank[0][2],
+        "held_triangle_bytes": [entry[5] for entry in per_rank],
         "grad_sync": per_rank[0][3],
         "logged": {op: (count, log.bytes_by_op[op]) for op, count in log.messages_by_op.items()},
     }
@@ -262,8 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             [[op, expected[0], logged[0], expected[1], logged[1]] for op, (expected, logged) in traffic.items()],
             title=(
                 f"\nK-FAC traffic over {run_info['steps']} steps: the plan's messages "
-                f"({modeled.messages_per_update} messages, {modeled.comm_bytes_per_update} bytes per full update) "
-                "vs the communication log"
+                f"({modeled.messages_per_update} messages, {modeled.comm_bytes_per_update} bytes per full update; "
+                "its factor round {} messages, {} bytes: packed triangles) ".format(*modeled.rounds["factor"])
+                + "vs the communication log"
             ),
         )
     )
@@ -292,6 +307,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         # that decomposes it; more bytes than that is the replicated layout.
         print("ERROR: the running factors summed over ranks are not every factor stored once", file=sys.stderr)
         return 1
+    for rank, (usage, triangles) in enumerate(zip(run_info["memory_usage"], run_info["held_triangle_bytes"])):
+        if usage["factors"] != triangles:
+            # A symmetric factor is stored once: n(n+1)/2 elements, not the n x n square.
+            print(
+                f"ERROR: rank {rank} holds {usage['factors']} factor bytes, but the packed triangles of the "
+                f"factors it holds are {triangles} bytes",
+                file=sys.stderr,
+            )
+            return 1
     if measured.exposed_comm_time > measured.comm_time + 1e-9:
         print("ERROR: measured exposed comm exceeds total comm occupancy", file=sys.stderr)
         return 1

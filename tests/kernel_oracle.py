@@ -10,6 +10,17 @@ everything downstream of an eigendecomposition.  :func:`scipy_syevd` is the
 second reference: SciPy's wrapper of the very driver ``kmath.symmetric_eigen``
 calls through ``cython_lapack``, which the call must equal to the bit.
 
+Since dense factors are stored as packed triangles the oracle is also the
+*square path*: :func:`as_square` expands a stored triangle with
+``FactorRepr.to_dense`` before the eigen reference symmetrises and solves it,
+and :func:`square_fold_reference` is the decay fold on full matrices, packed
+only to be compared.  :class:`SquarePathKernelBackend` decomposes as the
+backend did when factors were stored square (symmetrise, then the same LAPACK
+driver) and :func:`use_square_path` puts a whole preconditioner on it, with
+the drift norm and the π traces taken over full matrices as well.  The packed
+fold, the packed allreduce average, the ``?tpttr`` -> ``?syevd`` solve and
+whole trajectories must equal them to the bit on exactly symmetric windows.
+
 The oracle is deliberately *not* registered under a name: a fresh import of
 ``repro`` has one backend, and a test that wants a whole preconditioner on
 these kernels swaps them in with :func:`use_reference_kernels`.
@@ -20,7 +31,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 
-from repro.kfac import EigenDecomposition, KernelBackend, eigenvalue_outer_product, precondition_with_eigen
+from repro.kfac import EigenDecomposition, FactorRepr, KernelBackend, eigenvalue_outer_product, precondition_with_eigen
+from repro.kfac.kmath import triangle_dim
+
+
+def as_square(factor):
+    """A dense factor as the full matrix: a stored packed triangle is expanded, a square passes through."""
+    return FactorRepr.dense(triangle_dim(factor.shape[0])).to_dense(factor) if factor.ndim == 1 else factor
 
 
 def scipy_syevd(factor):
@@ -30,6 +47,7 @@ def scipy_syevd(factor):
 
 def reference_symmetric_eigen(factor, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
     """Symmetrise, solve with ``syevr`` in at least single precision, clamp round-off negatives."""
+    factor = as_square(factor)
     if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
         raise ValueError(f"factor must be square, got shape {factor.shape}")
     compute_dtype = np.dtype(compute_dtype)
@@ -69,6 +87,96 @@ class ReferenceKernelBackend(KernelBackend):
         for grad, precond in grads_and_precond:
             total += float(np.sum(grad.astype(np.float64, copy=False) * precond.astype(np.float64, copy=False)))
         return total
+
+
+def square_fold_reference(repr_, running, window, decay, store_dtype):
+    """The decay fold on full matrices, as it ran when a dense factor was stored square; returned packed.
+
+    ``running`` and ``window`` are the stored (packed) operands; both are
+    expanded, blended with the plain upcast expression and cast to the storage
+    dtype as squares.  The fold is elementwise, so the packed fold must equal
+    this to the bit.
+    """
+    decay = float(decay)
+    running, window = repr_.to_dense(running), repr_.to_dense(window)
+    blend = decay * running.astype(np.float32, copy=False) + (1.0 - decay) * window.astype(np.float32, copy=False)
+    return repr_.from_dense(blend.astype(store_dtype))
+
+
+class SquarePathKernelBackend(KernelBackend):
+    """The built-in backend with every dense decomposition computed as it was when factors were stored square.
+
+    Each factor is expanded to the full matrix, symmetrised with
+    ``0.5 * (F + Fᵀ)`` and solved by the same driver: stacked
+    ``np.linalg.eigh`` up to dimension 32, ``syevd`` beyond (through SciPy's
+    wrapper, which the ``ctypes`` call equals to the bit).  Everything else is
+    inherited, so a trajectory on this backend differs from the packed one
+    only if expanding the triangle is not the symmetrised square.
+    """
+
+    name = "square-path"
+
+    def batched_symmetric_eigen(self, factors, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
+        from repro.kfac.kernels import STACK_EIGH_MAX_DIM
+
+        factors = [as_square(np.asarray(factor)) for factor in factors]
+        if not factors:
+            return []
+        compute_dtype = np.dtype(compute_dtype)
+        solve_dtype = np.dtype(eigh_dtype) if eigh_dtype is not None else np.promote_types(compute_dtype, np.float32)
+        if factors[0].shape[0] > STACK_EIGH_MAX_DIM:
+            pairs = [scipy_syevd(factor.astype(solve_dtype, copy=False)) for factor in factors]
+            eigenvalues, eigenvectors = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+        else:
+            stack = np.stack([factor.astype(solve_dtype, copy=False) for factor in factors])
+            eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (stack + stack.transpose(0, 2, 1)))
+        return [
+            EigenDecomposition(
+                eigenvectors=vectors.astype(compute_dtype, copy=False),
+                eigenvalues=(np.maximum(values, 0.0) if clamp_negative else values).astype(compute_dtype, copy=False),
+            )
+            for values, vectors in zip(eigenvalues, eigenvectors)
+        ]
+
+
+def use_square_path(preconditioner):
+    """Put ``preconditioner`` on the square path: the trajectory oracle for packed storage; returns it.
+
+    Storage stays as it is; every reader of a dense factor is handed the full
+    matrix and computes what it computed before packed storage: the
+    decompositions (:class:`SquarePathKernelBackend`), the drift (elementwise
+    Frobenius norm of the squares, snapshots included) and the π traces
+    (``np.trace``).  The ``inverse`` / ``cg`` solvers expand for themselves.
+    """
+    oracle = SquarePathKernelBackend()
+    preconditioner.kernels = oracle
+    for layer in preconditioner.layers.values():
+        layer.kernels = oracle
+
+    def squares(name, factor_a, factor_g):
+        layer = preconditioner.layers[name]
+        pairs = ((factor_a, layer.a_repr), (factor_g, layer.g_repr))
+        return [f if f is None or not r.is_dense else r.to_dense(f) for f, r in pairs]
+
+    scheduler = preconditioner.factor_scheduler
+    observe, mark = scheduler.observe_factors, scheduler.mark_second_order
+    scheduler.observe_factors = lambda name, step, a, g, *reprs: observe(name, step, *squares(name, a, g))
+    scheduler.mark_second_order = lambda name, step, a, g: mark(name, step, *squares(name, a, g))
+
+    def square_pi(layer):
+        if not preconditioner.damping_pi_correction or layer.factor_a is None or layer.factor_g is None:
+            return None
+        means = []
+        for factor, dim in zip(squares(layer.name, layer.factor_a, layer.factor_g), (layer.a_dim, layer.g_dim)):
+            wide = factor.astype(np.float64)
+            trace = np.trace(wide) if wide.ndim == 2 else np.einsum("nii->", wide) if wide.ndim == 3 else np.sum(wide)
+            means.append(float(trace) / max(dim, 1))
+        if not all(np.isfinite(mean) and mean > 1e-12 for mean in means):
+            return 1.0
+        return float(np.sqrt(means[0] / means[1]))
+
+    preconditioner.damping_pi = square_pi
+    return preconditioner
 
 
 def replicated_fold_reference(layer, a_new, g_new, factor_decay):

@@ -532,7 +532,7 @@ class TestKFACOverlapBitwise:
     WORLD = 4
     STEPS = 3
 
-    def _train(self, frac, bucket_cap_mb, triangular=False, world=None):
+    def _train(self, frac, bucket_cap_mb, world=None):
         world_size = world or self.WORLD
         x, y = make_problem(seed=11)
         loss_fn = nn.CrossEntropyLoss()
@@ -545,7 +545,6 @@ class TestKFACOverlapBitwise:
                 factor_update_freq=1,
                 inv_update_freq=1,
                 bucket_cap_mb=bucket_cap_mb,
-                triangular_comm=triangular,
             )
             pre = KFAC.from_config(model, config, comm=comm)
             n = x.shape[0] // comm.world_size
@@ -567,12 +566,6 @@ class TestKFACOverlapBitwise:
         for cap in (0.001, DEFAULT_CAP_MB):
             for rank, (a, b) in enumerate(zip(alone, self._train(frac, cap))):
                 np.testing.assert_array_equal(a, b, err_msg=f"rank {rank} diverged under frac={frac}, cap={cap}")
-
-    def test_overlap_with_triangular_comm(self):
-        alone = self._train(0.5, ALONE_CAP_MB, triangular=True)
-        fused = self._train(0.5, DEFAULT_CAP_MB, triangular=True)
-        for a, b in zip(alone, fused):
-            np.testing.assert_array_equal(a, b)
 
     def test_overlap_single_process(self):
         x, y = make_problem()

@@ -92,7 +92,8 @@ class TestFactorReprBasics:
         n = 4096
         dense, diag = FactorRepr.dense(n), FactorRepr.diagonal(n)
         block = FactorRepr.block_diagonal(n, 64)
-        assert dense.packed_numel == n * n
+        assert dense.packed_numel == n * (n + 1) // 2 and dense.packed_shape == (n * (n + 1) // 2,)  # one triangle
+        assert dense.eigenvector_numel == n * n  # the eigenbasis is not symmetric: it stays square
         assert diag.packed_numel == n  # O(F), the point of the representation
         assert block.packed_numel == (n // 64) * 64 * 64
         # Diagonal factors have an implicit identity eigenbasis: zero stored vectors.
@@ -116,8 +117,7 @@ class TestFactorReprBasics:
     def test_to_dense_from_dense_round_trip(self, repr_):
         rng = np.random.default_rng(repr_.packed_numel)
         if repr_.kind == "dense":
-            packed = rng.standard_normal((6, 6)).astype(np.float32)
-            packed = packed + packed.T
+            packed = rng.standard_normal(21).astype(np.float32)  # the upper triangle of a 6x6, row by row
         elif repr_.kind == "diagonal":
             packed = rng.standard_normal(6).astype(np.float32)
         else:
@@ -125,30 +125,29 @@ class TestFactorReprBasics:
             packed = blocks + blocks.transpose(0, 2, 1)
         dense = repr_.to_dense(packed)
         assert dense.shape == (6, 6)
+        np.testing.assert_array_equal(dense, dense.T)
         np.testing.assert_array_equal(repr_.from_dense(dense), packed)
+        np.testing.assert_array_equal(repr_.as_packed(packed), packed)
         assert repr_.trace(packed) == pytest.approx(np.trace(dense))
+        assert repr_.frobenius_norm(packed) == pytest.approx(np.linalg.norm(dense.astype(np.float64)), rel=1e-12)
+        if repr_.kind == "dense":
+            np.testing.assert_array_equal(packed[repr_.diagonal_positions()], np.diag(dense))
+            np.testing.assert_array_equal(repr_.as_packed(dense), packed)  # the square layout of older checkpoints
+        else:
+            with pytest.raises(ValueError, match="only a dense factor"):
+                repr_.diagonal_positions()
+            with pytest.raises(ValueError, match="expected"):
+                repr_.as_packed(dense)
 
-    @pytest.mark.parametrize("triangular", [False, True])
-    def test_pack_unpack_comm_round_trip(self, triangular):
-        for repr_ in (FactorRepr.dense(5), FactorRepr.diagonal(5), FactorRepr.block_diagonal(6, 2)):
-            rng = np.random.default_rng(7)
-            if repr_.kind == "dense":
-                packed = rng.standard_normal((5, 5)).astype(np.float32)
-                packed = packed + packed.T
-            elif repr_.kind == "diagonal":
-                packed = rng.standard_normal(5).astype(np.float32)
-            else:
-                blocks = rng.standard_normal((3, 2, 2)).astype(np.float32)
-                packed = blocks + blocks.transpose(0, 2, 1)
-            payload = repr_.pack_comm(packed, triangular)
-            assert payload.shape == repr_.comm_shape(triangular)
-            assert payload.size == repr_.comm_numel(triangular)
-            np.testing.assert_array_equal(repr_.unpack_comm(payload, triangular), packed)
-        # Triangular packing only compresses dense factors; structured payloads
-        # are already minimal.
-        assert FactorRepr.dense(5).comm_numel(True) == 15
-        assert FactorRepr.diagonal(5).comm_numel(True) == 5
-        assert FactorRepr.block_diagonal(6, 2).comm_numel(True) == 12
+    def test_comm_shape_is_the_storage_form(self):
+        """A factor travels as it is stored: a dense one as its triangle (section 4.3, the only layout)."""
+        for repr_, shape in (
+            (FactorRepr.dense(5), (15,)),
+            (FactorRepr.diagonal(5), (5,)),
+            (FactorRepr.block_diagonal(6, 2), (3, 2, 2)),
+        ):
+            assert repr_.comm_shape() == repr_.packed_shape == shape
+            assert repr_.packed_numel == int(np.prod(shape))
 
     def test_state_round_trip(self):
         for repr_ in (FactorRepr.dense(9), FactorRepr.diagonal(3), FactorRepr.block_diagonal(8, 4)):
@@ -223,9 +222,12 @@ class TestCostModelRepr:
         dense = LayerShapeInfo(name="emb", a_dim=n, g_dim=other, grad_numel=n * other)
         packed = KFACMemoryModel([structured], param_count=n * other).factor_bytes()
         full = KFACMemoryModel([dense], param_count=n * other).factor_bytes()
-        assert packed == (n + other * other) * 4  # O(F) for the diagonal A
-        assert full == (n * n + other * other) * 4
+        assert packed == (n + other * (other + 1) // 2) * 4  # O(F) for the diagonal A
+        assert full == (n * (n + 1) // 2 + other * (other + 1) // 2) * 4  # dense: one triangle each
         assert packed < full
+        # The paper's layout, for the columns printed beside this tree's: every dense factor a full square.
+        assert KFACMemoryModel([dense], param_count=n * other).paper_factor_bytes() == (n * n + other * other) * 4
+        assert KFACMemoryModel([structured], param_count=n * other).paper_factor_bytes() == (n + other * other) * 4
 
 
 # --------------------------------------------------------------------------- parity
@@ -267,9 +269,11 @@ class TestStructuredVsDenseParity:
         nn.CrossEntropyLoss()(model(ids), labels).backward()
         pre.step()
         emb = next(l for l in pre.layers.values() if isinstance(l, KFACEmbeddingLayer))
-        assert emb.factor_a.shape == (13, 13)
+        assert emb.factor_a.shape == (13 * 14 // 2,)  # "full" since packed storage: the triangle of the 13x13
         # The forced-dense factor is exactly the embedded diagonal.
-        np.testing.assert_array_equal(emb.factor_a, np.diag(np.diag(emb.factor_a)))
+        dense = emb.a_repr.to_dense(emb.factor_a)
+        assert np.diag(dense).sum() > 0
+        np.testing.assert_array_equal(dense, np.diag(np.diag(dense)))
 
     def _train(self, dense_factors, frac, mode="sync", adaptive=False, steps=STEPS):
         ids, labels = make_token_problem(seed=17, samples=64 * self.WORLD)
@@ -416,7 +420,7 @@ class TestBatchNorm2dHandler:
         x_hat = (centered / np.sqrt(var + module.eps)).reshape(-1, 1)
         rows = np.concatenate([x_hat, np.ones_like(x_hat)], axis=1)
         # The off-diagonal entry is the mean of x_hat, zero up to float32 cancellation noise.
-        np.testing.assert_allclose(a_new, rows.T @ rows / rows.shape[0], rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(handler.a_repr.to_dense(a_new), rows.T @ rows / rows.shape[0], rtol=1e-5, atol=1e-6)
 
         # G: per-channel second moments of the (batch-size scaled) output
         # gradient rows, stored as a diagonal vector.

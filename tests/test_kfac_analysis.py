@@ -30,7 +30,8 @@ def small_spec(**overrides):
 class TestWorkloadSpec:
     def test_factor_bytes(self):
         spec = small_spec()
-        expected = sum((l.a_dim ** 2 + l.g_dim ** 2) * 4 for l in spec.layers)
+        triangle = lambda n: n * (n + 1) // 2  # noqa: E731  (a symmetric factor is stored, and shipped, once)
+        expected = sum((triangle(l.a_dim) + triangle(l.g_dim)) * 4 for l in spec.layers)
         assert spec.factor_bytes == expected
 
     def test_gradient_bytes(self):

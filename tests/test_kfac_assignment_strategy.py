@@ -218,4 +218,4 @@ class TestLayerShapeInfo:
     def test_cost_proxies(self):
         info = layer("x", 10, 4)
         assert info.eigen_cost == 10 ** 3 + 4 ** 3
-        assert info.memory_cost == 10 ** 2 + 4 ** 2
+        assert info.memory_cost == 10 * 11 // 2 + 4 * 5 // 2  # what is stored: one triangle each

@@ -587,8 +587,80 @@ class TestStateDictResume:
             assert held_own == held_replicated
             for a, b in zip(grads_own, grads_replicated):
                 np.testing.assert_array_equal(a, b)
-        all_factors = ((6 + 1) ** 2 + 16**2 + (16 + 1) ** 2 + 3**2) * 4
+        all_factors = sum(n * (n + 1) // 2 for n in (6 + 1, 16, 16 + 1, 3)) * 4  # each one stored once, as its triangle
         assert sum(held for _, held in from_replicated) == all_factors
+
+    @pytest.mark.parametrize("world, grad_worker_frac", [(1, 1.0), (2, 0.5), (2, 1.0)], ids=["w1", "w2-mem", "w2-comm"])
+    def test_square_layout_checkpoint_resumes_to_the_same_bits(self, world, grad_worker_frac):
+        """A checkpoint laid out as the commit before packed storage wrote it -- dense factors and window
+        accumulators as full squares, ``triangular_comm`` in the embedded config -- resumes bit for bit."""
+        x_global, y_global = make_problem(11, samples=256, in_dim=6, classes=3)
+        config = KFACConfig(lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac)
+        loss_fn = nn.CrossEntropyLoss()
+
+        def backward(model, pre, seed):
+            local = np.random.default_rng(seed).integers(0, len(x_global), 32)[pre.rank :: pre.world_size]
+            model.zero_grad()
+            loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
+
+        def finish_step(ddp, model, pre):
+            ddp.sync_gradients()
+            pre.step()
+            return np.concatenate([p.grad.ravel() for p in model.parameters()])
+
+        def train(comm):
+            model = MLP(6, [16], 3, rng=np.random.default_rng(1))
+            ddp = DistributedDataParallel(model, comm)
+            pre = KFAC.from_config(model, config, comm=comm)
+            for step in range(6):
+                backward(model, pre, seed=step)
+                finish_step(ddp, model, pre)
+            backward(model, pre, seed=6)  # killed inside step 6, a factor update: the window is in the accumulators
+            state = pre.state_dict()
+            assert all(entry["a_accum"] is not None for entry in state["layers"].values())
+            squares = 0
+            for name, entry in state["layers"].items():
+                for which in ("a", "g"):
+                    repr_ = pre.layers[name].factor_repr(which)
+                    for key in (f"factor_{which}", f"{which}_accum"):
+                        if entry[key] is not None and repr_.is_dense:
+                            entry[key] = repr_.to_dense(entry[key])
+                            squares += 1
+            assert squares >= 4
+            state["config"]["triangular_comm"] = False
+            grads = [p.grad.copy() for p in model.parameters()]
+            uninterrupted = [finish_step(ddp, model, pre)]
+            for step in range(7, 10):
+                backward(model, pre, seed=step)
+                uninterrupted.append(finish_step(ddp, model, pre))
+            return state, model.state_dict(), grads, uninterrupted
+
+        trained = run_spmd(world, train)
+
+        def resume(comm):
+            state, weights, grads, uninterrupted = trained[comm.rank]
+            model = MLP(6, [16], 3, rng=np.random.default_rng(77))
+            model.load_state_dict(weights)
+            for param, grad in zip(model.parameters(), grads):
+                param.grad = grad.copy()
+            ddp = DistributedDataParallel(model, comm)
+            restored_config = KFACConfig.from_dict(state["config"])
+            assert restored_config == config
+            pre = KFAC.from_config(model, restored_config, comm=comm)
+            pre.load_state_dict(state)
+            for layer in pre.layers.values():  # everything is back in the one storage form
+                for which in ("a", "g"):
+                    held = getattr(layer, f"factor_{which}")
+                    assert held is None or held.shape == layer.factor_repr(which).packed_shape
+            resumed = [finish_step(ddp, model, pre)]
+            for step in range(7, 10):
+                backward(model, pre, seed=step)
+                resumed.append(finish_step(ddp, model, pre))
+            return resumed, uninterrupted
+
+        for resumed, uninterrupted in run_spmd(world, resume):
+            for a, b in zip(resumed, uninterrupted):
+                np.testing.assert_array_equal(a, b)
 
     def test_checkpoint_without_a_held_factor_raises_naming_layer_and_factor(self):
         x, y = make_problem(4)
@@ -763,7 +835,7 @@ class TestEmbeddingLayer:
         assert a_new.shape == (7,)
         assert handler.a_repr.kind == "diagonal"
         np.testing.assert_allclose(a_new, counts / ids.size, rtol=1e-6)
-        assert g_new.shape == (3, 3)
+        assert g_new.shape == (6,)  # dense: the triangle of the 3x3
 
     def test_gradient_round_trip(self):
         module, handler = self.make_handler(6, 3)

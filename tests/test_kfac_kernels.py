@@ -29,13 +29,16 @@ from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
 from kernel_oracle import (
     ReferenceKernelBackend,
+    SquarePathKernelBackend,
     decompose_standalone,
     reference_symmetric_eigen,
     scipy_syevd,
+    square_fold_reference,
     use_reference_kernels,
 )
 from repro.kfac import (
     KFAC,
+    FactorRepr,
     KFACConfig,
     KernelBackend,
     available_kernel_backends,
@@ -397,6 +400,89 @@ class TestFusedDecayUpdate:
         again = batched.fused_decay_update(writable, frozen_new, 0.9, np.float32)
         np.testing.assert_array_equal(again, result)
         np.testing.assert_array_equal(frozen_new, spd_factor(8, 2))
+
+
+def syrk_window(dim, seed, dtype=np.float32):
+    """A factor window as the hooks produce it: one ``syrk`` product, exactly symmetric, in its stored form."""
+    rows = np.random.default_rng(seed).standard_normal((2 * dim + 3, dim)).astype(np.float32)
+    square = rows.T @ rows / np.float32(rows.shape[0])
+    np.testing.assert_array_equal(square, square.T)
+    return FactorRepr.dense(dim).from_dense(square).astype(dtype)
+
+
+class TestPackedVsSquareStorage:
+    """Packed storage must be invisible: the fold, the allreduce average and the decomposition of
+    a stored triangle are, to the bit, what the square path (``kernel_oracle``) computes on the full
+    matrix -- on the exactly symmetric windows ``syrk`` produces, for every storage dtype and for
+    read-only operands (bucket memory the sanitizer froze)."""
+
+    DIMS = [*range(1, 71), 128, 129, 512, 513]
+    STORAGE = [np.float16, np.float32, np.float64]
+
+    @pytest.mark.parametrize("store", STORAGE, ids=lambda dtype: np.dtype(dtype).name)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["writable", "read-only"])
+    def test_fold_equals_the_square_fold(self, store, frozen):
+        backend = KernelBackend()
+        for dim in self.DIMS:
+            repr_ = FactorRepr.dense(dim)
+            running, window = syrk_window(dim, dim, store), syrk_window(dim, 1000 + dim, store)
+            expected = square_fold_reference(repr_, running, window, 0.95, store)
+            running.setflags(write=not frozen)
+            window.setflags(write=not frozen)
+            actual = backend.fused_decay_update(running, window, 0.95, store)
+            assert actual.dtype == store and actual.shape == repr_.packed_shape
+            np.testing.assert_array_equal(actual, expected, err_msg=f"dim {dim}")
+
+    @pytest.mark.parametrize("store", STORAGE, ids=lambda dtype: np.dtype(dtype).name)
+    def test_allreduce_average_equals_the_average_of_the_squares(self, store):
+        dims, world = [1, 2, 31, 32, 33, 70, 129], 3
+        reprs = [FactorRepr.dense(dim) for dim in dims]
+        windows = [[syrk_window(dim, 10 * rank + dim, store) for dim in dims] for rank in range(world)]
+
+        def program(comm):
+            packed = [comm.allreduce_average(window) for window in windows[comm.rank]]
+            squares = [comm.allreduce_average(r.to_dense(w)) for r, w in zip(reprs, windows[comm.rank])]
+            return packed, squares
+
+        for packed, squares in run_spmd(world, program):
+            for repr_, triangle, square in zip(reprs, packed, squares):
+                np.testing.assert_array_equal(square, square.T)
+                np.testing.assert_array_equal(triangle, repr_.from_dense(square))
+
+    @pytest.mark.parametrize("store", STORAGE, ids=lambda dtype: np.dtype(dtype).name)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["writable", "read-only"])
+    def test_decomposition_equals_the_square_paths(self, store, frozen):
+        """``?tpttr`` -> solver on the triangle == symmetrise -> the same solver on the square: eigenvalues
+        and eigenvectors, the stacked path (dim <= 32) and ``syevd``, alone and in a group."""
+        packed_backend, square_backend = KernelBackend(), SquarePathKernelBackend()
+        compute = np.promote_types(store, np.float32)
+        for dim in self.DIMS:
+            factors = [syrk_window(dim, seed, store) for seed in ((dim, dim + 7) if dim <= 70 else (dim,))]
+            before = [factor.copy() for factor in factors]
+            for factor in factors:
+                factor.setflags(write=not frozen)
+            actual = packed_backend.batched_symmetric_eigen(factors, compute_dtype=compute)
+            expected = square_backend.batched_symmetric_eigen(factors, compute_dtype=compute)
+            for got, want, factor, untouched in zip(actual, expected, factors, before):
+                np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues, err_msg=f"dim {dim}")
+                np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors, err_msg=f"dim {dim}")
+                assert got.eigenvectors.dtype == compute
+                np.testing.assert_array_equal(factor, untouched)
+            alone = packed_backend.symmetric_eigen(factors[-1], compute_dtype=compute)
+            np.testing.assert_array_equal(alone.eigenvectors, actual[-1].eigenvectors)
+            # One solve path, two accepted inputs: the square is packed on entry.
+            from_square = packed_backend.symmetric_eigen(FactorRepr.dense(dim).to_dense(factors[-1]), compute_dtype=compute)
+            np.testing.assert_array_equal(from_square.eigenvectors, alone.eigenvectors)
+
+    def test_a_vector_that_is_no_triangle_is_rejected(self):
+        """A 1-D array is a packed triangle here; a diagonal factor's vector goes through ``structured_eigen``."""
+        backend = KernelBackend()
+        with pytest.raises(ValueError, match="not the packed triangle"):
+            backend.batched_symmetric_eigen([np.ones(5, dtype=np.float32)])
+        with pytest.raises(ValueError, match="same-shape"):
+            backend.batched_symmetric_eigen([np.ones(6, dtype=np.float32), np.ones(10, dtype=np.float32)])
+        with pytest.raises(ValueError, match="expected"):
+            backend.structured_eigen(np.ones(5, dtype=np.float32), FactorRepr.dense(3))
 
 
 class TestPreconditionContract:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.kfac import KFAC
+from repro.kfac import KFAC, FactorRepr
 from repro.kfac import layers as kfac_layers
 from repro.kfac.layers import KFACConv2dLayer, KFACLinearLayer, make_kfac_layer
 from repro.kfac import WirePolicy
@@ -42,6 +42,12 @@ def make_conv_handler(in_channels=2, out_channels=3, kernel=3, bias=True, accumu
         grad_scale=lambda: 1.0,
     )
     return layer, handler
+
+
+def window_matrices(handler):
+    """``compute_batch_factors()`` expanded to the ``(A, G)`` matrices the stored windows stand for."""
+    a_new, g_new = handler.compute_batch_factors()
+    return handler.a_repr.to_dense(a_new), handler.g_repr.to_dense(g_new)
 
 
 def run_forward_backward(layer, x):
@@ -84,7 +90,8 @@ class TestFactorAccumulation:
         x = RNG.standard_normal((8, 4)).astype(np.float32)
         loss = layer(Tensor(x)).mean()
         loss.backward()
-        a_new, g_new = handler.compute_batch_factors()
+        assert handler._a_accum.shape == (15,) and handler._g_accum.shape == (6,)  # one triangle of 5x5 and of 3x3
+        a_new, g_new = window_matrices(handler)
         a_rows = np.concatenate([x, np.ones((8, 1), dtype=np.float32)], axis=1)
         np.testing.assert_allclose(a_new, a_rows.T @ a_rows / 8, rtol=1e-4)
         assert g_new.shape == (3, 3)
@@ -109,7 +116,7 @@ class TestFactorAccumulation:
         x2 = RNG.standard_normal((6, 4)).astype(np.float32)
         run_forward_backward(layer, Tensor(x1))
         run_forward_backward(layer, Tensor(x2))
-        a_new, _ = handler.compute_batch_factors()
+        a_new, _ = window_matrices(handler)
         both = np.concatenate([x1, x2])
         rows = np.concatenate([both, np.ones((10, 1), dtype=np.float32)], axis=1)
         np.testing.assert_allclose(a_new, rows.T @ rows / 10, rtol=1e-4)
@@ -128,7 +135,7 @@ class TestFactorAccumulation:
     def test_conv_factor_shapes_and_spd(self):
         layer, handler = make_conv_handler()
         run_forward_backward(layer, Tensor(RNG.standard_normal((2, 2, 6, 6)).astype(np.float32)))
-        a_new, g_new = handler.compute_batch_factors()
+        a_new, g_new = window_matrices(handler)
         assert a_new.shape == (19, 19)
         assert g_new.shape == (3, 3)
         assert np.all(np.linalg.eigvalsh(a_new.astype(np.float64)) >= -1e-5)
@@ -137,7 +144,7 @@ class TestFactorAccumulation:
         layer, handler = make_conv_handler(bias=False)
         x = RNG.standard_normal((1, 2, 5, 5)).astype(np.float32)
         run_forward_backward(layer, Tensor(x))
-        a_new, _ = handler.compute_batch_factors()
+        a_new, _ = window_matrices(handler)
         cols, _, _ = F.im2col(x, layer.kernel_size, layer.stride, layer.padding)
         rows = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
         np.testing.assert_allclose(a_new, rows.T @ rows / rows.shape[0], rtol=1e-4)
@@ -205,7 +212,7 @@ class TestRunningAverages:
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        assert handler.factor_bytes() == (5 * 5 + 3 * 3) * 4
+        assert handler.factor_bytes() == (5 * 6 // 2 + 3 * 4 // 2) * 4  # each symmetric factor stored once
         policy = WirePolicy(handler.precision)  # the one formula the plan, the models and the reports use
         assert policy.factor_bytes(handler.shape_info()) == handler.factor_bytes()
 
@@ -337,7 +344,7 @@ class TestForwardNodeReuse:
             cols, _, _ = F.im2col(x, layer.kernel_size, layer.stride, layer.padding)
             patches = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
             rows.append(np.concatenate([patches, np.ones((patches.shape[0], 1), dtype=np.float32)], axis=1))
-        a_new, _ = handler.compute_batch_factors()
+        a_new, _ = window_matrices(handler)
         rows = np.concatenate(rows)
         np.testing.assert_allclose(a_new, rows.T @ rows / rows.shape[0], rtol=1e-4)
 
@@ -429,13 +436,10 @@ class TestNodeStatistics:
         batches = [RNG.standard_normal(leading + (6,)).astype(np.float32), RNG.standard_normal((7,) + leading[1:] + (6,)).astype(np.float32)]
         for x in batches:  # two micro-batches of different sizes
             (layer(Tensor(x)) ** 2).mean().backward()
-        a_new, g_new = handler.compute_batch_factors()
+        a_new, g_new = window_matrices(handler)
         assert a_new.dtype == g_new.dtype == np.float32
         np.testing.assert_allclose(a_new, concat_gemm_a(batches, bias), rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(g_new, scaled_gemm_g(grads), rtol=1e-4, atol=1e-9)
-        # syrk computes one triangle and mirrors it: symmetric to the bit, which a GEMM never promised.
-        np.testing.assert_array_equal(a_new, a_new.T)
-        np.testing.assert_array_equal(g_new, g_new.T)
 
     def test_linear_bias_coordinate_is_the_column_sums_and_the_count(self):
         layer = nn.Linear(5, 3, rng=np.random.default_rng(0))
@@ -443,19 +447,19 @@ class TestNodeStatistics:
         x = RNG.standard_normal((4, 6, 5)).astype(np.float32)
         layer(Tensor(x))
         rows = x.reshape(-1, 5)
-        np.testing.assert_array_equal(handler._a_accum[5, :5], rows.sum(axis=0))
-        np.testing.assert_array_equal(handler._a_accum[:5, 5], rows.sum(axis=0))
-        assert handler._a_accum[5, 5] == 24 and handler._a_count == 24
+        accum = handler.a_repr.to_dense(handler._a_accum)
+        np.testing.assert_array_equal(accum[5, :5], rows.sum(axis=0))
+        np.testing.assert_array_equal(accum[:5, 5], rows.sum(axis=0))
+        assert accum[5, 5] == 24 and handler._a_count == 24
 
     def test_linear_float16_activation_is_cast_once_and_matches(self):
         layer = nn.Linear(6, 4, rng=np.random.default_rng(0))
         handler = make_handler(layer)
         x = RNG.standard_normal((3, 5, 6)).astype(np.float16)
         layer(Tensor(x))
-        a_new = handler._a_accum / handler._a_count
+        a_new = handler.a_repr.to_dense(handler._a_accum / handler._a_count)
         assert a_new.dtype == np.float32
         np.testing.assert_allclose(a_new, concat_gemm_a([x]), rtol=1e-5, atol=1e-6)
-        np.testing.assert_array_equal(a_new, a_new.T)
 
     @pytest.mark.parametrize("kind", ["ln", "bn"])
     def test_norm_factors_match_the_oracle_over_two_micro_batches(self, kind):
@@ -470,9 +474,10 @@ class TestNodeStatistics:
         for x in batches:
             (layer(Tensor(x)) ** 2).mean().backward()
         a_new, g_new = handler.compute_batch_factors()
+        assert a_new.shape == (3,)  # the triangle of the 2x2: [Σx̂², Σx̂, count] / count
+        a_new = handler.a_repr.to_dense(a_new)
         x_hat = [normalize(x, layer.eps) for x in batches]
         np.testing.assert_allclose(a_new, concat_gemm_a(x_hat), rtol=1e-5, atol=1e-6)
-        np.testing.assert_array_equal(a_new, a_new.T)
         assert a_new[1, 1] == 1.0  # count / count
         if kind == "bn":  # (N, C, H, W) -> one row per (sample, location), scaled by the batch size N
             grads = [g.transpose(0, 2, 3, 1).reshape(-1, 6) * (g.shape[0] / (g.size // 6)) for g in grads]
@@ -511,8 +516,8 @@ class TestNodeStatistics:
             results[dense] = handler.compute_batch_factors()
         (a_packed, g_packed), (a_dense, g_dense) = results[False], results[True]
         np.testing.assert_array_equal(a_dense, a_packed)
-        assert g_packed.shape == (6,) and g_dense.shape == (6, 6)
-        np.testing.assert_array_equal(g_dense, np.diag(g_packed))
+        assert g_packed.shape == (6,) and g_dense.shape == (21,)  # the triangle of a 6x6 holding that diagonal
+        np.testing.assert_array_equal(FactorRepr.dense(6).to_dense(g_dense), np.diag(g_packed))
 
     def test_dense_factors_preconditioner_matches_structured_on_linear_and_layernorm(self):
         """End to end through KFAC: node-read statistics, both storage modes, identical gradients."""

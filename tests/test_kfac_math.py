@@ -14,8 +14,8 @@ from repro.kfac import (
     precondition_with_inverse,
     symmetric_eigen,
 )
-from repro.kfac.kmath import eigenvalue_outer_product
-from repro.kfac.triangular import pack_upper_triangle, triangular_size, unpack_upper_triangle
+from repro.kfac import FactorRepr, expand_triangle, pack_triangle
+from repro.kfac.kmath import eigenvalue_outer_product, triangle_dim
 
 RNG = np.random.default_rng(5)
 
@@ -87,7 +87,7 @@ class TestSymmetricEigen:
     def test_bitwise_equal_to_scipys_wrapper_of_the_same_driver(self, dtype, dim, layout):
         """Eigenvalues *and* eigenvectors, whatever the memory layout; the input is left alone."""
         factor = random_spd(dim, seed=dim).astype(dtype)
-        factor[0, -1] += 1e-3  # not exactly symmetric: the symmetrisation is part of the contract
+        factor[-1, 0] += 1e-3  # not exactly symmetric: a square's upper triangle is the factor, the rest is not read
         if layout == "f_ordered":
             factor = np.asfortranarray(factor)
         elif layout == "non_contiguous":
@@ -95,7 +95,10 @@ class TestSymmetricEigen:
             assert not factor.flags.c_contiguous and not factor.flags.f_contiguous
         before = factor.copy()
         eig = symmetric_eigen(factor, compute_dtype=dtype, clamp_negative=False)
-        eigenvalues, eigenvectors = scipy_syevd(before)
+        eigenvalues, eigenvectors = scipy_syevd(np.triu(before) + np.triu(before, 1).T)
+        packed = symmetric_eigen(pack_triangle(factor), compute_dtype=dtype, clamp_negative=False)
+        np.testing.assert_array_equal(packed.eigenvalues, eig.eigenvalues)  # one solve path, two accepted inputs
+        np.testing.assert_array_equal(packed.eigenvectors, eig.eigenvectors)
         assert eig.eigenvalues.dtype == eig.eigenvectors.dtype == dtype
         np.testing.assert_array_equal(eig.eigenvalues, eigenvalues)
         np.testing.assert_array_equal(eig.eigenvectors, eigenvectors)
@@ -238,30 +241,71 @@ class TestKLClip:
 
 
 class TestTriangularPacking:
+    """``?trttp`` / ``?tpttr``: the one storage form of a dense symmetric factor, held to plain indexing."""
+
     def test_roundtrip(self):
         factor = random_spd(7, 21)
-        packed = pack_upper_triangle(factor)
-        assert packed.size == triangular_size(7)
-        np.testing.assert_allclose(unpack_upper_triangle(packed, 7), factor, rtol=1e-6)
+        packed = pack_triangle(factor)
+        assert packed.shape == (28,) and packed.dtype == factor.dtype
+        np.testing.assert_array_equal(packed, factor[np.triu_indices(7)])  # row by row, LAPACK's packed 'L'
+        np.testing.assert_array_equal(FactorRepr.dense(7).to_dense(packed), factor)
 
     def test_packed_size_formula(self):
-        assert triangular_size(4) == 10
-        assert triangular_size(1) == 1
+        assert FactorRepr.dense(4).packed_numel == 10 and triangle_dim(10) == 4
+        assert FactorRepr.dense(1).packed_numel == 1 and triangle_dim(1) == 1
+        for not_triangular in (0, 2, 4, 5, 11):
+            with pytest.raises(ValueError, match="not the packed triangle"):
+                triangle_dim(not_triangular)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            pack_upper_triangle(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            pack_triangle(np.zeros((2, 3)))
+        with pytest.raises(TypeError, match="floating-point"):
+            pack_triangle(np.zeros((2, 2), dtype=np.int64))
 
     def test_unpack_size_mismatch(self):
-        with pytest.raises(ValueError):
-            unpack_upper_triangle(np.zeros(5), 4)
+        with pytest.raises(ValueError, match="cannot expand"):
+            expand_triangle(np.zeros(5, dtype=np.float32), np.zeros((4, 4), dtype=np.float32))
+        with pytest.raises(TypeError, match="float32 or float64"):
+            expand_triangle(np.zeros(10, dtype=np.float32), np.zeros((4, 4), dtype=np.float64))
+        with pytest.raises(ValueError, match="contiguous"):
+            expand_triangle(np.zeros(10, dtype=np.float32), np.zeros((4, 8), dtype=np.float32)[:, ::2])
 
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_property(self, n):
         factor = random_spd(n, seed=n)
-        np.testing.assert_allclose(unpack_upper_triangle(pack_upper_triangle(factor), n), factor, rtol=1e-6)
+        np.testing.assert_array_equal(FactorRepr.dense(n).to_dense(pack_triangle(factor)), factor)
 
     def test_volume_saving_approaches_half(self):
         n = 200
-        assert triangular_size(n) / (n * n) < 0.51
+        assert FactorRepr.dense(n).packed_numel / (n * n) < 0.51
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_any_float_dtype_and_layout_and_read_only_operands(self, dtype, order):
+        """Only the upper triangle is read, whatever the layout; fp16 goes through float32 exactly; nothing is written."""
+        n = 9
+        factor = np.asarray(random_spd(n, 4).astype(dtype), order=order)
+        factor[np.tril_indices(n, -1)] = 77  # the lower triangle is not part of the storage form
+        expected = factor[np.triu_indices(n)]
+        factor.setflags(write=False)
+        packed = pack_triangle(factor)
+        assert packed.dtype == dtype
+        np.testing.assert_array_equal(packed, expected)
+        packed.setflags(write=False)
+        dense = FactorRepr.dense(n).to_dense(packed)
+        assert dense.dtype == dtype
+        np.testing.assert_array_equal(dense[np.triu_indices(n)], expected)
+        np.testing.assert_array_equal(dense, dense.T)
+
+    def test_expand_fills_one_triangle_of_the_memory_it_is_given(self):
+        """Column-major: the lower triangle ``syevd`` reads under ``UPLO='L'``; row-major: the upper; the rest untouched."""
+        n = 6
+        factor = random_spd(n, 8)
+        packed = pack_triangle(factor)
+        for order, filled, untouched in (("F", np.tril_indices(n), np.triu_indices(n, 1)), ("C", np.triu_indices(n), np.tril_indices(n, -1))):
+            out = np.full((n, n), -1.0, dtype=np.float32, order=order)
+            assert expand_triangle(packed, out) is out
+            np.testing.assert_array_equal(out[filled], factor[filled])
+            assert (out[untouched] == -1.0).all()

@@ -226,14 +226,6 @@ class TestStepMechanics:
             # Unscaled G factors stay O(1)-ish rather than O(scale^2).
             assert np.abs(layer.factor_g.astype(np.float64)).max() < 1e4
 
-    def test_triangular_comm_single_process_is_noop(self):
-        model = MLP(4, [8], 2, rng=RNG)
-        x, y = make_problem(10, in_dim=4, classes=2)
-        pre = KFAC(model, triangular_comm=True, factor_update_freq=1, inv_update_freq=1)
-        nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
-        pre.step()
-        assert pre.steps == 1
-
 
 class _TextNet(nn.Module):
     """Embedding -> LayerNorm -> Linear: three of the four handler families in one backward."""
@@ -246,6 +238,70 @@ class _TextNet(nn.Module):
 
     def forward(self, ids):
         return self.head(self.norm(self.embed(ids)))
+
+
+class TestPackedStorageOnTheStepPath:
+    """A dense factor is its triangle from the hook to ``syevd``: nothing on the default path needs the square."""
+
+    @staticmethod
+    def run(monkeypatch, steps=3, **config):
+        from repro.kfac import FactorRepr
+
+        calls = []
+        to_dense = FactorRepr.to_dense
+        monkeypatch.setattr(FactorRepr, "to_dense", lambda self, packed: calls.append(self) or to_dense(self, packed))
+        rng = np.random.default_rng(0)
+        model, ids = _TextNet(rng), rng.integers(0, 10, size=(8, 5))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=2, **config)
+        for _ in range(steps):
+            model.zero_grad()
+            out = model(ids)
+            (out * out).mean().backward()
+            pre.step()
+        return pre, calls
+
+    def test_default_step_never_expands_a_factor(self, monkeypatch):
+        pre, calls = self.run(monkeypatch)
+        restored = KFAC(_TextNet(np.random.default_rng(0)), factor_update_freq=1, inv_update_freq=2)
+        restored.load_state_dict(pre.state_dict())  # nor does a checkpoint round trip
+        assert calls == []
+        head = pre.layers["head"]
+        assert head.factor_a.shape == (7 * 8 // 2,) and head.factor_g.shape == (4 * 5 // 2,)
+        assert head.eigen_a.eigenvectors.shape == (7, 7)  # the eigenbasis is not symmetric: it stays square
+        assert pre.memory_usage()["factors"] == sum(
+            getattr(layer, f"factor_{which}").nbytes for layer in pre.layers.values() for which in "ag"
+        )
+
+    @pytest.mark.parametrize("config", [{"solve_strategy": "inverse"}, {"solve_strategy": "cg"}], ids=["inverse", "cg"])
+    def test_the_factor_reading_solvers_are_the_callers_that_do(self, monkeypatch, config):
+        _, calls = self.run(monkeypatch, **config)
+        assert calls and {repr_.kind for repr_ in calls} == {"dense", "diagonal"}
+
+    def test_conv_factors_follow_the_square_path_to_float32_rounding(self):
+        """Conv2d windows need not be symmetric to the last bit (no ``syrk`` guarantee on a strided
+        product), so against the square path, which symmetrises, the claim is rounding, not bits."""
+        from kernel_oracle import use_square_path
+
+        def train(oracle):
+            rng = np.random.default_rng(0)
+            model = nn.Sequential(
+                nn.Conv2d(2, 5, 3, padding=1, rng=rng), nn.ReLU(), nn.Conv2d(5, 40, 3, stride=2, rng=rng),
+                nn.GlobalAvgPool2d(), nn.Linear(40, 3, rng=rng),
+            )  # fmt: skip
+            pre = KFAC(model, lr=0.05, factor_update_freq=1, inv_update_freq=2)
+            if oracle:
+                use_square_path(pre)
+            optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            x = Tensor(np.random.default_rng(1).standard_normal((8, 2, 9, 9)).astype(np.float32))
+            for _ in range(5):
+                optimizer.zero_grad()
+                out = model(x)
+                (out * out).mean().backward()
+                pre.step()
+                optimizer.step()
+            return np.concatenate([p.data.ravel() for p in model.parameters()])
+
+        np.testing.assert_allclose(train(False), train(True), rtol=1e-4, atol=1e-6)
 
 
 class TestGradientWriteBack:
@@ -328,8 +384,8 @@ class TestMathematicalCorrectness:
         result = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
 
         handler = next(iter(pre.layers.values()))
-        a_factor = handler.factor_a.astype(np.float64)
-        g_factor = handler.factor_g.astype(np.float64)
+        a_factor = handler.a_repr.to_dense(handler.factor_a).astype(np.float64)
+        g_factor = handler.g_repr.to_dense(handler.factor_g).astype(np.float64)
         # Row-major vec: vec(grad) = grad.reshape(-1) with grad of shape (out, in+1);
         # the corresponding Kronecker operator is G ⊗ A acting on vec(gradᵀ)... use
         # the equivalent matrix identity instead: solve via eigenbasis directly.
@@ -431,7 +487,7 @@ class TestEigenFailuresAreNamed:
         pre = self.warmed_up()
         name = "layers.4" if which == "a" else "layers.2"
         factor = getattr(pre.layers[name], f"factor_{which}")
-        factor[2, 3] = np.nan
+        factor[7] = np.nan  # somewhere in the stored triangle
         before = self.snapshot(pre)
         message = rf"{which.upper()} factor of layer '{name}' failed: factor of dimension {dim} contains infs or NaNs"
         with pytest.raises(ValueError, match=message) as raised:
@@ -540,7 +596,7 @@ class TestBadFactorWindowsAreRejected:
         model, pre, opt, x, y = self.warmed_up()
         opt.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.layers["layers.2"]._g_accum[0, 0] = np.inf
+        pre.layers["layers.2"]._g_accum[0] = np.inf
         pre.step()
         assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == 1
         clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
@@ -559,7 +615,7 @@ class TestBadFactorWindowsAreRejected:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         x, y = make_problem(3)
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.layers["layers.2"]._a_accum[1, 1] = np.nan
+        pre.layers["layers.2"]._a_accum[1] = np.nan
         with pytest.raises(ValueError, match=r"first factor window of layer\(s\) \['layers.2'\] is not finite"):
             pre.step()
         assert pre.steps == 0 and pre.layers["layers.2"].factor_a is None

@@ -21,6 +21,7 @@ from repro.kfac import (
     AdaptiveDampingController,
     CGSolveStrategy,
     EigenSolveStrategy,
+    FactorRepr,
     FactorUpdateScheduler,
     InverseSolveStrategy,
     KFACConfig,
@@ -257,6 +258,45 @@ class TestFactorUpdateScheduler:
         assert factor_drift(base, base) == 0.0
         assert factor_drift(base * 2.0, base) == pytest.approx(1.0, rel=1e-5)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5, 33])
+    def test_drift_of_packed_triangles_is_the_full_matrix_drift(self, dim):
+        """A stored triangle holds every off-diagonal entry once; the drift ``drift_tol`` is compared
+        with stays the Frobenius quantity over the whole matrix, not over the triangle."""
+        repr_ = FactorRepr.dense(dim)
+        old = spd_factor(dim, 3)
+        new = (old + 0.3 * np.diag(np.arange(1.0, dim + 1.0))).astype(np.float32)  # moves the diagonal only
+        square = factor_drift(new, old)
+        packed = factor_drift(repr_.from_dense(new), repr_.from_dense(old), repr_)
+        assert packed == pytest.approx(square, rel=1e-12)
+        if dim > 1:  # over the triangle alone the same change reads larger: the off-diagonal mass is halved
+            assert factor_drift(repr_.from_dense(new), repr_.from_dense(old)) > square * 1.001
+        # A snapshot restored from a checkpoint that stored squares is packed on the way in.
+        assert factor_drift(repr_.from_dense(new), old, repr_) == packed
+        # The other representations hold exactly the nonzero entries.
+        diagonal = FactorRepr.diagonal(dim)
+        assert factor_drift(np.diag(new), np.diag(old), diagonal) == factor_drift(np.diag(new), np.diag(old))
+
+    def test_packed_factors_make_the_refresh_decisions_square_ones_make(self):
+        """``drift_tol`` sits between the full-matrix drift and what the bare triangle would read."""
+        repr_ = FactorRepr.dense(6)
+        base = spd_factor(6, 1)
+        moved = (base + 0.2 * np.eye(6)).astype(np.float32)
+        full, bare = factor_drift(moved, base), factor_drift(repr_.from_dense(moved), repr_.from_dense(base))
+        assert full < bare
+        tol = 0.5 * (full + bare)
+        plans = []
+        for pack, reprs in ((lambda f: f, ()), (repr_.from_dense, (repr_, repr_))):
+            sched = FactorUpdateScheduler(["a"], factor_update_freq=1, inv_update_freq=6, drift_tol=tol)
+            sched.observe_factors("a", 0, pack(base), pack(base), *reprs)
+            sched.mark_second_order("a", 0, pack(base), pack(base))
+            sched.advance(0)
+            sched.observe_factors("a", 1, pack(moved), pack(moved), *reprs)
+            plans.append((sched.second_order_due("a", 1), sched.totals()["drift_triggers"]))
+            restored = FactorUpdateScheduler(["a"], factor_update_freq=1, inv_update_freq=6, drift_tol=tol)
+            restored.load_state_dict(sched.state_dict())  # the snapshot round-trips in the layout it was taken in
+            np.testing.assert_array_equal(restored.state_dict()["layers"]["a"]["snapshot_a"], pack(base))
+        assert plans == [(False, 0), (False, 0)]
+
 
 # ---------------------------------------------------------------------------
 # Solvers
@@ -309,9 +349,16 @@ class TestSolvers:
     def test_tikhonov_pi(self):
         a = spd_factor(4, 1, scale=4.0)
         g = spd_factor(4, 2, scale=0.25)
-        pi = tikhonov_pi(a, g)
+        dense4 = FactorRepr.dense(4)
+        a, g = dense4.from_dense(a), dense4.from_dense(g)
+        pi = tikhonov_pi(a, g, dense4, dense4)
         assert pi > 1.0  # A carries more trace mass per dim than G
-        assert tikhonov_pi(np.zeros((3, 3)), g) == 1.0  # degenerate -> neutral
+        assert tikhonov_pi(np.zeros(6), g, FactorRepr.dense(3), dense4) == 1.0  # degenerate -> neutral
+        # The repr decides what a 1-D array is: the same six numbers as a diagonal have another trace.
+        six = np.arange(1.0, 7.0, dtype=np.float32)
+        as_triangle = tikhonov_pi(six, g, FactorRepr.dense(3), dense4)  # diagonal entries 1, 4, 6
+        as_diagonal = tikhonov_pi(six, g, FactorRepr.diagonal(6), dense4)
+        assert as_triangle == pytest.approx(as_diagonal * np.sqrt((11 / 3) / (21 / 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +669,30 @@ class TestKFACSchedulerIntegration:
         g2 = run_single_process(alt_pre, m2, steps=3)
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, rtol=1e-3, atol=1e-5)
+
+    @pytest.mark.parametrize("solver", ["inverse", "cg"])
+    def test_factor_reading_solvers_expand_the_stored_triangle_and_round_trip(self, solver):
+        """``inverse`` / ``cg`` are the readers that need the whole matrix: they expand the stored
+        triangle themselves, and their state resumes bit for bit beside packed factors."""
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=2, solve_strategy=solver)
+        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        pre = KFAC.from_config(model, config)
+        run_single_process(pre, model, steps=3)
+        layer = pre.layers["layers.0"]
+        assert layer.factor_a.shape == (7 * 8 // 2,) and not layer.has_eigen
+        if solver == "inverse":
+            dense = layer.a_repr.to_dense(layer.factor_a).astype(np.float64)
+            expected = np.linalg.inv(dense + config.damping * np.eye(7)).astype(np.float32)
+            refreshed = KFAC.from_config(MLP(6, [16], 3, rng=np.random.default_rng(5)), config)
+            refreshed.load_state_dict(pre.state_dict())
+            refreshed.solvers["layers.0"].prepare(refreshed.layers["layers.0"], config.damping)
+            np.testing.assert_array_equal(refreshed.solvers["layers.0"].inv_a, expected)
+        clone_model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        clone_model.load_state_dict(model.state_dict())
+        clone = KFAC.from_config(clone_model, config)
+        clone.load_state_dict(pre.state_dict())
+        for a, b in zip(run_single_process(pre, model, steps=2), run_single_process(clone, clone_model, steps=2)):
+            np.testing.assert_array_equal(a, b)
 
     def test_inverse_solver_reports_memory(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))

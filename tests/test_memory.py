@@ -42,10 +42,12 @@ class TestHelpers:
 
 class TestKFACMemoryModel:
     def test_factor_bytes_shared_by_all_ranks(self):
-        """``factor_bytes()`` is all factors: what every rank holds in the paper's replicated layout."""
+        """``paper_factor_bytes()`` is what every rank holds in the paper's layout (all factors, square);
+        ``factor_bytes()`` is what this tree's ranks hold between them: each factor once, as its triangle."""
         model = KFACMemoryModel(layers(), param_count=1_000_000)
-        expected = sum((l.a_dim ** 2 + l.g_dim ** 2) * 4 for l in layers())
-        assert model.factor_bytes() == expected
+        assert model.paper_factor_bytes() == sum((l.a_dim ** 2 + l.g_dim ** 2) * 4 for l in layers())
+        triangle = lambda n: n * (n + 1) // 2  # noqa: E731
+        assert model.factor_bytes() == sum((triangle(l.a_dim) + triangle(l.g_dim)) * 4 for l in layers())
 
     @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (8, 1 / 8), (8, 0.5), (8, 1.0), (64, 1 / 64)])
     def test_factor_bytes_per_rank_stores_each_factor_once(self, world, frac):

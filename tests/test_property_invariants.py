@@ -10,7 +10,9 @@ on generated shapes, worlds, strategies and cadences, whole ``Trainer``
 trajectories on the block-fused optimizers against the per-parameter loops of
 ``optimizer_oracle.py`` (worlds, pipelines, accumulation), and the cost and memory
 models' counts against the engine's on generated shapes and knobs (messages,
-bytes and per-rank state: residual 0).  The multi-rank suites run a fixed,
+bytes and per-rank state: residual 0), and packed factor storage against the
+square-path oracle of ``kernel_oracle.py`` (trajectories bit for bit, per-rank
+state and the factor round's bytes).  The multi-rank suites run a fixed,
 derandomized set of examples, so their time is the same in every CI
 configuration.
 """
@@ -102,8 +104,9 @@ class TestKFACFactorProperties:
         out = layer(Tensor(x))
         out.mean().backward()
         a_new, g_new = handler.compute_batch_factors()
-        for factor in (a_new, g_new):
-            np.testing.assert_array_equal(factor, factor.T)  # syrk + mirror: symmetric to the bit
+        for repr_, packed in ((handler.a_repr, a_new), (handler.g_repr, g_new)):
+            assert packed.shape == (repr_.dim * (repr_.dim + 1) // 2,)  # one triangle: symmetric by construction
+            factor = repr_.to_dense(packed)
             eigenvalues = np.linalg.eigvalsh(factor.astype(np.float64))
             assert eigenvalues.min() >= -1e-5
 
@@ -382,18 +385,18 @@ class TestModelEqualsEngineProperties:
 
     # (world, gradient workers per layer): MEM-, HYBRID- and COMM-OPT at every world size that has them.
     POINTS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
-    # bucket_cap_mb, triangular_comm, compute_eigen_outer, precision, assignment_balance, knob: every
-    # pair of values of two knobs appears in some row, and each row runs at every point.
+    # bucket_cap_mb, compute_eigen_outer, precision, assignment_balance, knob: every pair of values
+    # of two knobs appears in some row, and each row runs at every point.
     WIRES = [
-        (0.001, False, True, "fp32", "compute", "default"),
-        (25.0, True, True, "fp16", "memory", "default"),
-        (0.001, True, False, "fp64", "compute", "default"),
-        (25.0, False, False, "fp16", "compute", "drift"),
-        (0.001, True, True, "fp64", "memory", "drift"),
-        (25.0, False, True, "fp32", "memory", "pi"),
-        (0.001, True, False, "fp16", "compute", "pi"),
-        (25.0, True, True, "fp64", "compute", "inverse"),
-        (0.001, False, False, "fp32", "memory", "inverse"),
+        (0.001, True, "fp32", "compute", "default"),
+        (25.0, True, "fp16", "memory", "default"),
+        (0.001, False, "fp64", "compute", "default"),
+        (25.0, False, "fp16", "compute", "drift"),
+        (0.001, True, "fp64", "memory", "drift"),
+        (25.0, True, "fp32", "memory", "pi"),
+        (0.001, False, "fp16", "compute", "pi"),
+        (25.0, True, "fp64", "compute", "inverse"),
+        (0.001, False, "fp32", "memory", "inverse"),
     ]
 
     @pytest.mark.parametrize("wire", WIRES, ids=lambda wire: "-".join(str(value) for value in wire))
@@ -412,7 +415,7 @@ class TestModelEqualsEngineProperties:
         self, point, wire, vocab, blocks, block_size, hidden, out_features, bias, seed
     ):
         world, workers = point
-        bucket_cap_mb, triangular_comm, compute_eigen_outer, precision, balance, knob = wire
+        bucket_cap_mb, compute_eigen_outer, precision, balance, knob = wire
         if knob == "inverse":
             blocks = None  # the inverse solver has no block-diagonal path
         dim = block_size * (blocks or 2)
@@ -422,7 +425,6 @@ class TestModelEqualsEngineProperties:
             grad_worker_frac=workers / world,
             assignment_balance=balance,
             bucket_cap_mb=bucket_cap_mb,
-            triangular_comm=triangular_comm,
             compute_eigen_outer=compute_eigen_outer,
             precision=precision,
             **self.KNOBS[knob],
@@ -477,7 +479,7 @@ class TestModelEqualsEngineProperties:
             spec = KFACWorkloadSpec(
                 "generated", shapes, param_count=0, local_batch_size=4, baseline_compute_time=1.0,
                 factor_update_freq=1, inv_update_freq=1, precision=precision,
-                triangular_comm=triangular_comm, compute_eigen_outer=compute_eigen_outer,
+                compute_eigen_outer=compute_eigen_outer,
             )  # fmt: skip
             schedule = model_comm_schedule(spec, world, config.grad_worker_frac, bucket_cap_mb=bucket_cap_mb)
             assert schedule.messages_per_update == log.total_messages()
@@ -488,6 +490,155 @@ class TestModelEqualsEngineProperties:
         eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
         for rank, (usage, _, _) in enumerate(ranks):
             assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
+
+
+class TestPackedStorageProperties:
+    """Packed storage changes where a symmetric factor's bytes live, never a result.
+
+    Embedding -> LayerNorm -> Linear -> Linear through the ``Trainer`` (diagonal A, diagonal G, dense
+    factors up to and past the stacked-``eigh`` threshold; with ``dense_factors`` all of them dense):
+    the trajectory equals the square-path oracle's (``kernel_oracle.use_square_path``: every
+    decomposition, drift and π trace taken over the full symmetrised matrix) to the bit -- these
+    handlers' windows are ``syrk`` products, exactly symmetric -- every rank's ``memory_usage()`` is the
+    memory model's, and the allreduce traffic is the plan's factor round plus the gradient averaging.
+    """
+
+    KNOBS = {
+        "default": {},
+        "drift": {"drift_tol": 0.05, "max_staleness": 8},
+        "pi": {"damping_pi_correction": True},
+        "inverse": {"solve_strategy": "inverse"},
+        "cg": {"solve_strategy": "cg"},
+    }
+    STEPS = 5
+
+    # world, gradient workers, bucket_cap_mb, armed pipeline, dense_factors, knob, hidden width: every
+    # world size, MEM- / HYBRID- / COMM-OPT, both caps, both pipelines and both storage modes meet every
+    # knob's reader; the hidden Linear's factors sit below, at and past the stacked-``eigh`` threshold.
+    ROWS = [
+        (1, 1, 25.0, False, False, "default", 33),
+        (2, 1, 0.001, True, False, "default", 40),
+        (2, 2, 25.0, False, True, "default", 5),
+        (3, 2, 0.001, False, False, "default", 32),
+        (4, 1, 25.0, True, True, "drift", 7),
+        (4, 2, 0.001, False, False, "drift", 36),
+        (1, 1, 0.001, True, False, "drift", 12),
+        (3, 3, 25.0, True, False, "pi", 34),
+        (2, 1, 0.001, False, True, "pi", 9),
+        (4, 4, 25.0, False, False, "inverse", 38),
+        (3, 1, 0.001, True, True, "inverse", 6),
+        (2, 2, 0.001, True, False, "cg", 35),
+        (4, 3, 25.0, False, True, "cg", 4),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}gw{}-{}-{}-{}-{}-h{}".format(
+        *row[:3], "armed" if row[3] else "flush", "dense" if row[4] else "structured", *row[5:]))  # fmt: skip
+    @given(
+        vocab=st.integers(min_value=3, max_value=12),
+        dim=st.integers(min_value=2, max_value=8),
+        out_features=st.integers(min_value=1, max_value=5),
+        bias=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    def test_trajectory_memory_and_factor_round_equal_the_square_path_and_the_models(
+        self, row, vocab, dim, out_features, bias, seed
+    ):
+        world, workers, bucket_cap_mb, armed, dense_factors, knob, hidden = row
+        from kernel_oracle import use_square_path
+
+        from repro.distributed.collectives import BucketManager
+        from repro.distributed.ddp import GradientAveragingSubscriber
+        from repro.training import GradientPipeline, Trainer
+
+        config = KFACConfig(
+            lr=0.05,
+            factor_update_freq=1,
+            inv_update_freq=2,
+            grad_worker_frac=workers / world,
+            bucket_cap_mb=bucket_cap_mb,
+            dense_factors=dense_factors,
+            **self.KNOBS[knob],
+        )
+        rng = np.random.default_rng(seed)
+        tokens = rng.integers(0, vocab, size=(24, 3))
+        target = rng.standard_normal((24, 3, out_features)).astype(np.float32)
+        loss_fn = nn.MSELoss()
+
+        def program(comm, oracle):
+            net_rng = np.random.default_rng(seed + 1)
+            model = nn.Sequential(
+                nn.Embedding(vocab, dim, rng=net_rng),
+                nn.LayerNorm(dim),
+                nn.Linear(dim, hidden, bias=bias, rng=net_rng),
+                nn.Tanh(),
+                nn.Linear(hidden, out_features, bias=bias, rng=net_rng),
+            )
+            pre = KFAC(model, config, comm=comm)
+            if oracle:
+                use_square_path(pre)
+            trainer = Trainer(
+                model,
+                optim.SGD(model.parameters(), lr=0.05, momentum=0.9),
+                lambda m, batch: loss_fn(m(batch[0]), batch[1]),
+                preconditioner=pre,
+                comm=comm,
+                pipeline=GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb) if armed else None,
+            )
+            losses = []
+            for step in range(self.STEPS):
+                local = np.arange(24)[(step + comm.rank) % world :: world]
+                losses.append(trainer.train_step((tokens[local], target[local])))
+            averaging = GradientAveragingSubscriber(model).specs(1.0, world)
+            grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
+            return {
+                "losses": losses,
+                "params": np.concatenate([p.data.ravel() for p in model.parameters()]),
+                "memory": pre.memory_usage(),
+                "shapes": [layer.shape_info() for layer in pre.layers.values()],
+                "factor_round": pre.plan.messages(bucket_cap_mb, hooked=armed)["factor"],
+                "grad_sync": (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets)),
+                "log": comm.log,
+            }
+
+        packed = run_spmd(world, lambda comm: program(comm, oracle=False))
+        oracle = run_spmd(world, lambda comm: program(comm, oracle=True))
+        for rank, (ours, theirs) in enumerate(zip(packed, oracle)):
+            assert np.all(np.isfinite(ours["params"]))
+            assert ours["losses"] == theirs["losses"], f"rank {rank}"
+            np.testing.assert_array_equal(ours["params"], theirs["params"])
+            np.testing.assert_array_equal(ours["params"], packed[0]["params"])  # and the replicas agree
+
+        # Per-rank state: the memory model from the registered shapes, and from the dimensions themselves.
+        shapes = packed[0]["shapes"]
+        assert all(shape.a_repr.is_dense and shape.g_repr.is_dense for shape in shapes) == dense_factors
+        memory = KFACMemoryModel(shapes, param_count=0, config=config)
+        factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
+        eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
+        for rank, entry in enumerate(packed):
+            usage = entry["memory"]
+            assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
+        if knob == "default":  # every factor held once in the world: n(n+1)/2 elements per dense one
+            once = sum(
+                r.dim * (r.dim + 1) // 2 if r.is_dense else r.packed_numel for s in shapes for r in (s.a_repr, s.g_repr)
+            )
+            assert sum(entry["memory"]["factors"] for entry in packed) == 4 * once
+
+        # The allreduces in the log are the factor round and the gradient averaging, both every step
+        # (a drift-stretched plan refreshes layers on steps of their own, so no whole rounds to count).
+        if knob == "drift":
+            return
+        log, (grad_messages, grad_bytes) = packed[0]["log"], packed[0]["grad_sync"]
+        factor_round = packed[0]["factor_round"]
+        assert log.messages_by_op.get("allreduce", 0) == self.STEPS * (len(factor_round) + (grad_messages if world > 1 else 0))
+        assert log.bytes_by_op.get("allreduce", 0) == self.STEPS * (
+            sum(nbytes for _, nbytes in factor_round) + (grad_bytes if world > 1 else 0)
+        )
+        if world > 1:
+            itemsize = 4
+            assert sum(nbytes for _, nbytes in factor_round) == itemsize * sum(
+                shape.a_repr.packed_numel + shape.g_repr.packed_numel for shape in shapes
+            )
 
 
 class TestMemoryModelProperties:
@@ -503,7 +654,7 @@ class TestMemoryModelProperties:
         frac = min(workers, world_size) / world_size
         factors = model.factor_bytes_per_rank(world_size, frac)
         eigen = model.eigen_bytes_per_rank(world_size, frac)
-        assert factors.sum() == model.factor_bytes()
+        assert factors.sum() == model.factor_bytes() == sum(a * (a + 1) // 2 + g * (g + 1) // 2 for a, g in dims) * 4
         assert np.all(eigen[factors > 0] > 0)  # whoever decomposes a factor is one of its gradient workers
         assert model.overhead_bytes(world_size, frac, rank="max") == (factors + eigen).max()
         assert model.overhead_bytes(world_size, frac, rank="max") <= model.factor_bytes() + eigen.max()
