@@ -33,7 +33,7 @@ from pathlib import Path
 from repro.experiments import format_table, paper_workload_spec, write_bench_json
 from repro.kfac import model_comm_schedule
 from repro.observability import MetricsReport, measured_comm_schedule
-from repro.observability.smoke import kfac_traffic, modeled_schedule_for_run, run_traced_bert
+from repro.observability.smoke import kfac_traffic, modeled_schedule_for_run, run_traced_bert, workload_spec_for_run
 
 from conftest import print_section
 
@@ -71,8 +71,9 @@ def measured_residuals():
                     use_pipeline=hooked,
                     bucket_cap_mb=cap,
                 )
-                modeled = modeled_schedule_for_run(tracers, run_info)
-                traffic = kfac_traffic(modeled, run_info)  # one step = one full update: per-op (expected, logged)
+                spec = workload_spec_for_run(tracers, run_info)
+                modeled = modeled_schedule_for_run(spec, run_info)
+                traffic = kfac_traffic(spec, run_info)  # one step = one full update: per-op (expected, logged)
                 assert all(expected == counted for expected, counted in traffic.values()), (label, world_size, mode)
                 logged = [sum(counted[index] for _, counted in traffic.values()) for index in (0, 1)]
                 assert logged == [modeled.messages_per_update, modeled.comm_bytes_per_update], (label, world_size, mode)
@@ -236,7 +237,7 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
 
     tracers, run_info = benchmark.pedantic(run, iterations=1, rounds=1)
     measured = measured_comm_schedule(tracers)
-    modeled = modeled_schedule_for_run(tracers, run_info)
+    modeled = modeled_schedule_for_run(workload_spec_for_run(tracers, run_info), run_info)
     report = MetricsReport.from_tracers(tracers)
 
     print_section("Exposed communication: modeled (EDR InfiniBand) vs measured (threaded world)")

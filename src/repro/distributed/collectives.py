@@ -27,10 +27,11 @@ costs without changing a result bit:
     skipped, so one globally-deterministic schedule serves every rank of an
     SPMD program — exactly how K-FAC's per-layer plans are already built.
 
-    A channel whose group is the local rank alone exchanges nothing: its
-    payloads are handed to their callbacks at :meth:`OverlapScheduler.drain`
+    A channel whose group is the local rank alone exchanges nothing: each
+    payload is handed to its own callback at :meth:`OverlapScheduler.drain`,
+    cast and scaled as its bucket would have been but through no fused buffer,
     and the communicator is never called, so a world-size-1 run (or a
-    sub-group of one) costs no message.
+    sub-group of one) costs no message and no copy.
 
 The K-FAC preconditioner executes every factor allreduce, eigen broadcast and
 preconditioned-gradient broadcast through this engine (``bucket_cap_mb`` tunes
@@ -49,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..observability import NULL_TRACER
-from .backend import Communicator, CompletedWork, WorkHandle
+from .backend import Communicator
 
 __all__ = [
     "BucketEntry",
@@ -306,7 +307,9 @@ class OverlapScheduler:
         # frozen + fingerprinted until their handle is awaited, so a mutation
         # or read of an in-flight buffer raises instead of corrupting comm.
         self.sanitizer = getattr(comm, "sanitizer", None)
-        self._in_flight: List[Tuple[WorkHandle, TensorBucket, Dict[str, object], Tuple[str, int, float], Optional[int]]] = []
+        # Posting order: a fused bucket in flight ``(handle, bucket, spec_by_key, posted, token)``, or the
+        # ``[(spec, array), ...]`` of a channel of one, which has nothing to wait for.
+        self._in_flight: List[object] = []
 
     def _stamp(self, op: str, bucket: TensorBucket, flat: Optional[np.ndarray]) -> Optional[int]:
         """Register a posted flat buffer with the buffer-access checker."""
@@ -326,15 +329,7 @@ class OverlapScheduler:
         members: Tuple[int, ...],
         src: Optional[int] = None,
     ) -> None:
-        """Put one fused bucket in flight (or complete it locally for a group of one)."""
-        if len(members) == 1:
-            # Nobody to exchange with: the payload already is the result.  The
-            # communicator is not called, so there is no message to log, stamp
-            # or time; the callbacks still fire at drain(), in posting order.
-            if flat is None:
-                raise ValueError(f"{op} group {members} does not contain its source rank")
-            self._in_flight.append((CompletedWork(flat), bucket, spec_by_key, None, None))
-            return
+        """Put one fused bucket in flight."""
         group = None if len(members) == self.comm.world_size else members
         if op == "broadcast":
             handle = self.comm.ibroadcast(flat, src=src, group=group, fused_count=len(bucket))
@@ -369,6 +364,15 @@ class OverlapScheduler:
                     raise ValueError(f"broadcast source rank {src} has no payload for {key!r}")
                 return payload()
 
+            if len(members) == 1:
+                # Nobody to exchange with: the payload already is the result, in the spec's dtype and
+                # shape.  No buffer, no message to log, stamp or time; the callbacks fire at drain().
+                if rank != src:
+                    raise ValueError(f"broadcast group {members} does not contain its source rank")
+                self._in_flight.append(
+                    [(s, source_payload(s.key).astype(s.dtype, copy=False).reshape(s.shape)) for s in channel_specs]
+                )
+                continue
             for bucket in buckets:
                 flat = bucket.pack(source_payload) if rank == src else None
                 self._launch("broadcast", bucket, spec_by_key, flat, members, src=src)
@@ -395,6 +399,10 @@ class OverlapScheduler:
                     f"duplicate allreduce keys in group {members}; "
                     "every spec of a channel needs a unique key"
                 )
+            if len(members) == 1:
+                # The average over a group of one is the (scaled) payload itself: see post_broadcasts.
+                self._in_flight.append([(s, s.payload if scale == 1.0 else s.payload * scale) for s in channel_specs])
+                continue
             for bucket in self.buckets.build(
                 [(s.key, s.payload.shape, s.payload.dtype) for s in channel_specs]
             ):
@@ -417,7 +425,13 @@ class OverlapScheduler:
         in_flight, self._in_flight = self._in_flight, []
         in_flight.reverse()
         while in_flight:
-            handle, bucket, spec_by_key, posted, token = in_flight.pop()
+            posted_entry = in_flight.pop()
+            if isinstance(posted_entry, list):
+                for spec, array in posted_entry:
+                    if spec.on_complete is not None:
+                        spec.on_complete(array)
+                continue
+            handle, bucket, spec_by_key, posted, token = posted_entry
             result = bucket.unpack(handle.wait())
             if token is not None:
                 self.sanitizer.buffers.release(token)
@@ -426,7 +440,7 @@ class OverlapScheduler:
                 spec = spec_by_key[entry.key]
                 if spec.on_complete is not None:
                     spec.on_complete(result[entry.key])
-            del handle, result
+            del handle, result, posted_entry
 
     def discard(self) -> None:
         """Await posted buckets but drop their results without any callbacks.
@@ -437,7 +451,10 @@ class OverlapScheduler:
         no stale result is installed.
         """
         in_flight, self._in_flight = self._in_flight, []
-        for handle, bucket, _spec_by_key, posted, token in in_flight:
+        for posted_entry in in_flight:
+            if isinstance(posted_entry, list):
+                continue
+            handle, bucket, _spec_by_key, posted, token = posted_entry
             handle.wait()
             if token is not None:
                 self.sanitizer.buffers.release(token)

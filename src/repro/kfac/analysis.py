@@ -94,7 +94,12 @@ class KFACWorkloadSpec:
 
     def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
         """The plan :class:`~repro.kfac.KFAC` follows for these layers and knobs at this operating point."""
-        return DistributionStrategy(world_size, grad_worker_frac).plan(self.layers, self.wire_policy)
+        return DistributionStrategy(world_size, grad_worker_frac).plan(
+            self.layers,
+            self.wire_policy,
+            factor_update_freq=max(self.factor_update_freq, 1),
+            inv_update_freq=max(self.inv_update_freq, 1),
+        )
 
     @property
     def dtype_bytes(self) -> int:
@@ -223,27 +228,16 @@ class IterationTimeModel:
             self.perf.allreduce_time(factor_bytes, world_size), f_freq, spec.factor_update_fraction
         )
 
-        def add_broadcasts(stage: str, specs, every: int, fraction: float) -> None:
-            channels: Dict[Tuple, int] = {}
-            for message in specs:
-                channel = (message.src, message.group)
-                channels[channel] = channels.get(channel, 0) + _nbytes(message.shape, message.dtype)
-            for (_, members), nbytes in channels.items():
-                duration = amortized_update_time(self.perf.broadcast_time(nbytes, len(members)), every, fraction)
-                times[stage][list(members)] += duration
+        # --- eigen decomposition (the plan's decomposers only), eigen broadcast
+        decomposition, broadcast = self._refresh_times(spec, plan, [layer.name for layer in spec.layers])
+        per_iteration = amortized_update_time(1.0, k_freq, spec.eigen_update_fraction)
+        times["eigen_decomposition"] = per_iteration * decomposition
+        times["eigen_broadcast"] = per_iteration * broadcast
 
         for layer in spec.layers:
             group = plan.groups[layer.name]
-            # --- eigen decomposition (the plan's decomposers only) ----------
-            for which in ("a", "g"):
-                duration = amortized_update_time(
-                    repr_eigen_time(self.perf, layer.factor_repr(which), dtype_b), k_freq, spec.eigen_update_fraction
-                )
-                times["eigen_decomposition"][list(plan.decomposers[layer.name, which])] += duration
-
-            # --- eigen broadcast, preconditioned-gradient broadcast ---------
-            add_broadcasts("eigen_broadcast", plan.eigen_round[layer.name], k_freq, spec.eigen_update_fraction)
-            add_broadcasts("grad_broadcast", plan.gradient_round[layer.name], 1, 1.0)
+            # --- preconditioned-gradient broadcast (every iteration) --------
+            times["grad_broadcast"] += self._broadcast_times(plan.gradient_round[layer.name], world_size)
 
             # --- gradient preconditioning (gradient workers, every iteration)
             # Two eigenbasis rotations per side (into and out of the basis);
@@ -258,6 +252,50 @@ class IterationTimeModel:
             times["scale_and_update"] += self.perf.compute_time(4.0 * layer.grad_numel, dtype_b)
 
         return times
+
+    def _broadcast_times(self, specs, world_size: int) -> np.ndarray:
+        """Per-rank time of one layer's messages, one broadcast per ``(src, group)`` channel."""
+        times = np.zeros(world_size)
+        channels: Dict[Tuple, int] = {}
+        for message in specs:
+            channel = (message.src, message.group)
+            channels[channel] = channels.get(channel, 0) + _nbytes(message.shape, message.dtype)
+        for (_, members), nbytes in channels.items():
+            times[list(members)] += self.perf.broadcast_time(nbytes, len(members))
+        return times
+
+    def _refresh_times(
+        self, spec: KFACWorkloadSpec, plan: DistributionPlan, names: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-rank ``(decomposition, eigen broadcast)`` time of one step that refreshes the layers ``names``."""
+        decomposition, broadcast = np.zeros(plan.world_size), np.zeros(plan.world_size)
+        for name in names:
+            layer = plan.groups[name].layer
+            for which in ("a", "g"):
+                duration = repr_eigen_time(self.perf, layer.factor_repr(which), spec.dtype_bytes)
+                decomposition[list(plan.decomposers[name, which])] += duration
+            broadcast += self._broadcast_times(plan.eigen_round[name], plan.world_size)
+        return decomposition, broadcast
+
+    def refresh_interval(self, spec: KFACWorkloadSpec, world_size: int, grad_worker_frac: float) -> Dict[str, float]:
+        """What the plan's ``refresh_offsets`` make of one interval's eigen stage, for the busiest rank.
+
+        ``single_refresh_step`` is the decomposition + eigen-broadcast time of
+        a step that refreshes every layer (the schedule with every offset 0,
+        and step 0 of any run); ``heaviest_step`` the same for the heaviest
+        step of the plan's interval; ``touched_steps`` of ``interval_steps``
+        carry a fold or a decomposition.
+        """
+        plan = spec.plan(world_size, grad_worker_frac)
+        interval = plan.inv_update_freq
+        per_step = [plan.refresh_due(interval + phase) for phase in range(interval)]
+        folds = set(range(0, interval, plan.factor_update_freq))
+        return {
+            "single_refresh_step": float(np.max(sum(self._refresh_times(spec, plan, list(plan.groups))))),
+            "heaviest_step": max(float(np.max(sum(self._refresh_times(spec, plan, due)))) for due in per_step),
+            "touched_steps": len(folds | {phase for phase, due in enumerate(per_step) if due}),
+            "interval_steps": interval,
+        }
 
     def kfac_breakdown(
         self, spec: KFACWorkloadSpec, world_size: int, grad_worker_frac: float

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-__all__ = ["AssignmentResult", "greedy_lpt_assignment", "round_robin_assignment", "makespan"]
+__all__ = [
+    "AssignmentResult",
+    "greedy_lpt_assignment",
+    "round_robin_assignment",
+    "makespan",
+    "staggered_refresh_offsets",
+    "next_refresh_step",
+]
 
 
 @dataclass
@@ -70,3 +77,59 @@ def makespan(costs: Mapping[Hashable, float], assignment: Mapping[Hashable, int]
     for job, worker in assignment.items():
         loads[worker] += float(costs[job])
     return max(loads) if loads else 0.0
+
+
+def staggered_refresh_offsets(
+    costs: Mapping[Hashable, float], world_size: int, factor_update_freq: int, inv_update_freq: int
+) -> Dict[Hashable, int]:
+    """Each job's phase in ``[0, inv_update_freq)``: the step of an interval on which it is decomposed.
+
+    One refresh step carrying every decomposition is the spike of an interval,
+    so the jobs are spread over its fold-free steps.  Jobs sorted by cost are
+    cut into consecutive groups of ``world_size`` -- neighbours cost alike and
+    LPT places them on different ranks, so a step's decompositions run side by
+    side and no rank waits out a lone solve on another -- and the groups are
+    packed, heaviest first, each onto the lightest of ``m`` steps taken nearest
+    after a fold first (1, 6, 2, 7, ... at cadence 5 / 10: a staggered refresh
+    reads the factors as last folded, so the least stale slot comes first).
+    ``m`` is the fewest steps that minimise the heaviest one, with fewer than
+    half of an interval's steps carrying a fold or a decomposition: the median
+    step stays a plain one.  The heaviest step is then at most the total over
+    ``m`` plus the largest group.
+
+    Every offset is 0 -- one refresh step, on a fold -- when the interval is not
+    a multiple of ``factor_update_freq`` or that bound leaves no fold-free step
+    (an interval of 1 or 2 steps, a fold on every step or every other one).
+    A pure function of the costs, the world size and the two cadences: the
+    same on every rank and under every placement.
+    """
+    fold_every, interval = int(factor_update_freq), int(inv_update_freq)
+    offsets = {job: 0 for job in costs}
+    ordered = sorted(costs.items(), key=lambda item: (-float(item[1]), str(item[0])))
+    groups = [ordered[start : start + world_size] for start in range(0, len(ordered), world_size)]
+    folds = interval // fold_every
+    max_steps = min((interval - 1) // 2 - folds, len(groups))
+    if interval % fold_every or max_steps < 1:
+        return offsets
+    slots = [fold + after for after in range(1, fold_every) for fold in range(0, interval, fold_every)]
+    group_costs = {index: sum(float(cost) for _, cost in group) for index, group in enumerate(groups)}
+    packing = min(
+        (greedy_lpt_assignment(group_costs, steps) for steps in range(1, max_steps + 1)),
+        key=lambda result: result.makespan,
+    )
+    for index, group in enumerate(groups):
+        for job, _ in group:
+            offsets[job] = slots[packing.assignment[index]]
+    return offsets
+
+
+def next_refresh_step(offset: int, at_step: int, factor_update_freq: int, inv_update_freq: int) -> int:
+    """The first step at or after ``at_step`` on which the base cadence decomposes a layer with this ``offset``.
+
+    After step 0 (which decomposes every layer) that is the steps with ``step
+    % inv_update_freq == offset``, except that a staggered step before the
+    second fold is passed over: it would decompose the factors of step 0 a
+    second time.
+    """
+    step = at_step + (offset - at_step) % inv_update_freq
+    return step + inv_update_freq if offset and step < factor_update_freq else step

@@ -290,4 +290,6 @@ class KFACConfig:
             self.wire_policy(precision),
             factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
             eigen_free=[layer.name for layer in layers if not needs_eigen[self.solver_name_for(layer)]],
+            factor_update_freq=self.factor_update_freq,
+            inv_update_freq=self.inv_update_freq,
         )

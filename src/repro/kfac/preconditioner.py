@@ -33,8 +33,11 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 
 There is one path through these stages.  *When* each layer refreshes is a
 per-layer plan kept by a :class:`~repro.kfac.scheduling.FactorUpdateScheduler`
-(at ``drift_tol=0`` the plan is the fixed ``step % freq`` cadence and the
-scheduler is integer bookkeeping); *how* a layer is preconditioned is its
+(at ``drift_tol=0`` the plan is the base cadence -- folds on ``step %
+factor_update_freq``, each layer's decomposition on its offset in the
+distribution plan's ``refresh_offsets``, which spreads an interval's eigen
+work over its fold-free steps -- and the scheduler is integer bookkeeping);
+*how* a layer is preconditioned is its
 :class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
 of Eq. 15-17).  ``grad_worker_frac`` selects the distribution strategy
 (section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is COMM-OPT, anything
@@ -212,6 +215,7 @@ class KFAC(Preconditioner):
             config.inv_update_freq,
             drift_tol=config.drift_tol,
             max_staleness=config.max_staleness,
+            refresh_offsets=self.plan.refresh_offsets,
         )
         self.solvers: Dict[str, SolveStrategy] = {
             name: self._make_solver(config.solver_name_for(layer)) for name, layer in self.layers.items()
@@ -424,15 +428,8 @@ class KFAC(Preconditioner):
             second_layers = [name for name in self.layers if sched.second_order_due(name, step)]
             eigen_layers = [name for name in second_layers if self.solvers[name].needs_eigen]
             if self.tracer.enabled:
-                # "Skips" match FactorUpdateScheduler.advance(): base-cadence
-                # opportunities (step % freq == 0) the plan chose not to take.
-                n_layers = len(self.layers)
-                factor_skips = n_layers - len(factor_layers) if step % self.factor_update_freq == 0 else 0
-                eigen_skips = n_layers - len(second_layers) if step % self.inv_update_freq == 0 else 0
                 self.tracer.counter_add("kfac/factor_updates", len(factor_layers))
-                self.tracer.counter_add("kfac/factor_skips", factor_skips)
                 self.tracer.counter_add("kfac/eigen_updates", len(second_layers))
-                self.tracer.counter_add("kfac/eigen_skips", eigen_skips)
                 self.tracer.gauge_set("kfac/damping", self.damping)
                 solver_counts: Dict[str, int] = {}
                 for name in second_layers:
@@ -476,7 +473,11 @@ class KFAC(Preconditioner):
                 # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
                 # a decrease of lr·ν·Σ⟨grad, precond⟩.
                 self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
-            sched.advance(step)
+            factor_skips, eigen_skips = sched.advance(step)
+            if self.tracer.enabled:
+                # Base-cadence opportunities the plan chose not to take, as the scheduler counts them.
+                self.tracer.counter_add("kfac/factor_skips", factor_skips)
+                self.tracer.counter_add("kfac/eigen_skips", eigen_skips)
             self._steps += 1
             self._begin_factor_window()
 
@@ -899,10 +900,10 @@ class KFAC(Preconditioner):
                         "holds under this configuration; restore each rank from its own state_dict(), "
                         "written under the same strategy and knobs"
                     )
-        # A checkpoint without a plan was written by the fixed step % freq
-        # cadence (every version before the scheduler became the only path):
-        # position a fresh plan on that cadence at the restored step, so the
-        # resumed run refreshes exactly when the uninterrupted one would.
+        # A checkpoint without a plan (every version before the scheduler
+        # became the only path): position a fresh plan on the base cadence at
+        # the restored step, so the resumed run refreshes exactly when an
+        # uninterrupted one would.
         if state.get("scheduler") is not None:
             self.factor_scheduler.load_state_dict(state["scheduler"])
         else:
@@ -947,7 +948,8 @@ class KFAC(Preconditioner):
         """Scheduling/solver/damping counters for analysis and benchmarks.
 
         ``factor_update_fraction`` / ``eigen_update_fraction`` are the
-        performed updates relative to what the fixed base cadence would have
+        performed updates relative to what the base cadence (folds on ``step %
+        factor_update_freq``, each layer's refresh on its own phase) would have
         performed over the same steps — the knob
         :func:`repro.kfac.analysis.apply_measured_fractions` feeds into the
         cost model (exactly 1.0, with zero skips, while ``drift_tol`` is 0).
@@ -955,8 +957,8 @@ class KFAC(Preconditioner):
         cadence.
         """
         n_layers = len(self.layers)
-        expected_factor = n_layers * self._expected_updates(self.factor_update_freq)
-        expected_eigen = n_layers * self._expected_updates(self.inv_update_freq)
+        expected_factor = n_layers * -(-self._steps // self.factor_update_freq)  # folds on steps 0, F, 2F, ...
+        expected_eigen = self.factor_scheduler.base_eigen_updates(self._steps)
         stats: Dict[str, Any] = {
             "enabled": self.factor_scheduler.drift_tol > 0.0,
             "steps": self._steps,
@@ -980,9 +982,3 @@ class KFAC(Preconditioner):
             totals["eigen_updates"] / expected_eigen if expected_eigen else 1.0
         )
         return stats
-
-    def _expected_updates(self, freq: int) -> int:
-        """Updates the fixed cadence would have performed in ``self._steps`` steps."""
-        if self._steps <= 0:
-            return 0
-        return -(-self._steps // freq)

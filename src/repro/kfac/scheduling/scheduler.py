@@ -19,14 +19,20 @@ The plan is queried at three points of an optimization step:
 * :meth:`advance` — at the end of the step, for skip bookkeeping.
 
 With ``drift_tol=0`` (the default) no snapshots are kept and the due-steps
-are exactly the fixed ``step % freq == 0`` cadence.
+are exactly the base cadence: a fold on ``step % factor_update_freq == 0``,
+every layer's decomposition on step 0 and afterwards on the steps with
+``step % inv_update_freq`` equal to the layer's offset in the distribution
+plan's ``refresh_offsets`` (all 0 unless the plan spreads an interval's
+decompositions over its fold-free steps).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..assignment import next_refresh_step
 
 __all__ = ["FactorUpdateScheduler", "factor_drift"]
 
@@ -103,8 +109,8 @@ class FactorUpdateScheduler:
     factor_update_freq, inv_update_freq:
         Base cadences (the paper's F_freq and K_freq).  ``inv_update_freq``
         need not be a multiple of ``factor_update_freq`` — a second-order
-        refresh forces a factor update on the same step so decompositions
-        always consume fresh statistics.
+        refresh at offset 0 forces a factor update on the same step so
+        decompositions always consume fresh statistics.
     drift_tol:
         Normalized Frobenius drift threshold.  ``0`` disables drift tracking
         entirely (fixed cadence, no snapshots).  With a positive tolerance,
@@ -115,6 +121,13 @@ class FactorUpdateScheduler:
     max_staleness:
         Upper bound (in steps) for a stretched eigen interval.  ``0`` means
         no stretching: drift can only *accelerate* refreshes.
+    refresh_offsets:
+        Per-layer phase in ``[0, inv_update_freq)`` of the base cadence's
+        refresh (the distribution plan's; absent = 0).  A layer's first refresh
+        -- step 0 -- seeds its phase (:meth:`_on_phase`) and ``next_eigen_step``
+        carries it from there, so a drift trigger moves it and a checkpoint
+        resumes on the phase it stored.  A layer with a nonzero offset reads
+        its factors as last folded: its refresh never forces a fold.
     """
 
     def __init__(
@@ -124,6 +137,7 @@ class FactorUpdateScheduler:
         inv_update_freq: int,
         drift_tol: float = 0.0,
         max_staleness: int = 0,
+        refresh_offsets: Optional[Mapping[str, int]] = None,
     ) -> None:
         names = list(layer_names)
         if not names:
@@ -149,6 +163,9 @@ class FactorUpdateScheduler:
         # proportionally with the eigen interval (comm volume drops together
         # with eigen compute).
         self._ratio = max(1, round(self.inv_update_freq / self.factor_update_freq))
+        self._offsets = {name: int((refresh_offsets or {}).get(name, 0)) for name in names}
+        if not all(0 <= offset < self.inv_update_freq for offset in self._offsets.values()):
+            raise ValueError(f"refresh offsets must lie in [0, inv_update_freq={self.inv_update_freq})")
         self._layers: Dict[str, _LayerSchedule] = {
             name: _LayerSchedule(self.factor_update_freq, self.inv_update_freq) for name in names
         }
@@ -160,11 +177,12 @@ class FactorUpdateScheduler:
     def factors_due(self, name: str, step: int) -> bool:
         """Whether ``name`` folds and allreduces its factors on ``step``.
 
-        A due second-order refresh forces a factor update so the
-        decomposition (or inverse/CG state) consumes fresh statistics.
+        A due second-order refresh at offset 0 forces a factor update so the
+        decomposition (or inverse/CG state) consumes fresh statistics; a
+        staggered one sits on a fold-free step by design and forces none.
         """
         state = self._layers[name]
-        return step >= state.next_factor_step or step >= state.next_eigen_step
+        return step >= state.next_factor_step or (step >= state.next_eigen_step and not self._offsets[name])
 
     def second_order_due(self, name: str, step: int) -> bool:
         """Whether ``name`` refreshes its eigen/inverse state on ``step``."""
@@ -221,6 +239,7 @@ class FactorUpdateScheduler:
         the current factors are snapshotted as the new drift reference.
         """
         state = self._layers[name]
+        first = state.last_eigen_step < 0
         state.eigen_updates += 1
         state.last_eigen_step = step
         if self.drift_tol > 0.0:
@@ -236,15 +255,37 @@ class FactorUpdateScheduler:
             )
             state.snapshot_a = factor_a.astype(np.float32, copy=True)
             state.snapshot_g = factor_g.astype(np.float32, copy=True)
-        state.next_eigen_step = step + state.eigen_interval
+        # The first refresh seeds the layer's phase; from there the interval carries it.
+        state.next_eigen_step = self._on_phase(name, step + 1) if first else step + state.eigen_interval
 
-    def advance(self, step: int) -> None:
-        """End-of-step bookkeeping: count base-cadence opportunities skipped."""
+    def _on_phase(self, name: str, at_step: int) -> int:
+        """The first step at or after ``at_step`` on which the base cadence refreshes ``name``."""
+        return next_refresh_step(self._offsets[name], at_step, self.factor_update_freq, self.inv_update_freq)
+
+    def advance(self, step: int) -> Tuple[int, int]:
+        """End-of-step bookkeeping: count, and return, the ``(factor, eigen)`` base-cadence opportunities skipped.
+
+        A layer's eigen opportunities sit on its own phase -- the steps
+        congruent to its next planned refresh, within that refresh's interval
+        -- not on ``step % inv_update_freq == 0``, so a staggered plan skips
+        nothing.
+        """
+        factor_skips = eigen_skips = 0
         for state in self._layers.values():
             if step % self.factor_update_freq == 0 and state.last_factor_step != step:
                 state.factor_skips += 1
-            if step % self.inv_update_freq == 0 and state.last_eigen_step != step:
+                factor_skips += 1
+            ahead = state.next_eigen_step - step  # a refresh performed on this step leaves a whole interval ahead
+            if ahead % self.inv_update_freq == 0 and ahead < state.eigen_interval:
                 state.eigen_skips += 1
+                eigen_skips += 1
+        return factor_skips, eigen_skips
+
+    def base_eigen_updates(self, steps: int) -> int:
+        """Refreshes the base cadence performs over all layers in ``steps`` steps: step 0, then each layer's phase."""
+        if steps <= 0:
+            return 0
+        return sum(1 + max(0, -(-(steps - self._on_phase(name, 1)) // self.inv_update_freq)) for name in self._offsets)
 
     # ---------------------------------------------------------------- stats
     def layer_stats(self) -> Dict[str, Dict[str, Any]]:
@@ -365,15 +406,17 @@ class FactorUpdateScheduler:
         """Forget all drift/interval state and restart the base cadence.
 
         ``at_step`` positions the fresh plan mid-run: every layer's next
-        refresh is the first multiple of its base frequency at or after
-        ``at_step``, i.e. where the fixed ``step % freq == 0`` cadence would
-        refresh next (used to resume checkpoints that carry no plan).
+        fold is the first multiple of ``factor_update_freq`` at or after
+        ``at_step`` and its next refresh the first step on its offset, i.e.
+        where the base cadence would refresh next (used to resume
+        checkpoints that carry no plan).
         """
         self._layers = {
             name: _LayerSchedule(self.factor_update_freq, self.inv_update_freq) for name in self._layers
         }
+        if at_step <= 0:
+            return  # step 0 folds and decomposes every layer
         next_factor_step = -(-at_step // self.factor_update_freq) * self.factor_update_freq
-        next_eigen_step = -(-at_step // self.inv_update_freq) * self.inv_update_freq
-        for state in self._layers.values():
+        for name, state in self._layers.items():
             state.next_factor_step = next_factor_step
-            state.next_eigen_step = next_eigen_step
+            state.next_eigen_step = self._on_phase(name, at_step)

@@ -47,7 +47,7 @@ import numpy as np
 
 from ..distributed.collectives import BroadcastSpec, BucketManager, broadcast_messages
 from ..tensor import PrecisionPolicy
-from .assignment import greedy_lpt_assignment
+from .assignment import greedy_lpt_assignment, next_refresh_step, staggered_refresh_offsets
 from .factors import FactorRepr
 from .kmath import EigenDecomposition
 
@@ -192,12 +192,16 @@ FactorSpec = Tuple[str, Tuple[int, ...], np.dtype]
 
 @dataclass(frozen=True)
 class DistributionPlan:
-    """One K-FAC update as data: who computes, who holds, what moves.  Identical on every rank.
+    """One K-FAC update as data: who computes, who holds, what moves and when.  Identical on every rank.
 
     Every mapping is keyed by layer name -- or ``(layer name, "a" | "g")`` for
     per-factor entries -- in registration order, so a step that refreshes a
     subset of layers concatenates those layers' entries and keeps the order.
     Ranks in ``decomposers`` / ``*_holders`` are sorted tuples.
+    ``refresh_offsets`` is the base cadence's *when*: every layer is decomposed
+    on step 0, afterwards on the steps with ``step % inv_update_freq`` equal to
+    its offset (:func:`~repro.kfac.assignment.staggered_refresh_offsets`,
+    :func:`~repro.kfac.assignment.next_refresh_step`).
     """
 
     scheme: str  # the strategy's name, e.g. "HYBRID-OPT"
@@ -210,6 +214,18 @@ class DistributionPlan:
     factor_round: Dict[str, Tuple[FactorSpec, ...]]  # world-wide window allreduces
     eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh
     gradient_round: Dict[str, Tuple[BroadcastSpec, ...]]  # every step
+    factor_update_freq: int
+    inv_update_freq: int
+    refresh_offsets: Dict[str, int]  # phase of the layer's refresh in the interval
+
+    def refresh_due(self, step: int) -> List[str]:
+        """The layers the base cadence decomposes on ``step``: every layer on step 0, then each on its offset."""
+        cadence = (self.factor_update_freq, self.inv_update_freq)
+        return [
+            name
+            for name, offset in self.refresh_offsets.items()
+            if step == 0 or next_refresh_step(offset, step, *cadence) == step
+        ]
 
     def factor_bytes_per_rank(self) -> np.ndarray:
         """Running-factor bytes each rank holds."""
@@ -226,32 +242,47 @@ class DistributionPlan:
         return per_rank
 
     def messages(
-        self, bucket_cap_mb: float = 25.0, hooked: bool = False
+        self, bucket_cap_mb: float = 25.0, hooked: bool = False, step: Optional[int] = None
     ) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
-        """Every message of one full update as the collective engine posts it.
+        """Every message of one full update -- or of step ``step`` alone -- as the collective engine posts it.
 
         ``{"factor" | "eigen" | "gradient": [(members, nbytes), ...]}``, one
         entry per fused bucket: the rounds' specs through the engine's own
         grouping (:func:`~repro.distributed.collectives.broadcast_messages`,
         one world-wide channel for the factor allreduces) under the same cap,
-        so the counts are what a communication log records.  ``hooked`` is the
+        so the counts are what a communication log records.  The eigen round is
+        posted, and so bucketed, once per step that decomposes anything: a full
+        update sums an interval's rounds (one round where every offset is 0),
+        ``step`` gives the base cadence's round of that step (every layer on
+        step 0) beside the factor round if it folds.  ``hooked`` is the
         armed gradient pipeline, which buckets the factor allreduces in
         reverse layer order (the order backward produces them).  A group of
         one exchanges nothing and is not a message.
         """
         buckets = BucketManager(bucket_cap_mb)
         names = list(self.groups)
+        if step is None:
+            folds = True
+            phases = sorted(set(self.refresh_offsets.values()))
+            eigen_rounds = [self.refresh_due(self.inv_update_freq + phase) for phase in phases]  # a steady interval
+        else:
+            folds = step % self.inv_update_freq % self.factor_update_freq == 0  # a refresh at offset 0 restarts the folds
+            eigen_rounds = [self.refresh_due(step)]
         out: Dict[str, List[Tuple[Tuple[int, ...], int]]] = {"factor": [], "eigen": [], "gradient": []}
-        if self.world_size > 1:
+        if self.world_size > 1 and folds:
             everyone = tuple(range(self.world_size))
             ordered = reversed(names) if hooked else names
             factor_specs = [entry for name in ordered for entry in self.factor_round[name]]
             out["factor"] = [(everyone, bucket.nbytes) for bucket in buckets.build(factor_specs)]
-        for label, per_layer in (("eigen", self.eigen_round), ("gradient", self.gradient_round)):
-            specs = [spec for name in names for spec in per_layer[name]]
-            for _, members, _, channel_buckets in broadcast_messages(specs, self.world_size, buckets):
-                if len(members) > 1:
-                    out[label] += [(members, bucket.nbytes) for bucket in channel_buckets]
+        for label, per_layer, posted in (
+            ("eigen", self.eigen_round, eigen_rounds),
+            ("gradient", self.gradient_round, [names]),
+        ):
+            for due in posted:
+                specs = [spec for name in due for spec in per_layer[name]]
+                for _, members, _, channel_buckets in broadcast_messages(specs, self.world_size, buckets):
+                    if len(members) > 1:
+                        out[label] += [(members, bucket.nbytes) for bucket in channel_buckets]
         return out
 
     def digest(self) -> str:
@@ -410,6 +441,8 @@ class DistributionStrategy:
         policy: WirePolicy = WirePolicy(),
         factors_read_everywhere: bool = False,
         eigen_free: Iterable[str] = (),
+        factor_update_freq: int = 1,
+        inv_update_freq: int = 1,
     ) -> DistributionPlan:
         """The :class:`DistributionPlan` of ``layers`` under this scheme.
 
@@ -423,13 +456,22 @@ class DistributionStrategy:
         Factors are allreduced world-wide as the ranks' *window* averages, in
         the form they are stored in: a dense one as its packed triangle (section
         4.3's optimisation, here the only layout), a diagonal one as O(F) elements.
+        The two cadences place each layer's refresh inside the interval
+        (``refresh_offsets``) from its eigen cost alone -- not from ``assign``,
+        so every scheme decomposes a layer on the same steps.
         """
         layers = list(layers)
         groups = self.assign(layers)
         eigen_free = frozenset(eigen_free)
         everyone = tuple(range(self.world_size))
         factor_dtype = np.dtype(policy.precision.factor_dtype)
-        plan = DistributionPlan(self.name, self.world_size, policy, groups, {}, {}, {}, {}, {}, {})
+        offsets = staggered_refresh_offsets(
+            {layer.name: layer.eigen_cost for layer in layers}, self.world_size, factor_update_freq, inv_update_freq
+        )
+        plan = DistributionPlan(
+            self.name, self.world_size, policy, groups, {}, {}, {}, {}, {}, {},
+            int(factor_update_freq), int(inv_update_freq), offsets,
+        )  # fmt: skip
         for layer in layers:
             name, group = layer.name, groups[layer.name]
             needs_eigen = name not in eigen_free

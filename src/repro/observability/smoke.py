@@ -14,13 +14,16 @@ the same layer set.  Used three ways:
   the ranks' running factors do not add up to every factor stored once, if a
   rank's factor bytes are not the packed triangles of the factors it holds --
   ``n(n+1)/2`` elements per dense factor, a regression to square storage --
-  or if the modeled K-FAC messages or bytes differ from the communication
-  log's; beside the messages table it prints the factor round's bytes per
+  if the modeled K-FAC messages or bytes differ from the communication
+  log's, or if, after step 0, a step decomposes more layers than the heaviest
+  step of the plan's interval or a layer is decomposed twice in one interval
+  -- a regression to one refresh step; the per-step counts are printed;
+  beside the messages table it prints the factor round's bytes per
   update and each rank's median optimizer step, pipeline flush and K-FAC
   write-back, :data:`GLUE_SPANS`);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
-  :func:`modeled_schedule_for_run` and :func:`kfac_traffic` to print
-  modeled-vs-measured columns;
+  :func:`workload_spec_for_run`, :func:`modeled_schedule_for_run` and
+  :func:`kfac_traffic` to print modeled-vs-measured columns;
 * the observability tests, as the canonical "real workload, real ranks"
   fixture.
 """
@@ -32,7 +35,7 @@ import itertools
 import sys
 from typing import List, Optional, Tuple
 
-__all__ = ["run_traced_bert", "modeled_schedule_for_run", "kfac_traffic", "main"]
+__all__ = ["run_traced_bert", "workload_spec_for_run", "modeled_schedule_for_run", "kfac_traffic", "main"]
 
 #: The spans whose work is once per parameter by nature (what is left of it runs once per block):
 #: their share of a step is Python glue under the interpreter lock, so every CI log prints it.
@@ -41,11 +44,11 @@ GLUE_SPANS = ("trainer/optimizer_step", "pipeline/flush", "kfac/scale_and_update
 
 def run_traced_bert(
     world_size: int = 4,
-    steps: int = 3,
+    steps: int = 12,
     grad_worker_frac: float = 0.5,
     seed: int = 0,
-    factor_update_freq: int = 2,
-    inv_update_freq: int = 4,
+    factor_update_freq: int = 5,
+    inv_update_freq: int = 10,
     use_pipeline: bool = True,
     bucket_cap_mb: float = 25.0,
 ):
@@ -61,7 +64,9 @@ def run_traced_bert(
     :meth:`KFAC.memory_usage` (``"memory_usage"``), the bytes of all
     registered factors (``"registered_factor_bytes"``), the bytes the factors
     each rank holds take as packed triangles, worked out from their dimensions
-    (``"held_triangle_bytes"``), what the world's
+    (``"held_triangle_bytes"``), the layers decomposed on each step and every
+    layer's decompositions in all (``"refreshed_per_step"``,
+    ``"refreshes_per_layer"``), what the world's
     :class:`~repro.distributed.CommunicationLog` counted (``"logged"``:
     ``{op: (messages, bytes)}``) and the part of it that is data-parallel
     gradient averaging, per step (``"grad_sync"``: the same pair, from the
@@ -121,7 +126,8 @@ def run_traced_bert(
         averaging = GradientAveragingSubscriber(model).specs(1.0, comm.world_size)
         grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
         grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
-        return trainer.tracer, preconditioner.memory_usage(), registered, grad_sync, comm.log, triangles
+        refreshes = {name: entry["eigen_updates"] for name, entry in preconditioner.scheduler_stats()["layers"].items()}
+        return trainer.tracer, preconditioner.memory_usage(), registered, grad_sync, comm.log, triangles, refreshes
 
     per_rank = run_spmd(world_size, program)
     tracers = [entry[0] for entry in per_rank]
@@ -138,24 +144,25 @@ def run_traced_bert(
         "memory_usage": [entry[1] for entry in per_rank],
         "registered_factor_bytes": per_rank[0][2],
         "held_triangle_bytes": [entry[5] for entry in per_rank],
+        "refreshed_per_step": [
+            mark.attrs["second_order_layers"] for mark in tracers[0].instants if mark.name == "kfac/refresh_decision"
+        ],
+        "refreshes_per_layer": per_rank[0][6],
         "grad_sync": per_rank[0][3],
         "logged": {op: (count, log.bytes_by_op[op]) for op, count in log.messages_by_op.items()},
     }
     return tracers, run_info
 
 
-def modeled_schedule_for_run(tracers, run_info):
-    """The analytic :class:`~repro.kfac.CommSchedule` matching a traced run.
+def workload_spec_for_run(tracers, run_info):
+    """The :class:`~repro.kfac.KFACWorkloadSpec` of a traced run, from the architecture rather than the engine.
 
-    Rebuilds the same tiny BERT (same seed), collects its K-FAC layer shapes,
-    and prices the run's schedule (its bucket cap, hooked or not) with
-    :func:`repro.kfac.model_comm_schedule` — calibrating the model's
-    per-iteration compute time from the *measured* forward+backward+optimizer
-    spans so the two columns share a time base.
+    Rebuilds the same tiny BERT (same seed), collects its K-FAC layer shapes
+    and calibrates the per-iteration compute time from the *measured*
+    forward+backward+optimizer spans so model and measurement share a time base.
     """
     from ..experiments.model_shapes import collect_layer_shapes
     from ..experiments.workloads import build_bert_workload
-    from ..kfac import model_comm_schedule
     from ..kfac.analysis import KFACWorkloadSpec
     from .metrics import MetricsReport
 
@@ -166,7 +173,7 @@ def modeled_schedule_for_run(tracers, run_info):
         + report.mean("trainer/backward")
         + report.mean("trainer/optimizer_step")
     )
-    spec = KFACWorkloadSpec(
+    return KFACWorkloadSpec(
         name="bert_tiny_traced",
         # Everything K-FAC registers: the norm layers' diagonal-G factors are on the wire too.
         layers=collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules, include_structured=True),
@@ -176,6 +183,12 @@ def modeled_schedule_for_run(tracers, run_info):
         factor_update_freq=run_info["factor_update_freq"],
         inv_update_freq=run_info["inv_update_freq"],
     )
+
+
+def modeled_schedule_for_run(spec, run_info):
+    """The analytic :class:`~repro.kfac.CommSchedule` of a traced run: ``spec`` priced under the run's bucket cap, hooked or not."""
+    from ..kfac import model_comm_schedule
+
     return model_comm_schedule(
         spec,
         run_info["world_size"],
@@ -185,29 +198,47 @@ def modeled_schedule_for_run(tracers, run_info):
     )
 
 
-def kfac_traffic(modeled, run_info):
+def kfac_traffic(spec, run_info):
     """``{op: ((modeled messages, bytes), (logged messages, bytes))}`` for the K-FAC collectives of a run.
 
-    Modeled: the schedule's per-round counts times the rounds the cadence
-    ran in ``steps`` steps (a factor round every ``factor_update_freq``
-    steps from step 0, an eigen round every ``inv_update_freq``, a gradient
-    round every step).  Logged: the communication log, minus the
-    data-parallel gradient averaging.  The model reads the plan the engine
-    follows, so the two are equal -- any difference is a bug.
+    Modeled: the messages of ``spec``'s plan step by step over the run's steps
+    (a factor round on a fold, the eigen round of the layers the plan
+    decomposes on that step, a gradient round every step).  Logged: the
+    communication log, minus the data-parallel gradient averaging.  The model
+    reads the plan the engine follows, so the two are equal -- any difference
+    is a bug.
     """
     import numpy as np
 
     steps = run_info["steps"]
-    factor_rounds = -(-steps // run_info["factor_update_freq"])
-    eigen_rounds = -(-steps // run_info["inv_update_freq"])
-    rounds = {label: np.array(counts) for label, counts in modeled.rounds.items()}  # (messages, bytes)
-    expected = {
-        "allreduce": factor_rounds * rounds["factor"],
-        "broadcast": eigen_rounds * rounds["eigen"] + steps * rounds["gradient"],
-    }
+    plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
+    expected = {"allreduce": np.zeros(2, dtype=np.int64), "broadcast": np.zeros(2, dtype=np.int64)}
+    for step in range(steps):
+        messages = plan.messages(run_info["bucket_cap_mb"], hooked=run_info["use_pipeline"], step=step)
+        for op, sent in (("allreduce", messages["factor"]), ("broadcast", messages["eigen"] + messages["gradient"])):
+            expected[op] += (len(sent), sum(nbytes for _, nbytes in sent))
     logged = {op: np.array(run_info["logged"].get(op, (0, 0))) for op in expected}
     logged["allreduce"] -= steps * np.array(run_info["grad_sync"])
     return {op: (tuple(map(int, expected[op])), tuple(map(int, logged[op]))) for op in expected}
+
+
+def staggered_refresh_problems(spec, run_info) -> List[str]:
+    """What is wrong with the run's refresh schedule, if anything: the plan spreads an interval's decompositions."""
+    plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
+    interval = plan.inv_update_freq
+    heaviest = max(len(plan.refresh_due(interval + phase)) for phase in range(interval))
+    problems = [
+        f"step {step} decomposed {count} layers, the heaviest step of the plan's interval {heaviest}"
+        for step, count in enumerate(run_info["refreshed_per_step"])
+        if step > 0 and count > heaviest
+    ]
+    allowed = 1 + -(-(run_info["steps"] - 1) // interval)  # step 0, then once per interval
+    problems += [
+        f"layer {name} was decomposed {count} times in {run_info['steps']} steps (interval {interval})"
+        for name, count in run_info["refreshes_per_layer"].items()
+        if count > allowed
+    ]
+    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -219,7 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="trace.json", help="Chrome trace output path")
     parser.add_argument("--world", type=int, default=4, help="threaded world size")
-    parser.add_argument("--steps", type=int, default=3, help="optimization steps")
+    parser.add_argument("--steps", type=int, default=12, help="optimization steps (cadence 5 / 10: past one interval)")
     parser.add_argument("--frac", type=float, default=0.5, help="grad_worker_frac")
     parser.add_argument("--no-pipeline", action="store_true", help="post at flush() instead of during backward")
     args = parser.parse_args(argv)
@@ -248,7 +279,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {name}: {value:g}")
 
     measured = measured_comm_schedule(tracers)
-    modeled = modeled_schedule_for_run(tracers, run_info)
+    spec = workload_spec_for_run(tracers, run_info)
+    modeled = modeled_schedule_for_run(spec, run_info)
     print(
         format_table(
             ["", "comm time (ms)", "exposed (ms)", "hidden (ms)"],
@@ -269,7 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="\nExposed communication: modeled vs measured (busiest rank)",
         )
     )
-    traffic = kfac_traffic(modeled, run_info)
+    traffic = kfac_traffic(spec, run_info)
     print(
         format_table(
             ["K-FAC collectives", "modeled messages", "logged messages", "modeled bytes", "logged bytes"],
@@ -295,6 +327,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if any(expected != logged for expected, logged in traffic.values()):
         print("ERROR: modeled K-FAC messages or bytes differ from the communication log", file=sys.stderr)
+        return 1
+    print(
+        f"\nLayers decomposed per step (cadence {run_info['factor_update_freq']} / {run_info['inv_update_freq']}): "
+        + " ".join(f"{step}:{count}" for step, count in enumerate(run_info["refreshed_per_step"]))
+    )
+    problems = staggered_refresh_problems(spec, run_info)
+    for problem in problems:
+        print(f"ERROR: {problem}: the refresh is one step again", file=sys.stderr)
+    if problems:
         return 1
     print("\nK-FAC state per rank (bytes):")
     for rank, usage in enumerate(run_info["memory_usage"]):

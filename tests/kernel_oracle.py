@@ -179,21 +179,35 @@ def use_square_path(preconditioner):
     return preconditioner
 
 
-def replicated_fold_reference(layer, a_new, g_new, factor_decay):
-    """The factor fold as every rank used to run it for itself (``KFACLayer.update_factors``).
+def replicated_fold_reference(layer, step, config, offset=0):
+    """One handler's factor and eigen stages of ``step`` as every rank used to run them for itself.
 
-    Both running factors blended from this rank's own window, as plain
-    expressions.  At world size 1 the sharded factor stage (window average
-    through the bucket, folded by ``KFACLayer.fold_factor`` where it is held)
-    must equal it to the bit.
+    The base cadence written out from the rule in the README ("Scheduling"),
+    not read off the scheduler: fold this rank's own window into both running
+    factors on ``step % factor_update_freq == 0`` (``KFACLayer.update_factors``
+    as plain expressions), decompose on step 0 and afterwards on the steps with
+    ``step % inv_update_freq == offset`` -- ``offset`` is the layer's entry in
+    the plan's ``refresh_offsets``; a staggered step before the second fold
+    would decompose step 0's factors again and is passed over.  (Nested
+    cadences only: a refresh off the fold cadence forces a fold and moves the
+    folds after it.)  At world size 1 the sharded
+    factor stage (window average handed over by the engine, folded by
+    ``KFACLayer.fold_factor`` where it is held) and the planned refresh must
+    equal it to the bit.
     """
-    dtype = layer.precision.factor_dtype
-    if layer.factor_a is None:
-        layer.factor_a, layer.factor_g = a_new.astype(dtype), g_new.astype(dtype)
-        return
-    decay = float(factor_decay)
-    layer.factor_a = (decay * layer.factor_a.astype(np.float32, copy=False) + (1.0 - decay) * a_new).astype(dtype)
-    layer.factor_g = (decay * layer.factor_g.astype(np.float32, copy=False) + (1.0 - decay) * g_new).astype(dtype)
+    fold_every, interval = config.factor_update_freq, config.inv_update_freq
+    assert interval % fold_every == 0
+    if step % fold_every == 0:
+        a_new, g_new = layer.compute_batch_factors()
+        dtype = layer.precision.factor_dtype
+        if layer.factor_a is None:
+            layer.factor_a, layer.factor_g = a_new.astype(dtype), g_new.astype(dtype)
+        else:
+            decay = float(config.factor_decay)
+            layer.factor_a = (decay * layer.factor_a.astype(np.float32, copy=False) + (1.0 - decay) * a_new).astype(dtype)
+            layer.factor_g = (decay * layer.factor_g.astype(np.float32, copy=False) + (1.0 - decay) * g_new).astype(dtype)
+    if step == 0 or (step % interval == offset and (offset == 0 or step > fold_every)):
+        decompose_standalone(layer, config.damping)
 
 
 def decompose_standalone(layer, damping, pi=None):

@@ -488,7 +488,7 @@ class TestGradientSeam:
             np.testing.assert_array_equal(averaged, (halves[0] + halves[1]) / np.float32(2.0))
 
     def test_mixed_dtype_schedule_on_one_rank_keeps_every_dtype(self):
-        """A single rank under accumulation: one bucket per dtype, each gradient scaled in its own dtype."""
+        """A single rank under accumulation exchanges nothing: no fused buffer, each gradient scaled in its own dtype."""
         dtypes = (np.float32, np.float16, np.float64)
         model = self.model_with_gradients(dtypes=dtypes)
         before = [param.grad.copy() for param in model.parameters()]
@@ -496,27 +496,58 @@ class TestGradientSeam:
         specs = ddp.subscriber().specs(grad_scale=0.5, world_size=1)
         ddp.scheduler.run_allreduces([spec.to_allreduce() for spec in specs])
         grads = [param.grad for param in model.parameters()]
-        assert len({id(grad.base) for grad in grads}) == len(dtypes)
+        assert len({id(grad.base) for grad in grads}) == len(grads)  # each its own array, not a view of a bucket
         for grad, original in zip(grads, before):
             assert grad.dtype == original.dtype and grad.flags.c_contiguous
             np.testing.assert_array_equal(grad, original * 0.5)
 
     def test_specs_of_different_scales_never_share_a_bucket(self):
+        def program(comm):
+            scheduler = OverlapScheduler(comm, bucket_cap_mb=1.0)
+            got = {}
+            ones = np.ones(4, dtype=np.float32)
+            scheduler.run_allreduces(
+                [
+                    AllreduceSpec("a", ones, on_complete=lambda array: got.__setitem__("a", array), scale=0.5),
+                    AllreduceSpec("b", ones, on_complete=lambda array: got.__setitem__("b", array)),
+                    AllreduceSpec("c", ones, on_complete=lambda array: got.__setitem__("c", array), scale=0.5),
+                ]
+            )
+            np.testing.assert_array_equal(got["a"], 0.5)
+            np.testing.assert_array_equal(got["b"], 1.0)
+            np.testing.assert_array_equal(got["c"], 0.5)
+            assert got["a"].base is got["c"].base and got["b"].base is not got["a"].base
+            np.testing.assert_array_equal(ones, 1.0)
+
+        run_spmd(2, program)
+
+    def test_a_group_of_one_hands_each_payload_to_its_callback_without_a_buffer(self):
+        """No fused buffer at world 1: the callback gets the payload itself, or its scaled / cast product."""
         scheduler = OverlapScheduler(SingleProcessCommunicator(), bucket_cap_mb=1.0)
         got = {}
         ones = np.ones(4, dtype=np.float32)
-        scheduler.run_allreduces(
+        wide = np.arange(6, dtype=np.float64)
+        scheduler.post_allreduces(
             [
                 AllreduceSpec("a", ones, on_complete=lambda array: got.__setitem__("a", array), scale=0.5),
                 AllreduceSpec("b", ones, on_complete=lambda array: got.__setitem__("b", array)),
-                AllreduceSpec("c", ones, on_complete=lambda array: got.__setitem__("c", array), scale=0.5),
             ]
         )
+        scheduler.post_broadcasts(
+            [BroadcastSpec("c", 0, None, (2, 3), np.float32, lambda: wide, lambda array: got.__setitem__("c", array))]
+        )
+        assert got == {}  # callbacks fire at drain(), in posting order
+        scheduler.drain()
+        assert list(got) == ["a", "b", "c"]
+        assert got["b"] is ones
         np.testing.assert_array_equal(got["a"], 0.5)
-        np.testing.assert_array_equal(got["b"], 1.0)
-        np.testing.assert_array_equal(got["c"], 0.5)
-        assert got["a"].base is got["c"].base and got["b"].base is not got["a"].base
         np.testing.assert_array_equal(ones, 1.0)
+        assert got["c"].dtype == np.float32 and got["c"].shape == (2, 3)
+        np.testing.assert_array_equal(got["c"].ravel(), wide)
+        scheduler.post_allreduces([AllreduceSpec("d", ones, on_complete=lambda array: got.__setitem__("d", array))])
+        scheduler.discard()
+        scheduler.drain()
+        assert "d" not in got
 
 
 #: A cap smaller than any tensor: every tensor travels in a message of its own

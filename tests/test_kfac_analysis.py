@@ -140,6 +140,25 @@ class TestIterationModel:
         assert np.count_nonzero(per_rank["eigen_decomposition"]) <= 6
 
 
+    def test_refresh_interval_reports_the_heaviest_step_beside_the_single_refresh_step(self):
+        """The plan's offsets split the eigen stage over an interval's steps; the amortised time is unchanged."""
+        model = IterationTimeModel()
+        spec = small_spec(factor_update_freq=5, inv_update_freq=10)
+        one_step = small_spec(factor_update_freq=2, inv_update_freq=4)
+        for world, frac in ((1, 1.0), (2, 0.5), (2, 1.0)):
+            spread, single = model.refresh_interval(spec, world, frac), model.refresh_interval(one_step, world, frac)
+            assert spread["single_refresh_step"] == pytest.approx(single["single_refresh_step"])
+            assert single["heaviest_step"] == single["single_refresh_step"]
+            assert (single["touched_steps"], single["interval_steps"]) == (2, 4)  # the folds on steps 0 and 2
+            # One layer dwarfs the rest: under MEM-OPT at world 2 the rank that decomposes it sets both figures.
+            assert spread["heaviest_step"] <= spread["single_refresh_step"]
+            assert world > 1 or spread["heaviest_step"] < spread["single_refresh_step"]
+            assert (spread["touched_steps"], spread["interval_steps"]) == (4, 10)  # folds on 0, 5; work on 1, 6
+            per_rank = model.stage_times_per_rank(spec, world, frac)
+            per_interval = 10 * (per_rank["eigen_decomposition"] + per_rank["eigen_broadcast"])
+            assert float(per_interval.max()) == pytest.approx(spread["single_refresh_step"])
+
+
 class TestSpeedupProjection:
     def test_speedup_requires_fewer_iterations_to_win(self):
         model = IterationTimeModel()

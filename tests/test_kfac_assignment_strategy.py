@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kfac import DistributionStrategy, LayerShapeInfo, greedy_lpt_assignment, makespan, round_robin_assignment
-from repro.kfac.assignment import AssignmentResult
+from repro.kfac.assignment import AssignmentResult, staggered_refresh_offsets
 
 
 def layer(name, a_dim, g_dim):
@@ -83,6 +83,111 @@ class TestGreedyLPT:
         result = greedy_lpt_assignment(costs, workers)
         assert sum(result.loads) == pytest.approx(sum(costs.values()))
         assert makespan(costs, result.assignment, workers) == pytest.approx(result.makespan)
+
+
+def workload_shapes(name):
+    """Every layer K-FAC registers for a ``repro.experiments`` workload (tiny BERT, CIFAR ResNet-20)."""
+    from repro.experiments import build_workload
+    from repro.experiments.model_shapes import collect_layer_shapes
+
+    built = build_workload(name, seed=0)
+    return collect_layer_shapes(built.model, skip_modules=built.kfac_skip_modules, include_structured=True)
+
+
+class TestStaggeredRefreshOffsets:
+    """The packing rule of README "Scheduling": the plan's ``refresh_offsets``."""
+
+    COSTS = {layer.name: layer.eigen_cost for layer in LAYERS}
+
+    @pytest.mark.parametrize(
+        "cadence",
+        [(1, 1), (1, 2), (1, 10), (2, 4), (2, 8), (3, 6), (3, 10), (4, 10), (3, 3), (4, 4), (10, 5)],
+        ids=lambda cadence: "{}-{}".format(*cadence),
+    )
+    def test_degenerate_cadences_keep_one_refresh_step(self, cadence):
+        """An interval of 1, not a multiple of the fold cadence, or with no fold-free step left under
+        'fewer than half the steps carry work': every offset is 0."""
+        for world in (1, 2, 4):
+            assert set(staggered_refresh_offsets(self.COSTS, world, *cadence).values()) == {0}
+
+    def test_slots_are_fold_free_steps_nearest_after_a_fold_first(self):
+        costs = {f"l{i}": 1.0 for i in range(8)}
+        assert sorted(set(staggered_refresh_offsets(costs, 1, 5, 10).values())) == [1, 6]
+        assert sorted(set(staggered_refresh_offsets(costs, 1, 4, 8).values())) == [1]
+        assert sorted(set(staggered_refresh_offsets(costs, 1, 5, 5).values())) == [1]
+        assert sorted(set(staggered_refresh_offsets(costs, 1, 5, 20).values())) == [1, 6, 11, 16]
+        ten = {f"l{i}": 1.0 for i in range(10)}  # a fifth step lowers the heaviest from 3 to 2: second after a fold
+        assert sorted(set(staggered_refresh_offsets(ten, 1, 5, 20).values())) == [1, 2, 6, 11, 16]
+        assert sorted(set(staggered_refresh_offsets(costs, 1, 10, 100).values())) == [1, 11, 21, 31, 41, 51, 61, 71]
+        # Groups of world_size: eight equal layers at world 4 are two groups, so two steps.
+        assert sorted(set(staggered_refresh_offsets(costs, 4, 10, 100).values())) == [1, 11]
+
+    def test_fewest_steps_that_minimise_the_heaviest_one(self):
+        # One job as heavy as the rest together: a third step could not lower the heaviest.
+        costs = {"big": 8.0, **{f"s{i}": 1.0 for i in range(8)}}
+        offsets = staggered_refresh_offsets(costs, 1, 10, 100)
+        assert sorted(set(offsets.values())) == [1, 11]
+        assert [job for job, offset in offsets.items() if offset == offsets["big"]] == ["big"]
+
+    def test_neighbours_in_cost_share_a_step(self):
+        """Groups are ``world_size`` consecutive layers of the cost order: where they cost alike (a
+        network's repeated blocks) LPT put them on different ranks, so a step's solves run side by side."""
+        layers = [layer("a", 128, 64), layer("b", 128, 64), layer("c", 64, 32), layer("d", 64, 32), layer("e", 16, 8)]
+        offsets = staggered_refresh_offsets({entry.name: entry.eigen_cost for entry in layers}, 2, 5, 10)
+        assert offsets["a"] == offsets["b"] and offsets["c"] == offsets["d"]
+        groups = DistributionStrategy(2, 0.5).assign(layers)
+        for first, second in ("ab", "cd"):
+            assert groups[first].eigen_worker_a != groups[second].eigen_worker_a
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    @pytest.mark.parametrize("workload", ["bert", "cifar_resnet"])
+    def test_workload_intervals(self, workload, world):
+        """Tiny BERT and ResNet-20 at cadence 5 / 10: every layer once per interval, fewer than half the
+        steps touched, the heaviest step within the LPT bound, the same offsets whatever the placement."""
+        shapes = workload_shapes(workload)
+        costs = {shape.name: shape.eigen_cost for shape in shapes}
+        plans = [
+            DistributionStrategy(world, frac, balance).plan(shapes, factor_update_freq=5, inv_update_freq=10)
+            for frac in sorted({1.0 / world, min(1.0, 2.0 / world), 1.0})
+            for balance in ("compute", "memory")
+        ]
+        offsets = plans[0].refresh_offsets
+        assert all(plan.refresh_offsets == offsets for plan in plans)
+        assert offsets == staggered_refresh_offsets(costs, world, 5, 10)
+        assert len({plan.digest() for plan in plans}) == len({(plan.scheme, str(plan.groups)) for plan in plans})
+
+        interval = [plans[0].refresh_due(step) for step in range(10, 20)]
+        assert sorted(name for due in interval for name in due) == sorted(costs)  # each layer exactly once
+        touched = {step for step, due in enumerate(interval) if due} | {0, 5}  # folds on 0 and 5
+        assert touched == {0, 1, 5, 6} and len(touched) < 10 / 2
+        loads = [sum(costs[name] for name in due) for due in interval if due]
+        ordered = sorted(costs.values(), reverse=True)
+        largest_group = sum(ordered[:world])
+        assert max(loads) <= sum(ordered) / len(loads) + largest_group
+        if world < 4:  # at world 4 BERT's four big layers are one group: one step carries them all
+            assert max(loads) <= 0.6 * sum(ordered)
+
+    def test_offsets_are_part_of_the_digest(self):
+        strategy = DistributionStrategy(2, 0.5)
+        staggered = strategy.plan(LAYERS, factor_update_freq=5, inv_update_freq=10)
+        one_step = strategy.plan(LAYERS, factor_update_freq=2, inv_update_freq=4)
+        assert set(one_step.refresh_offsets.values()) == {0} != set(staggered.refresh_offsets.values())
+        assert staggered.digest() != one_step.digest()
+        assert staggered.digest() == strategy.plan(LAYERS, factor_update_freq=5, inv_update_freq=10).digest()
+
+    def test_a_full_update_prices_one_eigen_round_per_touched_step(self):
+        """``messages()`` buckets the eigen round per step: same bytes as one refresh step, more messages."""
+        strategy = DistributionStrategy(2, 1.0)
+        staggered = strategy.plan(LAYERS, factor_update_freq=5, inv_update_freq=10)
+        one_step = strategy.plan(LAYERS, factor_update_freq=2, inv_update_freq=4)
+        spread, single = staggered.messages()["eigen"], one_step.messages()["eigen"]
+        assert sum(nbytes for _, nbytes in spread) == sum(nbytes for _, nbytes in single)
+        assert len(single) == 2 < len(spread) <= 4  # one fused bucket per source rank, per touched step
+        assert staggered.messages(step=0) == one_step.messages(step=0)  # step 0 decomposes everything at once
+        per_step = [staggered.messages(step=step) for step in range(10, 20)]
+        assert [m for messages in per_step for m in messages["eigen"]] == spread
+        assert [bool(messages["factor"]) for messages in per_step] == [step % 5 == 0 for step in range(10, 20)]
+        assert staggered.messages(step=1)["eigen"] == []  # nothing folded since step 0: passed over
 
 
 class TestDistributionStrategy:

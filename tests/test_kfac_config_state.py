@@ -340,12 +340,14 @@ class TestStateDictResume:
             grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
         np.testing.assert_array_equal(grads[0], grads[1])
 
-    def test_resume_of_checkpoint_without_plan_stays_on_cadence(self):
+    @pytest.mark.parametrize("cadence, steps_before", [((2, 4), 5), ((5, 10), 3), ((5, 10), 8)])
+    def test_resume_of_checkpoint_without_plan_stays_on_cadence(self, cadence, steps_before):
         """A checkpoint from before the refresh plan was saved (steps, config with
         the two retired keys, layers — nothing else) resumed mid-interval must
-        refresh when the uninterrupted run does, bit for bit."""
+        refresh when the uninterrupted run does -- on the distribution plan's
+        offsets, before, between and after two staggered steps -- bit for bit."""
         x, y = make_problem(6)
-        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4)
+        config = KFACConfig(lr=0.1, factor_update_freq=cadence[0], inv_update_freq=cadence[1])
 
         def one_step(model, pre, batch):
             model.zero_grad()
@@ -355,10 +357,11 @@ class TestStateDictResume:
 
         model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
         pre_a = KFAC(model_a, config)
-        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=5)
+        assert sorted(pre_a.plan.refresh_offsets.values()) == ([1, 6] if cadence == (5, 10) else [0, 0])
+        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=steps_before)
         state = pre_a.state_dict()
         old_format = {
-            "steps": state["steps"],  # 5: next factor update at 6, next eigen refresh at 8
+            "steps": state["steps"],
             "config": dict(state["config"], comm_overlap=False, adaptive_schedule=False),
             "layers": state["layers"],
         }
@@ -367,15 +370,53 @@ class TestStateDictResume:
         pre_b = KFAC(model_b, KFACConfig.from_dict(old_format["config"]))
         pre_b.load_state_dict(old_format)
         assert pre_b.config == config
-        assert pre_b.factor_scheduler.plan_fingerprint(5) == pre_a.factor_scheduler.plan_fingerprint(5)
+        updates_before = {name: entry["eigen_updates"] for name, entry in pre_a.factor_scheduler.layer_stats().items()}
 
         batch_rng = np.random.default_rng(9)
-        for _ in range(4):  # steps 5..8: plain, factor, plain, factor + eigen
+        for step in range(steps_before, steps_before + cadence[1]):  # one whole interval: every layer refreshes once
+            assert pre_b.factor_scheduler.plan_fingerprint(step) == pre_a.factor_scheduler.plan_fingerprint(step)
+            assert [name for name, _, due in pre_b.factor_scheduler.plan_fingerprint(step) if due] == pre_b.plan.refresh_due(step)
             batch = batch_rng.integers(0, len(x), 32)
             np.testing.assert_array_equal(one_step(model_a, pre_a, batch), one_step(model_b, pre_b, batch))
         assert pre_b.scheduler_stats()["layers"] != {}
         for name, entry in pre_b.factor_scheduler.layer_stats().items():
-            assert (entry["factor_updates"], entry["eigen_updates"]) == (2, 1), name
+            resumed_updates = pre_a.factor_scheduler.layer_stats()[name]["eigen_updates"] - updates_before[name]
+            assert (entry["factor_updates"], entry["eigen_updates"]) == (cadence[1] // cadence[0], resumed_updates), name
+            assert resumed_updates == 1
+
+    def test_checkpoint_written_on_one_refresh_step_resumes_on_the_phase_it_stored(self):
+        """A checkpoint from before the plan staggered the refresh (every ``next_eigen_step`` equal)
+        stays on that phase under a plan that would stagger, bit for bit, and counts no skip."""
+        x, y = make_problem(6)
+        config = KFACConfig(lr=0.1, factor_update_freq=5, inv_update_freq=10)
+
+        def build(seed, offsets=None):
+            model = MLP(6, [12], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, config)
+            if offsets is not None:  # the schedule before this plan field existed: one refresh step
+                pre.factor_scheduler = type(pre.factor_scheduler)(list(pre.layers), 5, 10, refresh_offsets=offsets)
+            return model, pre
+
+        model_a, pre_a = build(3, offsets={})
+        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=7)
+        state = pre_a.state_dict()
+        assert {entry["next_eigen_step"] for entry in state["scheduler"]["layers"].values()} == {10}
+        model_b, pre_b = build(77)
+        assert sorted(pre_b.plan.refresh_offsets.values()) == [1, 6]
+        model_b.load_state_dict(model_a.state_dict())
+        pre_b.load_state_dict(state)
+        batch_rng = np.random.default_rng(9)
+        for step in range(7, 23):
+            batch = batch_rng.integers(0, len(x), 32)
+            assert [due for _, _, due in pre_b.factor_scheduler.plan_fingerprint(step)] == [step % 10 == 0] * 2
+            grads = []
+            for model, pre in ((model_a, pre_a), (model_b, pre_b)):
+                model.zero_grad()
+                nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
+                pre.step()
+                grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
+            np.testing.assert_array_equal(*grads)
+        assert pre_b.scheduler_stats()["totals"]["eigen_skips"] == 0
 
     def test_parent_format_state_dict_with_reference_backend_resumes_bitwise(self):
         """A full ``KFAC.state_dict()`` whose config names the retired ``reference``

@@ -115,24 +115,26 @@ class TestStepMechanics:
     def test_update_interval_reuses_eigen_decompositions(self):
         model = MLP(4, [8], 2, rng=np.random.default_rng(0))
         x, y = make_problem(3, in_dim=4, classes=2)
-        pre = KFAC(model, factor_update_freq=2, inv_update_freq=4)
+        pre = KFAC(model, factor_update_freq=5, inv_update_freq=10)
         opt = optim.SGD(model.parameters(), lr=0.05)
         loss_fn = nn.CrossEntropyLoss()
-        eigens = []
-        for step in range(5):
+        assert sorted(pre.plan.refresh_offsets.values()) == [1, 6]  # one layer per fold-free step
+        eigens = {name: [] for name in pre.layers}
+        for step in range(18):
             opt.zero_grad()
             loss_fn(model(Tensor(x[:32])), y[:32]).backward()
             pre.step()
             opt.step()
-            layer = next(iter(pre.layers.values()))
-            # The G factor depends on the evolving model, so its decomposition
-            # changes whenever it is recomputed (the A factor of the first layer
-            # would not, since the same input batch is fed every step).
-            eigens.append(layer.eigen_g.eigenvectors.copy())
-        # Eigen decompositions recomputed at steps 0 and 4 only.
-        assert np.allclose(eigens[0], eigens[1])
-        assert np.allclose(eigens[1], eigens[3])
-        assert not np.allclose(eigens[3], eigens[4])
+            for name, layer in pre.layers.items():
+                # The G factor depends on the evolving model, so its decomposition
+                # changes whenever it is recomputed (the A factor of the first layer
+                # would not, since the same input batch is fed every step).
+                eigens[name].append(layer.eigen_g.eigenvalues.copy())
+        # Recomputed at step 0 and on the layer's offset in the plan: 6 and 16, or (1 is passed over) 11.
+        for name, offset in pre.plan.refresh_offsets.items():
+            refreshed = [step for step in range(1, 18) if not np.array_equal(eigens[name][step], eigens[name][step - 1])]
+            assert refreshed == [step for step in range(6, 18) if step % 10 == offset], name
+            assert all(name in pre.plan.refresh_due(step) for step in refreshed)
 
     def test_steps_counter_increments(self):
         model = MLP(4, [8], 2, rng=RNG)

@@ -443,16 +443,21 @@ class TestKFACSchedulerIntegration:
         m2 = MLP(6, [16], 3, rng=np.random.default_rng(5))
         return m1, m2
 
-    def test_scheduler_path_bitwise_equals_fixed_path(self):
+    @pytest.mark.parametrize("cadence", [(2, 4), (5, 10)], ids=["one-refresh-step", "staggered"])
+    def test_scheduler_path_bitwise_equals_fixed_path(self, cadence):
         """Acceptance criterion: at drift_tol=0 the planned step is bitwise the
-        fixed-cadence K-FAC step of Listing 1, written out by hand below from
-        the layer primitives (fold on step % F, decompose on step % K,
-        precondition and KL-clip every step).  The fold is the expression every
-        rank used to run on its own copy of every factor, so this also holds the
-        sharded factor stage to the replicated one, bit for bit, at world 1."""
+        base-cadence K-FAC step of Listing 1, written out by hand below from
+        the layer primitives (fold on step % F, decompose each layer on its
+        offset in the plan's ``refresh_offsets``, precondition and KL-clip
+        every step).  The fold is the expression every rank used to run on its
+        own copy of every factor, so this also holds the sharded factor stage
+        to the replicated one, bit for bit, at world 1."""
         m1, m2 = self.paired_models()
-        config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
-        planned = run_single_process(KFAC(m1, config), m1)
+        config = KFACConfig(factor_update_freq=cadence[0], inv_update_freq=cadence[1])
+        pre = KFAC(m1, config)
+        offsets = pre.plan.refresh_offsets
+        assert (sorted(offsets.values()) == [1, 6]) == (cadence == (5, 10)), offsets
+        planned = run_single_process(pre, m1, steps=23)
 
         step = 0
         layers = [
@@ -475,10 +480,7 @@ class TestKFACSchedulerIntegration:
             m2.zero_grad()
             loss_fn(m2(Tensor(x[idx])), y[idx]).backward()
             for layer in layers:
-                if step % config.factor_update_freq == 0:
-                    replicated_fold_reference(layer, *layer.compute_batch_factors(), config.factor_decay)
-                if step % config.inv_update_freq == 0:
-                    decompose_standalone(layer, config.damping)
+                replicated_fold_reference(layer, step, config, offsets[layer.name])
             pairs = [(layer.get_gradient(), layer.precondition(config.damping)) for layer in layers]
             total = sum(float(np.sum(g.astype(np.float64) * p.astype(np.float64))) for g, p in pairs)
             nu = kl_clip_scale_from_total(total, config.lr, config.kl_clip)
@@ -490,25 +492,30 @@ class TestKFACSchedulerIntegration:
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_scheduler_path_bitwise_equals_fixed_path_distributed(self, grad_worker_frac):
         """At drift_tol=0 every rank plans, and communicates on, exactly the
-        fixed cadence: factor traffic on step % 2, eigen traffic on step % 4
-        (none under MEM-OPT, whose eigen groups have one member), and nothing
-        but (MEM/HYBRID-OPT's) gradient broadcasts in between."""
+        base cadence: factor traffic on step % 5, a layer's eigen traffic on
+        its offset in the plan's ``refresh_offsets`` (none under MEM-OPT,
+        whose eigen groups have one member), and nothing but (MEM/HYBRID-OPT's)
+        gradient broadcasts in between."""
         x_global, y_global = make_problem(17, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
-            lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac
+            lr=0.05, factor_update_freq=5, inv_update_freq=10, grad_worker_frac=grad_worker_frac
         )
         world = ThreadedWorld(4)
-        traffic = {}
+        traffic, steps = {}, 18
 
         def program(comm):
             loss_fn = nn.CrossEntropyLoss()
-            model = MLP(6, [16], 3, rng=np.random.default_rng(42))
+            model = MLP(6, [16, 16, 16, 16], 3, rng=np.random.default_rng(42))
             ddp = DistributedDataParallel(model, comm)
             pre = KFAC(model, config, comm=comm)
+            # Five layers at world 4: a group of four on step 1, the fifth on step 6.
+            assert sorted(pre.plan.refresh_offsets.values()) == [1, 1, 1, 1, 6]
             batch_rng = np.random.default_rng(99)
-            for step in range(8):
+            for step in range(steps):
+                due = pre.plan.refresh_due(step)
+                assert (len(due) > 0) == (step in (0, 6, 11, 16))  # step 1 has nothing new to read and is passed over
                 plan = pre.factor_scheduler.plan_fingerprint(step)
-                assert plan == tuple((name, step % 2 == 0, step % 4 == 0) for name in pre.layers)
+                assert plan == tuple((name, step % 5 == 0, name in due) for name in pre.layers)
                 indices = batch_rng.integers(0, len(x_global), 32)
                 local = indices[comm.rank :: comm.world_size]
                 model.zero_grad()
@@ -523,9 +530,17 @@ class TestKFACSchedulerIntegration:
                     traffic[step] = {
                         op: world.log.bytes_by_op.get(op, 0) - before.get(op, 0) for op in ("allreduce", "broadcast")
                     }
+                    modeled = pre.plan.messages(config.bucket_cap_mb, step=step)
+                    assert traffic[step]["allreduce"] == sum(nbytes for _, nbytes in modeled["factor"]), step
+                    assert traffic[step]["broadcast"] == sum(
+                        nbytes for _, nbytes in modeled["eigen"] + modeled["gradient"]
+                    ), step
             stats = pre.scheduler_stats()
             assert stats["factor_update_fraction"] == stats["eigen_update_fraction"] == 1.0
             assert stats["totals"]["factor_skips"] == stats["totals"]["eigen_skips"] == 0
+            # Every layer exactly once per interval: step 0, then 6 and 16, or (step 1 passed over) 11.
+            for entry in stats["layers"].values():
+                assert entry["eigen_updates"] in (2, 3)
 
         threads = [
             threading.Thread(target=program, args=(world.communicator(r),), daemon=True) for r in range(4)
@@ -535,11 +550,11 @@ class TestKFACSchedulerIntegration:
         for t in threads:
             t.join(timeout=60)
             assert not t.is_alive()
-        assert len(traffic) == 8
-        plain = traffic[1]["broadcast"]  # gradient broadcasts only (none under COMM-OPT)
+        assert len(traffic) == steps
+        plain = traffic[2]["broadcast"]  # gradient broadcasts only (none under COMM-OPT)
         for step, moved in traffic.items():
-            assert (moved["allreduce"] > 0) == (step % 2 == 0), (step, moved)
-            assert (moved["broadcast"] > plain) == (step % 4 == 0 and grad_worker_frac > 0.25), (step, moved)
+            assert (moved["allreduce"] > 0) == (step % 5 == 0), (step, moved)
+            assert (moved["broadcast"] > plain) == (step in (0, 6, 11, 16) and grad_worker_frac > 0.25), (step, moved)
         assert (plain == 0) == (grad_worker_frac == 1.0)
 
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
@@ -615,15 +630,19 @@ class TestKFACSchedulerIntegration:
             assert entry["solver"] == "eigen"
 
     def test_fixed_path_scheduler_stats_are_neutral(self):
+        """Opportunities are counted on each layer's own phase: a staggered plan skips nothing, after any number of steps."""
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=2, inv_update_freq=4))
-        run_single_process(pre, model, steps=5)
-        stats = pre.scheduler_stats()
-        assert not stats["enabled"]
-        assert stats["factor_update_fraction"] == 1.0
-        assert stats["eigen_update_fraction"] == 1.0
-        assert stats["totals"]["eigen_skips"] == 0
-        assert stats["totals"]["factor_updates"] == 2 * 3  # 2 layers x steps {0,2,4}
+        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=5, inv_update_freq=10))
+        assert sorted(pre.plan.refresh_offsets.values()) == [1, 6]
+        for steps, refreshes in ((1, 2), (6, 3), (5, 4), (10, 6)):  # in all: 1, 7, 12, 22 steps
+            run_single_process(pre, model, steps=steps)
+            stats = pre.scheduler_stats()
+            assert not stats["enabled"]
+            assert stats["factor_update_fraction"] == 1.0
+            assert stats["eigen_update_fraction"] == 1.0
+            assert stats["totals"]["factor_skips"] == stats["totals"]["eigen_skips"] == 0
+            assert stats["totals"]["eigen_updates"] == refreshes  # steps 0 + 0, 6, 11, 16, 21
+            assert stats["totals"]["factor_updates"] == 2 * -(-pre.steps // 5)  # 2 layers x steps {0, 5, 10, ...}
 
     def test_small_layer_routing(self):
         # First Linear: a_dim=5, g_dim=4 (<= 8 -> cg); second: a_dim=5, g_dim=16.

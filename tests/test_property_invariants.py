@@ -10,7 +10,9 @@ on generated shapes, worlds, strategies and cadences, whole ``Trainer``
 trajectories on the block-fused optimizers against the per-parameter loops of
 ``optimizer_oracle.py`` (worlds, pipelines, accumulation), and the cost and memory
 models' counts against the engine's on generated shapes and knobs (messages,
-bytes and per-rank state: residual 0), and packed factor storage against the
+bytes and per-rank state: residual 0), the staggered refresh (the plan's
+``refresh_offsets``: strategy equivalence, kill-and-resume between two
+staggered steps, per-step messages against the log), and packed factor storage against the
 square-path oracle of ``kernel_oracle.py`` (trajectories bit for bit, per-rank
 state and the factor round's bytes).  The multi-rank suites run a fixed,
 derandomized set of examples, so their time is the same in every CI
@@ -275,6 +277,131 @@ class TestShardedFactorLayoutProperties:
         for key in ranks[0][2]:
             assert sum(layout[key][0] for _, _, layout, _, _ in ranks) == 1, f"{key} is not held exactly once"
         assert sum(held_bytes for *_, held_bytes, _ in ranks) == ranks[0][4]
+
+
+class TestStaggeredRefreshProperties:
+    """The plan says *when* each layer is decomposed; every strategy, every rank and a resumed run follow it.
+
+    Linear -> LayerNorm -> Tanh blocks of generated widths under MEM-, HYBRID- and COMM-OPT: replicas
+    agree to the bit, the strategies agree, a run killed between two staggered steps resumes to the
+    bit, and with drift off every step's K-FAC messages and bytes are the plan's for that step.
+    """
+
+    KNOBS = {"default": {}, "drift": {"drift_tol": 0.05, "max_staleness": 40}}
+
+    # world, (factor_update_freq, inv_update_freq), knob, resume at, poison the window of the fold on
+    # step inv_update_freq (the staggered step after it then reads the factors as last accepted).
+    ROWS = [
+        (1, (5, 10), "default", 8, False),  # resumed between step 6's refresh and step 11's
+        (2, (5, 10), "default", 3, True),  # between the passed-over step 1 and step 6
+        (3, (5, 10), "drift", 8, False),
+        (4, (5, 10), "default", 7, True),
+        (2, (4, 8), "default", 3, False),  # one fold-free step may carry work
+        (3, (5, 5), "default", 6, True),  # every fold is followed by the interval's one staggered step
+        (2, (6, 12), "drift", 9, True),
+        (4, (3, 7), "default", 4, False),  # not nested: every offset 0, a refresh forces its fold
+        (3, (2, 4), "default", 3, True),  # no fold-free step left: one refresh step
+        (1, (3, 10), "drift", 5, False),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}-{}-{}-{}-at{}{}".format(
+        row[0], *row[1], row[2], row[3], "-poisoned" if row[4] else ""))  # fmt: skip
+    @given(
+        in_features=st.integers(min_value=1, max_value=9),
+        hidden=st.lists(st.integers(min_value=2, max_value=24), min_size=2, max_size=4),
+        out_features=st.integers(min_value=1, max_value=5),
+        bias=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    def test_strategies_agree_resume_is_bit_identical_and_each_step_posts_the_plans_messages(
+        self, row, in_features, hidden, out_features, bias, seed
+    ):
+        world, (factor_freq, inv_freq), knob, resume_at, poisoned = row
+        last = resume_at + inv_freq + 3  # past one whole interval after the resume
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((24, in_features)).astype(np.float32)
+        target = rng.standard_normal((24, out_features)).astype(np.float32)
+        loss_fn = nn.MSELoss()
+
+        def build(comm, frac):
+            net_rng = np.random.default_rng(seed + 1)
+            widths = [in_features, *hidden]
+            blocks = []
+            for fan_in, fan_out in zip(widths, widths[1:]):
+                blocks += [nn.Linear(fan_in, fan_out, bias=bias, rng=net_rng), nn.LayerNorm(fan_out), nn.Tanh()]
+            model = nn.Sequential(*blocks, nn.Linear(widths[-1], out_features, bias=bias, rng=net_rng))
+            optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            config = KFACConfig(
+                lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac,
+                **self.KNOBS[knob],
+            )  # fmt: skip
+            return model, optimizer, KFAC(model, config, comm=comm)
+
+        def train(comm, model, optimizer, pre, first, last):
+            ddp = DistributedDataParallel(model, comm, broadcast_initial=False)
+            posted = {}
+            for step in range(first, last):
+                local = np.arange(24)[(step + comm.rank) % world :: world]
+                optimizer.zero_grad()
+                loss_fn(model(Tensor(x[local])), target[local]).backward()
+                ddp.sync_gradients()
+                if poisoned and step == inv_freq and comm.rank == 0:
+                    list(pre.layers.values())[-1]._g_accum[0] = np.inf  # one rank's window: rejected on every rank
+                due = [name for name, _, refreshes in pre.factor_scheduler.plan_fingerprint(step) if refreshes]
+                comm.barrier()
+                before = (dict(comm.log.messages_by_op), dict(comm.log.bytes_by_op))
+                comm.barrier()
+                pre.step()
+                comm.barrier()
+                posted[step] = {
+                    op: (comm.log.messages_by_op.get(op, 0) - before[0].get(op, 0), comm.log.bytes_by_op.get(op, 0) - before[1].get(op, 0))
+                    for op in ("allreduce", "broadcast")
+                }
+                posted[step]["due"] = due
+                optimizer.step()
+            return np.concatenate([p.data.ravel() for p in model.parameters()]), posted
+
+        def program(comm, frac):
+            model, optimizer, pre = build(comm, frac)
+            _, before_kill = train(comm, model, optimizer, pre, 0, resume_at)
+            checkpoint = (model.state_dict(), optimizer.state_dict(), pre.state_dict())
+            uninterrupted, posted = train(comm, model, optimizer, pre, resume_at, last)
+
+            model2, optimizer2, pre2 = build(comm, frac)  # the process was killed: everything is rebuilt
+            for target_object, state in zip((model2, optimizer2, pre2), checkpoint):
+                target_object.load_state_dict(state)
+            resumed, posted_again = train(comm, model2, optimizer2, pre2, resume_at, last)
+            assert posted_again == posted
+            return uninterrupted, resumed, {**before_kill, **posted}, pre.plan, pre2.scheduler_stats()
+
+        fractions = sorted({1.0 / world, min(2, world) / world, 1.0})
+        results = {frac: run_spmd(world, lambda comm, frac=frac: program(comm, frac)) for frac in fractions}
+        offsets = results[1.0][0][3].refresh_offsets
+        staggers = factor_freq >= 3 and inv_freq % factor_freq == 0 and (inv_freq - 1) // 2 > inv_freq // factor_freq
+        assert (set(offsets.values()) != {0}) == staggers, offsets
+        for frac, ranks in results.items():
+            for uninterrupted, resumed, posted, plan, stats in ranks:
+                assert np.all(np.isfinite(resumed))
+                np.testing.assert_array_equal(resumed, uninterrupted)
+                np.testing.assert_array_equal(resumed, ranks[0][1])  # and the replicas agree to the bit
+                assert plan.refresh_offsets == offsets  # the same steps under every placement
+                assert stats["totals"]["factor_windows_rejected"] == (1 if poisoned else 0)
+                if knob == "drift":
+                    continue  # drift moves layers off the base cadence: no whole rounds to count
+                assert stats["eigen_update_fraction"] == 1.0 and stats["totals"]["eigen_skips"] == 0
+                if inv_freq % factor_freq == 0:  # (a refresh off the fold cadence forces folds the base count leaves out)
+                    assert stats["factor_update_fraction"] == 1.0 and stats["totals"]["factor_skips"] == 0
+                for step in range(last):
+                    assert posted[step]["due"] == plan.refresh_due(step), step
+                    modeled = plan.messages(step=step)
+                    for op, rounds in (("allreduce", ("factor",)), ("broadcast", ("eigen", "gradient"))):
+                        sent = [message for label in rounds for message in modeled[label]]
+                        assert posted[step][op] == (len(sent), sum(nbytes for _, nbytes in sent)), (frac, step, op)
+        # Across strategies the same numbers sit in different buffers and BLAS rounds by alignment
+        # (see TestStrategyEquivalenceProperties): agreement, not a bitwise claim.
+        for frac in fractions[:-1]:
+            np.testing.assert_allclose(results[frac][0][1], results[1.0][0][1], rtol=1e-3, atol=2e-4)
 
 
 class _NetWithASpare(nn.Module):
