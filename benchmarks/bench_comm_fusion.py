@@ -15,9 +15,10 @@ cap issues strictly fewer collective messages and a strictly lower modeled
 iteration time at identical byte volume, asserts the hooked schedule exposes
 strictly less communication than the step-time one, and emits the numbers to
 ``BENCH_comm_fusion.json``.  Beside each modeled row it can run -- world 2 and
-4, on the tiny BERT -- it prints what the threaded world's
-``CommunicationLog`` counted for one full update: the model reads the plan
-the engine follows, so the residual is 0 messages and 0 bytes, and asserted.
+4, on the tiny BERT -- it prints what each rank's registry counted for one
+full update beside that rank's slice of the plan (the messages whose group
+contains it): the model reads the plan the engine follows, so the residual is
+0 messages and 0 bytes on every rank, and asserted.
 
 A second test closes the loop on *measured* overlap: a tiny BERT is trained
 for real on 4 threaded ranks with tracing enabled (a pipeline instance the
@@ -53,7 +54,7 @@ def strategy_fracs(world_size):
 
 
 def measured_residuals():
-    """One full update of the tiny BERT per (world, strategy, posting mode): modeled vs logged, by op."""
+    """One full update of the tiny BERT per (world, strategy, posting mode): each rank's plan slice vs its registry."""
     rows = []
     for world_size in MEASURED_WORLD_SIZES:
         for label, frac in strategy_fracs(world_size).items():
@@ -73,19 +74,21 @@ def measured_residuals():
                 )
                 spec = workload_spec_for_run(tracers, run_info)
                 modeled = modeled_schedule_for_run(spec, run_info)
-                traffic = kfac_traffic(spec, run_info)  # one step = one full update: per-op (expected, logged)
-                assert all(expected == counted for expected, counted in traffic.values()), (label, world_size, mode)
-                logged = [sum(counted[index] for _, counted in traffic.values()) for index in (0, 1)]
-                assert logged == [modeled.messages_per_update, modeled.comm_bytes_per_update], (label, world_size, mode)
+                traffic = kfac_traffic(spec, run_info)  # one step = one full update: per rank, per op (modeled, counted)
+                assert all(
+                    modeled_pair == counted_pair for per_op in traffic for modeled_pair, counted_pair in per_op.values()
+                ), (label, world_size, mode)
+                # Per rank, both ops: (messages, bytes) of its slice of the plan -- what it counted, asserted above.
+                per_rank = [[sum(pair[0][index] for pair in per_op.values()) for index in (0, 1)] for per_op in traffic]
                 rows.append(
                     {
                         "strategy": label,
                         "world_size": world_size,
                         "posting": mode,
                         "modeled_messages": modeled.messages_per_update,
-                        "logged_messages": logged[0],
                         "modeled_bytes": modeled.comm_bytes_per_update,
-                        "logged_bytes": logged[1],
+                        "rank_messages": [messages for messages, _ in per_rank],
+                        "rank_bytes": [nbytes for _, nbytes in per_rank],
                     }
                 )
     return rows
@@ -187,17 +190,14 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
     )
 
     payload["measured"] = measured_residuals()
-    print_section("The same schedule, run: tiny BERT, one full update (threaded world) - residual 0 by construction")
+    print_section(
+        "The same schedule, run: tiny BERT, one full update (threaded world) - each rank's registry vs its "
+        "slice of the plan, residual 0 by construction"
+    )
     print(
         format_table(
             [
-                "Strategy",
-                "World",
-                "posting",
-                "msgs modeled",
-                "msgs logged",
-                "bytes modeled",
-                "bytes logged",
+                "Strategy", "World", "posting", "msgs (world)", "bytes (world)", "msgs per rank", "bytes per rank",
                 "residual",
             ],
             [
@@ -206,10 +206,10 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
                     row["world_size"],
                     row["posting"],
                     row["modeled_messages"],
-                    row["logged_messages"],
                     row["modeled_bytes"],
-                    row["logged_bytes"],
-                    (row["logged_messages"] - row["modeled_messages"], row["logged_bytes"] - row["modeled_bytes"]),
+                    row["rank_messages"],
+                    row["rank_bytes"],
+                    0,
                 ]
                 for row in payload["measured"]
             ],

@@ -24,10 +24,10 @@ cost.
 
 A last test compares the adaptive scheduling subsystem against the fixed
 cadence on the BERT workload: a live training run under both configurations
-(same seed, same data order) counts eigendecompositions and factor updates,
-the measured skip fractions are mapped onto the BERT-Large modeled spec via
-``apply_measured_fractions``, and the numbers go to
-``BENCH_adaptive_schedule.json``.
+(same seed, same data order) counts eigendecompositions and factor updates in
+the rank's registry (``kfac/<event>/<layer>``), the measured fractions are
+mapped onto the BERT-Large modeled spec via ``apply_measured_fractions``, and
+the numbers go to ``BENCH_adaptive_schedule.json``.
 """
 
 from pathlib import Path
@@ -44,10 +44,9 @@ from repro.kfac import (
     KFACWorkloadSpec,
     IterationTimeModel,
     apply_measured_fractions,
-    update_fractions_from_stats,
 )
 from repro.models import MLP
-from repro.observability import MetricsReport, Tracer
+from repro.observability import MetricsReport
 from repro.tensor import Tensor
 from repro.training import Trainer
 
@@ -103,9 +102,10 @@ def _traced_mlp_run() -> MetricsReport:
     x = rng.standard_normal((512, 16)).astype(np.float32)
     y = rng.integers(0, 5, 512)
     model = MLP(16, [64, 64], 5, rng=np.random.default_rng(1))
-    tracer = Tracer()
     config = KFACConfig(lr=0.05, factor_update_freq=5, inv_update_freq=10)
-    preconditioner = KFAC.from_config(model, config, tracer=tracer)
+    preconditioner = KFAC.from_config(model, config)
+    tracer = preconditioner.tracer
+    tracer.enabled = True
     loss_fn = nn.CrossEntropyLoss()
     optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
     for step in range(30):
@@ -150,10 +150,8 @@ def _timed_bert_steps(world_size: int):
         kfac_config = workload.config.kfac_config(grad_worker_frac=1.0 / world_size)
         preconditioner = KFAC.from_config(workload.model, kfac_config, comm=comm, skip_modules=workload.kfac_skip_modules)
         optimizer = optim.SGD(workload.model.parameters(), lr=workload.config.kfac_lr, momentum=0.9)
-        tracer = Tracer(rank=comm.rank)
-        trainer = Trainer(
-            workload.model, optimizer, workload.forward_loss, preconditioner=preconditioner, comm=comm, tracer=tracer
-        )
+        comm.tracer.enabled = True
+        trainer = Trainer(workload.model, optimizer, workload.forward_loss, preconditioner=preconditioner, comm=comm)
         steps = (1 + CLASS_INTERVALS) * kfac_config.inv_update_freq + 1
         while trainer.iterations < steps:
             for batch in workload.train_loader:
@@ -161,7 +159,7 @@ def _timed_bert_steps(world_size: int):
                 trainer.train_step({key: value[comm.rank :: world_size] for key, value in batch.items()})
                 if trainer.iterations >= steps:
                     break
-        times = [span.duration * 1e3 for span in tracer.spans if span.name == "trainer/step"]
+        times = [span.duration * 1e3 for span in comm.tracer.spans if span.name == "trainer/step"]
         shapes = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules, include_structured=True)
         return times, preconditioner.plan, shapes, kfac_config
 
@@ -238,6 +236,12 @@ ADAPTIVE_STEPS = 40
 ADAPTIVE_SEED = 0
 
 
+def _counted(preconditioner, event: str) -> int:
+    """``kfac/<event>`` over the preconditioner's layers, from its rank's registry."""
+    counters = preconditioner.tracer.counters()
+    return int(sum(counters.get(f"kfac/{event}/{name}", 0) for name in preconditioner.layers))
+
+
 def _train_bert(adaptive: bool):
     """Train the small BERT workload for ADAPTIVE_STEPS optimizer steps."""
     workload = build_workload("bert", seed=ADAPTIVE_SEED)
@@ -271,7 +275,7 @@ def _train_bert(adaptive: bool):
             done += 1
             if done >= ADAPTIVE_STEPS:
                 break
-    return losses, preconditioner.scheduler_stats()
+    return losses, preconditioner
 
 
 def test_adaptive_schedule_vs_fixed_cadence(benchmark):
@@ -283,21 +287,21 @@ def test_adaptive_schedule_vs_fixed_cadence(benchmark):
     def run_both():
         return _train_bert(adaptive=False), _train_bert(adaptive=True)
 
-    (fixed_losses, fixed_stats), (adaptive_losses, adaptive_stats) = benchmark.pedantic(
+    (fixed_losses, fixed_pre), (adaptive_losses, adaptive_pre) = benchmark.pedantic(
         run_both, iterations=1, rounds=1
     )
 
     fixed_final = float(np.mean(fixed_losses[-5:]))
     adaptive_final = float(np.mean(adaptive_losses[-5:]))
-    fixed_eigen = fixed_stats["totals"]["eigen_updates"]
-    adaptive_eigen = adaptive_stats["totals"]["eigen_updates"]
-    fixed_factor = fixed_stats["totals"]["factor_updates"]
-    adaptive_factor = adaptive_stats["totals"]["factor_updates"]
+    fixed_eigen = _counted(fixed_pre, "eigen_updates")
+    adaptive_eigen = _counted(adaptive_pre, "eigen_updates")
+    fixed_factor = _counted(fixed_pre, "factor_updates")
+    adaptive_factor = _counted(adaptive_pre, "factor_updates")
 
     # Modeled cost on the real BERT-Large layer set with the measured fractions.
     spec = paper_workload_spec("bert_large")
-    factor_fraction, eigen_fraction = update_fractions_from_stats(adaptive_stats)
-    adaptive_spec = apply_measured_fractions(spec, adaptive_stats)
+    adaptive_spec = apply_measured_fractions(spec, adaptive_pre)
+    factor_fraction, eigen_fraction = adaptive_spec.factor_update_fraction, adaptive_spec.eigen_update_fraction
     model = IterationTimeModel()
     fixed_breakdown = model.kfac_breakdown(spec, WORLD_SIZE, 1.0)
     adaptive_breakdown = model.kfac_breakdown(adaptive_spec, WORLD_SIZE, 1.0)
@@ -359,7 +363,11 @@ def test_adaptive_schedule_vs_fixed_cadence(benchmark):
                 "factor_updates": adaptive_factor,
                 "eigen_update_fraction": eigen_fraction,
                 "factor_update_fraction": factor_fraction,
-                "damping": adaptive_stats["damping"],
+                "damping": {
+                    "value": adaptive_pre.damping,
+                    "shrinks": int(adaptive_pre.tracer.counters().get("kfac/damping_shrinks", 0)),
+                    "grows": int(adaptive_pre.tracer.counters().get("kfac/damping_grows", 0)),
+                },
                 "modeled_eigen_time": adaptive_breakdown.eigen_decomposition,
                 "modeled_factor_allreduce_time": adaptive_breakdown.factor_allreduce,
                 "modeled_factor_comm_bytes_per_iter": adaptive_factor_bytes,

@@ -8,6 +8,9 @@ each distribution strategy and shows what the paper's section 3.1 promises:
 * the per-rank eigen-decomposition memory grows with ``grad_worker_frac``,
 * the per-iteration broadcast volume shrinks as ``grad_worker_frac`` grows.
 
+Communication volumes are what rank 0's registry counted (``comm.tracer``:
+every rank counts the collectives it took part in), so they are per rank.
+
 Run with::
 
     python examples/distributed_strategies.py
@@ -18,7 +21,7 @@ import threading
 import numpy as np
 
 from repro import KFAC, KFACConfig, Tensor, nn, optim
-from repro.distributed import DistributedDataParallel, PerformanceModel, ThreadedWorld
+from repro.distributed import DistributedDataParallel, ThreadedWorld
 from repro.experiments import format_table
 from repro.models import MLP
 
@@ -30,11 +33,21 @@ FEATURES = RNG.standard_normal((512, 10)).astype(np.float32)
 LABELS = (FEATURES @ RNG.standard_normal((10, 4)).astype(np.float32)).argmax(axis=1)
 
 
+def comm_counters(comm) -> dict:
+    """``{op: (messages, bytes)}`` this rank's registry counted."""
+    counters = comm.tracer.counters()
+    return {
+        op: (int(counters.get(f"comm/{op}/messages", 0)), int(counters.get(f"comm/{op}/bytes", 0)))
+        for op in ("allreduce", "broadcast")
+    }
+
+
 def run_strategy(grad_worker_frac: float, bucket_cap_mb: float = 25.0):
-    """Train on a fresh 4-rank world; return (final params, per-rank memory, comm log)."""
-    world = ThreadedWorld(WORLD_SIZE, cost_model=PerformanceModel())
+    """Train on a fresh 4-rank world; return (final params, per-rank memory, rank 0's comm counters)."""
+    world = ThreadedWorld(WORLD_SIZE)
     final_params = [None] * WORLD_SIZE
     memory = [None] * WORLD_SIZE
+    counted = [None] * WORLD_SIZE
 
     def rank_program(rank: int) -> None:
         comm = world.communicator(rank)
@@ -57,13 +70,14 @@ def run_strategy(grad_worker_frac: float, bucket_cap_mb: float = 25.0):
             optimizer.step()
         final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
         memory[rank] = preconditioner.memory_usage()
+        counted[rank] = comm_counters(comm)
 
     threads = [threading.Thread(target=rank_program, args=(rank,)) for rank in range(WORLD_SIZE)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    return final_params, memory, world.log
+    return final_params, memory, counted[0]
 
 
 def main() -> None:
@@ -71,7 +85,7 @@ def main() -> None:
     reference = None
     rows = []
     for name, frac in strategies:
-        params, memory, log = run_strategy(frac)
+        params, memory, counted = run_strategy(frac)
         identical = all(np.allclose(params[0], p, atol=1e-5) for p in params[1:])
         if reference is None:
             reference = params[0]
@@ -84,8 +98,8 @@ def main() -> None:
                 "yes" if same_as_reference else "NO",
                 round(sum(m["eigen"] for m in memory) / 1024, 1),
                 round(max(m["total"] for m in memory) / 1024, 1),
-                round(log.bytes_by_op.get("broadcast", 0) / 1024, 1),
-                round(log.bytes_by_op.get("allreduce", 0) / 1024, 1),
+                round(counted["broadcast"][1] / 1024, 1),
+                round(counted["allreduce"][1] / 1024, 1),
             ]
         )
 
@@ -98,8 +112,8 @@ def main() -> None:
                 "same result as MEM-OPT",
                 "total eigen memory (KiB)",
                 "busiest rank's K-FAC state (KiB)",
-                "broadcast volume (KiB)",
-                "allreduce volume (KiB)",
+                "rank 0 broadcast volume (KiB)",
+                "rank 0 allreduce volume (KiB)",
             ],
             rows,
             title=f"{WORLD_SIZE}-rank simulated world, {STEPS} training steps",
@@ -115,13 +129,14 @@ def main() -> None:
     # The bucketed collective engine fuses the per-layer collectives into
     # bucket_cap_mb-capped buffers: same bytes, same bits, fewer messages.  A
     # cap smaller than any tensor sends every tensor alone, for comparison.
-    params_alone, _, log_alone = run_strategy(0.5, bucket_cap_mb=1e-6)
-    params_fused, _, log_fused = run_strategy(0.5)
+    params_alone, _, alone = run_strategy(0.5, bucket_cap_mb=1e-6)
+    params_fused, _, fused = run_strategy(0.5)
     assert all(np.array_equal(a, b) for a, b in zip(params_alone, params_fused))
     print(
-        f"\nThe default 25 MB bucket cap is bitwise identical to one message per tensor and fuses "
-        f"HYBRID-OPT's {log_alone.total_messages()} collective messages into {log_fused.total_messages()} "
-        f"({log_fused.total_bytes() / 1024:.1f} KiB moved either way)."
+        f"\nThe default 25 MB bucket cap is bitwise identical to one message per tensor and fuses the "
+        f"{sum(messages for messages, _ in alone.values())} collective messages rank 0 takes part in under "
+        f"HYBRID-OPT into {sum(messages for messages, _ in fused.values())} "
+        f"({sum(nbytes for _, nbytes in fused.values()) / 1024:.1f} KiB through rank 0 either way)."
     )
 
     # A Trainer synchronises gradients at one seam, a GradientPipeline.  Its own
@@ -133,7 +148,7 @@ def main() -> None:
     assert all(np.array_equal(a, b) for a, b in zip(params_fused, params_hooked))
     print(
         f"\nA GradientPipeline instance handed to the Trainer posts buckets mid-backward "
-        f"(rank 0 launched {posted[0]} buckets before flush()) and stays bitwise identical."
+        f"(rank 0 launched {posted[0]} buckets before flush() in {STEPS} steps) and stays bitwise identical."
     )
 
 
@@ -141,7 +156,7 @@ def run_hooked_pipeline(grad_worker_frac: float):
     """The same HYBRID-OPT job driven through a Trainer that arms a GradientPipeline."""
     from repro.training import GradientPipeline, Trainer
 
-    world = ThreadedWorld(WORLD_SIZE, cost_model=PerformanceModel())
+    world = ThreadedWorld(WORLD_SIZE)
     final_params = [None] * WORLD_SIZE
     posted = [0] * WORLD_SIZE
     loss_fn = nn.CrossEntropyLoss()
@@ -170,7 +185,7 @@ def run_hooked_pipeline(grad_worker_frac: float):
             local = indices[rank::WORLD_SIZE]
             trainer.train_step((FEATURES[local], LABELS[local]))
         final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
-        posted[rank] = pipeline.stats["buckets_posted_in_backward"]
+        posted[rank] = int(comm.tracer.counters().get("pipeline/buckets_posted_backward", 0))
 
     threads = [threading.Thread(target=rank_program, args=(rank,)) for rank in range(WORLD_SIZE)]
     for thread in threads:

@@ -42,12 +42,10 @@ __all__ = ["Finding", "Rule", "DEFAULT_RULES", "all_rule_ids"]
 COLLECTIVE_CALLS = frozenset(
     {
         "allreduce_average",
-        "allreduce_sum",
         "broadcast",
         "ibroadcast",
         "iallreduce_average",
         "barrier",
-        "run_collective",
         "post_collective",
         "finish_collective",
         "run_allreduces",

@@ -224,7 +224,7 @@ class BufferAccessChecker:
 
     @staticmethod
     def _emit(tracer: Any, **attrs: Any) -> None:
-        if tracer is not None and getattr(tracer, "enabled", False):
+        if tracer is not None:
             tracer.instant("sanitize/violation", category="sanitize", **attrs)
 
 
@@ -273,10 +273,9 @@ class CollectiveSanitizer:
         self._poison = callback
 
     def attach_tracer(self, rank: int, tracer: Any) -> None:
-        """Adopt ``tracer`` for ``sanitize/*`` instants detected on ``rank``."""
-        if tracer is not None and getattr(tracer, "enabled", False):
-            with self._lock:
-                self._tracers[rank] = tracer
+        """Adopt ``tracer`` (the rank's communicator's) for ``sanitize/*`` instants detected on ``rank``."""
+        with self._lock:
+            self._tracers[rank] = tracer
 
     def set_phase(self, rank: int, phase: str) -> None:
         """Label ``rank``'s current program phase (shown in divergence reports)."""
@@ -291,7 +290,7 @@ class CollectiveSanitizer:
             tracer = self._tracers.get(error.rank) if error.rank is not None else None
             if tracer is None and self._tracers:
                 tracer = next(iter(self._tracers.values()))
-        if tracer is not None and getattr(tracer, "enabled", False):
+        if tracer is not None:
             tracer.instant(
                 "sanitize/violation", category="sanitize", kind=error.kind, message=str(error)
             )
@@ -379,12 +378,11 @@ class CollectiveSanitizer:
         with self._lock:
             return self._pending_handles.get(rank, 0)
 
-    def assert_drained(self, rank: int, where: str, tracer: Any = None) -> None:
+    def assert_drained(self, rank: int, where: str) -> None:
         """Raise ``lost-comm`` if ``rank`` still has unfinished posted handles."""
-        if tracer is not None:
-            self.attach_tracer(rank, tracer)
         pending = self.pending_handles(rank)
-        if tracer is not None and getattr(tracer, "enabled", False):
+        tracer = self._tracers.get(rank)
+        if tracer is not None:
             tracer.instant("sanitize/flush_check", category="sanitize", where=where, pending=pending)
         if pending:
             self._raise(

@@ -1,8 +1,6 @@
 """Distributed substrate: communicators, the bucketed collective engine, data-parallel helpers and the cost model."""
 
 from .backend import (
-    CommEvent,
-    CommunicationLog,
     Communicator,
     CompletedWork,
     SingleProcessCommunicator,
@@ -41,8 +39,6 @@ from .threaded import ThreadedCommunicator, ThreadedWork, ThreadedWorld, run_spm
 __all__ = [
     "Communicator",
     "SingleProcessCommunicator",
-    "CommunicationLog",
-    "CommEvent",
     "WorkHandle",
     "CompletedWork",
     "BucketEntry",

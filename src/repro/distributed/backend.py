@@ -10,9 +10,12 @@ the K-FAC preconditioner for its collectives.  Two backends are provided:
   really exchange data (used to validate that all distribution strategies
   produce identical training trajectories).
 
-Every collective is also reported to a :class:`CommunicationLog`, which both
-tracks transferred bytes per operation type and accumulates simulated
-communication time per rank using a :class:`PerformanceModel`.
+Each communicator builds its rank's one :class:`~repro.observability.Tracer`
+(``comm.tracer``, an instance attribute): the backend counts every collective
+that completes on the rank there -- ``comm/<op>/messages``, ``comm/<op>/bytes``
+and ``comm/<op>/tensors`` (a fused bucket is one message carrying several
+tensors; a group of one exchanges nothing and is not counted) -- and
+everything else the rank runs records into the same registry.
 
 Both backends additionally expose *nonblocking* collectives
 (:meth:`Communicator.iallreduce_average` / :meth:`Communicator.ibroadcast`)
@@ -23,17 +26,13 @@ message fusion on top of them.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost_model import PerformanceModel
+from ..observability.tracer import Tracer, default_tracing
 
 __all__ = [
-    "CommEvent",
-    "CommunicationLog",
     "Communicator",
     "SingleProcessCommunicator",
     "WorkHandle",
@@ -97,98 +96,20 @@ class CompletedWork(WorkHandle):
         return self._result
 
 
-@dataclass
-class CommEvent:
-    """One collective operation observed by the communication log."""
-
-    op: str
-    nbytes: int
-    group_size: int
-    ranks: Tuple[int, ...]
-    simulated_time: float
-    fused_count: int = 1  # logical tensors coalesced into this message
-
-
-class CommunicationLog:
-    """Aggregates communication volume and simulated time per rank."""
-
-    def __init__(self, world_size: int, cost_model: Optional[PerformanceModel] = None) -> None:
-        self.world_size = world_size
-        self.cost_model = cost_model
-        self.events: List[CommEvent] = []
-        self.comm_time = np.zeros(world_size, dtype=np.float64)
-        self.compute_time = np.zeros(world_size, dtype=np.float64)
-        self.bytes_by_op: Dict[str, int] = {}
-        self.messages_by_op: Dict[str, int] = {}
-        self.tensors_by_op: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def record_collective(self, op: str, nbytes: int, ranks: Sequence[int], fused_count: int = 1) -> float:
-        """Record a collective among ``ranks``; returns the simulated time charged.
-
-        ``fused_count`` is the number of logical tensors coalesced into this
-        one message: a fused bucket of 10 layer factors is *one* message (one
-        latency term in the cost model) carrying 10 tensors, whereas the
-        unfused path records 10 messages.  Byte totals are identical either
-        way; only the message count (and hence the simulated latency) differs.
-        """
-        ranks = tuple(ranks)
-        duration = 0.0
-        if self.cost_model is not None:
-            if op == "allreduce":
-                duration = self.cost_model.allreduce_time(nbytes, len(ranks))
-            elif op == "broadcast":
-                duration = self.cost_model.broadcast_time(nbytes, len(ranks))
-        with self._lock:
-            self.events.append(
-                CommEvent(
-                    op=op,
-                    nbytes=nbytes,
-                    group_size=len(ranks),
-                    ranks=ranks,
-                    simulated_time=duration,
-                    fused_count=int(fused_count),
-                )
-            )
-            self.bytes_by_op[op] = self.bytes_by_op.get(op, 0) + int(nbytes)
-            self.messages_by_op[op] = self.messages_by_op.get(op, 0) + 1
-            self.tensors_by_op[op] = self.tensors_by_op.get(op, 0) + int(fused_count)
-            for rank in ranks:
-                self.comm_time[rank] += duration
-        return duration
-
-    def record_compute(self, rank: int, seconds: float) -> None:
-        """Charge simulated local compute time to one rank."""
-        with self._lock:
-            self.compute_time[rank] += seconds
-
-    def total_bytes(self) -> int:
-        return sum(self.bytes_by_op.values())
-
-    def total_messages(self) -> int:
-        """Number of collective messages issued (fused buckets count once)."""
-        return sum(self.messages_by_op.values())
-
-    def total_tensors(self) -> int:
-        """Number of logical tensors moved (each fused bucket contributes its fused_count)."""
-        return sum(self.tensors_by_op.values())
-
-    def iteration_time(self) -> float:
-        """Simulated makespan: the busiest rank's compute + communication time."""
-        return float(np.max(self.comm_time + self.compute_time)) if self.world_size else 0.0
-
-    def reset(self) -> None:
-        with self._lock:
-            self.events.clear()
-            self.bytes_by_op.clear()
-            self.messages_by_op.clear()
-            self.tensors_by_op.clear()
-            self.comm_time[:] = 0.0
-            self.compute_time[:] = 0.0
+def rank_tracer(rank: int) -> Tracer:
+    """The tracer a communicator builds for its rank: counting always, tracing when ``REPRO_TRACE`` says so."""
+    tracer = Tracer(rank=rank)
+    tracer.enabled = default_tracing()
+    return tracer
 
 
 class Communicator:
-    """Rank-local interface for collective communication."""
+    """Rank-local interface for collective communication.
+
+    A backend gives each instance a ``tracer`` attribute (see
+    :func:`rank_tracer`); it is deliberately not declared here, so a wrapper
+    that forwards unknown attributes reaches the wrapped backend's.
+    """
 
     #: The attached runtime sanitizer, if any (see :mod:`repro.analysis`).
     #: Backends that support sanitization override this with a property.
@@ -216,8 +137,8 @@ class Communicator:
     # blocking collective eagerly and hand back an already-completed handle,
     # so engine code written against handles works on any Communicator.
     # Caveat: the fallbacks cannot thread fused_count into a backend's own
-    # record_collective call, so a sync-only backend that logs will count a
-    # fused bucket as one tensor; override these to report fusion exactly.
+    # counters, so a sync-only backend that counts will count a fused bucket
+    # as one tensor; override these to report fusion exactly.
     def iallreduce_average(
         self, array: np.ndarray, group: Optional[Sequence[int]] = None, fused_count: int = 1
     ) -> WorkHandle:
@@ -238,8 +159,8 @@ class Communicator:
 class SingleProcessCommunicator(Communicator):
     """No-op communicator for single-process training (world size 1)."""
 
-    def __init__(self, log: Optional[CommunicationLog] = None) -> None:
-        self.log = log if log is not None else CommunicationLog(world_size=1)
+    def __init__(self) -> None:
+        self.tracer = rank_tracer(0)
 
     @property
     def rank(self) -> int:

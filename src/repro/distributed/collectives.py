@@ -49,7 +49,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..observability import NULL_TRACER
 from .backend import Communicator
 
 __all__ = [
@@ -297,12 +296,13 @@ class OverlapScheduler:
     posted so far, in posting order.
     """
 
-    def __init__(self, comm: Communicator, bucket_cap_mb: float = 25.0, tracer=None) -> None:
+    def __init__(self, comm: Communicator, bucket_cap_mb: float = 25.0) -> None:
         self.comm = comm
         self.buckets = BucketManager(bucket_cap_mb)
-        # Per-rank tracer: every posted bucket records a post->finish span
-        # (category "comm"), the raw material for measured-overlap reporting.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # The rank's tracer: while enabled, every posted bucket records a
+        # post->finish span (category "comm"), the raw material for
+        # measured-overlap reporting.
+        self.tracer = comm.tracer
         # Runtime sanitizer (REPRO_SANITIZE=1): posted bucket buffers are
         # frozen + fingerprinted until their handle is awaited, so a mutation
         # or read of an in-flight buffer raises instead of corrupting comm.
@@ -315,7 +315,6 @@ class OverlapScheduler:
         """Register a posted flat buffer with the buffer-access checker."""
         if self.sanitizer is None or flat is None:
             return None
-        self.sanitizer.attach_tracer(self.comm.rank, self.tracer)
         key = f"rank{self.comm.rank}/{op}:{bucket.entries[0].key}+{len(bucket) - 1}"
         return self.sanitizer.buffers.stamp(key, flat, tracer=self.tracer)
 

@@ -26,6 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
+from .collectives import BucketManager
+
 __all__ = [
     "DeviceSpec",
     "NetworkSpec",
@@ -50,8 +54,8 @@ def amortized_update_time(duration: float, update_freq: int, update_fraction: fl
     """Per-iteration share of a stage that runs every ``update_freq`` steps.
 
     ``update_fraction`` scales the base cadence to what was *actually*
-    performed — the adaptive scheduler reports performed/expected update
-    ratios (``KFAC.scheduler_stats()``), so a layer set that skipped half its
+    performed — :func:`repro.kfac.apply_measured_fractions` reads the
+    performed/expected update ratios off a live run, so a layer set that skipped half its
     eigen refreshes charges half the amortised decomposition time.  The
     fixed cadence is ``update_fraction=1.0``; values above 1 model
     drift-triggered refreshes beyond the base schedule.
@@ -199,10 +203,6 @@ def _bucket_sizes(tensor_nbytes: Sequence[int], cap_mb: float) -> list:
     tensor per input) so the modeled message counts cannot drift from the
     packing the scheduler actually performs.
     """
-    import numpy as np
-
-    from .collectives import BucketManager  # function-local: backend -> cost_model cycle
-
     specs = [(str(i), (int(nbytes),), np.dtype(np.uint8)) for i, nbytes in enumerate(tensor_nbytes)]
     return [bucket.nbytes for bucket in BucketManager(cap_mb).build(specs)]
 

@@ -6,8 +6,8 @@ shared slot table keyed by ``(group, per-group sequence number)``: all ranks
 in a group issue their collectives in the same order, so matching calls find
 each other without any global coordinator.  The backend moves real NumPy data
 (so correctness properties such as "all replicas stay bit-identical" can be
-tested) and reports every collective to the :class:`CommunicationLog` so the
-simulated cluster time can be accounted with a :class:`PerformanceModel`.
+tested), and each rank counts the collectives that complete on it in its
+communicator's tracer (:mod:`repro.distributed.backend`).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.sanitizer import CollectiveSanitizer, SanitizerError, capture_call_site, sanitize_enabled
-from .backend import CommunicationLog, Communicator, CompletedWork, WorkHandle, WorkHandleError
-from .cost_model import PerformanceModel
+from .backend import Communicator, CompletedWork, WorkHandle, WorkHandleError, rank_tracer
 
 __all__ = ["ThreadedWorld", "ThreadedCommunicator", "ThreadedWork", "run_spmd"]
 
@@ -41,18 +40,23 @@ class ThreadedWork(WorkHandle):
 
     The issuing rank's contribution is already posted to the rendezvous slot,
     so other ranks can make progress while this rank computes; ``wait()``
-    blocks only until the remaining ranks arrive.
+    blocks only until the remaining ranks arrive, and counts the collective
+    in the rank's tracer the first time it returns.
     """
 
-    def __init__(self, world: "ThreadedWorld", op: str, key: Tuple, rank: int, slot: _CollectiveSlot) -> None:
-        self._world = world
+    def __init__(
+        self, comm: "ThreadedCommunicator", op: str, key: Tuple, slot: _CollectiveSlot, fused_count: int
+    ) -> None:
+        self._comm = comm
+        self._world = comm._world
         self._op = op
         self._key = key
-        self._rank = rank
+        self._rank = comm.rank
         self._slot = slot
+        self._fused_count = fused_count
         self._result: Optional[np.ndarray] = None
         self._finished = False
-        self._site = capture_call_site() if world.sanitizer is not None else None
+        self._site = capture_call_site() if self._world.sanitizer is not None else None
 
     def is_done(self) -> bool:
         return self._finished or self._slot.ready.is_set()
@@ -61,6 +65,10 @@ class ThreadedWork(WorkHandle):
         if not self._finished:
             self._result = self._world.finish_collective(self._op, self._key, self._rank, self._slot)
             self._finished = True
+            tracer = self._comm.tracer
+            tracer.counter_add(f"comm/{self._op}/messages")
+            tracer.counter_add(f"comm/{self._op}/bytes", self._result.nbytes)
+            tracer.counter_add(f"comm/{self._op}/tensors", self._fused_count)
         return self._result
 
     @property
@@ -108,18 +116,11 @@ class ThreadedWorld:
     :class:`~repro.analysis.sanitizer.SanitizerError` instead of deadlocking.
     """
 
-    def __init__(
-        self,
-        world_size: int,
-        cost_model: Optional[PerformanceModel] = None,
-        timeout: float = 60.0,
-        sanitize: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, world_size: int, timeout: float = 60.0, sanitize: Optional[bool] = None) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
         self.world_size = world_size
         self.timeout = timeout
-        self.log = CommunicationLog(world_size, cost_model)
         self._lock = threading.Lock()
         self._slots: Dict[Tuple, _CollectiveSlot] = {}
         self._poisoned: Optional[SanitizerError] = None
@@ -157,7 +158,10 @@ class ThreadedWorld:
     def communicator(self, rank: int) -> "ThreadedCommunicator":
         if not 0 <= rank < self.world_size:
             raise ValueError(f"rank {rank} out of range for world size {self.world_size}")
-        return ThreadedCommunicator(self, rank)
+        comm = ThreadedCommunicator(self, rank)
+        if self.sanitizer is not None:
+            self.sanitizer.attach_tracer(rank, comm.tracer)
+        return comm
 
     # ------------------------------------------------------------- internals
     def _slot(self, key: Tuple, group_size: int) -> _CollectiveSlot:
@@ -187,8 +191,7 @@ class ThreadedWorld:
     ) -> _CollectiveSlot:
         """Post this rank's contribution without blocking; returns the slot.
 
-        The rank whose post completes the group computes the result, records
-        the collective in the log (once, tagged with ``fused_count``) and
+        The rank whose post completes the group computes the result and
         releases every waiter.
         """
         if self.sanitizer is not None:
@@ -223,11 +226,7 @@ class ThreadedWorld:
                     slot.values.clear()
                 else:
                     slot.result = slot.values[src]
-                nbytes = int(slot.result.nbytes) if isinstance(slot.result, np.ndarray) else 0
-                self_log_ranks = group
                 slot.ready.set()
-                # Record once per collective (by the completing rank).
-                self.log.record_collective(op, nbytes, self_log_ranks, fused_count=fused_count)
         return slot
 
     def finish_collective(self, op: str, key: Tuple, rank: int, slot: _CollectiveSlot) -> np.ndarray:
@@ -251,21 +250,6 @@ class ThreadedWorld:
             self.sanitizer.on_finish(rank)
         return np.array(result, copy=True)
 
-    def run_collective(
-        self,
-        op: str,
-        key: Tuple,
-        rank: int,
-        group: Tuple[int, ...],
-        value: Optional[np.ndarray],
-        reducer: Optional[Callable[[List[np.ndarray]], np.ndarray]],
-        src: Optional[int] = None,
-        fused_count: int = 1,
-    ) -> np.ndarray:
-        """Generic rendezvous: post ``value``, wait for the group, return the result."""
-        slot = self.post_collective(op, key, rank, group, value, reducer, src=src, fused_count=fused_count)
-        return self.finish_collective(op, key, rank, slot)
-
     def barrier(self) -> None:
         try:
             self._barrier.wait(self.timeout)
@@ -279,11 +263,12 @@ class ThreadedWorld:
 
 
 class ThreadedCommunicator(Communicator):
-    """Rank-local handle onto a :class:`ThreadedWorld`."""
+    """Rank-local handle onto a :class:`ThreadedWorld`; ``tracer`` is the rank's registry."""
 
     def __init__(self, world: ThreadedWorld, rank: int) -> None:
         self._world = world
         self._rank = rank
+        self.tracer = rank_tracer(rank)
         # Per-group sequence counters generate matching keys across ranks.
         self._sequence: Dict[Tuple[int, ...], int] = {}
 
@@ -296,17 +281,24 @@ class ThreadedCommunicator(Communicator):
         return self._world.world_size
 
     @property
-    def log(self) -> CommunicationLog:
-        return self._world.log
-
-    @property
     def sanitizer(self) -> Optional[CollectiveSanitizer]:
         return self._world.sanitizer
 
-    def _next_key(self, group: Tuple[int, ...]) -> Tuple:
+    def _post(
+        self,
+        op: str,
+        group: Tuple[int, ...],
+        value: Optional[np.ndarray],
+        reducer: Optional[Callable[[List[np.ndarray]], np.ndarray]] = None,
+        src: Optional[int] = None,
+        fused_count: int = 1,
+    ) -> ThreadedWork:
+        """Post this rank's side of the next collective on ``group`` (matched across ranks by its sequence number)."""
         count = self._sequence.get(group, 0)
         self._sequence[group] = count + 1
-        return (group, count)
+        key = (op, group, count)
+        slot = self._world.post_collective(op, key, self._rank, group, value, reducer, src=src, fused_count=fused_count)
+        return ThreadedWork(self, op, key, slot, fused_count)
 
     def _normalize_group(self, group: Optional[Sequence[int]]) -> Tuple[int, ...]:
         if group is None:
@@ -335,19 +327,7 @@ class ThreadedCommunicator(Communicator):
         return out.astype(dtype, copy=False)
 
     def allreduce_average(self, array: np.ndarray, group: Optional[Sequence[int]] = None) -> np.ndarray:
-        group_t = self._normalize_group(group)
-        if len(group_t) == 1:
-            return array
-        key = ("allreduce",) + self._next_key(group_t)
-        result = self._world.run_collective(
-            "allreduce",
-            key,
-            self._rank,
-            group_t,
-            np.asarray(array),
-            reducer=self._mean_reducer,
-        )
-        return result
+        return self.iallreduce_average(array, group=group).wait()
 
     def iallreduce_average(
         self, array: np.ndarray, group: Optional[Sequence[int]] = None, fused_count: int = 1
@@ -356,41 +336,10 @@ class ThreadedCommunicator(Communicator):
         group_t = self._normalize_group(group)
         if len(group_t) == 1:
             return CompletedWork(array)
-        key = ("allreduce",) + self._next_key(group_t)
-        slot = self._world.post_collective(
-            "allreduce",
-            key,
-            self._rank,
-            group_t,
-            np.asarray(array),
-            reducer=self._mean_reducer,
-            fused_count=fused_count,
-        )
-        return ThreadedWork(self._world, "allreduce", key, self._rank, slot)
-
-    def allreduce_sum(self, array: np.ndarray, group: Optional[Sequence[int]] = None) -> np.ndarray:
-        group_t = self._normalize_group(group)
-        if len(group_t) == 1:
-            return array
-        key = ("allreduce",) + self._next_key(group_t)
-        return self._world.run_collective(
-            "allreduce",
-            key,
-            self._rank,
-            group_t,
-            np.asarray(array),
-            reducer=lambda values: np.sum(np.stack(values, axis=0), axis=0).astype(values[0].dtype),
-        )
+        return self._post("allreduce", group_t, np.asarray(array), reducer=self._mean_reducer, fused_count=fused_count)
 
     def broadcast(self, array: Optional[np.ndarray], src: int, group: Optional[Sequence[int]] = None) -> np.ndarray:
-        group_t = self._normalize_group(group)
-        if len(group_t) == 1:
-            if array is None:
-                raise ValueError("broadcast source value must be provided on the source rank")
-            return array
-        key = ("broadcast",) + self._next_key(group_t)
-        value = np.asarray(array) if (array is not None and self._rank == src) else None
-        return self._world.run_collective("broadcast", key, self._rank, group_t, value, reducer=None, src=src)
+        return self.ibroadcast(array, src=src, group=group).wait()
 
     def ibroadcast(
         self,
@@ -405,22 +354,15 @@ class ThreadedCommunicator(Communicator):
             if array is None:
                 raise ValueError("broadcast source value must be provided on the source rank")
             return CompletedWork(array)
-        key = ("broadcast",) + self._next_key(group_t)
         value = np.asarray(array) if (array is not None and self._rank == src) else None
-        slot = self._world.post_collective(
-            "broadcast", key, self._rank, group_t, value, reducer=None, src=src, fused_count=fused_count
-        )
-        return ThreadedWork(self._world, "broadcast", key, self._rank, slot)
+        return self._post("broadcast", group_t, value, src=src, fused_count=fused_count)
 
     def barrier(self) -> None:
         self._world.barrier()
 
 
 def run_spmd(
-    world_size: int,
-    fn: Callable[[ThreadedCommunicator], object],
-    cost_model: Optional[PerformanceModel] = None,
-    sanitize: Optional[bool] = None,
+    world_size: int, fn: Callable[[ThreadedCommunicator], object], sanitize: Optional[bool] = None
 ) -> List[object]:
     """Run ``fn(comm)`` on every rank of a fresh :class:`ThreadedWorld` and collect results.
 
@@ -429,7 +371,7 @@ def run_spmd(
     ``sanitize`` forces the collective sanitizer on/off for this world
     (default: the ``REPRO_SANITIZE`` environment toggle).
     """
-    world = ThreadedWorld(world_size, cost_model=cost_model, sanitize=sanitize)
+    world = ThreadedWorld(world_size, sanitize=sanitize)
     results: List[object] = [None] * world_size
     errors: List[Optional[BaseException]] = [None] * world_size
 

@@ -81,7 +81,7 @@ def _train(
     if use_kfac:
         kfac_config = workload.config.kfac_config(lr=lr, grad_worker_frac=grad_worker_frac)
         # Split overrides into config fields (hyperparameters) and per-run
-        # constructor arguments (communicator, tracer, ...).
+        # constructor arguments (communicator, skipped modules, ...).
         config_fields = {f.name for f in dataclasses.fields(KFACConfig)}
         extras = {}
         for key, value in (kfac_kwargs or {}).items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "IterationTimeModel",
     "CommSchedule",
     "model_comm_schedule",
-    "update_fractions_from_stats",
     "apply_measured_fractions",
 ]
 
@@ -81,10 +80,9 @@ class KFACWorkloadSpec:
     compute_eigen_outer: bool = True
     grad_accumulation_steps: int = 1
     #: Performed-vs-base-cadence update ratios (1.0 = the fixed schedule).
-    #: The adaptive scheduler reports measured values via
-    #: ``KFAC.scheduler_stats()``; feed them in with
-    #: :func:`apply_measured_fractions` to model the skipped factor/eigen
-    #: work and communication.
+    #: :func:`apply_measured_fractions` sets them from what a live
+    #: preconditioner counted, to model the skipped factor/eigen work and
+    #: communication.
     factor_update_fraction: float = 1.0
     eigen_update_fraction: float = 1.0
 
@@ -357,8 +355,8 @@ class CommSchedule:
     round + one eigen broadcast round + one preconditioned-gradient broadcast
     round — summed over all ranks' distinct collectives (a fused bucket counts
     once); ``rounds`` splits them as ``{"factor" | "eigen" | "gradient":
-    (messages, bytes)}``.  These are the engine's own counts, what a
-    :class:`~repro.distributed.CommunicationLog` records for such an update.
+    (messages, bytes)}``.  These are the engine's own counts: each rank's
+    ``comm/*`` counters record the messages whose group contains it.
     ``kfac_comm_time`` is the busiest rank's amortised per-iteration K-FAC
     communication time; ``iteration_time`` adds the compute stages and the
     data-parallel gradient allreduce so schedules can be compared end to end.
@@ -476,35 +474,34 @@ def model_comm_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Measured scheduler counters -> modeled update fractions
+# Measured refresh decisions -> modeled update fractions
 # ---------------------------------------------------------------------------
 
 
-def update_fractions_from_stats(stats: Dict[str, Any]) -> Tuple[float, float]:
-    """``(factor_update_fraction, eigen_update_fraction)`` from ``KFAC.scheduler_stats()``.
+def apply_measured_fractions(spec: KFACWorkloadSpec, preconditioner) -> KFACWorkloadSpec:
+    """A copy of ``spec`` carrying the update fractions ``preconditioner`` (a live :class:`~repro.kfac.KFAC`) measured.
 
-    The preconditioner already normalizes its counters against the fixed base
-    cadence; this helper just extracts the two ratios (defaulting to 1.0 for
-    stat dicts that carry none).
+    The performed factor and eigen updates are the ``kfac/factor_updates/<layer>``
+    and ``kfac/eigen_updates/<layer>`` counters of its rank's registry, the
+    expected ones what the base cadence performs over the same steps
+    (:meth:`~repro.kfac.scheduling.FactorUpdateScheduler.base_factor_updates`,
+    ``base_eigen_updates``): exactly 1.0 while ``drift_tol`` is 0.  The
+    registry counts for the life of the communicator, so measure a
+    preconditioner built on it from step 0.  Feed the result back into
+    :class:`IterationTimeModel` / :func:`model_comm_schedule` to model the
+    iteration time of the adaptive schedule: skipped factor updates shrink
+    the amortised factor compute and allreduce terms, skipped eigen refreshes
+    shrink the decomposition and eigen-broadcast terms.
     """
-    return (
-        float(stats.get("factor_update_fraction", 1.0)),
-        float(stats.get("eigen_update_fraction", 1.0)),
-    )
+    counters = preconditioner.tracer.counters()
+    scheduler, steps = preconditioner.factor_scheduler, preconditioner.steps
 
+    def fraction(event: str, expected: int) -> float:
+        performed = sum(counters.get(f"kfac/{event}/{name}", 0.0) for name in preconditioner.layers)
+        return performed / expected if expected else 1.0
 
-def apply_measured_fractions(spec: KFACWorkloadSpec, stats: Dict[str, Any]) -> KFACWorkloadSpec:
-    """A copy of ``spec`` carrying the update fractions a real run measured.
-
-    Feed the result back into :class:`IterationTimeModel` /
-    :func:`model_comm_schedule` to model the iteration time of the adaptive
-    schedule: skipped factor updates shrink the amortised factor compute and
-    allreduce terms, skipped eigen refreshes shrink the decomposition and
-    eigen-broadcast terms.
-    """
-    factor_fraction, eigen_fraction = update_fractions_from_stats(stats)
     return dataclasses.replace(
         spec,
-        factor_update_fraction=factor_fraction,
-        eigen_update_fraction=eigen_fraction,
+        factor_update_fraction=fraction("factor_updates", scheduler.base_factor_updates(steps)),
+        eigen_update_fraction=fraction("eigen_updates", scheduler.base_eigen_updates(steps)),
     )

@@ -20,6 +20,7 @@ __all__ = [
     "makespan",
     "staggered_refresh_offsets",
     "next_refresh_step",
+    "folds_on",
 ]
 
 
@@ -133,3 +134,13 @@ def next_refresh_step(offset: int, at_step: int, factor_update_freq: int, inv_up
     """
     step = at_step + (offset - at_step) % inv_update_freq
     return step + inv_update_freq if offset and step < factor_update_freq else step
+
+
+def folds_on(step: int, factor_update_freq: int, inv_update_freq: int) -> bool:
+    """Whether the base cadence folds the factors on ``step``: every ``factor_update_freq`` steps of an interval.
+
+    A refresh at offset 0 (every ``inv_update_freq`` steps) forces a fold and
+    restarts the count, so on cadences that do not nest the folds of an
+    interval are its steps ``0, F, 2F, ...`` -- not ``step % F == 0``.
+    """
+    return step % inv_update_freq % factor_update_freq == 0

@@ -13,8 +13,8 @@ is a frozen dataclass that
   (:meth:`mem_opt`, :meth:`comm_opt`, :meth:`hybrid`, section 3.1).
 
 Construct the preconditioner from a config with ``KFAC(model, config)``;
-per-run objects (the communicator, the grad scaler, skipped modules, a
-tracer) stay out of the config because they are not serializable state.
+per-run objects (the communicator, the grad scaler, skipped modules) stay
+out of the config because they are not serializable state.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ class KFACConfig:
     precision: str = "fp32"
     assignment_balance: str = "compute"
     compute_eigen_outer: bool = True
-    #: Force every layer onto the dense ``F x F`` factor representation,
-    #: disabling the structured (diagonal / block-diagonal) storage, comm and
-    #: eigen fast paths of :mod:`repro.kfac.factors`.  The forced-dense path
-    #: reproduces the pre-structured numerics bitwise, so it serves as the
-    #: parity oracle for the packed representations.
-    dense_factors: bool = False
     #: Fused-buffer size cap (MB) of the bucketed collective engine
     #: (:mod:`repro.distributed.collectives`) that carries every factor
     #: allreduce, eigen broadcast and gradient broadcast, or the string
@@ -108,7 +102,6 @@ class KFACConfig:
             ("inv_update_freq", int),
             ("grad_worker_frac", float),
             ("compute_eigen_outer", bool),
-            ("dense_factors", bool),
             ("drift_tol", float),
             ("max_staleness", int),
             ("adaptive_damping", bool),
@@ -225,16 +218,17 @@ class KFACConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "KFACConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
 
-        Three fields of earlier versions selected between code paths that no
+        Four fields of earlier versions selected between code paths that no
         longer exist (``triangular_comm`` chose the wire form of a dense
-        factor, which is now always its packed triangle); they moved bytes or
-        time, never a result, so they are dropped rather than rejected and old
-        checkpoints and manifests stay loadable.  For
+        factor, which is now always its packed triangle; the last one forced
+        every layer onto the dense representation, now a test oracle); they
+        moved bytes or time, never a result, so they are dropped rather than
+        rejected and old checkpoints and manifests stay loadable.  For
         the same reason ``kernel_backend="reference"`` (the default every
         earlier checkpoint carries; its kernels are now the test oracle)
         loads onto the built-in backend; any other unregistered name raises.
         """
-        retired = ("comm_overlap", "adaptive_schedule", "triangular_comm")
+        retired = ("comm_overlap", "adaptive_schedule", "triangular_comm", "dense_factors")
         data = {key: value for key, value in data.items() if key not in retired}
         if data.get("kernel_backend") == "reference" and "reference" not in available_kernel_backends():
             data["kernel_backend"] = DEFAULT_KERNEL_BACKEND

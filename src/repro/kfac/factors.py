@@ -25,8 +25,8 @@ once and every subsystem dispatches on it instead of assuming
   ``distributed/cost_model.py``.
 
 Dense stays the default (Linear / Conv2d); forcing ``dense`` on a
-structured layer (``KFACConfig.dense_factors``) remains available as a
-parity oracle.  Nothing on the default step path needs the square matrix:
+structured layer is the tests' parity oracle (``tests/kernel_oracle.py``).
+Nothing on the default step path needs the square matrix:
 the fold is elementwise and the eigen solve expands the triangle into the
 buffer LAPACK overwrites.  :meth:`FactorRepr.to_dense` /
 :meth:`~FactorRepr.from_dense` are the only conversions, for the readers that

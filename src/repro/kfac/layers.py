@@ -149,7 +149,6 @@ class KFACLayer:
         should_accumulate: Callable[[], bool],
         grad_scale: Callable[[], float],
         kernels: Optional[KernelBackend] = None,
-        dense_factors: bool = False,
     ) -> None:
         self.name = name
         self.module = module
@@ -161,9 +160,6 @@ class KFACLayer:
         # backend; a standalone layer builds its own, because a backend holds
         # scratch buffers that two threads must not share.
         self.kernels = kernels if kernels is not None else make_kernel_backend(DEFAULT_KERNEL_BACKEND)
-        # Parity oracle: force dense factor representations on structured
-        # handlers, reproducing the pre-structured code paths bitwise.
-        self.force_dense = bool(dense_factors)
         self.has_bias = getattr(module, "bias", None) is not None
 
         # Accumulated raw statistics for the current factor-update window.
@@ -204,14 +200,10 @@ class KFACLayer:
 
     @property
     def a_repr(self) -> FactorRepr:
-        if self.force_dense:
-            return FactorRepr.dense(self.a_dim)
         return self._a_repr_impl()
 
     @property
     def g_repr(self) -> FactorRepr:
-        if self.force_dense:
-            return FactorRepr.dense(self.g_dim)
         return self._g_repr_impl()
 
     def factor_repr(self, which: str) -> FactorRepr:
@@ -728,7 +720,7 @@ class _KFACScaleShiftLayer(KFACLayer):
     diagonal (a length-``g_dim`` vector): O(F) allreduce bytes and an O(F)
     "eigen" stage instead of F²/F³.  The gradient matrix is the ``(g_dim, 2)``
     stack of ``[dL/dw, dL/db]`` columns, preconditioned by the standard eigen
-    machinery (forcing ``dense_factors`` restores the historical
+    machinery (the dense oracle of the tests restores the historical
     dense-diagonal storage bitwise).
     """
 
@@ -832,16 +824,9 @@ def make_kfac_layer(
     should_accumulate: Callable[[], bool],
     grad_scale: Callable[[], float],
     kernels: Optional[KernelBackend] = None,
-    dense_factors: bool = False,
 ) -> Optional[KFACLayer]:
-    """Create the registered handler for ``module`` or ``None`` if unsupported.
-
-    ``dense_factors=True`` forces the dense representation on structured
-    handlers (the parity oracle; see :attr:`KFACConfig.dense_factors`).
-    """
+    """Create the registered handler for ``module`` or ``None`` if unsupported."""
     handler_cls = resolve_kfac_layer(module)
     if handler_cls is None or not handler_cls.supports(module):
         return None
-    return handler_cls(
-        name, module, precision, should_accumulate, grad_scale, kernels=kernels, dense_factors=dense_factors
-    )
+    return handler_cls(name, module, precision, should_accumulate, grad_scale, kernels=kernels)

@@ -33,10 +33,11 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 
 There is one path through these stages.  *When* each layer refreshes is a
 per-layer plan kept by a :class:`~repro.kfac.scheduling.FactorUpdateScheduler`
-(at ``drift_tol=0`` the plan is the base cadence -- folds on ``step %
-factor_update_freq``, each layer's decomposition on its offset in the
-distribution plan's ``refresh_offsets``, which spreads an interval's eigen
-work over its fold-free steps -- and the scheduler is integer bookkeeping);
+(at ``drift_tol=0`` the plan is the base cadence -- folds every
+``factor_update_freq`` steps of an interval, each layer's decomposition on
+its offset in the distribution plan's ``refresh_offsets``, which spreads an
+interval's eigen work over its fold-free steps -- and the scheduler is
+integer bookkeeping);
 *how* a layer is preconditioned is its
 :class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
 of Eq. 15-17).  ``grad_worker_frac`` selects the distribution strategy
@@ -57,6 +58,13 @@ protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
 factors, eigen state, refresh plan and step counter (per rank), so
 checkpoint/resume reproduces the exact training trajectory under every
 distribution strategy.
+
+Every refresh decision is counted per layer in the rank's one registry, the
+communicator's tracer (``comm.tracer``), as ``kfac/<event>/<layer>``:
+``factor_updates``, ``eigen_updates``, ``factor_skips``, ``eigen_skips``,
+``drift_triggers`` and ``factor_windows_rejected``, beside
+``kfac/damping_shrinks`` / ``kfac/damping_grows`` and the ``kfac/damping``
+gauge; :func:`~repro.kfac.analysis.apply_measured_fractions` reads them back.
 """
 
 from __future__ import annotations
@@ -71,7 +79,6 @@ from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBucketSpec, OverlapScheduler
 from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..nn.module import Module
-from ..observability import NULL_TRACER
 from ..tensor import PrecisionPolicy
 from .base import Preconditioner
 from .config import KFACConfig
@@ -101,7 +108,6 @@ class KFAC(Preconditioner):
         comm: Optional[Communicator] = None,
         grad_scaler=None,
         skip_modules: Sequence[Module] = (),
-        tracer=None,
         strategy: Optional[DistributionStrategy] = None,
         precision: Union[str, PrecisionPolicy, None] = None,
         **hyperparams: Any,
@@ -112,8 +118,8 @@ class KFAC(Preconditioner):
         by keyword (``KFAC(model, lr=0.1, damping=0.01)``); all validation
         lives in :class:`KFACConfig`, so code, checkpoints and experiment
         manifests are checked by the same rules.  Per-run objects (the
-        communicator, grad scaler, skipped modules, tracer, a custom
-        strategy instance or a custom :class:`PrecisionPolicy` object in place
+        communicator -- whose tracer the preconditioner records into --, grad
+        scaler, skipped modules, a custom strategy instance or a custom :class:`PrecisionPolicy` object in place
         of a precision name) are passed separately because they are not
         serializable hyperparameters.
         """
@@ -157,9 +163,8 @@ class KFAC(Preconditioner):
         self.grad_scaler = grad_scaler
         self.comm = comm if comm is not None else SingleProcessCommunicator()
         self.compute_eigen_outer = config.compute_eigen_outer
-        self.dense_factors = config.dense_factors
         self.bucket_cap_mb = config.bucket_cap_mb  # may be the string "auto"
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = self.comm.tracer
         self._base_config = config
 
         self.precision = precision if precision is not None else config.precision_policy()
@@ -226,22 +231,13 @@ class KFAC(Preconditioner):
         # "auto" sizes the fused-buffer cap from the alpha-beta model and the
         # registered factor shapes, so it must resolve after registration.
         self.resolved_bucket_cap_mb = self._resolve_bucket_cap()
-        self.scheduler = OverlapScheduler(self.comm, self.resolved_bucket_cap_mb, tracer=self.tracer)
+        self.scheduler = OverlapScheduler(self.comm, self.resolved_bucket_cap_mb)
         # This rank's side of the plan's eigen and gradient rounds, attached
         # once: the specs' callables read the layers and ``_preconditioned``
         # when they run, so nothing about them changes from step to step.
         self._preconditioned: Dict[str, Optional[np.ndarray]] = {}
         self._eigen_round = {name: [self._bind(spec) for spec in specs] for name, specs in self.plan.eigen_round.items()}
         self._gradient_round = [self._bind(spec) for name in self.layers for spec in self.plan.gradient_round[name]]
-
-    def set_tracer(self, tracer) -> None:
-        """Adopt ``tracer`` for stage spans, scheduling events and comm spans.
-
-        Called by the :class:`~repro.training.trainer.Trainer` when it shares
-        its tracer; propagates to the collective scheduler.
-        """
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.scheduler.tracer = self.tracer
 
     def _make_solver(self, name: str) -> SolveStrategy:
         kwargs = {"tol": self._base_config.cg_tol, "max_iter": self._base_config.cg_max_iter} if name == "cg" else {}
@@ -279,7 +275,6 @@ class KFAC(Preconditioner):
                 should_accumulate=lambda layer_name=layer_name: self._should_accumulate(layer_name),
                 grad_scale=self._current_grad_scale,
                 kernels=self.kernels,
-                dense_factors=self.dense_factors,
             )
             if layer is not None:
                 self.layers[layer.name] = layer
@@ -300,6 +295,11 @@ class KFAC(Preconditioner):
     def _stage(self, stage: str):
         """The ``kfac/<stage>`` span of one Figure-7 column."""
         return self.tracer.span(f"kfac/{stage}", category="kfac")
+
+    def _count(self, event: str, names: Iterable[str]) -> None:
+        """Count ``event`` once per layer in ``names``, as ``kfac/<event>/<layer>`` in the rank's registry."""
+        for name in names:
+            self.tracer.counter_add(f"kfac/{event}/{name}")
 
     # --------------------------------------------------------------- properties
     @property
@@ -354,7 +354,6 @@ class KFAC(Preconditioner):
         if sanitizer is not None:
             # Label this rank's position in the program so schedule-divergence
             # reports say *where* each rank was, not just what it posted.
-            sanitizer.attach_tracer(self.rank, self.tracer)
             sanitizer.set_phase(self.rank, f"kfac/step:{self._steps}")
             if self._steps == 0:
                 # A rank disagreeing on any factor representation, or on the
@@ -362,7 +361,8 @@ class KFAC(Preconditioner):
                 # differently-routed collectives; surface that here as a
                 # named divergence instead of a buffer-size crash or a hang.
                 sanitizer.check_consistent(self.rank, "kfac/reprs", (self._repr_signature, self.plan.digest()))
-        with self.tracer.span("kfac/step", category="kfac", step=self._steps):
+        tracer = self.tracer
+        with tracer.span("kfac/step", category="kfac", step=self._steps):
             sched = self.factor_scheduler
             step = self._steps
             mean_loss: Optional[float] = None
@@ -372,15 +372,12 @@ class KFAC(Preconditioner):
                 mean_loss = self._mean_loss(loss)
                 previous_damping = self.damping
                 self.damping = self.damping_controller.observe_loss(mean_loss)
-                if self.tracer.enabled and self.damping != previous_damping:
-                    self.tracer.instant(
-                        "kfac/damping_adjusted",
-                        category="scheduling",
-                        step=step,
-                        old=previous_damping,
-                        new=self.damping,
+                if self.damping != previous_damping:
+                    shrank = self.damping < previous_damping
+                    tracer.counter_add("kfac/damping_shrinks" if shrank else "kfac/damping_grows")
+                    tracer.instant(
+                        "kfac/damping_adjusted", category="scheduling", step=step, old=previous_damping, new=self.damping
                     )
-                    self.tracer.counter_add("kfac/damping_adjustments")
 
             factor_layers = self._factor_layers_due()
             if factor_layers and not self._factors_reduced:
@@ -406,13 +403,15 @@ class KFAC(Preconditioner):
                     "activations or output gradients, e.g. an overflowed loss-scaled step) and "
                     "there are no earlier factors to keep"
                 )
+            self._count("factor_updates", factor_layers)
             for name in factor_layers:
                 layer = self.layers[name]
                 # Post-allreduce: with drift tracking on, every rank holds (and
                 # observes) identical factors and hence derives the identical
                 # plan without extra communication; with it off the factors are
                 # not read here and a rank that does not hold them passes None.
-                sched.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
+                if sched.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr):
+                    self._count("drift_triggers", [name])
 
             if sanitizer is not None:
                 # The refresh plan and damping are functions of allreduced state
@@ -427,15 +426,13 @@ class KFAC(Preconditioner):
 
             second_layers = [name for name in self.layers if sched.second_order_due(name, step)]
             eigen_layers = [name for name in second_layers if self.solvers[name].needs_eigen]
-            if self.tracer.enabled:
-                self.tracer.counter_add("kfac/factor_updates", len(factor_layers))
-                self.tracer.counter_add("kfac/eigen_updates", len(second_layers))
-                self.tracer.gauge_set("kfac/damping", self.damping)
+            tracer.gauge_set("kfac/damping", self.damping)
+            if tracer.enabled:
                 solver_counts: Dict[str, int] = {}
                 for name in second_layers:
                     solver = self.solvers[name].name
                     solver_counts[solver] = solver_counts.get(solver, 0) + 1
-                self.tracer.instant(
+                tracer.instant(
                     "kfac/refresh_decision",
                     category="scheduling",
                     step=step,
@@ -460,6 +457,7 @@ class KFAC(Preconditioner):
                 for name in second_layers:
                     layer = self.layers[name]
                     sched.mark_second_order(name, step, layer.factor_a, layer.factor_g)
+                self._count("eigen_updates", second_layers)
 
             with self._stage("precondition"):
                 gradients = self._precondition_gradients()
@@ -473,11 +471,10 @@ class KFAC(Preconditioner):
                 # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
                 # a decrease of lr·ν·Σ⟨grad, precond⟩.
                 self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
+            # Base-cadence opportunities the plan chose not to take.
             factor_skips, eigen_skips = sched.advance(step)
-            if self.tracer.enabled:
-                # Base-cadence opportunities the plan chose not to take, as the scheduler counts them.
-                self.tracer.counter_add("kfac/factor_skips", factor_skips)
-                self.tracer.counter_add("kfac/eigen_skips", eigen_skips)
+            self._count("factor_skips", factor_skips)
+            self._count("eigen_skips", eigen_skips)
             self._steps += 1
             self._begin_factor_window()
 
@@ -553,16 +550,15 @@ class KFAC(Preconditioner):
         Every rank receives the same averaged pair, so the decision needs no
         communication.  A non-finite pair (one bad activation, an overflowed
         loss-scaled backward) would never decay out of a running average; it
-        is folded nowhere and counted, and the step goes on with the factors
-        and decompositions it had.
+        is folded nowhere and counted (``kfac/factor_windows_rejected/<layer>``),
+        and the step goes on with the factors and decompositions it had; the
+        update still counts as performed, so a bad batch never moves the cadence.
         """
         if np.isfinite(window_a).all() and np.isfinite(window_g).all():
             return True
         self._rejected_windows.append(layer.name)
-        self.factor_scheduler.reject_window(layer.name)
-        if self.tracer.enabled:
-            self.tracer.counter_add("kfac/factor_windows_rejected")
-            self.tracer.instant("kfac/factor_window_rejected", category="kfac", step=self._steps, layer=layer.name)
+        self._count("factor_windows_rejected", [layer.name])
+        self.tracer.instant("kfac/factor_window_rejected", category="kfac", step=self._steps, layer=layer.name)
         return False
 
     def _factor_layers_due(self) -> List[str]:
@@ -717,18 +713,17 @@ class KFAC(Preconditioner):
         for name, which, decomposition in done:
             setattr(self.layers[name], "eigen_a" if which == "a" else "eigen_g", decomposition.astype(store))
         batch_sizes = [len(members) for members in shape_groups.values()]
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "kfac/kernel_dispatch",
-                category="kfac",
-                step=self._steps,
-                backend=self.kernels.name,
-                op="batched_symmetric_eigen",
-                factors=len(tasks),
-                structured=structured_count,
-                batches=len(batch_sizes),
-                batch_sizes=batch_sizes,
-            )
+        self.tracer.instant(
+            "kfac/kernel_dispatch",
+            category="kfac",
+            step=self._steps,
+            backend=self.kernels.name,
+            op="batched_symmetric_eigen",
+            factors=len(tasks),
+            structured=structured_count,
+            batches=len(batch_sizes),
+            batch_sizes=batch_sizes,
+        )
         for name in names:
             if self.groups[name].outer_worker == self.rank:
                 self.layers[name].inverse_outer = self._eigen_outer(self.layers[name])
@@ -942,43 +937,3 @@ class KFAC(Preconditioner):
         if self.damping_controller is not None:
             self.damping_controller = AdaptiveDampingController(self._base_config.damping)
             self.damping = self._base_config.damping
-
-    # ------------------------------------------------------------------- stats
-    def scheduler_stats(self) -> Dict[str, Any]:
-        """Scheduling/solver/damping counters for analysis and benchmarks.
-
-        ``factor_update_fraction`` / ``eigen_update_fraction`` are the
-        performed updates relative to what the base cadence (folds on ``step %
-        factor_update_freq``, each layer's refresh on its own phase) would have
-        performed over the same steps — the knob
-        :func:`repro.kfac.analysis.apply_measured_fractions` feeds into the
-        cost model (exactly 1.0, with zero skips, while ``drift_tol`` is 0).
-        ``enabled`` says whether drift tracking can move the plan off that
-        cadence.
-        """
-        n_layers = len(self.layers)
-        expected_factor = n_layers * -(-self._steps // self.factor_update_freq)  # folds on steps 0, F, 2F, ...
-        expected_eigen = self.factor_scheduler.base_eigen_updates(self._steps)
-        stats: Dict[str, Any] = {
-            "enabled": self.factor_scheduler.drift_tol > 0.0,
-            "steps": self._steps,
-            "damping": {"value": self.damping, "adaptive": self.damping_controller is not None},
-        }
-        if self.damping_controller is not None:
-            stats["damping"].update(self.damping_controller.stats())
-        layers = self.factor_scheduler.layer_stats()
-        for name, entry in layers.items():
-            solver = self.solvers[name]
-            entry["solver"] = solver.name
-            if hasattr(solver, "total_iterations"):
-                entry["cg_iterations"] = solver.total_iterations
-        totals = self.factor_scheduler.totals()
-        stats["layers"] = layers
-        stats["totals"] = totals
-        stats["factor_update_fraction"] = (
-            totals["factor_updates"] / expected_factor if expected_factor else 1.0
-        )
-        stats["eigen_update_fraction"] = (
-            totals["eigen_updates"] / expected_eigen if expected_eigen else 1.0
-        )
-        return stats

@@ -12,7 +12,8 @@ reduction *predicted* from the local model, and
 
 clamped to ``[MIN_DAMPING, MAX_DAMPING]``.  The controller is fed the
 rank-averaged loss, so every rank applies the identical adjustment and the
-SPMD ranks stay in lock step.
+SPMD ranks stay in lock step; ``KFAC.step()`` counts the shrinks and grows in
+the rank's tracer.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class AdaptiveDampingController:
         self.rho_high = float(rho_high)
         self.min_damping = float(min_damping)
         self.max_damping = float(max_damping)
-        self.shrinks = 0
-        self.grows = 0
         self.last_rho: Optional[float] = None
         self._pending: Optional[Tuple[float, float]] = None  # (loss, predicted reduction)
 
@@ -82,10 +81,8 @@ class AdaptiveDampingController:
                 self.last_rho = rho
                 if rho > self.rho_high:
                     self.damping *= self.shrink_factor
-                    self.shrinks += 1
                 elif rho < self.rho_low:
                     self.damping /= self.shrink_factor
-                    self.grows += 1
                 self.damping = float(min(max(self.damping, self.min_damping), self.max_damping))
         return self.damping
 
@@ -93,29 +90,13 @@ class AdaptiveDampingController:
         """Remember this step's loss and its predicted reduction for the next step."""
         self._pending = (float(loss), float(predicted_reduction))
 
-    # ---------------------------------------------------------------- stats
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "value": self.damping,
-            "shrinks": self.shrinks,
-            "grows": self.grows,
-            "last_rho": self.last_rho,
-        }
-
     # ---------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, Any]:
-        return {
-            "damping": self.damping,
-            "shrinks": self.shrinks,
-            "grows": self.grows,
-            "last_rho": self.last_rho,
-            "pending": self._pending,
-        }
+        return {"damping": self.damping, "last_rho": self.last_rho, "pending": self._pending}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict` (older checkpoints' ``shrinks`` / ``grows`` counts are ignored)."""
         self.damping = float(state["damping"])
-        self.shrinks = int(state["shrinks"])
-        self.grows = int(state["grows"])
         rho = state["last_rho"]
         self.last_rho = None if rho is None else float(rho)
         pending = state["pending"]

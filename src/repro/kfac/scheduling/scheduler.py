@@ -16,11 +16,15 @@ The plan is queried at three points of an optimization step:
 * :meth:`second_order_due` — after :meth:`observe_factors` ran for every
   updated layer, deciding which layers refresh their eigen decompositions
   (or inverse/CG solver state) this step;
-* :meth:`advance` — at the end of the step, for skip bookkeeping.
+* :meth:`advance` — at the end of the step: which layers passed over a
+  base-cadence opportunity.
 
-With ``drift_tol=0`` (the default) no snapshots are kept and the due-steps
-are exactly the base cadence: a fold on ``step % factor_update_freq == 0``,
-every layer's decomposition on step 0 and afterwards on the steps with
+The scheduler holds plan state only; ``KFAC.step()`` counts the decisions in
+the rank's tracer.  With ``drift_tol=0`` (the default) no snapshots are kept
+and the due-steps are exactly the base cadence: a fold on the steps
+:func:`~repro.kfac.assignment.folds_on` names (``step % inv_update_freq %
+factor_update_freq == 0``), every layer's decomposition on step 0 and
+afterwards on the steps with
 ``step % inv_update_freq`` equal to the layer's offset in the distribution
 plan's ``refresh_offsets`` (all 0 unless the plan spreads an interval's
 decompositions over its fold-free steps).
@@ -28,11 +32,12 @@ decompositions over its fold-free steps).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..assignment import next_refresh_step
+from ..assignment import folds_on, next_refresh_step
 
 __all__ = ["FactorUpdateScheduler", "factor_drift"]
 
@@ -72,12 +77,6 @@ class _LayerSchedule:
         "last_drift",
         "last_factor_step",
         "last_eigen_step",
-        "factor_updates",
-        "eigen_updates",
-        "factor_skips",
-        "eigen_skips",
-        "drift_triggers",
-        "factor_windows_rejected",
     )
 
     def __init__(self, factor_interval: int, eigen_interval: int) -> None:
@@ -90,12 +89,6 @@ class _LayerSchedule:
         self.last_drift: Optional[float] = None
         self.last_factor_step = -1
         self.last_eigen_step = -1
-        self.factor_updates = 0
-        self.eigen_updates = 0
-        self.factor_skips = 0
-        self.eigen_skips = 0
-        self.drift_triggers = 0
-        self.factor_windows_rejected = 0
 
 
 class FactorUpdateScheduler:
@@ -191,7 +184,7 @@ class FactorUpdateScheduler:
     # -------------------------------------------------------------- observe
     def observe_factors(
         self, name: str, step: int, factor_a: np.ndarray, factor_g: np.ndarray, a_repr=None, g_repr=None
-    ) -> float:
+    ) -> bool:
         """Record a performed factor update and measure drift (post-allreduce).
 
         ``a_repr`` / ``g_repr`` are the factors' representations, which
@@ -200,15 +193,14 @@ class FactorUpdateScheduler:
         With drift tracking on, must be called with the factors folded from
         the *allreduced* windows (every rank then holds all of them), so every
         rank observes identical values and derives the identical plan; with
-        it off the factors are not read and may be ``None``.  Returns the
-        measured drift (0.0 when drift tracking is off or no snapshot
-        exists yet).  A drift above ``drift_tol`` schedules a second-order
-        refresh for this very step and resets the stretched intervals.
+        it off the factors are not read and may be ``None``.  A drift above
+        ``drift_tol`` (the measured value is kept as ``last_drift``) schedules
+        a second-order refresh for this very step and resets the stretched
+        intervals; the return value says whether it did.
         """
         state = self._layers[name]
-        state.factor_updates += 1
         state.last_factor_step = step
-        drift = 0.0
+        triggered = False
         if self.drift_tol > 0.0 and state.snapshot_a is not None:
             drift = 0.5 * (
                 factor_drift(factor_a, state.snapshot_a, a_repr) + factor_drift(factor_g, state.snapshot_g, g_repr)
@@ -218,17 +210,9 @@ class FactorUpdateScheduler:
                 state.next_eigen_step = step
                 state.eigen_interval = self.inv_update_freq
                 state.factor_interval = self.factor_update_freq
-                state.drift_triggers += 1
+                triggered = True
         state.next_factor_step = step + state.factor_interval
-        return drift
-
-    def reject_window(self, name: str) -> None:
-        """Count a factor window of ``name`` that was not finite and was folded nowhere.
-
-        The update still counts as performed (:meth:`observe_factors` runs as
-        usual), so a bad batch never moves the cadence.
-        """
-        self._layers[name].factor_windows_rejected += 1
+        return triggered
 
     def mark_second_order(self, name: str, step: int, factor_a: np.ndarray, factor_g: np.ndarray) -> None:
         """Record a performed second-order refresh and schedule the next one.
@@ -240,7 +224,6 @@ class FactorUpdateScheduler:
         """
         state = self._layers[name]
         first = state.last_eigen_step < 0
-        state.eigen_updates += 1
         state.last_eigen_step = step
         if self.drift_tol > 0.0:
             if (
@@ -262,65 +245,34 @@ class FactorUpdateScheduler:
         """The first step at or after ``at_step`` on which the base cadence refreshes ``name``."""
         return next_refresh_step(self._offsets[name], at_step, self.factor_update_freq, self.inv_update_freq)
 
-    def advance(self, step: int) -> Tuple[int, int]:
-        """End-of-step bookkeeping: count, and return, the ``(factor, eigen)`` base-cadence opportunities skipped.
+    def advance(self, step: int) -> Tuple[List[str], List[str]]:
+        """End-of-step bookkeeping: the layers that passed over a ``(factor, eigen)`` base-cadence opportunity.
 
-        A layer's eigen opportunities sit on its own phase -- the steps
+        A fold opportunity is a step :func:`~repro.kfac.assignment.folds_on`
+        names.  A layer's eigen opportunities sit on its own phase -- the steps
         congruent to its next planned refresh, within that refresh's interval
         -- not on ``step % inv_update_freq == 0``, so a staggered plan skips
         nothing.
         """
-        factor_skips = eigen_skips = 0
-        for state in self._layers.values():
-            if step % self.factor_update_freq == 0 and state.last_factor_step != step:
-                state.factor_skips += 1
-                factor_skips += 1
+        fold = folds_on(step, self.factor_update_freq, self.inv_update_freq)
+        factor_skips = [name for name, state in self._layers.items() if fold and state.last_factor_step != step]
+        eigen_skips = []
+        for name, state in self._layers.items():
             ahead = state.next_eigen_step - step  # a refresh performed on this step leaves a whole interval ahead
             if ahead % self.inv_update_freq == 0 and ahead < state.eigen_interval:
-                state.eigen_skips += 1
-                eigen_skips += 1
+                eigen_skips.append(name)
         return factor_skips, eigen_skips
+
+    def base_factor_updates(self, steps: int) -> int:
+        """Folds the base cadence performs over all layers in ``steps`` steps (the steps :func:`folds_on` names)."""
+        cadence = (self.factor_update_freq, self.inv_update_freq)
+        return len(self._layers) * sum(folds_on(step, *cadence) for step in range(steps))
 
     def base_eigen_updates(self, steps: int) -> int:
         """Refreshes the base cadence performs over all layers in ``steps`` steps: step 0, then each layer's phase."""
         if steps <= 0:
             return 0
         return sum(1 + max(0, -(-(steps - self._on_phase(name, 1)) // self.inv_update_freq)) for name in self._offsets)
-
-    # ---------------------------------------------------------------- stats
-    def layer_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Per-layer update/skip counters and the current plan position."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for name, state in self._layers.items():
-            out[name] = {
-                "factor_updates": state.factor_updates,
-                "eigen_updates": state.eigen_updates,
-                "factor_skips": state.factor_skips,
-                "eigen_skips": state.eigen_skips,
-                "drift_triggers": state.drift_triggers,
-                "factor_windows_rejected": state.factor_windows_rejected,
-                "last_drift": state.last_drift,
-                "factor_interval": state.factor_interval,
-                "eigen_interval": state.eigen_interval,
-                "next_factor_step": state.next_factor_step,
-                "next_eigen_step": state.next_eigen_step,
-            }
-        return out
-
-    def totals(self) -> Dict[str, int]:
-        keys = (
-            "factor_updates",
-            "eigen_updates",
-            "factor_skips",
-            "eigen_skips",
-            "drift_triggers",
-            "factor_windows_rejected",
-        )
-        sums = {key: 0 for key in keys}
-        for state in self._layers.values():
-            for key in keys:
-                sums[key] += getattr(state, key)
-        return sums
 
     def plan_fingerprint(self, step: int) -> Tuple[Tuple[str, bool, bool], ...]:
         """Deterministic summary of this step's refresh plan, per layer.
@@ -356,12 +308,6 @@ class FactorUpdateScheduler:
                 "last_drift": state.last_drift,
                 "last_factor_step": state.last_factor_step,
                 "last_eigen_step": state.last_eigen_step,
-                "factor_updates": state.factor_updates,
-                "eigen_updates": state.eigen_updates,
-                "factor_skips": state.factor_skips,
-                "eigen_skips": state.eigen_skips,
-                "drift_triggers": state.drift_triggers,
-                "factor_windows_rejected": state.factor_windows_rejected,
             }
         return {
             "factor_update_freq": self.factor_update_freq,
@@ -372,6 +318,7 @@ class FactorUpdateScheduler:
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict`; the event counters older checkpoints also carry are ignored."""
         layers = state["layers"]
         missing = sorted(set(self._layers) - set(layers))
         unexpected = sorted(set(layers) - set(self._layers))
@@ -394,29 +341,23 @@ class FactorUpdateScheduler:
             target.last_drift = None if drift is None else float(drift)
             target.last_factor_step = int(entry["last_factor_step"])
             target.last_eigen_step = int(entry["last_eigen_step"])
-            target.factor_updates = int(entry["factor_updates"])
-            target.eigen_updates = int(entry["eigen_updates"])
-            target.factor_skips = int(entry["factor_skips"])
-            target.eigen_skips = int(entry["eigen_skips"])
-            target.drift_triggers = int(entry["drift_triggers"])
-            # Absent from checkpoints written before the window gate existed.
-            target.factor_windows_rejected = int(entry.get("factor_windows_rejected", 0))
 
     def reset(self, at_step: int = 0) -> None:
         """Forget all drift/interval state and restart the base cadence.
 
         ``at_step`` positions the fresh plan mid-run: every layer's next
-        fold is the first multiple of ``factor_update_freq`` at or after
-        ``at_step`` and its next refresh the first step on its offset, i.e.
-        where the base cadence would refresh next (used to resume
-        checkpoints that carry no plan).
+        fold is the first step at or after ``at_step`` that
+        :func:`~repro.kfac.assignment.folds_on` names and its next refresh the
+        first step on its offset, i.e. where the base cadence would fold and
+        refresh next (used to resume checkpoints that carry no plan).
         """
         self._layers = {
             name: _LayerSchedule(self.factor_update_freq, self.inv_update_freq) for name in self._layers
         }
         if at_step <= 0:
             return  # step 0 folds and decomposes every layer
-        next_factor_step = -(-at_step // self.factor_update_freq) * self.factor_update_freq
+        cadence = (self.factor_update_freq, self.inv_update_freq)
+        next_factor_step = next(step for step in itertools.count(at_step) if folds_on(step, *cadence))
         for name, state in self._layers.items():
             state.next_factor_step = next_factor_step
             state.next_eigen_step = self._on_phase(name, at_step)

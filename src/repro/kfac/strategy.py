@@ -47,7 +47,7 @@ import numpy as np
 
 from ..distributed.collectives import BroadcastSpec, BucketManager, broadcast_messages
 from ..tensor import PrecisionPolicy
-from .assignment import greedy_lpt_assignment, next_refresh_step, staggered_refresh_offsets
+from .assignment import folds_on, greedy_lpt_assignment, next_refresh_step, staggered_refresh_offsets
 from .factors import FactorRepr
 from .kmath import EigenDecomposition
 
@@ -266,7 +266,7 @@ class DistributionPlan:
             phases = sorted(set(self.refresh_offsets.values()))
             eigen_rounds = [self.refresh_due(self.inv_update_freq + phase) for phase in phases]  # a steady interval
         else:
-            folds = step % self.inv_update_freq % self.factor_update_freq == 0  # a refresh at offset 0 restarts the folds
+            folds = folds_on(step, self.factor_update_freq, self.inv_update_freq)
             eigen_rounds = [self.refresh_due(step)]
         out: Dict[str, List[Tuple[Tuple[int, ...], int]]] = {"factor": [], "eigen": [], "gradient": []}
         if self.world_size > 1 and folds:

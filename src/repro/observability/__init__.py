@@ -2,8 +2,8 @@
 
 The subsystem has four pieces:
 
-* :class:`Tracer` / :data:`NULL_TRACER` — per-rank structured recording of
-  spans, instant events, counters and gauges (:mod:`.tracer`);
+* :class:`Tracer` — per-rank structured recording of spans, instant events,
+  counters and gauges (:mod:`.tracer`);
 * Chrome trace-event export and validation for Perfetto timelines
   (:mod:`.export`);
 * :class:`MetricsReport` — p50/p95/max span statistics and counter totals
@@ -12,12 +12,11 @@ The subsystem has four pieces:
   from real comm/backward span overlap, the observed counterpart of
   :func:`repro.kfac.model_comm_schedule` (:mod:`.overlap`).
 
-Enable tracing by passing a live :class:`Tracer` to
-:class:`~repro.training.trainer.Trainer` (which shares it with the gradient
-pipeline and the preconditioner), or set ``REPRO_TRACE=1`` to make every
-trainer construct one by default.  With tracing disabled the no-op
-:data:`NULL_TRACER` is threaded through instead and training trajectories
-are bitwise identical.
+Every rank has one tracer, built by its communicator: ``comm.tracer`` always
+counts (the communicator's collectives, K-FAC's refresh decisions) and
+records spans and instants once enabled -- ``REPRO_TRACE=1``, or
+``comm.tracer.enabled = True``.  Training trajectories are bitwise identical
+either way.
 """
 
 from .export import to_chrome_trace, validate_chrome_trace, write_chrome_trace
@@ -28,12 +27,10 @@ from .overlap import (
     measured_comm_schedule,
     merge_intervals,
 )
-from .tracer import NULL_TRACER, InstantRecord, NullTracer, SpanRecord, Tracer, default_tracing
+from .tracer import InstantRecord, SpanRecord, Tracer, default_tracing
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "SpanRecord",
     "InstantRecord",
     "default_tracing",

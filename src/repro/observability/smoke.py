@@ -14,8 +14,8 @@ the same layer set.  Used three ways:
   the ranks' running factors do not add up to every factor stored once, if a
   rank's factor bytes are not the packed triangles of the factors it holds --
   ``n(n+1)/2`` elements per dense factor, a regression to square storage --
-  if the modeled K-FAC messages or bytes differ from the communication
-  log's, or if, after step 0, a step decomposes more layers than the heaviest
+  if a rank's slice of the modeled K-FAC messages or bytes differs from what
+  that rank's registry counted, or if, after step 0, a step decomposes more layers than the heaviest
   step of the plan's interval or a layer is decomposed twice in one interval
   -- a regression to one refresh step; the per-step counts are printed;
   beside the messages table it prints the factor round's bytes per
@@ -54,7 +54,7 @@ def run_traced_bert(
 ):
     """Train a tiny BERT for ``steps`` iterations on ``world_size`` threaded ranks.
 
-    Every rank runs with a live :class:`~repro.observability.Tracer`, a
+    Every rank runs with its communicator's tracer enabled, a
     gradient pipeline instance the trainer arms (``use_pipeline=False`` leaves
     the trainer on its own pipeline, which posts everything at ``flush()``)
     and the fused nonblocking collective engine, so the returned per-rank
@@ -64,18 +64,18 @@ def run_traced_bert(
     :meth:`KFAC.memory_usage` (``"memory_usage"``), the bytes of all
     registered factors (``"registered_factor_bytes"``), the bytes the factors
     each rank holds take as packed triangles, worked out from their dimensions
-    (``"held_triangle_bytes"``), the layers decomposed on each step and every
-    layer's decompositions in all (``"refreshed_per_step"``,
-    ``"refreshes_per_layer"``), what the world's
-    :class:`~repro.distributed.CommunicationLog` counted (``"logged"``:
-    ``{op: (messages, bytes)}``) and the part of it that is data-parallel
-    gradient averaging, per step (``"grad_sync"``: the same pair, from the
-    averaging subscriber's own specs under the run's bucket cap).
+    (``"held_triangle_bytes"``), the layers decomposed on each step (rank 0's
+    ``kfac/refresh_decision`` instants, ``"refreshed_per_step"``) and every
+    layer's decompositions in all (rank 0's registry,
+    ``"refreshes_per_layer"``), what each rank's
+    registry counted (``"counted"``: per rank ``{op: (messages, bytes)}``) and
+    the part of it that is data-parallel gradient averaging, per step
+    (``"grad_sync"``: the same pair, from the averaging subscriber's own specs
+    under the run's bucket cap).
     """
     from ..distributed.collectives import BucketManager
     from ..distributed.ddp import GradientAveragingSubscriber
     from ..distributed.threaded import run_spmd
-    from .tracer import Tracer
 
     def program(comm):
         import repro.optim as optim
@@ -98,16 +98,10 @@ def run_traced_bert(
             comm=comm,
             skip_modules=workload.kfac_skip_modules,
         )
-        tracer = Tracer(rank=comm.rank)
+        comm.tracer.enabled = True
         pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb) if use_pipeline else None
         trainer = Trainer(
-            model,
-            optimizer,
-            workload.forward_loss,
-            preconditioner=preconditioner,
-            comm=comm,
-            pipeline=pipeline,
-            tracer=tracer,
+            model, optimizer, workload.forward_loss, preconditioner=preconditioner, comm=comm, pipeline=pipeline
         )
         # 16 samples per step is half a batch: go round the loader until ``steps`` steps ran.
         epochs = itertools.chain.from_iterable(itertools.repeat(workload.train_loader))
@@ -126,12 +120,16 @@ def run_traced_bert(
         averaging = GradientAveragingSubscriber(model).specs(1.0, comm.world_size)
         grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
         grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
-        refreshes = {name: entry["eigen_updates"] for name, entry in preconditioner.scheduler_stats()["layers"].items()}
-        return trainer.tracer, preconditioner.memory_usage(), registered, grad_sync, comm.log, triangles, refreshes
+        counters = comm.tracer.counters()
+        refreshes = {name: int(counters.get(f"kfac/eigen_updates/{name}", 0)) for name in preconditioner.layers}
+        counted = {
+            op: (int(counters.get(f"comm/{op}/messages", 0)), int(counters.get(f"comm/{op}/bytes", 0)))
+            for op in ("allreduce", "broadcast")
+        }
+        return comm.tracer, preconditioner.memory_usage(), registered, grad_sync, counted, triangles, refreshes
 
     per_rank = run_spmd(world_size, program)
     tracers = [entry[0] for entry in per_rank]
-    log = per_rank[0][4]  # one log per world, complete once every rank returned
     run_info = {
         "world_size": world_size,
         "steps": steps,
@@ -149,7 +147,7 @@ def run_traced_bert(
         ],
         "refreshes_per_layer": per_rank[0][6],
         "grad_sync": per_rank[0][3],
-        "logged": {op: (count, log.bytes_by_op[op]) for op, count in log.messages_by_op.items()},
+        "counted": [entry[4] for entry in per_rank],
     }
     return tracers, run_info
 
@@ -199,27 +197,32 @@ def modeled_schedule_for_run(spec, run_info):
 
 
 def kfac_traffic(spec, run_info):
-    """``{op: ((modeled messages, bytes), (logged messages, bytes))}`` for the K-FAC collectives of a run.
+    """Per rank, ``{op: ((modeled messages, bytes), (counted messages, bytes))}`` for the K-FAC collectives of a run.
 
-    Modeled: the messages of ``spec``'s plan step by step over the run's steps
-    (a factor round on a fold, the eigen round of the layers the plan
-    decomposes on that step, a gradient round every step).  Logged: the
-    communication log, minus the data-parallel gradient averaging.  The model
-    reads the plan the engine follows, so the two are equal -- any difference
-    is a bug.
+    Modeled: the rank's slice of ``spec``'s plan step by step over the run's
+    steps -- the messages whose group contains the rank (a factor round on a
+    fold, the eigen round of the layers the plan decomposes on that step, a
+    gradient round every step).  Counted: the rank's registry, minus the
+    data-parallel gradient averaging.  The model reads the plan the engine
+    follows, so the two are equal on every rank -- any difference is a bug.
     """
     import numpy as np
 
     steps = run_info["steps"]
     plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
-    expected = {"allreduce": np.zeros(2, dtype=np.int64), "broadcast": np.zeros(2, dtype=np.int64)}
-    for step in range(steps):
-        messages = plan.messages(run_info["bucket_cap_mb"], hooked=run_info["use_pipeline"], step=step)
-        for op, sent in (("allreduce", messages["factor"]), ("broadcast", messages["eigen"] + messages["gradient"])):
-            expected[op] += (len(sent), sum(nbytes for _, nbytes in sent))
-    logged = {op: np.array(run_info["logged"].get(op, (0, 0))) for op in expected}
-    logged["allreduce"] -= steps * np.array(run_info["grad_sync"])
-    return {op: (tuple(map(int, expected[op])), tuple(map(int, logged[op]))) for op in expected}
+    cap, hooked = run_info["bucket_cap_mb"], run_info["use_pipeline"]
+    rounds = [plan.messages(cap, hooked=hooked, step=step) for step in range(steps)]
+    traffic = []
+    for rank, counted in enumerate(run_info["counted"]):
+        expected = {"allreduce": np.zeros(2, dtype=np.int64), "broadcast": np.zeros(2, dtype=np.int64)}
+        for messages in rounds:
+            for op, sent in (("allreduce", messages["factor"]), ("broadcast", messages["eigen"] + messages["gradient"])):
+                mine = [nbytes for members, nbytes in sent if rank in members]
+                expected[op] += (len(mine), sum(mine))
+        measured = {op: np.array(counted[op]) for op in expected}
+        measured["allreduce"] -= steps * np.array(run_info["grad_sync"])
+        traffic.append({op: (tuple(map(int, expected[op])), tuple(map(int, measured[op]))) for op in expected})
+    return traffic
 
 
 def staggered_refresh_problems(spec, run_info) -> List[str]:
@@ -273,10 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="\nAggregated span statistics (all ranks)",
         )
     )
-    if report.counters:
-        print("\nCounters:")
-        for name, value in report.counters.items():
-            print(f"  {name}: {value:g}")
+    print("\nRank 0's registry:")
+    for name, value in sorted(tracers[0].counters().items()):
+        print(f"  {name}: {value:g}")
 
     measured = measured_comm_schedule(tracers)
     spec = workload_spec_for_run(tracers, run_info)
@@ -304,13 +306,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     traffic = kfac_traffic(spec, run_info)
     print(
         format_table(
-            ["K-FAC collectives", "modeled messages", "logged messages", "modeled bytes", "logged bytes"],
-            [[op, expected[0], logged[0], expected[1], logged[1]] for op, (expected, logged) in traffic.items()],
+            ["rank", "K-FAC collectives", "modeled messages", "counted messages", "modeled bytes", "counted bytes"],
+            [
+                [rank, op, expected[0], counted[0], expected[1], counted[1]]
+                for rank, per_op in enumerate(traffic)
+                for op, (expected, counted) in per_op.items()
+            ],
             title=(
-                f"\nK-FAC traffic over {run_info['steps']} steps: the plan's messages "
+                f"\nK-FAC traffic over {run_info['steps']} steps: each rank's slice of the plan's messages "
                 f"({modeled.messages_per_update} messages, {modeled.comm_bytes_per_update} bytes per full update; "
                 "its factor round {} messages, {} bytes: packed triangles) ".format(*modeled.rounds["factor"])
-                + "vs the communication log"
+                + "vs that rank's registry"
             ),
         )
     )
@@ -325,8 +331,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="\nPer-parameter glue of a step, median ms per rank (fused optimizer step, gradient seam, K-FAC write-back)",
         )
     )
-    if any(expected != logged for expected, logged in traffic.values()):
-        print("ERROR: modeled K-FAC messages or bytes differ from the communication log", file=sys.stderr)
+    if any(expected != counted for per_op in traffic for expected, counted in per_op.values()):
+        print("ERROR: a rank's modeled K-FAC messages or bytes differ from what its registry counted", file=sys.stderr)
         return 1
     print(
         f"\nLayers decomposed per step (cadence {run_info['factor_update_freq']} / {run_info['inv_update_freq']}): "

@@ -18,17 +18,21 @@ can be merged onto one timeline afterwards.  Three event kinds are recorded:
   (:meth:`counter_add`) and a last-value-wins sample per name
   (:meth:`gauge_set`).
 
-Tracing must never perturb training: every mutating method of the no-op
-:class:`NullTracer` singleton (:data:`NULL_TRACER`) returns immediately and
-:meth:`NullTracer.span` hands back one shared, reusable null context
-manager, so instrumented code pays a single attribute lookup and call when
-tracing is disabled — and, by construction, numerics are untouched either
-way (the parity tests assert bitwise-identical trajectories with tracing on
-and off).
+Counters and gauges are always recorded: they are the rank's one bookkeeping
+registry (the communicator counts its collectives there, the preconditioner
+its refresh decisions).  Spans and instants are recorded only while
+:attr:`Tracer.enabled` is set; otherwise :meth:`Tracer.span` hands back one
+shared, reusable null context manager, so instrumented code pays a single
+call when tracing is off -- and, by construction, numerics are untouched
+either way (the parity tests assert bitwise-identical trajectories with
+tracing on and off).
 
-One tracer instance is bound to one rank.  In a threaded world each rank
-thread creates ``Tracer(rank=comm.rank)``; the instances are merged at
-export time (:func:`repro.observability.export.to_chrome_trace`,
+One tracer instance is bound to one rank: each communicator
+(:class:`~repro.distributed.SingleProcessCommunicator`,
+:class:`~repro.distributed.ThreadedCommunicator`) builds its rank's tracer,
+enabled when ``REPRO_TRACE=1`` is set, and everything that runs on the rank
+records into ``comm.tracer``.  The instances are merged at export time
+(:func:`repro.observability.export.to_chrome_trace`,
 :meth:`repro.observability.metrics.MetricsReport.from_tracers`).  All
 mutation is lock-protected, so a tracer shared across helper threads of one
 rank stays consistent.
@@ -36,6 +40,7 @@ rank stays consistent.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
@@ -46,8 +51,6 @@ __all__ = [
     "SpanRecord",
     "InstantRecord",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "default_tracing",
 ]
 
@@ -55,10 +58,9 @@ __all__ = [
 def default_tracing() -> bool:
     """Whether tracing is enabled by default, overridable via environment.
 
-    Setting ``REPRO_TRACE=1`` (or ``true``/``yes``/``on``) makes every
-    :class:`~repro.training.trainer.Trainer` construct a live :class:`Tracer`
-    by default — used by the CI trace-smoke job to exercise the instrumented
-    stack end to end without code changes.
+    Setting ``REPRO_TRACE=1`` (or ``true``/``yes``/``on``) enables the tracer
+    every communicator builds for its rank -- used by the CI trace-smoke job
+    to exercise the instrumented stack end to end without code changes.
     """
     return os.environ.get("REPRO_TRACE", "").strip().lower() in ("1", "true", "yes", "on")
 
@@ -97,6 +99,10 @@ class InstantRecord:
     attrs: Dict[str, Any] = field(default_factory=dict)
 
 
+#: What :meth:`Tracer.span` returns while tracing is off: one reusable context that records nothing.
+_IDLE = contextlib.nullcontext()
+
+
 class _ActiveSpan:
     """Re-entrant context manager for one :meth:`Tracer.span` invocation."""
 
@@ -131,6 +137,9 @@ class Tracer:
         Monotonic time source (seconds); defaults to ``time.perf_counter``,
         which is process-global and therefore directly comparable across the
         rank threads of a :class:`~repro.distributed.threaded.ThreadedWorld`.
+
+    :attr:`enabled` (default on; a communicator's tracer follows
+    :func:`default_tracing`) gates spans and instants only.
     """
 
     enabled = True
@@ -151,8 +160,10 @@ class Tracer:
         return self._clock()
 
     # ------------------------------------------------------------------ spans
-    def span(self, name: str, category: str = "", **attrs: Any) -> _ActiveSpan:
-        """Context manager recording a synchronous (stack-nested) span."""
+    def span(self, name: str, category: str = "", **attrs: Any):
+        """Context manager recording a synchronous (stack-nested) span (a shared no-op one when disabled)."""
+        if not self.enabled:
+            return _IDLE
         return _ActiveSpan(self, name, category, attrs)
 
     def _push(self, active: _ActiveSpan) -> Tuple[float, int]:
@@ -199,6 +210,8 @@ class Tracer:
         """
         if end < start:
             raise ValueError(f"span {name!r} ends before it starts ({end} < {start})")
+        if not self.enabled:
+            return
         with self._lock:
             self.spans.append(
                 SpanRecord(
@@ -215,7 +228,9 @@ class Tracer:
 
     # --------------------------------------------------------------- instants
     def instant(self, name: str, category: str = "", **attrs: Any) -> None:
-        """Record a zero-duration mark at the current time."""
+        """Record a zero-duration mark at the current time (nothing when disabled)."""
+        if not self.enabled:
+            return
         ts = self._clock()
         with self._lock:
             self.instants.append(
@@ -259,52 +274,3 @@ class Tracer:
             self.instants.clear()
             self._counters.clear()
             self._gauges.clear()
-
-
-class _NullContext:
-    """Shared reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
-
-
-class NullTracer(Tracer):
-    """No-op tracer: every method returns immediately, nothing is recorded.
-
-    Used as the default everywhere a ``tracer`` is accepted, so instrumented
-    code never branches on ``tracer is None``.  All instances share one null
-    context manager; the overhead of an instrumented region with tracing
-    disabled is one attribute lookup and one no-op call.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(rank=0)
-
-    def span(self, name: str, category: str = "", **attrs: Any) -> Any:
-        return _NULL_CONTEXT
-
-    def record_span(self, name, start, end, category="", lane=None, **attrs) -> None:
-        return None
-
-    def instant(self, name: str, category: str = "", **attrs: Any) -> None:
-        return None
-
-    def counter_add(self, name: str, value: float = 1.0) -> None:
-        return None
-
-    def gauge_set(self, name: str, value: float) -> None:
-        return None
-
-
-#: Process-wide no-op tracer used as the default ``tracer=`` everywhere.
-NULL_TRACER = NullTracer()

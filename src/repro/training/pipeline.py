@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import GradientBucketSpec, OverlapScheduler, TensorBucket
-from ..observability import NULL_TRACER
 from ..tensor import Tensor, is_grad_enabled
 
 __all__ = ["GradientPipeline"]
@@ -108,19 +107,20 @@ class GradientPipeline:
         introspection; gating objects come from the subscribers' specs).
     comm:
         Communicator shared by every subscriber's collectives.  Defaults to
-        the single-process communicator.
+        the single-process communicator.  Its tracer counts the buckets posted
+        from backward events (``pipeline/buckets_posted_backward``, the
+        communication that genuinely overlapped the backward pass) and at
+        :meth:`flush` (``pipeline/buckets_posted_flush``).
     bucket_cap_mb:
         Fused-buffer cap handed to the :class:`OverlapScheduler`'s bucket
         manager (the DDP ``bucket_cap_mb`` analogue).
     """
 
-    def __init__(
-        self, model, comm: Optional[Communicator] = None, bucket_cap_mb: float = 25.0, tracer=None
-    ) -> None:
+    def __init__(self, model, comm: Optional[Communicator] = None, bucket_cap_mb: float = 25.0) -> None:
         self.model = model
         self.comm = comm if comm is not None else SingleProcessCommunicator()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.scheduler = OverlapScheduler(self.comm, bucket_cap_mb, tracer=self.tracer)
+        self.tracer = self.comm.tracer
+        self.scheduler = OverlapScheduler(self.comm, bucket_cap_mb)
         self.subscribers: List[object] = []
         self.grad_scale: float = 1.0
         self._armed = False
@@ -128,14 +128,6 @@ class GradientPipeline:
         # gate id -> [(planned bucket, planned spec), ...]
         self._gates: Dict[int, List[Tuple[_PlannedBucket, _PlannedSpec]]] = {}
         self._hook_handles: List = []
-        #: Buckets posted from backward events vs. at flush() — the former is
-        #: the communication that genuinely overlapped the backward pass.
-        self.stats = {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 0}
-
-    def set_tracer(self, tracer) -> None:
-        """Adopt ``tracer`` for the pipeline and its scheduler (trainer wiring)."""
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.scheduler.tracer = self.tracer
 
     @property
     def bucket_cap_mb(self) -> float:
@@ -171,7 +163,6 @@ class GradientPipeline:
         matching gradient readiness during backward).
         """
         self.grad_scale = float(grad_scale)
-        self.stats = {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 0}
         self._plan = []
         for subscriber in self.subscribers:
             specs = list(subscriber.pipeline_specs(self))
@@ -244,20 +235,18 @@ class GradientPipeline:
             planned_spec.pending.discard(gate_id)
             if not planned_bucket.posted and planned_bucket.fully_ready:
                 self._post(planned_bucket, [spec.spec for spec in planned_bucket.specs], phase="backward")
-                self.stats["buckets_posted_in_backward"] += 1
 
     def _post(
         self, planned_bucket: _PlannedBucket, specs: Sequence[GradientBucketSpec], phase: str = "flush"
     ) -> None:
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "pipeline/bucket_posted",
-                category="pipeline",
-                phase=phase,
-                nbytes=planned_bucket.bucket.nbytes,
-                fused_count=len(planned_bucket.bucket),
-            )
-            self.tracer.counter_add(f"pipeline/buckets_posted_{phase}")
+        self.tracer.counter_add(f"pipeline/buckets_posted_{phase}")
+        self.tracer.instant(
+            "pipeline/bucket_posted",
+            category="pipeline",
+            phase=phase,
+            nbytes=planned_bucket.bucket.nbytes,
+            fused_count=len(planned_bucket.bucket),
+        )
         self.scheduler.post_allreduces([spec.to_allreduce() for spec in specs])
         planned_bucket.posted = True
 
@@ -290,14 +279,13 @@ class GradientPipeline:
                 ]
                 if ready:
                     self._post(planned_bucket, ready, phase="flush")
-                    self.stats["buckets_posted_at_flush"] += 1
             self.scheduler.drain()
             sanitizer = self.scheduler.sanitizer
             if sanitizer is not None:
                 # Lost-comm check: after the drain this rank must have zero
                 # unfinished posted handles — anything left is a collective
                 # some code path posted and forgot.
-                sanitizer.assert_drained(self.comm.rank, where="pipeline/flush", tracer=self.tracer)
+                sanitizer.assert_drained(self.comm.rank, where="pipeline/flush")
         self._disarm()
         for subscriber in self.subscribers:
             on_flush = getattr(subscriber, "on_pipeline_flush", None)

@@ -26,7 +26,6 @@ from ..distributed.backend import Communicator
 from ..distributed.ddp import GradientAveragingSubscriber
 from ..kfac.base import Preconditioner
 from ..nn.module import Module
-from ..observability import NULL_TRACER, Tracer, default_tracing
 from ..optim.grad_scaler import GradScaler
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
@@ -69,15 +68,13 @@ class Trainer:
         micro-batch and, when it has no subscribers yet, wired with gradient
         averaging plus the preconditioner's factor subscription (when the
         preconditioner supports it).
-    tracer:
-        Optional :class:`repro.observability.Tracer`.  ``None`` (default)
-        constructs a per-rank tracer when ``REPRO_TRACE=1`` is set and the
-        no-op :data:`~repro.observability.NULL_TRACER` otherwise.  The
-        trainer records step / micro-batch / forward / backward / optimizer
-        spans and shares the tracer with its pipeline and preconditioner
-        (when theirs is still the no-op), so one trace covers the whole
-        stack.  Tracing never changes numerics: with it disabled the
-        trajectory is bitwise identical.
+
+    The trainer records its step / micro-batch / forward / backward /
+    optimizer spans into the rank's tracer, ``comm.tracer`` (with no ``comm``,
+    the preconditioner's communicator's, else the pipeline's): the one the
+    pipeline and the preconditioner record into, so one trace covers the
+    whole stack once it is enabled (``REPRO_TRACE=1`` or
+    ``comm.tracer.enabled = True``).  Tracing never changes numerics.
     """
 
     def __init__(
@@ -93,7 +90,6 @@ class Trainer:
         iteration_time: Optional[float] = None,
         bucket_cap_mb: Optional[float] = None,
         pipeline: Optional[GradientPipeline] = None,
-        tracer=None,
     ) -> None:
         if grad_accumulation_steps < 1:
             raise ValueError("grad_accumulation_steps must be >= 1")
@@ -111,17 +107,7 @@ class Trainer:
         self.comm = comm
         self.grad_accumulation_steps = int(grad_accumulation_steps)
         self.iteration_time = iteration_time
-        if tracer is None:
-            if default_tracing():
-                rank = comm.rank if comm is not None else getattr(getattr(preconditioner, "comm", None), "rank", 0)
-                tracer = Tracer(rank=rank)
-            else:
-                tracer = NULL_TRACER
-        self.tracer = tracer
-        if self.tracer.enabled and self.preconditioner is not None:
-            set_tracer = getattr(self.preconditioner, "set_tracer", None)
-            if set_tracer is not None and not getattr(self.preconditioner, "tracer", NULL_TRACER).enabled:
-                set_tracer(self.tracer)
+        rank_comm = comm if comm is not None else getattr(preconditioner, "comm", None)
         # Overlap with backward is the caller's request: only a supplied
         # pipeline is ever armed.
         self._overlap = pipeline is not None
@@ -131,7 +117,10 @@ class Trainer:
                 # cost-model-sized bucket_cap_mb="auto"), so gradient and
                 # factor traffic share one fusion granularity.
                 bucket_cap_mb = getattr(preconditioner, "resolved_bucket_cap_mb", None) or 25.0
-            pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb, tracer=self.tracer)
+            # Without a comm nothing is averaged; a single-rank preconditioner's
+            # communicator averages nothing either and keeps the rank at one tracer.
+            single = rank_comm if rank_comm is not None and rank_comm.world_size == 1 else None
+            pipeline = GradientPipeline(model, comm=comm if comm is not None else single, bucket_cap_mb=bucket_cap_mb)
         elif not isinstance(pipeline, GradientPipeline):
             raise TypeError(f"pipeline must be a GradientPipeline or None, got {pipeline!r}")
         elif comm is not None and pipeline.comm is not comm and (comm.world_size > 1 or pipeline.comm.world_size > 1):
@@ -149,9 +138,8 @@ class Trainer:
                 # Factor allreduces overlap backward too; on the trainer's own
                 # pipeline the factor stage stays inside preconditioner.step().
                 pipeline.add_subscriber(preconditioner)
-        if self.tracer.enabled and not pipeline.tracer.enabled:
-            pipeline.set_tracer(self.tracer)
         self.pipeline = pipeline
+        self.tracer = (rank_comm if rank_comm is not None else pipeline.comm).tracer
         self.iterations = 0
         self.simulated_time = 0.0
         self._start_time = time.perf_counter()

@@ -24,6 +24,12 @@ whole trajectories must equal them to the bit on exactly symmetric windows.
 The oracle is deliberately *not* registered under a name: a fresh import of
 ``repro`` has one backend, and a test that wants a whole preconditioner on
 these kernels swaps them in with :func:`use_reference_kernels`.
+
+It is also the *dense oracle* of the structured representations:
+:func:`force_dense` puts one handler's factors on the dense representation
+whatever its natural one (diagonal, block-diagonal), and
+:class:`DenseFactorKFAC` builds a preconditioner whose every layer is on it.
+The structured fast paths must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,14 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 
-from repro.kfac import EigenDecomposition, FactorRepr, KernelBackend, eigenvalue_outer_product, precondition_with_eigen
+from repro.kfac import (
+    KFAC,
+    EigenDecomposition,
+    FactorRepr,
+    KernelBackend,
+    eigenvalue_outer_product,
+    precondition_with_eigen,
+)
 from repro.kfac.kmath import triangle_dim
 
 
@@ -236,3 +249,29 @@ def use_reference_kernels(preconditioner):
     for layer in preconditioner.layers.values():
         layer.kernels = oracle
     return preconditioner
+
+
+def force_dense(layer):
+    """``layer`` with both factors on the dense representation, whatever its handler's natural one; returns it.
+
+    Apply before anything reads the representation (a fresh handler, or
+    inside :meth:`DenseFactorKFAC._register_model`): statistics, storage,
+    wire shapes and eigensolves all follow it.
+    """
+    layer._a_repr_impl = lambda: FactorRepr.dense(layer.a_dim)
+    layer._g_repr_impl = lambda: FactorRepr.dense(layer.g_dim)
+    return layer
+
+
+class DenseFactorKFAC(KFAC):
+    """:class:`~repro.kfac.KFAC` with every registered layer on the dense representation (:func:`force_dense`)."""
+
+    def _register_model(self, model):
+        super()._register_model(model)
+        for layer in self.layers.values():
+            force_dense(layer)
+
+
+def kfac_class(dense_factors):
+    """The dense oracle or the preconditioner itself."""
+    return DenseFactorKFAC if dense_factors else KFAC

@@ -2,14 +2,12 @@
 
 Covers the nonblocking communicator primitives (WorkHandle semantics on both
 backends), the BucketManager's deterministic fusion, the OverlapScheduler's
-fused broadcast/allreduce execution, the CommunicationLog's fused-message
-accounting, bucketed DDP gradient averaging, the analytic fused-vs-unfused
+fused broadcast/allreduce execution, each rank's fused-message accounting in
+its registry, bucketed DDP gradient averaging, the analytic fused-vs-unfused
 schedule model, and the acceptance criterion: all three distribution
 strategies produce bitwise-identical preconditioned steps whatever the bucket
 cap, from one message per tensor to everything fused, on the threaded backend.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -19,19 +17,19 @@ from repro.distributed import (
     AllreduceSpec,
     BroadcastSpec,
     BucketManager,
-    CommunicationLog,
     CompletedWork,
     DistributedDataParallel,
     OverlapScheduler,
     PerformanceModel,
     SingleProcessCommunicator,
-    ThreadedWorld,
     run_spmd,
 )
 from repro.experiments import paper_workload_spec
 from repro.kfac import KFAC, KFACConfig, DistributionStrategy, model_comm_schedule
 from repro.models import MLP
 from repro.tensor import Tensor
+
+from counters import comm_counts, total_bytes, total_messages
 
 
 def make_problem(seed=0, samples=64, in_dim=6, classes=3):
@@ -272,8 +270,6 @@ class TestOverlapScheduler:
         np.testing.assert_array_equal(out["b"], np.arange(6, dtype=np.float32))
         np.testing.assert_array_equal(out["a"], np.arange(6, dtype=np.float32))
 
-        world = ThreadedWorld(2)
-
         def program(comm):
             out = {}
             scheduler = OverlapScheduler(comm, bucket_cap_mb=1.0)
@@ -281,29 +277,24 @@ class TestOverlapScheduler:
             scheduler.run_broadcasts(broadcasts)
             scheduler.run_allreduces(allreduces)
             assert out["b"][0] == out["a"][0] == comm.rank
+            return comm.tracer
 
-        threads = [threading.Thread(target=program, args=(world.communicator(r),)) for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert world.log.total_messages() == 0
-        assert world.log.total_bytes() == 0
+        for tracer in run_spmd(2, program):
+            assert total_messages(tracer) == 0
+            assert total_bytes(tracer) == 0
 
 
 class TestFusedAccounting:
-    """Satellite: CommunicationLog accounting for fused vs unfused schedules."""
+    """Each rank's registry counts fused vs unfused schedules (messages, bytes, tensors)."""
 
     def _run_world(self, world_size, program):
-        world = ThreadedWorld(world_size, cost_model=PerformanceModel())
-        threads = [
-            threading.Thread(target=program, args=(world.communicator(rank),)) for rank in range(world_size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return world.log
+        """Every rank's ``{op: (messages, bytes, tensors)}`` after ``program`` ran on it."""
+
+        def counted(comm):
+            program(comm)
+            return comm_counts(comm.tracer)
+
+        return run_spmd(world_size, counted)
 
     def test_fused_bucket_reports_total_bytes_once(self):
         def fused(comm):
@@ -313,24 +304,17 @@ class TestFusedAccounting:
             ]
             scheduler.run_allreduces(specs)
 
-        log = self._run_world(2, fused)
-        # 5 tensors x 64 float32 = 1280 bytes, moved in ONE message.
-        assert log.bytes_by_op["allreduce"] == 5 * 64 * 4
-        assert log.messages_by_op["allreduce"] == 1
-        assert log.tensors_by_op["allreduce"] == 5
-        (event,) = log.events
-        assert event.fused_count == 5
+        # 5 tensors x 64 float32 = 1280 bytes, moved in ONE message, counted by both members.
+        for counts in self._run_world(2, fused):
+            assert counts["allreduce"] == (1, 5 * 64 * 4, 5)
 
     def test_unfused_path_reports_one_message_per_tensor(self):
         def unfused(comm):
             for _ in range(5):
                 comm.allreduce_average(np.ones(64, dtype=np.float32))
 
-        log = self._run_world(2, unfused)
-        assert log.bytes_by_op["allreduce"] == 5 * 64 * 4
-        assert log.messages_by_op["allreduce"] == 5
-        assert log.tensors_by_op["allreduce"] == 5
-        assert all(event.fused_count == 1 for event in log.events)
+        for counts in self._run_world(2, unfused):
+            assert counts["allreduce"] == (5, 5 * 64 * 4, 5)
 
     def test_fused_and_unfused_same_bytes_fewer_messages(self):
         def fused(comm):
@@ -343,13 +327,12 @@ class TestFusedAccounting:
             for _ in range(8):
                 comm.allreduce_average(np.ones(16, dtype=np.float32))
 
-        fused_log = self._run_world(2, fused)
-        unfused_log = self._run_world(2, unfused)
-        assert fused_log.total_bytes() == unfused_log.total_bytes()
-        assert fused_log.total_tensors() == unfused_log.total_tensors() == 8
-        assert fused_log.total_messages() < unfused_log.total_messages()
-        # Fewer messages => fewer alpha latency terms => less simulated time.
-        assert fused_log.iteration_time() < unfused_log.iteration_time()
+        for fused_counts, unfused_counts in zip(self._run_world(2, fused), self._run_world(2, unfused)):
+            (fused_messages, fused_bytes, fused_tensors) = fused_counts["allreduce"]
+            (unfused_messages, unfused_bytes, unfused_tensors) = unfused_counts["allreduce"]
+            assert fused_bytes == unfused_bytes
+            assert fused_tensors == unfused_tensors == 8
+            assert fused_messages < unfused_messages
 
     def test_per_group_fused_collectives_charge_members_only(self):
         def fused(comm):
@@ -370,16 +353,23 @@ class TestFusedAccounting:
                     ]
                 )
 
-        log = self._run_world(4, fused)
-        # One fused message per two-rank group, three tensors each.
-        assert log.messages_by_op["broadcast"] == 2
-        assert log.tensors_by_op["broadcast"] == 6
-        assert log.bytes_by_op["broadcast"] == 2 * 3 * 32 * 4
-        for event in log.events:
-            assert event.group_size == 2
-            assert event.fused_count == 3
-        # Every rank participated in exactly one group's broadcast.
-        assert all(log.comm_time > 0)
+        # One fused message per two-rank group, three tensors each: every rank
+        # counts its own group's message, and no other.
+        for counts in self._run_world(4, fused):
+            assert counts["broadcast"] == (1, 3 * 32 * 4, 3)
+
+    def test_blocking_and_nonblocking_collectives_count_alike(self):
+        def program(comm):
+            payload = np.arange(8, dtype=np.float64)
+            comm.allreduce_average(payload)
+            comm.iallreduce_average(payload, fused_count=3).wait()
+            comm.broadcast(payload if comm.rank == 1 else None, src=1)
+            handle = comm.ibroadcast(payload if comm.rank == 1 else None, src=1, fused_count=2)
+            handle.wait()
+            handle.wait()  # a second wait returns the cache and counts nothing
+
+        for counts in self._run_world(3, program):
+            assert counts == {"allreduce": (2, 2 * 64, 4), "broadcast": (2, 2 * 64, 3)}
 
 
 class TestBucketedDDP:
@@ -408,22 +398,17 @@ class TestBucketedDDP:
     def test_bucketed_allreduce_records_fewer_messages_than_tensors(self):
         x, y = make_problem()
         loss_fn = nn.CrossEntropyLoss()
-        world = ThreadedWorld(2)
-
         def program(comm):
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(0))
             loss = loss_fn(model(Tensor(x[:16])), y[:16])
             loss.backward()
             DistributedDataParallel(model, comm, broadcast_initial=False, bucket_cap_mb=25.0).sync_gradients()
+            return comm_counts(comm.tracer)
 
-        threads = [threading.Thread(target=program, args=(world.communicator(r),)) for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
         # Six parameter tensors (3 layers x weight+bias) in one capped bucket.
-        assert world.log.tensors_by_op["allreduce"] == 6
-        assert world.log.messages_by_op["allreduce"] == 1
+        for counts in run_spmd(2, program):
+            messages, _, tensors = counts["allreduce"]
+            assert (messages, tensors) == (1, 6)
 
 
 class TestGradientSeam:
@@ -617,8 +602,6 @@ class TestKFACOverlapBitwise:
         loss_fn = nn.CrossEntropyLoss()
 
         def run(bucket_cap_mb):
-            world = ThreadedWorld(self.WORLD)
-
             def program(comm):
                 model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
                 ddp = DistributedDataParallel(model, comm, bucket_cap_mb=bucket_cap_mb)
@@ -638,21 +621,17 @@ class TestKFACOverlapBitwise:
                 loss.backward()
                 ddp.sync_gradients()
                 pre.step()
+                return comm_counts(comm.tracer)
 
-            threads = [
-                threading.Thread(target=program, args=(world.communicator(r),)) for r in range(self.WORLD)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            return world.log
+            return run_spmd(self.WORLD, program)
 
-        alone_log = run(ALONE_CAP_MB)
-        fused_log = run(DEFAULT_CAP_MB)
-        assert fused_log.total_bytes() == alone_log.total_bytes()
-        assert fused_log.total_tensors() == alone_log.total_messages() == alone_log.total_tensors()
-        assert fused_log.total_messages() < alone_log.total_messages()
+        for alone, fused in zip(run(ALONE_CAP_MB), run(DEFAULT_CAP_MB)):
+            def total(counts, index):
+                return sum(entry[index] for entry in counts.values())
+
+            assert total(fused, 1) == total(alone, 1)  # bytes
+            assert total(fused, 2) == total(alone, 0) == total(alone, 2)  # tensors; alone: one per message
+            assert total(fused, 0) < total(alone, 0)  # messages
 
 
 class TestConfigKnobs:
@@ -736,8 +715,6 @@ class TestCustomStrategyFallback:
     def _train(self, strategy_for):
         x, y = make_problem(seed=21)
         loss_fn = nn.CrossEntropyLoss()
-        world = ThreadedWorld(2)
-        grads = [None, None]
 
         def program(comm):
             model = MLP(6, [10], 3, rng=np.random.default_rng(0))
@@ -755,23 +732,19 @@ class TestCustomStrategyFallback:
             loss.backward()
             ddp.sync_gradients()
             pre.step()
-            grads[comm.rank] = np.concatenate([p.grad.ravel() for p in model.parameters()])
+            return np.concatenate([p.grad.ravel() for p in model.parameters()]), comm_counts(comm.tracer)
 
-        threads = [threading.Thread(target=program, args=(world.communicator(r),)) for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return grads, world.log
+        return zip(*run_spmd(2, program))
 
     def test_sync_only_strategy_survives_comm_overlap(self):
-        replicated, replicated_log = self._train(self.ReplicatedStrategy)
-        comm_opt, comm_opt_log = self._train(lambda world: DistributionStrategy(world, 1.0))
+        replicated, replicated_counts = self._train(self.ReplicatedStrategy)
+        comm_opt, comm_opt_counts = self._train(lambda world: DistributionStrategy(world, 1.0))
         # Same factors everywhere -> the replicated plan computes COMM-OPT's update...
         for a, b in zip(replicated, comm_opt):
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
         np.testing.assert_array_equal(replicated[0], replicated[1])
-        # ...without an eigen broadcast: DDP's initial weight sync is the only one left.
-        assert replicated_log.messages_by_op["broadcast"] == 1
-        assert comm_opt_log.messages_by_op["broadcast"] > 1
-        assert replicated_log.bytes_by_op["allreduce"] == comm_opt_log.bytes_by_op["allreduce"]
+        # ...without an eigen broadcast: DDP's initial weight sync is the only one left, on every rank.
+        for replicated_rank, comm_opt_rank in zip(replicated_counts, comm_opt_counts):
+            assert replicated_rank["broadcast"][0] == 1
+            assert comm_opt_rank["broadcast"][0] > 1
+            assert replicated_rank["allreduce"][1] == comm_opt_rank["allreduce"][1]

@@ -1,4 +1,6 @@
-"""Tests for the communication backends, cost model and data-parallel helpers."""
+"""Tests for the communication backends, their per-rank registries, the cost model and data-parallel helpers."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from repro.distributed import (
     EDR_INFINIBAND,
     ETHERNET_10G,
     V100,
-    CommunicationLog,
+    Communicator,
     DistributedSampler,
     PerformanceModel,
     SingleProcessCommunicator,
@@ -18,6 +20,9 @@ from repro.distributed import (
     shard_batch,
     unflatten_array,
 )
+from repro.observability import Tracer
+
+from counters import comm_counts
 
 
 class TestPerformanceModel:
@@ -66,37 +71,59 @@ class TestPerformanceModel:
         assert V100.peak_flops(2) == V100.peak_flops_fp16
 
 
-class TestCommunicationLog:
-    def test_records_events_and_bytes(self):
-        log = CommunicationLog(4, PerformanceModel())
-        log.record_collective("allreduce", 1000, [0, 1, 2, 3])
-        log.record_collective("broadcast", 500, [0, 1])
-        assert log.total_bytes() == 1500
-        assert log.bytes_by_op["allreduce"] == 1000
-        assert len(log.events) == 2
+class TestRankRegistry:
+    """Each communicator builds its rank's one tracer; the backend counts the collectives that complete there."""
 
-    def test_comm_time_charged_to_participants_only(self):
-        log = CommunicationLog(4, PerformanceModel())
-        log.record_collective("broadcast", 10_000, [1, 2])
-        assert log.comm_time[1] > 0 and log.comm_time[2] > 0
-        assert log.comm_time[0] == 0 and log.comm_time[3] == 0
+    def test_every_communicator_has_its_own_tracer(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        world = ThreadedWorld(3)
+        comms = [world.communicator(rank) for rank in range(3)] + [SingleProcessCommunicator()]
+        tracers = [comm.tracer for comm in comms]
+        assert all(isinstance(tracer, Tracer) for tracer in tracers)
+        assert len({id(tracer) for tracer in tracers}) == 4
+        assert [tracer.rank for tracer in tracers] == [0, 1, 2, 0]
+        assert not any(tracer.enabled for tracer in tracers)
 
-    def test_iteration_time_is_makespan(self):
-        log = CommunicationLog(2)
-        log.record_compute(0, 1.0)
-        log.record_compute(1, 3.0)
-        assert log.iteration_time() == pytest.approx(3.0)
+    def test_tracer_is_an_instance_attribute(self):
+        """A wrapper that forwards unknown attributes reaches the wrapped backend's tracer."""
+        assert not hasattr(Communicator, "tracer")
 
-    def test_reset(self):
-        log = CommunicationLog(2, PerformanceModel())
-        log.record_collective("allreduce", 100, [0, 1])
-        log.reset()
-        assert log.total_bytes() == 0 and log.iteration_time() == 0.0
+        class Forwarding(Communicator):
+            def __init__(self, inner):
+                self.inner = inner
 
-    def test_no_cost_model_zero_time(self):
-        log = CommunicationLog(2)
-        duration = log.record_collective("allreduce", 100, [0, 1])
-        assert duration == 0.0
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        inner = SingleProcessCommunicator()
+        assert Forwarding(inner).tracer is inner.tracer
+
+    def test_env_toggle_enables_spans_not_counting(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        assert SingleProcessCommunicator().tracer.enabled
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        comm = SingleProcessCommunicator()
+        with comm.tracer.span("ignored"):
+            comm.tracer.counter_add("kept")
+        assert not comm.tracer.spans and comm.tracer.counters() == {"kept": 1.0}
+
+    def test_counts_are_per_rank_and_per_group(self):
+        def program(comm):
+            comm.allreduce_average(np.ones(256, dtype=np.float32))  # the world
+            pair = (0, 1) if comm.rank < 2 else (2, 3)
+            comm.broadcast(np.ones(10, dtype=np.float64) if comm.rank == pair[0] else None, src=pair[0], group=pair)
+            if comm.rank == 0:
+                comm.allreduce_average(np.ones(4, dtype=np.float32), group=(0,))  # a group of one: not counted
+            return comm_counts(comm.tracer)
+
+        for counts in run_spmd(4, program):
+            assert counts == {"allreduce": (1, 1024, 1), "broadcast": (1, 80, 1)}
+
+    def test_single_process_communicator_counts_nothing(self):
+        comm = SingleProcessCommunicator()
+        comm.allreduce_average(np.ones(3))
+        comm.broadcast(np.ones(3), src=0)
+        assert comm.tracer.counters() == {}
 
 
 class TestSingleProcessCommunicator:
@@ -144,14 +171,6 @@ class TestThreadedWorld:
                     # A private copy: the K-FAC fold consumes the received buffer in place.
                     assert not any(np.shares_memory(result, other) for other in results[:rank] + contributions)
 
-    def test_allreduce_sum(self):
-        def program(comm):
-            return comm.allreduce_sum(np.array([1.0], dtype=np.float32))
-
-        results = run_spmd(3, program)
-        for result in results:
-            np.testing.assert_allclose(result, 3.0)
-
     def test_broadcast_from_source(self):
         def program(comm):
             value = np.arange(5, dtype=np.float32) if comm.rank == 2 else None
@@ -190,21 +209,20 @@ class TestThreadedWorld:
         with pytest.raises(ValueError):
             ThreadedWorld(2).communicator(5)
 
-    def test_comm_log_records_collectives(self):
-        world = ThreadedWorld(2, cost_model=PerformanceModel())
+    def test_registry_records_collectives(self):
+        world = ThreadedWorld(2)
+        comms = [world.communicator(rank) for rank in range(2)]
 
-        def program(comm):
-            return comm.allreduce_average(np.ones(1024, dtype=np.float32))
-
-        import threading
-
-        threads = [threading.Thread(target=lambda r=r: program(world.communicator(r))) for r in range(2)]
+        threads = [
+            threading.Thread(target=lambda comm=comm: comm.allreduce_average(np.ones(1024, dtype=np.float32)))
+            for comm in comms
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert world.log.bytes_by_op.get("allreduce", 0) == 1024 * 4
-        assert world.log.iteration_time() > 0
+        for comm in comms:
+            assert comm_counts(comm.tracer)["allreduce"] == (1, 1024 * 4, 1)
 
     def test_failing_rank_propagates_error(self):
         def program(comm):

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from repro import nn, optim
-from repro.distributed import DistributedDataParallel, PerformanceModel, run_spmd
+from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import KFAC, HybridOptStrategy
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
+
+from counters import comm_counts, event_total, layer_events
 
 RNG = np.random.default_rng(17)
 X_GLOBAL = RNG.standard_normal((256, 6)).astype(np.float32)
@@ -161,15 +163,10 @@ class TestDistributedKFAC:
 
     def test_communication_volume_mem_opt_higher_per_iteration(self):
         """MEM-OPT broadcasts preconditioned gradients every iteration; COMM-OPT does not."""
-        from repro.distributed import ThreadedWorld
-        import threading
 
         def run_world(frac):
-            world = ThreadedWorld(4, cost_model=PerformanceModel())
-
-            def target(rank):
-                comm = world.communicator(rank)
-                model = MLP(6, [16], 3, rng=np.random.default_rng(rank))
+            def target(comm):
+                model = MLP(6, [16], 3, rng=np.random.default_rng(comm.rank))
                 ddp = DistributedDataParallel(model, comm)
                 optimizer = optim.SGD(model.parameters(), lr=0.05)
                 # Long eigen-update interval: the per-iteration communication is then
@@ -183,17 +180,13 @@ class TestDistributedKFAC:
                     ddp.sync_gradients()
                     pre.step()
                     optimizer.step()
+                return comm_counts(comm.tracer)["broadcast"][1]
 
-            threads = [threading.Thread(target=target, args=(rank,)) for rank in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            return world.log
+            return run_spmd(4, target)
 
-        mem_opt_log = run_world(0.25)
-        comm_opt_log = run_world(1.0)
-        assert mem_opt_log.bytes_by_op["broadcast"] > comm_opt_log.bytes_by_op["broadcast"]
+        # Every rank receives more broadcast bytes under MEM-OPT.
+        for mem_opt, comm_opt in zip(run_world(0.25), run_world(1.0)):
+            assert mem_opt > comm_opt
 
 
 class GradWorkersDecompose(HybridOptStrategy):
@@ -342,10 +335,10 @@ class TestBadWindowsAreContainedOnEveryRank:
                         for key in after
                         if key[0] != "layers.2" and after[key] is not None
                     )
-                    report["rejected"] = pre.scheduler_stats()["totals"]["factor_windows_rejected"]
+                    report["rejected"] = event_total(pre, "factor_windows_rejected")
                 optimizer.step()
             report["params"] = np.concatenate([p.data.ravel() for p in model.parameters()])
-            report["rejected at the end"] = pre.scheduler_stats()["layers"]["layers.2"]["factor_windows_rejected"]
+            report["rejected at the end"] = layer_events(pre.tracer, "factor_windows_rejected", ["layers.2"])["layers.2"]
             return report
 
         return program

@@ -9,8 +9,9 @@ Acceptance coverage for the FactorRepr refactor:
 * structured-vs-forced-dense training parity, **bitwise**, across
   COMM-OPT / HYBRID-OPT / MEM-OPT x sync / overlap / hooked (the default
   un-armed pipeline at two bucket caps / an armed instance) x adaptive
-  (``dense_factors=True`` runs the historical dense code verbatim, so any
-  drift is a real divergence in the structured fast paths);
+  (the dense oracle of ``tests/kernel_oracle.py`` runs the historical dense
+  code verbatim, so any drift is a real divergence in the structured fast
+  paths);
 * checkpoints store the representation tags, resume bitwise, and refuse to
   load a packed factor into a handler with a different representation;
 * the new BatchNorm2d handler: brute-force factor verification, numerical
@@ -48,7 +49,7 @@ from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import GradientPipeline, Trainer
 
 from gradcheck import numerical_gradient
-from kernel_oracle import ReferenceKernelBackend
+from kernel_oracle import DenseFactorKFAC, ReferenceKernelBackend, kfac_class
 
 RNG = np.random.default_rng(404)
 
@@ -232,7 +233,7 @@ class TestCostModelRepr:
 
 # --------------------------------------------------------------------------- parity
 class TestStructuredVsDenseParity:
-    """``dense_factors=True`` is the historical dense implementation verbatim;
+    """The dense oracle is the historical dense implementation verbatim;
     the structured fast paths must match it bitwise (the LayerNorm/BatchNorm/
     Embedding statistics are exactly (block-)diagonal, so even the dense
     eigensolve sees the same spectrum)."""
@@ -246,9 +247,7 @@ class TestStructuredVsDenseParity:
 
         def run(dense_factors):
             model = MixNet(seed=3)
-            pre = KFAC(
-                model, factor_update_freq=1, inv_update_freq=2, dense_factors=dense_factors
-            )
+            pre = kfac_class(dense_factors)(model, factor_update_freq=1, inv_update_freq=2)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
             for step in range(5):
                 batch = slice(step * 16, step * 16 + 16)
@@ -262,7 +261,7 @@ class TestStructuredVsDenseParity:
 
     def test_forced_dense_stores_full_matrices(self):
         model = MixNet(seed=3)
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, dense_factors=True)
+        pre = DenseFactorKFAC(model, factor_update_freq=1, inv_update_freq=1)
         for layer in pre.layers.values():
             assert layer.a_repr.is_dense and layer.g_repr.is_dense
         ids, labels = make_token_problem(seed=2, samples=16)
@@ -293,9 +292,8 @@ class TestStructuredVsDenseParity:
                 # Drift-driven refresh: both representations must derive the same plan.
                 drift_tol=0.05 if adaptive else 0.0,
                 max_staleness=8 if adaptive else 0,
-                dense_factors=dense_factors,
             )
-            pre = KFAC.from_config(model, config, comm=comm)
+            pre = kfac_class(dense_factors).from_config(model, config, comm=comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
             pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=0.001) if mode == "hooked" else None
             trainer = Trainer(
@@ -337,7 +335,7 @@ class TestCheckpointRepr:
     def _trained(self, dense_factors=False, steps=3):
         ids, labels = make_token_problem(seed=31)
         model = MixNet(seed=5)
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=2, dense_factors=dense_factors)
+        pre = kfac_class(dense_factors)(model, factor_update_freq=1, inv_update_freq=2)
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         loss_fn = nn.CrossEntropyLoss()
         for step in range(steps):
@@ -384,7 +382,7 @@ class TestCheckpointRepr:
 
     def test_repr_mismatch_is_rejected(self):
         _, pre, _ = self._trained(dense_factors=False)
-        fresh = KFAC(MixNet(seed=5), dense_factors=True)
+        fresh = DenseFactorKFAC(MixNet(seed=5))
         with pytest.raises(ValueError, match="stores the A factor as diagonal:13"):
             fresh.load_state_dict(pre.state_dict())
 
@@ -547,9 +545,7 @@ class TestSanitizerReprDivergence:
         def program(comm):
             model = MixNet(seed=7)
             dense = comm.rank == 1  # spmd-ignore: SPMD101 - fault injection
-            pre = KFAC(
-                model, factor_update_freq=1, inv_update_freq=1, dense_factors=dense, comm=comm
-            )
+            pre = kfac_class(dense)(model, factor_update_freq=1, inv_update_freq=1, comm=comm)
             nn.CrossEntropyLoss()(model(ids), labels).backward()
             pre.step()
 

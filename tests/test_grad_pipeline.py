@@ -12,8 +12,6 @@ LayerNorm coverage exercised through the hooks, the adaptive
 communication split for hooked schedules.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,6 @@ from repro.distributed import (
     DistributedDataParallel,
     GradientAveragingSubscriber,
     SingleProcessCommunicator,
-    ThreadedWorld,
     choose_bucket_cap,
     run_spmd,
 )
@@ -33,6 +30,8 @@ from repro.kfac import KFAC, KFACConfig, KFACLayerNormLayer, model_comm_schedule
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
+
+from counters import comm_counts, total_messages
 
 
 def make_problem(seed=0, samples=64, in_dim=6, classes=3):
@@ -64,25 +63,10 @@ def build_model(kind, seed=0):
     return MLP(6, [12, 8], 3, rng=rng)
 
 
-def run_on(world, program):
-    """``program(comm)`` on every rank of an existing world (so its log can be read)."""
-    results = [None] * world.world_size
-    errors = []
-
-    def target(rank):
-        try:
-            results[rank] = program(world.communicator(rank))
-        except BaseException as error:  # noqa: BLE001 - re-raised below
-            errors.append(error)
-
-    threads = [threading.Thread(target=target, args=(rank,), daemon=True) for rank in range(world.world_size)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
+def posted(tracer):
+    """``(buckets posted from backward events, buckets posted at flush)`` the rank's registry counted."""
+    counters = tracer.counters()
+    return tuple(int(counters.get(f"pipeline/buckets_posted_{phase}", 0)) for phase in ("backward", "flush"))
 
 
 class TestPipelineParity:
@@ -206,18 +190,17 @@ class TestPipelineMechanics:
             pipeline.arm()
             loss = self._sharded_loss(comm, model, x, y, loss_fn)
             loss.backward()
-            posted_during_backward = pipeline.stats["buckets_posted_in_backward"]
+            posted_during_backward = posted(comm.tracer)[0]
             pipeline.flush()
-            return posted_during_backward, pipeline.stats["buckets_posted_at_flush"]
+            return posted_during_backward, posted(comm.tracer)[1]
 
-        for posted, at_flush in run_spmd(2, program):
-            assert posted > 0
+        for in_backward, at_flush in run_spmd(2, program):
+            assert in_backward > 0
             assert at_flush == 0  # every param got a gradient; nothing left over
 
     def test_grad_accumulation_hooks_fire_per_microbatch_buckets_post_once(self):
         x, y = make_problem(seed=7)
         loss_fn = nn.CrossEntropyLoss()
-        world = ThreadedWorld(2)
         fired = {0: 0, 1: 0}
 
         def program(comm):
@@ -234,17 +217,15 @@ class TestPipelineMechanics:
                 loss = self._sharded_loss(comm, model, x, y, loss_fn)
                 loss.backward()
             pipeline.flush()
-            return (
-                pipeline.stats["buckets_posted_in_backward"] + pipeline.stats["buckets_posted_at_flush"]
-            )
+            return sum(posted(comm.tracer)), comm_counts(comm.tracer)["allreduce"]
 
-        run_on(world, program)
+        results = run_spmd(2, program)
         # The grad-ready hook fired once per micro-batch backward...
         assert fired == {0: 3, 1: 3}
         # ...but the whole step issued exactly ONE fused allreduce message
         # (6 small tensors under a 25 MB cap), posted once.
-        assert world.log.messages_by_op["allreduce"] == 1
-        assert world.log.tensors_by_op["allreduce"] == 6
+        for buckets, (messages, _, tensors) in results:
+            assert (buckets, messages, tensors) == (1, 1, 6)
 
     def test_pipeline_matches_explicit_allreduce_bitwise(self):
         """Armed pipeline == ``DistributedDataParallel.sync_gradients`` in a hand-written loop."""
@@ -408,7 +389,7 @@ class TestPipelineMechanics:
         # A single rank publishes gradient specs only under a micro-batch scale.
         pipeline.arm(grad_scale=0.5)
         loss_fn(model(Tensor(x[:16])), y[:16]).backward()
-        assert pipeline.stats["buckets_posted_in_backward"] > 0  # work in flight
+        assert posted(comm.tracer)[0] > 0  # work in flight
         pipeline.abort()  # step failed; posted buckets must be swallowed
         assert not pipeline.scheduler._in_flight
 
@@ -427,8 +408,6 @@ class TestPipelineMechanics:
         multi-rank communicator, and must not refuse the configuration."""
         x, y = make_problem(seed=31)
         loss_fn = nn.CrossEntropyLoss()
-        world = ThreadedWorld(2)
-        n_params = sum(p.data.size for p in build_model("mlp").parameters())
 
         def program(comm):
             model = build_model("mlp")
@@ -443,18 +422,20 @@ class TestPipelineMechanics:
             assert trainer.pipeline.comm.world_size == 1
             sl = slice(comm.rank * 16, (comm.rank + 1) * 16)
             trainer.train_step((x[sl], y[sl]))
+            # K-FAC's own collectives ran -- its factor round is every allreduce byte -- and nothing carried the gradients.
+            factor_round = pre.plan.messages(pre.resolved_bucket_cap_mb, step=0)["factor"]
+            counted = comm_counts(comm.tracer)
+            assert counted["allreduce"][:2] == (len(factor_round), sum(nbytes for _, nbytes in factor_round))
+            assert counted["broadcast"][0] > 0
+            assert comm_counts(trainer.pipeline.comm.tracer) == {"allreduce": (0, 0, 0), "broadcast": (0, 0, 0)}
 
-        run_on(world, program)
-        # K-FAC's own collectives ran; no message carried the gradients.
-        assert world.log.events
-        assert all(event.nbytes != 4 * n_params for event in world.log.events)
+        run_spmd(2, program)
 
     def test_flush_without_arm_posts_flush_ready_specs_once(self):
         """A never-armed pipeline is the explicit path: flush() plans the step,
         posts every spec whose gradient exists, once, and registers no hook."""
         x, y = make_problem(seed=33)
         loss_fn = nn.CrossEntropyLoss()
-        world = ThreadedWorld(2)
         hook_counts = []
 
         def program(comm):
@@ -468,25 +449,26 @@ class TestPipelineMechanics:
                     p.grad = None
                 self._sharded_loss(comm, model, x, y, loss_fn).backward()
                 local = [p.grad.copy() for p in model.parameters() if p.grad is not None]
+                before = posted(comm.tracer)
                 pipeline.flush()
                 assert not pipeline.armed
-                assert pipeline.stats == {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 1}
+                assert np.subtract(posted(comm.tracer), before).tolist() == [0, 1]
                 averaged = [p.grad for p in model.parameters() if p.grad is not None]
                 assert len(averaged) == len(local) == 5 and frozen.grad is None
             hook_counts.append(
                 sum(len(p._grad_ready_hooks or ()) for p in model.parameters())
                 + len(pipeline._hook_handles)
             )
-            return np.concatenate([g.ravel() for g in averaged]), np.concatenate([g.ravel() for g in local])
+            averaged, local = (np.concatenate([g.ravel() for g in grads]) for grads in (averaged, local))
+            return averaged, local, comm_counts(comm.tracer)["allreduce"]
 
-        results = run_on(world, program)
+        results = run_spmd(2, program)
         mean_of_locals = (results[0][1] + results[1][1]) / 2
-        for averaged, _ in results:
+        for averaged, _, (messages, _, tensors) in results:
             np.testing.assert_array_equal(averaged, mean_of_locals.astype(np.float32))
+            # Two steps, one fused message each, five tensors in it.
+            assert (messages, tensors) == (2, 10)
         assert hook_counts == [0, 0]
-        # Two steps, one fused message each, five tensors in it.
-        assert world.log.messages_by_op["allreduce"] == 2
-        assert world.log.tensors_by_op["allreduce"] == 10
 
     def test_non_subscriber_rejected(self):
         pipeline = GradientPipeline(build_model("mlp"))
@@ -506,8 +488,7 @@ class TestPipelineMechanics:
         assert not pipeline.armed and not pipeline._hook_handles
         # Backward after abort posts nothing (hooks were removed).
         loss_fn(model(Tensor(x[:8])), y[:8]).backward()
-        total = pipeline.stats["buckets_posted_in_backward"] + pipeline.stats["buckets_posted_at_flush"]
-        assert total == 0
+        assert posted(comm.tracer) == (0, 0)
 
     def test_kfac_rejects_foreign_multirank_communicator(self):
         def program(comm):
@@ -593,12 +574,12 @@ class TestDefaultSeam:
 
     STEPS = 3
 
-    def _run(self, with_kfac, micro=1, tracer_factory=None):
+    def _run(self, with_kfac, micro=1, traced=True):
         x, y = make_problem(seed=37)
         loss_fn = nn.CrossEntropyLoss()
-        world = ThreadedWorld(2)
 
         def program(comm):
+            comm.tracer.enabled = traced
             model = build_model("mlp")
             pre = None
             if with_kfac:
@@ -609,7 +590,6 @@ class TestDefaultSeam:
                 lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
                 preconditioner=pre,
                 comm=comm,
-                tracer=tracer_factory(comm.rank) if tracer_factory else None,
             )
             sl = slice(comm.rank * 32, (comm.rank + 1) * 32)
             batch = (x[sl], y[sl])
@@ -618,32 +598,34 @@ class TestDefaultSeam:
             assert not trainer.pipeline.armed
             return trainer
 
-        return world, run_on(world, program)
+        return run_spmd(2, program)
 
     @pytest.mark.parametrize("with_kfac", [False, True], ids=["first-order", "kfac"])
     @pytest.mark.parametrize("micro", [1, 2], ids=["one-batch", "two-micro-batches"])
     def test_one_flat_gradient_allreduce_per_step_before_any_kfac_collective(self, with_kfac, micro):
-        world, trainers = self._run(with_kfac, micro=micro)
+        trainers = self._run(with_kfac, micro=micro)
         grad_nbytes = 4 * sum(p.data.size for p in trainers[0].model.parameters())
         n_tensors = len(list(trainers[0].model.parameters()))
-        events = world.log.events
-        grad_events = [i for i, e in enumerate(events) if (e.op, e.nbytes, e.fused_count) == ("allreduce", grad_nbytes, n_tensors)]
-        assert len(grad_events) == self.STEPS
-        if not with_kfac:
-            assert len(events) == self.STEPS
-            return
-        # Each step's traffic opens with the gradient bucket: the K-FAC
-        # collectives of step k all sit between gradient message k and k+1.
-        assert grad_events[0] == 0
-        per_step = np.diff(grad_events + [len(events)])
-        assert np.all(per_step > 1) and len(set(per_step)) == 1
+        for trainer in trainers:
+            # The rank's messages in posting order, from its traced comm spans.
+            spans = sorted((s for s in trainer.tracer.spans if s.category == "comm"), key=lambda s: s.start)
+            assert len(spans) == total_messages(trainer.tracer)
+            signature = ("allreduce", grad_nbytes, n_tensors)
+            grad = [i for i, s in enumerate(spans) if (s.attrs["op"], s.attrs["nbytes"], s.attrs["fused_count"]) == signature]
+            assert len(grad) == self.STEPS
+            if not with_kfac:
+                assert len(spans) == self.STEPS
+                continue
+            # Each step's traffic opens with the gradient bucket: the K-FAC
+            # collectives of step k all sit between gradient message k and k+1.
+            assert grad[0] == 0
+            per_step = np.diff(grad + [len(spans)])
+            assert np.all(per_step > 1) and len(set(per_step)) == 1
 
     def test_traced_default_run_records_gradient_comm_span(self):
         """The gradient bucket goes through the OverlapScheduler like every
         other collective, so measured-comm reporting sees it."""
-        from repro.observability import Tracer
-
-        _, trainers = self._run(with_kfac=False, tracer_factory=lambda rank: Tracer(rank=rank))
+        trainers = self._run(with_kfac=False)
         grad_nbytes = 4 * sum(p.data.size for p in trainers[0].model.parameters())
         for trainer in trainers:
             spans = [s for s in trainer.tracer.spans if s.name == "comm/allreduce"]
@@ -710,7 +692,7 @@ class TestDefaultSeam:
         trainer = Trainer(model, Spy(model.parameters(), lr=0.1), lambda m, b: loss_fn(m(Tensor(b[0])), b[1]))
         trainer.train_step((x[:16], y[:16]))
         assert all(at_step[key] is after_backward[key] for key in after_backward)
-        assert trainer.pipeline.stats == {"buckets_posted_in_backward": 0, "buckets_posted_at_flush": 0}
+        assert posted(trainer.tracer) == (0, 0)
 
 
 class TestLayerNormRegistry:

@@ -35,6 +35,8 @@ from repro.models import MLP
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
+from counters import event_total, layer_events
+
 RNG = np.random.default_rng(101)
 
 
@@ -370,7 +372,7 @@ class TestStateDictResume:
         pre_b = KFAC(model_b, KFACConfig.from_dict(old_format["config"]))
         pre_b.load_state_dict(old_format)
         assert pre_b.config == config
-        updates_before = {name: entry["eigen_updates"] for name, entry in pre_a.factor_scheduler.layer_stats().items()}
+        updates_before = layer_events(pre_a.tracer, "eigen_updates", pre_a.layers)
 
         batch_rng = np.random.default_rng(9)
         for step in range(steps_before, steps_before + cadence[1]):  # one whole interval: every layer refreshes once
@@ -378,10 +380,13 @@ class TestStateDictResume:
             assert [name for name, _, due in pre_b.factor_scheduler.plan_fingerprint(step) if due] == pre_b.plan.refresh_due(step)
             batch = batch_rng.integers(0, len(x), 32)
             np.testing.assert_array_equal(one_step(model_a, pre_a, batch), one_step(model_b, pre_b, batch))
-        assert pre_b.scheduler_stats()["layers"] != {}
-        for name, entry in pre_b.factor_scheduler.layer_stats().items():
-            resumed_updates = pre_a.factor_scheduler.layer_stats()[name]["eigen_updates"] - updates_before[name]
-            assert (entry["factor_updates"], entry["eigen_updates"]) == (cadence[1] // cadence[0], resumed_updates), name
+        # The resumed run's registry counts its own decisions: those of the uninterrupted run over the same steps.
+        assert pre_b.tracer is not pre_a.tracer
+        factor_updates = layer_events(pre_b.tracer, "factor_updates", pre_b.layers)
+        eigen_updates = layer_events(pre_b.tracer, "eigen_updates", pre_b.layers)
+        for name, before in updates_before.items():
+            resumed_updates = layer_events(pre_a.tracer, "eigen_updates", [name])[name] - before
+            assert (factor_updates[name], eigen_updates[name]) == (cadence[1] // cadence[0], resumed_updates), name
             assert resumed_updates == 1
 
     def test_checkpoint_written_on_one_refresh_step_resumes_on_the_phase_it_stored(self):
@@ -416,7 +421,7 @@ class TestStateDictResume:
                 pre.step()
                 grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
             np.testing.assert_array_equal(*grads)
-        assert pre_b.scheduler_stats()["totals"]["eigen_skips"] == 0
+        assert event_total(pre_b, "eigen_skips") == 0
 
     def test_parent_format_state_dict_with_reference_backend_resumes_bitwise(self):
         """A full ``KFAC.state_dict()`` whose config names the retired ``reference``
@@ -448,6 +453,54 @@ class TestStateDictResume:
                 pre.step()
                 grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
             np.testing.assert_array_equal(*grads)
+
+    def test_parent_format_checkpoint_with_event_counters_resumes_bitwise(self):
+        """Checkpoints of earlier versions carry the scheduler's and the damping controller's event
+        counters (and ``dense_factors`` in the config); they load as plan state and resume bit for bit,
+        with drift tracking and adaptive damping moving the plan."""
+        x, y = make_problem(8)
+        config = KFACConfig(
+            lr=0.1, factor_update_freq=1, inv_update_freq=2, drift_tol=0.05, max_staleness=8, adaptive_damping=True
+        )
+        loss_fn = nn.CrossEntropyLoss()
+
+        def step(model, pre, batch):
+            model.zero_grad()
+            loss = loss_fn(model(Tensor(x[batch])), y[batch])
+            loss.backward()
+            pre.step(loss=float(loss.item()))
+            return np.concatenate([p.grad.ravel() for p in model.parameters()])
+
+        batch_rng = np.random.default_rng(9)
+        model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
+        pre_a = KFAC(model_a, config)
+        for _ in range(6):
+            step(model_a, pre_a, batch_rng.integers(0, len(x), 32))
+        checkpoint = pre_a.state_dict()
+        counters = ("factor_updates", "eigen_updates", "factor_skips", "eigen_skips", "drift_triggers",
+                    "factor_windows_rejected")
+        assert not set(counters) & set(next(iter(checkpoint["scheduler"]["layers"].values())))
+        assert set(checkpoint["damping_controller"]) == {"damping", "last_rho", "pending"}
+        parent = {
+            **checkpoint,
+            "config": dict(checkpoint["config"], dense_factors=False),
+            "scheduler": {**checkpoint["scheduler"], "layers": {
+                name: {**entry, **{key: 3 for key in counters}} for name, entry in checkpoint["scheduler"]["layers"].items()
+            }},
+            "damping_controller": {**checkpoint["damping_controller"], "shrinks": 4, "grows": 2},
+        }
+
+        model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
+        model_b.load_state_dict(model_a.state_dict())
+        pre_b = KFAC(model_b, KFACConfig.from_dict(parent["config"]))
+        pre_b.load_state_dict(parent)
+        assert pre_b.config == config
+        assert pre_b.state_dict()["scheduler"]["layers"].keys() == checkpoint["scheduler"]["layers"].keys()
+        for _ in range(6):
+            batch = batch_rng.integers(0, len(x), 32)
+            np.testing.assert_array_equal(step(model_a, pre_a, batch), step(model_b, pre_b, batch))
+        assert pre_b.damping == pre_a.damping
+        assert pre_b.factor_scheduler.plan_fingerprint(12) == pre_a.factor_scheduler.plan_fingerprint(12)
 
     def test_restored_run_leaves_the_checkpoint_arrays_alone(self):
         """Statistics are accumulated, averaged and folded in place, so a restore must

@@ -53,7 +53,6 @@ from repro.kfac.kernels import _BACKEND_REGISTRY, STACK_EIGH_MAX_DIM
 from repro.models import MLP
 from repro.nn.linear import Linear
 from repro.nn.norm import LayerNorm
-from repro.observability import Tracer
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import GradientPipeline, Trainer
 
@@ -765,10 +764,15 @@ class TestTrainingParity:
         def program(comm):
             out = {}
             for backend in ("reference", "batched"):
-                snapshots, pre = train_trajectory(
+                before = comm.tracer.counters()
+                snapshots, _ = train_trajectory(
                     backend, grad_worker_frac=grad_worker_frac, adaptive=True, comm=comm, steps=8
                 )
-                out[backend] = (snapshots, pre.scheduler_stats()["totals"])
+                # What this run's refresh decisions added to the rank's registry.
+                decisions = {
+                    key: value - before.get(key, 0.0) for key, value in comm.tracer.counters().items() if key.startswith("kfac/")
+                }
+                out[backend] = (snapshots, decisions)
             return out
 
         for result in run_spmd(4, program):
@@ -793,11 +797,9 @@ class TestTrainingParity:
         x, y = make_problem(3)
         loss_fn = nn.CrossEntropyLoss()
         model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))
-        tracer = Tracer(rank=0)
-        pre = KFAC.from_config(
-            model, KFACConfig(factor_update_freq=1, inv_update_freq=1, kernel_backend="batched"),
-            tracer=tracer,
-        )
+        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=1, inv_update_freq=1, kernel_backend="batched"))
+        tracer = pre.comm.tracer
+        tracer.enabled = True
         model.zero_grad()
         loss_fn(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()

@@ -15,7 +15,7 @@ from repro.nn import functional as F
 from repro.optim import GradScaler
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
 
-from kernel_oracle import decompose_standalone
+from kernel_oracle import decompose_standalone, force_dense, kfac_class
 
 RNG = np.random.default_rng(21)
 
@@ -413,9 +413,8 @@ def batch_norm_rows(x, eps):
 
 
 def make_handler(module, scale=1.0, dense_factors=False, precision=None):
-    return make_kfac_layer(
-        "layer", module, precision or PrecisionPolicy.fp32(), lambda: True, lambda: scale, dense_factors=dense_factors
-    )
+    handler = make_kfac_layer("layer", module, precision or PrecisionPolicy.fp32(), lambda: True, lambda: scale)
+    return force_dense(handler) if dense_factors else handler
 
 
 def capture_output_grads(module):
@@ -535,7 +534,7 @@ class TestNodeStatistics:
         grads = {}
         for dense in (False, True):
             net = Net()
-            pre = KFAC(net, factor_update_freq=1, inv_update_freq=1, dense_factors=dense)
+            pre = kfac_class(dense)(net, factor_update_freq=1, inv_update_freq=1)
             for _ in range(2):
                 net.zero_grad()
                 (net(Tensor(x)) ** 2).mean().backward()

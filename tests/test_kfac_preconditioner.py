@@ -6,8 +6,10 @@ import pytest
 from repro import nn, optim
 from repro.kfac import KFAC, KFACConfig, kmath
 from repro.models import MLP, bert_tiny
-from repro.observability import MetricsReport, Tracer
+from repro.observability import MetricsReport
 from repro.tensor import Tensor
+
+from counters import event_total, layer_events
 
 RNG = np.random.default_rng(33)
 
@@ -176,11 +178,11 @@ class TestStepMechanics:
         """The Figure-7 stage profile is read off the tracer's ``kfac/<stage>`` spans."""
         model = MLP(4, [8], 2, rng=RNG)
         x, y = make_problem(7, in_dim=4, classes=2)
-        tracer = Tracer()
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, tracer=tracer)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre.comm.tracer.enabled = True
         nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
         pre.step()
-        report = MetricsReport.from_tracers(tracer)
+        report = MetricsReport.from_tracers(pre.comm.tracer)
         stages = (
             "factor_compute", "factor_allreduce", "eigen_decomposition", "eigen_broadcast",
             "precondition", "grad_broadcast", "scale_and_update",
@@ -547,8 +549,6 @@ class TestBadFactorWindowsAreRejected:
         before, eigen_before = self.factors(pre), {n: l.eigen_a.eigenvalues.copy() for n, l in pre.layers.items()}
         bad = x[32:64].copy()
         bad[3, 2] = 1e30  # overflows float32 in A of every layer downstream of it
-        tracer = Tracer(rank=0)
-        pre.set_tracer(tracer)
         with np.errstate(all="ignore"):
             opt.zero_grad()
             nn.CrossEntropyLoss()(model(Tensor(bad)), y[32:64]).backward()
@@ -556,9 +556,8 @@ class TestBadFactorWindowsAreRejected:
         self.assert_factors_equal(pre, before)
         for name, layer in pre.layers.items():
             np.testing.assert_array_equal(layer.eigen_a.eigenvalues, eigen_before[name])
-        rejected = pre.scheduler_stats()["totals"]["factor_windows_rejected"]
-        assert rejected == len(pre.layers) == tracer.counters()["kfac/factor_windows_rejected"]
-        assert pre.scheduler_stats()["layers"]["layers.0"]["factor_windows_rejected"] == 1
+        rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
+        assert rejected == {name: 1 for name in pre.layers}
         assert pre.steps == 3
         # The bad batch is gone with its window: a clean step folds and decomposes as ever.
         opt.zero_grad()
@@ -567,7 +566,7 @@ class TestBadFactorWindowsAreRejected:
         for name, layer in pre.layers.items():
             assert np.isfinite(layer.factor_a).all() and np.isfinite(layer.factor_g).all()
             assert not np.array_equal(layer.factor_a, before[name][0])
-        assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == rejected
+        assert layer_events(pre.tracer, "factor_windows_rejected", pre.layers) == rejected
 
     def test_an_overflowed_amp_step_leaves_the_factors_alone(self):
         """``Trainer`` calls ``preconditioner.step()`` whether or not the scaler found an overflow."""
@@ -586,7 +585,7 @@ class TestBadFactorWindowsAreRejected:
         with np.errstate(all="ignore"):
             trainer.train_step((x[32:64], y[32:64]))
         self.assert_factors_equal(pre, before)
-        assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == len(pre.layers)
+        assert event_total(pre, "factor_windows_rejected") == len(pre.layers)
         for param, kept in zip(model.parameters(), params):
             np.testing.assert_array_equal(param.data, kept)  # the scaler skipped the optimizer step
         scaler.load_state_dict({**scaler.state_dict(), "scale": 2.0 ** 8})
@@ -594,23 +593,27 @@ class TestBadFactorWindowsAreRejected:
         assert all(np.isfinite(p.data).all() for p in model.parameters())
         assert all(np.isfinite(l.factor_g).all() for l in pre.layers.values())
 
-    def test_a_rejected_window_survives_checkpoint_and_resume_as_a_count(self):
+    def test_a_rejected_window_is_counted_in_the_registry_not_the_checkpoint(self):
         model, pre, opt, x, y = self.warmed_up()
         opt.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.layers["layers.2"]._g_accum[0] = np.inf
         pre.step()
-        assert pre.scheduler_stats()["totals"]["factor_windows_rejected"] == 1
-        clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
-        restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
-        restored.load_state_dict(pre.state_dict())
-        assert restored.scheduler_stats()["layers"]["layers.2"]["factor_windows_rejected"] == 1
-        # A plan written before the gate existed has no such entry and loads as zero.
+        rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
+        assert rejected == {name: int(name == "layers.2") for name in pre.layers}
         state = pre.state_dict()
-        for entry in state["scheduler"]["layers"].values():
-            del entry["factor_windows_rejected"]
-        restored.load_state_dict(state)
-        assert restored.scheduler_stats()["totals"]["factor_windows_rejected"] == 0
+        assert all("factor_windows_rejected" not in entry for entry in state["scheduler"]["layers"].values())
+        # A plan written with the count in it (every checkpoint of earlier versions) loads the same plan.
+        old = {**state, "scheduler": {**state["scheduler"], "layers": {
+            name: {**entry, "factor_windows_rejected": int(name == "layers.2")}
+            for name, entry in state["scheduler"]["layers"].items()
+        }}}
+        for checkpoint in (state, old):
+            clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
+            restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
+            restored.load_state_dict(checkpoint)
+            assert restored.factor_scheduler.state_dict() == pre.factor_scheduler.state_dict()
+            assert event_total(restored, "factor_windows_rejected") == 0  # its rank's registry saw none
 
     def test_a_non_finite_first_window_raises_naming_the_layer(self):
         model = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))

@@ -33,8 +33,8 @@ from repro.kfac import (
     make_kfac_layer,
     make_solve_strategy,
     tikhonov_pi,
-    update_fractions_from_stats,
 )
+from repro.kfac.assignment import folds_on
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
 from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondition_with_inverse
 from repro.kfac.strategy import LayerShapeInfo
@@ -42,6 +42,7 @@ from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
 
+from counters import comm_counts, event_total, layer_events
 from kernel_oracle import decompose_standalone, replicated_fold_reference
 
 RNG = np.random.default_rng(303)
@@ -148,32 +149,58 @@ class TestConfigKnobs:
 
 
 class TestFactorUpdateScheduler:
-    def run_plan(self, sched, steps, factors):
-        """Drive the scheduler like KFAC.step does; return per-step due sets."""
+    def run_plan(self, sched, steps, factors, skips=None):
+        """Drive the scheduler like KFAC.step does; return per-step due sets (and append what ``advance`` skipped)."""
         plan = []
         for step in range(steps):
             f_due = [n for n in sched.layer_names() if sched.factors_due(n, step)]
             for name in f_due:
-                sched.observe_factors(name, step, factors[name], factors[name])
+                assert not sched.observe_factors(name, step, factors[name], factors[name])
             e_due = [n for n in sched.layer_names() if sched.second_order_due(n, step)]
             for name in e_due:
                 sched.mark_second_order(name, step, factors[name], factors[name])
-            sched.advance(step)
+            skipped = sched.advance(step)
+            if skips is not None:
+                skips.append(skipped)
             plan.append((tuple(f_due), tuple(e_due)))
         return plan
 
     def test_zero_drift_tol_matches_fixed_cadence(self):
         sched = FactorUpdateScheduler(["a", "b"], factor_update_freq=3, inv_update_freq=6)
         factors = {"a": spd_factor(4, 1), "b": spd_factor(5, 2)}
-        plan = self.run_plan(sched, 20, factors)
+        skips = []
+        plan = self.run_plan(sched, 20, factors, skips)
         for step, (f_due, e_due) in enumerate(plan):
             expected_f = ("a", "b") if step % 3 == 0 else ()
             expected_e = ("a", "b") if step % 6 == 0 else ()
             assert f_due == expected_f
             assert e_due == expected_e
-        totals = sched.totals()
-        assert totals["factor_skips"] == 0 and totals["eigen_skips"] == 0
-        assert totals["drift_triggers"] == 0
+        assert skips == [([], [])] * 20
+
+    @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10)], ids=lambda c: f"{c[0]}/{c[1]}")
+    def test_fixed_cadence_skips_nothing_on_cadences_that_do_not_nest(self, cadence):
+        """A refresh at offset 0 restarts the folds, so the base cadence folds on ``step % K % F == 0``:
+        the scheduler folds exactly there, reports no skip, and its base count is what it performed."""
+        factor_update_freq, inv_update_freq = cadence
+        sched = FactorUpdateScheduler(["a"], factor_update_freq, inv_update_freq)
+        skips = []
+        plan = self.run_plan(sched, 42, {"a": spd_factor(4, 1)}, skips)
+        folded = [step for step, (f_due, _) in enumerate(plan) if f_due]
+        assert folded == [step for step in range(42) if step % inv_update_freq % factor_update_freq == 0]
+        assert folded == [step for step in range(42) if folds_on(step, factor_update_freq, inv_update_freq)]
+        assert skips == [([], [])] * 42
+        assert sched.base_factor_updates(42) == len(folded)
+        assert sched.base_eigen_updates(42) == sum(1 for _, e_due in plan if e_due)
+
+    @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10)], ids=lambda c: f"{c[0]}/{c[1]}")
+    def test_fixed_cadence_measures_unit_fractions_on_cadences_that_do_not_nest(self, cadence):
+        model = MLP(6, [], 3, rng=np.random.default_rng(5))  # one layer
+        pre = KFAC(model, factor_update_freq=cadence[0], inv_update_freq=cadence[1])
+        run_single_process(pre, model, steps=42)
+        assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
+        assert event_total(pre, "factor_updates") == pre.factor_scheduler.base_factor_updates(42)
+        spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
+        assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
 
     def test_second_order_due_forces_factor_update(self):
         # inv freq not a multiple of factor freq: the eigen step at 10 is not
@@ -200,10 +227,9 @@ class TestFactorUpdateScheduler:
         sched.advance(1)
         # Step 2: factors change massively -> refresh pulled to *this* step.
         shifted = (base * 10.0).astype(np.float32)
-        drift = sched.observe_factors("a", 2, shifted, shifted)
-        assert drift > 0.05
+        assert sched.observe_factors("a", 2, shifted, shifted)
+        assert sched.state_dict()["layers"]["a"]["last_drift"] > 0.05
         assert sched.second_order_due("a", 2)
-        assert sched.totals()["drift_triggers"] == 1
 
     def test_stale_layer_stretches_interval_to_cap(self):
         sched = FactorUpdateScheduler(
@@ -211,14 +237,13 @@ class TestFactorUpdateScheduler:
         )
         base = spd_factor(4, 1)
         factors = {"a": base}
-        self.run_plan(sched, 30, factors)
-        stats = sched.layer_stats()["a"]
+        skips = []
+        plan = self.run_plan(sched, 30, factors, skips)
         # Zero drift forever: the eigen interval doubles 2 -> 4 -> 8 and caps.
-        assert stats["eigen_interval"] == 8
-        assert stats["eigen_skips"] > 0
-        totals = sched.totals()
+        assert sched.state_dict()["layers"]["a"]["eigen_interval"] == 8
+        assert any(eigen_skipped == ["a"] for _, eigen_skipped in skips)
         fixed_eigen_updates = 15  # steps 0,2,...,28
-        assert totals["eigen_updates"] < fixed_eigen_updates
+        assert sum(1 for _, e_due in plan if e_due) < fixed_eigen_updates == sched.base_eigen_updates(30)
 
     def test_state_dict_round_trip_continues_identically(self):
         def build():
@@ -232,12 +257,13 @@ class TestFactorUpdateScheduler:
         runner.run_plan(original, 7, factors)
         resumed = build()
         resumed.load_state_dict(original.state_dict())
-        plan_a = runner.run_plan(original, 9, factors)
-        plan_b = runner.run_plan(resumed, 9, factors)
+        skips_a, skips_b = [], []
+        plan_a = runner.run_plan(original, 9, factors, skips_a)
+        plan_b = runner.run_plan(resumed, 9, factors, skips_b)
         # run_plan continues from step 0 of its loop; both instances share the
         # same internal next-step state, so the due sets must match exactly.
         assert plan_a == plan_b
-        assert original.totals() == resumed.totals()
+        assert skips_a == skips_b
 
     def test_layer_mismatch_raises(self):
         sched = FactorUpdateScheduler(["a"], 1, 2)
@@ -290,12 +316,12 @@ class TestFactorUpdateScheduler:
             sched.observe_factors("a", 0, pack(base), pack(base), *reprs)
             sched.mark_second_order("a", 0, pack(base), pack(base))
             sched.advance(0)
-            sched.observe_factors("a", 1, pack(moved), pack(moved), *reprs)
-            plans.append((sched.second_order_due("a", 1), sched.totals()["drift_triggers"]))
+            triggered = sched.observe_factors("a", 1, pack(moved), pack(moved), *reprs)
+            plans.append((sched.second_order_due("a", 1), triggered))
             restored = FactorUpdateScheduler(["a"], factor_update_freq=1, inv_update_freq=6, drift_tol=tol)
             restored.load_state_dict(sched.state_dict())  # the snapshot round-trips in the layout it was taken in
             np.testing.assert_array_equal(restored.state_dict()["layers"]["a"]["snapshot_a"], pack(base))
-        assert plans == [(False, 0), (False, 0)]
+        assert plans == [(False, False), (False, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +399,7 @@ class TestAdaptiveDamping:
         # Actual reduction matches the prediction: rho = 1 > 0.75 -> shrink.
         damping = ctl.observe_loss(0.9)
         assert damping == pytest.approx(0.009)
-        assert ctl.shrinks == 1 and ctl.grows == 0
+        assert ctl.last_rho == pytest.approx(1.0)
 
     def test_overpromise_grows_damping(self):
         ctl = AdaptiveDampingController(0.01)
@@ -381,7 +407,7 @@ class TestAdaptiveDamping:
         # Loss barely moved: rho = 0.1 < 0.25 -> grow.
         damping = ctl.observe_loss(0.99)
         assert damping == pytest.approx(0.01 / 0.9)
-        assert ctl.grows == 1
+        assert ctl.last_rho == pytest.approx(0.1)
 
     def test_neutral_band_keeps_damping(self):
         ctl = AdaptiveDampingController(0.01)
@@ -501,7 +527,7 @@ class TestKFACSchedulerIntegration:
             lr=0.05, factor_update_freq=5, inv_update_freq=10, grad_worker_frac=grad_worker_frac
         )
         world = ThreadedWorld(4)
-        traffic, steps = {}, 18
+        traffic, steps = {}, 18  # step -> rank -> {op: bytes the rank counted}
 
         def program(comm):
             loss_fn = nn.CrossEntropyLoss()
@@ -521,26 +547,21 @@ class TestKFACSchedulerIntegration:
                 model.zero_grad()
                 loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
                 ddp.sync_gradients()
-                comm.barrier()
-                before = dict(world.log.bytes_by_op)
-                comm.barrier()
+                before = comm_counts(comm.tracer)
                 pre.step()
-                comm.barrier()
-                if comm.rank == 0:
-                    traffic[step] = {
-                        op: world.log.bytes_by_op.get(op, 0) - before.get(op, 0) for op in ("allreduce", "broadcast")
-                    }
-                    modeled = pre.plan.messages(config.bucket_cap_mb, step=step)
-                    assert traffic[step]["allreduce"] == sum(nbytes for _, nbytes in modeled["factor"]), step
-                    assert traffic[step]["broadcast"] == sum(
-                        nbytes for _, nbytes in modeled["eigen"] + modeled["gradient"]
-                    ), step
-            stats = pre.scheduler_stats()
-            assert stats["factor_update_fraction"] == stats["eigen_update_fraction"] == 1.0
-            assert stats["totals"]["factor_skips"] == stats["totals"]["eigen_skips"] == 0
+                after = comm_counts(comm.tracer)
+                moved = traffic.setdefault(step, {})[comm.rank] = {op: after[op][1] - before[op][1] for op in after}
+                # This rank's slice of the plan: the messages whose group contains it.
+                modeled = pre.plan.messages(config.bucket_cap_mb, step=step)
+                assert moved["allreduce"] == sum(nbytes for members, nbytes in modeled["factor"] if comm.rank in members)
+                assert moved["broadcast"] == sum(
+                    nbytes for members, nbytes in modeled["eigen"] + modeled["gradient"] if comm.rank in members
+                ), step
+            spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
+            assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
+            assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
             # Every layer exactly once per interval: step 0, then 6 and 16, or (step 1 passed over) 11.
-            for entry in stats["layers"].values():
-                assert entry["eigen_updates"] in (2, 3)
+            assert set(layer_events(pre.tracer, "eigen_updates", pre.layers).values()) <= {2, 3}
 
         threads = [
             threading.Thread(target=program, args=(world.communicator(r),), daemon=True) for r in range(4)
@@ -551,6 +572,9 @@ class TestKFACSchedulerIntegration:
             t.join(timeout=60)
             assert not t.is_alive()
         assert len(traffic) == steps
+        # Summed over the ranks: every member counts a message it took part in.
+        traffic = {step: {op: sum(moved[op] for moved in ranks.values()) for op in ("allreduce", "broadcast")}
+                   for step, ranks in traffic.items()}
         plain = traffic[2]["broadcast"]  # gradient broadcasts only (none under COMM-OPT)
         for step, moved in traffic.items():
             assert (moved["allreduce"] > 0) == (step % 5 == 0), (step, moved)
@@ -621,28 +645,25 @@ class TestKFACSchedulerIntegration:
         )
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=16)
-        stats = pre.scheduler_stats()
-        assert stats["enabled"]
-        assert stats["totals"]["eigen_skips"] > 0
-        assert stats["eigen_update_fraction"] < 1.0
-        assert stats["factor_update_fraction"] <= 1.0
-        for entry in stats["layers"].values():
-            assert entry["solver"] == "eigen"
+        assert event_total(pre, "eigen_skips") > 0
+        spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
+        assert spec.eigen_update_fraction < 1.0
+        assert spec.factor_update_fraction <= 1.0
+        assert all(solver.name == "eigen" for solver in pre.solvers.values())
 
-    def test_fixed_path_scheduler_stats_are_neutral(self):
+    def test_fixed_path_counts_are_neutral(self):
         """Opportunities are counted on each layer's own phase: a staggered plan skips nothing, after any number of steps."""
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC.from_config(model, KFACConfig(factor_update_freq=5, inv_update_freq=10))
         assert sorted(pre.plan.refresh_offsets.values()) == [1, 6]
         for steps, refreshes in ((1, 2), (6, 3), (5, 4), (10, 6)):  # in all: 1, 7, 12, 22 steps
             run_single_process(pre, model, steps=steps)
-            stats = pre.scheduler_stats()
-            assert not stats["enabled"]
-            assert stats["factor_update_fraction"] == 1.0
-            assert stats["eigen_update_fraction"] == 1.0
-            assert stats["totals"]["factor_skips"] == stats["totals"]["eigen_skips"] == 0
-            assert stats["totals"]["eigen_updates"] == refreshes  # steps 0 + 0, 6, 11, 16, 21
-            assert stats["totals"]["factor_updates"] == 2 * -(-pre.steps // 5)  # 2 layers x steps {0, 5, 10, ...}
+            spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
+            assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
+            assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
+            assert event_total(pre, "drift_triggers") == 0
+            assert event_total(pre, "eigen_updates") == refreshes  # steps 0 + 0, 6, 11, 16, 21
+            assert event_total(pre, "factor_updates") == 2 * -(-pre.steps // 5)  # 2 layers x steps {0, 5, 10, ...}
 
     def test_small_layer_routing(self):
         # First Linear: a_dim=5, g_dim=4 (<= 8 -> cg); second: a_dim=5, g_dim=16.
@@ -759,10 +780,10 @@ class TestKFACSchedulerIntegration:
         pre = KFAC.from_config(model, config)
         assert pre.accepts_loss_feedback
         run_single_process(pre, model, steps=10, with_loss=True)
-        stats = pre.scheduler_stats()["damping"]
-        assert stats["adaptive"]
-        assert stats["shrinks"] + stats["grows"] > 0
+        counters = pre.tracer.counters()
+        assert counters.get("kfac/damping_shrinks", 0) + counters.get("kfac/damping_grows", 0) > 0
         assert pre.damping != config.damping
+        assert pre.tracer.gauges()["kfac/damping"] == pre.damping
 
     def test_trainer_feeds_loss_to_adaptive_damping(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
@@ -781,8 +802,8 @@ class TestKFACSchedulerIntegration:
         trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre)
         for _ in range(6):
             trainer.train_step((x[:32], y[:32]))
-        stats = pre.scheduler_stats()["damping"]
-        assert stats["shrinks"] + stats["grows"] > 0
+        counters = trainer.tracer.counters()
+        assert counters.get("kfac/damping_shrinks", 0) + counters.get("kfac/damping_grows", 0) > 0
 
     def test_hook_pipeline_matches_step_time_path_with_drift(self):
         """Plan-filtered pipeline specs: with layers skipping factor updates,
@@ -833,7 +854,9 @@ class TestKFACSchedulerIntegration:
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=4, with_loss=True)
         pre.reset()
-        assert pre.scheduler_stats()["totals"]["factor_updates"] == 0
+        for entry in pre.factor_scheduler.state_dict()["layers"].values():
+            assert (entry["next_factor_step"], entry["next_eigen_step"], entry["last_eigen_step"]) == (0, 0, -1)
+            assert entry["snapshot_a"] is None and entry["last_drift"] is None
         assert pre.damping == config.damping
 
 
@@ -894,15 +917,15 @@ class TestModeledFractions:
         )
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=16)
-        stats = pre.scheduler_stats()
-        factor_fraction, eigen_fraction = update_fractions_from_stats(stats)
-        assert eigen_fraction < 1.0
-        spec = apply_measured_fractions(self.small_spec(), stats)
-        assert spec.eigen_update_fraction == eigen_fraction
-        assert spec.factor_update_fraction == factor_fraction
+        spec = apply_measured_fractions(self.small_spec(), pre)
+        sched = pre.factor_scheduler
+        assert spec.eigen_update_fraction == event_total(pre, "eigen_updates") / sched.base_eigen_updates(16) < 1.0
+        assert spec.factor_update_fraction == event_total(pre, "factor_updates") / sched.base_factor_updates(16)
         lean = IterationTimeModel().kfac_breakdown(spec, world_size=8, grad_worker_frac=1.0)
         full = IterationTimeModel().kfac_breakdown(self.small_spec(), world_size=8, grad_worker_frac=1.0)
         assert lean.eigen_decomposition < full.eigen_decomposition
 
-    def test_neutral_stats_default_to_unity(self):
-        assert update_fractions_from_stats({}) == (1.0, 1.0)
+    def test_a_preconditioner_that_never_stepped_measures_unity(self):
+        pre = KFAC(MLP(6, [16], 3, rng=np.random.default_rng(5)))
+        spec = apply_measured_fractions(self.small_spec(), pre)
+        assert (spec.factor_update_fraction, spec.eigen_update_fraction) == (1.0, 1.0)

@@ -1,7 +1,7 @@
 """Tests for the unified tracing & metrics subsystem (repro.observability).
 
 Covers the tracer core (span nesting/ordering invariants, async spans,
-counters/gauges, the no-op NullTracer), Chrome trace-event export and its
+counters/gauges, a disabled tracer that still counts), Chrome trace-event export and its
 validator (round-trip through JSON, monotonic timestamps, one pid per rank,
 non-overlapping comm lanes), aggregated metrics (MetricsReport), measured
 exposed-vs-hidden communication from real span overlap, the versioned
@@ -23,9 +23,7 @@ from repro.experiments import BENCH_SCHEMA_VERSION, write_bench_json
 from repro.kfac import KFAC, KFACConfig
 from repro.models import MLP
 from repro.observability import (
-    NULL_TRACER,
     MetricsReport,
-    NullTracer,
     Tracer,
     default_tracing,
     intersection_measure,
@@ -37,6 +35,8 @@ from repro.observability import (
 )
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
+
+from counters import event_total
 
 
 class FakeClock:
@@ -121,20 +121,25 @@ class TestTracer:
         tracer.reset()
         assert not tracer.spans and not tracer.counters()
 
-    def test_null_tracer_is_inert_and_shared(self):
-        assert isinstance(NULL_TRACER, NullTracer)
-        assert not NULL_TRACER.enabled
-        ctx1 = NULL_TRACER.span("a", category="x", attr=1)
-        ctx2 = NULL_TRACER.span("b")
+    def test_disabled_tracer_counts_but_records_no_events(self):
+        tracer = Tracer()
+        tracer.enabled = False
+        ctx1 = tracer.span("a", category="x", attr=1)
+        ctx2 = tracer.span("b")
         assert ctx1 is ctx2  # one shared null context manager
         with ctx1:
             pass
-        NULL_TRACER.record_span("c", 0.0, 1.0)
-        NULL_TRACER.instant("d")
-        NULL_TRACER.counter_add("e")
-        NULL_TRACER.gauge_set("f", 1.0)
-        assert not NULL_TRACER.spans and not NULL_TRACER.instants
-        assert not NULL_TRACER.counters() and not NULL_TRACER.gauges()
+        tracer.record_span("c", 0.0, 1.0)
+        tracer.instant("d")
+        tracer.counter_add("e")
+        tracer.gauge_set("f", 1.0)
+        assert not tracer.spans and not tracer.instants and tracer.open_spans == 0
+        # The registry half is always on.
+        assert tracer.counters() == {"e": 1.0} and tracer.gauges() == {"f": 1.0}
+        tracer.enabled = True
+        with tracer.span("g"):
+            pass
+        assert [span.name for span in tracer.spans] == ["g"]
 
     def test_default_tracing_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
@@ -337,9 +342,9 @@ def train_spmd(frac, mode, traced, seed=11):
         pre = KFAC.from_config(model, config, comm=comm)
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=0.001) if mode == "hooked" else None
-        # Pin the untraced runs to the no-op tracer so the parity contract
-        # holds even when the suite itself runs under REPRO_TRACE=1.
-        tracer = Tracer(rank=comm.rank) if traced else NULL_TRACER
+        # Set either way, so the parity contract holds even when the suite
+        # itself runs under REPRO_TRACE=1.
+        comm.tracer.enabled = traced
         trainer = Trainer(
             model,
             optimizer,
@@ -347,7 +352,6 @@ def train_spmd(frac, mode, traced, seed=11):
             preconditioner=pre,
             comm=comm,
             pipeline=pipeline,
-            tracer=tracer,
         )
         n = x.shape[0] // comm.world_size
         sl = slice(comm.rank * n, (comm.rank + 1) * n)
@@ -370,9 +374,11 @@ class TestTracedTrainingParity:
             np.testing.assert_array_equal(
                 plain[rank][0], traced[rank][0], err_msg=f"rank {rank} {mode} frac={frac}"
             )
-        # The untraced runs used the no-op tracer; the traced runs recorded.
-        assert all(isinstance(t, NullTracer) for _, t in plain)
+        # The untraced runs recorded no span, the traced runs did; both counted alike.
+        assert all(not t.enabled and not t.spans for _, t in plain)
         assert all(t.enabled and t.spans for _, t in traced)
+        for (_, off), (_, on) in zip(plain, traced):
+            assert off.counters() == on.counters()
 
 
 class TestTracedTrainingArtifacts:
@@ -405,7 +411,7 @@ class TestTracedTrainingArtifacts:
         optimizer = optim.SGD(model.parameters(), lr=0.05)
         forward = lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1])
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert isinstance(Trainer(model, optimizer, forward).tracer, NullTracer)
+        assert not Trainer(model, optimizer, forward).tracer.enabled
         monkeypatch.setenv("REPRO_TRACE", "1")
         trainer = Trainer(model, optimizer, forward)
         assert trainer.tracer.enabled
@@ -413,11 +419,30 @@ class TestTracedTrainingArtifacts:
         names = {s.name for s in trainer.tracer.spans}
         assert {"trainer/step", "trainer/forward", "trainer/backward", "trainer/optimizer_step"} <= names
 
-    def test_scheduler_counters_match_scheduler_stats(self):
-        """Satellite: skip/refresh/damping decisions surface as tracer counters."""
+    def test_one_tracer_per_rank_across_the_stack(self):
+        """Trainer, pipeline, collective engine and preconditioner all record into ``comm.tracer``."""
+        model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
+        loss_fn = nn.CrossEntropyLoss()
+        pre = KFAC(model)
+        trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.05), lambda m, b: loss_fn(m(Tensor(b[0])), b[1]),
+                          preconditioner=pre)
+        assert trainer.tracer is trainer.pipeline.tracer is pre.tracer is pre.scheduler.tracer is pre.comm.tracer
+        assert trainer.pipeline.comm is pre.comm
+        # A trainer over a communicator of its own shares that one with a pipeline it builds.
+        def program(comm):
+            model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
+            pre = KFAC(model, comm=comm)
+            trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.05), lambda m, b: None,
+                              preconditioner=pre, comm=comm)
+            return trainer.tracer is trainer.pipeline.tracer is pre.tracer is comm.tracer
+
+        assert all(run_spmd(2, program))
+
+    def test_refresh_counts_equal_with_tracing_off_and_on(self):
+        """Skip/refresh/damping decisions land in the registry whether or not the trace is on,
+        with bitwise identical trajectories, and match what the plan performed."""
         x, y = make_problem()
         loss_fn = nn.CrossEntropyLoss()
-        model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
         config = KFACConfig(
             factor_update_freq=2,
             inv_update_freq=4,
@@ -425,25 +450,38 @@ class TestTracedTrainingArtifacts:
             max_staleness=32,
             adaptive_damping=True,
         )
-        pre = KFAC.from_config(model, config)
-        tracer = Tracer(rank=0)
-        pre.set_tracer(tracer)
-        optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-        trainer = Trainer(
-            model, optimizer,
-            lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
-            preconditioner=pre, tracer=tracer,
-        )
-        for _ in range(8):
-            trainer.train_step((x[:32], y[:32]))
-        stats = pre.scheduler_stats()
-        counters = tracer.counters()
-        assert counters["kfac/factor_updates"] == stats["totals"]["factor_updates"]
-        assert counters["kfac/eigen_updates"] == stats["totals"]["eigen_updates"]
-        assert counters["kfac/factor_skips"] == stats["totals"]["factor_skips"]
-        assert counters["kfac/eigen_skips"] == stats["totals"]["eigen_skips"]
-        assert tracer.gauges()["kfac/damping"] == pytest.approx(pre.damping)
-        # Scheduling decisions also land as instant events with attributes.
-        decisions = [i for i in tracer.instants if i.name == "kfac/refresh_decision"]
+
+        def run(traced):
+            model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
+            pre = KFAC.from_config(model, config)
+            pre.tracer.enabled = traced
+            optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            trainer = Trainer(
+                model, optimizer,
+                lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
+                preconditioner=pre,
+            )
+            for _ in range(8):
+                trainer.train_step((x[:32], y[:32]))
+            return pre, np.concatenate([p.data.ravel() for p in model.parameters()])
+
+        (off, params_off), (on, params_on) = run(False), run(True)
+        np.testing.assert_array_equal(params_off, params_on)
+        assert off.tracer.counters() == on.tracer.counters()
+        assert off.tracer.gauges() == on.tracer.gauges()
+        assert not off.tracer.instants and not off.tracer.spans
+        counters = on.tracer.counters()
+        # Every layer folds on step 0 and decomposes on it; the plan position agrees with the counts.
+        layers = list(on.layers)
+        assert all(counters[f"kfac/factor_updates/{name}"] >= 1 for name in layers)
+        assert all(counters[f"kfac/eigen_updates/{name}"] >= 1 for name in layers)
+        refreshes = [on.factor_scheduler.state_dict()["layers"][name]["last_eigen_step"] for name in layers]
+        assert all(step >= 0 for step in refreshes)
+        assert counters.get("kfac/damping_shrinks", 0) + counters.get("kfac/damping_grows", 0) > 0
+        assert on.tracer.gauges()["kfac/damping"] == pytest.approx(on.damping)
+        # Scheduling decisions also land as instant events with attributes, when tracing.
+        decisions = [i for i in on.tracer.instants if i.name == "kfac/refresh_decision"]
         assert len(decisions) == 8
         assert all("factor_layers" in i.attrs for i in decisions)
+        assert sum(i.attrs["second_order_layers"] for i in decisions) == event_total(on, "eigen_updates")
+        assert sum(i.attrs["factor_layers"] for i in decisions) == event_total(on, "factor_updates")

@@ -25,13 +25,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn, optim
-from repro.distributed import DistributedDataParallel, run_spmd
+from repro.distributed import DistributedDataParallel, GradientAveragingSubscriber, run_spmd
+from repro.distributed.collectives import BucketManager
 from repro.kfac import (
     KFAC,
     FactorRepr,
     KFACConfig,
     KFACWorkloadSpec,
     LayerShapeInfo,
+    apply_measured_fractions,
     model_comm_schedule,
     precondition_with_eigen,
     symmetric_eigen,
@@ -40,6 +42,9 @@ from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
 from repro.memory import KFACMemoryModel
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor
+
+from counters import comm_counts
+from kernel_oracle import kfac_class
 
 small_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False, width=32)
 
@@ -345,35 +350,45 @@ class TestStaggeredRefreshProperties:
                 local = np.arange(24)[(step + comm.rank) % world :: world]
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(x[local])), target[local]).backward()
+                before = comm_counts(comm.tracer)  # the gradient averaging included
                 ddp.sync_gradients()
                 if poisoned and step == inv_freq and comm.rank == 0:
                     list(pre.layers.values())[-1]._g_accum[0] = np.inf  # one rank's window: rejected on every rank
                 due = [name for name, _, refreshes in pre.factor_scheduler.plan_fingerprint(step) if refreshes]
-                comm.barrier()
-                before = (dict(comm.log.messages_by_op), dict(comm.log.bytes_by_op))
-                comm.barrier()
                 pre.step()
-                comm.barrier()
-                posted[step] = {
-                    op: (comm.log.messages_by_op.get(op, 0) - before[0].get(op, 0), comm.log.bytes_by_op.get(op, 0) - before[1].get(op, 0))
-                    for op in ("allreduce", "broadcast")
-                }
+                after = comm_counts(comm.tracer)
+                posted[step] = {op: (after[op][0] - before[op][0], after[op][1] - before[op][1]) for op in after}
                 posted[step]["due"] = due
                 optimizer.step()
             return np.concatenate([p.data.ravel() for p in model.parameters()]), posted
 
+        def decisions(comm):
+            return {key: value for key, value in comm.tracer.counters().items() if key.startswith("kfac/")}
+
         def program(comm, frac):
             model, optimizer, pre = build(comm, frac)
             _, before_kill = train(comm, model, optimizer, pre, 0, resume_at)
+            at_kill = decisions(comm)
             checkpoint = (model.state_dict(), optimizer.state_dict(), pre.state_dict())
             uninterrupted, posted = train(comm, model, optimizer, pre, resume_at, last)
+            counted = decisions(comm)
+            spec = KFACWorkloadSpec("generated", [], 0, 1, 1.0, factor_freq, inv_freq)
+            measured = apply_measured_fractions(spec, pre)
 
             model2, optimizer2, pre2 = build(comm, frac)  # the process was killed: everything is rebuilt
             for target_object, state in zip((model2, optimizer2, pre2), checkpoint):
                 target_object.load_state_dict(state)
             resumed, posted_again = train(comm, model2, optimizer2, pre2, resume_at, last)
             assert posted_again == posted
-            return uninterrupted, resumed, {**before_kill, **posted}, pre.plan, pre2.scheduler_stats()
+            # The resumed run decides what the uninterrupted one decided over the same steps.
+            again = decisions(comm)
+            assert {key: again[key] - counted.get(key, 0.0) for key in again} == {
+                key: value - at_kill.get(key, 0.0) for key, value in counted.items()
+            }
+            grad_sync = GradientAveragingSubscriber(model).specs(1.0, world)  # what sync_gradients posts
+            grad_buckets = BucketManager(25.0).build([(s.key, s.shape, s.dtype) for s in grad_sync])
+            grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
+            return uninterrupted, resumed, {**before_kill, **posted}, pre.plan, (counted, measured), grad_sync
 
         fractions = sorted({1.0 / world, min(2, world) / world, 1.0})
         results = {frac: run_spmd(world, lambda comm, frac=frac: program(comm, frac)) for frac in fractions}
@@ -381,23 +396,25 @@ class TestStaggeredRefreshProperties:
         staggers = factor_freq >= 3 and inv_freq % factor_freq == 0 and (inv_freq - 1) // 2 > inv_freq // factor_freq
         assert (set(offsets.values()) != {0}) == staggers, offsets
         for frac, ranks in results.items():
-            for uninterrupted, resumed, posted, plan, stats in ranks:
+            for rank, (uninterrupted, resumed, posted, plan, (counted, measured), grad_sync) in enumerate(ranks):
                 assert np.all(np.isfinite(resumed))
                 np.testing.assert_array_equal(resumed, uninterrupted)
                 np.testing.assert_array_equal(resumed, ranks[0][1])  # and the replicas agree to the bit
                 assert plan.refresh_offsets == offsets  # the same steps under every placement
-                assert stats["totals"]["factor_windows_rejected"] == (1 if poisoned else 0)
+                rejected = sum(value for key, value in counted.items() if key.startswith("kfac/factor_windows_rejected/"))
+                assert rejected == (1 if poisoned else 0)
                 if knob == "drift":
                     continue  # drift moves layers off the base cadence: no whole rounds to count
-                assert stats["eigen_update_fraction"] == 1.0 and stats["totals"]["eigen_skips"] == 0
-                if inv_freq % factor_freq == 0:  # (a refresh off the fold cadence forces folds the base count leaves out)
-                    assert stats["factor_update_fraction"] == 1.0 and stats["totals"]["factor_skips"] == 0
+                # Cadences that nest or not: the base count is what the plan performs, with no skip.
+                assert (measured.factor_update_fraction, measured.eigen_update_fraction) == (1.0, 1.0)
+                assert not any(key.startswith(("kfac/factor_skips/", "kfac/eigen_skips/")) for key in counted)
                 for step in range(last):
                     assert posted[step]["due"] == plan.refresh_due(step), step
                     modeled = plan.messages(step=step)
-                    for op, rounds in (("allreduce", ("factor",)), ("broadcast", ("eigen", "gradient"))):
-                        sent = [message for label in rounds for message in modeled[label]]
-                        assert posted[step][op] == (len(sent), sum(nbytes for _, nbytes in sent)), (frac, step, op)
+                    # This rank's slice of the plan (the channels that contain it), plus the gradient averaging.
+                    for op, rounds, extra in (("allreduce", ("factor",), grad_sync), ("broadcast", ("eigen", "gradient"), (0, 0))):
+                        sent = [nbytes for label in rounds for members, nbytes in modeled[label] if rank in members]
+                        assert posted[step][op] == (len(sent) + extra[0], sum(sent) + extra[1]), (frac, step, op)
         # Across strategies the same numbers sit in different buffers and BLAS rounds by alignment
         # (see TestStrategyEquivalenceProperties): agreement, not a bitwise claim.
         for frac in fractions[:-1]:
@@ -572,8 +589,8 @@ class TestModelEqualsEngineProperties:
             pre = KFAC(model, config, comm=comm)
             local = slice(comm.rank, None, world)
             nn.MSELoss()(model(tokens[local]), target[local]).backward()
-            pre.step()  # no gradient averaging: K-FAC's collectives are the only ones in the log
-            return pre.memory_usage(), list(pre.layers), comm.log
+            pre.step()  # no gradient averaging: K-FAC's collectives are the only ones in the registry
+            return pre.memory_usage(), list(pre.layers), comm_counts(comm.tracer)
 
         previous = KFACEmbeddingLayer.g_block_size
         KFACEmbeddingLayer.g_block_size = None if blocks is None else block_size
@@ -593,15 +610,16 @@ class TestModelEqualsEngineProperties:
         ]
         assert ranks[0][1] == [shape.name for shape in shapes]
 
-        log = ranks[0][2]
         messages = config.distribution_plan(shapes, world).messages(bucket_cap_mb)
         modeled = {
             "allreduce": messages["factor"],
             "broadcast": messages["eigen"] + messages["gradient"],
         }
-        for op, sent in modeled.items():
-            assert log.messages_by_op.get(op, 0) == len(sent), op
-            assert log.bytes_by_op.get(op, 0) == sum(nbytes for _, nbytes in sent), op
+        # Every rank counted exactly its slice of the plan: the channels that contain it.
+        for rank, (_, _, counted) in enumerate(ranks):
+            for op, sent in modeled.items():
+                mine = [nbytes for members, nbytes in sent if rank in members]
+                assert counted[op][:2] == (len(mine), sum(mine)), (rank, op)
         if balance == "compute" and knob in ("default", "drift", "pi"):  # what a KFACWorkloadSpec can express
             spec = KFACWorkloadSpec(
                 "generated", shapes, param_count=0, local_batch_size=4, baseline_compute_time=1.0,
@@ -609,8 +627,11 @@ class TestModelEqualsEngineProperties:
                 compute_eigen_outer=compute_eigen_outer,
             )  # fmt: skip
             schedule = model_comm_schedule(spec, world, config.grad_worker_frac, bucket_cap_mb=bucket_cap_mb)
-            assert schedule.messages_per_update == log.total_messages()
-            assert schedule.comm_bytes_per_update == log.total_bytes()
+            assert schedule.messages_per_update == sum(len(sent) for sent in modeled.values())
+            assert schedule.comm_bytes_per_update == sum(nbytes for sent in modeled.values() for _, nbytes in sent)
+            # Each message is counted once by each of its members.
+            members = [len(group) for sent in modeled.values() for group, _ in sent]
+            assert sum(sum(entry[0] for entry in counted.values()) for _, _, counted in ranks) == sum(members)
 
         memory = KFACMemoryModel(shapes, param_count=0, config=config)
         factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
@@ -623,7 +644,7 @@ class TestPackedStorageProperties:
     """Packed storage changes where a symmetric factor's bytes live, never a result.
 
     Embedding -> LayerNorm -> Linear -> Linear through the ``Trainer`` (diagonal A, diagonal G, dense
-    factors up to and past the stacked-``eigh`` threshold; with ``dense_factors`` all of them dense):
+    factors up to and past the stacked-``eigh`` threshold; under the dense oracle all of them dense):
     the trajectory equals the square-path oracle's (``kernel_oracle.use_square_path``: every
     decomposition, drift and π trace taken over the full symmetrised matrix) to the bit -- these
     handlers' windows are ``syrk`` products, exactly symmetric -- every rank's ``memory_usage()`` is the
@@ -639,7 +660,7 @@ class TestPackedStorageProperties:
     }
     STEPS = 5
 
-    # world, gradient workers, bucket_cap_mb, armed pipeline, dense_factors, knob, hidden width: every
+    # world, gradient workers, bucket_cap_mb, armed pipeline, dense oracle, knob, hidden width: every
     # world size, MEM- / HYBRID- / COMM-OPT, both caps, both pipelines and both storage modes meet every
     # knob's reader; the hidden Linear's factors sit below, at and past the stacked-``eigh`` threshold.
     ROWS = [
@@ -674,8 +695,6 @@ class TestPackedStorageProperties:
         world, workers, bucket_cap_mb, armed, dense_factors, knob, hidden = row
         from kernel_oracle import use_square_path
 
-        from repro.distributed.collectives import BucketManager
-        from repro.distributed.ddp import GradientAveragingSubscriber
         from repro.training import GradientPipeline, Trainer
 
         config = KFACConfig(
@@ -684,7 +703,6 @@ class TestPackedStorageProperties:
             inv_update_freq=2,
             grad_worker_frac=workers / world,
             bucket_cap_mb=bucket_cap_mb,
-            dense_factors=dense_factors,
             **self.KNOBS[knob],
         )
         rng = np.random.default_rng(seed)
@@ -701,7 +719,7 @@ class TestPackedStorageProperties:
                 nn.Tanh(),
                 nn.Linear(hidden, out_features, bias=bias, rng=net_rng),
             )
-            pre = KFAC(model, config, comm=comm)
+            pre = kfac_class(dense_factors)(model, config, comm=comm)
             if oracle:
                 use_square_path(pre)
             trainer = Trainer(
@@ -725,7 +743,7 @@ class TestPackedStorageProperties:
                 "shapes": [layer.shape_info() for layer in pre.layers.values()],
                 "factor_round": pre.plan.messages(bucket_cap_mb, hooked=armed)["factor"],
                 "grad_sync": (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets)),
-                "log": comm.log,
+                "counted": comm_counts(comm.tracer)["allreduce"],
             }
 
         packed = run_spmd(world, lambda comm: program(comm, oracle=False))
@@ -751,16 +769,15 @@ class TestPackedStorageProperties:
             )
             assert sum(entry["memory"]["factors"] for entry in packed) == 4 * once
 
-        # The allreduces in the log are the factor round and the gradient averaging, both every step
+        # Every rank's allreduces are the factor round and the gradient averaging, both every step
         # (a drift-stretched plan refreshes layers on steps of their own, so no whole rounds to count).
         if knob == "drift":
             return
-        log, (grad_messages, grad_bytes) = packed[0]["log"], packed[0]["grad_sync"]
-        factor_round = packed[0]["factor_round"]
-        assert log.messages_by_op.get("allreduce", 0) == self.STEPS * (len(factor_round) + (grad_messages if world > 1 else 0))
-        assert log.bytes_by_op.get("allreduce", 0) == self.STEPS * (
-            sum(nbytes for _, nbytes in factor_round) + (grad_bytes if world > 1 else 0)
-        )
+        (grad_messages, grad_bytes), factor_round = packed[0]["grad_sync"], packed[0]["factor_round"]
+        for entry in packed:
+            messages, nbytes, _ = entry["counted"]
+            assert messages == self.STEPS * (len(factor_round) + (grad_messages if world > 1 else 0))
+            assert nbytes == self.STEPS * (sum(nbytes for _, nbytes in factor_round) + (grad_bytes if world > 1 else 0))
         if world > 1:
             itemsize = 4
             assert sum(nbytes for _, nbytes in factor_round) == itemsize * sum(

@@ -24,7 +24,6 @@ from repro.distributed import (
     run_spmd,
 )
 from repro.distributed.backend import CompletedWork, WorkHandleError
-from repro.observability import Tracer
 
 
 def spmd_failure(excinfo) -> SanitizerError:
@@ -165,10 +164,12 @@ class TestScheduleDivergence:
         assert all(run_spmd(3, program, sanitize=True))
 
     def test_violation_emits_sanitize_instant_on_tracer(self):
-        tracers = {rank: Tracer(rank=rank) for rank in range(2)}
+        """The world attaches each communicator's tracer; enabling it is all a rank does."""
+        tracers = {}
 
         def program(comm):
-            comm.sanitizer.attach_tracer(comm.rank, tracers[comm.rank])
+            comm.tracer.enabled = True
+            tracers[comm.rank] = comm.tracer
             size = 4 if comm.rank == 0 else 8
             comm.allreduce_average(np.ones(size, dtype=np.float32))
 
