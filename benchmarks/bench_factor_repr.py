@@ -24,7 +24,7 @@ import numpy as np
 from pathlib import Path
 
 from repro.experiments import format_table, write_bench_json
-from repro.kfac import FactorRepr, KFACConfig, make_kernel_backend
+from repro.kfac import FactorRepr, KernelBackend
 from repro.kfac.strategy import LayerShapeInfo
 from repro.memory import KFACMemoryModel
 
@@ -108,7 +108,7 @@ def test_structured_eigen_times_at_paper_widths(benchmark):
     """Diagonal eigen is a clamped copy; dense eigh is cubic and loses badly
     already at BERT's hidden width (1024).  At vocabulary width (30522) the
     dense solve is infeasible, so only the structured time is measured."""
-    backend = make_kernel_backend(KFACConfig().kernel_backend)
+    backend = KernelBackend()
     rng = np.random.default_rng(0)
 
     def sweep():

@@ -182,18 +182,18 @@ def test_fig07_step_time_by_interval_class(benchmark):
         timed = range(interval + 1, len(times))  # past step 0's full refresh and the first interval
         by_class = {phase: [times[step] for step in timed if step % interval == phase] for phase in range(interval)}
         medians = {phase: float(np.median(values)) for phase, values in by_class.items()}
-        plain = float(np.median([ms for phase, ms in medians.items() if phase % fold_every and not plan.refresh_due(interval + phase)]))
+        steady = [plan.actions(interval + phase) for phase in range(interval)]  # what each class of step does
+        plain = float(np.median([medians[a.step - interval] for a in steady if not (a.fold or a.refresh)]))
         spec = KFACWorkloadSpec(
             "bert_small", shapes, param_count=0, local_batch_size=1, baseline_compute_time=1.0,
             factor_update_freq=fold_every, inv_update_freq=interval,
         )  # fmt: skip
         modeled = model.refresh_interval(spec, world, kfac_config.grad_worker_frac)
         rows = []
-        for phase in range(interval):
-            due = plan.refresh_due(interval + phase)
-            role = " + ".join(filter(None, ["fold" if phase % fold_every == 0 else "", f"{len(due)} layers decomposed" if due else ""]))
+        for phase, actions in enumerate(steady):
+            role = " + ".join(filter(None, ["fold" if actions.fold else "", f"{len(actions.refresh)} layers decomposed" if actions.refresh else ""]))
             rows.append([phase, role or "plain", round(medians[phase], 2), round(medians[phase] - plain, 2), len(by_class[phase])])
-        eigen_classes = [phase for phase in range(interval) if plan.refresh_due(interval + phase)]
+        eigen_classes = [phase for phase, actions in enumerate(steady) if actions.refresh]
         measured_heaviest = max(medians[phase] - plain for phase in eigen_classes)
         measured_all = sum(medians[phase] - plain for phase in eigen_classes)
         print_section(

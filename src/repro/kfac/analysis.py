@@ -286,12 +286,11 @@ class IterationTimeModel:
         """
         plan = spec.plan(world_size, grad_worker_frac)
         interval = plan.inv_update_freq
-        per_step = [plan.refresh_due(interval + phase) for phase in range(interval)]
-        folds = set(range(0, interval, plan.factor_update_freq))
+        per_step = [plan.actions(interval + phase) for phase in range(interval)]  # a steady interval
         return {
             "single_refresh_step": float(np.max(sum(self._refresh_times(spec, plan, list(plan.groups))))),
-            "heaviest_step": max(float(np.max(sum(self._refresh_times(spec, plan, due)))) for due in per_step),
-            "touched_steps": len(folds | {phase for phase, due in enumerate(per_step) if due}),
+            "heaviest_step": max(float(np.max(sum(self._refresh_times(spec, plan, a.refresh)))) for a in per_step),
+            "touched_steps": sum(1 for actions in per_step if actions.fold or actions.refresh),
             "interval_steps": interval,
         }
 
@@ -483,9 +482,9 @@ def apply_measured_fractions(spec: KFACWorkloadSpec, preconditioner) -> KFACWork
 
     The performed factor and eigen updates are the ``kfac/factor_updates/<layer>``
     and ``kfac/eigen_updates/<layer>`` counters of its rank's registry, the
-    expected ones what the base cadence performs over the same steps
-    (:meth:`~repro.kfac.scheduling.FactorUpdateScheduler.base_factor_updates`,
-    ``base_eigen_updates``): exactly 1.0 while ``drift_tol`` is 0.  The
+    expected ones what the plan's base cadence performs over the same steps
+    (:meth:`~repro.kfac.strategy.DistributionPlan.base_updates`): exactly 1.0
+    while ``drift_tol`` is 0.  The
     registry counts for the life of the communicator, so measure a
     preconditioner built on it from step 0.  Feed the result back into
     :class:`IterationTimeModel` / :func:`model_comm_schedule` to model the
@@ -494,7 +493,7 @@ def apply_measured_fractions(spec: KFACWorkloadSpec, preconditioner) -> KFACWork
     shrink the decomposition and eigen-broadcast terms.
     """
     counters = preconditioner.tracer.counters()
-    scheduler, steps = preconditioner.factor_scheduler, preconditioner.steps
+    base_folds, base_refreshes = preconditioner.plan.base_updates(preconditioner.steps)
 
     def fraction(event: str, expected: int) -> float:
         performed = sum(counters.get(f"kfac/{event}/{name}", 0.0) for name in preconditioner.layers)
@@ -502,6 +501,6 @@ def apply_measured_fractions(spec: KFACWorkloadSpec, preconditioner) -> KFACWork
 
     return dataclasses.replace(
         spec,
-        factor_update_fraction=fraction("factor_updates", scheduler.base_factor_updates(steps)),
-        eigen_update_fraction=fraction("eigen_updates", scheduler.base_eigen_updates(steps)),
+        factor_update_fraction=fraction("factor_updates", base_folds),
+        eigen_update_fraction=fraction("eigen_updates", base_refreshes),
     )

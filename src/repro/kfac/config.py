@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Union
 
 from ..tensor import PrecisionPolicy
-from .kernels import DEFAULT_KERNEL_BACKEND, available_kernel_backends
 from .scheduling.solvers import available_solve_strategies, make_solve_strategy
 from .strategy import DistributionPlan, DistributionStrategy, LayerShapeInfo, WirePolicy
 
@@ -86,10 +85,6 @@ class KFACConfig:
     #: Relative residual tolerance and iteration cap of the CG solver.
     cg_tol: float = 1e-8
     cg_max_iter: int = 50
-    #: Registered name of the kernel backend for the hot math paths
-    #: (:mod:`repro.kfac.kernels`).  One is built in (``"batched"``); the
-    #: field exists for backends added with ``register_kernel_backend``.
-    kernel_backend: str = DEFAULT_KERNEL_BACKEND
 
     def __post_init__(self) -> None:
         # Canonicalize numeric types first so consumers always see float/int.
@@ -135,12 +130,6 @@ class KFACConfig:
                 raise ValueError(
                     f"{field_name} must be one of {available_solve_strategies()}, got {value!r}"
                 )
-        object.__setattr__(self, "kernel_backend", str(self.kernel_backend).strip().lower())
-        if self.kernel_backend not in available_kernel_backends():
-            raise ValueError(
-                f"kernel_backend must be one of {available_kernel_backends()}, "
-                f"got {self.kernel_backend!r}"
-            )
         if self.small_layer_dim < 0:
             raise ValueError("small_layer_dim must be >= 0")
         if self.cg_tol <= 0.0:
@@ -224,14 +213,14 @@ class KFACConfig:
         every layer onto the dense representation, now a test oracle); they
         moved bytes or time, never a result, so they are dropped rather than
         rejected and old checkpoints and manifests stay loadable.  For
-        the same reason ``kernel_backend="reference"`` (the default every
-        earlier checkpoint carries; its kernels are now the test oracle)
-        loads onto the built-in backend; any other unregistered name raises.
+        the same reason a stored ``kernel_backend`` of ``"batched"`` (the one
+        backend) or ``"reference"`` (the default of earlier checkpoints; its
+        kernels are now the test oracle) is dropped; any other name raises.
         """
         retired = ("comm_overlap", "adaptive_schedule", "triangular_comm", "dense_factors")
         data = {key: value for key, value in data.items() if key not in retired}
-        if data.get("kernel_backend") == "reference" and "reference" not in available_kernel_backends():
-            data["kernel_backend"] = DEFAULT_KERNEL_BACKEND
+        if data.get("kernel_backend") in ("batched", "reference"):
+            del data["kernel_backend"]
         field_names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - field_names
         if unknown:

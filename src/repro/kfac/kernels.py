@@ -4,7 +4,7 @@ The per-iteration cost of the preconditioner is dominated by a handful of
 dense kernels: the symmetric eigendecomposition of the Kronecker factors,
 the exponential-decay factor update, the preconditioned-gradient contraction
 (Eqs. 15-17) and the KL-clip inner-product accumulation.  They sit behind one
-class, :class:`KernelBackend`, registered under one name (``batched``):
+class, :class:`KernelBackend` (named ``batched``):
 
 * **eigendecomposition** over shape-grouped factor stacks: small factors
   (dim <= :data:`STACK_EIGH_MAX_DIM`) are stacked and decomposed in one
@@ -18,9 +18,10 @@ class, :class:`KernelBackend`, registered under one name (``batched``):
   arrives as its packed triangle (``?trttp`` / ``?tpttr`` are bound beside
   ``?syevd``) and is expanded straight into the buffer the solver overwrites
   -- a stacked group into one stack; one stored triangle is symmetric by
-  construction, so there is no symmetrise pass.  The ``syevd`` path also
-  rejects non-finite entries and a non-zero LAPACK ``info`` with an error that
-  says which member of the group failed (``error.batch_index``);
+  construction, so there is no symmetrise pass.  Every path rejects a
+  non-finite factor -- and the ``syevd`` path a non-zero LAPACK ``info`` --
+  with an error that says which member of the group failed
+  (``error.batch_index``), before anything is installed;
 * **in-place decay fold**: ``new *= 1-decay; running *= decay; running +=
   new`` on the window average the caller hands over, so a float32 factor is
   updated without a temporary or a held scratch buffer;
@@ -31,11 +32,11 @@ class, :class:`KernelBackend`, registered under one name (``batched``):
   materialises the elementwise product.
 
 The contraction scratch is mutable per-instance state, so backends are
-instantiated per owner (:func:`make_kernel_backend`): sharing one instance
-across the threaded ranks of a :class:`~repro.distributed.backend.ThreadedWorld`
-would race.  A custom backend subclasses :class:`KernelBackend`, overrides the
-ops it accelerates, registers itself with :func:`register_kernel_backend` and
-is selected by ``KFACConfig(kernel_backend=name)``.
+instantiated per owner: sharing one instance across the threaded ranks of a
+:class:`~repro.distributed.backend.ThreadedWorld` would race.  Other kernels
+are a subclass that overrides the ops it accelerates, assigned to a
+preconditioner's ``kernels`` and to each of its layers' (as
+``tests/kernel_oracle.py`` does with the oracle).
 
 The plain expressions these kernels replaced (``syevr``, temporaries, a
 ``sum(a*b)`` KL-clip) live on as the oracle in ``tests/kernel_oracle.py``;
@@ -75,53 +76,20 @@ from .kmath import (
     triangle_dim,
 )
 
-__all__ = [
-    "KernelBackend",
-    "register_kernel_backend",
-    "make_kernel_backend",
-    "available_kernel_backends",
-    "DEFAULT_KERNEL_BACKEND",
-    "STACK_EIGH_MAX_DIM",
-]
-
-#: Backend name -> class.  Mutated only through :func:`register_kernel_backend`.
-_BACKEND_REGISTRY: Dict[str, type] = {}
-
-#: The registered name of :class:`KernelBackend`, and ``KFACConfig.kernel_backend``'s default.
-DEFAULT_KERNEL_BACKEND = "batched"
+__all__ = ["KernelBackend", "make_kernel_backend", "STACK_EIGH_MAX_DIM"]
 
 #: Largest factor dimension routed to the stacked ``np.linalg.eigh`` path;
 #: beyond this ``syevd`` on individual matrices wins (measured crossover).
 STACK_EIGH_MAX_DIM = 32
 
 
-def register_kernel_backend(name: str):
-    """Class decorator registering a :class:`KernelBackend` under ``name``."""
-
-    def decorator(cls: type) -> type:
-        if not (isinstance(cls, type) and issubclass(cls, KernelBackend)):
-            raise TypeError("registered kernel backend must be a KernelBackend subclass")
-        _BACKEND_REGISTRY[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
-
-def available_kernel_backends() -> List[str]:
-    """Sorted names of all registered kernel backends."""
-    return sorted(_BACKEND_REGISTRY)
-
-
-def make_kernel_backend(name: str) -> "KernelBackend":
-    """Instantiate a fresh backend (backends own per-instance scratch state)."""
-    try:
-        cls = _BACKEND_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: {available_kernel_backends()}"
-        ) from None
-    return cls()
+def _reject_non_finite(factors: Sequence[np.ndarray], dim: int) -> None:
+    """Raise what the ``syevd`` path raises for the first factor with an inf or a NaN, carrying its ``batch_index``."""
+    for index, factor in enumerate(factors):
+        if not np.isfinite(factor).all():
+            error = ValueError(f"factor of dimension {dim} contains infs or NaNs")
+            error.batch_index = index
+            raise error
 
 
 class KernelBackend:
@@ -131,10 +99,10 @@ class KernelBackend:
     contraction (allocated on first use and reused across steps), so one
     instance must not be shared between ranks; :class:`~repro.kfac.KFAC` and a
     directly constructed :class:`~repro.kfac.layers.KFACLayer` each build
-    their own via :func:`make_kernel_backend`.
+    their own.
     """
 
-    name: str = "?"
+    name: str = "batched"
 
     def __init__(self) -> None:
         # (shape, dtype-str) -> scratch array.  Two pools: the contraction
@@ -209,6 +177,7 @@ class KernelBackend:
                     error.batch_index = index  # lets the caller name the factor
                     raise
             return decompositions
+        _reject_non_finite(factors, n)  # ``eigh`` would return NaN eigenvalues without a word
         compute_dtype = np.dtype(compute_dtype)
         solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
         # The whole group expands into one stack.  ``?tpttr`` fills each member's row-major upper
@@ -257,6 +226,7 @@ class KernelBackend:
             )
         compute_dtype = np.dtype(compute_dtype)
         if repr.kind == "diagonal":
+            _reject_non_finite([factor], repr.dim)  # an inf would pass the clamp and become an eigenvalue
             eigenvalues = factor.astype(eigh_solve_dtype(compute_dtype, eigh_dtype), copy=True)
             if clamp_negative:
                 np.maximum(eigenvalues, 0.0, out=eigenvalues)
@@ -358,4 +328,8 @@ class KernelBackend:
         return kl_clip_scale_from_total(self.kl_clip_accumulate(grads_and_precond), lr, kl_clip)
 
 
-register_kernel_backend(DEFAULT_KERNEL_BACKEND)(KernelBackend)
+def make_kernel_backend(name: str = KernelBackend.name) -> KernelBackend:
+    """A fresh :class:`KernelBackend` (backends own per-instance scratch state); ``name`` must be its name."""
+    if name != KernelBackend.name:
+        raise ValueError(f"unknown kernel backend {name!r}; the one backend is {KernelBackend.name!r}")
+    return KernelBackend()

@@ -52,7 +52,7 @@ from ..nn.module import Module
 from ..nn.norm import BatchNorm2d, LayerNorm
 from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
-from .kernels import DEFAULT_KERNEL_BACKEND, KernelBackend, make_kernel_backend
+from .kernels import KernelBackend
 from .kmath import EigenDecomposition, pack_triangle
 from .strategy import LayerShapeInfo
 
@@ -159,7 +159,7 @@ class KFACLayer:
         # contraction).  The owning preconditioner passes its per-instance
         # backend; a standalone layer builds its own, because a backend holds
         # scratch buffers that two threads must not share.
-        self.kernels = kernels if kernels is not None else make_kernel_backend(DEFAULT_KERNEL_BACKEND)
+        self.kernels = kernels if kernels is not None else KernelBackend()
         self.has_bias = getattr(module, "bias", None) is not None
 
         # Accumulated raw statistics for the current factor-update window.
@@ -279,9 +279,6 @@ class KFACLayer:
             return np.sum(rows32 * rows32, axis=0)
         blocks = rows32.reshape(rows32.shape[0], repr.num_blocks, repr.block_size)
         return np.einsum("rnb,rnc->nbc", blocks, blocks)
-
-    def _add_a_stat(self, rows: np.ndarray) -> None:
-        self._add_a_contribution(self._row_outer_contribution(rows, self.a_repr), rows.shape[0])
 
     def _add_a_contribution(self, contribution: np.ndarray, count: int) -> None:
         """Accumulate an already formed float32 ``Σ rowᵀ row`` over ``count`` rows, in packed form (adopts the array)."""

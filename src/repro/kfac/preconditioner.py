@@ -31,31 +31,31 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 4. apply the KL-clip scaling and write the preconditioned gradients back into
    ``param.grad`` so the following ``optimizer.step()`` consumes them.
 
-There is one path through these stages.  *When* each layer refreshes is a
-per-layer plan kept by a :class:`~repro.kfac.scheduling.FactorUpdateScheduler`
-(at ``drift_tol=0`` the plan is the base cadence -- folds every
-``factor_update_freq`` steps of an interval, each layer's decomposition on
-its offset in the distribution plan's ``refresh_offsets``, which spreads an
-interval's eigen work over its fold-free steps -- and the scheduler is
-integer bookkeeping);
-*how* a layer is preconditioned is its
-:class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
-of Eq. 15-17).  ``grad_worker_frac`` selects the distribution strategy
-(section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is COMM-OPT, anything
-between is HYBRID-OPT.  The strategy publishes one
-:class:`~repro.kfac.strategy.DistributionPlan` -- who decomposes, who holds,
-and the three communication rounds as unbound specs, the same data on every
-rank; the preconditioner batches the decompositions through its kernel
-backend, attaches this rank's arrays to the specs (:meth:`KFAC._bind`, once) and
-executes every factor allreduce, eigen broadcast and gradient broadcast
-through one bucketed collective engine (:mod:`repro.distributed.collectives`),
-which coalesces the per-layer tensors into ``bucket_cap_mb``-capped fused
-buffers posted via nonblocking primitives.  Adding a distribution scheme means
-adding one :class:`~repro.kfac.strategy.DistributionStrategy` subclass.
+There is one path through these stages, and one schedule.  ``grad_worker_frac``
+selects the distribution strategy (section 3.1): ``1/world_size`` is
+MEM-OPT, ``1`` is COMM-OPT, anything between is HYBRID-OPT.  The strategy
+publishes one :class:`~repro.kfac.strategy.DistributionPlan` -- who
+decomposes, who holds, the three communication rounds as unbound specs and
+*when*: :meth:`~repro.kfac.strategy.DistributionPlan.actions` names the layers
+a step folds and refreshes (folds every ``factor_update_freq`` steps of an
+interval, each layer's decomposition on its offset in ``refresh_offsets``,
+which spreads an interval's eigen work over its fold-free steps), the same
+data on every rank.  :meth:`KFAC.step` carries those actions out, revised per
+layer by a :class:`~repro.kfac.scheduling.DriftSchedule` when ``drift_tol > 0``;
+the layer hooks and the gradient pipeline read the same actions.  *How* a
+layer is preconditioned is its :class:`~repro.kfac.scheduling.SolveStrategy`
+(the default is the eigen path of Eq. 15-17).  The preconditioner batches the
+decompositions through its kernel backend, attaches this rank's arrays to the
+specs (:meth:`KFAC._bind`, once) and executes every factor allreduce, eigen
+broadcast and gradient broadcast through one bucketed collective engine
+(:mod:`repro.distributed.collectives`), which coalesces the per-layer tensors
+into ``bucket_cap_mb``-capped fused buffers posted via nonblocking primitives.
+Adding a distribution scheme means adding one
+:class:`~repro.kfac.strategy.DistributionStrategy` subclass.
 
 :class:`KFAC` implements the :class:`~repro.kfac.base.Preconditioner`
 protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
-factors, eigen state, refresh plan and step counter (per rank), so
+factors, eigen state, drift schedule and step counter (per rank), so
 checkpoint/resume reproduces the exact training trajectory under every
 distribution strategy.
 
@@ -82,11 +82,11 @@ from ..nn.module import Module
 from ..tensor import PrecisionPolicy
 from .base import Preconditioner
 from .config import KFACConfig
-from .kernels import make_kernel_backend
+from .kernels import KernelBackend
 from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
-from .scheduling import AdaptiveDampingController, FactorUpdateScheduler, SolveStrategy, make_solve_strategy
-from .strategy import DistributionPlan, DistributionStrategy, LayerWorkGroups, pack_eigen, unpack_eigen_repr
+from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
+from .strategy import DistributionPlan, DistributionStrategy, LayerWorkGroups, StepActions, pack_eigen, unpack_eigen_repr
 
 __all__ = ["KFAC"]
 
@@ -158,8 +158,6 @@ class KFAC(Preconditioner):
         self.factor_decay = config.factor_decay
         self.damping = config.damping
         self.kl_clip = config.kl_clip
-        self.factor_update_freq = config.factor_update_freq
-        self.inv_update_freq = config.inv_update_freq
         self.grad_scaler = grad_scaler
         self.comm = comm if comm is not None else SingleProcessCommunicator()
         self.compute_eigen_outer = config.compute_eigen_outer
@@ -189,19 +187,11 @@ class KFAC(Preconditioner):
         # owns mutable scratch buffers, so it must not be shared across the
         # threaded ranks of a multi-rank world.  Built before layer
         # registration because every layer routes its hot math through it.
-        self.kernel_backend = config.kernel_backend
-        self.kernels = make_kernel_backend(config.kernel_backend)
+        self.kernels = KernelBackend()
         self.layers: Dict[str, KFACLayer] = {}
         self._register_model(model)
         if not self.layers:
             raise ValueError("model contains no K-FAC-supported layers to precondition")
-        # Every collective payload shape below is a function of the per-layer
-        # factor representations, so the sanitizer checks this signature is
-        # rank-invariant before the first schedule is posted.
-        self._repr_signature = tuple(
-            (name, layer.a_repr.describe(), layer.g_repr.describe())
-            for name, layer in self.layers.items()
-        )
         # The run's one plan: placement, holders and the three rounds of an
         # update as data.  Everything below that asks "who" or "what moves"
         # looks it up here, and so do the cost and memory models.
@@ -212,16 +202,8 @@ class KFAC(Preconditioner):
             precision=self.precision,
         )
         self.groups: Dict[str, LayerWorkGroups] = self.plan.groups
-        # The per-layer refresh plan (when) and solve strategies (how), keyed by
-        # layer name; the layer hooks first consult the plan in a forward pass.
-        self.factor_scheduler = FactorUpdateScheduler(
-            list(self.layers),
-            config.factor_update_freq,
-            config.inv_update_freq,
-            drift_tol=config.drift_tol,
-            max_staleness=config.max_staleness,
-            refresh_offsets=self.plan.refresh_offsets,
-        )
+        # The plan says when; with drift tracking on, a per-layer schedule revises it.
+        self.drift: Optional[DriftSchedule] = self._new_drift()
         self.solvers: Dict[str, SolveStrategy] = {
             name: self._make_solver(config.solver_name_for(layer)) for name, layer in self.layers.items()
         }
@@ -233,11 +215,17 @@ class KFAC(Preconditioner):
         self.resolved_bucket_cap_mb = self._resolve_bucket_cap()
         self.scheduler = OverlapScheduler(self.comm, self.resolved_bucket_cap_mb)
         # This rank's side of the plan's eigen and gradient rounds, attached
-        # once: the specs' callables read the layers and ``_preconditioned``
-        # when they run, so nothing about them changes from step to step.
+        # once, by key and source: the specs' callables read the layers and
+        # ``_preconditioned`` when they run, so nothing about them changes
+        # from step to step.
         self._preconditioned: Dict[str, Optional[np.ndarray]] = {}
-        self._eigen_round = {name: [self._bind(spec) for spec in specs] for name, specs in self.plan.eigen_round.items()}
-        self._gradient_round = [self._bind(spec) for name in self.layers for spec in self.plan.gradient_round[name]]
+        rounds = (*self.plan.eigen_round.values(), *self.plan.gradient_round.values())
+        self._bound = {(spec.key, spec.src): self._bind(spec) for specs in rounds for spec in specs}
+
+    def _new_drift(self) -> Optional[DriftSchedule]:
+        """A fresh drift schedule, or None: at ``drift_tol=0`` the plan's actions are carried out as they are."""
+        config = self._base_config
+        return DriftSchedule(self.plan, config.drift_tol, config.max_staleness) if config.drift_tol > 0 else None
 
     def _make_solver(self, name: str) -> SolveStrategy:
         kwargs = {"tol": self._base_config.cg_tol, "max_iter": self._base_config.cg_max_iter} if name == "cg" else {}
@@ -272,20 +260,26 @@ class KFAC(Preconditioner):
                 layer_name,
                 module,
                 self.precision,
-                should_accumulate=lambda layer_name=layer_name: self._should_accumulate(layer_name),
+                # Hooks accumulate statistics only for the layers the pending step folds.
+                should_accumulate=lambda layer_name=layer_name: layer_name in self.actions().fold,
                 grad_scale=self._current_grad_scale,
                 kernels=self.kernels,
             )
             if layer is not None:
                 self.layers[layer.name] = layer
 
-    def _should_accumulate(self, layer_name: str) -> bool:
-        """Layer hooks accumulate statistics only on factor-update iterations.
+    def actions(self) -> StepActions:
+        """What the pending step does: the plan's :meth:`~repro.kfac.strategy.DistributionPlan.actions`, revised by drift.
 
-        The decision is per layer: hooks of layers whose factor update is not
-        due this step skip the (quadratic) statistics accumulation entirely.
+        Taken once per step and kept until it ends: the revision only moves
+        inside :meth:`step`, so the hooks, :meth:`pipeline_specs`,
+        :meth:`on_pipeline_flush` and the step read the same value.
         """
-        return self.factor_scheduler.factors_due(layer_name, self._steps)
+        if self._actions is None:
+            self._actions = self.plan.actions(self._steps)
+            if self.drift is not None:
+                self._actions = self.drift.revise(self._actions)
+        return self._actions
 
     def _current_grad_scale(self) -> float:
         if self.grad_scaler is None:
@@ -320,6 +314,11 @@ class KFAC(Preconditioner):
         return self.strategy.grad_worker_frac
 
     @property
+    def kernel_backend(self) -> str:
+        """The name of the kernels the hot math runs on (``kernels.name``)."""
+        return self.kernels.name
+
+    @property
     def config(self) -> KFACConfig:
         """Current hyperparameters as a serializable :class:`KFACConfig`."""
         precision_name = self.precision.name
@@ -332,9 +331,6 @@ class KFAC(Preconditioner):
             assignment_balance=getattr(self.strategy, "balance", self._base_config.assignment_balance),
         )
 
-    def layer_names(self) -> List[str]:
-        return list(self.layers.keys())
-
     # --------------------------------------------------------------------- step
     @property
     def accepts_loss_feedback(self) -> bool:
@@ -342,145 +338,134 @@ class KFAC(Preconditioner):
         return self.damping_controller is not None
 
     def step(self, lr: Optional[float] = None, loss: Optional[float] = None) -> None:
-        """Precondition all registered layer gradients in place (Listing 1).
+        """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
+        In order: run the factor round of ``fold`` (unless an armed pipeline
+        already ran it); with drift tracking on, observe the folded layers'
+        drift, which may add layers to ``refresh``; decompose this rank's share
+        of ``refresh`` and run the eigen round; precondition and run the
+        gradient round; apply the KL clip and write the gradients back.
         ``loss`` (this step's training loss) feeds the Levenberg-Marquardt
         adaptive damping controller when ``adaptive_damping`` is configured;
         it is ignored otherwise.
         """
         if lr is not None:
             self.lr = float(lr)
-        sanitizer = getattr(self.comm, "sanitizer", None)
+        step, sanitizer = self._steps, getattr(self.comm, "sanitizer", None)
         if sanitizer is not None:
             # Label this rank's position in the program so schedule-divergence
             # reports say *where* each rank was, not just what it posted.
-            sanitizer.set_phase(self.rank, f"kfac/step:{self._steps}")
-            if self._steps == 0:
-                # A rank disagreeing on any factor representation, or on the
-                # plan derived from them, would post differently-shaped or
-                # differently-routed collectives; surface that here as a
-                # named divergence instead of a buffer-size crash or a hang.
-                sanitizer.check_consistent(self.rank, "kfac/reprs", (self._repr_signature, self.plan.digest()))
-        tracer = self.tracer
-        with tracer.span("kfac/step", category="kfac", step=self._steps):
-            sched = self.factor_scheduler
-            step = self._steps
-            mean_loss: Optional[float] = None
-            if self.damping_controller is not None and loss is not None:
-                # Average the loss across ranks so every rank applies the same
-                # damping adjustment and the SPMD plan stays in lock step.
-                mean_loss = self._mean_loss(loss)
-                previous_damping = self.damping
-                self.damping = self.damping_controller.observe_loss(mean_loss)
-                if self.damping != previous_damping:
-                    shrank = self.damping < previous_damping
-                    tracer.counter_add("kfac/damping_shrinks" if shrank else "kfac/damping_grows")
-                    tracer.instant(
-                        "kfac/damping_adjusted", category="scheduling", step=step, old=previous_damping, new=self.damping
-                    )
-
-            factor_layers = self._factor_layers_due()
-            if factor_layers and not self._factors_reduced:
+            sanitizer.set_phase(self.rank, f"kfac/step:{step}")
+            if step == 0:
+                # A rank disagreeing on any factor representation (the plan's
+                # layer shapes carry them), or on the plan derived from them,
+                # would post differently-shaped or differently-routed
+                # collectives; surface that here as a named divergence instead
+                # of a buffer-size crash or a hang.
+                sanitizer.check_consistent(self.rank, "kfac/reprs", self.plan.digest())
+        with self.tracer.span("kfac/step", category="kfac", step=step):
+            mean_loss = self._adapt_damping(loss)
+            actions = self.actions()
+            if actions.fold and not self._factors_reduced:
                 with self._stage("factor_compute"):
-                    for name in factor_layers:
+                    for name in actions.fold:
                         self.factor_window(self.layers[name])
                 with self._stage("factor_allreduce"):
-                    self.scheduler.run_allreduces(
-                        [
-                            AllreduceSpec(key=key, payload=pack(), on_complete=install)
-                            for _layer, key, _shape, _dtype, pack, install in self._factor_entries(factor_layers)
-                        ]
-                    )
-            if self._rejected_windows and step == 0:
-                # Every layer is due at step 0 and a later step is only reached
-                # once every layer accepted a window, so this is the one case
-                # with nothing to fall back on -- and, like the rejection
-                # itself, every rank reaches it together.
-                rejected = self._rejected_windows
-                self._begin_factor_window()  # a retried step takes a fresh window
-                raise ValueError(
-                    f"the first factor window of layer(s) {rejected} is not finite (non-finite "
-                    "activations or output gradients, e.g. an overflowed loss-scaled step) and "
-                    "there are no earlier factors to keep"
-                )
-            self._count("factor_updates", factor_layers)
-            for name in factor_layers:
-                layer = self.layers[name]
-                # Post-allreduce: with drift tracking on, every rank holds (and
-                # observes) identical factors and hence derives the identical
-                # plan without extra communication; with it off the factors are
-                # not read here and a rank that does not hold them passes None.
-                if sched.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr):
-                    self._count("drift_triggers", [name])
-
+                    entries = self._factor_entries(actions.factor_round())
+                    specs = [AllreduceSpec(key, pack(), on_complete=install) for _, key, _, _, pack, install in entries]
+                    self.scheduler.run_allreduces(specs)
+            self._check_first_windows()
+            self._count("factor_updates", actions.fold)
+            if self.drift is not None:
+                actions = self._observe_drift(actions)
             if sanitizer is not None:
-                # The refresh plan and damping are functions of allreduced state
-                # only; verify every rank derived the identical plan *before*
-                # acting on it, so a divergence surfaces here instead of as a
-                # mismatched collective schedule downstream.
-                sanitizer.check_consistent(
-                    self.rank,
-                    f"kfac/plan:{step}",
-                    (sched.plan_fingerprint(step), self.damping, self._repr_signature),
-                )
-
-            second_layers = [name for name in self.layers if sched.second_order_due(name, step)]
-            eigen_layers = [name for name in second_layers if self.solvers[name].needs_eigen]
-            tracer.gauge_set("kfac/damping", self.damping)
-            if tracer.enabled:
-                solver_counts: Dict[str, int] = {}
-                for name in second_layers:
-                    solver = self.solvers[name].name
-                    solver_counts[solver] = solver_counts.get(solver, 0) + 1
-                tracer.instant(
-                    "kfac/refresh_decision",
-                    category="scheduling",
-                    step=step,
-                    factor_layers=len(factor_layers),
-                    second_order_layers=len(second_layers),
-                    eigen_solver_layers=len(eigen_layers),
-                    solvers=solver_counts,
-                    damping=self.damping,
-                )
-            if second_layers:
+                # The actions and damping are functions of allreduced state
+                # only; verify every rank derived the identical ones *before*
+                # acting on them, so a divergence surfaces here instead of as
+                # a mismatched collective schedule downstream.
+                sanitizer.check_consistent(self.rank, f"kfac/plan:{step}", (actions.fold, actions.refresh, self.damping))
+            self.tracer.gauge_set("kfac/damping", self.damping)
+            self.tracer.instant(
+                "kfac/refresh_decision", category="scheduling", step=step, damping=self.damping,
+                factor_layers=len(actions.fold), second_order_layers=len(actions.refresh),
+            )  # fmt: skip
+            if actions.refresh:
+                eigen = [name for name in actions.refresh if self.solvers[name].needs_eigen]
                 with self._stage("eigen_decomposition"):
-                    self._compute_eigen_decompositions(eigen_layers)
-                    for name in second_layers:
-                        solver = self.solvers[name]
-                        if solver.needs_eigen:
-                            continue
-                        if self.groups[name].is_grad_worker(self.rank):
-                            layer = self.layers[name]
-                            solver.prepare(layer, self.damping, pi=self.damping_pi(layer))
+                    self._compute_eigen_decompositions(eigen)
+                    self._prepare_solvers([name for name in actions.refresh if name not in eigen])
                 with self._stage("eigen_broadcast"):
-                    self._broadcast_eigen_decompositions(eigen_layers)
-                for name in second_layers:
-                    layer = self.layers[name]
-                    sched.mark_second_order(name, step, layer.factor_a, layer.factor_g)
-                self._count("eigen_updates", second_layers)
-
+                    self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
+                    self._keep_eigen(eigen)
+                if self.drift is not None:
+                    for name in actions.refresh:
+                        self.drift.mark_second_order(name, step, self.layers[name].factor_a, self.layers[name].factor_g)
+                self._count("eigen_updates", actions.refresh)
             with self._stage("precondition"):
                 gradients = self._precondition_gradients()
             with self._stage("grad_broadcast"):
                 # Fills in the layers this rank did not precondition itself; no message where it did.
-                self.scheduler.run_broadcasts(self._gradient_round)
+                self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.gradient_round])
             with self._stage("scale_and_update"):
                 nu, raw_total = self._apply_preconditioned_gradients(gradients)
-            if self.damping_controller is not None and mean_loss is not None:
+            if mean_loss is not None:
                 # First-order predicted reduction of the update just written:
                 # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
                 # a decrease of lr·ν·Σ⟨grad, precond⟩.
                 self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
-            # Base-cadence opportunities the plan chose not to take.
-            factor_skips, eigen_skips = sched.advance(step)
-            self._count("factor_skips", factor_skips)
-            self._count("eigen_skips", eigen_skips)
             self._steps += 1
             self._begin_factor_window()
 
-    def _mean_loss(self, loss: float) -> float:
-        value = np.asarray([float(loss)], dtype=np.float64)
-        return float(self.comm.allreduce_average(value)[0])
+    def _adapt_damping(self, loss: Optional[float]) -> Optional[float]:
+        """Feed ``loss`` to the adaptive damping controller; the rank-averaged loss, or None without feedback."""
+        if self.damping_controller is None or loss is None:
+            return None
+        # Average the loss across ranks so every rank applies the same
+        # damping adjustment and the SPMD plan stays in lock step.
+        mean_loss = float(self.comm.allreduce_average(np.asarray([float(loss)], dtype=np.float64))[0])
+        previous = self.damping
+        self.damping = self.damping_controller.observe_loss(mean_loss)
+        if self.damping != previous:
+            self.tracer.counter_add("kfac/damping_shrinks" if self.damping < previous else "kfac/damping_grows")
+            self.tracer.instant(
+                "kfac/damping_adjusted", category="scheduling", step=self._steps, old=previous, new=self.damping
+            )
+        return mean_loss
+
+    def _check_first_windows(self) -> None:
+        """Raise if a window of step 0 was rejected: the one case with no earlier factors to fall back on.
+
+        Every layer folds on step 0 and a later step is only reached once
+        every layer accepted a window; like the rejection itself, every rank
+        reaches this together.
+        """
+        if self._rejected_windows and self._steps == 0:
+            rejected = self._rejected_windows
+            self._begin_factor_window()  # a retried step takes a fresh window
+            raise ValueError(
+                f"the first factor window of layer(s) {rejected} is not finite (non-finite "
+                "activations or output gradients, e.g. an overflowed loss-scaled step) and "
+                "there are no earlier factors to keep"
+            )
+
+    def _observe_drift(self, actions: StepActions) -> StepActions:
+        """``actions`` with the refreshes the folded layers' drift pulled forward (``drift_tol > 0``).
+
+        Post-allreduce, every rank holds and observes the identical factors,
+        so every rank revises identically without extra communication.  What
+        the revision passes over of the plan's own actions is counted as
+        ``factor_skips`` / ``eigen_skips``.
+        """
+        step = actions.step
+        for name in actions.fold:
+            layer = self.layers[name]
+            if self.drift.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr):
+                self._count("drift_triggers", [name])
+        actions = dataclasses.replace(actions, refresh=self.drift.refreshes(step))
+        base = self.plan.actions(step)
+        self._count("factor_skips", [name for name in base.fold if name not in actions.fold])
+        self._count("eigen_skips", [name for name in base.refresh if name not in actions.refresh])
+        return actions
 
     def damping_pi(self, layer: KFACLayer) -> Optional[float]:
         """The factor-trace π correction for ``layer``, or None when disabled.
@@ -497,19 +482,20 @@ class KFAC(Preconditioner):
     # ------------------------------------------------------------ stage 1: factors
     # Every rank contributes its *window average*; the average over ranks is
     # folded once, where the factor is read.  One spec builder serves both
-    # callers: ``step()`` takes every due layer's window, then posts the
-    # entries as one schedule; a GradientPipeline the preconditioner
-    # subscribes to (see ``pipeline_specs``) posts the same entries from
-    # backward events, taking each layer's window inside its payload.  Due
-    # layers are walked in registration order (every rank iterates, and hence
-    # posts collectives, in the same order); skipped layers contribute no
-    # local compute and no collective traffic.
+    # callers: ``step()`` takes the window of every layer its actions fold,
+    # then posts the entries as one schedule; a GradientPipeline the
+    # preconditioner subscribes to (see ``pipeline_specs``) posts the same
+    # entries from backward events, taking each layer's window inside its
+    # payload.  The layers are walked in the actions' order (every rank
+    # iterates, and hence posts collectives, in the same order); the others
+    # contribute no local compute and no collective traffic.
     def _begin_factor_window(self) -> None:
         """Forget what was taken / reduced / rejected: the next factor update starts clean.
 
-        The one reset point of the per-step factor bookkeeping — construction,
+        The one reset point of the per-step bookkeeping — construction,
         the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`.
         """
+        self._actions: Optional[StepActions] = None  # the pending step's, once taken (:meth:`actions`)
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._factors_reduced = False  # a pipeline already allreduced the pending step's factors
@@ -561,24 +547,15 @@ class KFAC(Preconditioner):
         self.tracer.instant("kfac/factor_window_rejected", category="kfac", step=self._steps, layer=layer.name)
         return False
 
-    def _factor_layers_due(self) -> List[str]:
-        """Layer names whose factor fold + allreduce run this step.
-
-        The plan only mutates inside :meth:`step`, after any pipeline
-        drained, so the due-set is stable between ``pipeline_specs`` and
-        ``on_pipeline_flush``.
-        """
-        return [name for name in self.layers if self.factor_scheduler.factors_due(name, self._steps)]
-
-    def _factor_entries(self, names: Iterable[str]):
-        """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``names``.
+    def _factor_entries(self, specs: Iterable[tuple]):
+        """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``specs`` (an actions' factor round).
 
         Allreduce-average is elementwise, so coalescing the per-layer factor
         tensors into fused buckets changes the message count (and hence the
         latency cost) but not a single result bit.  Each factor travels as it
         is stored: a dense one as its packed triangle (a symmetric matrix is
         shipped once), a diagonal one as O(F) elements.  Keys, wire shapes and dtype come from the
-        plan's ``factor_round``; bound here are ``pack``, which returns this
+        specs; bound here are ``pack``, which returns this
         rank's window average (:meth:`factor_window`, taken once per pending
         step), and ``install``, which collects the averaged pair and, if every
         rank alike finds it finite (:meth:`accept_factor_window`), folds each
@@ -600,12 +577,12 @@ class KFAC(Preconditioner):
                         layer.fold_factor(held, received[held], self.factor_decay)
             received.clear()
 
-        for name in names:
-            layer = self.layers[name]
-            received: Dict[str, np.ndarray] = {}
-            for index, (key, shape, dtype) in enumerate(self.plan.factor_round[name]):
-                on_complete = functools.partial(install, layer, received, "ag"[index])
-                yield layer, key, shape, dtype, functools.partial(pack, layer, index), on_complete
+        received: Dict[str, Dict[str, np.ndarray]] = {}  # layer name -> the halves of its pair that arrived
+        for key, shape, dtype in specs:
+            name, _, what = key.rpartition("/")
+            layer, which = self.layers[name], what[-1]
+            on_complete = functools.partial(install, layer, received.setdefault(name, {}), which)
+            yield layer, key, shape, dtype, functools.partial(pack, layer, "ag".index(which)), on_complete
 
     # -------------------------------------------------------- stage 2: eigen decomp
     # Which rank decomposes which factor, which ranks keep the results, who
@@ -663,14 +640,14 @@ class KFAC(Preconditioner):
         )
 
     def _compute_eigen_decompositions(self, names: Sequence[str]) -> None:
-        """Decompose the factors this rank owns among the due layers ``names``.
+        """Decompose the factors this rank owns among the refreshed eigen-path layers ``names``.
 
         The plan says which factors this rank decomposes (``decomposers``);
         dense factors (packed triangles) are grouped by dimension/dtype and each group goes through
         one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
-        call.  Only due layers enter a batch, so the scheduler's skip
-        decisions are preserved.  A solve that fails (a non-finite factor, a
-        LAPACK ``info``) is re-raised naming its layer and factor, before any
+        call.  Only the layers the step refreshes enter a batch.  A solve
+        that fails (a non-finite factor, a LAPACK ``info``) is re-raised
+        naming its layer and factor, before any
         layer's previous decomposition has been replaced.  A layer's
         ``outer_worker`` then caches the eigenvalue outer product, before
         broadcasting it to its group.
@@ -728,11 +705,15 @@ class KFAC(Preconditioner):
             if self.groups[name].outer_worker == self.rank:
                 self.layers[name].inverse_outer = self._eigen_outer(self.layers[name])
 
-    def _broadcast_eigen_decompositions(self, names: Sequence[str]) -> None:
-        # One deterministic schedule across all due layers: specs sharing a
-        # (src, group) channel fuse into capped buckets, and all buckets fly
-        # concurrently instead of one blocking broadcast per tensor.
-        self.scheduler.run_broadcasts([spec for name in names for spec in self._eigen_round[name]])
+    def _prepare_solvers(self, names: Sequence[str]) -> None:
+        """Refresh the solver state of the refreshed layers ``names`` that read factors, on their gradient workers."""
+        for name in names:
+            if self.groups[name].is_grad_worker(self.rank):
+                layer = self.layers[name]
+                self.solvers[name].prepare(layer, self.damping, pi=self.damping_pi(layer))
+
+    def _keep_eigen(self, names: Sequence[str]) -> None:
+        """After the eigen round of the layers ``names``: their eigen state stays on its holders only."""
         for name in names:
             layer = self.layers[name]
             if self.rank not in self.plan.eigen_holders[name]:
@@ -809,9 +790,9 @@ class KFAC(Preconditioner):
                 "allreduces on a different communicator would desynchronize collective ordering"
             )
         specs: List[GradientBucketSpec] = []
-        # Reverse registration order: the last layers' backward events fire
-        # first, so their factor buckets fill (and post) earliest.
-        for layer, key, shape, dtype, pack, install in self._factor_entries(reversed(self._factor_layers_due())):
+        # Reverse layer order: the last layers' backward events fire first,
+        # so their factor buckets fill (and post) earliest.
+        for layer, key, shape, dtype, pack, install in self._factor_entries(self.actions().factor_round(hooked=True)):
             specs.append(
                 GradientBucketSpec(
                     key=f"kfac/{key}",
@@ -830,7 +811,7 @@ class KFAC(Preconditioner):
 
     def on_pipeline_flush(self, pipeline) -> None:
         """Mark this iteration's factor stages complete once the pipeline drained."""
-        required = self._factor_layers_due()
+        required = self.actions().fold
         missing = [name for name in required if name not in self._windows]
         if missing:
             raise RuntimeError(
@@ -844,10 +825,12 @@ class KFAC(Preconditioner):
         """This rank's complete mutable preconditioner state.
 
         The dict contains the step counter, the hyperparameters (as a
-        :class:`KFACConfig` dict, for bookkeeping) and per-layer factor/eigen
-        state.  Different ranks hold different factors (:meth:`holds_factor`)
-        and, under MEM-OPT / HYBRID-OPT, different eigen state, so each rank
-        checkpoints and restores its own dict.
+        :class:`KFACConfig` dict, for bookkeeping), per-layer factor/eigen
+        state and, with drift tracking on, the drift schedule
+        (``"scheduler"``; without it the plan alone says when, and nothing is
+        stored).  Different ranks hold different factors
+        (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT, different
+        eigen state, so each rank checkpoints and restores its own dict.
         """
         try:
             config = self.config.to_dict()
@@ -858,7 +841,8 @@ class KFAC(Preconditioner):
             "config": config,
             "layers": {name: layer.state_dict() for name, layer in self.layers.items()},
         }
-        state["scheduler"] = self.factor_scheduler.state_dict()
+        if self.drift is not None:
+            state["scheduler"] = self.drift.state_dict()
         state["solvers"] = {name: solver.state_dict() for name, solver in self.solvers.items()}
         if self.damping_controller is not None:
             state["damping_controller"] = self.damping_controller.state_dict()
@@ -895,14 +879,21 @@ class KFAC(Preconditioner):
                         "holds under this configuration; restore each rank from its own state_dict(), "
                         "written under the same strategy and knobs"
                     )
-        # A checkpoint without a plan (every version before the scheduler
-        # became the only path): position a fresh plan on the base cadence at
-        # the restored step, so the resumed run refreshes exactly when an
-        # uninterrupted one would.
-        if state.get("scheduler") is not None:
-            self.factor_scheduler.load_state_dict(state["scheduler"])
-        else:
-            self.factor_scheduler.reset(at_step=self._steps)
+        scheduler = state.get("scheduler")
+        if self.drift is not None:
+            # Without a stored schedule the drift revision starts afresh: the
+            # next step folds and refreshes every layer, as a first step does.
+            self.drift = self._new_drift()
+            if scheduler is not None:
+                self.drift.load_state_dict(scheduler)
+        elif scheduler is not None and self._steps > 0:
+            # Earlier versions stored every layer's schedule with drift off too;
+            # only its phases are read.  One written before the plan staggered
+            # the refresh has every layer on phase 0, and resumes there.
+            stored = scheduler["layers"]
+            phases = {name: int(stored[name]["next_eigen_step"]) % self.plan.inv_update_freq for name in self.layers}
+            if phases != self.plan.refresh_offsets:
+                self.plan = dataclasses.replace(self.plan, refresh_offsets=phases)
         for name, solver_state in (state.get("solvers") or {}).items():
             if name in self.solvers:
                 self.solvers[name].load_state_dict(solver_state)
@@ -931,7 +922,7 @@ class KFAC(Preconditioner):
             layer.clear_eigen()
         self._steps = 0
         self._begin_factor_window()
-        self.factor_scheduler.reset()
+        self.drift = self._new_drift()
         for solver in self.solvers.values():
             solver.reset()
         if self.damping_controller is not None:

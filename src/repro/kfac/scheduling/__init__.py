@@ -1,16 +1,17 @@
 """Adaptive second-order scheduling: when and how each layer's K-FAC state refreshes.
 
 The paper's F_freq/K_freq knobs (Table 2) refresh every layer's Kronecker
-factors and eigen decompositions on one global fixed cadence.  This package
-makes both decisions per layer and adaptive:
+factors and eigen decompositions on one global fixed cadence, which the
+distribution plan publishes as data
+(:meth:`~repro.kfac.strategy.DistributionPlan.actions`).  This package holds
+what departs from it:
 
-* :class:`FactorUpdateScheduler` tracks the normalized Frobenius drift of
-  each layer's allreduced factors against the factors last consumed by a
-  second-order refresh.  Stale-tolerant layers (drift below ``drift_tol``)
-  have their eigen-recompute interval stretched geometrically, clamped to
-  ``max_staleness``; a drift spike pulls the refresh forward and resets the
-  interval to the configured base cadence.  With ``drift_tol=0`` the plan
-  degenerates to the fixed schedule, bit for bit.
+* :class:`DriftSchedule` (``drift_tol > 0`` only) revises the plan's actions
+  per layer from the normalized Frobenius drift of each layer's allreduced
+  factors against the factors last consumed by a refresh.  Stale-tolerant
+  layers (drift below ``drift_tol``) have their eigen-recompute interval
+  stretched geometrically, clamped to ``max_staleness``; a drift spike pulls
+  the refresh forward and resets the interval to the configured base cadence.
 * :class:`AdaptiveDampingController` adjusts the Tikhonov damping ``γ`` with
   a Levenberg-Marquardt accept/shrink rule on the ratio of actual to
   predicted loss reduction, optionally combined with the factor-trace π
@@ -20,14 +21,13 @@ makes both decisions per layer and adaptive:
   warm-started conjugate-gradient solve (:func:`kronecker_cg`) that skips
   the O(F³) eigen decomposition entirely — the right trade for small layers.
 
-:class:`~repro.kfac.KFAC` always drives all three: with the adaptive knobs
-at their defaults (``drift_tol=0``, fixed damping, the eigen solver) they
-reproduce the paper's fixed-cadence step, and each knob departs from it on
-its own.
+With the adaptive knobs at their defaults (``drift_tol=0``, fixed damping, the
+eigen solver) :class:`~repro.kfac.KFAC` runs the paper's fixed-cadence step,
+and each knob departs from it on its own.
 """
 
 from .damping import MAX_DAMPING, MIN_DAMPING, AdaptiveDampingController
-from .scheduler import FactorUpdateScheduler, factor_drift
+from .drift import DriftSchedule, factor_drift
 from .solvers import (
     CGSolveStrategy,
     EigenSolveStrategy,
@@ -40,7 +40,7 @@ from .solvers import (
 )
 
 __all__ = [
-    "FactorUpdateScheduler",
+    "DriftSchedule",
     "factor_drift",
     "AdaptiveDampingController",
     "MIN_DAMPING",

@@ -150,8 +150,8 @@ class SolveStrategy:
     """How one layer's gradient is preconditioned from its Kronecker factors.
 
     ``prepare`` runs on the layer's gradient workers at every second-order
-    refresh (the step :class:`~repro.kfac.scheduling.FactorUpdateScheduler`
-    schedules); ``solve`` runs on the gradient workers every iteration and
+    refresh (a step whose actions list the layer in ``refresh``); ``solve``
+    runs on the gradient workers every iteration and
     returns the preconditioned gradient matrix.
     """
 

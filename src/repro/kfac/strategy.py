@@ -40,7 +40,7 @@ as a factory.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +55,7 @@ __all__ = [
     "LayerShapeInfo",
     "LayerWorkGroups",
     "WirePolicy",
+    "StepActions",
     "DistributionPlan",
     "DistributionStrategy",
     "CommOptStrategy",
@@ -191,6 +192,37 @@ FactorSpec = Tuple[str, Tuple[int, ...], np.dtype]
 
 
 @dataclass(frozen=True)
+class StepActions:
+    """What one step does: the layers that ``fold`` their factors and ``refresh`` their decompositions.
+
+    Both are layer names in registration order; the rounds they post are read
+    off the plan the actions came from (:meth:`DistributionPlan.actions`).  A
+    drift revision (:mod:`repro.kfac.scheduling.drift`) is
+    ``dataclasses.replace`` of either tuple: the rounds follow.
+    """
+
+    step: int
+    fold: Tuple[str, ...]
+    refresh: Tuple[str, ...]
+    plan: "DistributionPlan" = field(repr=False, compare=False)
+
+    def factor_round(self, hooked: bool = False) -> Tuple[FactorSpec, ...]:
+        """The window allreduces of ``fold``; ``hooked`` in reverse layer order, the order backward produces them."""
+        layers = reversed(self.fold) if hooked else self.fold
+        return tuple(spec for name in layers for spec in self.plan.factor_round[name])
+
+    @property
+    def eigen_round(self) -> Tuple[BroadcastSpec, ...]:
+        """The broadcasts of the decompositions ``refresh`` produces."""
+        return tuple(spec for name in self.refresh for spec in self.plan.eigen_round[name])
+
+    @property
+    def gradient_round(self) -> Tuple[BroadcastSpec, ...]:
+        """The preconditioned-gradient broadcasts of every layer: every step posts them."""
+        return tuple(spec for specs in self.plan.gradient_round.values() for spec in specs)
+
+
+@dataclass(frozen=True)
 class DistributionPlan:
     """One K-FAC update as data: who computes, who holds, what moves and when.  Identical on every rank.
 
@@ -198,10 +230,9 @@ class DistributionPlan:
     per-factor entries -- in registration order, so a step that refreshes a
     subset of layers concatenates those layers' entries and keeps the order.
     Ranks in ``decomposers`` / ``*_holders`` are sorted tuples.
-    ``refresh_offsets`` is the base cadence's *when*: every layer is decomposed
-    on step 0, afterwards on the steps with ``step % inv_update_freq`` equal to
-    its offset (:func:`~repro.kfac.assignment.staggered_refresh_offsets`,
-    :func:`~repro.kfac.assignment.next_refresh_step`).
+    ``refresh_offsets`` is the phase of each layer's decomposition in the
+    interval (:func:`~repro.kfac.assignment.staggered_refresh_offsets`);
+    :meth:`actions` turns the two cadences and the offsets into what a step does.
     """
 
     scheme: str  # the strategy's name, e.g. "HYBRID-OPT"
@@ -218,14 +249,29 @@ class DistributionPlan:
     inv_update_freq: int
     refresh_offsets: Dict[str, int]  # phase of the layer's refresh in the interval
 
-    def refresh_due(self, step: int) -> List[str]:
-        """The layers the base cadence decomposes on ``step``: every layer on step 0, then each on its offset."""
+    def actions(self, step: int) -> StepActions:
+        """What the base cadence does on ``step``; the one place it is stated.
+
+        Every layer folds on the steps :func:`~repro.kfac.assignment.folds_on`
+        names (every ``factor_update_freq`` steps of an interval).  Every
+        layer is decomposed on step 0, afterwards on the steps with ``step %
+        inv_update_freq`` equal to its offset, except that a staggered step
+        before the second fold is passed over: it would decompose the factors
+        of step 0 a second time (:func:`~repro.kfac.assignment.next_refresh_step`).
+        """
         cadence = (self.factor_update_freq, self.inv_update_freq)
-        return [
+        fold = tuple(self.groups) if folds_on(step, *cadence) else ()
+        refresh = tuple(
             name
             for name, offset in self.refresh_offsets.items()
             if step == 0 or next_refresh_step(offset, step, *cadence) == step
-        ]
+        )
+        return StepActions(step, fold, refresh, self)
+
+    def base_updates(self, steps: int) -> Tuple[int, int]:
+        """``(folds, decompositions)`` the base cadence performs over all layers in its first ``steps`` steps."""
+        performed = [self.actions(step) for step in range(steps)]
+        return sum(len(actions.fold) for actions in performed), sum(len(actions.refresh) for actions in performed)
 
     def factor_bytes_per_rank(self) -> np.ndarray:
         """Running-factor bytes each rank holds."""
@@ -250,39 +296,30 @@ class DistributionPlan:
         entry per fused bucket: the rounds' specs through the engine's own
         grouping (:func:`~repro.distributed.collectives.broadcast_messages`,
         one world-wide channel for the factor allreduces) under the same cap,
-        so the counts are what a communication log records.  The eigen round is
-        posted, and so bucketed, once per step that decomposes anything: a full
-        update sums an interval's rounds (one round where every offset is 0),
-        ``step`` gives the base cadence's round of that step (every layer on
-        step 0) beside the factor round if it folds.  ``hooked`` is the
-        armed gradient pipeline, which buckets the factor allreduces in
-        reverse layer order (the order backward produces them).  A group of
-        one exchanges nothing and is not a message.
+        so the counts are what a communication log records.  ``step`` buckets
+        :meth:`actions` of that step: its factor round if it folds, the eigen
+        round of the layers it decomposes, the gradient round.  A full update
+        sums the actions of one steady interval: one factor round, the eigen
+        round of every step that decomposes anything (one round where every
+        offset is 0), one gradient round.  ``hooked`` is the armed gradient
+        pipeline, which buckets the factor allreduces in reverse layer order
+        (the order backward produces them).  A group of one exchanges nothing
+        and is not a message.
         """
         buckets = BucketManager(bucket_cap_mb)
-        names = list(self.groups)
         if step is None:
-            folds = True
-            phases = sorted(set(self.refresh_offsets.values()))
-            eigen_rounds = [self.refresh_due(self.inv_update_freq + phase) for phase in phases]  # a steady interval
+            interval = [self.actions(self.inv_update_freq + phase) for phase in range(self.inv_update_freq)]
         else:
-            folds = folds_on(step, self.factor_update_freq, self.inv_update_freq)
-            eigen_rounds = [self.refresh_due(step)]
+            interval = [self.actions(step)]
         out: Dict[str, List[Tuple[Tuple[int, ...], int]]] = {"factor": [], "eigen": [], "gradient": []}
-        if self.world_size > 1 and folds:
+        if self.world_size > 1 and interval[0].fold:
             everyone = tuple(range(self.world_size))
-            ordered = reversed(names) if hooked else names
-            factor_specs = [entry for name in ordered for entry in self.factor_round[name]]
-            out["factor"] = [(everyone, bucket.nbytes) for bucket in buckets.build(factor_specs)]
-        for label, per_layer, posted in (
-            ("eigen", self.eigen_round, eigen_rounds),
-            ("gradient", self.gradient_round, [names]),
-        ):
-            for due in posted:
-                specs = [spec for name in due for spec in per_layer[name]]
-                for _, members, _, channel_buckets in broadcast_messages(specs, self.world_size, buckets):
-                    if len(members) > 1:
-                        out[label] += [(members, bucket.nbytes) for bucket in channel_buckets]
+            out["factor"] = [(everyone, bucket.nbytes) for bucket in buckets.build(interval[0].factor_round(hooked))]
+        rounds = [("eigen", actions.eigen_round) for actions in interval] + [("gradient", interval[0].gradient_round)]
+        for label, specs in rounds:
+            for _, members, _, channel_buckets in broadcast_messages(specs, self.world_size, buckets):
+                if len(members) > 1:
+                    out[label] += [(members, bucket.nbytes) for bucket in channel_buckets]
         return out
 
     def digest(self) -> str:

@@ -15,9 +15,10 @@ the same layer set.  Used three ways:
   rank's factor bytes are not the packed triangles of the factors it holds --
   ``n(n+1)/2`` elements per dense factor, a regression to square storage --
   if a rank's slice of the modeled K-FAC messages or bytes differs from what
-  that rank's registry counted, or if, after step 0, a step decomposes more layers than the heaviest
-  step of the plan's interval or a layer is decomposed twice in one interval
-  -- a regression to one refresh step; the per-step counts are printed;
+  that rank's registry counted, or if rank 0 decomposed a number of layers
+  on some step, or some layer a number of times in all, other than the
+  plan's actions say (``plan.actions(step).refresh``) -- e.g. a regression
+  to one refresh step; the per-step counts are printed;
   beside the messages table it prints the factor round's bytes per
   update and each rank's median optimizer step, pipeline flush and K-FAC
   write-back, :data:`GLUE_SPANS`);
@@ -33,7 +34,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 __all__ = ["run_traced_bert", "workload_spec_for_run", "modeled_schedule_for_run", "kfac_traffic", "main"]
 
@@ -226,20 +227,20 @@ def kfac_traffic(spec, run_info):
 
 
 def staggered_refresh_problems(spec, run_info) -> List[str]:
-    """What is wrong with the run's refresh schedule, if anything: the plan spreads an interval's decompositions."""
+    """Where the run's refreshes differ from the plan's actions: per step, and per layer in all."""
     plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
-    interval = plan.inv_update_freq
-    heaviest = max(len(plan.refresh_due(interval + phase)) for phase in range(interval))
+    actions = [plan.actions(step) for step in range(run_info["steps"])]
     problems = [
-        f"step {step} decomposed {count} layers, the heaviest step of the plan's interval {heaviest}"
-        for step, count in enumerate(run_info["refreshed_per_step"])
-        if step > 0 and count > heaviest
+        f"step {step} decomposed {count} layers, the plan's actions {len(planned.refresh)}"
+        for step, (count, planned) in enumerate(zip(run_info["refreshed_per_step"], actions))
+        if count != len(planned.refresh)
     ]
-    allowed = 1 + -(-(run_info["steps"] - 1) // interval)  # step 0, then once per interval
+    counted = run_info["refreshes_per_layer"]
+    planned = {name: sum(name in step_actions.refresh for step_actions in actions) for name in counted}
     problems += [
-        f"layer {name} was decomposed {count} times in {run_info['steps']} steps (interval {interval})"
-        for name, count in run_info["refreshes_per_layer"].items()
-        if count > allowed
+        f"layer {name} was decomposed {count} times in {run_info['steps']} steps, the plan's actions {planned[name]}"
+        for name, count in counted.items()
+        if count != planned[name]
     ]
     return problems
 
@@ -340,7 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     problems = staggered_refresh_problems(spec, run_info)
     for problem in problems:
-        print(f"ERROR: {problem}: the refresh is one step again", file=sys.stderr)
+        print(f"ERROR: {problem}: the step did not carry out the plan's actions", file=sys.stderr)
     if problems:
         return 1
     print("\nK-FAC state per rank (bytes):")

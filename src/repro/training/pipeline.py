@@ -37,12 +37,12 @@ pipeline is armed only for the *final* micro-batch, so every bucket is
 posted exactly once per optimization step, carrying the accumulated (and
 micro-batch-scaled) gradients.
 
-Subscribers may register a different spec list every step — K-FAC under
-adaptive scheduling (:mod:`repro.kfac.scheduling`) registers buckets only
-for the layers whose factor refresh is due this step, so skipped layers
-contribute no buckets and no traffic.  The plan a subscriber derives its
-specs from must stay stable from ``arm()`` until ``flush()`` returns; the
-scheduler guarantees this by only mutating the plan inside ``KFAC.step()``.
+Subscribers may register a different spec list every step — K-FAC
+registers buckets only for the layers its step's actions fold, so the other
+layers contribute no buckets and no traffic.  The actions a subscriber
+derives its specs from must stay stable from ``arm()`` until ``flush()``
+returns; K-FAC takes them once per step and revises them only inside
+``KFAC.step()``.
 """
 
 from __future__ import annotations

@@ -171,10 +171,11 @@ def use_square_path(preconditioner):
         pairs = ((factor_a, layer.a_repr), (factor_g, layer.g_repr))
         return [f if f is None or not r.is_dense else r.to_dense(f) for f, r in pairs]
 
-    scheduler = preconditioner.factor_scheduler
-    observe, mark = scheduler.observe_factors, scheduler.mark_second_order
-    scheduler.observe_factors = lambda name, step, a, g, *reprs: observe(name, step, *squares(name, a, g))
-    scheduler.mark_second_order = lambda name, step, a, g: mark(name, step, *squares(name, a, g))
+    drift = preconditioner.drift  # None at drift_tol=0: nothing reads the factors to plan the refresh
+    if drift is not None:
+        observe, mark = drift.observe_factors, drift.mark_second_order
+        drift.observe_factors = lambda name, step, a, g, *reprs: observe(name, step, *squares(name, a, g))
+        drift.mark_second_order = lambda name, step, a, g: mark(name, step, *squares(name, a, g))
 
     def square_pi(layer):
         if not preconditioner.damping_pi_correction or layer.factor_a is None or layer.factor_g is None:

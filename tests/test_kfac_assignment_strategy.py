@@ -156,9 +156,11 @@ class TestStaggeredRefreshOffsets:
         assert offsets == staggered_refresh_offsets(costs, world, 5, 10)
         assert len({plan.digest() for plan in plans}) == len({(plan.scheme, str(plan.groups)) for plan in plans})
 
-        interval = [plans[0].refresh_due(step) for step in range(10, 20)]
+        actions = [plans[0].actions(step) for step in range(10, 20)]
+        interval = [step_actions.refresh for step_actions in actions]
         assert sorted(name for due in interval for name in due) == sorted(costs)  # each layer exactly once
-        touched = {step for step, due in enumerate(interval) if due} | {0, 5}  # folds on 0 and 5
+        assert [step for step, step_actions in enumerate(actions) if step_actions.fold] == [0, 5]
+        touched = {step for step, step_actions in enumerate(actions) if step_actions.fold or step_actions.refresh}
         assert touched == {0, 1, 5, 6} and len(touched) < 10 / 2
         loads = [sum(costs[name] for name in due) for due in interval if due]
         ordered = sorted(costs.values(), reverse=True)
@@ -188,6 +190,28 @@ class TestStaggeredRefreshOffsets:
         assert [m for messages in per_step for m in messages["eigen"]] == spread
         assert [bool(messages["factor"]) for messages in per_step] == [step % 5 == 0 for step in range(10, 20)]
         assert staggered.messages(step=1)["eigen"] == []  # nothing folded since step 0: passed over
+
+    def test_actions_hand_over_the_rounds_of_their_layers(self):
+        """A step's actions carry the factor round of ``fold``, the eigen round of ``refresh`` and every
+        gradient round, in registration order; a revision of either tuple takes its rounds along."""
+        import dataclasses
+
+        plan = DistributionStrategy(4, 0.5).plan(LAYERS, factor_update_freq=5, inv_update_freq=10)
+        names = list(plan.groups)
+        for step in range(25):
+            actions = plan.actions(step)
+            assert actions.fold == (tuple(names) if step % 5 == 0 else ())
+            assert actions.factor_round() == tuple(spec for name in actions.fold for spec in plan.factor_round[name])
+            hooked = tuple(spec for name in reversed(actions.fold) for spec in plan.factor_round[name])
+            assert actions.factor_round(hooked=True) == hooked
+            assert actions.eigen_round == tuple(spec for name in actions.refresh for spec in plan.eigen_round[name])
+            assert actions.gradient_round == tuple(spec for name in names for spec in plan.gradient_round[name])
+        revised = dataclasses.replace(plan.actions(3), refresh=(names[1],))
+        assert revised.eigen_round == plan.eigen_round[names[1]] and revised.fold == ()
+        assert plan.base_updates(25) == (
+            sum(len(plan.actions(step).fold) for step in range(25)),
+            len(names) * 3,  # step 0, then once in each of the two intervals after it
+        )
 
 
 class TestDistributionStrategy:

@@ -95,20 +95,27 @@ class TestKFACConfig:
             KFACConfig.from_dict(dict(data, comm_overlap=True, hook_pipeline=True))
 
     def test_from_dict_loads_the_retired_reference_backend_onto_the_one_backend(self):
-        """Every checkpoint and manifest written before the backends were collapsed
-        carries ``kernel_backend="reference"`` (the old default); its kernels are the
-        test oracle now, so the name loads onto the built-in backend — and only it."""
-        parent_format = dict(KFACConfig(damping=0.01).to_dict(), kernel_backend="reference")
-        restored = KFACConfig.from_dict(parent_format)
-        assert restored == KFACConfig(damping=0.01) and restored.kernel_backend == "batched"
-        # With the two keys PR 15 retired, as a parent-era manifest really looks.
-        assert KFACConfig.from_dict(dict(parent_format, comm_overlap=False, adaptive_schedule=False)) == restored
+        """Checkpoints and manifests carry ``kernel_backend``: ``"reference"`` (the old
+        default, whose kernels are the test oracle now) before the backends were
+        collapsed, ``"batched"`` (the one backend) after.  The field is gone: both
+        names load onto the one backend -- and only they."""
+        for stored in ("reference", "batched"):
+            parent_format = dict(KFACConfig(damping=0.01).to_dict(), kernel_backend=stored)
+            restored = KFACConfig.from_dict(parent_format)
+            assert restored == KFACConfig(damping=0.01) and "kernel_backend" not in restored.to_dict()
+            # With the two keys PR 15 retired, as a parent-era manifest really looks.
+            assert KFACConfig.from_dict(dict(parent_format, comm_overlap=False, adaptive_schedule=False)) == restored
         for unknown in ("cuda", "Reference2", ""):
             with pytest.raises(ValueError, match="kernel_backend"):
                 KFACConfig.from_dict(dict(parent_format, kernel_backend=unknown))
-        # The constructor never accepted a name that is not registered, and still does not.
-        with pytest.raises(ValueError, match="kernel_backend"):
-            KFACConfig(kernel_backend="reference")
+        with pytest.raises(TypeError, match="kernel_backend"):
+            KFACConfig(kernel_backend="batched")
+
+    def test_the_config_has_twenty_fields(self):
+        """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member."""
+        import dataclasses
+
+        assert len(dataclasses.fields(KFACConfig)) == 20
 
     def test_replace_revalidates(self):
         config = KFACConfig()
@@ -376,8 +383,7 @@ class TestStateDictResume:
 
         batch_rng = np.random.default_rng(9)
         for step in range(steps_before, steps_before + cadence[1]):  # one whole interval: every layer refreshes once
-            assert pre_b.factor_scheduler.plan_fingerprint(step) == pre_a.factor_scheduler.plan_fingerprint(step)
-            assert [name for name, _, due in pre_b.factor_scheduler.plan_fingerprint(step) if due] == pre_b.plan.refresh_due(step)
+            assert pre_b.actions() == pre_a.actions() == pre_b.plan.actions(step)
             batch = batch_rng.integers(0, len(x), 32)
             np.testing.assert_array_equal(one_step(model_a, pre_a, batch), one_step(model_b, pre_b, batch))
         # The resumed run's registry counts its own decisions: those of the uninterrupted run over the same steps.
@@ -390,30 +396,37 @@ class TestStateDictResume:
             assert resumed_updates == 1
 
     def test_checkpoint_written_on_one_refresh_step_resumes_on_the_phase_it_stored(self):
-        """A checkpoint from before the plan staggered the refresh (every ``next_eigen_step`` equal)
-        stays on that phase under a plan that would stagger, bit for bit, and counts no skip."""
+        """A checkpoint from before the plan staggered the refresh (every stored ``next_eigen_step``
+        equal) stays on that phase under a plan that would stagger, bit for bit, and counts no skip."""
+        import dataclasses
+
         x, y = make_problem(6)
         config = KFACConfig(lr=0.1, factor_update_freq=5, inv_update_freq=10)
 
-        def build(seed, offsets=None):
+        def build(seed):
             model = MLP(6, [12], 3, rng=np.random.default_rng(seed))
-            pre = KFAC(model, config)
-            if offsets is not None:  # the schedule before this plan field existed: one refresh step
-                pre.factor_scheduler = type(pre.factor_scheduler)(list(pre.layers), 5, 10, refresh_offsets=offsets)
-            return model, pre
+            return model, KFAC(model, config)
 
-        model_a, pre_a = build(3, offsets={})
+        model_a, pre_a = build(3)
+        # The schedule before the plan had offsets: one refresh step.
+        pre_a.plan = dataclasses.replace(pre_a.plan, refresh_offsets={name: 0 for name in pre_a.layers})
         train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=7)
-        state = pre_a.state_dict()
-        assert {entry["next_eigen_step"] for entry in state["scheduler"]["layers"].values()} == {10}
+        entry = {"next_factor_step": 10, "factor_interval": 5, "next_eigen_step": 10, "eigen_interval": 10,
+                 "snapshot_a": None, "snapshot_g": None, "last_drift": None, "last_factor_step": 5, "last_eigen_step": 0}
+        # Such a checkpoint carries every layer's schedule, as that version's scheduler wrote it after step 6.
+        state = dict(pre_a.state_dict(), scheduler={
+            "factor_update_freq": 5, "inv_update_freq": 10, "drift_tol": 0.0, "max_staleness": 0,
+            "layers": {name: dict(entry) for name in pre_a.layers},
+        })  # fmt: skip
         model_b, pre_b = build(77)
         assert sorted(pre_b.plan.refresh_offsets.values()) == [1, 6]
         model_b.load_state_dict(model_a.state_dict())
         pre_b.load_state_dict(state)
+        assert pre_b.plan.refresh_offsets == pre_a.plan.refresh_offsets
         batch_rng = np.random.default_rng(9)
         for step in range(7, 23):
             batch = batch_rng.integers(0, len(x), 32)
-            assert [due for _, _, due in pre_b.factor_scheduler.plan_fingerprint(step)] == [step % 10 == 0] * 2
+            assert pre_b.actions().refresh == (tuple(pre_b.layers) if step % 10 == 0 else ())
             grads = []
             for model, pre in ((model_a, pre_a), (model_b, pre_b)):
                 model.zero_grad()
@@ -433,7 +446,7 @@ class TestStateDictResume:
         pre_a = KFAC(model_a, config)
         train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=5)
         checkpoint = pre_a.state_dict()
-        assert checkpoint["config"]["kernel_backend"] == "batched"
+        assert "kernel_backend" not in checkpoint["config"] and "scheduler" not in checkpoint
         checkpoint["config"] = dict(checkpoint["config"], kernel_backend="reference")  # as the parent wrote it
 
         model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
@@ -500,7 +513,7 @@ class TestStateDictResume:
             batch = batch_rng.integers(0, len(x), 32)
             np.testing.assert_array_equal(step(model_a, pre_a, batch), step(model_b, pre_b, batch))
         assert pre_b.damping == pre_a.damping
-        assert pre_b.factor_scheduler.plan_fingerprint(12) == pre_a.factor_scheduler.plan_fingerprint(12)
+        assert pre_b.actions() == pre_a.actions()
 
     def test_restored_run_leaves_the_checkpoint_arrays_alone(self):
         """Statistics are accumulated, averaged and folded in place, so a restore must

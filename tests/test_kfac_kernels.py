@@ -1,7 +1,7 @@
 """Tests for the kernel backend (`repro.kfac.kernels`) against `tests/kernel_oracle.py`.
 
-Covers the backend registry and its config selection, per-op parity of the
-one built-in backend (registered as ``batched``) against the plain-expression
+Covers the one backend (named ``batched``) and how a preconditioner is put
+on other kernels, per-op parity of that backend against the plain-expression
 oracle (bitwise for the decay fold and the preconditioning contraction,
 tolerance-tiered for the eigendecomposition and the einsum KL accumulation),
 degenerate factors, the no-copy regression tests on buffer identity,
@@ -41,15 +41,13 @@ from repro.kfac import (
     FactorRepr,
     KFACConfig,
     KernelBackend,
-    available_kernel_backends,
     kl_clip_scale,
     make_kernel_backend,
     make_kfac_layer,
     precondition_with_eigen,
-    register_kernel_backend,
     symmetric_eigen,
 )
-from repro.kfac.kernels import _BACKEND_REGISTRY, STACK_EIGH_MAX_DIM
+from repro.kfac.kernels import STACK_EIGH_MAX_DIM
 from repro.models import MLP
 from repro.nn.linear import Linear
 from repro.nn.norm import LayerNorm
@@ -92,87 +90,68 @@ def assert_valid_eigen(decomposition, factor, rtol=1e-4, atol=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# Registry and selection
+# The one backend, and other kernels by substitution
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert available_kernel_backends() == ["batched"]
-        assert KFACConfig().kernel_backend == "batched"
+class TestOneBackend:
+    def test_one_backend_and_no_registry(self):
+        """``batched`` is the one backend: nothing registers another and no config field names one."""
+        import dataclasses
 
-    def test_fresh_import_registers_one_backend(self):
-        """Whatever this process registered, ``import repro`` alone offers exactly one name."""
-        import subprocess
+        import repro.kfac
 
-        code = "import repro; from repro.kfac import available_kernel_backends as names; print(names())"
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "['batched']"
+        assert KernelBackend.name == make_kernel_backend().name == "batched"
+        assert not any(hasattr(repro.kfac, name) for name in ("register_kernel_backend", "available_kernel_backends"))
+        assert "kernel_backend" not in {field.name for field in dataclasses.fields(KFACConfig)}
 
     def test_make_returns_fresh_instances(self):
         first, second = make_kernel_backend("batched"), make_kernel_backend("batched")
         assert type(first) is KernelBackend
         assert first is not second  # backends own scratch; never shared
 
-    def test_registering_a_custom_backend_makes_it_selectable(self):
-        """The README recipe: subclass, override, register, name it in the config."""
+    def test_substituted_kernels_run_the_hot_math(self):
+        """The README recipe: subclass, override, assign to the preconditioner and its layers."""
 
         class CountingBackend(KernelBackend):
+            name = "counting"
             calls = 0
 
             def batched_symmetric_eigen(self, factors, **kwargs):
                 type(self).calls += 1
                 return super().batched_symmetric_eigen(factors, **kwargs)
 
-        try:
-            register_kernel_backend("counting")(CountingBackend)
-            assert available_kernel_backends() == ["batched", "counting"]
-            model = MLP(6, [8], 3, rng=np.random.default_rng(0))
-            pre = KFAC.from_config(
-                model, KFACConfig(factor_update_freq=1, inv_update_freq=1, kernel_backend="counting")
-            )
-            assert isinstance(pre.kernels, CountingBackend) and pre.kernel_backend == "counting"
-            x, y = make_problem(0, samples=16)
-            nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
-            pre.step()
-            assert CountingBackend.calls > 0
-        finally:
-            _BACKEND_REGISTRY.pop("counting", None)
+        model = MLP(6, [8], 3, rng=np.random.default_rng(0))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre.kernels = CountingBackend()
+        for layer in pre.layers.values():
+            layer.kernels = pre.kernels
+        assert pre.kernel_backend == "counting"
+        x, y = make_problem(0, samples=16)
+        nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
+        pre.step()
+        assert CountingBackend.calls > 0
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             make_kernel_backend("cuda")
 
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            register_kernel_backend("bogus")(dict)
-        assert "bogus" not in available_kernel_backends()
-
-    def test_config_validates_backend(self):
-        assert KFACConfig(kernel_backend="batched").kernel_backend == "batched"
-        assert KFACConfig(kernel_backend=" Batched ").kernel_backend == "batched"
-        with pytest.raises(ValueError, match="kernel_backend"):
-            KFACConfig(kernel_backend="cuda")
-
-    def test_config_round_trip_and_env_default(self, monkeypatch):
-        config = KFACConfig(kernel_backend="batched")
-        assert KFACConfig.from_dict(config.to_dict()) == config
-        # The default is a constant: the retired REPRO_KERNEL variable is not read.
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        assert KFACConfig().kernel_backend == "batched"
+    def test_no_config_field_or_variable_selects_a_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "reference")  # retired: not read
+        model = MLP(6, [8], 3, rng=np.random.default_rng(0))
+        with pytest.raises(TypeError, match="kernel_backend"):
+            KFACConfig(kernel_backend="batched")
+        with pytest.raises(TypeError, match="kernel_backend"):
+            KFAC(model, kernel_backend="batched")
+        assert type(KFAC(model).kernels) is KernelBackend
 
     def test_preconditioner_owns_backend_instance(self):
         model = MLP(6, [8], 3, rng=np.random.default_rng(0))
-        pre = KFAC.from_config(model, KFACConfig(kernel_backend="batched"))
+        pre = KFAC.from_config(model, KFACConfig())
         assert pre.kernel_backend == "batched"
         assert type(pre.kernels) is KernelBackend
         for layer in pre.layers.values():
             assert layer.kernels is pre.kernels
-
-    def test_kwarg_constructor_accepts_backend(self):
-        model = MLP(6, [8], 3, rng=np.random.default_rng(0))
-        pre = KFAC(model, kernel_backend="batched")
-        assert pre.config.kernel_backend == "batched"
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +192,26 @@ class TestBatchedEigen:
 
     def test_empty_batch(self):
         assert KernelBackend().batched_symmetric_eigen([]) == []
+
+    @pytest.mark.parametrize("kind, dim", [("dense", 8), ("dense", 40), ("diagonal", 5)])
+    def test_a_non_finite_factor_is_rejected_with_its_batch_index(self, kind, dim):
+        """Every eigen path refuses a factor holding an inf or a NaN, with ``syevd``'s error and the member's
+        index: the stacked ``eigh`` (dim <= 32) would return NaN eigenvalues, the diagonal clamp pass an inf."""
+        backend = KernelBackend()
+        message = f"factor of dimension {dim} contains infs or NaNs"
+        if kind == "diagonal":
+            factor = np.ones(dim, dtype=np.float32)
+            factor[2] = np.inf
+            with pytest.raises(ValueError, match=message) as raised:
+                backend.structured_eigen(factor, FactorRepr.diagonal(dim))
+            assert raised.value.batch_index == 0
+            return
+        repr_ = FactorRepr.dense(dim)
+        good, bad = repr_.from_dense(spd_factor(dim, 1)), repr_.from_dense(spd_factor(dim, 2))
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match=message) as raised:
+            backend.batched_symmetric_eigen([good, bad])
+        assert raised.value.batch_index == 1
 
     def test_mismatched_shapes_raise(self):
         backend = KernelBackend()
@@ -797,7 +796,7 @@ class TestTrainingParity:
         x, y = make_problem(3)
         loss_fn = nn.CrossEntropyLoss()
         model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))
-        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=1, inv_update_freq=1, kernel_backend="batched"))
+        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=1, inv_update_freq=1))
         tracer = pre.comm.tracer
         tracer.enabled = True
         model.zero_grad()
@@ -854,8 +853,8 @@ class TestCheckpointBackendFlip:
         self._run(pre, model, warmup, x, y)
         checkpoint = pre.state_dict()
         model_state = model.state_dict()
-        # The checkpoint names the one registered backend, whichever kernels wrote it.
-        assert checkpoint["config"]["kernel_backend"] == "batched"
+        # The checkpoint names no backend, whichever kernels wrote it.
+        assert "kernel_backend" not in checkpoint["config"]
         continued = self._run(pre, model, future, x, y)
 
         restored = MLP(6, [16], 3, rng=np.random.default_rng(99))
@@ -875,7 +874,7 @@ class TestCheckpointBackendFlip:
         rng = np.random.default_rng(33)
         warmup = [rng.integers(0, len(x), 32) for _ in range(5)]
         future = [rng.integers(0, len(x), 32) for _ in range(4)]
-        config = KFACConfig(factor_update_freq=2, inv_update_freq=4, kernel_backend="batched")
+        config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
 
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC.from_config(model, config)

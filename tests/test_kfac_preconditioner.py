@@ -136,7 +136,7 @@ class TestStepMechanics:
         for name, offset in pre.plan.refresh_offsets.items():
             refreshed = [step for step in range(1, 18) if not np.array_equal(eigens[name][step], eigens[name][step - 1])]
             assert refreshed == [step for step in range(6, 18) if step % 10 == offset], name
-            assert all(name in pre.plan.refresh_due(step) for step in refreshed)
+            assert all(name in pre.plan.actions(step).refresh for step in refreshed)
 
     def test_steps_counter_increments(self):
         model = MLP(4, [8], 2, rng=RNG)
@@ -502,6 +502,16 @@ class TestEigenFailuresAreNamed:
         with pytest.raises(ValueError, match=rf"{which.upper()} factor of layer '{name}'"):
             pre.step()
 
+    def test_nan_in_a_stacked_path_factor_names_the_layer_and_the_factor(self):
+        """A factor of dimension <= 32 is decomposed by the stacked ``eigh``, which would return NaNs silently."""
+        pre = self.warmed_up()
+        pre.layers["layers.4"].factor_g[-1] = np.nan  # the 3 x 3 G factor of the output layer
+        before = self.snapshot(pre)
+        message = r"G factor of layer 'layers.4' failed: factor of dimension 3 contains infs or NaNs"
+        with pytest.raises(ValueError, match=message):
+            pre._compute_eigen_decompositions(list(pre.layers))
+        self.assert_untouched(pre, before)
+
     def test_lapack_info_names_the_factor_it_was_solving(self, monkeypatch):
         pre = self.warmed_up()
         real = kmath._SYEVD[np.dtype(np.float32)]
@@ -602,17 +612,18 @@ class TestBadFactorWindowsAreRejected:
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: int(name == "layers.2") for name in pre.layers}
         state = pre.state_dict()
-        assert all("factor_windows_rejected" not in entry for entry in state["scheduler"]["layers"].values())
-        # A plan written with the count in it (every checkpoint of earlier versions) loads the same plan.
-        old = {**state, "scheduler": {**state["scheduler"], "layers": {
-            name: {**entry, "factor_windows_rejected": int(name == "layers.2")}
-            for name, entry in state["scheduler"]["layers"].items()
-        }}}
+        assert "scheduler" not in state  # with drift off the plan alone says when; nothing of it is stored
+        # A schedule written with the count in it (every checkpoint of earlier versions) loads the same plan.
+        entry = {"next_factor_step": pre.steps, "factor_interval": 1, "next_eigen_step": pre.steps, "eigen_interval": 1,
+                 "snapshot_a": None, "snapshot_g": None, "last_drift": None, "last_factor_step": pre.steps - 1,
+                 "last_eigen_step": pre.steps - 1}  # fmt: skip
+        old = {**state, "scheduler": {"factor_update_freq": 1, "inv_update_freq": 1, "drift_tol": 0.0, "max_staleness": 0,
+               "layers": {name: {**entry, "factor_windows_rejected": int(name == "layers.2")} for name in pre.layers}}}
         for checkpoint in (state, old):
             clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
             restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
             restored.load_state_dict(checkpoint)
-            assert restored.factor_scheduler.state_dict() == pre.factor_scheduler.state_dict()
+            assert restored.plan == pre.plan and restored.actions() == pre.actions()
             assert event_total(restored, "factor_windows_rejected") == 0  # its rank's registry saw none
 
     def test_a_non_finite_first_window_raises_naming_the_layer(self):

@@ -1,9 +1,9 @@
 """Tests for the adaptive second-order scheduling subsystem.
 
-Covers the `repro.kfac.scheduling` package (drift-driven per-layer update
-planning, Levenberg-Marquardt adaptive damping, inverse-free solve
-strategies), its KFACConfig knobs (including cadences that need not nest),
-the planned-step-equals-fixed-cadence oracle (a hand-written Listing-1 K-FAC
+Covers the plan's actions (the base cadence, including cadences that need
+not nest), the `repro.kfac.scheduling` package (their drift revision,
+Levenberg-Marquardt adaptive damping, inverse-free solve strategies), its
+KFACConfig knobs, the planned-step-equals-fixed-cadence oracle (a hand-written Listing-1 K-FAC
 step as the reference), mid-epoch
 checkpoint resume with drift tracking on under all three distribution
 strategies, and the measured-fraction hooks into the analytic cost model.
@@ -20,9 +20,10 @@ from repro.kfac import (
     KFAC,
     AdaptiveDampingController,
     CGSolveStrategy,
+    DistributionStrategy,
+    DriftSchedule,
     EigenSolveStrategy,
     FactorRepr,
-    FactorUpdateScheduler,
     InverseSolveStrategy,
     KFACConfig,
     apply_measured_fractions,
@@ -56,6 +57,12 @@ def make_problem(seed=0, samples=256, in_dim=6, classes=3):
     return x, y
 
 
+def make_plan(names, factor_update_freq, inv_update_freq):
+    """The one-rank plan of equal-sized layers ``names`` under the two cadences."""
+    layers = [LayerShapeInfo(name, 4, 4, 16) for name in names]
+    return DistributionStrategy(1).plan(layers, factor_update_freq=factor_update_freq, inv_update_freq=inv_update_freq)
+
+
 def spd_factor(dim, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim)).astype(np.float32)
@@ -72,11 +79,9 @@ class TestConfigKnobs:
         """Cadences need not nest: the planner forces a factor update on every eigen step."""
         config = KFACConfig(factor_update_freq=3, inv_update_freq=10)
         assert config.inv_update_freq == 10
-        sched = FactorUpdateScheduler(["l"], config.factor_update_freq, config.inv_update_freq)
-        sched.observe_factors("l", 0, np.eye(2), np.eye(2))
-        sched.mark_second_order("l", 0, np.eye(2), np.eye(2))
-        assert [step for step in range(1, 13) if sched.factors_due("l", step)][:3] == [3, 4, 5]
-        assert sched.factors_due("l", 10) and sched.second_order_due("l", 10)
+        plan = make_plan(["l"], config.factor_update_freq, config.inv_update_freq)
+        assert [step for step in range(1, 13) if plan.actions(step).fold] == [3, 6, 9, 10]
+        assert plan.actions(10).fold == plan.actions(10).refresh == ("l",)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -96,8 +101,8 @@ class TestConfigKnobs:
         run_single_process(pre, model, steps=2, with_loss=True)
         (key, value), = kwargs.items()
         observed = {
-            "drift_tol": pre.factor_scheduler.drift_tol,
-            "max_staleness": pre.factor_scheduler.max_staleness,
+            "drift_tol": 0.0 if pre.drift is None else pre.drift.drift_tol,
+            "max_staleness": pre.config.max_staleness,
             "adaptive_damping": pre.damping_controller is not None,
             "damping_pi_correction": pre.damping_pi(next(iter(pre.layers.values()))) is not None,
             "small_layer_dim": 16 if {s.name for s in pre.solvers.values()} == {"cg", "eigen"} else 0,
@@ -144,53 +149,55 @@ class TestConfigKnobs:
 
 
 # ---------------------------------------------------------------------------
-# FactorUpdateScheduler
+# The plan's actions and their drift revision
 # ---------------------------------------------------------------------------
 
 
-class TestFactorUpdateScheduler:
-    def run_plan(self, sched, steps, factors, skips=None):
-        """Drive the scheduler like KFAC.step does; return per-step due sets (and append what ``advance`` skipped)."""
+class TestActionsAndDriftSchedule:
+    def run_plan(self, drift, steps, factors, skips=None, start=0):
+        """Drive ``drift`` like KFAC.step does; return per-step ``(fold, refresh)`` (and append the skips)."""
         plan = []
-        for step in range(steps):
-            f_due = [n for n in sched.layer_names() if sched.factors_due(n, step)]
-            for name in f_due:
-                assert not sched.observe_factors(name, step, factors[name], factors[name])
-            e_due = [n for n in sched.layer_names() if sched.second_order_due(n, step)]
-            for name in e_due:
-                sched.mark_second_order(name, step, factors[name], factors[name])
-            skipped = sched.advance(step)
+        for step in range(start, start + steps):
+            base = drift.plan.actions(step)
+            actions = drift.revise(base)
+            for name in actions.fold:
+                assert not drift.observe_factors(name, step, factors[name], factors[name])
+            refresh = drift.refreshes(step)
+            for name in refresh:
+                drift.mark_second_order(name, step, factors[name], factors[name])
             if skips is not None:
-                skips.append(skipped)
-            plan.append((tuple(f_due), tuple(e_due)))
+                skips.append((
+                    [name for name in base.fold if name not in actions.fold],
+                    [name for name in base.refresh if name not in refresh],
+                ))  # fmt: skip
+            plan.append((actions.fold, refresh))
         return plan
 
     def test_zero_drift_tol_matches_fixed_cadence(self):
-        sched = FactorUpdateScheduler(["a", "b"], factor_update_freq=3, inv_update_freq=6)
-        factors = {"a": spd_factor(4, 1), "b": spd_factor(5, 2)}
-        skips = []
-        plan = self.run_plan(sched, 20, factors, skips)
-        for step, (f_due, e_due) in enumerate(plan):
-            expected_f = ("a", "b") if step % 3 == 0 else ()
-            expected_e = ("a", "b") if step % 6 == 0 else ()
-            assert f_due == expected_f
-            assert e_due == expected_e
-        assert skips == [([], [])] * 20
+        """With drift off the plan's actions are the schedule: the fixed cadence, nothing else to consult."""
+        plan = make_plan(["a", "b"], factor_update_freq=3, inv_update_freq=6)
+        for step in range(20):
+            actions = plan.actions(step)
+            assert actions.fold == (("a", "b") if step % 3 == 0 else ())
+            assert actions.refresh == (("a", "b") if step % 6 == 0 else ())
+        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        assert KFAC(model, factor_update_freq=3, inv_update_freq=6).drift is None  # and no revision exists
 
     @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10)], ids=lambda c: f"{c[0]}/{c[1]}")
     def test_fixed_cadence_skips_nothing_on_cadences_that_do_not_nest(self, cadence):
-        """A refresh at offset 0 restarts the folds, so the base cadence folds on ``step % K % F == 0``:
-        the scheduler folds exactly there, reports no skip, and its base count is what it performed."""
+        """A refresh at offset 0 restarts the folds, so the base cadence folds on ``step % K % F == 0``,
+        a tolerant drift revision of constant factors folds exactly there and skips nothing, and the
+        base count is what the actions perform."""
         factor_update_freq, inv_update_freq = cadence
-        sched = FactorUpdateScheduler(["a"], factor_update_freq, inv_update_freq)
-        skips = []
-        plan = self.run_plan(sched, 42, {"a": spd_factor(4, 1)}, skips)
-        folded = [step for step, (f_due, _) in enumerate(plan) if f_due]
+        plan = make_plan(["a"], factor_update_freq, inv_update_freq)
+        folded = [step for step in range(42) if plan.actions(step).fold]
         assert folded == [step for step in range(42) if step % inv_update_freq % factor_update_freq == 0]
         assert folded == [step for step in range(42) if folds_on(step, factor_update_freq, inv_update_freq)]
+        skips = []
+        revised = self.run_plan(DriftSchedule(plan, drift_tol=0.05), 42, {"a": spd_factor(4, 1)}, skips)
+        assert revised == [(plan.actions(step).fold, plan.actions(step).refresh) for step in range(42)]
         assert skips == [([], [])] * 42
-        assert sched.base_factor_updates(42) == len(folded)
-        assert sched.base_eigen_updates(42) == sum(1 for _, e_due in plan if e_due)
+        assert plan.base_updates(42) == (len(folded), sum(1 for _, refresh in revised if refresh))
 
     @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10)], ids=lambda c: f"{c[0]}/{c[1]}")
     def test_fixed_cadence_measures_unit_fractions_on_cadences_that_do_not_nest(self, cadence):
@@ -198,86 +205,77 @@ class TestFactorUpdateScheduler:
         pre = KFAC(model, factor_update_freq=cadence[0], inv_update_freq=cadence[1])
         run_single_process(pre, model, steps=42)
         assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
-        assert event_total(pre, "factor_updates") == pre.factor_scheduler.base_factor_updates(42)
+        assert event_total(pre, "factor_updates") == pre.plan.base_updates(42)[0]
         spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
         assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
 
     def test_second_order_due_forces_factor_update(self):
         # inv freq not a multiple of factor freq: the eigen step at 10 is not
-        # a base factor step, but factors must refresh with it.
-        sched = FactorUpdateScheduler(["a"], factor_update_freq=3, inv_update_freq=10)
-        factors = {"a": spd_factor(4, 1)}
-        plan = self.run_plan(sched, 12, factors)
-        assert plan[10] == (("a",), ("a",))
+        # a base factor step, but factors must refresh with it -- in the
+        # plan's actions and in a drift revision of them alike.
+        plan = make_plan(["a"], factor_update_freq=3, inv_update_freq=10)
+        assert (plan.actions(10).fold, plan.actions(10).refresh) == (("a",), ("a",))
+        revised = self.run_plan(DriftSchedule(plan, drift_tol=0.05), 12, {"a": spd_factor(4, 1)})
+        assert revised[10] == (("a",), ("a",))
 
     def test_drift_pulls_refresh_forward(self):
-        sched = FactorUpdateScheduler(
-            ["a"], factor_update_freq=1, inv_update_freq=6, drift_tol=0.05
-        )
+        drift = DriftSchedule(make_plan(["a"], factor_update_freq=1, inv_update_freq=6), drift_tol=0.05)
         base = spd_factor(4, 1)
         # Step 0: factor + eigen refresh, snapshot taken.
-        assert sched.factors_due("a", 0)
-        sched.observe_factors("a", 0, base, base)
-        assert sched.second_order_due("a", 0)
-        sched.mark_second_order("a", 0, base, base)
-        sched.advance(0)
+        assert drift.revise(drift.plan.actions(0)).fold == ("a",)
+        drift.observe_factors("a", 0, base, base)
+        assert drift.refreshes(0) == ("a",)
+        drift.mark_second_order("a", 0, base, base)
         # Step 1: same factors -> tiny drift, no refresh due.
-        sched.observe_factors("a", 1, base, base)
-        assert not sched.second_order_due("a", 1)
-        sched.advance(1)
+        drift.observe_factors("a", 1, base, base)
+        assert drift.refreshes(1) == ()
         # Step 2: factors change massively -> refresh pulled to *this* step.
         shifted = (base * 10.0).astype(np.float32)
-        assert sched.observe_factors("a", 2, shifted, shifted)
-        assert sched.state_dict()["layers"]["a"]["last_drift"] > 0.05
-        assert sched.second_order_due("a", 2)
+        assert drift.observe_factors("a", 2, shifted, shifted)
+        assert drift.state_dict()["layers"]["a"]["last_drift"] > 0.05
+        assert drift.refreshes(2) == ("a",)
 
     def test_stale_layer_stretches_interval_to_cap(self):
-        sched = FactorUpdateScheduler(
-            ["a"], factor_update_freq=1, inv_update_freq=2, drift_tol=0.5, max_staleness=8
-        )
-        base = spd_factor(4, 1)
-        factors = {"a": base}
+        plan = make_plan(["a"], factor_update_freq=1, inv_update_freq=2)
+        drift = DriftSchedule(plan, drift_tol=0.5, max_staleness=8)
         skips = []
-        plan = self.run_plan(sched, 30, factors, skips)
+        revised = self.run_plan(drift, 30, {"a": spd_factor(4, 1)}, skips)
         # Zero drift forever: the eigen interval doubles 2 -> 4 -> 8 and caps.
-        assert sched.state_dict()["layers"]["a"]["eigen_interval"] == 8
+        assert drift.state_dict()["layers"]["a"]["eigen_interval"] == 8
         assert any(eigen_skipped == ["a"] for _, eigen_skipped in skips)
         fixed_eigen_updates = 15  # steps 0,2,...,28
-        assert sum(1 for _, e_due in plan if e_due) < fixed_eigen_updates == sched.base_eigen_updates(30)
+        assert sum(1 for _, refresh in revised if refresh) < fixed_eigen_updates == plan.base_updates(30)[1]
 
     def test_state_dict_round_trip_continues_identically(self):
+        plan = make_plan(["a", "b"], factor_update_freq=1, inv_update_freq=2)
+
         def build():
-            return FactorUpdateScheduler(
-                ["a", "b"], factor_update_freq=1, inv_update_freq=2, drift_tol=0.3, max_staleness=8
-            )
+            return DriftSchedule(plan, drift_tol=0.3, max_staleness=8)
 
         factors = {"a": spd_factor(4, 1), "b": spd_factor(3, 2)}
-        runner = TestFactorUpdateScheduler()
         original = build()
-        runner.run_plan(original, 7, factors)
+        self.run_plan(original, 7, factors)
         resumed = build()
         resumed.load_state_dict(original.state_dict())
         skips_a, skips_b = [], []
-        plan_a = runner.run_plan(original, 9, factors, skips_a)
-        plan_b = runner.run_plan(resumed, 9, factors, skips_b)
-        # run_plan continues from step 0 of its loop; both instances share the
-        # same internal next-step state, so the due sets must match exactly.
+        plan_a = self.run_plan(original, 9, factors, skips_a, start=7)
+        plan_b = self.run_plan(resumed, 9, factors, skips_b, start=7)
         assert plan_a == plan_b
         assert skips_a == skips_b
 
     def test_layer_mismatch_raises(self):
-        sched = FactorUpdateScheduler(["a"], 1, 2)
-        other = FactorUpdateScheduler(["b"], 1, 2)
+        drift = DriftSchedule(make_plan(["a"], 1, 2), drift_tol=0.1)
+        other = DriftSchedule(make_plan(["b"], 1, 2), drift_tol=0.1)
         with pytest.raises(ValueError, match="does not match"):
-            sched.load_state_dict(other.state_dict())
+            drift.load_state_dict(other.state_dict())
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FactorUpdateScheduler([], 1, 2)
-        with pytest.raises(ValueError):
-            FactorUpdateScheduler(["a", "a"], 1, 2)
-        with pytest.raises(ValueError):
-            FactorUpdateScheduler(["a"], 1, 10, max_staleness=5)
+    def test_only_a_positive_drift_tol_builds_a_schedule(self):
+        """The config validates the knobs once; the preconditioner builds a revision only when drift is on."""
+        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        assert KFAC(model, factor_update_freq=1, inv_update_freq=2).drift is None
+        assert isinstance(KFAC(model, factor_update_freq=1, inv_update_freq=2, drift_tol=0.1).drift, DriftSchedule)
+        with pytest.raises(ValueError, match="max_staleness"):
+            KFACConfig(factor_update_freq=1, inv_update_freq=10, drift_tol=0.1, max_staleness=5)
 
     def test_factor_drift_normalization(self):
         base = spd_factor(4, 3)
@@ -311,17 +309,17 @@ class TestFactorUpdateScheduler:
         assert full < bare
         tol = 0.5 * (full + bare)
         plans = []
+        plan = make_plan(["a"], factor_update_freq=1, inv_update_freq=6)
         for pack, reprs in ((lambda f: f, ()), (repr_.from_dense, (repr_, repr_))):
-            sched = FactorUpdateScheduler(["a"], factor_update_freq=1, inv_update_freq=6, drift_tol=tol)
-            sched.observe_factors("a", 0, pack(base), pack(base), *reprs)
-            sched.mark_second_order("a", 0, pack(base), pack(base))
-            sched.advance(0)
-            triggered = sched.observe_factors("a", 1, pack(moved), pack(moved), *reprs)
-            plans.append((sched.second_order_due("a", 1), triggered))
-            restored = FactorUpdateScheduler(["a"], factor_update_freq=1, inv_update_freq=6, drift_tol=tol)
-            restored.load_state_dict(sched.state_dict())  # the snapshot round-trips in the layout it was taken in
+            drift = DriftSchedule(plan, drift_tol=tol)
+            drift.observe_factors("a", 0, pack(base), pack(base), *reprs)
+            drift.mark_second_order("a", 0, pack(base), pack(base))
+            triggered = drift.observe_factors("a", 1, pack(moved), pack(moved), *reprs)
+            plans.append((drift.refreshes(1), triggered))
+            restored = DriftSchedule(plan, drift_tol=tol)
+            restored.load_state_dict(drift.state_dict())  # the snapshot round-trips in the layout it was taken in
             np.testing.assert_array_equal(restored.state_dict()["layers"]["a"]["snapshot_a"], pack(base))
-        assert plans == [(False, False), (False, False)]
+        assert plans == [((), False), ((), False)]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,7 @@ class TestKFACSchedulerIntegration:
                 config.precision_policy(),
                 should_accumulate=lambda: step % config.factor_update_freq == 0,
                 grad_scale=lambda: 1.0,
-                kernels=make_kernel_backend(config.kernel_backend),
+                kernels=make_kernel_backend(),
             )
             for name, module in m2.named_modules()
         ]
@@ -538,10 +536,10 @@ class TestKFACSchedulerIntegration:
             assert sorted(pre.plan.refresh_offsets.values()) == [1, 1, 1, 1, 6]
             batch_rng = np.random.default_rng(99)
             for step in range(steps):
-                due = pre.plan.refresh_due(step)
-                assert (len(due) > 0) == (step in (0, 6, 11, 16))  # step 1 has nothing new to read and is passed over
-                plan = pre.factor_scheduler.plan_fingerprint(step)
-                assert plan == tuple((name, step % 5 == 0, name in due) for name in pre.layers)
+                actions = pre.actions()
+                assert actions == pre.plan.actions(step)  # no revision at drift_tol=0
+                assert (len(actions.refresh) > 0) == (step in (0, 6, 11, 16))  # step 1 has nothing new to read: passed over
+                assert actions.fold == (tuple(pre.layers) if step % 5 == 0 else ())
                 indices = batch_rng.integers(0, len(x_global), 32)
                 local = indices[comm.rank :: comm.world_size]
                 model.zero_grad()
@@ -854,7 +852,7 @@ class TestKFACSchedulerIntegration:
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=4, with_loss=True)
         pre.reset()
-        for entry in pre.factor_scheduler.state_dict()["layers"].values():
+        for entry in pre.drift.state_dict()["layers"].values():
             assert (entry["next_factor_step"], entry["next_eigen_step"], entry["last_eigen_step"]) == (0, 0, -1)
             assert entry["snapshot_a"] is None and entry["last_drift"] is None
         assert pre.damping == config.damping
@@ -918,9 +916,9 @@ class TestModeledFractions:
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=16)
         spec = apply_measured_fractions(self.small_spec(), pre)
-        sched = pre.factor_scheduler
-        assert spec.eigen_update_fraction == event_total(pre, "eigen_updates") / sched.base_eigen_updates(16) < 1.0
-        assert spec.factor_update_fraction == event_total(pre, "factor_updates") / sched.base_factor_updates(16)
+        base_folds, base_refreshes = pre.plan.base_updates(16)
+        assert spec.eigen_update_fraction == event_total(pre, "eigen_updates") / base_refreshes < 1.0
+        assert spec.factor_update_fraction == event_total(pre, "factor_updates") / base_folds
         lean = IterationTimeModel().kfac_breakdown(spec, world_size=8, grad_worker_frac=1.0)
         full = IterationTimeModel().kfac_breakdown(self.small_spec(), world_size=8, grad_worker_frac=1.0)
         assert lean.eigen_decomposition < full.eigen_decomposition

@@ -475,7 +475,7 @@ class TestTracedTrainingArtifacts:
         layers = list(on.layers)
         assert all(counters[f"kfac/factor_updates/{name}"] >= 1 for name in layers)
         assert all(counters[f"kfac/eigen_updates/{name}"] >= 1 for name in layers)
-        refreshes = [on.factor_scheduler.state_dict()["layers"][name]["last_eigen_step"] for name in layers]
+        refreshes = [on.drift.state_dict()["layers"][name]["last_eigen_step"] for name in layers]
         assert all(step >= 0 for step in refreshes)
         assert counters.get("kfac/damping_shrinks", 0) + counters.get("kfac/damping_grows", 0) > 0
         assert on.tracer.gauges()["kfac/damping"] == pytest.approx(on.damping)
@@ -485,3 +485,39 @@ class TestTracedTrainingArtifacts:
         assert all("factor_layers" in i.attrs for i in decisions)
         assert sum(i.attrs["second_order_layers"] for i in decisions) == event_total(on, "eigen_updates")
         assert sum(i.attrs["factor_layers"] for i in decisions) == event_total(on, "factor_updates")
+
+
+class TestSmokeRefreshGate:
+    """The trace smoke's refresh gate is exact: rank 0's decompositions are the plan's actions, step by step."""
+
+    @staticmethod
+    def run_info(plan, steps):
+        return {
+            "world_size": plan.world_size,
+            "grad_worker_frac": 0.5,
+            "steps": steps,
+            "refreshed_per_step": [len(plan.actions(step).refresh) for step in range(steps)],
+            "refreshes_per_layer": {
+                name: sum(name in plan.actions(step).refresh for step in range(steps)) for name in plan.groups
+            },
+        }
+
+    def test_the_plans_actions_pass_and_any_other_count_is_named(self):
+        from repro.kfac import KFACWorkloadSpec
+        from repro.kfac.strategy import LayerShapeInfo
+        from repro.observability.smoke import staggered_refresh_problems
+
+        layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5, 3))]
+        spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, factor_update_freq=5, inv_update_freq=10)
+        plan = spec.plan(2, 0.5)
+        assert set(plan.refresh_offsets.values()) != {0}  # a staggered interval
+        run_info = self.run_info(plan, 12)
+        assert staggered_refresh_problems(spec, run_info) == []
+        # One step that decomposes one layer fewer than planned (a lighter step is a miss too) ...
+        stepped = next(step for step in range(1, 12) if plan.actions(step).refresh)
+        run_info["refreshed_per_step"][stepped] -= 1
+        # ... and a layer decomposed once too often.
+        run_info["refreshes_per_layer"]["l0"] += 1
+        problems = staggered_refresh_problems(spec, run_info)
+        assert len(problems) == 2
+        assert problems[0].startswith(f"step {stepped} decomposed") and problems[1].startswith("layer l0 was decomposed")

@@ -289,7 +289,9 @@ class TestStaggeredRefreshProperties:
 
     Linear -> LayerNorm -> Tanh blocks of generated widths under MEM-, HYBRID- and COMM-OPT: replicas
     agree to the bit, the strategies agree, a run killed between two staggered steps resumes to the
-    bit, and with drift off every step's K-FAC messages and bytes are the plan's for that step.
+    bit, every step folds and decomposes exactly the layers of its actions (``plan.actions(step)``
+    with drift off, their drift revision with it on), and with drift off every step's K-FAC messages
+    and bytes are the plan's for that step.
     """
 
     KNOBS = {"default": {}, "drift": {"drift_tol": 0.05, "max_staleness": 40}}
@@ -354,11 +356,14 @@ class TestStaggeredRefreshProperties:
                 ddp.sync_gradients()
                 if poisoned and step == inv_freq and comm.rank == 0:
                     list(pre.layers.values())[-1]._g_accum[0] = np.inf  # one rank's window: rejected on every rank
-                due = [name for name, _, refreshes in pre.factor_scheduler.plan_fingerprint(step) if refreshes]
+                taken, events = pre.actions(), decisions(comm)  # the actions the hooks read in this forward pass
                 pre.step()
                 after = comm_counts(comm.tracer)
                 posted[step] = {op: (after[op][0] - before[op][0], after[op][1] - before[op][1]) for op in after}
-                posted[step]["due"] = due
+                posted[step]["actions"] = taken
+                posted[step]["done"] = {
+                    key: value - events.get(key, 0.0) for key, value in decisions(comm).items() if value != events.get(key)
+                }
                 optimizer.step()
             return np.concatenate([p.data.ravel() for p in model.parameters()]), posted
 
@@ -403,13 +408,27 @@ class TestStaggeredRefreshProperties:
                 assert plan.refresh_offsets == offsets  # the same steps under every placement
                 rejected = sum(value for key, value in counted.items() if key.startswith("kfac/factor_windows_rejected/"))
                 assert rejected == (1 if poisoned else 0)
+                for step in range(last):
+                    # Each layer folded / decomposed on this step once, or not at all: the step's actions, the
+                    # plan's own with drift off (then nothing is pulled forward), with it on their revision --
+                    # what the hooks read, plus the refreshes the folded layers' drift pulled forward.
+                    taken, done = posted[step]["actions"], posted[step]["done"]
+                    performed = {
+                        event: tuple(name for name in plan.groups if done.get(f"kfac/{event}/{name}", 0.0))
+                        for event in ("factor_updates", "eigen_updates", "drift_triggers")
+                    }
+                    assert {done.get(f"kfac/{event}/{name}", 0.0) for event in ("factor_updates", "eigen_updates")
+                            for name in plan.groups} <= {0.0, 1.0}, step  # fmt: skip
+                    expected = taken if knob == "drift" else plan.actions(step)
+                    assert taken == expected, step
+                    refresh = tuple(name for name in plan.groups if name in expected.refresh + performed["drift_triggers"])
+                    assert (performed["factor_updates"], performed["eigen_updates"]) == (expected.fold, refresh), step
                 if knob == "drift":
                     continue  # drift moves layers off the base cadence: no whole rounds to count
                 # Cadences that nest or not: the base count is what the plan performs, with no skip.
                 assert (measured.factor_update_fraction, measured.eigen_update_fraction) == (1.0, 1.0)
                 assert not any(key.startswith(("kfac/factor_skips/", "kfac/eigen_skips/")) for key in counted)
                 for step in range(last):
-                    assert posted[step]["due"] == plan.refresh_due(step), step
                     modeled = plan.messages(step=step)
                     # This rank's slice of the plan (the channels that contain it), plus the gradient averaging.
                     for op, rounds, extra in (("allreduce", ("factor",), grad_sync), ("broadcast", ("eigen", "gradient"), (0, 0))):
