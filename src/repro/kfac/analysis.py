@@ -285,13 +285,12 @@ class IterationTimeModel:
         carry a fold or a decomposition.
         """
         plan = spec.plan(world_size, grad_worker_frac)
-        interval = plan.inv_update_freq
-        per_step = [plan.actions(interval + phase) for phase in range(interval)]  # a steady interval
+        per_step = plan.steady_interval()
         return {
             "single_refresh_step": float(np.max(sum(self._refresh_times(spec, plan, list(plan.groups))))),
             "heaviest_step": max(float(np.max(sum(self._refresh_times(spec, plan, a.refresh)))) for a in per_step),
             "touched_steps": sum(1 for actions in per_step if actions.fold or actions.refresh),
-            "interval_steps": interval,
+            "interval_steps": plan.inv_update_freq,
         }
 
     def kfac_breakdown(

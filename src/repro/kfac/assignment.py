@@ -91,8 +91,9 @@ def staggered_refresh_offsets(
     LPT places them on different ranks, so a step's decompositions run side by
     side and no rank waits out a lone solve on another -- and the groups are
     packed, heaviest first, each onto the lightest of ``m`` steps taken nearest
-    after a fold first (1, 6, 2, 7, ... at cadence 5 / 10: a staggered refresh
-    reads the factors as last folded, so the least stale slot comes first).
+    after a fold first (1, 6, 2, 7, ... at cadence 5 / 10: a refresh reads the
+    factors as they stood when its step began, which on a fold-free step is as
+    last folded, so the least stale slot comes first).
     ``m`` is the fewest steps that minimise the heaviest one, with fewer than
     half of an interval's steps carrying a fold or a decomposition: the median
     step stays a plain one.  The heaviest step is then at most the total over
@@ -128,12 +129,15 @@ def next_refresh_step(offset: int, at_step: int, factor_update_freq: int, inv_up
     """The first step at or after ``at_step`` on which the base cadence decomposes a layer with this ``offset``.
 
     After step 0 (which decomposes every layer) that is the steps with ``step
-    % inv_update_freq == offset``, except that a staggered step before the
-    second fold is passed over: it would decompose the factors of step 0 a
-    second time.
+    % inv_update_freq == offset``, except that a step that no fold after step
+    0 precedes is passed over: a refresh reads the factors as they stood when
+    its step began, so it would decompose the factors of step 0 a second
+    time.  The first fold after step 0 is at ``min(factor_update_freq,
+    inv_update_freq)`` (:func:`folds_on`); at ``F = K = 1`` step 1 is passed
+    over.
     """
     step = at_step + (offset - at_step) % inv_update_freq
-    return step + inv_update_freq if offset and step < factor_update_freq else step
+    return step + inv_update_freq if 0 < step <= min(factor_update_freq, inv_update_freq) else step
 
 
 def folds_on(step: int, factor_update_freq: int, inv_update_freq: int) -> bool:

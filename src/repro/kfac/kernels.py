@@ -21,7 +21,11 @@ class, :class:`KernelBackend` (named ``batched``):
   construction, so there is no symmetrise pass.  Every path rejects a
   non-finite factor -- and the ``syevd`` path a non-zero LAPACK ``info`` --
   with an error that says which member of the group failed
-  (``error.batch_index``), before anything is installed;
+  (``error.batch_index``), before anything is installed.  Every path comes
+  in two halves (:meth:`KernelBackend.eigen_task`): the call reads the
+  factors into private buffers, the callable it returns solves them and reads
+  nothing else, which is what lets :class:`~repro.kfac.KFAC` run the solve on
+  its eigen worker thread while the factors are folded in place;
 * **in-place decay fold**: ``new *= 1-decay; running *= decay; running +=
   new`` on the window average the caller hands over, so a float32 factor is
   updated without a temporary or a held scratch buffer;
@@ -59,7 +63,8 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import contextlib
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,11 +73,12 @@ from .kmath import (
     EigenDecomposition,
     as_packed_triangle,
     eigenvalue_outer_product,
+    eigen_of_expanded,
     eigh_solve_dtype,
+    expand_for_eigen,
     expand_triangle,
     kl_clip_scale_from_total,
     structured_precondition,
-    symmetric_eigen,
     triangle_dim,
 )
 
@@ -81,6 +87,16 @@ __all__ = ["KernelBackend", "make_kernel_backend", "STACK_EIGH_MAX_DIM"]
 #: Largest factor dimension routed to the stacked ``np.linalg.eigh`` path;
 #: beyond this ``syevd`` on individual matrices wins (measured crossover).
 STACK_EIGH_MAX_DIM = 32
+
+
+@contextlib.contextmanager
+def _member(index: int):
+    """Tag an eigen error raised inside the block with the failing member's ``batch_index``."""
+    try:
+        yield
+    except (ValueError, np.linalg.LinAlgError) as error:
+        error.batch_index = index  # lets the caller name the factor
+        raise
 
 
 def _reject_non_finite(factors: Sequence[np.ndarray], dim: int) -> None:
@@ -156,30 +172,53 @@ class KernelBackend:
         ranks batch different factor subsets.  An error raised by the solve
         of one member carries its position as ``error.batch_index``.
         """
+        return self.batched_eigen_task(
+            factors, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+        )()
+
+    def batched_eigen_task(
+        self,
+        factors: Sequence[np.ndarray],
+        compute_dtype=np.float32,
+        clamp_negative: bool = True,
+        eigh_dtype=None,
+    ) -> Callable[[], List[EigenDecomposition]]:
+        """:meth:`batched_symmetric_eigen` in two halves: this call reads ``factors``, the callable it returns solves.
+
+        This call checks the group (one dimension, every member finite) and
+        expands each triangle into a private buffer: the column-major one
+        ``syevd`` overwrites above :data:`STACK_EIGH_MAX_DIM`
+        (:func:`~repro.kfac.kmath.expand_for_eigen`), one stack for ``eigh``
+        at or below it.  The solve reads nothing else, so it may run on
+        another thread while the factors are folded in place.  An error of
+        either half carries the failing member's position as
+        ``error.batch_index``.
+        """
         factors = [as_packed_triangle(factor) for factor in factors]
         if not factors:
-            return []
+            return list
         n = triangle_dim(factors[0].shape[0])
         for factor in factors:
             if factor.shape != factors[0].shape:
                 other = triangle_dim(factor.shape[0])
                 raise ValueError(f"batched_symmetric_eigen requires same-shape factors, got dimensions {other} and {n}")
-        if n > STACK_EIGH_MAX_DIM:
-            decompositions = []
-            for index, factor in enumerate(factors):
-                try:
-                    decompositions.append(
-                        symmetric_eigen(
-                            factor, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
-                        )
-                    )
-                except (ValueError, np.linalg.LinAlgError) as error:
-                    error.batch_index = index  # lets the caller name the factor
-                    raise
-            return decompositions
-        _reject_non_finite(factors, n)  # ``eigh`` would return NaN eigenvalues without a word
         compute_dtype = np.dtype(compute_dtype)
         solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
+        if n > STACK_EIGH_MAX_DIM:
+            buffers = []
+            for index, factor in enumerate(factors):
+                with _member(index):
+                    buffers.append(expand_for_eigen(factor, solve_dtype))
+
+            def solve_each() -> List[EigenDecomposition]:
+                decompositions = []
+                for index, buffer in enumerate(buffers):
+                    with _member(index):
+                        decompositions.append(eigen_of_expanded(buffer, compute_dtype, clamp_negative))
+                return decompositions
+
+            return solve_each
+        _reject_non_finite(factors, n)  # ``eigh`` would return NaN eigenvalues without a word
         # The whole group expands into one stack.  ``?tpttr`` fills each member's row-major upper
         # triangle, so the transposed view is what ``eigh`` (which uses the lower one) is given.  The
         # other triangle is zeros, not uninitialised: it is still loaded, and ``eigh`` reports the
@@ -187,16 +226,20 @@ class KernelBackend:
         stack = np.zeros((len(factors), n, n), dtype=solve_dtype)
         for member, factor in zip(stack, factors):
             expand_triangle(factor.astype(solve_dtype, copy=False), member)
-        eigenvalues, eigenvectors = np.linalg.eigh(stack.transpose(0, 2, 1))
-        if clamp_negative:
-            np.maximum(eigenvalues, 0.0, out=eigenvalues)
-        return [
-            EigenDecomposition(
-                eigenvectors=eigenvectors[index].astype(compute_dtype, copy=False),
-                eigenvalues=eigenvalues[index].astype(compute_dtype, copy=False),
-            )
-            for index in range(len(factors))
-        ]
+
+        def solve_stack() -> List[EigenDecomposition]:
+            eigenvalues, eigenvectors = np.linalg.eigh(stack.transpose(0, 2, 1))
+            if clamp_negative:
+                np.maximum(eigenvalues, 0.0, out=eigenvalues)
+            return [
+                EigenDecomposition(
+                    eigenvectors=eigenvectors[index].astype(compute_dtype, copy=False),
+                    eigenvalues=eigenvalues[index].astype(compute_dtype, copy=False),
+                )
+                for index in range(len(factors))
+            ]
+
+        return solve_stack
 
     def structured_eigen(
         self,
@@ -206,40 +249,69 @@ class KernelBackend:
         clamp_negative: bool = True,
         eigh_dtype=None,
     ) -> EigenDecomposition:
-        """Eigendecompose one factor stored in its packed representation.
+        """Eigendecompose one factor stored in its packed representation: :meth:`eigen_task` of it, run at once."""
+        return self.eigen_task(
+            [factor], repr, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+        )()[0]
 
-        * ``dense`` -- :meth:`symmetric_eigen` on the packed triangle;
+    def eigen_task(
+        self,
+        factors: Sequence[np.ndarray],
+        repr: FactorRepr,
+        compute_dtype=np.float32,
+        clamp_negative: bool = True,
+        eigh_dtype=None,
+    ) -> Callable[[], List[EigenDecomposition]]:
+        """The decompositions of ``factors``, all stored as ``repr``, in two halves like :meth:`batched_eigen_task`.
+
+        * ``dense`` -- :meth:`batched_eigen_task` of the packed triangles;
         * ``diagonal`` -- O(F): the eigenvalues *are* the (clamped) stored
           vector and the eigenbasis is the implicit identity.  The spectrum
           is kept in coordinate order rather than sorted -- sorting would
           force materialising a permutation basis, and the preconditioning
           contraction is invariant to the ordering;
         * ``block_diagonal`` -- the per-block problems go through
-          :meth:`batched_symmetric_eigen` (the same seam the shape-grouped
+          :meth:`batched_eigen_task` (the same seam the shape-grouped
           dispatch uses), so a backend's batched kernel covers them too;
           the blocks are stored square and packed on entry.
         """
-        repr.check_packed(factor)
+        for factor in factors:
+            repr.check_packed(factor)
         if repr.kind == "dense":
-            return self.symmetric_eigen(
-                factor, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+            return self.batched_eigen_task(
+                factors, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
             )
         compute_dtype = np.dtype(compute_dtype)
         if repr.kind == "diagonal":
-            _reject_non_finite([factor], repr.dim)  # an inf would pass the clamp and become an eigenvalue
-            eigenvalues = factor.astype(eigh_solve_dtype(compute_dtype, eigh_dtype), copy=True)
-            if clamp_negative:
-                np.maximum(eigenvalues, 0.0, out=eigenvalues)
-            return EigenDecomposition(
-                eigenvectors=None, eigenvalues=eigenvalues.astype(compute_dtype, copy=False)
-            )
-        decompositions = self.batched_symmetric_eigen(
-            list(factor), compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+            _reject_non_finite(factors, repr.dim)  # an inf would pass the clamp and become an eigenvalue
+            spectra = [factor.astype(eigh_solve_dtype(compute_dtype, eigh_dtype), copy=True) for factor in factors]
+
+            def clamp() -> List[EigenDecomposition]:
+                if clamp_negative:
+                    for eigenvalues in spectra:
+                        np.maximum(eigenvalues, 0.0, out=eigenvalues)
+                return [EigenDecomposition(None, eigenvalues.astype(compute_dtype, copy=False)) for eigenvalues in spectra]
+
+            return clamp
+        blocks = self.batched_eigen_task(
+            [block for factor in factors for block in factor],
+            compute_dtype=compute_dtype,
+            clamp_negative=clamp_negative,
+            eigh_dtype=eigh_dtype,
         )
-        return EigenDecomposition(
-            eigenvectors=np.stack([dec.eigenvectors for dec in decompositions]),
-            eigenvalues=np.concatenate([dec.eigenvalues for dec in decompositions]),
-        )
+
+        def stack_blocks() -> List[EigenDecomposition]:
+            decompositions, count = blocks(), repr.num_blocks
+            members = [decompositions[start : start + count] for start in range(0, len(decompositions), count)]
+            return [
+                EigenDecomposition(
+                    eigenvectors=np.stack([dec.eigenvectors for dec in member]),
+                    eigenvalues=np.concatenate([dec.eigenvalues for dec in member]),
+                )
+                for member in members
+            ]
+
+        return stack_blocks
 
     # --------------------------------------------------------- factor update
     def fused_decay_update(

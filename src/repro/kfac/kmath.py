@@ -24,6 +24,8 @@ __all__ = [
     "EigenDecomposition",
     "eigh_solve_dtype",
     "symmetric_eigen",
+    "expand_for_eigen",
+    "eigen_of_expanded",
     "pack_triangle",
     "expand_triangle",
     "triangle_dim",
@@ -221,26 +223,48 @@ def symmetric_eigen(
     it.  The triangle is expanded with ``?tpttr`` straight into the
     column-major buffer ``syevd`` overwrites with the eigenvectors: one stored
     triangle is symmetric by construction, so there is no symmetrise pass.
-    The input is not modified.
+    The input is not modified.  The two halves are public:
+    :func:`expand_for_eigen` reads the factor, :func:`eigen_of_expanded`
+    solves what it expanded and reads nothing else, so the solve may run on
+    another thread while the factor is updated in place.
 
     Raises ``ValueError`` for a factor with non-finite entries and
     ``np.linalg.LinAlgError`` when LAPACK reports ``info != 0``, both naming
     the dimension.
     """
     compute_dtype = np.dtype(compute_dtype)
-    solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
+    expanded = expand_for_eigen(factor, eigh_solve_dtype(compute_dtype, eigh_dtype))
+    return eigen_of_expanded(expanded, compute_dtype, clamp_negative)
+
+
+def expand_for_eigen(factor: np.ndarray, solve_dtype) -> np.ndarray:
+    """The read half of :func:`symmetric_eigen`: ``factor``'s triangle in a private buffer ``syevd`` will overwrite.
+
+    Checks ``factor`` (a packed triangle, or a square whose upper triangle
+    is read) is finite and expands it with ``?tpttr`` into a fresh
+    column-major ``(n, n)`` array of ``solve_dtype``, lower triangle filled.
+    """
+    solve_dtype = np.dtype(solve_dtype)
     if solve_dtype not in _SYEVD:
         raise TypeError(f"eigen solve dtype must be float32 or float64, got {solve_dtype}")
     n = factor.shape[0] if factor.ndim == 2 else triangle_dim(factor.size)
-    lwork, liwork = 1 + 6 * n + 2 * n * n, 3 + 5 * n
-    if lwork > np.iinfo(np.intc).max:
+    if 1 + 6 * n + 2 * n * n > np.iinfo(np.intc).max:
         raise ValueError(f"factor of dimension {n} needs a workspace beyond LAPACK's 32-bit sizes")
     work = as_packed_triangle(factor).astype(solve_dtype, copy=False)
     if not np.isfinite(work).all():
         raise ValueError(f"factor of dimension {n} contains infs or NaNs")
     # ``syevd`` uses the lower triangle only; the rest starts as zeros rather than uninitialised,
     # because BLAS kernels still load it (and a stray signalling NaN would trip the FP-invalid flag).
-    eigenvectors = expand_triangle(work, np.zeros((n, n), dtype=solve_dtype, order="F"))
+    return expand_triangle(work, np.zeros((n, n), dtype=solve_dtype, order="F"))
+
+
+def eigen_of_expanded(eigenvectors: np.ndarray, compute_dtype=np.float32, clamp_negative: bool = True) -> EigenDecomposition:
+    """The solve half of :func:`symmetric_eigen`: ``syevd`` on a buffer :func:`expand_for_eigen` returned.
+
+    The buffer is overwritten with the eigenvectors; nothing else is read.
+    """
+    n, solve_dtype = eigenvectors.shape[0], eigenvectors.dtype
+    lwork, liwork = 1 + 6 * n + 2 * n * n, 3 + 5 * n
     eigenvalues = np.empty(n, dtype=solve_dtype)
     scratch = np.empty(lwork, dtype=solve_dtype)
     iscratch = np.empty(liwork, dtype=np.intc)

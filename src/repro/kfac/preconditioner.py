@@ -25,7 +25,11 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    them (every ``factor_update_freq`` iterations),
 2. compute the eigen decompositions on their assigned workers and broadcast
    them to the layer's gradient workers (every ``inv_update_freq``
-   iterations),
+   iterations).  A refresh decomposes the running factors as they stood
+   when its step began: taking the step's actions (the first K-FAC forward
+   hook) copies them out and hands the solves to the rank's eigen worker
+   thread, which runs them beside forward and backward; stage 2 waits for
+   and installs the results, so nothing is in flight between steps,
 3. precondition the gradients on the gradient workers and broadcast the
    result to the gradient receivers (every iteration),
 4. apply the KL-clip scaling and write the preconditioned gradients back into
@@ -71,6 +75,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -95,6 +101,12 @@ def _named_eigen_failure(error: Exception, culprits: Sequence[tuple]) -> Excepti
     """``error`` from a kernel's eigen solve, re-worded to say which ``(layer name, 'a' | 'g', ...)`` it was."""
     named = ", ".join(f"{which.upper()} factor of layer {name!r}" for name, which, *_ in culprits)
     return type(error)(f"eigendecomposition of the {named} failed: {error}")
+
+
+def _timed(solve):
+    """``(solve(), seconds it took)``: the eigen worker times its own solves."""
+    start = time.perf_counter()
+    return solve(), time.perf_counter() - start
 
 
 class KFAC(Preconditioner):
@@ -180,6 +192,9 @@ class KFAC(Preconditioner):
         self.strategy = strategy
 
         self._steps = 0
+        # The rank's eigen worker: one thread, started by the first solve and joined by remove().
+        self._eigen_worker: Optional[ThreadPoolExecutor] = None
+        self._in_flight: List[tuple] = []  # ([(layer, "a" | "g"), ...], dense group?, Future) per submitted group
         self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
         self.damping_pi_correction = config.damping_pi_correction
@@ -271,14 +286,18 @@ class KFAC(Preconditioner):
     def actions(self) -> StepActions:
         """What the pending step does: the plan's :meth:`~repro.kfac.strategy.DistributionPlan.actions`, revised by drift.
 
-        Taken once per step and kept until it ends: the revision only moves
-        inside :meth:`step`, so the hooks, :meth:`pipeline_specs`,
-        :meth:`on_pipeline_flush` and the step read the same value.
+        Taken once per step -- by the first K-FAC layer's forward hook, or by
+        :meth:`step` itself -- and kept until it ends, so the hooks,
+        :meth:`pipeline_specs`, :meth:`on_pipeline_flush` and the step read
+        the same value.  Taking it hands the decompositions of ``refresh`` to
+        the eigen worker (:meth:`_submit_decompositions`), which solves them
+        while forward and backward run.
         """
         if self._actions is None:
             self._actions = self.plan.actions(self._steps)
             if self.drift is not None:
                 self._actions = self.drift.revise(self._actions)
+            self._submit_decompositions(self._actions.refresh)
         return self._actions
 
     def _current_grad_scale(self) -> float:
@@ -340,11 +359,15 @@ class KFAC(Preconditioner):
     def step(self, lr: Optional[float] = None, loss: Optional[float] = None) -> None:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
-        In order: run the factor round of ``fold`` (unless an armed pipeline
-        already ran it); with drift tracking on, observe the folded layers'
-        drift, which may add layers to ``refresh``; decompose this rank's share
-        of ``refresh`` and run the eigen round; precondition and run the
-        gradient round; apply the KL clip and write the gradients back.
+        In order: refresh the factor-reading solvers of ``refresh`` (they read
+        the factors as the step found them, like the decompositions already
+        running on the eigen worker); run the factor round of ``fold`` (unless
+        an armed pipeline already ran it) and fold the averaged windows; with
+        drift tracking on, observe the folded layers' drift, which may add
+        layers to the *next* step's ``refresh``; wait for this rank's share of
+        the decompositions, install them and run the eigen round; precondition
+        and run the gradient round; apply the KL clip and write the gradients
+        back.
         ``loss`` (this step's training loss) feeds the Levenberg-Marquardt
         adaptive damping controller when ``adaptive_damping`` is configured;
         it is ignored otherwise.
@@ -366,6 +389,7 @@ class KFAC(Preconditioner):
         with self.tracer.span("kfac/step", category="kfac", step=step):
             mean_loss = self._adapt_damping(loss)
             actions = self.actions()
+            unfolded = self._prepare_solvers(actions.refresh)
             if actions.fold and not self._factors_reduced:
                 with self._stage("factor_compute"):
                     for name in actions.fold:
@@ -374,10 +398,11 @@ class KFAC(Preconditioner):
                     entries = self._factor_entries(actions.factor_round())
                     specs = [AllreduceSpec(key, pack(), on_complete=install) for _, key, _, _, pack, install in entries]
                     self.scheduler.run_allreduces(specs)
+            self._fold_factors(actions.fold)
             self._check_first_windows()
             self._count("factor_updates", actions.fold)
             if self.drift is not None:
-                actions = self._observe_drift(actions)
+                self._observe_drift(actions)
             if sanitizer is not None:
                 # The actions and damping are functions of allreduced state
                 # only; verify every rank derived the identical ones *before*
@@ -393,7 +418,7 @@ class KFAC(Preconditioner):
                 eigen = [name for name in actions.refresh if self.solvers[name].needs_eigen]
                 with self._stage("eigen_decomposition"):
                     self._compute_eigen_decompositions(eigen)
-                    self._prepare_solvers([name for name in actions.refresh if name not in eigen])
+                    self._prepare_solvers(unfolded)
                 with self._stage("eigen_broadcast"):
                     self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
                     self._keep_eigen(eigen)
@@ -448,24 +473,24 @@ class KFAC(Preconditioner):
                 "there are no earlier factors to keep"
             )
 
-    def _observe_drift(self, actions: StepActions) -> StepActions:
-        """``actions`` with the refreshes the folded layers' drift pulled forward (``drift_tol > 0``).
+    def _observe_drift(self, actions: StepActions) -> None:
+        """Observe the drift of the layers ``actions`` folded (``drift_tol > 0``); a spike revises the next step.
 
         Post-allreduce, every rank holds and observes the identical factors,
-        so every rank revises identically without extra communication.  What
-        the revision passes over of the plan's own actions is counted as
-        ``factor_skips`` / ``eigen_skips``.
+        so every rank revises identically without extra communication.  A
+        trigger pulls the layer's refresh to the next step, whose actions are
+        then known when it begins.  What the revision passed over of the
+        plan's own actions for this step is counted as ``factor_skips`` /
+        ``eigen_skips``.
         """
         step = actions.step
         for name in actions.fold:
             layer = self.layers[name]
             if self.drift.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr):
                 self._count("drift_triggers", [name])
-        actions = dataclasses.replace(actions, refresh=self.drift.refreshes(step))
         base = self.plan.actions(step)
         self._count("factor_skips", [name for name in base.fold if name not in actions.fold])
         self._count("eigen_skips", [name for name in base.refresh if name not in actions.refresh])
-        return actions
 
     def damping_pi(self, layer: KFACLayer) -> Optional[float]:
         """The factor-trace π correction for ``layer``, or None when disabled.
@@ -493,9 +518,14 @@ class KFAC(Preconditioner):
         """Forget what was taken / reduced / rejected: the next factor update starts clean.
 
         The one reset point of the per-step bookkeeping — construction,
-        the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`.
+        the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`,
+        :meth:`remove`.  A solve still in flight is waited out and dropped: the
+        next step reads its factors afresh.
         """
+        wait([future for *_, future in self._in_flight])
+        self._in_flight = []
         self._actions: Optional[StepActions] = None  # the pending step's, once taken (:meth:`actions`)
+        self._reduced: Dict[str, Dict[str, np.ndarray]] = {}  # layer name -> its averaged window halves, to fold
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._factors_reduced = False  # a pipeline already allreduced the pending step's factors
@@ -557,32 +587,39 @@ class KFAC(Preconditioner):
         shipped once), a diagonal one as O(F) elements.  Keys, wire shapes and dtype come from the
         specs; bound here are ``pack``, which returns this
         rank's window average (:meth:`factor_window`, taken once per pending
-        step), and ``install``, which collects the averaged pair and, if every
-        rank alike finds it finite (:meth:`accept_factor_window`), folds each
-        half into the running factor with :meth:`KFACLayer.fold_factor` -- on
-        the ranks that hold that factor (:meth:`holds_factor`) and nowhere
-        else.  The running average is linear, so folding the averaged window
-        once is the estimator every rank used to fold for itself.
+        step), and ``install``, which keeps the averaged half for
+        :meth:`_fold_factors`: the step folds, whether it or an armed pipeline
+        ran the allreduces, so the factors stand as the step found them until
+        its fold.
         """
         def pack(layer: KFACLayer, index: int) -> np.ndarray:
             return self.factor_window(layer)[index]
 
-        def install(layer: KFACLayer, received: Dict[str, np.ndarray], which: str, array: np.ndarray) -> None:
-            received[which] = array
-            if len(received) < 2:
-                return
-            if self.accept_factor_window(layer, received["a"], received["g"]):
-                for held in ("a", "g"):
-                    if self.holds_factor(layer.name, held):
-                        layer.fold_factor(held, received[held], self.factor_decay)
-            received.clear()
+        def install(name: str, which: str, array: np.ndarray) -> None:
+            self._reduced.setdefault(name, {})[which] = array
 
-        received: Dict[str, Dict[str, np.ndarray]] = {}  # layer name -> the halves of its pair that arrived
         for key, shape, dtype in specs:
             name, _, what = key.rpartition("/")
-            layer, which = self.layers[name], what[-1]
-            on_complete = functools.partial(install, layer, received.setdefault(name, {}), which)
-            yield layer, key, shape, dtype, functools.partial(pack, layer, "ag".index(which)), on_complete
+            which = what[-1]
+            layer = self.layers[name]
+            yield layer, key, shape, dtype, functools.partial(pack, layer, "ag".index(which)), functools.partial(install, name, which)
+
+    def _fold_factors(self, names: Sequence[str]) -> None:
+        """Fold the averaged windows of the layers ``names`` into their running factors.
+
+        If every rank alike finds a layer's averaged pair finite
+        (:meth:`accept_factor_window`), each half goes into the running
+        factor with :meth:`KFACLayer.fold_factor` -- on the ranks that hold
+        that factor (:meth:`holds_factor`) and nowhere else.  The running
+        average is linear, so folding the averaged window once is the
+        estimator every rank used to fold for itself.
+        """
+        for name in names:
+            layer, received = self.layers[name], self._reduced.pop(name)
+            if self.accept_factor_window(layer, received["a"], received["g"]):
+                for held in ("a", "g"):
+                    if self.holds_factor(name, held):
+                        layer.fold_factor(held, received[held], self.factor_decay)
 
     # -------------------------------------------------------- stage 2: eigen decomp
     # Which rank decomposes which factor, which ranks keep the results, who
@@ -639,78 +676,132 @@ class KFAC(Preconditioner):
             layer.eigen_a, layer.eigen_g, self.damping, dtype=self.precision.inverse_dtype, pi=self.damping_pi(layer)
         )
 
-    def _compute_eigen_decompositions(self, names: Sequence[str]) -> None:
-        """Decompose the factors this rank owns among the refreshed eigen-path layers ``names``.
+    def _submit_decompositions(self, names: Sequence[str]) -> None:
+        """Read the factors this rank decomposes among the eigen-path layers ``names``; the eigen worker solves them.
 
-        The plan says which factors this rank decomposes (``decomposers``);
-        dense factors (packed triangles) are grouped by dimension/dtype and each group goes through
-        one :meth:`~repro.kfac.kernels.KernelBackend.batched_symmetric_eigen`
-        call.  Only the layers the step refreshes enter a batch.  A solve
-        that fails (a non-finite factor, a LAPACK ``info``) is re-raised
-        naming its layer and factor, before any
-        layer's previous decomposition has been replaced.  A layer's
-        ``outer_worker`` then caches the eigenvalue outer product, before
-        broadcasting it to its group.
+        Called when a step's actions are first taken (:meth:`actions`), so a
+        refresh decomposes the running factors as they stood when its step
+        began, before its fold.  A factor with no fold yet (step 0) is left
+        for :meth:`_compute_eigen_decompositions`, which reads it after the
+        fold.  The plan says which factors this rank decomposes
+        (``decomposers``); dense ones are grouped by dimension and dtype, one
+        batch each, and a structured one is a group of its own.  On this
+        thread each group is checked to be finite and copied into the solve's
+        private buffers (:meth:`~repro.kfac.kernels.KernelBackend.eigen_task`);
+        the worker runs the solve, which reads nothing else, while forward and
+        backward run here.  A failure of either half waits, with the results,
+        for :meth:`step` to raise it.
         """
-        tasks: List[tuple] = [
-            (name, which) for name in names for which in ("a", "g") if self.rank in self.plan.decomposers[name, which]
-        ]
-        compute = self.precision.compute_dtype
-        store = self.precision.inverse_dtype
-        done: List[tuple] = []  # (name, which, decomposition): installed only once every solve succeeded
-        shape_groups: Dict[tuple, List[tuple]] = {}
-        for name, which in tasks:
-            layer = self.layers[name]
-            factor = layer.factor_a if which == "a" else layer.factor_g
-            if factor is None:
-                raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
-            repr_ = layer.factor_repr(which)
-            if not repr_.is_dense:
-                # Structured factors have their own fast path (a spectrum
-                # clamp for diagonal, a per-block batch for block-diagonal)
-                # and never enter the dimension-grouped dense batches below.
-                try:
-                    decomposition = self.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
-                except (ValueError, np.linalg.LinAlgError) as error:
-                    raise _named_eigen_failure(error, [(name, which)]) from error
-                done.append((name, which, decomposition))
-                continue
-            key = (repr_.dim, factor.dtype.str)
-            shape_groups.setdefault(key, []).append((name, which, factor))
-        structured_count = len(done)
-        for members in shape_groups.values():
+        pending = {key for members, _, _ in self._in_flight for key in members}
+        groups: Dict[tuple, List[tuple]] = {}
+        for name, which in self._decomposed(names):
+            factor = getattr(self.layers[name], f"factor_{which}")
+            if factor is not None and (name, which) not in pending:
+                repr_ = self.layers[name].factor_repr(which)
+                key = (repr_, factor.dtype.str) if repr_.is_dense else (name, which)
+                groups.setdefault(key, []).append((name, which, factor))
+        for members in groups.values():
+            repr_ = self.layers[members[0][0]].factor_repr(members[0][1])
             try:
-                decompositions = self.kernels.batched_symmetric_eigen(
-                    [factor for _, _, factor in members], compute_dtype=compute
+                solve = self.kernels.eigen_task(
+                    [factor for _, _, factor in members], repr_, compute_dtype=self.precision.compute_dtype
                 )
             except (ValueError, np.linalg.LinAlgError) as error:
+                future = Future()
+                future.set_exception(error)
+            else:
+                if self._eigen_worker is None:
+                    self._eigen_worker = ThreadPoolExecutor(1, thread_name_prefix=f"kfac-eigen-rank{self.rank}")
+                future = self._eigen_worker.submit(_timed, solve)
+            self._in_flight.append(([(name, which) for name, which, _ in members], repr_.is_dense, future))
+
+    def _decomposed(self, names: Sequence[str]) -> List[tuple]:
+        """``(layer, "a" | "g")`` of every factor this rank decomposes among the eigen-path layers ``names``."""
+        return [
+            (name, which)
+            for name in names
+            if self.solvers[name].needs_eigen
+            for which in ("a", "g")
+            if self.rank in self.plan.decomposers[name, which]
+        ]
+
+    def _compute_eigen_decompositions(self, names: Sequence[str]) -> None:
+        """Install the decompositions of the factors this rank owns among the refreshed eigen-path layers ``names``.
+
+        What :meth:`actions` could not read when the step began (a factor
+        with no earlier fold) is submitted now; then this thread waits for
+        the eigen worker and installs every result, in plan order.  A solve
+        that failed (a non-finite factor, a LAPACK ``info``) is re-raised
+        naming its layer and factor, before any layer's previous
+        decomposition has been replaced.  A layer's ``outer_worker`` then
+        caches the eigenvalue outer product with the current damping, before
+        broadcasting it to its group.  The worker's own solve time and the
+        part of it the step did not wait for are the ``kfac/eigen_solve_ms``
+        / ``kfac/eigen_hidden_ms`` gauges.
+        """
+        self._submit_decompositions(names)
+        in_flight, self._in_flight = self._in_flight, []
+        start = time.perf_counter()
+        wait([future for *_, future in in_flight])
+        wait_ms = (time.perf_counter() - start) * 1e3
+        submitted = {key for members, _, _ in in_flight for key in members}
+        for name, which in self._decomposed(names):
+            if (name, which) not in submitted:
+                raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
+        for members, _, future in in_flight:
+            error = future.exception()
+            if isinstance(error, (ValueError, np.linalg.LinAlgError)):
                 index = getattr(error, "batch_index", None)
-                raise _named_eigen_failure(error, members if index is None else [members[index]]) from error
-            done.extend((name, which, dec) for (name, which, _), dec in zip(members, decompositions))
-        for name, which, decomposition in done:
-            setattr(self.layers[name], "eigen_a" if which == "a" else "eigen_g", decomposition.astype(store))
-        batch_sizes = [len(members) for members in shape_groups.values()]
+                culprits = members if index is None or len(members) == 1 else [members[index]]
+                raise _named_eigen_failure(error, culprits) from error
+            if error is not None:
+                raise error
+        store = self.precision.inverse_dtype
+        solve_ms = 0.0
+        for members, _, future in in_flight:
+            decompositions, seconds = future.result()
+            solve_ms += seconds * 1e3
+            for (name, which), decomposition in zip(members, decompositions):
+                setattr(self.layers[name], f"eigen_{which}", decomposition.astype(store))
+        hidden_ms = max(0.0, solve_ms - wait_ms)
+        self.tracer.gauge_set("kfac/eigen_solve_ms", solve_ms)
+        self.tracer.gauge_set("kfac/eigen_hidden_ms", hidden_ms)
+        batch_sizes = [len(members) for members, dense, _ in in_flight if dense]
         self.tracer.instant(
             "kfac/kernel_dispatch",
             category="kfac",
             step=self._steps,
             backend=self.kernels.name,
             op="batched_symmetric_eigen",
-            factors=len(tasks),
-            structured=structured_count,
+            factors=sum(len(members) for members, _, _ in in_flight),
+            structured=sum(len(members) for members, dense, _ in in_flight if not dense),
             batches=len(batch_sizes),
             batch_sizes=batch_sizes,
+            solve_ms=solve_ms,
+            hidden_ms=hidden_ms,
         )
         for name in names:
             if self.groups[name].outer_worker == self.rank:
                 self.layers[name].inverse_outer = self._eigen_outer(self.layers[name])
 
-    def _prepare_solvers(self, names: Sequence[str]) -> None:
-        """Refresh the solver state of the refreshed layers ``names`` that read factors, on their gradient workers."""
+    def _prepare_solvers(self, names: Sequence[str]) -> List[str]:
+        """Refresh the factor-reading solvers of the refreshed layers ``names`` on their gradient workers.
+
+        Called at the top of :meth:`step`, so a solver reads the factors as
+        the step found them, like the decompositions on the eigen worker.
+        Returns the layers that have no factors yet (step 0), for a second
+        call after the fold.
+        """
+        unfolded = []
         for name in names:
-            if self.groups[name].is_grad_worker(self.rank):
-                layer = self.layers[name]
+            layer = self.layers[name]
+            if self.solvers[name].needs_eigen or not self.groups[name].is_grad_worker(self.rank):
+                continue
+            if layer.factor_a is None:
+                unfolded.append(name)
+            else:
                 self.solvers[name].prepare(layer, self.damping, pi=self.damping_pi(layer))
+        return unfolded
 
     def _keep_eigen(self, names: Sequence[str]) -> None:
         """After the eigen round of the layers ``names``: their eigen state stays on its holders only."""
@@ -831,7 +922,11 @@ class KFAC(Preconditioner):
         stored).  Different ranks hold different factors
         (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT, different
         eigen state, so each rank checkpoints and restores its own dict.
+        A solve in flight is waited for and kept for the pending step; it is
+        not state, because the step's actions read the same factors again
+        after a restore.
         """
+        wait([future for *_, future in self._in_flight])
         try:
             config = self.config.to_dict()
         except ValueError:
@@ -928,3 +1023,12 @@ class KFAC(Preconditioner):
         if self.damping_controller is not None:
             self.damping_controller = AdaptiveDampingController(self._base_config.damping)
             self.damping = self._base_config.damping
+
+    def remove(self) -> None:
+        """Detach every layer's hooks from the model and join the eigen worker thread."""
+        self._begin_factor_window()
+        for layer in self.layers.values():
+            layer.remove()
+        if self._eigen_worker is not None:
+            self._eigen_worker.shutdown(wait=True)
+            self._eigen_worker = None

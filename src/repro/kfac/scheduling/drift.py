@@ -3,13 +3,15 @@
 The distribution plan states the base cadence
 (:meth:`~repro.kfac.strategy.DistributionPlan.actions`).  With a positive
 ``drift_tol`` a :class:`DriftSchedule` revises those actions per layer from
-the normalized Frobenius drift of its factors against the factors its last
-refresh consumed.  Drift is measured after the factor allreduce, on factors
-every rank then holds, so every rank revises identically without any extra
-communication.  A stale-tolerant layer (drift below ``drift_tol``) doubles its
+the normalized Frobenius drift of its factors against the factors as they
+stood at the end of its last refresh step.  Drift is measured after the
+factor allreduce, on factors every rank then holds, so every rank revises
+identically without any extra communication.  A stale-tolerant layer (drift below ``drift_tol``) doubles its
 eigen interval, up to ``max_staleness``, and stretches its factor interval in
-proportion; a drift spike pulls the refresh forward to the current step and
-resets both intervals to the base cadence.  With ``drift_tol=0`` nothing is
+proportion; a drift spike pulls the refresh forward to the next step and
+resets both intervals to the base cadence.  Every revision is made by the end
+of a step, so a step's actions are known when it begins -- when its refresh
+reads the factors.  With ``drift_tol=0`` nothing is
 revised and no schedule exists.
 """
 
@@ -68,7 +70,7 @@ class DriftSchedule:
     A step takes :meth:`revise` of the plan's actions, calls
     :meth:`observe_factors` for every folded layer once its factors are
     allreduced (a drift above ``drift_tol`` schedules the layer's refresh on
-    that very step, which :meth:`refreshes` then includes), and
+    the next step, whose :meth:`revise` then includes it), and
     :meth:`mark_second_order` for every refreshed layer.  A fresh schedule
     folds and refreshes every layer on its first step.
     """
@@ -87,9 +89,9 @@ class DriftSchedule:
     def revise(self, actions: StepActions) -> StepActions:
         """``actions`` with the layers the per-layer intervals make due.
 
-        A due refresh at offset 0 forces a fold so the decomposition (or
-        inverse / CG state) consumes fresh statistics; a staggered one sits on
-        a fold-free step by design and forces none.
+        A due refresh at offset 0 forces a fold, as the base cadence folds on
+        every offset-0 refresh step; a staggered one sits on a fold-free step
+        by design and forces none.
         """
         step, offsets = actions.step, self.plan.refresh_offsets
         fold = tuple(
@@ -112,7 +114,7 @@ class DriftSchedule:
         *allreduced* windows, the same on every rank; ``a_repr`` / ``g_repr``
         let :func:`factor_drift` weigh a packed triangle as its matrix.  A
         drift above ``drift_tol`` (kept as ``last_drift``) schedules a
-        refresh for this very step and resets the stretched intervals.
+        refresh for the next step and resets the stretched intervals.
         """
         state = self._layers[name]
         triggered = False
@@ -121,8 +123,8 @@ class DriftSchedule:
                 factor_drift(factor_a, state.snapshot_a, a_repr) + factor_drift(factor_g, state.snapshot_g, g_repr)
             )
             state.last_drift = drift
-            if drift > self.drift_tol and step < state.next_eigen_step:
-                state.next_eigen_step = step
+            if drift > self.drift_tol and step + 1 < state.next_eigen_step:
+                state.next_eigen_step = step + 1
                 state.eigen_interval = self.inv_update_freq
                 state.factor_interval = self.factor_update_freq
                 triggered = True

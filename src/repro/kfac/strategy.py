@@ -255,9 +255,12 @@ class DistributionPlan:
         Every layer folds on the steps :func:`~repro.kfac.assignment.folds_on`
         names (every ``factor_update_freq`` steps of an interval).  Every
         layer is decomposed on step 0, afterwards on the steps with ``step %
-        inv_update_freq`` equal to its offset, except that a staggered step
-        before the second fold is passed over: it would decompose the factors
-        of step 0 a second time (:func:`~repro.kfac.assignment.next_refresh_step`).
+        inv_update_freq`` equal to its offset.  A refresh reads the running
+        factors as they stood when its step began, before the step's fold (on
+        step 0, which has no earlier factors, after it), so a step that no
+        fold after step 0 precedes is passed over: it would decompose the
+        factors of step 0 a second time
+        (:func:`~repro.kfac.assignment.next_refresh_step`).
         """
         cadence = (self.factor_update_freq, self.inv_update_freq)
         fold = tuple(self.groups) if folds_on(step, *cadence) else ()
@@ -267,6 +270,11 @@ class DistributionPlan:
             if step == 0 or next_refresh_step(offset, step, *cadence) == step
         )
         return StepActions(step, fold, refresh, self)
+
+    def steady_interval(self) -> List[StepActions]:
+        """The actions of one interval the base cadence repeats: the third, as the first two may pass a refresh over."""
+        interval = self.inv_update_freq
+        return [self.actions(2 * interval + phase) for phase in range(interval)]
 
     def base_updates(self, steps: int) -> Tuple[int, int]:
         """``(folds, decompositions)`` the base cadence performs over all layers in its first ``steps`` steps."""
@@ -299,7 +307,7 @@ class DistributionPlan:
         so the counts are what a communication log records.  ``step`` buckets
         :meth:`actions` of that step: its factor round if it folds, the eigen
         round of the layers it decomposes, the gradient round.  A full update
-        sums the actions of one steady interval: one factor round, the eigen
+        sums the actions of one steady interval (:meth:`steady_interval`): one factor round, the eigen
         round of every step that decomposes anything (one round where every
         offset is 0), one gradient round.  ``hooked`` is the armed gradient
         pipeline, which buckets the factor allreduces in reverse layer order
@@ -308,7 +316,7 @@ class DistributionPlan:
         """
         buckets = BucketManager(bucket_cap_mb)
         if step is None:
-            interval = [self.actions(self.inv_update_freq + phase) for phase in range(self.inv_update_freq)]
+            interval = self.steady_interval()
         else:
             interval = [self.actions(step)]
         out: Dict[str, List[Tuple[Tuple[int, ...], int]]] = {"factor": [], "eigen": [], "gradient": []}

@@ -15,13 +15,15 @@ the same layer set.  Used three ways:
   rank's factor bytes are not the packed triangles of the factors it holds --
   ``n(n+1)/2`` elements per dense factor, a regression to square storage --
   if a rank's slice of the modeled K-FAC messages or bytes differs from what
-  that rank's registry counted, or if rank 0 decomposed a number of layers
-  on some step, or some layer a number of times in all, other than the
-  plan's actions say (``plan.actions(step).refresh``) -- e.g. a regression
-  to one refresh step; the per-step counts are printed;
-  beside the messages table it prints the factor round's bytes per
-  update and each rank's median optimizer step, pipeline flush and K-FAC
-  write-back, :data:`GLUE_SPANS`);
+  that rank's registry counted, if rank 0 decomposed on some step other
+  layers than the plan's actions say (``plan.actions(step).refresh``) --
+  e.g. a regression to one refresh step; the per-step counts are printed --
+  or if a refresh step's ``kfac/eigen_hidden_ms`` gauge, the part of the
+  eigen worker's solve time the step did not wait for, is missing, negative
+  or above ``kfac/eigen_solve_ms``; beside the messages table it prints the
+  factor round's bytes per update, each rank's eigen solve and hidden
+  milliseconds and each rank's median optimizer step, pipeline flush and
+  K-FAC write-back, :data:`GLUE_SPANS`);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
   :func:`workload_spec_for_run`, :func:`modeled_schedule_for_run` and
   :func:`kfac_traffic` to print modeled-vs-measured columns;
@@ -66,9 +68,9 @@ def run_traced_bert(
     registered factors (``"registered_factor_bytes"``), the bytes the factors
     each rank holds take as packed triangles, worked out from their dimensions
     (``"held_triangle_bytes"``), the layers decomposed on each step (rank 0's
-    ``kfac/refresh_decision`` instants, ``"refreshed_per_step"``) and every
-    layer's decompositions in all (rank 0's registry,
-    ``"refreshes_per_layer"``), what each rank's
+    ``kfac/eigen_updates/<layer>`` counts, ``"decomposed_per_step"``), each
+    rank's ``(kfac/eigen_solve_ms, kfac/eigen_hidden_ms)`` gauges after every
+    step that refreshed (``"eigen_gauges"``), what each rank's
     registry counted (``"counted"``: per rank ``{op: (messages, bytes)}``) and
     the part of it that is data-parallel gradient averaging, per step
     (``"grad_sync"``: the same pair, from the averaging subscriber's own specs
@@ -106,8 +108,16 @@ def run_traced_bert(
         )
         # 16 samples per step is half a batch: go round the loader until ``steps`` steps ran.
         epochs = itertools.chain.from_iterable(itertools.repeat(workload.train_loader))
+        decomposed, eigen_gauges = [], []
         for batch in itertools.islice(epochs, steps):
+            before = comm.tracer.counters()
             trainer.train_step(batch)
+            after = comm.tracer.counters()
+            key = "kfac/eigen_updates/{}".format
+            decomposed.append(tuple(name for name in preconditioner.layers if after.get(key(name)) != before.get(key(name))))
+            if decomposed[-1]:
+                gauges = comm.tracer.gauges()
+                eigen_gauges.append((gauges.get("kfac/eigen_solve_ms"), gauges.get("kfac/eigen_hidden_ms")))
         plan = preconditioner.plan
         registered = sum(plan.policy.factor_bytes(group.layer) for group in plan.groups.values())
         # From the dimensions, not from what the arrays or the plan say: n(n+1)/2 per dense factor held.
@@ -122,12 +132,13 @@ def run_traced_bert(
         grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
         grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
         counters = comm.tracer.counters()
-        refreshes = {name: int(counters.get(f"kfac/eigen_updates/{name}", 0)) for name in preconditioner.layers}
         counted = {
             op: (int(counters.get(f"comm/{op}/messages", 0)), int(counters.get(f"comm/{op}/bytes", 0)))
             for op in ("allreduce", "broadcast")
         }
-        return comm.tracer, preconditioner.memory_usage(), registered, grad_sync, counted, triangles, refreshes
+        return comm.tracer, preconditioner.memory_usage(), registered, grad_sync, counted, triangles, (
+            decomposed, eigen_gauges
+        )
 
     per_rank = run_spmd(world_size, program)
     tracers = [entry[0] for entry in per_rank]
@@ -143,10 +154,8 @@ def run_traced_bert(
         "memory_usage": [entry[1] for entry in per_rank],
         "registered_factor_bytes": per_rank[0][2],
         "held_triangle_bytes": [entry[5] for entry in per_rank],
-        "refreshed_per_step": [
-            mark.attrs["second_order_layers"] for mark in tracers[0].instants if mark.name == "kfac/refresh_decision"
-        ],
-        "refreshes_per_layer": per_rank[0][6],
+        "decomposed_per_step": per_rank[0][6][0],
+        "eigen_gauges": [entry[6][1] for entry in per_rank],
         "grad_sync": per_rank[0][3],
         "counted": [entry[4] for entry in per_rank],
     }
@@ -227,22 +236,24 @@ def kfac_traffic(spec, run_info):
 
 
 def staggered_refresh_problems(spec, run_info) -> List[str]:
-    """Where the run's refreshes differ from the plan's actions: per step, and per layer in all."""
+    """Where rank 0's decompositions differ from the plan's actions, step by step."""
     plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
-    actions = [plan.actions(step) for step in range(run_info["steps"])]
-    problems = [
-        f"step {step} decomposed {count} layers, the plan's actions {len(planned.refresh)}"
-        for step, (count, planned) in enumerate(zip(run_info["refreshed_per_step"], actions))
-        if count != len(planned.refresh)
+    planned = [plan.actions(step).refresh for step in range(run_info["steps"])]
+    return [
+        f"step {step} decomposed {list(done)}, the plan's actions {list(refresh)}"
+        for step, (done, refresh) in enumerate(zip(run_info["decomposed_per_step"], planned))
+        if done != refresh
     ]
-    counted = run_info["refreshes_per_layer"]
-    planned = {name: sum(name in step_actions.refresh for step_actions in actions) for name in counted}
-    problems += [
-        f"layer {name} was decomposed {count} times in {run_info['steps']} steps, the plan's actions {planned[name]}"
-        for name, count in counted.items()
-        if count != planned[name]
+
+
+def eigen_overlap_problems(run_info) -> List[str]:
+    """The refresh steps whose ``kfac/eigen_hidden_ms`` is missing, negative or above ``kfac/eigen_solve_ms``."""
+    return [
+        f"rank {rank} step {index} of those that refreshed: eigen_solve_ms {solve}, eigen_hidden_ms {hidden}"
+        for rank, per_step in enumerate(run_info["eigen_gauges"])
+        for index, (solve, hidden) in enumerate(per_step)
+        if solve is None or hidden is None or not 0.0 <= hidden <= solve
     ]
-    return problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -337,13 +348,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print(
         f"\nLayers decomposed per step (cadence {run_info['factor_update_freq']} / {run_info['inv_update_freq']}): "
-        + " ".join(f"{step}:{count}" for step, count in enumerate(run_info["refreshed_per_step"]))
+        + " ".join(f"{step}:{len(layers)}" for step, layers in enumerate(run_info["decomposed_per_step"]))
     )
     problems = staggered_refresh_problems(spec, run_info)
     for problem in problems:
         print(f"ERROR: {problem}: the step did not carry out the plan's actions", file=sys.stderr)
     if problems:
         return 1
+    problems = eigen_overlap_problems(run_info)
+    for problem in problems:
+        print(f"ERROR: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(
+        format_table(
+            ["rank", "eigen_solve_ms", "eigen_hidden_ms"],
+            [
+                [rank, round(sum(solve for solve, _ in per_step), 3), round(sum(hidden for _, hidden in per_step), 3)]
+                for rank, per_step in enumerate(run_info["eigen_gauges"])
+            ],
+            title="\nEigen worker, summed over the refresh steps: its solve time and the part no step waited for",
+        )
+    )
     print("\nK-FAC state per rank (bytes):")
     for rank, usage in enumerate(run_info["memory_usage"]):
         print(f"  rank {rank}: " + ", ".join(f"{key}={value}" for key, value in usage.items()))

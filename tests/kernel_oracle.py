@@ -80,12 +80,13 @@ class ReferenceKernelBackend(KernelBackend):
 
     name = "reference"
 
-    def batched_symmetric_eigen(self, factors, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
-        return [
+    def batched_eigen_task(self, factors, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
+        copies = [np.array(factor) for factor in factors]  # the solve reads nothing the caller may change
+        return lambda: [
             reference_symmetric_eigen(
                 factor, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
             )
-            for factor in factors
+            for factor in copies
         ]
 
     def fused_decay_update(self, running, new, decay, store_dtype):
@@ -129,10 +130,14 @@ class SquarePathKernelBackend(KernelBackend):
 
     name = "square-path"
 
-    def batched_symmetric_eigen(self, factors, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
+    def batched_eigen_task(self, factors, compute_dtype=np.float32, clamp_negative=True, eigh_dtype=None):
+        factors = [as_square(np.array(factor)) for factor in factors]  # copies: the solve may run later
+        return lambda: self._solve_squares(factors, compute_dtype, clamp_negative, eigh_dtype)
+
+    @staticmethod
+    def _solve_squares(factors, compute_dtype, clamp_negative, eigh_dtype):
         from repro.kfac.kernels import STACK_EIGH_MAX_DIM
 
-        factors = [as_square(np.asarray(factor)) for factor in factors]
         if not factors:
             return []
         compute_dtype = np.dtype(compute_dtype)
@@ -201,8 +206,10 @@ def replicated_fold_reference(layer, step, config, offset=0):
     factors on ``step % factor_update_freq == 0`` (``KFACLayer.update_factors``
     as plain expressions), decompose on step 0 and afterwards on the steps with
     ``step % inv_update_freq == offset`` -- ``offset`` is the layer's entry in
-    the plan's ``refresh_offsets``; a staggered step before the second fold
-    would decompose step 0's factors again and is passed over.  (Nested
+    the plan's ``refresh_offsets``.  A refresh decomposes the factors as they
+    stood when its step began, before its fold (step 0, with no earlier
+    factors, after it), so a step that no fold after step 0 precedes would
+    decompose step 0's factors again and is passed over.  (Nested
     cadences only: a refresh off the fold cadence forces a fold and moves the
     folds after it.)  At world size 1 the sharded
     factor stage (window average handed over by the engine, folded by
@@ -211,6 +218,9 @@ def replicated_fold_reference(layer, step, config, offset=0):
     """
     fold_every, interval = config.factor_update_freq, config.inv_update_freq
     assert interval % fold_every == 0
+    refresh = step == 0 or (step % interval == offset and step > min(fold_every, interval))
+    if refresh and step > 0:
+        decompose_standalone(layer, config.damping)
     if step % fold_every == 0:
         a_new, g_new = layer.compute_batch_factors()
         dtype = layer.precision.factor_dtype
@@ -220,16 +230,16 @@ def replicated_fold_reference(layer, step, config, offset=0):
             decay = float(config.factor_decay)
             layer.factor_a = (decay * layer.factor_a.astype(np.float32, copy=False) + (1.0 - decay) * a_new).astype(dtype)
             layer.factor_g = (decay * layer.factor_g.astype(np.float32, copy=False) + (1.0 - decay) * g_new).astype(dtype)
-    if step == 0 or (step % interval == offset and (offset == 0 or step > fold_every)):
+    if step == 0:
         decompose_standalone(layer, config.damping)
 
 
 def decompose_standalone(layer, damping, pi=None):
     """The eigen stage for one handler outside a preconditioner, through the kernel calls the step makes.
 
-    ``KFAC._compute_eigen_decompositions`` sends dense factors through
-    ``batched_symmetric_eigen`` and structured ones through
-    ``structured_eigen``, stores the results in the inverse dtype, and the
+    The step sends dense factors through ``batched_eigen_task`` (here its
+    one-call form ``batched_symmetric_eigen``) and structured ones through
+    ``eigen_task`` (``structured_eigen``), stores the results in the inverse dtype, and the
     layer's outer worker caches the eigenvalue outer product.
     """
     compute, store = layer.precision.compute_dtype, layer.precision.inverse_dtype

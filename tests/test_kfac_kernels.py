@@ -117,9 +117,9 @@ class TestOneBackend:
             name = "counting"
             calls = 0
 
-            def batched_symmetric_eigen(self, factors, **kwargs):
+            def batched_eigen_task(self, factors, **kwargs):
                 type(self).calls += 1
-                return super().batched_symmetric_eigen(factors, **kwargs)
+                return super().batched_eigen_task(factors, **kwargs)
 
         model = MLP(6, [8], 3, rng=np.random.default_rng(0))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)

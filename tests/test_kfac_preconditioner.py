@@ -1,10 +1,16 @@
 """Tests for the KFAC preconditioner (single-process path, Listing 1 semantics)."""
 
+import threading
+import time
+from concurrent.futures import wait
+
 import numpy as np
 import pytest
 
 from repro import nn, optim
+from repro.distributed import run_spmd
 from repro.kfac import KFAC, KFACConfig, kmath
+from repro.kfac.layers import KFACLayer
 from repro.models import MLP, bert_tiny
 from repro.observability import MetricsReport
 from repro.tensor import Tensor
@@ -462,12 +468,14 @@ class TestEigenFailuresAreNamed:
     """A failed eigen solve says which layer and which factor, and replaces no layer's decomposition."""
 
     @staticmethod
-    def warmed_up():
-        """A preconditioner two steps in (every layer holds factors and a decomposition) with fresh statistics."""
+    def warmed_up(corrupt):
+        """A preconditioner two steps in (every layer holds factors and a decomposition), ``corrupt`` applied, then
+        fresh statistics: the forward pass starts step 2's decompositions from the factors ``corrupt`` left."""
         model = MLP(40, [48, 36], 3, rng=np.random.default_rng(0))  # factor dims 41/48, 49/36, 37/3
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         x, y = make_problem(in_dim=40)
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)
+        corrupt(pre)
         nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
         return pre
 
@@ -488,10 +496,12 @@ class TestEigenFailuresAreNamed:
 
     @pytest.mark.parametrize("which, dim", [("a", 37), ("g", 36)])
     def test_nan_in_a_running_factor_names_the_layer_and_the_factor(self, which, dim):
-        pre = self.warmed_up()
         name = "layers.4" if which == "a" else "layers.2"
-        factor = getattr(pre.layers[name], f"factor_{which}")
-        factor[7] = np.nan  # somewhere in the stored triangle
+
+        def poison(pre):
+            getattr(pre.layers[name], f"factor_{which}")[7] = np.nan  # somewhere in the stored triangle
+
+        pre = self.warmed_up(poison)
         before = self.snapshot(pre)
         message = rf"{which.upper()} factor of layer '{name}' failed: factor of dimension {dim} contains infs or NaNs"
         with pytest.raises(ValueError, match=message) as raised:
@@ -504,8 +514,10 @@ class TestEigenFailuresAreNamed:
 
     def test_nan_in_a_stacked_path_factor_names_the_layer_and_the_factor(self):
         """A factor of dimension <= 32 is decomposed by the stacked ``eigh``, which would return NaNs silently."""
-        pre = self.warmed_up()
-        pre.layers["layers.4"].factor_g[-1] = np.nan  # the 3 x 3 G factor of the output layer
+        def poison(pre):
+            pre.layers["layers.4"].factor_g[-1] = np.nan  # the 3 x 3 G factor of the output layer
+
+        pre = self.warmed_up(poison)
         before = self.snapshot(pre)
         message = r"G factor of layer 'layers.4' failed: factor of dimension 3 contains infs or NaNs"
         with pytest.raises(ValueError, match=message):
@@ -513,7 +525,6 @@ class TestEigenFailuresAreNamed:
         self.assert_untouched(pre, before)
 
     def test_lapack_info_names_the_factor_it_was_solving(self, monkeypatch):
-        pre = self.warmed_up()
         real = kmath._SYEVD[np.dtype(np.float32)]
         solved = []
 
@@ -524,7 +535,7 @@ class TestEigenFailuresAreNamed:
             else:
                 real(jobz, uplo, n, *rest)
 
-        monkeypatch.setitem(kmath._SYEVD, np.dtype(np.float32), fails_on_dim_49)
+        pre = self.warmed_up(lambda pre: monkeypatch.setitem(kmath._SYEVD, np.dtype(np.float32), fails_on_dim_49))
         before = self.snapshot(pre)
         with pytest.raises(np.linalg.LinAlgError, match=r"A factor of layer 'layers.2' failed: .*dimension 49: info=3"):
             pre._compute_eigen_decompositions(list(pre.layers))
@@ -556,16 +567,18 @@ class TestBadFactorWindowsAreRejected:
 
     def test_a_1e30_feature_is_folded_nowhere_and_the_next_step_succeeds(self):
         model, pre, opt, x, y = self.warmed_up()
-        before, eigen_before = self.factors(pre), {n: l.eigen_a.eigenvalues.copy() for n, l in pre.layers.items()}
+        before = self.factors(pre)
         bad = x[32:64].copy()
         bad[3, 2] = 1e30  # overflows float32 in A of every layer downstream of it
         with np.errstate(all="ignore"):
             opt.zero_grad()
             nn.CrossEntropyLoss()(model(Tensor(bad)), y[32:64]).backward()
-            pre.step()  # no raise: the step runs on the factors and decompositions it had
+            pre.step()  # no raise: the step runs on the factors it had
         self.assert_factors_equal(pre, before)
         for name, layer in pre.layers.items():
-            np.testing.assert_array_equal(layer.eigen_a.eigenvalues, eigen_before[name])
+            # The step's refresh decomposed the factors as the step found them: the rejected window is in none.
+            found = pre.kernels.batched_symmetric_eigen([before[name][0]])[0]
+            np.testing.assert_array_equal(layer.eigen_a.eigenvalues, found.eigenvalues)
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: 1 for name in pre.layers}
         assert pre.steps == 3
@@ -640,3 +653,73 @@ class TestBadFactorWindowsAreRejected:
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()
         assert pre.steps == 1 and np.isfinite(pre.layers["layers.2"].factor_a).all()
+
+
+class TestEigenWorker:
+    """The rank's eigen worker solves what a step's actions read; the step installs it, raises its errors
+    and leaves nothing running."""
+
+    def test_twenty_preconditioners_built_and_removed_leave_no_thread_behind(self):
+        x, y = make_problem()
+        start, running = threading.active_count(), set(threading.enumerate())
+        for seed in range(20):
+            model = MLP(10, [40], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+            assert not set(threading.enumerate()) - running  # started by the first solve, not by construction
+            training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=3)
+            (worker,) = set(threading.enumerate()) - running  # one worker per preconditioner
+            pre.remove()
+            assert not worker.is_alive()
+        # Threads other tests left to the garbage collector may have ended meanwhile, none may have started.
+        assert threading.active_count() <= start
+
+    def test_the_worker_writes_no_layer_attribute_and_eigen_state_changes_only_in_step(self, monkeypatch):
+        writers = set()
+
+        def recording_setattr(layer, name, value):
+            writers.add(threading.current_thread().name)
+            object.__setattr__(layer, name, value)
+
+        model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))  # dims 41 / 40 (syevd) and 37 / 3 (eigh)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        x, y = make_problem()
+        monkeypatch.setattr(KFACLayer, "__setattr__", recording_setattr)
+        training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=3)
+        assert writers == {threading.current_thread().name}
+
+        eigen = {name: (layer.eigen_a, layer.eigen_g, layer.inverse_outer) for name, layer in pre.layers.items()}
+        copies = {name: [np.copy(part.eigenvalues) for part in state[:2]] for name, state in eigen.items()}
+        nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
+        assert pre.actions().refresh == tuple(pre.layers)  # the forward pass handed step 3's solves over
+        wait([future for *_, future in pre._in_flight])
+        for name, layer in pre.layers.items():
+            assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == eigen[name]
+            for part, kept in zip((layer.eigen_a, layer.eigen_g), copies[name]):
+                np.testing.assert_array_equal(part.eigenvalues, kept)
+        pre.step()
+        assert all(layer.eigen_a is not eigen[name][0] for name, layer in pre.layers.items())
+        assert pre._in_flight == []  # nothing is in flight between steps
+
+    def test_a_nan_in_the_running_factors_raises_the_named_error_on_every_rank_of_a_w2_world(self):
+        x, y = make_problem()
+
+        def program(comm):
+            model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=0.5, comm=comm)
+            mine = x[comm.rank :: 2], y[comm.rank :: 2]
+            training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), *mine, steps=2, batch=32)
+            decomposed = [(name, which) for (name, which), ranks in pre.plan.decomposers.items() if comm.rank in ranks]
+            for name, which in decomposed:
+                getattr(pre.layers[name], f"factor_{which}")[0] = np.nan
+            nn.CrossEntropyLoss()(model(Tensor(mine[0][:32])), mine[1][:32]).backward()
+            with pytest.raises(ValueError, match=r"factor of layer '[^']+' failed: .* contains infs or NaNs") as raised:
+                pre.step()
+            pre.remove()
+            return decomposed, str(raised.value)
+
+        start = time.perf_counter()
+        ranks = run_spmd(2, program)
+        assert time.perf_counter() - start < 30  # a rank left waiting on the eigen round would time out at 60 s
+        assert all(decomposed for decomposed, _ in ranks)
+        for decomposed, message in ranks:
+            assert any(f"{which.upper()} factor of layer {name!r}" in message for name, which in decomposed)

@@ -38,6 +38,7 @@ from repro.kfac import (
 from repro.kfac.assignment import folds_on
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
 from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondition_with_inverse
+from repro.kfac.scheduling.solvers import split_damping
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
 from repro.tensor import Tensor
@@ -229,11 +230,12 @@ class TestActionsAndDriftSchedule:
         # Step 1: same factors -> tiny drift, no refresh due.
         drift.observe_factors("a", 1, base, base)
         assert drift.refreshes(1) == ()
-        # Step 2: factors change massively -> refresh pulled to *this* step.
+        # Step 2: factors change massively -> refresh pulled to the next step, known when it begins.
         shifted = (base * 10.0).astype(np.float32)
         assert drift.observe_factors("a", 2, shifted, shifted)
         assert drift.state_dict()["layers"]["a"]["last_drift"] > 0.05
-        assert drift.refreshes(2) == ("a",)
+        assert drift.refreshes(2) == ()
+        assert drift.revise(drift.plan.actions(3)).refresh == ("a",)
 
     def test_stale_layer_stretches_interval_to_cap(self):
         plan = make_plan(["a"], factor_update_freq=1, inv_update_freq=2)
@@ -683,6 +685,9 @@ class TestKFACSchedulerIntegration:
         # inverse and CG strategies solve — so the paths agree to solver
         # precision.  (Without π the legacy eigen path dampens in product
         # space, λ_G λ_A + γ, which is a genuinely different approximation.)
+        # Step 0 is where the three read the same factors with the same π: a
+        # later refresh reads the factors as its step began, while the eigen
+        # path's π and CG's operator follow the folded ones.
         m1, m2 = self.paired_models()
         eigen_pre = KFAC.from_config(
             m1,
@@ -703,10 +708,33 @@ class TestKFACSchedulerIntegration:
                 cg_max_iter=200,
             ),
         )
-        g1 = run_single_process(eigen_pre, m1, steps=3)
-        g2 = run_single_process(alt_pre, m2, steps=3)
+        g1 = run_single_process(eigen_pre, m1, steps=1)
+        g2 = run_single_process(alt_pre, m2, steps=1)
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, rtol=1e-3, atol=1e-5)
+
+    def test_inverse_solver_reads_the_factors_its_step_began_with(self):
+        """``prepare`` runs at the top of the step, before its fold, like the decompositions: after step 0
+        each refresh inverts the factors as the step found them, damped with their own π."""
+        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, damping_pi_correction=True, solve_strategy="inverse")
+        pre = KFAC(model, config)
+        x, y = make_problem(7, samples=160, in_dim=6, classes=3)
+        refreshed = 0
+        for step in range(5):
+            model.zero_grad()
+            nn.CrossEntropyLoss()(model(Tensor(x[32 * step : 32 * step + 32])), y[32 * step : 32 * step + 32]).backward()
+            refresh = pre.actions().refresh if step else ()
+            found = {name: (pre.layers[name].factor_a.copy(), pre.layers[name].factor_g.copy()) for name in refresh}
+            pre.step()
+            for name in refresh:
+                layer, solver = pre.layers[name], pre.solvers[name]
+                factor_a, factor_g = found[name]
+                damping_a, damping_g = split_damping(pre.damping, tikhonov_pi(factor_a, factor_g, layer.a_repr, layer.g_repr))
+                np.testing.assert_array_equal(solver.inv_a, damped_inverse(layer.a_repr.to_dense(factor_a), damping_a))
+                np.testing.assert_array_equal(solver.inv_g, damped_inverse(layer.g_repr.to_dense(factor_g), damping_g))
+                refreshed += 1
+        assert refreshed == 3 * len(pre.layers)  # steps 2, 3 and 4: step 1 would re-read step 0's factors
 
     @pytest.mark.parametrize("solver", ["inverse", "cg"])
     def test_factor_reading_solvers_expand_the_stored_triangle_and_round_trip(self, solver):

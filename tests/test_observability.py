@@ -468,7 +468,10 @@ class TestTracedTrainingArtifacts:
         (off, params_off), (on, params_on) = run(False), run(True)
         np.testing.assert_array_equal(params_off, params_on)
         assert off.tracer.counters() == on.tracer.counters()
-        assert off.tracer.gauges() == on.tracer.gauges()
+        def untimed(gauges):  # the eigen worker's solve / hidden milliseconds are measurements
+            return {key: value for key, value in gauges.items() if not key.endswith("_ms")}
+
+        assert untimed(off.tracer.gauges()) == untimed(on.tracer.gauges())
         assert not off.tracer.instants and not off.tracer.spans
         counters = on.tracer.counters()
         # Every layer folds on step 0 and decomposes on it; the plan position agrees with the counts.
@@ -488,7 +491,8 @@ class TestTracedTrainingArtifacts:
 
 
 class TestSmokeRefreshGate:
-    """The trace smoke's refresh gate is exact: rank 0's decompositions are the plan's actions, step by step."""
+    """The trace smoke's refresh gates are exact: rank 0's decompositions are the plan's actions, step by step,
+    and each refresh step's hidden eigen time lies between zero and the worker's solve time."""
 
     @staticmethod
     def run_info(plan, steps):
@@ -496,10 +500,8 @@ class TestSmokeRefreshGate:
             "world_size": plan.world_size,
             "grad_worker_frac": 0.5,
             "steps": steps,
-            "refreshed_per_step": [len(plan.actions(step).refresh) for step in range(steps)],
-            "refreshes_per_layer": {
-                name: sum(name in plan.actions(step).refresh for step in range(steps)) for name in plan.groups
-            },
+            "decomposed_per_step": [plan.actions(step).refresh for step in range(steps)],
+            "eigen_gauges": [[(4.0, 3.0), (2.0, 0.0)], [(1.5, 1.5)]],
         }
 
     def test_the_plans_actions_pass_and_any_other_count_is_named(self):
@@ -514,10 +516,24 @@ class TestSmokeRefreshGate:
         run_info = self.run_info(plan, 12)
         assert staggered_refresh_problems(spec, run_info) == []
         # One step that decomposes one layer fewer than planned (a lighter step is a miss too) ...
-        stepped = next(step for step in range(1, 12) if plan.actions(step).refresh)
-        run_info["refreshed_per_step"][stepped] -= 1
-        # ... and a layer decomposed once too often.
-        run_info["refreshes_per_layer"]["l0"] += 1
+        stepped = next(step for step in range(1, 12) if len(plan.actions(step).refresh) > 1)
+        run_info["decomposed_per_step"][stepped] = run_info["decomposed_per_step"][stepped][1:]
+        # ... and one that decomposes as many layers, but not the planned ones.
+        swapped = next(step for step in range(stepped + 1, 12) if plan.actions(step).refresh)
+        planned = plan.actions(swapped).refresh
+        run_info["decomposed_per_step"][swapped] = tuple(name for name in plan.groups if name not in planned)[: len(planned)]
         problems = staggered_refresh_problems(spec, run_info)
         assert len(problems) == 2
-        assert problems[0].startswith(f"step {stepped} decomposed") and problems[1].startswith("layer l0 was decomposed")
+        assert problems[0].startswith(f"step {stepped} decomposed") and problems[1].startswith(f"step {swapped} decomposed")
+
+    def test_a_missing_negative_or_oversized_hidden_time_is_named(self):
+        from repro.observability.smoke import eigen_overlap_problems
+
+        run_info = self.run_info(KFACConfig().distribution_plan([], 1), 0)
+        assert eigen_overlap_problems(run_info) == []
+        run_info["eigen_gauges"] = [[(4.0, -0.5), (2.0, 2.5)], [(None, None)]]
+        assert [problem.split(":")[0] for problem in eigen_overlap_problems(run_info)] == [
+            "rank 0 step 0 of those that refreshed",
+            "rank 0 step 1 of those that refreshed",
+            "rank 1 step 0 of those that refreshed",
+        ]

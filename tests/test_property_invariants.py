@@ -12,7 +12,9 @@ trajectories on the block-fused optimizers against the per-parameter loops of
 models' counts against the engine's on generated shapes and knobs (messages,
 bytes and per-rank state: residual 0), the staggered refresh (the plan's
 ``refresh_offsets``: strategy equivalence, kill-and-resume between two
-staggered steps, per-step messages against the log), and packed factor storage against the
+staggered steps, per-step messages against the log), the refresh's read point (each
+decomposition is of the factors its step began with, on generated cadences and worlds), and
+packed factor storage against the
 square-path oracle of ``kernel_oracle.py`` (trajectories bit for bit, per-rank
 state and the factor round's bytes).  The multi-rank suites run a fixed,
 derandomized set of examples, so their time is the same in every CI
@@ -21,7 +23,7 @@ configuration.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn, optim
@@ -410,19 +412,18 @@ class TestStaggeredRefreshProperties:
                 assert rejected == (1 if poisoned else 0)
                 for step in range(last):
                     # Each layer folded / decomposed on this step once, or not at all: the step's actions, the
-                    # plan's own with drift off (then nothing is pulled forward), with it on their revision --
-                    # what the hooks read, plus the refreshes the folded layers' drift pulled forward.
+                    # plan's own with drift off, with it on their revision -- what the hooks read.  A drift
+                    # spike revises the next step's actions, so they are known when that step begins.
                     taken, done = posted[step]["actions"], posted[step]["done"]
                     performed = {
                         event: tuple(name for name in plan.groups if done.get(f"kfac/{event}/{name}", 0.0))
-                        for event in ("factor_updates", "eigen_updates", "drift_triggers")
+                        for event in ("factor_updates", "eigen_updates")
                     }
-                    assert {done.get(f"kfac/{event}/{name}", 0.0) for event in ("factor_updates", "eigen_updates")
+                    assert {done.get(f"kfac/{event}/{name}", 0.0) for event in performed
                             for name in plan.groups} <= {0.0, 1.0}, step  # fmt: skip
                     expected = taken if knob == "drift" else plan.actions(step)
                     assert taken == expected, step
-                    refresh = tuple(name for name in plan.groups if name in expected.refresh + performed["drift_triggers"])
-                    assert (performed["factor_updates"], performed["eigen_updates"]) == (expected.fold, refresh), step
+                    assert (performed["factor_updates"], performed["eigen_updates"]) == (expected.fold, expected.refresh), step
                 if knob == "drift":
                     continue  # drift moves layers off the base cadence: no whole rounds to count
                 # Cadences that nest or not: the base count is what the plan performs, with no skip.
@@ -438,6 +439,108 @@ class TestStaggeredRefreshProperties:
         # (see TestStrategyEquivalenceProperties): agreement, not a bitwise claim.
         for frac in fractions[:-1]:
             np.testing.assert_allclose(results[frac][0][1], results[1.0][0][1], rtol=1e-3, atol=2e-4)
+
+
+class _PostFoldKFAC(KFAC):
+    """The read point before the eigen worker: every refresh decomposes its factors after its step's fold."""
+
+    _folded = False
+
+    def _submit_decompositions(self, names):
+        if self._folded:
+            super()._submit_decompositions(names)
+
+    def _compute_eigen_decompositions(self, names):
+        self._folded = True
+        try:
+            super()._compute_eigen_decompositions(names)
+        finally:
+            self._folded = False
+
+
+class TestRefreshReadPointProperties:
+    """A refresh decomposes the running factors as they stood when its step began (step 0, with none yet,
+    after its fold), on every rank and cadence: never the same fold history twice, and on cadences whose
+    later refreshes are all fold-free, to the bit what decomposing after the fold gives."""
+
+    @given(
+        world=st.integers(min_value=1, max_value=3),
+        comm_opt=st.booleans(),
+        cadence=st.one_of(
+            st.sampled_from([(1, 1), (3, 3), (3, 7), (5, 10)]),  # F = K, not nested, staggered
+            st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=8)),
+        ),
+        in_features=st.integers(min_value=1, max_value=9),
+        hidden=st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3),  # both eigen paths
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @example(world=3, comm_opt=False, cadence=(3, 3), in_features=5, hidden=[36, 7], seed=1)
+    @example(world=3, comm_opt=True, cadence=(5, 10), in_features=3, hidden=[40, 12, 9], seed=2)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_each_refresh_decomposes_the_factors_its_step_began_with(
+        self, world, comm_opt, cadence, in_features, hidden, seed
+    ):
+        factor_freq, inv_freq = cadence
+        steps = 2 * inv_freq + factor_freq + 2
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((8 * world, in_features)).astype(np.float32)
+        target = rng.standard_normal((8 * world, 2)).astype(np.float32)
+        config = KFACConfig(
+            lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq,
+            grad_worker_frac=1.0 if comm_opt else 1.0 / world,
+            damping_pi_correction=True,  # every rank holds every running factor, so each can check its share
+        )  # fmt: skip
+
+        def program(comm, cls):
+            net_rng = np.random.default_rng(seed + 1)
+            widths = [in_features, *hidden]
+            blocks = []
+            for fan_in, fan_out in zip(widths, widths[1:]):
+                blocks += [nn.Linear(fan_in, fan_out, rng=net_rng), nn.Tanh()]
+            model = nn.Sequential(*blocks, nn.Linear(widths[-1], 2, rng=net_rng))
+            ddp = DistributedDataParallel(model, comm)
+            optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            pre = cls(model, config, comm=comm)
+            taken, checked = [], 0
+            for step in range(steps):
+                local = np.arange(8 * world)[(step + comm.rank) % world :: world]
+                optimizer.zero_grad()
+                nn.MSELoss()(model(Tensor(x[local])), target[local]).backward()
+                ddp.sync_gradients()
+                taken.append(pre.actions())
+                found = {name: (layer.factor_a, layer.factor_g) for name, layer in pre.layers.items()}
+                found = {name: tuple(None if f is None else f.copy() for f in pair) for name, pair in found.items()}
+                pre.step()
+                optimizer.step()
+                for name in taken[-1].refresh if cls is KFAC else ():
+                    layer = pre.layers[name]
+                    if comm.rank not in pre.plan.eigen_holders[name]:
+                        continue
+                    read = (layer.factor_a, layer.factor_g) if step == 0 else found[name]
+                    for factor, installed in zip(read, (layer.eigen_a, layer.eigen_g)):
+                        (alone,) = pre.kernels.batched_symmetric_eigen([factor], compute_dtype=pre.precision.compute_dtype)
+                        alone = alone.astype(pre.precision.inverse_dtype)
+                        np.testing.assert_array_equal(installed.eigenvalues, alone.eigenvalues, err_msg=f"{name} {step}")
+                        np.testing.assert_array_equal(installed.eigenvectors, alone.eigenvectors, err_msg=f"{name} {step}")
+                        checked += 1
+            pre.remove()
+            return np.concatenate([p.data.ravel() for p in model.parameters()]), taken, checked
+
+        ranks = run_spmd(world, lambda comm: program(comm, KFAC))
+        taken = ranks[0][1]
+        assert sum(checked for *_, checked in ranks) > 0
+        for name in taken[0].refresh:
+            # The folds a refresh's factors hold: those of the steps before it (step 0: its own).
+            histories = [
+                max(1, sum(name in actions.fold for actions in taken[:step]))
+                for step, actions in enumerate(taken)
+                if name in actions.refresh
+            ]
+            assert histories == sorted(set(histories)), (name, histories)
+        if all(not actions.fold for actions in taken[1:] if actions.refresh):
+            post_fold = run_spmd(world, lambda comm: program(comm, _PostFoldKFAC))
+            for (params, _, _), (reference, _, _) in zip(ranks, post_fold):
+                np.testing.assert_array_equal(params, reference)
 
 
 class _NetWithASpare(nn.Module):
