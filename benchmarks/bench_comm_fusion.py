@@ -29,6 +29,7 @@ measured exposed/hidden split is reported next to the analytic model's
 prediction for the same layer set (``BENCH_comm_fusion_measured.json``).
 """
 
+import dataclasses
 from pathlib import Path
 
 from repro.experiments import format_table, paper_workload_spec, write_bench_json
@@ -96,14 +97,19 @@ def measured_residuals():
 
 def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
     spec = paper_workload_spec("bert_large")
+    # The cap is a config knob: the plan each spec builds carries it.
+    unfused_spec, fused_spec = (
+        dataclasses.replace(spec, config=spec.config.replace(bucket_cap_mb=cap))
+        for cap in (UNFUSED_CAP_MB, BUCKET_CAP_MB)
+    )
 
     def sweep():
         results = []
         for world_size in WORLD_SIZES:
             for label, frac in strategy_fracs(world_size).items():
-                unfused = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=UNFUSED_CAP_MB)
-                fused = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=BUCKET_CAP_MB)
-                hooked = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=BUCKET_CAP_MB, hooked=True)
+                unfused = model_comm_schedule(unfused_spec, world_size, frac)
+                fused = model_comm_schedule(fused_spec, world_size, frac)
+                hooked = model_comm_schedule(fused_spec, world_size, frac, hooked=True)
                 results.append((label, world_size, frac, unfused, fused, hooked))
         return results
 
@@ -271,7 +277,7 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
         {
             "world_size": world_size,
             "steps": steps,
-            "grad_worker_frac": run_info["grad_worker_frac"],
+            "grad_worker_frac": run_info["config"]["grad_worker_frac"],
             "modeled": {
                 "messages_per_update": modeled.messages_per_update,
                 "kfac_comm_time": modeled.kfac_comm_time,

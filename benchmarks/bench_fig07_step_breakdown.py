@@ -185,9 +185,8 @@ def test_fig07_step_time_by_interval_class(benchmark):
         steady = [plan.actions(interval + phase) for phase in range(interval)]  # what each class of step does
         plain = float(np.median([medians[a.step - interval] for a in steady if not (a.fold or a.refresh)]))
         spec = KFACWorkloadSpec(
-            "bert_small", shapes, param_count=0, local_batch_size=1, baseline_compute_time=1.0,
-            factor_update_freq=fold_every, inv_update_freq=interval,
-        )  # fmt: skip
+            "bert_small", shapes, param_count=0, local_batch_size=1, baseline_compute_time=1.0, config=kfac_config
+        )
         modeled = model.refresh_interval(spec, world, kfac_config.grad_worker_frac)
         rows = []
         for phase, actions in enumerate(steady):
@@ -306,10 +305,8 @@ def test_adaptive_schedule_vs_fixed_cadence(benchmark):
     fixed_breakdown = model.kfac_breakdown(spec, WORLD_SIZE, 1.0)
     adaptive_breakdown = model.kfac_breakdown(adaptive_spec, WORLD_SIZE, 1.0)
     # Amortised factor-allreduce bytes per iteration (every rank participates).
-    fixed_factor_bytes = spec.factor_bytes / spec.factor_update_freq
-    adaptive_factor_bytes = (
-        adaptive_spec.factor_bytes * factor_fraction / adaptive_spec.factor_update_freq
-    )
+    fixed_factor_bytes = spec.factor_bytes / spec.config.factor_update_freq
+    adaptive_factor_bytes = adaptive_spec.factor_bytes * factor_fraction / adaptive_spec.config.factor_update_freq
 
     rows = [
         ["final loss (mean last 5)", round(fixed_final, 4), round(adaptive_final, 4)],

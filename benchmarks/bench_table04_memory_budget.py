@@ -24,7 +24,7 @@ import dataclasses
 
 from repro.distributed import A100, DGX_A100_FABRIC, EDR_INFINIBAND, V100, PerformanceModel
 from repro.experiments import PAPER_RESULTS, format_table, paper_workload_spec
-from repro.kfac import IterationTimeModel, KFACConfig, KFACWorkloadSpec
+from repro.kfac import IterationTimeModel, KFACWorkloadSpec
 from repro.memory import KFACMemoryModel
 
 from conftest import (
@@ -69,7 +69,11 @@ def test_table04_fixed_memory_budget(benchmark):
         # ---------------- ResNet-50 on 64 x 16 GB V100 --------------------------
         spec = paper_workload_spec("resnet50")
         memory = KFACMemoryModel(
-            spec.layers, spec.param_count, optimizer="sgd", activation_bytes_per_sample=RESNET50_ACT_PER_SAMPLE
+            spec.layers,
+            spec.param_count,
+            optimizer="sgd",
+            activation_bytes_per_sample=RESNET50_ACT_PER_SAMPLE,
+            config=spec.config,
         )
         time_model = IterationTimeModel(PerformanceModel(device=V100, network=EDR_INFINIBAND))
         budget = int(0.9 * 16 * GB)  # usable fraction of a 16 GB V100
@@ -103,7 +107,7 @@ def test_table04_fixed_memory_budget(benchmark):
             optimizer="lamb",
             weight_dtype_bytes=2,
             activation_bytes_per_sample=BERT_ACT_PER_SAMPLE,
-            config=KFACConfig(precision=spec.precision),
+            config=spec.config,
         )
         time_model = IterationTimeModel(PerformanceModel(device=A100, network=DGX_A100_FABRIC))
         budget = int(0.9 * 40 * GB)

@@ -16,7 +16,6 @@ from real threaded runs; everything is recorded in ``BENCH_memory.json``.
 """
 
 from repro.experiments import PAPER_RESULTS, format_table, measured_memory_report, paper_workload_spec
-from repro.kfac import KFACConfig
 from repro.memory import KFACMemoryModel
 
 from conftest import (
@@ -72,7 +71,7 @@ def _memory_model(name):
         optimizer=OPTIMIZER[name],
         weight_dtype_bytes=2 if precision == "fp16" else 4,
         activation_bytes_per_sample=ACTIVATION_PER_SAMPLE[name],
-        config=KFACConfig(precision=precision),
+        config=spec.config,
     )
 
 

@@ -157,7 +157,7 @@ def sweep_grad_worker_frac(
         spec.param_count,
         optimizer=optimizer,
         activation_bytes_per_sample=activation_bytes_per_sample,
-        config=KFACConfig(precision=spec.precision, compute_eigen_outer=spec.compute_eigen_outer),
+        config=spec.config,
     )
     results: Dict[float, Dict[str, float]] = {}
     for frac in fracs:
@@ -283,10 +283,13 @@ def scaling_projection(
         working_spec = spec
         if scale_update_freq_with_world:
             scale = reference / world_size
+            config = spec.config
             working_spec = dataclasses.replace(
                 spec,
-                factor_update_freq=max(1, int(round(spec.factor_update_freq * scale))),
-                inv_update_freq=max(1, int(round(spec.inv_update_freq * scale))),
+                config=config.replace(
+                    factor_update_freq=max(1, int(round(config.factor_update_freq * scale))),
+                    inv_update_freq=max(1, int(round(config.inv_update_freq * scale))),
+                ),
             )
         for strategy_name, frac in strategies.items():
             actual_frac = (1.0 / world_size) if frac is None else frac

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..kfac.analysis import KFACWorkloadSpec
+from ..kfac.config import KFACConfig
 from ..kfac.factors import FactorRepr
 from ..kfac.strategy import LayerShapeInfo
 from ..models import resnet18, resnet50, resnet101, resnet152
@@ -229,9 +230,7 @@ def paper_workload_spec(name: str, precision: str = "fp32") -> KFACWorkloadSpec:
         param_count=params,
         local_batch_size=_LOCAL_BATCH[name],
         baseline_compute_time=_BASELINE_COMPUTE_TIME[name],
-        factor_update_freq=factor_freq,
-        inv_update_freq=inv_freq,
+        config=KFACConfig(factor_update_freq=factor_freq, inv_update_freq=inv_freq, precision=precision),
         samples_per_input=_SAMPLES_PER_INPUT[name],
-        precision=precision,
         grad_accumulation_steps=_GRAD_ACCUMULATION.get(name, 1),
     )

@@ -9,11 +9,13 @@ every stage of Figure 3 and reports the busiest rank (the makespan) as the
 iteration time.  Infrequent stages (factor update, eigen decomposition) are
 amortised over their update intervals exactly as the paper's averages are.
 
-Nothing here decides who computes, who holds or what moves: every model reads
-the :class:`~repro.kfac.strategy.DistributionPlan` the engine itself follows
-(:meth:`KFACWorkloadSpec.plan`) and buckets its specs with the collective
-engine's own grouping, so modeled messages and bytes are the engine's counts
-and only latency, bandwidth and flop rates are modeled.
+Nothing here decides who computes, who holds or what moves: a workload spec
+carries the :class:`~repro.kfac.KFACConfig` the engine takes, every model reads
+the :class:`~repro.kfac.strategy.DistributionPlan` that config builds
+(:meth:`KFACWorkloadSpec.plan`) and buckets its specs under the plan's own cap
+with the collective engine's own grouping, so modeled messages, bytes and
+placement are the engine's for every knob and only latency, bandwidth and flop
+rates are modeled.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..distributed.cost_model import PerformanceModel, amortized_update_time
-from ..tensor import PrecisionPolicy
+from .config import KFACConfig
 from .factors import FactorRepr
-from .strategy import DistributionPlan, DistributionStrategy, LayerShapeInfo, WirePolicy
+from .strategy import DistributionPlan, LayerShapeInfo
 
 __all__ = [
     "repr_eigen_time",
@@ -66,18 +68,20 @@ def repr_basis_apply_flops(perf: PerformanceModel, repr_: FactorRepr, other_dim:
 
 @dataclass(frozen=True)
 class KFACWorkloadSpec:
-    """Everything the iteration-time model needs to know about one application."""
+    """Everything the iteration-time model needs to know about one application.
+
+    ``config`` is the :class:`~repro.kfac.KFACConfig` the engine would run
+    with -- cadences, precision, solvers, balance, bucket cap, every knob; its
+    ``grad_worker_frac`` is replaced by the one each query passes.
+    """
 
     name: str
     layers: Sequence[LayerShapeInfo]
     param_count: int  # total trainable parameters (for the gradient allreduce)
     local_batch_size: int
     baseline_compute_time: float  # forward+backward+update time per iteration, per rank (s)
-    factor_update_freq: int  # F_freq in Table 2
-    inv_update_freq: int  # K_freq in Table 2
+    config: KFACConfig
     samples_per_input: float = 1.0  # rows contributed to the factors per example (spatial positions for convs)
-    precision: str = "fp32"  # a PrecisionPolicy name: storage and wire dtypes of factors and eigen state
-    compute_eigen_outer: bool = True
     grad_accumulation_steps: int = 1
     #: Performed-vs-base-cadence update ratios (1.0 = the fixed schedule).
     #: :func:`apply_measured_fractions` sets them from what a live
@@ -86,23 +90,14 @@ class KFACWorkloadSpec:
     factor_update_fraction: float = 1.0
     eigen_update_fraction: float = 1.0
 
-    @property
-    def wire_policy(self) -> WirePolicy:
-        return WirePolicy(PrecisionPolicy.from_name(self.precision), self.compute_eigen_outer)
-
     def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
-        """The plan :class:`~repro.kfac.KFAC` follows for these layers and knobs at this operating point."""
-        return DistributionStrategy(world_size, grad_worker_frac).plan(
-            self.layers,
-            self.wire_policy,
-            factor_update_freq=max(self.factor_update_freq, 1),
-            inv_update_freq=max(self.inv_update_freq, 1),
-        )
+        """The plan :class:`~repro.kfac.KFAC` built from ``config`` follows at this operating point."""
+        return self.config.replace(grad_worker_frac=grad_worker_frac).distribution_plan(self.layers, world_size)
 
     @property
     def dtype_bytes(self) -> int:
         """Element size of the training precision (factors, and the data-parallel gradients)."""
-        return np.dtype(self.wire_policy.precision.factor_dtype).itemsize
+        return np.dtype(self.config.precision_policy().factor_dtype).itemsize
 
     @property
     def factor_bytes(self) -> int:
@@ -113,7 +108,7 @@ class KFACWorkloadSpec:
         :class:`~repro.kfac.factors.FactorRepr`) their packed O(F) element
         counts, matching what the handlers actually allocate.
         """
-        policy = self.wire_policy
+        policy = self.config.wire_policy()
         return sum(policy.factor_bytes(layer) for layer in self.layers)
 
     @property
@@ -190,8 +185,7 @@ class IterationTimeModel:
         (:func:`model_comm_schedule` prices the bucketed one).
         """
         plan = spec.plan(world_size, grad_worker_frac)
-        f_freq = max(spec.factor_update_freq, 1)
-        k_freq = max(spec.inv_update_freq, 1)
+        f_freq, k_freq = plan.factor_update_freq, plan.inv_update_freq
         dtype_b = spec.dtype_bytes
 
         times: Dict[str, np.ndarray] = {
@@ -383,7 +377,6 @@ def model_comm_schedule(
     spec: KFACWorkloadSpec,
     world_size: int,
     grad_worker_frac: float,
-    bucket_cap_mb: float = 25.0,
     perf: Optional[PerformanceModel] = None,
     hooked: bool = False,
 ) -> CommSchedule:
@@ -392,12 +385,13 @@ def model_comm_schedule(
     The messages are :meth:`~repro.kfac.strategy.DistributionPlan.messages`:
     the plan's specs through the engine's own grouping, where tensors sharing
     a communication channel — the world for factor allreduces, a ``(src,
-    group)`` pair for broadcasts — fuse into buckets capped at
+    group)`` pair for broadcasts — fuse into buckets capped at the plan's
     ``bucket_cap_mb``, one latency term per bucket.  A cap below any
     tensor is the unfused schedule: one message per factor matrix, per packed
     eigen decomposition (plus the cached outer product where one rank ships
     it) and per preconditioned-gradient broadcast.  Bytes moved do not depend
-    on the cap; only message counts (alpha terms) do.
+    on the cap; only message counts (alpha terms) do.  A cap sweep prices
+    ``spec.config.replace(bucket_cap_mb=...)``.
 
     ``hooked=True`` models the backward-hook gradient pipeline: the factor
     allreduces (bucketed in reverse layer order, the order backward produces
@@ -410,22 +404,20 @@ def model_comm_schedule(
     """
     perf = perf if perf is not None else PerformanceModel()
     plan = spec.plan(world_size, grad_worker_frac)
-    messages = plan.messages(bucket_cap_mb, hooked=hooked)
+    messages = plan.messages(hooked=hooked)
     rounds = {label: (len(sent), sum(nbytes for _, nbytes in sent)) for label, sent in messages.items()}
 
     # --- factor allreduce (world-wide; every rank participates) ------------
     # The round the hooked pipeline can hide, so its time is kept apart from
     # the step-time broadcast rounds below.
     factor_time = sum(perf.allreduce_time(nbytes, len(members)) for members, nbytes in messages["factor"])
-    factor_per_iter = amortized_update_time(
-        factor_time, max(spec.factor_update_freq, 1), spec.factor_update_fraction
-    )
+    factor_per_iter = amortized_update_time(factor_time, plan.factor_update_freq, spec.factor_update_fraction)
 
     # --- eigen broadcast (per refresh), gradient broadcast (every step) ----
     comm_time = np.zeros(world_size)  # per-rank amortised time of the step-time rounds
     for members, nbytes in messages["eigen"]:
         comm_time[list(members)] += amortized_update_time(
-            perf.broadcast_time(nbytes, len(members)), max(spec.inv_update_freq, 1), spec.eigen_update_fraction
+            perf.broadcast_time(nbytes, len(members)), plan.inv_update_freq, spec.eigen_update_fraction
         )
     for members, nbytes in messages["gradient"]:
         comm_time[list(members)] += perf.broadcast_time(nbytes, len(members))

@@ -23,6 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Union
 
+from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..tensor import PrecisionPolicy
 from .scheduling.solvers import available_solve_strategies, make_solve_strategy
 from .strategy import DistributionPlan, DistributionStrategy, LayerShapeInfo, WirePolicy
@@ -54,9 +55,9 @@ class KFACConfig:
     #: (:mod:`repro.distributed.collectives`) that carries every factor
     #: allreduce, eigen broadcast and gradient broadcast, or the string
     #: ``"auto"`` to derive the cap from the alpha-beta network model and the
-    #: registered layer shapes at preconditioner construction
-    #: (:func:`repro.distributed.cost_model.choose_bucket_cap`).  The cap
-    #: changes the message count, never a result bit.
+    #: layer shapes when the plan is built (:meth:`distribution_plan`,
+    #: :func:`repro.distributed.cost_model.choose_bucket_cap`); the plan
+    #: carries the number.  The cap changes the message count, never a result bit.
     bucket_cap_mb: Union[float, str] = 25.0
     #: Normalized Frobenius factor-drift tolerance; 0 disables drift
     #: tracking (fixed cadence).  Positive values stretch stale-tolerant
@@ -150,11 +151,6 @@ class KFACConfig:
             raise ValueError("bucket_cap_mb must be positive")
         PrecisionPolicy.from_name(self.precision)  # raises on unknown names
 
-    @property
-    def bucket_cap_is_auto(self) -> bool:
-        """Whether the fused-buffer cap is derived from the cost model."""
-        return self.bucket_cap_mb == "auto"
-
     # ------------------------------------------------------------- presets
     @classmethod
     def mem_opt(cls, world_size: int, **overrides: Any) -> "KFACConfig":
@@ -240,7 +236,7 @@ class KFACConfig:
         return WirePolicy(precision or self.precision_policy(), self.compute_eigen_outer)
 
     def solver_name_for(self, layer) -> str:
-        """Which registered solve strategy preconditions ``layer`` (anything with ``a_dim`` / ``g_dim``).
+        """Which solve strategy preconditions ``layer`` (anything with ``a_dim`` / ``g_dim``).
 
         Layers whose factor dimensions both fit under ``small_layer_dim`` are
         routed to ``small_layer_solver`` (skipping O(F³) eigen work entirely);
@@ -261,18 +257,28 @@ class KFACConfig:
 
         The one translation from hyperparameters to the plan's inputs, shared
         by :class:`~repro.kfac.KFAC` (which passes its strategy instance and
-        precision policy object) and the memory model (which passes neither).
+        precision policy object) and the cost and memory models (which pass
+        neither).  ``bucket_cap_mb="auto"`` is resolved here, once, from the
+        alpha-beta model and the factors' wire payloads (each travels as it is
+        stored: a dense one as its triangle, O(F) for a diagonal one).
         """
         if strategy is None:
             strategy = DistributionStrategy(world_size, self.grad_worker_frac, self.assignment_balance)
+        layers = list(layers)
+        policy = self.wire_policy(precision)
+        bucket_cap_mb = self.bucket_cap_mb
+        if bucket_cap_mb == "auto":
+            payloads = [policy.factor_bytes(layer, which) for layer in layers for which in "ag"]
+            bucket_cap_mb = choose_bucket_cap(EDR_INFINIBAND, payloads, world_size=world_size)
         needs_eigen = {
             name: make_solve_strategy(name).needs_eigen for name in (self.solve_strategy, self.small_layer_solver)
         }
         return strategy.plan(
             layers,
-            self.wire_policy(precision),
+            policy,
             factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
             eigen_free=[layer.name for layer in layers if not needs_eigen[self.solver_name_for(layer)]],
             factor_update_freq=self.factor_update_freq,
             inv_update_freq=self.inv_update_freq,
+            bucket_cap_mb=bucket_cap_mb,
         )

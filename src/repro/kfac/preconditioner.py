@@ -83,7 +83,6 @@ import numpy as np
 
 from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBucketSpec, OverlapScheduler
-from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..nn.module import Module
 from ..tensor import PrecisionPolicy
 from .base import Preconditioner
@@ -173,7 +172,6 @@ class KFAC(Preconditioner):
         self.grad_scaler = grad_scaler
         self.comm = comm if comm is not None else SingleProcessCommunicator()
         self.compute_eigen_outer = config.compute_eigen_outer
-        self.bucket_cap_mb = config.bucket_cap_mb  # may be the string "auto"
         self.tracer = self.comm.tracer
         self._base_config = config
 
@@ -225,10 +223,7 @@ class KFAC(Preconditioner):
         self.damping_controller: Optional[AdaptiveDampingController] = (
             AdaptiveDampingController(config.damping) if config.adaptive_damping else None
         )
-        # "auto" sizes the fused-buffer cap from the alpha-beta model and the
-        # registered factor shapes, so it must resolve after registration.
-        self.resolved_bucket_cap_mb = self._resolve_bucket_cap()
-        self.scheduler = OverlapScheduler(self.comm, self.resolved_bucket_cap_mb)
+        self.scheduler = OverlapScheduler(self.comm, self.plan.bucket_cap_mb)
         # This rank's side of the plan's eigen and gradient rounds, attached
         # once, by key and source: the specs' callables read the layers and
         # ``_preconditioned`` when they run, so nothing about them changes
@@ -246,18 +241,10 @@ class KFAC(Preconditioner):
         kwargs = {"tol": self._base_config.cg_tol, "max_iter": self._base_config.cg_max_iter} if name == "cg" else {}
         return make_solve_strategy(name, **kwargs)
 
-    def _resolve_bucket_cap(self) -> float:
-        """The numeric fused-buffer cap (MB) the engine will use."""
-        if self.bucket_cap_mb != "auto":
-            return float(self.bucket_cap_mb)
-        itemsize = np.dtype(self.precision.factor_dtype).itemsize
-        tensor_nbytes = []
-        for layer in self.layers.values():
-            for repr_ in (layer.a_repr, layer.g_repr):
-                # Size the cap from the *wire* payloads: every factor travels as
-                # it is stored (a dense one as its triangle, O(F) for diagonal).
-                tensor_nbytes.append(repr_.packed_numel * itemsize)
-        return choose_bucket_cap(EDR_INFINIBAND, tensor_nbytes, world_size=self.comm.world_size)
+    @property
+    def resolved_bucket_cap_mb(self) -> float:
+        """The plan's fused-buffer cap (MB), ``"auto"`` resolved: what the ``Trainer`` sizes its pipeline with."""
+        return self.plan.bucket_cap_mb
 
     # ----------------------------------------------------------- construction
     @classmethod

@@ -36,7 +36,6 @@ from .solvers import (
     available_solve_strategies,
     kronecker_cg,
     make_solve_strategy,
-    register_solve_strategy,
 )
 
 __all__ = [
@@ -51,6 +50,5 @@ __all__ = [
     "CGSolveStrategy",
     "available_solve_strategies",
     "make_solve_strategy",
-    "register_solve_strategy",
     "kronecker_cg",
 ]

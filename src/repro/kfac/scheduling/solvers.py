@@ -16,9 +16,8 @@ two cheaper alternatives that this module packages behind one interface:
   (gradients change slowly between steps, so a handful of iterations
   suffice).
 
-Strategies are looked up in an open registry: decorate a subclass with
-``@register_solve_strategy("name")`` and reference it from
-``KFACConfig.solve_strategy`` / ``small_layer_solver``.  Per-layer solver
+``KFACConfig.solve_strategy`` / ``small_layer_solver`` name one of the three
+(:func:`make_solve_strategy`).  Per-layer solver
 state (cached inverses, CG warm starts) participates in
 ``state_dict``/``load_state_dict`` so checkpoint resume stays bit-identical.
 """
@@ -39,38 +38,21 @@ __all__ = [
     "EigenSolveStrategy",
     "InverseSolveStrategy",
     "CGSolveStrategy",
-    "register_solve_strategy",
     "make_solve_strategy",
     "available_solve_strategies",
     "kronecker_cg",
 ]
 
-#: Strategy name -> class.  Mutated only through :func:`register_solve_strategy`.
-_SOLVER_REGISTRY: Dict[str, type] = {}
-
-
-def register_solve_strategy(name: str):
-    """Class decorator registering a :class:`SolveStrategy` under ``name``."""
-
-    def decorator(cls: type) -> type:
-        if not (isinstance(cls, type) and issubclass(cls, SolveStrategy)):
-            raise TypeError("registered solver must be a SolveStrategy subclass")
-        _SOLVER_REGISTRY[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
 
 def available_solve_strategies() -> List[str]:
-    """Sorted names of all registered solve strategies."""
-    return sorted(_SOLVER_REGISTRY)
+    """Sorted names of the solve strategies."""
+    return sorted(_SOLVERS)
 
 
 def make_solve_strategy(name: str, **kwargs: Any) -> "SolveStrategy":
-    """Instantiate the registered strategy ``name`` with ``kwargs``."""
+    """Instantiate the strategy ``name`` with ``kwargs``."""
     try:
-        cls = _SOLVER_REGISTRY[name]
+        cls = _SOLVERS[name]
     except KeyError:
         raise ValueError(
             f"unknown solve strategy {name!r}; available: {available_solve_strategies()}"
@@ -183,7 +165,6 @@ class SolveStrategy:
         """Drop cached state (paired with ``KFAC.reset``)."""
 
 
-@register_solve_strategy("eigen")
 class EigenSolveStrategy(SolveStrategy):
     """The default eigen-decomposition path (Eqs. 15-17), unchanged.
 
@@ -193,15 +174,17 @@ class EigenSolveStrategy(SolveStrategy):
     fixed-frequency oracle.
     """
 
+    name = "eigen"
     needs_eigen = True
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         return layer.precondition(damping, pi=pi, grad=grad)
 
 
-@register_solve_strategy("inverse")
 class InverseSolveStrategy(SolveStrategy):
     """Direct damped inverses (Eq. 12): one ``inv`` per factor per refresh."""
+
+    name = "inverse"
 
     def __init__(self) -> None:
         self.inv_a: Optional[np.ndarray] = None
@@ -242,7 +225,6 @@ class InverseSolveStrategy(SolveStrategy):
         self.inv_g = None
 
 
-@register_solve_strategy("cg")
 class CGSolveStrategy(SolveStrategy):
     """Inverse-free conjugate-gradient solves, warm-started across steps.
 
@@ -251,6 +233,8 @@ class CGSolveStrategy(SolveStrategy):
     next solve (DeepFormer's ``last_x0``), so after the first step only a
     few CG iterations are needed to track the slowly moving gradient.
     """
+
+    name = "cg"
 
     def __init__(self, tol: float = 1e-8, max_iter: int = 50) -> None:
         if tol <= 0.0:
@@ -304,3 +288,7 @@ class CGSolveStrategy(SolveStrategy):
     def reset(self) -> None:
         self.last_solution = None
         self.total_iterations = 0
+
+
+#: Strategy name -> class.
+_SOLVERS: Dict[str, type] = {cls.name: cls for cls in (EigenSolveStrategy, InverseSolveStrategy, CGSolveStrategy)}

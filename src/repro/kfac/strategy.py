@@ -233,6 +233,9 @@ class DistributionPlan:
     ``refresh_offsets`` is the phase of each layer's decomposition in the
     interval (:func:`~repro.kfac.assignment.staggered_refresh_offsets`);
     :meth:`actions` turns the two cadences and the offsets into what a step does.
+    ``bucket_cap_mb`` is the fused-buffer cap every round is bucketed under
+    (``"auto"`` already resolved): the engine's scheduler and :meth:`messages`
+    both read it.
     """
 
     scheme: str  # the strategy's name, e.g. "HYBRID-OPT"
@@ -248,6 +251,7 @@ class DistributionPlan:
     factor_update_freq: int
     inv_update_freq: int
     refresh_offsets: Dict[str, int]  # phase of the layer's refresh in the interval
+    bucket_cap_mb: float  # fused-buffer cap (MB) of every round
 
     def actions(self, step: int) -> StepActions:
         """What the base cadence does on ``step``; the one place it is stated.
@@ -296,15 +300,15 @@ class DistributionPlan:
         return per_rank
 
     def messages(
-        self, bucket_cap_mb: float = 25.0, hooked: bool = False, step: Optional[int] = None
+        self, hooked: bool = False, step: Optional[int] = None
     ) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
         """Every message of one full update -- or of step ``step`` alone -- as the collective engine posts it.
 
         ``{"factor" | "eigen" | "gradient": [(members, nbytes), ...]}``, one
         entry per fused bucket: the rounds' specs through the engine's own
         grouping (:func:`~repro.distributed.collectives.broadcast_messages`,
-        one world-wide channel for the factor allreduces) under the same cap,
-        so the counts are what a communication log records.  ``step`` buckets
+        one world-wide channel for the factor allreduces) under the plan's
+        ``bucket_cap_mb``, so the counts are what a communication log records.  ``step`` buckets
         :meth:`actions` of that step: its factor round if it folds, the eigen
         round of the layers it decomposes, the gradient round.  A full update
         sums the actions of one steady interval (:meth:`steady_interval`): one factor round, the eigen
@@ -314,7 +318,7 @@ class DistributionPlan:
         (the order backward produces them).  A group of one exchanges nothing
         and is not a message.
         """
-        buckets = BucketManager(bucket_cap_mb)
+        buckets = BucketManager(self.bucket_cap_mb)
         if step is None:
             interval = self.steady_interval()
         else:
@@ -331,7 +335,7 @@ class DistributionPlan:
         return out
 
     def digest(self) -> str:
-        """Fingerprint of everything above: the placement and every spec's key / src / group / shape / dtype.
+        """Fingerprint of everything above: the placement, every spec's key / src / group / shape / dtype and the cap.
 
         What the sanitizer compares across ranks before the first schedule is
         posted: ranks that disagree here would post mismatched collectives.
@@ -384,22 +388,6 @@ class DistributionStrategy:
         *direct* subclass construction, where class identity, runtime behavior
         and the serialized config would otherwise silently disagree.
         """
-
-    # ------------------------------------------------------------- factories
-    @classmethod
-    def mem_opt(cls, world_size: int) -> "DistributionStrategy":
-        """MEM-OPT: a single gradient worker per layer."""
-        return DistributionStrategy(world_size, grad_worker_frac=1.0 / world_size)
-
-    @classmethod
-    def comm_opt(cls, world_size: int) -> "DistributionStrategy":
-        """COMM-OPT: every rank is a gradient worker."""
-        return DistributionStrategy(world_size, grad_worker_frac=1.0)
-
-    @classmethod
-    def hybrid(cls, world_size: int, grad_worker_frac: float = 0.5) -> "DistributionStrategy":
-        """HYBRID-OPT with an arbitrary gradient-worker fraction."""
-        return DistributionStrategy(world_size, grad_worker_frac=grad_worker_frac)
 
     # ------------------------------------------------------------ properties
     @property
@@ -488,8 +476,9 @@ class DistributionStrategy:
         eigen_free: Iterable[str] = (),
         factor_update_freq: int = 1,
         inv_update_freq: int = 1,
+        bucket_cap_mb: float = 25.0,
     ) -> DistributionPlan:
-        """The :class:`DistributionPlan` of ``layers`` under this scheme.
+        """The :class:`DistributionPlan` of ``layers`` under this scheme, its rounds bucketed under ``bucket_cap_mb``.
 
         A running factor is held where a plan reads it: by the ranks that
         decompose it; by the layer's gradient workers when the layer is in
@@ -515,7 +504,7 @@ class DistributionStrategy:
         )
         plan = DistributionPlan(
             self.name, self.world_size, policy, groups, {}, {}, {}, {}, {}, {},
-            int(factor_update_freq), int(inv_update_freq), offsets,
+            int(factor_update_freq), int(inv_update_freq), offsets, float(bucket_cap_mb),
         )  # fmt: skip
         for layer in layers:
             name, group = layer.name, groups[layer.name]

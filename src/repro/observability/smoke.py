@@ -11,7 +11,8 @@ the same layer set.  Used three ways:
 
 * the CI trace-smoke job: ``python -m repro.observability.smoke --out
   trace.json`` (exit code non-zero if the exported trace fails validation, if
-  the ranks' running factors do not add up to every factor stored once, if a
+  a rank's plan digest differs from that of the plan the models build from
+  the run's config, if the ranks' running factors do not add up to every factor stored once, if a
   rank's factor bytes are not the packed triangles of the factors it holds --
   ``n(n+1)/2`` elements per dense factor, a regression to square storage --
   if a rank's slice of the modeled K-FAC messages or bytes differs from what
@@ -62,8 +63,10 @@ def run_traced_bert(
     the trainer on its own pipeline, which posts everything at ``flush()``)
     and the fused nonblocking collective engine, so the returned per-rank
     tracers carry comm spans overlapping the backward spans.  Returns
-    ``(tracers, run_info)`` where ``run_info`` records the knobs needed to
-    rebuild the matching analytic schedule, each rank's final
+    ``(tracers, run_info)`` where ``run_info`` records the preconditioner's
+    :class:`~repro.kfac.KFACConfig` (``"config"``, as ``to_dict()``: what the
+    models need to rebuild the run's plan), the digest of each rank's plan
+    (``"plan_digests"``), each rank's final
     :meth:`KFAC.memory_usage` (``"memory_usage"``), the bytes of all
     registered factors (``"registered_factor_bytes"``), the bytes the factors
     each rank holds take as packed triangles, worked out from their dimensions
@@ -136,42 +139,49 @@ def run_traced_bert(
             op: (int(counters.get(f"comm/{op}/messages", 0)), int(counters.get(f"comm/{op}/bytes", 0)))
             for op in ("allreduce", "broadcast")
         }
-        return comm.tracer, preconditioner.memory_usage(), registered, grad_sync, counted, triangles, (
-            decomposed, eigen_gauges
-        )
+        return {
+            "tracer": comm.tracer,
+            "config": preconditioner.config.to_dict(),
+            "plan_digest": plan.digest(),
+            "memory_usage": preconditioner.memory_usage(),
+            "registered_factor_bytes": registered,
+            "held_triangle_bytes": triangles,
+            "decomposed_per_step": decomposed,
+            "eigen_gauges": eigen_gauges,
+            "grad_sync": grad_sync,
+            "counted": counted,
+        }
 
     per_rank = run_spmd(world_size, program)
-    tracers = [entry[0] for entry in per_rank]
     run_info = {
         "world_size": world_size,
         "steps": steps,
-        "grad_worker_frac": grad_worker_frac,
         "seed": seed,
-        "factor_update_freq": factor_update_freq,
-        "inv_update_freq": inv_update_freq,
         "use_pipeline": use_pipeline,
-        "bucket_cap_mb": bucket_cap_mb,
-        "memory_usage": [entry[1] for entry in per_rank],
-        "registered_factor_bytes": per_rank[0][2],
-        "held_triangle_bytes": [entry[5] for entry in per_rank],
-        "decomposed_per_step": per_rank[0][6][0],
-        "eigen_gauges": [entry[6][1] for entry in per_rank],
-        "grad_sync": per_rank[0][3],
-        "counted": [entry[4] for entry in per_rank],
+        "config": per_rank[0]["config"],
+        "plan_digests": [entry["plan_digest"] for entry in per_rank],
+        "memory_usage": [entry["memory_usage"] for entry in per_rank],
+        "registered_factor_bytes": per_rank[0]["registered_factor_bytes"],
+        "held_triangle_bytes": [entry["held_triangle_bytes"] for entry in per_rank],
+        "decomposed_per_step": per_rank[0]["decomposed_per_step"],
+        "eigen_gauges": [entry["eigen_gauges"] for entry in per_rank],
+        "grad_sync": per_rank[0]["grad_sync"],
+        "counted": [entry["counted"] for entry in per_rank],
     }
-    return tracers, run_info
+    return [entry["tracer"] for entry in per_rank], run_info
 
 
 def workload_spec_for_run(tracers, run_info):
     """The :class:`~repro.kfac.KFACWorkloadSpec` of a traced run, from the architecture rather than the engine.
 
-    Rebuilds the same tiny BERT (same seed), collects its K-FAC layer shapes
-    and calibrates the per-iteration compute time from the *measured*
-    forward+backward+optimizer spans so model and measurement share a time base.
+    Rebuilds the same tiny BERT (same seed), collects its K-FAC layer shapes,
+    takes the run's config (``run_info["config"]``) and calibrates the
+    per-iteration compute time from the *measured* forward+backward+optimizer
+    spans so model and measurement share a time base.
     """
     from ..experiments.model_shapes import collect_layer_shapes
     from ..experiments.workloads import build_bert_workload
-    from ..kfac.analysis import KFACWorkloadSpec
+    from ..kfac import KFACConfig, KFACWorkloadSpec
     from .metrics import MetricsReport
 
     workload = build_bert_workload(seed=run_info["seed"], num_train=16, num_val=16)
@@ -188,22 +198,21 @@ def workload_spec_for_run(tracers, run_info):
         param_count=sum(int(p.data.size) for p in workload.model.parameters()),
         local_batch_size=16,
         baseline_compute_time=max(compute_time, 1e-6),
-        factor_update_freq=run_info["factor_update_freq"],
-        inv_update_freq=run_info["inv_update_freq"],
+        config=KFACConfig.from_dict(run_info["config"]),
     )
+
+
+def _run_plan(spec, run_info):
+    """The plan the models read for a traced run: ``spec``'s config at the run's world size."""
+    return spec.plan(run_info["world_size"], spec.config.grad_worker_frac)
 
 
 def modeled_schedule_for_run(spec, run_info):
-    """The analytic :class:`~repro.kfac.CommSchedule` of a traced run: ``spec`` priced under the run's bucket cap, hooked or not."""
+    """The analytic :class:`~repro.kfac.CommSchedule` of a traced run: ``spec`` priced as the run posted, hooked or not."""
     from ..kfac import model_comm_schedule
 
-    return model_comm_schedule(
-        spec,
-        run_info["world_size"],
-        run_info["grad_worker_frac"],
-        bucket_cap_mb=run_info["bucket_cap_mb"],
-        hooked=run_info["use_pipeline"],
-    )
+    world, frac = run_info["world_size"], spec.config.grad_worker_frac
+    return model_comm_schedule(spec, world, frac, hooked=run_info["use_pipeline"])
 
 
 def kfac_traffic(spec, run_info):
@@ -219,9 +228,8 @@ def kfac_traffic(spec, run_info):
     import numpy as np
 
     steps = run_info["steps"]
-    plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
-    cap, hooked = run_info["bucket_cap_mb"], run_info["use_pipeline"]
-    rounds = [plan.messages(cap, hooked=hooked, step=step) for step in range(steps)]
+    plan = _run_plan(spec, run_info)
+    rounds = [plan.messages(hooked=run_info["use_pipeline"], step=step) for step in range(steps)]
     traffic = []
     for rank, counted in enumerate(run_info["counted"]):
         expected = {"allreduce": np.zeros(2, dtype=np.int64), "broadcast": np.zeros(2, dtype=np.int64)}
@@ -235,9 +243,19 @@ def kfac_traffic(spec, run_info):
     return traffic
 
 
+def plan_digest_problems(spec, run_info) -> List[str]:
+    """The ranks whose plan is not the one the models build from ``spec``: placement, rounds, cadence or cap."""
+    modeled = _run_plan(spec, run_info).digest()
+    return [
+        f"rank {rank} follows plan {digest}, the models read {modeled}"
+        for rank, digest in enumerate(run_info["plan_digests"])
+        if digest != modeled
+    ]
+
+
 def staggered_refresh_problems(spec, run_info) -> List[str]:
     """Where rank 0's decompositions differ from the plan's actions, step by step."""
-    plan = spec.plan(run_info["world_size"], run_info["grad_worker_frac"])
+    plan = _run_plan(spec, run_info)
     planned = [plan.actions(step).refresh for step in range(run_info["steps"])]
     return [
         f"step {step} decomposed {list(done)}, the plan's actions {list(refresh)}"
@@ -294,6 +312,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     measured = measured_comm_schedule(tracers)
     spec = workload_spec_for_run(tracers, run_info)
+    problems = plan_digest_problems(spec, run_info)
+    for problem in problems:
+        print(f"ERROR: {problem}: the models would price another plan than the engine runs", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"\nEvery rank's plan is the models' plan (digest {run_info['plan_digests'][0]})")
     modeled = modeled_schedule_for_run(spec, run_info)
     print(
         format_table(
@@ -347,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("ERROR: a rank's modeled K-FAC messages or bytes differ from what its registry counted", file=sys.stderr)
         return 1
     print(
-        f"\nLayers decomposed per step (cadence {run_info['factor_update_freq']} / {run_info['inv_update_freq']}): "
+        f"\nLayers decomposed per step (cadence {spec.config.factor_update_freq} / {spec.config.inv_update_freq}): "
         + " ".join(f"{step}:{len(layers)}" for step, layers in enumerate(run_info["decomposed_per_step"]))
     )
     problems = staggered_refresh_problems(spec, run_info)

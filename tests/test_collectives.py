@@ -9,6 +9,8 @@ strategies produce bitwise-identical preconditioned steps whatever the bucket
 cap, from one message per tensor to everything fused, on the threaded backend.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -656,9 +658,10 @@ class TestConfigKnobs:
 class TestCommScheduleModel:
     def test_bert_sized_fusion_saves_messages_and_time(self):
         spec = paper_workload_spec("bert_large")
+        alone = dataclasses.replace(spec, config=spec.config.replace(bucket_cap_mb=1e-6))  # a cap below any tensor
         for world_size in (8, 16):
             for frac in (1.0 / world_size, 0.5, 1.0):
-                unfused = model_comm_schedule(spec, world_size, frac, bucket_cap_mb=1e-6)  # a cap below any tensor
+                unfused = model_comm_schedule(alone, world_size, frac)
                 fused = model_comm_schedule(spec, world_size, frac)
                 assert fused.comm_bytes_per_update == unfused.comm_bytes_per_update
                 assert fused.messages_per_update < unfused.messages_per_update

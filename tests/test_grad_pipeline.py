@@ -423,7 +423,7 @@ class TestPipelineMechanics:
             sl = slice(comm.rank * 16, (comm.rank + 1) * 16)
             trainer.train_step((x[sl], y[sl]))
             # K-FAC's own collectives ran -- its factor round is every allreduce byte -- and nothing carried the gradients.
-            factor_round = pre.plan.messages(pre.resolved_bucket_cap_mb, step=0)["factor"]
+            factor_round = pre.plan.messages(step=0)["factor"]
             counted = comm_counts(comm.tracer)
             assert counted["allreduce"][:2] == (len(factor_round), sum(nbytes for _, nbytes in factor_round))
             assert counted["broadcast"][0] > 0
@@ -759,7 +759,6 @@ class TestChooseBucketCap:
 
     def test_config_accepts_auto_and_round_trips(self):
         config = KFACConfig(bucket_cap_mb="auto")
-        assert config.bucket_cap_is_auto
         restored = KFACConfig.from_dict(config.to_dict())
         assert restored.bucket_cap_mb == "auto"
         with pytest.raises(ValueError):
@@ -772,9 +771,11 @@ class TestChooseBucketCap:
         pre = KFAC(model, bucket_cap_mb="auto")
         assert isinstance(pre.resolved_bucket_cap_mb, float)
         assert pre.resolved_bucket_cap_mb > 0
-        assert pre.scheduler.buckets.bucket_cap_mb == pre.resolved_bucket_cap_mb
-        # The serializable config keeps the symbolic value.
+        assert pre.scheduler.buckets.bucket_cap_mb == pre.resolved_bucket_cap_mb == pre.plan.bucket_cap_mb
+        # The serializable config keeps the symbolic value; the models resolve it to the engine's number.
         assert pre.config.bucket_cap_mb == "auto"
+        shapes = [layer.shape_info() for layer in pre.layers.values()]
+        assert pre.config.distribution_plan(shapes, 1).bucket_cap_mb == pre.resolved_bucket_cap_mb
 
     def test_auto_cap_is_bitwise_neutral(self):
         x, y = make_problem(seed=17)

@@ -1,13 +1,20 @@
 """Tests for the analytic iteration-time model (Figures 6-8 machinery)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.distributed import A100, DGX_A100_FABRIC, PerformanceModel
-from repro.kfac import IterationTimeModel, KFACWorkloadSpec, LayerShapeInfo
+from repro.kfac import IterationTimeModel, KFACConfig, KFACWorkloadSpec, LayerShapeInfo
+
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(KFACConfig)}
 
 
 def small_spec(**overrides):
+    """The toy spec; overrides that name a :class:`KFACConfig` field go to its config."""
+    knobs = {"factor_update_freq": 50, "inv_update_freq": 500}
+    knobs.update({key: overrides.pop(key) for key in list(overrides) if key in CONFIG_FIELDS})
     layers = [
         LayerShapeInfo("conv1", a_dim=147, g_dim=64, grad_numel=147 * 64),
         LayerShapeInfo("conv2", a_dim=576, g_dim=128, grad_numel=576 * 128),
@@ -19,8 +26,7 @@ def small_spec(**overrides):
         param_count=2_000_000,
         local_batch_size=32,
         baseline_compute_time=0.1,
-        factor_update_freq=50,
-        inv_update_freq=500,
+        config=KFACConfig(**knobs),
         samples_per_input=100.0,
     )
     defaults.update(overrides)
@@ -45,8 +51,8 @@ class TestWorkloadSpec:
         spec = small_spec()
         layer = spec.layers[0]
         expected = (layer.a_dim ** 2 + layer.a_dim + layer.g_dim ** 2 + layer.g_dim + layer.a_dim * layer.g_dim) * 4
-        assert spec.wire_policy.eigen_bytes(layer) == expected
-        without_outer = small_spec(compute_eigen_outer=False).wire_policy.eigen_bytes(layer)
+        assert spec.config.wire_policy().eigen_bytes(layer) == expected
+        without_outer = small_spec(compute_eigen_outer=False).config.wire_policy().eigen_bytes(layer)
         assert expected - without_outer == layer.a_dim * layer.g_dim * 4
 
 

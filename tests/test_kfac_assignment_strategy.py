@@ -226,9 +226,9 @@ class TestDistributionStrategy:
             DistributionStrategy(4, balance="latency")
 
     def test_strategy_names(self):
-        assert DistributionStrategy.mem_opt(8).name == "MEM-OPT"
-        assert DistributionStrategy.comm_opt(8).name == "COMM-OPT"
-        assert DistributionStrategy.hybrid(8, 0.5).name == "HYBRID-OPT"
+        assert DistributionStrategy(8, 1 / 8).name == "MEM-OPT"
+        assert DistributionStrategy(8, 1.0).name == "COMM-OPT"
+        assert DistributionStrategy(8, 0.5).name == "HYBRID-OPT"
 
     def test_num_grad_workers_formula(self):
         assert DistributionStrategy(64, 1 / 64).num_grad_workers == 1
@@ -237,7 +237,7 @@ class TestDistributionStrategy:
         assert DistributionStrategy(1, 1.0).num_grad_workers == 1
 
     def test_mem_opt_single_grad_worker_per_layer(self):
-        groups = DistributionStrategy.mem_opt(8).assign(LAYERS)
+        groups = DistributionStrategy(8, 1 / 8).assign(LAYERS)
         for group in groups.values():
             assert len(group.grad_workers) == 1
             assert group.eigen_worker_a == group.eigen_worker_g == group.outer_worker
@@ -246,13 +246,13 @@ class TestDistributionStrategy:
             assert len(receivers) == 7
 
     def test_comm_opt_every_rank_is_grad_worker(self):
-        groups = DistributionStrategy.comm_opt(8).assign(LAYERS)
+        groups = DistributionStrategy(8, 1.0).assign(LAYERS)
         for group in groups.values():
             assert group.grad_workers == tuple(range(8))
             assert group.receiver_map == {}
 
     def test_comm_opt_distributes_a_and_g_separately(self):
-        groups = DistributionStrategy.comm_opt(16).assign(LAYERS)
+        groups = DistributionStrategy(16, 1.0).assign(LAYERS)
         placements = set()
         for group in groups.values():
             placements.add(group.eigen_worker_a)
@@ -260,7 +260,7 @@ class TestDistributionStrategy:
         assert len(placements) > 1  # factors spread across more than one rank
 
     def test_hybrid_partitions_receivers_among_grad_workers(self):
-        groups = DistributionStrategy.hybrid(8, 0.5).assign(LAYERS)
+        groups = DistributionStrategy(8, 0.5).assign(LAYERS)
         for group in groups.values():
             assert len(group.grad_workers) == 4
             all_receivers = [r for worker in group.grad_workers for r in group.receivers_of(worker)]

@@ -552,7 +552,7 @@ class TestKFACSchedulerIntegration:
                 after = comm_counts(comm.tracer)
                 moved = traffic.setdefault(step, {})[comm.rank] = {op: after[op][1] - before[op][1] for op in after}
                 # This rank's slice of the plan: the messages whose group contains it.
-                modeled = pre.plan.messages(config.bucket_cap_mb, step=step)
+                modeled = pre.plan.messages(step=step)
                 assert moved["allreduce"] == sum(nbytes for members, nbytes in modeled["factor"] if comm.rank in members)
                 assert moved["broadcast"] == sum(
                     nbytes for members, nbytes in modeled["eigen"] + modeled["gradient"] if comm.rank in members
@@ -903,8 +903,7 @@ class TestModeledFractions:
             param_count=sum(l.grad_numel for l in layers),
             local_batch_size=32,
             baseline_compute_time=0.1,
-            factor_update_freq=10,
-            inv_update_freq=100,
+            config=KFACConfig(factor_update_freq=10, inv_update_freq=100),
         )
         defaults.update(overrides)
         return KFACWorkloadSpec(**defaults)

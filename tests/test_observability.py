@@ -491,14 +491,14 @@ class TestTracedTrainingArtifacts:
 
 
 class TestSmokeRefreshGate:
-    """The trace smoke's refresh gates are exact: rank 0's decompositions are the plan's actions, step by step,
-    and each refresh step's hidden eigen time lies between zero and the worker's solve time."""
+    """The trace smoke's gates are exact: every rank runs the plan the models build from the run's config,
+    rank 0's decompositions are the plan's actions, step by step, and each refresh step's hidden eigen time
+    lies between zero and the worker's solve time."""
 
     @staticmethod
     def run_info(plan, steps):
         return {
             "world_size": plan.world_size,
-            "grad_worker_frac": 0.5,
             "steps": steps,
             "decomposed_per_step": [plan.actions(step).refresh for step in range(steps)],
             "eigen_gauges": [[(4.0, 3.0), (2.0, 0.0)], [(1.5, 1.5)]],
@@ -510,7 +510,8 @@ class TestSmokeRefreshGate:
         from repro.observability.smoke import staggered_refresh_problems
 
         layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5, 3))]
-        spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, factor_update_freq=5, inv_update_freq=10)
+        config = KFACConfig(factor_update_freq=5, inv_update_freq=10, grad_worker_frac=0.5)
+        spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, config)
         plan = spec.plan(2, 0.5)
         assert set(plan.refresh_offsets.values()) != {0}  # a staggered interval
         run_info = self.run_info(plan, 12)
@@ -525,6 +526,21 @@ class TestSmokeRefreshGate:
         problems = staggered_refresh_problems(spec, run_info)
         assert len(problems) == 2
         assert problems[0].startswith(f"step {stepped} decomposed") and problems[1].startswith(f"step {swapped} decomposed")
+
+    def test_a_rank_whose_plan_is_not_the_models_is_named(self):
+        from repro.kfac import KFACWorkloadSpec
+        from repro.kfac.strategy import LayerShapeInfo
+        from repro.observability.smoke import plan_digest_problems
+
+        layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5))]
+        config = KFACConfig(factor_update_freq=5, inv_update_freq=10, grad_worker_frac=0.5)
+        spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, config)
+        run_info = {"world_size": 2, "plan_digests": [spec.plan(2, 0.5).digest()] * 2}
+        assert plan_digest_problems(spec, run_info) == []
+        # A rank bucketing under another cap posts other messages: its plan is not the models'.
+        recapped = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, config.replace(bucket_cap_mb=0.001))
+        run_info["plan_digests"][1] = recapped.plan(2, 0.5).digest()
+        assert [problem.split(" follows")[0] for problem in plan_digest_problems(spec, run_info)] == ["rank 1"]
 
     def test_a_missing_negative_or_oversized_hidden_time_is_named(self):
         from repro.observability.smoke import eigen_overlap_problems

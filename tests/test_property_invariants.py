@@ -33,6 +33,7 @@ from repro.kfac import (
     KFAC,
     FactorRepr,
     KFACConfig,
+    IterationTimeModel,
     KFACWorkloadSpec,
     LayerShapeInfo,
     apply_measured_fractions,
@@ -379,7 +380,7 @@ class TestStaggeredRefreshProperties:
             checkpoint = (model.state_dict(), optimizer.state_dict(), pre.state_dict())
             uninterrupted, posted = train(comm, model, optimizer, pre, resume_at, last)
             counted = decisions(comm)
-            spec = KFACWorkloadSpec("generated", [], 0, 1, 1.0, factor_freq, inv_freq)
+            spec = KFACWorkloadSpec("generated", [], 0, 1, 1.0, pre.config)
             measured = apply_measured_fractions(spec, pre)
 
             model2, optimizer2, pre2 = build(comm, frac)  # the process was killed: everything is rebuilt
@@ -638,8 +639,10 @@ class TestModelEqualsEngineProperties:
 
     One full update (factor + eigen + gradient round) of Embedding -> LayerNorm -> Linear -> Linear
     (diagonal A, diagonal G, optionally a block-diagonal G, dense factors) with nothing else on the
-    wire: the communication log must equal the plan's messages and ``model_comm_schedule``, and every
-    rank's ``memory_usage()`` the memory model -- for every knob that sizes, routes or places state.
+    wire: every rank's plan must be the one a ``KFACWorkloadSpec`` of the same config builds, the
+    communication log the plan's messages and ``model_comm_schedule``'s, the modeled decompositions
+    the plan's decomposers', and every rank's ``memory_usage()`` the memory model -- for every knob
+    that sizes, routes or places state.
     """
 
     KNOBS = {
@@ -647,6 +650,8 @@ class TestModelEqualsEngineProperties:
         "drift": {"drift_tol": 0.05, "max_staleness": 8},
         "pi": {"damping_pi_correction": True},
         "inverse": {"solve_strategy": "inverse"},
+        "cg": {"solve_strategy": "cg"},
+        "small": {"small_layer_dim": 8},  # the layers whose factors are all <= 8 wide take CG, the rest eigen
     }
 
     # (world, gradient workers per layer): MEM-, HYBRID- and COMM-OPT at every world size that has them.
@@ -663,6 +668,11 @@ class TestModelEqualsEngineProperties:
         (0.001, False, "fp16", "compute", "pi"),
         (25.0, True, "fp64", "compute", "inverse"),
         (0.001, False, "fp32", "memory", "inverse"),
+        (25.0, False, "fp64", "memory", "cg"),
+        (0.001, True, "fp16", "compute", "cg"),
+        (0.001, True, "fp32", "memory", "small"),
+        (25.0, False, "fp16", "compute", "small"),
+        ("auto", True, "fp32", "compute", "default"),
     ]
 
     @pytest.mark.parametrize("wire", WIRES, ids=lambda wire: "-".join(str(value) for value in wire))
@@ -712,7 +722,7 @@ class TestModelEqualsEngineProperties:
             local = slice(comm.rank, None, world)
             nn.MSELoss()(model(tokens[local]), target[local]).backward()
             pre.step()  # no gradient averaging: K-FAC's collectives are the only ones in the registry
-            return pre.memory_usage(), list(pre.layers), comm_counts(comm.tracer)
+            return pre.memory_usage(), list(pre.layers), comm_counts(comm.tracer), pre.plan.digest()
 
         previous = KFACEmbeddingLayer.g_block_size
         KFACEmbeddingLayer.g_block_size = None if blocks is None else block_size
@@ -732,33 +742,37 @@ class TestModelEqualsEngineProperties:
         ]
         assert ranks[0][1] == [shape.name for shape in shapes]
 
-        messages = config.distribution_plan(shapes, world).messages(bucket_cap_mb)
+        spec = KFACWorkloadSpec("generated", shapes, param_count=0, local_batch_size=4, baseline_compute_time=1.0,
+                                config=config)  # fmt: skip
+        plan = spec.plan(world, config.grad_worker_frac)
+        assert [digest for *_, digest in ranks] == [plan.digest()] * world  # placement, rounds, cadence and cap
+        messages = plan.messages()
         modeled = {
             "allreduce": messages["factor"],
             "broadcast": messages["eigen"] + messages["gradient"],
         }
         # Every rank counted exactly its slice of the plan: the channels that contain it.
-        for rank, (_, _, counted) in enumerate(ranks):
+        for rank, (_, _, counted, _) in enumerate(ranks):
             for op, sent in modeled.items():
                 mine = [nbytes for members, nbytes in sent if rank in members]
                 assert counted[op][:2] == (len(mine), sum(mine)), (rank, op)
-        if balance == "compute" and knob in ("default", "drift", "pi"):  # what a KFACWorkloadSpec can express
-            spec = KFACWorkloadSpec(
-                "generated", shapes, param_count=0, local_batch_size=4, baseline_compute_time=1.0,
-                factor_update_freq=1, inv_update_freq=1, precision=precision,
-                compute_eigen_outer=compute_eigen_outer,
-            )  # fmt: skip
-            schedule = model_comm_schedule(spec, world, config.grad_worker_frac, bucket_cap_mb=bucket_cap_mb)
-            assert schedule.messages_per_update == sum(len(sent) for sent in modeled.values())
-            assert schedule.comm_bytes_per_update == sum(nbytes for sent in modeled.values() for _, nbytes in sent)
-            # Each message is counted once by each of its members.
-            members = [len(group) for sent in modeled.values() for group, _ in sent]
-            assert sum(sum(entry[0] for entry in counted.values()) for _, _, counted in ranks) == sum(members)
+        # Each message is counted once by each of its members.
+        members = [len(group) for sent in modeled.values() for group, _ in sent]
+        assert sum(sum(entry[0] for entry in counted.values()) for _, _, counted, _ in ranks) == sum(members)
+
+        # The cost model prices those messages, round by round, and charges decompositions where the plan puts them.
+        schedule = model_comm_schedule(spec, world, config.grad_worker_frac)
+        assert schedule.rounds == {label: (len(sent), sum(size for _, size in sent)) for label, sent in messages.items()}
+        assert schedule.messages_per_update == sum(len(sent) for sent in modeled.values())
+        assert schedule.comm_bytes_per_update == sum(nbytes for sent in modeled.values() for _, nbytes in sent)
+        stages = IterationTimeModel().stage_times_per_rank(spec, world, config.grad_worker_frac)
+        decomposers = {rank for owners in plan.decomposers.values() for rank in owners}
+        assert set(np.flatnonzero(stages["eigen_decomposition"])) == decomposers
 
         memory = KFACMemoryModel(shapes, param_count=0, config=config)
         factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
         eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
-        for rank, (usage, _, _) in enumerate(ranks):
+        for rank, (usage, *_) in enumerate(ranks):
             assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
 
 
@@ -863,7 +877,7 @@ class TestPackedStorageProperties:
                 "params": np.concatenate([p.data.ravel() for p in model.parameters()]),
                 "memory": pre.memory_usage(),
                 "shapes": [layer.shape_info() for layer in pre.layers.values()],
-                "factor_round": pre.plan.messages(bucket_cap_mb, hooked=armed)["factor"],
+                "factor_round": pre.plan.messages(hooked=armed)["factor"],
                 "grad_sync": (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets)),
                 "counted": comm_counts(comm.tracer)["allreduce"],
             }
