@@ -19,8 +19,9 @@ class, :class:`KernelBackend` (named ``batched``):
   ``?syevd``) and is expanded straight into the buffer the solver overwrites
   -- a stacked group into one stack; one stored triangle is symmetric by
   construction, so there is no symmetrise pass.  Every path rejects a
-  non-finite factor -- and the ``syevd`` path a non-zero LAPACK ``info`` --
-  with an error that says which member of the group failed
+  non-finite factor -- and the ``syevd`` path a non-zero LAPACK ``info``, the
+  stacked ``eigh`` a failure to converge, which it re-solves member by member
+  to place -- with an error that says which member of the group failed
   (``error.batch_index``), before anything is installed.  Every path comes
   in two halves (:meth:`KernelBackend.eigen_task`): the call reads the
   factors into private buffers, the callable it returns solves them and reads
@@ -228,7 +229,14 @@ class KernelBackend:
             expand_triangle(factor.astype(solve_dtype, copy=False), member)
 
         def solve_stack() -> List[EigenDecomposition]:
-            eigenvalues, eigenvectors = np.linalg.eigh(stack.transpose(0, 2, 1))
+            try:
+                eigenvalues, eigenvectors = np.linalg.eigh(stack.transpose(0, 2, 1))
+            except np.linalg.LinAlgError:
+                # The stacked call does not say which member failed: the first one that fails alone is named.
+                for index, member in enumerate(stack):
+                    with _member(index):
+                        np.linalg.eigh(member.T)
+                raise
             if clamp_negative:
                 np.maximum(eigenvalues, 0.0, out=eigenvalues)
             return [

@@ -28,8 +28,9 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    iterations).  A refresh decomposes the running factors as they stood
    when its step began: taking the step's actions (the first K-FAC forward
    hook) copies them out and hands the solves to the rank's eigen worker
-   thread, which runs them beside forward and backward; stage 2 waits for
-   and installs the results, so nothing is in flight between steps,
+   thread, which runs them beside forward and backward; stage 2 solves
+   those the worker has not started, waits for the rest and installs the
+   results, so nothing is in flight between steps,
 3. precondition the gradients on the gradient workers and broadcast the
    result to the gradient receivers (every iteration),
 4. apply the KL-clip scaling and write the preconditioned gradients back into
@@ -87,7 +88,7 @@ from ..nn.module import Module
 from ..tensor import PrecisionPolicy
 from .base import Preconditioner
 from .config import KFACConfig
-from .kernels import KernelBackend
+from .kernels import STACK_EIGH_MAX_DIM, KernelBackend
 from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
 from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
@@ -106,6 +107,16 @@ def _timed(solve):
     """``(solve(), seconds it took)``: the eigen worker times its own solves."""
     start = time.perf_counter()
     return solve(), time.perf_counter() - start
+
+
+def _solved_here(solve) -> Future:
+    """A finished future of ``_timed(solve)``, run on the calling thread: what the worker would have returned."""
+    future = Future()
+    try:
+        future.set_result(_timed(solve))
+    except Exception as error:  # kept as the worker keeps it, and raised once every solve has returned
+        future.set_exception(error)
+    return future
 
 
 class KFAC(Preconditioner):
@@ -192,7 +203,8 @@ class KFAC(Preconditioner):
         self._steps = 0
         # The rank's eigen worker: one thread, started by the first solve and joined by remove().
         self._eigen_worker: Optional[ThreadPoolExecutor] = None
-        self._in_flight: List[tuple] = []  # ([(layer, "a" | "g"), ...], dense group?, Future) per submitted group
+        # ([(layer, "a" | "g"), ...], dense?, solve, Future) per submitted task: one factor, or a stack of small ones.
+        self._in_flight: List[tuple] = []
         self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
         self.damping_pi_correction = config.damping_pi_correction
@@ -506,10 +518,11 @@ class KFAC(Preconditioner):
 
         The one reset point of the per-step bookkeeping — construction,
         the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`,
-        :meth:`remove`.  A solve still in flight is waited out and dropped: the
-        next step reads its factors afresh.
+        :meth:`remove`.  A solve still in flight is dropped: cancelled if the
+        worker has not started it, else waited out.  The next step reads its
+        factors afresh.
         """
-        wait([future for *_, future in self._in_flight])
+        wait([future for *_, future in self._in_flight if not future.cancel()])
         self._in_flight = []
         self._actions: Optional[StepActions] = None  # the pending step's, once taken (:meth:`actions`)
         self._reduced: Dict[str, Dict[str, np.ndarray]] = {}  # layer name -> its averaged window halves, to fold
@@ -671,21 +684,24 @@ class KFAC(Preconditioner):
         began, before its fold.  A factor with no fold yet (step 0) is left
         for :meth:`_compute_eigen_decompositions`, which reads it after the
         fold.  The plan says which factors this rank decomposes
-        (``decomposers``); dense ones are grouped by dimension and dtype, one
-        batch each, and a structured one is a group of its own.  On this
-        thread each group is checked to be finite and copied into the solve's
+        (``decomposers``); dense ones up to
+        :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM` are stacked by dimension
+        and dtype, one task each, and every other factor is a task of its own,
+        so the step can take the tasks the worker has not started.  On this
+        thread each task is checked to be finite and copied into the solve's
         private buffers (:meth:`~repro.kfac.kernels.KernelBackend.eigen_task`);
         the worker runs the solve, which reads nothing else, while forward and
         backward run here.  A failure of either half waits, with the results,
         for :meth:`step` to raise it.
         """
-        pending = {key for members, _, _ in self._in_flight for key in members}
+        pending = {key for members, *_ in self._in_flight for key in members}
         groups: Dict[tuple, List[tuple]] = {}
         for name, which in self._decomposed(names):
             factor = getattr(self.layers[name], f"factor_{which}")
             if factor is not None and (name, which) not in pending:
                 repr_ = self.layers[name].factor_repr(which)
-                key = (repr_, factor.dtype.str) if repr_.is_dense else (name, which)
+                stacked = repr_.is_dense and repr_.dim <= STACK_EIGH_MAX_DIM
+                key = (repr_, factor.dtype.str) if stacked else (name, which)
                 groups.setdefault(key, []).append((name, which, factor))
         for members in groups.values():
             repr_ = self.layers[members[0][0]].factor_repr(members[0][1])
@@ -694,13 +710,13 @@ class KFAC(Preconditioner):
                     [factor for _, _, factor in members], repr_, compute_dtype=self.precision.compute_dtype
                 )
             except (ValueError, np.linalg.LinAlgError) as error:
-                future = Future()
+                solve, future = None, Future()
                 future.set_exception(error)
             else:
                 if self._eigen_worker is None:
                     self._eigen_worker = ThreadPoolExecutor(1, thread_name_prefix=f"kfac-eigen-rank{self.rank}")
                 future = self._eigen_worker.submit(_timed, solve)
-            self._in_flight.append(([(name, which) for name, which, _ in members], repr_.is_dense, future))
+            self._in_flight.append(([(name, which) for name, which, _ in members], repr_.is_dense, solve, future))
 
     def _decomposed(self, names: Sequence[str]) -> List[tuple]:
         """``(layer, "a" | "g")`` of every factor this rank decomposes among the eigen-path layers ``names``."""
@@ -716,26 +732,33 @@ class KFAC(Preconditioner):
         """Install the decompositions of the factors this rank owns among the refreshed eigen-path layers ``names``.
 
         What :meth:`actions` could not read when the step began (a factor
-        with no earlier fold) is submitted now; then this thread waits for
-        the eigen worker and installs every result, in plan order.  A solve
-        that failed (a non-finite factor, a LAPACK ``info``) is re-raised
-        naming its layer and factor, before any layer's previous
-        decomposition has been replaced.  A layer's ``outer_worker`` then
-        caches the eigenvalue outer product with the current damping, before
-        broadcasting it to its group.  The worker's own solve time and the
-        part of it the step did not wait for are the ``kfac/eigen_solve_ms``
-        / ``kfac/eigen_hidden_ms`` gauges.
+        with no earlier fold) is submitted now.  Then this thread walks the
+        tasks in submission order and solves each one the worker has not
+        started (``Future.cancel`` succeeds only for those), waits for the one
+        the worker runs, and installs every result, in plan order.  A
+        ``syevd`` result does not depend on the thread that computes it, so
+        neither does the trajectory.  A solve that failed (a non-finite
+        factor, a LAPACK ``info``) is re-raised naming its layer and factor,
+        before any layer's previous decomposition has been replaced.  A
+        layer's ``outer_worker`` then caches the eigenvalue outer product with
+        the current damping, before broadcasting it to its group.  The solve
+        time of every task, the part of it run on this thread and the part no
+        step waited for (solve minus the time from here to the last result)
+        are the ``kfac/eigen_solve_ms`` / ``kfac/eigen_caller_ms`` /
+        ``kfac/eigen_hidden_ms`` gauges.
         """
         self._submit_decompositions(names)
         in_flight, self._in_flight = self._in_flight, []
         start = time.perf_counter()
-        wait([future for *_, future in in_flight])
+        # One task at a time, so the worker goes on taking the next ones while this thread solves.
+        futures = [_solved_here(solve) if future.cancel() else future for *_, solve, future in in_flight]
+        wait(futures)
         wait_ms = (time.perf_counter() - start) * 1e3
-        submitted = {key for members, _, _ in in_flight for key in members}
+        submitted = {key for members, *_ in in_flight for key in members}
         for name, which in self._decomposed(names):
             if (name, which) not in submitted:
                 raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
-        for members, _, future in in_flight:
+        for (members, *_), future in zip(in_flight, futures):
             error = future.exception()
             if isinstance(error, (ValueError, np.linalg.LinAlgError)):
                 index = getattr(error, "batch_index", None)
@@ -744,27 +767,30 @@ class KFAC(Preconditioner):
             if error is not None:
                 raise error
         store = self.precision.inverse_dtype
-        solve_ms = 0.0
-        for members, _, future in in_flight:
+        solve_ms = caller_ms = 0.0
+        for (members, _, _, submitted_future), future in zip(in_flight, futures):
             decompositions, seconds = future.result()
             solve_ms += seconds * 1e3
+            caller_ms += seconds * 1e3 if submitted_future.cancelled() else 0.0
             for (name, which), decomposition in zip(members, decompositions):
                 setattr(self.layers[name], f"eigen_{which}", decomposition.astype(store))
         hidden_ms = max(0.0, solve_ms - wait_ms)
         self.tracer.gauge_set("kfac/eigen_solve_ms", solve_ms)
+        self.tracer.gauge_set("kfac/eigen_caller_ms", caller_ms)
         self.tracer.gauge_set("kfac/eigen_hidden_ms", hidden_ms)
-        batch_sizes = [len(members) for members, dense, _ in in_flight if dense]
+        batch_sizes = [len(members) for members, dense, *_ in in_flight if dense]
         self.tracer.instant(
             "kfac/kernel_dispatch",
             category="kfac",
             step=self._steps,
             backend=self.kernels.name,
             op="batched_symmetric_eigen",
-            factors=sum(len(members) for members, _, _ in in_flight),
-            structured=sum(len(members) for members, dense, _ in in_flight if not dense),
+            factors=sum(len(members) for members, *_ in in_flight),
+            structured=sum(len(members) for members, dense, *_ in in_flight if not dense),
             batches=len(batch_sizes),
             batch_sizes=batch_sizes,
             solve_ms=solve_ms,
+            caller_ms=caller_ms,
             hidden_ms=hidden_ms,
         )
         for name in names:

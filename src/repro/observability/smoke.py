@@ -19,12 +19,14 @@ the same layer set.  Used three ways:
   that rank's registry counted, if rank 0 decomposed on some step other
   layers than the plan's actions say (``plan.actions(step).refresh``) --
   e.g. a regression to one refresh step; the per-step counts are printed --
-  or if a refresh step's ``kfac/eigen_hidden_ms`` gauge, the part of the
-  eigen worker's solve time the step did not wait for, is missing, negative
-  or above ``kfac/eigen_solve_ms``; beside the messages table it prints the
-  factor round's bytes per update, each rank's eigen solve and hidden
-  milliseconds and each rank's median optimizer step, pipeline flush and
-  K-FAC write-back, :data:`GLUE_SPANS`);
+  or if a refresh step's eigen gauges are missing or do not split
+  ``kfac/eigen_solve_ms``: ``kfac/eigen_caller_ms``, the part the step's own
+  thread solved, must lie between 0 and the solve time, and
+  ``kfac/eigen_hidden_ms``, the part of the eigen worker's solve time the
+  step did not wait for, between 0 and solve minus caller; beside the
+  messages table it prints the factor round's bytes per update, each rank's
+  eigen solve, hidden and caller milliseconds and each rank's median
+  optimizer step, pipeline flush and K-FAC write-back, :data:`GLUE_SPANS`);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
   :func:`workload_spec_for_run`, :func:`modeled_schedule_for_run` and
   :func:`kfac_traffic` to print modeled-vs-measured columns;
@@ -72,8 +74,9 @@ def run_traced_bert(
     each rank holds take as packed triangles, worked out from their dimensions
     (``"held_triangle_bytes"``), the layers decomposed on each step (rank 0's
     ``kfac/eigen_updates/<layer>`` counts, ``"decomposed_per_step"``), each
-    rank's ``(kfac/eigen_solve_ms, kfac/eigen_hidden_ms)`` gauges after every
-    step that refreshed (``"eigen_gauges"``), what each rank's
+    rank's ``(kfac/eigen_solve_ms, kfac/eigen_hidden_ms,
+    kfac/eigen_caller_ms)`` gauges after every step that refreshed
+    (``"eigen_gauges"``), what each rank's
     registry counted (``"counted"``: per rank ``{op: (messages, bytes)}``) and
     the part of it that is data-parallel gradient averaging, per step
     (``"grad_sync"``: the same pair, from the averaging subscriber's own specs
@@ -120,7 +123,7 @@ def run_traced_bert(
             decomposed.append(tuple(name for name in preconditioner.layers if after.get(key(name)) != before.get(key(name))))
             if decomposed[-1]:
                 gauges = comm.tracer.gauges()
-                eigen_gauges.append((gauges.get("kfac/eigen_solve_ms"), gauges.get("kfac/eigen_hidden_ms")))
+                eigen_gauges.append(tuple(gauges.get(f"kfac/eigen_{part}_ms") for part in ("solve", "hidden", "caller")))
         plan = preconditioner.plan
         registered = sum(plan.policy.factor_bytes(group.layer) for group in plan.groups.values())
         # From the dimensions, not from what the arrays or the plan say: n(n+1)/2 per dense factor held.
@@ -265,12 +268,18 @@ def staggered_refresh_problems(spec, run_info) -> List[str]:
 
 
 def eigen_overlap_problems(run_info) -> List[str]:
-    """The refresh steps whose ``kfac/eigen_hidden_ms`` is missing, negative or above ``kfac/eigen_solve_ms``."""
+    """The refresh steps whose eigen gauges are missing or do not split the solve time.
+
+    ``kfac/eigen_caller_ms`` (solved on the step's own thread) must lie in
+    ``[0, kfac/eigen_solve_ms]`` and ``kfac/eigen_hidden_ms`` (the worker's
+    time no step waited for) in ``[0, solve - caller]``.
+    """
     return [
-        f"rank {rank} step {index} of those that refreshed: eigen_solve_ms {solve}, eigen_hidden_ms {hidden}"
+        f"rank {rank} step {index} of those that refreshed: eigen_solve_ms {solve}, eigen_hidden_ms {hidden}, "
+        f"eigen_caller_ms {caller}"
         for rank, per_step in enumerate(run_info["eigen_gauges"])
-        for index, (solve, hidden) in enumerate(per_step)
-        if solve is None or hidden is None or not 0.0 <= hidden <= solve
+        for index, (solve, hidden, caller) in enumerate(per_step)
+        if None in (solve, hidden, caller) or not (0.0 <= caller <= solve and 0.0 <= hidden <= solve - caller)
     ]
 
 
@@ -386,12 +395,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     print(
         format_table(
-            ["rank", "eigen_solve_ms", "eigen_hidden_ms"],
+            ["rank", "eigen_solve_ms", "eigen_hidden_ms", "eigen_caller_ms"],
             [
-                [rank, round(sum(solve for solve, _ in per_step), 3), round(sum(hidden for _, hidden in per_step), 3)]
+                [rank, *(round(sum(column), 3) for column in zip(*per_step))]
                 for rank, per_step in enumerate(run_info["eigen_gauges"])
             ],
-            title="\nEigen worker, summed over the refresh steps: its solve time and the part no step waited for",
+            title=(
+                "\nEigen solves, summed over the refresh steps: their time, the worker's part no step waited for, "
+                "and the part the step's own thread solved"
+            ),
         )
     )
     print("\nK-FAC state per rank (bytes):")

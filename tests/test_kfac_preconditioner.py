@@ -1,8 +1,9 @@
 """Tests for the KFAC preconditioner (single-process path, Listing 1 semantics)."""
 
+import contextlib
 import threading
 import time
-from concurrent.futures import wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro import nn, optim
 from repro.distributed import run_spmd
 from repro.kfac import KFAC, KFACConfig, kmath
+from repro.kfac.kernels import KernelBackend
 from repro.kfac.layers import KFACLayer
 from repro.models import MLP, bert_tiny
 from repro.observability import MetricsReport
@@ -42,6 +44,20 @@ def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, se
         optimizer.step()
         losses.append(loss.item())
     return losses
+
+
+@contextlib.contextmanager
+def blocked_eigen_worker(pre):
+    """Occupy ``pre``'s eigen worker until the block exits: every solve submitted meanwhile waits in its queue."""
+    if pre._eigen_worker is None:
+        pre._eigen_worker = ThreadPoolExecutor(1, thread_name_prefix="kfac-eigen-blocked")
+    release = threading.Event()
+    blocker = pre._eigen_worker.submit(release.wait, 10)
+    try:
+        yield
+    finally:
+        release.set()
+        blocker.result(timeout=10)
 
 
 class TestConstruction:
@@ -656,8 +672,8 @@ class TestBadFactorWindowsAreRejected:
 
 
 class TestEigenWorker:
-    """The rank's eigen worker solves what a step's actions read; the step installs it, raises its errors
-    and leaves nothing running."""
+    """The rank's eigen worker solves what a step's actions read; the step solves what the worker has not
+    started, installs it, raises its errors and leaves nothing running."""
 
     def test_twenty_preconditioners_built_and_removed_leave_no_thread_behind(self):
         x, y = make_problem()
@@ -700,7 +716,10 @@ class TestEigenWorker:
         assert all(layer.eigen_a is not eigen[name][0] for name, layer in pre.layers.items())
         assert pre._in_flight == []  # nothing is in flight between steps
 
-    def test_a_nan_in_the_running_factors_raises_the_named_error_on_every_rank_of_a_w2_world(self):
+    @staticmethod
+    def nan_step_on_a_w2_world(block):
+        """Every rank puts a NaN in the factors it decomposes, steps inside ``block(pre)`` and raises the named
+        error in time."""
         x, y = make_problem()
 
         def program(comm):
@@ -711,9 +730,10 @@ class TestEigenWorker:
             decomposed = [(name, which) for (name, which), ranks in pre.plan.decomposers.items() if comm.rank in ranks]
             for name, which in decomposed:
                 getattr(pre.layers[name], f"factor_{which}")[0] = np.nan
-            nn.CrossEntropyLoss()(model(Tensor(mine[0][:32])), mine[1][:32]).backward()
-            with pytest.raises(ValueError, match=r"factor of layer '[^']+' failed: .* contains infs or NaNs") as raised:
-                pre.step()
+            with block(pre):
+                nn.CrossEntropyLoss()(model(Tensor(mine[0][:32])), mine[1][:32]).backward()
+                with pytest.raises(ValueError, match=r"factor of layer '[^']+' failed: .* contains infs or NaNs") as raised:
+                    pre.step()
             pre.remove()
             return decomposed, str(raised.value)
 
@@ -723,3 +743,105 @@ class TestEigenWorker:
         assert all(decomposed for decomposed, _ in ranks)
         for decomposed, message in ranks:
             assert any(f"{which.upper()} factor of layer {name!r}" in message for name, which in decomposed)
+
+    def test_a_nan_in_the_running_factors_raises_the_named_error_on_every_rank_of_a_w2_world(self):
+        self.nan_step_on_a_w2_world(lambda pre: contextlib.nullcontext())
+
+    def test_a_nan_found_by_a_solve_the_step_took_from_the_worker_raises_the_same_named_error(self, monkeypatch):
+        read, nan_solvers = KernelBackend.eigen_task, []
+
+        def read_in_the_solve(self, factors, repr_, **kwargs):
+            copies = [np.array(factor) for factor in factors]
+
+            def solve():
+                if not all(np.isfinite(copy).all() for copy in copies):
+                    nan_solvers.append(threading.current_thread().name)
+                return read(self, copies, repr_, **kwargs)()
+
+            return solve
+
+        # The finiteness check moves from the read half into the solve, which the step takes from a blocked worker.
+        monkeypatch.setattr(KernelBackend, "eigen_task", read_in_the_solve)
+        self.nan_step_on_a_w2_world(blocked_eigen_worker)
+        assert nan_solvers and not any(name.startswith("kfac-eigen") for name in nan_solvers)
+
+    def test_the_step_solves_what_the_worker_has_not_started_and_the_trajectory_is_the_same(self, monkeypatch):
+        x, y = make_problem()
+
+        def run(block):
+            model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))  # dims 41 / 40 / 37 / 36 one task each
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+            optimizer = optim.SGD(model.parameters(), lr=0.05)
+            trajectory, gauges = [], []
+            for step in range(5):
+                batch = slice(48 * step, 48 * (step + 1))
+                optimizer.zero_grad()
+                with block(pre):
+                    nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
+                    pre.step()
+                optimizer.step()
+                gauges.append(tuple(pre.tracer.gauges()[f"kfac/eigen_{part}_ms"] for part in ("solve", "caller")))
+                trajectory.append([param.data.copy() for param in model.parameters()])
+            pre.remove()
+            return trajectory, gauges
+
+        caller_solved, split = run(blocked_eigen_worker)
+        assert all(caller == solve > 0.0 for solve, caller in split)  # the worker started nothing: the step solved all
+        with monkeypatch.context() as patch:
+            patch.setattr(Future, "cancel", lambda future: False)  # as if the worker had started every task
+            worker_solved, split = run(lambda pre: contextlib.nullcontext())
+        assert all(caller == 0.0 < solve for solve, caller in split)
+        for ours, theirs in zip(caller_solved, worker_solved):
+            for mine, other in zip(ours, theirs):
+                np.testing.assert_array_equal(mine, other)
+
+    def test_every_factor_above_the_stack_dimension_is_a_task_of_its_own(self):
+        model = MLP(6, [40, 40, 16, 16], 3, rng=np.random.default_rng(5))  # A 7, 41, 41, 17, 17; G 40, 40, 16, 16, 3
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre.tracer.enabled = True
+        x, y = make_problem(3, in_dim=6)
+        nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+        pre.step()
+        (dispatch,) = [record for record in pre.tracer.instants if record.name == "kfac/kernel_dispatch"]
+        # The 41s and the 40s go one by one, so the step can take any of them; the 17s and the 16s stay stacked.
+        assert sorted(dispatch.attrs["batch_sizes"]) == [1] * 6 + [2, 2]
+        assert dispatch.attrs["factors"] == 10
+
+    def test_dropping_a_step_cancels_the_solves_the_worker_has_not_started(self, monkeypatch):
+        model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        x, y = make_problem()
+        training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)  # step 1 refreshes nothing
+        worker, release = pre._eigen_worker, threading.Event()
+        blocker = worker.submit(release.wait, 10)
+        shutdown = worker.shutdown
+        # remove() joins the worker last; only then may the blocker return.
+        monkeypatch.setattr(worker, "shutdown", lambda wait=True: (release.set(), shutdown(wait=wait)))
+        nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
+        futures = [future for *_, future in pre._in_flight]
+        assert len(futures) == 6  # four factors above dimension 32, the 11 and the 3 stacked alone
+        start = time.perf_counter()
+        pre.remove()
+        assert time.perf_counter() - start < 5  # no solve queued behind the blocker was waited for
+        assert blocker.done() and all(future.cancelled() for future in futures)
+        assert not any(thread.is_alive() for thread in worker._threads)
+
+    def test_a_stacked_eigh_that_does_not_converge_names_the_one_member_that_fails(self, monkeypatch):
+        model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))  # A 7, 17, 17 and G 16, 16, 3: two stacks of two
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        x, y = make_problem(3, in_dim=6)
+        training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2, batch=32)
+        target, eigh = pre.layers["layers.4"].factor_a[0], np.linalg.eigh  # A[0, 0] of the 17-stack's second member
+
+        def failing_eigh(matrix):
+            if (matrix[..., 0, 0] == target).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge") as raised:
+            pre.step()
+        assert str(raised.value).startswith("eigendecomposition of the A factor of layer 'layers.4' failed")
+        assert raised.value.__cause__.batch_index == 1
+        pre.remove()

@@ -468,7 +468,7 @@ class TestTracedTrainingArtifacts:
         (off, params_off), (on, params_on) = run(False), run(True)
         np.testing.assert_array_equal(params_off, params_on)
         assert off.tracer.counters() == on.tracer.counters()
-        def untimed(gauges):  # the eigen worker's solve / hidden milliseconds are measurements
+        def untimed(gauges):  # the eigen solve / caller / hidden milliseconds are measurements
             return {key: value for key, value in gauges.items() if not key.endswith("_ms")}
 
         assert untimed(off.tracer.gauges()) == untimed(on.tracer.gauges())
@@ -492,8 +492,8 @@ class TestTracedTrainingArtifacts:
 
 class TestSmokeRefreshGate:
     """The trace smoke's gates are exact: every rank runs the plan the models build from the run's config,
-    rank 0's decompositions are the plan's actions, step by step, and each refresh step's hidden eigen time
-    lies between zero and the worker's solve time."""
+    rank 0's decompositions are the plan's actions, step by step, and each refresh step's eigen solve time
+    splits into the step thread's part, the worker's hidden part and what the step waited for."""
 
     @staticmethod
     def run_info(plan, steps):
@@ -501,7 +501,7 @@ class TestSmokeRefreshGate:
             "world_size": plan.world_size,
             "steps": steps,
             "decomposed_per_step": [plan.actions(step).refresh for step in range(steps)],
-            "eigen_gauges": [[(4.0, 3.0), (2.0, 0.0)], [(1.5, 1.5)]],
+            "eigen_gauges": [[(4.0, 3.0, 1.0), (2.0, 0.0, 2.0)], [(1.5, 1.5, 0.0)]],
         }
 
     def test_the_plans_actions_pass_and_any_other_count_is_named(self):
@@ -547,9 +547,16 @@ class TestSmokeRefreshGate:
 
         run_info = self.run_info(KFACConfig().distribution_plan([], 1), 0)
         assert eigen_overlap_problems(run_info) == []
-        run_info["eigen_gauges"] = [[(4.0, -0.5), (2.0, 2.5)], [(None, None)]]
+        run_info["eigen_gauges"] = [
+            [(4.0, -0.5, 0.0), (2.0, 2.5, 0.0), (4.0, 3.0, 1.5), (4.0, 0.0, 4.5), (4.0, 0.0, -1.0), (4.0, 3.0, 1.0)],
+            [(None, None, None), (1.0, 0.0, None)],
+        ]
         assert [problem.split(":")[0] for problem in eigen_overlap_problems(run_info)] == [
-            "rank 0 step 0 of those that refreshed",
-            "rank 0 step 1 of those that refreshed",
+            "rank 0 step 0 of those that refreshed",  # hidden below 0
+            "rank 0 step 1 of those that refreshed",  # hidden above solve
+            "rank 0 step 2 of those that refreshed",  # hidden above solve - caller
+            "rank 0 step 3 of those that refreshed",  # caller above solve
+            "rank 0 step 4 of those that refreshed",  # caller below 0
             "rank 1 step 0 of those that refreshed",
+            "rank 1 step 1 of those that refreshed",  # a gauge missing
         ]
