@@ -11,11 +11,16 @@ each distribution strategy and shows what the paper's section 3.1 promises:
 Communication volumes are what rank 0's registry counted (``comm.tracer``:
 every rank counts the collectives it took part in), so they are per rank.
 
+The script exits non-zero if a row's replicas differ, if a row's result
+differs from MEM-OPT's, or if a rank's ``preconditioner.plan.scheme`` is not
+the row's label.
+
 Run with::
 
     python examples/distributed_strategies.py
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -43,11 +48,12 @@ def comm_counters(comm) -> dict:
 
 
 def run_strategy(grad_worker_frac: float, bucket_cap_mb: float = 25.0):
-    """Train on a fresh 4-rank world; return (final params, per-rank memory, rank 0's comm counters)."""
+    """Train on a fresh 4-rank world; return (final params, per-rank memory, rank 0's comm counters, per-rank schemes)."""
     world = ThreadedWorld(WORLD_SIZE)
     final_params = [None] * WORLD_SIZE
     memory = [None] * WORLD_SIZE
     counted = [None] * WORLD_SIZE
+    schemes = [None] * WORLD_SIZE
 
     def rank_program(rank: int) -> None:
         comm = world.communicator(rank)
@@ -71,25 +77,32 @@ def run_strategy(grad_worker_frac: float, bucket_cap_mb: float = 25.0):
         final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
         memory[rank] = preconditioner.memory_usage()
         counted[rank] = comm_counters(comm)
+        schemes[rank] = preconditioner.plan.scheme
 
     threads = [threading.Thread(target=rank_program, args=(rank,)) for rank in range(WORLD_SIZE)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    return final_params, memory, counted[0]
+    return final_params, memory, counted[0], schemes
 
 
 def main() -> None:
     strategies = [("MEM-OPT", 1.0 / WORLD_SIZE), ("HYBRID-OPT", 0.5), ("COMM-OPT", 1.0)]
     reference = None
-    rows = []
+    rows, failures = [], []
     for name, frac in strategies:
-        params, memory, counted = run_strategy(frac)
+        params, memory, counted, schemes = run_strategy(frac)
         identical = all(np.allclose(params[0], p, atol=1e-5) for p in params[1:])
         if reference is None:
             reference = params[0]
         same_as_reference = np.allclose(reference, params[0], atol=1e-4)
+        if not identical:
+            failures.append(f"{name}: the replicas differ")
+        if not same_as_reference:
+            failures.append(f"{name}: the result differs from MEM-OPT's")
+        if set(schemes) != {name}:
+            failures.append(f"{name}: the ranks' plans say {schemes}")
         rows.append(
             [
                 name,
@@ -129,8 +142,8 @@ def main() -> None:
     # The bucketed collective engine fuses the per-layer collectives into
     # bucket_cap_mb-capped buffers: same bytes, same bits, fewer messages.  A
     # cap smaller than any tensor sends every tensor alone, for comparison.
-    params_alone, _, alone = run_strategy(0.5, bucket_cap_mb=1e-6)
-    params_fused, _, fused = run_strategy(0.5)
+    params_alone, _, alone, _ = run_strategy(0.5, bucket_cap_mb=1e-6)
+    params_fused, _, fused, _ = run_strategy(0.5)
     assert all(np.array_equal(a, b) for a, b in zip(params_alone, params_fused))
     print(
         f"\nThe default 25 MB bucket cap is bitwise identical to one message per tensor and fuses the "
@@ -150,6 +163,9 @@ def main() -> None:
         f"\nA GradientPipeline instance handed to the Trainer posts buckets mid-backward "
         f"(rank 0 launched {posted[0]} buckets before flush() in {STEPS} steps) and stays bitwise identical."
     )
+    if failures:
+        print("\nFAILED:\n  " + "\n  ".join(failures))
+        sys.exit(1)
 
 
 def run_hooked_pipeline(grad_worker_frac: float):

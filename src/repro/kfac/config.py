@@ -10,23 +10,28 @@ is a frozen dataclass that
   :meth:`from_dict`) so it can be stored inside ``KFAC.state_dict()`` or an
   experiment manifest,
 * provides the paper's three named operating points as presets
-  (:meth:`mem_opt`, :meth:`comm_opt`, :meth:`hybrid`, section 3.1).
+  (:meth:`mem_opt`, :meth:`comm_opt`, :meth:`hybrid`, section 3.1),
+* places the work: :meth:`distribution_plan` is the only way to a
+  :class:`~repro.kfac.strategy.DistributionPlan`, so ``grad_worker_frac`` and
+  ``assignment_balance`` are the one statement of where each layer's work
+  runs, for the preconditioner and the cost and memory models alike.
 
 Construct the preconditioner from a config with ``KFAC(model, config)``;
 per-run objects (the communicator, the grad scaler, skipped modules) stay
-out of the config because they are not serializable state.
+out of the config because they are not serializable state.  Nothing else
+about the run is passed beside it: no strategy or precision object.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Sequence, Union
 
 from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..tensor import PrecisionPolicy
 from .scheduling.solvers import available_solve_strategies, make_solve_strategy
-from .strategy import DistributionPlan, DistributionStrategy, LayerShapeInfo, WirePolicy
+from .strategy import DistributionPlan, LayerShapeInfo, WirePolicy, build_plan
 
 __all__ = ["KFACConfig"]
 
@@ -37,8 +42,8 @@ class KFACConfig:
 
     Attributes mirror the paper's notation: ``factor_update_freq`` is
     F_freq, ``inv_update_freq`` is K_freq (Table 2) and ``grad_worker_frac``
-    selects the distribution strategy (section 3.1): ``1/world_size`` is
-    MEM-OPT, ``1`` is COMM-OPT, anything in between is HYBRID-OPT.
+    places the work (section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is
+    COMM-OPT, anything in between is HYBRID-OPT.
     """
 
     lr: float = 0.1
@@ -149,6 +154,8 @@ class KFACConfig:
             raise ValueError("assignment_balance must be 'compute' or 'memory'")
         if not isinstance(self.bucket_cap_mb, str) and self.bucket_cap_mb <= 0.0:
             raise ValueError("bucket_cap_mb must be positive")
+        if not isinstance(self.precision, str):
+            raise TypeError(f"precision is a policy name such as 'fp16', got {type(self.precision).__name__}")
         PrecisionPolicy.from_name(self.precision)  # raises on unknown names
 
     # ------------------------------------------------------------- presets
@@ -231,9 +238,9 @@ class KFACConfig:
     def precision_policy(self) -> PrecisionPolicy:
         return PrecisionPolicy.from_name(self.precision)
 
-    def wire_policy(self, precision: Optional[PrecisionPolicy] = None) -> WirePolicy:
-        """How state is stored and travels (``precision`` overrides the named policy with a custom object)."""
-        return WirePolicy(precision or self.precision_policy(), self.compute_eigen_outer)
+    def wire_policy(self) -> WirePolicy:
+        """How state is stored and travels: the precision policy and ``compute_eigen_outer``."""
+        return WirePolicy(self.precision_policy(), self.compute_eigen_outer)
 
     def solver_name_for(self, layer) -> str:
         """Which solve strategy preconditions ``layer`` (anything with ``a_dim`` / ``g_dim``).
@@ -246,26 +253,20 @@ class KFACConfig:
             return self.small_layer_solver
         return self.solve_strategy
 
-    def distribution_plan(
-        self,
-        layers: Sequence[LayerShapeInfo],
-        world_size: int,
-        strategy: Optional[DistributionStrategy] = None,
-        precision: Optional[PrecisionPolicy] = None,
-    ) -> DistributionPlan:
+    def distribution_plan(self, layers: Sequence[LayerShapeInfo], world_size: int) -> DistributionPlan:
         """The :class:`~repro.kfac.strategy.DistributionPlan` a run with these hyperparameters follows.
 
-        The one translation from hyperparameters to the plan's inputs, shared
-        by :class:`~repro.kfac.KFAC` (which passes its strategy instance and
-        precision policy object) and the cost and memory models (which pass
-        neither).  ``bucket_cap_mb="auto"`` is resolved here, once, from the
-        alpha-beta model and the factors' wire payloads (each travels as it is
-        stored: a dense one as its triangle, O(F) for a diagonal one).
+        The one translation from hyperparameters to the plan, shared by
+        :class:`~repro.kfac.KFAC` and the cost and memory models, and the one
+        caller of :func:`~repro.kfac.strategy.build_plan`.
+        ``grad_worker_frac`` and ``assignment_balance`` place the work
+        (:func:`~repro.kfac.strategy.assign_workers`).  ``bucket_cap_mb="auto"``
+        is resolved here, once, from the alpha-beta model and the factors' wire
+        payloads (each travels as it is stored: a dense one as its triangle,
+        O(F) for a diagonal one).
         """
-        if strategy is None:
-            strategy = DistributionStrategy(world_size, self.grad_worker_frac, self.assignment_balance)
         layers = list(layers)
-        policy = self.wire_policy(precision)
+        policy = self.wire_policy()
         bucket_cap_mb = self.bucket_cap_mb
         if bucket_cap_mb == "auto":
             payloads = [policy.factor_bytes(layer, which) for layer in layers for which in "ag"]
@@ -273,8 +274,11 @@ class KFACConfig:
         needs_eigen = {
             name: make_solve_strategy(name).needs_eigen for name in (self.solve_strategy, self.small_layer_solver)
         }
-        return strategy.plan(
+        return build_plan(
             layers,
+            world_size,
+            self.grad_worker_frac,
+            self.assignment_balance,
             policy,
             factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
             eigen_free=[layer.name for layer in layers if not needs_eigen[self.solver_name_for(layer)]],

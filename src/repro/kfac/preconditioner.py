@@ -37,10 +37,11 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    ``param.grad`` so the following ``optimizer.step()`` consumes them.
 
 There is one path through these stages, and one schedule.  ``grad_worker_frac``
-selects the distribution strategy (section 3.1): ``1/world_size`` is
-MEM-OPT, ``1`` is COMM-OPT, anything between is HYBRID-OPT.  The strategy
-publishes one :class:`~repro.kfac.strategy.DistributionPlan` -- who
-decomposes, who holds, the three communication rounds as unbound specs and
+places the work (section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is
+COMM-OPT, anything between is HYBRID-OPT.  The config builds one
+:class:`~repro.kfac.strategy.DistributionPlan`
+(:meth:`KFACConfig.distribution_plan`) -- who decomposes, who holds, the
+three communication rounds as unbound specs and
 *when*: :meth:`~repro.kfac.strategy.DistributionPlan.actions` names the layers
 a step folds and refreshes (folds every ``factor_update_freq`` steps of an
 interval, each layer's decomposition on its offset in ``refresh_offsets``,
@@ -55,8 +56,10 @@ specs (:meth:`KFAC._bind`, once) and executes every factor allreduce, eigen
 broadcast and gradient broadcast through one bucketed collective engine
 (:mod:`repro.distributed.collectives`), which coalesces the per-layer tensors
 into ``bucket_cap_mb``-capped fused buffers posted via nonblocking primitives.
-Adding a distribution scheme means adding one
-:class:`~repro.kfac.strategy.DistributionStrategy` subclass.
+:class:`KFAC` takes nothing beside its config that could restate it: no
+strategy object (placement is :func:`~repro.kfac.strategy.assign_workers` of
+``grad_worker_frac`` and ``assignment_balance``) and no precision object
+(storage is the ``precision`` name).
 
 :class:`KFAC` implements the :class:`~repro.kfac.base.Preconditioner`
 protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
@@ -78,21 +81,20 @@ import dataclasses
 import functools
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBucketSpec, OverlapScheduler
 from ..nn.module import Module
-from ..tensor import PrecisionPolicy
 from .base import Preconditioner
 from .config import KFACConfig
 from .kernels import STACK_EIGH_MAX_DIM, KernelBackend
 from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
 from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
-from .strategy import DistributionPlan, DistributionStrategy, LayerWorkGroups, StepActions, pack_eigen, unpack_eigen_repr
+from .strategy import DistributionPlan, LayerWorkGroups, StepActions, pack_eigen, unpack_eigen_repr
 
 __all__ = ["KFAC"]
 
@@ -130,75 +132,34 @@ class KFAC(Preconditioner):
         comm: Optional[Communicator] = None,
         grad_scaler=None,
         skip_modules: Sequence[Module] = (),
-        strategy: Optional[DistributionStrategy] = None,
-        precision: Union[str, PrecisionPolicy, None] = None,
         **hyperparams: Any,
     ) -> None:
         """Register ``model``'s layers and build this rank's plans.
 
         Hyperparameters come either as a :class:`KFACConfig` or as its fields
-        by keyword (``KFAC(model, lr=0.1, damping=0.01)``); all validation
+        by keyword (``KFAC(model, lr=0.1, precision="fp16")``); all validation
         lives in :class:`KFACConfig`, so code, checkpoints and experiment
         manifests are checked by the same rules.  Per-run objects (the
         communicator -- whose tracer the preconditioner records into --, grad
-        scaler, skipped modules, a custom strategy instance or a custom :class:`PrecisionPolicy` object in place
-        of a precision name) are passed separately because they are not
+        scaler, skipped modules) are passed separately because they are not
         serializable hyperparameters.
         """
-        if isinstance(precision, str):
-            hyperparams["precision"] = precision
-            precision = None
-        frac = getattr(strategy, "grad_worker_frac", 1.0)
-        balance = getattr(strategy, "balance", "compute")
         if config is None:
-            if strategy is not None:
-                # The strategy object owns these; a conflicting explicit
-                # argument would be silently dropped, so reject it instead.
-                if "grad_worker_frac" in hyperparams or "assignment_balance" in hyperparams:
-                    raise ValueError(
-                        "pass either an explicit strategy or grad_worker_frac/assignment_balance, not both"
-                    )
-                hyperparams.update(grad_worker_frac=frac, assignment_balance=balance)
-            if precision is not None:
-                # A custom policy validates the rest of the config under its name.
-                hyperparams["precision"] = precision.name or "fp32"
             config = KFACConfig(**hyperparams)
         elif not isinstance(config, KFACConfig):
             raise TypeError(f"expected KFACConfig, got {type(config).__name__}")
         elif hyperparams:
             raise TypeError("pass either a KFACConfig or keyword hyperparameters, not both")
-        elif strategy is not None and (frac, balance) != (config.grad_worker_frac, config.assignment_balance):
-            # Require the config to agree with the strategy object so a
-            # checkpointed config round-trips to the same behavior.
-            raise ValueError(
-                "config and strategy disagree on grad_worker_frac/assignment_balance; "
-                "align the config with the strategy instance"
-            )
 
         self.model = model
+        self._config = config
+        # The two hyperparameters that change during a run (step(lr=...), adaptive damping).
         self.lr = config.lr
-        self.factor_decay = config.factor_decay
         self.damping = config.damping
-        self.kl_clip = config.kl_clip
         self.grad_scaler = grad_scaler
         self.comm = comm if comm is not None else SingleProcessCommunicator()
-        self.compute_eigen_outer = config.compute_eigen_outer
         self.tracer = self.comm.tracer
-        self._base_config = config
-
-        self.precision = precision if precision is not None else config.precision_policy()
-        if strategy is None:
-            strategy = DistributionStrategy(
-                world_size=self.comm.world_size,
-                grad_worker_frac=config.grad_worker_frac,
-                balance=config.assignment_balance,
-            )
-        elif strategy.world_size != self.comm.world_size:
-            raise ValueError(
-                f"strategy world size {strategy.world_size} does not match "
-                f"communicator world size {self.comm.world_size}"
-            )
-        self.strategy = strategy
+        self.precision = config.precision_policy()  # the dtypes the ``precision`` name stands for
 
         self._steps = 0
         # The rank's eigen worker: one thread, started by the first solve and joined by remove().
@@ -207,7 +168,6 @@ class KFAC(Preconditioner):
         self._in_flight: List[tuple] = []
         self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
-        self.damping_pi_correction = config.damping_pi_correction
         # One kernel-backend instance per preconditioner (per rank): a backend
         # owns mutable scratch buffers, so it must not be shared across the
         # threaded ranks of a multi-rank world.  Built before layer
@@ -221,10 +181,7 @@ class KFAC(Preconditioner):
         # update as data.  Everything below that asks "who" or "what moves"
         # looks it up here, and so do the cost and memory models.
         self.plan: DistributionPlan = config.distribution_plan(
-            [layer.shape_info() for layer in self.layers.values()],
-            self.comm.world_size,
-            strategy=self.strategy,
-            precision=self.precision,
+            [layer.shape_info() for layer in self.layers.values()], self.comm.world_size
         )
         self.groups: Dict[str, LayerWorkGroups] = self.plan.groups
         # The plan says when; with drift tracking on, a per-layer schedule revises it.
@@ -246,11 +203,11 @@ class KFAC(Preconditioner):
 
     def _new_drift(self) -> Optional[DriftSchedule]:
         """A fresh drift schedule, or None: at ``drift_tol=0`` the plan's actions are carried out as they are."""
-        config = self._base_config
+        config = self._config
         return DriftSchedule(self.plan, config.drift_tol, config.max_staleness) if config.drift_tol > 0 else None
 
     def _make_solver(self, name: str) -> SolveStrategy:
-        kwargs = {"tol": self._base_config.cg_tol, "max_iter": self._base_config.cg_max_iter} if name == "cg" else {}
+        kwargs = {"tol": self._config.cg_tol, "max_iter": self._config.cg_max_iter} if name == "cg" else {}
         return make_solve_strategy(name, **kwargs)
 
     @property
@@ -329,7 +286,7 @@ class KFAC(Preconditioner):
 
     @property
     def grad_worker_frac(self) -> float:
-        return self.strategy.grad_worker_frac
+        return self._config.grad_worker_frac
 
     @property
     def kernel_backend(self) -> str:
@@ -338,16 +295,8 @@ class KFAC(Preconditioner):
 
     @property
     def config(self) -> KFACConfig:
-        """Current hyperparameters as a serializable :class:`KFACConfig`."""
-        precision_name = self.precision.name
-        if precision_name is None:
-            raise ValueError("precision policy has no canonical name; the config is not serializable")
-        return self._base_config.replace(
-            lr=self.lr,  # the only hyperparameter that mutates after construction (step(lr=...))
-            precision=precision_name,
-            grad_worker_frac=getattr(self.strategy, "grad_worker_frac", self._base_config.grad_worker_frac),
-            assignment_balance=getattr(self.strategy, "balance", self._base_config.assignment_balance),
-        )
+        """The :class:`KFACConfig` this instance was built with, at the current ``lr``."""
+        return self._config.replace(lr=self.lr)
 
     # --------------------------------------------------------------------- step
     @property
@@ -497,7 +446,7 @@ class KFAC(Preconditioner):
         ``None`` keeps every downstream damping formula on its uncorrected
         branch bit for bit.
         """
-        if not self.damping_pi_correction:
+        if not self._config.damping_pi_correction:
             return None
         if layer.factor_a is None or layer.factor_g is None:
             return None
@@ -553,7 +502,7 @@ class KFAC(Preconditioner):
         """Whether this rank keeps layer ``name``'s running ``"a"`` / ``"g"`` factor.
 
         A lookup in the plan's ``factor_holders`` (the rule is
-        :meth:`~repro.kfac.strategy.DistributionStrategy.plan`'s: the ranks
+        :func:`~repro.kfac.strategy.build_plan`'s: the ranks
         that decompose it, the gradient workers of a layer whose solver reads
         factors, every rank under ``drift_tol > 0`` / ``damping_pi_correction``).
         A factor this rank does not hold stays ``None``.
@@ -619,7 +568,7 @@ class KFAC(Preconditioner):
             if self.accept_factor_window(layer, received["a"], received["g"]):
                 for held in ("a", "g"):
                     if self.holds_factor(name, held):
-                        layer.fold_factor(held, received[held], self.factor_decay)
+                        layer.fold_factor(held, received[held], self._config.factor_decay)
 
     # -------------------------------------------------------- stage 2: eigen decomp
     # Which rank decomposes which factor, which ranks keep the results, who
@@ -670,7 +619,7 @@ class KFAC(Preconditioner):
 
     def _eigen_outer(self, layer: KFACLayer) -> Optional[np.ndarray]:
         """The cached ``1 / (v_G v_Aᵀ + γ)`` for ``layer``'s current decompositions, if configured."""
-        if not self.compute_eigen_outer:
+        if not self._config.compute_eigen_outer:
             return None
         return eigenvalue_outer_product(
             layer.eigen_a, layer.eigen_g, self.damping, dtype=self.precision.inverse_dtype, pi=self.damping_pi(layer)
@@ -824,7 +773,7 @@ class KFAC(Preconditioner):
                 # Only the holders keep eigen state -- this is exactly the
                 # tunable memory footprint of section 3.1.
                 layer.clear_eigen()
-            elif self.groups[name].outer_worker is None or not self.compute_eigen_outer:
+            elif self.groups[name].outer_worker is None or not self._config.compute_eigen_outer:
                 # No rank shipped the outer product: each holder forms it
                 # from the decompositions it now has (or drops a stale one).
                 layer.inverse_outer = self._eigen_outer(layer)
@@ -868,7 +817,7 @@ class KFAC(Preconditioner):
         # damping controller's prediction (the controller total used to be a
         # redundant second pass over the identical products).
         raw_total = self.kernels.kl_clip_accumulate(pairs)
-        nu = kl_clip_scale_from_total(raw_total, self.lr, self.kl_clip)
+        nu = kl_clip_scale_from_total(raw_total, self.lr, self._config.kl_clip)
         for layer, (_, precond) in zip(self.layers.values(), pairs):
             layer.set_gradient(precond, nu)
         return nu, raw_total
@@ -940,13 +889,9 @@ class KFAC(Preconditioner):
         after a restore.
         """
         wait([future for *_, future in self._in_flight])
-        try:
-            config = self.config.to_dict()
-        except ValueError:
-            config = None  # custom precision policies have no serializable name
         state: Dict[str, Any] = {
             "steps": self._steps,
-            "config": config,
+            "config": self.config.to_dict(),
             "layers": {name: layer.state_dict() for name, layer in self.layers.items()},
         }
         if self.drift is not None:
@@ -985,7 +930,7 @@ class KFAC(Preconditioner):
                     raise ValueError(
                         f"checkpoint has no {which.upper()} factor for layer {name!r}, which rank {self.rank} "
                         "holds under this configuration; restore each rank from its own state_dict(), "
-                        "written under the same strategy and knobs"
+                        "written under the same config"
                     )
         scheduler = state.get("scheduler")
         if self.drift is not None:
@@ -1034,8 +979,8 @@ class KFAC(Preconditioner):
         for solver in self.solvers.values():
             solver.reset()
         if self.damping_controller is not None:
-            self.damping_controller = AdaptiveDampingController(self._base_config.damping)
-            self.damping = self._base_config.damping
+            self.damping_controller = AdaptiveDampingController(self._config.damping)
+            self.damping = self._config.damping
 
     def remove(self) -> None:
         """Detach every layer's hooks from the model and join the eigen worker thread."""

@@ -168,7 +168,7 @@ class SolveStrategy:
 class EigenSolveStrategy(SolveStrategy):
     """The default eigen-decomposition path (Eqs. 15-17), unchanged.
 
-    The distribution strategy owns the decomposition placement and
+    The distribution plan owns the decomposition placement and
     broadcasts; this object only delegates the per-iteration solve to
     :meth:`KFACLayer.precondition`, so the plan is bitwise identical to the
     fixed-frequency oracle.

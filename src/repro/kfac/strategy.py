@@ -1,4 +1,4 @@
-"""Distribution strategies: MEM-OPT, COMM-OPT and HYBRID-OPT (paper section 3.1).
+"""Work placement: MEM-OPT, COMM-OPT and HYBRID-OPT (paper section 3.1).
 
 ``grad_worker_frac`` controls how many processes act as *gradient workers* for
 each layer, i.e. how many ranks cache that layer's eigen decompositions and
@@ -15,26 +15,24 @@ precondition its gradient locally:
   broadcasts the preconditioned gradient to its own (smaller) receiver group,
   and those broadcasts proceed concurrently.
 
-A strategy sees layer *shapes* and a :class:`WirePolicy`, never the
-preconditioner or a live layer, and :meth:`DistributionStrategy.plan` returns
-**data, the same on every rank**: a :class:`DistributionPlan` naming which
-rank decomposes which factor, which ranks hold each running factor and each
-layer's eigen state, and the three communication rounds of one update as
-unbound specs -- ``(key, shape, dtype)`` per factor allreduce, a
+The three schemes are one placement function of that number,
+:func:`assign_workers`: per-factor LPT when every rank is a gradient worker,
+fixed blocks of :func:`num_grad_workers` ranks otherwise (MEM-OPT is blocks of
+one).  :func:`build_plan` sees layer *shapes* and a :class:`WirePolicy`, never
+the preconditioner or a live layer, and returns **data, the same on every
+rank**: a :class:`DistributionPlan` naming the scheme, which rank decomposes
+which factor, which ranks hold each running factor and each layer's eigen
+state, and the three communication rounds of one update as unbound specs --
+``(key, shape, dtype)`` per factor allreduce, a
 :class:`~repro.distributed.collectives.BroadcastSpec` without ``payload`` /
 ``on_complete`` per eigen and preconditioned-gradient message.  The schedule
 is global (the collective engine skips the channels that do not contain the
 local rank), so nothing here branches on a rank.  :class:`~repro.kfac.KFAC`
 attaches the arrays to the specs and posts them; the cost and memory models
-price the same specs and sum the same holders.
-
-The three built-in schemes differ only in :meth:`DistributionStrategy.assign`
-(placement).  A new scheme is one subclass: placement (``assign``), who
-decomposes (``decomposers``) and what moves (``eigen_round`` /
-``gradient_round``), each with a default derived from the placement.
-Constructing the base class dispatches to the matching subclass from
-``grad_worker_frac``, so ``DistributionStrategy(world, frac)`` keeps working
-as a factory.
+price the same specs and sum the same holders.  All of them get the plan from
+:meth:`KFACConfig.distribution_plan <repro.kfac.KFACConfig.distribution_plan>`,
+the one caller of :func:`build_plan`: a plan is a function of the config, the
+layer shapes and the world size.
 """
 
 from __future__ import annotations
@@ -57,10 +55,9 @@ __all__ = [
     "WirePolicy",
     "StepActions",
     "DistributionPlan",
-    "DistributionStrategy",
-    "CommOptStrategy",
-    "HybridOptStrategy",
-    "MemOptStrategy",
+    "num_grad_workers",
+    "assign_workers",
+    "build_plan",
     "pack_eigen",
     "unpack_eigen_repr",
 ]
@@ -99,7 +96,7 @@ def unpack_eigen_repr(packed: np.ndarray, repr: FactorRepr, dtype=np.float32) ->
 
 @dataclass(frozen=True)
 class LayerShapeInfo:
-    """Shape information a strategy needs about one K-FAC-preconditioned layer.
+    """Shape information the placement needs about one K-FAC-preconditioned layer.
 
     ``a_repr``/``g_repr`` carry the factor representations; they default to
     dense (``None`` in the constructor keeps every pre-structured call site
@@ -147,7 +144,7 @@ class LayerShapeInfo:
 
 @dataclass
 class LayerWorkGroups:
-    """Per-layer worker roles for one distribution strategy instance."""
+    """One layer's worker roles, as :func:`assign_workers` places them."""
 
     layer: LayerShapeInfo
     eigen_worker_a: int
@@ -238,7 +235,7 @@ class DistributionPlan:
     both read it.
     """
 
-    scheme: str  # the strategy's name, e.g. "HYBRID-OPT"
+    scheme: str  # "MEM-OPT", "HYBRID-OPT" or "COMM-OPT": which one grad_worker_frac selects
     world_size: int
     policy: WirePolicy
     groups: Dict[str, LayerWorkGroups]  # placement
@@ -343,307 +340,173 @@ class DistributionPlan:
         return hashlib.sha1(repr(self).encode()).hexdigest()
 
 
-class DistributionStrategy:
-    """Base class and factory for per-layer work distribution schemes.
+def num_grad_workers(world_size: int, grad_worker_frac: float) -> int:
+    """``max(1, grad_worker_frac * world_size)``, rounded, as defined in section 3.1."""
+    return max(1, int(round(grad_worker_frac * world_size)))
 
-    ``DistributionStrategy(world_size, grad_worker_frac, balance)`` returns
-    the subclass matching the fraction (COMM-OPT / HYBRID-OPT / MEM-OPT); a
-    custom scheme subclasses this and implements :meth:`assign`, overriding
-    :meth:`decomposers`, :meth:`eigen_round` or :meth:`gradient_round` where
-    the defaults derived from the placement are not what it wants.
+
+def assign_workers(
+    layers: Sequence[LayerShapeInfo], world_size: int, grad_worker_frac: float, balance: str = "compute"
+) -> Dict[str, LayerWorkGroups]:
+    """Eigen workers, gradient workers and receiver groups of every layer.
+
+    A deterministic function of its arguments, so every rank computes the
+    identical placement without communication.  ``balance`` is the LPT job
+    cost: ``"compute"`` the eigen flops, ``"memory"`` the packed storage.
+
+    * Every rank a gradient worker (COMM-OPT, section 2.2.2): the A and G
+      factors are placed separately by LPT, doubling worker utilisation; the
+      decompositions go world-wide, so every rank forms the eigenvalue outer
+      product itself and no gradient is broadcast.
+    * Otherwise (HYBRID-OPT, Figure 4; MEM-OPT is its blocks of one): whole
+      layers are placed by LPT and the ranks are partitioned into fixed
+      blocks of :func:`num_grad_workers`.  A layer's gradient workers are the
+      block containing its eigen worker -- only they receive and keep its
+      eigen state, the tunable memory footprint of section 3.1 -- and the
+      eigen worker forms the outer product and ships it to them.  Each
+      gradient worker broadcasts the preconditioned gradient to its share of
+      the remaining ranks, so those broadcasts are small and concurrent.
     """
-
-    name: str = "CUSTOM"
-
-    def __new__(cls, world_size: int = 1, grad_worker_frac: float = 1.0, balance: str = "compute"):
-        if cls is DistributionStrategy:
-            try:
-                num_gw = max(1, int(round(float(grad_worker_frac) * int(world_size))))
-            except (TypeError, ValueError):
-                num_gw = 1  # defer the error to __init__ validation
-            if num_gw >= world_size:
-                cls = CommOptStrategy
-            elif num_gw == 1:
-                cls = MemOptStrategy
-            else:
-                cls = HybridOptStrategy
-        return super().__new__(cls)
-
-    def __init__(self, world_size: int, grad_worker_frac: float = 1.0, balance: str = "compute") -> None:
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
-        if not 0.0 < grad_worker_frac <= 1.0:
-            raise ValueError("grad_worker_frac must be in (0, 1]")
-        if balance not in ("compute", "memory"):
-            raise ValueError("balance must be 'compute' or 'memory'")
-        self.world_size = int(world_size)
-        self.grad_worker_frac = float(grad_worker_frac)
-        self.balance = balance
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
-        """Subclass hook: reject a ``grad_worker_frac`` that contradicts the class.
-
-        The factory dispatch always satisfies these; the checks protect
-        *direct* subclass construction, where class identity, runtime behavior
-        and the serialized config would otherwise silently disagree.
-        """
-
-    # ------------------------------------------------------------ properties
-    @property
-    def num_grad_workers(self) -> int:
-        """``max(1, grad_worker_frac * world_size)`` as defined in section 3.1."""
-        return max(1, int(round(self.grad_worker_frac * self.world_size)))
-
-    # ------------------------------------------------------------- placement
-    def _layer_costs(self, layers: Sequence[LayerShapeInfo]) -> Dict[str, float]:
-        if self.balance == "memory":
-            return {layer.name: layer.memory_cost for layer in layers}
-        return {layer.name: layer.eigen_cost for layer in layers}
-
-    def assign(self, layers: Sequence[LayerShapeInfo]) -> Dict[str, LayerWorkGroups]:
-        """Assign eigen workers, gradient workers and receiver groups for every layer.
-
-        The assignment must be a deterministic function of the layer list and
-        the strategy parameters, so every rank computes the identical plan
-        without communication (exactly how the reference implementation
-        behaves).
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------- who decomposes
-    def decomposers(self, group: LayerWorkGroups) -> Dict[str, Tuple[int, ...]]:
-        """Ranks that eigendecompose the layer's ``"a"`` and ``"g"`` factor: by default its eigen workers.
-
-        With the default knobs these are also the ranks that hold the running
-        factor, so a scheme that moves the decompositions moves the factors
-        with them.
-        """
-        return {"a": (group.eigen_worker_a,), "g": (group.eigen_worker_g,)}
-
-    # ----------------------------------------------------------- what moves
-    # A spec names one logical tensor; the collective engine fuses the specs
-    # that share a (src, group) channel into capped buckets, in list order.
-    def eigen_round(self, group: LayerWorkGroups, policy: WirePolicy) -> List[BroadcastSpec]:
-        """Messages that take one layer's fresh eigen state from its eigen workers to its gradient workers.
-
-        Each decomposition travels packed (eigenvalues then stored
-        eigenvectors, in the inverse dtype so fp64 / fp16 are not truncated on
-        the wire), followed by the cached outer product when one rank forms it
-        for the group.  A group of one moves nothing: its only member computed
-        the decompositions and keeps them exactly as they are.  (Packing and
-        unpacking them anyway would copy all eigen state twice and re-lay the
-        eigenvectors out row-major, which shifts BLAS rounding in every later
-        precondition.)
-        """
-        members = group.grad_workers
-        if len(members) <= 1:
-            return []
-        layer = group.layer
-        dtype = np.dtype(policy.precision.inverse_dtype)
-        specs = []
-        for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
-            # Packed payload: n + n*n for dense, just n for diagonal factors.
-            shape = (layer.factor_repr(which).packed_eigen_numel,)
-            specs.append(BroadcastSpec(f"{layer.name}/eigen_{which}", src, members, shape, dtype))
-        if policy.compute_eigen_outer and group.outer_worker is not None:
-            shape = (layer.g_dim, layer.a_dim)
-            specs.append(BroadcastSpec(f"{layer.name}/inverse_outer", group.outer_worker, members, shape, dtype))
-        return specs
-
-    def gradient_round(self, group: LayerWorkGroups) -> List[BroadcastSpec]:
-        """Messages that take one layer's preconditioned gradient from each gradient worker to its receivers."""
-        layer = group.layer
-        return [
-            BroadcastSpec(
-                key=f"{layer.name}/precond_grad",
-                src=worker,
-                group=(worker,) + group.receivers_of(worker),
-                # precondition() returns the float32 bias-folded matrix (g_dim, a_dim)
-                shape=(layer.g_dim, layer.a_dim),
-                dtype=np.dtype(np.float32),
+    if not layers:
+        return {}
+    workers = num_grad_workers(world_size, grad_worker_frac)
+    memory = balance == "memory"
+    if workers >= world_size:
+        costs = {
+            (layer.name, which.upper()): (
+                float(layer.factor_repr(which).packed_numel) if memory else layer.factor_repr(which).eigen_flops()
             )
-            for worker in group.grad_workers
-            if group.receivers_of(worker)
-        ]
-
-    # -------------------------------------------------------------- the plan
-    def plan(
-        self,
-        layers: Sequence[LayerShapeInfo],
-        policy: WirePolicy = WirePolicy(),
-        factors_read_everywhere: bool = False,
-        eigen_free: Iterable[str] = (),
-        factor_update_freq: int = 1,
-        inv_update_freq: int = 1,
-        bucket_cap_mb: float = 25.0,
-    ) -> DistributionPlan:
-        """The :class:`DistributionPlan` of ``layers`` under this scheme, its rounds bucketed under ``bucket_cap_mb``.
-
-        A running factor is held where a plan reads it: by the ranks that
-        decompose it; by the layer's gradient workers when the layer is in
-        ``eigen_free`` (its solve strategy reads the factors instead of an
-        eigenbasis -- ``inverse``, ``cg`` -- so nothing is decomposed or
-        broadcast for it); and by every rank when ``factors_read_everywhere``
-        (``drift_tol > 0`` derives the refresh plan from factor drift on every
-        rank, ``damping_pi_correction`` takes both traces wherever it damps).
-        Factors are allreduced world-wide as the ranks' *window* averages, in
-        the form they are stored in: a dense one as its packed triangle (section
-        4.3's optimisation, here the only layout), a diagonal one as O(F) elements.
-        The two cadences place each layer's refresh inside the interval
-        (``refresh_offsets``) from its eigen cost alone -- not from ``assign``,
-        so every scheme decomposes a layer on the same steps.
-        """
-        layers = list(layers)
-        groups = self.assign(layers)
-        eigen_free = frozenset(eigen_free)
-        everyone = tuple(range(self.world_size))
-        factor_dtype = np.dtype(policy.precision.factor_dtype)
-        offsets = staggered_refresh_offsets(
-            {layer.name: layer.eigen_cost for layer in layers}, self.world_size, factor_update_freq, inv_update_freq
+            for layer in layers
+            for which in "ag"
+        }
+        placed = greedy_lpt_assignment(costs, world_size).assignment
+        everyone = tuple(range(world_size))
+        return {
+            layer.name: LayerWorkGroups(layer, placed[layer.name, "A"], placed[layer.name, "G"], everyone, {})
+            for layer in layers
+        }
+    costs = {layer.name: layer.memory_cost if memory else layer.eigen_cost for layer in layers}
+    placed = greedy_lpt_assignment(costs, world_size).assignment
+    groups: Dict[str, LayerWorkGroups] = {}
+    for layer in layers:
+        eigen_worker = placed[layer.name]
+        start = eigen_worker // workers * workers
+        grad_workers = tuple(range(start, min(start + workers, world_size)))
+        receivers = [rank for rank in range(world_size) if rank not in grad_workers]
+        receiver_map = {
+            worker: tuple(receivers[index :: len(grad_workers)]) for index, worker in enumerate(grad_workers)
+        }
+        groups[layer.name] = LayerWorkGroups(
+            layer, eigen_worker, eigen_worker, grad_workers, receiver_map, outer_worker=eigen_worker
         )
-        plan = DistributionPlan(
-            self.name, self.world_size, policy, groups, {}, {}, {}, {}, {}, {},
-            int(factor_update_freq), int(inv_update_freq), offsets, float(bucket_cap_mb),
-        )  # fmt: skip
-        for layer in layers:
-            name, group = layer.name, groups[layer.name]
-            needs_eigen = name not in eigen_free
-            decomposers = self.decomposers(group) if needs_eigen else {"a": (), "g": ()}
-            for which in ("a", "g"):
-                plan.decomposers[name, which] = tuple(sorted(set(decomposers[which])))
-                if factors_read_everywhere:
-                    plan.factor_holders[name, which] = everyone
-                elif needs_eigen:
-                    plan.factor_holders[name, which] = plan.decomposers[name, which]
-                else:
-                    plan.factor_holders[name, which] = tuple(sorted(group.grad_workers))
-            plan.eigen_holders[name] = tuple(sorted(group.grad_workers)) if needs_eigen else ()
-            plan.factor_round[name] = tuple(
-                (f"{name}/factor_{which}", layer.factor_repr(which).comm_shape(), factor_dtype)
-                for which in ("a", "g")
-            )
-            plan.eigen_round[name] = tuple(self.eigen_round(group, policy)) if needs_eigen else ()
-            plan.gradient_round[name] = tuple(self.gradient_round(group))
-        return plan
+    return groups
 
 
-class CommOptStrategy(DistributionStrategy):
-    """COMM-OPT: every rank caches every eigen decomposition (section 2.2.2).
+# A spec names one logical tensor; the collective engine fuses the specs that
+# share a (src, group) channel into capped buckets, in list order.
+def _eigen_round(group: LayerWorkGroups, policy: WirePolicy) -> Tuple[BroadcastSpec, ...]:
+    """Messages that take one layer's fresh eigen state from its eigen workers to its gradient workers.
 
-    Individual factors (A and G separately) are distributed across ranks for
-    the eigen decompositions, doubling worker utilisation; the decompositions
-    are broadcast world-wide, so preconditioning is local on every rank, each
-    forms the eigenvalue outer product itself and no per-iteration gradient
-    broadcast is needed.
+    Each decomposition travels packed (eigenvalues then stored eigenvectors,
+    in the inverse dtype so fp64 / fp16 are not truncated on the wire),
+    followed by the cached outer product when one rank forms it for the
+    group.  A group of one moves nothing: its only member computed the
+    decompositions and keeps them exactly as they are.  (Packing and
+    unpacking them anyway would copy all eigen state twice and re-lay the
+    eigenvectors out row-major, which shifts BLAS rounding in every later
+    precondition.)
     """
+    members = group.grad_workers
+    if len(members) <= 1:
+        return ()
+    layer = group.layer
+    dtype = np.dtype(policy.precision.inverse_dtype)
+    specs = []
+    for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
+        # Packed payload: n + n*n for dense, just n for diagonal factors.
+        shape = (layer.factor_repr(which).packed_eigen_numel,)
+        specs.append(BroadcastSpec(f"{layer.name}/eigen_{which}", src, members, shape, dtype))
+    if policy.compute_eigen_outer and group.outer_worker is not None:
+        shape = (layer.g_dim, layer.a_dim)
+        specs.append(BroadcastSpec(f"{layer.name}/inverse_outer", group.outer_worker, members, shape, dtype))
+    return tuple(specs)
 
-    name = "COMM-OPT"
 
-    def _check_consistency(self) -> None:
-        if self.num_grad_workers < self.world_size:
-            raise ValueError(
-                f"COMM-OPT requires every rank to be a gradient worker, but grad_worker_frac="
-                f"{self.grad_worker_frac} gives {self.num_grad_workers}/{self.world_size}; "
-                "use DistributionStrategy(world_size, frac) to dispatch by fraction"
-            )
+def _gradient_round(group: LayerWorkGroups) -> Tuple[BroadcastSpec, ...]:
+    """Messages that take one layer's preconditioned gradient from each gradient worker to its receivers."""
+    layer = group.layer
+    return tuple(
+        BroadcastSpec(
+            key=f"{layer.name}/precond_grad",
+            src=worker,
+            group=(worker,) + group.receivers_of(worker),
+            # precondition() returns the float32 bias-folded matrix (g_dim, a_dim)
+            shape=(layer.g_dim, layer.a_dim),
+            dtype=np.dtype(np.float32),
+        )
+        for worker in group.grad_workers
+        if group.receivers_of(worker)
+    )
 
-    def assign(self, layers: Sequence[LayerShapeInfo]) -> Dict[str, LayerWorkGroups]:
-        if not layers:
-            return {}
-        world = self.world_size
-        factor_costs: Dict[Tuple[str, str], float] = {}
-        for layer in layers:
-            # Per-repr costs: identical to the historical dense n²/n³ for
-            # dense factors, O(n) / O(num_blocks·bs³) for structured ones.
-            if self.balance == "memory":
-                factor_costs[(layer.name, "A")] = float(layer.a_repr.packed_numel)
-                factor_costs[(layer.name, "G")] = float(layer.g_repr.packed_numel)
+
+def build_plan(
+    layers: Sequence[LayerShapeInfo],
+    world_size: int,
+    grad_worker_frac: float,
+    balance: str,
+    policy: WirePolicy,
+    factors_read_everywhere: bool,
+    eigen_free: Iterable[str],
+    factor_update_freq: int,
+    inv_update_freq: int,
+    bucket_cap_mb: float,
+) -> DistributionPlan:
+    """The :class:`DistributionPlan` of ``layers``, its rounds bucketed under ``bucket_cap_mb``.
+
+    :meth:`~repro.kfac.KFACConfig.distribution_plan` is the one caller: it
+    turns the hyperparameters into these arguments.  Placement is
+    :func:`assign_workers`; each factor is decomposed by its eigen worker.  A
+    running factor is held where a plan reads it: by the ranks that decompose
+    it; by the layer's gradient workers when the layer is in ``eigen_free``
+    (its solve strategy reads the factors instead of an eigenbasis --
+    ``inverse``, ``cg`` -- so nothing is decomposed or broadcast for it); and
+    by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
+    the refresh plan from factor drift on every rank, ``damping_pi_correction``
+    takes both traces wherever it damps).  Factors are allreduced world-wide as
+    the ranks' *window* averages, in the form they are stored in: a dense one
+    as its packed triangle (section 4.3's optimisation, here the only layout),
+    a diagonal one as O(F) elements.  The two cadences place each layer's
+    refresh inside the interval (``refresh_offsets``) from its eigen cost
+    alone -- not from the placement, so every scheme decomposes a layer on the
+    same steps.
+    """
+    layers = list(layers)
+    workers = num_grad_workers(world_size, grad_worker_frac)
+    scheme = "COMM-OPT" if workers >= world_size else "MEM-OPT" if workers == 1 else "HYBRID-OPT"
+    groups = assign_workers(layers, world_size, grad_worker_frac, balance)
+    eigen_free = frozenset(eigen_free)
+    everyone = tuple(range(world_size))
+    factor_dtype = np.dtype(policy.precision.factor_dtype)
+    offsets = staggered_refresh_offsets(
+        {layer.name: layer.eigen_cost for layer in layers}, world_size, factor_update_freq, inv_update_freq
+    )
+    plan = DistributionPlan(
+        scheme, world_size, policy, groups, {}, {}, {}, {}, {}, {},
+        int(factor_update_freq), int(inv_update_freq), offsets, float(bucket_cap_mb),
+    )  # fmt: skip
+    for layer in layers:
+        name, group = layer.name, groups[layer.name]
+        needs_eigen = name not in eigen_free
+        for which, eigen_worker in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
+            plan.decomposers[name, which] = (eigen_worker,) if needs_eigen else ()
+            if factors_read_everywhere:
+                plan.factor_holders[name, which] = everyone
             else:
-                factor_costs[(layer.name, "A")] = layer.a_repr.eigen_flops()
-                factor_costs[(layer.name, "G")] = layer.g_repr.eigen_flops()
-        result = greedy_lpt_assignment(factor_costs, world)
-        all_ranks = tuple(range(world))
-        groups: Dict[str, LayerWorkGroups] = {}
-        for layer in layers:
-            # The A and G factors of one layer may live on different ranks.
-            groups[layer.name] = LayerWorkGroups(
-                layer=layer,
-                eigen_worker_a=result.assignment[(layer.name, "A")],
-                eigen_worker_g=result.assignment[(layer.name, "G")],
-                grad_workers=all_ranks,
-                receiver_map={},
-            )
-        return groups
-
-
-class HybridOptStrategy(DistributionStrategy):
-    """HYBRID-OPT: a tunable gradient-worker subset per layer (Figure 4).
-
-    Whole layers are distributed; a layer's eigen worker handles both factors,
-    caches the eigenvalue outer product before broadcasting it to its block,
-    and is one of the layer's gradient workers.  Ranks are partitioned into
-    fixed blocks of ``num_grad_workers`` processes (the dashed red box of
-    Figure 4); the gradient workers of a layer are the block containing its
-    eigen worker -- only they receive (and keep) the eigen decompositions,
-    which is exactly the tunable memory footprint of section 3.1 -- and each
-    gradient worker broadcasts the preconditioned gradient to its share of the
-    remaining ranks, so the broadcasts are small and concurrent.
-    """
-
-    name = "HYBRID-OPT"
-
-    def _check_consistency(self) -> None:
-        if not 1 < self.num_grad_workers < self.world_size:
-            raise ValueError(
-                f"HYBRID-OPT requires 1 < gradient workers < world size, but grad_worker_frac="
-                f"{self.grad_worker_frac} gives {self.num_grad_workers}/{self.world_size}; "
-                "use DistributionStrategy(world_size, frac) to dispatch by fraction"
-            )
-
-    def assign(self, layers: Sequence[LayerShapeInfo]) -> Dict[str, LayerWorkGroups]:
-        if not layers:
-            return {}
-        world = self.world_size
-        num_gw = min(self.num_grad_workers, world)
-        layer_costs = self._layer_costs(layers)
-        result = greedy_lpt_assignment(layer_costs, world)
-        blocks = [list(range(start, min(start + num_gw, world))) for start in range(0, world, num_gw)]
-        groups: Dict[str, LayerWorkGroups] = {}
-        for layer in layers:
-            eigen_worker = result.assignment[layer.name]
-            block = blocks[eigen_worker // num_gw]
-            grad_workers = tuple(block)
-            receivers = [rank for rank in range(world) if rank not in block]
-            receiver_map: Dict[int, List[int]] = {worker: [] for worker in grad_workers}
-            for index, receiver in enumerate(receivers):
-                worker = grad_workers[index % len(grad_workers)]
-                receiver_map[worker].append(receiver)
-            groups[layer.name] = LayerWorkGroups(
-                layer=layer,
-                eigen_worker_a=eigen_worker,
-                eigen_worker_g=eigen_worker,
-                grad_workers=grad_workers,
-                receiver_map={worker: tuple(recv) for worker, recv in receiver_map.items()},
-                outer_worker=eigen_worker,
-            )
-        return groups
-
-
-class MemOptStrategy(HybridOptStrategy):
-    """MEM-OPT: one gradient worker per layer — the minimum-memory endpoint.
-
-    Algorithmically the HYBRID-OPT plan with a gradient-worker block of size
-    one: the eigen worker is the sole gradient worker and broadcasts the
-    preconditioned gradient to every other rank each iteration.
-    """
-
-    name = "MEM-OPT"
-
-    def _check_consistency(self) -> None:
-        if self.num_grad_workers != 1:
-            raise ValueError(
-                f"MEM-OPT requires exactly one gradient worker per layer, but grad_worker_frac="
-                f"{self.grad_worker_frac} gives {self.num_grad_workers}/{self.world_size}; "
-                "pass grad_worker_frac=1/world_size or use DistributionStrategy to dispatch"
-            )
+                plan.factor_holders[name, which] = plan.decomposers[name, which] if needs_eigen else group.grad_workers
+        plan.eigen_holders[name] = group.grad_workers if needs_eigen else ()
+        plan.factor_round[name] = tuple(
+            (f"{name}/factor_{which}", layer.factor_repr(which).comm_shape(), factor_dtype) for which in ("a", "g")
+        )
+        plan.eigen_round[name] = _eigen_round(group, policy) if needs_eigen else ()
+        plan.gradient_round[name] = _gradient_round(group)
+    return plan

@@ -183,7 +183,7 @@ def use_square_path(preconditioner):
         drift.mark_second_order = lambda name, step, a, g: mark(name, step, *squares(name, a, g))
 
     def square_pi(layer):
-        if not preconditioner.damping_pi_correction or layer.factor_a is None or layer.factor_g is None:
+        if not preconditioner.config.damping_pi_correction or layer.factor_a is None or layer.factor_g is None:
             return None
         means = []
         for factor, dim in zip(squares(layer.name, layer.factor_a, layer.factor_g), (layer.a_dim, layer.g_dim)):

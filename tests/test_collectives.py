@@ -27,7 +27,7 @@ from repro.distributed import (
     run_spmd,
 )
 from repro.experiments import paper_workload_spec
-from repro.kfac import KFAC, KFACConfig, DistributionStrategy, model_comm_schedule
+from repro.kfac import KFAC, KFACConfig, model_comm_schedule
 from repro.models import MLP
 from repro.tensor import Tensor
 
@@ -681,73 +681,3 @@ class TestCommScheduleModel:
         assert 10 * perf.allreduce_time(1e5, 8) - perf.allreduce_time(1e6, 8) == pytest.approx(
             9 * 2.0 * 7 * perf.network.latency
         )
-
-
-class TestCustomStrategyFallback:
-    """A custom strategy is written against shapes — placement, who
-    decomposes, what moves — and needs nothing else to run through the one
-    step pipeline."""
-
-    class ReplicatedStrategy(DistributionStrategy):
-        """Every rank computes every eigen decomposition locally; no broadcasts."""
-
-        name = "REPLICATED"
-
-        def assign(self, layers):
-            from repro.kfac import LayerWorkGroups
-
-            all_ranks = tuple(range(self.world_size))
-            return {
-                layer.name: LayerWorkGroups(
-                    layer=layer,
-                    eigen_worker_a=0,
-                    eigen_worker_g=0,
-                    grad_workers=all_ranks,
-                    receiver_map={},
-                )
-                for layer in layers
-            }
-
-        def decomposers(self, group):
-            # The averaged windows are the same everywhere, so local decompositions already agree.
-            return {"a": group.grad_workers, "g": group.grad_workers}
-
-        def eigen_round(self, group, policy):
-            return []
-
-    def _train(self, strategy_for):
-        x, y = make_problem(seed=21)
-        loss_fn = nn.CrossEntropyLoss()
-
-        def program(comm):
-            model = MLP(6, [10], 3, rng=np.random.default_rng(0))
-            ddp = DistributedDataParallel(model, comm)
-            pre = KFAC(
-                model,
-                factor_update_freq=1,
-                inv_update_freq=1,
-                comm=comm,
-                strategy=strategy_for(comm.world_size),
-            )
-            for p in model.parameters():
-                p.grad = None
-            loss = loss_fn(model(Tensor(x[:32])), y[:32])
-            loss.backward()
-            ddp.sync_gradients()
-            pre.step()
-            return np.concatenate([p.grad.ravel() for p in model.parameters()]), comm_counts(comm.tracer)
-
-        return zip(*run_spmd(2, program))
-
-    def test_sync_only_strategy_survives_comm_overlap(self):
-        replicated, replicated_counts = self._train(self.ReplicatedStrategy)
-        comm_opt, comm_opt_counts = self._train(lambda world: DistributionStrategy(world, 1.0))
-        # Same factors everywhere -> the replicated plan computes COMM-OPT's update...
-        for a, b in zip(replicated, comm_opt):
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
-        np.testing.assert_array_equal(replicated[0], replicated[1])
-        # ...without an eigen broadcast: DDP's initial weight sync is the only one left, on every rank.
-        for replicated_rank, comm_opt_rank in zip(replicated_counts, comm_opt_counts):
-            assert replicated_rank["broadcast"][0] == 1
-            assert comm_opt_rank["broadcast"][0] > 1
-            assert replicated_rank["allreduce"][1] == comm_opt_rank["allreduce"][1]

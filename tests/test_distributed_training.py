@@ -12,7 +12,7 @@ import pytest
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
-from repro.kfac import KFAC, HybridOptStrategy
+from repro.kfac import KFAC
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
@@ -189,23 +189,12 @@ class TestDistributedKFAC:
             assert mem_opt > comm_opt
 
 
-class GradWorkersDecompose(HybridOptStrategy):
-    """A custom scheme that overrides nothing but ``decomposers``: every gradient worker of a
-    layer decomposes both factors itself (the eigen worker's broadcast then lands on equal values)."""
-
-    def decomposers(self, group):
-        return {"a": group.grad_workers, "g": group.grad_workers}
-
-
-def layout_program(steps=3, armed=False, strategy=None, **kfac_kwargs):
+def layout_program(steps=3, armed=False, **kfac_kwargs):
     """Train MLP(6, [16, 8], 3) through a ``Trainer`` and report what each rank ends up holding."""
 
     def program(comm):
         model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
-        kwargs = dict(lr=0.05, factor_update_freq=2, inv_update_freq=4, comm=comm, **kfac_kwargs)
-        if strategy is not None:
-            kwargs["strategy"] = strategy(comm.world_size)
-        pre = KFAC(model, **kwargs)
+        pre = KFAC(model, lr=0.05, factor_update_freq=2, inv_update_freq=4, comm=comm, **kfac_kwargs)
         loss_fn = nn.CrossEntropyLoss()
         trainer = Trainer(
             model,
@@ -270,21 +259,14 @@ class TestShardedFactorLayout:
                 assert entry["held"][(name, which)] == entry["grad_worker"][name]
         assert sum(entry["memory"]["factors"] for entry in ranks) == 2 * ranks[0]["all_factor_bytes"]
 
-    def test_a_strategy_that_only_overrides_decomposers_moves_the_factors_with_them(self):
-        ranks = run_spmd(4, layout_program(strategy=lambda world: GradWorkersDecompose(world, 0.5)))
-        for (name, which), _ in ranks[0]["held"].items():
-            for entry in ranks:
-                assert entry["held"][(name, which)] == entry["grad_worker"][name] == entry["decomposes"][(name, which)]
-
     def test_strategies_agree_after_20_steps_armed_or_not(self):
-        """MEM / HYBRID / COMM-OPT and the custom scheme are one algorithm; arming the pipeline
+        """MEM / HYBRID / COMM-OPT are one algorithm; arming the pipeline
         (factor windows posted during backward) changes when, not what."""
         finals = {}
         for label, kwargs in {
             "mem": dict(grad_worker_frac=0.25),
             "hybrid": dict(grad_worker_frac=0.5),
             "comm": dict(grad_worker_frac=1.0),
-            "custom": dict(strategy=lambda world: GradWorkersDecompose(world, 0.5)),
         }.items():
             plain = run_spmd(4, layout_program(steps=20, **kwargs))
             armed = run_spmd(4, layout_program(steps=20, armed=True, **kwargs))
@@ -292,7 +274,7 @@ class TestShardedFactorLayout:
                 np.testing.assert_array_equal(entry["params"], plain[0]["params"], err_msg=label)
             finals[label] = plain[0]["params"]
             assert np.all(np.isfinite(finals[label]))
-        for label in ("hybrid", "comm", "custom"):
+        for label in ("hybrid", "comm"):
             np.testing.assert_allclose(finals[label], finals["mem"], atol=1e-4, err_msg=label)
 
 

@@ -1,11 +1,19 @@
-"""Tests for the greedy factor assignment (section 3.2) and distribution strategies (section 3.1)."""
+"""Tests for the greedy factor assignment (section 3.2) and the work placement of section 3.1."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kfac import DistributionStrategy, LayerShapeInfo, greedy_lpt_assignment, makespan, round_robin_assignment
+from repro.kfac import (
+    KFACConfig,
+    LayerShapeInfo,
+    assign_workers,
+    greedy_lpt_assignment,
+    makespan,
+    round_robin_assignment,
+)
 from repro.kfac.assignment import AssignmentResult, staggered_refresh_offsets
+from repro.kfac.strategy import num_grad_workers
 
 
 def layer(name, a_dim, g_dim):
@@ -13,6 +21,17 @@ def layer(name, a_dim, g_dim):
 
 
 LAYERS = [layer("l0", 64, 32), layer("l1", 128, 64), layer("l2", 32, 16), layer("l3", 256, 128), layer("l4", 16, 8)]
+
+
+def make_plan(layers, world, frac, balance="compute", factor_update_freq=1, inv_update_freq=1):
+    """The plan a config with these knobs builds; the cadences are explicit (the config defaults to 10 / 100)."""
+    config = KFACConfig(
+        grad_worker_frac=frac,
+        assignment_balance=balance,
+        factor_update_freq=factor_update_freq,
+        inv_update_freq=inv_update_freq,
+    )
+    return config.distribution_plan(layers, world)
 
 
 class TestGreedyLPT:
@@ -135,7 +154,7 @@ class TestStaggeredRefreshOffsets:
         layers = [layer("a", 128, 64), layer("b", 128, 64), layer("c", 64, 32), layer("d", 64, 32), layer("e", 16, 8)]
         offsets = staggered_refresh_offsets({entry.name: entry.eigen_cost for entry in layers}, 2, 5, 10)
         assert offsets["a"] == offsets["b"] and offsets["c"] == offsets["d"]
-        groups = DistributionStrategy(2, 0.5).assign(layers)
+        groups = assign_workers(layers, 2, 0.5)
         for first, second in ("ab", "cd"):
             assert groups[first].eigen_worker_a != groups[second].eigen_worker_a
 
@@ -147,7 +166,7 @@ class TestStaggeredRefreshOffsets:
         shapes = workload_shapes(workload)
         costs = {shape.name: shape.eigen_cost for shape in shapes}
         plans = [
-            DistributionStrategy(world, frac, balance).plan(shapes, factor_update_freq=5, inv_update_freq=10)
+            make_plan(shapes, world, frac, balance, factor_update_freq=5, inv_update_freq=10)
             for frac in sorted({1.0 / world, min(1.0, 2.0 / world), 1.0})
             for balance in ("compute", "memory")
         ]
@@ -170,18 +189,16 @@ class TestStaggeredRefreshOffsets:
             assert max(loads) <= 0.6 * sum(ordered)
 
     def test_offsets_are_part_of_the_digest(self):
-        strategy = DistributionStrategy(2, 0.5)
-        staggered = strategy.plan(LAYERS, factor_update_freq=5, inv_update_freq=10)
-        one_step = strategy.plan(LAYERS, factor_update_freq=2, inv_update_freq=4)
+        staggered = make_plan(LAYERS, 2, 0.5, factor_update_freq=5, inv_update_freq=10)
+        one_step = make_plan(LAYERS, 2, 0.5, factor_update_freq=2, inv_update_freq=4)
         assert set(one_step.refresh_offsets.values()) == {0} != set(staggered.refresh_offsets.values())
         assert staggered.digest() != one_step.digest()
-        assert staggered.digest() == strategy.plan(LAYERS, factor_update_freq=5, inv_update_freq=10).digest()
+        assert staggered.digest() == make_plan(LAYERS, 2, 0.5, factor_update_freq=5, inv_update_freq=10).digest()
 
     def test_a_full_update_prices_one_eigen_round_per_touched_step(self):
         """``messages()`` buckets the eigen round per step: same bytes as one refresh step, more messages."""
-        strategy = DistributionStrategy(2, 1.0)
-        staggered = strategy.plan(LAYERS, factor_update_freq=5, inv_update_freq=10)
-        one_step = strategy.plan(LAYERS, factor_update_freq=2, inv_update_freq=4)
+        staggered = make_plan(LAYERS, 2, 1.0, factor_update_freq=5, inv_update_freq=10)
+        one_step = make_plan(LAYERS, 2, 1.0, factor_update_freq=2, inv_update_freq=4)
         spread, single = staggered.messages()["eigen"], one_step.messages()["eigen"]
         assert sum(nbytes for _, nbytes in spread) == sum(nbytes for _, nbytes in single)
         assert len(single) == 2 < len(spread) <= 4  # one fused bucket per source rank, per touched step
@@ -196,7 +213,7 @@ class TestStaggeredRefreshOffsets:
         gradient round, in registration order; a revision of either tuple takes its rounds along."""
         import dataclasses
 
-        plan = DistributionStrategy(4, 0.5).plan(LAYERS, factor_update_freq=5, inv_update_freq=10)
+        plan = make_plan(LAYERS, 4, 0.5, factor_update_freq=5, inv_update_freq=10)
         names = list(plan.groups)
         for step in range(25):
             actions = plan.actions(step)
@@ -215,29 +232,38 @@ class TestStaggeredRefreshOffsets:
 
 
 class TestDistributionStrategy:
+    """Placement of MEM-OPT, HYBRID-OPT and COMM-OPT (section 3.1): ``assign_workers`` and the plans built on it."""
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            DistributionStrategy(0)
+            assign_workers(LAYERS, 0, 1.0)
         with pytest.raises(ValueError):
-            DistributionStrategy(4, grad_worker_frac=0.0)
+            make_plan(LAYERS, 0, 1.0)
         with pytest.raises(ValueError):
-            DistributionStrategy(4, grad_worker_frac=1.5)
+            make_plan(LAYERS, 4, 0.0)
         with pytest.raises(ValueError):
-            DistributionStrategy(4, balance="latency")
+            make_plan(LAYERS, 4, 1.5)
+        with pytest.raises(ValueError):
+            make_plan(LAYERS, 4, 0.5, balance="latency")
 
     def test_strategy_names(self):
-        assert DistributionStrategy(8, 1 / 8).name == "MEM-OPT"
-        assert DistributionStrategy(8, 1.0).name == "COMM-OPT"
-        assert DistributionStrategy(8, 0.5).name == "HYBRID-OPT"
+        assert make_plan(LAYERS, 8, 1 / 8).scheme == "MEM-OPT"
+        assert make_plan(LAYERS, 8, 1.0).scheme == "COMM-OPT"
+        assert make_plan(LAYERS, 8, 0.5).scheme == "HYBRID-OPT"
+        assert make_plan(LAYERS, 1, 1.0).scheme == "COMM-OPT"
 
     def test_num_grad_workers_formula(self):
-        assert DistributionStrategy(64, 1 / 64).num_grad_workers == 1
-        assert DistributionStrategy(64, 0.5).num_grad_workers == 32
-        assert DistributionStrategy(64, 1.0).num_grad_workers == 64
-        assert DistributionStrategy(1, 1.0).num_grad_workers == 1
+        assert num_grad_workers(64, 1 / 64) == 1
+        assert num_grad_workers(64, 0.5) == 32
+        assert num_grad_workers(64, 1.0) == 64
+        assert num_grad_workers(1, 1.0) == 1
+        assert num_grad_workers(8, 0.01) == 1  # never fewer than one
+        # HYBRID-OPT's blocks are num_grad_workers ranks wide.
+        for group in assign_workers(LAYERS, 8, 0.5).values():
+            assert len(group.grad_workers) == num_grad_workers(8, 0.5)
 
     def test_mem_opt_single_grad_worker_per_layer(self):
-        groups = DistributionStrategy(8, 1 / 8).assign(LAYERS)
+        groups = assign_workers(LAYERS, 8, 1 / 8)
         for group in groups.values():
             assert len(group.grad_workers) == 1
             assert group.eigen_worker_a == group.eigen_worker_g == group.outer_worker
@@ -246,13 +272,13 @@ class TestDistributionStrategy:
             assert len(receivers) == 7
 
     def test_comm_opt_every_rank_is_grad_worker(self):
-        groups = DistributionStrategy(8, 1.0).assign(LAYERS)
+        groups = assign_workers(LAYERS, 8, 1.0)
         for group in groups.values():
             assert group.grad_workers == tuple(range(8))
             assert group.receiver_map == {}
 
     def test_comm_opt_distributes_a_and_g_separately(self):
-        groups = DistributionStrategy(16, 1.0).assign(LAYERS)
+        groups = assign_workers(LAYERS, 16, 1.0)
         placements = set()
         for group in groups.values():
             placements.add(group.eigen_worker_a)
@@ -260,7 +286,7 @@ class TestDistributionStrategy:
         assert len(placements) > 1  # factors spread across more than one rank
 
     def test_hybrid_partitions_receivers_among_grad_workers(self):
-        groups = DistributionStrategy(8, 0.5).assign(LAYERS)
+        groups = assign_workers(LAYERS, 8, 0.5)
         for group in groups.values():
             assert len(group.grad_workers) == 4
             all_receivers = [r for worker in group.grad_workers for r in group.receivers_of(worker)]
@@ -270,7 +296,7 @@ class TestDistributionStrategy:
 
     def test_every_rank_covered_exactly_once_per_layer(self):
         for frac in (1 / 8, 1 / 4, 1 / 2, 1.0):
-            groups = DistributionStrategy(8, frac).assign(LAYERS)
+            groups = assign_workers(LAYERS, 8, frac)
             for group in groups.values():
                 covered = set(group.grad_workers)
                 for worker in group.grad_workers:
@@ -278,7 +304,7 @@ class TestDistributionStrategy:
                 assert covered == set(range(8))
 
     def test_gradient_round_reaches_every_rank_from_one_grad_worker(self):
-        plan = DistributionStrategy(8, 0.25).plan(LAYERS)
+        plan = make_plan(LAYERS, 8, 0.25)
         for name, group in plan.groups.items():
             for rank in range(8):
                 senders = [spec.src for spec in plan.gradient_round[name] if rank in spec.group]
@@ -288,35 +314,35 @@ class TestDistributionStrategy:
     def test_eigen_workers_balanced_across_layers(self):
         # With many equal-cost layers, eigen work must not pile onto one rank.
         layers = [layer(f"l{i}", 64, 64) for i in range(16)]
-        groups = DistributionStrategy(4, 0.25).assign(layers)
+        groups = assign_workers(layers, 4, 0.25)
         counts = np.zeros(4)
         for group in groups.values():
             counts[group.eigen_worker_g] += 1
         assert counts.max() - counts.min() <= 1
 
     def test_assignment_deterministic(self):
-        a = DistributionStrategy(8, 0.5).assign(LAYERS)
-        b = DistributionStrategy(8, 0.5).assign(LAYERS)
+        a = assign_workers(LAYERS, 8, 0.5)
+        b = assign_workers(LAYERS, 8, 0.5)
         for name in a:
             assert a[name].grad_workers == b[name].grad_workers
             assert (a[name].eigen_worker_a, a[name].eigen_worker_g) == (b[name].eigen_worker_a, b[name].eigen_worker_g)
 
     def test_memory_balance_mode(self):
-        groups = DistributionStrategy(4, 0.25, balance="memory").assign(LAYERS)
+        groups = assign_workers(LAYERS, 4, 0.25, "memory")
         assert len(groups) == len(LAYERS)
 
     def test_empty_layer_list(self):
-        assert DistributionStrategy(4, 0.5).assign([]) == {}
+        assert assign_workers([], 4, 0.5) == {}
 
     def test_world_size_one(self):
-        groups = DistributionStrategy(1, 1.0).assign(LAYERS)
+        groups = assign_workers(LAYERS, 1, 1.0)
         for group in groups.values():
             assert group.grad_workers == (0,)
 
     def test_broadcast_group_size_shrinks_with_more_grad_workers(self):
         sizes = {}
         for frac in (1 / 8, 1 / 4, 1 / 2):
-            groups = DistributionStrategy(8, frac).assign(LAYERS)
+            groups = assign_workers(LAYERS, 8, frac)
             sizes[frac] = max(1 + len(g.receivers_of(w)) for g in groups.values() for w in g.grad_workers)
         assert sizes[1 / 8] > sizes[1 / 4] > sizes[1 / 2]
 
@@ -328,13 +354,17 @@ class TestDistributionStrategy:
     @settings(max_examples=60, deadline=None)
     def test_roles_partition_property(self, world_size, frac, num_layers):
         """For every configuration, each rank is either a gradient worker or the
-        receiver of exactly one gradient worker for every layer."""
+        receiver of exactly one gradient worker for every layer; the plan's scheme
+        is MEM-OPT iff one gradient worker, COMM-OPT iff all ranks, HYBRID-OPT otherwise."""
         layers = [layer(f"l{i}", 8 * (i + 1), 4 * (i + 1)) for i in range(num_layers)]
-        strategy = DistributionStrategy(world_size, frac)
-        groups = strategy.assign(layers)
+        groups = assign_workers(layers, world_size, frac)
+        workers = max(1, round(frac * world_size))  # section 3.1's num_grad_workers
+        scheme = "COMM-OPT" if workers >= world_size else "MEM-OPT" if workers == 1 else "HYBRID-OPT"
+        assert make_plan(layers, world_size, frac).scheme == scheme
         assert len(groups) == num_layers
         for group in groups.values():
-            assert 1 <= len(group.grad_workers) <= world_size
+            assert 1 <= len(group.grad_workers) <= min(workers, world_size)
+            assert (len(group.grad_workers) == world_size) == (scheme == "COMM-OPT")
             seen = {}
             for worker in group.grad_workers:
                 for receiver in group.receivers_of(worker):

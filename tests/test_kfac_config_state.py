@@ -2,9 +2,9 @@
 
 Covers the redesigned public API: `KFACConfig` validation and serialization,
 the `Preconditioner` protocol (checkpoint/resume round-trips, bit-identical
-under every distribution strategy on the threaded multi-worker backend), the
-pluggable strategy objects, and the open layer registry (Embedding as the
-built-in extension plus a custom registered type).
+under every distribution strategy on the threaded multi-worker backend), and
+the open layer registry (Embedding as the built-in extension plus a custom
+registered type).
 """
 
 import numpy as np
@@ -14,13 +14,9 @@ from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import (
     KFAC,
-    CommOptStrategy,
-    DistributionStrategy,
-    HybridOptStrategy,
     KFACConfig,
     KFACEmbeddingLayer,
     KFACLinearLayer,
-    MemOptStrategy,
     Preconditioner,
     make_kfac_layer,
     pack_eigen,
@@ -154,48 +150,81 @@ class TestKFACConfig:
         assert config.grad_worker_frac == 0.5
 
 
-class TestStrategyDispatch:
-    def test_factory_returns_matching_subclass(self):
-        assert isinstance(DistributionStrategy(4, 1.0), CommOptStrategy)
-        assert isinstance(DistributionStrategy(4, 0.5), HybridOptStrategy)
-        assert isinstance(DistributionStrategy(4, 0.25), MemOptStrategy)
-        assert isinstance(DistributionStrategy(1, 1.0), CommOptStrategy)
+class TestConfigPlacesTheWork:
+    """``KFACConfig`` is the one statement of a run: KFAC takes no strategy or precision object beside it."""
 
-    def test_kfac_accepts_custom_strategy_instance(self):
-        model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        strategy = CommOptStrategy(1, 1.0)
-        pre = KFAC(model, strategy=strategy)
-        assert pre.strategy is strategy
+    @staticmethod
+    def model():
+        return MLP(4, [8], 2, rng=np.random.default_rng(0))
 
-    def test_strategy_world_size_must_match_comm(self):
-        model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="world size"):
-            KFAC(model, strategy=CommOptStrategy(4, 1.0))
+    def test_kfac_and_the_plan_builder_take_no_strategy_or_precision_parameter(self):
+        import inspect
 
-    def test_direct_subclass_construction_rejects_inconsistent_frac(self):
-        """Class identity and grad_worker_frac may not disagree (resume safety)."""
-        with pytest.raises(ValueError, match="COMM-OPT"):
-            CommOptStrategy(4, 0.25)
-        with pytest.raises(ValueError, match="MEM-OPT"):
-            MemOptStrategy(4)  # default frac 1.0 contradicts the class
-        with pytest.raises(ValueError, match="HYBRID-OPT"):
-            HybridOptStrategy(4, 1.0)
+        params = inspect.signature(KFAC.__init__).parameters
+        assert "strategy" not in params and "precision" not in params
+        assert list(inspect.signature(KFACConfig.distribution_plan).parameters) == ["self", "layers", "world_size"]
 
-    def test_explicit_strategy_conflicts_with_frac_kwargs(self):
-        model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="not both"):
-            KFAC(model, grad_worker_frac=0.25, strategy=CommOptStrategy(1, 1.0))
-        with pytest.raises(ValueError, match="not both"):
-            KFAC(model, assignment_balance="memory", strategy=CommOptStrategy(1, 1.0))
+    def test_a_strategy_keyword_is_refused(self):
+        with pytest.raises(TypeError, match="strategy"):
+            KFAC(self.model(), strategy=object())
 
-    def test_from_config_requires_config_strategy_agreement(self):
-        model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        config = KFACConfig(grad_worker_frac=0.25)
-        with pytest.raises(ValueError, match="disagree"):
-            KFAC.from_config(model, config, strategy=CommOptStrategy(1, 1.0))
-        # An agreeing config round-trips through the same strategy instance.
-        pre = KFAC.from_config(model, KFACConfig.comm_opt(), strategy=CommOptStrategy(1, 1.0))
-        assert pre.config.grad_worker_frac == 1.0
+    def test_a_precision_policy_object_is_refused(self):
+        with pytest.raises(TypeError, match="precision"):
+            KFAC(self.model(), precision=PrecisionPolicy.fp64())
+        with pytest.raises(TypeError, match="precision"):
+            KFACConfig(precision=PrecisionPolicy.fp32())
+
+    def test_precision_is_a_config_name(self):
+        pre = KFAC(self.model(), precision="fp16")
+        assert pre.config.precision == "fp16"
+        assert pre.precision == pre.plan.policy.precision == KFACConfig(precision="fp16").precision_policy()
+        assert pre.plan.policy.precision.factor_dtype == np.float16
+
+    def test_repro_kfac_has_no_distribution_strategy_class(self):
+        import repro.kfac
+        import repro.kfac.strategy
+
+        for name in ("DistributionStrategy", "CommOptStrategy", "HybridOptStrategy", "MemOptStrategy"):
+            assert not hasattr(repro.kfac, name) and not hasattr(repro.kfac.strategy, name)
+
+    def test_grad_worker_frac_alone_picks_the_scheme(self):
+        def program(comm):
+            return {
+                frac: KFAC(self.model(), grad_worker_frac=frac, comm=comm).plan.scheme for frac in (0.25, 0.5, 1.0)
+            }
+
+        for schemes in run_spmd(4, program):
+            assert schemes == {0.25: "MEM-OPT", 0.5: "HYBRID-OPT", 1.0: "COMM-OPT"}
+        assert KFAC(self.model(), grad_worker_frac=0.25).plan.scheme == "COMM-OPT"  # one rank is every rank
+
+    def test_the_plan_is_the_one_the_config_builds(self):
+        config = KFACConfig(
+            grad_worker_frac=0.5, assignment_balance="memory", factor_update_freq=2, inv_update_freq=6,
+            bucket_cap_mb="auto",
+        )  # fmt: skip
+
+        def program(comm):
+            pre = KFAC.from_config(self.model(), config, comm=comm)
+            shapes = [layer.shape_info() for layer in pre.layers.values()]
+            return pre.plan.digest(), config.distribution_plan(shapes, comm.world_size).digest()
+
+        digests = run_spmd(4, program)
+        assert all(ours == built == digests[0][0] for ours, built in digests)
+        assert KFAC(self.model(), **config.to_dict()).plan.digest() != digests[0][0]  # world 1 places it apart
+
+    def test_kfac_keeps_only_lr_and_damping_beside_its_config(self):
+        """``factor_decay``, ``kl_clip``, ``compute_eigen_outer`` and ``damping_pi_correction`` are read from
+        the config, so no second copy can drift from it; ``lr`` and ``damping`` change during a run."""
+        config = KFACConfig(
+            lr=0.2, damping=0.01, factor_decay=0.5, kl_clip=0.01, compute_eigen_outer=False,
+            damping_pi_correction=True,
+        )  # fmt: skip
+        pre = KFAC(self.model(), config)
+        for name in ("factor_decay", "kl_clip", "compute_eigen_outer", "damping_pi_correction"):
+            assert not hasattr(pre, name)
+        assert (pre.lr, pre.damping) == (0.2, 0.01)
+        pre.lr = 0.3
+        assert pre.config == config.replace(lr=0.3)
 
 
 class TestEigenBroadcastPrecision:

@@ -109,7 +109,7 @@ class TestConstruction:
         pre = KFAC(model, grad_worker_frac=1.0)
         assert pre.rank == 0 and pre.world_size == 1
         assert pre.grad_worker_frac == 1.0
-        assert pre.strategy.name == "COMM-OPT"
+        assert pre.plan.scheme == "COMM-OPT"
 
 
 class TestStepMechanics:

@@ -20,7 +20,6 @@ from repro.kfac import (
     KFAC,
     AdaptiveDampingController,
     CGSolveStrategy,
-    DistributionStrategy,
     DriftSchedule,
     EigenSolveStrategy,
     FactorRepr,
@@ -61,7 +60,8 @@ def make_problem(seed=0, samples=256, in_dim=6, classes=3):
 def make_plan(names, factor_update_freq, inv_update_freq):
     """The one-rank plan of equal-sized layers ``names`` under the two cadences."""
     layers = [LayerShapeInfo(name, 4, 4, 16) for name in names]
-    return DistributionStrategy(1).plan(layers, factor_update_freq=factor_update_freq, inv_update_freq=inv_update_freq)
+    config = KFACConfig(factor_update_freq=factor_update_freq, inv_update_freq=inv_update_freq)
+    return config.distribution_plan(layers, 1)
 
 
 def spd_factor(dim, seed=0, scale=1.0):

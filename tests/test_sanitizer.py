@@ -117,22 +117,15 @@ class TestScheduleDivergence:
         assert "plan:0" in str(error)
 
     def test_rank_dependent_distribution_plan_is_named_at_step_zero(self):
-        """A strategy whose plan depends on the rank would leave the other ranks waiting on a broadcast
-        nobody posts; the plan is data, so its digest rides the step-0 consistency check instead."""
+        """A rank whose config places the work differently (here rank 1 alone runs MEM-OPT while the
+        others run HYBRID-OPT) would leave the other ranks waiting on broadcasts nobody posts; the plan
+        is data, so its digest rides the step-0 consistency check instead."""
         import time
 
         from repro import nn
-        from repro.kfac import KFAC, HybridOptStrategy
+        from repro.kfac import KFAC
         from repro.models import MLP
         from repro.tensor import Tensor
-
-        class RankConditional(HybridOptStrategy):
-            def __init__(self, world_size, grad_worker_frac, rank):
-                super().__init__(world_size, grad_worker_frac)
-                self.rank = rank
-
-            def gradient_round(self, group):
-                return [] if self.rank == 1 else super().gradient_round(group)  # rank 1 expects no message
 
         outcomes = {}
         rng = np.random.default_rng(0)
@@ -140,7 +133,7 @@ class TestScheduleDivergence:
 
         def program(comm):
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
-            pre = KFAC(model, strategy=RankConditional(comm.world_size, 0.5, comm.rank), comm=comm)
+            pre = KFAC(model, grad_worker_frac=0.25 if comm.rank == 1 else 0.5, comm=comm)
             nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
             try:
                 pre.step()
