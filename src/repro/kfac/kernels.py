@@ -23,10 +23,8 @@ class, :class:`KernelBackend` (named ``batched``):
   stacked ``eigh`` a failure to converge, which it re-solves member by member
   to place -- with an error that says which member of the group failed
   (``error.batch_index``), before anything is installed.  Every path comes
-  in two halves (:meth:`KernelBackend.eigen_task`): the call reads the
-  factors into private buffers, the callable it returns solves them and reads
-  nothing else, which is what lets :class:`~repro.kfac.KFAC` run the solve on
-  its eigen worker thread while the factors are folded in place;
+  in two halves (:meth:`KernelBackend.eigen_task`), the tasks of
+  :class:`~repro.kfac.refresh.RefreshQueue`;
 * **in-place decay fold**: ``new *= 1-decay; running *= decay; running +=
   new`` on the window average the caller hands over, so a float32 factor is
   updated without a temporary or a held scratch buffer;

@@ -25,12 +25,9 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    them (every ``factor_update_freq`` iterations),
 2. compute the eigen decompositions on their assigned workers and broadcast
    them to the layer's gradient workers (every ``inv_update_freq``
-   iterations).  A refresh decomposes the running factors as they stood
-   when its step began: taking the step's actions (the first K-FAC forward
-   hook) copies them out and hands the solves to the rank's eigen worker
-   thread, which runs them beside forward and backward; stage 2 solves
-   those the worker has not started, waits for the rest and installs the
-   results, so nothing is in flight between steps,
+   iterations).  Taking the step's actions submits the factors as the step
+   began to the rank's :class:`~repro.kfac.refresh.RefreshQueue`; stage 2
+   takes and installs the results,
 3. precondition the gradients on the gradient workers and broadcast the
    result to the gradient receivers (every iteration),
 4. apply the KL-clip scaling and write the preconditioned gradients back into
@@ -40,26 +37,15 @@ There is one path through these stages, and one schedule.  ``grad_worker_frac``
 places the work (section 3.1): ``1/world_size`` is MEM-OPT, ``1`` is
 COMM-OPT, anything between is HYBRID-OPT.  The config builds one
 :class:`~repro.kfac.strategy.DistributionPlan`
-(:meth:`KFACConfig.distribution_plan`) -- who decomposes, who holds, the
-three communication rounds as unbound specs and
-*when*: :meth:`~repro.kfac.strategy.DistributionPlan.actions` names the layers
-a step folds and refreshes (folds every ``factor_update_freq`` steps of an
-interval, each layer's decomposition on its offset in ``refresh_offsets``,
-which spreads an interval's eigen work over its fold-free steps), the same
-data on every rank.  :meth:`KFAC.step` carries those actions out, revised per
-layer by a :class:`~repro.kfac.scheduling.DriftSchedule` when ``drift_tol > 0``;
-the layer hooks and the gradient pipeline read the same actions.  *How* a
-layer is preconditioned is its :class:`~repro.kfac.scheduling.SolveStrategy`
-(the default is the eigen path of Eq. 15-17).  The preconditioner batches the
-decompositions through its kernel backend, attaches this rank's arrays to the
-specs (:meth:`KFAC._bind`, once) and executes every factor allreduce, eigen
-broadcast and gradient broadcast through one bucketed collective engine
-(:mod:`repro.distributed.collectives`), which coalesces the per-layer tensors
-into ``bucket_cap_mb``-capped fused buffers posted via nonblocking primitives.
-:class:`KFAC` takes nothing beside its config that could restate it: no
-strategy object (placement is :func:`~repro.kfac.strategy.assign_workers` of
-``grad_worker_frac`` and ``assignment_balance``) and no precision object
-(storage is the ``precision`` name).
+(:meth:`KFACConfig.distribution_plan`): who decomposes, who holds, the three
+communication rounds as unbound specs, and in
+:meth:`~repro.kfac.strategy.DistributionPlan.actions` the layers a step folds
+and refreshes, revised by a :class:`~repro.kfac.scheduling.DriftSchedule`
+when ``drift_tol > 0``.  *How* a layer is preconditioned is its
+:class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
+of Eq. 15-17).  :meth:`KFAC._bind` attaches this rank's arrays to the plan's
+specs once, and every allreduce and broadcast goes through one bucketed
+collective engine (:mod:`repro.distributed.collectives`).
 
 :class:`KFAC` implements the :class:`~repro.kfac.base.Preconditioner`
 protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
@@ -79,8 +65,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -90,35 +74,14 @@ from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBuck
 from ..nn.module import Module
 from .base import Preconditioner
 from .config import KFACConfig
-from .kernels import STACK_EIGH_MAX_DIM, KernelBackend
+from .kernels import KernelBackend
 from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
+from .refresh import RefreshQueue
 from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
 from .strategy import DistributionPlan, LayerWorkGroups, StepActions, pack_eigen, unpack_eigen_repr
 
 __all__ = ["KFAC"]
-
-
-def _named_eigen_failure(error: Exception, culprits: Sequence[tuple]) -> Exception:
-    """``error`` from a kernel's eigen solve, re-worded to say which ``(layer name, 'a' | 'g', ...)`` it was."""
-    named = ", ".join(f"{which.upper()} factor of layer {name!r}" for name, which, *_ in culprits)
-    return type(error)(f"eigendecomposition of the {named} failed: {error}")
-
-
-def _timed(solve):
-    """``(solve(), seconds it took)``: the eigen worker times its own solves."""
-    start = time.perf_counter()
-    return solve(), time.perf_counter() - start
-
-
-def _solved_here(solve) -> Future:
-    """A finished future of ``_timed(solve)``, run on the calling thread: what the worker would have returned."""
-    future = Future()
-    try:
-        future.set_result(_timed(solve))
-    except Exception as error:  # kept as the worker keeps it, and raised once every solve has returned
-        future.set_exception(error)
-    return future
 
 
 class KFAC(Preconditioner):
@@ -162,10 +125,12 @@ class KFAC(Preconditioner):
         self.precision = config.precision_policy()  # the dtypes the ``precision`` name stands for
 
         self._steps = 0
-        # The rank's eigen worker: one thread, started by the first solve and joined by remove().
-        self._eigen_worker: Optional[ThreadPoolExecutor] = None
-        # ([(layer, "a" | "g"), ...], dense?, solve, Future) per submitted task: one factor, or a stack of small ones.
-        self._in_flight: List[tuple] = []
+        # The rank's pending decompositions and its eigen worker thread, joined by remove().
+        self.refresh = RefreshQueue(
+            lambda factors, repr_: self.kernels.eigen_task(factors, repr_, compute_dtype=self.precision.compute_dtype),
+            self.tracer,
+            name=f"kfac-eigen-rank{self.rank}",
+        )
         self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
         # One kernel-backend instance per preconditioner (per rank): a backend
@@ -245,15 +210,15 @@ class KFAC(Preconditioner):
         Taken once per step -- by the first K-FAC layer's forward hook, or by
         :meth:`step` itself -- and kept until it ends, so the hooks,
         :meth:`pipeline_specs`, :meth:`on_pipeline_flush` and the step read
-        the same value.  Taking it hands the decompositions of ``refresh`` to
-        the eigen worker (:meth:`_submit_decompositions`), which solves them
-        while forward and backward run.
+        the same value.  Taking it submits the decompositions of ``refresh``
+        (:meth:`_submit`), which the eigen worker solves while forward and
+        backward run.
         """
         if self._actions is None:
             self._actions = self.plan.actions(self._steps)
             if self.drift is not None:
                 self._actions = self.drift.revise(self._actions)
-            self._submit_decompositions(self._actions.refresh)
+            self._submit(self._actions.refresh)
         return self._actions
 
     def _current_grad_scale(self) -> float:
@@ -307,15 +272,12 @@ class KFAC(Preconditioner):
     def step(self, lr: Optional[float] = None, loss: Optional[float] = None) -> None:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
-        In order: refresh the factor-reading solvers of ``refresh`` (they read
-        the factors as the step found them, like the decompositions already
-        running on the eigen worker); run the factor round of ``fold`` (unless
-        an armed pipeline already ran it) and fold the averaged windows; with
-        drift tracking on, observe the folded layers' drift, which may add
-        layers to the *next* step's ``refresh``; wait for this rank's share of
-        the decompositions, install them and run the eigen round; precondition
-        and run the gradient round; apply the KL clip and write the gradients
-        back.
+        In order: prepare the factor-reading solvers of ``refresh`` on the
+        factors as the step found them; run the factor round of ``fold``
+        (unless an armed pipeline ran it) and fold the averaged windows, once
+        even when the step is retried; observe drift; take this rank's
+        decompositions and run the eigen round; precondition and run the
+        gradient round; apply the KL clip and write the gradients back.
         ``loss`` (this step's training loss) feeds the Levenberg-Marquardt
         adaptive damping controller when ``adaptive_damping`` is configured;
         it is ignored otherwise.
@@ -338,19 +300,21 @@ class KFAC(Preconditioner):
             mean_loss = self._adapt_damping(loss)
             actions = self.actions()
             unfolded = self._prepare_solvers(actions.refresh)
-            if actions.fold and not self._factors_reduced:
-                with self._stage("factor_compute"):
-                    for name in actions.fold:
-                        self.factor_window(self.layers[name])
-                with self._stage("factor_allreduce"):
-                    entries = self._factor_entries(actions.factor_round())
-                    specs = [AllreduceSpec(key, pack(), on_complete=install) for _, key, _, _, pack, install in entries]
-                    self.scheduler.run_allreduces(specs)
-            self._fold_factors(actions.fold)
-            self._check_first_windows()
-            self._count("factor_updates", actions.fold)
-            if self.drift is not None:
-                self._observe_drift(actions)
+            if not self._folded:  # a step retried after an error does not fold its window again
+                if actions.fold and not self._factors_reduced:
+                    with self._stage("factor_compute"):
+                        for name in actions.fold:
+                            self.factor_window(self.layers[name])
+                    with self._stage("factor_allreduce"):
+                        entries = self._factor_entries(actions.factor_round())
+                        specs = [AllreduceSpec(key, pack(), on_complete=install) for _, key, _, _, pack, install in entries]
+                        self.scheduler.run_allreduces(specs)
+                self._fold_factors(actions.fold)
+                self._check_first_windows()
+                self._count("factor_updates", actions.fold)
+                if self.drift is not None:
+                    self._observe_drift(actions)
+                self._folded = True
             if sanitizer is not None:
                 # The actions and damping are functions of allreduced state
                 # only; verify every rank derived the identical ones *before*
@@ -365,7 +329,7 @@ class KFAC(Preconditioner):
             if actions.refresh:
                 eigen = [name for name in actions.refresh if self.solvers[name].needs_eigen]
                 with self._stage("eigen_decomposition"):
-                    self._compute_eigen_decompositions(eigen)
+                    self._install_decompositions(eigen)
                     self._prepare_solvers(unfolded)
                 with self._stage("eigen_broadcast"):
                     self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
@@ -463,21 +427,19 @@ class KFAC(Preconditioner):
     # iterates, and hence posts collectives, in the same order); the others
     # contribute no local compute and no collective traffic.
     def _begin_factor_window(self) -> None:
-        """Forget what was taken / reduced / rejected: the next factor update starts clean.
+        """Forget what was taken / reduced / rejected / submitted: the next factor update starts clean.
 
         The one reset point of the per-step bookkeeping — construction,
         the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`,
-        :meth:`remove`.  A solve still in flight is dropped: cancelled if the
-        worker has not started it, else waited out.  The next step reads its
-        factors afresh.
+        :meth:`remove`.
         """
-        wait([future for *_, future in self._in_flight if not future.cancel()])
-        self._in_flight = []
+        self.refresh.cancel()
         self._actions: Optional[StepActions] = None  # the pending step's, once taken (:meth:`actions`)
         self._reduced: Dict[str, Dict[str, np.ndarray]] = {}  # layer name -> its averaged window halves, to fold
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._factors_reduced = False  # a pipeline already allreduced the pending step's factors
+        self._folded = False  # the pending step folded its windows
 
     def factor_window(self, layer: KFACLayer) -> tuple:
         """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
@@ -502,10 +464,8 @@ class KFAC(Preconditioner):
         """Whether this rank keeps layer ``name``'s running ``"a"`` / ``"g"`` factor.
 
         A lookup in the plan's ``factor_holders`` (the rule is
-        :func:`~repro.kfac.strategy.build_plan`'s: the ranks
-        that decompose it, the gradient workers of a layer whose solver reads
-        factors, every rank under ``drift_tol > 0`` / ``damping_pi_correction``).
-        A factor this rank does not hold stays ``None``.
+        :func:`~repro.kfac.strategy.build_plan`'s); a factor this rank does
+        not hold stays ``None``.
         """
         return self.rank in self.plan.factor_holders[name, which]
 
@@ -529,14 +489,10 @@ class KFAC(Preconditioner):
     def _factor_entries(self, specs: Iterable[tuple]):
         """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``specs`` (an actions' factor round).
 
-        Allreduce-average is elementwise, so coalescing the per-layer factor
-        tensors into fused buckets changes the message count (and hence the
-        latency cost) but not a single result bit.  Each factor travels as it
-        is stored: a dense one as its packed triangle (a symmetric matrix is
-        shipped once), a diagonal one as O(F) elements.  Keys, wire shapes and dtype come from the
-        specs; bound here are ``pack``, which returns this
-        rank's window average (:meth:`factor_window`, taken once per pending
-        step), and ``install``, which keeps the averaged half for
+        Each factor travels as it is stored (a dense one as its packed
+        triangle); keys, wire shapes and dtype come from the specs.  Bound
+        here are ``pack``, this rank's window average (:meth:`factor_window`),
+        and ``install``, which keeps the averaged half for
         :meth:`_fold_factors`: the step folds, whether it or an armed pipeline
         ran the allreduces, so the factors stand as the step found them until
         its fold.
@@ -625,47 +581,19 @@ class KFAC(Preconditioner):
             layer.eigen_a, layer.eigen_g, self.damping, dtype=self.precision.inverse_dtype, pi=self.damping_pi(layer)
         )
 
-    def _submit_decompositions(self, names: Sequence[str]) -> None:
-        """Read the factors this rank decomposes among the eigen-path layers ``names``; the eigen worker solves them.
+    def _submit(self, names: Sequence[str]) -> None:
+        """Submit the factors this rank decomposes among the layers ``names`` to its :attr:`refresh` queue.
 
         Called when a step's actions are first taken (:meth:`actions`), so a
-        refresh decomposes the running factors as they stood when its step
-        began, before its fold.  A factor with no fold yet (step 0) is left
-        for :meth:`_compute_eigen_decompositions`, which reads it after the
-        fold.  The plan says which factors this rank decomposes
-        (``decomposers``); dense ones up to
-        :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM` are stacked by dimension
-        and dtype, one task each, and every other factor is a task of its own,
-        so the step can take the tasks the worker has not started.  On this
-        thread each task is checked to be finite and copied into the solve's
-        private buffers (:meth:`~repro.kfac.kernels.KernelBackend.eigen_task`);
-        the worker runs the solve, which reads nothing else, while forward and
-        backward run here.  A failure of either half waits, with the results,
-        for :meth:`step` to raise it.
+        refresh reads the factors as its step began, and again by
+        :meth:`_install_decompositions` for those with no fold before it (step 0).
         """
-        pending = {key for members, *_ in self._in_flight for key in members}
-        groups: Dict[tuple, List[tuple]] = {}
-        for name, which in self._decomposed(names):
-            factor = getattr(self.layers[name], f"factor_{which}")
-            if factor is not None and (name, which) not in pending:
-                repr_ = self.layers[name].factor_repr(which)
-                stacked = repr_.is_dense and repr_.dim <= STACK_EIGH_MAX_DIM
-                key = (repr_, factor.dtype.str) if stacked else (name, which)
-                groups.setdefault(key, []).append((name, which, factor))
-        for members in groups.values():
-            repr_ = self.layers[members[0][0]].factor_repr(members[0][1])
-            try:
-                solve = self.kernels.eigen_task(
-                    [factor for _, _, factor in members], repr_, compute_dtype=self.precision.compute_dtype
-                )
-            except (ValueError, np.linalg.LinAlgError) as error:
-                solve, future = None, Future()
-                future.set_exception(error)
-            else:
-                if self._eigen_worker is None:
-                    self._eigen_worker = ThreadPoolExecutor(1, thread_name_prefix=f"kfac-eigen-rank{self.rank}")
-                future = self._eigen_worker.submit(_timed, solve)
-            self._in_flight.append(([(name, which) for name, which, _ in members], repr_.is_dense, solve, future))
+        layers = self.layers
+        self.refresh.submit(
+            ((name, which), factor, layers[name].factor_repr(which))
+            for name, which in self._decomposed(names)
+            if (factor := getattr(layers[name], f"factor_{which}")) is not None
+        )
 
     def _decomposed(self, names: Sequence[str]) -> List[tuple]:
         """``(layer, "a" | "g")`` of every factor this rank decomposes among the eigen-path layers ``names``."""
@@ -677,71 +605,21 @@ class KFAC(Preconditioner):
             if self.rank in self.plan.decomposers[name, which]
         ]
 
-    def _compute_eigen_decompositions(self, names: Sequence[str]) -> None:
+    def _install_decompositions(self, names: Sequence[str]) -> None:
         """Install the decompositions of the factors this rank owns among the refreshed eigen-path layers ``names``.
 
-        What :meth:`actions` could not read when the step began (a factor
-        with no earlier fold) is submitted now.  Then this thread walks the
-        tasks in submission order and solves each one the worker has not
-        started (``Future.cancel`` succeeds only for those), waits for the one
-        the worker runs, and installs every result, in plan order.  A
-        ``syevd`` result does not depend on the thread that computes it, so
-        neither does the trajectory.  A solve that failed (a non-finite
-        factor, a LAPACK ``info``) is re-raised naming its layer and factor,
-        before any layer's previous decomposition has been replaced.  A
+        A failed solve is raised before any decomposition is replaced; a
         layer's ``outer_worker`` then caches the eigenvalue outer product with
-        the current damping, before broadcasting it to its group.  The solve
-        time of every task, the part of it run on this thread and the part no
-        step waited for (solve minus the time from here to the last result)
-        are the ``kfac/eigen_solve_ms`` / ``kfac/eigen_caller_ms`` /
-        ``kfac/eigen_hidden_ms`` gauges.
+        the current damping, to broadcast it to its group.
         """
-        self._submit_decompositions(names)
-        in_flight, self._in_flight = self._in_flight, []
-        start = time.perf_counter()
-        # One task at a time, so the worker goes on taking the next ones while this thread solves.
-        futures = [_solved_here(solve) if future.cancel() else future for *_, solve, future in in_flight]
-        wait(futures)
-        wait_ms = (time.perf_counter() - start) * 1e3
-        submitted = {key for members, *_ in in_flight for key in members}
-        for name, which in self._decomposed(names):
-            if (name, which) not in submitted:
+        self._submit(names)
+        decompositions = self.refresh.take(step=self._steps, backend=self.kernels.name)
+        keys = self._decomposed(names)
+        for name, which in keys:
+            if (name, which) not in decompositions:
                 raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
-        for (members, *_), future in zip(in_flight, futures):
-            error = future.exception()
-            if isinstance(error, (ValueError, np.linalg.LinAlgError)):
-                index = getattr(error, "batch_index", None)
-                culprits = members if index is None or len(members) == 1 else [members[index]]
-                raise _named_eigen_failure(error, culprits) from error
-            if error is not None:
-                raise error
-        store = self.precision.inverse_dtype
-        solve_ms = caller_ms = 0.0
-        for (members, _, _, submitted_future), future in zip(in_flight, futures):
-            decompositions, seconds = future.result()
-            solve_ms += seconds * 1e3
-            caller_ms += seconds * 1e3 if submitted_future.cancelled() else 0.0
-            for (name, which), decomposition in zip(members, decompositions):
-                setattr(self.layers[name], f"eigen_{which}", decomposition.astype(store))
-        hidden_ms = max(0.0, solve_ms - wait_ms)
-        self.tracer.gauge_set("kfac/eigen_solve_ms", solve_ms)
-        self.tracer.gauge_set("kfac/eigen_caller_ms", caller_ms)
-        self.tracer.gauge_set("kfac/eigen_hidden_ms", hidden_ms)
-        batch_sizes = [len(members) for members, dense, *_ in in_flight if dense]
-        self.tracer.instant(
-            "kfac/kernel_dispatch",
-            category="kfac",
-            step=self._steps,
-            backend=self.kernels.name,
-            op="batched_symmetric_eigen",
-            factors=sum(len(members) for members, *_ in in_flight),
-            structured=sum(len(members) for members, dense, *_ in in_flight if not dense),
-            batches=len(batch_sizes),
-            batch_sizes=batch_sizes,
-            solve_ms=solve_ms,
-            caller_ms=caller_ms,
-            hidden_ms=hidden_ms,
-        )
+        for name, which in keys:
+            setattr(self.layers[name], f"eigen_{which}", decompositions[name, which].astype(self.precision.inverse_dtype))
         for name in names:
             if self.groups[name].outer_worker == self.rank:
                 self.layers[name].inverse_outer = self._eigen_outer(self.layers[name])
@@ -813,9 +691,7 @@ class KFAC(Preconditioner):
             grad = gradients.get(name)
             pairs.append((layer.get_gradient() if grad is None else grad, precond))
         self._preconditioned = {}  # the views of the received buckets are released with ``pairs``
-        # One backend-accumulated Σ⟨grad, precond⟩ feeds both ν and the
-        # damping controller's prediction (the controller total used to be a
-        # redundant second pass over the identical products).
+        # One backend-accumulated Σ⟨grad, precond⟩ feeds both ν and the damping controller's prediction.
         raw_total = self.kernels.kl_clip_accumulate(pairs)
         nu = kl_clip_scale_from_total(raw_total, self.lr, self._config.kl_clip)
         for layer, (_, precond) in zip(self.layers.values(), pairs):
@@ -823,15 +699,10 @@ class KFAC(Preconditioner):
         return nu, raw_total
 
     # ------------------------------------------ gradient-pipeline subscription
-    # KFAC is a GradientPipeline subscriber: on factor-update iterations it
-    # publishes one bucket spec per Kronecker factor, gated on the owning
-    # module's full-backward event.  The payload lazily takes the layer's
-    # accumulated forward/backward window (once per layer) and returns its
-    # half to allreduce, so a layer's factor traffic is posted the moment
-    # *its* backward completes — while earlier layers are still
-    # backpropagating — and folded when the pipeline drains.  KFAC.step() then
-    # skips its factor stages for that iteration; everything else (eigen,
-    # precondition, broadcasts) is unchanged and bitwise identical.
+    # On a folding step KFAC publishes one bucket spec per Kronecker factor,
+    # gated on its module's full-backward event, so a layer's factor traffic
+    # is posted the moment *its* backward completes; KFAC.step() then skips
+    # the factor round and folds, bitwise as it would have.
     def pipeline_specs(self, pipeline) -> List[GradientBucketSpec]:
         """Factor-allreduce bucket specs for this iteration (pipeline subscriber API)."""
         if pipeline.comm is not self.comm and (pipeline.comm.world_size > 1 or self.comm.world_size > 1):
@@ -884,11 +755,9 @@ class KFAC(Preconditioner):
         stored).  Different ranks hold different factors
         (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT, different
         eigen state, so each rank checkpoints and restores its own dict.
-        A solve in flight is waited for and kept for the pending step; it is
-        not state, because the step's actions read the same factors again
-        after a restore.
+        The pending decompositions are not state: the restored step's actions
+        read the same factors again.
         """
-        wait([future for *_, future in self._in_flight])
         state: Dict[str, Any] = {
             "steps": self._steps,
             "config": self.config.to_dict(),
@@ -987,6 +856,4 @@ class KFAC(Preconditioner):
         self._begin_factor_window()
         for layer in self.layers.values():
             layer.remove()
-        if self._eigen_worker is not None:
-            self._eigen_worker.shutdown(wait=True)
-            self._eigen_worker = None
+        self.refresh.close()

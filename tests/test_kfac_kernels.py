@@ -806,7 +806,6 @@ class TestTrainingParity:
         assert len(dispatches) == 1
         attrs = dispatches[0].attrs
         assert attrs["backend"] == "batched"
-        assert attrs["op"] == "batched_symmetric_eigen"
         # MLP(6,[16,16],3): A dims 7,17,17 and G dims 16,16,3 -> 6 factors in
         # 4 shape groups, two of which batch 2 same-shape factors.
         assert attrs["factors"] == 6

@@ -3,7 +3,7 @@
 import contextlib
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 
 import numpy as np
 import pytest
@@ -49,10 +49,8 @@ def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, se
 @contextlib.contextmanager
 def blocked_eigen_worker(pre):
     """Occupy ``pre``'s eigen worker until the block exits: every solve submitted meanwhile waits in its queue."""
-    if pre._eigen_worker is None:
-        pre._eigen_worker = ThreadPoolExecutor(1, thread_name_prefix="kfac-eigen-blocked")
     release = threading.Event()
-    blocker = pre._eigen_worker.submit(release.wait, 10)
+    blocker = pre.refresh.worker.submit(release.wait, 10)
     try:
         yield
     finally:
@@ -521,7 +519,7 @@ class TestEigenFailuresAreNamed:
         before = self.snapshot(pre)
         message = rf"{which.upper()} factor of layer '{name}' failed: factor of dimension {dim} contains infs or NaNs"
         with pytest.raises(ValueError, match=message) as raised:
-            pre._compute_eigen_decompositions(list(pre.layers))
+            pre.refresh.take()
         assert isinstance(raised.value.__cause__, ValueError)
         self.assert_untouched(pre, before)
         # The same through the public step: the decay fold keeps the NaN, the eigen stage names it.
@@ -537,7 +535,7 @@ class TestEigenFailuresAreNamed:
         before = self.snapshot(pre)
         message = r"G factor of layer 'layers.4' failed: factor of dimension 3 contains infs or NaNs"
         with pytest.raises(ValueError, match=message):
-            pre._compute_eigen_decompositions(list(pre.layers))
+            pre.refresh.take()
         self.assert_untouched(pre, before)
 
     def test_lapack_info_names_the_factor_it_was_solving(self, monkeypatch):
@@ -554,9 +552,46 @@ class TestEigenFailuresAreNamed:
         pre = self.warmed_up(lambda pre: monkeypatch.setitem(kmath._SYEVD, np.dtype(np.float32), fails_on_dim_49))
         before = self.snapshot(pre)
         with pytest.raises(np.linalg.LinAlgError, match=r"A factor of layer 'layers.2' failed: .*dimension 49: info=3"):
-            pre._compute_eigen_decompositions(list(pre.layers))
+            pre.refresh.take()
         assert 49 in solved and len(solved) > 1  # other factors had been solved before it and are discarded
         self.assert_untouched(pre, before)
+
+    def test_a_step_retried_after_an_eigen_failure_folds_its_window_once(self, monkeypatch):
+        real = kmath._SYEVD[np.dtype(np.float32)]
+        x, y = make_problem()
+
+        def run(fail):
+            failures = [fail] if fail else []
+
+            def fails_once(jobz, uplo, n, *rest):
+                if failures:
+                    failures.pop()
+                    rest[-1].value = 3  # info: three off-diagonal elements did not converge
+                else:
+                    real(jobz, uplo, n, *rest)
+
+            model = MLP(10, [40], 3, rng=np.random.default_rng(0))  # A 11 / 41 and G 40 / 3
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+            optimizer = optim.SGD(model.parameters(), lr=0.05)
+            training_loop(model, pre, optimizer, x, y, steps=2)
+            optimizer.zero_grad()
+            with monkeypatch.context() as patch:
+                patch.setitem(kmath._SYEVD, np.dtype(np.float32), fails_once)
+                nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()  # starts step 2's solves
+                if fail:
+                    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+                        pre.step()
+                pre.step()
+            pre.remove()
+            factors = {name: (layer.factor_a, layer.factor_g) for name, layer in pre.layers.items()}
+            return factors, layer_events(pre.tracer, "factor_updates", pre.layers)
+
+        retried, updates = run(fail=True)
+        uninterrupted, _ = run(fail=False)
+        assert updates == {name: 3 for name in retried}  # steps 0, 1 and 2, each once
+        for name, factors in retried.items():
+            for mine, other in zip(factors, uninterrupted[name]):
+                np.testing.assert_array_equal(mine, other, err_msg=name)
 
 
 class TestBadFactorWindowsAreRejected:
@@ -707,14 +742,14 @@ class TestEigenWorker:
         copies = {name: [np.copy(part.eigenvalues) for part in state[:2]] for name, state in eigen.items()}
         nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
         assert pre.actions().refresh == tuple(pre.layers)  # the forward pass handed step 3's solves over
-        wait([future for *_, future in pre._in_flight])
+        wait([task.future for task in pre.refresh.tasks])
         for name, layer in pre.layers.items():
             assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == eigen[name]
             for part, kept in zip((layer.eigen_a, layer.eigen_g), copies[name]):
                 np.testing.assert_array_equal(part.eigenvalues, kept)
         pre.step()
         assert all(layer.eigen_a is not eigen[name][0] for name, layer in pre.layers.items())
-        assert pre._in_flight == []  # nothing is in flight between steps
+        assert pre.refresh.tasks == []  # nothing is in flight between steps
 
     @staticmethod
     def nan_step_on_a_w2_world(block):
@@ -812,13 +847,13 @@ class TestEigenWorker:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         x, y = make_problem()
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)  # step 1 refreshes nothing
-        worker, release = pre._eigen_worker, threading.Event()
+        worker, release = pre.refresh.worker, threading.Event()
         blocker = worker.submit(release.wait, 10)
         shutdown = worker.shutdown
         # remove() joins the worker last; only then may the blocker return.
         monkeypatch.setattr(worker, "shutdown", lambda wait=True: (release.set(), shutdown(wait=wait)))
         nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
-        futures = [future for *_, future in pre._in_flight]
+        futures = [task.future for task in pre.refresh.tasks]
         assert len(futures) == 6  # four factors above dimension 32, the 11 and the 3 stacked alone
         start = time.perf_counter()
         pre.remove()

@@ -42,6 +42,7 @@ from repro.kfac import (
     symmetric_eigen,
 )
 from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
+from repro.kfac.refresh import RefreshQueue
 from repro.memory import KFACMemoryModel
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor
@@ -442,21 +443,20 @@ class TestStaggeredRefreshProperties:
             np.testing.assert_allclose(results[frac][0][1], results[1.0][0][1], rtol=1e-3, atol=2e-4)
 
 
+class _PostFoldQueue(RefreshQueue):
+    """Every submit replaces what is pending, so ``take`` solves the last one: the eigen stage's, after the fold."""
+
+    def submit(self, factors):
+        self.cancel()
+        super().submit(factors)
+
+
 class _PostFoldKFAC(KFAC):
     """The read point before the eigen worker: every refresh decomposes its factors after its step's fold."""
 
-    _folded = False
-
-    def _submit_decompositions(self, names):
-        if self._folded:
-            super()._submit_decompositions(names)
-
-    def _compute_eigen_decompositions(self, names):
-        self._folded = True
-        try:
-            super()._compute_eigen_decompositions(names)
-        finally:
-            self._folded = False
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refresh = _PostFoldQueue(self.refresh.make_task, self.refresh.tracer, self.refresh.name)
 
 
 class TestRefreshReadPointProperties:
