@@ -66,7 +66,6 @@ def main() -> None:
         forward_loss,
         preconditioner=preconditioner,
         grad_scaler=scaler,
-        grad_accumulation_steps=2,
     )
 
     # Gradient accumulation: feed the trainer *lists* of micro-batches, so each

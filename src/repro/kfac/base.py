@@ -8,6 +8,9 @@ subclass :class:`Preconditioner`.  The contract is intentionally small:
 * :meth:`state_dict` / :meth:`load_state_dict` round-trip all mutable state
   (running factors, eigen decompositions, step counters) so training can be
   checkpointed and resumed with bit-identical behaviour,
+* :data:`CHECKPOINT_FORMAT` numbers the one layout ``KFAC.state_dict()`` and
+  ``Trainer.state_dict()`` write; :func:`check_checkpoint_format` refuses any
+  other before a load reads anything,
 * :meth:`memory_usage` reports the per-rank state bytes (the paper's
   "K-FAC memory overhead", Table 5).
 
@@ -29,7 +32,20 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, Optional
 
-__all__ = ["Preconditioner"]
+__all__ = ["CHECKPOINT_FORMAT", "Preconditioner", "check_checkpoint_format"]
+
+#: The checkpoint layout this version writes and the only one it reads back.
+CHECKPOINT_FORMAT = 1
+
+
+def check_checkpoint_format(state: Dict[str, Any], owner: str) -> None:
+    """Raise ``ValueError`` unless ``state`` is in :data:`CHECKPOINT_FORMAT` (a dict without the number is format 0)."""
+    found = state.get("format", 0)
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(
+            f"{owner} checkpoint is in format {found}, but this version reads only format {CHECKPOINT_FORMAT}; "
+            "restore it with the version that wrote it"
+        )
 
 
 class Preconditioner(abc.ABC):

@@ -208,22 +208,7 @@ class KFACConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "KFACConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``.
-
-        Four fields of earlier versions selected between code paths that no
-        longer exist (``triangular_comm`` chose the wire form of a dense
-        factor, which is now always its packed triangle; the last one forced
-        every layer onto the dense representation, now a test oracle); they
-        moved bytes or time, never a result, so they are dropped rather than
-        rejected and old checkpoints and manifests stay loadable.  For
-        the same reason a stored ``kernel_backend`` of ``"batched"`` (the one
-        backend) or ``"reference"`` (the default of earlier checkpoints; its
-        kernels are now the test oracle) is dropped; any other name raises.
-        """
-        retired = ("comm_overlap", "adaptive_schedule", "triangular_comm", "dense_factors")
-        data = {key: value for key, value in data.items() if key not in retired}
-        if data.get("kernel_backend") in ("batched", "reference"):
-            del data["kernel_backend"]
+        """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``."""
         field_names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - field_names
         if unknown:

@@ -15,7 +15,7 @@ once and every subsystem dispatches on it instead of assuming
   block-diagonal one ``(num_blocks, bs, bs)``, so factor memory is O(F) /
   O(F·bs) instead of O(F²);
 * **communication** — the stored form is the wire form: allreduce specs carry
-  the packed payload (:meth:`comm_shape`), so the bucket manager fuses on
+  the packed payload (:attr:`packed_shape`), so the bucket manager fuses on
   real byte counts and a symmetric factor travels once;
 * **eigen** — a diagonal factor's eigendecomposition is a clamp (identity
   eigenbasis), a block-diagonal factor batches per-block through the
@@ -150,11 +150,6 @@ class FactorRepr:
             return float(self.dim)
         return float(self.num_blocks) * float(self.block_size) ** 3
 
-    # ---------------------------------------------------------- communication
-    def comm_shape(self) -> Tuple[int, ...]:
-        """Wire shape of the factor payload in allreduce specs: the stored form travels as it is."""
-        return self.packed_shape
-
     # ------------------------------------------------------------ conversions
     def check_packed(self, packed: np.ndarray, what: str = "factor") -> None:
         """Raise if ``packed`` does not have this repr's storage shape."""
@@ -207,15 +202,6 @@ class FactorRepr:
         blocks = [dense[i * bs : (i + 1) * bs, i * bs : (i + 1) * bs] for i in range(self.num_blocks)]
         return np.stack(blocks)
 
-    def as_packed(self, array: np.ndarray, what: str = "factor") -> np.ndarray:
-        """``array`` in this repr's storage form; a square matrix under a dense repr (the layout before
-        factors were stored as triangles, e.g. in an older checkpoint) is packed, anything else must fit."""
-        array = np.asarray(array)
-        if self.kind == "dense" and array.shape == (self.dim, self.dim):
-            return pack_triangle(array)
-        self.check_packed(array, what)
-        return array
-
     def trace(self, packed: np.ndarray) -> float:
         """Trace of the represented matrix, computed on the packed form."""
         packed = np.asarray(packed)
@@ -246,7 +232,7 @@ class FactorRepr:
 
     @classmethod
     def from_state(cls, state: dict) -> "FactorRepr":
-        return cls(str(state["kind"]), int(state["dim"]), int(state.get("block_size", 0)))
+        return cls(str(state["kind"]), int(state["dim"]), int(state["block_size"]))
 
     def describe(self) -> str:
         """Compact human/sanitizer tag, e.g. ``dense:128`` or ``block_diagonal:128x16``."""

@@ -426,26 +426,26 @@ class KFACLayer:
 
         The checkpoint's representation tags must match the layer's current
         representations — a checkpoint taken with structured factors cannot be
-        silently reinterpreted by a forced-dense layer (or vice versa).  Under
-        a ``dense`` tag a factor or accumulator may be the packed triangle or
-        the square matrix earlier versions stored, which is packed here.
+        silently reinterpreted by a forced-dense layer (or vice versa) — and
+        every factor and accumulator must be in its repr's storage form.
         """
         factor_dtype = self.precision.factor_dtype
         inverse_dtype = self.precision.inverse_dtype
 
         for which, repr in (("a", self.a_repr), ("g", self.g_repr)):
-            tag = state.get(f"{which}_repr")
-            if tag is not None and FactorRepr.from_state(tag) != repr:
+            stored = FactorRepr.from_state(state[f"{which}_repr"])
+            if stored != repr:
                 raise ValueError(
                     f"layer {self.name!r}: checkpoint stores the {which.upper()} factor as "
-                    f"{FactorRepr.from_state(tag).describe()}, but the layer uses {repr.describe()}"
+                    f"{stored.describe()}, but the layer uses {repr.describe()}"
                 )
 
         def load_factor(value: Optional[np.ndarray], repr: FactorRepr, what: str, dtype) -> Optional[np.ndarray]:
             if value is None:
                 return None
+            value = np.asarray(value)
             try:
-                value = repr.as_packed(value, what)
+                repr.check_packed(value, what)
             except ValueError as error:
                 raise ValueError(f"layer {self.name!r}: {error}") from None
             return value.astype(dtype)  # a copy: factors and accumulators are updated in place

@@ -72,7 +72,7 @@ import numpy as np
 from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBucketSpec, OverlapScheduler
 from ..nn.module import Module
-from .base import Preconditioner
+from .base import CHECKPOINT_FORMAT, Preconditioner, check_checkpoint_format
 from .config import KFACConfig
 from .kernels import KernelBackend
 from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
@@ -746,41 +746,45 @@ class KFAC(Preconditioner):
 
     # ------------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, Any]:
-        """This rank's complete mutable preconditioner state.
+        """This rank's complete mutable preconditioner state, in :data:`~repro.kfac.base.CHECKPOINT_FORMAT`.
 
-        The dict contains the step counter, the hyperparameters (as a
-        :class:`KFACConfig` dict, for bookkeeping), per-layer factor/eigen
-        state and, with drift tracking on, the drift schedule
-        (``"scheduler"``; without it the plan alone says when, and nothing is
-        stored).  Different ranks hold different factors
-        (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT, different
-        eigen state, so each rank checkpoints and restores its own dict.
-        The pending decompositions are not state: the restored step's actions
-        read the same factors again.
+        The dict contains the format number, the step counter, the
+        hyperparameters (as a :class:`KFACConfig` dict, for bookkeeping),
+        per-layer factor/eigen state, every layer's solver state and, only
+        when the config turns them on, the drift schedule (``"scheduler"``)
+        and the damping controller (``"damping_controller"``).  Different
+        ranks hold different factors (:meth:`holds_factor`) and, under
+        MEM-OPT / HYBRID-OPT, different eigen state, so each rank checkpoints
+        and restores its own dict.  The pending decompositions are not state:
+        the restored step's actions read the same factors again.
         """
         state: Dict[str, Any] = {
+            "format": CHECKPOINT_FORMAT,
             "steps": self._steps,
             "config": self.config.to_dict(),
             "layers": {name: layer.state_dict() for name, layer in self.layers.items()},
+            "solvers": {name: solver.state_dict() for name, solver in self.solvers.items()},
         }
         if self.drift is not None:
             state["scheduler"] = self.drift.state_dict()
-        state["solvers"] = {name: solver.state_dict() for name, solver in self.solvers.items()}
         if self.damping_controller is not None:
             state["damping_controller"] = self.damping_controller.state_dict()
         return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore state saved by :meth:`state_dict`.
+        """Restore state saved by :meth:`state_dict` on this rank, under the same config.
 
+        The format number is checked first; then only the keys this
+        instance's config writes are read, and the plan is never changed.
         The registered layers must match the checkpoint exactly (same names,
         same shapes); arrays are cast to this instance's precision policy.
         Hyperparameters are *not* overwritten — construct the instance from
-        the same :class:`KFACConfig` to resume the identical schedule.  Factors
-        this rank does not hold (:meth:`holds_factor`) are dropped, so a
-        checkpoint that carries every factor on every rank resumes; a held
-        factor the checkpoint lacks raises, once a factor update has run.
+        the same :class:`KFACConfig` to resume the identical schedule.  A
+        factor this rank does not hold (:meth:`holds_factor`) in the
+        checkpoint raises, and so does a held factor it lacks once a factor
+        update has run: either was written under another config.
         """
+        check_checkpoint_format(state, "KFAC")
         layer_states = state["layers"]
         missing = sorted(set(self.layers) - set(layer_states))
         unexpected = sorted(set(layer_states) - set(self.layers))
@@ -789,37 +793,25 @@ class KFAC(Preconditioner):
                 "preconditioner state does not match the registered layers "
                 f"(missing: {missing}, unexpected: {unexpected})"
             )
-        self._steps = int(state["steps"])
+        steps = int(state["steps"])
+        for name in self.layers:
+            for which in ("a", "g"):
+                stored = layer_states[name][f"factor_{which}"] is not None
+                # A held factor is absent only before the first factor update.
+                if stored != self.holds_factor(name, which) and (stored or steps > 0):
+                    raise ValueError(
+                        f"checkpoint {'has' if stored else 'has no'} {which.upper()} factor for layer {name!r}, "
+                        f"which rank {self.rank} {'does not hold' if stored else 'holds'} under this configuration; "
+                        "restore each rank from its own state_dict(), written under the same config"
+                    )
+        self._steps = steps
         for name, layer in self.layers.items():
             layer.load_state_dict(layer_states[name])
-            for which, attr in (("a", "factor_a"), ("g", "factor_g")):
-                if not self.holds_factor(name, which):
-                    setattr(layer, attr, None)
-                elif getattr(layer, attr) is None and self._steps > 0:
-                    raise ValueError(
-                        f"checkpoint has no {which.upper()} factor for layer {name!r}, which rank {self.rank} "
-                        "holds under this configuration; restore each rank from its own state_dict(), "
-                        "written under the same config"
-                    )
-        scheduler = state.get("scheduler")
+            self.solvers[name].load_state_dict(state["solvers"][name])
         if self.drift is not None:
-            # Without a stored schedule the drift revision starts afresh: the
-            # next step folds and refreshes every layer, as a first step does.
             self.drift = self._new_drift()
-            if scheduler is not None:
-                self.drift.load_state_dict(scheduler)
-        elif scheduler is not None and self._steps > 0:
-            # Earlier versions stored every layer's schedule with drift off too;
-            # only its phases are read.  One written before the plan staggered
-            # the refresh has every layer on phase 0, and resumes there.
-            stored = scheduler["layers"]
-            phases = {name: int(stored[name]["next_eigen_step"]) % self.plan.inv_update_freq for name in self.layers}
-            if phases != self.plan.refresh_offsets:
-                self.plan = dataclasses.replace(self.plan, refresh_offsets=phases)
-        for name, solver_state in (state.get("solvers") or {}).items():
-            if name in self.solvers:
-                self.solvers[name].load_state_dict(solver_state)
-        if self.damping_controller is not None and state.get("damping_controller") is not None:
+            self.drift.load_state_dict(state["scheduler"])
+        if self.damping_controller is not None:
             self.damping_controller.load_state_dict(state["damping_controller"])
             self.damping = self.damping_controller.damping
         # Factor bookkeeping refers to this instance's own history, not the

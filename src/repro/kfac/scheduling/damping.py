@@ -95,7 +95,7 @@ class AdaptiveDampingController:
         return {"damping": self.damping, "last_rho": self.last_rho, "pending": self._pending}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` (older checkpoints' ``shrinks`` / ``grows`` counts are ignored)."""
+        """Restore :meth:`state_dict`."""
         self.damping = float(state["damping"])
         rho = state["last_rho"]
         self.last_rho = None if rho is None else float(rho)

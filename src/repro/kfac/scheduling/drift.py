@@ -39,13 +39,9 @@ def factor_drift(new: np.ndarray, old: np.ndarray, repr=None) -> float:
     them twice (:meth:`~repro.kfac.factors.FactorRepr.frobenius_norm`) and the
     drift stays the full-matrix quantity ``drift_tol`` was tuned on.  A
     diagonal vector or a block stack holds exactly the nonzero entries; with
-    ``repr=None`` the arrays are taken at face value (any shape).  ``old`` may
-    still be the square matrix a checkpoint from before packed storage holds.
+    ``repr=None`` the arrays are taken at face value (any shape).
     """
-    if repr is None:
-        norm = np.linalg.norm
-    else:
-        norm, old = repr.frobenius_norm, repr.as_packed(old, "drift snapshot")
+    norm = np.linalg.norm if repr is None else repr.frobenius_norm
     old64 = old.astype(np.float64)
     return float(norm(new.astype(np.float64) - old64)) / (float(norm(old64)) + _DRIFT_EPS)
 
@@ -168,12 +164,9 @@ class DriftSchedule:
         return {"layers": layers}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict`; the knobs, event counters and last fold step older checkpoints carry are ignored."""
+        """Restore :meth:`state_dict`."""
         layers = state["layers"]
         if set(layers) != set(self._layers):
             raise ValueError(f"scheduler state of layers {sorted(layers)} does not match the registered {list(self._layers)}")
         for name, entry in layers.items():
-            kept = {field.name: entry[field.name] for field in dataclasses.fields(_LayerSchedule)}
-            for key in ("snapshot_a", "snapshot_g"):
-                kept[key] = None if kept[key] is None else np.asarray(kept[key], dtype=np.float32)
-            self._layers[name] = _LayerSchedule(**kept)
+            self._layers[name] = _LayerSchedule(**entry)

@@ -505,7 +505,7 @@ def build_plan(
                 plan.factor_holders[name, which] = plan.decomposers[name, which] if needs_eigen else group.grad_workers
         plan.eigen_holders[name] = group.grad_workers if needs_eigen else ()
         plan.factor_round[name] = tuple(
-            (f"{name}/factor_{which}", layer.factor_repr(which).comm_shape(), factor_dtype) for which in ("a", "g")
+            (f"{name}/factor_{which}", layer.factor_repr(which).packed_shape, factor_dtype) for which in ("a", "g")
         )
         plan.eigen_round[name] = _eigen_round(group, policy) if needs_eigen else ()
         plan.gradient_round[name] = _gradient_round(group)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..distributed.backend import Communicator
 from ..distributed.ddp import GradientAveragingSubscriber
-from ..kfac.base import Preconditioner
+from ..kfac.base import CHECKPOINT_FORMAT, Preconditioner, check_checkpoint_format
 from ..nn.module import Module
 from ..optim.grad_scaler import GradScaler
 from ..optim.lr_scheduler import LRScheduler
@@ -86,13 +86,10 @@ class Trainer:
         lr_scheduler: Optional[LRScheduler] = None,
         grad_scaler: Optional[GradScaler] = None,
         comm: Optional[Communicator] = None,
-        grad_accumulation_steps: int = 1,
         iteration_time: Optional[float] = None,
         bucket_cap_mb: Optional[float] = None,
         pipeline: Optional[GradientPipeline] = None,
     ) -> None:
-        if grad_accumulation_steps < 1:
-            raise ValueError("grad_accumulation_steps must be >= 1")
         if preconditioner is not None and not isinstance(preconditioner, Preconditioner):
             raise TypeError(
                 "preconditioner must implement repro.kfac.Preconditioner "
@@ -105,7 +102,6 @@ class Trainer:
         self.lr_scheduler = lr_scheduler
         self.grad_scaler = grad_scaler
         self.comm = comm
-        self.grad_accumulation_steps = int(grad_accumulation_steps)
         self.iteration_time = iteration_time
         rank_comm = comm if comm is not None else getattr(preconditioner, "comm", None)
         # Overlap with backward is the caller's request: only a supplied
@@ -209,7 +205,7 @@ class Trainer:
 
     # ------------------------------------------------------------ checkpoint
     def state_dict(self) -> dict:
-        """Complete checkpointable trainer state.
+        """Complete checkpointable trainer state, in :data:`~repro.kfac.base.CHECKPOINT_FORMAT`.
 
         Model weights, first-order optimizer buffers (momentum / Adam / LAMB
         moments), K-FAC factors and eigen state, LR-schedule position, loss
@@ -217,6 +213,7 @@ class Trainer:
         reproduces the exact training trajectory.
         """
         state = {
+            "format": CHECKPOINT_FORMAT,
             "iterations": self.iterations,
             "simulated_time": self.simulated_time,
             "model": self.model.state_dict(),
@@ -236,23 +233,16 @@ class Trainer:
     def load_state_dict(self, state: dict) -> None:
         """Restore state produced by :meth:`state_dict`.
 
-        A component configured on this trainer but absent from the checkpoint
-        (or vice versa) raises: resuming would silently keep stale state.
+        The format number is checked first.  A component configured on this
+        trainer but absent from the checkpoint (or vice versa) raises:
+        resuming would silently keep stale state.
         """
+        check_checkpoint_format(state, "Trainer")
         self.model.load_state_dict(state["model"])
-        if "optimizer" not in state:
-            raise ValueError(
-                "checkpoint contains no optimizer state; it predates optimizer serialization "
-                "and cannot restore the exact training trajectory"
-            )
         self.optimizer.load_state_dict(state["optimizer"])
-        for attr, key in (
-            ("preconditioner", "preconditioner"),
-            ("lr_scheduler", "lr_scheduler"),
-            ("grad_scaler", "grad_scaler"),
-        ):
-            component = getattr(self, attr)
-            component_state = state.get(key)
+        for key in ("preconditioner", "lr_scheduler", "grad_scaler"):
+            component = getattr(self, key)
+            component_state = state[key]
             if component_state is not None:
                 if component is None:
                     raise ValueError(f"checkpoint contains {key} state but the trainer has no {key}")

@@ -95,8 +95,8 @@ class TestFactorReprBasics:
         block = FactorRepr.block_diagonal(n, 64)
         assert dense.packed_numel == n * (n + 1) // 2 and dense.packed_shape == (n * (n + 1) // 2,)  # one triangle
         assert dense.eigenvector_numel == n * n  # the eigenbasis is not symmetric: it stays square
-        assert diag.packed_numel == n  # O(F), the point of the representation
-        assert block.packed_numel == (n // 64) * 64 * 64
+        assert diag.packed_numel == n and diag.packed_shape == (n,)  # O(F), the point of the representation
+        assert block.packed_numel == (n // 64) * 64 * 64 and block.packed_shape == (n // 64, 64, 64)
         # Diagonal factors have an implicit identity eigenbasis: zero stored vectors.
         assert diag.eigenvector_numel == 0
         assert diag.packed_eigen_numel == n
@@ -128,27 +128,15 @@ class TestFactorReprBasics:
         assert dense.shape == (6, 6)
         np.testing.assert_array_equal(dense, dense.T)
         np.testing.assert_array_equal(repr_.from_dense(dense), packed)
-        np.testing.assert_array_equal(repr_.as_packed(packed), packed)
         assert repr_.trace(packed) == pytest.approx(np.trace(dense))
         assert repr_.frobenius_norm(packed) == pytest.approx(np.linalg.norm(dense.astype(np.float64)), rel=1e-12)
         if repr_.kind == "dense":
             np.testing.assert_array_equal(packed[repr_.diagonal_positions()], np.diag(dense))
-            np.testing.assert_array_equal(repr_.as_packed(dense), packed)  # the square layout of older checkpoints
         else:
             with pytest.raises(ValueError, match="only a dense factor"):
                 repr_.diagonal_positions()
-            with pytest.raises(ValueError, match="expected"):
-                repr_.as_packed(dense)
-
-    def test_comm_shape_is_the_storage_form(self):
-        """A factor travels as it is stored: a dense one as its triangle (section 4.3, the only layout)."""
-        for repr_, shape in (
-            (FactorRepr.dense(5), (15,)),
-            (FactorRepr.diagonal(5), (5,)),
-            (FactorRepr.block_diagonal(6, 2), (3, 2, 2)),
-        ):
-            assert repr_.comm_shape() == repr_.packed_shape == shape
-            assert repr_.packed_numel == int(np.prod(shape))
+        with pytest.raises(ValueError, match="expected"):
+            repr_.check_packed(dense)  # a square matrix is no storage form, not even for a dense factor
 
     def test_state_round_trip(self):
         for repr_ in (FactorRepr.dense(9), FactorRepr.diagonal(3), FactorRepr.block_diagonal(8, 4)):

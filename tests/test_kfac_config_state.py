@@ -13,6 +13,7 @@ import pytest
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import (
+    CHECKPOINT_FORMAT,
     KFAC,
     KFACConfig,
     KFACEmbeddingLayer,
@@ -79,33 +80,14 @@ class TestKFACConfig:
         with pytest.raises(ValueError, match="unknown"):
             KFACConfig.from_dict({"lr": 0.1, "momentum": 0.9})
 
-    def test_from_dict_drops_exactly_the_retired_keys(self):
-        """Old checkpoints/manifests carry the two path-selection keys; they
-        no longer change behaviour, so they load — any other stray key raises."""
-        data = KFACConfig(damping=0.01).to_dict()
-        assert "comm_overlap" not in data and "adaptive_schedule" not in data
-        for overlap, adaptive in ((True, False), (False, True)):
-            restored = KFACConfig.from_dict(dict(data, comm_overlap=overlap, adaptive_schedule=adaptive))
-            assert restored == KFACConfig(damping=0.01)
-        with pytest.raises(ValueError, match="unknown"):
-            KFACConfig.from_dict(dict(data, comm_overlap=True, hook_pipeline=True))
-
-    def test_from_dict_loads_the_retired_reference_backend_onto_the_one_backend(self):
-        """Checkpoints and manifests carry ``kernel_backend``: ``"reference"`` (the old
-        default, whose kernels are the test oracle now) before the backends were
-        collapsed, ``"batched"`` (the one backend) after.  The field is gone: both
-        names load onto the one backend -- and only they."""
-        for stored in ("reference", "batched"):
-            parent_format = dict(KFACConfig(damping=0.01).to_dict(), kernel_backend=stored)
-            restored = KFACConfig.from_dict(parent_format)
-            assert restored == KFACConfig(damping=0.01) and "kernel_backend" not in restored.to_dict()
-            # With the two keys PR 15 retired, as a parent-era manifest really looks.
-            assert KFACConfig.from_dict(dict(parent_format, comm_overlap=False, adaptive_schedule=False)) == restored
-        for unknown in ("cuda", "Reference2", ""):
-            with pytest.raises(ValueError, match="kernel_backend"):
-                KFACConfig.from_dict(dict(parent_format, kernel_backend=unknown))
-        with pytest.raises(TypeError, match="kernel_backend"):
-            KFACConfig(kernel_backend="batched")
+    @pytest.mark.parametrize(
+        "key, value",
+        [("comm_overlap", False), ("adaptive_schedule", False), ("triangular_comm", False), ("dense_factors", False),
+         ("kernel_backend", "reference")],
+    )  # fmt: skip
+    def test_a_retired_key_raises_like_any_unknown_key(self, key, value):
+        with pytest.raises(ValueError, match=rf"unknown KFACConfig fields: \['{key}'\]"):
+            KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{key: value}))
 
     def test_the_config_has_twenty_fields(self):
         """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member."""
@@ -380,10 +362,9 @@ class TestStateDictResume:
 
     @pytest.mark.parametrize("cadence, steps_before", [((2, 4), 5), ((5, 10), 3), ((5, 10), 8)])
     def test_resume_of_checkpoint_without_plan_stays_on_cadence(self, cadence, steps_before):
-        """A checkpoint from before the refresh plan was saved (steps, config with
-        the two retired keys, layers — nothing else) resumed mid-interval must
-        refresh when the uninterrupted run does -- on the distribution plan's
-        offsets, before, between and after two staggered steps -- bit for bit."""
+        """A checkpoint stores no plan (with drift off, no schedule either): resumed mid-interval it must
+        refresh when the uninterrupted run does -- on the distribution plan's offsets, before, between
+        and after two staggered steps -- bit for bit."""
         x, y = make_problem(6)
         config = KFACConfig(lr=0.1, factor_update_freq=cadence[0], inv_update_freq=cadence[1])
 
@@ -398,15 +379,11 @@ class TestStateDictResume:
         assert sorted(pre_a.plan.refresh_offsets.values()) == ([1, 6] if cadence == (5, 10) else [0, 0])
         train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=steps_before)
         state = pre_a.state_dict()
-        old_format = {
-            "steps": state["steps"],
-            "config": dict(state["config"], comm_overlap=False, adaptive_schedule=False),
-            "layers": state["layers"],
-        }
+        assert "scheduler" not in state
         model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
         model_b.load_state_dict(model_a.state_dict())
-        pre_b = KFAC(model_b, KFACConfig.from_dict(old_format["config"]))
-        pre_b.load_state_dict(old_format)
+        pre_b = KFAC(model_b, KFACConfig.from_dict(state["config"]))
+        pre_b.load_state_dict(state)
         assert pre_b.config == config
         updates_before = layer_events(pre_a.tracer, "eigen_updates", pre_a.layers)
 
@@ -423,126 +400,6 @@ class TestStateDictResume:
             resumed_updates = layer_events(pre_a.tracer, "eigen_updates", [name])[name] - before
             assert (factor_updates[name], eigen_updates[name]) == (cadence[1] // cadence[0], resumed_updates), name
             assert resumed_updates == 1
-
-    def test_checkpoint_written_on_one_refresh_step_resumes_on_the_phase_it_stored(self):
-        """A checkpoint from before the plan staggered the refresh (every stored ``next_eigen_step``
-        equal) stays on that phase under a plan that would stagger, bit for bit, and counts no skip."""
-        import dataclasses
-
-        x, y = make_problem(6)
-        config = KFACConfig(lr=0.1, factor_update_freq=5, inv_update_freq=10)
-
-        def build(seed):
-            model = MLP(6, [12], 3, rng=np.random.default_rng(seed))
-            return model, KFAC(model, config)
-
-        model_a, pre_a = build(3)
-        # The schedule before the plan had offsets: one refresh step.
-        pre_a.plan = dataclasses.replace(pre_a.plan, refresh_offsets={name: 0 for name in pre_a.layers})
-        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=7)
-        entry = {"next_factor_step": 10, "factor_interval": 5, "next_eigen_step": 10, "eigen_interval": 10,
-                 "snapshot_a": None, "snapshot_g": None, "last_drift": None, "last_factor_step": 5, "last_eigen_step": 0}
-        # Such a checkpoint carries every layer's schedule, as that version's scheduler wrote it after step 6.
-        state = dict(pre_a.state_dict(), scheduler={
-            "factor_update_freq": 5, "inv_update_freq": 10, "drift_tol": 0.0, "max_staleness": 0,
-            "layers": {name: dict(entry) for name in pre_a.layers},
-        })  # fmt: skip
-        model_b, pre_b = build(77)
-        assert sorted(pre_b.plan.refresh_offsets.values()) == [1, 6]
-        model_b.load_state_dict(model_a.state_dict())
-        pre_b.load_state_dict(state)
-        assert pre_b.plan.refresh_offsets == pre_a.plan.refresh_offsets
-        batch_rng = np.random.default_rng(9)
-        for step in range(7, 23):
-            batch = batch_rng.integers(0, len(x), 32)
-            assert pre_b.actions().refresh == (tuple(pre_b.layers) if step % 10 == 0 else ())
-            grads = []
-            for model, pre in ((model_a, pre_a), (model_b, pre_b)):
-                model.zero_grad()
-                nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
-                pre.step()
-                grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
-            np.testing.assert_array_equal(*grads)
-        assert event_total(pre_b, "eigen_skips") == 0
-
-    def test_parent_format_state_dict_with_reference_backend_resumes_bitwise(self):
-        """A full ``KFAC.state_dict()`` whose config names the retired ``reference``
-        backend round-trips: the config loads, the state restores, the next
-        steps match the uninterrupted run bit for bit."""
-        x, y = make_problem(8)
-        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4)
-        model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
-        pre_a = KFAC(model_a, config)
-        train_steps(model_a, pre_a, optim.SGD(model_a.parameters(), lr=0.1), x, y, steps=5)
-        checkpoint = pre_a.state_dict()
-        assert "kernel_backend" not in checkpoint["config"] and "scheduler" not in checkpoint
-        checkpoint["config"] = dict(checkpoint["config"], kernel_backend="reference")  # as the parent wrote it
-
-        model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
-        model_b.load_state_dict(model_a.state_dict())
-        pre_b = KFAC(model_b, KFACConfig.from_dict(checkpoint["config"]))
-        pre_b.load_state_dict(checkpoint)
-        assert pre_b.config == config and pre_b.kernel_backend == "batched"
-        assert pre_b.state_dict()["config"] == pre_a.state_dict()["config"]
-
-        batch_rng = np.random.default_rng(9)
-        for _ in range(4):
-            batch = batch_rng.integers(0, len(x), 32)
-            grads = []
-            for model, pre in ((model_a, pre_a), (model_b, pre_b)):
-                model.zero_grad()
-                nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
-                pre.step()
-                grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
-            np.testing.assert_array_equal(*grads)
-
-    def test_parent_format_checkpoint_with_event_counters_resumes_bitwise(self):
-        """Checkpoints of earlier versions carry the scheduler's and the damping controller's event
-        counters (and ``dense_factors`` in the config); they load as plan state and resume bit for bit,
-        with drift tracking and adaptive damping moving the plan."""
-        x, y = make_problem(8)
-        config = KFACConfig(
-            lr=0.1, factor_update_freq=1, inv_update_freq=2, drift_tol=0.05, max_staleness=8, adaptive_damping=True
-        )
-        loss_fn = nn.CrossEntropyLoss()
-
-        def step(model, pre, batch):
-            model.zero_grad()
-            loss = loss_fn(model(Tensor(x[batch])), y[batch])
-            loss.backward()
-            pre.step(loss=float(loss.item()))
-            return np.concatenate([p.grad.ravel() for p in model.parameters()])
-
-        batch_rng = np.random.default_rng(9)
-        model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
-        pre_a = KFAC(model_a, config)
-        for _ in range(6):
-            step(model_a, pre_a, batch_rng.integers(0, len(x), 32))
-        checkpoint = pre_a.state_dict()
-        counters = ("factor_updates", "eigen_updates", "factor_skips", "eigen_skips", "drift_triggers",
-                    "factor_windows_rejected")
-        assert not set(counters) & set(next(iter(checkpoint["scheduler"]["layers"].values())))
-        assert set(checkpoint["damping_controller"]) == {"damping", "last_rho", "pending"}
-        parent = {
-            **checkpoint,
-            "config": dict(checkpoint["config"], dense_factors=False),
-            "scheduler": {**checkpoint["scheduler"], "layers": {
-                name: {**entry, **{key: 3 for key in counters}} for name, entry in checkpoint["scheduler"]["layers"].items()
-            }},
-            "damping_controller": {**checkpoint["damping_controller"], "shrinks": 4, "grows": 2},
-        }
-
-        model_b = MLP(6, [12], 3, rng=np.random.default_rng(77))
-        model_b.load_state_dict(model_a.state_dict())
-        pre_b = KFAC(model_b, KFACConfig.from_dict(parent["config"]))
-        pre_b.load_state_dict(parent)
-        assert pre_b.config == config
-        assert pre_b.state_dict()["scheduler"]["layers"].keys() == checkpoint["scheduler"]["layers"].keys()
-        for _ in range(6):
-            batch = batch_rng.integers(0, len(x), 32)
-            np.testing.assert_array_equal(step(model_a, pre_a, batch), step(model_b, pre_b, batch))
-        assert pre_b.damping == pre_a.damping
-        assert pre_b.actions() == pre_a.actions()
 
     def test_restored_run_leaves_the_checkpoint_arrays_alone(self):
         """Statistics are accumulated, averaged and folded in place, so a restore must
@@ -671,133 +528,6 @@ class TestStateDictResume:
         for grads_original, grads_restored in results:
             np.testing.assert_array_equal(grads_original, grads_restored)
 
-    @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
-    def test_replicated_layout_checkpoint_resumes_to_the_same_bits(self, grad_worker_frac):
-        """A checkpoint in the layout every earlier version wrote (every factor on every rank)
-        resumes exactly like this tree's own: factors a rank does not hold are dropped on load."""
-        x_global, y_global = make_problem(11, samples=256, in_dim=6, classes=3)
-        config = KFACConfig(lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac)
-        loss_fn = nn.CrossEntropyLoss()
-
-        def one_step(ddp, model, pre, seed):
-            local = np.random.default_rng(seed).integers(0, len(x_global), 32)[pre.rank :: pre.world_size]
-            model.zero_grad()
-            loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
-            ddp.sync_gradients()
-            pre.step()
-            return np.concatenate([p.grad.ravel() for p in model.parameters()])
-
-        def train(comm):
-            model = MLP(6, [16], 3, rng=np.random.default_rng(1))
-            ddp = DistributedDataParallel(model, comm)
-            pre = KFAC.from_config(model, config, comm=comm)
-            for step in range(5):  # stops mid-interval: the next factor update is at step 6
-                one_step(ddp, model, pre, seed=step)
-            return pre.state_dict(), model.state_dict()
-
-        trained = run_spmd(4, train)
-        own = [state for state, _ in trained]
-        replicated = [
-            {**state, "layers": {name: dict(entry) for name, entry in state["layers"].items()}} for state in own
-        ]
-        for name in own[0]["layers"]:
-            for key in ("factor_a", "factor_g"):
-                (holder,) = [state["layers"][name][key] for state in own if state["layers"][name][key] is not None]
-                for state in replicated:
-                    state["layers"][name][key] = holder.copy()
-
-        def resume(checkpoints):
-            def program(comm):
-                model = MLP(6, [16], 3, rng=np.random.default_rng(77))
-                model.load_state_dict(trained[comm.rank][1])
-                ddp = DistributedDataParallel(model, comm)
-                pre = KFAC.from_config(model, config, comm=comm)
-                pre.load_state_dict(checkpoints[comm.rank])
-                grads = [one_step(ddp, model, pre, seed=100 + step) for step in range(4)]
-                return grads, pre.memory_usage()["factors"]
-
-            return run_spmd(4, program)
-
-        from_own, from_replicated = resume(own), resume(replicated)
-        for (grads_own, held_own), (grads_replicated, held_replicated) in zip(from_own, from_replicated):
-            assert held_own == held_replicated
-            for a, b in zip(grads_own, grads_replicated):
-                np.testing.assert_array_equal(a, b)
-        all_factors = sum(n * (n + 1) // 2 for n in (6 + 1, 16, 16 + 1, 3)) * 4  # each one stored once, as its triangle
-        assert sum(held for _, held in from_replicated) == all_factors
-
-    @pytest.mark.parametrize("world, grad_worker_frac", [(1, 1.0), (2, 0.5), (2, 1.0)], ids=["w1", "w2-mem", "w2-comm"])
-    def test_square_layout_checkpoint_resumes_to_the_same_bits(self, world, grad_worker_frac):
-        """A checkpoint laid out as the commit before packed storage wrote it -- dense factors and window
-        accumulators as full squares, ``triangular_comm`` in the embedded config -- resumes bit for bit."""
-        x_global, y_global = make_problem(11, samples=256, in_dim=6, classes=3)
-        config = KFACConfig(lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac)
-        loss_fn = nn.CrossEntropyLoss()
-
-        def backward(model, pre, seed):
-            local = np.random.default_rng(seed).integers(0, len(x_global), 32)[pre.rank :: pre.world_size]
-            model.zero_grad()
-            loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
-
-        def finish_step(ddp, model, pre):
-            ddp.sync_gradients()
-            pre.step()
-            return np.concatenate([p.grad.ravel() for p in model.parameters()])
-
-        def train(comm):
-            model = MLP(6, [16], 3, rng=np.random.default_rng(1))
-            ddp = DistributedDataParallel(model, comm)
-            pre = KFAC.from_config(model, config, comm=comm)
-            for step in range(6):
-                backward(model, pre, seed=step)
-                finish_step(ddp, model, pre)
-            backward(model, pre, seed=6)  # killed inside step 6, a factor update: the window is in the accumulators
-            state = pre.state_dict()
-            assert all(entry["a_accum"] is not None for entry in state["layers"].values())
-            squares = 0
-            for name, entry in state["layers"].items():
-                for which in ("a", "g"):
-                    repr_ = pre.layers[name].factor_repr(which)
-                    for key in (f"factor_{which}", f"{which}_accum"):
-                        if entry[key] is not None and repr_.is_dense:
-                            entry[key] = repr_.to_dense(entry[key])
-                            squares += 1
-            assert squares >= 4
-            state["config"]["triangular_comm"] = False
-            grads = [p.grad.copy() for p in model.parameters()]
-            uninterrupted = [finish_step(ddp, model, pre)]
-            for step in range(7, 10):
-                backward(model, pre, seed=step)
-                uninterrupted.append(finish_step(ddp, model, pre))
-            return state, model.state_dict(), grads, uninterrupted
-
-        trained = run_spmd(world, train)
-
-        def resume(comm):
-            state, weights, grads, uninterrupted = trained[comm.rank]
-            model = MLP(6, [16], 3, rng=np.random.default_rng(77))
-            model.load_state_dict(weights)
-            for param, grad in zip(model.parameters(), grads):
-                param.grad = grad.copy()
-            ddp = DistributedDataParallel(model, comm)
-            restored_config = KFACConfig.from_dict(state["config"])
-            assert restored_config == config
-            pre = KFAC.from_config(model, restored_config, comm=comm)
-            pre.load_state_dict(state)
-            for layer in pre.layers.values():  # everything is back in the one storage form
-                for which in ("a", "g"):
-                    held = getattr(layer, f"factor_{which}")
-                    assert held is None or held.shape == layer.factor_repr(which).packed_shape
-            resumed = [finish_step(ddp, model, pre)]
-            for step in range(7, 10):
-                backward(model, pre, seed=step)
-                resumed.append(finish_step(ddp, model, pre))
-            return resumed, uninterrupted
-
-        for resumed, uninterrupted in run_spmd(world, resume):
-            for a, b in zip(resumed, uninterrupted):
-                np.testing.assert_array_equal(a, b)
-
     def test_checkpoint_without_a_held_factor_raises_naming_layer_and_factor(self):
         x, y = make_problem(4)
         model = MLP(6, [12], 3, rng=np.random.default_rng(3))
@@ -903,6 +633,114 @@ class TestStateDictResume:
 
         with pytest.raises(TypeError, match="Preconditioner"):
             Trainer(model, optim.SGD(model.parameters(), lr=0.1), lambda m, b: None, preconditioner=NotAPreconditioner())
+
+
+class TestOneCheckpointFormat:
+    """``KFAC`` and ``Trainer`` write :data:`CHECKPOINT_FORMAT`, refuse any other, read only what their config
+    writes, and a restore never changes the plan."""
+
+    @staticmethod
+    def forward_loss(model, batch):
+        return nn.CrossEntropyLoss()(model(Tensor(batch[0])), batch[1])
+
+    @pytest.mark.parametrize("found", [None, 0, 2], ids=["no-format", "format-0", "format-2"])
+    def test_another_format_is_refused_naming_both_numbers(self, found):
+        x, y = make_problem(4)
+
+        def build(seed):
+            model = MLP(6, [12], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+            return pre, Trainer(model, optim.SGD(model.parameters(), lr=0.1), self.forward_loss, preconditioner=pre)
+
+        pre, trainer = build(3)
+        trainer.train_step((x[:32], y[:32]))
+        fresh_pre, fresh_trainer = build(5)
+        weights = fresh_trainer.model.state_dict()
+        for owner, target, state in (("KFAC", fresh_pre, pre.state_dict()), ("Trainer", fresh_trainer, trainer.state_dict())):
+            state.pop("format", None)  # as every version before the number wrote it: format 0
+            if found is not None:
+                state["format"] = found
+            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 1"):
+                target.load_state_dict(state)
+        # The number is checked before anything is read.
+        assert fresh_pre.steps == 0 and fresh_trainer.iterations == 0
+        for name, value in fresh_trainer.model.state_dict().items():
+            np.testing.assert_array_equal(value, weights[name])
+        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 1
+
+    def test_a_factor_the_plan_does_not_place_on_the_rank_raises(self):
+        """MEM-OPT at world 2 places each factor on one rank; a checkpoint carrying another rank's factor was
+        written under another config or version and raises, naming the layer, the factor and the rank."""
+        x, y = make_problem(11)
+        config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=2)
+
+        def build(comm):
+            return KFAC.from_config(MLP(6, [16], 3, rng=np.random.default_rng(1)), config, comm=comm)
+
+        def train(comm):
+            pre = build(comm)
+            assert pre.plan.scheme == "MEM-OPT"
+            local = np.arange(32)[comm.rank :: 2]
+            nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
+            pre.step()
+            return pre.state_dict()
+
+        states = run_spmd(2, train)
+        name, which = next(
+            (name, which) for name in states[0]["layers"] for which in ("a", "g")
+            if states[0]["layers"][name][f"factor_{which}"] is None
+        )  # fmt: skip
+        states[0]["layers"][name][f"factor_{which}"] = states[1]["layers"][name][f"factor_{which}"].copy()
+
+        def restore(comm):
+            try:
+                build(comm).load_state_dict(states[comm.rank])
+            except ValueError as error:
+                return str(error)
+
+        refused, restored = run_spmd(2, restore)
+        assert restored is None
+        assert f"has {which.upper()} factor for layer {name!r}, which rank 0 does not hold" in refused
+
+    @pytest.mark.parametrize("world", [1, 2])
+    def test_a_restore_never_changes_the_plan(self, world):
+        """After every restore -- drift off, drift on, and drift off with a stray ``"scheduler"`` whose phases
+        are not the plan's -- the plan is still the one the config builds for the world."""
+        x, y = make_problem(6)
+        base = KFACConfig.mem_opt(world, lr=0.1, factor_update_freq=5, inv_update_freq=10)
+
+        def build(comm, config):
+            return KFAC.from_config(MLP(6, [12], 3, rng=np.random.default_rng(3)), config, comm=comm)
+
+        def program(comm):
+            digests = []
+            for config in (base, base.replace(drift_tol=0.05, max_staleness=20)):
+                pre = build(comm, config)
+                assert any(pre.plan.refresh_offsets.values())
+                for step in range(7):
+                    local = np.random.default_rng(step).integers(0, len(x), 32)[comm.rank :: world]
+                    pre.model.zero_grad()
+                    nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
+                    pre.step()
+                state = pre.state_dict()
+                checkpoints = [state]
+                if config.drift_tol == 0:
+                    assert "scheduler" not in state
+                    entry = dict(factor_interval=5, eigen_interval=10, next_factor_step=10, next_eigen_step=10,
+                                 snapshot_a=None, snapshot_g=None, last_drift=None, last_eigen_step=0)  # fmt: skip
+                    checkpoints.append(dict(state, scheduler={"layers": {name: dict(entry) for name in pre.layers}}))
+                for checkpoint in checkpoints:
+                    restored = build(comm, config)
+                    restored.load_state_dict(checkpoint)
+                    shapes = [layer.shape_info() for layer in restored.layers.values()]
+                    built = restored.config.distribution_plan(shapes, restored.world_size).digest()
+                    digests.append((restored.plan.digest(), built, pre.plan.digest()))
+            return digests
+
+        for digests in run_spmd(world, program):
+            assert len(digests) == 3
+            for ours, built, original in digests:
+                assert ours == built == original
 
 
 class TestLayerRegistry:

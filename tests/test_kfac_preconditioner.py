@@ -677,18 +677,11 @@ class TestBadFactorWindowsAreRejected:
         assert rejected == {name: int(name == "layers.2") for name in pre.layers}
         state = pre.state_dict()
         assert "scheduler" not in state  # with drift off the plan alone says when; nothing of it is stored
-        # A schedule written with the count in it (every checkpoint of earlier versions) loads the same plan.
-        entry = {"next_factor_step": pre.steps, "factor_interval": 1, "next_eigen_step": pre.steps, "eigen_interval": 1,
-                 "snapshot_a": None, "snapshot_g": None, "last_drift": None, "last_factor_step": pre.steps - 1,
-                 "last_eigen_step": pre.steps - 1}  # fmt: skip
-        old = {**state, "scheduler": {"factor_update_freq": 1, "inv_update_freq": 1, "drift_tol": 0.0, "max_staleness": 0,
-               "layers": {name: {**entry, "factor_windows_rejected": int(name == "layers.2")} for name in pre.layers}}}
-        for checkpoint in (state, old):
-            clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
-            restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
-            restored.load_state_dict(checkpoint)
-            assert restored.plan == pre.plan and restored.actions() == pre.actions()
-            assert event_total(restored, "factor_windows_rejected") == 0  # its rank's registry saw none
+        clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
+        restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
+        restored.load_state_dict(state)
+        assert restored.plan == pre.plan and restored.actions() == pre.actions()
+        assert event_total(restored, "factor_windows_rejected") == 0  # its rank's registry saw none
 
     def test_a_non_finite_first_window_raises_naming_the_layer(self):
         model = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))

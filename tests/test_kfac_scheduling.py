@@ -296,8 +296,6 @@ class TestActionsAndDriftSchedule:
         assert packed == pytest.approx(square, rel=1e-12)
         if dim > 1:  # over the triangle alone the same change reads larger: the off-diagonal mass is halved
             assert factor_drift(repr_.from_dense(new), repr_.from_dense(old)) > square * 1.001
-        # A snapshot restored from a checkpoint that stored squares is packed on the way in.
-        assert factor_drift(repr_.from_dense(new), old, repr_) == packed
         # The other representations hold exactly the nonzero entries.
         diagonal = FactorRepr.diagonal(dim)
         assert factor_drift(np.diag(new), np.diag(old), diagonal) == factor_drift(np.diag(new), np.diag(old))

@@ -154,11 +154,14 @@ class TestTrainer:
         assert trainer.iterations == 5
 
     def test_gradient_accumulation_list_of_microbatches(self):
+        """Accumulation is the list of micro-batches a step is given; the trainer takes no count of its own."""
         model, forward_loss, batches, _, _ = self._components(4)
-        trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss, grad_accumulation_steps=2)
+        trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss)
         loss = trainer.train_step([batches[0], batches[1]])
         assert np.isfinite(loss)
         assert trainer.iterations == 1
+        with pytest.raises(TypeError, match="grad_accumulation_steps"):
+            Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss, grad_accumulation_steps=2)
 
     def test_trainer_with_kfac_and_scheduler(self):
         model, forward_loss, batches, x, y = self._components(5)
@@ -174,11 +177,6 @@ class TestTrainer:
         assert trainer.preconditioner_memory() == pre.memory_usage()
         bare = Trainer(model, opt, forward_loss).preconditioner_memory()
         assert bare == dict.fromkeys(pre.memory_usage(), 0)
-
-    def test_invalid_accumulation_steps(self):
-        model, forward_loss, _, _, _ = self._components(6)
-        with pytest.raises(ValueError):
-            Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss, grad_accumulation_steps=0)
 
 
 class TestConfigs:
