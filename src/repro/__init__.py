@@ -21,7 +21,7 @@ The package is organised as the paper's system is:
 """
 
 from . import analysis, data, distributed, experiments, kfac, memory, models, nn, optim, tensor, training
-from .kfac import KFAC, KFACConfig, Preconditioner
+from .kfac import KFAC, KFACConfig
 from .tensor import Tensor, no_grad
 
 __version__ = "1.0.0"
@@ -31,7 +31,6 @@ __all__ = [
     "no_grad",
     "KFAC",
     "KFACConfig",
-    "Preconditioner",
     "tensor",
     "nn",
     "models",

@@ -4,9 +4,10 @@ Figures 6-8 and Tables 4-5 depend only on the *shapes* of the K-FAC
 preconditioned layers (factor dimensions, gradient sizes, parameter counts),
 not on actually executing the models.  For the ResNet family we instantiate
 the real :mod:`repro.models.resnet` modules at full width and read the shapes
-off the modules; for BERT-Large and the Mask R-CNN ROI heads (too large /
-too entangled with detection machinery to instantiate here) the shapes are
-constructed analytically from the published architectures.
+off the K-FAC handlers :data:`~repro.kfac.layers.LAYER_HANDLERS` gives them
+(:func:`collect_layer_shapes`); for BERT-Large and the Mask R-CNN ROI heads
+(too large / too entangled with detection machinery to instantiate here) the
+shapes are constructed analytically from the published architectures.
 
 The per-application ``baseline_compute_time`` values are calibrated from the
 paper's own reported call rates (section 5.5): ResNet-50 calls ``KFAC.step()``
@@ -24,14 +25,12 @@ import numpy as np
 
 from ..kfac.analysis import KFACWorkloadSpec
 from ..kfac.config import KFACConfig
-from ..kfac.factors import FactorRepr
+from ..kfac.kernels import KernelBackend
+from ..kfac.layers import make_kfac_layer
 from ..kfac.strategy import LayerShapeInfo
 from ..models import resnet18, resnet50, resnet101, resnet152
-from ..nn.conv import Conv2d
-from ..nn.embedding import Embedding
-from ..nn.linear import Linear
 from ..nn.module import Module
-from ..nn.norm import BatchNorm2d, LayerNorm
+from ..tensor import PrecisionPolicy
 
 __all__ = [
     "collect_layer_shapes",
@@ -48,50 +47,31 @@ def collect_layer_shapes(
     skip_modules: Sequence[Module] = (),
     include_structured: bool = False,
 ) -> List[LayerShapeInfo]:
-    """Extract the K-FAC layer shapes from an instantiated model.
+    """The K-FAC layer shapes of an instantiated model, read off the handlers :class:`~repro.kfac.KFAC` would build.
 
-    Linear/Conv2d (dense factors) are always collected — the population the
-    paper's Tables 4-5 cost.  ``include_structured=True`` additionally covers
-    the structured-factor handlers (LayerNorm / affine BatchNorm2d with a
-    diagonal G, Embedding with a diagonal A), tagging each
-    :class:`LayerShapeInfo` with the same :class:`FactorRepr` the real
-    handlers use; the default keeps the paper-table specs byte-identical.
+    Each module gets its :data:`~repro.kfac.layers.LAYER_HANDLERS` handler
+    (:func:`~repro.kfac.layers.make_kfac_layer`, named as ``KFAC`` names it),
+    whose :meth:`~repro.kfac.KFACLayer.shape_info` is taken before its hooks
+    are removed again.  ``include_structured=True`` keeps every layer, so the
+    result is ``KFAC(model, skip_modules=...)``'s shapes; the default keeps
+    only the layers whose two factors are dense (Linear / Conv2d), the
+    population the paper's Tables 4-5 cost.
     """
     skip = {id(m) for m in skip_modules}
+    kernels = KernelBackend()
     shapes: List[LayerShapeInfo] = []
     for name, module in model.named_modules():
         if id(module) in skip:
             continue
-        a_repr = g_repr = None
-        if isinstance(module, Linear):
-            a_dim = module.in_features + (1 if module.bias is not None else 0)
-            g_dim = module.out_features
-        elif isinstance(module, Conv2d):
-            kh, kw = module.kernel_size
-            a_dim = module.in_channels * kh * kw + (1 if module.bias is not None else 0)
-            g_dim = module.out_channels
-        elif include_structured and isinstance(module, (LayerNorm, BatchNorm2d)):
-            if isinstance(module, BatchNorm2d) and not module.affine:
-                continue
-            a_dim = 1 + (1 if getattr(module, "bias", None) is not None else 0)
-            g_dim = module.normalized_shape if isinstance(module, LayerNorm) else module.num_features
-            g_repr = FactorRepr.diagonal(g_dim)
-        elif include_structured and isinstance(module, Embedding):
-            a_dim = module.num_embeddings
-            g_dim = module.embedding_dim
-            a_repr = FactorRepr.diagonal(a_dim)
-        else:
-            continue
-        shapes.append(
-            LayerShapeInfo(
-                name=name,
-                a_dim=a_dim,
-                g_dim=g_dim,
-                grad_numel=a_dim * g_dim,
-                a_repr=a_repr,
-                g_repr=g_repr,
-            )
+        layer = make_kfac_layer(
+            name or module.__class__.__name__, module, PrecisionPolicy.fp32(), lambda: False, lambda: 1.0, kernels=kernels
         )
+        if layer is None:
+            continue
+        shape = layer.shape_info()
+        layer.remove()
+        if include_structured or (shape.a_repr.is_dense and shape.g_repr.is_dense):
+            shapes.append(shape)
     return shapes
 
 

@@ -1,7 +1,7 @@
 """Per-layer K-FAC handlers: factor computation and gradient preconditioning.
 
 Each supported module type gets a handler (``Linear``, ``Conv2d`` per paper
-section 3.4, plus ``Embedding`` as a registered extension) that:
+section 3.4, plus ``Embedding``, ``LayerNorm`` and affine ``BatchNorm2d``) that:
 
 * observes the forward call (module forward hook) and the gradient w.r.t. the
   layer output during the backward pass (module full backward hook, fired by
@@ -22,17 +22,19 @@ section 3.4, plus ``Embedding`` as a registered extension) that:
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
 
-Handler classes are looked up in an open registry keyed by module type:
-decorate a :class:`KFACLayer` subclass with
-``@register_kfac_layer(MyModuleType)`` and :class:`~repro.kfac.KFAC` will
-precondition instances of that module type with no change to the core.
-Dispatch walks the module's MRO, so a handler registered for a base module
-class also covers its subclasses unless a more specific handler exists.
+:data:`LAYER_HANDLERS`, a fixed module-type -> handler table, is the one
+statement of which modules K-FAC preconditions: :class:`~repro.kfac.KFAC`
+builds its layers from it and the shape models
+(:func:`~repro.experiments.collect_layer_shapes`) read their shapes off the
+same handlers.  :func:`make_kfac_layer` walks the module's MRO over the
+table, so a subclass of a listed module type gets its base's handler.  A new
+module type is one handler class plus one table row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Type
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Type
 
 import numpy as np
 
@@ -63,50 +65,9 @@ __all__ = [
     "KFACEmbeddingLayer",
     "KFACLayerNormLayer",
     "KFACBatchNorm2dLayer",
+    "LAYER_HANDLERS",
     "make_kfac_layer",
-    "register_kfac_layer",
-    "resolve_kfac_layer",
-    "registered_kfac_layers",
 ]
-
-#: Module type -> handler class.  Mutated only through :func:`register_kfac_layer`.
-_LAYER_REGISTRY: Dict[Type[Module], Type["KFACLayer"]] = {}
-
-
-def register_kfac_layer(*module_types: Type[Module]):
-    """Class decorator registering a :class:`KFACLayer` handler for ``module_types``.
-
-    Registering a type that already has a handler replaces it (latest wins),
-    so a downstream package can override the built-in handlers.
-    """
-    if not module_types:
-        raise ValueError("register_kfac_layer requires at least one module type")
-
-    def decorator(handler_cls: Type["KFACLayer"]) -> Type["KFACLayer"]:
-        if not (isinstance(handler_cls, type) and issubclass(handler_cls, KFACLayer)):
-            raise TypeError("registered handler must be a KFACLayer subclass")
-        for module_type in module_types:
-            if not (isinstance(module_type, type) and issubclass(module_type, Module)):
-                raise TypeError(f"{module_type!r} is not a Module subclass")
-            _LAYER_REGISTRY[module_type] = handler_cls
-        return handler_cls
-
-    return decorator
-
-
-def resolve_kfac_layer(module: Module) -> Optional[Type["KFACLayer"]]:
-    """Most specific registered handler class for ``module``, or ``None``."""
-    for klass in type(module).__mro__:
-        handler = _LAYER_REGISTRY.get(klass)
-        if handler is not None:
-            return handler
-    return None
-
-
-def registered_kfac_layers() -> Dict[Type[Module], Type["KFACLayer"]]:
-    """Snapshot of the current module-type -> handler registry."""
-    return dict(_LAYER_REGISTRY)
-
 
 def _write_gradient(param, values: np.ndarray, scale: float) -> None:
     """Make ``param.grad`` hold ``scale * values`` (any layout, the gradient's element count), in the gradient's dtype.
@@ -134,10 +95,10 @@ class KFACLayer:
     def supports(cls, module: Module) -> bool:
         """Whether this handler should actually be built for ``module``.
 
-        Registry dispatch finds the handler class by module type; this hook
-        lets a handler decline specific instances (e.g. embeddings whose
-        factor would be too large), in which case the module is skipped
-        exactly as an unregistered type would be.
+        :data:`LAYER_HANDLERS` finds the handler class by module type; this
+        hook lets a handler decline specific instances (a ``BatchNorm2d``
+        without ``affine`` has no parameters), which are then skipped exactly
+        as an unlisted type is.
         """
         return True
 
@@ -552,7 +513,6 @@ class KFACLayer:
         self._backward_handle.remove()
 
 
-@register_kfac_layer(Linear)
 class KFACLinearLayer(KFACLayer):
     """K-FAC handler for :class:`~repro.nn.linear.Linear` modules.
 
@@ -593,7 +553,6 @@ class KFACLinearLayer(KFACLayer):
         _write_gradient(self.module.weight, matrix, scale)
 
 
-@register_kfac_layer(Conv2d)
 class KFACConv2dLayer(KFACLayer):
     """K-FAC handler for :class:`~repro.nn.conv.Conv2d` modules.
 
@@ -646,7 +605,6 @@ class KFACConv2dLayer(KFACLayer):
         _write_gradient(self.module.weight, matrix, scale)
 
 
-@register_kfac_layer(Embedding)
 class KFACEmbeddingLayer(KFACLayer):
     """K-FAC handler for :class:`~repro.nn.embedding.Embedding` modules.
 
@@ -754,7 +712,6 @@ class _KFACScaleShiftLayer(KFACLayer):
             _write_gradient(self.module.bias, matrix[:, 1], scale)
 
 
-@register_kfac_layer(LayerNorm)
 class KFACLayerNormLayer(_KFACScaleShiftLayer):
     """K-FAC handler for :class:`~repro.nn.norm.LayerNorm` modules (2x2 A, diagonal G).
 
@@ -779,7 +736,6 @@ class KFACLayerNormLayer(_KFACScaleShiftLayer):
         self._add_diagonal_g_stat(squares, rows.shape[0])
 
 
-@register_kfac_layer(BatchNorm2d)
 class KFACBatchNorm2dLayer(_KFACScaleShiftLayer):
     """K-FAC handler for :class:`~repro.nn.norm.BatchNorm2d` modules (2x2 A, diagonal G).
 
@@ -814,6 +770,18 @@ class KFACBatchNorm2dLayer(_KFACScaleShiftLayer):
         self._add_diagonal_g_stat(squares, grad.size // self.g_dim)
 
 
+#: Module type -> handler class: the modules K-FAC preconditions, read-only.
+LAYER_HANDLERS: Mapping[Type[Module], Type[KFACLayer]] = MappingProxyType(
+    {
+        Linear: KFACLinearLayer,
+        Conv2d: KFACConv2dLayer,
+        Embedding: KFACEmbeddingLayer,
+        LayerNorm: KFACLayerNormLayer,
+        BatchNorm2d: KFACBatchNorm2dLayer,
+    }
+)
+
+
 def make_kfac_layer(
     name: str,
     module: Module,
@@ -822,8 +790,12 @@ def make_kfac_layer(
     grad_scale: Callable[[], float],
     kernels: Optional[KernelBackend] = None,
 ) -> Optional[KFACLayer]:
-    """Create the registered handler for ``module`` or ``None`` if unsupported."""
-    handler_cls = resolve_kfac_layer(module)
+    """The :data:`LAYER_HANDLERS` handler of ``module``'s most specific listed type.
+
+    ``None`` when no type in its MRO is listed or the handler's
+    :meth:`~KFACLayer.supports` declines the instance.
+    """
+    handler_cls = next((LAYER_HANDLERS[klass] for klass in type(module).__mro__ if klass in LAYER_HANDLERS), None)
     if handler_cls is None or not handler_cls.supports(module):
         return None
     return handler_cls(name, module, precision, should_accumulate, grad_scale, kernels=kernels)

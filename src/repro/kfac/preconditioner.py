@@ -47,11 +47,12 @@ of Eq. 15-17).  :meth:`KFAC._bind` attaches this rank's arrays to the plan's
 specs once, and every allreduce and broadcast goes through one bucketed
 collective engine (:mod:`repro.distributed.collectives`).
 
-:class:`KFAC` implements the :class:`~repro.kfac.base.Preconditioner`
-protocol: :meth:`state_dict` / :meth:`load_state_dict` round-trip the running
-factors, eigen state, drift schedule and step counter (per rank), so
-checkpoint/resume reproduces the exact training trajectory under every
-distribution strategy.
+:class:`~repro.training.Trainer` drives :class:`KFAC` directly: it calls
+:meth:`step` with the step's loss, sizes its pipeline by ``plan.bucket_cap_mb``
+and checkpoints :meth:`state_dict`, which with :meth:`load_state_dict`
+round-trips the running factors, eigen state, drift schedule and step counter
+(per rank), so checkpoint/resume reproduces the exact training trajectory
+under every distribution strategy.
 
 Every refresh decision is counted per layer in the rank's one registry, the
 communicator's tracer (``comm.tracer``), as ``kfac/<event>/<layer>``:
@@ -72,7 +73,7 @@ import numpy as np
 from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBucketSpec, OverlapScheduler
 from ..nn.module import Module
-from .base import CHECKPOINT_FORMAT, Preconditioner, check_checkpoint_format
+from .base import CHECKPOINT_FORMAT, check_checkpoint_format
 from .config import KFACConfig
 from .kernels import KernelBackend
 from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
@@ -84,7 +85,7 @@ from .strategy import DistributionPlan, LayerWorkGroups, StepActions, pack_eigen
 __all__ = ["KFAC"]
 
 
-class KFAC(Preconditioner):
+class KFAC:
     """K-FAC second-order gradient preconditioner with a tunable memory footprint."""
 
     def __init__(
@@ -175,11 +176,6 @@ class KFAC(Preconditioner):
         kwargs = {"tol": self._config.cg_tol, "max_iter": self._config.cg_max_iter} if name == "cg" else {}
         return make_solve_strategy(name, **kwargs)
 
-    @property
-    def resolved_bucket_cap_mb(self) -> float:
-        """The plan's fused-buffer cap (MB), ``"auto"`` resolved: what the ``Trainer`` sizes its pipeline with."""
-        return self.plan.bucket_cap_mb
-
     # ----------------------------------------------------------- construction
     @classmethod
     def from_config(cls, model: Module, config: KFACConfig, **run_objects: Any) -> "KFAC":
@@ -264,11 +260,6 @@ class KFAC(Preconditioner):
         return self._config.replace(lr=self.lr)
 
     # --------------------------------------------------------------------- step
-    @property
-    def accepts_loss_feedback(self) -> bool:
-        """Whether :meth:`step` consumes ``loss=`` (adaptive damping on)."""
-        return self.damping_controller is not None
-
     def step(self, lr: Optional[float] = None, loss: Optional[float] = None) -> None:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
@@ -430,7 +421,7 @@ class KFAC(Preconditioner):
         """Forget what was taken / reduced / rejected / submitted: the next factor update starts clean.
 
         The one reset point of the per-step bookkeeping — construction,
-        the end of every :meth:`step`, :meth:`load_state_dict`, :meth:`reset`,
+        the end of every :meth:`step`, :meth:`load_state_dict`,
         :meth:`remove`.
         """
         self.refresh.cancel()
@@ -826,22 +817,6 @@ class KFAC(Preconditioner):
         eigen = sum(layer.eigen_bytes() for layer in self.layers.values())
         solver = sum(s.solver_bytes() for s in self.solvers.values())
         return {"factors": factors, "eigen": eigen, "solver": solver, "total": factors + eigen + solver}
-
-    def reset(self) -> None:
-        """Drop all factor and eigen state (e.g. between experiments)."""
-        for layer in self.layers.values():
-            layer.reset_accumulators()
-            layer.factor_a = None
-            layer.factor_g = None
-            layer.clear_eigen()
-        self._steps = 0
-        self._begin_factor_window()
-        self.drift = self._new_drift()
-        for solver in self.solvers.values():
-            solver.reset()
-        if self.damping_controller is not None:
-            self.damping_controller = AdaptiveDampingController(self._config.damping)
-            self.damping = self._config.damping
 
     def remove(self) -> None:
         """Detach every layer's hooks from the model and join the eigen worker thread."""

@@ -6,8 +6,7 @@ and many gradients.  For small layers (LayerNorm gains, narrow MLP heads)
 the decomposition dominates, and the DeepFormer ``CG_KFAC`` exemplar shows
 two cheaper alternatives that this module packages behind one interface:
 
-* :class:`EigenSolveStrategy` — the existing path, unchanged (bitwise
-  identical to the fixed-frequency oracle);
+* :class:`EigenSolveStrategy` — the default eigen path of Eqs. 15-17;
 * :class:`InverseSolveStrategy` — form ``(A + γI)⁻¹`` / ``(G + γI)⁻¹`` once
   per second-order refresh (Eq. 12) and precondition with two matmuls;
 * :class:`CGSolveStrategy` — never factorize at all: solve
@@ -161,17 +160,13 @@ class SolveStrategy:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         pass
 
-    def reset(self) -> None:
-        """Drop cached state (paired with ``KFAC.reset``)."""
-
 
 class EigenSolveStrategy(SolveStrategy):
-    """The default eigen-decomposition path (Eqs. 15-17), unchanged.
+    """The default eigen-decomposition path (Eqs. 15-17).
 
     The distribution plan owns the decomposition placement and
     broadcasts; this object only delegates the per-iteration solve to
-    :meth:`KFACLayer.precondition`, so the plan is bitwise identical to the
-    fixed-frequency oracle.
+    :meth:`KFACLayer.precondition`.
     """
 
     name = "eigen"
@@ -219,10 +214,6 @@ class InverseSolveStrategy(SolveStrategy):
         inv_a, inv_g = state["inv_a"], state["inv_g"]
         self.inv_a = None if inv_a is None else np.asarray(inv_a, dtype=np.float32)
         self.inv_g = None if inv_g is None else np.asarray(inv_g, dtype=np.float32)
-
-    def reset(self) -> None:
-        self.inv_a = None
-        self.inv_g = None
 
 
 class CGSolveStrategy(SolveStrategy):
@@ -284,10 +275,6 @@ class CGSolveStrategy(SolveStrategy):
         warm = state["last_solution"]
         self.last_solution = None if warm is None else np.asarray(warm, dtype=np.float64)
         self.total_iterations = int(state["total_iterations"])
-
-    def reset(self) -> None:
-        self.last_solution = None
-        self.total_iterations = 0
 
 
 #: Strategy name -> class.

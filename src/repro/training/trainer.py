@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..distributed.backend import Communicator
 from ..distributed.ddp import GradientAveragingSubscriber
-from ..kfac.base import CHECKPOINT_FORMAT, Preconditioner, check_checkpoint_format
+from ..kfac.base import CHECKPOINT_FORMAT, check_checkpoint_format
+from ..kfac.preconditioner import KFAC
 from ..nn.module import Module
 from ..optim.grad_scaler import GradScaler
 from ..optim.lr_scheduler import LRScheduler
@@ -39,7 +40,7 @@ EvaluateFn = Callable[[Module], float]
 
 
 class Trainer:
-    """Generic trainer that composes a model, an optimizer and (optionally) KAISA.
+    """Trainer that composes a model, an optimizer and (optionally) KAISA's :class:`~repro.kfac.KFAC`.
 
     Parameters
     ----------
@@ -47,17 +48,18 @@ class Trainer:
         ``forward_loss(model, batch) -> loss Tensor``; the trainer stays
         agnostic of the workload's batch structure.
     preconditioner:
-        Optional :class:`repro.kfac.Preconditioner` implementation (e.g.
-        :class:`repro.kfac.KFAC`); its ``step()`` is invoked between the
-        gradient synchronization and the optimizer step, and its state is
-        included in :meth:`state_dict` for checkpoint/resume.
+        Optional :class:`repro.kfac.KFAC` (anything else raises
+        ``TypeError``); its ``step(lr=..., loss=...)`` is invoked between the
+        gradient synchronization and the optimizer step (the loss feeds its
+        adaptive damping when configured and is ignored otherwise), and its
+        state is included in :meth:`state_dict` for checkpoint/resume.
     iteration_time:
         Optional simulated seconds per iteration (from
         :class:`repro.kfac.IterationTimeModel`), used to accumulate the
         simulated wall-clock recorded in training curves.
     bucket_cap_mb:
         Fused-buffer cap of the pipeline the trainer builds.  ``None``
-        (default) takes the preconditioner's resolved cap, else 25 MB.
+        (default) takes the preconditioner's ``plan.bucket_cap_mb``, else 25 MB.
     pipeline:
         ``None`` (default): the trainer builds a
         :class:`~repro.training.pipeline.GradientPipeline` over ``comm`` with
@@ -66,8 +68,7 @@ class Trainer:
         whatever the preconditioner communicates over.  Pass an instance to
         overlap communication with backward: it is armed before the final
         micro-batch and, when it has no subscribers yet, wired with gradient
-        averaging plus the preconditioner's factor subscription (when the
-        preconditioner supports it).
+        averaging plus the preconditioner's factor subscription.
 
     The trainer records its step / micro-batch / forward / backward /
     optimizer spans into the rank's tracer, ``comm.tracer`` (with no ``comm``,
@@ -82,7 +83,7 @@ class Trainer:
         model: Module,
         optimizer: Optimizer,
         forward_loss: ForwardLoss,
-        preconditioner: Optional[Preconditioner] = None,
+        preconditioner: Optional[KFAC] = None,
         lr_scheduler: Optional[LRScheduler] = None,
         grad_scaler: Optional[GradScaler] = None,
         comm: Optional[Communicator] = None,
@@ -90,11 +91,8 @@ class Trainer:
         bucket_cap_mb: Optional[float] = None,
         pipeline: Optional[GradientPipeline] = None,
     ) -> None:
-        if preconditioner is not None and not isinstance(preconditioner, Preconditioner):
-            raise TypeError(
-                "preconditioner must implement repro.kfac.Preconditioner "
-                f"(got {type(preconditioner).__name__}); subclass it to plug in a custom scheme"
-            )
+        if preconditioner is not None and not isinstance(preconditioner, KFAC):
+            raise TypeError(f"preconditioner must be a repro.kfac.KFAC or None, got {type(preconditioner).__name__}")
         self.model = model
         self.optimizer = optimizer
         self.forward_loss = forward_loss
@@ -103,16 +101,16 @@ class Trainer:
         self.grad_scaler = grad_scaler
         self.comm = comm
         self.iteration_time = iteration_time
-        rank_comm = comm if comm is not None else getattr(preconditioner, "comm", None)
+        rank_comm = preconditioner.comm if comm is None and preconditioner is not None else comm
         # Overlap with backward is the caller's request: only a supplied
         # pipeline is ever armed.
         self._overlap = pipeline is not None
         if pipeline is None:
             if bucket_cap_mb is None:
-                # The preconditioner's resolved cap (including the
-                # cost-model-sized bucket_cap_mb="auto"), so gradient and
-                # factor traffic share one fusion granularity.
-                bucket_cap_mb = getattr(preconditioner, "resolved_bucket_cap_mb", None) or 25.0
+                # The plan's cap (including the cost-model-sized
+                # bucket_cap_mb="auto"), so gradient and factor traffic share
+                # one fusion granularity.
+                bucket_cap_mb = 25.0 if preconditioner is None else preconditioner.plan.bucket_cap_mb
             # Without a comm nothing is averaged; a single-rank preconditioner's
             # communicator averages nothing either and keeps the rank at one tracer.
             single = rank_comm if rank_comm is not None and rank_comm.world_size == 1 else None
@@ -130,7 +128,7 @@ class Trainer:
             )
         if not pipeline.subscribers:
             pipeline.add_subscriber(GradientAveragingSubscriber(model))
-            if self._overlap and hasattr(preconditioner, "pipeline_specs"):
+            if self._overlap and preconditioner is not None:
                 # Factor allreduces overlap backward too; on the trainer's own
                 # pipeline the factor stage stays inside preconditioner.step().
                 pipeline.add_subscriber(preconditioner)
@@ -183,13 +181,9 @@ class Trainer:
         if self.preconditioner is not None:
             lr = self.optimizer.param_groups[0]["lr"]
             with self.tracer.span("trainer/precondition", category="precondition"):
-                if getattr(self.preconditioner, "accepts_loss_feedback", False):
-                    # Adaptive-damping preconditioners consume this step's loss
-                    # (Levenberg-Marquardt actual-vs-predicted reduction).  Custom
-                    # preconditioners without the property keep the plain call.
-                    self.preconditioner.step(lr=lr, loss=total_loss / len(micro_batches))
-                else:
-                    self.preconditioner.step(lr=lr)
+                # The loss drives adaptive damping (Levenberg-Marquardt
+                # actual-vs-predicted reduction); KFAC ignores it otherwise.
+                self.preconditioner.step(lr=lr, loss=total_loss / len(micro_batches))
         with self.tracer.span("trainer/optimizer_step", category="optimizer"):
             if self.grad_scaler is not None:
                 self.grad_scaler.step(self.optimizer)
@@ -233,33 +227,33 @@ class Trainer:
     def load_state_dict(self, state: dict) -> None:
         """Restore state produced by :meth:`state_dict`.
 
-        The format number is checked first.  A component configured on this
-        trainer but absent from the checkpoint (or vice versa) raises:
-        resuming would silently keep stale state.
+        The format number and the presence of every component are checked
+        before anything is loaded, so a refused restore leaves the trainer as
+        it was.  A component configured on this trainer but absent from the
+        checkpoint (or vice versa) raises: resuming would silently keep stale
+        state.
         """
         check_checkpoint_format(state, "Trainer")
-        self.model.load_state_dict(state["model"])
-        self.optimizer.load_state_dict(state["optimizer"])
-        for key in ("preconditioner", "lr_scheduler", "grad_scaler"):
-            component = getattr(self, key)
-            component_state = state[key]
-            if component_state is not None:
-                if component is None:
-                    raise ValueError(f"checkpoint contains {key} state but the trainer has no {key}")
-                component.load_state_dict(component_state)
-            elif component is not None:
+        components = {
+            "preconditioner": self.preconditioner,
+            "lr_scheduler": self.lr_scheduler,
+            "grad_scaler": self.grad_scaler,
+        }
+        for key, component in components.items():
+            if state[key] is not None and component is None:
+                raise ValueError(f"checkpoint contains {key} state but the trainer has no {key}")
+            if state[key] is None and component is not None:
                 raise ValueError(
                     f"trainer has a {key} but the checkpoint contains no {key} state; "
                     "resuming would silently keep stale state"
                 )
+        self.model.load_state_dict(state["model"])
+        self.optimizer.load_state_dict(state["optimizer"])
+        for key, component in components.items():
+            if component is not None:
+                component.load_state_dict(state[key])
         self.iterations = int(state["iterations"])
         self.simulated_time = float(state["simulated_time"])
-
-    def preconditioner_memory(self) -> dict:
-        """Per-rank preconditioner state bytes (empty categories when none is set)."""
-        if self.preconditioner is None:
-            return {"factors": 0, "eigen": 0, "solver": 0, "total": 0}
-        return dict(self.preconditioner.memory_usage())
 
     # ------------------------------------------------------------------- fit
     def fit(

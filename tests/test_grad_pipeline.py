@@ -26,7 +26,7 @@ from repro.distributed import (
     run_spmd,
 )
 from repro.experiments import paper_workload_spec
-from repro.kfac import KFAC, KFACConfig, KFACLayerNormLayer, model_comm_schedule, resolve_kfac_layer
+from repro.kfac import KFAC, LAYER_HANDLERS, KFACConfig, KFACLayerNormLayer, model_comm_schedule
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
@@ -504,30 +504,6 @@ class TestPipelineMechanics:
 
         assert all(run_spmd(2, program))
 
-    def test_reset_after_pipeline_step_restores_sync_factor_stage(self):
-        """reset() must clear the factor bookkeeping a pipeline step left: a
-        fresh hand-driven run afterwards has to fold its own factors."""
-        x, y = make_problem(seed=29)
-        loss_fn = nn.CrossEntropyLoss()
-        model = build_model("mlp")
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
-        pipeline = GradientPipeline(model, comm=pre.comm)
-        trainer = Trainer(
-            model,
-            optim.SGD(model.parameters(), lr=0.1),
-            lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
-            preconditioner=pre,
-            pipeline=pipeline,
-        )
-        trainer.train_step((x[:32], y[:32]))  # flush marks factor step 0 done
-        pre.reset()
-        # A hand-driven step at the same _steps value must not skip the fold.
-        for p in model.parameters():
-            p.grad = None
-        loss_fn(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
-        assert all(layer.factor_a is not None for layer in pre.layers.values())
-
     def test_trainer_pipeline_uses_resolved_auto_cap(self):
         model = build_model("mlp")
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb="auto")
@@ -537,7 +513,7 @@ class TestPipelineMechanics:
             lambda m, batch: m(Tensor(batch)).sum(),
             preconditioner=pre,
         )
-        assert trainer.pipeline.bucket_cap_mb == pre.resolved_bucket_cap_mb
+        assert trainer.pipeline.bucket_cap_mb == pre.plan.bucket_cap_mb
 
     def test_trainer_wires_kfac_subscriber(self):
         """A supplied pipeline overlaps K-FAC's factor allreduces with backward
@@ -697,7 +673,7 @@ class TestDefaultSeam:
 
 class TestLayerNormRegistry:
     def test_layernorm_resolves_to_handler(self):
-        assert resolve_kfac_layer(nn.LayerNorm(8)) is KFACLayerNormLayer
+        assert LAYER_HANDLERS[nn.LayerNorm] is KFACLayerNormLayer
 
     def test_layernorm_preconditioned_via_hooks(self):
         rng = np.random.default_rng(0)
@@ -769,13 +745,13 @@ class TestChooseBucketCap:
     def test_kfac_resolves_auto_cap(self):
         model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
         pre = KFAC(model, bucket_cap_mb="auto")
-        assert isinstance(pre.resolved_bucket_cap_mb, float)
-        assert pre.resolved_bucket_cap_mb > 0
-        assert pre.scheduler.buckets.bucket_cap_mb == pre.resolved_bucket_cap_mb == pre.plan.bucket_cap_mb
+        assert isinstance(pre.plan.bucket_cap_mb, float)
+        assert pre.plan.bucket_cap_mb > 0
+        assert pre.scheduler.buckets.bucket_cap_mb == pre.plan.bucket_cap_mb
         # The serializable config keeps the symbolic value; the models resolve it to the engine's number.
         assert pre.config.bucket_cap_mb == "auto"
         shapes = [layer.shape_info() for layer in pre.layers.values()]
-        assert pre.config.distribution_plan(shapes, 1).bucket_cap_mb == pre.resolved_bucket_cap_mb
+        assert pre.config.distribution_plan(shapes, 1).bucket_cap_mb == pre.plan.bucket_cap_mb
 
     def test_auto_cap_is_bitwise_neutral(self):
         x, y = make_problem(seed=17)

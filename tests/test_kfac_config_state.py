@@ -1,33 +1,35 @@
 """Tests for the modular preconditioner framework.
 
-Covers the redesigned public API: `KFACConfig` validation and serialization,
-the `Preconditioner` protocol (checkpoint/resume round-trips, bit-identical
-under every distribution strategy on the threaded multi-worker backend), and
-the open layer registry (Embedding as the built-in extension plus a custom
-registered type).
+Covers the public API: `KFACConfig` validation and serialization,
+checkpoint/resume of `KFAC` and the `Trainer` that drives it (round-trips
+bit-identical under every distribution strategy on the threaded multi-worker
+backend), and the fixed layer-handler table `LAYER_HANDLERS` that `KFAC` and
+the shape models read (Embedding among its rows).
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
+from repro.experiments import WORKLOAD_BUILDERS, build_workload, collect_layer_shapes
 from repro.kfac import (
     CHECKPOINT_FORMAT,
     KFAC,
     KFACConfig,
+    LAYER_HANDLERS,
+    KFACBatchNorm2dLayer,
+    KFACConv2dLayer,
     KFACEmbeddingLayer,
+    KFACLayerNormLayer,
     KFACLinearLayer,
-    Preconditioner,
     make_kfac_layer,
     pack_eigen,
-    register_kfac_layer,
-    registered_kfac_layers,
-    resolve_kfac_layer,
     unpack_eigen_repr,
 )
 from repro.kfac.kmath import EigenDecomposition
-from repro.kfac.layers import _LAYER_REGISTRY
 from repro.models import MLP
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
@@ -296,10 +298,6 @@ def train_steps(model, pre, opt, x, y, steps, batch=32):
 
 
 class TestStateDictResume:
-    def test_kfac_implements_preconditioner_protocol(self):
-        model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        assert isinstance(KFAC(model), Preconditioner)
-
     def test_state_dict_round_trip_single_process_bitwise(self):
         """Checkpoint -> restore -> next step must reproduce the gradients exactly."""
         x, y = make_problem(1)
@@ -609,20 +607,31 @@ class TestStateDictResume:
             features, labels = batch
             return loss_fn(m(Tensor(features)), labels)
 
+        def as_it_stands(trainer):
+            params = [p.data.copy() for p in trainer.model.parameters()]
+            return params, pickle.dumps(trainer.optimizer.state_dict())
+
         model = MLP(6, [12], 3, rng=np.random.default_rng(0))
-        plain = Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss)
+        plain = Trainer(model, optim.SGD(model.parameters(), lr=0.1, momentum=0.9), forward_loss)
         plain.train_step((x[:32], y[:32]))
-        state = plain.state_dict()
 
         model2 = MLP(6, [12], 3, rng=np.random.default_rng(1))
         with_pre = Trainer(
             model2,
-            optim.SGD(model2.parameters(), lr=0.1),
+            optim.SGD(model2.parameters(), lr=0.1, momentum=0.9),
             forward_loss,
             preconditioner=KFAC(model2, factor_update_freq=1, inv_update_freq=1),
         )
-        with pytest.raises(ValueError, match="stale"):
-            with_pre.load_state_dict(state)
+        with_pre.train_step((x[32:64], y[32:64]))
+
+        # Both directions are refused before anything is loaded: weights and optimizer state stay as they were.
+        for target, source, match in ((with_pre, plain, "stale"), (plain, with_pre, "contains preconditioner state")):
+            params, optimizer_state = as_it_stands(target)
+            with pytest.raises(ValueError, match=match):
+                target.load_state_dict(source.state_dict())
+            after_params, after_optimizer_state = as_it_stands(target)
+            assert all(np.array_equal(a, b) for a, b in zip(params, after_params))
+            assert after_optimizer_state == optimizer_state
 
     def test_trainer_rejects_duck_typed_preconditioner(self):
         model = MLP(6, [12], 3, rng=np.random.default_rng(0))
@@ -631,7 +640,7 @@ class TestStateDictResume:
             def step(self, lr=None):
                 pass
 
-        with pytest.raises(TypeError, match="Preconditioner"):
+        with pytest.raises(TypeError, match="KFAC"):
             Trainer(model, optim.SGD(model.parameters(), lr=0.1), lambda m, b: None, preconditioner=NotAPreconditioner())
 
 
@@ -744,48 +753,41 @@ class TestOneCheckpointFormat:
 
 
 class TestLayerRegistry:
+    """``LAYER_HANDLERS`` is the one fixed table of what K-FAC preconditions, and the shape models read it."""
+
     def test_builtin_registrations(self):
-        registry = registered_kfac_layers()
-        assert registry[nn.Linear] is KFACLinearLayer
-        assert registry[nn.Embedding] is KFACEmbeddingLayer
+        assert dict(LAYER_HANDLERS) == {
+            nn.Linear: KFACLinearLayer,
+            nn.Conv2d: KFACConv2dLayer,
+            nn.Embedding: KFACEmbeddingLayer,
+            nn.LayerNorm: KFACLayerNormLayer,
+            nn.BatchNorm2d: KFACBatchNorm2dLayer,
+        }
+        with pytest.raises(TypeError):
+            LAYER_HANDLERS[nn.Linear] = KFACEmbeddingLayer  # fixed: no run-time registration
+        bn = nn.BatchNorm2d(4, affine=False)
+        assert make_kfac_layer("bn", bn, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
 
     def test_resolve_walks_mro(self):
         class MyLinear(nn.Linear):
             pass
 
         module = MyLinear(3, 2, rng=np.random.default_rng(0))
-        assert resolve_kfac_layer(module) is KFACLinearLayer
+        handler = make_kfac_layer("mine", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
+        assert type(handler) is KFACLinearLayer
+        handler.remove()
 
-    def test_custom_layer_type_dispatch(self):
-        """Registering a handler for a new module type makes KFAC precondition it."""
-
-        class ScaledLinear(nn.Linear):
-            """A Linear variant a downstream package might add."""
-
-        class KFACScaledLinearLayer(KFACLinearLayer):
-            pass
-
-        try:
-            register_kfac_layer(ScaledLinear)(KFACScaledLinearLayer)
-            module = ScaledLinear(4, 3, rng=np.random.default_rng(0))
-            handler = make_kfac_layer("scaled", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-            assert isinstance(handler, KFACScaledLinearLayer)
-
-            pre = KFAC(module, factor_update_freq=1, inv_update_freq=1)
-            assert any(isinstance(layer, KFACScaledLinearLayer) for layer in pre.layers.values())
-            x = RNG.standard_normal((16, 4)).astype(np.float32)
-            (module(Tensor(x)) ** 2).sum().backward()
-            pre.step()  # full step through the custom handler
-        finally:
-            _LAYER_REGISTRY.pop(ScaledLinear, None)
-
-    def test_register_rejects_non_handler(self):
-        with pytest.raises(TypeError):
-            register_kfac_layer(nn.Linear)(object)
-
-    def test_register_requires_module_types(self):
-        with pytest.raises(ValueError):
-            register_kfac_layer()
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDERS))
+    def test_shape_models_read_the_table(self, name):
+        """``collect_layer_shapes`` is ``KFAC``'s layer shapes; without structured layers, the dense/dense ones."""
+        workload = build_workload(name)
+        skip = workload.kfac_skip_modules
+        pre = KFAC(workload.model, skip_modules=skip)
+        engine = [layer.shape_info() for layer in pre.layers.values()]
+        pre.remove()
+        assert collect_layer_shapes(workload.model, skip_modules=skip, include_structured=True) == engine
+        dense = [shape for shape in engine if shape.a_repr.is_dense and shape.g_repr.is_dense]
+        assert collect_layer_shapes(workload.model, skip_modules=skip) == dense
 
 
 class TestEmbeddingLayer:

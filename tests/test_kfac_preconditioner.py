@@ -183,17 +183,6 @@ class TestStepMechanics:
         pre.step(lr=0.5)
         assert pre.lr == 0.5
 
-    def test_reset_clears_state(self):
-        model = MLP(4, [8], 2, rng=RNG)
-        x, y = make_problem(6, in_dim=4, classes=2)
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
-        nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
-        pre.step()
-        assert pre.memory_usage()["total"] > 0
-        pre.reset()
-        assert pre.memory_usage()["total"] == 0
-        assert pre.steps == 0
-
     def test_profiler_records_all_stages(self):
         """The Figure-7 stage profile is read off the tracer's ``kfac/<stage>`` spans."""
         model = MLP(4, [8], 2, rng=RNG)

@@ -173,10 +173,8 @@ class TestTrainer:
             trainer.train_step(batch)
         assert pre.steps == trainer.iterations
         assert opt.param_groups[0]["lr"] < 0.1  # scheduler engaged
-        # One report shape with or without a preconditioner: the keys of KFAC.memory_usage().
-        assert trainer.preconditioner_memory() == pre.memory_usage()
-        bare = Trainer(model, opt, forward_loss).preconditioner_memory()
-        assert bare == dict.fromkeys(pre.memory_usage(), 0)
+        # The trainer drives the KFAC it was given; its state is what the training built.
+        assert trainer.preconditioner is pre and pre.memory_usage()["total"] > 0
 
 
 class TestConfigs:
