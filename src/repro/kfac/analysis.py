@@ -388,8 +388,7 @@ def model_comm_schedule(
     group)`` pair for broadcasts — fuse into buckets capped at the plan's
     ``bucket_cap_mb``, one latency term per bucket.  A cap below any
     tensor is the unfused schedule: one message per factor matrix, per packed
-    eigen decomposition (plus the cached outer product where one rank ships
-    it) and per preconditioned-gradient broadcast.  Bytes moved do not depend
+    eigen decomposition and per preconditioned-gradient broadcast.  Bytes moved do not depend
     on the cap; only message counts (alpha terms) do.  A cap sweep prices
     ``spec.config.replace(bucket_cap_mb=...)``.
 

@@ -25,12 +25,13 @@ about the run is passed beside it: no strategy or precision object.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence, Union
 
 from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..tensor import PrecisionPolicy
-from .scheduling.solvers import available_solve_strategies, make_solve_strategy
+from .scheduling.solvers import available_solve_strategies, solve_strategy_class
 from .strategy import DistributionPlan, LayerShapeInfo, WirePolicy, build_plan
 
 __all__ = ["KFACConfig"]
@@ -119,6 +120,11 @@ class KFACConfig:
                 )
         else:
             object.__setattr__(self, "bucket_cap_mb", float(self.bucket_cap_mb))
+        # NaN fails no ``<=`` check below, so a non-finite float is refused here, by name.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.factor_update_freq < 1 or self.inv_update_freq < 1:
             raise ValueError("update frequencies must be >= 1")
         if self.drift_tol < 0.0:
@@ -256,9 +262,6 @@ class KFACConfig:
         if bucket_cap_mb == "auto":
             payloads = [policy.factor_bytes(layer, which) for layer in layers for which in "ag"]
             bucket_cap_mb = choose_bucket_cap(EDR_INFINIBAND, payloads, world_size=world_size)
-        needs_eigen = {
-            name: make_solve_strategy(name).needs_eigen for name in (self.solve_strategy, self.small_layer_solver)
-        }
         return build_plan(
             layers,
             world_size,
@@ -266,7 +269,9 @@ class KFACConfig:
             self.assignment_balance,
             policy,
             factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
-            eigen_free=[layer.name for layer in layers if not needs_eigen[self.solver_name_for(layer)]],
+            eigen_free=[
+                layer.name for layer in layers if not solve_strategy_class(self.solver_name_for(layer)).needs_eigen
+            ],
             factor_update_freq=self.factor_update_freq,
             inv_update_freq=self.inv_update_freq,
             bucket_cap_mb=bucket_cap_mb,

@@ -302,9 +302,10 @@ def eigenvalue_outer_product(
     """Precompute ``1 / (v_G v_Aᵀ + γ)`` (paper section 4.4).
 
     The result has shape ``(dim_G, dim_A)`` and only changes when the eigen
-    decompositions are updated, so computing it once per K-FAC update (and
-    broadcasting it instead of the raw eigenvalues) removes redundant work
-    from every per-iteration preconditioning call.
+    decompositions are updated, so computing it once per K-FAC update removes
+    redundant work from every per-iteration preconditioning call.  It is a
+    function of the eigenvalues alone, so each rank that holds the
+    decompositions forms its own and it never travels.
 
     ``pi`` enables the factor-trace π correction (see :func:`tikhonov_pi`):
     the damping splits per factor as ``γ_a = π√γ``, ``γ_g = √γ/π`` and the

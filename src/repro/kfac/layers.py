@@ -339,12 +339,6 @@ class KFACLayer:
             setattr(self, attr, self.kernels.fused_decay_update(running, window, float(factor_decay), dtype))
 
     # ---------------------------------------------------------------- eigen
-    def clear_eigen(self) -> None:
-        """Drop locally cached eigen decompositions (gradient receivers in MEM/HYBRID-OPT)."""
-        self.eigen_a = None
-        self.eigen_g = None
-        self.inverse_outer = None
-
     @property
     def has_eigen(self) -> bool:
         return self.eigen_a is not None and self.eigen_g is not None

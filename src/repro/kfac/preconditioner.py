@@ -24,7 +24,8 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    window into the running-average Kronecker factors on the ranks that hold
    them (every ``factor_update_freq`` iterations),
 2. compute the eigen decompositions on their assigned workers and broadcast
-   them to the layer's gradient workers (every ``inv_update_freq``
+   them to the layer's gradient workers, each of which then caches the
+   eigenvalue outer product it forms itself (every ``inv_update_freq``
    iterations).  Taking the step's actions submits the factors as the step
    began to the rank's :class:`~repro.kfac.refresh.RefreshQueue`; stage 2
    takes and installs the results,
@@ -318,13 +319,12 @@ class KFAC:
                 factor_layers=len(actions.fold), second_order_layers=len(actions.refresh),
             )  # fmt: skip
             if actions.refresh:
-                eigen = [name for name in actions.refresh if self.solvers[name].needs_eigen]
                 with self._stage("eigen_decomposition"):
-                    self._install_decompositions(eigen)
+                    self._install_decompositions(actions.refresh)
                     self._prepare_solvers(unfolded)
                 with self._stage("eigen_broadcast"):
                     self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
-                    self._keep_eigen(eigen)
+                    self._cache_eigen_outer(actions.refresh)
                 if self.drift is not None:
                     for name in actions.refresh:
                         self.drift.mark_second_order(name, step, self.layers[name].factor_a, self.layers[name].factor_g)
@@ -518,9 +518,9 @@ class KFAC:
                         layer.fold_factor(held, received[held], self._config.factor_decay)
 
     # -------------------------------------------------------- stage 2: eigen decomp
-    # Which rank decomposes which factor, which ranks keep the results, who
-    # forms the cached outer product and every message are read off the plan
-    # (section 3.1); ``_bind`` is the one place arrays meet its specs.
+    # Which rank decomposes which factor, which ranks keep the results and
+    # every message are read off the plan (section 3.1); ``_bind`` is the one
+    # place arrays meet its specs.
     def _bind(self, spec: BroadcastSpec) -> BroadcastSpec:
         """``spec`` of the plan's eigen or gradient round with this rank's side attached, by key.
 
@@ -543,17 +543,6 @@ class KFAC:
             def install(flat: np.ndarray) -> None:
                 setattr(layer, what, unpack_eigen_repr(flat, repr_, spec.dtype))
 
-        elif what == "inverse_outer":
-
-            def payload() -> np.ndarray:
-                return layer.inverse_outer
-
-            def install(outer: np.ndarray) -> None:
-                # Copy out of the fused bucket: this array outlives the
-                # broadcast (kept until the next inverse update), and a
-                # view would pin the whole bucket buffer in memory.
-                layer.inverse_outer = outer.copy()
-
         else:  # "precond_grad"
 
             def payload() -> np.ndarray:
@@ -563,14 +552,6 @@ class KFAC:
                 self._preconditioned[name] = array
 
         return dataclasses.replace(spec, payload=payload if spec.src == self.rank else None, on_complete=install)
-
-    def _eigen_outer(self, layer: KFACLayer) -> Optional[np.ndarray]:
-        """The cached ``1 / (v_G v_Aᵀ + γ)`` for ``layer``'s current decompositions, if configured."""
-        if not self._config.compute_eigen_outer:
-            return None
-        return eigenvalue_outer_product(
-            layer.eigen_a, layer.eigen_g, self.damping, dtype=self.precision.inverse_dtype, pi=self.damping_pi(layer)
-        )
 
     def _submit(self, names: Sequence[str]) -> None:
         """Submit the factors this rank decomposes among the layers ``names`` to its :attr:`refresh` queue.
@@ -587,21 +568,15 @@ class KFAC:
         )
 
     def _decomposed(self, names: Sequence[str]) -> List[tuple]:
-        """``(layer, "a" | "g")`` of every factor this rank decomposes among the eigen-path layers ``names``."""
+        """``(layer, "a" | "g")`` of every factor this rank decomposes (``plan.decomposers``) among the layers ``names``."""
         return [
-            (name, which)
-            for name in names
-            if self.solvers[name].needs_eigen
-            for which in ("a", "g")
-            if self.rank in self.plan.decomposers[name, which]
+            (name, which) for name in names for which in ("a", "g") if self.rank in self.plan.decomposers[name, which]
         ]
 
     def _install_decompositions(self, names: Sequence[str]) -> None:
-        """Install the decompositions of the factors this rank owns among the refreshed eigen-path layers ``names``.
+        """Install the decompositions of the factors this rank decomposes among the refreshed layers ``names``.
 
-        A failed solve is raised before any decomposition is replaced; a
-        layer's ``outer_worker`` then caches the eigenvalue outer product with
-        the current damping, to broadcast it to its group.
+        A failed solve is raised before any decomposition is replaced.
         """
         self._submit(names)
         decompositions = self.refresh.take(step=self._steps, backend=self.kernels.name)
@@ -611,22 +586,20 @@ class KFAC:
                 raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
         for name, which in keys:
             setattr(self.layers[name], f"eigen_{which}", decompositions[name, which].astype(self.precision.inverse_dtype))
-        for name in names:
-            if self.groups[name].outer_worker == self.rank:
-                self.layers[name].inverse_outer = self._eigen_outer(self.layers[name])
 
     def _prepare_solvers(self, names: Sequence[str]) -> List[str]:
         """Refresh the factor-reading solvers of the refreshed layers ``names`` on their gradient workers.
 
-        Called at the top of :meth:`step`, so a solver reads the factors as
-        the step found them, like the decompositions on the eigen worker.
-        Returns the layers that have no factors yet (step 0), for a second
-        call after the fold.
+        A layer with eigen holders is solved from its eigenbasis and has no
+        such solver.  Called at the top of :meth:`step`, so a solver reads the
+        factors as the step found them, like the decompositions on the eigen
+        worker.  Returns the layers that have no factors yet (step 0), for a
+        second call after the fold.
         """
         unfolded = []
         for name in names:
             layer = self.layers[name]
-            if self.solvers[name].needs_eigen or not self.groups[name].is_grad_worker(self.rank):
+            if self.plan.eigen_holders[name] or not self.groups[name].is_grad_worker(self.rank):
                 continue
             if layer.factor_a is None:
                 unfolded.append(name)
@@ -634,18 +607,22 @@ class KFAC:
                 self.solvers[name].prepare(layer, self.damping, pi=self.damping_pi(layer))
         return unfolded
 
-    def _keep_eigen(self, names: Sequence[str]) -> None:
-        """After the eigen round of the layers ``names``: their eigen state stays on its holders only."""
+    def _cache_eigen_outer(self, names: Sequence[str]) -> None:
+        """After the eigen round of the refreshed layers ``names``: each eigen holder caches ``1 / (v_G v_Aᵀ + γ)``.
+
+        Formed from the eigenvalues the holder now has and the current
+        damping, so no rank ships it; ``None`` when ``compute_eigen_outer`` is
+        off.
+        """
         for name in names:
-            layer = self.layers[name]
             if self.rank not in self.plan.eigen_holders[name]:
-                # Only the holders keep eigen state -- this is exactly the
-                # tunable memory footprint of section 3.1.
-                layer.clear_eigen()
-            elif self.groups[name].outer_worker is None or not self._config.compute_eigen_outer:
-                # No rank shipped the outer product: each holder forms it
-                # from the decompositions it now has (or drops a stale one).
-                layer.inverse_outer = self._eigen_outer(layer)
+                continue
+            layer, outer = self.layers[name], None
+            if self._config.compute_eigen_outer:
+                outer = eigenvalue_outer_product(
+                    layer.eigen_a, layer.eigen_g, self.damping, self.precision.inverse_dtype, pi=self.damping_pi(layer)
+                )
+            layer.inverse_outer = outer
 
     # ------------------------------------------------------ stage 3: precondition
     def _precondition_gradients(self) -> Dict[str, np.ndarray]:
@@ -773,7 +750,8 @@ class KFAC:
         the same :class:`KFACConfig` to resume the identical schedule.  A
         factor this rank does not hold (:meth:`holds_factor`) in the
         checkpoint raises, and so does a held factor it lacks once a factor
-        update has run: either was written under another config.
+        update has run, and eigen state of a layer whose ``plan.eigen_holders``
+        exclude this rank: each was written under another config.
         """
         check_checkpoint_format(state, "KFAC")
         layer_states = state["layers"]
@@ -795,6 +773,13 @@ class KFAC:
                         f"which rank {self.rank} {'does not hold' if stored else 'holds'} under this configuration; "
                         "restore each rank from its own state_dict(), written under the same config"
                     )
+            stored = [key for key in ("eigen_a", "eigen_g", "inverse_outer") if layer_states[name][key] is not None]
+            if stored and self.rank not in self.plan.eigen_holders[name]:
+                raise ValueError(
+                    f"checkpoint has eigen state ({', '.join(stored)}) for layer {name!r}, whose eigen state rank "
+                    f"{self.rank} does not hold under this configuration; restore each rank from its own "
+                    "state_dict(), written under the same config"
+                )
         self._steps = steps
         for name, layer in self.layers.items():
             layer.load_state_dict(layer_states[name])

@@ -38,6 +38,7 @@ __all__ = [
     "InverseSolveStrategy",
     "CGSolveStrategy",
     "make_solve_strategy",
+    "solve_strategy_class",
     "available_solve_strategies",
     "kronecker_cg",
 ]
@@ -48,15 +49,19 @@ def available_solve_strategies() -> List[str]:
     return sorted(_SOLVERS)
 
 
-def make_solve_strategy(name: str, **kwargs: Any) -> "SolveStrategy":
-    """Instantiate the strategy ``name`` with ``kwargs``."""
+def solve_strategy_class(name: str) -> type:
+    """The :class:`SolveStrategy` subclass named ``name``."""
     try:
-        cls = _SOLVERS[name]
+        return _SOLVERS[name]
     except KeyError:
         raise ValueError(
             f"unknown solve strategy {name!r}; available: {available_solve_strategies()}"
         ) from None
-    return cls(**kwargs)
+
+
+def make_solve_strategy(name: str, **kwargs: Any) -> "SolveStrategy":
+    """Instantiate the strategy ``name`` with ``kwargs``."""
+    return solve_strategy_class(name)(**kwargs)
 
 
 def split_damping(damping: float, pi: Optional[float]) -> Tuple[float, float]:
@@ -137,10 +142,10 @@ class SolveStrategy:
     """
 
     name: str = "?"
-    #: Whether the strategy consumes eigen decompositions — if True the
-    #: preconditioner runs the strategy-object eigen compute/broadcast
-    #: stages for the layer; if False those stages (and their comm) are
-    #: skipped entirely.
+    #: Whether the strategy consumes eigen decompositions.  Read off the class
+    #: by :meth:`~repro.kfac.KFACConfig.distribution_plan` alone: a layer
+    #: whose strategy needs none has no decomposers and no eigen holders in
+    #: the plan, so nothing is decomposed or broadcast for it.
     needs_eigen: bool = False
 
     def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:

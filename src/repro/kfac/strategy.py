@@ -151,11 +151,6 @@ class LayerWorkGroups:
     eigen_worker_g: int
     grad_workers: Tuple[int, ...]
     receiver_map: Dict[int, Tuple[int, ...]]  # grad worker -> receivers it broadcasts to
-    #: Rank that forms the cached eigenvalue outer product ``1 / (v_G v_Aᵀ + γ)``
-    #: and ships it with the eigen round; ``None`` = every gradient worker forms
-    #: its own from the decompositions it receives (g·a flops instead of g·a
-    #: elements on the wire).
-    outer_worker: Optional[int] = None
 
     def is_grad_worker(self, rank: int) -> bool:
         return rank in self.grad_workers
@@ -169,7 +164,7 @@ class WirePolicy:
     """How K-FAC state is stored and travels: the knobs that size a tensor without moving it."""
 
     precision: PrecisionPolicy = PrecisionPolicy.fp32()
-    compute_eigen_outer: bool = True  # cache (and, where one rank forms it, ship) the eigenvalue outer product
+    compute_eigen_outer: bool = True  # every eigen holder caches the eigenvalue outer product it forms itself
 
     def factor_bytes(self, layer: LayerShapeInfo, which: str = "ag") -> int:
         """Bytes of ``layer``'s stored running ``"a"`` / ``"g"`` factor, or both (packed: one triangle of a dense one, O(F) for a diagonal one)."""
@@ -356,14 +351,12 @@ def assign_workers(
 
     * Every rank a gradient worker (COMM-OPT, section 2.2.2): the A and G
       factors are placed separately by LPT, doubling worker utilisation; the
-      decompositions go world-wide, so every rank forms the eigenvalue outer
-      product itself and no gradient is broadcast.
+      decompositions go world-wide and no gradient is broadcast.
     * Otherwise (HYBRID-OPT, Figure 4; MEM-OPT is its blocks of one): whole
       layers are placed by LPT and the ranks are partitioned into fixed
       blocks of :func:`num_grad_workers`.  A layer's gradient workers are the
       block containing its eigen worker -- only they receive and keep its
-      eigen state, the tunable memory footprint of section 3.1 -- and the
-      eigen worker forms the outer product and ships it to them.  Each
+      eigen state, the tunable memory footprint of section 3.1.  Each
       gradient worker broadcasts the preconditioned gradient to its share of
       the remaining ranks, so those broadcasts are small and concurrent.
     """
@@ -396,9 +389,7 @@ def assign_workers(
         receiver_map = {
             worker: tuple(receivers[index :: len(grad_workers)]) for index, worker in enumerate(grad_workers)
         }
-        groups[layer.name] = LayerWorkGroups(
-            layer, eigen_worker, eigen_worker, grad_workers, receiver_map, outer_worker=eigen_worker
-        )
+        groups[layer.name] = LayerWorkGroups(layer, eigen_worker, eigen_worker, grad_workers, receiver_map)
     return groups
 
 
@@ -408,10 +399,10 @@ def _eigen_round(group: LayerWorkGroups, policy: WirePolicy) -> Tuple[BroadcastS
     """Messages that take one layer's fresh eigen state from its eigen workers to its gradient workers.
 
     Each decomposition travels packed (eigenvalues then stored eigenvectors,
-    in the inverse dtype so fp64 / fp16 are not truncated on the wire),
-    followed by the cached outer product when one rank forms it for the
-    group.  A group of one moves nothing: its only member computed the
-    decompositions and keeps them exactly as they are.  (Packing and
+    in the inverse dtype so fp64 / fp16 are not truncated on the wire), and
+    nothing else: the cached outer product is a function of the eigenvalues,
+    so every holder forms its own.  A group of one moves nothing: its only
+    member computed the decompositions and keeps them exactly as they are.  (Packing and
     unpacking them anyway would copy all eigen state twice and re-lay the
     eigenvectors out row-major, which shifts BLAS rounding in every later
     precondition.)
@@ -421,15 +412,10 @@ def _eigen_round(group: LayerWorkGroups, policy: WirePolicy) -> Tuple[BroadcastS
         return ()
     layer = group.layer
     dtype = np.dtype(policy.precision.inverse_dtype)
-    specs = []
-    for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
-        # Packed payload: n + n*n for dense, just n for diagonal factors.
-        shape = (layer.factor_repr(which).packed_eigen_numel,)
-        specs.append(BroadcastSpec(f"{layer.name}/eigen_{which}", src, members, shape, dtype))
-    if policy.compute_eigen_outer and group.outer_worker is not None:
-        shape = (layer.g_dim, layer.a_dim)
-        specs.append(BroadcastSpec(f"{layer.name}/inverse_outer", group.outer_worker, members, shape, dtype))
-    return tuple(specs)
+    return tuple(  # packed payload: n + n*n for dense, just n for diagonal factors
+        BroadcastSpec(f"{layer.name}/eigen_{which}", src, members, (layer.factor_repr(which).packed_eigen_numel,), dtype)
+        for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
+    )
 
 
 def _gradient_round(group: LayerWorkGroups) -> Tuple[BroadcastSpec, ...]:
@@ -496,17 +482,17 @@ def build_plan(
     )  # fmt: skip
     for layer in layers:
         name, group = layer.name, groups[layer.name]
-        needs_eigen = name not in eigen_free
+        decomposed = name not in eigen_free
         for which, eigen_worker in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
-            plan.decomposers[name, which] = (eigen_worker,) if needs_eigen else ()
+            plan.decomposers[name, which] = (eigen_worker,) if decomposed else ()
             if factors_read_everywhere:
                 plan.factor_holders[name, which] = everyone
             else:
-                plan.factor_holders[name, which] = plan.decomposers[name, which] if needs_eigen else group.grad_workers
-        plan.eigen_holders[name] = group.grad_workers if needs_eigen else ()
+                plan.factor_holders[name, which] = plan.decomposers[name, which] if decomposed else group.grad_workers
+        plan.eigen_holders[name] = group.grad_workers if decomposed else ()
         plan.factor_round[name] = tuple(
             (f"{name}/factor_{which}", layer.factor_repr(which).packed_shape, factor_dtype) for which in ("a", "g")
         )
-        plan.eigen_round[name] = _eigen_round(group, policy) if needs_eigen else ()
+        plan.eigen_round[name] = _eigen_round(group, policy) if decomposed else ()
         plan.gradient_round[name] = _gradient_round(group)
     return plan

@@ -57,18 +57,17 @@ class Trainer:
         Optional simulated seconds per iteration (from
         :class:`repro.kfac.IterationTimeModel`), used to accumulate the
         simulated wall-clock recorded in training curves.
-    bucket_cap_mb:
-        Fused-buffer cap of the pipeline the trainer builds.  ``None``
-        (default) takes the preconditioner's ``plan.bucket_cap_mb``, else 25 MB.
     pipeline:
         ``None`` (default): the trainer builds a
         :class:`~repro.training.pipeline.GradientPipeline` over ``comm`` with
         gradient averaging subscribed and never arms it, so everything is
-        posted at ``flush()``; without a ``comm`` no gradient is averaged,
-        whatever the preconditioner communicates over.  Pass an instance to
-        overlap communication with backward: it is armed before the final
-        micro-batch and, when it has no subscribers yet, wired with gradient
-        averaging plus the preconditioner's factor subscription.
+        posted at ``flush()``, in buckets capped at the preconditioner's
+        ``plan.bucket_cap_mb`` (25 MB without one); without a ``comm`` no
+        gradient is averaged, whatever the preconditioner communicates
+        over.  Pass an instance to overlap communication with backward: it is
+        armed before the final micro-batch and, when it has no subscribers
+        yet, wired with gradient averaging plus the preconditioner's factor
+        subscription.
 
     The trainer records its step / micro-batch / forward / backward /
     optimizer spans into the rank's tracer, ``comm.tracer`` (with no ``comm``,
@@ -88,7 +87,6 @@ class Trainer:
         grad_scaler: Optional[GradScaler] = None,
         comm: Optional[Communicator] = None,
         iteration_time: Optional[float] = None,
-        bucket_cap_mb: Optional[float] = None,
         pipeline: Optional[GradientPipeline] = None,
     ) -> None:
         if preconditioner is not None and not isinstance(preconditioner, KFAC):
@@ -106,11 +104,10 @@ class Trainer:
         # pipeline is ever armed.
         self._overlap = pipeline is not None
         if pipeline is None:
-            if bucket_cap_mb is None:
-                # The plan's cap (including the cost-model-sized
-                # bucket_cap_mb="auto"), so gradient and factor traffic share
-                # one fusion granularity.
-                bucket_cap_mb = 25.0 if preconditioner is None else preconditioner.plan.bucket_cap_mb
+            # The plan's cap (including the cost-model-sized
+            # bucket_cap_mb="auto"), so gradient and factor traffic share one
+            # fusion granularity.
+            bucket_cap_mb = 25.0 if preconditioner is None else preconditioner.plan.bucket_cap_mb
             # Without a comm nothing is averaged; a single-rank preconditioner's
             # communicator averages nothing either and keeps the rank at one tracer.
             single = rank_comm if rank_comm is not None and rank_comm.world_size == 1 else None
@@ -148,6 +145,8 @@ class Trainer:
         # A plain batch is passed as-is; gradient accumulation passes an explicit
         # *list* of micro-batches (tuples/dicts are single batches).
         micro_batches: Sequence = batches if isinstance(batches, list) else [batches]
+        if not micro_batches:
+            raise ValueError("train_step got an empty list of micro-batches; pass at least one batch")
         self.model.train()
         self.optimizer.zero_grad()
         total_loss = 0.0
@@ -228,10 +227,11 @@ class Trainer:
         """Restore state produced by :meth:`state_dict`.
 
         The format number and the presence of every component are checked
-        before anything is loaded, so a refused restore leaves the trainer as
-        it was.  A component configured on this trainer but absent from the
-        checkpoint (or vice versa) raises: resuming would silently keep stale
-        state.
+        before anything is loaded.  A component configured on this trainer but
+        absent from the checkpoint (or vice versa) raises: resuming would
+        silently keep stale state.  A component that refuses its own state
+        once loading began rolls every component back to the state it had, so
+        a refused restore leaves the trainer as it was.
         """
         check_checkpoint_format(state, "Trainer")
         components = {
@@ -247,6 +247,14 @@ class Trainer:
                     f"trainer has a {key} but the checkpoint contains no {key} state; "
                     "resuming would silently keep stale state"
                 )
+        previous = self.state_dict()
+        try:
+            self._load(state, components)
+        except Exception:
+            self._load(previous, components)
+            raise
+
+    def _load(self, state: dict, components: dict) -> None:
         self.model.load_state_dict(state["model"])
         self.optimizer.load_state_dict(state["optimizer"])
         for key, component in components.items():

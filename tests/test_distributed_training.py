@@ -12,7 +12,7 @@ import pytest
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
-from repro.kfac import KFAC
+from repro.kfac import KFAC, eigenvalue_outer_product
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import GradientPipeline, Trainer
@@ -73,7 +73,7 @@ class TestDataParallelBaseline:
     def test_replicas_stay_identical_without_kfac(self):
         results = final_params(4, use_kfac=False)
         for result in results[1:]:
-            np.testing.assert_allclose(results[0], result, atol=1e-6)
+            np.testing.assert_array_equal(results[0], result)
 
     def test_gradient_allreduce_matches_large_batch(self):
         """Averaging gradients over ranks equals computing the gradient of the full batch."""
@@ -99,12 +99,17 @@ class TestDataParallelBaseline:
 class TestDistributedKFAC:
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_replicas_identical_for_every_strategy(self, grad_worker_frac):
+        """The replicas of one scheme are bitwise identical."""
         results = final_params(4, grad_worker_frac=grad_worker_frac)
         for result in results[1:]:
-            np.testing.assert_allclose(results[0], result, atol=1e-5)
+            np.testing.assert_array_equal(results[0], result)
 
     def test_all_strategies_produce_same_trajectory(self):
-        """MEM-OPT, HYBRID-OPT and COMM-OPT are the same algorithm (section 3.1)."""
+        """MEM-OPT, HYBRID-OPT and COMM-OPT are the same algorithm (section 3.1).
+
+        Up to rounding: a group of one keeps the eigenbasis as ``syevd`` returns
+        it, a broadcast re-lays it out row-major, and BLAS rounds by layout.
+        """
         mem_opt = final_params(4, grad_worker_frac=0.25)[0]
         hybrid = final_params(4, grad_worker_frac=0.5)[0]
         comm_opt = final_params(4, grad_worker_frac=1.0)[0]
@@ -187,6 +192,60 @@ class TestDistributedKFAC:
         # Every rank receives more broadcast bytes under MEM-OPT.
         for mem_opt, comm_opt in zip(run_world(0.25), run_world(1.0)):
             assert mem_opt > comm_opt
+
+
+class TestOneEigenStagePath:
+    """Every eigen holder forms the cached outer product from its own eigenvalues; nothing ships it."""
+
+    @pytest.mark.parametrize(
+        "frac, knobs",
+        [(0.25, {}), (0.5, {}), (1.0, {}), (0.5, {"damping_pi_correction": True, "adaptive_damping": True}),
+         (0.5, {"precision": "fp16"}), (0.5, {"compute_eigen_outer": False})],
+        ids=["mem", "hybrid", "comm", "hybrid-pi-adaptive", "hybrid-fp16", "hybrid-no-outer"],
+    )  # fmt: skip
+    def test_each_holder_forms_the_outer_product_and_the_eigen_round_carries_decompositions_only(self, frac, knobs):
+        def program(comm):
+            model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
+            pre = KFAC(
+                model, lr=0.05, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm, **knobs
+            )
+            loss_fn = nn.CrossEntropyLoss()
+            trainer = Trainer(
+                model, optim.SGD(model.parameters(), lr=0.05, momentum=0.9),
+                lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]), preconditioner=pre, comm=comm,
+            )  # fmt: skip
+            batch_rng, held = np.random.default_rng(99), 0
+            for step in range(6):
+                local = batch_rng.integers(0, len(X_GLOBAL), 32)[comm.rank :: comm.world_size]
+                trainer.train_step((X_GLOBAL[local], Y_GLOBAL[local]))
+                refreshed = pre.plan.actions(step).refresh
+                for name in refreshed:
+                    layer = pre.layers[name]
+                    if comm.rank not in pre.plan.eigen_holders[name]:
+                        assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == (None, None, None)
+                        continue
+                    held += 1
+                    if not pre.config.compute_eigen_outer:
+                        assert layer.inverse_outer is None
+                        continue
+                    own = eigenvalue_outer_product(
+                        layer.eigen_a, layer.eigen_g, pre.damping, pre.precision.inverse_dtype, pi=pre.damping_pi(layer)
+                    )
+                    np.testing.assert_array_equal(layer.inverse_outer, own, err_msg=f"{name} at step {step}")
+                # The step's eigen round is the packed decompositions of the refreshed layers whose group has
+                # more than one member, and nothing else.
+                packed = sum(
+                    (group.layer.a_repr.packed_eigen_numel + group.layer.g_repr.packed_eigen_numel)
+                    * np.dtype(pre.precision.inverse_dtype).itemsize
+                    for name, group in pre.groups.items()
+                    if name in refreshed and len(group.grad_workers) > 1
+                )
+                assert sum(nbytes for _, nbytes in pre.plan.messages(step=step)["eigen"]) == packed
+            keys = [spec.key.rpartition("/")[2] for specs in pre.plan.eigen_round.values() for spec in specs]
+            assert set(keys) <= {"eigen_a", "eigen_g"}
+            return held
+
+        assert sum(run_spmd(4, program)) > 0  # under MEM-OPT one of the four ranks holds none of the three layers
 
 
 def layout_program(steps=3, armed=False, **kfac_kwargs):

@@ -266,8 +266,8 @@ class TestDistributionStrategy:
         groups = assign_workers(LAYERS, 8, 1 / 8)
         for group in groups.values():
             assert len(group.grad_workers) == 1
-            assert group.eigen_worker_a == group.eigen_worker_g == group.outer_worker
-            assert group.outer_worker in group.grad_workers
+            assert group.eigen_worker_a == group.eigen_worker_g
+            assert group.grad_workers == (group.eigen_worker_a,)
             receivers = group.receivers_of(group.grad_workers[0])
             assert len(receivers) == 7
 

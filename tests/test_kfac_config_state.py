@@ -72,6 +72,17 @@ class TestKFACConfig:
         with pytest.raises(ValueError):
             KFACConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field", ["lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol"]
+    )
+    def test_a_non_finite_float_is_refused_naming_the_field(self, field, value):
+        """NaN fails no ``<=`` check (``drift_tol=nan`` would silently turn drift off): code and dicts alike refuse it."""
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            KFACConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{field: value}))
+
     def test_dict_round_trip(self):
         config = KFACConfig(lr=0.05, damping=0.01, factor_update_freq=2, inv_update_freq=6, precision="fp16")
         data = config.to_dict()
@@ -633,6 +644,41 @@ class TestStateDictResume:
             assert all(np.array_equal(a, b) for a, b in zip(params, after_params))
             assert after_optimizer_state == optimizer_state
 
+    def test_a_component_refusing_its_state_rolls_the_whole_trainer_back(self):
+        """The preconditioner refuses after the model and optimizer already loaded: they are restored too."""
+        x, y = make_problem(9)
+        loss_fn = nn.CrossEntropyLoss()
+
+        def build(seed):
+            model = MLP(6, [12], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+            opt = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
+            return Trainer(model, opt, lambda m, b: loss_fn(m(Tensor(b[0])), b[1]), preconditioner=pre)
+
+        def as_it_stands(trainer):
+            params = [p.data.copy() for p in trainer.model.parameters()]
+            return params, pickle.dumps(trainer.optimizer.state_dict()), pickle.dumps(trainer.preconditioner.state_dict())
+
+        source, target = build(0), build(1)
+        source.train_step((x[:32], y[:32]))
+        target.train_step((x[32:64], y[32:64]))
+        state = source.state_dict()
+        state["preconditioner"]["layers"]["layers.0"]["factor_a"] = None  # a held factor, absent after step 0
+        before = as_it_stands(target)
+        with pytest.raises(ValueError, match=r"no A factor for layer 'layers.0'"):
+            target.load_state_dict(state)
+        after = as_it_stands(target)
+        assert all(np.array_equal(a, b) for a, b in zip(before[0], after[0]))
+        assert after[1:] == before[1:]
+        assert target.iterations == 1
+        # The rolled-back trainer trains on as it would have.
+        twin = build(1)
+        twin.train_step((x[32:64], y[32:64]))
+        for trainer in (target, twin):
+            trainer.train_step((x[64:96], y[64:96]))
+        for a, b in zip(target.model.parameters(), twin.model.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_trainer_rejects_duck_typed_preconditioner(self):
         model = MLP(6, [12], 3, rng=np.random.default_rng(0))
 
@@ -710,6 +756,38 @@ class TestOneCheckpointFormat:
         refused, restored = run_spmd(2, restore)
         assert restored is None
         assert f"has {which.upper()} factor for layer {name!r}, which rank 0 does not hold" in refused
+
+    @pytest.mark.parametrize("key", ["eigen_a", "eigen_g", "inverse_outer"])
+    def test_eigen_state_the_plan_does_not_place_on_the_rank_raises(self, key):
+        """MEM-OPT at world 2 keeps each layer's eigen state on one rank; a checkpoint giving rank 0 the eigen
+        state (or cached outer product) of a layer rank 1 holds is refused, naming the layer and the rank."""
+        x, y = make_problem(12)
+        config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=1)
+
+        def build(comm):
+            return KFAC.from_config(MLP(6, [16], 3, rng=np.random.default_rng(1)), config, comm=comm)
+
+        def train(comm):
+            pre = build(comm)
+            local = np.arange(32)[comm.rank :: 2]
+            nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
+            pre.step()
+            return pre.state_dict(), pre.plan.eigen_holders
+
+        (states, holders), (other, _) = run_spmd(2, train)
+        name = next(name for name, ranks in holders.items() if ranks == (1,))
+        assert states["layers"][name][key] is None
+        states["layers"][name][key] = other["layers"][name][key]
+
+        def restore(comm):
+            try:
+                build(comm).load_state_dict(states if comm.rank == 0 else other)
+            except ValueError as error:
+                return str(error)
+
+        refused, restored = run_spmd(2, restore)
+        assert restored is None
+        assert f"has eigen state ({key}) for layer {name!r}, whose eigen state rank 0 does not hold" in refused
 
     @pytest.mark.parametrize("world", [1, 2])
     def test_a_restore_never_changes_the_plan(self, world):

@@ -264,16 +264,6 @@ class TestGradientRoundTrip:
         assert preconditioned.shape == (3, 5)
         assert np.all(np.isfinite(preconditioned))
 
-    def test_clear_eigen_releases_state(self):
-        layer, handler = make_linear_handler()
-        run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
-        fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        decompose_standalone(handler, damping=0.01)
-        assert handler.has_eigen
-        handler.clear_eigen()
-        assert not handler.has_eigen
-        assert handler.eigen_bytes() == 0
-
     def test_remove_detaches_hook(self):
         layer, handler = make_linear_handler()
         handler.remove()

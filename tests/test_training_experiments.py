@@ -163,6 +163,16 @@ class TestTrainer:
         with pytest.raises(TypeError, match="grad_accumulation_steps"):
             Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss, grad_accumulation_steps=2)
 
+    def test_an_empty_micro_batch_list_is_refused_before_anything_is_touched(self):
+        model, forward_loss, batches, _, _ = self._components(6)
+        trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.1), forward_loss)
+        forward_loss(model, batches[0]).backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="empty list of micro-batches"):
+            trainer.train_step([])
+        assert trainer.iterations == 0
+        assert all(np.array_equal(p.grad, g) for p, g in zip(model.parameters(), grads))
+
     def test_trainer_with_kfac_and_scheduler(self):
         model, forward_loss, batches, x, y = self._components(5)
         opt = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
