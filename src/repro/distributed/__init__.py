@@ -11,7 +11,6 @@ from .collectives import (
     BroadcastSpec,
     BucketEntry,
     BucketManager,
-    GradientBucketSpec,
     OverlapScheduler,
     TensorBucket,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "BucketManager",
     "BroadcastSpec",
     "AllreduceSpec",
-    "GradientBucketSpec",
     "OverlapScheduler",
     "ThreadedWorld",
     "ThreadedCommunicator",

@@ -33,13 +33,17 @@ costs without changing a result bit:
     and the communicator is never called, so a world-size-1 run (or a
     sub-group of one) costs no message and no copy.
 
-The K-FAC preconditioner executes every factor allreduce, eigen broadcast and
-preconditioned-gradient broadcast through this engine (``bucket_cap_mb`` tunes
-the fusion granularity; a cap smaller than any tensor sends each tensor
-alone), and data-parallel gradient averaging
-(:class:`repro.distributed.ddp.GradientAveragingSubscriber`) posts its buckets
-through the same engine.  Element values never depend on the cap, so every
-cap produces the same training trajectory bit for bit.
+Both spec types carry ``shape`` / ``dtype`` and a callable ``payload``
+evaluated when its bucket is packed, so a schedule is bucketed before any
+payload exists.  The K-FAC preconditioner executes every factor allreduce,
+eigen broadcast and preconditioned-gradient broadcast through this engine
+(``bucket_cap_mb`` tunes the fusion granularity; a cap smaller than any
+tensor sends each tensor alone), and data-parallel gradient averaging
+(:class:`repro.distributed.ddp.GradientAveragingSubscriber`) posts its specs
+through the same engine, from ``DistributedDataParallel.sync_gradients`` or
+a :class:`~repro.training.pipeline.GradientPipeline` alike.  Element values
+never depend on the cap, so every cap produces the same training trajectory
+bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ __all__ = [
     "BucketManager",
     "BroadcastSpec",
     "AllreduceSpec",
-    "GradientBucketSpec",
     "broadcast_messages",
     "OverlapScheduler",
 ]
@@ -199,35 +202,30 @@ class BroadcastSpec:
 
 @dataclass
 class AllreduceSpec:
-    """One logical tensor to allreduce-average within ``group``."""
+    """One logical tensor to allreduce-average within ``group``.
 
-    key: str
-    payload: np.ndarray
-    group: Optional[Tuple[int, ...]] = None  # None = the whole world
-    on_complete: Optional[Callable[[np.ndarray], None]] = None
-    #: Multiplied into the payload where it sits in its fused buffer, once per
-    #: bucket (specs are fused with specs of the same scale only).
-    scale: float = 1.0
+    Shaped like :class:`BroadcastSpec`: ``shape`` / ``dtype`` describe the
+    payload for bucket planning (every rank must post identical specs in
+    identical order), and ``payload`` is a callable evaluated when the
+    spec's bucket is packed.  ``on_complete`` receives the averaged array.
 
-
-@dataclass
-class GradientBucketSpec:
-    """One deferred allreduce-average a gradient-pipeline subscriber registers.
-
-    Unlike :class:`AllreduceSpec`, the payload is a *callable* evaluated when
-    the spec's bucket is posted (mid-backward, once every gating event has
-    fired), and readiness is event-driven: the spec becomes ready when the
-    gradients of all ``params`` have been finalized by the autograd tape
-    (grad-ready hooks) and the full backward hooks of all ``modules`` have
-    fired.  ``shape``/``dtype`` describe the payload for deterministic bucket
-    planning — every rank must register identical specs in identical order.
+    The remaining fields gate a spec a gradient-pipeline subscriber publishes
+    (:class:`~repro.training.pipeline.GradientPipeline`); the scheduler
+    ignores them.  The spec becomes ready once the gradients of all
+    ``params`` have been finalized by the autograd tape (grad-ready hooks)
+    and the full backward hooks of all ``modules`` have fired.
     """
 
     key: str
     shape: Tuple[int, ...]
     dtype: np.dtype
     payload: Callable[[], np.ndarray]
-    on_complete: Callable[[np.ndarray], None]
+    on_complete: Optional[Callable[[np.ndarray], None]] = None
+    group: Optional[Tuple[int, ...]] = None  # None = the whole world
+    #: Multiplied into the payload where it sits in its fused buffer, once per
+    #: bucket (specs are fused with specs of the same scale only): the
+    #: micro-batch ``1/n`` of gradient accumulation.
+    scale: float = 1.0
     params: Tuple = ()  # Parameters whose grad-ready events gate this spec
     modules: Tuple = ()  # Modules whose full-backward events gate this spec
     #: Consulted at flush() for specs whose gates never fired during the
@@ -236,13 +234,6 @@ class GradientBucketSpec:
     #: None or False the spec is dropped.  Must be a deterministic function
     #: of training state (identical on every rank).
     flush_ready: Optional[Callable[[], bool]] = None
-    #: What the payload is multiplied by on its way into the fused buffer
-    #: (the micro-batch ``1/n`` of gradient accumulation): see :class:`AllreduceSpec`.
-    scale: float = 1.0
-
-    def to_allreduce(self) -> AllreduceSpec:
-        """Evaluate the payload: the spec as the scheduler posts it."""
-        return AllreduceSpec(key=self.key, payload=self.payload(), on_complete=self.on_complete, scale=self.scale)
 
 
 def group_members(group: Optional[Tuple[int, ...]], world_size: int) -> Tuple[int, ...]:
@@ -400,12 +391,10 @@ class OverlapScheduler:
                 )
             if len(members) == 1:
                 # The average over a group of one is the (scaled) payload itself: see post_broadcasts.
-                self._in_flight.append([(s, s.payload if scale == 1.0 else s.payload * scale) for s in channel_specs])
+                self._in_flight.append([(s, s.payload() if scale == 1.0 else s.payload() * scale) for s in channel_specs])
                 continue
-            for bucket in self.buckets.build(
-                [(s.key, s.payload.shape, s.payload.dtype) for s in channel_specs]
-            ):
-                flat = bucket.pack(lambda key: spec_by_key[key].payload, scale)
+            for bucket in self.buckets.build([(s.key, s.shape, s.dtype) for s in channel_specs]):
+                flat = bucket.pack(lambda key: spec_by_key[key].payload(), scale)
                 self._launch("allreduce", bucket, spec_by_key, flat, members)
 
     def run_allreduces(self, specs: Sequence[AllreduceSpec]) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..nn.module import Module, Parameter
 from .backend import Communicator
-from .collectives import GradientBucketSpec, OverlapScheduler
+from .collectives import AllreduceSpec, OverlapScheduler
 
 __all__ = [
     "flatten_arrays",
@@ -66,8 +66,9 @@ def broadcast_parameters(model: Module, comm: Communicator, src: int = 0) -> Non
 class GradientAveragingSubscriber:
     """DDP gradient averaging as a gradient-pipeline subscriber.
 
-    Publishes one bucket spec per trainable parameter, in reverse parameter
-    order (the order gradients become ready during backward, exactly as
+    Publishes one :class:`~repro.distributed.collectives.AllreduceSpec` per
+    trainable parameter, in reverse parameter order (the order gradients
+    become ready during backward, exactly as
     ``torch.nn.parallel.DistributedDataParallel`` fills its buckets).  Each
     spec is gated on the parameter's grad-ready event and carries the
     micro-batch ``grad_scale``, which the engine applies once per fused bucket
@@ -84,15 +85,15 @@ class GradientAveragingSubscriber:
     def __init__(self, model: Module) -> None:
         self.model = model
 
-    def pipeline_specs(self, pipeline) -> List[GradientBucketSpec]:
+    def pipeline_specs(self, pipeline) -> List[AllreduceSpec]:
         return self.specs(pipeline.grad_scale, pipeline.comm.world_size)
 
-    def specs(self, grad_scale: float, world_size: int) -> List[GradientBucketSpec]:
+    def specs(self, grad_scale: float, world_size: int) -> List[AllreduceSpec]:
         scale = float(grad_scale)
         if world_size == 1 and scale == 1.0:
             return []
         params = [p for p in self.model.parameters() if p.requires_grad]
-        specs: List[GradientBucketSpec] = []
+        specs: List[AllreduceSpec] = []
         for index, param in list(enumerate(params))[::-1]:
             dtype = np.dtype(np.float32) if world_size > 1 else param.data.dtype
 
@@ -102,7 +103,7 @@ class GradientAveragingSubscriber:
                 param.grad = reduced.astype(dtype, copy=False).reshape(param.data.shape)
 
             specs.append(
-                GradientBucketSpec(
+                AllreduceSpec(
                     key=f"grad/{index}",
                     shape=param.data.shape,
                     dtype=dtype,
@@ -158,7 +159,7 @@ class DistributedDataParallel:
     def sync_gradients(self) -> None:
         """Allreduce-average every existing gradient across all ranks (fused per ``bucket_cap_mb``)."""
         specs = self.subscriber().specs(grad_scale=1.0, world_size=self.comm.world_size)
-        self.scheduler.run_allreduces([spec.to_allreduce() for spec in specs if spec.flush_ready()])
+        self.scheduler.run_allreduces([spec for spec in specs if spec.flush_ready()])
 
     def subscriber(self) -> GradientAveragingSubscriber:
         """Pipeline subscriber averaging this replica's gradients during backward."""

@@ -15,6 +15,7 @@ import dataclasses
 
 from ..distributed import run_spmd
 from ..kfac import KFAC, KFACConfig, IterationTimeModel, KFACWorkloadSpec
+from ..kfac.scheduling.solvers import solve_strategy_class
 from ..memory import KFACMemoryModel
 from ..training import Trainer, TrainingCurve
 from .configs import SmallWorkloadConfig
@@ -231,12 +232,11 @@ def measured_memory_report(
         predicted_factors = int(plan.factor_bytes_per_rank()[comm.rank])
         predicted_eigen = int(plan.eigen_bytes_per_rank()[comm.rank])
         # Solver-state bytes (cached inverses / CG warm starts) exist only on
-        # a layer's gradient workers and only for non-eigen solve strategies;
-        # the default eigen path predicts (and measures) zero.
+        # a layer's gradient workers, as each strategy states them from the
+        # layer's factor dimensions; the default eigen path holds none.
         predicted_solver = sum(
-            solver.solver_bytes()
-            for layer_name, solver in preconditioner.solvers.items()
-            if plan.groups[layer_name].is_grad_worker(comm.rank)
+            solve_strategy_class(kfac_config.solver_name_for(layer)).state_bytes(layer.a_dim, layer.g_dim)
+            for layer in (group.layer for group in plan.groups.values() if group.is_grad_worker(comm.rank))
         )
         predicted = {
             "factors": predicted_factors,

@@ -392,18 +392,18 @@ def model_comm_schedule(
     on the cap; only message counts (alpha terms) do.  A cap sweep prices
     ``spec.config.replace(bucket_cap_mb=...)``.
 
-    ``hooked=True`` models the backward-hook gradient pipeline: the factor
-    allreduces (bucketed in reverse layer order, the order backward produces
-    them) and the data-parallel gradient averaging are posted while backprop
-    still runs, so up to :meth:`PerformanceModel.backward_window` seconds of
-    that traffic are hidden; ``exposed_comm_time``/``hidden_comm_time`` report
-    the split and ``iteration_time`` charges only the exposed part.  Eigen and
+    ``hooked=True`` models the backward-hook gradient pipeline: the same
+    factor allreduces and the data-parallel gradient averaging are posted
+    while backprop still runs, so up to
+    :meth:`PerformanceModel.backward_window` seconds of that traffic are
+    hidden; ``exposed_comm_time``/``hidden_comm_time`` report the split and
+    ``iteration_time`` charges only the exposed part.  Eigen and
     preconditioned-gradient broadcasts stay inside ``KFAC.step()`` and remain
     exposed in every schedule.
     """
     perf = perf if perf is not None else PerformanceModel()
     plan = spec.plan(world_size, grad_worker_frac)
-    messages = plan.messages(hooked=hooked)
+    messages = plan.messages()
     rounds = {label: (len(sent), sum(nbytes for _, nbytes in sent)) for label, sent in messages.items()}
 
     # --- factor allreduce (world-wide; every rank participates) ------------

@@ -29,12 +29,30 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence, Union
 
+import numpy as np
+
 from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..tensor import PrecisionPolicy
 from .scheduling.solvers import available_solve_strategies, solve_strategy_class
 from .strategy import DistributionPlan, LayerShapeInfo, WirePolicy, build_plan
 
 __all__ = ["KFACConfig"]
+
+
+def _as_bool(name: str, value: Any) -> bool:
+    """``value`` if it is a bool (``numpy.bool_`` included): ``bool("false")`` would be True."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _as_int(name: str, value: Any) -> int:
+    """``value`` if it is an integer that is not a bool, or a float with no fractional part: ``int(2.5)`` would be 2."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,25 +112,13 @@ class KFACConfig:
     cg_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        # Canonicalize numeric types first so consumers always see float/int.
-        for name, cast in (
-            ("lr", float),
-            ("factor_decay", float),
-            ("damping", float),
-            ("kl_clip", float),
-            ("factor_update_freq", int),
-            ("inv_update_freq", int),
-            ("grad_worker_frac", float),
-            ("compute_eigen_outer", bool),
-            ("drift_tol", float),
-            ("max_staleness", int),
-            ("adaptive_damping", bool),
-            ("damping_pi_correction", bool),
-            ("small_layer_dim", int),
-            ("cg_tol", float),
-            ("cg_max_iter", int),
-        ):
-            object.__setattr__(self, name, cast(getattr(self, name)))
+        # Canonicalize numeric types first so consumers always see float/int/bool.
+        for name in ("lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "drift_tol", "cg_tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("compute_eigen_outer", "adaptive_damping", "damping_pi_correction"):
+            object.__setattr__(self, name, _as_bool(name, getattr(self, name)))
+        for name in ("factor_update_freq", "inv_update_freq", "max_staleness", "small_layer_dim", "cg_max_iter"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if isinstance(self.bucket_cap_mb, str):
             if self.bucket_cap_mb != "auto":
                 raise ValueError(
@@ -125,6 +131,8 @@ class KFACConfig:
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if self.lr < 0.0:
+            raise ValueError("lr must be >= 0")
         if self.factor_update_freq < 1 or self.inv_update_freq < 1:
             raise ValueError("update frequencies must be >= 1")
         if self.drift_tol < 0.0:

@@ -39,6 +39,7 @@ __all__ = [
     "damped_inverse",
     "kl_clip_scale",
     "kl_clip_scale_from_total",
+    "split_damping",
     "tikhonov_pi",
 ]
 
@@ -317,10 +318,22 @@ def eigenvalue_outer_product(
     if pi is None:
         outer = np.outer(v_g, v_a) + float(damping)
     else:
-        root = float(np.sqrt(float(damping)))
-        pi = float(pi)
-        outer = np.outer(v_g + root / pi, v_a + pi * root)
+        damping_a, damping_g = split_damping(damping, pi)
+        outer = np.outer(v_g + damping_g, v_a + damping_a)
     return (1.0 / outer).astype(dtype)
+
+
+def split_damping(damping: float, pi: Optional[float]) -> Tuple[float, float]:
+    """Per-factor Tikhonov damping ``(γ_a, γ_g)``: ``(γ, γ)`` without π (Eq. 12), ``(π√γ, √γ/π)`` with it.
+
+    The π split (:func:`tikhonov_pi`) keeps the product of the damped spectra
+    scaling like ``γ`` while respecting the factors' relative trace magnitudes.
+    """
+    if pi is None:
+        return float(damping), float(damping)
+    root = float(np.sqrt(damping))
+    pi = float(pi)
+    return pi * root, root / pi
 
 
 def tikhonov_pi(factor_a: np.ndarray, factor_g: np.ndarray, a_repr, g_repr, eps: float = 1e-12) -> float:

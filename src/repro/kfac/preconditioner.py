@@ -20,9 +20,10 @@ hyperparameters, so both spellings validate through the same rules.)
 A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 
 1. average the forward/backward statistics accumulated by the layer hooks
-   into this rank's *window* factors, allreduce those, and fold the averaged
-   window into the running-average Kronecker factors on the ranks that hold
-   them (every ``factor_update_freq`` iterations),
+   into this rank's *window* factors, allreduce those (:meth:`KFAC.factor_specs`,
+   whoever posts them), and fold the averaged window into the running-average
+   Kronecker factors on the ranks that hold them (every ``factor_update_freq``
+   iterations),
 2. compute the eigen decompositions on their assigned workers and broadcast
    them to the layer's gradient workers, each of which then caches the
    eigenvalue outer product it forms itself (every ``inv_update_freq``
@@ -66,13 +67,12 @@ gauge; :func:`~repro.kfac.analysis.apply_measured_fractions` reads them back.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..distributed.backend import Communicator, SingleProcessCommunicator
-from ..distributed.collectives import AllreduceSpec, BroadcastSpec, GradientBucketSpec, OverlapScheduler
+from ..distributed.collectives import AllreduceSpec, BroadcastSpec, OverlapScheduler
 from ..nn.module import Module
 from .base import CHECKPOINT_FORMAT, check_checkpoint_format
 from .config import KFACConfig
@@ -275,6 +275,8 @@ class KFAC:
         it is ignored otherwise.
         """
         if lr is not None:
+            if not 0.0 <= float(lr) < np.inf:  # a NaN lr turns the KL clip off, an infinite one zeroes the update
+                raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
             self.lr = float(lr)
         step, sanitizer = self._steps, getattr(self.comm, "sanitizer", None)
         if sanitizer is not None:
@@ -298,9 +300,7 @@ class KFAC:
                         for name in actions.fold:
                             self.factor_window(self.layers[name])
                     with self._stage("factor_allreduce"):
-                        entries = self._factor_entries(actions.factor_round())
-                        specs = [AllreduceSpec(key, pack(), on_complete=install) for _, key, _, _, pack, install in entries]
-                        self.scheduler.run_allreduces(specs)
+                        self.scheduler.run_allreduces(self.factor_specs())
                 self._fold_factors(actions.fold)
                 self._check_first_windows()
                 self._count("factor_updates", actions.fold)
@@ -409,14 +409,12 @@ class KFAC:
 
     # ------------------------------------------------------------ stage 1: factors
     # Every rank contributes its *window average*; the average over ranks is
-    # folded once, where the factor is read.  One spec builder serves both
-    # callers: ``step()`` takes the window of every layer its actions fold,
-    # then posts the entries as one schedule; a GradientPipeline the
-    # preconditioner subscribes to (see ``pipeline_specs``) posts the same
-    # entries from backward events, taking each layer's window inside its
-    # payload.  The layers are walked in the actions' order (every rank
-    # iterates, and hence posts collectives, in the same order); the others
-    # contribute no local compute and no collective traffic.
+    # folded once, where the factor is read.  ``factor_specs`` is the one
+    # builder of the round: ``step()`` takes the window of every layer its
+    # actions fold and runs the specs; an armed GradientPipeline (see
+    # ``pipeline_specs``) posts the same specs, in the same order and so in
+    # the same buckets, from backward events, taking each layer's window
+    # inside its payload.  Layers the step does not fold cost nothing.
     def _begin_factor_window(self) -> None:
         """Forget what was taken / reduced / rejected / submitted: the next factor update starts clean.
 
@@ -477,28 +475,35 @@ class KFAC:
         self.tracer.instant("kfac/factor_window_rejected", category="kfac", step=self._steps, layer=layer.name)
         return False
 
-    def _factor_entries(self, specs: Iterable[tuple]):
-        """``(layer, key, shape, dtype, pack, install)`` per factor allreduce of ``specs`` (an actions' factor round).
+    def factor_specs(self) -> List[AllreduceSpec]:
+        """The pending step's factor round (:meth:`~repro.kfac.strategy.StepActions.factor_round`) as allreduce specs.
 
         Each factor travels as it is stored (a dense one as its packed
-        triangle); keys, wire shapes and dtype come from the specs.  Bound
-        here are ``pack``, this rank's window average (:meth:`factor_window`),
-        and ``install``, which keeps the averaged half for
-        :meth:`_fold_factors`: the step folds, whether it or an armed pipeline
-        ran the allreduces, so the factors stand as the step found them until
-        its fold.
+        triangle).  ``payload`` is this rank's window average
+        (:meth:`factor_window`); ``on_complete`` keeps the averaged half for
+        :meth:`_fold_factors`, so whoever ran the allreduces, the factors stand
+        as the step found them until its fold.  ``modules`` and
+        ``flush_ready`` gate a spec in a pipeline; :meth:`step` ignores them.
         """
-        def pack(layer: KFACLayer, index: int) -> np.ndarray:
-            return self.factor_window(layer)[index]
 
-        def install(name: str, which: str, array: np.ndarray) -> None:
-            self._reduced.setdefault(name, {})[which] = array
-
-        for key, shape, dtype in specs:
+        def spec(key: str, shape: tuple, dtype: np.dtype) -> AllreduceSpec:
             name, _, what = key.rpartition("/")
-            which = what[-1]
-            layer = self.layers[name]
-            yield layer, key, shape, dtype, functools.partial(pack, layer, "ag".index(which)), functools.partial(install, name, which)
+            layer, which = self.layers[name], what[-1]
+
+            def install(array: np.ndarray) -> None:
+                self._reduced.setdefault(name, {})[which] = array
+
+            return AllreduceSpec(
+                key, shape, dtype,
+                payload=lambda: self.factor_window(layer)["ag".index(which)],
+                on_complete=install,
+                modules=(layer.module,),
+                # A layer skipped by the final micro-batch still has a window of statistics
+                # from earlier ones; take and allreduce it at flush exactly as step() would.
+                flush_ready=lambda: name in self._windows or layer.has_accumulated_data,
+            )  # fmt: skip
+
+        return [spec(*entry) for entry in self.actions().factor_round()]
 
     def _fold_factors(self, names: Sequence[str]) -> None:
         """Fold the averaged windows of the layers ``names`` into their running factors.
@@ -667,12 +672,12 @@ class KFAC:
         return nu, raw_total
 
     # ------------------------------------------ gradient-pipeline subscription
-    # On a folding step KFAC publishes one bucket spec per Kronecker factor,
-    # gated on its module's full-backward event, so a layer's factor traffic
-    # is posted the moment *its* backward completes; KFAC.step() then skips
-    # the factor round and folds, bitwise as it would have.
-    def pipeline_specs(self, pipeline) -> List[GradientBucketSpec]:
-        """Factor-allreduce bucket specs for this iteration (pipeline subscriber API)."""
+    # On a folding step KFAC publishes its factor round, each spec gated on
+    # its module's full-backward event, so a layer's factor traffic is posted
+    # the moment *its* backward completes; KFAC.step() then skips the round
+    # and folds, bitwise as it would have.
+    def pipeline_specs(self, pipeline) -> List[AllreduceSpec]:
+        """The pending step's :meth:`factor_specs` (pipeline subscriber API)."""
         if pipeline.comm is not self.comm and (pipeline.comm.world_size > 1 or self.comm.world_size > 1):
             # Distinct world_size-1 communicators are harmless (collectives
             # are local no-ops); distinct multi-rank ones would desync the
@@ -681,25 +686,7 @@ class KFAC:
                 "GradientPipeline and KFAC must share one communicator; posting the factor "
                 "allreduces on a different communicator would desynchronize collective ordering"
             )
-        specs: List[GradientBucketSpec] = []
-        # Reverse layer order: the last layers' backward events fire first,
-        # so their factor buckets fill (and post) earliest.
-        for layer, key, shape, dtype, pack, install in self._factor_entries(self.actions().factor_round(hooked=True)):
-            specs.append(
-                GradientBucketSpec(
-                    key=f"kfac/{key}",
-                    shape=shape,
-                    dtype=dtype,
-                    payload=pack,
-                    on_complete=install,
-                    modules=(layer.module,),
-                    # A layer skipped by the final micro-batch still has a
-                    # window of statistics from earlier ones; take and
-                    # allreduce it at flush exactly as step() would.
-                    flush_ready=lambda layer=layer: layer.name in self._windows or layer.has_accumulated_data,
-                )
-            )
-        return specs
+        return self.factor_specs()
 
     def on_pipeline_flush(self, pipeline) -> None:
         """Mark this iteration's factor stages complete once the pipeline drained."""

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kmath import damped_inverse, precondition_with_inverse
+from ..kmath import damped_inverse, precondition_with_inverse, split_damping
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..layers import KFACLayer
@@ -62,22 +62,6 @@ def solve_strategy_class(name: str) -> type:
 def make_solve_strategy(name: str, **kwargs: Any) -> "SolveStrategy":
     """Instantiate the strategy ``name`` with ``kwargs``."""
     return solve_strategy_class(name)(**kwargs)
-
-
-def split_damping(damping: float, pi: Optional[float]) -> Tuple[float, float]:
-    """Per-factor Tikhonov damping ``(γ_a, γ_g)``.
-
-    Without π correction both factors are damped by the full ``γ`` (matching
-    :func:`~repro.kfac.kmath.damped_inverse`, Eq. 12).  With the torch-kfac
-    π correction the damping splits as ``γ_a = π√γ``, ``γ_g = √γ/π`` so the
-    product of the damped spectra still scales like ``γ`` while respecting
-    the factors' relative trace magnitudes.
-    """
-    if pi is None:
-        return float(damping), float(damping)
-    root = float(np.sqrt(damping))
-    pi = float(pi)
-    return pi * root, root / pi
 
 
 def kronecker_cg(
@@ -155,6 +139,11 @@ class SolveStrategy:
         """Precondition ``grad``, the layer's current bias-folded gradient matrix (:meth:`KFACLayer.get_gradient`)."""
         raise NotImplementedError
 
+    @classmethod
+    def state_bytes(cls, a_dim: int, g_dim: int) -> int:
+        """Bytes of solver state a gradient worker holds for a layer with these factor dimensions, once it solved."""
+        return 0
+
     def solver_bytes(self) -> int:
         """Bytes of cached solver state held on this rank."""
         return 0
@@ -189,6 +178,11 @@ class InverseSolveStrategy(SolveStrategy):
     def __init__(self) -> None:
         self.inv_a: Optional[np.ndarray] = None
         self.inv_g: Optional[np.ndarray] = None
+
+    @classmethod
+    def state_bytes(cls, a_dim: int, g_dim: int) -> int:
+        """``inv_a`` and ``inv_g``: two float32 squares."""
+        return 4 * (a_dim * a_dim + g_dim * g_dim)
 
     def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:
         if layer.factor_a is None or layer.factor_g is None:
@@ -241,6 +235,11 @@ class CGSolveStrategy(SolveStrategy):
         self.max_iter = int(max_iter)
         self.last_solution: Optional[np.ndarray] = None
         self.total_iterations = 0
+
+    @classmethod
+    def state_bytes(cls, a_dim: int, g_dim: int) -> int:
+        """``last_solution``: the float64 ``g × a`` warm start."""
+        return 8 * a_dim * g_dim
 
     def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:
         if layer.factor_a is None or layer.factor_g is None:

@@ -198,10 +198,13 @@ class StepActions:
     refresh: Tuple[str, ...]
     plan: "DistributionPlan" = field(repr=False, compare=False)
 
-    def factor_round(self, hooked: bool = False) -> Tuple[FactorSpec, ...]:
-        """The window allreduces of ``fold``; ``hooked`` in reverse layer order, the order backward produces them."""
-        layers = reversed(self.fold) if hooked else self.fold
-        return tuple(spec for name in layers for spec in self.plan.factor_round[name])
+    def factor_round(self) -> Tuple[FactorSpec, ...]:
+        """The window allreduces of ``fold``, in reverse layer order: the order backward finalizes the layers.
+
+        One order for every poster: ``KFAC.step`` and an armed gradient
+        pipeline fill the same buckets, and DDP fills its buckets this way too.
+        """
+        return tuple(spec for name in reversed(self.fold) for spec in self.plan.factor_round[name])
 
     @property
     def eigen_round(self) -> Tuple[BroadcastSpec, ...]:
@@ -291,9 +294,7 @@ class DistributionPlan:
             per_rank[list(holders)] += self.policy.eigen_bytes(self.groups[name].layer)
         return per_rank
 
-    def messages(
-        self, hooked: bool = False, step: Optional[int] = None
-    ) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
+    def messages(self, step: Optional[int] = None) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
         """Every message of one full update -- or of step ``step`` alone -- as the collective engine posts it.
 
         ``{"factor" | "eigen" | "gradient": [(members, nbytes), ...]}``, one
@@ -305,9 +306,7 @@ class DistributionPlan:
         round of the layers it decomposes, the gradient round.  A full update
         sums the actions of one steady interval (:meth:`steady_interval`): one factor round, the eigen
         round of every step that decomposes anything (one round where every
-        offset is 0), one gradient round.  ``hooked`` is the armed gradient
-        pipeline, which buckets the factor allreduces in reverse layer order
-        (the order backward produces them).  A group of one exchanges nothing
+        offset is 0), one gradient round.  A group of one exchanges nothing
         and is not a message.
         """
         buckets = BucketManager(self.bucket_cap_mb)
@@ -318,7 +317,7 @@ class DistributionPlan:
         out: Dict[str, List[Tuple[Tuple[int, ...], int]]] = {"factor": [], "eigen": [], "gradient": []}
         if self.world_size > 1 and interval[0].fold:
             everyone = tuple(range(self.world_size))
-            out["factor"] = [(everyone, bucket.nbytes) for bucket in buckets.build(interval[0].factor_round(hooked))]
+            out["factor"] = [(everyone, bucket.nbytes) for bucket in buckets.build(interval[0].factor_round())]
         rounds = [("eigen", actions.eigen_round) for actions in interval] + [("gradient", interval[0].gradient_round)]
         for label, specs in rounds:
             for _, members, _, channel_buckets in broadcast_messages(specs, self.world_size, buckets):

@@ -232,7 +232,7 @@ def kfac_traffic(spec, run_info):
 
     steps = run_info["steps"]
     plan = _run_plan(spec, run_info)
-    rounds = [plan.messages(hooked=run_info["use_pipeline"], step=step) for step in range(steps)]
+    rounds = [plan.messages(step=step) for step in range(steps)]
     traffic = []
     for rank, counted in enumerate(run_info["counted"]):
         expected = {"allreduce": np.zeros(2, dtype=np.int64), "broadcast": np.zeros(2, dtype=np.int64)}

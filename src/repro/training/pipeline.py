@@ -3,7 +3,7 @@
 The paper's Listing 1 has a single synchronisation point between
 ``loss.backward()`` and ``preconditioner.step()``.  :class:`GradientPipeline`
 is that point: subscribers (DDP-style gradient averaging, K-FAC factor
-allreduces) publish :class:`~repro.distributed.collectives.GradientBucketSpec`
+allreduces) publish :class:`~repro.distributed.collectives.AllreduceSpec`
 lists, the pipeline plans deterministic ``bucket_cap_mb``-capped fused
 buckets over them (every rank builds the identical plan), posts them through
 one :class:`~repro.distributed.collectives.OverlapScheduler` and drains them
@@ -27,7 +27,7 @@ optimizer step.
   whatever is left and removes the per-step hooks.
 
 Bucket *payloads* are callables evaluated at posting time, so a subscriber
-can fold statistics lazily (K-FAC folds a layer's factor window inside the
+can take statistics lazily (K-FAC takes a layer's factor window inside the
 payload of the first factor bucket that needs it).  All collectives are
 elementwise allreduce-averages over deterministic schedules, so armed and
 un-armed steps produce the same bits.
@@ -38,11 +38,11 @@ posted exactly once per optimization step, carrying the accumulated (and
 micro-batch-scaled) gradients.
 
 Subscribers may register a different spec list every step — K-FAC
-registers buckets only for the layers its step's actions fold, so the other
-layers contribute no buckets and no traffic.  The actions a subscriber
-derives its specs from must stay stable from ``arm()`` until ``flush()``
-returns; K-FAC takes them once per step and revises them only inside
-``KFAC.step()``.
+registers the factor round its own step would post (the layers the step's
+actions fold, so armed and un-armed steps post the same buckets).  The
+actions a subscriber derives its specs from must stay stable from ``arm()``
+until ``flush()`` returns; K-FAC takes them once per step and revises them
+only inside ``KFAC.step()``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..distributed.backend import Communicator, SingleProcessCommunicator
-from ..distributed.collectives import GradientBucketSpec, OverlapScheduler, TensorBucket
+from ..distributed.collectives import AllreduceSpec, OverlapScheduler, TensorBucket
 from ..tensor import Tensor, is_grad_enabled
 
 __all__ = ["GradientPipeline"]
@@ -67,7 +67,7 @@ class _PlannedSpec:
 
     __slots__ = ("spec", "gates", "pending")
 
-    def __init__(self, spec: GradientBucketSpec) -> None:
+    def __init__(self, spec: AllreduceSpec) -> None:
         self.spec = spec
         gates: Dict[int, Tuple[object, str]] = {}
         for param in spec.params:
@@ -142,7 +142,7 @@ class GradientPipeline:
         """Register a subscriber.
 
         A subscriber provides ``pipeline_specs(pipeline) ->
-        Sequence[GradientBucketSpec]`` (called once per step, when the step is
+        Sequence[AllreduceSpec]`` (called once per step, when the step is
         planned; may return an empty list for steps with nothing to
         communicate) and may provide ``on_pipeline_flush(pipeline)``, called
         after :meth:`flush` has drained all collectives.
@@ -237,7 +237,7 @@ class GradientPipeline:
                 self._post(planned_bucket, [spec.spec for spec in planned_bucket.specs], phase="backward")
 
     def _post(
-        self, planned_bucket: _PlannedBucket, specs: Sequence[GradientBucketSpec], phase: str = "flush"
+        self, planned_bucket: _PlannedBucket, specs: Sequence[AllreduceSpec], phase: str = "flush"
     ) -> None:
         self.tracer.counter_add(f"pipeline/buckets_posted_{phase}")
         self.tracer.instant(
@@ -247,7 +247,7 @@ class GradientPipeline:
             nbytes=planned_bucket.bucket.nbytes,
             fused_count=len(planned_bucket.bucket),
         )
-        self.scheduler.post_allreduces([spec.to_allreduce() for spec in specs])
+        self.scheduler.post_allreduces(specs)
         planned_bucket.posted = True
 
     # ----------------------------------------------------------------- flush

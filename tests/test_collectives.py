@@ -162,7 +162,7 @@ class TestOverlapScheduler:
             tensors = {f"t{i}": rng.random(16).astype(np.float32) for i in range(6)}
             out = {}
             specs = [
-                AllreduceSpec(key=key, payload=value, on_complete=lambda a, k=key: out.__setitem__(k, a))
+                AllreduceSpec(key, value.shape, value.dtype, lambda value=value: value, lambda a, k=key: out.__setitem__(k, a))
                 for key, value in tensors.items()
             ]
             scheduler.run_allreduces(specs)
@@ -258,7 +258,7 @@ class TestOverlapScheduler:
             return (
                 [BroadcastSpec(key="b", src=rank, group=(rank,), shape=(6,), dtype=payload.dtype,
                                payload=lambda: payload, on_complete=lambda a: out.__setitem__("b", a))],
-                [AllreduceSpec(key="a", payload=payload, group=(rank,), on_complete=lambda a: out.__setitem__("a", a))],
+                [AllreduceSpec("a", (6,), payload.dtype, lambda: payload, lambda a: out.__setitem__("a", a), group=(rank,))],
             )
 
         comm, out = CountingCommunicator(), {}
@@ -302,7 +302,7 @@ class TestFusedAccounting:
         def fused(comm):
             scheduler = OverlapScheduler(comm, bucket_cap_mb=1.0)
             specs = [
-                AllreduceSpec(key=f"t{i}", payload=np.ones(64, dtype=np.float32)) for i in range(5)
+                AllreduceSpec(f"t{i}", (64,), np.float32, lambda: np.ones(64, dtype=np.float32)) for i in range(5)
             ]
             scheduler.run_allreduces(specs)
 
@@ -322,7 +322,7 @@ class TestFusedAccounting:
         def fused(comm):
             scheduler = OverlapScheduler(comm, bucket_cap_mb=25.0)
             scheduler.run_allreduces(
-                [AllreduceSpec(key=f"t{i}", payload=np.ones(16, dtype=np.float32)) for i in range(8)]
+                [AllreduceSpec(f"t{i}", (16,), np.float32, lambda: np.ones(16, dtype=np.float32)) for i in range(8)]
             )
 
         def unfused(comm):
@@ -481,7 +481,7 @@ class TestGradientSeam:
         before = [param.grad.copy() for param in model.parameters()]
         ddp = DistributedDataParallel(model, SingleProcessCommunicator(), broadcast_initial=False)
         specs = ddp.subscriber().specs(grad_scale=0.5, world_size=1)
-        ddp.scheduler.run_allreduces([spec.to_allreduce() for spec in specs])
+        ddp.scheduler.run_allreduces(specs)
         grads = [param.grad for param in model.parameters()]
         assert len({id(grad.base) for grad in grads}) == len(grads)  # each its own array, not a view of a bucket
         for grad, original in zip(grads, before):
@@ -495,9 +495,9 @@ class TestGradientSeam:
             ones = np.ones(4, dtype=np.float32)
             scheduler.run_allreduces(
                 [
-                    AllreduceSpec("a", ones, on_complete=lambda array: got.__setitem__("a", array), scale=0.5),
-                    AllreduceSpec("b", ones, on_complete=lambda array: got.__setitem__("b", array)),
-                    AllreduceSpec("c", ones, on_complete=lambda array: got.__setitem__("c", array), scale=0.5),
+                    AllreduceSpec("a", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("a", array), scale=0.5),
+                    AllreduceSpec("b", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("b", array)),
+                    AllreduceSpec("c", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("c", array), scale=0.5),
                 ]
             )
             np.testing.assert_array_equal(got["a"], 0.5)
@@ -516,8 +516,8 @@ class TestGradientSeam:
         wide = np.arange(6, dtype=np.float64)
         scheduler.post_allreduces(
             [
-                AllreduceSpec("a", ones, on_complete=lambda array: got.__setitem__("a", array), scale=0.5),
-                AllreduceSpec("b", ones, on_complete=lambda array: got.__setitem__("b", array)),
+                AllreduceSpec("a", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("a", array), scale=0.5),
+                AllreduceSpec("b", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("b", array)),
             ]
         )
         scheduler.post_broadcasts(
@@ -531,7 +531,7 @@ class TestGradientSeam:
         np.testing.assert_array_equal(ones, 1.0)
         assert got["c"].dtype == np.float32 and got["c"].shape == (2, 3)
         np.testing.assert_array_equal(got["c"].ravel(), wide)
-        scheduler.post_allreduces([AllreduceSpec("d", ones, on_complete=lambda array: got.__setitem__("d", array))])
+        scheduler.post_allreduces([AllreduceSpec("d", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("d", array))])
         scheduler.discard()
         scheduler.drain()
         assert "d" not in got

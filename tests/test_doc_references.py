@@ -5,8 +5,9 @@
 rename or a deletion that leaves such a citation behind fails here: every
 cited file must exist and every ``::Name`` chain must resolve, with
 :mod:`ast`, to class / function definitions nested in that order.  The same
-documents name members of the engine's classes (`` `KFAC.step` ``), modules
-to run (``python -m repro.analysis.lint``) and benchmark records
+documents name members of the package's classes (`` `KFAC.step` ``; every
+class defined under ``src/repro`` is indexed), modules to run
+(``python -m repro.analysis.lint``) and benchmark records
 (``BENCH_memory.json``); each must name a member of that class, a module file
 and a file under ``benchmarks/``.
 """
@@ -19,16 +20,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
 CITATION = re.compile(r"(?<![\w/.])((?:tests|src/repro)/[\w/]+\.py)((?:::\w+)*)")
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-#: Class -> the module that defines it: the classes whose members the docs name as `` `Class.member` ``.
-CLASSES = {
-    "KFAC": "src/repro/kfac/preconditioner.py",
-    "KFACConfig": "src/repro/kfac/config.py",
-    "KFACLayer": "src/repro/kfac/layers.py",
-    "RefreshQueue": "src/repro/kfac/refresh.py",
-    "Trainer": "src/repro/training/trainer.py",
-    "GradientPipeline": "src/repro/training/pipeline.py",
-}
-MEMBER = re.compile(r"`(" + "|".join(CLASSES) + r")\.(\w+)")
+
+
+def class_index():
+    """Class name -> the modules under ``src/repro`` that define a top-level class of that name."""
+    index = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                index.setdefault(node.name, []).append(path)
+    return index
+
+
+#: Every class of the package: the docs name their members as `` `Class.member` ``.
+CLASSES = class_index()
+MEMBER = re.compile(r"`(\w+)\.(\w+)")
 RUN_MODULE = re.compile(r"python3? -m (repro(?:\.\w+)+)")
 BENCH_RECORD = re.compile(r"\bBENCH_\w+\.json")
 
@@ -98,15 +104,19 @@ def test_each_document_is_scanned_and_a_missing_name_is_caught():
     assert not resolves(here, ("NoSuchTest",)) and not resolves(here.with_name("no_such_file.py"), ())
 
 
+def known_members(cls):
+    """The members of every class named ``cls`` (``ReLU`` is defined twice: a member of either counts)."""
+    return set().union(*(members(path, cls) for path in CLASSES[cls]))
+
+
 def test_every_named_member_module_and_record_exists():
-    known = {cls: members(ROOT / path, cls) for cls, path in CLASSES.items()}
     records = {path.name for path in (ROOT / "benchmarks").rglob("BENCH_*.json")}
     broken = []
     for doc in DOCS:
         broken += [
             f"{doc}:{line}: `{m.group(1)}.{m.group(2)}` is no member of {m.group(1)}"
             for line, m in named(doc, MEMBER)
-            if m.group(2) not in known[m.group(1)]
+            if m.group(1) in CLASSES and m.group(2) not in known_members(m.group(1))
         ]
         broken += [
             f"{doc}:{line}: python -m {m.group(1)} has no module file"
@@ -122,10 +132,12 @@ def test_every_named_member_module_and_record_exists():
 
 
 def test_members_modules_and_records_are_read_and_a_missing_one_is_caught():
-    kfac = members(ROOT / CLASSES["KFAC"], "KFAC")
+    kfac = known_members("KFAC")
     assert {"step", "plan", "refresh", "kernel_backend"} <= kfac  # method, self.x =, self.x: T =, property
-    assert {"grad_worker_frac", "bucket_cap_mb"} <= members(ROOT / CLASSES["KFACConfig"], "KFACConfig")  # fields
+    assert {"grad_worker_frac", "bucket_cap_mb"} <= known_members("KFACConfig")  # fields
     assert "no_such_member" not in kfac
+    assert {"OverlapScheduler", "SolveStrategy", "IterationTimeModel"} <= set(CLASSES)  # every module is indexed
+    assert len(CLASSES["ReLU"]) == 2 and "forward" in known_members("ReLU")
     assert module_file("repro.analysis.lint") and not module_file("repro.analysis.no_such_module")
     text = "`KFAC.step` `Trainer.fit()` ``RefreshQueue.take`` python -m repro.analysis.lint BENCH_memory.json"
     assert [m.groups() for m in MEMBER.finditer(text)] == [("KFAC", "step"), ("Trainer", "fit"), ("RefreshQueue", "take")]

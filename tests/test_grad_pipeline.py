@@ -545,6 +545,55 @@ class TestPipelineMechanics:
             )
 
 
+    def test_step_and_armed_pipeline_post_the_same_factor_buckets_as_the_plan(self):
+        """One factor round: an un-armed ``KFAC.step`` and an armed pipeline post the same
+        ``(members, nbytes)`` buckets in the same order, and both are ``plan.messages(step=t)``.
+
+        MLP 6-16-12-3 at world 2 under a 0.0005 MB cap, which splits the round: in reverse
+        layer order it is 4 buckets (in registration order it would be 5).
+        """
+        x, y = make_problem(seed=41)
+        loss_fn = nn.CrossEntropyLoss()
+
+        def run(armed):
+            def program(comm):
+                posted, post = [], comm.iallreduce_average
+
+                def recording(array, group=None, fused_count=1):
+                    posted.append((tuple(range(comm.world_size)) if group is None else tuple(group), array.nbytes))
+                    return post(array, group=group, fused_count=fused_count)
+
+                comm.iallreduce_average = recording
+                model = MLP(6, [16, 12], 3, rng=np.random.default_rng(0))
+                pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb=0.0005, comm=comm)
+                pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=pre.plan.bucket_cap_mb)
+                pipeline.add_subscriber(pre)
+                sl = slice(comm.rank * 16, (comm.rank + 1) * 16)
+                rounds = []
+                for _ in range(2):
+                    posted.clear()
+                    if armed:
+                        pipeline.arm()
+                    loss_fn(model(Tensor(x[sl])), y[sl]).backward()
+                    if armed:
+                        pipeline.flush()
+                    expected = pre.plan.messages(step=pre.steps)["factor"]
+                    pre.step()
+                    rounds.append((list(posted), expected))
+                    for param in model.parameters():
+                        param.grad = None
+                return rounds
+
+            return run_spmd(2, program)
+
+        everyone = (0, 1)
+        split = [(everyone, 388), (everyone, 612), (everyone, 424), (everyone, 544)]
+        for stepped, piped in zip(run(False), run(True)):
+            assert stepped == piped
+            for posted, expected in stepped:
+                assert posted == expected == split
+
+
 class TestDefaultSeam:
     """What a default ``Trainer`` (pipeline never armed) does at its one sync point."""
 

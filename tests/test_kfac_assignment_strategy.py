@@ -209,8 +209,9 @@ class TestStaggeredRefreshOffsets:
         assert staggered.messages(step=1)["eigen"] == []  # nothing folded since step 0: passed over
 
     def test_actions_hand_over_the_rounds_of_their_layers(self):
-        """A step's actions carry the factor round of ``fold``, the eigen round of ``refresh`` and every
-        gradient round, in registration order; a revision of either tuple takes its rounds along."""
+        """A step's actions carry the factor round of ``fold`` (in reverse layer order, the order backward
+        produces it), the eigen round of ``refresh`` and every gradient round (in registration order); a
+        revision of either tuple takes its rounds along."""
         import dataclasses
 
         plan = make_plan(LAYERS, 4, 0.5, factor_update_freq=5, inv_update_freq=10)
@@ -218,9 +219,9 @@ class TestStaggeredRefreshOffsets:
         for step in range(25):
             actions = plan.actions(step)
             assert actions.fold == (tuple(names) if step % 5 == 0 else ())
-            assert actions.factor_round() == tuple(spec for name in actions.fold for spec in plan.factor_round[name])
-            hooked = tuple(spec for name in reversed(actions.fold) for spec in plan.factor_round[name])
-            assert actions.factor_round(hooked=True) == hooked
+            assert actions.factor_round() == tuple(
+                spec for name in reversed(actions.fold) for spec in plan.factor_round[name]
+            )
             assert actions.eigen_round == tuple(spec for name in actions.refresh for spec in plan.eigen_round[name])
             assert actions.gradient_round == tuple(spec for name in names for spec in plan.gradient_round[name])
         revised = dataclasses.replace(plan.actions(3), refresh=(names[1],))

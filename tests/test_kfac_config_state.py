@@ -66,6 +66,7 @@ class TestKFACConfig:
             dict(grad_worker_frac=1.5),
             dict(precision="fp8"),
             dict(assignment_balance="latency"),
+            dict(lr=-1.0),  # lr=0 stays legal: warm-up schedules pass it
         ],
     )
     def test_invalid_fields_raise(self, kwargs):
@@ -82,6 +83,23 @@ class TestKFACConfig:
             KFACConfig(**{field: value})
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [("compute_eigen_outer", "false", None), ("adaptive_damping", "no", None), ("damping_pi_correction", 0.5, None),
+         ("adaptive_damping", np.bool_(True), True), ("factor_update_freq", 2.5, None), ("cg_max_iter", 1.9, None),
+         ("small_layer_dim", -0.5, None), ("max_staleness", True, None), ("inv_update_freq", np.bool_(True), None),
+         ("cg_max_iter", np.int64(7), 7), ("factor_update_freq", 4.0, 4)],
+    )  # fmt: skip
+    def test_a_value_the_cast_would_change_is_refused_naming_the_field(self, field, value, expected):
+        """Bools take only bools; integers take integers that are not bools, or floats with no fractional part."""
+        for build in (lambda: KFACConfig(**{field: value}), lambda: KFACConfig.from_dict({field: value})):
+            if expected is None:
+                with pytest.raises(ValueError, match=rf"^{field} must be an? (bool|integer), got"):
+                    build()
+            else:
+                config = build()
+                assert getattr(config, field) == expected and type(getattr(config, field)) is type(expected)
 
     def test_dict_round_trip(self):
         config = KFACConfig(lr=0.05, damping=0.01, factor_update_freq=2, inv_update_freq=6, precision="fp16")

@@ -183,6 +183,23 @@ class TestStepMechanics:
         pre.step(lr=0.5)
         assert pre.lr == 0.5
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+    def test_a_non_finite_or_negative_lr_is_refused_before_any_state_is_touched(self, lr):
+        """A NaN lr would turn the KL clip off and an infinite one zero every gradient; a zero lr (warm-up) is legal."""
+        model = MLP(4, [8], 2, rng=np.random.default_rng(5))
+        x, y = make_problem(5, in_dim=4, classes=2)
+        pre = KFAC(model, lr=0.1, factor_update_freq=1, inv_update_freq=1)
+        nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
+            pre.step(lr=lr)
+        assert (pre.lr, pre.steps) == (0.1, 0)
+        assert all(np.array_equal(p.grad, grad) for p, grad in zip(model.parameters(), grads))
+        assert all(layer.factor_a is None for layer in pre.layers.values())
+        assert pre.state_dict()["config"]["lr"] == 0.1
+        pre.step(lr=0.0)
+        assert (pre.lr, pre.steps) == (0.0, 1)
+
     def test_profiler_records_all_stages(self):
         """The Figure-7 stage profile is read off the tracer's ``kfac/<stage>`` spans."""
         model = MLP(4, [8], 2, rng=RNG)

@@ -36,8 +36,7 @@ from repro.kfac import (
 )
 from repro.kfac.assignment import folds_on
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
-from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondition_with_inverse
-from repro.kfac.scheduling.solvers import split_damping
+from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondition_with_inverse, split_damping
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
 from repro.tensor import Tensor

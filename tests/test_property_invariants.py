@@ -877,7 +877,7 @@ class TestPackedStorageProperties:
                 "params": np.concatenate([p.data.ravel() for p in model.parameters()]),
                 "memory": pre.memory_usage(),
                 "shapes": [layer.shape_info() for layer in pre.layers.values()],
-                "factor_round": pre.plan.messages(hooked=armed)["factor"],
+                "factor_round": pre.plan.messages()["factor"],
                 "grad_sync": (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets)),
                 "counted": comm_counts(comm.tracer)["allreduce"],
             }

@@ -219,7 +219,7 @@ class TestBufferAccessChecker:
         def program(comm):
             scheduler = OverlapScheduler(comm, bucket_cap_mb=1.0)
             specs = [
-                AllreduceSpec(key=f"g{i}", payload=np.full(4, float(comm.rank), dtype=np.float32))
+                AllreduceSpec(f"g{i}", (4,), np.float32, lambda: np.full(4, float(comm.rank), dtype=np.float32))
                 for i in range(3)
             ]
             scheduler.post_allreduces(specs)
@@ -322,8 +322,10 @@ class TestSanitizerNeutrality:
             out = {}
             specs = [
                 AllreduceSpec(
-                    key=f"t{i}",
-                    payload=rng.standard_normal(32).astype(np.float32),
+                    f"t{i}",
+                    (32,),
+                    np.float32,
+                    payload=lambda array=rng.standard_normal(32).astype(np.float32): array,
                     on_complete=lambda result, i=i: out.__setitem__(i, result.copy()),
                 )
                 for i in range(6)

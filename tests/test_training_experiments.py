@@ -359,6 +359,26 @@ class TestMeasuredMemoryReport:
             # drift / pi: both ranks hold everything; inverse at MEM-OPT: the one gradient worker does.
             assert held == (once if "solve_strategy" in overrides else 2 * once)
 
+    @pytest.mark.parametrize("solver", ["inverse", "cg"])
+    def test_solver_state_is_predicted_from_layer_shapes_not_read_off_the_solvers(self, solver, monkeypatch):
+        """Each strategy states its bytes from ``(a_dim, g_dim)``; a live solver that over-reports is caught."""
+        from repro.experiments import measured_memory_report
+        from repro.kfac import CGSolveStrategy, InverseSolveStrategy
+
+        def run():
+            report = measured_memory_report(
+                "mlp", world_size=2, grad_worker_frac=0.5, steps=1, kfac_overrides={"solve_strategy": solver}
+            )
+            return [(entry["measured"], entry["predicted"]) for entry in report["per_rank"]]
+
+        for measured, predicted in run():
+            assert measured == predicted and predicted["solver"] > 0
+        cls = {"inverse": InverseSolveStrategy, "cg": CGSolveStrategy}[solver]
+        reported = cls.solver_bytes
+        monkeypatch.setattr(cls, "solver_bytes", lambda self: 2 * reported(self))
+        for measured, predicted in run():
+            assert measured["solver"] > predicted["solver"] and measured != predicted
+
     def test_comm_opt_holds_more_eigen_state_than_mem_opt(self):
         from repro.experiments import measured_memory_report
 
