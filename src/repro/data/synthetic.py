@@ -191,6 +191,12 @@ class SyntheticMaskedLM:
     transition structure to predict masked tokens better than the unigram
     baseline.  Masking follows BERT: ``mask_prob`` of tokens are selected; of
     those 80% are replaced by ``[MASK]``, 10% by a random token and 10% kept.
+
+    Tokens are drawn as ``Generator.choice(p=...)`` draws them, vectorised
+    over samples: each sample takes its style, first token and one uniform per
+    position (the last unused) from the stream, and the next token counts the
+    entries of its row's CDF at or below its uniform.  Every corpus is bit for
+    bit the one the earlier per-token ``choice`` loop drew (``tests/corpus_oracle.py``).
     """
 
     MASK_TOKEN = 1
@@ -209,6 +215,14 @@ class SyntheticMaskedLM:
     ) -> None:
         if vocab_size <= self.FIRST_REGULAR_TOKEN + 1:
             raise ValueError("vocab_size too small")
+        if seq_length < 1:
+            raise ValueError(f"seq_length must be at least 1, got {seq_length}")
+        if num_styles < 1:
+            raise ValueError(f"num_styles must be at least 1, got {num_styles}")
+        if not 0.0 <= mask_prob <= 1.0:
+            raise ValueError(f"mask_prob must lie in [0, 1], got {mask_prob}")
+        if not (np.isfinite(concentration) and concentration > 0):
+            raise ValueError(f"concentration must be positive and finite, got {concentration}")
         rng = np.random.default_rng(seed)
         self.vocab_size = vocab_size
         self.seq_length = seq_length
@@ -216,14 +230,18 @@ class SyntheticMaskedLM:
         regular = vocab_size - self.FIRST_REGULAR_TOKEN
         # Sparse, peaked transition matrices make the task learnable.
         transitions = rng.dirichlet(np.full(regular, concentration), size=(num_styles, regular))
-        sequences = np.zeros((num_samples, seq_length), dtype=np.int64)
+        cdf = np.cumsum(transitions, axis=-1)
+        cdf /= cdf[..., -1:]
+        styles, tokens = np.empty((2, num_samples), dtype=np.int64)
+        uniforms = np.empty((num_samples, seq_length))
         for index in range(num_samples):
-            style = rng.integers(0, num_styles)
-            token = rng.integers(0, regular)
-            for position in range(seq_length):
-                sequences[index, position] = token + self.FIRST_REGULAR_TOKEN
-                token = rng.choice(regular, p=transitions[style, token])
-        self.sequences = sequences
+            styles[index], tokens[index] = rng.integers(0, num_styles), rng.integers(0, regular)
+            rng.random(seq_length, out=uniforms[index])
+        self.sequences = np.empty((num_samples, seq_length), dtype=np.int64)
+        for position in range(seq_length):
+            self.sequences[:, position] = tokens + self.FIRST_REGULAR_TOKEN
+            # choice's cdf.searchsorted(u, side="right"), one row per sample.
+            tokens = (cdf[styles, tokens] <= uniforms[:, position, None]).sum(axis=1)
         self._mask_rng = np.random.default_rng(seed + 1)
 
     def __len__(self) -> int:

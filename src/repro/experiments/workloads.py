@@ -204,6 +204,8 @@ def build_bert_workload(
     vocab_size: int = 120,
     seq_length: int = 24,
 ) -> TrainableWorkload:
+    if num_train < 1 or num_val < 1:
+        raise ValueError(f"num_train and num_val must be at least 1, got {num_train} and {num_val}")
     config = config or SMALL_WORKLOADS["bert"]
     rng = np.random.default_rng(seed)
     # One corpus, split into train/validation so both share the same Markov chains.

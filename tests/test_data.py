@@ -13,6 +13,7 @@ from repro.data import (
     default_collate,
 )
 from repro.distributed import DistributedSampler
+from corpus_oracle import LoopMaskedLM
 
 
 class TestImageClassification:
@@ -130,6 +131,60 @@ class TestMaskedLM:
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ValueError):
             SyntheticMaskedLM(4, vocab_size=3)
+
+    @pytest.mark.parametrize("seq_length", [0, -1])
+    def test_seq_length_below_one_rejected(self, seq_length):
+        with pytest.raises(ValueError, match="seq_length"):
+            SyntheticMaskedLM(4, vocab_size=10, seq_length=seq_length)
+
+    @pytest.mark.parametrize("num_styles", [0, -2])
+    def test_num_styles_below_one_rejected(self, num_styles):
+        with pytest.raises(ValueError, match="num_styles"):
+            SyntheticMaskedLM(4, vocab_size=10, num_styles=num_styles)
+
+    @pytest.mark.parametrize("mask_prob", [-0.1, 1.5, float("nan")])
+    def test_mask_prob_outside_unit_interval_rejected(self, mask_prob):
+        with pytest.raises(ValueError, match="mask_prob"):
+            SyntheticMaskedLM(4, vocab_size=10, mask_prob=mask_prob)
+
+    @pytest.mark.parametrize("concentration", [0.0, -0.5, float("inf"), float("nan")])
+    def test_concentration_not_positive_finite_rejected(self, concentration):
+        with pytest.raises(ValueError, match="concentration"):
+            SyntheticMaskedLM(4, vocab_size=10, concentration=concentration)
+
+    def test_mask_prob_bounds_accepted(self):
+        """0 and 1 are valid: every item still labels at least one position."""
+        for mask_prob in (0.0, 1.0):
+            labels = SyntheticMaskedLM(4, vocab_size=10, seq_length=6, mask_prob=mask_prob)[0]["labels"]
+            assert (labels != -100).sum() == (1 if mask_prob == 0.0 else 6)
+
+
+class TestCorpusOracle:
+    """The one-pass draw equals the per-token ``Generator.choice`` loop bit for bit.
+
+    CI runs this under every Python row, and so against each row's numpy
+    release: a numpy whose ``choice`` consumes the stream differently fails here.
+    """
+
+    SHAPES = {
+        "default": dict(num_samples=512, vocab_size=200, seq_length=32),
+        "benchmark": dict(num_samples=640, vocab_size=120, seq_length=24),
+        "edge": dict(num_samples=1, vocab_size=4, seq_length=1, num_styles=1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("seed", [0, 1, 901, 12345])
+    def test_corpus_and_items_equal_loop(self, shape, seed):
+        kwargs = dict(self.SHAPES[shape], seed=seed)
+        drawn, reference = SyntheticMaskedLM(**kwargs), LoopMaskedLM(**kwargs)
+        assert drawn.sequences.dtype == reference.sequences.dtype
+        assert np.array_equal(drawn.sequences, reference.sequences)
+        for index in range(64):
+            item, expected = drawn[index % len(drawn)], reference[index % len(drawn)]
+            assert item.keys() == expected.keys()
+            for key in item:
+                assert item[key].dtype == expected[key].dtype
+                assert np.array_equal(item[key], expected[key]), (index, key)
 
 
 class TestDataLoader:

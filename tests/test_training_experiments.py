@@ -228,6 +228,11 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             make_optimizer("rmsprop", MLP(2, [2], 2).parameters(), lr=0.1)
 
+    @pytest.mark.parametrize("argument", ["num_train", "num_val"])
+    def test_bert_workload_refuses_empty_split(self, argument):
+        with pytest.raises(ValueError, match="num_train and num_val must be at least 1"):
+            build_workload("bert", **{argument: 0})
+
     def test_bert_workload_excludes_embeddings_from_kfac(self):
         workload = build_workload("bert", seed=0)
         assert len(workload.kfac_skip_modules) == 3
