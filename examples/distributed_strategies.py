@@ -13,8 +13,9 @@ Communication volumes are what rank 0's registry counted (``comm.tracer``:
 every rank counts the collectives it took part in), so they are per rank.
 
 The script exits non-zero if a row's replicas differ in any bit, if a row's
-result differs from MEM-OPT's, or if a rank's ``preconditioner.plan.scheme``
-is not the row's label.
+result differs from MEM-OPT's, if a rank's ``preconditioner.plan.scheme``
+is not the row's label, or if a ``Trainer`` running the HYBRID-OPT job ends
+anywhere but the hand-written Listing-1 loop does, bit for bit.
 
 Run with::
 
@@ -155,29 +156,24 @@ def main() -> None:
         f"({sum(nbytes for _, nbytes in fused.values()) / 1024:.1f} KiB through rank 0 either way)."
     )
 
-    # A Trainer synchronises gradients at one seam, a GradientPipeline.  Its own
-    # posts everything at flush(), like sync_gradients() above; hand it an
-    # instance and it arms it, so gradient averaging and K-FAC factor buckets
-    # are posted *during* backward, as the autograd tape finalizes each layer's
-    # gradients — still bitwise identical.
-    params_hooked, posted = run_hooked_pipeline(0.5)
-    assert all(np.array_equal(a, b) for a, b in zip(params_fused, params_hooked))
-    print(
-        f"\nA GradientPipeline instance handed to the Trainer posts buckets mid-backward "
-        f"(rank 0 launched {posted[0]} buckets before flush() in {STEPS} steps) and stays bitwise identical."
-    )
+    # A Trainer step is the paper's Listing 1: backward, one sync_gradients()
+    # call, preconditioner.step(), optimizer.step() -- the loop above, bit for bit.
+    params_trainer = run_trainer(0.5)
+    if not all(np.array_equal(a, b) for a, b in zip(params_fused, params_trainer)):
+        failures.append("HYBRID-OPT: the Trainer's parameters differ from the hand-written Listing-1 loop's")
+    else:
+        print("\nThe same HYBRID-OPT job driven through a Trainer ends on the hand-written loop's parameters, bit for bit.")
     if failures:
         print("\nFAILED:\n  " + "\n  ".join(failures))
         sys.exit(1)
 
 
-def run_hooked_pipeline(grad_worker_frac: float):
-    """The same HYBRID-OPT job driven through a Trainer that arms a GradientPipeline."""
-    from repro.training import GradientPipeline, Trainer
+def run_trainer(grad_worker_frac: float):
+    """The same HYBRID-OPT job driven through a Trainer; returns every rank's final parameters."""
+    from repro.training import Trainer
 
     world = ThreadedWorld(WORLD_SIZE)
     final_params = [None] * WORLD_SIZE
-    posted = [0] * WORLD_SIZE
     loss_fn = nn.CrossEntropyLoss()
 
     def rank_program(rank: int) -> None:
@@ -187,16 +183,12 @@ def run_hooked_pipeline(grad_worker_frac: float):
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         config = KFACConfig.hybrid(grad_worker_frac, lr=0.05, factor_update_freq=2, inv_update_freq=4)
         preconditioner = KFAC.from_config(model, config, comm=comm)
-        # An empty pipeline handed to the Trainer is wired with gradient
-        # averaging + the preconditioner's factor subscription automatically.
-        pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=0.01)
         trainer = Trainer(
             model,
             optimizer,
             lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
             preconditioner=preconditioner,
             comm=comm,
-            pipeline=pipeline,
         )
         batch_rng = np.random.default_rng(7)
         for _ in range(STEPS):
@@ -204,14 +196,13 @@ def run_hooked_pipeline(grad_worker_frac: float):
             local = indices[rank::WORLD_SIZE]
             trainer.train_step((FEATURES[local], LABELS[local]))
         final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
-        posted[rank] = int(comm.tracer.counters().get("pipeline/buckets_posted_backward", 0))
 
     threads = [threading.Thread(target=rank_program, args=(rank,)) for rank in range(WORLD_SIZE)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    return final_params, posted
+    return final_params
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 """Runtime SPMD sanitizer: collective-schedule cross-checking and buffer races.
 
-The async comm stack (:mod:`repro.distributed.collectives`, the backward-hook
-:class:`~repro.training.pipeline.GradientPipeline`, the adaptive K-FAC
-scheduler) rests on invariants no backend enforces:
+The async comm stack (:mod:`repro.distributed.collectives`, the adaptive
+K-FAC scheduler) rests on invariants no backend enforces:
 
 * every rank posts the *same* collectives in the *same* order on the *same*
   groups (op, dtype, shape, fusion plan) — divergence means a silent
@@ -239,7 +238,8 @@ class CollectiveSanitizer:
       across ranks, so the first rank whose ``(op, src, dtype, shape,
       fused_count)`` disagrees with an earlier poster raises immediately;
     * ``on_finish`` / ``assert_drained`` — pending-handle accounting, checked
-      at pipeline flushes (a nonzero count there is lost communication);
+      after every ``DistributedDataParallel.sync_gradients`` (a nonzero count
+      there is lost communication);
     * ``barrier_check`` — run by the backend's barrier when all ranks have
       arrived: per-group posted-sequence counts must agree;
     * ``check_consistent`` — rendezvous-free agreement check for values that

@@ -27,9 +27,9 @@ from .cost_model import (
 )
 from .ddp import (
     DistributedDataParallel,
-    GradientAveragingSubscriber,
     broadcast_parameters,
     flatten_arrays,
+    gradient_specs,
     unflatten_array,
 )
 from .sampler import DistributedSampler, shard_batch
@@ -51,9 +51,9 @@ __all__ = [
     "ThreadedWork",
     "run_spmd",
     "DistributedDataParallel",
-    "GradientAveragingSubscriber",
     "broadcast_parameters",
     "flatten_arrays",
+    "gradient_specs",
     "unflatten_array",
     "DistributedSampler",
     "shard_batch",

@@ -39,9 +39,8 @@ payload exists.  The K-FAC preconditioner executes every factor allreduce,
 eigen broadcast and preconditioned-gradient broadcast through this engine
 (``bucket_cap_mb`` tunes the fusion granularity; a cap smaller than any
 tensor sends each tensor alone), and data-parallel gradient averaging
-(:class:`repro.distributed.ddp.GradientAveragingSubscriber`) posts its specs
-through the same engine, from ``DistributedDataParallel.sync_gradients`` or
-a :class:`~repro.training.pipeline.GradientPipeline` alike.  Element values
+(:func:`repro.distributed.ddp.gradient_specs`) runs through the same engine
+from ``DistributedDataParallel.sync_gradients``.  Element values
 never depend on the cap, so every cap produces the same training trajectory
 bit for bit.
 """
@@ -208,12 +207,6 @@ class AllreduceSpec:
     payload for bucket planning (every rank must post identical specs in
     identical order), and ``payload`` is a callable evaluated when the
     spec's bucket is packed.  ``on_complete`` receives the averaged array.
-
-    The remaining fields gate a spec a gradient-pipeline subscriber publishes
-    (:class:`~repro.training.pipeline.GradientPipeline`); the scheduler
-    ignores them.  The spec becomes ready once the gradients of all
-    ``params`` have been finalized by the autograd tape (grad-ready hooks)
-    and the full backward hooks of all ``modules`` have fired.
     """
 
     key: str
@@ -226,14 +219,6 @@ class AllreduceSpec:
     #: bucket (specs are fused with specs of the same scale only): the
     #: micro-batch ``1/n`` of gradient accumulation.
     scale: float = 1.0
-    params: Tuple = ()  # Parameters whose grad-ready events gate this spec
-    modules: Tuple = ()  # Modules whose full-backward events gate this spec
-    #: Consulted at flush() for specs whose gates never fired during the
-    #: armed backward (e.g. a branch skipped by the final micro-batch): if it
-    #: returns True the payload is valid and the spec is posted anyway; if
-    #: None or False the spec is dropped.  Must be a deterministic function
-    #: of training state (identical on every rank).
-    flush_ready: Optional[Callable[[], bool]] = None
 
 
 def group_members(group: Optional[Tuple[int, ...]], world_size: int) -> Tuple[int, ...]:
@@ -279,9 +264,7 @@ class OverlapScheduler:
     * ``run_broadcasts`` / ``run_allreduces`` — post a whole schedule, then
       drain it (the ``KFAC.step()`` pattern);
     * ``post_broadcasts`` / ``post_allreduces`` followed by a later
-      :meth:`drain` — incremental posting, used by the
-      :class:`~repro.training.pipeline.GradientPipeline` to launch buckets
-      while the backward pass is still producing gradients.
+      :meth:`drain` — several schedules in flight before one drain.
 
     The scheduler is not reentrant: :meth:`drain` completes *everything*
     posted so far, in posting order.
@@ -430,33 +413,13 @@ class OverlapScheduler:
                     spec.on_complete(result[entry.key])
             del handle, result, posted_entry
 
-    def discard(self) -> None:
-        """Await posted buckets but drop their results without any callbacks.
-
-        The error-recovery counterpart of :meth:`drain`: a collective cannot
-        be cancelled once posted, so this waits the in-flight work out (in an
-        SPMD program every rank must discard symmetrically) while guaranteeing
-        no stale result is installed.
-        """
-        in_flight, self._in_flight = self._in_flight, []
-        for posted_entry in in_flight:
-            if isinstance(posted_entry, list):
-                continue
-            handle, bucket, _spec_by_key, posted, token = posted_entry
-            handle.wait()
-            if token is not None:
-                self.sanitizer.buffers.release(token)
-            self._record_comm_span(bucket, posted, discarded=True)
-
-    def _record_comm_span(
-        self, bucket: TensorBucket, posted: Optional[Tuple[str, int, float]], discarded: bool = False
-    ) -> None:
+    def _record_comm_span(self, bucket: TensorBucket, posted: Optional[Tuple[str, int, float]]) -> None:
         """Record the post->finish window of one fused bucket on the tracer.
 
         The interval covers the collective's entire in-flight life on this
-        rank — from the nonblocking post (possibly mid-backward) to the
-        moment its result was awaited — which is exactly the window measured
-        overlap reporting intersects with the backward spans.
+        rank — from the nonblocking post to the moment its result was awaited
+        — which is exactly the window measured overlap reporting intersects
+        with the backward spans.
         """
         if posted is None or not self.tracer.enabled:
             return
@@ -471,5 +434,4 @@ class OverlapScheduler:
             nbytes=bucket.nbytes,
             fused_count=len(bucket),
             group_size=group_size,
-            discarded=discarded,
         )

@@ -137,11 +137,12 @@ class PerformanceModel:
 
     @staticmethod
     def backward_window(iteration_compute_time: float) -> float:
-        """Backward-pass compute available to hide hook-posted communication behind.
+        """Backward-pass compute a modeled hook-posted schedule hides communication behind.
 
         ``iteration_compute_time`` is the per-rank forward+backward+update
-        time; the hook-driven gradient pipeline posts its buckets while the
-        backward two-thirds of it is still executing.
+        time; a schedule that posted its buckets from backward hooks would
+        post them while the backward two-thirds of it is still executing.
+        The engine posts after backward, so only the models read this.
         """
         return max(0.0, float(iteration_compute_time)) * BACKWARD_COMPUTE_FRACTION
 

@@ -4,13 +4,13 @@ Gradients are averaged across ranks after the backward pass, mirroring the
 bucketed allreduce of ``torch.nn.parallel.DistributedDataParallel`` that the
 paper uses for the first-order (data-parallel) part of training (Figure 3,
 blue boxes).  There is one description of that traffic,
-:class:`GradientAveragingSubscriber`: one float32 spec per trainable
-parameter in reverse parameter order (the order gradients become ready during
+:func:`gradient_specs`: one float32 spec per trainable parameter with a
+gradient, in reverse parameter order (the order gradients become ready during
 backward, as in DDP), fused into ``bucket_cap_mb``-capped buffers by the
-bucketed engine (:mod:`repro.distributed.collectives`).  The
-:class:`~repro.training.trainer.Trainer` posts those specs through its
-:class:`~repro.training.pipeline.GradientPipeline`; a hand-written Listing-1
-loop posts the same specs with :meth:`DistributedDataParallel.sync_gradients`.
+bucketed engine (:mod:`repro.distributed.collectives`).  There is one path
+that posts them, :meth:`DistributedDataParallel.sync_gradients`: the
+:class:`~repro.training.trainer.Trainer` calls it, and so does a hand-written
+Listing-1 loop.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "flatten_arrays",
     "unflatten_array",
     "broadcast_parameters",
-    "GradientAveragingSubscriber",
+    "gradient_specs",
     "DistributedDataParallel",
 ]
 
@@ -63,62 +63,49 @@ def broadcast_parameters(model: Module, comm: Communicator, src: int = 0) -> Non
         param.data = data.astype(param.data.dtype).reshape(param.data.shape)
 
 
-class GradientAveragingSubscriber:
-    """DDP gradient averaging as a gradient-pipeline subscriber.
+def gradient_specs(model: Module, world_size: int, grad_scale: float = 1.0) -> List[AllreduceSpec]:
+    """The allreduce specs that average ``model``'s gradients: one per trainable parameter with a gradient.
 
-    Publishes one :class:`~repro.distributed.collectives.AllreduceSpec` per
-    trainable parameter, in reverse parameter order (the order gradients
-    become ready during backward, exactly as
-    ``torch.nn.parallel.DistributedDataParallel`` fills its buckets).  Each
-    spec is gated on the parameter's grad-ready event and carries the
-    micro-batch ``grad_scale``, which the engine applies once per fused bucket
-    before the allreduce-average; completion binds ``param.grad`` to the
-    averaged gradient where it lies in the drained bucket (a view: nothing is
-    copied out, and the array ``param.grad`` was bound to is not written).
+    Specs run in reverse parameter order (the order gradients become ready
+    during backward, exactly as ``torch.nn.parallel.DistributedDataParallel``
+    fills its buckets).  A parameter without a gradient is not averaged.  Each
+    spec carries the micro-batch ``grad_scale``, which the engine applies once
+    per fused bucket before the allreduce-average; completion binds
+    ``param.grad`` to the averaged gradient where it lies in the drained
+    bucket (a view: nothing is copied out, and the array ``param.grad`` was
+    bound to is not written).
 
     Between ranks gradients travel, and are installed, as float32.  A single
-    rank has nobody to average with: without a micro-batch scale it publishes
-    nothing (``param.grad`` is left untouched — not copied, not cast), and
-    under gradient accumulation the ``1/n`` scale keeps the gradient's dtype.
+    rank has nobody to average with: without a micro-batch scale there are no
+    specs (``param.grad`` is left untouched — not copied, not cast), and under
+    gradient accumulation the ``1/n`` scale keeps the gradient's dtype.
     """
+    scale = float(grad_scale)
+    if world_size == 1 and scale == 1.0:
+        return []
+    params = [p for p in model.parameters() if p.requires_grad]
+    specs: List[AllreduceSpec] = []
+    for index, param in list(enumerate(params))[::-1]:
+        if param.grad is None:
+            continue
+        dtype = np.dtype(np.float32) if world_size > 1 else param.data.dtype
 
-    def __init__(self, model: Module) -> None:
-        self.model = model
+        def install(reduced: np.ndarray, param=param, dtype=dtype) -> None:
+            # A view of the drained bucket, not a copy: the bucket is the
+            # gradient storage until ``zero_grad`` drops the last view.
+            param.grad = reduced.astype(dtype, copy=False).reshape(param.data.shape)
 
-    def pipeline_specs(self, pipeline) -> List[AllreduceSpec]:
-        return self.specs(pipeline.grad_scale, pipeline.comm.world_size)
-
-    def specs(self, grad_scale: float, world_size: int) -> List[AllreduceSpec]:
-        scale = float(grad_scale)
-        if world_size == 1 and scale == 1.0:
-            return []
-        params = [p for p in self.model.parameters() if p.requires_grad]
-        specs: List[AllreduceSpec] = []
-        for index, param in list(enumerate(params))[::-1]:
-            dtype = np.dtype(np.float32) if world_size > 1 else param.data.dtype
-
-            def install(reduced: np.ndarray, param=param, dtype=dtype) -> None:
-                # A view of the drained bucket, not a copy: the bucket is the
-                # gradient storage until ``zero_grad`` drops the last view.
-                param.grad = reduced.astype(dtype, copy=False).reshape(param.data.shape)
-
-            specs.append(
-                AllreduceSpec(
-                    key=f"grad/{index}",
-                    shape=param.data.shape,
-                    dtype=dtype,
-                    payload=lambda param=param, dtype=dtype: np.asarray(param.grad, dtype=dtype),
-                    on_complete=install,
-                    params=(param,),
-                    scale=scale,
-                    # Posted at flush() whenever a gradient exists: on a
-                    # pipeline that was never armed, and for a parameter that
-                    # accumulated gradients in earlier micro-batches yet sat
-                    # out the armed backward (its gate then never fires).
-                    flush_ready=lambda param=param: param.grad is not None,
-                )
+        specs.append(
+            AllreduceSpec(
+                key=f"grad/{index}",
+                shape=param.data.shape,
+                dtype=dtype,
+                payload=lambda param=param, dtype=dtype: np.asarray(param.grad, dtype=dtype),
+                on_complete=install,
+                scale=scale,
             )
-        return specs
+        )
+    return specs
 
 
 class DistributedDataParallel:
@@ -156,11 +143,15 @@ class DistributedDataParallel:
         self.module.eval()
         return self
 
-    def sync_gradients(self) -> None:
-        """Allreduce-average every existing gradient across all ranks (fused per ``bucket_cap_mb``)."""
-        specs = self.subscriber().specs(grad_scale=1.0, world_size=self.comm.world_size)
-        self.scheduler.run_allreduces([spec for spec in specs if spec.flush_ready()])
+    def sync_gradients(self, grad_scale: float = 1.0) -> None:
+        """Listing 1's synchronisation point: scale by ``grad_scale`` and allreduce-average every existing gradient.
 
-    def subscriber(self) -> GradientAveragingSubscriber:
-        """Pipeline subscriber averaging this replica's gradients during backward."""
-        return GradientAveragingSubscriber(self.module)
+        The :func:`gradient_specs` run fused per ``bucket_cap_mb``; the
+        :class:`~repro.training.trainer.Trainer` calls this once per step
+        with the ``1/n`` of its micro-batches.  Under the runtime sanitizer
+        the rank must then have no posted collective left unfinished.
+        """
+        self.scheduler.run_allreduces(gradient_specs(self.module, self.comm.world_size, grad_scale))
+        sanitizer = self.scheduler.sanitizer
+        if sanitizer is not None:
+            sanitizer.assert_drained(self.comm.rank, where="ddp/sync_gradients")

@@ -355,10 +355,11 @@ class CommSchedule:
 
     ``exposed_comm_time`` / ``hidden_comm_time`` split the busiest rank's
     per-iteration communication into the part left on the critical path and
-    the part hidden behind backward compute.  A ``hooked`` schedule (the
-    backward-hook gradient pipeline) posts the factor allreduces and the
-    data-parallel gradient averaging while backprop still runs, hiding them
-    inside the backward window; step-time schedules expose everything.
+    the part hidden behind backward compute.  A ``hooked`` schedule (modeled
+    only: the engine posts after backward) would post the factor allreduces
+    and the data-parallel gradient averaging while backprop still runs,
+    hiding them inside the backward window; step-time schedules, which are
+    what the engine runs, expose everything.
     """
 
     strategy: str
@@ -392,9 +393,9 @@ def model_comm_schedule(
     on the cap; only message counts (alpha terms) do.  A cap sweep prices
     ``spec.config.replace(bucket_cap_mb=...)``.
 
-    ``hooked=True`` models the backward-hook gradient pipeline: the same
-    factor allreduces and the data-parallel gradient averaging are posted
-    while backprop still runs, so up to
+    ``hooked=True`` is modeled only (the Fig. 7 / 8 overlap projections; the
+    engine posts after backward): the same factor allreduces and the
+    data-parallel gradient averaging posted while backprop still runs, so up to
     :meth:`PerformanceModel.backward_window` seconds of that traffic are
     hidden; ``exposed_comm_time``/``hidden_comm_time`` report the split and
     ``iteration_time`` charges only the exposed part.  Eigen and
@@ -407,7 +408,7 @@ def model_comm_schedule(
     rounds = {label: (len(sent), sum(nbytes for _, nbytes in sent)) for label, sent in messages.items()}
 
     # --- factor allreduce (world-wide; every rank participates) ------------
-    # The round the hooked pipeline can hide, so its time is kept apart from
+    # The round a hooked schedule can hide, so its time is kept apart from
     # the step-time broadcast rounds below.
     factor_time = sum(perf.allreduce_time(nbytes, len(members)) for members, nbytes in messages["factor"])
     factor_per_iter = amortized_update_time(factor_time, plan.factor_update_freq, spec.factor_update_fraction)

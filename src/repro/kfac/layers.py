@@ -192,9 +192,7 @@ class KFACLayer:
         """Full backward hook: accumulate G statistics from the output gradient.
 
         Fired by the autograd tape once per backward pass through the module,
-        in reverse-layer order — the same event the gradient pipeline keys
-        its factor buckets on (pipeline triggers are registered after this
-        hook, so the statistics are final when a bucket is posted).
+        in reverse-layer order.
         """
         if not module.training or not self._should_accumulate():
             return

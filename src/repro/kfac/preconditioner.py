@@ -50,7 +50,7 @@ specs once, and every allreduce and broadcast goes through one bucketed
 collective engine (:mod:`repro.distributed.collectives`).
 
 :class:`~repro.training.Trainer` drives :class:`KFAC` directly: it calls
-:meth:`step` with the step's loss, sizes its pipeline by ``plan.bucket_cap_mb``
+:meth:`step` with the step's loss, caps its gradient buckets at ``plan.bucket_cap_mb``
 and checkpoints :meth:`state_dict`, which with :meth:`load_state_dict`
 round-trips the running factors, eigen state, drift schedule and step counter
 (per rank), so checkpoint/resume reproduces the exact training trajectory
@@ -205,9 +205,8 @@ class KFAC:
         """What the pending step does: the plan's :meth:`~repro.kfac.strategy.DistributionPlan.actions`, revised by drift.
 
         Taken once per step -- by the first K-FAC layer's forward hook, or by
-        :meth:`step` itself -- and kept until it ends, so the hooks,
-        :meth:`pipeline_specs`, :meth:`on_pipeline_flush` and the step read
-        the same value.  Taking it submits the decompositions of ``refresh``
+        :meth:`step` itself -- and kept until it ends, so the hooks and the
+        step read the same value.  Taking it submits the decompositions of ``refresh``
         (:meth:`_submit`), which the eigen worker solves while forward and
         backward run.
         """
@@ -265,11 +264,11 @@ class KFAC:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
         In order: prepare the factor-reading solvers of ``refresh`` on the
-        factors as the step found them; run the factor round of ``fold``
-        (unless an armed pipeline ran it) and fold the averaged windows, once
-        even when the step is retried; observe drift; take this rank's
-        decompositions and run the eigen round; precondition and run the
-        gradient round; apply the KL clip and write the gradients back.
+        factors as the step found them; run the factor round of ``fold`` and
+        fold the averaged windows, once even when the step is retried; observe
+        drift; take this rank's decompositions and run the eigen round;
+        precondition and run the gradient round; apply the KL clip and write
+        the gradients back.
         ``loss`` (this step's training loss) feeds the Levenberg-Marquardt
         adaptive damping controller when ``adaptive_damping`` is configured;
         it is ignored otherwise.
@@ -295,7 +294,7 @@ class KFAC:
             actions = self.actions()
             unfolded = self._prepare_solvers(actions.refresh)
             if not self._folded:  # a step retried after an error does not fold its window again
-                if actions.fold and not self._factors_reduced:
+                if actions.fold:
                     with self._stage("factor_compute"):
                         for name in actions.fold:
                             self.factor_window(self.layers[name])
@@ -411,10 +410,8 @@ class KFAC:
     # Every rank contributes its *window average*; the average over ranks is
     # folded once, where the factor is read.  ``factor_specs`` is the one
     # builder of the round: ``step()`` takes the window of every layer its
-    # actions fold and runs the specs; an armed GradientPipeline (see
-    # ``pipeline_specs``) posts the same specs, in the same order and so in
-    # the same buckets, from backward events, taking each layer's window
-    # inside its payload.  Layers the step does not fold cost nothing.
+    # actions fold and runs the specs.  Layers the step does not fold cost
+    # nothing.
     def _begin_factor_window(self) -> None:
         """Forget what was taken / reduced / rejected / submitted: the next factor update starts clean.
 
@@ -427,15 +424,14 @@ class KFAC:
         self._reduced: Dict[str, Dict[str, np.ndarray]] = {}  # layer name -> its averaged window halves, to fold
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
-        self._factors_reduced = False  # a pipeline already allreduced the pending step's factors
         self._folded = False  # the pending step folded its windows
 
     def factor_window(self, layer: KFACLayer) -> tuple:
         """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
 
         Taken from the layer's accumulators once per pending step and kept
-        until the step ends: a re-armed (retried) step posts the same window
-        again, and it is folded once, when an allreduce of it is installed.
+        until the step ends: a retried step posts the same window again, and
+        it is folded once, when an allreduce of it is installed.
         """
         window = self._windows.get(layer.name)
         if window is None:
@@ -481,9 +477,8 @@ class KFAC:
         Each factor travels as it is stored (a dense one as its packed
         triangle).  ``payload`` is this rank's window average
         (:meth:`factor_window`); ``on_complete`` keeps the averaged half for
-        :meth:`_fold_factors`, so whoever ran the allreduces, the factors stand
-        as the step found them until its fold.  ``modules`` and
-        ``flush_ready`` gate a spec in a pipeline; :meth:`step` ignores them.
+        :meth:`_fold_factors`, so the factors stand as the step found them
+        until its fold.
         """
 
         def spec(key: str, shape: tuple, dtype: np.dtype) -> AllreduceSpec:
@@ -497,10 +492,6 @@ class KFAC:
                 key, shape, dtype,
                 payload=lambda: self.factor_window(layer)["ag".index(which)],
                 on_complete=install,
-                modules=(layer.module,),
-                # A layer skipped by the final micro-batch still has a window of statistics
-                # from earlier ones; take and allreduce it at flush exactly as step() would.
-                flush_ready=lambda: name in self._windows or layer.has_accumulated_data,
             )  # fmt: skip
 
         return [spec(*entry) for entry in self.actions().factor_round()]
@@ -671,34 +662,6 @@ class KFAC:
             layer.set_gradient(precond, nu)
         return nu, raw_total
 
-    # ------------------------------------------ gradient-pipeline subscription
-    # On a folding step KFAC publishes its factor round, each spec gated on
-    # its module's full-backward event, so a layer's factor traffic is posted
-    # the moment *its* backward completes; KFAC.step() then skips the round
-    # and folds, bitwise as it would have.
-    def pipeline_specs(self, pipeline) -> List[AllreduceSpec]:
-        """The pending step's :meth:`factor_specs` (pipeline subscriber API)."""
-        if pipeline.comm is not self.comm and (pipeline.comm.world_size > 1 or self.comm.world_size > 1):
-            # Distinct world_size-1 communicators are harmless (collectives
-            # are local no-ops); distinct multi-rank ones would desync the
-            # per-group collective ordering, so reject them.
-            raise ValueError(
-                "GradientPipeline and KFAC must share one communicator; posting the factor "
-                "allreduces on a different communicator would desynchronize collective ordering"
-            )
-        return self.factor_specs()
-
-    def on_pipeline_flush(self, pipeline) -> None:
-        """Mark this iteration's factor stages complete once the pipeline drained."""
-        required = self.actions().fold
-        missing = [name for name in required if name not in self._windows]
-        if missing:
-            raise RuntimeError(
-                f"gradient pipeline flushed but layers {missing} produced no backward event; "
-                "their factor windows were never taken or allreduced"
-            )
-        self._factors_reduced = bool(required)
-
     # ------------------------------------------------------------------- state
     def state_dict(self) -> Dict[str, Any]:
         """This rank's complete mutable preconditioner state, in :data:`~repro.kfac.base.CHECKPOINT_FORMAT`.
@@ -778,8 +741,8 @@ class KFAC:
             self.damping_controller.load_state_dict(state["damping_controller"])
             self.damping = self.damping_controller.damping
         # Factor bookkeeping refers to this instance's own history, not the
-        # checkpoint's: after a restore the next step() must run its factor
-        # stages itself unless a pipeline runs them again.
+        # checkpoint's: after a restore the next step() runs its factor
+        # stages afresh.
         self._begin_factor_window()
 
     # ------------------------------------------------------------------- memory

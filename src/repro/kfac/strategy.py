@@ -201,8 +201,8 @@ class StepActions:
     def factor_round(self) -> Tuple[FactorSpec, ...]:
         """The window allreduces of ``fold``, in reverse layer order: the order backward finalizes the layers.
 
-        One order for every poster: ``KFAC.step`` and an armed gradient
-        pipeline fill the same buckets, and DDP fills its buckets this way too.
+        ``KFAC.step`` fills its buckets in this order, as DDP fills its
+        gradient buckets.
         """
         return tuple(spec for name in reversed(self.fold) for spec in self.plan.factor_round[name])
 

@@ -21,12 +21,7 @@ def _remove_handles(handles) -> None:
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is registered as a trainable model parameter.
-
-    Parameters inherit :meth:`Tensor.register_grad_ready_hook`, so training
-    machinery (DDP averaging, the gradient pipeline) can subscribe to the
-    moment the autograd tape finalizes this parameter's gradient.
-    """
+    """A :class:`Tensor` that is registered as a trainable model parameter."""
 
     def __init__(self, data, requires_grad: bool = True, dtype=None):
         super().__init__(data, requires_grad=requires_grad, dtype=dtype)
@@ -40,8 +35,7 @@ class Module:
     ``(module, inputs, output)`` after every forward call and are the
     mechanism the K-FAC preconditioner uses to capture layer inputs; full
     backward hooks receive ``(module, grad_input, grad_output)`` during the
-    backward pass (the event K-FAC's G-factor capture and the gradient
-    pipeline are driven by).  All registrations return a
+    backward pass (the event K-FAC's G-factor capture is driven by).  All registrations return a
     :class:`~repro.tensor.RemovableHandle`.
     """
 
@@ -88,11 +82,8 @@ class Module:
         the hook waits for those totals, so when an input also feeds other
         branches (e.g. a residual skip) the event fires only once the shared
         gradient is complete.  This differs from PyTorch's per-module
-        ``grad_input``; K-FAC and the gradient pipeline only consume
-        ``grad_output`` and the event's timing.  Hooks fire in registration
-        order, so e.g. K-FAC's G-factor accumulation (registered at
-        preconditioner construction) runs before a gradient pipeline's
-        readiness trigger (registered when the pipeline is armed).
+        ``grad_input``; K-FAC only consumes ``grad_output``.  Hooks fire in
+        registration order.
         """
         return _register_hook(self._backward_hooks, hook)
 
@@ -184,8 +175,7 @@ class Module:
         collected from tape hooks; when the last of them arrives the module
         hooks run with ``(module, grad_input, grad_output)``.  The tape walks
         the graph in reverse topological order, so across a network the
-        events fire in reverse-layer order — the property the gradient
-        pipeline's bucket scheduling relies on.  State resets after firing so
+        events fire in reverse-layer order.  State resets after firing so
         a second ``backward()`` over the same graph fires the hooks again.
         """
         tensor_inputs = tuple(a for a in args if isinstance(a, Tensor))

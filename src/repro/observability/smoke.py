@@ -1,7 +1,7 @@
 """End-to-end trace smoke: a tiny traced BERT run under the threaded world.
 
-Runs the full instrumented stack — a gradient pipeline armed for overlap
-with backward, fused nonblocking collectives, K-FAC with per-stage spans —
+Runs the full instrumented stack — the ``Trainer``'s Listing-1 step, fused
+nonblocking collectives, K-FAC with per-stage spans —
 across ``--world`` threaded ranks with tracing enabled, then exports and
 validates a Chrome trace (loadable in Perfetto / ``chrome://tracing``),
 prints the aggregated
@@ -26,7 +26,7 @@ the same layer set.  Used three ways:
   step did not wait for, between 0 and solve minus caller; beside the
   messages table it prints the factor round's bytes per update, each rank's
   eigen solve, hidden and caller milliseconds and each rank's median
-  optimizer step, pipeline flush and K-FAC write-back, :data:`GLUE_SPANS`);
+  optimizer step, gradient sync and K-FAC write-back, :data:`GLUE_SPANS`);
 * ``benchmarks/bench_comm_fusion.py`` imports :func:`run_traced_bert`,
   :func:`workload_spec_for_run`, :func:`modeled_schedule_for_run` and
   :func:`kfac_traffic` to print modeled-vs-measured columns;
@@ -45,7 +45,7 @@ __all__ = ["run_traced_bert", "workload_spec_for_run", "modeled_schedule_for_run
 
 #: The spans whose work is once per parameter by nature (what is left of it runs once per block):
 #: their share of a step is Python glue under the interpreter lock, so every CI log prints it.
-GLUE_SPANS = ("trainer/optimizer_step", "pipeline/flush", "kfac/scale_and_update")
+GLUE_SPANS = ("trainer/optimizer_step", "trainer/grad_sync", "kfac/scale_and_update")
 
 
 def run_traced_bert(
@@ -55,16 +55,13 @@ def run_traced_bert(
     seed: int = 0,
     factor_update_freq: int = 5,
     inv_update_freq: int = 10,
-    use_pipeline: bool = True,
     bucket_cap_mb: float = 25.0,
 ):
     """Train a tiny BERT for ``steps`` iterations on ``world_size`` threaded ranks.
 
-    Every rank runs with its communicator's tracer enabled, a
-    gradient pipeline instance the trainer arms (``use_pipeline=False`` leaves
-    the trainer on its own pipeline, which posts everything at ``flush()``)
-    and the fused nonblocking collective engine, so the returned per-rank
-    tracers carry comm spans overlapping the backward spans.  Returns
+    Every rank runs a ``Trainer`` with its communicator's tracer enabled and
+    the fused nonblocking collective engine, so the returned per-rank tracers
+    carry every comm span beside the backward spans.  Returns
     ``(tracers, run_info)`` where ``run_info`` records the preconditioner's
     :class:`~repro.kfac.KFACConfig` (``"config"``, as ``to_dict()``: what the
     models need to rebuild the run's plan), the digest of each rank's plan
@@ -79,11 +76,11 @@ def run_traced_bert(
     (``"eigen_gauges"``), what each rank's
     registry counted (``"counted"``: per rank ``{op: (messages, bytes)}``) and
     the part of it that is data-parallel gradient averaging, per step
-    (``"grad_sync"``: the same pair, from the averaging subscriber's own specs
-    under the run's bucket cap).
+    (``"grad_sync"``: the same pair, from the gradient-averaging specs under
+    the run's bucket cap).
     """
     from ..distributed.collectives import BucketManager
-    from ..distributed.ddp import GradientAveragingSubscriber
+    from ..distributed.ddp import gradient_specs
     from ..distributed.threaded import run_spmd
 
     def program(comm):
@@ -91,7 +88,6 @@ def run_traced_bert(
 
         from ..experiments.workloads import build_bert_workload
         from ..kfac import KFAC
-        from ..training.pipeline import GradientPipeline
         from ..training.trainer import Trainer
 
         workload = build_bert_workload(seed=seed, num_train=16 * steps, num_val=16)
@@ -108,10 +104,7 @@ def run_traced_bert(
             skip_modules=workload.kfac_skip_modules,
         )
         comm.tracer.enabled = True
-        pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb) if use_pipeline else None
-        trainer = Trainer(
-            model, optimizer, workload.forward_loss, preconditioner=preconditioner, comm=comm, pipeline=pipeline
-        )
+        trainer = Trainer(model, optimizer, workload.forward_loss, preconditioner=preconditioner, comm=comm)
         # 16 samples per step is half a batch: go round the loader until ``steps`` steps ran.
         epochs = itertools.chain.from_iterable(itertools.repeat(workload.train_loader))
         decomposed, eigen_gauges = [], []
@@ -134,7 +127,7 @@ def run_traced_bert(
             for which, repr_ in (("a", layer.a_repr), ("g", layer.g_repr))
             if preconditioner.holds_factor(name, which)
         )
-        averaging = GradientAveragingSubscriber(model).specs(1.0, comm.world_size)
+        averaging = gradient_specs(model, comm.world_size)
         grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
         grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
         counters = comm.tracer.counters()
@@ -160,7 +153,6 @@ def run_traced_bert(
         "world_size": world_size,
         "steps": steps,
         "seed": seed,
-        "use_pipeline": use_pipeline,
         "config": per_rank[0]["config"],
         "plan_digests": [entry["plan_digest"] for entry in per_rank],
         "memory_usage": [entry["memory_usage"] for entry in per_rank],
@@ -211,11 +203,11 @@ def _run_plan(spec, run_info):
 
 
 def modeled_schedule_for_run(spec, run_info):
-    """The analytic :class:`~repro.kfac.CommSchedule` of a traced run: ``spec`` priced as the run posted, hooked or not."""
+    """The analytic :class:`~repro.kfac.CommSchedule` of a traced run: ``spec`` priced as the run posted, after backward."""
     from ..kfac import model_comm_schedule
 
     world, frac = run_info["world_size"], spec.config.grad_worker_frac
-    return model_comm_schedule(spec, world, frac, hooked=run_info["use_pipeline"])
+    return model_comm_schedule(spec, world, frac)
 
 
 def kfac_traffic(spec, run_info):
@@ -294,14 +286,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--world", type=int, default=4, help="threaded world size")
     parser.add_argument("--steps", type=int, default=12, help="optimization steps (cadence 5 / 10: past one interval)")
     parser.add_argument("--frac", type=float, default=0.5, help="grad_worker_frac")
-    parser.add_argument("--no-pipeline", action="store_true", help="post at flush() instead of during backward")
     args = parser.parse_args(argv)
 
     tracers, run_info = run_traced_bert(
         world_size=args.world,
         steps=args.steps,
         grad_worker_frac=args.frac,
-        use_pipeline=not args.no_pipeline,
     )
     path = write_chrome_trace(args.out, tracers)
     validate_chrome_trace(path.read_text())
@@ -373,7 +363,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         format_table(
             ["rank", *GLUE_SPANS],
             glue_rows,
-            title="\nPer-parameter glue of a step, median ms per rank (fused optimizer step, gradient seam, K-FAC write-back)",
+            title="\nPer-parameter glue of a step, median ms per rank (fused optimizer step, gradient sync, K-FAC write-back)",
         )
     )
     if any(expected != counted for per_op in traffic for expected, counted in per_op.values()):

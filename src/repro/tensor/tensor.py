@@ -9,9 +9,7 @@ mirrors the parts of PyTorch that K-FAC relies on:
   leaf gradients finalize eagerly in reverse-layer order,
 * ``Tensor.register_hook`` observing a tensor's incoming gradient (the ``g``
   in the Kronecker factor ``G = g gᵀ`` is captured one level up, via
-  ``Module.register_full_backward_hook``), and
-  ``Tensor.register_grad_ready_hook`` announcing a finalized leaf gradient —
-  the event the gradient pipeline posts communication buckets on,
+  ``Module.register_full_backward_hook``),
 * a ``no_grad`` context manager used for evaluation and factor bookkeeping.
 
 Only floating point dtypes are supported; integer inputs (e.g. token ids or
@@ -147,7 +145,7 @@ class Function:
 class Tensor:
     """N-dimensional array with reverse-mode autograd support."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_ctx", "_hooks", "_grad_ready_hooks", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_ctx", "_hooks", "__weakref__")
     __array_priority__ = 100.0  # numpy defers binary ops to Tensor
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, _copy: bool = True):
@@ -170,7 +168,6 @@ class Tensor:
         # Hook dicts are allocated lazily: most tensors never carry hooks and
         # tensor construction is on the hot path of every traced operation.
         self._hooks: Optional[Dict[int, Callable[[np.ndarray], None]]] = None
-        self._grad_ready_hooks: Optional[Dict[int, Callable[["Tensor"], None]]] = None
 
     # ------------------------------------------------------------------ meta
     @property
@@ -230,21 +227,6 @@ class Tensor:
             self._hooks = {}
         return _register_hook(self._hooks, hook)
 
-    def register_grad_ready_hook(self, hook: Callable[["Tensor"], None]) -> RemovableHandle:
-        """Register ``hook(tensor)`` fired when this *leaf* tensor's gradient is finalized.
-
-        The autograd tape calls the hook once per ``backward()`` pass, after
-        every contribution flowing through the graph has been summed into
-        ``.grad`` — so under gradient accumulation the hook observes the
-        running total including earlier micro-batches (accumulation-aware).
-        This is the event the :class:`~repro.training.pipeline.GradientPipeline`
-        uses to post communication buckets while backprop is still running.
-        Returns a :class:`RemovableHandle`.
-        """
-        if self._grad_ready_hooks is None:
-            self._grad_ready_hooks = {}
-        return _register_hook(self._grad_ready_hooks, hook)
-
     # -------------------------------------------------------------- backward
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
@@ -278,11 +260,10 @@ class Tensor:
         # as every consumer has contributed its share of the incoming
         # gradient (consumer-edge counting, as in PyTorch's engine) instead
         # of at its position in a global post-order walk.  A leaf's gradient
-        # is therefore *finalized* — accumulated into ``.grad`` and announced
-        # through its grad-ready hooks — the moment the owning layer's local
-        # backward completes, in reverse-layer order, while earlier layers
-        # are still backpropagating.  The gradient pipeline relies on exactly
-        # this to overlap communication with the rest of the backward pass.
+        # is therefore *finalized* — accumulated into ``.grad`` — the moment
+        # the owning layer's local backward completes, in reverse-layer order,
+        # while earlier layers are still backpropagating, and module full
+        # backward hooks (K-FAC's G capture) fire in that order too.
         # Scheduling is a deterministic function of the graph structure, so
         # every data-parallel rank observes the identical event order.
         consumers: dict[int, int] = {}
@@ -300,9 +281,6 @@ class Tensor:
                 leaf.grad = leaf_grad.astype(leaf.data.dtype, copy=True)
             else:
                 leaf.grad = leaf.grad + leaf_grad.astype(leaf.data.dtype)
-            if leaf._grad_ready_hooks:
-                for hook in tuple(leaf._grad_ready_hooks.values()):
-                    hook(leaf)
 
         grads: dict[int, np.ndarray] = {id(self): grad}
         ready: list[Tensor] = [self]

@@ -1,4 +1,4 @@
-"""Training loops, the gradient pipeline (the one gradient-synchronisation seam), metrics and convergence bookkeeping."""
+"""The training loop (the paper's Listing 1), metrics and convergence bookkeeping."""
 
 from .convergence import CurvePoint, TrainingCurve
 from .metrics import (
@@ -8,12 +8,10 @@ from .metrics import (
     masked_lm_accuracy,
     segmentation_dice,
 )
-from .pipeline import GradientPipeline
 from .trainer import Trainer
 
 __all__ = [
     "Trainer",
-    "GradientPipeline",
     "TrainingCurve",
     "CurvePoint",
     "classification_accuracy",

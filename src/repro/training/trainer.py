@@ -6,15 +6,13 @@ synchronization (data parallel), ``preconditioner.step()``,
 scaling (section 4.1) slot in around that ordering the same way they do in
 the reference implementation.
 
-Gradient synchronization has one seam, a
-:class:`~repro.training.pipeline.GradientPipeline`, and every step ends it
-with one ``flush()`` before the preconditioner / optimizer step.  The trainer
-owns a pipeline it never arms unless the caller supplies one: ``flush()`` then
-posts the gradient-averaging buckets after backward — one fused float32
-allreduce, Listing 1's synchronisation point.  A pipeline passed in by the
-caller is armed before the final micro-batch, so the same buckets (and the
-K-FAC factor allreduces) are posted *during* the backward pass as grad-ready
-events fire.  Both produce the same bits.
+Gradient synchronization is one call,
+:meth:`~repro.distributed.ddp.DistributedDataParallel.sync_gradients`, made
+once per step after the last micro-batch's backward: the gradient-averaging
+buckets, scaled by ``1/n`` and fused under the preconditioner's cap, are
+posted and drained there, Listing 1's synchronisation point.  A hand-written
+loop that calls it, then ``KFAC.step``, then ``optimizer.step`` gets the same
+bits.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Optional, Sequence
 
-from ..distributed.backend import Communicator
-from ..distributed.ddp import GradientAveragingSubscriber
+from ..distributed.backend import Communicator, SingleProcessCommunicator
+from ..distributed.ddp import DistributedDataParallel
 from ..kfac.base import CHECKPOINT_FORMAT, check_checkpoint_format
 from ..kfac.preconditioner import KFAC
 from ..nn.module import Module
@@ -31,7 +29,6 @@ from ..optim.grad_scaler import GradScaler
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
 from .convergence import TrainingCurve
-from .pipeline import GradientPipeline
 
 __all__ = ["Trainer"]
 
@@ -57,23 +54,19 @@ class Trainer:
         Optional simulated seconds per iteration (from
         :class:`repro.kfac.IterationTimeModel`), used to accumulate the
         simulated wall-clock recorded in training curves.
-    pipeline:
-        ``None`` (default): the trainer builds a
-        :class:`~repro.training.pipeline.GradientPipeline` over ``comm`` with
-        gradient averaging subscribed and never arms it, so everything is
-        posted at ``flush()``, in buckets capped at the preconditioner's
-        ``plan.bucket_cap_mb`` (25 MB without one); without a ``comm`` no
-        gradient is averaged, whatever the preconditioner communicates
-        over.  Pass an instance to overlap communication with backward: it is
-        armed before the final micro-batch and, when it has no subscribers
-        yet, wired with gradient averaging plus the preconditioner's factor
-        subscription.
+    comm:
+        The communicator gradients are averaged over (``self.ddp``, a
+        :class:`~repro.distributed.ddp.DistributedDataParallel` in buckets
+        capped at the preconditioner's ``plan.bucket_cap_mb``, 25 MB without
+        one).  Without a ``comm`` no gradient is averaged, whatever the
+        preconditioner communicates over; the ``1/n`` micro-batch scale is
+        still applied.
 
     The trainer records its step / micro-batch / forward / backward /
-    optimizer spans into the rank's tracer, ``comm.tracer`` (with no ``comm``,
-    the preconditioner's communicator's, else the pipeline's): the one the
-    pipeline and the preconditioner record into, so one trace covers the
-    whole stack once it is enabled (``REPRO_TRACE=1`` or
+    gradient-sync / optimizer spans into the rank's tracer, ``comm.tracer``
+    (with no ``comm``, the preconditioner's communicator's): the one the
+    collective engine and the preconditioner record into, so one trace covers
+    the whole stack once it is enabled (``REPRO_TRACE=1`` or
     ``comm.tracer.enabled = True``).  Tracing never changes numerics.
     """
 
@@ -87,7 +80,6 @@ class Trainer:
         grad_scaler: Optional[GradScaler] = None,
         comm: Optional[Communicator] = None,
         iteration_time: Optional[float] = None,
-        pipeline: Optional[GradientPipeline] = None,
     ) -> None:
         if preconditioner is not None and not isinstance(preconditioner, KFAC):
             raise TypeError(f"preconditioner must be a repro.kfac.KFAC or None, got {type(preconditioner).__name__}")
@@ -100,37 +92,16 @@ class Trainer:
         self.comm = comm
         self.iteration_time = iteration_time
         rank_comm = preconditioner.comm if comm is None and preconditioner is not None else comm
-        # Overlap with backward is the caller's request: only a supplied
-        # pipeline is ever armed.
-        self._overlap = pipeline is not None
-        if pipeline is None:
-            # The plan's cap (including the cost-model-sized
-            # bucket_cap_mb="auto"), so gradient and factor traffic share one
-            # fusion granularity.
-            bucket_cap_mb = 25.0 if preconditioner is None else preconditioner.plan.bucket_cap_mb
+        if comm is None:
             # Without a comm nothing is averaged; a single-rank preconditioner's
             # communicator averages nothing either and keeps the rank at one tracer.
-            single = rank_comm if rank_comm is not None and rank_comm.world_size == 1 else None
-            pipeline = GradientPipeline(model, comm=comm if comm is not None else single, bucket_cap_mb=bucket_cap_mb)
-        elif not isinstance(pipeline, GradientPipeline):
-            raise TypeError(f"pipeline must be a GradientPipeline or None, got {pipeline!r}")
-        elif comm is not None and pipeline.comm is not comm and (comm.world_size > 1 or pipeline.comm.world_size > 1):
-            # A pipeline left on its default single-process communicator
-            # would silently turn gradient averaging into a no-op while
-            # the trainer believes it is training data-parallel.
-            raise ValueError(
-                "GradientPipeline and Trainer must share one communicator: the pipeline "
-                f"synchronizes over {pipeline.comm.world_size} rank(s) but the trainer's "
-                f"communicator spans {comm.world_size}; pass GradientPipeline(model, comm=...)"
-            )
-        if not pipeline.subscribers:
-            pipeline.add_subscriber(GradientAveragingSubscriber(model))
-            if self._overlap and preconditioner is not None:
-                # Factor allreduces overlap backward too; on the trainer's own
-                # pipeline the factor stage stays inside preconditioner.step().
-                pipeline.add_subscriber(preconditioner)
-        self.pipeline = pipeline
-        self.tracer = (rank_comm if rank_comm is not None else pipeline.comm).tracer
+            single = rank_comm is not None and rank_comm.world_size == 1
+            comm = rank_comm if single else SingleProcessCommunicator()
+        # The plan's cap (including the cost-model-sized bucket_cap_mb="auto"),
+        # so gradient and factor traffic share one fusion granularity.
+        bucket_cap_mb = 25.0 if preconditioner is None else preconditioner.plan.bucket_cap_mb
+        self.ddp = DistributedDataParallel(model, comm, broadcast_initial=False, bucket_cap_mb=bucket_cap_mb)
+        self.tracer = (rank_comm if rank_comm is not None else comm).tracer
         self.iterations = 0
         self.simulated_time = 0.0
         self._start_time = time.perf_counter()
@@ -151,15 +122,8 @@ class Trainer:
         self.optimizer.zero_grad()
         total_loss = 0.0
         final_index = len(micro_batches) - 1
-        # Accumulated gradients are averaged so the effective loss is the mean.
-        grad_scale = 1.0 / len(micro_batches)
         for index, micro in enumerate(micro_batches):
             with self.tracer.span("trainer/micro_batch", category="step", index=index):
-                if self._overlap and index == final_index:
-                    # Arm for the final micro-batch only: hooks fire every
-                    # backward, but buckets post exactly once per step, carrying
-                    # the accumulated gradients with the 1/n micro-batch scale.
-                    self.pipeline.arm(grad_scale)
                 with self.tracer.span("trainer/forward", category="forward"):
                     loss = self.forward_loss(self.model, micro)
                 total_loss += float(loss.item())
@@ -171,10 +135,10 @@ class Trainer:
                         self.grad_scaler.scale(loss).backward()
                     else:
                         loss.backward()
-        # The one synchronisation point: whatever backward events did not post
-        # already (everything, on a pipeline that was never armed) is posted
-        # and drained here, scaled by 1/n and averaged across ranks.
-        self.pipeline.flush(grad_scale)
+        # The one synchronisation point: accumulated gradients are scaled by
+        # 1/n (the effective loss is the mean) and averaged across ranks.
+        with self.tracer.span("trainer/grad_sync", category="sync"):
+            self.ddp.sync_gradients(1.0 / len(micro_batches))
         if self.grad_scaler is not None:
             self.grad_scaler.unscale_(self.optimizer)
         if self.preconditioner is not None:

@@ -165,9 +165,9 @@ def f():
         assert ids_of(result) == ["SPMD103", "SPMD103"]
 
     def test_positive_set_typed_attribute_across_classes(self):
-        # The real bug this rule caught in GradientPipeline.arm(): an
-        # attribute assigned from a set-typed parameter in one class,
-        # iterated through another object's reference elsewhere.
+        # The bug shape this rule exists for: an attribute assigned from a
+        # set-typed parameter in one class, iterated through another
+        # object's reference elsewhere.
         result = lint_one(
             """
 class Planned:

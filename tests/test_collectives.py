@@ -446,16 +446,12 @@ class TestGradientSeam:
     @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "REPRO_SANITIZE"])
     def test_averaged_gradients_are_views_of_the_drained_bucket(self, sanitize):
         """World 2, accumulation scale 1/2: float32 views of one buffer, writable again once the token is released."""
-        from repro.distributed import GradientAveragingSubscriber
-        from repro.training import GradientPipeline
-
         def program(comm):
             model = self.model_with_gradients(comm.rank, dtypes=(np.float32, np.float64))
             before = [param.grad for param in model.parameters()]
             kept = [grad.copy() for grad in before]
-            pipeline = GradientPipeline(model, comm=comm)
-            pipeline.add_subscriber(GradientAveragingSubscriber(model))
-            pipeline.flush(grad_scale=0.5)  # asserts the rank is drained when the sanitizer is on
+            ddp = DistributedDataParallel(model, comm, broadcast_initial=False)
+            ddp.sync_gradients(grad_scale=0.5)  # asserts the rank is drained when the sanitizer is on
             grads = [param.grad for param in model.parameters()]
             bases = {id(grad.base) for grad in grads}
             assert len(bases) == 1 and grads[0].base is not None  # one bucket is the gradient storage
@@ -480,8 +476,7 @@ class TestGradientSeam:
         model = self.model_with_gradients(dtypes=dtypes)
         before = [param.grad.copy() for param in model.parameters()]
         ddp = DistributedDataParallel(model, SingleProcessCommunicator(), broadcast_initial=False)
-        specs = ddp.subscriber().specs(grad_scale=0.5, world_size=1)
-        ddp.scheduler.run_allreduces(specs)
+        ddp.sync_gradients(grad_scale=0.5)
         grads = [param.grad for param in model.parameters()]
         assert len({id(grad.base) for grad in grads}) == len(grads)  # each its own array, not a view of a bucket
         for grad, original in zip(grads, before):
@@ -531,10 +526,6 @@ class TestGradientSeam:
         np.testing.assert_array_equal(ones, 1.0)
         assert got["c"].dtype == np.float32 and got["c"].shape == (2, 3)
         np.testing.assert_array_equal(got["c"].ravel(), wide)
-        scheduler.post_allreduces([AllreduceSpec("d", (4,), np.float32, lambda: ones, lambda array: got.__setitem__("d", array))])
-        scheduler.discard()
-        scheduler.drain()
-        assert "d" not in got
 
 
 #: A cap smaller than any tensor: every tensor travels in a message of its own

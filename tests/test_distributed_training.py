@@ -15,7 +15,7 @@ from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import KFAC, eigenvalue_outer_product
 from repro.models import MLP
 from repro.tensor import Tensor
-from repro.training import GradientPipeline, Trainer
+from repro.training import Trainer
 
 from counters import comm_counts, event_total, layer_events
 
@@ -248,7 +248,7 @@ class TestOneEigenStagePath:
         assert sum(run_spmd(4, program)) > 0  # under MEM-OPT one of the four ranks holds none of the three layers
 
 
-def layout_program(steps=3, armed=False, **kfac_kwargs):
+def layout_program(steps=3, **kfac_kwargs):
     """Train MLP(6, [16, 8], 3) through a ``Trainer`` and report what each rank ends up holding."""
 
     def program(comm):
@@ -261,7 +261,6 @@ def layout_program(steps=3, armed=False, **kfac_kwargs):
             lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
             preconditioner=pre,
             comm=comm,
-            pipeline=GradientPipeline(model, comm=comm, bucket_cap_mb=0.001) if armed else None,
         )
         batch_rng = np.random.default_rng(99)
         for _ in range(steps):
@@ -318,9 +317,9 @@ class TestShardedFactorLayout:
                 assert entry["held"][(name, which)] == entry["grad_worker"][name]
         assert sum(entry["memory"]["factors"] for entry in ranks) == 2 * ranks[0]["all_factor_bytes"]
 
-    def test_strategies_agree_after_20_steps_armed_or_not(self):
-        """MEM / HYBRID / COMM-OPT are one algorithm; arming the pipeline
-        (factor windows posted during backward) changes when, not what."""
+    def test_strategies_agree_after_20_steps_at_any_bucket_cap(self):
+        """MEM / HYBRID / COMM-OPT are one algorithm; the bucket cap changes
+        how many messages carry the bytes, not what they carry."""
         finals = {}
         for label, kwargs in {
             "mem": dict(grad_worker_frac=0.25),
@@ -328,8 +327,8 @@ class TestShardedFactorLayout:
             "comm": dict(grad_worker_frac=1.0),
         }.items():
             plain = run_spmd(4, layout_program(steps=20, **kwargs))
-            armed = run_spmd(4, layout_program(steps=20, armed=True, **kwargs))
-            for entry in plain + armed:
+            fused = run_spmd(4, layout_program(steps=20, bucket_cap_mb=0.001, **kwargs))
+            for entry in plain + fused:
                 np.testing.assert_array_equal(entry["params"], plain[0]["params"], err_msg=label)
             finals[label] = plain[0]["params"]
             assert np.all(np.isfinite(finals[label]))

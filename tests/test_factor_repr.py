@@ -7,8 +7,8 @@ Acceptance coverage for the FactorRepr refactor:
 * structured eigensolves agree with the dense oracle on the kernel backend and
   on the plain-expression kernels of ``tests/kernel_oracle.py``;
 * structured-vs-forced-dense training parity, **bitwise**, across
-  COMM-OPT / HYBRID-OPT / MEM-OPT x sync / overlap / hooked (the default
-  un-armed pipeline at two bucket caps / an armed instance) x adaptive
+  COMM-OPT / HYBRID-OPT / MEM-OPT x sync / overlap (the trainer's one
+  gradient-sync path at two bucket caps) x adaptive
   (the dense oracle of ``tests/kernel_oracle.py`` runs the historical dense
   code verbatim, so any drift is a real divergence in the structured fast
   paths);
@@ -46,7 +46,7 @@ from repro.kfac.strategy import LayerShapeInfo
 from repro.memory import KFACMemoryModel
 from repro.models import MLP, bert_tiny, cifar_resnet20
 from repro.tensor import PrecisionPolicy, Tensor
-from repro.training import GradientPipeline, Trainer
+from repro.training import Trainer
 
 from gradcheck import numerical_gradient
 from kernel_oracle import DenseFactorKFAC, ReferenceKernelBackend, kfac_class
@@ -273,9 +273,7 @@ class TestStructuredVsDenseParity:
                 factor_update_freq=1,
                 inv_update_freq=2,
                 # "sync": a cap below any tensor, one message per tensor;
-                # otherwise a cap that fuses a few tensors per bucket.  "sync"
-                # and "overlap" run the trainer's default (never armed)
-                # pipeline, "hooked" a supplied instance the trainer arms.
+                # otherwise a cap that fuses a few tensors per bucket.
                 bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
                 # Drift-driven refresh: both representations must derive the same plan.
                 drift_tol=0.05 if adaptive else 0.0,
@@ -283,14 +281,12 @@ class TestStructuredVsDenseParity:
             )
             pre = kfac_class(dense_factors).from_config(model, config, comm=comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=0.001) if mode == "hooked" else None
             trainer = Trainer(
                 model,
                 optimizer,
                 lambda m, batch: loss_fn(m(batch[0]), batch[1]),
                 preconditioner=pre,
                 comm=comm,
-                pipeline=pipeline,
             )
             n = ids.shape[0] // comm.world_size
             sl = slice(comm.rank * n, (comm.rank + 1) * n)
@@ -302,7 +298,7 @@ class TestStructuredVsDenseParity:
         return run_spmd(self.WORLD, program)
 
     @pytest.mark.parametrize("frac", [0.25, 0.5, 1.0], ids=["mem-opt", "hybrid-opt", "comm-opt"])
-    @pytest.mark.parametrize("mode", ["sync", "overlap", "hooked"])
+    @pytest.mark.parametrize("mode", ["sync", "overlap"])
     def test_distributed_parity_all_strategies_and_modes(self, frac, mode):
         structured = self._train(False, frac, mode)
         dense = self._train(True, frac, mode)

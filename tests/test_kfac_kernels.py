@@ -6,7 +6,7 @@ oracle (bitwise for the decay fold and the preconditioning contraction,
 tolerance-tiered for the eigendecomposition and the einsum KL accumulation),
 degenerate factors, the no-copy regression tests on buffer identity,
 end-to-end oracle-vs-backend training parity across all three distribution
-strategies x sync/overlap/hooked x adaptive due-subsets and mixed precision,
+strategies x sync/overlap x adaptive due-subsets and mixed precision,
 and checkpoint resume with the kernels flipped between save and load.
 "reference" below always means the oracle's kernels, swapped into a
 preconditioner with ``use_reference_kernels``.
@@ -52,7 +52,7 @@ from repro.models import MLP
 from repro.nn.linear import Linear
 from repro.nn.norm import LayerNorm
 from repro.tensor import PrecisionPolicy, Tensor
-from repro.training import GradientPipeline, Trainer
+from repro.training import Trainer
 
 # The documented tolerance tier for eigh parity with the oracle: downstream
 # results (preconditioned gradients, training trajectories) agree to float32
@@ -697,24 +697,19 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
         grad_worker_frac=grad_worker_frac,
         precision=precision,
         # "sync": a cap below any tensor, one message per tensor; otherwise the fused
-        # default.  Both run the trainer's default (never armed) pipeline; "hooked"
-        # hands it an instance, which it arms.
+        # default.
         bucket_cap_mb=1e-6 if mode == "sync" else 25.0,
         drift_tol=0.5 if adaptive else 0.0,
         max_staleness=8 if adaptive else 0,
     )
     pre = make_preconditioner(model, config, backend, comm=comm)
     optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-    pipeline = (
-        GradientPipeline(model, comm=pre.comm, bucket_cap_mb=0.001) if mode == "hooked" else None
-    )
     trainer = Trainer(
         model,
         optimizer,
         lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
         preconditioner=pre,
         comm=comm,
-        pipeline=pipeline,
     )
     rng = np.random.default_rng(seed + 1)
     snapshots = []
@@ -728,7 +723,7 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
 
 
 class TestTrainingParity:
-    @pytest.mark.parametrize("mode", ["sync", "overlap", "hooked"])
+    @pytest.mark.parametrize("mode", ["sync", "overlap"])
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_single_process_parity(self, mode, adaptive):
         reference, _ = train_trajectory("reference", mode=mode, adaptive=adaptive)
@@ -736,10 +731,10 @@ class TestTrainingParity:
         for expected, actual in zip(reference, batched):
             np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
 
-    @pytest.mark.parametrize("mode", ["sync", "overlap", "hooked"])
+    @pytest.mark.parametrize("mode", ["sync", "overlap"])
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_distributed_parity_all_strategies(self, grad_worker_frac, mode):
-        """MEM-OPT / HYBRID-OPT / COMM-OPT x per-tensor/fused/hooked: the batched
+        """MEM-OPT / HYBRID-OPT / COMM-OPT x per-tensor/fused: the batched
         backend reproduces the reference trajectory at the eigh tolerance."""
 
         def program(comm):

@@ -40,7 +40,7 @@ from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondit
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
 from repro.tensor import Tensor
-from repro.training import GradientPipeline, Trainer
+from repro.training import Trainer
 
 from counters import comm_counts, event_total, layer_events
 from kernel_oracle import decompose_standalone, replicated_fold_reference
@@ -826,11 +826,10 @@ class TestKFACSchedulerIntegration:
         counters = trainer.tracer.counters()
         assert counters.get("kfac/damping_shrinks", 0) + counters.get("kfac/damping_grows", 0) > 0
 
-    def test_hook_pipeline_matches_step_time_path_with_drift(self):
-        """Plan-filtered pipeline specs: with layers skipping factor updates,
-        an armed pipeline instance (factor buckets posted from backward
-        events) stays bitwise identical to the default un-armed one (factor
-        stage inside ``KFAC.step()``)."""
+    def test_trainer_matches_listing_one_with_drift(self):
+        """With layers skipping factor updates, a ``Trainer`` stays bitwise
+        identical to a hand-written Listing-1 loop (backward, ``KFAC.step()``,
+        ``optimizer.step()``)."""
         config = KFACConfig(
             lr=0.05,
             factor_update_freq=1,
@@ -846,13 +845,22 @@ class TestKFACSchedulerIntegration:
             return loss_fn(mdl(Tensor(data)), target)
 
         results = []
-        for hooked in (False, True):
+        for by_hand in (False, True):
             model = MLP(6, [16], 3, rng=np.random.default_rng(9))
             pre = KFAC.from_config(model, config)
             optimizer = optim.SGD(model.parameters(), lr=0.05)
-            pipeline = GradientPipeline(model) if hooked else None
-            trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre, pipeline=pipeline)
-            losses = [trainer.train_step((x[:32], y[:32])) for _ in range(12)]
+            trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre)
+            losses = []
+            for _ in range(12):
+                if not by_hand:
+                    losses.append(trainer.train_step((x[:32], y[:32])))
+                    continue
+                optimizer.zero_grad()
+                loss = forward_loss(model, (x[:32], y[:32]))
+                loss.backward()
+                pre.step(lr=0.05)
+                optimizer.step()
+                losses.append(float(loss.item()))
             results.append(
                 (losses, np.concatenate([np.asarray(p.data, dtype=np.float64).ravel().copy() for p in model.parameters()]))
             )

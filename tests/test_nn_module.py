@@ -254,59 +254,6 @@ class TestFullBackwardHooks:
         assert len(count) == 1
 
 
-class TestGradReadyHooks:
-    def test_fires_after_accumulation_with_total_grad(self):
-        net = TinyNet()
-        seen = []
-        net.fc1.weight.register_grad_ready_hook(lambda p: seen.append(p.grad.copy()))
-        for _ in range(2):  # two micro-batches accumulate into .grad
-            net(Tensor(np.ones((2, 4), dtype=np.float32))).sum().backward()
-        assert len(seen) == 2
-        # Second firing observes the accumulated total, not the increment.
-        np.testing.assert_allclose(seen[1], 2.0 * seen[0])
-        np.testing.assert_array_equal(seen[1], net.fc1.weight.grad)
-
-    def test_fires_once_per_backward_per_param(self):
-        net = TinyNet()
-        counts = {"fc1.weight": 0, "fc2.bias": 0}
-        net.fc1.weight.register_grad_ready_hook(lambda p: counts.__setitem__("fc1.weight", counts["fc1.weight"] + 1))
-        net.fc2.bias.register_grad_ready_hook(lambda p: counts.__setitem__("fc2.bias", counts["fc2.bias"] + 1))
-        net(Tensor(np.ones((2, 4), dtype=np.float32))).sum().backward()
-        assert counts == {"fc1.weight": 1, "fc2.bias": 1}
-
-    def test_fires_in_reverse_layer_order_relative_to_backward(self):
-        net = TinyNet()
-        order = []
-        net.fc1.weight.register_grad_ready_hook(lambda p: order.append("fc1"))
-        net.fc2.weight.register_grad_ready_hook(lambda p: order.append("fc2"))
-        net(Tensor(np.ones((2, 4), dtype=np.float32))).sum().backward()
-        assert order == ["fc2", "fc1"]
-
-    def test_removal(self):
-        net = TinyNet()
-        count = []
-        handle = net.fc1.weight.register_grad_ready_hook(lambda p: count.append(1))
-        net(Tensor(np.ones((1, 4), dtype=np.float32))).sum().backward()
-        handle.remove()
-        net(Tensor(np.ones((1, 4), dtype=np.float32))).sum().backward()
-        assert len(count) == 1
-
-    def test_duplicate_grad_ready_hooks_distinct(self):
-        net = TinyNet()
-        count = []
-
-        def hook(p):
-            count.append(1)
-
-        first = net.fc1.weight.register_grad_ready_hook(hook)
-        net.fc1.weight.register_grad_ready_hook(hook)
-        net(Tensor(np.ones((1, 4), dtype=np.float32))).sum().backward()
-        assert len(count) == 2
-        first.remove()
-        net(Tensor(np.ones((1, 4), dtype=np.float32))).sum().backward()
-        assert len(count) == 3
-
-
 class TestContainers:
     def test_sequential_applies_in_order(self):
         seq = nn.Sequential(nn.Linear(3, 3, rng=np.random.default_rng(0)), nn.ReLU())

@@ -7,9 +7,8 @@ non-overlapping comm lanes), aggregated metrics (MetricsReport), measured
 exposed-vs-hidden communication from real span overlap, the versioned
 BENCH json envelope, and the acceptance criterion that tracing never
 perturbs numerics: with tracing on and off, training trajectories are
-bitwise identical for MEM/HYBRID/COMM-OPT on the threaded backend, with the
-trainer's default (never armed) pipeline at two bucket caps and with a
-supplied (armed) pipeline instance.
+bitwise identical for MEM/HYBRID/COMM-OPT on the threaded backend, at two
+bucket caps.
 """
 
 import json
@@ -34,7 +33,7 @@ from repro.observability import (
     write_chrome_trace,
 )
 from repro.tensor import Tensor
-from repro.training import GradientPipeline, Trainer
+from repro.training import Trainer
 
 from counters import event_total
 
@@ -334,14 +333,11 @@ def train_spmd(frac, mode, traced, seed=11):
             factor_update_freq=1,
             inv_update_freq=1,
             # "sync": a cap below any tensor, one message per tensor;
-            # otherwise a cap that fuses a few tensors per bucket.  "sync" and
-            # "overlap" run the trainer's default pipeline (never armed),
-            # "hooked" a supplied instance the trainer arms.
+            # otherwise a cap that fuses a few tensors per bucket.
             bucket_cap_mb=1e-6 if mode == "sync" else 0.001,
         )
         pre = KFAC.from_config(model, config, comm=comm)
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-        pipeline = GradientPipeline(model, comm=comm, bucket_cap_mb=0.001) if mode == "hooked" else None
         # Set either way, so the parity contract holds even when the suite
         # itself runs under REPRO_TRACE=1.
         comm.tracer.enabled = traced
@@ -351,7 +347,6 @@ def train_spmd(frac, mode, traced, seed=11):
             lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
             preconditioner=pre,
             comm=comm,
-            pipeline=pipeline,
         )
         n = x.shape[0] // comm.world_size
         sl = slice(comm.rank * n, (comm.rank + 1) * n)
@@ -366,7 +361,7 @@ class TestTracedTrainingParity:
     """Acceptance: tracing on vs off is bitwise identical, every path."""
 
     @pytest.mark.parametrize("frac", [0.25, 0.5, 1.0], ids=["mem-opt", "hybrid-opt", "comm-opt"])
-    @pytest.mark.parametrize("mode", ["sync", "overlap", "hooked"])
+    @pytest.mark.parametrize("mode", ["sync", "overlap"])
     def test_tracing_does_not_change_numerics(self, frac, mode):
         plain = train_spmd(frac, mode, traced=False)
         traced = train_spmd(frac, mode, traced=True)
@@ -383,7 +378,7 @@ class TestTracedTrainingParity:
 
 class TestTracedTrainingArtifacts:
     def test_comm_spans_per_rank_and_measured_sanity(self):
-        results = train_spmd(0.5, "hooked", traced=True)
+        results = train_spmd(0.5, "overlap", traced=True)
         tracers = [t for _, t in results]
         assert all(t.open_spans == 0 for t in tracers)
         # Every rank recorded comm spans (factor allreduce + DDP buckets fly
@@ -420,21 +415,21 @@ class TestTracedTrainingArtifacts:
         assert {"trainer/step", "trainer/forward", "trainer/backward", "trainer/optimizer_step"} <= names
 
     def test_one_tracer_per_rank_across_the_stack(self):
-        """Trainer, pipeline, collective engine and preconditioner all record into ``comm.tracer``."""
+        """Trainer, gradient sync, collective engine and preconditioner all record into ``comm.tracer``."""
         model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
         loss_fn = nn.CrossEntropyLoss()
         pre = KFAC(model)
         trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.05), lambda m, b: loss_fn(m(Tensor(b[0])), b[1]),
                           preconditioner=pre)
-        assert trainer.tracer is trainer.pipeline.tracer is pre.tracer is pre.scheduler.tracer is pre.comm.tracer
-        assert trainer.pipeline.comm is pre.comm
-        # A trainer over a communicator of its own shares that one with a pipeline it builds.
+        assert trainer.tracer is trainer.ddp.scheduler.tracer is pre.tracer is pre.scheduler.tracer is pre.comm.tracer
+        assert trainer.ddp.comm is pre.comm
+        # A trainer over a communicator of its own shares that one with the gradient sync it builds.
         def program(comm):
             model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
             pre = KFAC(model, comm=comm)
             trainer = Trainer(model, optim.SGD(model.parameters(), lr=0.05), lambda m, b: None,
                               preconditioner=pre, comm=comm)
-            return trainer.tracer is trainer.pipeline.tracer is pre.tracer is comm.tracer
+            return trainer.tracer is trainer.ddp.scheduler.tracer is pre.tracer is comm.tracer
 
         assert all(run_spmd(2, program))
 

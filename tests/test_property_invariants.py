@@ -8,7 +8,7 @@ factors, damping monotonicity, the memory model's linearity in
 sharded factor layout (each running factor stored once, bit-identical resume)
 on generated shapes, worlds, strategies and cadences, whole ``Trainer``
 trajectories on the block-fused optimizers against the per-parameter loops of
-``optimizer_oracle.py`` (worlds, pipelines, accumulation), and the cost and memory
+``optimizer_oracle.py`` (worlds, accumulation), and the cost and memory
 models' counts against the engine's on generated shapes and knobs (messages,
 bytes and per-rank state: residual 0), the staggered refresh (the plan's
 ``refresh_offsets``: strategy equivalence, kill-and-resume between two
@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn, optim
-from repro.distributed import DistributedDataParallel, GradientAveragingSubscriber, run_spmd
+from repro.distributed import DistributedDataParallel, gradient_specs, run_spmd
 from repro.distributed.collectives import BucketManager
 from repro.kfac import (
     KFAC,
@@ -394,7 +394,7 @@ class TestStaggeredRefreshProperties:
             assert {key: again[key] - counted.get(key, 0.0) for key in again} == {
                 key: value - at_kill.get(key, 0.0) for key, value in counted.items()
             }
-            grad_sync = GradientAveragingSubscriber(model).specs(1.0, world)  # what sync_gradients posts
+            grad_sync = gradient_specs(model, world)  # what sync_gradients posts
             grad_buckets = BucketManager(25.0).build([(s.key, s.shape, s.dtype) for s in grad_sync])
             grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
             return uninterrupted, resumed, {**before_kill, **posted}, pre.plan, (counted, measured), grad_sync
@@ -574,7 +574,6 @@ class TestFusedOptimizerProperties:
         world=st.integers(min_value=1, max_value=4),
         workers=st.integers(min_value=1, max_value=4),
         name=st.sampled_from(sorted(OPTIMIZERS)),
-        armed=st.booleans(),
         micro_batches=st.integers(min_value=1, max_value=3),
         in_features=st.integers(min_value=1, max_value=9),
         hidden=st.integers(min_value=2, max_value=40),
@@ -584,11 +583,11 @@ class TestFusedOptimizerProperties:
     )
     @settings(max_examples=10, deadline=None, derandomize=True)
     def test_trajectory_is_the_oracle_optimizers(
-        self, world, workers, name, armed, micro_batches, in_features, hidden, out_features, bias, seed
+        self, world, workers, name, micro_batches, in_features, hidden, out_features, bias, seed
     ):
         from optimizer_oracle import LoopOptimizer
 
-        from repro.training import GradientPipeline, Trainer
+        from repro.training import Trainer
 
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((24, in_features)).astype(np.float32)
@@ -615,7 +614,6 @@ class TestFusedOptimizerProperties:
                 lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]),
                 preconditioner=pre,
                 comm=comm,
-                pipeline=GradientPipeline(model, comm=comm) if armed else None,
             )
             losses = []
             for step in range(self.STEPS):
@@ -796,27 +794,27 @@ class TestPackedStorageProperties:
     }
     STEPS = 5
 
-    # world, gradient workers, bucket_cap_mb, armed pipeline, dense oracle, knob, hidden width: every
-    # world size, MEM- / HYBRID- / COMM-OPT, both caps, both pipelines and both storage modes meet every
+    # world, gradient workers, bucket_cap_mb, dense oracle, knob, hidden width: every
+    # world size, MEM- / HYBRID- / COMM-OPT, both caps and both storage modes meet every
     # knob's reader; the hidden Linear's factors sit below, at and past the stacked-``eigh`` threshold.
     ROWS = [
-        (1, 1, 25.0, False, False, "default", 33),
-        (2, 1, 0.001, True, False, "default", 40),
-        (2, 2, 25.0, False, True, "default", 5),
-        (3, 2, 0.001, False, False, "default", 32),
-        (4, 1, 25.0, True, True, "drift", 7),
-        (4, 2, 0.001, False, False, "drift", 36),
-        (1, 1, 0.001, True, False, "drift", 12),
-        (3, 3, 25.0, True, False, "pi", 34),
-        (2, 1, 0.001, False, True, "pi", 9),
-        (4, 4, 25.0, False, False, "inverse", 38),
-        (3, 1, 0.001, True, True, "inverse", 6),
-        (2, 2, 0.001, True, False, "cg", 35),
-        (4, 3, 25.0, False, True, "cg", 4),
+        (1, 1, 25.0, False, "default", 33),
+        (2, 1, 0.001, False, "default", 40),
+        (2, 2, 25.0, True, "default", 5),
+        (3, 2, 0.001, False, "default", 32),
+        (4, 1, 25.0, True, "drift", 7),
+        (4, 2, 0.001, False, "drift", 36),
+        (1, 1, 0.001, False, "drift", 12),
+        (3, 3, 25.0, False, "pi", 34),
+        (2, 1, 0.001, True, "pi", 9),
+        (4, 4, 25.0, False, "inverse", 38),
+        (3, 1, 0.001, True, "inverse", 6),
+        (2, 2, 0.001, False, "cg", 35),
+        (4, 3, 25.0, True, "cg", 4),
     ]
 
-    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}gw{}-{}-{}-{}-{}-h{}".format(
-        *row[:3], "armed" if row[3] else "flush", "dense" if row[4] else "structured", *row[5:]))  # fmt: skip
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}gw{}-{}-{}-{}-h{}".format(
+        *row[:3], "dense" if row[3] else "structured", *row[4:]))  # fmt: skip
     @given(
         vocab=st.integers(min_value=3, max_value=12),
         dim=st.integers(min_value=2, max_value=8),
@@ -828,10 +826,10 @@ class TestPackedStorageProperties:
     def test_trajectory_memory_and_factor_round_equal_the_square_path_and_the_models(
         self, row, vocab, dim, out_features, bias, seed
     ):
-        world, workers, bucket_cap_mb, armed, dense_factors, knob, hidden = row
+        world, workers, bucket_cap_mb, dense_factors, knob, hidden = row
         from kernel_oracle import use_square_path
 
-        from repro.training import GradientPipeline, Trainer
+        from repro.training import Trainer
 
         config = KFACConfig(
             lr=0.05,
@@ -864,13 +862,12 @@ class TestPackedStorageProperties:
                 lambda m, batch: loss_fn(m(batch[0]), batch[1]),
                 preconditioner=pre,
                 comm=comm,
-                pipeline=GradientPipeline(model, comm=comm, bucket_cap_mb=bucket_cap_mb) if armed else None,
             )
             losses = []
             for step in range(self.STEPS):
                 local = np.arange(24)[(step + comm.rank) % world :: world]
                 losses.append(trainer.train_step((tokens[local], target[local])))
-            averaging = GradientAveragingSubscriber(model).specs(1.0, world)
+            averaging = gradient_specs(model, world)
             grad_buckets = BucketManager(bucket_cap_mb).build([(s.key, s.shape, s.dtype) for s in averaging])
             return {
                 "losses": losses,
