@@ -49,10 +49,17 @@ MEASURED_WORKLOADS = ("bert", "cifar_resnet")
 MEASURED_WORLDS = (2, 4)
 
 
+def refreshed_bytes_per_rank(memory, world_size: int, grad_worker_frac: float) -> np.ndarray:
+    """Each rank's refreshed state: eigen decompositions and outer products, or installed inverses (solver state)."""
+    return memory.eigen_bytes_per_rank(world_size, grad_worker_frac) + memory.solver_bytes_per_rank(
+        world_size, grad_worker_frac
+    )
+
+
 def paper_layout_overhead(memory, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
-    """K-FAC bytes per rank in the paper's layout: all factors, square, everywhere + this rank's eigen state."""
-    eigen = memory.eigen_bytes_per_rank(world_size, grad_worker_frac)
-    return memory.paper_factor_bytes() + int(getattr(eigen, rank)())
+    """K-FAC bytes per rank in the paper's layout: all factors, square, everywhere + this rank's refreshed state."""
+    refreshed = refreshed_bytes_per_rank(memory, world_size, grad_worker_frac)
+    return memory.paper_factor_bytes() + int(getattr(refreshed, rank)())
 
 
 def square_storage_overhead(memory, world_size: int, grad_worker_frac: float) -> int:
@@ -67,7 +74,7 @@ def square_storage_overhead(memory, world_size: int, grad_worker_frac: float) ->
     for (name, which), holders in plan.factor_holders.items():
         repr_ = plan.groups[name].layer.factor_repr(which)
         per_rank[list(holders)] += itemsize * (repr_.dim**2 if repr_.is_dense else repr_.packed_numel)
-    return int((per_rank + plan.eigen_bytes_per_rank()).max())
+    return int((per_rank + refreshed_bytes_per_rank(memory, world_size, grad_worker_frac)).max())
 
 
 def busiest_rank_at_paper_scale(world_size: int = 64):
@@ -132,7 +139,7 @@ def measured_memory_rows():
                     continue  # at world 2 a fraction of 1/2 *is* MEM-OPT
                 report = measured_memory_report(workload_name, world_size=world, grad_worker_frac=frac, steps=1)
                 measured = [entry["measured"]["total"] for entry in report["per_rank"]]
-                modeled = (model.factor_bytes_per_rank(world, frac) + model.eigen_bytes_per_rank(world, frac)).tolist()
+                modeled = (model.factor_bytes_per_rank(world, frac) + refreshed_bytes_per_rank(model, world, frac)).tolist()
                 assert measured == modeled, f"{workload_name} world {world} {label}: live {measured} != model {modeled}"
                 rows.append(
                     {

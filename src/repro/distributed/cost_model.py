@@ -166,6 +166,16 @@ class PerformanceModel:
         flops = 9.0 * float(n) ** 3  # reduction to tridiagonal + QR iterations
         return flops / (self.device.peak_flops_fp32 * self.eigen_efficiency)
 
+    def cholesky_inverse_time(self, n: int, dtype_bytes: int = 4) -> float:
+        """Time to invert a damped ``n x n`` factor by Cholesky: ``?potrf`` (n³/3) and ``?potri`` (2n³/3).
+
+        Run in at least FP32 like the eigen solve, and priced at the same
+        LAPACK efficiency.
+        """
+        if n <= 0:
+            return 0.0
+        return float(n) ** 3 / (self.device.peak_flops_fp32 * self.eigen_efficiency)
+
     def diagonal_eigen_time(self, n: int, dtype_bytes: int = 4) -> float:
         """Time to "decompose" a diagonal factor of dimension ``n``.
 

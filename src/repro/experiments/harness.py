@@ -168,7 +168,8 @@ def sweep_grad_worker_frac(
         # the paper's per-GPU measurements grow smoothly (linearly) with the fraction.
         overhead = memory_model.overhead_bytes(world_size, frac, rank="mean")
         # The paper's layout keeps every factor on every rank (its Figure 6 right axes).
-        replicated = memory_model.paper_factor_bytes() + int(memory_model.eigen_bytes_per_rank(world_size, frac).mean())
+        refreshed = memory_model.eigen_bytes_per_rank(world_size, frac) + memory_model.solver_bytes_per_rank(world_size, frac)
+        replicated = memory_model.paper_factor_bytes() + int(refreshed.mean())
         results[frac] = {
             "iteration_time": breakdown.total,
             "kfac_overhead_time": breakdown.kfac_overhead,
@@ -231,11 +232,11 @@ def measured_memory_report(
         plan = preconditioner.plan
         predicted_factors = int(plan.factor_bytes_per_rank()[comm.rank])
         predicted_eigen = int(plan.eigen_bytes_per_rank()[comm.rank])
-        # Solver-state bytes (cached inverses / CG warm starts) exist only on
-        # a layer's gradient workers, as each strategy states them from the
-        # layer's factor dimensions; the default eigen path holds none.
+        # Solver-state bytes (installed inverses / CG warm starts) exist only
+        # on a layer's gradient workers, as each strategy states them from the
+        # layer's factor representations; the eigen path holds none.
         predicted_solver = sum(
-            solve_strategy_class(kfac_config.solver_name_for(layer)).state_bytes(layer.a_dim, layer.g_dim)
+            solve_strategy_class(kfac_config.solver_name_for(layer)).state_bytes(layer, plan.policy)
             for layer in (group.layer for group in plan.groups.values() if group.is_grad_worker(comm.rank))
         )
         predicted = {

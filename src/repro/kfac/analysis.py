@@ -29,10 +29,12 @@ import numpy as np
 from ..distributed.cost_model import PerformanceModel, amortized_update_time
 from .config import KFACConfig
 from .factors import FactorRepr
+from .scheduling.solvers import solve_strategy_class
 from .strategy import DistributionPlan, LayerShapeInfo
 
 __all__ = [
     "repr_eigen_time",
+    "repr_refresh_time",
     "repr_basis_apply_flops",
     "KFACWorkloadSpec",
     "IterationBreakdown",
@@ -50,6 +52,19 @@ def repr_eigen_time(perf: PerformanceModel, repr_: FactorRepr, dtype_bytes: int)
     if repr_.kind == "block_diagonal":
         return perf.block_eigen_time(repr_.num_blocks, repr_.block_size, dtype_bytes)
     return perf.eigen_decomposition_time(repr_.dim, dtype_bytes)
+
+
+def repr_refresh_time(perf: PerformanceModel, repr_: FactorRepr, dtype_bytes: int, inverted: bool) -> float:
+    """Modeled refresh time of one factor: its decomposition, or (``inverted``) its damped Cholesky inverse.
+
+    A diagonal factor's inverse is ``n`` reciprocals, priced like its O(n)
+    clamp; a block-diagonal one inverts block by block.
+    """
+    if not inverted or repr_.kind == "diagonal":
+        return repr_eigen_time(perf, repr_, dtype_bytes)
+    if repr_.kind == "block_diagonal":
+        return repr_.num_blocks * perf.cholesky_inverse_time(repr_.block_size, dtype_bytes)
+    return perf.cholesky_inverse_time(repr_.dim, dtype_bytes)
 
 
 def repr_basis_apply_flops(perf: PerformanceModel, repr_: FactorRepr, other_dim: int) -> float:
@@ -232,9 +247,11 @@ class IterationTimeModel:
             times["grad_broadcast"] += self._broadcast_times(plan.gradient_round[layer.name], world_size)
 
             # --- gradient preconditioning (gradient workers, every iteration)
-            # Two eigenbasis rotations per side (into and out of the basis);
-            # a diagonal factor's identity basis contributes none.
-            precondition_flops = 2.0 * (
+            # Two eigenbasis rotations per side (into and out of the basis), or
+            # one product with each damped inverse; a diagonal factor's
+            # identity basis (or reciprocal diagonal) contributes none.
+            products = 1.0 if self._inverted(spec, layer) else 2.0
+            precondition_flops = products * (
                 repr_basis_apply_flops(self.perf, layer.g_repr, layer.a_dim)
                 + repr_basis_apply_flops(self.perf, layer.a_repr, layer.g_dim)
             )
@@ -244,6 +261,11 @@ class IterationTimeModel:
             times["scale_and_update"] += self.perf.compute_time(4.0 * layer.grad_numel, dtype_b)
 
         return times
+
+    @staticmethod
+    def _inverted(spec: KFACWorkloadSpec, layer: LayerShapeInfo) -> bool:
+        """Whether ``layer``'s refresh is a damped inverse (``solve_strategy="inverse"``) rather than a decomposition."""
+        return solve_strategy_class(spec.config.solver_name_for(layer)).refresh == "inverse"
 
     def _broadcast_times(self, specs, world_size: int) -> np.ndarray:
         """Per-rank time of one layer's messages, one broadcast per ``(src, group)`` channel."""
@@ -259,12 +281,13 @@ class IterationTimeModel:
     def _refresh_times(
         self, spec: KFACWorkloadSpec, plan: DistributionPlan, names: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-rank ``(decomposition, eigen broadcast)`` time of one step that refreshes the layers ``names``."""
+        """Per-rank ``(decomposition or inverse, eigen broadcast)`` time of one step that refreshes the layers ``names``."""
         decomposition, broadcast = np.zeros(plan.world_size), np.zeros(plan.world_size)
         for name in names:
             layer = plan.groups[name].layer
+            inverted = self._inverted(spec, layer)
             for which in ("a", "g"):
-                duration = repr_eigen_time(self.perf, layer.factor_repr(which), spec.dtype_bytes)
+                duration = repr_refresh_time(self.perf, layer.factor_repr(which), spec.dtype_bytes, inverted)
                 decomposition[list(plan.decomposers[name, which])] += duration
             broadcast += self._broadcast_times(plan.eigen_round[name], plan.world_size)
         return decomposition, broadcast

@@ -97,10 +97,12 @@ class KFACConfig:
     #: Apply the factor-trace π correction when damping the factors
     #: (:func:`~repro.kfac.kmath.tikhonov_pi`, after torch-kfac).
     damping_pi_correction: bool = False
-    #: Per-layer solve path: "eigen" (the paper's default), "inverse"
-    #: (direct damped inverses, Eq. 12) or "cg" (warm-started inverse-free
+    #: Per-layer solve path: "inverse" (the default: damped inverses of
+    #: Eq. 12 by float32 Cholesky on the factors' decomposer, damped
+    #: ``(π√γ, √γ/π)``, two GEMMs per step), "eigen" (the paper's
+    #: eigenbasis path, Eqs. 15-17) or "cg" (warm-started inverse-free
     #: conjugate gradients).
-    solve_strategy: str = "eigen"
+    solve_strategy: str = "inverse"
     #: Solver used for layers whose factor dimensions are both
     #: <= ``small_layer_dim`` (those layers skip O(F³) eigen entirely).
     small_layer_solver: str = "cg"
@@ -192,15 +194,18 @@ class KFACConfig:
 
     @classmethod
     def adaptive(cls, **overrides: Any) -> "KFACConfig":
-        """Adaptive-scheduling preset: drift-driven refresh, LM damping, π, CG.
+        """Adaptive-scheduling preset: drift-driven refresh, LM damping, π, CG, on the eigen path.
 
         Turns on every knob the :mod:`repro.kfac.scheduling` subsystem adds:
         drift tracking with interval stretching (capped at 8x the eigen
         cadence), Levenberg-Marquardt adaptive damping with the π correction,
-        and CG solves for layers with factor dimensions <= 32.  Any field can
-        still be overridden.
+        and CG solves for layers with factor dimensions <= 32.  The other
+        layers take the eigen path: the controller moves γ every step, which
+        the eigen path applies at once, while an inverse keeps the γ of its
+        refresh.  Any field can still be overridden.
         """
         defaults: Dict[str, Any] = dict(
+            solve_strategy="eigen",
             drift_tol=0.05,
             adaptive_damping=True,
             damping_pi_correction=True,
@@ -266,6 +271,7 @@ class KFACConfig:
         """
         layers = list(layers)
         policy = self.wire_policy()
+        refreshes = {layer.name: solve_strategy_class(self.solver_name_for(layer)).refresh for layer in layers}
         bucket_cap_mb = self.bucket_cap_mb
         if bucket_cap_mb == "auto":
             payloads = [policy.factor_bytes(layer, which) for layer in layers for which in "ag"]
@@ -277,9 +283,8 @@ class KFACConfig:
             self.assignment_balance,
             policy,
             factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
-            eigen_free=[
-                layer.name for layer in layers if not solve_strategy_class(self.solver_name_for(layer)).needs_eigen
-            ],
+            eigen_free=[name for name, refresh in refreshes.items() if refresh is None],
+            inverted=[name for name, refresh in refreshes.items() if refresh == "inverse"],
             factor_update_freq=self.factor_update_freq,
             inv_update_freq=self.inv_update_freq,
             bucket_cap_mb=bucket_cap_mb,

@@ -30,7 +30,8 @@ Nothing on the default step path needs the square matrix:
 the fold is elementwise and the eigen solve expands the triangle into the
 buffer LAPACK overwrites.  :meth:`FactorRepr.to_dense` /
 :meth:`~FactorRepr.from_dense` are the only conversions, for the readers that
-do (the ``inverse`` / ``cg`` solvers, tests).  A block-diagonal factor (the
+do (the ``cg`` solver, tests); a damped inverse travels as a triangle
+too and is expanded by :func:`~repro.kfac.kmath.expand_symmetric`.  A block-diagonal factor (the
 Embedding handler's ``g_block_size`` only) keeps square blocks.
 """
 
@@ -41,7 +42,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .kmath import expand_triangle, pack_triangle
+from .kmath import expand_symmetric, pack_triangle
 
 __all__ = ["FactorRepr", "FACTOR_REPR_KINDS"]
 
@@ -170,12 +171,7 @@ class FactorRepr:
         packed = np.asarray(packed)
         self.check_packed(packed)
         if self.kind == "dense":
-            # ``?tpttr`` fills the row-major upper triangle; the lower one is its mirror image.
-            work_dtype = np.promote_types(packed.dtype, np.float32)  # no half-precision LAPACK
-            upper = expand_triangle(packed.astype(work_dtype, copy=False), np.zeros((self.dim, self.dim), work_dtype))
-            dense = upper + upper.T
-            np.einsum("ii->i", dense)[...] = np.einsum("ii->i", upper)  # the sum counted the diagonal twice
-            return dense.astype(packed.dtype, copy=False)
+            return expand_symmetric(packed)
         if self.kind == "diagonal":
             return np.diag(packed)
         out = np.zeros((self.dim, self.dim), dtype=packed.dtype)

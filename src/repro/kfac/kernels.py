@@ -1,10 +1,19 @@
 """The kernel backend: the K-FAC hot math at the speed of the BLAS/LAPACK call underneath.
 
 The per-iteration cost of the preconditioner is dominated by a handful of
-dense kernels: the symmetric eigendecomposition of the Kronecker factors,
-the exponential-decay factor update, the preconditioned-gradient contraction
-(Eqs. 15-17) and the KL-clip inner-product accumulation.  They sit behind one
-class, :class:`KernelBackend` (named ``batched``):
+dense kernels: the damped Cholesky inverse or the symmetric
+eigendecomposition of the Kronecker factors, the exponential-decay factor
+update, the preconditioned-gradient products (two GEMMs with the inverses,
+or the Eqs. 15-17 contraction) and the KL-clip inner-product accumulation.
+They sit behind one class, :class:`KernelBackend` (named ``batched``):
+
+* **damped inverse** (:meth:`KernelBackend.inverse_task`, the default
+  path's refresh): ``?potrf`` + ``?potri`` on the damped factor, expanded
+  from its triangle with ``?tpttr`` and packed back with ``?trttp``, all
+  bound beside ``?syevd`` and called without the interpreter lock; a
+  diagonal factor is ``1 / (d + γ)``, a block-diagonal one is inverted block
+  by block.  Each step then preconditions with ``G⁻¹ · V · A⁻¹``
+  (:meth:`KernelBackend.precondition_inverse`): two GEMMs;
 
 * **eigendecomposition** over shape-grouped factor stacks: small factors
   (dim <= :data:`STACK_EIGH_MAX_DIM`) are stacked and decomposed in one
@@ -45,8 +54,12 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
 ``sum(a*b)`` KL-clip) live on as the oracle in ``tests/kernel_oracle.py``;
 ``tests/test_kfac_kernels.py`` holds the backend to it in tiers:
 
-* ``fused_decay_update``, ``precondition_contract`` -- **bitwise** equal for
-  float32 state (identical elementwise/BLAS operations in the identical order);
+* ``fused_decay_update``, ``precondition_contract``, ``precondition_inverse``
+  -- **bitwise** equal for float32 state (identical elementwise/BLAS
+  operations in the identical order);
+* ``inverse_task`` -- **bitwise** the ``?potri`` result SciPy's
+  ``lapack.spotrf`` / ``spotri`` give on the expanded damped square, and
+  within float32 resolution of a float64 ``np.linalg.inv``;
 * the ``syevd`` call itself -- **bitwise** the eigenvalues and eigenvectors
   SciPy's own wrapper of that driver returns on the expanded square (the same
   routine on the same lower triangle; SciPy is the test-side reference,
@@ -74,9 +87,13 @@ from .kmath import (
     eigenvalue_outer_product,
     eigen_of_expanded,
     eigh_solve_dtype,
+    expand_damped,
     expand_for_eigen,
+    expand_symmetric,
     expand_triangle,
+    inverse_of_expanded,
     kl_clip_scale_from_total,
+    precondition_with_inverse,
     structured_precondition,
     triangle_dim,
 )
@@ -319,6 +336,63 @@ class KernelBackend:
 
         return stack_blocks
 
+    # --------------------------------------------------------------- inverse
+    def inverse_task(
+        self,
+        factors: Sequence[np.ndarray],
+        repr: FactorRepr,
+        dampings: Sequence[float],
+        compute_dtype=np.float32,
+    ) -> Callable[[], List[np.ndarray]]:
+        """The damped inverses ``(factor + γI)⁻¹`` of ``factors`` (all stored as ``repr``, one ``γ`` each), in two halves.
+
+        Like :meth:`eigen_task`: this call checks every factor is finite and
+        copies it out, damped, and the callable it returns solves, reading
+        nothing else; an error of either half carries the failing member's
+        position as ``error.batch_index``.  The solve runs in at least single
+        precision (:func:`~repro.kfac.kmath.eigh_solve_dtype`) and each result
+        is in ``repr``'s packed form, the form the eigen round ships:
+
+        * ``dense`` -- ``?potrf`` + ``?potri`` on the damped square, returned
+          as the packed triangle of the inverse
+          (:func:`~repro.kfac.kmath.damped_inverse`'s two halves);
+        * ``diagonal`` -- ``1 / (d + γ)``, O(F);
+        * ``block_diagonal`` -- every block inverted as a dense factor and
+          kept as its full symmetric square (the stored blocks are squares).
+        """
+        for factor in factors:
+            repr.check_packed(factor)
+        solve_dtype = eigh_solve_dtype(compute_dtype)
+        if repr.kind == "diagonal":
+            _reject_non_finite(factors, repr.dim)
+            damped = [factor.astype(solve_dtype) + solve_dtype.type(damping) for factor, damping in zip(factors, dampings)]
+
+            def reciprocals() -> List[np.ndarray]:
+                for index, diagonal in enumerate(damped):
+                    if not (diagonal > 0).all():
+                        error = np.linalg.LinAlgError(f"the damped factor of dimension {repr.dim} is not positive definite")
+                        error.batch_index = index
+                        raise error
+                    np.reciprocal(diagonal, out=diagonal)
+                return damped
+
+            return reciprocals
+        squares = []
+        for index, (factor, damping) in enumerate(zip(factors, dampings)):
+            with _member(index):
+                blocks = factor if repr.kind == "block_diagonal" else [factor]
+                squares.append([expand_damped(block, damping, solve_dtype) for block in blocks])
+
+        def solve_each() -> List[np.ndarray]:
+            inverses = []
+            for index, member in enumerate(squares):
+                with _member(index):
+                    packed = [inverse_of_expanded(square) for square in member]
+                inverses.append(packed[0] if repr.kind == "dense" else np.stack([expand_symmetric(p) for p in packed]))
+            return inverses
+
+        return solve_each
+
     # --------------------------------------------------------- factor update
     def fused_decay_update(
         self, running: np.ndarray, new: np.ndarray, decay: float, store_dtype
@@ -390,6 +464,21 @@ class KernelBackend:
         np.matmul(q_g, s2, out=s1)
         out = np.matmul(s1, q_a.T)  # Eq. 17 (fresh result array)
         return out.astype(grad.dtype, copy=False)
+
+    def precondition_inverse(self, grad: np.ndarray, inv_a: np.ndarray, inv_g: np.ndarray) -> np.ndarray:
+        """``G⁻¹ · grad · A⁻¹`` with installed damped inverses: two GEMMs.
+
+        The first product goes into a per-shape scratch buffer, the second
+        into the fresh result; for float32 inputs that is bitwise
+        :func:`~repro.kfac.kmath.precondition_with_inverse`, which takes the
+        structured (1-D diagonal, block-stacked) inverses.
+        """
+        if inv_a.ndim != 2 or inv_g.ndim != 2:
+            return precondition_with_inverse(grad, inv_a, inv_g)
+        inv_g32 = inv_g.astype(np.float32, copy=False)
+        scratch = self._scratch(self._contract_scratch, (inv_g.shape[0], grad.shape[1]), np.float32)
+        np.matmul(inv_g32, grad.astype(np.float32, copy=False), out=scratch)
+        return np.matmul(scratch, inv_a.astype(np.float32, copy=False)).astype(grad.dtype, copy=False)
 
     # --------------------------------------------------------------- kl clip
     def kl_clip_accumulate(self, grads_and_precond: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:

@@ -4,8 +4,12 @@ Implements the paper's equations:
 
 * Eq. 9   — Kronecker factors ``A = a aᵀ`` and ``G = g gᵀ`` (built in
   :mod:`repro.kfac.layers`),
-* Eq. 12  — damped inverse ``(F̂ + γI)⁻¹ = (A + γI)⁻¹ ⊗ (G + γI)⁻¹``,
-* Eqs. 15–17 — the eigen-decomposition preconditioning path used by KAISA,
+* Eq. 12  — damped inverse ``(F̂ + γI)⁻¹ ≈ (A + γ_a I)⁻¹ ⊗ (G + γ_g I)⁻¹``,
+  the default solve path: each damped factor is inverted by a float32
+  Cholesky (``?potrf`` then ``?potri``) on the rank that holds it, with the
+  factored Tikhonov split ``γ_a = π√γ``, ``γ_g = √γ/π`` (Martens & Grosse
+  2015, section 6.3; :func:`tikhonov_pi`), and travels as its packed triangle,
+* Eqs. 15–17 — the eigen-decomposition preconditioning path of the paper,
   including the cached eigenvalue outer product ``1/(v_G v_Aᵀ + γ)`` that
   section 4.4 moves into the (infrequent) eigen-decomposition stage.
 """
@@ -28,6 +32,7 @@ __all__ = [
     "eigen_of_expanded",
     "pack_triangle",
     "expand_triangle",
+    "expand_symmetric",
     "triangle_dim",
     "as_packed_triangle",
     "eigenvalue_outer_product",
@@ -37,6 +42,8 @@ __all__ = [
     "apply_eigenbasis_right",
     "precondition_with_inverse",
     "damped_inverse",
+    "expand_damped",
+    "inverse_of_expanded",
     "kl_clip_scale",
     "kl_clip_scale_from_total",
     "split_damping",
@@ -130,6 +137,8 @@ def _bind_by_dtype(routine: str, arguments: str) -> dict:
 _SYEVD = _bind_by_dtype("syevd", "ccirirriwii")  # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
 _TRTTP = _bind_by_dtype("trttp", "ciriri")  # uplo, n, a, lda, ap, info
 _TPTTR = _bind_by_dtype("tpttr", "cirrii")  # uplo, n, ap, a, lda, info
+_POTRF = _bind_by_dtype("potrf", "cirii")  # uplo, n, a, lda, info
+_POTRI = _bind_by_dtype("potri", "cirii")  # uplo, n, a, lda, info
 
 
 def triangle_dim(numel: int) -> int:
@@ -186,6 +195,19 @@ def expand_triangle(packed: np.ndarray, out: np.ndarray) -> np.ndarray:
     order, info = ctypes.c_int(n), ctypes.c_int(0)
     _TPTTR[out.dtype](b"L", order, packed.ctypes.data, out.ctypes.data, order, info)
     return out
+
+
+def expand_symmetric(packed: np.ndarray) -> np.ndarray:
+    """The symmetric square whose packed triangle is ``packed``, in ``packed``'s dtype (C order).
+
+    ``?tpttr`` fills one triangle, the other is its mirror image; a float16
+    triangle goes through float32.
+    """
+    n, work_dtype = triangle_dim(packed.size), _lapack_dtype(packed.dtype)
+    upper = expand_triangle(packed.astype(work_dtype, copy=False), np.zeros((n, n), work_dtype))
+    square = upper + upper.T
+    np.einsum("ii->i", square)[...] = np.einsum("ii->i", upper)  # the sum counted the diagonal twice
+    return square.astype(packed.dtype, copy=False)
 
 
 def as_packed_triangle(factor: np.ndarray) -> np.ndarray:
@@ -457,20 +479,77 @@ def precondition_with_eigen(
     return (q_g @ v2 @ q_a.T).astype(grad.dtype, copy=False)  # Eq. 17
 
 
-def damped_inverse(factor: np.ndarray, damping: float) -> np.ndarray:
-    """Return ``(factor + γI)⁻¹`` (the inverse path, Eq. 12)."""
-    n = factor.shape[0]
-    damped = factor.astype(np.float64) + damping * np.eye(n)
-    return np.linalg.inv(damped).astype(np.float32)
+def damped_inverse(factor: np.ndarray, damping: float, solve_dtype=np.float32) -> np.ndarray:
+    """The packed triangle of ``(factor + γI)⁻¹`` (Eq. 12), by Cholesky in ``solve_dtype``.
+
+    ``factor`` is a dense factor's packed triangle, or a square whose upper
+    triangle is read.  The two halves are public, like
+    :func:`symmetric_eigen`'s: :func:`expand_damped` reads the factor,
+    :func:`inverse_of_expanded` solves what it expanded.
+    """
+    return inverse_of_expanded(expand_damped(factor, damping, solve_dtype))
+
+
+def expand_damped(factor: np.ndarray, damping: float, solve_dtype=np.float32) -> np.ndarray:
+    """The read half of :func:`damped_inverse`: :func:`expand_for_eigen`, then ``γ`` added to the diagonal."""
+    square = expand_for_eigen(factor, solve_dtype)
+    np.einsum("ii->i", square)[...] += damping
+    return square
+
+
+def inverse_of_expanded(square: np.ndarray) -> np.ndarray:
+    """The solve half of :func:`damped_inverse`: ``?potrf`` and ``?potri`` on ``square``, then ``?trttp``.
+
+    ``square`` is a buffer :func:`expand_damped` returned: column-major,
+    lower triangle filled.  It is overwritten; the inverse's lower triangle
+    is packed into a fresh array -- the packed triangle of the symmetric
+    inverse (:func:`pack_triangle`'s layout).  All three run without the
+    interpreter lock.  A damped factor that is not positive definite
+    (``?potrf``), or whose Cholesky factor is singular (``?potri``), raises
+    ``np.linalg.LinAlgError`` naming the dimension and LAPACK's ``info``.
+    """
+    n, dtype = square.shape[0], square.dtype
+    order, info = ctypes.c_int(n), ctypes.c_int(0)
+    for routine, what in ((_POTRF, "is not positive definite"), (_POTRI, "has a singular Cholesky factor")):
+        routine[dtype](b"L", order, square.ctypes.data, order, info)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"the damped factor of dimension {n} {what}: info={info.value}")
+    packed = np.empty(n * (n + 1) // 2, dtype=dtype)
+    _TRTTP[dtype](b"L", order, square.ctypes.data, order, packed.ctypes.data, info)
+    return packed
 
 
 def precondition_with_inverse(grad: np.ndarray, inv_a: np.ndarray, inv_g: np.ndarray) -> np.ndarray:
-    """Precondition with explicit inverses: ``G⁻¹ ∇L A⁻¹`` (Eq. 11)."""
-    return (
-        inv_g.astype(np.float32, copy=False)
-        @ grad.astype(np.float32, copy=False)
-        @ inv_a.astype(np.float32, copy=False)
-    ).astype(grad.dtype, copy=False)
+    """Precondition with explicit damped inverses: ``G⁻¹ ∇L A⁻¹`` (Eq. 11), in float32.
+
+    Each inverse comes in the form a holder installs it: ``(n, n)`` for a
+    dense factor, the ``(n,)`` reciprocal diagonal ``1 / (d + γ)`` of a
+    diagonal one (a scaling of rows or columns), ``(num_blocks, bs, bs)``
+    for a block-diagonal one (applied block by block, like
+    :func:`apply_eigenbasis_left` / :func:`apply_eigenbasis_right`).
+    """
+    out = _apply_inverse_left(grad.astype(np.float32, copy=False), inv_g.astype(np.float32, copy=False))
+    return _apply_inverse_right(out, inv_a.astype(np.float32, copy=False)).astype(grad.dtype, copy=False)
+
+
+def _apply_inverse_left(x: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``G⁻¹ x`` for an installed inverse of any shape (see :func:`precondition_with_inverse`)."""
+    if inverse.ndim == 1:
+        return inverse[:, None] * x
+    if inverse.ndim == 2:
+        return inverse @ x
+    blocks = x.reshape(inverse.shape[0], inverse.shape[1], x.shape[-1])
+    return np.matmul(inverse, blocks).reshape(x.shape)
+
+
+def _apply_inverse_right(x: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``x A⁻¹`` for an installed inverse of any shape (see :func:`precondition_with_inverse`)."""
+    if inverse.ndim == 1:
+        return x * inverse
+    if inverse.ndim == 2:
+        return x @ inverse
+    blocks = x.reshape(x.shape[0], inverse.shape[0], inverse.shape[1])
+    return np.einsum("gnb,nbc->gnc", blocks, inverse).reshape(x.shape)
 
 
 def kl_clip_scale(

@@ -24,12 +24,14 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    whoever posts them), and fold the averaged window into the running-average
    Kronecker factors on the ranks that hold them (every ``factor_update_freq``
    iterations),
-2. compute the eigen decompositions on their assigned workers and broadcast
-   them to the layer's gradient workers, each of which then caches the
-   eigenvalue outer product it forms itself (every ``inv_update_freq``
-   iterations).  Taking the step's actions submits the factors as the step
-   began to the rank's :class:`~repro.kfac.refresh.RefreshQueue`; stage 2
-   takes and installs the results,
+2. compute the damped inverses (the default ``inverse`` path) or the eigen
+   decompositions on their assigned workers and broadcast them to the
+   layer's gradient workers -- an inverse as its packed triangle, which
+   every holder expands; an eigen holder then caches the eigenvalue outer
+   product it forms itself (every ``inv_update_freq`` iterations).  Taking
+   the step's actions submits the factors as the step began to the rank's
+   :class:`~repro.kfac.refresh.RefreshQueue`; stage 2 takes and installs the
+   results,
 3. precondition the gradients on the gradient workers and broadcast the
    result to the gradient receivers (every iteration),
 4. apply the KL-clip scaling and write the preconditioned gradients back into
@@ -44,10 +46,11 @@ communication rounds as unbound specs, and in
 :meth:`~repro.kfac.strategy.DistributionPlan.actions` the layers a step folds
 and refreshes, revised by a :class:`~repro.kfac.scheduling.DriftSchedule`
 when ``drift_tol > 0``.  *How* a layer is preconditioned is its
-:class:`~repro.kfac.scheduling.SolveStrategy` (the default is the eigen path
-of Eq. 15-17).  :meth:`KFAC._bind` attaches this rank's arrays to the plan's
-specs once, and every allreduce and broadcast goes through one bucketed
-collective engine (:mod:`repro.distributed.collectives`).
+:class:`~repro.kfac.scheduling.SolveStrategy` (the default is the damped
+inverse of Eq. 12, two GEMMs per step; the eigen path of Eqs. 15-17 is
+``solve_strategy="eigen"``).  :meth:`KFAC._bind` attaches this rank's arrays
+to the plan's specs once, and every allreduce and broadcast goes through one
+bucketed collective engine (:mod:`repro.distributed.collectives`).
 
 :class:`~repro.training.Trainer` drives :class:`KFAC` directly: it calls
 :meth:`step` with the step's loss, caps its gradient buckets at ``plan.bucket_cap_mb``
@@ -77,7 +80,7 @@ from ..nn.module import Module
 from .base import CHECKPOINT_FORMAT, check_checkpoint_format
 from .config import KFACConfig
 from .kernels import KernelBackend
-from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, tikhonov_pi
+from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, split_damping, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
 from .refresh import RefreshQueue
 from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
@@ -127,12 +130,8 @@ class KFAC:
         self.precision = config.precision_policy()  # the dtypes the ``precision`` name stands for
 
         self._steps = 0
-        # The rank's pending decompositions and its eigen worker thread, joined by remove().
-        self.refresh = RefreshQueue(
-            lambda factors, repr_: self.kernels.eigen_task(factors, repr_, compute_dtype=self.precision.compute_dtype),
-            self.tracer,
-            name=f"kfac-eigen-rank{self.rank}",
-        )
+        # The rank's pending decompositions / inverses and its worker thread, joined by remove().
+        self.refresh = RefreshQueue(self._refresh_task, self.tracer, name=f"kfac-eigen-rank{self.rank}")
         self._begin_factor_window()
         self._skip_ids = {id(m) for m in skip_modules}
         # One kernel-backend instance per preconditioner (per rank): a backend
@@ -167,6 +166,13 @@ class KFAC:
         self._preconditioned: Dict[str, Optional[np.ndarray]] = {}
         rounds = (*self.plan.eigen_round.values(), *self.plan.gradient_round.values())
         self._bound = {(spec.key, spec.src): self._bind(spec) for specs in rounds for spec in specs}
+
+    def _refresh_task(self, factors, repr_, dampings):
+        """The :attr:`refresh` queue's task: decompose ``factors``, or invert them damped by ``dampings``."""
+        compute_dtype = self.precision.compute_dtype
+        if dampings is None:
+            return self.kernels.eigen_task(factors, repr_, compute_dtype=compute_dtype)
+        return self.kernels.inverse_task(factors, repr_, dampings, compute_dtype=compute_dtype)
 
     def _new_drift(self) -> Optional[DriftSchedule]:
         """A fresh drift schedule, or None: at ``drift_tol=0`` the plan's actions are carried out as they are."""
@@ -263,10 +269,10 @@ class KFAC:
     def step(self, lr: Optional[float] = None, loss: Optional[float] = None) -> None:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
-        In order: prepare the factor-reading solvers of ``refresh`` on the
-        factors as the step found them; run the factor round of ``fold`` and
-        fold the averaged windows, once even when the step is retried; observe
-        drift; take this rank's decompositions and run the eigen round;
+        In order: run the factor round of ``fold`` and fold the averaged
+        windows, once even when the step is retried; observe drift; take this
+        rank's decompositions or inverses of ``refresh`` (solved on the
+        factors as the step found them) and run the eigen round;
         precondition and run the gradient round; apply the KL clip and write
         the gradients back.
         ``loss`` (this step's training loss) feeds the Levenberg-Marquardt
@@ -292,7 +298,6 @@ class KFAC:
         with self.tracer.span("kfac/step", category="kfac", step=step):
             mean_loss = self._adapt_damping(loss)
             actions = self.actions()
-            unfolded = self._prepare_solvers(actions.refresh)
             if not self._folded:  # a step retried after an error does not fold its window again
                 if actions.fold:
                     with self._stage("factor_compute"):
@@ -320,7 +325,6 @@ class KFAC:
             if actions.refresh:
                 with self._stage("eigen_decomposition"):
                     self._install_decompositions(actions.refresh)
-                    self._prepare_solvers(unfolded)
                 with self._stage("eigen_broadcast"):
                     self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
                     self._cache_eigen_outer(actions.refresh)
@@ -425,6 +429,7 @@ class KFAC:
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._folded = False  # the pending step folded its windows
+        self._inverses: Dict[tuple, np.ndarray] = {}  # (layer, "a" | "g") -> packed inverse this rank computed, to ship
 
     def factor_window(self, layer: KFACLayer) -> tuple:
         """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
@@ -528,7 +533,17 @@ class KFAC:
         """
         name, _, what = spec.key.rpartition("/")
         layer = self.layers[name]
-        if what in ("eigen_a", "eigen_g"):
+        if what in ("inverse_a", "inverse_g"):
+            which = what[-1]
+            repr_, solver = layer.factor_repr(which), self.solvers[name]
+
+            def payload() -> np.ndarray:
+                return self._inverses[name, which]
+
+            def install(packed: np.ndarray) -> None:
+                solver.install(which, packed, repr_)
+
+        elif what in ("eigen_a", "eigen_g"):
             repr_ = layer.factor_repr(what[-1])
 
             def payload() -> np.ndarray:
@@ -555,13 +570,22 @@ class KFAC:
         Called when a step's actions are first taken (:meth:`actions`), so a
         refresh reads the factors as its step began, and again by
         :meth:`_install_decompositions` for those with no fold before it (step 0).
+        A factor of an ``inverse`` layer goes with its damping: the π split
+        of the current ``γ``, π from the layer's two factors
+        (:func:`~repro.kfac.kmath.tikhonov_pi`), which this rank holds both of.
         """
-        layers = self.layers
-        self.refresh.submit(
-            ((name, which), factor, layers[name].factor_repr(which))
-            for name, which in self._decomposed(names)
-            if (factor := getattr(layers[name], f"factor_{which}")) is not None
-        )
+        items = []
+        for name, which in self._decomposed(names):
+            layer = self.layers[name]
+            factor = getattr(layer, f"factor_{which}")
+            if factor is None:
+                continue
+            damping = None
+            if self.solvers[name].refresh == "inverse":
+                pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
+                damping = split_damping(self.damping, pi)["ag".index(which)]
+            items.append(((name, which), factor, layer.factor_repr(which), damping))
+        self.refresh.submit(items)
 
     def _decomposed(self, names: Sequence[str]) -> List[tuple]:
         """``(layer, "a" | "g")`` of every factor this rank decomposes (``plan.decomposers``) among the layers ``names``."""
@@ -570,38 +594,29 @@ class KFAC:
         ]
 
     def _install_decompositions(self, names: Sequence[str]) -> None:
-        """Install the decompositions of the factors this rank decomposes among the refreshed layers ``names``.
+        """Install what this rank computed for the factors it decomposes among the refreshed layers ``names``.
 
-        A failed solve is raised before any decomposition is replaced.
+        A decomposition goes onto its layer.  A damped inverse is kept in the
+        inverse dtype for the eigen round, which installs it on every member;
+        where that round moves nothing (a group of one), it is installed here
+        from the same buffer.  A failed solve is raised before anything is
+        replaced.
         """
         self._submit(names)
-        decompositions = self.refresh.take(step=self._steps, backend=self.kernels.name)
+        results = self.refresh.take(step=self._steps, backend=self.kernels.name)
         keys = self._decomposed(names)
         for name, which in keys:
-            if (name, which) not in decompositions:
+            if (name, which) not in results:
                 raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
+        dtype = self.precision.inverse_dtype
         for name, which in keys:
-            setattr(self.layers[name], f"eigen_{which}", decompositions[name, which].astype(self.precision.inverse_dtype))
-
-    def _prepare_solvers(self, names: Sequence[str]) -> List[str]:
-        """Refresh the factor-reading solvers of the refreshed layers ``names`` on their gradient workers.
-
-        A layer with eigen holders is solved from its eigenbasis and has no
-        such solver.  Called at the top of :meth:`step`, so a solver reads the
-        factors as the step found them, like the decompositions on the eigen
-        worker.  Returns the layers that have no factors yet (step 0), for a
-        second call after the fold.
-        """
-        unfolded = []
-        for name in names:
-            layer = self.layers[name]
-            if self.plan.eigen_holders[name] or not self.groups[name].is_grad_worker(self.rank):
-                continue
-            if layer.factor_a is None:
-                unfolded.append(name)
+            layer, solver = self.layers[name], self.solvers[name]
+            if solver.refresh == "inverse":
+                packed = self._inverses[name, which] = results[name, which].astype(dtype, copy=False)
+                if not self.plan.eigen_round[name]:
+                    solver.install(which, packed, layer.factor_repr(which))
             else:
-                self.solvers[name].prepare(layer, self.damping, pi=self.damping_pi(layer))
-        return unfolded
+                setattr(layer, f"eigen_{which}", results[name, which].astype(dtype))
 
     def _cache_eigen_outer(self, names: Sequence[str]) -> None:
         """After the eigen round of the refreshed layers ``names``: each eigen holder caches ``1 / (v_G v_Aᵀ + γ)``.

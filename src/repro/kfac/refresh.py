@@ -1,12 +1,13 @@
-"""The refresh queue: one rank's eigen solves, run on its worker thread or on the step's own.
+"""The refresh queue: one rank's factor solves, run on its worker thread or on the step's own.
 
-A refresh decomposes the running factors as they stood when its step began
-(paper section 3.4, stage 2), while forward and backward still run.
-:class:`RefreshQueue` alone decides which thread solves what, and when.  A
-task is any zero-argument callable that returns one result per factor it
-read, such as :meth:`~repro.kfac.kernels.KernelBackend.eigen_task`'s; its
-result does not depend on the thread that runs it, so neither does the
-trajectory.
+A refresh decomposes -- or, on the default ``inverse`` path, inverts -- the
+running factors as they stood when its step began (paper section 3.4, stage
+2), while forward and backward still run.  :class:`RefreshQueue` alone
+decides which thread solves what, and when.  A task is any zero-argument
+callable that returns one result per factor it read, such as
+:meth:`~repro.kfac.kernels.KernelBackend.eigen_task`'s or
+:meth:`~repro.kfac.kernels.KernelBackend.inverse_task`'s; its result does not
+depend on the thread that runs it, so neither does the trajectory.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ def _solve(task: Callable[[], list]) -> tuple:
 
 
 class _Task(NamedTuple):
-    keys: List[Hashable]  # ``(layer name, "a" | "g")`` of each factor the task decomposes
+    keys: List[Hashable]  # ``(layer name, "a" | "g")`` of each factor the task solves
     solve: Optional[Callable[[], list]]  # None when reading the factors already failed
     future: Future  # of ``_solve(solve)`` on the worker
+    what: str  # "eigendecomposition" or "damped inverse", for the error message
 
 
 class RefreshQueue:
     """One rank's pending factor solves and the worker thread beside its step.
 
-    ``make_task(factors, repr)`` reads ``factors`` (all stored as ``repr``)
-    and returns the task that solves them; ``tracer`` receives the
+    ``make_task(factors, repr, dampings)`` reads ``factors`` (all stored as
+    ``repr``) and returns the task that solves them: their decompositions
+    when ``dampings`` is None, else their inverses damped by one ``γ`` each;
+    ``tracer`` receives the
     ``kfac/eigen_{solve,caller,hidden}_ms`` gauges and the
     ``kfac/kernel_dispatch`` instant of every :meth:`take`.
     """
@@ -59,30 +63,35 @@ class RefreshQueue:
             self._worker = ThreadPoolExecutor(1, thread_name_prefix=self.name)
         return self._worker
 
-    def submit(self, factors: Iterable[Tuple[Hashable, np.ndarray, FactorRepr]]) -> None:
-        """Read each ``(key, factor, repr)`` now and queue its solve; a key already pending is skipped.
+    def submit(self, factors: Iterable[Tuple[Hashable, np.ndarray, FactorRepr, Optional[float]]]) -> None:
+        """Read each ``(key, factor, repr, damping)`` now and queue its solve; a key already pending is skipped.
 
-        A factor above :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM`, or one
-        that is not dense, is a task of its own, so :meth:`take` can solve any
-        of them the worker has not started; the dense ones at or below it are
-        one stacked task per dimension and dtype.  A failure to read waits,
+        ``damping`` is None for a decomposition, the factor's ``γ`` for a
+        damped inverse.  A factor above
+        :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM`, or one that is not
+        dense, is a task of its own, so :meth:`take` can solve any of them the
+        worker has not started; the dense ones at or below it are one stacked
+        task per dimension, dtype and kind of solve.  A failure to read waits,
         like a failed solve, for :meth:`take` to raise it.
         """
         queued = {key for task in self.tasks for key in task.keys}
         groups: Dict[Hashable, list] = {}
-        for key, factor, repr_ in factors:
+        for key, factor, repr_, damping in factors:
             if key not in queued:
                 stacked = repr_.is_dense and repr_.dim <= STACK_EIGH_MAX_DIM
-                groups.setdefault((repr_, factor.dtype.str) if stacked else key, []).append((key, factor, repr_))
+                group = (repr_, factor.dtype.str, damping is None) if stacked else key
+                groups.setdefault(group, []).append((key, factor, repr_, damping))
         for members in groups.values():
+            dampings = None if members[0][3] is None else [damping for *_, damping in members]
             try:
-                solve = self.make_task([factor for _, factor, _ in members], members[0][2])
+                solve = self.make_task([factor for _, factor, _, _ in members], members[0][2], dampings)
             except (ValueError, np.linalg.LinAlgError) as error:
                 solve, future = None, Future()
                 future.set_result((None, error, 0.0))
             else:
                 future = self.worker.submit(_solve, solve)
-            self.tasks.append(_Task([key for key, *_ in members], solve, future))
+            what = "eigendecomposition" if dampings is None else "damped inverse"
+            self.tasks.append(_Task([key for key, *_ in members], solve, future, what))
 
     def take(self, **attrs: Any) -> Dict[Hashable, Any]:
         """Every pending key's result, in submission order; nothing stays pending.
@@ -107,7 +116,7 @@ class RefreshQueue:
                 index = getattr(error, "batch_index", None)
                 culprits = task.keys if index is None or len(task.keys) == 1 else [task.keys[index]]
                 named = ", ".join(f"{which.upper()} factor of layer {name!r}" for name, which in culprits)
-                raise type(error)(f"eigendecomposition of the {named} failed: {error}") from error
+                raise type(error)(f"{task.what} of the {named} failed: {error}") from error
             if error is not None:
                 raise error
         solve_ms = sum(seconds for *_, seconds in outcomes) * 1e3

@@ -17,13 +17,13 @@ what departs from it:
   predicted loss reduction, optionally combined with the factor-trace π
   correction (:func:`repro.kfac.kmath.tikhonov_pi`, after torch-kfac).
 * :class:`SolveStrategy` implementations decide *how* a layer's gradient is
-  preconditioned: the default eigen path, a direct damped inverse, or a
-  warm-started conjugate-gradient solve (:func:`kronecker_cg`) that skips
-  the O(F³) eigen decomposition entirely — the right trade for small layers.
+  preconditioned: the default π-damped inverse (Eq. 12), the paper's eigen
+  path (Eqs. 15-17), or a warm-started conjugate-gradient solve
+  (:func:`kronecker_cg`) that factorizes nothing at all.
 
-With the adaptive knobs at their defaults (``drift_tol=0``, fixed damping, the
-eigen solver) :class:`~repro.kfac.KFAC` runs the paper's fixed-cadence step,
-and each knob departs from it on its own.
+With the adaptive knobs at their defaults (``drift_tol=0``, fixed damping)
+:class:`~repro.kfac.KFAC` runs the paper's fixed-cadence step, and each knob
+departs from it on its own.
 """
 
 from .damping import MAX_DAMPING, MIN_DAMPING, AdaptiveDampingController

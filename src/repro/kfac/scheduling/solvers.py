@@ -1,24 +1,25 @@
-"""Per-layer solve strategies: eigen, direct damped inverse, warm-started CG.
+"""Per-layer solve strategies: damped inverse, eigen, warm-started CG.
 
-KAISA's default preconditioning path eigen-decomposes both Kronecker factors
-— O(F³) work that pays off when the decomposition is reused over many steps
-and many gradients.  For small layers (LayerNorm gains, narrow MLP heads)
-the decomposition dominates, and the DeepFormer ``CG_KFAC`` exemplar shows
-two cheaper alternatives that this module packages behind one interface:
+KAISA's paper path eigen-decomposes both Kronecker factors -- O(F³) work that
+pays off when the decomposition is reused over many steps and many
+gradients.  Three strategies sit behind one interface:
 
-* :class:`EigenSolveStrategy` — the default eigen path of Eqs. 15-17;
-* :class:`InverseSolveStrategy` — form ``(A + γI)⁻¹`` / ``(G + γI)⁻¹`` once
-  per second-order refresh (Eq. 12) and precondition with two matmuls;
-* :class:`CGSolveStrategy` — never factorize at all: solve
+* :class:`InverseSolveStrategy` -- the default: the layer's decomposer
+  inverts ``(A + π√γ I)`` and ``(G + √γ/π I)`` by Cholesky once per
+  second-order refresh (Eq. 12 with factored Tikhonov damping), ships each
+  inverse in its factor's packed form, and every gradient worker
+  preconditions with two GEMMs;
+* :class:`EigenSolveStrategy` -- the eigen path of Eqs. 15-17;
+* :class:`CGSolveStrategy` -- never factorize at all: solve
   ``(G + γ_g I) X (A + γ_a I) = ∇L`` by conjugate gradients on the
   Kronecker-structured operator, warm-started from the previous solution
   (gradients change slowly between steps, so a handful of iterations
   suffice).
 
 ``KFACConfig.solve_strategy`` / ``small_layer_solver`` name one of the three
-(:func:`make_solve_strategy`).  Per-layer solver
-state (cached inverses, CG warm starts) participates in
-``state_dict``/``load_state_dict`` so checkpoint resume stays bit-identical.
+(:func:`make_solve_strategy`).  Per-layer solver state (installed inverses,
+CG warm starts) participates in ``state_dict``/``load_state_dict`` so
+checkpoint resume stays bit-identical.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kmath import damped_inverse, precondition_with_inverse, split_damping
+from ..kmath import expand_symmetric, split_damping
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..factors import FactorRepr
     from ..layers import KFACLayer
+    from ..strategy import LayerShapeInfo, WirePolicy
 
 __all__ = [
     "SolveStrategy",
@@ -119,29 +122,26 @@ def kronecker_cg(
 class SolveStrategy:
     """How one layer's gradient is preconditioned from its Kronecker factors.
 
-    ``prepare`` runs on the layer's gradient workers at every second-order
-    refresh (a step whose actions list the layer in ``refresh``); ``solve``
-    runs on the gradient workers every iteration and
+    ``solve`` runs on the layer's gradient workers every iteration and
     returns the preconditioned gradient matrix.
     """
 
     name: str = "?"
-    #: Whether the strategy consumes eigen decompositions.  Read off the class
-    #: by :meth:`~repro.kfac.KFACConfig.distribution_plan` alone: a layer
-    #: whose strategy needs none has no decomposers and no eigen holders in
-    #: the plan, so nothing is decomposed or broadcast for it.
-    needs_eigen: bool = False
-
-    def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:
-        """Refresh cached solver state from the layer's current factors."""
+    #: What a second-order refresh computes for the layer on its decomposer:
+    #: ``"eigen"`` (the decompositions of Eqs. 15-17), ``"inverse"`` (the
+    #: damped inverses of Eq. 12) or None (nothing: the strategy reads the
+    #: running factors itself).  Read off the class by
+    #: :meth:`~repro.kfac.KFACConfig.distribution_plan` alone: a layer whose
+    #: refresh computes nothing has no decomposers and no eigen round.
+    refresh: Optional[str] = None
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         """Precondition ``grad``, the layer's current bias-folded gradient matrix (:meth:`KFACLayer.get_gradient`)."""
         raise NotImplementedError
 
     @classmethod
-    def state_bytes(cls, a_dim: int, g_dim: int) -> int:
-        """Bytes of solver state a gradient worker holds for a layer with these factor dimensions, once it solved."""
+    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
+        """Bytes of solver state a gradient worker holds for ``layer`` under ``policy``, once it solved."""
         return 0
 
     def solver_bytes(self) -> int:
@@ -156,7 +156,7 @@ class SolveStrategy:
 
 
 class EigenSolveStrategy(SolveStrategy):
-    """The default eigen-decomposition path (Eqs. 15-17).
+    """The eigen-decomposition path of Eqs. 15-17.
 
     The distribution plan owns the decomposition placement and
     broadcasts; this object only delegates the per-iteration solve to
@@ -164,41 +164,48 @@ class EigenSolveStrategy(SolveStrategy):
     """
 
     name = "eigen"
-    needs_eigen = True
+    refresh = "eigen"
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         return layer.precondition(damping, pi=pi, grad=grad)
 
 
 class InverseSolveStrategy(SolveStrategy):
-    """Direct damped inverses (Eq. 12): one ``inv`` per factor per refresh."""
+    """Damped inverses (Eq. 12), computed on the layer's decomposer and installed on each gradient worker.
+
+    The inverses carry the damping of their refresh; ``damping`` and ``pi``
+    of :meth:`solve` are not read.
+    """
 
     name = "inverse"
+    refresh = "inverse"
 
     def __init__(self) -> None:
         self.inv_a: Optional[np.ndarray] = None
         self.inv_g: Optional[np.ndarray] = None
 
     @classmethod
-    def state_bytes(cls, a_dim: int, g_dim: int) -> int:
-        """``inv_a`` and ``inv_g``: two float32 squares."""
-        return 4 * (a_dim * a_dim + g_dim * g_dim)
+    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
+        """``inv_a`` and ``inv_g`` as installed: ``n²`` for a dense factor, ``n`` for a diagonal one, ``blocks·bs²`` for a block-diagonal one."""
+        numel = sum(r.dim if r.kind == "diagonal" else r.eigenvector_numel for r in (layer.a_repr, layer.g_repr))
+        return numel * np.dtype(policy.precision.inverse_dtype).itemsize
 
-    def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:
-        if layer.factor_a is None or layer.factor_g is None:
-            raise RuntimeError(f"layer {layer.name!r} has no factors to invert")
-        damping_a, damping_g = split_damping(damping, pi)
-        # The inverse reads the whole matrix: one of the two places a stored factor is expanded.
-        self.inv_a = damped_inverse(layer.a_repr.to_dense(layer.factor_a), damping_a)
-        self.inv_g = damped_inverse(layer.g_repr.to_dense(layer.factor_g), damping_g)
+    def install(self, which: str, packed: np.ndarray, repr_: "FactorRepr") -> None:
+        """Install the ``"a"`` / ``"g"`` inverse from the packed form the eigen round carries.
+
+        A dense factor's triangle is expanded into the symmetric square the
+        GEMMs read (:func:`~repro.kfac.kmath.expand_symmetric`); the other
+        forms are kept as they come.  Every holder, the decomposer included, installs from the
+        same buffer this way, so the replicas precondition bitwise alike.
+        """
+        setattr(self, f"inv_{which}", expand_symmetric(packed) if repr_.is_dense else packed.copy())
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
             raise RuntimeError(
-                f"layer {layer.name!r} has no cached inverses; prepare() must run on a "
-                "second-order refresh before solve()"
+                f"layer {layer.name!r} has no installed inverses; a second-order refresh must install them before solve()"
             )
-        return precondition_with_inverse(grad, self.inv_a, self.inv_g)
+        return layer.kernels.precondition_inverse(grad, self.inv_a, self.inv_g)
 
     def solver_bytes(self) -> int:
         return sum(inv.nbytes for inv in (self.inv_a, self.inv_g) if inv is not None)
@@ -210,9 +217,7 @@ class InverseSolveStrategy(SolveStrategy):
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        inv_a, inv_g = state["inv_a"], state["inv_g"]
-        self.inv_a = None if inv_a is None else np.asarray(inv_a, dtype=np.float32)
-        self.inv_g = None if inv_g is None else np.asarray(inv_g, dtype=np.float32)
+        self.inv_a, self.inv_g = (None if state[key] is None else np.array(state[key]) for key in ("inv_a", "inv_g"))
 
 
 class CGSolveStrategy(SolveStrategy):
@@ -237,15 +242,9 @@ class CGSolveStrategy(SolveStrategy):
         self.total_iterations = 0
 
     @classmethod
-    def state_bytes(cls, a_dim: int, g_dim: int) -> int:
+    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
         """``last_solution``: the float64 ``g × a`` warm start."""
-        return 8 * a_dim * g_dim
-
-    def prepare(self, layer: "KFACLayer", damping: float, pi: Optional[float] = None) -> None:
-        if layer.factor_a is None or layer.factor_g is None:
-            raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
-        # Nothing to cache: the operator is applied factor-fresh at every
-        # solve, so new factors (and new damping) take effect immediately.
+        return 8 * layer.a_dim * layer.g_dim
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         if layer.factor_a is None or layer.factor_g is None:

@@ -25,7 +25,8 @@ which factor, which ranks hold each running factor and each layer's eigen
 state, and the three communication rounds of one update as unbound specs --
 ``(key, shape, dtype)`` per factor allreduce, a
 :class:`~repro.distributed.collectives.BroadcastSpec` without ``payload`` /
-``on_complete`` per eigen and preconditioned-gradient message.  The schedule
+``on_complete`` per eigen (or damped-inverse) and preconditioned-gradient
+message.  The schedule
 is global (the collective engine skips the channels that do not contain the
 local rank), so nothing here branches on a rank.  :class:`~repro.kfac.KFAC`
 attaches the arrays to the specs and posts them; the cost and memory models
@@ -237,11 +238,11 @@ class DistributionPlan:
     world_size: int
     policy: WirePolicy
     groups: Dict[str, LayerWorkGroups]  # placement
-    decomposers: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that eigendecompose the factor
+    decomposers: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that decompose (or invert) the factor
     factor_holders: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that keep the running factor
     eigen_holders: Dict[str, Tuple[int, ...]]  # ranks that keep the layer's eigen state
     factor_round: Dict[str, Tuple[FactorSpec, ...]]  # world-wide window allreduces
-    eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh
+    eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh: decompositions or packed inverses
     gradient_round: Dict[str, Tuple[BroadcastSpec, ...]]  # every step
     factor_update_freq: int
     inv_update_freq: int
@@ -340,7 +341,11 @@ def num_grad_workers(world_size: int, grad_worker_frac: float) -> int:
 
 
 def assign_workers(
-    layers: Sequence[LayerShapeInfo], world_size: int, grad_worker_frac: float, balance: str = "compute"
+    layers: Sequence[LayerShapeInfo],
+    world_size: int,
+    grad_worker_frac: float,
+    balance: str = "compute",
+    paired: Iterable[str] = (),
 ) -> Dict[str, LayerWorkGroups]:
     """Eigen workers, gradient workers and receiver groups of every layer.
 
@@ -350,7 +355,11 @@ def assign_workers(
 
     * Every rank a gradient worker (COMM-OPT, section 2.2.2): the A and G
       factors are placed separately by LPT, doubling worker utilisation; the
-      decompositions go world-wide and no gradient is broadcast.
+      decompositions go world-wide and no gradient is broadcast.  The layers
+      named in ``paired`` need both factors on one rank (a damped inverse
+      reads both traces): where LPT split one, its cheaper factor follows the
+      costlier one (G follows A on a tie), and every other factor stays
+      where LPT put it.
     * Otherwise (HYBRID-OPT, Figure 4; MEM-OPT is its blocks of one): whole
       layers are placed by LPT and the ranks are partitioned into fixed
       blocks of :func:`num_grad_workers`.  A layer's gradient workers are the
@@ -372,6 +381,9 @@ def assign_workers(
             for which in "ag"
         }
         placed = greedy_lpt_assignment(costs, world_size).assignment
+        for name in paired:
+            follower, leader = ("A", "G") if costs[name, "A"] < costs[name, "G"] else ("G", "A")
+            placed[name, follower] = placed[name, leader]
         everyone = tuple(range(world_size))
         return {
             layer.name: LayerWorkGroups(layer, placed[layer.name, "A"], placed[layer.name, "G"], everyone, {})
@@ -394,25 +406,35 @@ def assign_workers(
 
 # A spec names one logical tensor; the collective engine fuses the specs that
 # share a (src, group) channel into capped buckets, in list order.
-def _eigen_round(group: LayerWorkGroups, policy: WirePolicy) -> Tuple[BroadcastSpec, ...]:
-    """Messages that take one layer's fresh eigen state from its eigen workers to its gradient workers.
+def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, inverted: bool) -> Tuple[BroadcastSpec, ...]:
+    """Messages that take one layer's fresh eigen state, or damped inverses, to its gradient workers.
 
     Each decomposition travels packed (eigenvalues then stored eigenvectors,
     in the inverse dtype so fp64 / fp16 are not truncated on the wire), and
     nothing else: the cached outer product is a function of the eigenvalues,
-    so every holder forms its own.  A group of one moves nothing: its only
-    member computed the decompositions and keeps them exactly as they are.  (Packing and
-    unpacking them anyway would copy all eigen state twice and re-lay the
-    eigenvectors out row-major, which shifts BLAS rounding in every later
-    precondition.)
+    so every holder forms its own.  A damped inverse travels in its factor's
+    packed form (:attr:`FactorRepr.packed_shape`: the triangle of a dense
+    one, the ``n`` reciprocals of a diagonal one).  A group of one moves
+    nothing: its only member computed the decompositions and keeps them
+    exactly as they are.  (Packing and unpacking them anyway would copy all
+    eigen state twice and re-lay the eigenvectors out row-major, which shifts
+    BLAS rounding in every later precondition.  An inverse has one layout
+    whatever the group: every holder, the decomposer too, expands it from
+    the packed buffer.)
     """
     members = group.grad_workers
     if len(members) <= 1:
         return ()
     layer = group.layer
     dtype = np.dtype(policy.precision.inverse_dtype)
-    return tuple(  # packed payload: n + n*n for dense, just n for diagonal factors
-        BroadcastSpec(f"{layer.name}/eigen_{which}", src, members, (layer.factor_repr(which).packed_eigen_numel,), dtype)
+    kind = "inverse" if inverted else "eigen"
+
+    def shape(which: str) -> Tuple[int, ...]:
+        repr_ = layer.factor_repr(which)
+        return repr_.packed_shape if inverted else (repr_.packed_eigen_numel,)
+
+    return tuple(
+        BroadcastSpec(f"{layer.name}/{kind}_{which}", src, members, shape(which), dtype)
         for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
     )
 
@@ -442,6 +464,7 @@ def build_plan(
     policy: WirePolicy,
     factors_read_everywhere: bool,
     eigen_free: Iterable[str],
+    inverted: Iterable[str],
     factor_update_freq: int,
     inv_update_freq: int,
     bucket_cap_mb: float,
@@ -450,11 +473,14 @@ def build_plan(
 
     :meth:`~repro.kfac.KFACConfig.distribution_plan` is the one caller: it
     turns the hyperparameters into these arguments.  Placement is
-    :func:`assign_workers`; each factor is decomposed by its eigen worker.  A
-    running factor is held where a plan reads it: by the ranks that decompose
-    it; by the layer's gradient workers when the layer is in ``eigen_free``
-    (its solve strategy reads the factors instead of an eigenbasis --
-    ``inverse``, ``cg`` -- so nothing is decomposed or broadcast for it); and
+    :func:`assign_workers`; each factor is decomposed by its eigen worker --
+    or, for a layer in ``inverted``, inverted there (both of the layer's
+    factors on one rank, which holds both traces), and the eigen round ships
+    the packed inverses instead of decompositions; such a layer keeps no
+    eigen state.  A running factor is held where a plan reads it: by the
+    ranks that decompose it; by the layer's gradient workers when the layer
+    is in ``eigen_free`` (its solve strategy reads the factors itself --
+    ``cg`` -- so nothing is decomposed or broadcast for it); and
     by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
     the refresh plan from factor drift on every rank, ``damping_pi_correction``
     takes both traces wherever it damps).  Factors are allreduced world-wide as
@@ -468,8 +494,8 @@ def build_plan(
     layers = list(layers)
     workers = num_grad_workers(world_size, grad_worker_frac)
     scheme = "COMM-OPT" if workers >= world_size else "MEM-OPT" if workers == 1 else "HYBRID-OPT"
-    groups = assign_workers(layers, world_size, grad_worker_frac, balance)
-    eigen_free = frozenset(eigen_free)
+    eigen_free, inverted = frozenset(eigen_free), frozenset(inverted)
+    groups = assign_workers(layers, world_size, grad_worker_frac, balance, paired=inverted)
     everyone = tuple(range(world_size))
     factor_dtype = np.dtype(policy.precision.factor_dtype)
     offsets = staggered_refresh_offsets(
@@ -482,16 +508,18 @@ def build_plan(
     for layer in layers:
         name, group = layer.name, groups[layer.name]
         decomposed = name not in eigen_free
+        if name in inverted and group.eigen_worker_a != group.eigen_worker_g:
+            raise RuntimeError(f"layer {name!r} is inverted, but its A and G factors are placed on different ranks")
         for which, eigen_worker in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
             plan.decomposers[name, which] = (eigen_worker,) if decomposed else ()
             if factors_read_everywhere:
                 plan.factor_holders[name, which] = everyone
             else:
                 plan.factor_holders[name, which] = plan.decomposers[name, which] if decomposed else group.grad_workers
-        plan.eigen_holders[name] = group.grad_workers if decomposed else ()
+        plan.eigen_holders[name] = group.grad_workers if decomposed and name not in inverted else ()
         plan.factor_round[name] = tuple(
             (f"{name}/factor_{which}", layer.factor_repr(which).packed_shape, factor_dtype) for which in ("a", "g")
         )
-        plan.eigen_round[name] = _eigen_round(group, policy) if decomposed else ()
+        plan.eigen_round[name] = _eigen_round(group, policy, name in inverted) if decomposed else ()
         plan.gradient_round[name] = _gradient_round(group)
     return plan

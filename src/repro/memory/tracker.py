@@ -2,8 +2,9 @@
 
 The paper's "K-FAC memory overhead" is the per-GPU memory used by K-FAC state
 on top of regular training: the running-average Kronecker factors plus the
-eigen decompositions and the cached eigenvalue outer product (held only by
-the ranks that act as *gradient workers* for a layer).  Two layouts of the
+eigen decompositions and the cached eigenvalue outer product -- or, on the
+default ``inverse`` path, the installed damped inverses -- held only by the
+ranks that act as *gradient workers* for a layer.  Two layouts of the
 factors are modelled:
 
 * **this tree's**: a running factor lives only on the rank that decomposes it
@@ -13,7 +14,9 @@ factors are modelled:
   :meth:`KFACMemoryModel.factor_bytes_per_rank` /
   :meth:`~KFACMemoryModel.eigen_bytes_per_rank` sum the holders of the
   :class:`~repro.kfac.strategy.DistributionPlan` the engine follows under the
-  model's :class:`~repro.kfac.KFACConfig`, for every knob that moves state;
+  model's :class:`~repro.kfac.KFACConfig`, for every knob that moves state,
+  and :meth:`~KFACMemoryModel.solver_bytes_per_rank` each layer's solver
+  state (the inverse squares, CG warm starts) on its gradient workers;
 * **the paper's**: every rank keeps every factor as a full ``n x n`` square,
   because its factor allreduce leaves a copy of the running average
   everywhere, so the overhead is ``factors + eigen / world`` and a linear
@@ -36,6 +39,7 @@ from typing import Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from ..kfac.config import KFACConfig
+from ..kfac.scheduling.solvers import solve_strategy_class
 from ..kfac.strategy import DistributionPlan, LayerShapeInfo
 from ..nn.module import Module
 
@@ -54,6 +58,7 @@ class MemoryBreakdown:
     activations: int = 0
     kfac_factors: int = 0
     kfac_eigen: int = 0
+    kfac_solver: int = 0
 
     @property
     def baseline_total(self) -> int:
@@ -63,7 +68,7 @@ class MemoryBreakdown:
     @property
     def kfac_overhead(self) -> int:
         """K-FAC state on top of baseline training."""
-        return self.kfac_factors + self.kfac_eigen
+        return self.kfac_factors + self.kfac_eigen + self.kfac_solver
 
     @property
     def total(self) -> int:
@@ -84,6 +89,7 @@ class MemoryBreakdown:
             "activations": self.activations / MB,
             "kfac_factors": self.kfac_factors / MB,
             "kfac_eigen": self.kfac_eigen / MB,
+            "kfac_solver": self.kfac_solver / MB,
             "baseline_total": self.baseline_total / MB,
             "kfac_overhead": self.kfac_overhead / MB,
             "total": self.total / MB,
@@ -167,6 +173,20 @@ class KFACMemoryModel:
         """Eigen-decomposition bytes held by each rank: the plan's ``eigen_holders``, summed."""
         return self.plan(world_size, grad_worker_frac).eigen_bytes_per_rank()
 
+    def solver_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
+        """Solver-state bytes held by each rank: every layer's strategy state on its gradient workers.
+
+        The installed inverse squares of an ``inverse`` layer, the warm start
+        of a ``cg`` one (:meth:`~repro.kfac.scheduling.SolveStrategy.state_bytes`);
+        the eigen path holds none.
+        """
+        plan = self.plan(world_size, grad_worker_frac)
+        per_rank = np.zeros(world_size, dtype=np.int64)
+        for group in plan.groups.values():
+            strategy = solve_strategy_class(self.config.solver_name_for(group.layer))
+            per_rank[list(group.grad_workers)] += strategy.state_bytes(group.layer, plan.policy)
+        return per_rank
+
     # ------------------------------------------------------------- breakdowns
     def breakdown(
         self,
@@ -179,7 +199,7 @@ class KFACMemoryModel:
 
         ``grad_worker_frac=None`` gives the baseline (no K-FAC) breakdown.
         ``rank`` selects ``"max"`` (the rank with the most K-FAC state,
-        factors and eigen state together), ``"min"`` or ``"mean"``.
+        factors, eigen and solver state together), ``"min"`` or ``"mean"``.
         """
         weights = self.param_count * self.weight_dtype_bytes
         gradients = self.param_count * self.weight_dtype_bytes
@@ -192,18 +212,19 @@ class KFACMemoryModel:
             return result
         factors = self.factor_bytes_per_rank(world_size, grad_worker_frac)
         eigen = self.eigen_bytes_per_rank(world_size, grad_worker_frac)
+        solver = self.solver_bytes_per_rank(world_size, grad_worker_frac)
         if rank == "mean":
-            result.kfac_factors, result.kfac_eigen = int(factors.mean()), int(eigen.mean())
+            result.kfac_factors, result.kfac_eigen, result.kfac_solver = (int(x.mean()) for x in (factors, eigen, solver))
         elif rank in ("max", "min"):
-            total = factors + eigen
+            total = factors + eigen + solver
             index = int(total.argmax() if rank == "max" else total.argmin())
-            result.kfac_factors, result.kfac_eigen = int(factors[index]), int(eigen[index])
+            result.kfac_factors, result.kfac_eigen, result.kfac_solver = (int(x[index]) for x in (factors, eigen, solver))
         else:
             raise ValueError("rank must be 'max', 'min' or 'mean'")
         return result
 
     def overhead_bytes(self, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
-        """K-FAC overhead only (factors + eigen state) for the selected rank."""
+        """K-FAC overhead only (factors + eigen and solver state) for the selected rank."""
         return self.breakdown(world_size, grad_worker_frac, rank=rank).kfac_overhead
 
     def max_local_batch_size(

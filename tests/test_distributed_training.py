@@ -13,6 +13,7 @@ import pytest
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import KFAC, eigenvalue_outer_product
+from repro.kfac.kmath import expand_symmetric
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import Trainer
@@ -96,23 +97,34 @@ class TestDataParallelBaseline:
         np.testing.assert_allclose(distributed_grads, reference, atol=2e-4)
 
 
+SOLVERS = pytest.mark.parametrize("solver", ["inverse", "eigen"])
+
+
 class TestDistributedKFAC:
+    @SOLVERS
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
-    def test_replicas_identical_for_every_strategy(self, grad_worker_frac):
+    def test_replicas_identical_for_every_strategy(self, grad_worker_frac, solver):
         """The replicas of one scheme are bitwise identical."""
-        results = final_params(4, grad_worker_frac=grad_worker_frac)
+        results = final_params(4, grad_worker_frac=grad_worker_frac, kfac_kwargs={"solve_strategy": solver})
         for result in results[1:]:
             np.testing.assert_array_equal(results[0], result)
 
-    def test_all_strategies_produce_same_trajectory(self):
+    @SOLVERS
+    def test_all_strategies_produce_same_trajectory(self, solver):
         """MEM-OPT, HYBRID-OPT and COMM-OPT are the same algorithm (section 3.1).
 
-        Up to rounding: a group of one keeps the eigenbasis as ``syevd`` returns
-        it, a broadcast re-lays it out row-major, and BLAS rounds by layout.
+        On the eigen path up to rounding: a group of one keeps the eigenbasis as
+        ``syevd`` returns it, a broadcast re-lays it out row-major, and BLAS
+        rounds by layout.  An inverse has one layout whatever the group (every
+        holder expands the packed triangle), so there the schemes agree bitwise.
         """
-        mem_opt = final_params(4, grad_worker_frac=0.25)[0]
-        hybrid = final_params(4, grad_worker_frac=0.5)[0]
-        comm_opt = final_params(4, grad_worker_frac=1.0)[0]
+        kwargs = {"kfac_kwargs": {"solve_strategy": solver}}
+        mem_opt = final_params(4, grad_worker_frac=0.25, **kwargs)[0]
+        hybrid = final_params(4, grad_worker_frac=0.5, **kwargs)[0]
+        comm_opt = final_params(4, grad_worker_frac=1.0, **kwargs)[0]
+        if solver == "inverse":
+            np.testing.assert_array_equal(mem_opt, hybrid)
+            np.testing.assert_array_equal(hybrid, comm_opt)
         np.testing.assert_allclose(mem_opt, hybrid, atol=1e-4)
         np.testing.assert_allclose(hybrid, comm_opt, atol=1e-4)
 
@@ -137,13 +149,16 @@ class TestDistributedKFAC:
         # averages of aaᵀ), so allow a small tolerance rather than bitwise equality.
         np.testing.assert_allclose(distributed, single, rtol=0.05, atol=0.05)
 
-    def test_mem_opt_uses_less_eigen_memory_than_comm_opt(self):
+    @pytest.mark.parametrize("solver, state", [("inverse", "solver"), ("eigen", "eigen")])
+    def test_mem_opt_uses_less_eigen_memory_than_comm_opt(self, solver, state):
         def program_factory(frac):
             def program(comm):
                 model = MLP(6, [16], 3, rng=np.random.default_rng(comm.rank))
                 ddp = DistributedDataParallel(model, comm)
                 optimizer = optim.SGD(model.parameters(), lr=0.05)
-                pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=frac, comm=comm)
+                pre = KFAC(
+                    model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=frac, comm=comm, solve_strategy=solver
+                )
                 loss_fn = nn.CrossEntropyLoss()
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(X_GLOBAL[:16])), Y_GLOBAL[:16]).backward()
@@ -155,9 +170,10 @@ class TestDistributedKFAC:
 
         mem_opt_usage = run_spmd(4, program_factory(0.25))
         comm_opt_usage = run_spmd(4, program_factory(1.0))
-        total_mem_opt_eigen = sum(u["eigen"] for u in mem_opt_usage)
-        total_comm_opt_eigen = sum(u["eigen"] for u in comm_opt_usage)
-        assert total_mem_opt_eigen < total_comm_opt_eigen
+        # The decompositions (eigen path) or installed inverses (inverse path) of a layer live on its gradient workers.
+        total_mem_opt_eigen = sum(u[state] for u in mem_opt_usage)
+        total_comm_opt_eigen = sum(u[state] for u in comm_opt_usage)
+        assert 0 < total_mem_opt_eigen < total_comm_opt_eigen
         # The factor *windows* are allreduced; a running factor lives only where it is
         # decomposed, so under both strategies the ranks together hold every factor once.
         all_factors = sum(n * (n + 1) // 2 for n in (6 + 1, 16, 16 + 1, 3)) * 4  # each stored once, as its triangle
@@ -207,8 +223,9 @@ class TestOneEigenStagePath:
         def program(comm):
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
             pre = KFAC(
-                model, lr=0.05, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm, **knobs
-            )
+                model, lr=0.05, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm,
+                solve_strategy="eigen", **knobs,
+            )  # fmt: skip
             loss_fn = nn.CrossEntropyLoss()
             trainer = Trainer(
                 model, optim.SGD(model.parameters(), lr=0.05, momentum=0.9),
@@ -246,6 +263,64 @@ class TestOneEigenStagePath:
             return held
 
         assert sum(run_spmd(4, program)) > 0  # under MEM-OPT one of the four ranks holds none of the three layers
+
+
+class TestInverseRound:
+    """A damped inverse is computed once, on the rank that holds the layer's two factors, and every gradient
+    worker -- the decomposer included -- installs it from the same packed triangle."""
+
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 1.0], ids=["mem", "hybrid", "comm"])
+    def test_every_gradient_worker_installs_the_same_inverse_and_the_round_carries_triangles_only(self, frac):
+        def program(comm):
+            model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
+            pre = KFAC(model, lr=0.05, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm)
+            loss_fn = nn.CrossEntropyLoss()
+            trainer = Trainer(
+                model, optim.SGD(model.parameters(), lr=0.05, momentum=0.9),
+                lambda m, batch: loss_fn(m(Tensor(batch[0])), batch[1]), preconditioner=pre, comm=comm,
+            )  # fmt: skip
+            batch_rng = np.random.default_rng(99)
+            for step in range(6):
+                local = batch_rng.integers(0, len(X_GLOBAL), 32)[comm.rank :: comm.world_size]
+                trainer.train_step((X_GLOBAL[local], Y_GLOBAL[local]))
+                refreshed = pre.plan.actions(step).refresh
+                for name in refreshed:
+                    layer, solver, group = pre.layers[name], pre.solvers[name], pre.groups[name]
+                    assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == (None, None, None)
+                    assert pre.plan.eigen_holders[name] == ()
+                    assert group.eigen_worker_a == group.eigen_worker_g  # one rank holds both traces
+                    if not group.is_grad_worker(comm.rank):
+                        assert solver.inv_a is None and solver.inv_g is None
+                        continue
+                    for inverse, dim in ((solver.inv_a, layer.a_dim), (solver.inv_g, layer.g_dim)):
+                        assert inverse.shape == (dim, dim)
+                        np.testing.assert_array_equal(inverse, inverse.T)
+                        triangle = inverse[np.triu_indices(dim)]  # row by row: the packed form
+                        np.testing.assert_array_equal(expand_symmetric(triangle), inverse)
+                # The step's eigen round is the packed triangles of the refreshed layers whose group has more
+                # than one member, and nothing else.
+                triangles = sum(
+                    (layer.a_dim * (layer.a_dim + 1) + layer.g_dim * (layer.g_dim + 1)) // 2 * 4
+                    for name, group in pre.groups.items()
+                    for layer in (group.layer,)
+                    if name in refreshed and len(group.grad_workers) > 1
+                )
+                assert sum(nbytes for _, nbytes in pre.plan.messages(step=step)["eigen"]) == triangles
+            keys = [spec.key.rpartition("/")[2] for specs in pre.plan.eigen_round.values() for spec in specs]
+            assert set(keys) <= {"inverse_a", "inverse_g"}
+            return {
+                name: (pre.solvers[name].inv_a, pre.solvers[name].inv_g)
+                for name in pre.layers
+                if pre.groups[name].is_grad_worker(comm.rank)
+            }
+
+        ranks = run_spmd(4, program)
+        assert sum(len(held) for held in ranks) == 3 * max(1, round(4 * frac))  # each layer on its gradient workers
+        for held in ranks:
+            for name, inverses in held.items():
+                first = next(other[name] for other in ranks if name in other)
+                for mine, theirs in zip(inverses, first):
+                    np.testing.assert_array_equal(mine, theirs, err_msg=name)
 
 
 def layout_program(steps=3, **kfac_kwargs):
@@ -289,42 +364,44 @@ def layout_program(steps=3, **kfac_kwargs):
 class TestShardedFactorLayout:
     """A running factor lives only on the ranks whose own plan reads it (``KFAC.holds_factor``)."""
 
+    @SOLVERS
     @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
-    def test_default_knobs_store_each_factor_once_on_the_rank_that_decomposes_it(self, world, frac):
-        ranks = run_spmd(world, layout_program(grad_worker_frac=frac))
+    def test_default_knobs_store_each_factor_once_on_the_rank_that_decomposes_it(self, world, frac, solver):
+        ranks = run_spmd(world, layout_program(grad_worker_frac=frac, solve_strategy=solver))
         for key in ranks[0]["held"]:
             holders = [rank for rank, entry in enumerate(ranks) if entry["held"][key]]
             assert holders == [rank for rank, entry in enumerate(ranks) if entry["decomposes"][key]]
             assert len(holders) == 1, f"{key} held by {holders}"
         assert sum(entry["memory"]["factors"] for entry in ranks) == ranks[0]["all_factor_bytes"]
 
+    @SOLVERS
     @pytest.mark.parametrize("knob", [{"drift_tol": 0.05, "max_staleness": 8}, {"damping_pi_correction": True}])
     @pytest.mark.parametrize("frac", [0.25, 1.0])
-    def test_knobs_every_rank_reads_factors_for_make_every_rank_hold_them(self, knob, frac):
+    def test_knobs_every_rank_reads_factors_for_make_every_rank_hold_them(self, knob, frac, solver):
         """``drift_tol`` derives the plan from factor drift on every rank and ``damping_pi_correction``
         takes both traces wherever it damps; the sanitizer's plan check holds the ranks to one plan."""
-        ranks = run_spmd(4, layout_program(steps=6, grad_worker_frac=frac, **knob), sanitize=True)
+        ranks = run_spmd(4, layout_program(steps=6, grad_worker_frac=frac, solve_strategy=solver, **knob), sanitize=True)
         for entry in ranks:
             assert all(entry["held"].values())
             assert entry["memory"]["factors"] == ranks[0]["all_factor_bytes"]
             np.testing.assert_array_equal(entry["params"], ranks[0]["params"])
 
-    @pytest.mark.parametrize("solver", ["inverse", "cg"])
-    def test_solvers_that_read_the_factors_hold_them_on_the_gradient_workers(self, solver):
-        ranks = run_spmd(4, layout_program(grad_worker_frac=0.5, solve_strategy=solver))
+    def test_the_solver_that_reads_the_factors_holds_them_on_the_gradient_workers(self):
+        ranks = run_spmd(4, layout_program(grad_worker_frac=0.5, solve_strategy="cg"))
         for (name, which), _ in ranks[0]["held"].items():
             for entry in ranks:
                 assert entry["held"][(name, which)] == entry["grad_worker"][name]
         assert sum(entry["memory"]["factors"] for entry in ranks) == 2 * ranks[0]["all_factor_bytes"]
 
-    def test_strategies_agree_after_20_steps_at_any_bucket_cap(self):
+    @SOLVERS
+    def test_strategies_agree_after_20_steps_at_any_bucket_cap(self, solver):
         """MEM / HYBRID / COMM-OPT are one algorithm; the bucket cap changes
         how many messages carry the bytes, not what they carry."""
         finals = {}
         for label, kwargs in {
-            "mem": dict(grad_worker_frac=0.25),
-            "hybrid": dict(grad_worker_frac=0.5),
-            "comm": dict(grad_worker_frac=1.0),
+            "mem": dict(grad_worker_frac=0.25, solve_strategy=solver),
+            "hybrid": dict(grad_worker_frac=0.5, solve_strategy=solver),
+            "comm": dict(grad_worker_frac=1.0, solve_strategy=solver),
         }.items():
             plain = run_spmd(4, layout_program(steps=20, **kwargs))
             fused = run_spmd(4, layout_program(steps=20, bucket_cap_mb=0.001, **kwargs))

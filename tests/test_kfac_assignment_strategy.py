@@ -286,6 +286,24 @@ class TestDistributionStrategy:
             placements.add(group.eigen_worker_g)
         assert len(placements) > 1  # factors spread across more than one rank
 
+    @pytest.mark.parametrize("world", [2, 3, 4, 16])
+    def test_comm_opt_pairs_an_inverted_layers_factors_and_moves_nothing_else(self, world):
+        """A damped inverse reads both traces: where LPT split an inverted layer, the cheaper factor follows."""
+        unpaired = assign_workers(LAYERS, world, 1.0)
+        split = [name for name, group in unpaired.items() if group.eigen_worker_a != group.eigen_worker_g]
+        assert split  # the per-factor LPT splits layers at every one of these worlds
+        paired = assign_workers(LAYERS, world, 1.0, paired=[layer.name for layer in LAYERS])
+        for info in LAYERS:
+            before, after = unpaired[info.name], paired[info.name]
+            assert after.eigen_worker_a == after.eigen_worker_g
+            leader = before.eigen_worker_a if info.a_repr.eigen_flops() >= info.g_repr.eigen_flops() else before.eigen_worker_g
+            assert after.eigen_worker_a == leader
+        # The default solve path pairs every layer, and the plan builder holds it to that.
+        plan = make_plan(LAYERS, world, 1.0)
+        for name in plan.groups:
+            assert plan.decomposers[name, "a"] == plan.decomposers[name, "g"] == plan.factor_holders[name, "a"]
+            assert plan.eigen_holders[name] == ()
+
     def test_hybrid_partitions_receivers_among_grad_workers(self):
         groups = assign_workers(LAYERS, 8, 0.5)
         for group in groups.values():

@@ -304,7 +304,7 @@ class TestEigenBroadcastPrecision:
         pack/unpack round trip would re-lay them out row-major)."""
         x, y = make_problem()
         model = MLP(6, [8], 3, rng=np.random.default_rng(0))
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, precision="fp64")
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, precision="fp64", solve_strategy="eigen")
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()
         for layer in pre.layers.values():
@@ -327,10 +327,11 @@ def train_steps(model, pre, opt, x, y, steps, batch=32):
 
 
 class TestStateDictResume:
-    def test_state_dict_round_trip_single_process_bitwise(self):
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_state_dict_round_trip_single_process_bitwise(self, solver):
         """Checkpoint -> restore -> next step must reproduce the gradients exactly."""
         x, y = make_problem(1)
-        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4)
+        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4, solve_strategy=solver)
 
         model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
         pre_a = KFAC.from_config(model_a, config)
@@ -366,7 +367,7 @@ class TestStateDictResume:
         re-laid it out row-major made BLAS round the resumed run's next precondition differently
         (found by the generated resume suite in ``test_property_invariants.py``)."""
         x, y = make_problem(2, in_dim=33)
-        config = KFACConfig(lr=0.1, factor_update_freq=1, inv_update_freq=4)
+        config = KFACConfig(lr=0.1, factor_update_freq=1, inv_update_freq=4, solve_strategy="eigen")
         model_a = MLP(33, [40], 3, rng=np.random.default_rng(3))
         pre_a = KFAC.from_config(model_a, config)
         opt_a = optim.SGD(model_a.parameters(), lr=0.1)
@@ -500,14 +501,15 @@ class TestStateDictResume:
         with pytest.raises(ValueError, match="shape"):
             KFAC(clone).load_state_dict(state)
 
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
-    def test_distributed_resume_bitwise_all_strategies(self, grad_worker_frac):
+    def test_distributed_resume_bitwise_all_strategies(self, grad_worker_frac, solver):
         """Acceptance criterion: state_dict() -> load_state_dict() reproduces
         identical preconditioned gradients on the next step() for MEM-OPT,
         HYBRID-OPT and COMM-OPT under the threaded multi-worker communicator."""
         x_global, y_global = make_problem(11, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
-            lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac
+            lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac, solve_strategy=solver
         )
 
         def program(comm):
@@ -780,7 +782,7 @@ class TestOneCheckpointFormat:
         """MEM-OPT at world 2 keeps each layer's eigen state on one rank; a checkpoint giving rank 0 the eigen
         state (or cached outer product) of a layer rank 1 holds is refused, naming the layer and the rank."""
         x, y = make_problem(12)
-        config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=1)
+        config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
 
         def build(comm):
             return KFAC.from_config(MLP(6, [16], 3, rng=np.random.default_rng(1)), config, comm=comm)

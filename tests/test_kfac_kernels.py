@@ -48,7 +48,17 @@ from repro.kfac import (
     symmetric_eigen,
 )
 from repro.kfac.kernels import STACK_EIGH_MAX_DIM
+from repro.kfac.kmath import (
+    expand_symmetric,
+    expand_triangle,
+    pack_triangle,
+    precondition_with_inverse,
+    split_damping,
+    tikhonov_pi,
+)
+from repro.kfac.refresh import RefreshQueue
 from repro.models import MLP
+from repro.observability import Tracer
 from repro.nn.linear import Linear
 from repro.nn.norm import LayerNorm
 from repro.tensor import PrecisionPolicy, Tensor
@@ -120,6 +130,10 @@ class TestOneBackend:
             def batched_eigen_task(self, factors, **kwargs):
                 type(self).calls += 1
                 return super().batched_eigen_task(factors, **kwargs)
+
+            def inverse_task(self, factors, repr, dampings, **kwargs):
+                type(self).calls += 1
+                return super().inverse_task(factors, repr, dampings, **kwargs)
 
         model = MLP(6, [8], 3, rng=np.random.default_rng(0))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
@@ -532,6 +546,100 @@ class TestPreconditionContract:
         )
 
 
+class TestDampedInverse:
+    """The refresh task of the default path: the π-damped Cholesky inverse of a factor, and its two-GEMM solve."""
+
+    @staticmethod
+    def assert_float32_close(actual, expected):
+        """Agreement with the float64 inverse at float32 resolution, relative to the inverse's largest entry."""
+        error = np.abs(actual.astype(np.float64) - expected).max()
+        assert error <= 1e-5 * np.abs(expected).max(), error
+
+    @pytest.mark.parametrize("dim", [33, 129, 513])
+    def test_dense_inverse_equals_the_float64_inverse_of_the_pi_damped_factor(self, dim):
+        a, g = spd_factor(dim, seed=dim), spd_factor(40, seed=dim + 1, scale=50.0)  # traces far apart: π ≠ 1
+        repr_a, repr_g = FactorRepr.dense(dim), FactorRepr.dense(40)
+        packed_a, packed_g = pack_triangle(a), pack_triangle(g)
+        pi = tikhonov_pi(packed_a, packed_g, repr_a, repr_g)
+        assert pi < 0.5
+        damping_a, damping_g = split_damping(0.003, pi)
+        backend = KernelBackend()
+        for packed, repr_, factor, damping in ((packed_a, repr_a, a, damping_a), (packed_g, repr_g, g, damping_g)):
+            (inverse,) = backend.inverse_task([packed], repr_, [damping])()
+            assert inverse.shape == repr_.packed_shape and inverse.dtype == np.float32
+            n = repr_.dim
+            self.assert_float32_close(expand_symmetric(inverse), np.linalg.inv(factor.astype(np.float64) + damping * np.eye(n)))
+
+    def test_diagonal_inverse_is_the_reciprocal_of_the_damped_diagonal(self):
+        diagonal = np.random.default_rng(3).random(57).astype(np.float32)
+        repr_ = FactorRepr.diagonal(57)
+        (inverse,) = KernelBackend().inverse_task([diagonal], repr_, [0.05])()
+        assert inverse.shape == (57,) and inverse.dtype == np.float32
+        np.testing.assert_array_equal(inverse, np.float32(1) / (diagonal + np.float32(0.05)))
+        self.assert_float32_close(inverse, np.diag(np.linalg.inv(np.diag(diagonal.astype(np.float64)) + 0.05 * np.eye(57))))
+
+    def test_block_diagonal_inverse_is_inverted_block_by_block(self):
+        repr_ = FactorRepr.block_diagonal(48, 16)
+        blocks = np.stack([spd_factor(16, seed=index) for index in range(3)])
+        (inverse,) = KernelBackend().inverse_task([blocks], repr_, [0.02])()
+        assert inverse.shape == repr_.packed_shape == (3, 16, 16)
+        full = np.zeros((48, 48))
+        for index, block in enumerate(blocks):
+            full[16 * index : 16 * index + 16, 16 * index : 16 * index + 16] = block
+        expected = np.linalg.inv(full + 0.02 * np.eye(48))
+        for index, block in enumerate(inverse):
+            np.testing.assert_array_equal(block, block.T)
+            self.assert_float32_close(block, expected[16 * index : 16 * index + 16, 16 * index : 16 * index + 16])
+
+    @pytest.mark.parametrize("dim", [33, 129])
+    def test_the_packed_result_is_bitwise_scipys_potri_on_the_expanded_square(self, dim):
+        factor, damping = pack_triangle(spd_factor(dim, seed=7)), 0.01
+        (packed,) = KernelBackend().inverse_task([factor], FactorRepr.dense(dim), [damping])()
+        square = expand_triangle(factor, np.zeros((dim, dim), dtype=np.float32, order="F"))  # lower triangle
+        np.einsum("ii->i", square)[...] += damping
+        cholesky, info = lapack.spotrf(square, lower=1)
+        assert info == 0
+        inverse, info = lapack.spotri(cholesky, lower=1)
+        assert info == 0
+        np.testing.assert_array_equal(packed, inverse.T[np.triu_indices(dim)])  # column by column of the lower
+
+    def test_an_indefinite_damped_factor_raises_through_take_naming_layer_factor_and_member(self):
+        backend = KernelBackend()
+        queue = RefreshQueue(lambda f, r, d: backend.inverse_task(f, r, d), Tracer(), name="inverse-test")
+        small = FactorRepr.dense(8)  # at most STACK_EIGH_MAX_DIM: one stacked task
+        good, bad = pack_triangle(spd_factor(8, seed=1)), pack_triangle(-spd_factor(8, seed=2))
+        queue.submit([(("l0", "a"), good, small, 0.01), (("l1", "g"), bad, small, 0.01), (("l2", "a"), good, small, 0.01)])
+        assert [task.keys for task in queue.tasks] == [[("l0", "a"), ("l1", "g"), ("l2", "a")]]
+        message = r"^damped inverse of the G factor of layer 'l1' failed: the damped factor of dimension 8 is not positive"
+        with pytest.raises(np.linalg.LinAlgError, match=message) as raised:
+            queue.take()
+        assert raised.value.__cause__.batch_index == 1 and queue.tasks == []
+        queue.close()
+
+    def test_the_two_gemm_solve_is_bitwise_the_plain_expression_into_fresh_arrays(self):
+        backend = KernelBackend()
+        inv_a = expand_symmetric(pack_triangle(np.linalg.inv(spd_factor(12, seed=4)).astype(np.float32)))
+        inv_g = expand_symmetric(pack_triangle(np.linalg.inv(spd_factor(9, seed=5)).astype(np.float32)))
+        rng, results = np.random.default_rng(6), []
+        for _ in range(3):  # repeat: scratch reuse must not perturb results
+            grad = rng.standard_normal((9, 12)).astype(np.float32)
+            results.append(backend.precondition_inverse(grad, inv_a, inv_g))
+            np.testing.assert_array_equal(results[-1], (inv_g @ grad) @ inv_a)
+            np.testing.assert_array_equal(results[-1], precondition_with_inverse(grad, inv_a, inv_g))
+        assert not np.shares_memory(results[0], results[1])
+
+    def test_structured_inverses_apply_like_their_dense_matrices(self):
+        rng = np.random.default_rng(8)
+        grad = rng.standard_normal((12, 10)).astype(np.float32)
+        inv_a = (rng.random(10) + 0.5).astype(np.float32)  # diagonal: (n,)
+        blocks = np.stack([np.linalg.inv(spd_factor(4, seed=index)).astype(np.float32) for index in range(3)])
+        full_g = np.zeros((12, 12), dtype=np.float32)
+        for index, block in enumerate(blocks):
+            full_g[4 * index : 4 * index + 4, 4 * index : 4 * index + 4] = block
+        actual = KernelBackend().precondition_inverse(grad, inv_a, blocks)
+        np.testing.assert_allclose(actual, full_g @ grad @ np.diag(inv_a), rtol=1e-5, atol=1e-6)
+
+
 class TestKlClipAccumulate:
     def test_close_to_reference(self):
         rng = np.random.default_rng(6)
@@ -701,6 +809,7 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
         bucket_cap_mb=1e-6 if mode == "sync" else 25.0,
         drift_tol=0.5 if adaptive else 0.0,
         max_staleness=8 if adaptive else 0,
+        solve_strategy="eigen",  # the kernels the oracle replaces
     )
     pre = make_preconditioner(model, config, backend, comm=comm)
     optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -840,7 +949,7 @@ class TestCheckpointBackendFlip:
         rng = np.random.default_rng(33)
         warmup = [rng.integers(0, len(x), 32) for _ in range(5)]
         future = [rng.integers(0, len(x), 32) for _ in range(4)]
-        config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
+        config = KFACConfig(factor_update_freq=2, inv_update_freq=4, solve_strategy="eigen")
 
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = make_preconditioner(model, config, save_backend)
@@ -868,7 +977,7 @@ class TestCheckpointBackendFlip:
         rng = np.random.default_rng(33)
         warmup = [rng.integers(0, len(x), 32) for _ in range(5)]
         future = [rng.integers(0, len(x), 32) for _ in range(4)]
-        config = KFACConfig(factor_update_freq=2, inv_update_freq=4)
+        config = KFACConfig(factor_update_freq=2, inv_update_freq=4, solve_strategy="eigen")
 
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC.from_config(model, config)

@@ -524,7 +524,7 @@ class TestNodeStatistics:
         grads = {}
         for dense in (False, True):
             net = Net()
-            pre = kfac_class(dense)(net, factor_update_freq=1, inv_update_freq=1)
+            pre = kfac_class(dense)(net, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
             for _ in range(2):
                 net.zero_grad()
                 (net(Tensor(x)) ** 2).mean().backward()

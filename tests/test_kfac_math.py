@@ -8,16 +8,22 @@ from kernel_oracle import scipy_syevd
 from repro.kfac import kmath
 from repro.kfac import (
     EigenDecomposition,
-    damped_inverse,
     kl_clip_scale,
     precondition_with_eigen,
     precondition_with_inverse,
     symmetric_eigen,
 )
-from repro.kfac import FactorRepr, expand_triangle, pack_triangle
+from repro.kfac import FactorRepr, KernelBackend, expand_triangle, pack_triangle
 from repro.kfac.kmath import eigenvalue_outer_product, triangle_dim
 
 RNG = np.random.default_rng(5)
+
+
+def cholesky_inverse(factor, damping):
+    """``(factor + γI)⁻¹`` as a square, from the kernel backend's Cholesky task (one dense factor)."""
+    repr_ = FactorRepr.dense(factor.shape[0])
+    (packed,) = KernelBackend().inverse_task([pack_triangle(factor)], repr_, [damping])()
+    return repr_.to_dense(packed)
 
 
 def random_spd(n, seed=0, scale=1.0):
@@ -47,7 +53,7 @@ class TestKroneckerProperties:
         # Eq. 12: (A + γI)⁻¹ ⊗ (G + γI)⁻¹ equals the inverse of (A+γI) ⊗ (G+γI).
         a, g = random_spd(3, 3), random_spd(2, 4)
         gamma = 0.01
-        left = np.kron(damped_inverse(a, gamma), damped_inverse(g, gamma))
+        left = np.kron(cholesky_inverse(a, gamma), cholesky_inverse(g, gamma))
         right = np.linalg.inv(np.kron(a + gamma * np.eye(3), g + gamma * np.eye(2)))
         np.testing.assert_allclose(left, right, rtol=1e-3, atol=1e-5)
 
@@ -179,7 +185,7 @@ class TestPreconditioning:
         a, g = random_spd(5, 13), random_spd(3, 14)
         grad = RNG.standard_normal((3, 5)).astype(np.float32)
         damping = 1e-6
-        via_inverse = precondition_with_inverse(grad, damped_inverse(a, damping), damped_inverse(g, damping))
+        via_inverse = precondition_with_inverse(grad, cholesky_inverse(a, damping), cholesky_inverse(g, damping))
         via_eigen = precondition_with_eigen(grad, symmetric_eigen(a), symmetric_eigen(g), damping)
         scale = np.abs(via_eigen).max()
         np.testing.assert_allclose(via_inverse / scale, via_eigen / scale, atol=5e-2)

@@ -137,7 +137,7 @@ class TestStepMechanics:
     def test_update_interval_reuses_eigen_decompositions(self):
         model = MLP(4, [8], 2, rng=np.random.default_rng(0))
         x, y = make_problem(3, in_dim=4, classes=2)
-        pre = KFAC(model, factor_update_freq=5, inv_update_freq=10)
+        pre = KFAC(model, factor_update_freq=5, inv_update_freq=10, solve_strategy="eigen")
         opt = optim.SGD(model.parameters(), lr=0.05)
         loss_fn = nn.CrossEntropyLoss()
         assert sorted(pre.plan.refresh_offsets.values()) == [1, 6]  # one layer per fold-free step
@@ -290,21 +290,24 @@ class TestPackedStorageOnTheStepPath:
             pre.step()
         return pre, calls
 
-    def test_default_step_never_expands_a_factor(self, monkeypatch):
-        pre, calls = self.run(monkeypatch)
-        restored = KFAC(_TextNet(np.random.default_rng(0)), factor_update_freq=1, inv_update_freq=2)
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_default_step_never_expands_a_factor(self, monkeypatch, solver):
+        pre, calls = self.run(monkeypatch, solve_strategy=solver)
+        restored = KFAC(_TextNet(np.random.default_rng(0)), factor_update_freq=1, inv_update_freq=2, solve_strategy=solver)
         restored.load_state_dict(pre.state_dict())  # nor does a checkpoint round trip
         assert calls == []
         head = pre.layers["head"]
         assert head.factor_a.shape == (7 * 8 // 2,) and head.factor_g.shape == (4 * 5 // 2,)
-        assert head.eigen_a.eigenvectors.shape == (7, 7)  # the eigenbasis is not symmetric: it stays square
+        if solver == "eigen":
+            assert head.eigen_a.eigenvectors.shape == (7, 7)  # the eigenbasis is not symmetric: it stays square
+        else:
+            assert pre.solvers["head"].inv_a.shape == (7, 7)  # the inverse travels packed and is held square
         assert pre.memory_usage()["factors"] == sum(
             getattr(layer, f"factor_{which}").nbytes for layer in pre.layers.values() for which in "ag"
         )
 
-    @pytest.mark.parametrize("config", [{"solve_strategy": "inverse"}, {"solve_strategy": "cg"}], ids=["inverse", "cg"])
-    def test_the_factor_reading_solvers_are_the_callers_that_do(self, monkeypatch, config):
-        _, calls = self.run(monkeypatch, **config)
+    def test_the_factor_reading_solver_is_the_caller_that_does(self, monkeypatch):
+        _, calls = self.run(monkeypatch, solve_strategy="cg")
         assert calls and {repr_.kind for repr_ in calls} == {"dense", "diagonal"}
 
     def test_conv_factors_follow_the_square_path_to_float32_rounding(self):
@@ -405,7 +408,9 @@ class TestMathematicalCorrectness:
         x = rng.standard_normal((64, 5)).astype(np.float32)
         y = rng.integers(0, 3, 64)
         damping = 0.01
-        pre = KFAC(model, damping=damping, kl_clip=1e12, lr=1e-6, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(
+            model, damping=damping, kl_clip=1e12, lr=1e-6, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen"
+        )
         loss = nn.CrossEntropyLoss()(model(Tensor(x)), y)
         loss.backward()
         grad_matrix = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
@@ -424,6 +429,28 @@ class TestMathematicalCorrectness:
         v1 = vg.T @ grad_matrix @ va
         v2 = v1 / (np.outer(eg, ea) + damping)
         expected = vg @ v2 @ va.T
+        np.testing.assert_allclose(result, expected, rtol=5e-3, atol=1e-5)
+
+    def test_inverse_path_matches_the_pi_damped_kronecker_inverse_on_linear_model(self):
+        """The default path preconditions with ``(G + √γ/π I)⁻¹ ∇L (A + π√γ I)⁻¹`` (Eq. 12, factored damping)."""
+        rng = np.random.default_rng(0)
+        model = nn.Linear(5, 3, bias=True, rng=rng)
+        x = rng.standard_normal((64, 5)).astype(np.float32)
+        y = rng.integers(0, 3, 64)
+        damping = 0.01
+        pre = KFAC(model, damping=damping, kl_clip=1e12, lr=1e-6, factor_update_freq=1, inv_update_freq=1)
+        nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
+        grad_matrix = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
+        pre.step()
+        result = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
+
+        handler = next(iter(pre.layers.values()))
+        a_factor = handler.a_repr.to_dense(handler.factor_a).astype(np.float64)
+        g_factor = handler.g_repr.to_dense(handler.factor_g).astype(np.float64)
+        pi = np.sqrt((np.trace(a_factor) / 6) / (np.trace(g_factor) / 3))
+        damped_a = a_factor + pi * np.sqrt(damping) * np.eye(6)
+        damped_g = g_factor + np.sqrt(damping) / pi * np.eye(3)
+        expected = np.linalg.solve(damped_g, grad_matrix) @ np.linalg.inv(damped_a)
         np.testing.assert_allclose(result, expected, rtol=5e-3, atol=1e-5)
 
     def test_quadratic_convergence_faster_than_sgd(self):
@@ -448,7 +475,7 @@ class TestMathematicalCorrectness:
     def test_memory_usage_grows_with_eigen_cache(self):
         model = MLP(8, [16], 4, rng=RNG)
         x, y = make_problem(12, in_dim=8, classes=4)
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         before = pre.memory_usage()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()
@@ -492,7 +519,7 @@ class TestEigenFailuresAreNamed:
         """A preconditioner two steps in (every layer holds factors and a decomposition), ``corrupt`` applied, then
         fresh statistics: the forward pass starts step 2's decompositions from the factors ``corrupt`` left."""
         model = MLP(40, [48, 36], 3, rng=np.random.default_rng(0))  # factor dims 41/48, 49/36, 37/3
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         x, y = make_problem(in_dim=40)
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)
         corrupt(pre)
@@ -562,27 +589,28 @@ class TestEigenFailuresAreNamed:
         assert 49 in solved and len(solved) > 1  # other factors had been solved before it and are discarded
         self.assert_untouched(pre, before)
 
-    def test_a_step_retried_after_an_eigen_failure_folds_its_window_once(self, monkeypatch):
-        real = kmath._SYEVD[np.dtype(np.float32)]
+    @pytest.mark.parametrize("solver, routines", [("eigen", "_SYEVD"), ("inverse", "_POTRF")])
+    def test_a_step_retried_after_a_failed_solve_folds_its_window_once(self, monkeypatch, solver, routines):
+        real = getattr(kmath, routines)[np.dtype(np.float32)]
         x, y = make_problem()
 
         def run(fail):
             failures = [fail] if fail else []
 
-            def fails_once(jobz, uplo, n, *rest):
+            def fails_once(*args):
                 if failures:
                     failures.pop()
-                    rest[-1].value = 3  # info: three off-diagonal elements did not converge
+                    args[-1].value = 3  # info: no convergence (syevd), a leading minor not positive (potrf)
                 else:
-                    real(jobz, uplo, n, *rest)
+                    real(*args)
 
             model = MLP(10, [40], 3, rng=np.random.default_rng(0))  # A 11 / 41 and G 40 / 3
-            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy=solver)
             optimizer = optim.SGD(model.parameters(), lr=0.05)
             training_loop(model, pre, optimizer, x, y, steps=2)
             optimizer.zero_grad()
             with monkeypatch.context() as patch:
-                patch.setitem(kmath._SYEVD, np.dtype(np.float32), fails_once)
+                patch.setitem(getattr(kmath, routines), np.dtype(np.float32), fails_once)
                 nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()  # starts step 2's solves
                 if fail:
                     with pytest.raises(np.linalg.LinAlgError, match="info=3"):
@@ -623,7 +651,7 @@ class TestBadFactorWindowsAreRejected:
             np.testing.assert_array_equal(layer.factor_g, before[name][1], err_msg=name)
 
     def test_a_1e30_feature_is_folded_nowhere_and_the_next_step_succeeds(self):
-        model, pre, opt, x, y = self.warmed_up()
+        model, pre, opt, x, y = self.warmed_up(solve_strategy="eigen")
         before = self.factors(pre)
         bad = x[32:64].copy()
         bad[3, 2] = 1e30  # overflows float32 in A of every layer downstream of it
@@ -731,7 +759,7 @@ class TestEigenWorker:
             object.__setattr__(layer, name, value)
 
         model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))  # dims 41 / 40 (syevd) and 37 / 3 (eigh)
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         x, y = make_problem()
         monkeypatch.setattr(KFACLayer, "__setattr__", recording_setattr)
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=3)
@@ -751,14 +779,16 @@ class TestEigenWorker:
         assert pre.refresh.tasks == []  # nothing is in flight between steps
 
     @staticmethod
-    def nan_step_on_a_w2_world(block):
+    def nan_step_on_a_w2_world(block, solver="inverse"):
         """Every rank puts a NaN in the factors it decomposes, steps inside ``block(pre)`` and raises the named
         error in time."""
         x, y = make_problem()
 
         def program(comm):
             model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))
-            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=0.5, comm=comm)
+            pre = KFAC(
+                model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=0.5, comm=comm, solve_strategy=solver
+            )
             mine = x[comm.rank :: 2], y[comm.rank :: 2]
             training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), *mine, steps=2, batch=32)
             decomposed = [(name, which) for (name, which), ranks in pre.plan.decomposers.items() if comm.rank in ranks]
@@ -778,8 +808,9 @@ class TestEigenWorker:
         for decomposed, message in ranks:
             assert any(f"{which.upper()} factor of layer {name!r}" in message for name, which in decomposed)
 
-    def test_a_nan_in_the_running_factors_raises_the_named_error_on_every_rank_of_a_w2_world(self):
-        self.nan_step_on_a_w2_world(lambda pre: contextlib.nullcontext())
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_a_nan_in_the_running_factors_raises_the_named_error_on_every_rank_of_a_w2_world(self, solver):
+        self.nan_step_on_a_w2_world(lambda pre: contextlib.nullcontext(), solver)
 
     def test_a_nan_found_by_a_solve_the_step_took_from_the_worker_raises_the_same_named_error(self, monkeypatch):
         read, nan_solvers = KernelBackend.eigen_task, []
@@ -796,7 +827,7 @@ class TestEigenWorker:
 
         # The finiteness check moves from the read half into the solve, which the step takes from a blocked worker.
         monkeypatch.setattr(KernelBackend, "eigen_task", read_in_the_solve)
-        self.nan_step_on_a_w2_world(blocked_eigen_worker)
+        self.nan_step_on_a_w2_world(blocked_eigen_worker, "eigen")
         assert nan_solvers and not any(name.startswith("kfac-eigen") for name in nan_solvers)
 
     def test_the_step_solves_what_the_worker_has_not_started_and_the_trajectory_is_the_same(self, monkeypatch):
@@ -862,7 +893,7 @@ class TestEigenWorker:
 
     def test_a_stacked_eigh_that_does_not_converge_names_the_one_member_that_fails(self, monkeypatch):
         model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))  # A 7, 17, 17 and G 16, 16, 3: two stacks of two
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         x, y = make_problem(3, in_dim=6)
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2, batch=32)
         target, eigh = pre.layers["layers.4"].factor_a[0], np.linalg.eigh  # A[0, 0] of the 17-stack's second member

@@ -26,7 +26,7 @@ class Recorder:
     def __init__(self, fail=None):
         self.solved, self.fail = [], fail
 
-    def __call__(self, factors, repr_):
+    def __call__(self, factors, repr_, dampings):
         values = [float(f[0]) for f in factors]  # read on the submitting thread
 
         def solve():
@@ -61,7 +61,7 @@ def test_the_caller_solves_the_unstarted_tasks_in_submission_order():
     queue = make_queue(recorder)
     keys = [("l2", "g"), ("l0", "a"), ("l1", "a")]
     with blocked(queue):
-        queue.submit((key, factor(index), BIG) for index, key in enumerate(keys))
+        queue.submit((key, factor(index), BIG, None) for index, key in enumerate(keys))
         results = queue.take(step=4)
     assert list(results) == keys and list(results.values()) == [0.0, 1.0, 2.0]
     here = threading.current_thread().name
@@ -79,8 +79,8 @@ def test_small_dense_factors_are_one_stacked_task_and_the_others_one_task_each()
     queue = make_queue(recorder)
     diagonal = FactorRepr.diagonal(4)
     with blocked(queue):
-        queue.submit([(("a", "a"), factor(1, SMALL), SMALL), (("b", "g"), factor(2), BIG),
-                      (("c", "a"), factor(3, SMALL), SMALL), (("d", "a"), factor(4, diagonal), diagonal)])  # fmt: skip
+        queue.submit([(("a", "a"), factor(1, SMALL), SMALL, None), (("b", "g"), factor(2), BIG, None),
+                      (("c", "a"), factor(3, SMALL), SMALL, None), (("d", "a"), factor(4, diagonal), diagonal, None)])  # fmt: skip
         assert [task.keys for task in queue.tasks] == [[("a", "a"), ("c", "a")], [("b", "g")], [("d", "a")]]
         assert queue.take() == {("a", "a"): 1.0, ("c", "a"): 3.0, ("b", "g"): 2.0, ("d", "a"): 4.0}
     queue.close()
@@ -93,7 +93,7 @@ def test_take_names_the_failing_member_of_a_stack_and_returns_nothing():
         return error
 
     queue = make_queue(Recorder(fail=fail))
-    queue.submit([(("l0", "a"), factor(5, SMALL), SMALL), (("l3", "g"), factor(7, SMALL), SMALL)])
+    queue.submit([(("l0", "a"), factor(5, SMALL), SMALL, None), (("l3", "g"), factor(7, SMALL), SMALL, None)])
     with pytest.raises(np.linalg.LinAlgError, match=r"^eigendecomposition of the G factor of layer 'l3' failed") as raised:
         queue.take()
     assert raised.value.__cause__.batch_index == 1
@@ -102,11 +102,11 @@ def test_take_names_the_failing_member_of_a_stack_and_returns_nothing():
 
 
 def test_a_failed_read_is_raised_by_take_naming_every_factor_it_read():
-    def unreadable(factors, repr_):
+    def unreadable(factors, repr_, dampings):
         raise ValueError("contains infs or NaNs")
 
     queue = make_queue(unreadable)
-    queue.submit([(("l0", "a"), factor(1), BIG)])
+    queue.submit([(("l0", "a"), factor(1), BIG, None)])
     with pytest.raises(ValueError, match=r"A factor of layer 'l0' failed: contains infs or NaNs"):
         queue.take()
     queue.close()
@@ -116,7 +116,7 @@ def test_cancel_returns_at_once_with_a_blocked_worker_and_cancels_every_queued_t
     recorder = Recorder()
     queue = make_queue(recorder)
     with blocked(queue):
-        queue.submit((("l", str(index)), factor(index), BIG) for index in range(5))
+        queue.submit((("l", str(index)), factor(index), BIG, None) for index in range(5))
         futures = [task.future for task in queue.tasks]
         start = time.perf_counter()
         queue.cancel()
@@ -129,7 +129,7 @@ def test_cancel_returns_at_once_with_a_blocked_worker_and_cancels_every_queued_t
 def test_close_leaves_no_live_thread_and_is_idempotent():
     queue = make_queue(Recorder())
     running = set(threading.enumerate())
-    queue.submit([(("l0", "a"), factor(1), BIG)])
+    queue.submit([(("l0", "a"), factor(1), BIG, None)])
     (worker,) = set(threading.enumerate()) - running
     queue.close()
     assert not worker.is_alive() and queue.tasks == []
@@ -141,8 +141,33 @@ def test_a_second_submit_of_a_pending_key_is_a_no_op():
     recorder = Recorder()
     queue = make_queue(recorder)
     with blocked(queue):
-        queue.submit([(("l0", "a"), factor(1), BIG)])
-        queue.submit([(("l0", "a"), factor(9), BIG), (("l0", "g"), factor(2), BIG)])
+        queue.submit([(("l0", "a"), factor(1), BIG, None)])
+        queue.submit([(("l0", "a"), factor(9), BIG, None), (("l0", "g"), factor(2), BIG, None)])
         assert [task.keys for task in queue.tasks] == [[("l0", "a")], [("l0", "g")]]
         assert queue.take() == {("l0", "a"): 1.0, ("l0", "g"): 2.0}  # the first read stands
+    queue.close()
+
+
+def test_inverses_stack_apart_from_decompositions_and_carry_one_damping_each():
+    seen = []
+
+    def task(factors, repr_, dampings):
+        seen.append(dampings)
+        return lambda: [float(f[0]) for f in factors]
+
+    queue = make_queue(task)
+    with blocked(queue):
+        queue.submit([(("a", "a"), factor(1, SMALL), SMALL, 0.5), (("b", "a"), factor(2, SMALL), SMALL, None),
+                      (("c", "g"), factor(3, SMALL), SMALL, 0.25)])  # fmt: skip
+        assert [task.keys for task in queue.tasks] == [[("a", "a"), ("c", "g")], [("b", "a")]]
+        assert queue.take() == {("a", "a"): 1.0, ("c", "g"): 3.0, ("b", "a"): 2.0}
+    assert seen == [[0.5, 0.25], None]
+    queue.close()
+
+
+def test_a_failed_inverse_is_named_as_one():
+    queue = make_queue(Recorder(fail=lambda values: np.linalg.LinAlgError("not positive definite")))
+    queue.submit([(("l0", "g"), factor(1), BIG, 0.1)])
+    with pytest.raises(np.linalg.LinAlgError, match=r"^damped inverse of the G factor of layer 'l0' failed"):
+        queue.take()
     queue.close()

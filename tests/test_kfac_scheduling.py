@@ -36,7 +36,7 @@ from repro.kfac import (
 )
 from repro.kfac.assignment import folds_on
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
-from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, precondition_with_inverse, split_damping
+from repro.kfac.kmath import damped_inverse, expand_symmetric, kl_clip_scale_from_total, split_damping
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
 from repro.tensor import Tensor
@@ -105,7 +105,7 @@ class TestConfigKnobs:
             "max_staleness": pre.config.max_staleness,
             "adaptive_damping": pre.damping_controller is not None,
             "damping_pi_correction": pre.damping_pi(next(iter(pre.layers.values()))) is not None,
-            "small_layer_dim": 16 if {s.name for s in pre.solvers.values()} == {"cg", "eigen"} else 0,
+            "small_layer_dim": 16 if {s.name for s in pre.solvers.values()} == {"cg", "inverse"} else 0,
             "solve_strategy": next(iter(pre.solvers.values())).name,
         }
         assert observed[key] == value
@@ -474,7 +474,7 @@ class TestKFACSchedulerIntegration:
         own copy of every factor, so this also holds the sharded factor stage
         to the replicated one, bit for bit, at world 1."""
         m1, m2 = self.paired_models()
-        config = KFACConfig(factor_update_freq=cadence[0], inv_update_freq=cadence[1])
+        config = KFACConfig(factor_update_freq=cadence[0], inv_update_freq=cadence[1], solve_strategy="eigen")
         pre = KFAC(m1, config)
         offsets = pre.plan.refresh_offsets
         assert (sorted(offsets.values()) == [1, 6]) == (cadence == (5, 10)), offsets
@@ -637,6 +637,7 @@ class TestKFACSchedulerIntegration:
             inv_update_freq=2,
             drift_tol=1.0,  # everything is stale-tolerant -> maximal stretch
             max_staleness=8,
+            solve_strategy="eigen",
         )
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=16)
@@ -668,10 +669,10 @@ class TestKFACSchedulerIntegration:
         )
         pre = KFAC.from_config(model, config)
         names = {pre.solvers[name].name for name in pre.solvers}
-        assert names == {"cg", "eigen"}
+        assert names == {"cg", "inverse"}
         by_dim = {max(layer.a_dim, layer.g_dim): pre.solvers[name].name for name, layer in pre.layers.items()}
         assert by_dim[5] == "cg"
-        assert by_dim[16] == "eigen"
+        assert by_dim[16] == "inverse"
 
     @pytest.mark.parametrize("solver", ["inverse", "cg"])
     def test_inverse_free_solvers_approximate_eigen_path(self, solver):
@@ -690,6 +691,7 @@ class TestKFACSchedulerIntegration:
                 factor_update_freq=1,
                 inv_update_freq=1,
                 damping_pi_correction=True,
+                solve_strategy="eigen",
             ),
         )
         alt_pre = KFAC.from_config(
@@ -709,10 +711,10 @@ class TestKFACSchedulerIntegration:
             np.testing.assert_allclose(a, b, rtol=1e-3, atol=1e-5)
 
     def test_inverse_solver_reads_the_factors_its_step_began_with(self):
-        """``prepare`` runs at the top of the step, before its fold, like the decompositions: after step 0
-        each refresh inverts the factors as the step found them, damped with their own π."""
+        """The inverses are solved from the factors as the step began, like the decompositions: after step 0
+        each refresh inverts the factors as the step found them, damped with their own π (always on this path)."""
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, damping_pi_correction=True, solve_strategy="inverse")
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy="inverse")
         pre = KFAC(model, config)
         x, y = make_problem(7, samples=160, in_dim=6, classes=3)
         refreshed = 0
@@ -726,28 +728,20 @@ class TestKFACSchedulerIntegration:
                 layer, solver = pre.layers[name], pre.solvers[name]
                 factor_a, factor_g = found[name]
                 damping_a, damping_g = split_damping(pre.damping, tikhonov_pi(factor_a, factor_g, layer.a_repr, layer.g_repr))
-                np.testing.assert_array_equal(solver.inv_a, damped_inverse(layer.a_repr.to_dense(factor_a), damping_a))
-                np.testing.assert_array_equal(solver.inv_g, damped_inverse(layer.g_repr.to_dense(factor_g), damping_g))
+                np.testing.assert_array_equal(solver.inv_a, expand_symmetric(damped_inverse(factor_a, damping_a)))
+                np.testing.assert_array_equal(solver.inv_g, expand_symmetric(damped_inverse(factor_g, damping_g)))
                 refreshed += 1
         assert refreshed == 3 * len(pre.layers)  # steps 2, 3 and 4: step 1 would re-read step 0's factors
 
-    @pytest.mark.parametrize("solver", ["inverse", "cg"])
-    def test_factor_reading_solvers_expand_the_stored_triangle_and_round_trip(self, solver):
-        """``inverse`` / ``cg`` are the readers that need the whole matrix: they expand the stored
-        triangle themselves, and their state resumes bit for bit beside packed factors."""
-        config = KFACConfig(factor_update_freq=1, inv_update_freq=2, solve_strategy=solver)
+    def test_the_factor_reading_solver_expands_the_stored_triangle_and_round_trips(self):
+        """``cg`` is the reader that needs the whole matrix: it expands the stored triangle itself, and its
+        state resumes bit for bit beside packed factors."""
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=2, solve_strategy="cg")
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=3)
         layer = pre.layers["layers.0"]
         assert layer.factor_a.shape == (7 * 8 // 2,) and not layer.has_eigen
-        if solver == "inverse":
-            dense = layer.a_repr.to_dense(layer.factor_a).astype(np.float64)
-            expected = np.linalg.inv(dense + config.damping * np.eye(7)).astype(np.float32)
-            refreshed = KFAC.from_config(MLP(6, [16], 3, rng=np.random.default_rng(5)), config)
-            refreshed.load_state_dict(pre.state_dict())
-            refreshed.solvers["layers.0"].prepare(refreshed.layers["layers.0"], config.damping)
-            np.testing.assert_array_equal(refreshed.solvers["layers.0"].inv_a, expected)
         clone_model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         clone_model.load_state_dict(model.state_dict())
         clone = KFAC.from_config(clone_model, config)
@@ -769,12 +763,12 @@ class TestKFACSchedulerIntegration:
     def test_pi_correction_changes_but_preserves_descent(self):
         m1, m2 = self.paired_models()
         plain = KFAC.from_config(
-            m1, KFACConfig(factor_update_freq=1, inv_update_freq=1)
+            m1, KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         )
         corrected = KFAC.from_config(
             m2,
             KFACConfig(
-                factor_update_freq=1, inv_update_freq=1, damping_pi_correction=True
+                factor_update_freq=1, inv_update_freq=1, damping_pi_correction=True, solve_strategy="eigen"
             ),
         )
         loss_fn = nn.CrossEntropyLoss()

@@ -8,6 +8,10 @@ from repro.memory import MB, KFACMemoryModel, MemoryBreakdown, model_parameter_b
 from repro.models import MLP
 
 
+#: The paper's eigen path, for the tests that read eigen state (the default solve path keeps none).
+EIGEN = KFACConfig(solve_strategy="eigen")
+
+
 def layers():
     return [
         LayerShapeInfo("conv1", a_dim=147, g_dim=64, grad_numel=147 * 64),
@@ -52,14 +56,17 @@ class TestKFACMemoryModel:
     @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (8, 1 / 8), (8, 0.5), (8, 1.0), (64, 1 / 64)])
     def test_factor_bytes_per_rank_stores_each_factor_once(self, world, frac):
         """This tree's layout: a factor lives on the one rank that decomposes it."""
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
-        per_rank = model.factor_bytes_per_rank(world, frac)
-        assert per_rank.sum() == model.factor_bytes()
-        # COMM-OPT spreads the six factors one by one, the others keep a layer's pair together.
-        assert np.count_nonzero(per_rank) == min(world, 6 if frac == 1.0 else 3)
+        for config in (KFACConfig(), EIGEN):
+            model = KFACMemoryModel(layers(), param_count=1_000_000, config=config)
+            per_rank = model.factor_bytes_per_rank(world, frac)
+            assert per_rank.sum() == model.factor_bytes()
+            # COMM-OPT spreads the six factors of the eigen path one by one; otherwise, and wherever a
+            # layer is inverted, a layer's pair stays together.
+            spread = frac == 1.0 and config.solve_strategy == "eigen"
+            assert np.count_nonzero(per_rank) == min(world, 6 if spread else 3)
 
     def test_max_rank_takes_factors_and_eigen_state_of_one_rank_together(self):
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        model = KFACMemoryModel(layers(), param_count=1_000_000, config=EIGEN)
         factors, eigen = model.factor_bytes_per_rank(8, 1 / 8), model.eigen_bytes_per_rank(8, 1 / 8)
         busiest = model.breakdown(8, 1 / 8, rank="max")
         assert busiest.kfac_overhead == (factors + eigen).max()
@@ -88,13 +95,13 @@ class TestKFACMemoryModel:
         assert 1.3 < maximum / minimum < 3.5
 
     def test_comm_opt_every_rank_holds_all_eigen(self):
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        model = KFACMemoryModel(layers(), param_count=1_000_000, config=EIGEN)
         per_rank = model.eigen_bytes_per_rank(8, 1.0)
         assert len(set(per_rank.tolist())) == 1
         assert per_rank[0] == sum(model.config.wire_policy().eigen_bytes(l) for l in layers())
 
     def test_mem_opt_eigen_memory_spread_across_ranks(self):
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        model = KFACMemoryModel(layers(), param_count=1_000_000, config=EIGEN)
         per_rank = model.eigen_bytes_per_rank(8, 1 / 8)
         assert per_rank.sum() == sum(model.config.wire_policy().eigen_bytes(l) for l in layers())
         assert np.count_nonzero(per_rank) <= len(layers())
@@ -122,9 +129,21 @@ class TestKFACMemoryModel:
             model.breakdown(8, 0.25, rank="median")
 
     def test_outer_product_can_be_excluded(self):
-        with_outer = KFACMemoryModel(layers(), 1_000_000, config=KFACConfig(compute_eigen_outer=True))
-        without = KFACMemoryModel(layers(), 1_000_000, config=KFACConfig(compute_eigen_outer=False))
+        with_outer = KFACMemoryModel(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=True))
+        without = KFACMemoryModel(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=False))
         assert with_outer.overhead_bytes(4, 1.0) > without.overhead_bytes(4, 1.0)
+
+    @pytest.mark.parametrize("world, frac", [(8, 1 / 8), (8, 0.5), (8, 1.0)])
+    def test_the_inverse_path_holds_inverse_squares_on_the_gradient_workers_and_no_eigen_state(self, world, frac):
+        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        assert not model.eigen_bytes_per_rank(world, frac).any()
+        per_rank = model.solver_bytes_per_rank(world, frac)
+        squares = [4 * (l.a_dim**2 + l.g_dim**2) for l in layers()]
+        workers = max(1, round(frac * world))
+        assert per_rank.sum() == workers * sum(squares)  # each layer's inverses on its gradient workers
+        busiest = model.breakdown(world, frac, rank="max")
+        total = model.factor_bytes_per_rank(world, frac) + per_rank
+        assert busiest.kfac_overhead == busiest.kfac_factors + busiest.kfac_solver == total.max()
 
     def test_max_local_batch_size_shrinks_with_kfac(self):
         """Table 4: under a fixed memory budget K-FAC forces a smaller local batch."""
@@ -149,14 +168,16 @@ class TestKFACMemoryModel:
         with pytest.raises(ValueError):
             model.max_local_batch_size(1 << 30, 8, 1.0)
 
-    def test_matches_live_preconditioner_measurement(self):
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_matches_live_preconditioner_measurement(self, solver):
         """The planning model must agree with the bytes a real KFAC instance reports."""
         from repro import nn
         from repro.kfac import KFAC
         from repro.tensor import Tensor
 
         model = MLP(8, [16], 4, rng=np.random.default_rng(0))
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy=solver)
+        pre = KFAC(model, config)
         x = np.random.default_rng(1).standard_normal((32, 8)).astype(np.float32)
         y = np.random.default_rng(2).integers(0, 4, 32)
         nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
@@ -164,6 +185,8 @@ class TestKFACMemoryModel:
         measured = pre.memory_usage()
 
         shapes = [layer.shape_info() for layer in pre.layers.values()]
-        planner = KFACMemoryModel(shapes, param_count=model.num_parameters())
+        planner = KFACMemoryModel(shapes, param_count=model.num_parameters(), config=config)
         assert planner.factor_bytes() == measured["factors"]
         assert planner.eigen_bytes_per_rank(1, 1.0)[0] == measured["eigen"]
+        assert planner.solver_bytes_per_rank(1, 1.0)[0] == measured["solver"]
+        assert (measured["eigen"] > 0) == (solver == "eigen") != (measured["solver"] > 0)

@@ -41,6 +41,7 @@ from repro.kfac import (
     precondition_with_eigen,
     symmetric_eigen,
 )
+from repro.kfac.kmath import damped_inverse, expand_symmetric, split_damping, tikhonov_pi
 from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
 from repro.kfac.refresh import RefreshQueue
 from repro.memory import KFACMemoryModel
@@ -460,9 +461,9 @@ class _PostFoldKFAC(KFAC):
 
 
 class TestRefreshReadPointProperties:
-    """A refresh decomposes the running factors as they stood when its step began (step 0, with none yet,
-    after its fold), on every rank and cadence: never the same fold history twice, and on cadences whose
-    later refreshes are all fold-free, to the bit what decomposing after the fold gives."""
+    """A refresh decomposes -- or inverts -- the running factors as they stood when its step began (step 0,
+    with none yet, after its fold), on every rank and cadence: never the same fold history twice, and on
+    cadences whose later refreshes are all fold-free, to the bit what solving after the fold gives."""
 
     @given(
         world=st.integers(min_value=1, max_value=3),
@@ -474,12 +475,14 @@ class TestRefreshReadPointProperties:
         in_features=st.integers(min_value=1, max_value=9),
         hidden=st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3),  # both eigen paths
         seed=st.integers(min_value=0, max_value=10_000),
+        solver=st.sampled_from(["eigen", "inverse"]),
     )
-    @example(world=3, comm_opt=False, cadence=(3, 3), in_features=5, hidden=[36, 7], seed=1)
-    @example(world=3, comm_opt=True, cadence=(5, 10), in_features=3, hidden=[40, 12, 9], seed=2)
+    @example(world=3, comm_opt=False, cadence=(3, 3), in_features=5, hidden=[36, 7], seed=1, solver="eigen")
+    @example(world=3, comm_opt=True, cadence=(5, 10), in_features=3, hidden=[40, 12, 9], seed=2, solver="eigen")
+    @example(world=3, comm_opt=True, cadence=(3, 7), in_features=4, hidden=[36, 7], seed=3, solver="inverse")
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_each_refresh_decomposes_the_factors_its_step_began_with(
-        self, world, comm_opt, cadence, in_features, hidden, seed
+        self, world, comm_opt, cadence, in_features, hidden, seed, solver
     ):
         factor_freq, inv_freq = cadence
         steps = 2 * inv_freq + factor_freq + 2
@@ -490,6 +493,7 @@ class TestRefreshReadPointProperties:
             lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq,
             grad_worker_frac=1.0 if comm_opt else 1.0 / world,
             damping_pi_correction=True,  # every rank holds every running factor, so each can check its share
+            solve_strategy=solver,
         )  # fmt: skip
 
         def program(comm, cls):
@@ -515,9 +519,16 @@ class TestRefreshReadPointProperties:
                 optimizer.step()
                 for name in taken[-1].refresh if cls is KFAC else ():
                     layer = pre.layers[name]
+                    read = (layer.factor_a, layer.factor_g) if step == 0 else found[name]
+                    if solver == "inverse" and pre.groups[name].is_grad_worker(comm.rank):
+                        dampings = split_damping(pre.damping, tikhonov_pi(*read, layer.a_repr, layer.g_repr))
+                        installed = (pre.solvers[name].inv_a, pre.solvers[name].inv_g)
+                        for factor, damping, inverse in zip(read, dampings, installed):
+                            alone = expand_symmetric(damped_inverse(factor, damping).astype(pre.precision.inverse_dtype))
+                            np.testing.assert_array_equal(inverse, alone, err_msg=f"{name} {step}")
+                            checked += 1
                     if comm.rank not in pre.plan.eigen_holders[name]:
                         continue
-                    read = (layer.factor_a, layer.factor_g) if step == 0 else found[name]
                     for factor, installed in zip(read, (layer.eigen_a, layer.eigen_g)):
                         (alone,) = pre.kernels.batched_symmetric_eigen([factor], compute_dtype=pre.precision.compute_dtype)
                         alone = alone.astype(pre.precision.inverse_dtype)
@@ -927,7 +938,7 @@ class TestMemoryModelProperties:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_factors_are_stored_once_and_the_busiest_rank_counts_them_with_its_eigen_state(self, dims, world_size, workers):
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        model = KFACMemoryModel(layers, param_count=10_000)
+        model = KFACMemoryModel(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         frac = min(workers, world_size) / world_size
         factors = model.factor_bytes_per_rank(world_size, frac)
         eigen = model.eigen_bytes_per_rank(world_size, frac)
@@ -935,6 +946,30 @@ class TestMemoryModelProperties:
         assert np.all(eigen[factors > 0] > 0)  # whoever decomposes a factor is one of its gradient workers
         assert model.overhead_bytes(world_size, frac, rank="max") == (factors + eigen).max()
         assert model.overhead_bytes(world_size, frac, rank="max") <= model.factor_bytes() + eigen.max()
+
+    @given(
+        st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_the_inverse_path_keeps_factors_on_one_decomposer_and_inverse_squares_on_the_gradient_workers(
+        self, dims, world_size, workers
+    ):
+        layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
+        model = KFACMemoryModel(layers, param_count=10_000)  # the default solve path
+        frac = min(workers, world_size) / world_size
+        plan = model.plan(world_size, frac)
+        factors, solver = model.factor_bytes_per_rank(world_size, frac), model.solver_bytes_per_rank(world_size, frac)
+        assert factors.sum() == model.factor_bytes() and not model.eigen_bytes_per_rank(world_size, frac).any()
+        expected = np.zeros(world_size, dtype=np.int64)
+        for name, group in plan.groups.items():
+            expected[list(group.grad_workers)] += 4 * (group.layer.a_dim**2 + group.layer.g_dim**2)
+            (decomposer,) = plan.decomposers[name, "a"]
+            assert plan.decomposers[name, "g"] == (decomposer,) and decomposer in group.grad_workers
+            assert plan.factor_holders[name, "a"] == plan.factor_holders[name, "g"] == (decomposer,)
+        np.testing.assert_array_equal(solver, expected)
+        assert model.overhead_bytes(world_size, frac, rank="max") == (factors + solver).max()
 
     @given(
         st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
@@ -955,6 +990,6 @@ class TestMemoryModelProperties:
     def test_total_eigen_bytes_conserved_across_ranks_in_mem_opt(self, dims, world_size):
         """Under MEM-OPT every layer's eigen state exists exactly once in the world."""
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        model = KFACMemoryModel(layers, param_count=10_000)
+        model = KFACMemoryModel(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         per_rank = model.eigen_bytes_per_rank(world_size, 1.0 / world_size)
         assert per_rank.sum() == sum(model.config.wire_policy().eigen_bytes(layer) for layer in layers)

@@ -333,7 +333,7 @@ class TestMeasuredMemoryReport:
     @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
     def test_live_memory_is_the_memory_model_byte_for_byte_on_every_rank(self, world, frac):
         """The prediction above comes from the running system's own rule; this one comes from
-        ``KFACMemoryModel``, which only sees layer shapes: held factors + eigen state, per rank."""
+        ``KFACMemoryModel``, which only sees layer shapes: held factors + eigen and solver state, per rank."""
         from repro.experiments import build_workload, collect_layer_shapes, measured_memory_report
         from repro.memory import KFACMemoryModel
 
@@ -342,17 +342,19 @@ class TestMeasuredMemoryReport:
         model = KFACMemoryModel(layers, param_count=0)
         factors = model.factor_bytes_per_rank(world, frac)
         eigen = model.eigen_bytes_per_rank(world, frac)
+        solver = model.solver_bytes_per_rank(world, frac)  # the inverse squares, on the gradient workers
         report = measured_memory_report("mlp", world_size=world, grad_worker_frac=frac, steps=1)
         for rank, entry in enumerate(report["per_rank"]):
             assert entry["measured"]["factors"] == factors[rank]
             assert entry["measured"]["eigen"] == eigen[rank]
+            assert entry["measured"]["solver"] == solver[rank]
         assert factors.sum() == model.factor_bytes()  # every factor once
         assert report["measured_total_max"] == model.breakdown(world, frac, rank="max").kfac_overhead
 
     def test_knobs_that_read_factors_everywhere_are_predicted_too(self):
         from repro.experiments import measured_memory_report
 
-        for overrides in ({"drift_tol": 0.05}, {"damping_pi_correction": True}, {"solve_strategy": "inverse"}):
+        for overrides in ({"drift_tol": 0.05}, {"damping_pi_correction": True}, {"solve_strategy": "cg"}):
             report = measured_memory_report(
                 "mlp", world_size=2, grad_worker_frac=0.5, steps=1, kfac_overrides=overrides
             )
@@ -361,12 +363,12 @@ class TestMeasuredMemoryReport:
                 assert entry["measured"] == entry["predicted"]
             held = sum(entry["measured"]["factors"] for entry in report["per_rank"])
             once = sum(entry["measured"]["factors"] for entry in sharded["per_rank"])
-            # drift / pi: both ranks hold everything; inverse at MEM-OPT: the one gradient worker does.
+            # drift / pi: both ranks hold everything; cg at MEM-OPT: the one gradient worker does.
             assert held == (once if "solve_strategy" in overrides else 2 * once)
 
     @pytest.mark.parametrize("solver", ["inverse", "cg"])
     def test_solver_state_is_predicted_from_layer_shapes_not_read_off_the_solvers(self, solver, monkeypatch):
-        """Each strategy states its bytes from ``(a_dim, g_dim)``; a live solver that over-reports is caught."""
+        """Each strategy states its bytes from the layer's shape and reprs; a live solver that over-reports is caught."""
         from repro.experiments import measured_memory_report
         from repro.kfac import CGSolveStrategy, InverseSolveStrategy
 
@@ -384,11 +386,13 @@ class TestMeasuredMemoryReport:
         for measured, predicted in run():
             assert measured["solver"] > predicted["solver"] and measured != predicted
 
-    def test_comm_opt_holds_more_eigen_state_than_mem_opt(self):
+    @pytest.mark.parametrize("solver, state", [("inverse", "solver"), ("eigen", "eigen")])
+    def test_comm_opt_holds_more_eigen_state_than_mem_opt(self, solver, state):
         from repro.experiments import measured_memory_report
 
-        mem_opt = measured_memory_report("mlp", world_size=4, grad_worker_frac=0.25, steps=1)
-        comm_opt = measured_memory_report("mlp", world_size=4, grad_worker_frac=1.0, steps=1)
-        mem_eigen = sum(e["measured"]["eigen"] for e in mem_opt["per_rank"])
-        comm_eigen = sum(e["measured"]["eigen"] for e in comm_opt["per_rank"])
-        assert comm_eigen > mem_eigen
+        overrides = {"solve_strategy": solver}
+        mem_opt = measured_memory_report("mlp", world_size=4, grad_worker_frac=0.25, steps=1, kfac_overrides=overrides)
+        comm_opt = measured_memory_report("mlp", world_size=4, grad_worker_frac=1.0, steps=1, kfac_overrides=overrides)
+        mem_eigen = sum(e["measured"][state] for e in mem_opt["per_rank"])
+        comm_eigen = sum(e["measured"][state] for e in comm_opt["per_rank"])
+        assert comm_eigen > mem_eigen > 0
