@@ -9,11 +9,11 @@ They sit behind one class, :class:`KernelBackend` (named ``batched``):
 
 * **damped inverse** (:meth:`KernelBackend.inverse_task`, the default
   path's refresh): ``?potrf`` + ``?potri`` on the damped factor, expanded
-  from its triangle with ``?tpttr`` and packed back with ``?trttp``, all
-  bound beside ``?syevd`` and called without the interpreter lock; a
-  diagonal factor is ``1 / (d + γ)``, a block-diagonal one is inverted block
-  by block.  Each step then preconditions with ``G⁻¹ · V · A⁻¹``
-  (:meth:`KernelBackend.precondition_inverse`): two GEMMs;
+  from its triangle with ``?tpttr`` (all bound beside ``?syevd`` and called
+  without the interpreter lock) and mirrored into the symmetric square that
+  is installed; a diagonal factor is ``1 / (d + γ)``, a block-diagonal one
+  is inverted block by block.  Each step then preconditions with
+  ``G⁻¹ · V · A⁻¹`` (:meth:`KernelBackend.precondition_inverse`): two GEMMs;
 
 * **eigendecomposition** over shape-grouped factor stacks: small factors
   (dim <= :data:`STACK_EIGH_MAX_DIM`) are stacked and decomposed in one
@@ -34,9 +34,11 @@ They sit behind one class, :class:`KernelBackend` (named ``batched``):
   (``error.batch_index``), before anything is installed.  Every path comes
   in two halves (:meth:`KernelBackend.eigen_task`), the tasks of
   :class:`~repro.kfac.refresh.RefreshQueue`;
-* **in-place decay fold**: ``new *= 1-decay; running *= decay; running +=
-  new`` on the window average the caller hands over, so a float32 factor is
-  updated without a temporary or a held scratch buffer;
+* **decay fold into a fresh array**: ``new *= 1-decay; blend =
+  running*decay; blend += new`` on the window average the caller hands over:
+  one allocation, the result, and no held scratch buffer.  A published
+  running factor is never written, so a refresh task reads it where it lies
+  instead of copying it out;
 * **preconditioning contraction** with ``np.matmul(..., out=...)`` into two
   per-shape scratch buffers reused across steps, so the Eq. 15-17 pipeline
   allocates only its result;
@@ -57,9 +59,10 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
 * ``fused_decay_update``, ``precondition_contract``, ``precondition_inverse``
   -- **bitwise** equal for float32 state (identical elementwise/BLAS
   operations in the identical order);
-* ``inverse_task`` -- **bitwise** the ``?potri`` result SciPy's
-  ``lapack.spotrf`` / ``spotri`` give on the expanded damped square, and
-  within float32 resolution of a float64 ``np.linalg.inv``;
+* ``inverse_task`` -- its square's packed triangle is **bitwise** the
+  ``?potri`` result SciPy's ``lapack.spotrf`` / ``spotri`` give on the
+  expanded damped square, and within float32 resolution of a float64
+  ``np.linalg.inv``;
 * the ``syevd`` call itself -- **bitwise** the eigenvalues and eigenvectors
   SciPy's own wrapper of that driver returns on the expanded square (the same
   routine on the same lower triangle; SciPy is the test-side reference,
@@ -89,7 +92,6 @@ from .kmath import (
     eigh_solve_dtype,
     expand_damped,
     expand_for_eigen,
-    expand_symmetric,
     expand_triangle,
     inverse_of_expanded,
     kl_clip_scale_from_total,
@@ -199,51 +201,49 @@ class KernelBackend:
         clamp_negative: bool = True,
         eigh_dtype=None,
     ) -> Callable[[], List[EigenDecomposition]]:
-        """:meth:`batched_symmetric_eigen` in two halves: this call reads ``factors``, the callable it returns solves.
+        """:meth:`batched_symmetric_eigen` in two halves: this call checks ``factors``, the callable it returns solves.
 
-        This call checks the group (one dimension, every member finite) and
-        expands each triangle into a private buffer: the column-major one
+        This call checks the group's shapes (one dimension) and keeps
+        references to the factors; the callable checks each is finite,
+        expands its triangle into a private buffer -- the column-major one
         ``syevd`` overwrites above :data:`STACK_EIGH_MAX_DIM`
         (:func:`~repro.kfac.kmath.expand_for_eigen`), one stack for ``eigh``
-        at or below it.  The solve reads nothing else, so it may run on
-        another thread while the factors are folded in place.  An error of
-        either half carries the failing member's position as
-        ``error.batch_index``.
+        at or below it -- and solves.  A published running factor is never
+        written (a fold makes a new array), so the solve may run on another
+        thread while the step folds.  An error carries the failing member's
+        position as ``error.batch_index``.
         """
-        factors = [as_packed_triangle(factor) for factor in factors]
+        factors = list(factors)
         if not factors:
             return list
-        n = triangle_dim(factors[0].shape[0])
-        for factor in factors:
-            if factor.shape != factors[0].shape:
-                other = triangle_dim(factor.shape[0])
-                raise ValueError(f"batched_symmetric_eigen requires same-shape factors, got dimensions {other} and {n}")
+        dims = sorted({factor.shape[0] if factor.ndim == 2 else triangle_dim(factor.size) for factor in factors})
+        if len(dims) > 1:
+            raise ValueError(f"batched_symmetric_eigen requires same-shape factors, got dimensions {dims}")
+        n = dims[0]
         compute_dtype = np.dtype(compute_dtype)
         solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
         if n > STACK_EIGH_MAX_DIM:
-            buffers = []
-            for index, factor in enumerate(factors):
-                with _member(index):
-                    buffers.append(expand_for_eigen(factor, solve_dtype))
 
             def solve_each() -> List[EigenDecomposition]:
                 decompositions = []
-                for index, buffer in enumerate(buffers):
+                for index, factor in enumerate(factors):
                     with _member(index):
+                        buffer = expand_for_eigen(factor, solve_dtype)
                         decompositions.append(eigen_of_expanded(buffer, compute_dtype, clamp_negative))
                 return decompositions
 
             return solve_each
-        _reject_non_finite(factors, n)  # ``eigh`` would return NaN eigenvalues without a word
-        # The whole group expands into one stack.  ``?tpttr`` fills each member's row-major upper
-        # triangle, so the transposed view is what ``eigh`` (which uses the lower one) is given.  The
-        # other triangle is zeros, not uninitialised: it is still loaded, and ``eigh`` reports the
-        # FP-invalid flag a stray signalling NaN raises as non-convergence.
-        stack = np.zeros((len(factors), n, n), dtype=solve_dtype)
-        for member, factor in zip(stack, factors):
-            expand_triangle(factor.astype(solve_dtype, copy=False), member)
 
         def solve_stack() -> List[EigenDecomposition]:
+            packed = [as_packed_triangle(factor) for factor in factors]
+            _reject_non_finite(packed, n)  # ``eigh`` would return NaN eigenvalues without a word
+            # The whole group expands into one stack.  ``?tpttr`` fills each member's row-major upper
+            # triangle, so the transposed view is what ``eigh`` (which uses the lower one) is given.  The
+            # other triangle is zeros, not uninitialised: it is still loaded, and ``eigh`` reports the
+            # FP-invalid flag a stray signalling NaN raises as non-convergence.
+            stack = np.zeros((len(packed), n, n), dtype=solve_dtype)
+            for member, factor in zip(stack, packed):
+                expand_triangle(factor.astype(solve_dtype, copy=False), member)
             try:
                 eigenvalues, eigenvectors = np.linalg.eigh(stack.transpose(0, 2, 1))
             except np.linalg.LinAlgError:
@@ -259,7 +259,7 @@ class KernelBackend:
                     eigenvectors=eigenvectors[index].astype(compute_dtype, copy=False),
                     eigenvalues=eigenvalues[index].astype(compute_dtype, copy=False),
                 )
-                for index in range(len(factors))
+                for index in range(len(packed))
             ]
 
         return solve_stack
@@ -298,6 +298,7 @@ class KernelBackend:
           dispatch uses), so a backend's batched kernel covers them too;
           the blocks are stored square and packed on entry.
         """
+        factors = list(factors)
         for factor in factors:
             repr.check_packed(factor)
         if repr.kind == "dense":
@@ -306,14 +307,17 @@ class KernelBackend:
             )
         compute_dtype = np.dtype(compute_dtype)
         if repr.kind == "diagonal":
-            _reject_non_finite(factors, repr.dim)  # an inf would pass the clamp and become an eigenvalue
-            spectra = [factor.astype(eigh_solve_dtype(compute_dtype, eigh_dtype), copy=True) for factor in factors]
+            solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
 
             def clamp() -> List[EigenDecomposition]:
-                if clamp_negative:
-                    for eigenvalues in spectra:
+                _reject_non_finite(factors, repr.dim)  # an inf would pass the clamp and become an eigenvalue
+                decompositions = []
+                for factor in factors:
+                    eigenvalues = factor.astype(solve_dtype, copy=True)
+                    if clamp_negative:
                         np.maximum(eigenvalues, 0.0, out=eigenvalues)
-                return [EigenDecomposition(None, eigenvalues.astype(compute_dtype, copy=False)) for eigenvalues in spectra]
+                    decompositions.append(EigenDecomposition(None, eigenvalues.astype(compute_dtype, copy=False)))
+                return decompositions
 
             return clamp
         blocks = self.batched_eigen_task(
@@ -346,49 +350,48 @@ class KernelBackend:
     ) -> Callable[[], List[np.ndarray]]:
         """The damped inverses ``(factor + γI)⁻¹`` of ``factors`` (all stored as ``repr``, one ``γ`` each), in two halves.
 
-        Like :meth:`eigen_task`: this call checks every factor is finite and
-        copies it out, damped, and the callable it returns solves, reading
-        nothing else; an error of either half carries the failing member's
-        position as ``error.batch_index``.  The solve runs in at least single
-        precision (:func:`~repro.kfac.kmath.eigh_solve_dtype`) and each result
-        is in ``repr``'s packed form, the form the eigen round ships:
+        Like :meth:`eigen_task`: this call checks the shapes and keeps
+        references to the factors, and the callable it returns checks each is
+        finite, expands it damped and solves; an error carries the failing
+        member's position as ``error.batch_index``.  The solve runs in at
+        least single precision (:func:`~repro.kfac.kmath.eigh_solve_dtype`)
+        and each result is the inverse as it is installed:
 
-        * ``dense`` -- ``?potrf`` + ``?potri`` on the damped square, returned
-          as the packed triangle of the inverse
-          (:func:`~repro.kfac.kmath.damped_inverse`'s two halves);
+        * ``dense`` -- ``?potrf`` + ``?potri`` on the damped square, mirrored
+          into the C-order symmetric square
+          (:func:`~repro.kfac.kmath.inverse_of_expanded`), bitwise what a
+          receiver expands from its packed triangle;
         * ``diagonal`` -- ``1 / (d + γ)``, O(F);
-        * ``block_diagonal`` -- every block inverted as a dense factor and
-          kept as its full symmetric square (the stored blocks are squares).
+        * ``block_diagonal`` -- every block inverted as a dense factor, kept
+          as its symmetric square (the stored blocks are squares).
         """
+        factors, dampings = list(factors), list(dampings)
         for factor in factors:
             repr.check_packed(factor)
         solve_dtype = eigh_solve_dtype(compute_dtype)
         if repr.kind == "diagonal":
-            _reject_non_finite(factors, repr.dim)
-            damped = [factor.astype(solve_dtype) + solve_dtype.type(damping) for factor, damping in zip(factors, dampings)]
 
             def reciprocals() -> List[np.ndarray]:
-                for index, diagonal in enumerate(damped):
+                _reject_non_finite(factors, repr.dim)
+                inverses = []
+                for index, (factor, damping) in enumerate(zip(factors, dampings)):
+                    diagonal = factor.astype(solve_dtype) + solve_dtype.type(damping)
                     if not (diagonal > 0).all():
                         error = np.linalg.LinAlgError(f"the damped factor of dimension {repr.dim} is not positive definite")
                         error.batch_index = index
                         raise error
-                    np.reciprocal(diagonal, out=diagonal)
-                return damped
+                    inverses.append(np.reciprocal(diagonal, out=diagonal))
+                return inverses
 
             return reciprocals
-        squares = []
-        for index, (factor, damping) in enumerate(zip(factors, dampings)):
-            with _member(index):
-                blocks = factor if repr.kind == "block_diagonal" else [factor]
-                squares.append([expand_damped(block, damping, solve_dtype) for block in blocks])
 
         def solve_each() -> List[np.ndarray]:
             inverses = []
-            for index, member in enumerate(squares):
+            for index, (factor, damping) in enumerate(zip(factors, dampings)):
                 with _member(index):
-                    packed = [inverse_of_expanded(square) for square in member]
-                inverses.append(packed[0] if repr.kind == "dense" else np.stack([expand_symmetric(p) for p in packed]))
+                    blocks = factor if repr.kind == "block_diagonal" else [factor]
+                    squares = [inverse_of_expanded(expand_damped(block, damping, solve_dtype)) for block in blocks]
+                inverses.append(squares[0] if repr.kind == "dense" else np.stack(squares))
             return inverses
 
         return solve_each
@@ -397,30 +400,26 @@ class KernelBackend:
     def fused_decay_update(
         self, running: np.ndarray, new: np.ndarray, decay: float, store_dtype
     ) -> np.ndarray:
-        """Fold ``new`` into ``running``: ``decay*running + (1-decay)*new``, in ``store_dtype``.
+        """``decay*running + (1-decay)*new`` in ``store_dtype``, as a fresh array; ``running`` is never written.
 
-        Both operands are consumed when the factor lives in float32:
-        ``new *= 1-decay; running *= decay; running += new`` -- no temporary,
-        no scratch, the identical float32 operations in the identical order as
-        the plain blend.  ``new`` is the window average the caller owns and
-        has no further use for.  Other storage (e.g. fp16 factor policies) or
-        a read-only operand takes the plain upcast-blend-downcast expression
-        and leaves both untouched.
+        A published running factor stays as it is, so a refresh task that
+        holds it solves the factor its step began with.  When the factor
+        lives in float32, ``new`` is consumed as the staging buffer:
+        ``new *= 1-decay; blend = running*decay; blend += new`` -- one
+        allocation (the result), no scratch, the identical float32 operations
+        as the plain blend.  ``new`` is the window average the caller owns
+        and has no further use for.  Other storage (e.g. fp16 factor
+        policies) or a read-only ``new`` takes the plain
+        upcast-blend-downcast expression and leaves both untouched.
         """
         store_dtype = np.dtype(store_dtype)
         decay = float(decay)
         float32 = np.dtype(np.float32)
-        if (
-            store_dtype == float32
-            and running.dtype == float32
-            and new.dtype == float32
-            and running.flags.writeable
-            and new.flags.writeable
-        ):
+        if store_dtype == float32 and running.dtype == float32 and new.dtype == float32 and new.flags.writeable:
             new *= 1.0 - decay
-            running *= decay
-            running += new
-            return running
+            blend = running * decay
+            blend += new
+            return blend
         # Both operands upcast: a window that travelled in a narrower factor dtype is blended in float32 too.
         blend = decay * running.astype(np.float32, copy=False) + (1.0 - decay) * new.astype(np.float32, copy=False)
         return blend.astype(store_dtype)

@@ -326,7 +326,9 @@ class KFACLayer:
         The first window is adopted as a copy (``window`` may be a view of a
         received bucket, which a kept view would pin); later ones go through
         the kernel backend's decay blend, which may scale ``window`` in place
-        -- pass a copy to keep it.
+        -- pass a copy to keep it.  Either way the running factor becomes a
+        new array and the one it replaces is left as it was, so a refresh
+        task that holds the old one still solves it.
         """
         dtype = self.precision.factor_dtype
         attr = "factor_a" if which == "a" else "factor_g"
@@ -401,7 +403,7 @@ class KFACLayer:
                 repr.check_packed(value, what)
             except ValueError as error:
                 raise ValueError(f"layer {self.name!r}: {error}") from None
-            return value.astype(dtype)  # a copy: factors and accumulators are updated in place
+            return value.astype(dtype)  # a copy: the accumulators are updated in place
 
         def load_eigen(value, repr: FactorRepr, what: str) -> Optional[EigenDecomposition]:
             if value is None:

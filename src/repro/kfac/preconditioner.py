@@ -27,7 +27,8 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 2. compute the damped inverses (the default ``inverse`` path) or the eigen
    decompositions on their assigned workers and broadcast them to the
    layer's gradient workers -- an inverse as its packed triangle, which
-   every holder expands; an eigen holder then caches the eigenvalue outer
+   every receiver expands into the square its decomposer installed; an
+   eigen holder then caches the eigenvalue outer
    product it forms itself (every ``inv_update_freq`` iterations).  Taking
    the step's actions submits the factors as the step began to the rank's
    :class:`~repro.kfac.refresh.RefreshQueue`; stage 2 takes and installs the
@@ -80,7 +81,14 @@ from ..nn.module import Module
 from .base import CHECKPOINT_FORMAT, check_checkpoint_format
 from .config import KFACConfig
 from .kernels import KernelBackend
-from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, split_damping, tikhonov_pi
+from .kmath import (
+    eigenvalue_outer_product,
+    expand_symmetric,
+    kl_clip_scale_from_total,
+    pack_triangle,
+    split_damping,
+    tikhonov_pi,
+)
 from .layers import KFACLayer, make_kfac_layer
 from .refresh import RefreshQueue
 from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
@@ -429,7 +437,7 @@ class KFAC:
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._folded = False  # the pending step folded its windows
-        self._inverses: Dict[tuple, np.ndarray] = {}  # (layer, "a" | "g") -> packed inverse this rank computed, to ship
+        self._dampings: Dict[str, tuple] = {}  # layer name -> (γ_a, γ_g) its inverses were submitted with
 
     def factor_window(self, layer: KFACLayer) -> tuple:
         """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
@@ -538,10 +546,12 @@ class KFAC:
             repr_, solver = layer.factor_repr(which), self.solvers[name]
 
             def payload() -> np.ndarray:
-                return self._inverses[name, which]
+                inverse = getattr(solver, f"inv_{which}")
+                return pack_triangle(inverse) if repr_.is_dense else inverse
 
             def install(packed: np.ndarray) -> None:
-                solver.install(which, packed, repr_)
+                if spec.src != self.rank:  # the source installed its own result
+                    solver.install(which, expand_symmetric(packed) if repr_.is_dense else packed.copy())
 
         elif what in ("eigen_a", "eigen_g"):
             repr_ = layer.factor_repr(what[-1])
@@ -569,10 +579,12 @@ class KFAC:
 
         Called when a step's actions are first taken (:meth:`actions`), so a
         refresh reads the factors as its step began, and again by
-        :meth:`_install_decompositions` for those with no fold before it (step 0).
-        A factor of an ``inverse`` layer goes with its damping: the π split
-        of the current ``γ``, π from the layer's two factors
-        (:func:`~repro.kfac.kmath.tikhonov_pi`), which this rank holds both of.
+        :meth:`_install_decompositions` for those with no fold before it (step 0);
+        the queue passes over a factor already pending.  A factor of an
+        ``inverse`` layer goes with its damping: the π split of the current
+        ``γ``, π from the layer's two factors
+        (:func:`~repro.kfac.kmath.tikhonov_pi`), which this rank holds both
+        of -- computed once per layer and step.
         """
         items = []
         for name, which in self._decomposed(names):
@@ -582,8 +594,10 @@ class KFAC:
                 continue
             damping = None
             if self.solvers[name].refresh == "inverse":
-                pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
-                damping = split_damping(self.damping, pi)["ag".index(which)]
+                if name not in self._dampings:
+                    pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
+                    self._dampings[name] = split_damping(self.damping, pi)
+                damping = self._dampings[name]["ag".index(which)]
             items.append(((name, which), factor, layer.factor_repr(which), damping))
         self.refresh.submit(items)
 
@@ -596,11 +610,10 @@ class KFAC:
     def _install_decompositions(self, names: Sequence[str]) -> None:
         """Install what this rank computed for the factors it decomposes among the refreshed layers ``names``.
 
-        A decomposition goes onto its layer.  A damped inverse is kept in the
-        inverse dtype for the eigen round, which installs it on every member;
-        where that round moves nothing (a group of one), it is installed here
-        from the same buffer.  A failed solve is raised before anything is
-        replaced.
+        A decomposition goes onto its layer.  A damped inverse is installed
+        as the task returned it, in the inverse dtype, C order; the eigen
+        round then ships it to the layer's other gradient workers.  A failed
+        solve is raised before anything is replaced.
         """
         self._submit(names)
         results = self.refresh.take(step=self._steps, backend=self.kernels.name)
@@ -612,9 +625,7 @@ class KFAC:
         for name, which in keys:
             layer, solver = self.layers[name], self.solvers[name]
             if solver.refresh == "inverse":
-                packed = self._inverses[name, which] = results[name, which].astype(dtype, copy=False)
-                if not self.plan.eigen_round[name]:
-                    solver.install(which, packed, layer.factor_repr(which))
+                solver.install(which, results[name, which].astype(dtype, copy=False))
             else:
                 setattr(layer, f"eigen_{which}", results[name, which].astype(dtype))
 
@@ -715,8 +726,10 @@ class KFAC:
         the same :class:`KFACConfig` to resume the identical schedule.  A
         factor this rank does not hold (:meth:`holds_factor`) in the
         checkpoint raises, and so does a held factor it lacks once a factor
-        update has run, and eigen state of a layer whose ``plan.eigen_holders``
-        exclude this rank: each was written under another config.
+        update has run, eigen state of a layer whose ``plan.eigen_holders``
+        exclude this rank, and solver state (installed inverses, CG warm
+        starts) of a layer this rank is not a gradient worker of: each was
+        written under another config.
         """
         check_checkpoint_format(state, "KFAC")
         layer_states = state["layers"]
@@ -745,10 +758,18 @@ class KFAC:
                     f"{self.rank} does not hold under this configuration; restore each rank from its own "
                     "state_dict(), written under the same config"
                 )
+            solver_state = state["solvers"][name]
+            stored = [key for key, value in solver_state.items() if value is not None and np.ndim(value) > 0]  # arrays
+            if stored and not self.groups[name].is_grad_worker(self.rank):
+                raise ValueError(
+                    f"checkpoint has solver state ({', '.join(stored)}) for layer {name!r}, of which rank "
+                    f"{self.rank} is not a gradient worker under this configuration; restore each rank from its "
+                    "own state_dict(), written under the same config"
+                )
         self._steps = steps
         for name, layer in self.layers.items():
             layer.load_state_dict(layer_states[name])
-            self.solvers[name].load_state_dict(state["solvers"][name])
+            self.solvers[name].load_state_dict(state["solvers"][name], layer)
         if self.drift is not None:
             self.drift = self._new_drift()
             self.drift.load_state_dict(state["scheduler"])

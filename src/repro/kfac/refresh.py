@@ -4,10 +4,13 @@ A refresh decomposes -- or, on the default ``inverse`` path, inverts -- the
 running factors as they stood when its step began (paper section 3.4, stage
 2), while forward and backward still run.  :class:`RefreshQueue` alone
 decides which thread solves what, and when.  A task is any zero-argument
-callable that returns one result per factor it read, such as
+callable that returns one result per factor it was given, such as
 :meth:`~repro.kfac.kernels.KernelBackend.eigen_task`'s or
 :meth:`~repro.kfac.kernels.KernelBackend.inverse_task`'s; its result does not
-depend on the thread that runs it, so neither does the trajectory.
+depend on the thread that runs it, so neither does the trajectory.  A task
+holds references to the factors, not copies: a fold never writes a published
+running factor (it makes a new array), so a task the worker starts after its
+step's fold still solves the factors the step began with.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def _solve(task: Callable[[], list]) -> tuple:
 
 class _Task(NamedTuple):
     keys: List[Hashable]  # ``(layer name, "a" | "g")`` of each factor the task solves
-    solve: Optional[Callable[[], list]]  # None when reading the factors already failed
+    solve: Optional[Callable[[], list]]  # None when making the task already failed
     future: Future  # of ``_solve(solve)`` on the worker
     what: str  # "eigendecomposition" or "damped inverse", for the error message
 
@@ -43,7 +46,7 @@ class _Task(NamedTuple):
 class RefreshQueue:
     """One rank's pending factor solves and the worker thread beside its step.
 
-    ``make_task(factors, repr, dampings)`` reads ``factors`` (all stored as
+    ``make_task(factors, repr, dampings)`` checks ``factors`` (all stored as
     ``repr``) and returns the task that solves them: their decompositions
     when ``dampings`` is None, else their inverses damped by one ``γ`` each;
     ``tracer`` receives the
@@ -64,15 +67,15 @@ class RefreshQueue:
         return self._worker
 
     def submit(self, factors: Iterable[Tuple[Hashable, np.ndarray, FactorRepr, Optional[float]]]) -> None:
-        """Read each ``(key, factor, repr, damping)`` now and queue its solve; a key already pending is skipped.
+        """Make the task of each ``(key, factor, repr, damping)`` now and queue it; a key already pending is skipped.
 
         ``damping`` is None for a decomposition, the factor's ``γ`` for a
         damped inverse.  A factor above
         :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM`, or one that is not
         dense, is a task of its own, so :meth:`take` can solve any of them the
         worker has not started; the dense ones at or below it are one stacked
-        task per dimension, dtype and kind of solve.  A failure to read waits,
-        like a failed solve, for :meth:`take` to raise it.
+        task per dimension, dtype and kind of solve.  A failure to make a
+        task waits, like a failed solve, for :meth:`take` to raise it.
         """
         queued = {key for task in self.tasks for key in task.keys}
         groups: Dict[Hashable, list] = {}

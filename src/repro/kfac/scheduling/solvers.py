@@ -24,11 +24,12 @@ checkpoint resume stays bit-identical.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kmath import expand_symmetric, split_damping
+from ..kmath import split_damping
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..factors import FactorRepr
@@ -151,8 +152,8 @@ class SolveStrategy:
     def state_dict(self) -> Dict[str, Any]:
         return {}
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        pass
+    def load_state_dict(self, state: Dict[str, Any], layer: Optional["KFACLayer"] = None) -> None:
+        """Restore what :meth:`state_dict` wrote for ``layer``."""
 
 
 class EigenSolveStrategy(SolveStrategy):
@@ -187,18 +188,24 @@ class InverseSolveStrategy(SolveStrategy):
     @classmethod
     def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
         """``inv_a`` and ``inv_g`` as installed: ``n²`` for a dense factor, ``n`` for a diagonal one, ``blocks·bs²`` for a block-diagonal one."""
-        numel = sum(r.dim if r.kind == "diagonal" else r.eigenvector_numel for r in (layer.a_repr, layer.g_repr))
+        numel = sum(math.prod(cls.installed_shape(r)) for r in (layer.a_repr, layer.g_repr))
         return numel * np.dtype(policy.precision.inverse_dtype).itemsize
 
-    def install(self, which: str, packed: np.ndarray, repr_: "FactorRepr") -> None:
-        """Install the ``"a"`` / ``"g"`` inverse from the packed form the eigen round carries.
+    @staticmethod
+    def installed_shape(repr_: "FactorRepr") -> Tuple[int, ...]:
+        """The shape of an installed inverse: ``(n, n)`` dense, ``(n,)`` diagonal, ``(blocks, bs, bs)`` block-diagonal."""
+        return (repr_.dim, repr_.dim) if repr_.is_dense else repr_.packed_shape
 
-        A dense factor's triangle is expanded into the symmetric square the
-        GEMMs read (:func:`~repro.kfac.kmath.expand_symmetric`); the other
-        forms are kept as they come.  Every holder, the decomposer included, installs from the
-        same buffer this way, so the replicas precondition bitwise alike.
+    def install(self, which: str, inverse: np.ndarray) -> None:
+        """Install the ``"a"`` / ``"g"`` inverse in the form the GEMMs read (:meth:`installed_shape`), as it is.
+
+        The decomposer installs its refresh task's result: a dense factor's
+        C-order symmetric square, mirrored on the worker.  The other gradient
+        workers install :func:`~repro.kfac.kmath.expand_symmetric` of the
+        packed triangle the eigen round carries, which is the same bits, so
+        the replicas precondition bitwise alike.
         """
-        setattr(self, f"inv_{which}", expand_symmetric(packed) if repr_.is_dense else packed.copy())
+        setattr(self, f"inv_{which}", inverse)
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
@@ -216,8 +223,26 @@ class InverseSolveStrategy(SolveStrategy):
             "inv_g": None if self.inv_g is None else self.inv_g.copy(),
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self.inv_a, self.inv_g = (None if state[key] is None else np.array(state[key]) for key in ("inv_a", "inv_g"))
+    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
+        """Restore ``inv_a`` / ``inv_g``, each checked against its factor's repr and cast to the layer's inverse dtype.
+
+        The cast is C-contiguous, the layout every holder installs: the BLAS
+        rounding of the two GEMMs depends on it.  A shape the repr does not
+        install, or a non-float array, raises naming the layer and factor.
+        """
+        loaded = []
+        for which in ("a", "g"):
+            value = state[f"inv_{which}"]
+            if value is not None:
+                value, expected = np.asarray(value), self.installed_shape(layer.factor_repr(which))
+                if value.shape != expected or value.dtype.kind != "f":
+                    raise ValueError(
+                        f"layer {layer.name!r}: checkpoint inverse of the {which.upper()} factor is a {value.dtype} "
+                        f"array of shape {value.shape}, expected floats of shape {expected}"
+                    )
+                value = np.array(value, dtype=layer.precision.inverse_dtype, order="C")
+            loaded.append(value)
+        self.inv_a, self.inv_g = loaded
 
 
 class CGSolveStrategy(SolveStrategy):
@@ -274,7 +299,7 @@ class CGSolveStrategy(SolveStrategy):
             "total_iterations": self.total_iterations,
         }
 
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
+    def load_state_dict(self, state: Dict[str, Any], layer: Optional["KFACLayer"] = None) -> None:
         warm = state["last_solution"]
         self.last_solution = None if warm is None else np.asarray(warm, dtype=np.float64)
         self.total_iterations = int(state["total_iterations"])

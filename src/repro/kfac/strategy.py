@@ -419,8 +419,9 @@ def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, inverted: bool) -> 
     exactly as they are.  (Packing and unpacking them anyway would copy all
     eigen state twice and re-lay the eigenvectors out row-major, which shifts
     BLAS rounding in every later precondition.  An inverse has one layout
-    whatever the group: every holder, the decomposer too, expands it from
-    the packed buffer.)
+    whatever the group: the decomposer installs the C-order square its task
+    mirrored, and every receiver expands the packed buffer into the same
+    bits.)
     """
     members = group.grad_workers
     if len(members) <= 1:

@@ -8,6 +8,7 @@ the shape models read (Embedding among its rows).
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -808,6 +809,53 @@ class TestOneCheckpointFormat:
         refused, restored = run_spmd(2, restore)
         assert restored is None
         assert f"has eigen state ({key}) for layer {name!r}, whose eigen state rank 0 does not hold" in refused
+
+    @pytest.mark.parametrize("case", ["wrong-shape", "another-ranks-layer", "float64-fortran"])
+    def test_inverse_state_is_checked_against_its_repr_and_rank_and_installed_c_contiguous(self, case):
+        """MEM-OPT at world 2 under the default ``inverse`` path: a checkpoint inverse of the wrong shape, or of a
+        layer whose gradient workers exclude the rank, raises at load naming the layer (and the factor); a right
+        one in another dtype and layout is installed in the inverse dtype, C-contiguous, with the same values."""
+        x, y = make_problem(13, in_dim=5)
+        config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=10)
+
+        def build(comm):
+            return KFAC.from_config(MLP(5, [16], 3, rng=np.random.default_rng(1)), config, comm=comm)
+
+        def train(comm):
+            pre = build(comm)
+            local = np.arange(32)[comm.rank :: 2]
+            nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
+            pre.step()
+            return pre.state_dict(), {name: group.grad_workers for name, group in pre.groups.items()}
+
+        (state, workers), (other, _) = run_spmd(2, train)
+        mine = next(name for name, ranks in workers.items() if ranks == (0,))
+        theirs = next(name for name, ranks in workers.items() if ranks == (1,))
+        original = state["solvers"][mine]["inv_a"]
+        assert original.dtype == np.float32 and original.ndim == 2
+        if case == "wrong-shape":
+            state["solvers"][mine]["inv_a"] = np.zeros((4, 4))
+            expected = rf"layer {mine!r}: checkpoint inverse of the A factor is a float64 array of shape \(4, 4\)"
+        elif case == "another-ranks-layer":
+            state["solvers"][theirs] = other["solvers"][theirs]
+            expected = rf"solver state \(inv_a, inv_g\) for layer {theirs!r}, of which rank 0 is not a gradient worker"
+        else:
+            state["solvers"][mine]["inv_a"] = np.asfortranarray(original.astype(np.float64))
+            expected = None
+
+        def restore(comm):
+            pre = build(comm)
+            try:
+                pre.load_state_dict(state if comm.rank == 0 else other)
+            except ValueError as error:
+                return str(error)
+            return pre.solvers[mine].inv_a if comm.rank == 0 else None
+
+        loaded, _ = run_spmd(2, restore)
+        if expected is None:
+            assert loaded.dtype == np.float32 and loaded.flags.c_contiguous and loaded.tobytes() == original.tobytes()
+        else:
+            assert re.search(expected, loaded), loaded
 
     @pytest.mark.parametrize("world", [1, 2])
     def test_a_restore_never_changes_the_plan(self, world):

@@ -51,6 +51,7 @@ from repro.kfac.kernels import STACK_EIGH_MAX_DIM
 from repro.kfac.kmath import (
     expand_symmetric,
     expand_triangle,
+    mirror_upper,
     pack_triangle,
     precondition_with_inverse,
     split_damping,
@@ -375,12 +376,17 @@ class TestFusedDecayUpdate:
             np.testing.assert_array_equal(actual, expected)
             running_ref, running_bat = expected, actual
 
-    def test_in_place_and_zero_scratch_growth(self):
+    def test_fresh_result_leaves_running_untouched_and_zero_scratch_growth(self):
+        """A published running factor is never written: the fold returns a fresh array, bitwise the plain blend."""
         backend = KernelBackend()
         running, new = spd_factor(16, 2), spd_factor(16, 3)
+        published, window = running.copy(), new.copy()
         scaled = new * np.float32(1.0 - 0.9)
         result = backend.fused_decay_update(running, new, 0.9, np.float32)
-        assert result is running  # buffer identity, no new array
+        assert result is not running and not np.shares_memory(result, running) and not np.shares_memory(result, new)
+        assert running.tobytes() == published.tobytes()  # bitwise untouched
+        plain = 0.9 * published + (1.0 - 0.9) * window
+        assert result.dtype == plain.dtype == np.float32 and result.tobytes() == plain.tobytes()
         np.testing.assert_array_equal(new, scaled)  # the window average is consumed as the staging buffer
         assert backend.scratch_bytes() == 0  # and no scratch pool is held for the fold
 
@@ -566,9 +572,10 @@ class TestDampedInverse:
         backend = KernelBackend()
         for packed, repr_, factor, damping in ((packed_a, repr_a, a, damping_a), (packed_g, repr_g, g, damping_g)):
             (inverse,) = backend.inverse_task([packed], repr_, [damping])()
-            assert inverse.shape == repr_.packed_shape and inverse.dtype == np.float32
             n = repr_.dim
-            self.assert_float32_close(expand_symmetric(inverse), np.linalg.inv(factor.astype(np.float64) + damping * np.eye(n)))
+            assert inverse.shape == (n, n) and inverse.dtype == np.float32 and inverse.flags.c_contiguous
+            assert inverse.tobytes() == inverse.T.copy().tobytes()  # the installed square is exactly symmetric
+            self.assert_float32_close(inverse, np.linalg.inv(factor.astype(np.float64) + damping * np.eye(n)))
 
     def test_diagonal_inverse_is_the_reciprocal_of_the_damped_diagonal(self):
         diagonal = np.random.default_rng(3).random(57).astype(np.float32)
@@ -594,14 +601,39 @@ class TestDampedInverse:
     @pytest.mark.parametrize("dim", [33, 129])
     def test_the_packed_result_is_bitwise_scipys_potri_on_the_expanded_square(self, dim):
         factor, damping = pack_triangle(spd_factor(dim, seed=7)), 0.01
-        (packed,) = KernelBackend().inverse_task([factor], FactorRepr.dense(dim), [damping])()
+        (result,) = KernelBackend().inverse_task([factor], FactorRepr.dense(dim), [damping])()
         square = expand_triangle(factor, np.zeros((dim, dim), dtype=np.float32, order="F"))  # lower triangle
         np.einsum("ii->i", square)[...] += damping
         cholesky, info = lapack.spotrf(square, lower=1)
         assert info == 0
         inverse, info = lapack.spotri(cholesky, lower=1)
         assert info == 0
-        np.testing.assert_array_equal(packed, inverse.T[np.triu_indices(dim)])  # column by column of the lower
+        # Column by column of the lower triangle, compared as bits apart from the sign of an off-diagonal zero.
+        expected = inverse.T[np.triu_indices(dim)]
+        np.testing.assert_array_equal(pack_triangle(result), expected)
+        assert result.tobytes() == expand_symmetric(expected).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 33, 129, 513])
+    def test_the_installed_square_is_bitwise_what_a_receiver_expands_from_its_triangle(self, dim):
+        """The source installs the square its task mirrored; a receiver, ``expand_symmetric`` of its packed
+        triangle.  Both are the same bits, off-diagonal zeros of either sign included."""
+        rng = np.random.default_rng(dim)
+        factor = spd_factor(dim, seed=dim)
+        factor[np.abs(factor) < np.median(np.abs(factor))] = 0.0  # sparse: the inverse carries exact zeros
+        (square,) = KernelBackend().inverse_task([pack_triangle(factor)], FactorRepr.dense(dim), [0.5])()
+        assert square.flags.c_contiguous and square.tobytes() == expand_symmetric(pack_triangle(square)).tobytes()
+        # The mirror itself, on a triangle with signed zeros: every entry of either sign at every position.
+        lower = rng.standard_normal((dim, dim)).astype(np.float32)
+        lower[rng.random((dim, dim)) < 0.3] = 0.0
+        lower[rng.random((dim, dim)) < 0.3] = -0.0
+        buffer = np.asfortranarray(np.tril(lower))  # column-major, lower triangle filled, zeros above
+        assert np.signbit(buffer).any() and buffer.ravel(order="K")[buffer.ravel(order="K") == 0].size
+        mirrored = mirror_upper(buffer.T)
+        triangle = pack_triangle(buffer.T)  # the row-major upper triangle, its signed zeros kept
+        assert mirrored.flags.c_contiguous
+        assert mirrored.tobytes() == expand_symmetric(triangle).tobytes()
+        assert mirrored.tobytes() == expand_symmetric(pack_triangle(mirrored)).tobytes()
+        assert np.einsum("ii->i", mirrored).tobytes() == np.einsum("ii->i", buffer).tobytes()  # signed zeros kept there
 
     def test_an_indefinite_damped_factor_raises_through_take_naming_layer_factor_and_member(self):
         backend = KernelBackend()

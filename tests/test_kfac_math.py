@@ -21,9 +21,8 @@ RNG = np.random.default_rng(5)
 
 def cholesky_inverse(factor, damping):
     """``(factor + γI)⁻¹`` as a square, from the kernel backend's Cholesky task (one dense factor)."""
-    repr_ = FactorRepr.dense(factor.shape[0])
-    (packed,) = KernelBackend().inverse_task([pack_triangle(factor)], repr_, [damping])()
-    return repr_.to_dense(packed)
+    (square,) = KernelBackend().inverse_task([pack_triangle(factor)], FactorRepr.dense(factor.shape[0]), [damping])()
+    return square
 
 
 def random_spd(n, seed=0, scale=1.0):

@@ -1,6 +1,7 @@
-"""The refresh queue on its own: plain callables as tasks, no preconditioner."""
+"""The refresh queue on its own: plain callables (and the kernel backend's tasks) as tasks, no preconditioner."""
 
 import contextlib
+import sys
 import threading
 import time
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.kfac.factors import FactorRepr
-from repro.kfac.kernels import STACK_EIGH_MAX_DIM
+from repro.kfac.kernels import STACK_EIGH_MAX_DIM, KernelBackend
 from repro.kfac.refresh import RefreshQueue
 from repro.observability import Tracer
 
@@ -171,3 +172,61 @@ def test_a_failed_inverse_is_named_as_one():
     with pytest.raises(np.linalg.LinAlgError, match=r"^damped inverse of the G factor of layer 'l0' failed"):
         queue.take()
     queue.close()
+
+
+@pytest.mark.parametrize("inverse", [True, False], ids=["inverse", "eigen"])
+def test_a_task_the_worker_starts_after_the_fold_still_solves_the_pre_fold_factor(inverse):
+    """The queue keeps references, not copies: the fold makes a new running factor, so the solve the worker
+    starts once the step has folded is bitwise the solve of the factor as it was submitted."""
+    backend = KernelBackend()
+
+    def task(factors, repr_, dampings):
+        if dampings is None:
+            return backend.eigen_task(factors, repr_)
+        return backend.inverse_task(factors, repr_, dampings)
+
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((2 * BIG.dim, BIG.dim)).astype(np.float32)
+    running = BIG.from_dense(rows.T @ rows / np.float32(rows.shape[0]))
+    published = running.copy()
+    damping = 0.01 if inverse else None
+    queue = make_queue(task)
+    with blocked(queue):
+        queue.submit([(("l0", "a"), running, BIG, damping)])
+        window = BIG.from_dense(np.eye(BIG.dim, dtype=np.float32))
+        folded = backend.fused_decay_update(running, window, 0.9, np.float32)
+    queue.tasks[0].future.result(timeout=10)  # the worker solved it, after the fold
+    result = queue.take()[("l0", "a")]
+    assert not np.array_equal(folded, published) and running.tobytes() == published.tobytes()
+    (alone,) = task([published], BIG, None if damping is None else [damping])()
+    if inverse:
+        assert result.tobytes() == alone.tobytes()
+    else:
+        assert result.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert result.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+    queue.close()
+
+
+def test_folds_racing_the_worker_never_change_what_it_solves():
+    """Stress: with a short switch interval the worker solves while the step thread folds over and over; every
+    result is bitwise the solve of the factor as it was submitted."""
+    backend, rng = KernelBackend(), np.random.default_rng(5)
+    interval = sys.getswitchinterval()
+    queue = make_queue(lambda factors, repr_, dampings: backend.inverse_task(factors, repr_, dampings))
+    try:
+        sys.setswitchinterval(1e-6)
+        rows = rng.standard_normal((3 * BIG.dim, BIG.dim)).astype(np.float32)
+        running = BIG.from_dense(rows.T @ rows / np.float32(rows.shape[0]))
+        deadline = time.perf_counter() + 5.0
+        for _ in range(20):
+            submitted = running.copy()
+            queue.submit([(("l0", "a"), running, BIG, 0.01)])
+            for _ in range(10):  # folds while the worker solves
+                window = BIG.from_dense(np.eye(BIG.dim, dtype=np.float32) * np.float32(rng.random()))
+                running = backend.fused_decay_update(running, window, 0.9, np.float32)
+            (expected,) = backend.inverse_task([submitted], BIG, [0.01])()
+            assert queue.take()[("l0", "a")].tobytes() == expected.tobytes()
+            assert time.perf_counter() < deadline
+    finally:
+        sys.setswitchinterval(interval)
+        queue.close()

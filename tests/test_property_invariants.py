@@ -480,6 +480,10 @@ class TestRefreshReadPointProperties:
     @example(world=3, comm_opt=False, cadence=(3, 3), in_features=5, hidden=[36, 7], seed=1, solver="eigen")
     @example(world=3, comm_opt=True, cadence=(5, 10), in_features=3, hidden=[40, 12, 9], seed=2, solver="eigen")
     @example(world=3, comm_opt=True, cadence=(3, 7), in_features=4, hidden=[36, 7], seed=3, solver="inverse")
+    @example(world=1, comm_opt=False, cadence=(1, 1), in_features=6, hidden=[40, 9], seed=4, solver="inverse")
+    @example(world=2, comm_opt=False, cadence=(1, 1), in_features=3, hidden=[36, 12], seed=5, solver="eigen")
+    @example(world=1, comm_opt=True, cadence=(5, 10), in_features=5, hidden=[33, 8], seed=6, solver="eigen")
+    @example(world=2, comm_opt=True, cadence=(5, 10), in_features=4, hidden=[40, 7], seed=7, solver="inverse")
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_each_refresh_decomposes_the_factors_its_step_began_with(
         self, world, comm_opt, cadence, in_features, hidden, seed, solver
@@ -515,7 +519,13 @@ class TestRefreshReadPointProperties:
                 taken.append(pre.actions())
                 found = {name: (layer.factor_a, layer.factor_g) for name, layer in pre.layers.items()}
                 found = {name: tuple(None if f is None else f.copy() for f in pair) for name, pair in found.items()}
+                published = [f for layer in pre.layers.values() for f in (layer.factor_a, layer.factor_g) if f is not None]
                 pre.step()
+                # A published running factor is never written: the fold makes a new array, so a refresh task
+                # holding the old one solves what its step began with.
+                assert [f.tobytes() for f in published] == [
+                    f.tobytes() for pair in found.values() for f in pair if f is not None
+                ], step
                 optimizer.step()
                 for name in taken[-1].refresh if cls is KFAC else ():
                     layer = pre.layers[name]
