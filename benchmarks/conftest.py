@@ -63,7 +63,7 @@ def paper_layout_overhead(memory, world_size: int, grad_worker_frac: float, rank
 
 
 def square_storage_overhead(memory, world_size: int, grad_worker_frac: float) -> int:
-    """Busiest rank's K-FAC bytes under this tree's placement if every held dense factor were a full square.
+    """Busiest rank's K-FAC bytes under this tree's placement if every held factor's blocks were full squares.
 
     The layout between "stored once across the ranks" and "stored once as a
     triangle": what the busiest-rank figures read before packed storage.
@@ -73,7 +73,7 @@ def square_storage_overhead(memory, world_size: int, grad_worker_frac: float) ->
     per_rank = np.zeros(world_size, dtype=np.int64)
     for (name, which), holders in plan.factor_holders.items():
         repr_ = plan.groups[name].layer.factor_repr(which)
-        per_rank[list(holders)] += itemsize * (repr_.dim**2 if repr_.is_dense else repr_.packed_numel)
+        per_rank[list(holders)] += itemsize * repr_.square_numel
     return int((per_rank + refreshed_bytes_per_rank(memory, world_size, grad_worker_frac)).max())
 
 

@@ -188,12 +188,6 @@ class PerformanceModel:
             return 0.0
         return float(n) / (self.device.peak_flops_fp32 * self.eigen_efficiency)
 
-    def block_eigen_time(self, num_blocks: int, block_size: int, dtype_bytes: int = 4) -> float:
-        """Time to decompose a block-diagonal factor: ``num_blocks`` independent problems."""
-        if num_blocks <= 0 or block_size <= 0:
-            return 0.0
-        return float(num_blocks) * self.eigen_decomposition_time(block_size, dtype_bytes)
-
     def matmul_flops(self, m: int, n: int, k: int) -> float:
         """FLOPs of an ``(m x k) @ (k x n)`` matrix multiplication."""
         return 2.0 * float(m) * float(n) * float(k)

@@ -70,7 +70,7 @@ def collect_layer_shapes(
             continue
         shape = layer.shape_info()
         layer.remove()
-        if include_structured or (shape.a_repr.is_dense and shape.g_repr.is_dense):
+        if include_structured or shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1:
             shapes.append(shape)
     return shapes
 

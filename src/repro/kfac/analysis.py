@@ -47,38 +47,29 @@ __all__ = [
 
 def repr_eigen_time(perf: PerformanceModel, repr_: FactorRepr, dtype_bytes: int) -> float:
     """Modeled decomposition time of one factor in its representation."""
-    if repr_.kind == "diagonal":
-        return perf.diagonal_eigen_time(repr_.dim, dtype_bytes)
-    if repr_.kind == "block_diagonal":
-        return perf.block_eigen_time(repr_.num_blocks, repr_.block_size, dtype_bytes)
-    return perf.eigen_decomposition_time(repr_.dim, dtype_bytes)
+    return repr_refresh_time(perf, repr_, dtype_bytes, inverted=False)
 
 
 def repr_refresh_time(perf: PerformanceModel, repr_: FactorRepr, dtype_bytes: int, inverted: bool) -> float:
-    """Modeled refresh time of one factor: its decomposition, or (``inverted``) its damped Cholesky inverse.
+    """Modeled refresh time of one factor: ``k`` times a block's decomposition, or (``inverted``) Cholesky inverse.
 
-    A diagonal factor's inverse is ``n`` reciprocals, priced like its O(n)
-    clamp; a block-diagonal one inverts block by block.
+    A diagonal factor's refresh is ``n`` clamps or reciprocals, priced O(n).
     """
-    if not inverted or repr_.kind == "diagonal":
-        return repr_eigen_time(perf, repr_, dtype_bytes)
-    if repr_.kind == "block_diagonal":
-        return repr_.num_blocks * perf.cholesky_inverse_time(repr_.block_size, dtype_bytes)
-    return perf.cholesky_inverse_time(repr_.dim, dtype_bytes)
+    if repr_.elementwise:
+        return perf.diagonal_eigen_time(repr_.dim, dtype_bytes)
+    per_block = perf.cholesky_inverse_time if inverted else perf.eigen_decomposition_time
+    return repr_.num_blocks * per_block(repr_.block_size, dtype_bytes)
 
 
 def repr_basis_apply_flops(perf: PerformanceModel, repr_: FactorRepr, other_dim: int) -> float:
-    """FLOPs of applying one factor's eigenbasis to a ``repr_.dim x other_dim`` slab.
+    """FLOPs of applying one factor's eigenbasis to a ``repr_.dim x other_dim`` slab: ``k`` block matmuls.
 
-    A dense basis is a full matmul; a diagonal factor's identity basis is
-    free (the contraction keeps only the elementwise eigenvalue multiply);
-    a block-diagonal basis is ``num_blocks`` small matmuls.
+    A diagonal factor's identity basis is free (the contraction keeps only
+    the elementwise eigenvalue multiply).
     """
-    if repr_.kind == "diagonal":
+    if repr_.elementwise:
         return 0.0
-    if repr_.kind == "block_diagonal":
-        return float(repr_.num_blocks) * perf.matmul_flops(repr_.block_size, other_dim, repr_.block_size)
-    return perf.matmul_flops(repr_.dim, other_dim, repr_.dim)
+    return repr_.num_blocks * perf.matmul_flops(repr_.block_size, other_dim, repr_.block_size)
 
 
 @dataclass(frozen=True)
@@ -118,10 +109,9 @@ class KFACWorkloadSpec:
     def factor_bytes(self) -> int:
         """Total bytes of all Kronecker factors in their stored representation.
 
-        Dense factors contribute the ``n(n+1)/2`` elements of their packed
-        triangle; structured ones (diagonal / block-diagonal,
-        :class:`~repro.kfac.factors.FactorRepr`) their packed O(F) element
-        counts, matching what the handlers actually allocate.
+        Each factor contributes the ``k·b(b+1)/2`` elements of its blocks'
+        packed triangles (:class:`~repro.kfac.factors.FactorRepr`): ``n(n+1)/2``
+        dense, ``n`` diagonal, matching what the handlers actually allocate.
         """
         policy = self.config.wire_policy()
         return sum(policy.factor_bytes(layer) for layer in self.layers)
@@ -219,9 +209,8 @@ class IterationTimeModel:
         # --- factor computation (data-parallel, identical on every rank) ----
         rows = spec.local_batch_size * spec.samples_per_input
         # Each factor's accumulation writes exactly its packed element count
-        # per row (dense: one triangle of the outer product, which is what
-        # ``syrk`` computes; diagonal: the squared-row sum; block-diagonal:
-        # per-block outer products).
+        # per row (one triangle of each block's outer product, which is what
+        # ``syrk`` computes; diagonal: the squared-row sum).
         factor_flops = sum(2.0 * rows * (l.a_repr.packed_numel + l.g_repr.packed_numel) for l in spec.layers)
         times["factor_compute"][:] = amortized_update_time(
             self.perf.compute_time(factor_flops, dtype_b), f_freq, spec.factor_update_fraction

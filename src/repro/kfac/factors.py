@@ -1,154 +1,139 @@
-"""Structured Kronecker-factor representations (dense / diagonal / block-diagonal).
+"""The one Kronecker-factor representation: ``k`` diagonal blocks, each stored as a packed triangle.
 
-The paper's cost analysis (Tables 4-5) prices every Kronecker factor as a
-dense ``F x F`` matrix, but several Fisher blocks are *exactly* structured:
-the affine part of a normalization layer has a provably diagonal G (no
-feature-feature cross terms are estimated), and an embedding lookup has a
-diagonal A (token frequencies).  :class:`FactorRepr` names that structure
-once and every subsystem dispatches on it instead of assuming
-``np.ndarray`` squares:
+A Kronecker factor (Eq. 9) is symmetric, and several are *exactly*
+structured: the affine part of a normalization layer has a provably diagonal
+G (no feature-feature cross terms are estimated), and an embedding lookup has
+a diagonal A (token frequencies).  :class:`FactorRepr` describes every factor
+as ``k = dim // block_size`` diagonal blocks of size ``b``: a dense factor is
+one block (``b = dim``), a diagonal one ``dim`` blocks of one (``b = 1``),
+and anything between is a block-diagonal approximation (the Embedding
+handler's ``g_block_size``, DeepFormer's ``diag_blocks``).  Every subsystem
+reads the block size instead of assuming ``np.ndarray`` squares:
 
-* **storage** — handlers accumulate and store the packed form directly: a
-  dense factor is symmetric and is held once, as the ``n(n+1)/2`` elements of
-  its upper triangle row by row (LAPACK's packed format,
-  :func:`~repro.kfac.kmath.pack_triangle`); a diagonal one is ``(n,)`` and a
-  block-diagonal one ``(num_blocks, bs, bs)``, so factor memory is O(F) /
-  O(F·bs) instead of O(F²);
+* **storage** — each block is held once, as the ``b(b+1)/2`` elements of its
+  upper triangle row by row (LAPACK's packed format,
+  :func:`~repro.kfac.kmath.pack_triangle`), and the blocks are concatenated
+  into one flat array of :attr:`FactorRepr.packed_numel` elements: a dense
+  factor is its triangle, a diagonal one its ``(n,)`` vector, so factor memory
+  is O(F·b) instead of O(F²);
 * **communication** — the stored form is the wire form: allreduce specs carry
-  the packed payload (:attr:`packed_shape`), so the bucket manager fuses on
-  real byte counts and a symmetric factor travels once;
-* **eigen** — a diagonal factor's eigendecomposition is a clamp (identity
-  eigenbasis), a block-diagonal factor batches per-block through the
-  kernel backends' ``batched_symmetric_eigen`` seam;
-* **cost model** — :meth:`packed_numel` / :meth:`eigen_flops` feed the
-  per-repr byte/flop accounting of ``kfac/analysis.py`` and
+  the packed payload (:attr:`~FactorRepr.packed_shape`), and a damped inverse
+  travels as the triangles of its blocks (:meth:`~FactorRepr.pack`);
+* **eigen / inverse** — the blocks are solved one by one through the kernel
+  backend's batched seam (one block is the dense call); ``b = 1`` is a clamp
+  or ``1 / (d + γ)`` with an implicit identity basis (:attr:`~FactorRepr.elementwise`);
+* **cost model** — :attr:`~FactorRepr.packed_numel` / :meth:`~FactorRepr.eigen_flops`
+  feed the byte/flop accounting of ``kfac/analysis.py`` and
   ``distributed/cost_model.py``.
 
-Dense stays the default (Linear / Conv2d); forcing ``dense`` on a
-structured layer is the tests' parity oracle (``tests/kernel_oracle.py``).
-Nothing on the default step path needs the square matrix:
-the fold is elementwise and the eigen solve expands the triangle into the
-buffer LAPACK overwrites.  :meth:`FactorRepr.to_dense` /
-:meth:`~FactorRepr.from_dense` are the only conversions, for the readers that
-do (the ``cg`` solver, tests); a damped inverse travels as a triangle
-too and is expanded by :func:`~repro.kfac.kmath.expand_symmetric`.  A block-diagonal factor (the
-Embedding handler's ``g_block_size`` only) keeps square blocks.
+Dense stays the default (Linear / Conv2d); forcing dense on a structured
+layer is the tests' parity oracle (``tests/kernel_oracle.py``).  Nothing on
+the default step path needs the square matrix: the fold is elementwise and
+the solves expand each triangle into the buffer LAPACK overwrites.
+:meth:`FactorRepr.to_dense` / :meth:`~FactorRepr.from_dense` are the only
+conversions, for the readers that do (the ``cg`` solver, tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .kmath import expand_symmetric, pack_triangle
 
-__all__ = ["FactorRepr", "FACTOR_REPR_KINDS"]
-
-#: Valid :attr:`FactorRepr.kind` values.
-FACTOR_REPR_KINDS = ("dense", "diagonal", "block_diagonal")
+__all__ = ["FactorRepr"]
 
 
 @dataclass(frozen=True)
 class FactorRepr:
-    """How one Kronecker factor of dimension ``dim`` is represented.
+    """A factor of dimension ``dim`` as ``dim // block_size`` diagonal blocks of ``block_size``.
 
-    ``kind`` is one of :data:`FACTOR_REPR_KINDS`; ``block_size`` is only
-    meaningful for ``block_diagonal`` (it must divide ``dim``).  Instances
-    are immutable and hashable, so they can key shape groups and enter
-    sanitizer fingerprints directly.
+    ``block_size`` must divide ``dim``.  Instances are immutable and
+    hashable, so they can key shape groups and enter plan digests directly.
     """
 
-    kind: str
     dim: int
-    block_size: int = 0
+    block_size: int
 
     def __post_init__(self) -> None:
-        if self.kind not in FACTOR_REPR_KINDS:
-            raise ValueError(f"unknown factor repr kind {self.kind!r}; expected one of {FACTOR_REPR_KINDS}")
-        if int(self.dim) < 1:
-            raise ValueError(f"factor dimension must be >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "block_size", int(self.block_size))
-        if self.kind == "block_diagonal":
-            if self.block_size < 1:
-                raise ValueError("block_diagonal repr requires block_size >= 1")
-            if self.dim % self.block_size != 0:
-                raise ValueError(
-                    f"block_size {self.block_size} does not divide factor dimension {self.dim}"
-                )
-        elif self.block_size != 0:
-            raise ValueError(f"block_size is only valid for block_diagonal reprs, got kind={self.kind!r}")
+        for field in ("dim", "block_size"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"factor {field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
+        if self.dim < 1 or self.block_size < 1 or self.dim % self.block_size != 0:
+            raise ValueError(
+                f"factor dimension {self.dim} and block size {self.block_size} must be >= 1, "
+                "and the block size must divide the dimension"
+            )
 
     # ----------------------------------------------------------- constructors
     @classmethod
     def dense(cls, dim: int) -> "FactorRepr":
-        return cls("dense", dim)
+        """One block: the whole factor."""
+        return cls(dim, dim)
 
     @classmethod
     def diagonal(cls, dim: int) -> "FactorRepr":
-        return cls("diagonal", dim)
-
-    @classmethod
-    def block_diagonal(cls, dim: int, block_size: int) -> "FactorRepr":
-        return cls("block_diagonal", dim, block_size)
+        """``dim`` blocks of one."""
+        return cls(dim, 1)
 
     # ------------------------------------------------------------- properties
     @property
-    def is_dense(self) -> bool:
-        return self.kind == "dense"
-
-    @property
     def num_blocks(self) -> int:
-        """Number of diagonal blocks (1 for dense, ``dim`` for diagonal)."""
-        if self.kind == "block_diagonal":
-            return self.dim // self.block_size
-        return 1 if self.kind == "dense" else self.dim
+        """``k``: 1 for a dense factor, ``dim`` for a diagonal one."""
+        return self.dim // self.block_size
 
     @property
-    def packed_shape(self) -> Tuple[int, ...]:
-        """Shape of the stored (packed) factor array."""
-        if self.kind == "dense":
-            return (self.packed_numel,)
-        if self.kind == "diagonal":
-            return (self.dim,)
-        return (self.num_blocks, self.block_size, self.block_size)
+    def elementwise(self) -> bool:
+        """Whether the blocks are scalars (``b = 1``, ``k > 1``): the O(F) paths.
+
+        Statistics, solves and inverses are elementwise and the eigenbasis is
+        the implicit identity.  A ``1 x 1`` factor is one block and takes the
+        dense path.
+        """
+        return self.block_size == 1 < self.dim
 
     @property
     def packed_numel(self) -> int:
-        """Elements in the packed factor — the accounting seam: one triangle of a dense factor, O(F) for a diagonal."""
-        if self.kind == "dense":
-            return self.dim * (self.dim + 1) // 2
-        if self.kind == "diagonal":
-            return self.dim
+        """Elements in the stored factor, ``k·b(b+1)/2``: one triangle of a dense factor, O(F) for a diagonal one."""
+        return self.num_blocks * self.block_size * (self.block_size + 1) // 2
+
+    @property
+    def packed_shape(self) -> Tuple[int]:
+        """Shape of the stored (packed) factor array: always flat."""
+        return (self.packed_numel,)
+
+    @property
+    def square_numel(self) -> int:
+        """Elements of the blocks as full squares, ``k·b²``: the paper's layout (``n²`` for a dense factor)."""
         return self.num_blocks * self.block_size * self.block_size
 
     @property
-    def eigenvector_numel(self) -> int:
-        """Elements in the stored eigenbasis (0 for diagonal: identity, implicit)."""
-        if self.kind == "diagonal":
-            return 0
-        if self.kind == "dense":
-            return self.dim * self.dim
-        return self.num_blocks * self.block_size * self.block_size
+    def held_shape(self) -> Tuple[int, ...]:
+        """Shape of a held per-block square array (an eigenbasis, an installed inverse).
+
+        ``(n, n)`` for one block, ``(k, b, b)`` for several, ``(n,)`` when
+        :attr:`elementwise` (an inverse is ``n`` reciprocals).
+        """
+        if self.num_blocks == 1:
+            return (self.dim, self.dim)
+        return (self.dim,) if self.elementwise else (self.num_blocks, self.block_size, self.block_size)
+
+    @property
+    def eigenvector_shape(self) -> Optional[Tuple[int, ...]]:
+        """Shape of the stored eigenbasis (:attr:`held_shape`); None for the implicit identity of :attr:`elementwise`."""
+        return None if self.elementwise else self.held_shape
 
     @property
     def packed_eigen_numel(self) -> int:
         """Elements in one packed eigen buffer: eigenvalues + stored eigenvectors."""
-        return self.dim + self.eigenvector_numel
+        return self.dim + (0 if self.eigenvector_shape is None else self.square_numel)
 
     def eigen_flops(self) -> float:
-        """Flop-count proxy of one eigendecomposition in this representation.
-
-        Dense keeps the historical O(n³) proxy; diagonal is O(n) (a clamp over
-        the spectrum); block-diagonal decomposes ``num_blocks`` independent
-        ``bs x bs`` problems.
-        """
-        if self.kind == "dense":
-            return float(self.dim) ** 3
-        if self.kind == "diagonal":
-            return float(self.dim)
+        """Flop-count proxy of one eigendecomposition: ``k·b³`` (``n³`` dense, ``n`` diagonal)."""
         return float(self.num_blocks) * float(self.block_size) ** 3
 
     # ------------------------------------------------------------ conversions
@@ -159,79 +144,90 @@ class FactorRepr:
                 f"{what} has shape {tuple(packed.shape)}, expected {self.packed_shape} for {self.describe()}"
             )
 
+    def blocks(self, packed: np.ndarray) -> np.ndarray:
+        """The ``(k, b(b+1)/2)`` view of ``packed``: one block's triangle per row."""
+        return packed.reshape(self.num_blocks, -1)
+
     def diagonal_positions(self) -> np.ndarray:
-        """Where the diagonal of a dense factor sits in its packed triangle: row ``i`` starts at ``i·n − i(i−1)/2``."""
-        if self.kind != "dense":
-            raise ValueError(f"only a dense factor is stored as a packed triangle, not {self.describe()}")
-        rows = np.arange(self.dim)
-        return rows * self.dim - rows * (rows - 1) // 2
+        """Where the diagonal sits in the packed array.
+
+        Block ``j``'s row ``i`` starts at ``j·b(b+1)/2 + i·b − i(i−1)/2``: every
+        position for blocks of one, ``i·n − i(i−1)/2`` for one block.
+        """
+        rows = np.arange(self.block_size)
+        within = rows * self.block_size - rows * (rows - 1) // 2
+        starts = np.arange(0, self.packed_numel, self.block_size * (self.block_size + 1) // 2)
+        return (starts[:, None] + within).ravel()
+
+    def pack(self, held: np.ndarray) -> np.ndarray:
+        """The packed form of a held symmetric array (:attr:`held_shape`): its blocks' triangles, concatenated."""
+        if self.elementwise:
+            return held
+        b = self.block_size
+        return np.concatenate([pack_triangle(square) for square in held.reshape(-1, b, b)])
+
+    def expand(self, packed: np.ndarray) -> np.ndarray:
+        """The held form (:attr:`held_shape`) of a packed symmetric array, as a fresh array: inverse of :meth:`pack`."""
+        if self.elementwise:
+            return packed.copy()
+        return self.stack([expand_symmetric(block) for block in self.blocks(packed)])
+
+    def stack(self, squares: List[np.ndarray]) -> np.ndarray:
+        """Per-block squares as held: the one square itself, or their ``(k, b, b)`` stack."""
+        return squares[0] if len(squares) == 1 else np.stack(squares)
 
     def to_dense(self, packed: np.ndarray) -> np.ndarray:
         """Expand the packed factor to the mathematically equal dense matrix."""
         packed = np.asarray(packed)
         self.check_packed(packed)
-        if self.kind == "dense":
-            return expand_symmetric(packed)
-        if self.kind == "diagonal":
-            return np.diag(packed)
         out = np.zeros((self.dim, self.dim), dtype=packed.dtype)
-        bs = self.block_size
-        for index in range(self.num_blocks):
-            start = index * bs
-            out[start : start + bs, start : start + bs] = packed[index]
+        b = self.block_size
+        for start, block in zip(range(0, self.dim, b), self.blocks(packed)):
+            out[start : start + b, start : start + b] = expand_symmetric(block)
         return out
 
     def from_dense(self, dense: np.ndarray) -> np.ndarray:
         """Project a dense matrix onto this representation (inverse of :meth:`to_dense`).
 
-        A dense representation keeps the upper triangle: the matrix is taken
-        to be symmetric and its lower triangle is not read.
+        Each diagonal block keeps its upper triangle: the matrix is taken to
+        be symmetric, and nothing below the diagonal or off the blocks is read.
         """
         dense = np.asarray(dense)
         if dense.shape != (self.dim, self.dim):
             raise ValueError(f"dense factor has shape {dense.shape}, expected {(self.dim, self.dim)}")
-        if self.kind == "dense":
-            return pack_triangle(dense)
-        if self.kind == "diagonal":
-            return np.ascontiguousarray(np.diagonal(dense))
-        bs = self.block_size
-        blocks = [dense[i * bs : (i + 1) * bs, i * bs : (i + 1) * bs] for i in range(self.num_blocks)]
-        return np.stack(blocks)
+        b = self.block_size
+        return np.concatenate([pack_triangle(dense[i : i + b, i : i + b]) for i in range(0, self.dim, b)])
 
     def trace(self, packed: np.ndarray) -> float:
-        """Trace of the represented matrix, computed on the packed form."""
-        packed = np.asarray(packed)
-        if self.kind == "dense":
-            return float(np.sum(packed[self.diagonal_positions()].astype(np.float64)))
-        if self.kind == "diagonal":
-            return float(np.sum(packed.astype(np.float64)))
-        return float(np.einsum("nii->", packed.astype(np.float64)))
+        """Trace of the represented matrix, computed on the packed form (float64)."""
+        return float(np.sum(np.asarray(packed)[self.diagonal_positions()].astype(np.float64)))
 
     def frobenius_norm(self, packed: np.ndarray) -> float:
         """Frobenius norm of the represented matrix (float64), computed on the packed form.
 
-        A packed triangle holds each off-diagonal entry of the matrix once, so
-        the full-matrix norm is ``sqrt(2·Σp² − Σdiag²)``; the other forms hold
-        exactly the nonzero entries.
+        A packed triangle holds each off-diagonal entry of its block once, so
+        the full-matrix norm is ``sqrt(2·Σp² − Σdiag²)`` (exactly ``Σp²`` when
+        every element is a diagonal one).
         """
         packed = np.asarray(packed, dtype=np.float64)
-        squares = float(np.vdot(packed, packed))
-        if self.kind == "dense":
-            diagonal = packed[self.diagonal_positions()]
-            squares = 2.0 * squares - float(np.vdot(diagonal, diagonal))
-        return float(np.sqrt(squares))
+        diagonal = packed[self.diagonal_positions()]
+        return float(np.sqrt(2.0 * float(np.vdot(packed, packed)) - float(np.vdot(diagonal, diagonal))))
 
     # ---------------------------------------------------------- serialization
     def to_state(self) -> dict:
         """Plain-dict tag for checkpoints (:meth:`KFACLayer.state_dict`)."""
-        return {"kind": self.kind, "dim": self.dim, "block_size": self.block_size}
+        return {"dim": self.dim, "block_size": self.block_size}
 
     @classmethod
     def from_state(cls, state: dict) -> "FactorRepr":
-        return cls(str(state["kind"]), int(state["dim"]), int(state["block_size"]))
+        """The repr :meth:`to_state` wrote; ``ValueError`` for any other tag."""
+        if not isinstance(state, dict) or set(state) != {"dim", "block_size"}:
+            found = sorted(state) if isinstance(state, dict) else type(state).__name__
+            raise ValueError(f"factor repr tag must have exactly the keys ['block_size', 'dim'], got {found}")
+        return cls(state["dim"], state["block_size"])
 
     def describe(self) -> str:
-        """Compact human/sanitizer tag, e.g. ``dense:128`` or ``block_diagonal:128x16``."""
-        if self.kind == "block_diagonal":
-            return f"{self.kind}:{self.dim}x{self.block_size}"
-        return f"{self.kind}:{self.dim}"
+        """Compact human tag: ``dense:128``, ``diagonal:64`` or ``blocks:1024x64``."""
+        if self.num_blocks == 1:
+            return f"dense:{self.dim}"
+        return f"diagonal:{self.dim}" if self.elementwise else f"blocks:{self.dim}x{self.block_size}"

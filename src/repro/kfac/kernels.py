@@ -11,8 +11,8 @@ They sit behind one class, :class:`KernelBackend` (named ``batched``):
   path's refresh): ``?potrf`` + ``?potri`` on the damped factor, expanded
   from its triangle with ``?tpttr`` (all bound beside ``?syevd`` and called
   without the interpreter lock) and mirrored into the symmetric square that
-  is installed; a diagonal factor is ``1 / (d + γ)``, a block-diagonal one
-  is inverted block by block.  Each step then preconditions with
+  is installed, block by block; a diagonal factor (blocks of one) is
+  ``1 / (d + γ)``.  Each step then preconditions with
   ``G⁻¹ · V · A⁻¹`` (:meth:`KernelBackend.precondition_inverse`): two GEMMs;
 
 * **eigendecomposition** over shape-grouped factor stacks: small factors
@@ -182,9 +182,9 @@ class KernelBackend:
         Each factor is the packed triangle a dense
         :class:`~repro.kfac.factors.FactorRepr` stores (1-D, ``n(n+1)/2``
         elements), or a square matrix, which is packed on entry; all must share
-        one dimension (callers group by it before dispatch).  A diagonal
-        factor's vector does not belong here -- :meth:`structured_eigen`
-        dispatches on the repr.  Results are per-matrix identical regardless
+        one dimension (callers group by it before dispatch).  A factor of
+        several blocks does not belong here -- :meth:`eigen_task` passes its
+        blocks' triangles.  Results are per-matrix identical regardless
         of batch composition (LAPACK is applied matrix-by-matrix under the
         hood), so distributed plans stay deterministic even though different
         ranks batch different factor subsets.  An error raised by the solve
@@ -287,26 +287,21 @@ class KernelBackend:
     ) -> Callable[[], List[EigenDecomposition]]:
         """The decompositions of ``factors``, all stored as ``repr``, in two halves like :meth:`batched_eigen_task`.
 
-        * ``dense`` -- :meth:`batched_eigen_task` of the packed triangles;
-        * ``diagonal`` -- O(F): the eigenvalues *are* the (clamped) stored
-          vector and the eigenbasis is the implicit identity.  The spectrum
-          is kept in coordinate order rather than sorted -- sorting would
-          force materialising a permutation basis, and the preconditioning
-          contraction is invariant to the ordering;
-        * ``block_diagonal`` -- the per-block problems go through
-          :meth:`batched_eigen_task` (the same seam the shape-grouped
-          dispatch uses), so a backend's batched kernel covers them too;
-          the blocks are stored square and packed on entry.
+        The blocks' packed triangles go through :meth:`batched_eigen_task`
+        (one block is the dense call itself, several are that seam's one
+        group, so a backend's batched kernel covers them too), the
+        eigenvalues concatenated and the bases stacked block by block.  An
+        :attr:`~repro.kfac.factors.FactorRepr.elementwise` factor is O(F):
+        the eigenvalues *are* the (clamped) stored vector and the eigenbasis
+        is the implicit identity, the spectrum kept in coordinate order
+        rather than sorted -- sorting would force materialising a
+        permutation basis, and the preconditioning contraction is invariant
+        to the ordering.
         """
         factors = list(factors)
         for factor in factors:
             repr.check_packed(factor)
-        if repr.kind == "dense":
-            return self.batched_eigen_task(
-                factors, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
-            )
-        compute_dtype = np.dtype(compute_dtype)
-        if repr.kind == "diagonal":
+        if repr.elementwise:
             solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
 
             def clamp() -> List[EigenDecomposition]:
@@ -321,7 +316,7 @@ class KernelBackend:
 
             return clamp
         blocks = self.batched_eigen_task(
-            [block for factor in factors for block in factor],
+            [block for factor in factors for block in repr.blocks(factor)],
             compute_dtype=compute_dtype,
             clamp_negative=clamp_negative,
             eigh_dtype=eigh_dtype,
@@ -332,7 +327,7 @@ class KernelBackend:
             members = [decompositions[start : start + count] for start in range(0, len(decompositions), count)]
             return [
                 EigenDecomposition(
-                    eigenvectors=np.stack([dec.eigenvectors for dec in member]),
+                    eigenvectors=repr.stack([dec.eigenvectors for dec in member]),
                     eigenvalues=np.concatenate([dec.eigenvalues for dec in member]),
                 )
                 for member in members
@@ -355,21 +350,19 @@ class KernelBackend:
         finite, expands it damped and solves; an error carries the failing
         member's position as ``error.batch_index``.  The solve runs in at
         least single precision (:func:`~repro.kfac.kmath.eigh_solve_dtype`)
-        and each result is the inverse as it is installed:
-
-        * ``dense`` -- ``?potrf`` + ``?potri`` on the damped square, mirrored
-          into the C-order symmetric square
-          (:func:`~repro.kfac.kmath.inverse_of_expanded`), bitwise what a
-          receiver expands from its packed triangle;
-        * ``diagonal`` -- ``1 / (d + γ)``, O(F);
-        * ``block_diagonal`` -- every block inverted as a dense factor, kept
-          as its symmetric square (the stored blocks are squares).
+        and each result is the inverse as it is installed
+        (:attr:`~repro.kfac.factors.FactorRepr.held_shape`): every block's
+        ``?potrf`` + ``?potri`` on its damped square, mirrored into the C-order
+        symmetric square (:func:`~repro.kfac.kmath.inverse_of_expanded`),
+        bitwise what a receiver expands from its packed triangle; an
+        :attr:`~repro.kfac.factors.FactorRepr.elementwise` factor's is
+        ``1 / (d + γ)``, O(F).
         """
         factors, dampings = list(factors), list(dampings)
         for factor in factors:
             repr.check_packed(factor)
         solve_dtype = eigh_solve_dtype(compute_dtype)
-        if repr.kind == "diagonal":
+        if repr.elementwise:
 
             def reciprocals() -> List[np.ndarray]:
                 _reject_non_finite(factors, repr.dim)
@@ -389,9 +382,10 @@ class KernelBackend:
             inverses = []
             for index, (factor, damping) in enumerate(zip(factors, dampings)):
                 with _member(index):
-                    blocks = factor if repr.kind == "block_diagonal" else [factor]
-                    squares = [inverse_of_expanded(expand_damped(block, damping, solve_dtype)) for block in blocks]
-                inverses.append(squares[0] if repr.kind == "dense" else np.stack(squares))
+                    squares = [
+                        inverse_of_expanded(expand_damped(block, damping, solve_dtype)) for block in repr.blocks(factor)
+                    ]
+                inverses.append(repr.stack(squares))
             return inverses
 
         return solve_each

@@ -57,15 +57,15 @@ __all__ = [
 class EigenDecomposition:
     """Eigenvectors and eigenvalues of a symmetric Kronecker factor.
 
-    ``eigenvalues`` is always the flat ``(n,)`` spectrum.  ``eigenvectors``
-    depends on the factor representation:
+    ``eigenvalues`` is always the flat ``(n,)`` spectrum, block by block.
+    ``eigenvectors`` is the factor's
+    :attr:`~repro.kfac.factors.FactorRepr.eigenvector_shape`:
 
-    * ``(n, n)`` — dense factor, columns are eigenvectors;
-    * ``None`` — diagonal factor: the eigenbasis is the identity and is never
-      materialised (the eigenvalues are the clamped diagonal, kept in
-      coordinate order so they stay aligned with the implicit basis);
-    * ``(num_blocks, bs, bs)`` — block-diagonal factor: the per-block
-      eigenbases, with the eigenvalues concatenated block by block.
+    * ``(n, n)`` — one block (a dense factor), columns are eigenvectors;
+    * ``(k, b, b)`` — ``k`` blocks of ``b``: the per-block eigenbases;
+    * ``None`` — blocks of one (a diagonal factor): the eigenbasis is the
+      identity and is never materialised (the eigenvalues are the clamped
+      diagonal, kept in coordinate order so they stay aligned with it).
     """
 
     eigenvectors: Optional[np.ndarray]
@@ -159,23 +159,28 @@ def _lapack_dtype(dtype) -> np.dtype:
     return np.promote_types(dtype, np.float32)
 
 
-def pack_triangle(square: np.ndarray) -> np.ndarray:
+def pack_triangle(square: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The upper triangle of ``square``, row by row: ``n(n+1)/2`` elements, in ``square``'s dtype.
 
-    The storage form, and the wire form, of a dense symmetric factor.  Row
-    ``i`` contributes columns ``i..n-1``, which is exactly LAPACK's packed
+    The storage form, and the wire form, of one block of a symmetric factor.
+    Row ``i`` contributes columns ``i..n-1``, which is exactly LAPACK's packed
     ``'L'`` format of the column-major matrix occupying the same memory, so
     this is one ``?trttp`` call (no index arrays, the interpreter lock
-    released).  ``square`` is not modified; a float16 one goes through float32.
+    released).  ``square`` is not modified; a float16 one goes through
+    float32.  ``out``, a contiguous ``(n(n+1)/2,)`` array of ``square``'s
+    float32 / float64 dtype, receives the triangle and is returned.
     """
     if square.ndim != 2 or square.shape[0] != square.shape[1]:
         raise ValueError(f"factor must be square, got shape {square.shape}")
     n = square.shape[0]
     work = np.ascontiguousarray(square, dtype=_lapack_dtype(square.dtype))
-    packed = np.empty(n * (n + 1) // 2, dtype=work.dtype)
+    if out is None:
+        out = np.empty(n * (n + 1) // 2, dtype=work.dtype)
+    elif out.shape != (n * (n + 1) // 2,) or not out.dtype == square.dtype == work.dtype or not out.flags.c_contiguous:
+        raise ValueError(f"cannot pack a {square.dtype} square of shape {square.shape} into this output")
     order, info = ctypes.c_int(n), ctypes.c_int(0)
-    _TRTTP[work.dtype](b"L", order, work.ctypes.data, order, packed.ctypes.data, info)
-    return packed.astype(square.dtype, copy=False)
+    _TRTTP[work.dtype](b"L", order, work.ctypes.data, order, out.ctypes.data, info)
+    return out.astype(square.dtype, copy=False)
 
 
 def expand_triangle(packed: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -382,9 +387,8 @@ def tikhonov_pi(factor_a: np.ndarray, factor_g: np.ndarray, a_repr, g_repr, eps:
     scale.  Degenerate traces (zero, negative, non-finite) fall back to 1.0,
     which reduces to the uncorrected split.  The factors come in their stored
     form and ``a_repr`` / ``g_repr`` (their
-    :class:`~repro.kfac.factors.FactorRepr`) say which that is: a 1-D array is
-    a diagonal or the packed triangle of a dense factor, and only the repr
-    knows where its diagonal sits.
+    :class:`~repro.kfac.factors.FactorRepr`) say where in the packed blocks
+    the diagonal sits.
     """
     trace_a = a_repr.trace(factor_a) / max(a_repr.dim, 1)
     trace_g = g_repr.trace(factor_g) / max(g_repr.dim, 1)
@@ -542,8 +546,8 @@ def precondition_with_inverse(grad: np.ndarray, inv_a: np.ndarray, inv_g: np.nda
 
     Each inverse comes in the form a holder installs it: ``(n, n)`` for a
     dense factor, the ``(n,)`` reciprocal diagonal ``1 / (d + γ)`` of a
-    diagonal one (a scaling of rows or columns), ``(num_blocks, bs, bs)``
-    for a block-diagonal one (applied block by block, like
+    diagonal one (a scaling of rows or columns), ``(k, b, b)`` for ``k``
+    blocks (applied block by block, like
     :func:`apply_eigenbasis_left` / :func:`apply_eigenbasis_right`).
     """
     out = _apply_inverse_left(grad.astype(np.float32, copy=False), inv_g.astype(np.float32, copy=False))

@@ -226,18 +226,19 @@ class KFACLayer:
     def _row_outer_contribution(rows: np.ndarray, repr: FactorRepr) -> np.ndarray:
         """``Σ rowᵀ row`` projected onto ``repr``, computed in packed form (float32).
 
-        Dense is one product of the (once-cast) buffer with its own transpose,
-        i.e. ``syrk``, packed to its triangle; diagonal keeps only
-        per-coordinate squares; block-diagonal keeps per-block outer products
-        — no dense temporary is ever built for a structured factor.
+        Each block is one product of its (once-cast) columns with their own
+        transpose, i.e. ``syrk``, packed to its triangle -- one block is the
+        whole buffer; an elementwise factor keeps only per-coordinate squares.
+        No square beyond one block is ever built.
         """
         rows32 = rows.astype(np.float32, copy=False)
-        if repr.kind == "dense":
-            return pack_triangle(rows32.T @ rows32)
-        if repr.kind == "diagonal":
+        if repr.elementwise:
             return np.sum(rows32 * rows32, axis=0)
-        blocks = rows32.reshape(rows32.shape[0], repr.num_blocks, repr.block_size)
-        return np.einsum("rnb,rnc->nbc", blocks, blocks)
+        packed, b = np.empty(repr.packed_numel, dtype=np.float32), repr.block_size
+        for start, triangle in zip(range(0, repr.dim, b), repr.blocks(packed)):
+            columns = rows32[:, start : start + b]
+            pack_triangle(columns.T @ columns, out=triangle)
+        return packed
 
     def _add_a_contribution(self, contribution: np.ndarray, count: int) -> None:
         """Accumulate an already formed float32 ``Σ rowᵀ row`` over ``count`` rows, in packed form (adopts the array)."""
@@ -278,8 +279,9 @@ class KFACLayer:
     def _add_diagonal_g_stat(self, squares: np.ndarray, count: int) -> None:
         """Accumulate per-feature G second moments (normalization handlers).
 
-        Structured storage adds straight into the packed vector; the forced
-        ``dense`` oracle adds to the diagonal of a dense factor's triangle.
+        The values go to the diagonal positions of the packed factor: the
+        whole vector of the natural elementwise storage, the diagonal of the
+        forced-dense oracle's triangle.
         """
         self._g_accum = self._add_to_diagonal(self._g_accum, self.g_repr, squares)
         self._g_count += count
@@ -289,10 +291,7 @@ class KFACLayer:
         """``accum`` (zeros if ``None``) with ``values`` added on the diagonal: no cross terms, no dense temporary."""
         if accum is None:
             accum = np.zeros(repr.packed_shape, dtype=np.float32)
-        if repr.is_dense:
-            accum[repr.diagonal_positions()] += values
-        else:
-            accum += values
+        accum[repr.diagonal_positions()] += values
         return accum
 
     # -------------------------------------------------------------- factors
@@ -388,7 +387,10 @@ class KFACLayer:
         inverse_dtype = self.precision.inverse_dtype
 
         for which, repr in (("a", self.a_repr), ("g", self.g_repr)):
-            stored = FactorRepr.from_state(state[f"{which}_repr"])
+            try:
+                stored = FactorRepr.from_state(state[f"{which}_repr"])
+            except (KeyError, ValueError) as error:
+                raise ValueError(f"layer {self.name!r}: malformed {which.upper()} factor repr tag: {error}") from None
             if stored != repr:
                 raise ValueError(
                     f"layer {self.name!r}: checkpoint stores the {which.upper()} factor as "
@@ -414,22 +416,14 @@ class KFACLayer:
                     f"layer {self.name!r}: {what} eigenvalues have shape {eigenvalues.shape}, "
                     f"expected {(repr.dim,)}"
                 )
-            raw_vectors = value["eigenvectors"]
-            if repr.kind == "diagonal":
-                if raw_vectors is not None:
-                    raise ValueError(
-                        f"layer {self.name!r}: {what} eigenvectors must be None for a diagonal factor"
-                    )
-                eigenvectors = None
-            else:
-                eigenvectors = np.asarray(raw_vectors)
-                expected = (repr.dim, repr.dim) if repr.is_dense else repr.packed_shape
-                if eigenvectors.shape != expected:
-                    raise ValueError(
-                        f"layer {self.name!r}: {what} eigenvectors have shape {eigenvectors.shape}, "
-                        f"expected {expected}"
-                    )
-                eigenvectors = eigenvectors.astype(inverse_dtype)
+            raw_vectors, expected = value["eigenvectors"], repr.eigenvector_shape
+            found = None if raw_vectors is None else np.shape(raw_vectors)
+            if found != expected:
+                raise ValueError(
+                    f"layer {self.name!r}: {what} eigenvectors have shape {found}, expected {expected} "
+                    f"for {repr.describe()} (None: the implicit identity basis)"
+                )
+            eigenvectors = None if raw_vectors is None else np.asarray(raw_vectors).astype(inverse_dtype)
             return EigenDecomposition(
                 eigenvectors=eigenvectors, eigenvalues=eigenvalues.astype(inverse_dtype)
             )
@@ -633,9 +627,7 @@ class KFACEmbeddingLayer(KFACLayer):
         return FactorRepr.diagonal(self.a_dim)
 
     def _g_repr_impl(self) -> FactorRepr:
-        if self.g_block_size is None:
-            return FactorRepr.dense(self.g_dim)
-        return FactorRepr.block_diagonal(self.g_dim, int(self.g_block_size))
+        return FactorRepr(self.g_dim, self.g_dim if self.g_block_size is None else self.g_block_size)
 
     def _accumulate_a(self, x: np.ndarray, output) -> None:
         ids = np.asarray(x).reshape(-1).astype(np.int64)

@@ -81,14 +81,7 @@ from ..nn.module import Module
 from .base import CHECKPOINT_FORMAT, check_checkpoint_format
 from .config import KFACConfig
 from .kernels import KernelBackend
-from .kmath import (
-    eigenvalue_outer_product,
-    expand_symmetric,
-    kl_clip_scale_from_total,
-    pack_triangle,
-    split_damping,
-    tikhonov_pi,
-)
+from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, split_damping, tikhonov_pi
 from .layers import KFACLayer, make_kfac_layer
 from .refresh import RefreshQueue
 from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
@@ -546,12 +539,11 @@ class KFAC:
             repr_, solver = layer.factor_repr(which), self.solvers[name]
 
             def payload() -> np.ndarray:
-                inverse = getattr(solver, f"inv_{which}")
-                return pack_triangle(inverse) if repr_.is_dense else inverse
+                return repr_.pack(getattr(solver, f"inv_{which}"))
 
             def install(packed: np.ndarray) -> None:
                 if spec.src != self.rank:  # the source installed its own result
-                    solver.install(which, expand_symmetric(packed) if repr_.is_dense else packed.copy())
+                    solver.install(which, repr_.expand(packed))
 
         elif what in ("eigen_a", "eigen_g"):
             repr_ = layer.factor_repr(what[-1])

@@ -70,18 +70,18 @@ class RefreshQueue:
         """Make the task of each ``(key, factor, repr, damping)`` now and queue it; a key already pending is skipped.
 
         ``damping`` is None for a decomposition, the factor's ``γ`` for a
-        damped inverse.  A factor above
-        :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM`, or one that is not
-        dense, is a task of its own, so :meth:`take` can solve any of them the
-        worker has not started; the dense ones at or below it are one stacked
-        task per dimension, dtype and kind of solve.  A failure to make a
+        damped inverse.  A factor whose blocks are above
+        :data:`~repro.kfac.kernels.STACK_EIGH_MAX_DIM`, or of size one, is a
+        task of its own, so :meth:`take` can solve any of them the worker has
+        not started; the others are one stacked task per representation,
+        dtype and kind of solve.  A failure to make a
         task waits, like a failed solve, for :meth:`take` to raise it.
         """
         queued = {key for task in self.tasks for key in task.keys}
         groups: Dict[Hashable, list] = {}
         for key, factor, repr_, damping in factors:
             if key not in queued:
-                stacked = repr_.is_dense and repr_.dim <= STACK_EIGH_MAX_DIM
+                stacked = 1 < repr_.block_size <= STACK_EIGH_MAX_DIM
                 group = (repr_, factor.dtype.str, damping is None) if stacked else key
                 groups.setdefault(group, []).append((key, factor, repr_, damping))
         for members in groups.values():

@@ -35,11 +35,11 @@ def factor_drift(new: np.ndarray, old: np.ndarray, repr=None) -> float:
 
     Factors arrive in their stored form and ``repr`` (their
     :class:`~repro.kfac.factors.FactorRepr`) says which: the packed triangle of
-    a dense factor holds every off-diagonal entry once, so its norm weighs
-    them twice (:meth:`~repro.kfac.factors.FactorRepr.frobenius_norm`) and the
-    drift stays the full-matrix quantity ``drift_tol`` was tuned on.  A
-    diagonal vector or a block stack holds exactly the nonzero entries; with
-    ``repr=None`` the arrays are taken at face value (any shape).
+    each block holds every off-diagonal entry once, so its norm weighs them
+    twice (:meth:`~repro.kfac.factors.FactorRepr.frobenius_norm`) and the
+    drift stays the full-matrix quantity ``drift_tol`` was tuned on (a
+    diagonal vector holds exactly the nonzero entries); with ``repr=None`` the
+    arrays are taken at face value (any shape).
     """
     norm = np.linalg.norm if repr is None else repr.frobenius_norm
     old64 = old.astype(np.float64)

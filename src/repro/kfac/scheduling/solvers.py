@@ -32,7 +32,6 @@ import numpy as np
 from ..kmath import split_damping
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..factors import FactorRepr
     from ..layers import KFACLayer
     from ..strategy import LayerShapeInfo, WirePolicy
 
@@ -187,23 +186,18 @@ class InverseSolveStrategy(SolveStrategy):
 
     @classmethod
     def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
-        """``inv_a`` and ``inv_g`` as installed: ``n²`` for a dense factor, ``n`` for a diagonal one, ``blocks·bs²`` for a block-diagonal one."""
-        numel = sum(math.prod(cls.installed_shape(r)) for r in (layer.a_repr, layer.g_repr))
+        """``inv_a`` and ``inv_g`` as installed (:attr:`FactorRepr.held_shape`): ``k·b²``, ``n`` for a diagonal one."""
+        numel = sum(math.prod(r.held_shape) for r in (layer.a_repr, layer.g_repr))
         return numel * np.dtype(policy.precision.inverse_dtype).itemsize
 
-    @staticmethod
-    def installed_shape(repr_: "FactorRepr") -> Tuple[int, ...]:
-        """The shape of an installed inverse: ``(n, n)`` dense, ``(n,)`` diagonal, ``(blocks, bs, bs)`` block-diagonal."""
-        return (repr_.dim, repr_.dim) if repr_.is_dense else repr_.packed_shape
-
     def install(self, which: str, inverse: np.ndarray) -> None:
-        """Install the ``"a"`` / ``"g"`` inverse in the form the GEMMs read (:meth:`installed_shape`), as it is.
+        """Install the ``"a"`` / ``"g"`` inverse in the form the GEMMs read (:attr:`FactorRepr.held_shape`), as it is.
 
-        The decomposer installs its refresh task's result: a dense factor's
-        C-order symmetric square, mirrored on the worker.  The other gradient
-        workers install :func:`~repro.kfac.kmath.expand_symmetric` of the
-        packed triangle the eigen round carries, which is the same bits, so
-        the replicas precondition bitwise alike.
+        The decomposer installs its refresh task's result: the C-order
+        symmetric squares of the factor's blocks, mirrored on the worker.  The
+        other gradient workers install :meth:`FactorRepr.expand` of the packed
+        triangles the eigen round carries, which is the same bits, so the
+        replicas precondition bitwise alike.
         """
         setattr(self, f"inv_{which}", inverse)
 
@@ -234,7 +228,7 @@ class InverseSolveStrategy(SolveStrategy):
         for which in ("a", "g"):
             value = state[f"inv_{which}"]
             if value is not None:
-                value, expected = np.asarray(value), self.installed_shape(layer.factor_repr(which))
+                value, expected = np.asarray(value), layer.factor_repr(which).held_shape
                 if value.shape != expected or value.dtype.kind != "f":
                     raise ValueError(
                         f"layer {layer.name!r}: checkpoint inverse of the {which.upper()} factor is a {value.dtype} "

@@ -67,10 +67,10 @@ __all__ = [
 def pack_eigen(eigen: EigenDecomposition, dtype=np.float32) -> np.ndarray:
     """Pack an eigen decomposition into one flat buffer in ``dtype``.
 
-    The buffer is the eigenvalues followed by the stored eigenvectors —
-    ``n + n*n`` elements for a dense factor (the eigenbasis is not symmetric: it stays square), ``n`` for a diagonal one (the
-    identity eigenbasis is implicit and never hits the wire) and
-    ``n + num_blocks*bs²`` for a block-diagonal stack.
+    The buffer is the eigenvalues followed by the stored eigenvectors:
+    ``n + k·b²`` elements (an eigenbasis is not symmetric, so its blocks stay
+    square; ``n + n²`` for a dense factor), and ``n`` for a diagonal one (the
+    identity eigenbasis is implicit and never hits the wire).
     """
     parts = [eigen.eigenvalues.astype(dtype).reshape(-1)]
     if eigen.eigenvectors is not None:
@@ -85,13 +85,8 @@ def unpack_eigen_repr(packed: np.ndarray, repr: FactorRepr, dtype=np.float32) ->
         raise ValueError(
             f"packed eigen buffer has {packed.size} elements, expected {expected} for {repr.describe()}"
         )
-    eigenvalues = packed[: repr.dim].astype(dtype)
-    if repr.kind == "diagonal":
-        eigenvectors = None
-    elif repr.kind == "dense":
-        eigenvectors = packed[repr.dim :].reshape(repr.dim, repr.dim).astype(dtype)
-    else:
-        eigenvectors = packed[repr.dim :].reshape(repr.packed_shape).astype(dtype)
+    eigenvalues, shape = packed[: repr.dim].astype(dtype), repr.eigenvector_shape
+    eigenvectors = None if shape is None else packed[repr.dim :].reshape(shape).astype(dtype)
     return EigenDecomposition(eigenvectors=eigenvectors, eigenvalues=eigenvalues)
 
 
@@ -129,8 +124,8 @@ class LayerShapeInfo:
     def eigen_cost(self) -> float:
         """Per-repr eigen-decomposition cost proxy used by the LPT scheduler.
 
-        Dense keeps the historical O(N³); diagonal is O(N) and
-        block-diagonal O(num_blocks · bs³).
+        ``k·b³`` per factor: the historical O(N³) for a dense one, O(N)
+        for a diagonal one.
         """
         return self.a_repr.eigen_flops() + self.g_repr.eigen_flops()
 
@@ -413,8 +408,8 @@ def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, inverted: bool) -> 
     in the inverse dtype so fp64 / fp16 are not truncated on the wire), and
     nothing else: the cached outer product is a function of the eigenvalues,
     so every holder forms its own.  A damped inverse travels in its factor's
-    packed form (:attr:`FactorRepr.packed_shape`: the triangle of a dense
-    one, the ``n`` reciprocals of a diagonal one).  A group of one moves
+    packed form (:attr:`FactorRepr.packed_shape`: the triangles of its
+    blocks, the ``n`` reciprocals of a diagonal one).  A group of one moves
     nothing: its only member computed the decompositions and keeps them
     exactly as they are.  (Packing and unpacking them anyway would copy all
     eigen state twice and re-lay the eigenvectors out row-major, which shifts

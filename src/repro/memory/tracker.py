@@ -148,18 +148,17 @@ class KFACMemoryModel:
     def factor_bytes(self) -> int:
         """Bytes of all Kronecker factors, each stored once: what the ranks of this tree hold between them.
 
-        Each factor is charged at its stored (packed) size: ``n(n+1)/2``
-        elements for dense, ``n`` for diagonal, ``blocks·bs²`` for
-        block-diagonal — matching the arrays the handlers actually allocate.
+        Each factor is charged at its stored (packed) size, ``k·b(b+1)/2``
+        elements: ``n(n+1)/2`` for dense, ``n`` for diagonal — matching the
+        arrays the handlers actually allocate.
         """
         policy = self.config.wire_policy()
         return sum(policy.factor_bytes(layer) for layer in self.layers)
 
     def paper_factor_bytes(self) -> int:
-        """What *every* rank holds in the paper's layout: all factors, a dense one as the full ``n x n`` square."""
+        """What *every* rank holds in the paper's layout: all factors, every block square (``FactorRepr.square_numel``)."""
         itemsize = np.dtype(self.config.precision_policy().factor_dtype).itemsize
-        reprs = [repr_ for layer in self.layers for repr_ in (layer.a_repr, layer.g_repr)]
-        return itemsize * sum(repr_.dim**2 if repr_.is_dense else repr_.packed_numel for repr_ in reprs)
+        return itemsize * sum(layer.factor_repr(which).square_numel for layer in self.layers for which in "ag")
 
     def factor_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
         """Running-factor bytes held by each rank: the plan's ``factor_holders``, summed.

@@ -119,10 +119,10 @@ def run_traced_bert(
                 eigen_gauges.append(tuple(gauges.get(f"kfac/eigen_{part}_ms") for part in ("solve", "hidden", "caller")))
         plan = preconditioner.plan
         registered = sum(plan.policy.factor_bytes(group.layer) for group in plan.groups.values())
-        # From the dimensions, not from what the arrays or the plan say: n(n+1)/2 per dense factor held.
+        # From the dimensions, not from what the arrays or the plan say: k·b(b+1)/2 per factor held.
         itemsize = preconditioner.precision.factor_dtype.itemsize
         triangles = itemsize * sum(
-            repr_.dim * (repr_.dim + 1) // 2 if repr_.is_dense else repr_.packed_numel
+            repr_.dim // repr_.block_size * repr_.block_size * (repr_.block_size + 1) // 2
             for name, layer in preconditioner.layers.items()
             for which, repr_ in (("a", layer.a_repr), ("g", layer.g_repr))
             if preconditioner.holds_factor(name, which)

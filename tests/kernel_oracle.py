@@ -26,8 +26,8 @@ The oracle is deliberately *not* registered under a name: a fresh import of
 these kernels swaps them in with :func:`use_reference_kernels`.
 
 It is also the *dense oracle* of the structured representations:
-:func:`force_dense` puts one handler's factors on the dense representation
-whatever its natural one (diagonal, block-diagonal), and
+:func:`force_dense` puts one handler's factors on one block whatever its
+natural block size (diagonal, a block-diagonal ``g_block_size``), and
 :class:`DenseFactorKFAC` builds a preconditioner whose every layer is on it.
 The structured fast paths must reproduce it bit for bit.
 """
@@ -174,7 +174,7 @@ def use_square_path(preconditioner):
     def squares(name, factor_a, factor_g):
         layer = preconditioner.layers[name]
         pairs = ((factor_a, layer.a_repr), (factor_g, layer.g_repr))
-        return [f if f is None or not r.is_dense else r.to_dense(f) for f, r in pairs]
+        return [f if f is None or r.elementwise else r.to_dense(f) for f, r in pairs]
 
     drift = preconditioner.drift  # None at drift_tol=0: nothing reads the factors to plan the refresh
     if drift is not None:
@@ -188,7 +188,7 @@ def use_square_path(preconditioner):
         means = []
         for factor, dim in zip(squares(layer.name, layer.factor_a, layer.factor_g), (layer.a_dim, layer.g_dim)):
             wide = factor.astype(np.float64)
-            trace = np.trace(wide) if wide.ndim == 2 else np.einsum("nii->", wide) if wide.ndim == 3 else np.sum(wide)
+            trace = np.trace(wide) if wide.ndim == 2 else np.sum(wide)
             means.append(float(trace) / max(dim, 1))
         if not all(np.isfinite(mean) and mean > 1e-12 for mean in means):
             return 1.0
@@ -237,18 +237,14 @@ def replicated_fold_reference(layer, step, config, offset=0):
 def decompose_standalone(layer, damping, pi=None):
     """The eigen stage for one handler outside a preconditioner, through the kernel calls the step makes.
 
-    The step sends dense factors through ``batched_eigen_task`` (here its
-    one-call form ``batched_symmetric_eigen``) and structured ones through
-    ``eigen_task`` (``structured_eigen``), stores the results in the inverse dtype, and the
-    layer's outer worker caches the eigenvalue outer product.
+    The step sends every factor through ``eigen_task`` (here its one-call form
+    ``structured_eigen``; one block is a ``batched_eigen_task`` of its triangle), stores the
+    results in the inverse dtype, and the layer's outer worker caches the eigenvalue outer product.
     """
     compute, store = layer.precision.compute_dtype, layer.precision.inverse_dtype
     for which in ("a", "g"):
         factor, repr_ = getattr(layer, f"factor_{which}"), layer.factor_repr(which)
-        if repr_.is_dense:
-            (decomposition,) = layer.kernels.batched_symmetric_eigen([factor], compute_dtype=compute)
-        else:
-            decomposition = layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
+        decomposition = layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
         setattr(layer, f"eigen_{which}", decomposition.astype(store))
     layer.inverse_outer = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, damping, dtype=store, pi=pi)
 

@@ -1,8 +1,11 @@
-"""Structured factor representations end-to-end (diagonal / block-diagonal).
+"""The one factor family end-to-end: ``k`` diagonal blocks stored as packed triangles.
 
-Acceptance coverage for the FactorRepr refactor:
+Acceptance coverage for :class:`FactorRepr`:
 
-* packed <-> dense round-trips, packed-payload sizes (O(F) for diagonal) and
+* one parametrised family (:class:`TestFactorReprFamily`) over one block
+  (dense), blocks of one (diagonal) and ``1 < b < n``: packed shape and
+  bytes, packed <-> dense round-trips, trace and Frobenius norm, and the
+  eigen, inverse and precondition paths against the ``force_dense`` oracle;
   state serialization of :class:`FactorRepr` itself;
 * structured eigensolves agree with the dense oracle on the kernel backend and
   on the plain-expression kernels of ``tests/kernel_oracle.py``;
@@ -30,7 +33,6 @@ from repro import nn, optim
 from repro.analysis import SanitizerError, lint_sources
 from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import (
-    FACTOR_REPR_KINDS,
     KFAC,
     FactorRepr,
     KFACBatchNorm2dLayer,
@@ -39,17 +41,18 @@ from repro.kfac import (
     KFACLayerNormLayer,
     KernelBackend,
     make_kfac_layer,
+    pack_triangle,
 )
 from repro.kfac.analysis import repr_basis_apply_flops, repr_eigen_time
 from repro.distributed.cost_model import PerformanceModel
-from repro.kfac.strategy import LayerShapeInfo
+from repro.kfac.strategy import LayerShapeInfo, WirePolicy
 from repro.memory import KFACMemoryModel
 from repro.models import MLP, bert_tiny, cifar_resnet20
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
 from gradcheck import numerical_gradient
-from kernel_oracle import DenseFactorKFAC, ReferenceKernelBackend, kfac_class
+from kernel_oracle import DenseFactorKFAC, ReferenceKernelBackend, decompose_standalone, force_dense, kfac_class
 
 RNG = np.random.default_rng(404)
 
@@ -81,66 +84,136 @@ def make_token_problem(seed=0, samples=128, vocab=13, length=5, classes=4):
     return ids, labels
 
 
-# --------------------------------------------------------------------------- repr basics
-class TestFactorReprBasics:
-    def test_kinds_and_describe(self):
-        assert FACTOR_REPR_KINDS == ("dense", "diagonal", "block_diagonal")
-        assert FactorRepr.dense(128).describe() == "dense:128"
-        assert FactorRepr.diagonal(64).describe() == "diagonal:64"
-        assert FactorRepr.block_diagonal(128, 16).describe() == "block_diagonal:128x16"
+# --------------------------------------------------------------------------- the one family
+#: ``(dim, block_size)`` at the family's two ends and between: one block (dense), blocks of one
+#: (diagonal) and ``1 < b < n``.
+FAMILY = [
+    pytest.param(6, 6, id="dense"),
+    pytest.param(6, 1, id="diagonal"),
+    pytest.param(6, 3, id="blocks"),
+]
 
-    def test_packed_sizes_are_o_f_for_diagonal(self):
-        n = 4096
-        dense, diag = FactorRepr.dense(n), FactorRepr.diagonal(n)
-        block = FactorRepr.block_diagonal(n, 64)
-        assert dense.packed_numel == n * (n + 1) // 2 and dense.packed_shape == (n * (n + 1) // 2,)  # one triangle
-        assert dense.eigenvector_numel == n * n  # the eigenbasis is not symmetric: it stays square
-        assert diag.packed_numel == n and diag.packed_shape == (n,)  # O(F), the point of the representation
-        assert block.packed_numel == (n // 64) * 64 * 64 and block.packed_shape == (n // 64, 64, 64)
-        # Diagonal factors have an implicit identity eigenbasis: zero stored vectors.
-        assert diag.eigenvector_numel == 0
-        assert diag.packed_eigen_numel == n
-        assert dense.packed_eigen_numel == n + n * n
 
-    def test_validation_rejects_bad_constructions(self):
-        with pytest.raises(ValueError):
-            FactorRepr("sparse", 4)
-        with pytest.raises(ValueError):
-            FactorRepr.block_diagonal(10, 4)  # block size must divide dim
-        with pytest.raises(ValueError):
-            FactorRepr.dense(0)
+def block_structured(repr_, seed):
+    """A float32 SPD matrix that is exactly ``repr_``'s block-diagonal: each block ``m mᵀ / b + I``."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((repr_.dim, repr_.dim), dtype=np.float32)
+    b = repr_.block_size
+    for start in range(0, repr_.dim, b):
+        m = rng.standard_normal((b, b)).astype(np.float32)
+        dense[start : start + b, start : start + b] = m @ m.T / np.float32(b) + np.eye(b, dtype=np.float32)
+    return dense
 
-    @pytest.mark.parametrize(
-        "repr_",
-        [FactorRepr.dense(6), FactorRepr.diagonal(6), FactorRepr.block_diagonal(6, 3)],
-        ids=["dense", "diagonal", "block"],
-    )
-    def test_to_dense_from_dense_round_trip(self, repr_):
-        rng = np.random.default_rng(repr_.packed_numel)
-        if repr_.kind == "dense":
-            packed = rng.standard_normal(21).astype(np.float32)  # the upper triangle of a 6x6, row by row
-        elif repr_.kind == "diagonal":
-            packed = rng.standard_normal(6).astype(np.float32)
+
+class TestFactorReprFamily:
+    """Every factor is ``k`` diagonal blocks stored as packed triangles; dense and diagonal are its ends."""
+
+    def test_describe_tags_the_two_ends_and_the_blocks_between(self):
+        assert FactorRepr.dense(128) == FactorRepr(128, 128) and FactorRepr.dense(128).describe() == "dense:128"
+        assert FactorRepr.diagonal(64) == FactorRepr(64, 1) and FactorRepr.diagonal(64).describe() == "diagonal:64"
+        assert FactorRepr(128, 16).describe() == "blocks:128x16"
+        assert FactorRepr(1, 1).describe() == "dense:1"  # one block of one is dense, not elementwise
+
+    @pytest.mark.parametrize("dim, block_size", [(1024, 1024), (1024, 1), (1024, 64)], ids=["dense", "diagonal", "blocks"])
+    def test_packed_shape_and_bytes_are_the_blocks_triangles(self, dim, block_size):
+        repr_ = FactorRepr(dim, block_size)
+        k, b = dim // block_size, block_size
+        mask = repr_.to_dense(np.ones(repr_.packed_numel, dtype=np.float32)) != 0  # the block-diagonal support
+        assert repr_.num_blocks == k and repr_.packed_shape == (repr_.packed_numel,)
+        assert repr_.packed_numel == np.count_nonzero(np.triu(mask)) == k * b * (b + 1) // 2  # each block once
+        assert repr_.square_numel == np.count_nonzero(mask) == k * b * b  # the paper's layout
+        layer = LayerShapeInfo("layer", 1, dim, dim, g_repr=repr_)
+        assert WirePolicy().factor_bytes(layer, "g") == 4 * np.count_nonzero(np.triu(mask))  # what the plan charges
+        if block_size == dim:
+            assert repr_.packed_numel == dim * (dim + 1) // 2  # one triangle
+            assert repr_.eigenvector_shape == (dim, dim)  # the eigenbasis is not symmetric: it stays square
+            assert repr_.packed_eigen_numel == dim + dim * dim
+        elif block_size == 1:
+            assert repr_.packed_numel == dim  # O(F), the point of the representation
+            assert repr_.eigenvector_shape is None  # implicit identity eigenbasis: zero stored vectors
+            assert repr_.packed_eigen_numel == dim
         else:
-            blocks = rng.standard_normal((2, 3, 3)).astype(np.float32)
-            packed = blocks + blocks.transpose(0, 2, 1)
+            assert (repr_.square_numel, repr_.packed_numel) == (65536, 33280)  # k squares became k triangles
+            assert repr_.eigenvector_shape == (k, b, b)
+            assert repr_.packed_eigen_numel == dim + k * b * b
+        assert repr_.eigen_flops() == float(k) * float(b) ** 3  # n³ dense, n diagonal
+
+    @pytest.mark.parametrize("dim, block_size", FAMILY)
+    def test_to_dense_from_dense_round_trip(self, dim, block_size):
+        repr_ = FactorRepr(dim, block_size)
+        rng = np.random.default_rng(repr_.packed_numel)
+        packed = rng.standard_normal(repr_.packed_numel).astype(np.float32)  # every block's upper triangle, row by row
         dense = repr_.to_dense(packed)
         assert dense.shape == (6, 6)
         np.testing.assert_array_equal(dense, dense.T)
+        np.testing.assert_array_equal(dense[repr_.to_dense(np.ones_like(packed)) == 0], 0.0)  # nothing off the blocks
         np.testing.assert_array_equal(repr_.from_dense(dense), packed)
-        assert repr_.trace(packed) == pytest.approx(np.trace(dense))
-        assert repr_.frobenius_norm(packed) == pytest.approx(np.linalg.norm(dense.astype(np.float64)), rel=1e-12)
-        if repr_.kind == "dense":
-            np.testing.assert_array_equal(packed[repr_.diagonal_positions()], np.diag(dense))
-        else:
-            with pytest.raises(ValueError, match="only a dense factor"):
-                repr_.diagonal_positions()
+        np.testing.assert_array_equal(packed[repr_.diagonal_positions()], np.diag(dense))
         with pytest.raises(ValueError, match="expected"):
             repr_.check_packed(dense)  # a square matrix is no storage form, not even for a dense factor
 
-    def test_state_round_trip(self):
-        for repr_ in (FactorRepr.dense(9), FactorRepr.diagonal(3), FactorRepr.block_diagonal(8, 4)):
-            assert FactorRepr.from_state(repr_.to_state()) == repr_
+    @pytest.mark.parametrize("dim, block_size", FAMILY)
+    def test_trace_and_frobenius_norm_match_float64_on_the_dense_matrix(self, dim, block_size):
+        repr_ = FactorRepr(dim, block_size)
+        packed = np.random.default_rng(block_size).standard_normal(repr_.packed_numel).astype(np.float32)
+        dense = repr_.to_dense(packed).astype(np.float64)
+        assert repr_.trace(packed) == pytest.approx(np.trace(dense), rel=1e-12)
+        assert repr_.frobenius_norm(packed) == pytest.approx(np.linalg.norm(dense), rel=1e-12)
+
+    @staticmethod
+    def _handlers(block_size, dense):
+        """An Embedding(5, 6) handler whose G has ``block_size`` (A is diagonal), or its :func:`force_dense` oracle."""
+        module = nn.Embedding(5, 6, rng=np.random.default_rng(0))
+        layer = make_kfac_layer("emb", module, PrecisionPolicy.fp32(), lambda: False, lambda: 1.0)
+        layer.g_block_size = block_size
+        return force_dense(layer) if dense else layer
+
+    @pytest.mark.parametrize("dim, block_size", FAMILY)
+    def test_eigen_inverse_and_precondition_match_the_dense_oracle(self, dim, block_size):
+        """Bitwise where one block or blocks of one meet the dense eigensolve (as the training parity below);
+        at float32 resolution for ``1 < b < n`` and for every inverse a Cholesky of the embedded blocks gives."""
+        repr_ = FactorRepr(dim, block_size)
+        square_a = np.diag(np.random.default_rng(1).random(5).astype(np.float32) + np.float32(0.5))
+        square_g = block_structured(repr_, seed=2)
+        grad = np.random.default_rng(3).standard_normal((6, 5)).astype(np.float32)
+        eigen, inverse = [], []
+        for dense in (False, True):
+            layer = self._handlers(block_size, dense)
+            assert layer.g_repr == (FactorRepr.dense(6) if dense else repr_)
+            layer.factor_a, layer.factor_g = layer.a_repr.from_dense(square_a), layer.g_repr.from_dense(square_g)
+            decompose_standalone(layer, 0.01)
+            eigen.append(layer.precondition(0.01, grad=grad))
+            inverses = [
+                layer.kernels.inverse_task([factor], repr, [0.1])()[0]
+                for factor, repr in ((layer.factor_a, layer.a_repr), (layer.factor_g, layer.g_repr))
+            ]
+            assert inverses[1].shape == layer.g_repr.held_shape
+            inverse.append(layer.kernels.precondition_inverse(grad, *inverses))
+            layer.remove()
+        if repr_.num_blocks == 1 or repr_.block_size == 1:
+            np.testing.assert_array_equal(eigen[0], eigen[1])
+        else:
+            np.testing.assert_allclose(eigen[0], eigen[1], rtol=1e-4, atol=1e-6)
+        # A's 1 / (d + γ) is not bitwise a Cholesky of the embedded diagonal ((1/√x)²): float32 rounding.
+        np.testing.assert_allclose(inverse[0], inverse[1], rtol=1e-4, atol=1e-6)
+
+    def test_validation_rejects_bad_constructions(self):
+        with pytest.raises(ValueError):
+            FactorRepr(10, 4)  # block size must divide dim
+        with pytest.raises(ValueError):
+            FactorRepr.dense(0)
+        with pytest.raises(ValueError):
+            FactorRepr(4, 0)
+        with pytest.raises(ValueError, match="integer"):
+            FactorRepr(4.0, 2)
+        with pytest.raises(ValueError):
+            FactorRepr("sparse", 4)
+
+    @pytest.mark.parametrize("dim, block_size", FAMILY)
+    def test_state_round_trip(self, dim, block_size):
+        repr_ = FactorRepr(dim, block_size)
+        assert repr_.to_state() == {"dim": dim, "block_size": block_size}
+        assert FactorRepr.from_state(repr_.to_state()) == repr_
 
 
 # --------------------------------------------------------------------------- kernels
@@ -163,11 +236,11 @@ class TestStructuredEigen:
     @pytest.mark.parametrize("backend_cls", BACKENDS)
     def test_block_eigen_reconstructs_each_block(self, backend_cls):
         backend = backend_cls()
-        repr_ = FactorRepr.block_diagonal(12, 4)
+        repr_ = FactorRepr(12, 4)
         rng = np.random.default_rng(5)
         blocks = rng.standard_normal((3, 4, 4)).astype(np.float32)
         blocks = np.einsum("bij,bkj->bik", blocks, blocks) / 4 + np.eye(4, dtype=np.float32)
-        eigen = backend.structured_eigen(blocks, repr_)
+        eigen = backend.structured_eigen(np.concatenate([pack_triangle(block) for block in blocks]), repr_)
         assert eigen.eigenvectors.shape == (3, 4, 4)
         assert eigen.eigenvalues.shape == (12,)
         values = eigen.eigenvalues.reshape(3, 4)
@@ -177,12 +250,13 @@ class TestStructuredEigen:
 
     def test_structured_eigen_matches_dense_oracle_spectrum(self):
         backend = ReferenceKernelBackend()
-        repr_ = FactorRepr.block_diagonal(8, 4)
+        repr_ = FactorRepr(8, 4)
         rng = np.random.default_rng(11)
         blocks = rng.standard_normal((2, 4, 4)).astype(np.float32)
         blocks = np.einsum("bij,bkj->bik", blocks, blocks) / 4 + np.eye(4, dtype=np.float32)
-        structured = backend.structured_eigen(blocks, repr_)
-        dense = backend.symmetric_eigen(repr_.to_dense(blocks))
+        packed = np.concatenate([pack_triangle(block) for block in blocks])
+        structured = backend.structured_eigen(packed, repr_)
+        dense = backend.symmetric_eigen(repr_.to_dense(packed))
         np.testing.assert_allclose(
             np.sort(structured.eigenvalues), np.sort(dense.eigenvalues), atol=1e-4
         )
@@ -195,7 +269,7 @@ class TestCostModelRepr:
         n = 1024
         dense_t = repr_eigen_time(perf, FactorRepr.dense(n), 4)
         diag_t = repr_eigen_time(perf, FactorRepr.diagonal(n), 4)
-        block_t = repr_eigen_time(perf, FactorRepr.block_diagonal(n, 32), 4)
+        block_t = repr_eigen_time(perf, FactorRepr(n, 32), 4)
         assert diag_t < block_t < dense_t
         assert diag_t == pytest.approx(dense_t / (9 * n * n))  # n flops vs 9n^3
         # The identity eigenbasis costs nothing to apply.
@@ -261,7 +335,7 @@ class TestStructuredVsDenseParity:
         model = MixNet(seed=3)
         pre = DenseFactorKFAC(model, factor_update_freq=1, inv_update_freq=1)
         for layer in pre.layers.values():
-            assert layer.a_repr.is_dense and layer.g_repr.is_dense
+            assert layer.a_repr.num_blocks == layer.g_repr.num_blocks == 1
         ids, labels = make_token_problem(seed=2, samples=16)
         nn.CrossEntropyLoss()(model(ids), labels).backward()
         pre.step()
@@ -345,10 +419,10 @@ class TestCheckpointRepr:
         _, pre, _ = self._trained()
         state = pre.state_dict()
         by_layer = {name: s for name, s in state["layers"].items()}
-        kinds = {name: (s["a_repr"]["kind"], s["g_repr"]["kind"]) for name, s in by_layer.items()}
-        assert kinds["embedding"] == ("diagonal", "dense")
-        assert kinds["norm"] == ("dense", "diagonal")
-        assert kinds["head"] == ("dense", "dense")
+        tags = {name: (s["a_repr"], s["g_repr"]) for name, s in by_layer.items()}
+        assert tags["embedding"] == ({"dim": 13, "block_size": 1}, {"dim": 8, "block_size": 8})  # diagonal, dense
+        assert tags["norm"] == ({"dim": 2, "block_size": 2}, {"dim": 8, "block_size": 1})  # dense, diagonal
+        assert tags["head"] == ({"dim": 9, "block_size": 9}, {"dim": 4, "block_size": 4})
         # Packed factors are stored in packed form.
         assert by_layer["embedding"]["factor_a"].shape == (13,)
         assert by_layer["norm"]["factor_g"].shape == (8,)
@@ -374,6 +448,28 @@ class TestCheckpointRepr:
         pre2.step()
         grads_restored = np.concatenate([p.grad.ravel() for p in restored.parameters()])
         np.testing.assert_array_equal(grads_original, grads_restored)
+
+    @pytest.mark.parametrize(
+        "which, tag",
+        [
+            ("a", {"dim": 13}),
+            ("a", {"block_size": 1}),
+            ("a", {"dim": 13, "block_size": 0}),
+            ("a", {"dim": 13, "block_size": 2}),
+            ("a", {"dim": "13", "block_size": 1}),
+            ("a", {"dim": 13, "block_size": 1.0}),
+            ("a", {"kind": "diagonal", "dim": 13, "block_size": 0}),
+            ("g", {"dim": 8}),
+        ],
+        ids=["no-block-size", "no-dim", "zero-block", "block-not-dividing", "string-dim", "float-block", "format-1", "g"],
+    )
+    def test_malformed_repr_tag_is_a_value_error_naming_layer_and_factor(self, which, tag):
+        _, pre, _ = self._trained()
+        state = pre.state_dict()
+        state["layers"]["embedding"][f"{which}_repr"] = tag
+        fresh = KFAC(MixNet(seed=5), factor_update_freq=1, inv_update_freq=2)
+        with pytest.raises(ValueError, match=f"layer 'embedding': malformed {which.upper()} factor repr tag"):
+            fresh.load_state_dict(state)
 
     def test_repr_mismatch_is_rejected(self):
         _, pre, _ = self._trained(dense_factors=False)
@@ -520,7 +616,7 @@ class TestModelCoverage:
         assert len(embedding_handlers) >= 2  # token + position tables
         assert len(norm_handlers) >= 2
         for handler in embedding_handlers:
-            assert handler.a_repr.kind == "diagonal"
+            assert handler.a_repr == FactorRepr.diagonal(handler.a_dim)
 
         ids = RNG.integers(0, 50, (2, 12))
         labels = RNG.integers(0, 50, (2, 12))
@@ -590,7 +686,7 @@ def sync_factor(comm, layer):
                 "fixture.py": """
 def sync_factor(comm, layer, triangular):
     payload = layer.a_repr.pack_comm(layer.factor_a, triangular)
-    if layer.a_repr.kind == "dense":
+    if layer.a_repr.block_size == layer.a_repr.dim:
         payload = payload * 1.0
     return comm.allreduce_average(payload)
 """

@@ -19,6 +19,7 @@ from repro.experiments import WORKLOAD_BUILDERS, build_workload, collect_layer_s
 from repro.kfac import (
     CHECKPOINT_FORMAT,
     KFAC,
+    FactorRepr,
     KFACConfig,
     LAYER_HANDLERS,
     KFACBatchNorm2dLayer,
@@ -284,7 +285,7 @@ class TestEigenBroadcastPrecision:
         cases = [
             (FactorRepr.dense(4), rng.standard_normal((4, 4)), 4 + 16),
             (FactorRepr.diagonal(6), None, 6),  # the identity eigenbasis never hits the wire
-            (FactorRepr.block_diagonal(6, 2), rng.standard_normal((3, 2, 2)), 6 + 3 * 4),
+            (FactorRepr(6, 2), rng.standard_normal((3, 2, 2)), 6 + 3 * 4),
         ]
         for repr_, vectors, numel in cases:
             eigen = EigenDecomposition(eigenvectors=vectors, eigenvalues=rng.random(repr_.dim))
@@ -719,7 +720,7 @@ class TestOneCheckpointFormat:
     def forward_loss(model, batch):
         return nn.CrossEntropyLoss()(model(Tensor(batch[0])), batch[1])
 
-    @pytest.mark.parametrize("found", [None, 0, 2], ids=["no-format", "format-0", "format-2"])
+    @pytest.mark.parametrize("found", [None, 0, 1, 3], ids=["no-format", "format-0", "format-1", "format-3"])
     def test_another_format_is_refused_naming_both_numbers(self, found):
         x, y = make_problem(4)
 
@@ -736,13 +737,13 @@ class TestOneCheckpointFormat:
             state.pop("format", None)  # as every version before the number wrote it: format 0
             if found is not None:
                 state["format"] = found
-            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 1"):
+            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 2"):
                 target.load_state_dict(state)
         # The number is checked before anything is read.
         assert fresh_pre.steps == 0 and fresh_trainer.iterations == 0
         for name, value in fresh_trainer.model.state_dict().items():
             np.testing.assert_array_equal(value, weights[name])
-        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 1
+        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 2
 
     def test_a_factor_the_plan_does_not_place_on_the_rank_raises(self):
         """MEM-OPT at world 2 places each factor on one rank; a checkpoint carrying another rank's factor was
@@ -932,7 +933,7 @@ class TestLayerRegistry:
         engine = [layer.shape_info() for layer in pre.layers.values()]
         pre.remove()
         assert collect_layer_shapes(workload.model, skip_modules=skip, include_structured=True) == engine
-        dense = [shape for shape in engine if shape.a_repr.is_dense and shape.g_repr.is_dense]
+        dense = [shape for shape in engine if shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1]
         assert collect_layer_shapes(workload.model, skip_modules=skip) == dense
 
 
@@ -955,7 +956,7 @@ class TestEmbeddingLayer:
         counts = np.bincount(ids.ravel(), minlength=7).astype(np.float64)
         # A is exactly diagonal, so the handler stores the packed vector.
         assert a_new.shape == (7,)
-        assert handler.a_repr.kind == "diagonal"
+        assert handler.a_repr == FactorRepr.diagonal(7)
         np.testing.assert_allclose(a_new, counts / ids.size, rtol=1e-6)
         assert g_new.shape == (6,)  # dense: the triangle of the 3x3
 
@@ -980,7 +981,7 @@ class TestEmbeddingLayer:
         big = nn.Embedding(vocab, 4, rng=np.random.default_rng(0))
         handler = make_kfac_layer("big", big, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
         assert isinstance(handler, KFACEmbeddingLayer)
-        assert handler.a_repr.kind == "diagonal" and handler.a_repr.dim == vocab
+        assert handler.a_repr == FactorRepr.diagonal(vocab)
 
         class WithBigEmbedding(nn.Module):
             def __init__(self):

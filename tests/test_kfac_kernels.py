@@ -586,10 +586,14 @@ class TestDampedInverse:
         self.assert_float32_close(inverse, np.diag(np.linalg.inv(np.diag(diagonal.astype(np.float64)) + 0.05 * np.eye(57))))
 
     def test_block_diagonal_inverse_is_inverted_block_by_block(self):
-        repr_ = FactorRepr.block_diagonal(48, 16)
+        repr_ = FactorRepr(48, 16)
         blocks = np.stack([spd_factor(16, seed=index) for index in range(3)])
-        (inverse,) = KernelBackend().inverse_task([blocks], repr_, [0.02])()
-        assert inverse.shape == repr_.packed_shape == (3, 16, 16)
+        packed = np.concatenate([pack_triangle(block) for block in blocks])  # stored as three triangles
+        (inverse,) = KernelBackend().inverse_task([packed], repr_, [0.02])()
+        assert inverse.shape == repr_.held_shape == (3, 16, 16)
+        # It travels as the blocks' triangles, and a receiver expands the very bits the decomposer holds.
+        assert repr_.pack(inverse).shape == repr_.packed_shape == (3 * 16 * 17 // 2,)
+        assert repr_.expand(repr_.pack(inverse)).tobytes() == inverse.tobytes()
         full = np.zeros((48, 48))
         for index, block in enumerate(blocks):
             full[16 * index : 16 * index + 16, 16 * index : 16 * index + 16] = block
@@ -759,7 +763,7 @@ class TestStandaloneLayerBackend:
         """A 48 -> 40 Linear handler with eigen state and a gradient to precondition."""
         module = Linear(48, 40, rng=np.random.default_rng(0))
         layer = make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-        layer.factor_a, layer.factor_g = spd_factor(49, seed), spd_factor(40, seed + 1)
+        layer.factor_a, layer.factor_g = pack_triangle(spd_factor(49, seed)), pack_triangle(spd_factor(40, seed + 1))
         decompose_standalone(layer, damping=0.003)
         rng = np.random.default_rng(seed + 2)
         module.weight.grad = rng.standard_normal((40, 48)).astype(np.float32)

@@ -78,12 +78,18 @@ def test_the_caller_solves_the_unstarted_tasks_in_submission_order():
 def test_small_dense_factors_are_one_stacked_task_and_the_others_one_task_each():
     recorder = Recorder()
     queue = make_queue(recorder)
-    diagonal = FactorRepr.diagonal(4)
+    diagonal, blocks = FactorRepr.diagonal(4), FactorRepr(2 * STACK_EIGH_MAX_DIM, STACK_EIGH_MAX_DIM)
     with blocked(queue):
         queue.submit([(("a", "a"), factor(1, SMALL), SMALL, None), (("b", "g"), factor(2), BIG, None),
-                      (("c", "a"), factor(3, SMALL), SMALL, None), (("d", "a"), factor(4, diagonal), diagonal, None)])  # fmt: skip
-        assert [task.keys for task in queue.tasks] == [[("a", "a"), ("c", "a")], [("b", "g")], [("d", "a")]]
-        assert queue.take() == {("a", "a"): 1.0, ("c", "a"): 3.0, ("b", "g"): 2.0, ("d", "a"): 4.0}
+                      (("c", "a"), factor(3, SMALL), SMALL, None), (("d", "a"), factor(4, diagonal), diagonal, None),
+                      (("e", "g"), factor(5, blocks), blocks, None), (("f", "g"), factor(6, blocks), blocks, None)])  # fmt: skip
+        # Equal small blocks stack like equal small dense factors; blocks of one stay a task each.
+        assert [task.keys for task in queue.tasks] == [
+            [("a", "a"), ("c", "a")], [("b", "g")], [("d", "a")], [("e", "g"), ("f", "g")]
+        ]
+        assert queue.take() == {
+            ("a", "a"): 1.0, ("c", "a"): 3.0, ("b", "g"): 2.0, ("d", "a"): 4.0, ("e", "g"): 5.0, ("f", "g"): 6.0
+        }
     queue.close()
 
 

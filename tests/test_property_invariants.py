@@ -751,7 +751,7 @@ class TestModelEqualsEngineProperties:
             KFACEmbeddingLayer.g_block_size = previous
 
         # The models' input: shapes written down from the architecture, not read off the engine.
-        embedding_g = FactorRepr.dense(dim) if blocks is None else FactorRepr.block_diagonal(dim, block_size)
+        embedding_g = FactorRepr(dim, dim if blocks is None else block_size)
         extra = 1 if bias else 0
         shapes = [
             LayerShapeInfo("0", vocab, dim, vocab * dim, a_repr=FactorRepr.diagonal(vocab), g_repr=embedding_g),
@@ -910,16 +910,16 @@ class TestPackedStorageProperties:
 
         # Per-rank state: the memory model from the registered shapes, and from the dimensions themselves.
         shapes = packed[0]["shapes"]
-        assert all(shape.a_repr.is_dense and shape.g_repr.is_dense for shape in shapes) == dense_factors
+        assert all(shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1 for shape in shapes) == dense_factors
         memory = KFACMemoryModel(shapes, param_count=0, config=config)
         factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
         eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
         for rank, entry in enumerate(packed):
             usage = entry["memory"]
             assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
-        if knob == "default":  # every factor held once in the world: n(n+1)/2 elements per dense one
+        if knob == "default":  # every factor held once in the world: b(b+1)/2 elements per block
             once = sum(
-                r.dim * (r.dim + 1) // 2 if r.is_dense else r.packed_numel for s in shapes for r in (s.a_repr, s.g_repr)
+                r.dim // r.block_size * r.block_size * (r.block_size + 1) // 2 for s in shapes for r in (s.a_repr, s.g_repr)
             )
             assert sum(entry["memory"]["factors"] for entry in packed) == 4 * once
 
