@@ -272,6 +272,9 @@ class KFACConfig:
         layers = list(layers)
         policy = self.wire_policy()
         refreshes = {layer.name: solve_strategy_class(self.solver_name_for(layer)).refresh for layer in layers}
+        # π reads both factors where a layer damps: an inverse layer's decomposer and a CG layer's
+        # gradient workers hold both, an eigen layer's holders may hold neither.
+        eigen_pi = self.damping_pi_correction and "eigen" in refreshes.values()
         bucket_cap_mb = self.bucket_cap_mb
         if bucket_cap_mb == "auto":
             payloads = [policy.factor_bytes(layer, which) for layer in layers for which in "ag"]
@@ -282,7 +285,7 @@ class KFACConfig:
             self.grad_worker_frac,
             self.assignment_balance,
             policy,
-            factors_read_everywhere=self.drift_tol > 0.0 or self.damping_pi_correction,
+            factors_read_everywhere=self.drift_tol > 0.0 or eigen_pi,
             eigen_free=[name for name, refresh in refreshes.items() if refresh is None],
             inverted=[name for name, refresh in refreshes.items() if refresh == "inverse"],
             factor_update_freq=self.factor_update_freq,

@@ -17,7 +17,9 @@ section 3.4, plus ``Embedding``, ``LayerNorm`` and affine ``BatchNorm2d``) that:
   coordinate filled in from sums instead of an appended column of ones; that
   product is the only square array of a factor's life: its upper triangle is
   packed (``?trttp``) as it enters the accumulator, and the window, the
-  allreduce, the running factor and the checkpoint all hold the triangle,
+  allreduce, the running factor and the checkpoint all hold the triangle;
+  under :class:`~repro.kfac.KFAC`, with a core spare, the rank's worker forms
+  it, not the hook, and the fold takes it (:meth:`KFACLayer.accumulators`),
 * maintains exponential running averages of the factors (section 2.1.2),
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
@@ -34,7 +36,7 @@ module type is one handler class plus one table row.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Type
+from typing import Callable, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
 from .kernels import KernelBackend
 from .kmath import EigenDecomposition, pack_triangle
+from .refresh import RefreshQueue
 from .strategy import LayerShapeInfo
 
 __all__ = [
@@ -90,6 +93,9 @@ def _forward_node(output, node_type):
 
 class KFACLayer:
     """Base class holding K-FAC state for a single preconditioned module."""
+
+    #: Whose worker forms the dense statistics products: the owning ``KFAC.refresh``, or None (in the hook).
+    queue: Optional[RefreshQueue] = None
 
     @classmethod
     def supports(cls, module: Module) -> bool:
@@ -128,6 +134,7 @@ class KFACLayer:
         self._g_accum: Optional[np.ndarray] = None
         self._a_count = 0
         self._g_count = 0
+        self._products: List[Tuple[str, object]] = []  # (factor, task) deferred to the queue, in submission order
 
         # Running-average Kronecker factors (stored in the factor dtype).
         self.factor_a: Optional[np.ndarray] = None
@@ -218,9 +225,8 @@ class KFACLayer:
         Shared by handlers whose output last dimension is the G factor
         dimension (Linear, Embedding); spatial handlers (Conv2d) override.
         """
-        rows = grad_output.reshape(-1, grad_output.shape[-1])
         # Undo the 1/N averaging of the loss so G estimates E[g gᵀ] per sample.
-        self._add_g_stat(rows, rows.shape[0])
+        self._add_g_stat(grad_output, grad_output.size // grad_output.shape[-1])
 
     @staticmethod
     def _row_outer_contribution(rows: np.ndarray, repr: FactorRepr) -> np.ndarray:
@@ -240,13 +246,23 @@ class KFACLayer:
             pack_triangle(columns.T @ columns, out=triangle)
         return packed
 
-    def _add_a_contribution(self, contribution: np.ndarray, count: int) -> None:
-        """Accumulate an already formed float32 ``Σ rowᵀ row`` over ``count`` rows, in packed form (adopts the array)."""
-        if self._a_accum is None:
-            self._a_accum = contribution
+    def _accumulate(self, which: str, contribution: np.ndarray) -> None:
+        """Add a float32 packed contribution to factor ``which``'s accumulator: the window's first is adopted."""
+        accum = getattr(self, f"_{which}_accum")
+        setattr(self, f"_{which}_accum", contribution if accum is None else np.add(accum, contribution, out=accum))
+
+    def _add_product(self, which: str, product: Callable[[], np.ndarray], count: int, defer: bool = True) -> None:
+        """Accumulate ``product()``, factor ``which``'s contribution of ``count`` rows: on the :attr:`queue`'s worker if any.
+
+        It reads its buffers uncopied, as nothing writes them after the hook: the node's ``x2`` / ``cols``
+        (``LinearFunction`` adds its bias into ``out``) and the output gradient (the tape sums into a fresh
+        array, ``grads[pid] + pgrad``; ``grad / scale`` is fresh).
+        """
+        if defer and self.queue is not None:
+            self._products.append((which, self.queue.defer((self.name, which), product)))
         else:
-            self._a_accum += contribution
-        self._a_count += count
+            self._accumulate(which, product())
+        setattr(self, f"_{which}_count", getattr(self, f"_{which}_count") + count)
 
     def _add_bias_folded_a(self, cols: np.ndarray) -> None:
         """Fold activations ``cols`` (features x samples) into a dense A with the bias coordinate.
@@ -256,25 +272,29 @@ class KFACLayer:
         column of ones is never materialised.  Only the upper triangle is
         kept, so the mirror-image row is never written.
         """
-        cols = cols.astype(np.float32, copy=False)
-        k, count = cols.shape
-        contribution = np.empty((self.a_dim, self.a_dim), dtype=np.float32)
-        np.matmul(cols, cols.T, out=contribution[:k, :k])
-        if self.has_bias:
-            contribution[:k, k] = cols.sum(axis=1)
-            contribution[k, k] = count
-        self._add_a_contribution(pack_triangle(contribution), count)
 
-    def _add_g_stat(self, rows: np.ndarray, row_scale: float = 1.0) -> None:
-        """Accumulate ``Σ (s·row)ᵀ (s·row)`` for ``s = row_scale``: the product first, then ``s²`` on its small result."""
-        contribution = self._row_outer_contribution(rows, self.g_repr)
-        if row_scale != 1.0:
-            contribution *= float(row_scale) ** 2
-        if self._g_accum is None:
-            self._g_accum = contribution
-        else:
-            self._g_accum += contribution
-        self._g_count += rows.shape[0]
+        def product() -> np.ndarray:
+            cols32 = cols.astype(np.float32, copy=False)
+            (k, count), contribution = cols32.shape, np.empty((self.a_dim, self.a_dim), dtype=np.float32)
+            np.matmul(cols32, cols32.T, out=contribution[:k, :k])
+            if self.has_bias:
+                contribution[:k, k] = cols32.sum(axis=1)
+                contribution[k, k] = count
+            return pack_triangle(contribution)
+
+        self._add_product("a", product, cols.shape[1])
+
+    def _add_g_stat(self, grad: np.ndarray, row_scale: float = 1.0) -> None:
+        """Accumulate ``Σ (s·row)ᵀ (s·row)`` over ``grad``'s rows for ``s = row_scale``: the product, then ``s²`` on its result."""
+        repr_ = self.g_repr  # an elementwise G is O(F) squares: formed in the hook, like the norm layers' sums
+
+        def product() -> np.ndarray:
+            contribution = self._row_outer_contribution(grad.reshape(-1, grad.shape[-1]), repr_)
+            if row_scale != 1.0:
+                contribution *= float(row_scale) ** 2
+            return contribution
+
+        self._add_product("g", product, grad.size // grad.shape[-1], defer=not repr_.elementwise)
 
     def _add_diagonal_g_stat(self, squares: np.ndarray, count: int) -> None:
         """Accumulate per-feature G second moments (normalization handlers).
@@ -295,9 +315,18 @@ class KFACLayer:
         return accum
 
     # -------------------------------------------------------------- factors
+    def accumulators(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """The packed ``(A, G)`` accumulators, every deferred product taken and added in submission order (or re-raised)."""
+        if self._products:
+            products, self._products = self._products, []
+            results = self.queue.collect([task for _, task in products])
+            for (which, _), contribution in zip(products, results):
+                self._accumulate(which, contribution)
+        return self._a_accum, self._g_accum
+
     @property
     def has_accumulated_data(self) -> bool:
-        return self._a_accum is not None and self._g_accum is not None
+        return all(part is not None for part in self.accumulators())
 
     def compute_batch_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Average the accumulated statistics into per-window factors and reset.
@@ -314,6 +343,8 @@ class KFACLayer:
         return a_new, g_new
 
     def reset_accumulators(self) -> None:
+        products, self._products = self._products, []
+        RefreshQueue.drop([task for _, task in products])
         self._a_accum = None
         self._g_accum = None
         self._a_count = 0
@@ -361,6 +392,7 @@ class KFACLayer:
         def copy(array: Optional[np.ndarray]):
             return None if array is None else array.copy()
 
+        a_accum, g_accum = self.accumulators()
         return {
             "a_repr": self.a_repr.to_state(),
             "g_repr": self.g_repr.to_state(),
@@ -369,8 +401,8 @@ class KFACLayer:
             "eigen_a": pack_eigen(self.eigen_a),
             "eigen_g": pack_eigen(self.eigen_g),
             "inverse_outer": copy(self.inverse_outer),
-            "a_accum": copy(self._a_accum),
-            "g_accum": copy(self._g_accum),
+            "a_accum": copy(a_accum),
+            "g_accum": copy(g_accum),
             "a_count": self._a_count,
             "g_count": self._g_count,
         }
@@ -443,6 +475,7 @@ class KFACLayer:
                     f"expected {(self.g_dim, self.a_dim)}"
                 )
             self.inverse_outer = outer.astype(inverse_dtype)
+        self.reset_accumulators()
         self._a_accum = load_factor(state["a_accum"], self.a_repr, "A accumulator", np.float32)
         self._g_accum = load_factor(state["g_accum"], self.g_repr, "G accumulator", np.float32)
         self._a_count = int(state["a_count"])
@@ -496,9 +529,10 @@ class KFACLayer:
         return total
 
     def remove(self) -> None:
-        """Detach the forward and backward hooks from the wrapped module."""
+        """Detach the forward and backward hooks from the wrapped module and drop the window."""
         self._forward_handle.remove()
         self._backward_handle.remove()
+        self.reset_accumulators()
 
 
 class KFACLinearLayer(KFACLayer):
@@ -571,10 +605,8 @@ class KFACConv2dLayer(KFACLayer):
         self._add_bias_folded_a(cols)
 
     def _accumulate_g(self, grad_output: np.ndarray) -> None:
-        n, out_c, oh, ow = grad_output.shape
-        rows = grad_output.transpose(0, 2, 3, 1).reshape(-1, out_c)
-        # Undo the 1/N batch averaging of the loss.
-        self._add_g_stat(rows, n)
+        # One row per output location of each sample; undo the 1/N batch averaging of the loss.
+        self._add_g_stat(grad_output.transpose(0, 2, 3, 1), grad_output.shape[0])
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -681,7 +713,7 @@ class _KFACScaleShiftLayer(KFACLayer):
         if self.has_bias:
             contribution[1] = flat.sum()
             contribution[2] = flat.size
-        self._add_a_contribution(contribution, flat.size)
+        self._add_product("a", lambda: contribution, flat.size, defer=False)
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad

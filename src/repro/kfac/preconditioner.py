@@ -71,6 +71,7 @@ gauge; :func:`~repro.kfac.analysis.apply_measured_fractions` reads them back.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -192,6 +193,8 @@ class KFAC:
 
     # ------------------------------------------------------------ registration
     def _register_model(self, model: Module) -> None:
+        # The worker forms the hooks' products if a core is spare for it (a world's ranks all run on this host).
+        queue = self.refresh if (os.cpu_count() or 1) > self.comm.world_size else None
         for name, module in model.named_modules():
             if id(module) in self._skip_ids:
                 continue
@@ -206,6 +209,7 @@ class KFAC:
                 kernels=self.kernels,
             )
             if layer is not None:
+                layer.queue = queue
                 self.layers[layer.name] = layer
 
     def actions(self) -> StepActions:

@@ -1,23 +1,29 @@
-"""The refresh queue: one rank's factor solves, run on its worker thread or on the step's own.
+"""The refresh queue: one rank's factor solves and statistics products, run on its worker thread or on the step's own.
 
 A refresh decomposes -- or, on the default ``inverse`` path, inverts -- the
 running factors as they stood when its step began (paper section 3.4, stage
-2), while forward and backward still run.  :class:`RefreshQueue` alone
-decides which thread solves what, and when.  A task is any zero-argument
-callable that returns one result per factor it was given, such as
-:meth:`~repro.kfac.kernels.KernelBackend.eigen_task`'s or
+2), while forward and backward still run; the layer hooks' dense statistics
+products (stage 1, :meth:`RefreshQueue.defer`) go ahead of every solve not
+started, as the step's fold needs them first.  :class:`RefreshQueue` alone
+decides which thread runs what, and when.  A task is any zero-argument
+callable, such as :meth:`~repro.kfac.kernels.KernelBackend.eigen_task`'s or
 :meth:`~repro.kfac.kernels.KernelBackend.inverse_task`'s; its result does not
 depend on the thread that runs it, so neither does the trajectory.  A task
-holds references to the factors, not copies: a fold never writes a published
-running factor (it makes a new array), so a task the worker starts after its
-step's fold still solves the factors the step began with.
+holds references to its inputs, not copies, until it has run or is dropped: a
+fold never writes a published running factor (it makes a new array), so a
+task the worker starts after its step's fold still solves the factors the step
+began with.
 """
 
 from __future__ import annotations
 
+import contextvars
+import dataclasses
+import functools
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Any, Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,27 +42,34 @@ def _solve(task: Callable[[], list]) -> tuple:
         return None, error, time.perf_counter() - start
 
 
-class _Task(NamedTuple):
-    keys: List[Hashable]  # ``(layer name, "a" | "g")`` of each factor the task solves
-    solve: Optional[Callable[[], list]]  # None when making the task already failed
-    future: Future  # of ``_solve(solve)`` on the worker
-    what: str  # "eigendecomposition" or "damped inverse", for the error message
+@dataclasses.dataclass
+class _Task:
+    keys: List[Hashable]  # ``(layer name, "a" | "g")`` of each factor the task is for
+    solve: Optional[Callable]  # None once run or dropped, or when making the task already failed
+    what: str  # "eigendecomposition", "damped inverse" or "statistics product", for the error message
+    future: Future = dataclasses.field(default_factory=Future)  # of ``_solve(solve)``, on whichever thread
+
+    def run(self) -> tuple:
+        solve, self.solve = self.solve, None
+        return _solve(solve)
 
 
 class RefreshQueue:
-    """One rank's pending factor solves and the worker thread beside its step.
+    """One rank's pending factor solves and statistics products, and the worker thread beside its step.
 
     ``make_task(factors, repr, dampings)`` checks ``factors`` (all stored as
     ``repr``) and returns the task that solves them: their decompositions
     when ``dampings`` is None, else their inverses damped by one ``γ`` each;
-    ``tracer`` receives the
-    ``kfac/eigen_{solve,caller,hidden}_ms`` gauges and the
-    ``kfac/kernel_dispatch`` instant of every :meth:`take`.
+    ``tracer`` receives the ``kfac/eigen_{solve,caller,hidden}_ms`` gauges and
+    the ``kfac/kernel_dispatch`` instant of every :meth:`take`, and the step's
+    ``kfac/stats_{solve,caller,hidden}_ms`` (:meth:`collect`).
     """
 
     def __init__(self, make_task: Callable[..., Callable[[], list]], tracer, name: str) -> None:
         self.make_task, self.tracer, self.name = make_task, tracer, name
-        self.tasks: List[_Task] = []  # pending, in submission order
+        self.tasks: List[_Task] = []  # pending solves, in submission order
+        self._lines = (deque(), deque())  # what the worker runs next: products first, then solves
+        self._stats_ms = (0.0, 0.0, 0.0)  # the step's products so far: solve, caller, hidden
         self._worker: Optional[ThreadPoolExecutor] = None
 
     @property
@@ -65,6 +78,18 @@ class RefreshQueue:
         if self._worker is None:
             self._worker = ThreadPoolExecutor(1, thread_name_prefix=self.name)
         return self._worker
+
+    def _dispatch(self, task: _Task, line: int) -> None:
+        self._lines[line].append(task)
+        self.worker.submit(self._run_next)
+
+    def _run_next(self) -> None:
+        """On the worker: run the oldest product no caller took (``Future.cancel``), else the oldest such solve."""
+        for line in self._lines:
+            while line:
+                task = line.popleft()
+                if task.future.set_running_or_notify_cancel():
+                    return task.future.set_result(task.run())
 
     def submit(self, factors: Iterable[Tuple[Hashable, np.ndarray, FactorRepr, Optional[float]]]) -> None:
         """Make the task of each ``(key, factor, repr, damping)`` now and queue it; a key already pending is skipped.
@@ -86,47 +111,54 @@ class RefreshQueue:
                 groups.setdefault(group, []).append((key, factor, repr_, damping))
         for members in groups.values():
             dampings = None if members[0][3] is None else [damping for *_, damping in members]
-            try:
-                solve = self.make_task([factor for _, factor, _, _ in members], members[0][2], dampings)
-            except (ValueError, np.linalg.LinAlgError) as error:
-                solve, future = None, Future()
-                future.set_result((None, error, 0.0))
-            else:
-                future = self.worker.submit(_solve, solve)
             what = "eigendecomposition" if dampings is None else "damped inverse"
-            self.tasks.append(_Task([key for key, *_ in members], solve, future, what))
+            task = _Task([key for key, *_ in members], None, what)
+            self.tasks.append(task)
+            try:
+                task.solve = self.make_task([factor for _, factor, _, _ in members], members[0][2], dampings)
+            except (ValueError, np.linalg.LinAlgError) as error:
+                task.future.set_result((None, error, 0.0))
+            else:
+                self._dispatch(task, 1)
 
-    def take(self, **attrs: Any) -> Dict[Hashable, Any]:
-        """Every pending key's result, in submission order; nothing stays pending.
+    def defer(self, key: Hashable, product: Callable[[], np.ndarray]) -> _Task:
+        """Queue ``product`` (factor ``key``'s statistic) ahead of the solves, to run in this context (its ``np.errstate``)."""
+        task = _Task([key], functools.partial(contextvars.copy_context().run, product), "statistics product")
+        self._dispatch(task, 0)
+        return task
 
-        Walks the tasks in submission order and solves on this thread each
-        one the worker has not started (``Future.cancel`` succeeds only for
-        those), one at a time so the worker goes on taking the next ones, then
-        waits for the one it runs.  The first failure is raised naming its
-        layer and factor (the batch member, for a stack) before any result is
-        returned.  Sets the gauges -- every task's own solve time, the part
-        solved on this thread, and the part no caller waited for (solve minus
-        the time spent here) -- and emits ``kfac/kernel_dispatch`` with
-        ``attrs``.
+    def _settle(self, tasks: Sequence[_Task], gauge: str, totals=(0.0, 0.0, 0.0)) -> Tuple[list, tuple]:
+        """Every task's outcome, in order, and ``totals`` plus their times, which the ``kfac/<gauge>_*`` gauges get.
+
+        Runs here, one by one, the tasks the worker has not started and waits for the others; then raises the
+        first failure naming its layer and factor.  The times: the tasks' run time, the part run here, and the
+        part no caller waited for.
         """
-        tasks, self.tasks = self.tasks, []
         start = time.perf_counter()
-        here = [task.future.cancel() and _solve(task.solve) for task in tasks]
+        here = [task.future.cancel() and task.run() for task in tasks]
         outcomes = [mine or task.future.result() for mine, task in zip(here, tasks)]
         wait_ms = (time.perf_counter() - start) * 1e3
         for task, (_, error, _) in zip(tasks, outcomes):
-            if isinstance(error, (ValueError, np.linalg.LinAlgError)):
+            if error is not None:
                 index = getattr(error, "batch_index", None)
                 culprits = task.keys if index is None or len(task.keys) == 1 else [task.keys[index]]
                 named = ", ".join(f"{which.upper()} factor of layer {name!r}" for name, which in culprits)
-                raise type(error)(f"{task.what} of the {named} failed: {error}") from error
-            if error is not None:
-                raise error
+                try:
+                    renamed = type(error)(f"{task.what} of the {named} failed: {error}")
+                except TypeError:  # a type that takes other arguments goes as it is
+                    raise error from None
+                raise renamed from error
         solve_ms = sum(seconds for *_, seconds in outcomes) * 1e3
         caller_ms = sum(mine[2] for mine in here if mine) * 1e3
-        hidden_ms = max(0.0, solve_ms - wait_ms)
-        for part, ms in (("solve", solve_ms), ("caller", caller_ms), ("hidden", hidden_ms)):
-            self.tracer.gauge_set(f"kfac/eigen_{part}_ms", ms)
+        times = tuple(total + ms for total, ms in zip(totals, (solve_ms, caller_ms, max(0.0, solve_ms - wait_ms))))
+        for part, ms in zip(("solve", "caller", "hidden"), times):
+            self.tracer.gauge_set(f"kfac/{gauge}_{part}_ms", ms)
+        return outcomes, times
+
+    def take(self, **attrs: Any) -> Dict[Hashable, Any]:
+        """Every pending solve's result by key (:meth:`_settle`, ``kfac/eigen_*``), then ``kfac/kernel_dispatch`` with ``attrs``."""
+        tasks, self.tasks = self.tasks, []
+        outcomes, (solve_ms, caller_ms, hidden_ms) = self._settle(tasks, "eigen")
         batch_sizes = [len(task.keys) for task in tasks]
         self.tracer.instant(
             "kfac/kernel_dispatch", category="kfac", factors=sum(batch_sizes), batch_sizes=batch_sizes,
@@ -134,10 +166,22 @@ class RefreshQueue:
         )  # fmt: skip
         return {key: result for task, (results, _, _) in zip(tasks, outcomes) for key, result in zip(task.keys, results)}
 
+    def collect(self, tasks: Sequence[_Task]) -> List[np.ndarray]:
+        """The results of the products ``tasks`` (:meth:`_settle`), their times added to the step's ``kfac/stats_*``."""
+        outcomes, self._stats_ms = self._settle(tasks, "stats", self._stats_ms)
+        return [result for result, _, _ in outcomes]
+
+    @staticmethod
+    def drop(tasks: Sequence[_Task]) -> None:
+        """Cancel ``tasks`` the worker has not started and wait for the one it runs; each lets go of its inputs."""
+        wait([task.future for task in tasks if not task.future.cancel()])
+        for task in tasks:
+            task.solve = None
+
     def cancel(self) -> None:
-        """Cancel the tasks the worker has not started and wait for the one it runs; nothing stays pending."""
-        wait([task.future for task in self.tasks if not task.future.cancel()])
-        self.tasks = []
+        """:meth:`drop` every pending solve and start the product gauges from zero: nothing stays pending."""
+        self.drop(self.tasks)
+        self.tasks, self._stats_ms = [], (0.0, 0.0, 0.0)
 
     def close(self) -> None:
         """:meth:`cancel`, then join the worker thread; safe to call again."""

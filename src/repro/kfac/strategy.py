@@ -479,7 +479,7 @@ def build_plan(
     ``cg`` -- so nothing is decomposed or broadcast for it); and
     by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
     the refresh plan from factor drift on every rank, ``damping_pi_correction``
-    takes both traces wherever it damps).  Factors are allreduced world-wide as
+    takes both traces on an eigen layer's holders).  Factors are allreduced world-wide as
     the ranks' *window* averages, in the form they are stored in: a dense one
     as its packed triangle (section 4.3's optimisation, here the only layout),
     a diagonal one as O(F) elements.  The two cadences place each layer's

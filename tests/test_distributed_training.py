@@ -374,17 +374,33 @@ class TestShardedFactorLayout:
             assert len(holders) == 1, f"{key} held by {holders}"
         assert sum(entry["memory"]["factors"] for entry in ranks) == ranks[0]["all_factor_bytes"]
 
-    @SOLVERS
-    @pytest.mark.parametrize("knob", [{"drift_tol": 0.05, "max_staleness": 8}, {"damping_pi_correction": True}])
+    @pytest.mark.parametrize(
+        "knob, solver",
+        [({"drift_tol": 0.05, "max_staleness": 8}, "inverse"), ({"drift_tol": 0.05, "max_staleness": 8}, "eigen"),
+         ({"damping_pi_correction": True}, "eigen")],
+        ids=["drift-inverse", "drift-eigen", "pi-eigen"],
+    )  # fmt: skip
     @pytest.mark.parametrize("frac", [0.25, 1.0])
     def test_knobs_every_rank_reads_factors_for_make_every_rank_hold_them(self, knob, frac, solver):
         """``drift_tol`` derives the plan from factor drift on every rank and ``damping_pi_correction``
-        takes both traces wherever it damps; the sanitizer's plan check holds the ranks to one plan."""
+        takes both traces on an eigen layer's holders; the sanitizer's plan check holds the ranks to one plan."""
         ranks = run_spmd(4, layout_program(steps=6, grad_worker_frac=frac, solve_strategy=solver, **knob), sanitize=True)
         for entry in ranks:
             assert all(entry["held"].values())
             assert entry["memory"]["factors"] == ranks[0]["all_factor_bytes"]
             np.testing.assert_array_equal(entry["params"], ranks[0]["params"])
+
+    @pytest.mark.parametrize("frac", [0.5, 1.0], ids=["mem", "comm"])
+    def test_pi_on_the_inverse_path_moves_no_bit_and_no_byte(self, frac):
+        """An inverse layer is π-damped on its decomposer, which holds both factors with or without the knob."""
+        off, on = (
+            run_spmd(2, layout_program(steps=6, grad_worker_frac=frac, damping_pi_correction=pi), sanitize=True)
+            for pi in (False, True)
+        )
+        for plain, corrected in zip(off, on):
+            np.testing.assert_array_equal(corrected["params"], plain["params"])
+            assert corrected["memory"] == plain["memory"] and corrected["held"] == plain["held"]
+        assert sum(entry["memory"]["factors"] for entry in on) == on[0]["all_factor_bytes"]
 
     def test_the_solver_that_reads_the_factors_holds_them_on_the_gradient_workers(self):
         ranks = run_spmd(4, layout_program(grad_worker_frac=0.5, solve_strategy="cg"))
@@ -434,7 +450,7 @@ class TestBadWindowsAreContainedOnEveryRank:
                 ddp.sync_gradients()
                 if step == bad_step:
                     if comm.rank == 1:  # one rank, one layer, one entry
-                        pre.layers["layers.2"]._g_accum[0] = np.inf
+                        pre.layers["layers.2"].accumulators()[1][0] = np.inf
                     before = {
                         key: None if factor is None else factor.copy()
                         for key, factor in TestBadWindowsAreContainedOnEveryRank.factors(pre).items()

@@ -477,7 +477,7 @@ class TestStateDictResume:
         pre2 = KFAC(clone, factor_update_freq=2, inv_update_freq=2)
         pre2.load_state_dict(state)
         restored = next(iter(pre2.layers.values()))
-        np.testing.assert_array_equal(restored._a_accum, layer_state["a_accum"])
+        np.testing.assert_array_equal(restored.accumulators()[0], layer_state["a_accum"])
 
     def test_load_state_dict_rejects_mismatched_layers(self):
         model = MLP(6, [12], 3, rng=np.random.default_rng(3))

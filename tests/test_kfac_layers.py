@@ -90,7 +90,7 @@ class TestFactorAccumulation:
         x = RNG.standard_normal((8, 4)).astype(np.float32)
         loss = layer(Tensor(x)).mean()
         loss.backward()
-        assert handler._a_accum.shape == (15,) and handler._g_accum.shape == (6,)  # one triangle of 5x5 and of 3x3
+        assert [part.shape for part in handler.accumulators()] == [(15,), (6,)]  # one triangle of 5x5 and of 3x3
         a_new, g_new = window_matrices(handler)
         a_rows = np.concatenate([x, np.ones((8, 1), dtype=np.float32)], axis=1)
         np.testing.assert_allclose(a_new, a_rows.T @ a_rows / 8, rtol=1e-4)
@@ -317,10 +317,10 @@ class TestForwardNodeReuse:
         layer, handler = self.make(kind)
         x = self.batch(kind)
         out = layer(Tensor(x))
-        expected, count = handler._a_accum.copy(), handler._a_count
+        expected, count = handler.accumulators()[0].copy(), handler._a_count
         handler.reset_accumulators()
         handler._accumulate_a(np.full_like(x, np.nan), out)
-        np.testing.assert_array_equal(handler._a_accum, expected)
+        np.testing.assert_array_equal(handler.accumulators()[0], expected)
         assert handler._a_count == count == 3 * NODE_KINDS[kind][2]
 
     def test_conv_a_from_captured_columns_matches_im2col_brute_force(self, monkeypatch):
@@ -344,7 +344,7 @@ class TestForwardNodeReuse:
         layer.eval()
         with no_grad():
             out = layer(Tensor(self.batch(kind, 2)))
-        assert out._ctx is None and not handler.has_accumulated_data and handler._a_accum is None
+        assert out._ctx is None and not handler.has_accumulated_data and handler.accumulators()[0] is None
 
     @pytest.mark.parametrize("kind", list(NODE_KINDS))
     def test_training_forward_without_a_graph_falls_back_to_the_shared_kernel(self, kind):
@@ -352,11 +352,11 @@ class TestForwardNodeReuse:
         x = self.batch(kind)
         layer, handler = self.make(kind)
         layer(Tensor(x))
-        captured = handler._a_accum.copy()
+        captured = handler.accumulators()[0].copy()
         handler.reset_accumulators()
         with no_grad():
             assert layer(Tensor(x))._ctx is None
-        np.testing.assert_array_equal(handler._a_accum, captured)
+        np.testing.assert_array_equal(handler.accumulators()[0], captured)
         assert handler._a_count == 3 * NODE_KINDS[kind][2]
 
     @pytest.mark.parametrize("kind,attr", [(kind, spec[1]) for kind, spec in NODE_KINDS.items()])
@@ -369,7 +369,7 @@ class TestForwardNodeReuse:
         buffer = weakref.ref(held if held.base is None else held.base)
         del held
         loss.backward()
-        assert buffer() is not None and handler._a_accum is not None
+        assert buffer() is not None and handler.accumulators()[0] is not None
         del loss
         gc.collect()
         assert buffer() is None
@@ -436,7 +436,7 @@ class TestNodeStatistics:
         x = RNG.standard_normal((4, 6, 5)).astype(np.float32)
         layer(Tensor(x))
         rows = x.reshape(-1, 5)
-        accum = handler.a_repr.to_dense(handler._a_accum)
+        accum = handler.a_repr.to_dense(handler.accumulators()[0])
         np.testing.assert_array_equal(accum[5, :5], rows.sum(axis=0))
         np.testing.assert_array_equal(accum[:5, 5], rows.sum(axis=0))
         assert accum[5, 5] == 24 and handler._a_count == 24
@@ -446,7 +446,7 @@ class TestNodeStatistics:
         handler = make_handler(layer)
         x = RNG.standard_normal((3, 5, 6)).astype(np.float16)
         layer(Tensor(x))
-        a_new = handler.a_repr.to_dense(handler._a_accum / handler._a_count)
+        a_new = handler.a_repr.to_dense(handler.accumulators()[0] / handler._a_count)
         assert a_new.dtype == np.float32
         np.testing.assert_allclose(a_new, concat_gemm_a([x]), rtol=1e-5, atol=1e-6)
 
@@ -536,7 +536,7 @@ class TestNodeStatistics:
         layer = nn.Linear(4, 3, rng=np.random.default_rng(0))
         handler = make_handler(layer)
         (layer(Tensor(RNG.standard_normal((8, 4)).astype(np.float32))) ** 2).mean().backward()
-        a_accum, g_accum = handler._a_accum, handler._g_accum
+        a_accum, g_accum = handler.accumulators()
         a_new, g_new = handler.compute_batch_factors()
         assert a_new is a_accum and g_new is g_accum  # handed over, not copied
         assert not handler.has_accumulated_data

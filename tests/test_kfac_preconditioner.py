@@ -705,7 +705,7 @@ class TestBadFactorWindowsAreRejected:
         model, pre, opt, x, y = self.warmed_up()
         opt.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.layers["layers.2"]._g_accum[0] = np.inf
+        pre.layers["layers.2"].accumulators()[1][0] = np.inf
         pre.step()
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: int(name == "layers.2") for name in pre.layers}
@@ -722,7 +722,7 @@ class TestBadFactorWindowsAreRejected:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         x, y = make_problem(3)
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.layers["layers.2"]._a_accum[1] = np.nan
+        pre.layers["layers.2"].accumulators()[0][1] = np.nan
         with pytest.raises(ValueError, match=r"first factor window of layer\(s\) \['layers.2'\] is not finite"):
             pre.step()
         assert pre.steps == 0 and pre.layers["layers.2"].factor_a is None
@@ -746,8 +746,15 @@ class TestEigenWorker:
             assert not set(threading.enumerate()) - running  # started by the first solve, not by construction
             training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=3)
             (worker,) = set(threading.enumerate()) - running  # one worker per preconditioner
+            for layer in pre.layers.values():
+                layer.queue = pre.refresh  # as on a host with a core spare for the worker
+            nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()  # products handed over, none taken
+            products = [task for layer in pre.layers.values() for _, task in layer._products]
+            assert len(products) == 2 * len(pre.layers)
             pre.remove()
             assert not worker.is_alive()
+            assert not any(layer._products for layer in pre.layers.values())
+            assert all(task.future.done() and task.solve is None for task in products)  # inputs let go
         # Threads other tests left to the garbage collector may have ended meanwhile, none may have started.
         assert threading.active_count() <= start
 

@@ -1,17 +1,25 @@
-"""The refresh queue on its own: plain callables (and the kernel backend's tasks) as tasks, no preconditioner."""
+"""The refresh queue: plain callables (and the kernel backend's tasks) as tasks, then the hooks' statistics
+products it takes over from a preconditioner's layers, held bitwise to forming them in the hooks."""
 
 import contextlib
+import gc
+import pickle
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from repro import nn, optim
+from repro.distributed import DistributedDataParallel, run_spmd
+from repro.kfac import KFAC
 from repro.kfac.factors import FactorRepr
 from repro.kfac.kernels import STACK_EIGH_MAX_DIM, KernelBackend
 from repro.kfac.refresh import RefreshQueue
 from repro.observability import Tracer
+from repro.tensor import Tensor
 
 BIG = FactorRepr.dense(STACK_EIGH_MAX_DIM + 1)  # one task per factor
 SMALL = FactorRepr.dense(STACK_EIGH_MAX_DIM)  # one stacked task per dimension and dtype
@@ -236,3 +244,205 @@ def test_folds_racing_the_worker_never_change_what_it_solves():
     finally:
         sys.setswitchinterval(interval)
         queue.close()
+
+
+def test_a_product_goes_ahead_of_every_solve_the_worker_has_not_started():
+    order = []
+    queue = make_queue(lambda factors, repr_, dampings: lambda: order.append("solve") or [0.0])
+    with blocked(queue):
+        queue.submit([(("l0", "a"), factor(1), BIG, None)])
+        product = queue.defer(("l1", "g"), lambda: order.append("product") or np.ones(3, dtype=np.float32))
+    product.future.result(timeout=10)
+    queue.take()
+    assert order == ["product", "solve"]
+    queue.close()
+
+
+def test_collect_takes_the_unstarted_products_here_in_order_and_sets_the_stats_gauges():
+    queue = make_queue(Recorder())
+    here = threading.current_thread().name
+    ran = []
+    with blocked(queue):
+        tasks = [
+            queue.defer(("l0", which), lambda value=value: ran.append(threading.current_thread().name) or value)
+            for value, which in ((1.0, "a"), (2.0, "g"))
+        ]
+        assert queue.collect(tasks) == [1.0, 2.0] and ran == [here, here]
+    gauges = queue.tracer.gauges()
+    assert gauges["kfac/stats_caller_ms"] == gauges["kfac/stats_solve_ms"] > 0.0
+    assert "kfac/eigen_solve_ms" not in gauges and not queue.tracer.instants  # kernel_dispatch counts solves only
+    assert all(task.solve is None for task in tasks)  # a product that ran lets go of its inputs
+    queue.cancel()
+    queue.collect([])
+    assert queue.tracer.gauges()["kfac/stats_solve_ms"] == 0.0  # every step's totals start from zero
+    queue.close()
+
+
+def test_a_failed_product_is_raised_by_collect_naming_its_layer_and_factor():
+    def fail():
+        raise FloatingPointError("overflow encountered in matmul")
+
+    queue = make_queue(Recorder())
+    tasks = [queue.defer(("l0", "a"), lambda: 1.0), queue.defer(("l3", "g"), fail)]
+    with pytest.raises(FloatingPointError, match=r"^statistics product of the G factor of layer 'l3' failed: overflow"):
+        queue.collect(tasks)
+    assert all(task.future.done() or task.future.cancelled() for task in tasks)
+    queue.close()
+
+
+def test_drop_withdraws_the_unstarted_products_and_lets_go_of_their_inputs():
+    queue = make_queue(Recorder())
+    with blocked(queue):
+        buffer = np.ones(4, dtype=np.float32)
+        ref = weakref.ref(buffer)
+        task = queue.defer(("l0", "a"), lambda buffer=buffer: buffer * 2)
+        del buffer
+        RefreshQueue.drop([task])
+        gc.collect()
+        assert task.future.cancelled() and ref() is None
+    queue.close()
+
+
+# ---------------------------------------------------------------- products under a preconditioner
+class TokenNet(nn.Module):
+    """Embedding (a deferred G, a token-count A formed in the hook), LayerNorm (both formed in the hook), two Linear."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(5)
+        self.embed, self.norm = nn.Embedding(20, 12, rng=rng), nn.LayerNorm(12)
+        self.fc1, self.fc2 = nn.Linear(12, 40, rng=rng), nn.Linear(40, 3, rng=rng)
+
+    def forward(self, ids):
+        return self.fc2(self.fc1(self.norm(self.embed(ids))).relu())
+
+
+class ConvNet(nn.Module):
+    """Conv2d (patch-matrix A, transposed output-gradient G, both deferred), BatchNorm2d, Linear."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(5)
+        self.conv, self.bn = nn.Conv2d(2, 4, 3, padding=1, rng=rng), nn.BatchNorm2d(4)
+        self.fc = nn.Linear(4 * 5 * 5, 3, rng=rng)
+
+    def forward(self, x):
+        return self.fc(self.bn(self.conv(x)).relu().reshape(x.shape[0], -1))
+
+
+def model_batches(kind, steps, rank, world):
+    rng = np.random.default_rng(11)
+    for _ in range(steps):
+        if kind == "tokens":
+            inputs, targets = rng.integers(0, 20, (12, 6)), rng.standard_normal((12, 6, 3)).astype(np.float32)
+        else:
+            inputs, targets = rng.standard_normal((12, 2, 5, 5)).astype(np.float32), rng.standard_normal((12, 3)).astype(np.float32)
+        yield inputs[rank::world], targets[rank::world]
+
+
+def set_products(pre, mode):
+    """``inline``: every product formed in its hook; ``idle``: a worker that starts nothing, so the step's thread
+    takes every product (and solve); ``worker``: the rank's worker as it runs, whatever the host's core count."""
+    for layer in pre.layers.values():
+        layer.queue = None if mode == "inline" else pre.refresh
+    if mode == "idle":
+        pre.refresh._run_next = lambda: None
+
+
+def train(mode, kind="tokens", world=1, cadence=(1, 1), steps=12):
+    def program(comm):
+        model = TokenNet() if kind == "tokens" else ConvNet()
+        ddp = DistributedDataParallel(model, comm)
+        optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+        pre = KFAC(model, lr=0.05, factor_update_freq=cadence[0], inv_update_freq=cadence[1], comm=comm)
+        set_products(pre, mode)
+        for inputs, targets in model_batches(kind, steps, comm.rank, comm.world_size):
+            optimizer.zero_grad()
+            for part in np.array_split(np.arange(len(inputs)), 3):  # three micro-batches: the sums' order shows
+                out = model(Tensor(inputs[part]) if kind == "conv" else inputs[part])
+                ((out - Tensor(targets[part])) ** 2).mean().backward()
+            ddp.sync_gradients()
+            pre.step()
+            optimizer.step()
+        pre.remove()
+        return np.concatenate([p.data.ravel() for p in model.parameters()])
+
+    return run_spmd(world, program)
+
+
+@pytest.mark.parametrize("kind", ["tokens", "conv"])
+@pytest.mark.parametrize("cadence", [(1, 1), (5, 10)], ids=["1-1", "5-10"])
+@pytest.mark.parametrize("world", [1, 2])
+def test_products_on_the_worker_or_the_caller_give_the_parameters_of_products_in_the_hooks(world, cadence, kind):
+    inline = train("inline", kind, world, cadence)
+    for mode in ("idle", "worker"):
+        for params in train(mode, kind, world, cadence):
+            assert params.tobytes() == inline[0].tobytes(), mode
+    for params in inline[1:]:
+        assert params.tobytes() == inline[0].tobytes()
+
+
+def test_products_racing_the_step_at_a_one_microsecond_switch_interval_change_no_bit():
+    """The hooks hand the worker the node's buffers uncopied while forward and backward go on: nothing writes them."""
+    inline = train("inline", world=2, steps=6)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        raced = train("worker", world=2, steps=6)
+    finally:
+        sys.setswitchinterval(interval)
+    for params in raced:
+        assert params.tobytes() == inline[0].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["worker", "idle"])
+def test_a_checkpoint_between_backward_and_step_is_byte_equal_to_the_hooks_own_products(mode):
+    def state_after_backward(mode):
+        model = TokenNet()
+        pre = KFAC(model, factor_update_freq=2, inv_update_freq=2)
+        set_products(pre, mode)
+        for step, (ids, targets) in enumerate(model_batches("tokens", 5, 0, 1)):  # step 4 folds, so its hooks form
+            model.zero_grad()
+            ((model(ids) - Tensor(targets)) ** 2).mean().backward()
+            if step < 4:
+                pre.step()
+        pending = sum(len(layer._products) for layer in pre.layers.values())
+        state = pickle.dumps(pre.state_dict())
+        assert not any(layer._products for layer in pre.layers.values())
+        pre.remove()
+        return state, pending
+
+    (synchronous, none), (deferred, pending) = state_after_backward("inline"), state_after_backward(mode)
+    assert none == 0 and pending == 5  # fc1 and fc2 A and G, the embedding's G
+    assert deferred == synchronous
+
+
+def test_a_node_buffer_a_product_reads_dies_with_the_graph_once_the_product_is_taken():
+    layer = nn.Linear(6, 4, rng=np.random.default_rng(0))
+    pre = KFAC(layer)
+    set_products(pre, "worker")
+    handler = pre.layers["Linear"]
+    with blocked(pre.refresh):
+        loss = layer(Tensor(np.ones((3, 6), dtype=np.float32) + 1.0, requires_grad=True)).sum()
+        held = loss._ctx.parents[0]._ctx.x2
+        buffer = weakref.ref(held if held.base is None else held.base)
+        del held
+        loss.backward()
+        assert len(handler._products) == 2 and handler.accumulators()[0] is not None
+    del loss
+    gc.collect()
+    assert buffer() is None
+    pre.remove()
+
+
+@pytest.mark.parametrize("cores, world, deferred", [(2, 1, True), (2, 2, False), (8, 2, True), (1, 1, False)])
+def test_the_hooks_hand_their_products_over_only_when_a_core_is_spare(cores, world, deferred, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: cores)
+
+    def program(comm):
+        pre = KFAC(TokenNet(), comm=comm)
+        queues = {layer.queue for layer in pre.layers.values()}
+        pre.remove()
+        return queues == ({pre.refresh} if deferred else {None})
+
+    assert all(run_spmd(world, program))

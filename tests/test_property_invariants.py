@@ -360,7 +360,7 @@ class TestStaggeredRefreshProperties:
                 before = comm_counts(comm.tracer)  # the gradient averaging included
                 ddp.sync_gradients()
                 if poisoned and step == inv_freq and comm.rank == 0:
-                    list(pre.layers.values())[-1]._g_accum[0] = np.inf  # one rank's window: rejected on every rank
+                    list(pre.layers.values())[-1].accumulators()[1][0] = np.inf  # one rank's window: rejected on every rank
                 taken, events = pre.actions(), decisions(comm)  # the actions the hooks read in this forward pass
                 pre.step()
                 after = comm_counts(comm.tracer)
@@ -458,6 +458,8 @@ class _PostFoldKFAC(KFAC):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.refresh = _PostFoldQueue(self.refresh.make_task, self.refresh.tracer, self.refresh.name)
+        for layer in self.layers.values():
+            layer.queue = None if layer.queue is None else self.refresh
 
 
 class TestRefreshReadPointProperties:
@@ -496,7 +498,7 @@ class TestRefreshReadPointProperties:
         config = KFACConfig(
             lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq,
             grad_worker_frac=1.0 if comm_opt else 1.0 / world,
-            damping_pi_correction=True,  # every rank holds every running factor, so each can check its share
+            damping_pi_correction=True,  # eigen: every rank holds every running factor, so each can check its share
             solve_strategy=solver,
         )  # fmt: skip
 
@@ -510,7 +512,7 @@ class TestRefreshReadPointProperties:
             ddp = DistributedDataParallel(model, comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
             pre = cls(model, config, comm=comm)
-            taken, checked = [], 0
+            taken, checked, inverses = [], 0, []
             for step in range(steps):
                 local = np.arange(8 * world)[(step + comm.rank) % world :: world]
                 optimizer.zero_grad()
@@ -530,13 +532,10 @@ class TestRefreshReadPointProperties:
                 for name in taken[-1].refresh if cls is KFAC else ():
                     layer = pre.layers[name]
                     read = (layer.factor_a, layer.factor_g) if step == 0 else found[name]
-                    if solver == "inverse" and pre.groups[name].is_grad_worker(comm.rank):
-                        dampings = split_damping(pre.damping, tikhonov_pi(*read, layer.a_repr, layer.g_repr))
-                        installed = (pre.solvers[name].inv_a, pre.solvers[name].inv_g)
-                        for factor, damping, inverse in zip(read, dampings, installed):
-                            alone = expand_symmetric(damped_inverse(factor, damping).astype(pre.precision.inverse_dtype))
-                            np.testing.assert_array_equal(inverse, alone, err_msg=f"{name} {step}")
-                            checked += 1
+                    if solver == "inverse":  # the decomposer holds both factors, a gradient worker the inverses
+                        worker = pre.groups[name].is_grad_worker(comm.rank)
+                        installed = (pre.solvers[name].inv_a, pre.solvers[name].inv_g) if worker else None
+                        inverses.append((step, name, read, installed, layer.a_repr, layer.g_repr))
                     if comm.rank not in pre.plan.eigen_holders[name]:
                         continue
                     for factor, installed in zip(read, (layer.eigen_a, layer.eigen_g)):
@@ -546,11 +545,19 @@ class TestRefreshReadPointProperties:
                         np.testing.assert_array_equal(installed.eigenvectors, alone.eigenvectors, err_msg=f"{name} {step}")
                         checked += 1
             pre.remove()
-            return np.concatenate([p.data.ravel() for p in model.parameters()]), taken, checked
+            return np.concatenate([p.data.ravel() for p in model.parameters()]), taken, checked, inverses
 
         ranks = run_spmd(world, lambda comm: program(comm, KFAC))
-        taken = ranks[0][1]
-        assert sum(checked for *_, checked in ranks) > 0
+        taken, checked = ranks[0][1], sum(rank[2] for rank in ranks)
+        held = {(step, name): (read, reprs) for rank in ranks for step, name, read, _, *reprs in rank[3] if read[0] is not None}
+        for step, name, _, installed, *_ in (entry for rank in ranks for entry in rank[3] if entry[3] is not None):
+            read, reprs = held[step, name]
+            dampings = split_damping(config.damping, tikhonov_pi(*read, *reprs))
+            for factor, damping, inverse in zip(read, dampings, installed):
+                alone = expand_symmetric(damped_inverse(factor, damping).astype(config.precision_policy().inverse_dtype))
+                np.testing.assert_array_equal(inverse, alone, err_msg=f"{name} {step}")
+                checked += 1
+        assert checked > 0
         for name in taken[0].refresh:
             # The folds a refresh's factors hold: those of the steps before it (step 0: its own).
             histories = [
@@ -561,7 +568,7 @@ class TestRefreshReadPointProperties:
             assert histories == sorted(set(histories)), (name, histories)
         if all(not actions.fold for actions in taken[1:] if actions.refresh):
             post_fold = run_spmd(world, lambda comm: program(comm, _PostFoldKFAC))
-            for (params, _, _), (reference, _, _) in zip(ranks, post_fold):
+            for (params, *_), (reference, *_) in zip(ranks, post_fold):
                 np.testing.assert_array_equal(params, reference)
 
 

@@ -354,7 +354,12 @@ class TestMeasuredMemoryReport:
     def test_knobs_that_read_factors_everywhere_are_predicted_too(self):
         from repro.experiments import measured_memory_report
 
-        for overrides in ({"drift_tol": 0.05}, {"damping_pi_correction": True}, {"solve_strategy": "cg"}):
+        # drift / π on the eigen path: both ranks hold everything; cg at MEM-OPT: the one gradient worker does;
+        # π on the inverse path: the decomposer, which holds both factors anyway.
+        for overrides, copies in (
+            ({"drift_tol": 0.05}, 2), ({"damping_pi_correction": True, "solve_strategy": "eigen"}, 2),
+            ({"damping_pi_correction": True}, 1), ({"solve_strategy": "cg"}, 1),
+        ):  # fmt: skip
             report = measured_memory_report(
                 "mlp", world_size=2, grad_worker_frac=0.5, steps=1, kfac_overrides=overrides
             )
@@ -363,8 +368,7 @@ class TestMeasuredMemoryReport:
                 assert entry["measured"] == entry["predicted"]
             held = sum(entry["measured"]["factors"] for entry in report["per_rank"])
             once = sum(entry["measured"]["factors"] for entry in sharded["per_rank"])
-            # drift / pi: both ranks hold everything; cg at MEM-OPT: the one gradient worker does.
-            assert held == (once if "solve_strategy" in overrides else 2 * once)
+            assert held == copies * once, overrides
 
     @pytest.mark.parametrize("solver", ["inverse", "cg"])
     def test_solver_state_is_predicted_from_layer_shapes_not_read_off_the_solvers(self, solver, monkeypatch):
