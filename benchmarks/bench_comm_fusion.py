@@ -1,4 +1,4 @@
-"""Communication fusion: one schedule, two bucket caps, and a modeled backward-hook overlap.
+"""Communication fusion: one schedule, two bucket caps, modeled and measured.
 
 The asynchronous bucketed collective engine (``repro.distributed.collectives``)
 coalesces K-FAC's per-layer factor allreduces, eigen broadcasts and
@@ -11,24 +11,21 @@ message per tensor) and 25 MB (the default), priced with
 MEM-OPT / HYBRID-OPT / COMM-OPT and world sizes >= 8.  It asserts the 25 MB
 cap issues strictly fewer collective messages and a strictly lower modeled
 iteration time at identical byte volume, and emits the numbers to
-``BENCH_comm_fusion.json``.  The ``hooked`` columns are modeled only
-(``model_comm_schedule(..., hooked=True)``, the Fig. 7 / 8 projection of
-posting the factor and gradient buckets from backward hooks): the engine posts
-after backward, so nothing runs them.  Beside each modeled row it can run --
+``BENCH_comm_fusion.json``.  Beside each modeled row it can run --
 world 2 and 4, on the tiny BERT -- it prints what each rank's registry
 counted for one full update beside that rank's slice of the plan (the
 messages whose group contains it): the model reads the plan the engine
 follows, so the residual is 0 messages and 0 bytes on every rank, and
 asserted.
 
-A second test closes the loop on *measured* overlap: a tiny BERT is trained
-for real through a ``Trainer`` on 4 threaded ranks with tracing enabled, the
-per-rank comm spans are intersected with the backward spans
-(:func:`repro.observability.measured_comm_schedule`), and the measured
-exposed/hidden split is reported next to the analytic model's prediction for
-the same layer set (``BENCH_comm_fusion_measured.json``).  Nothing is posted
-during backward, so the measured hidden time is 0 on every rank, and
-asserted; the modeled hooked row beside it was not run.
+A second test closes the loop on *measured* communication: a tiny BERT is
+trained for real through a ``Trainer`` on 4 threaded ranks with tracing
+enabled, each rank's comm spans are merged into their union
+(:func:`repro.observability.measured_comm_schedule`), and the measured comm
+time is reported next to the analytic model's prediction for the same layer
+set (``BENCH_comm_fusion_measured.json``).  Every collective is posted after
+backward, so all of it is on the critical path; the tier-1 suite holds that
+(``tests/test_observability.py::TestTracedTrainingArtifacts::test_no_collective_is_in_flight_during_backward``).
 """
 
 import dataclasses
@@ -106,8 +103,7 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
             for label, frac in strategy_fracs(world_size).items():
                 unfused = model_comm_schedule(unfused_spec, world_size, frac)
                 fused = model_comm_schedule(fused_spec, world_size, frac)
-                hooked = model_comm_schedule(fused_spec, world_size, frac, hooked=True)
-                results.append((label, world_size, frac, unfused, fused, hooked))
+                results.append((label, world_size, frac, unfused, fused))
         return results
 
     results = benchmark(sweep)
@@ -119,7 +115,7 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
         "bucket_cap_mb": BUCKET_CAP_MB,
         "results": [],
     }
-    for label, world_size, frac, unfused, fused, hooked in results:
+    for label, world_size, frac, unfused, fused in results:
         message_reduction = 1.0 - fused.messages_per_update / unfused.messages_per_update
         time_saving_ms = (unfused.iteration_time - fused.iteration_time) * 1000
         rows.append(
@@ -128,14 +124,10 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
                 world_size,
                 unfused.messages_per_update,
                 fused.messages_per_update,
-                hooked.messages_per_update,
                 f"{100 * message_reduction:.1f}%",
                 round(unfused.kfac_comm_time * 1000, 3),
                 round(fused.kfac_comm_time * 1000, 3),
                 round(time_saving_ms, 3),
-                round(fused.exposed_comm_time * 1000, 3),
-                round(hooked.exposed_comm_time * 1000, 3),
-                round(hooked.hidden_comm_time * 1000, 3),
             ]
         )
         payload["results"].append(
@@ -145,34 +137,21 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
                 "grad_worker_frac": frac,
                 "unfused_messages": unfused.messages_per_update,
                 "fused_messages": fused.messages_per_update,
-                "hooked_messages": hooked.messages_per_update,
                 "comm_bytes": unfused.comm_bytes_per_update,
                 "unfused_kfac_comm_time": unfused.kfac_comm_time,
                 "fused_kfac_comm_time": fused.kfac_comm_time,
                 "unfused_iteration_time": unfused.iteration_time,
                 "fused_iteration_time": fused.iteration_time,
-                "fused_exposed_comm_time": fused.exposed_comm_time,
-                "hooked_exposed_comm_time": hooked.exposed_comm_time,
-                "hooked_hidden_comm_time": hooked.hidden_comm_time,
-                "hooked_iteration_time": hooked.iteration_time,
             }
         )
 
         # Acceptance criteria: same bytes, strictly fewer messages, strictly
-        # lower modeled iteration time for every strategy at world size >= 8;
-        # the modeled hooked (backward-posting) schedule hides communication
-        # behind backprop, strictly lowering exposed comm time at identical volume.
+        # lower modeled iteration time for every strategy at world size >= 8.
         assert unfused.comm_bytes_per_update == fused.comm_bytes_per_update
         assert fused.messages_per_update < unfused.messages_per_update, (label, world_size)
         assert fused.iteration_time < unfused.iteration_time, (label, world_size)
-        assert hooked.comm_bytes_per_update == fused.comm_bytes_per_update
-        assert hooked.exposed_comm_time < fused.exposed_comm_time, (label, world_size)
-        assert hooked.iteration_time < fused.iteration_time, (label, world_size)
 
-    print_section(
-        "Bucket-cap sweep + backward-hook overlap - BERT-Large layer set (modeled, EDR InfiniBand; "
-        "hooked is modeled only, not run)"
-    )
+    print_section("Bucket-cap sweep - BERT-Large layer set (modeled, EDR InfiniBand)")
     print(
         format_table(
             [
@@ -180,14 +159,10 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
                 "World",
                 "msgs 0.001 MB",
                 "msgs 25 MB",
-                "msgs 25 MB hooked",
                 "msg reduction",
                 "KFAC comm 0.001 MB (ms)",
                 "KFAC comm 25 MB (ms)",
                 "iter time saved (ms)",
-                "exposed 25 MB (ms)",
-                "exposed hooked (ms)",
-                "hidden hooked (ms)",
             ],
             rows,
         )
@@ -225,15 +200,12 @@ def test_comm_fusion_fewer_messages_and_lower_time(benchmark):
 
 
 def test_comm_fusion_measured_vs_modeled(benchmark):
-    """Measured exposed comm (live traced run, 4 threaded ranks) beside the model.
+    """Measured comm time (live traced run, 4 threaded ranks) beside the model.
 
     The threaded world's collectives move through real shared memory with
     real thread synchronization — wall-clock magnitudes are not InfiniBand's
     — so the assertions check structural invariants, not absolute times:
-    every rank posted comm spans, the hidden+exposed split covers the comm
-    occupancy exactly, and nothing was posted during backward, so no
-    communication is hidden.  The modeled hooked schedule is printed as its
-    own row: modeled, not run.
+    every rank posted comm spans.
     """
     world_size, steps = 4, 3
 
@@ -244,20 +216,15 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
     measured = measured_comm_schedule(tracers)
     spec = workload_spec_for_run(tracers, run_info)
     modeled = modeled_schedule_for_run(spec, run_info)
-    hooked = model_comm_schedule(spec, world_size, spec.config.grad_worker_frac, hooked=True)
     report = MetricsReport.from_tracers(tracers)
 
-    print_section("Exposed communication: modeled (EDR InfiniBand) vs measured (threaded world)")
+    print_section("Communication: modeled (EDR InfiniBand) vs measured (threaded world)")
     print(
         format_table(
-            ["", "messages", "comm time (ms)", "exposed (ms)", "hidden (ms)"],
+            ["", "messages", "comm time (ms)"],
             [
-                ["modeled", modeled.messages_per_update, round(modeled.kfac_comm_time * 1e3, 3),
-                 round(modeled.exposed_comm_time * 1e3, 3), round(modeled.hidden_comm_time * 1e3, 3)],
-                ["measured", measured.messages, round(measured.comm_time * 1e3, 3),
-                 round(measured.exposed_comm_time * 1e3, 3), round(measured.hidden_comm_time * 1e3, 3)],
-                ["modeled hooked (not run)", hooked.messages_per_update, round(hooked.kfac_comm_time * 1e3, 3),
-                 round(hooked.exposed_comm_time * 1e3, 3), round(hooked.hidden_comm_time * 1e3, 3)],
+                ["modeled", modeled.messages_per_update, round(modeled.kfac_comm_time * 1e3, 3)],
+                ["measured", measured.messages, round(measured.comm_time * 1e3, 3)],
             ],
         )
     )
@@ -265,14 +232,6 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
     assert len(measured.per_rank) == world_size
     for rank, stats in measured.per_rank.items():
         assert stats["messages"] > 0, f"rank {rank} recorded no comm spans"
-        assert stats["exposed_comm_time"] <= stats["comm_time"] + 1e-9, rank
-        assert abs(
-            stats["exposed_comm_time"] + stats["hidden_comm_time"] - stats["comm_time"]
-        ) < 1e-9, rank
-        # Every collective is posted after backward (Listing 1), so none
-        # overlaps the backward window.
-        assert stats["hidden_comm_time"] == 0.0, rank
-    assert measured.exposed_comm_time <= measured.comm_time + 1e-9
 
     write_bench_json(
         MEASURED_OUTPUT,
@@ -284,14 +243,6 @@ def test_comm_fusion_measured_vs_modeled(benchmark):
             "modeled": {
                 "messages_per_update": modeled.messages_per_update,
                 "kfac_comm_time": modeled.kfac_comm_time,
-                "exposed_comm_time": modeled.exposed_comm_time,
-                "hidden_comm_time": modeled.hidden_comm_time,
-            },
-            "modeled_hooked_not_run": {
-                "messages_per_update": hooked.messages_per_update,
-                "kfac_comm_time": hooked.kfac_comm_time,
-                "exposed_comm_time": hooked.exposed_comm_time,
-                "hidden_comm_time": hooked.hidden_comm_time,
             },
             "measured": measured.to_dict(),
         },

@@ -25,9 +25,9 @@ import numpy as np
 from pathlib import Path
 
 from repro.experiments import format_table, write_bench_json
-from repro.kfac import FactorRepr, KernelBackend, pack_triangle
+from repro.kfac import FactorRepr, KernelBackend, KFACConfig, KFACWorkloadSpec, pack_triangle
 from repro.kfac.strategy import LayerShapeInfo
-from repro.memory import KFACMemoryModel
+from repro.memory import paper_factor_bytes
 
 from conftest import print_section
 
@@ -178,12 +178,15 @@ def test_memory_model_charges_packed_factor_bytes(benchmark):
             ),
             LayerShapeInfo(name="intermediate", a_dim=hidden, g_dim=4 * hidden, grad_numel=4 * hidden * hidden),
         ]
-        return KFACMemoryModel(layers, param_count=vocab * hidden + 4 * hidden * hidden)
+        return KFACWorkloadSpec(
+            "bert_large", layers, param_count=vocab * hidden + 4 * hidden * hidden, local_batch_size=0,
+            baseline_compute_time=0.0, config=KFACConfig(),
+        )  # fmt: skip
 
     def measure():
-        packed = build(structured=True).factor_bytes()
-        dense = build(structured=False).factor_bytes()
-        paper = build(structured=False).paper_factor_bytes()
+        packed = build(structured=True).factor_bytes
+        dense = build(structured=False).factor_bytes
+        paper = paper_factor_bytes(build(structured=False))
         return {
             "packed_bytes": packed,
             "dense_bytes": dense,

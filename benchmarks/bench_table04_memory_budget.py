@@ -15,7 +15,7 @@ the paper's iteration counts produce the projected time-to-convergence.
 The largest local batch is reported for two layouts of the running factors:
 the **paper's** (every rank keeps every factor -- the columns this script has
 always printed, unchanged) and **this tree's** (a factor lives only on the
-rank that decomposes it, ``KFACMemoryModel.max_local_batch_size``), which is
+rank that decomposes it, ``repro.memory.max_local_batch_size``), which is
 what the fixed budget actually has to fit here; a measured column and
 ``BENCH_memory.json`` come with them.
 """
@@ -25,15 +25,9 @@ import dataclasses
 from repro.distributed import A100, DGX_A100_FABRIC, EDR_INFINIBAND, V100, PerformanceModel
 from repro.experiments import PAPER_RESULTS, format_table, paper_workload_spec
 from repro.kfac import IterationTimeModel, KFACWorkloadSpec
-from repro.memory import KFACMemoryModel
+from repro.memory import max_local_batch_size, memory_breakdown, paper_layout_bytes
 
-from conftest import (
-    measured_memory_rows,
-    measured_memory_table,
-    paper_layout_overhead,
-    print_section,
-    record_memory_bench,
-)
+from conftest import measured_memory_rows, measured_memory_table, print_section, record_memory_bench
 
 GB = 1024 ** 3
 MB = 1024 ** 2
@@ -54,12 +48,12 @@ def _rescale_compute(spec: KFACWorkloadSpec, batch: int) -> KFACWorkloadSpec:
     )
 
 
-def _paper_layout_batch(memory: KFACMemoryModel, budget: int, world_size: int, frac) -> int:
+def _paper_layout_batch(spec: KFACWorkloadSpec, budget: int, world_size: int, frac) -> int:
     """``max_local_batch_size`` with every factor on every rank (the paper's layout)."""
-    fixed = memory.breakdown(world_size, None).total
+    fixed = memory_breakdown(spec, world_size, None).total
     if frac is not None:
-        fixed += paper_layout_overhead(memory, world_size, frac, "max")
-    return max(0, int((budget - fixed) // memory.activation_bytes_per_sample))
+        fixed += paper_layout_bytes(spec, world_size, frac, "max")
+    return max(0, int((budget - fixed) // spec.activation_bytes_per_sample))
 
 
 def test_table04_fixed_memory_budget(benchmark):
@@ -67,13 +61,8 @@ def test_table04_fixed_memory_budget(benchmark):
         rows = []
 
         # ---------------- ResNet-50 on 64 x 16 GB V100 --------------------------
-        spec = paper_workload_spec("resnet50")
-        memory = KFACMemoryModel(
-            spec.layers,
-            spec.param_count,
-            optimizer="sgd",
-            activation_bytes_per_sample=RESNET50_ACT_PER_SAMPLE,
-            config=spec.config,
+        spec = dataclasses.replace(
+            paper_workload_spec("resnet50"), optimizer="sgd", activation_bytes_per_sample=RESNET50_ACT_PER_SAMPLE
         )
         time_model = IterationTimeModel(PerformanceModel(device=V100, network=EDR_INFINIBAND))
         budget = int(0.9 * 16 * GB)  # usable fraction of a 16 GB V100
@@ -85,8 +74,8 @@ def test_table04_fixed_memory_budget(benchmark):
             ("KAISA HYBRID-OPT (frac=1/2)", 0.5, epochs_kaisa),
             ("KAISA MEM-OPT (frac=1/64)", 1.0 / 64, epochs_kaisa),
         ):
-            batch = _paper_layout_batch(memory, budget, 64, frac)
-            sharded_batch = memory.max_local_batch_size(budget, 64, frac)
+            batch = _paper_layout_batch(spec, budget, 64, frac)
+            sharded_batch = max_local_batch_size(spec, budget, 64, frac)
             if batch == 0:
                 rows.append(["ResNet-50", label, 0, None, None, "out of memory", sharded_batch])
                 continue
@@ -100,14 +89,10 @@ def test_table04_fixed_memory_budget(benchmark):
             rows.append(["ResNet-50", label, batch, batch * 64, round(total_minutes, 1), "fits", sharded_batch])
 
         # ---------------- BERT-Large phase 2 on 8 x 40 GB A100 ------------------
-        spec = paper_workload_spec("bert_large", precision="fp16")
-        memory = KFACMemoryModel(
-            spec.layers,
-            spec.param_count,
+        spec = dataclasses.replace(
+            paper_workload_spec("bert_large", precision="fp16"),
             optimizer="lamb",
-            weight_dtype_bytes=2,
             activation_bytes_per_sample=BERT_ACT_PER_SAMPLE,
-            config=spec.config,
         )
         time_model = IterationTimeModel(PerformanceModel(device=A100, network=DGX_A100_FABRIC))
         budget = int(0.9 * 40 * GB)
@@ -117,8 +102,8 @@ def test_table04_fixed_memory_budget(benchmark):
             ("KAISA HYBRID-OPT (frac=1/2)", 0.5, kaisa_iterations),
             ("KAISA COMM-OPT (frac=1)", 1.0, kaisa_iterations),
         ):
-            batch = _paper_layout_batch(memory, budget, 8, frac)
-            sharded_batch = memory.max_local_batch_size(budget, 8, frac)
+            batch = _paper_layout_batch(spec, budget, 8, frac)
+            sharded_batch = max_local_batch_size(spec, budget, 8, frac)
             scaled = _rescale_compute(spec, max(batch, 1) * spec.grad_accumulation_steps)
             if frac is None:
                 iter_time = time_model.baseline_iteration_time(scaled, 8)

@@ -11,19 +11,20 @@ estimate so the delta percentages are on a comparable scale to the paper's.
 Two layouts are printed side by side, so the paper columns keep comparing like
 with like: the **paper's** (every rank keeps every running factor, next to
 ``PAPER_TABLE5``) and **this tree's** (a factor lives only on the rank that
-decomposes it, ``KFACMemoryModel.breakdown``), with a live measured column
+decomposes it, ``repro.memory.memory_breakdown``), with a live measured column
 from real threaded runs; everything is recorded in ``BENCH_memory.json``.
 """
 
+import dataclasses
+
 from repro.experiments import PAPER_RESULTS, format_table, measured_memory_report, paper_workload_spec
-from repro.memory import KFACMemoryModel
+from repro.memory import memory_breakdown, overhead_bytes, paper_layout_bytes
 
 from conftest import (
     busiest_rank_at_paper_scale,
     busiest_rank_table,
     measured_memory_rows,
     measured_memory_table,
-    paper_layout_overhead,
     print_section,
     record_memory_bench,
 )
@@ -62,16 +63,12 @@ OPTIMIZER = {
 }
 
 
-def _memory_model(name):
+def _workload_spec(name):
     precision = "fp16" if name == "bert_large" else "fp32"
-    spec = paper_workload_spec(name, precision=precision)
-    return spec, KFACMemoryModel(
-        spec.layers,
-        spec.param_count,
+    return dataclasses.replace(
+        paper_workload_spec(name, precision=precision),
         optimizer=OPTIMIZER[name],
-        weight_dtype_bytes=2 if precision == "fp16" else 4,
         activation_bytes_per_sample=ACTIVATION_PER_SAMPLE[name],
-        config=spec.config,
     )
 
 
@@ -79,11 +76,11 @@ def test_table05_memory_usage(benchmark):
     def compute_rows():
         rows, sharded_rows = [], []
         for name, (precision, paper_abs, paper_min, paper_max) in PAPER_TABLE5.items():
-            spec, memory = _memory_model(name)
-            baseline = memory.breakdown(WORLD_SIZE, None, local_batch_size=spec.local_batch_size).baseline_total
+            spec = _workload_spec(name)
+            baseline = memory_breakdown(spec, WORLD_SIZE, None, local_batch_size=spec.local_batch_size).baseline_total
             # The paper's layout, as the mean rank the paper's per-GPU measurements correspond to.
-            minimum = paper_layout_overhead(memory, WORLD_SIZE, 1.0 / WORLD_SIZE, "mean")
-            maximum = paper_layout_overhead(memory, WORLD_SIZE, 1.0, "mean")
+            minimum = paper_layout_bytes(spec, WORLD_SIZE, 1.0 / WORLD_SIZE, "mean")
+            maximum = paper_layout_bytes(spec, WORLD_SIZE, 1.0, "mean")
             rows.append(
                 [
                     name,
@@ -99,7 +96,7 @@ def test_table05_memory_usage(benchmark):
             )
             # This tree's layout, mean and busiest rank (what a per-GPU budget has to fit).
             sharded = {
-                (label, rank): memory.overhead_bytes(WORLD_SIZE, frac, rank=rank)
+                (label, rank): overhead_bytes(spec, WORLD_SIZE, frac, rank=rank)
                 for label, frac in (("min", 1.0 / WORLD_SIZE), ("max", 1.0))
                 for rank in ("mean", "max")
             }
@@ -109,11 +106,11 @@ def test_table05_memory_usage(benchmark):
                     round(sharded["min", "mean"] / MB),
                     round(100.0 * sharded["min", "mean"] / baseline, 1),
                     round(sharded["min", "max"] / MB),
-                    round(paper_layout_overhead(memory, WORLD_SIZE, 1.0 / WORLD_SIZE, "max") / MB),
+                    round(paper_layout_bytes(spec, WORLD_SIZE, 1.0 / WORLD_SIZE, "max") / MB),
                     round(sharded["max", "mean"] / MB),
                     round(100.0 * sharded["max", "mean"] / baseline, 1),
                     round(sharded["max", "max"] / MB),
-                    round(paper_layout_overhead(memory, WORLD_SIZE, 1.0, "max") / MB),
+                    round(paper_layout_bytes(spec, WORLD_SIZE, 1.0, "max") / MB),
                 ]
             )
         return rows, sharded_rows

@@ -26,8 +26,8 @@ from repro.experiments import (
     paper_workload_spec,
     write_bench_json,
 )
-from repro.kfac import KFAC
-from repro.memory import KFACMemoryModel
+from repro.kfac import KFAC, KFACConfig, KFACWorkloadSpec
+from repro.memory import overhead_bytes, paper_layout_bytes, refreshed_bytes_per_rank
 
 
 def print_section(title: str) -> None:
@@ -42,39 +42,25 @@ def print_section(title: str) -> None:
 # by side: the paper's, where every rank keeps every running factor as a full
 # square, and this tree's, where a factor lives only on the rank that
 # decomposes it, a dense one as its packed triangle (KFAC.holds_factor;
-# KFACMemoryModel.breakdown).  They share one measured column and one
-# BENCH_memory.json.
+# repro.memory.memory_breakdown of the workload spec).  They share one measured
+# column and one BENCH_memory.json.
 BENCH_MEMORY_JSON = Path(__file__).with_name("BENCH_memory.json")
 MEASURED_WORKLOADS = ("bert", "cifar_resnet")
 MEASURED_WORLDS = (2, 4)
 
 
-def refreshed_bytes_per_rank(memory, world_size: int, grad_worker_frac: float) -> np.ndarray:
-    """Each rank's refreshed state: eigen decompositions and outer products, or installed inverses (solver state)."""
-    return memory.eigen_bytes_per_rank(world_size, grad_worker_frac) + memory.solver_bytes_per_rank(
-        world_size, grad_worker_frac
-    )
-
-
-def paper_layout_overhead(memory, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
-    """K-FAC bytes per rank in the paper's layout: all factors, square, everywhere + this rank's refreshed state."""
-    refreshed = refreshed_bytes_per_rank(memory, world_size, grad_worker_frac)
-    return memory.paper_factor_bytes() + int(getattr(refreshed, rank)())
-
-
-def square_storage_overhead(memory, world_size: int, grad_worker_frac: float) -> int:
+def square_storage_overhead(spec, world_size: int, grad_worker_frac: float) -> int:
     """Busiest rank's K-FAC bytes under this tree's placement if every held factor's blocks were full squares.
 
     The layout between "stored once across the ranks" and "stored once as a
     triangle": what the busiest-rank figures read before packed storage.
     """
-    plan = memory.plan(world_size, grad_worker_frac)
-    itemsize = np.dtype(plan.policy.precision.factor_dtype).itemsize
+    plan = spec.plan(world_size, grad_worker_frac)
     per_rank = np.zeros(world_size, dtype=np.int64)
     for (name, which), holders in plan.factor_holders.items():
         repr_ = plan.groups[name].layer.factor_repr(which)
-        per_rank[list(holders)] += itemsize * repr_.square_numel
-    return int((per_rank + refreshed_bytes_per_rank(memory, world_size, grad_worker_frac)).max())
+        per_rank[list(holders)] += spec.dtype_bytes * repr_.square_numel
+    return int((per_rank + refreshed_bytes_per_rank(spec.config, plan)).max())
 
 
 def busiest_rank_at_paper_scale(world_size: int = 64):
@@ -89,15 +75,14 @@ def busiest_rank_at_paper_scale(world_size: int = 64):
     rows = []
     for name in ("bert_large", "resnet50"):
         spec = paper_workload_spec(name, precision="fp32")
-        memory = KFACMemoryModel(spec.layers, spec.param_count)
         frac = 1.0 / world_size
         rows.append(
             {
                 "model": name,
                 "world": world_size,
-                "paper layout (MB)": round(paper_layout_overhead(memory, world_size, frac, "max") / MB, 1),
-                "stored once, square (MB)": round(square_storage_overhead(memory, world_size, frac) / MB, 1),
-                "stored once, packed triangle (MB)": round(memory.overhead_bytes(world_size, frac, rank="max") / MB, 1),
+                "paper layout (MB)": round(paper_layout_bytes(spec, world_size, frac, "max") / MB, 1),
+                "stored once, square (MB)": round(square_storage_overhead(spec, world_size, frac) / MB, 1),
+                "stored once, packed triangle (MB)": round(overhead_bytes(spec, world_size, frac, rank="max") / MB, 1),
             }
         )
     record_memory_bench(f"busiest_rank_w{world_size}", rows)
@@ -132,14 +117,18 @@ def measured_memory_rows():
         workload = build_workload(workload_name, seed=0)
         # The shapes of everything K-FAC registers (norm layers included), as the model's input.
         registered = KFAC(workload.model, skip_modules=workload.kfac_skip_modules).layers.values()
-        model = KFACMemoryModel([layer.shape_info() for layer in registered], param_count=0)
+        spec = KFACWorkloadSpec(
+            workload_name, [layer.shape_info() for layer in registered], param_count=0, local_batch_size=0,
+            baseline_compute_time=0.0, config=KFACConfig(),
+        )  # fmt: skip
         for world in MEASURED_WORLDS:
             for label, frac in (("MEM-OPT", 1.0 / world), ("HYBRID-OPT", 0.5), ("COMM-OPT", 1.0)):
                 if label == "HYBRID-OPT" and world == 2:
                     continue  # at world 2 a fraction of 1/2 *is* MEM-OPT
                 report = measured_memory_report(workload_name, world_size=world, grad_worker_frac=frac, steps=1)
                 measured = [entry["measured"]["total"] for entry in report["per_rank"]]
-                modeled = (model.factor_bytes_per_rank(world, frac) + refreshed_bytes_per_rank(model, world, frac)).tolist()
+                plan = spec.plan(world, frac)
+                modeled = (plan.factor_bytes_per_rank() + refreshed_bytes_per_rank(spec.config, plan)).tolist()
                 assert measured == modeled, f"{workload_name} world {world} {label}: live {measured} != model {modeled}"
                 rows.append(
                     {
@@ -149,8 +138,8 @@ def measured_memory_rows():
                         "grad_worker_frac": frac,
                         "measured_bytes_per_rank": measured,
                         "measured_factor_bytes_per_rank": [e["measured"]["factors"] for e in report["per_rank"]],
-                        "paper_layout_max_bytes": paper_layout_overhead(model, world, frac, "max"),
-                        "paper_layout_mean_bytes": paper_layout_overhead(model, world, frac, "mean"),
+                        "paper_layout_max_bytes": paper_layout_bytes(spec, world, frac, "max"),
+                        "paper_layout_mean_bytes": paper_layout_bytes(spec, world, frac, "mean"),
                     }
                 )
     record_memory_bench("measured", rows)

@@ -43,13 +43,6 @@ __all__ = [
     "ETHERNET_10G",
 ]
 
-#: Fraction of an iteration's forward+backward+update compute spent in the
-#: backward pass — the window a hook-driven schedule can hide communication
-#: behind.  Backward is ~2x forward work (grad w.r.t. inputs and weights), so
-#: two thirds of the fwd+bwd budget is the standard engineering estimate.
-BACKWARD_COMPUTE_FRACTION = 2.0 / 3.0
-
-
 def amortized_update_time(duration: float, update_freq: int, update_fraction: float = 1.0) -> float:
     """Per-iteration share of a stage that runs every ``update_freq`` steps.
 
@@ -134,17 +127,6 @@ class PerformanceModel:
             return 0.0
         hops = math.ceil(math.log2(group_size))
         return hops * (self.network.latency + nbytes / self.network.bandwidth)
-
-    @staticmethod
-    def backward_window(iteration_compute_time: float) -> float:
-        """Backward-pass compute a modeled hook-posted schedule hides communication behind.
-
-        ``iteration_compute_time`` is the per-rank forward+backward+update
-        time; a schedule that posted its buckets from backward hooks would
-        post them while the backward two-thirds of it is still executing.
-        The engine posts after backward, so only the models read this.
-        """
-        return max(0.0, float(iteration_compute_time)) * BACKWARD_COMPUTE_FRACTION
 
     # --------------------------------------------------------------- compute
     def compute_time(self, flops: float, dtype_bytes: int = 4) -> float:

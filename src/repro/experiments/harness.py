@@ -15,8 +15,7 @@ import dataclasses
 
 from ..distributed import run_spmd
 from ..kfac import KFAC, KFACConfig, IterationTimeModel, KFACWorkloadSpec
-from ..kfac.scheduling.solvers import solve_strategy_class
-from ..memory import KFACMemoryModel
+from ..memory import overhead_bytes, paper_layout_bytes, solver_bytes_per_rank
 from ..training import Trainer, TrainingCurve
 from .configs import SmallWorkloadConfig
 from .workloads import TrainableWorkload, build_workload, make_optimizer
@@ -147,29 +146,19 @@ def sweep_grad_worker_frac(
     spec: KFACWorkloadSpec,
     world_size: int,
     fracs: Sequence[float],
-    optimizer: str = "sgd",
-    activation_bytes_per_sample: int = 0,
     model: Optional[IterationTimeModel] = None,
 ) -> Dict[float, Dict[str, float]]:
-    """Iteration time + memory overhead across grad_worker_frac values (Figure 6)."""
+    """Iteration time + memory overhead of ``spec`` across grad_worker_frac values (Figure 6)."""
     time_model = model if model is not None else IterationTimeModel()
-    memory_model = KFACMemoryModel(
-        spec.layers,
-        spec.param_count,
-        optimizer=optimizer,
-        activation_bytes_per_sample=activation_bytes_per_sample,
-        config=spec.config,
-    )
     results: Dict[float, Dict[str, float]] = {}
     for frac in fracs:
         breakdown = time_model.kfac_breakdown(spec, world_size, frac)
         # The representative per-GPU overhead is the mean across ranks: with fewer
         # layers than ranks the busiest rank's eigen memory saturates early, while
         # the paper's per-GPU measurements grow smoothly (linearly) with the fraction.
-        overhead = memory_model.overhead_bytes(world_size, frac, rank="mean")
+        overhead = overhead_bytes(spec, world_size, frac, rank="mean")
         # The paper's layout keeps every factor on every rank (its Figure 6 right axes).
-        refreshed = memory_model.eigen_bytes_per_rank(world_size, frac) + memory_model.solver_bytes_per_rank(world_size, frac)
-        replicated = memory_model.paper_factor_bytes() + int(refreshed.mean())
+        replicated = paper_layout_bytes(spec, world_size, frac, rank="mean")
         results[frac] = {
             "iteration_time": breakdown.total,
             "kfac_overhead_time": breakdown.kfac_overhead,
@@ -232,13 +221,7 @@ def measured_memory_report(
         plan = preconditioner.plan
         predicted_factors = int(plan.factor_bytes_per_rank()[comm.rank])
         predicted_eigen = int(plan.eigen_bytes_per_rank()[comm.rank])
-        # Solver-state bytes (installed inverses / CG warm starts) exist only
-        # on a layer's gradient workers, as each strategy states them from the
-        # layer's factor representations; the eigen path holds none.
-        predicted_solver = sum(
-            solve_strategy_class(kfac_config.solver_name_for(layer)).state_bytes(layer, plan.policy)
-            for layer in (group.layer for group in plan.groups.values() if group.is_grad_worker(comm.rank))
-        )
+        predicted_solver = int(solver_bytes_per_rank(kfac_config, plan)[comm.rank])
         predicted = {
             "factors": predicted_factors,
             "eigen": predicted_eigen,

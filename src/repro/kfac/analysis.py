@@ -15,7 +15,8 @@ the :class:`~repro.kfac.strategy.DistributionPlan` that config builds
 (:meth:`KFACWorkloadSpec.plan`) and buckets its specs under the plan's own cap
 with the collective engine's own grouping, so modeled messages, bytes and
 placement are the engine's for every knob and only latency, bandwidth and flop
-rates are modeled.
+rates are modeled.  Every collective is posted after backward, so all of it
+is priced on the critical path.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ def repr_basis_apply_flops(perf: PerformanceModel, repr_: FactorRepr, other_dim:
 
 @dataclass(frozen=True)
 class KFACWorkloadSpec:
-    """Everything the iteration-time model needs to know about one application.
+    """Everything the iteration-time and memory models need to know about one application.
 
     ``config`` is the :class:`~repro.kfac.KFACConfig` the engine would run
     with -- cadences, precision, solvers, balance, bucket cap, every knob; its
-    ``grad_worker_frac`` is replaced by the one each query passes.
+    ``grad_worker_frac`` is replaced by the one each query passes.  Time and
+    memory (:mod:`repro.memory`) are two reads of the spec and its :meth:`plan`.
     """
 
     name: str
@@ -95,6 +97,8 @@ class KFACWorkloadSpec:
     #: communication.
     factor_update_fraction: float = 1.0
     eigen_update_fraction: float = 1.0
+    optimizer: str = "sgd"  # sizes the optimizer state of the memory read
+    activation_bytes_per_sample: int = 0  # the memory read's activation estimate, per local sample
 
     def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
         """The plan :class:`~repro.kfac.KFAC` built from ``config`` follows at this operating point."""
@@ -102,7 +106,7 @@ class KFACWorkloadSpec:
 
     @property
     def dtype_bytes(self) -> int:
-        """Element size of the training precision (factors, and the data-parallel gradients)."""
+        """Element size of the training precision (factors, weights, and the data-parallel gradients)."""
         return np.dtype(self.config.precision_policy().factor_dtype).itemsize
 
     @property
@@ -342,7 +346,7 @@ class IterationTimeModel:
 
 
 # ---------------------------------------------------------------------------
-# The bucketed communication schedule (the overlap engine, modeled)
+# The bucketed communication schedule (modeled)
 # ---------------------------------------------------------------------------
 
 
@@ -364,14 +368,8 @@ class CommSchedule:
     ``kfac_comm_time`` is the busiest rank's amortised per-iteration K-FAC
     communication time; ``iteration_time`` adds the compute stages and the
     data-parallel gradient allreduce so schedules can be compared end to end.
-
-    ``exposed_comm_time`` / ``hidden_comm_time`` split the busiest rank's
-    per-iteration communication into the part left on the critical path and
-    the part hidden behind backward compute.  A ``hooked`` schedule (modeled
-    only: the engine posts after backward) would post the factor allreduces
-    and the data-parallel gradient averaging while backprop still runs,
-    hiding them inside the backward window; step-time schedules, which are
-    what the engine runs, expose everything.
+    Every collective is posted after backward (Listing 1), so all of it sits
+    on the critical path.
     """
 
     strategy: str
@@ -380,9 +378,6 @@ class CommSchedule:
     comm_bytes_per_update: int
     kfac_comm_time: float
     iteration_time: float
-    hooked: bool = False
-    exposed_comm_time: float = 0.0
-    hidden_comm_time: float = 0.0
     rounds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
@@ -391,7 +386,6 @@ def model_comm_schedule(
     world_size: int,
     grad_worker_frac: float,
     perf: Optional[PerformanceModel] = None,
-    hooked: bool = False,
 ) -> CommSchedule:
     """Price the collective schedule the engine issues for ``spec``'s plan.
 
@@ -404,15 +398,6 @@ def model_comm_schedule(
     eigen decomposition and per preconditioned-gradient broadcast.  Bytes moved do not depend
     on the cap; only message counts (alpha terms) do.  A cap sweep prices
     ``spec.config.replace(bucket_cap_mb=...)``.
-
-    ``hooked=True`` is modeled only (the Fig. 7 / 8 overlap projections; the
-    engine posts after backward): the same factor allreduces and the
-    data-parallel gradient averaging posted while backprop still runs, so up to
-    :meth:`PerformanceModel.backward_window` seconds of that traffic are
-    hidden; ``exposed_comm_time``/``hidden_comm_time`` report the split and
-    ``iteration_time`` charges only the exposed part.  Eigen and
-    preconditioned-gradient broadcasts stay inside ``KFAC.step()`` and remain
-    exposed in every schedule.
     """
     perf = perf if perf is not None else PerformanceModel()
     plan = spec.plan(world_size, grad_worker_frac)
@@ -420,57 +405,36 @@ def model_comm_schedule(
     rounds = {label: (len(sent), sum(nbytes for _, nbytes in sent)) for label, sent in messages.items()}
 
     # --- factor allreduce (world-wide; every rank participates) ------------
-    # The round a hooked schedule can hide, so its time is kept apart from
-    # the step-time broadcast rounds below.
     factor_time = sum(perf.allreduce_time(nbytes, len(members)) for members, nbytes in messages["factor"])
     factor_per_iter = amortized_update_time(factor_time, plan.factor_update_freq, spec.factor_update_fraction)
 
     # --- eigen broadcast (per refresh), gradient broadcast (every step) ----
-    comm_time = np.zeros(world_size)  # per-rank amortised time of the step-time rounds
+    broadcast_time = np.zeros(world_size)  # per-rank amortised time of the broadcast rounds
     for members, nbytes in messages["eigen"]:
-        comm_time[list(members)] += amortized_update_time(
+        broadcast_time[list(members)] += amortized_update_time(
             perf.broadcast_time(nbytes, len(members)), plan.inv_update_freq, spec.eigen_update_fraction
         )
     for members, nbytes in messages["gradient"]:
-        comm_time[list(members)] += perf.broadcast_time(nbytes, len(members))
-
-    step_comm_max = float(np.max(comm_time)) if world_size else 0.0
+        broadcast_time[list(members)] += perf.broadcast_time(nbytes, len(members))
+    broadcast_max = float(np.max(broadcast_time)) if world_size else 0.0
 
     # --- end-to-end iteration time: identical compute, differing comm ------
-    model = IterationTimeModel(perf)
-    breakdown = model.kfac_breakdown(spec, world_size, grad_worker_frac)
-    compute_no_allreduce = (
+    breakdown = IterationTimeModel(perf).kfac_breakdown(spec, world_size, grad_worker_frac)
+    compute = (
         breakdown.baseline_compute
         + breakdown.factor_compute
         + breakdown.eigen_decomposition
         + breakdown.precondition
         + breakdown.scale_and_update
     )
-    grad_allreduce = breakdown.gradient_allreduce
-    # The rounds a hook-driven schedule posts during backward: the factor
-    # allreduce and the data-parallel gradient averaging.  Step-time rounds
-    # (eigen / preconditioned-gradient broadcasts) are always exposed.
-    overlappable = factor_per_iter + grad_allreduce
-    if hooked:
-        hidden = min(overlappable, perf.backward_window(spec.baseline_compute_time))
-    else:
-        hidden = 0.0
-    exposed = overlappable - hidden + step_comm_max
-    # kfac_comm_time always excludes the data-parallel gradient allreduce so
-    # the field stays comparable across hooked and step-time schedules; the
-    # hidden window is attributed to the factor round proportionally.
-    exposed_fraction = 1.0 - (hidden / overlappable if overlappable > 0.0 else 0.0)
-    kfac_comm_time = factor_per_iter * exposed_fraction + step_comm_max
+    comm = factor_per_iter + breakdown.gradient_allreduce + broadcast_max
     return CommSchedule(
         strategy=plan.scheme,
         world_size=world_size,
         messages_per_update=sum(count for count, _ in rounds.values()),
         comm_bytes_per_update=sum(nbytes for _, nbytes in rounds.values()),
-        kfac_comm_time=float(kfac_comm_time),
-        iteration_time=float(compute_no_allreduce + exposed),
-        hooked=bool(hooked),
-        exposed_comm_time=float(exposed),
-        hidden_comm_time=float(hidden),
+        kfac_comm_time=float(factor_per_iter + broadcast_max),
+        iteration_time=float(compute + comm),
         rounds=rounds,
     )
 

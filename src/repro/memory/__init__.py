@@ -1,17 +1,18 @@
-"""Memory accounting for the Table 5 / Figure 6 / Table 4 studies."""
+"""Memory accounting for the Table 5 / Figure 6 / Table 4 studies: the memory read of a workload spec."""
 
 from .tracker import (
     MB,
-    KFACMemoryModel,
     MemoryBreakdown,
+    max_local_batch_size,
+    memory_breakdown,
     model_parameter_bytes,
     optimizer_state_multiplier,
+    overhead_bytes,
+    paper_factor_bytes,
+    paper_layout_bytes,
+    refreshed_bytes_per_rank,
+    solver_bytes_per_rank,
 )
+from .tracker import __all__ as _tracker_all
 
-__all__ = [
-    "MemoryBreakdown",
-    "KFACMemoryModel",
-    "model_parameter_bytes",
-    "optimizer_state_multiplier",
-    "MB",
-]
+__all__ = [*_tracker_all, "MB"]

@@ -1,4 +1,5 @@
-"""Per-rank memory accounting (Table 5 and the right axes of Figure 6).
+"""Per-rank memory accounting (Table 5 and the right axes of Figure 6): the memory read of a
+:class:`~repro.kfac.KFACWorkloadSpec` and of its plan, ``spec.plan(world_size, grad_worker_frac)``.
 
 The paper's "K-FAC memory overhead" is the per-GPU memory used by K-FAC state
 on top of regular training: the running-average Kronecker factors plus the
@@ -11,41 +12,55 @@ factors are modelled:
   (the ranks allreduce their *window* factors and the average is folded where
   it is read) and a dense one is stored once, as the ``n(n+1)/2`` elements of
   its triangle, so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
-  :meth:`KFACMemoryModel.factor_bytes_per_rank` /
-  :meth:`~KFACMemoryModel.eigen_bytes_per_rank` sum the holders of the
-  :class:`~repro.kfac.strategy.DistributionPlan` the engine follows under the
-  model's :class:`~repro.kfac.KFACConfig`, for every knob that moves state,
-  and :meth:`~KFACMemoryModel.solver_bytes_per_rank` each layer's solver
-  state (the inverse squares, CG warm starts) on its gradient workers;
+  The plan's ``factor_bytes_per_rank()`` / ``eigen_bytes_per_rank()`` sum its
+  holders for every knob that moves state, and :func:`solver_bytes_per_rank`
+  each layer's solver state (the inverse squares, CG warm starts) on its
+  gradient workers;
 * **the paper's**: every rank keeps every factor as a full ``n x n`` square,
   because its factor allreduce leaves a copy of the running average
   everywhere, so the overhead is ``factors + eigen / world`` and a linear
   function of ``grad_worker_frac`` -- Table 5's min/max columns and Figure 6's
-  right axes.  :meth:`KFACMemoryModel.paper_factor_bytes` is that term, kept
-  for the paper columns the benchmarks print beside this tree's.
+  right axes.  :func:`paper_layout_bytes` is that figure, kept for the paper
+  columns the benchmarks print beside this tree's.
 
 Regular training memory is modelled as weights + gradients + optimizer state
-+ an activation estimate proportional to the local batch size.  Activation
-memory depends on implementation details we cannot reproduce byte-for-byte,
-so it is an explicit, documented per-workload parameter rather than a hidden
-constant.
+(``spec.optimizer``), all at the spec's precision, + an activation estimate
+proportional to the local batch size.  Activation memory depends on
+implementation details we cannot reproduce byte-for-byte, so it is an
+explicit, documented per-workload field (``spec.activation_bytes_per_sample``)
+rather than a hidden constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
+from ..kfac.analysis import KFACWorkloadSpec
 from ..kfac.config import KFACConfig
 from ..kfac.scheduling.solvers import solve_strategy_class
-from ..kfac.strategy import DistributionPlan, LayerShapeInfo
+from ..kfac.strategy import DistributionPlan
 from ..nn.module import Module
 
-__all__ = ["MemoryBreakdown", "model_parameter_bytes", "optimizer_state_multiplier", "KFACMemoryModel"]
+__all__ = [
+    "MemoryBreakdown",
+    "model_parameter_bytes",
+    "optimizer_state_multiplier",
+    "solver_bytes_per_rank",
+    "refreshed_bytes_per_rank",
+    "paper_factor_bytes",
+    "paper_layout_bytes",
+    "memory_breakdown",
+    "overhead_bytes",
+    "max_local_batch_size",
+]
 
 MB = 1024 * 1024
+
+#: How a per-rank figure is reduced to one rank: the busiest, the lightest, or the mean.
+_RANKS = ("max", "min", "mean")
 
 
 @dataclass
@@ -115,132 +130,97 @@ def optimizer_state_multiplier(optimizer_name: str) -> int:
     raise ValueError(f"unknown optimizer {optimizer_name!r}")
 
 
-class KFACMemoryModel:
-    """Computes per-rank memory breakdowns for a workload under a distribution strategy.
+def _check_rank(rank: str) -> None:
+    if rank not in _RANKS:
+        raise ValueError(f"rank must be one of {_RANKS}, got {rank!r}")
 
-    ``config`` carries every K-FAC knob that sizes or places state (precision,
-    ``compute_eigen_outer``, ``assignment_balance``, ``drift_tol``,
-    ``damping_pi_correction``, the solve strategies); its ``grad_worker_frac``
-    is replaced by the one each query passes.
+
+# ------------------------------------------------------------- K-FAC state
+def solver_bytes_per_rank(config: KFACConfig, plan: DistributionPlan) -> np.ndarray:
+    """Solver-state bytes each rank holds: every layer's strategy state on its gradient workers.
+
+    The installed inverse squares of an ``inverse`` layer, the warm start of a
+    ``cg`` one (:meth:`~repro.kfac.scheduling.SolveStrategy.state_bytes`),
+    the strategy ``config`` routes the layer to; the eigen path holds none.
     """
+    per_rank = np.zeros(plan.world_size, dtype=np.int64)
+    for group in plan.groups.values():
+        strategy = solve_strategy_class(config.solver_name_for(group.layer))
+        per_rank[list(group.grad_workers)] += strategy.state_bytes(group.layer, plan.policy)
+    return per_rank
 
-    def __init__(
-        self,
-        layers: Sequence[LayerShapeInfo],
-        param_count: int,
-        optimizer: str = "sgd",
-        weight_dtype_bytes: int = 4,
-        activation_bytes_per_sample: int = 0,
-        config: Optional[KFACConfig] = None,
-    ) -> None:
-        self.layers = list(layers)
-        self.param_count = int(param_count)
-        self.optimizer = optimizer
-        self.weight_dtype_bytes = int(weight_dtype_bytes)
-        self.activation_bytes_per_sample = int(activation_bytes_per_sample)
-        self.config = config if config is not None else KFACConfig()
 
-    def plan(self, world_size: int, grad_worker_frac: float) -> DistributionPlan:
-        """The plan a :class:`~repro.kfac.KFAC` built from ``config`` follows at this operating point."""
-        return self.config.replace(grad_worker_frac=grad_worker_frac).distribution_plan(self.layers, world_size)
+def refreshed_bytes_per_rank(config: KFACConfig, plan: DistributionPlan) -> np.ndarray:
+    """Each rank's refreshed state: eigen decompositions and outer products, or installed inverses (solver state)."""
+    return plan.eigen_bytes_per_rank() + solver_bytes_per_rank(config, plan)
 
-    # ------------------------------------------------------------- components
-    def factor_bytes(self) -> int:
-        """Bytes of all Kronecker factors, each stored once: what the ranks of this tree hold between them.
 
-        Each factor is charged at its stored (packed) size, ``k·b(b+1)/2``
-        elements: ``n(n+1)/2`` for dense, ``n`` for diagonal — matching the
-        arrays the handlers actually allocate.
-        """
-        policy = self.config.wire_policy()
-        return sum(policy.factor_bytes(layer) for layer in self.layers)
+def paper_factor_bytes(spec: KFACWorkloadSpec) -> int:
+    """What *every* rank holds in the paper's layout: all factors, every block square (``FactorRepr.square_numel``)."""
+    return spec.dtype_bytes * sum(layer.factor_repr(which).square_numel for layer in spec.layers for which in "ag")
 
-    def paper_factor_bytes(self) -> int:
-        """What *every* rank holds in the paper's layout: all factors, every block square (``FactorRepr.square_numel``)."""
-        itemsize = np.dtype(self.config.precision_policy().factor_dtype).itemsize
-        return itemsize * sum(layer.factor_repr(which).square_numel for layer in self.layers for which in "ag")
 
-    def factor_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
-        """Running-factor bytes held by each rank: the plan's ``factor_holders``, summed.
+def paper_layout_bytes(spec: KFACWorkloadSpec, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
+    """K-FAC bytes of one rank in the paper's layout: every factor square, on every rank, plus the rank's refreshed state.
 
-        With the default knobs a factor lives on the rank that decomposes it
-        and this sums to :meth:`factor_bytes`.
-        """
-        return self.plan(world_size, grad_worker_frac).factor_bytes_per_rank()
+    ``rank`` is ``"max"``, ``"min"`` or ``"mean"``; the factors are the same
+    on every rank, so it selects over the refreshed state alone.
+    """
+    _check_rank(rank)
+    refreshed = refreshed_bytes_per_rank(spec.config, spec.plan(world_size, grad_worker_frac))
+    return paper_factor_bytes(spec) + int(getattr(refreshed, rank)())
 
-    def eigen_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
-        """Eigen-decomposition bytes held by each rank: the plan's ``eigen_holders``, summed."""
-        return self.plan(world_size, grad_worker_frac).eigen_bytes_per_rank()
 
-    def solver_bytes_per_rank(self, world_size: int, grad_worker_frac: float) -> np.ndarray:
-        """Solver-state bytes held by each rank: every layer's strategy state on its gradient workers.
+# -------------------------------------------------------------- breakdowns
+def memory_breakdown(
+    spec: KFACWorkloadSpec,
+    world_size: int,
+    grad_worker_frac: Optional[float],
+    local_batch_size: int = 0,
+    rank: str = "max",
+) -> MemoryBreakdown:
+    """Memory breakdown of one rank running ``spec``.
 
-        The installed inverse squares of an ``inverse`` layer, the warm start
-        of a ``cg`` one (:meth:`~repro.kfac.scheduling.SolveStrategy.state_bytes`);
-        the eigen path holds none.
-        """
-        plan = self.plan(world_size, grad_worker_frac)
-        per_rank = np.zeros(world_size, dtype=np.int64)
-        for group in plan.groups.values():
-            strategy = solve_strategy_class(self.config.solver_name_for(group.layer))
-            per_rank[list(group.grad_workers)] += strategy.state_bytes(group.layer, plan.policy)
-        return per_rank
-
-    # ------------------------------------------------------------- breakdowns
-    def breakdown(
-        self,
-        world_size: int,
-        grad_worker_frac: Optional[float],
-        local_batch_size: int = 0,
-        rank: str = "max",
-    ) -> MemoryBreakdown:
-        """Memory breakdown for one rank.
-
-        ``grad_worker_frac=None`` gives the baseline (no K-FAC) breakdown.
-        ``rank`` selects ``"max"`` (the rank with the most K-FAC state,
-        factors, eigen and solver state together), ``"min"`` or ``"mean"``.
-        """
-        weights = self.param_count * self.weight_dtype_bytes
-        gradients = self.param_count * self.weight_dtype_bytes
-        opt_state = self.param_count * self.weight_dtype_bytes * optimizer_state_multiplier(self.optimizer)
-        activations = self.activation_bytes_per_sample * local_batch_size
-        result = MemoryBreakdown(
-            weights=weights, gradients=gradients, optimizer_state=opt_state, activations=activations
-        )
-        if grad_worker_frac is None:
-            return result
-        factors = self.factor_bytes_per_rank(world_size, grad_worker_frac)
-        eigen = self.eigen_bytes_per_rank(world_size, grad_worker_frac)
-        solver = self.solver_bytes_per_rank(world_size, grad_worker_frac)
-        if rank == "mean":
-            result.kfac_factors, result.kfac_eigen, result.kfac_solver = (int(x.mean()) for x in (factors, eigen, solver))
-        elif rank in ("max", "min"):
-            total = factors + eigen + solver
-            index = int(total.argmax() if rank == "max" else total.argmin())
-            result.kfac_factors, result.kfac_eigen, result.kfac_solver = (int(x[index]) for x in (factors, eigen, solver))
-        else:
-            raise ValueError("rank must be 'max', 'min' or 'mean'")
+    ``grad_worker_frac=None`` gives the baseline (no K-FAC) breakdown.
+    ``rank`` selects ``"max"`` (the rank with the most K-FAC state, factors,
+    eigen and solver state together), ``"min"`` or ``"mean"``.
+    """
+    _check_rank(rank)
+    weights = spec.param_count * spec.dtype_bytes
+    result = MemoryBreakdown(
+        weights=weights,
+        gradients=spec.gradient_bytes,
+        optimizer_state=weights * optimizer_state_multiplier(spec.optimizer),
+        activations=spec.activation_bytes_per_sample * local_batch_size,
+    )
+    if grad_worker_frac is None:
         return result
+    plan = spec.plan(world_size, grad_worker_frac)
+    state = (plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank(), solver_bytes_per_rank(spec.config, plan))
+    if rank == "mean":
+        selected = [int(per_rank.mean()) for per_rank in state]
+    else:
+        total = sum(state)
+        index = int(total.argmax() if rank == "max" else total.argmin())
+        selected = [int(per_rank[index]) for per_rank in state]
+    result.kfac_factors, result.kfac_eigen, result.kfac_solver = selected
+    return result
 
-    def overhead_bytes(self, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
-        """K-FAC overhead only (factors + eigen and solver state) for the selected rank."""
-        return self.breakdown(world_size, grad_worker_frac, rank=rank).kfac_overhead
 
-    def max_local_batch_size(
-        self,
-        memory_budget_bytes: int,
-        world_size: int,
-        grad_worker_frac: Optional[float],
-        activation_bytes_per_sample: Optional[int] = None,
-    ) -> int:
-        """Largest local batch size that fits in ``memory_budget_bytes`` (Table 4 setup)."""
-        per_sample = (
-            activation_bytes_per_sample if activation_bytes_per_sample is not None else self.activation_bytes_per_sample
-        )
-        if per_sample <= 0:
-            raise ValueError("activation_bytes_per_sample must be positive to size a batch")
-        fixed = self.breakdown(world_size, grad_worker_frac, local_batch_size=0).total
-        available = memory_budget_bytes - fixed
-        if available < per_sample:
-            return 0
-        return int(available // per_sample)
+def overhead_bytes(spec: KFACWorkloadSpec, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
+    """K-FAC overhead only (factors + eigen and solver state) of the selected rank."""
+    return memory_breakdown(spec, world_size, grad_worker_frac, rank=rank).kfac_overhead
+
+
+def max_local_batch_size(
+    spec: KFACWorkloadSpec, memory_budget_bytes: int, world_size: int, grad_worker_frac: Optional[float]
+) -> int:
+    """Largest local batch size whose busiest rank fits in ``memory_budget_bytes`` (Table 4 setup)."""
+    per_sample = spec.activation_bytes_per_sample
+    if per_sample <= 0:
+        raise ValueError("activation_bytes_per_sample must be positive to size a batch")
+    fixed = memory_breakdown(spec, world_size, grad_worker_frac).total
+    available = memory_budget_bytes - fixed
+    if available < per_sample:
+        return 0
+    return int(available // per_sample)

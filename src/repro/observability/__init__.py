@@ -8,8 +8,8 @@ The subsystem has four pieces:
   (:mod:`.export`);
 * :class:`MetricsReport` — p50/p95/max span statistics and counter totals
   aggregated across ranks (:mod:`.metrics`);
-* :func:`measured_comm_schedule` — measured exposed-vs-hidden communication
-  from real comm/backward span overlap, the observed counterpart of
+* :func:`measured_comm_schedule` — measured communication time, the union
+  of each rank's comm spans, the observed counterpart of
   :func:`repro.kfac.model_comm_schedule` (:mod:`.overlap`).
 
 Every rank has one tracer, built by its communicator: ``comm.tracer`` always
@@ -21,12 +21,7 @@ either way.
 
 from .export import to_chrome_trace, validate_chrome_trace, write_chrome_trace
 from .metrics import MetricsReport, SpanStats
-from .overlap import (
-    MeasuredCommSchedule,
-    intersection_measure,
-    measured_comm_schedule,
-    merge_intervals,
-)
+from .overlap import MeasuredCommSchedule, measured_comm_schedule, merge_intervals
 from .tracer import InstantRecord, SpanRecord, Tracer, default_tracing
 
 __all__ = [
@@ -42,5 +37,4 @@ __all__ = [
     "MeasuredCommSchedule",
     "measured_comm_schedule",
     "merge_intervals",
-    "intersection_measure",
 ]

@@ -1,22 +1,17 @@
-"""Measured comm/compute overlap from trace data.
+"""Measured communication time from trace data.
 
-:func:`repro.kfac.model_comm_schedule` *models* how much of the collective
-traffic a hooked schedule hides behind the backward pass.  This module
-computes the same quantities from what actually happened: every nonblocking
-collective records a post→finish span (category ``"comm"``) on its rank's
-tracer, every backward pass records a ``trainer/backward`` span (category
-``"backward"``), and the measured *hidden* communication of a rank is the
-measure of the intersection of its comm intervals with its backward
-intervals — communication that was in flight while backprop still ran.
-Everything outside that window is *exposed*: it sat on the critical path.
-
-Concurrent buckets are in flight simultaneously, so per-rank totals are
-computed on the **union** of the comm intervals (wall-clock occupancy, not a
-double-counted sum); :class:`MeasuredCommSchedule` mirrors the shape of
-:class:`repro.kfac.CommSchedule` (busiest-rank times, message/byte totals)
-so benchmarks can print modeled and measured columns side by side.  By
-construction ``exposed_comm_time + hidden_comm_time == comm_time`` and
-``exposed_comm_time <= comm_time`` — the sanity invariant the tests assert.
+:func:`repro.kfac.model_comm_schedule` *models* the collective traffic of a
+K-FAC configuration.  This module measures the same quantities from what
+actually happened: every nonblocking collective records a post→finish span
+(category ``"comm"``) on its rank's tracer, and a rank's measured comm time
+is the measure of the **union** of its comm intervals -- concurrent buckets
+are in flight simultaneously, so this is wall-clock occupancy, not a
+double-counted sum.  Every collective is posted after backward (Listing 1),
+so none of it hides behind backward compute
+(``tests/test_observability.py::TestTracedTrainingArtifacts::test_no_collective_is_in_flight_during_backward``).
+:class:`MeasuredCommSchedule` mirrors the shape of
+:class:`repro.kfac.CommSchedule` (busiest-rank time, message/byte totals) so
+benchmarks can print modeled and measured columns side by side.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .tracer import Tracer
 
-__all__ = ["MeasuredCommSchedule", "measured_comm_schedule", "merge_intervals", "intersection_measure"]
+__all__ = ["MeasuredCommSchedule", "measured_comm_schedule", "merge_intervals"]
 
 
 Interval = Tuple[float, float]
@@ -44,48 +39,24 @@ def merge_intervals(intervals: Sequence[Interval]) -> List[Interval]:
     return merged
 
 
-def intersection_measure(a: Sequence[Interval], b: Sequence[Interval]) -> float:
-    """Total length of the intersection of two disjoint sorted interval lists."""
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
 @dataclass(frozen=True)
 class MeasuredCommSchedule:
     """Measured counterpart of :class:`repro.kfac.CommSchedule`.
 
-    Times are seconds.  ``comm_time`` / ``exposed_comm_time`` /
-    ``hidden_comm_time`` are the busiest rank's (the rank with the largest
-    comm-interval union — the one that bounds the iteration, as in the
-    model); ``messages`` and ``comm_bytes`` sum each rank's posted collective
-    buckets, so a world-wide allreduce observed by 4 ranks counts 4 rank-side
-    messages — divide by the participation if a model-comparable count is
-    needed.  ``per_rank`` carries the full breakdown.
+    Times are seconds.  ``comm_time`` is the busiest rank's (the rank with the
+    largest comm-interval union — the one that bounds the iteration, as in
+    the model); ``messages`` and ``comm_bytes`` sum each rank's posted
+    collective buckets, so a world-wide allreduce observed by 4 ranks counts 4
+    rank-side messages — divide by the participation if a model-comparable
+    count is needed.  ``per_rank`` carries every rank's figures.
     """
 
     world_size: int
     messages: int
     comm_bytes: int
     comm_time: float
-    exposed_comm_time: float
-    hidden_comm_time: float
     busiest_rank: int
     per_rank: Dict[int, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def hidden_fraction(self) -> float:
-        """Fraction of the busiest rank's comm occupancy hidden behind backward."""
-        return self.hidden_comm_time / self.comm_time if self.comm_time > 0 else 0.0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -93,61 +64,34 @@ class MeasuredCommSchedule:
             "messages": self.messages,
             "comm_bytes": self.comm_bytes,
             "comm_time": self.comm_time,
-            "exposed_comm_time": self.exposed_comm_time,
-            "hidden_comm_time": self.hidden_comm_time,
-            "hidden_fraction": self.hidden_fraction,
             "busiest_rank": self.busiest_rank,
             "per_rank": {str(rank): dict(stats) for rank, stats in self.per_rank.items()},
         }
 
 
 def measured_comm_schedule(
-    tracers: Union[Tracer, Sequence[Tracer]],
-    comm_category: str = "comm",
-    overlap_categories: Sequence[str] = ("backward",),
+    tracers: Union[Tracer, Sequence[Tracer]], comm_category: str = "comm"
 ) -> MeasuredCommSchedule:
-    """Compute measured exposed/hidden communication from per-rank traces.
+    """Measured communication per rank from per-rank traces.
 
-    ``comm_category`` selects the collective spans (post→finish intervals);
-    ``overlap_categories`` selects the compute spans communication can hide
-    behind (the backward window by default — matching the cost model's
-    assumption that only backward-posted traffic overlaps).
+    ``comm_category`` selects the collective spans (post→finish intervals).
     """
     tracer_list = [tracers] if isinstance(tracers, Tracer) else list(tracers)
     per_rank: Dict[int, Dict[str, float]] = {}
-    total_messages = 0
-    total_bytes = 0
     for tracer in tracer_list:
         comm_spans = [s for s in tracer.spans if s.category == comm_category]
-        compute_windows = merge_intervals(
-            [(s.start, s.end) for s in tracer.spans if s.category in overlap_categories]
-        )
         comm_union = merge_intervals([(s.start, s.end) for s in comm_spans])
-        occupancy = sum(end - start for start, end in comm_union)
-        hidden = intersection_measure(comm_union, compute_windows)
-        nbytes = sum(int(s.attrs.get("nbytes", 0)) for s in comm_spans)
         per_rank[tracer.rank] = {
             "messages": len(comm_spans),
-            "comm_bytes": nbytes,
-            "comm_time": occupancy,
-            "hidden_comm_time": hidden,
-            "exposed_comm_time": occupancy - hidden,
+            "comm_bytes": sum(int(s.attrs.get("nbytes", 0)) for s in comm_spans),
+            "comm_time": sum(end - start for start, end in comm_union),
         }
-        total_messages += len(comm_spans)
-        total_bytes += nbytes
-    if per_rank:
-        busiest = max(per_rank, key=lambda rank: per_rank[rank]["comm_time"])
-        busy = per_rank[busiest]
-    else:
-        busiest = -1
-        busy = {"comm_time": 0.0, "exposed_comm_time": 0.0, "hidden_comm_time": 0.0}
+    busiest = max(per_rank, key=lambda rank: per_rank[rank]["comm_time"]) if per_rank else -1
     return MeasuredCommSchedule(
         world_size=len(tracer_list),
-        messages=total_messages,
-        comm_bytes=total_bytes,
-        comm_time=float(busy["comm_time"]),
-        exposed_comm_time=float(busy["exposed_comm_time"]),
-        hidden_comm_time=float(busy["hidden_comm_time"]),
+        messages=sum(stats["messages"] for stats in per_rank.values()),
+        comm_bytes=sum(stats["comm_bytes"] for stats in per_rank.values()),
+        comm_time=float(per_rank[busiest]["comm_time"]) if per_rank else 0.0,
         busiest_rank=busiest,
         per_rank=per_rank,
     )

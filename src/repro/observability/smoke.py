@@ -6,8 +6,8 @@ across ``--world`` threaded ranks with tracing enabled, then exports and
 validates a Chrome trace (loadable in Perfetto / ``chrome://tracing``),
 prints the aggregated
 :class:`~repro.observability.MetricsReport`, and reports the *measured*
-exposed/hidden communication next to the analytic model's prediction for
-the same layer set.  Used three ways:
+communication time next to the analytic model's prediction for the same
+layer set.  Used three ways:
 
 * the CI trace-smoke job: ``python -m repro.observability.smoke --out
   trace.json`` (exit code non-zero if the exported trace fails validation, if
@@ -320,22 +320,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     modeled = modeled_schedule_for_run(spec, run_info)
     print(
         format_table(
-            ["", "comm time (ms)", "exposed (ms)", "hidden (ms)"],
-            [
-                [
-                    "modeled",
-                    round(modeled.kfac_comm_time * 1e3, 3),
-                    round(modeled.exposed_comm_time * 1e3, 3),
-                    round(modeled.hidden_comm_time * 1e3, 3),
-                ],
-                [
-                    "measured",
-                    round(measured.comm_time * 1e3, 3),
-                    round(measured.exposed_comm_time * 1e3, 3),
-                    round(measured.hidden_comm_time * 1e3, 3),
-                ],
-            ],
-            title="\nExposed communication: modeled vs measured (busiest rank)",
+            ["", "comm time (ms)"],
+            [["modeled", round(modeled.kfac_comm_time * 1e3, 3)], ["measured", round(measured.comm_time * 1e3, 3)]],
+            title="\nCommunication: modeled vs measured (busiest rank)",
         )
     )
     traffic = kfac_traffic(spec, run_info)
@@ -416,9 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if measured.exposed_comm_time > measured.comm_time + 1e-9:
-        print("ERROR: measured exposed comm exceeds total comm occupancy", file=sys.stderr)
-        return 1
     if measured.messages == 0:
         print("ERROR: trace contains no communication spans", file=sys.stderr)
         return 1

@@ -127,9 +127,8 @@ class Trainer:
                 with self.tracer.span("trainer/forward", category="forward"):
                     loss = self.forward_loss(self.model, micro)
                 total_loss += float(loss.item())
-                # Category "backward" marks the window communication can hide
-                # behind; measured-overlap reporting intersects comm spans
-                # with exactly these intervals.
+                # Category "backward" marks backprop: no collective is in
+                # flight inside it, every one is posted after it.
                 with self.tracer.span("trainer/backward", category="backward", final=index == final_index):
                     if self.grad_scaler is not None:
                         self.grad_scaler.scale(loss).backward()

@@ -43,10 +43,10 @@ from repro.kfac import (
     make_kfac_layer,
     pack_triangle,
 )
-from repro.kfac.analysis import repr_basis_apply_flops, repr_eigen_time
+from repro.kfac.analysis import KFACWorkloadSpec, repr_basis_apply_flops, repr_eigen_time
 from repro.distributed.cost_model import PerformanceModel
 from repro.kfac.strategy import LayerShapeInfo, WirePolicy
-from repro.memory import KFACMemoryModel
+from repro.memory import paper_factor_bytes
 from repro.models import MLP, bert_tiny, cifar_resnet20
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
@@ -283,14 +283,17 @@ class TestCostModelRepr:
             a_repr=FactorRepr.diagonal(n),
         )
         dense = LayerShapeInfo(name="emb", a_dim=n, g_dim=other, grad_numel=n * other)
-        packed = KFACMemoryModel([structured], param_count=n * other).factor_bytes()
-        full = KFACMemoryModel([dense], param_count=n * other).factor_bytes()
+        structured_spec, dense_spec = (
+            KFACWorkloadSpec("emb", [layer], n * other, local_batch_size=0, baseline_compute_time=0.0, config=KFACConfig())
+            for layer in (structured, dense)
+        )
+        packed, full = structured_spec.factor_bytes, dense_spec.factor_bytes
         assert packed == (n + other * (other + 1) // 2) * 4  # O(F) for the diagonal A
         assert full == (n * (n + 1) // 2 + other * (other + 1) // 2) * 4  # dense: one triangle each
         assert packed < full
         # The paper's layout, for the columns printed beside this tree's: every dense factor a full square.
-        assert KFACMemoryModel([dense], param_count=n * other).paper_factor_bytes() == (n * n + other * other) * 4
-        assert KFACMemoryModel([structured], param_count=n * other).paper_factor_bytes() == (n + other * other) * 4
+        assert paper_factor_bytes(dense_spec) == (n * n + other * other) * 4
+        assert paper_factor_bytes(structured_spec) == (n + other * other) * 4
 
 
 # --------------------------------------------------------------------------- parity

@@ -7,9 +7,8 @@ MEM/HYBRID/COMM-OPT on the threaded backend at any bucket cap, under gradient
 accumulation and at world 1.  Also what the sync point puts on the wire
 (which gradients travel, in what order and dtype, the 1/n scale applied once,
 one message per planned bucket, the sanitizer's drained check), the
-registry-driven LayerNorm coverage exercised through the hooks, the adaptive
-``bucket_cap_mb="auto"`` selection, and the cost model's exposed-vs-hidden
-communication split for (modeled) hooked schedules.
+registry-driven LayerNorm coverage exercised through the hooks, and the
+adaptive ``bucket_cap_mb="auto"`` selection.
 """
 
 import numpy as np
@@ -25,8 +24,7 @@ from repro.distributed import (
     gradient_specs,
     run_spmd,
 )
-from repro.experiments import paper_workload_spec
-from repro.kfac import KFAC, LAYER_HANDLERS, KFACConfig, KFACLayerNormLayer, model_comm_schedule
+from repro.kfac import KFAC, LAYER_HANDLERS, KFACConfig, KFACLayerNormLayer
 from repro.models import MLP
 from repro.tensor import Tensor
 from repro.training import Trainer
@@ -741,37 +739,3 @@ class TestChooseBucketCap:
 
         for a, b in zip(run(25.0), run("auto")):
             np.testing.assert_array_equal(a, b)
-
-
-class TestHookedCommSchedule:
-    def test_hooked_schedule_strictly_lowers_exposed_comm(self):
-        spec = paper_workload_spec("bert_large")
-        for world_size in (8, 16):
-            for frac in (1.0 / world_size, 0.5, 1.0):
-                fused = model_comm_schedule(spec, world_size, frac)
-                hooked = model_comm_schedule(spec, world_size, frac, hooked=True)
-                assert hooked.hooked and not fused.hooked
-                assert hooked.comm_bytes_per_update == fused.comm_bytes_per_update
-                # The pipeline buckets the factors in reverse layer order (the order backward
-                # produces them), which may close buckets elsewhere; the step-time rounds are the same.
-                assert hooked.rounds["factor"][1] == fused.rounds["factor"][1]
-                for step_time_round in ("eigen", "gradient"):
-                    assert hooked.rounds[step_time_round] == fused.rounds[step_time_round]
-                assert hooked.hidden_comm_time > 0.0
-                assert hooked.exposed_comm_time < fused.exposed_comm_time
-                assert hooked.iteration_time < fused.iteration_time
-
-    def test_exposed_plus_hidden_is_conserved(self):
-        spec = paper_workload_spec("resnet50")
-        fused = model_comm_schedule(spec, 16, 0.5)
-        hooked = model_comm_schedule(spec, 16, 0.5, hooked=True)
-        total_fused = fused.exposed_comm_time + fused.hidden_comm_time
-        total_hooked = hooked.exposed_comm_time + hooked.hidden_comm_time
-        assert total_fused == pytest.approx(total_hooked)
-        assert fused.hidden_comm_time == 0.0
-
-    def test_world_of_one_exposes_nothing(self):
-        spec = paper_workload_spec("resnet18")
-        schedule = model_comm_schedule(spec, 1, 1.0, hooked=True)
-        assert schedule.exposed_comm_time == 0.0
-        assert schedule.hidden_comm_time == 0.0

@@ -1,15 +1,33 @@
-"""Tests for per-rank memory accounting (Table 5 / Table 4 machinery)."""
+"""Tests for per-rank memory accounting (Table 5 / Table 4 machinery): the memory read of a workload spec."""
 
 import numpy as np
 import pytest
 
-from repro.kfac import KFACConfig, LayerShapeInfo
-from repro.memory import MB, KFACMemoryModel, MemoryBreakdown, model_parameter_bytes, optimizer_state_multiplier
+from repro.kfac import KFACConfig, KFACWorkloadSpec, LayerShapeInfo
+from repro.memory import (
+    MB,
+    MemoryBreakdown,
+    max_local_batch_size,
+    memory_breakdown,
+    model_parameter_bytes,
+    optimizer_state_multiplier,
+    overhead_bytes,
+    paper_factor_bytes,
+    solver_bytes_per_rank,
+)
 from repro.models import MLP
 
 
 #: The paper's eigen path, for the tests that read eigen state (the default solve path keeps none).
 EIGEN = KFACConfig(solve_strategy="eigen")
+
+
+def workload(layers, param_count, config=None, **fields):
+    """A spec that only the memory functions read: no batch, no compute time."""
+    return KFACWorkloadSpec(
+        "memory", layers, param_count, local_batch_size=0, baseline_compute_time=0.0,
+        config=config if config is not None else KFACConfig(), **fields,
+    )  # fmt: skip
 
 
 def layers():
@@ -44,115 +62,120 @@ class TestHelpers:
         assert breakdown.as_megabytes()["total"] == pytest.approx(390 / MB)
 
 
-class TestKFACMemoryModel:
+class TestWorkloadSpecMemory:
     def test_factor_bytes_shared_by_all_ranks(self):
-        """``paper_factor_bytes()`` is what every rank holds in the paper's layout (all factors, square);
-        ``factor_bytes()`` is what this tree's ranks hold between them: each factor once, as its triangle."""
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
-        assert model.paper_factor_bytes() == sum((l.a_dim ** 2 + l.g_dim ** 2) * 4 for l in layers())
+        """``paper_factor_bytes`` is what every rank holds in the paper's layout (all factors, square);
+        ``spec.factor_bytes`` is what this tree's ranks hold between them: each factor once, as its triangle."""
+        spec = workload(layers(), param_count=1_000_000)
+        assert paper_factor_bytes(spec) == sum((l.a_dim ** 2 + l.g_dim ** 2) * 4 for l in layers())
         triangle = lambda n: n * (n + 1) // 2  # noqa: E731
-        assert model.factor_bytes() == sum((triangle(l.a_dim) + triangle(l.g_dim)) * 4 for l in layers())
+        assert spec.factor_bytes == sum((triangle(l.a_dim) + triangle(l.g_dim)) * 4 for l in layers())
 
     @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (8, 1 / 8), (8, 0.5), (8, 1.0), (64, 1 / 64)])
     def test_factor_bytes_per_rank_stores_each_factor_once(self, world, frac):
         """This tree's layout: a factor lives on the one rank that decomposes it."""
         for config in (KFACConfig(), EIGEN):
-            model = KFACMemoryModel(layers(), param_count=1_000_000, config=config)
-            per_rank = model.factor_bytes_per_rank(world, frac)
-            assert per_rank.sum() == model.factor_bytes()
+            spec = workload(layers(), param_count=1_000_000, config=config)
+            per_rank = spec.plan(world, frac).factor_bytes_per_rank()
+            assert per_rank.sum() == spec.factor_bytes
             # COMM-OPT spreads the six factors of the eigen path one by one; otherwise, and wherever a
             # layer is inverted, a layer's pair stays together.
             spread = frac == 1.0 and config.solve_strategy == "eigen"
             assert np.count_nonzero(per_rank) == min(world, 6 if spread else 3)
 
     def test_max_rank_takes_factors_and_eigen_state_of_one_rank_together(self):
-        model = KFACMemoryModel(layers(), param_count=1_000_000, config=EIGEN)
-        factors, eigen = model.factor_bytes_per_rank(8, 1 / 8), model.eigen_bytes_per_rank(8, 1 / 8)
-        busiest = model.breakdown(8, 1 / 8, rank="max")
+        spec = workload(layers(), param_count=1_000_000, config=EIGEN)
+        plan = spec.plan(8, 1 / 8)
+        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
+        busiest = memory_breakdown(spec, 8, 1 / 8, rank="max")
         assert busiest.kfac_overhead == (factors + eigen).max()
         assert (busiest.kfac_factors, busiest.kfac_eigen) in set(zip(factors.tolist(), eigen.tolist()))
         # MEM-OPT: (factors + eigen) / world, not factors + eigen / world.
-        assert busiest.kfac_overhead == factors.max() + eigen.max() < model.factor_bytes() + eigen.max()
-        assert model.breakdown(8, 1 / 8, rank="min").kfac_overhead == 0  # three layers, eight ranks
-        assert model.breakdown(1, 1.0).kfac_factors == model.factor_bytes()  # one rank reads everything
+        assert busiest.kfac_overhead == factors.max() + eigen.max() < spec.factor_bytes + eigen.max()
+        assert memory_breakdown(spec, 8, 1 / 8, rank="min").kfac_overhead == 0  # three layers, eight ranks
+        assert memory_breakdown(spec, 1, 1.0).kfac_factors == spec.factor_bytes  # one rank reads everything
 
     def test_overhead_linear_in_grad_worker_frac(self):
         """Table 5 / Figure 6: K-FAC memory overhead grows linearly with grad_worker_frac."""
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
+        spec = workload(layers(), param_count=1_000_000)
         fracs = [1 / 64, 1 / 4, 1 / 2, 1.0]
-        overheads = [model.overhead_bytes(64, frac, rank="mean") for frac in fracs]
+        overheads = [overhead_bytes(spec, 64, frac, rank="mean") for frac in fracs]
         assert overheads[0] < overheads[1] < overheads[2] < overheads[3]
-        eigen_part = [o - model.factor_bytes() // 64 for o in overheads]  # the mean rank holds 1/64 of the factors
+        eigen_part = [o - spec.factor_bytes // 64 for o in overheads]  # the mean rank holds 1/64 of the factors
         # Eigen memory should scale (approximately) proportionally with the fraction.
         ratio = eigen_part[3] / eigen_part[2]
         assert ratio == pytest.approx(2.0, rel=0.1)
 
     def test_max_to_min_overhead_ratio_in_paper_range(self):
         """The paper reports max/min K-FAC overhead ratios of 1.5-2.9x across models."""
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
-        minimum = model.overhead_bytes(64, 1 / 64, rank="max")
-        maximum = model.overhead_bytes(64, 1.0, rank="max")
+        spec = workload(layers(), param_count=1_000_000)
+        minimum = overhead_bytes(spec, 64, 1 / 64, rank="max")
+        maximum = overhead_bytes(spec, 64, 1.0, rank="max")
         assert 1.3 < maximum / minimum < 3.5
 
     def test_comm_opt_every_rank_holds_all_eigen(self):
-        model = KFACMemoryModel(layers(), param_count=1_000_000, config=EIGEN)
-        per_rank = model.eigen_bytes_per_rank(8, 1.0)
+        spec = workload(layers(), param_count=1_000_000, config=EIGEN)
+        per_rank = spec.plan(8, 1.0).eigen_bytes_per_rank()
         assert len(set(per_rank.tolist())) == 1
-        assert per_rank[0] == sum(model.config.wire_policy().eigen_bytes(l) for l in layers())
+        assert per_rank[0] == sum(spec.config.wire_policy().eigen_bytes(l) for l in layers())
 
     def test_mem_opt_eigen_memory_spread_across_ranks(self):
-        model = KFACMemoryModel(layers(), param_count=1_000_000, config=EIGEN)
-        per_rank = model.eigen_bytes_per_rank(8, 1 / 8)
-        assert per_rank.sum() == sum(model.config.wire_policy().eigen_bytes(l) for l in layers())
+        spec = workload(layers(), param_count=1_000_000, config=EIGEN)
+        per_rank = spec.plan(8, 1 / 8).eigen_bytes_per_rank()
+        assert per_rank.sum() == sum(spec.config.wire_policy().eigen_bytes(l) for l in layers())
         assert np.count_nonzero(per_rank) <= len(layers())
 
     def test_fp16_precision_halves_overhead(self):
-        fp32 = KFACMemoryModel(layers(), 1_000_000, "sgd", config=KFACConfig(precision="fp32"))
-        fp16 = KFACMemoryModel(layers(), 1_000_000, "sgd", config=KFACConfig(precision="fp16"))
-        fp64 = KFACMemoryModel(layers(), 1_000_000, "sgd", config=KFACConfig(precision="fp64"))
-        assert fp16.overhead_bytes(8, 1.0) == fp32.overhead_bytes(8, 1.0) // 2
-        assert fp64.overhead_bytes(8, 1.0) == fp32.overhead_bytes(8, 1.0) * 2
+        fp32, fp16, fp64 = (
+            workload(layers(), 1_000_000, config=KFACConfig(precision=precision), optimizer="sgd")
+            for precision in ("fp32", "fp16", "fp64")
+        )
+        assert overhead_bytes(fp16, 8, 1.0) == overhead_bytes(fp32, 8, 1.0) // 2
+        assert overhead_bytes(fp64, 8, 1.0) == overhead_bytes(fp32, 8, 1.0) * 2
 
     def test_baseline_breakdown_has_no_kfac(self):
-        model = KFACMemoryModel(layers(), param_count=500_000, optimizer="adam", activation_bytes_per_sample=1000)
-        breakdown = model.breakdown(8, None, local_batch_size=32)
+        spec = workload(layers(), param_count=500_000, optimizer="adam", activation_bytes_per_sample=1000)
+        breakdown = memory_breakdown(spec, 8, None, local_batch_size=32)
         assert breakdown.kfac_overhead == 0
         assert breakdown.optimizer_state == 500_000 * 4 * 2
         assert breakdown.activations == 32_000
 
     def test_breakdown_rank_selection(self):
-        model = KFACMemoryModel(layers(), param_count=500_000)
-        maximum = model.breakdown(8, 0.25, rank="max").kfac_eigen
-        minimum = model.breakdown(8, 0.25, rank="min").kfac_eigen
+        spec = workload(layers(), param_count=500_000)
+        maximum = memory_breakdown(spec, 8, 0.25, rank="max").kfac_eigen
+        minimum = memory_breakdown(spec, 8, 0.25, rank="min").kfac_eigen
         assert maximum >= minimum
         with pytest.raises(ValueError):
-            model.breakdown(8, 0.25, rank="median")
+            memory_breakdown(spec, 8, 0.25, rank="median")
+        with pytest.raises(ValueError):  # the baseline breakdown refuses it too
+            memory_breakdown(spec, 8, None, rank="median")
 
     def test_outer_product_can_be_excluded(self):
-        with_outer = KFACMemoryModel(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=True))
-        without = KFACMemoryModel(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=False))
-        assert with_outer.overhead_bytes(4, 1.0) > without.overhead_bytes(4, 1.0)
+        with_outer = workload(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=True))
+        without = workload(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=False))
+        assert overhead_bytes(with_outer, 4, 1.0) > overhead_bytes(without, 4, 1.0)
 
     @pytest.mark.parametrize("world, frac", [(8, 1 / 8), (8, 0.5), (8, 1.0)])
     def test_the_inverse_path_holds_inverse_squares_on_the_gradient_workers_and_no_eigen_state(self, world, frac):
-        model = KFACMemoryModel(layers(), param_count=1_000_000)
-        assert not model.eigen_bytes_per_rank(world, frac).any()
-        per_rank = model.solver_bytes_per_rank(world, frac)
+        spec = workload(layers(), param_count=1_000_000)
+        plan = spec.plan(world, frac)
+        assert not plan.eigen_bytes_per_rank().any()
+        per_rank = solver_bytes_per_rank(spec.config, plan)
         squares = [4 * (l.a_dim**2 + l.g_dim**2) for l in layers()]
         workers = max(1, round(frac * world))
         assert per_rank.sum() == workers * sum(squares)  # each layer's inverses on its gradient workers
-        busiest = model.breakdown(world, frac, rank="max")
-        total = model.factor_bytes_per_rank(world, frac) + per_rank
+        busiest = memory_breakdown(spec, world, frac, rank="max")
+        total = plan.factor_bytes_per_rank() + per_rank
         assert busiest.kfac_overhead == busiest.kfac_factors + busiest.kfac_solver == total.max()
 
     def test_max_local_batch_size_shrinks_with_kfac(self):
         """Table 4: under a fixed memory budget K-FAC forces a smaller local batch."""
-        model = KFACMemoryModel(layers(), param_count=2_000_000, activation_bytes_per_sample=200_000)
+        spec = workload(layers(), param_count=2_000_000, activation_bytes_per_sample=200_000)
         budget = 512 * 1024 * 1024
-        baseline_batch = model.max_local_batch_size(budget, 64, None)
-        comm_opt_batch = model.max_local_batch_size(budget, 64, 1.0)
-        hybrid_batch = model.max_local_batch_size(budget, 64, 0.5)
-        mem_opt_batch = model.max_local_batch_size(budget, 64, 1 / 64)
+        baseline_batch = max_local_batch_size(spec, budget, 64, None)
+        comm_opt_batch = max_local_batch_size(spec, budget, 64, 1.0)
+        hybrid_batch = max_local_batch_size(spec, budget, 64, 0.5)
+        mem_opt_batch = max_local_batch_size(spec, budget, 64, 1 / 64)
         assert baseline_batch > mem_opt_batch > hybrid_batch > 0
         # With three layers on 64 ranks HYBRID's busiest rank keeps one layer's *pair* of factors
         # beside all eigen state while COMM-OPT spreads the six factors singly, so the two are a
@@ -160,13 +183,13 @@ class TestKFACMemoryModel:
         assert mem_opt_batch > comm_opt_batch > 0
 
     def test_max_local_batch_zero_when_budget_too_small(self):
-        model = KFACMemoryModel(layers(), param_count=10_000_000, activation_bytes_per_sample=100_000)
-        assert model.max_local_batch_size(10 * 1024 * 1024, 8, 1.0) == 0
+        spec = workload(layers(), param_count=10_000_000, activation_bytes_per_sample=100_000)
+        assert max_local_batch_size(spec, 10 * 1024 * 1024, 8, 1.0) == 0
 
     def test_max_local_batch_requires_activation_size(self):
-        model = KFACMemoryModel(layers(), param_count=1_000)
+        spec = workload(layers(), param_count=1_000)
         with pytest.raises(ValueError):
-            model.max_local_batch_size(1 << 30, 8, 1.0)
+            max_local_batch_size(spec, 1 << 30, 8, 1.0)
 
     @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     def test_matches_live_preconditioner_measurement(self, solver):
@@ -185,8 +208,9 @@ class TestKFACMemoryModel:
         measured = pre.memory_usage()
 
         shapes = [layer.shape_info() for layer in pre.layers.values()]
-        planner = KFACMemoryModel(shapes, param_count=model.num_parameters(), config=config)
-        assert planner.factor_bytes() == measured["factors"]
-        assert planner.eigen_bytes_per_rank(1, 1.0)[0] == measured["eigen"]
-        assert planner.solver_bytes_per_rank(1, 1.0)[0] == measured["solver"]
+        spec = workload(shapes, param_count=model.num_parameters(), config=config)
+        plan = spec.plan(1, 1.0)
+        assert spec.factor_bytes == measured["factors"]
+        assert plan.eigen_bytes_per_rank()[0] == measured["eigen"]
+        assert solver_bytes_per_rank(config, plan)[0] == measured["solver"]
         assert (measured["eigen"] > 0) == (solver == "eigen") != (measured["solver"] > 0)

@@ -44,7 +44,7 @@ from repro.kfac import (
 from repro.kfac.kmath import damped_inverse, expand_symmetric, split_damping, tikhonov_pi
 from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
 from repro.kfac.refresh import RefreshQueue
-from repro.memory import KFACMemoryModel
+from repro.memory import overhead_bytes, solver_bytes_per_rank
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor
 
@@ -56,6 +56,12 @@ small_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_i
 
 def float_arrays(shape):
     return hnp.arrays(np.float32, shape, elements=small_floats)
+
+
+def memory_spec(layers, param_count=0, config=None):
+    """A spec that only the memory reads take: no batch, no compute time."""
+    config = config if config is not None else KFACConfig()
+    return KFACWorkloadSpec("generated", layers, param_count, local_batch_size=0, baseline_compute_time=0.0, config=config)
 
 
 class TestTensorProperties:
@@ -795,9 +801,7 @@ class TestModelEqualsEngineProperties:
         decomposers = {rank for owners in plan.decomposers.values() for rank in owners}
         assert set(np.flatnonzero(stages["eigen_decomposition"])) == decomposers
 
-        memory = KFACMemoryModel(shapes, param_count=0, config=config)
-        factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
-        eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
+        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
         for rank, (usage, *_) in enumerate(ranks):
             assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
 
@@ -918,9 +922,8 @@ class TestPackedStorageProperties:
         # Per-rank state: the memory model from the registered shapes, and from the dimensions themselves.
         shapes = packed[0]["shapes"]
         assert all(shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1 for shape in shapes) == dense_factors
-        memory = KFACMemoryModel(shapes, param_count=0, config=config)
-        factors = memory.factor_bytes_per_rank(world, config.grad_worker_frac)
-        eigen = memory.eigen_bytes_per_rank(world, config.grad_worker_frac)
+        plan = memory_spec(shapes, config=config).plan(world, config.grad_worker_frac)
+        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
         for rank, entry in enumerate(packed):
             usage = entry["memory"]
             assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
@@ -955,14 +958,14 @@ class TestMemoryModelProperties:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_factors_are_stored_once_and_the_busiest_rank_counts_them_with_its_eigen_state(self, dims, world_size, workers):
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        model = KFACMemoryModel(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
+        spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         frac = min(workers, world_size) / world_size
-        factors = model.factor_bytes_per_rank(world_size, frac)
-        eigen = model.eigen_bytes_per_rank(world_size, frac)
-        assert factors.sum() == model.factor_bytes() == sum(a * (a + 1) // 2 + g * (g + 1) // 2 for a, g in dims) * 4
+        plan = spec.plan(world_size, frac)
+        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
+        assert factors.sum() == spec.factor_bytes == sum(a * (a + 1) // 2 + g * (g + 1) // 2 for a, g in dims) * 4
         assert np.all(eigen[factors > 0] > 0)  # whoever decomposes a factor is one of its gradient workers
-        assert model.overhead_bytes(world_size, frac, rank="max") == (factors + eigen).max()
-        assert model.overhead_bytes(world_size, frac, rank="max") <= model.factor_bytes() + eigen.max()
+        assert overhead_bytes(spec, world_size, frac, rank="max") == (factors + eigen).max()
+        assert overhead_bytes(spec, world_size, frac, rank="max") <= spec.factor_bytes + eigen.max()
 
     @given(
         st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
@@ -974,11 +977,11 @@ class TestMemoryModelProperties:
         self, dims, world_size, workers
     ):
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        model = KFACMemoryModel(layers, param_count=10_000)  # the default solve path
+        spec = memory_spec(layers, param_count=10_000)  # the default solve path
         frac = min(workers, world_size) / world_size
-        plan = model.plan(world_size, frac)
-        factors, solver = model.factor_bytes_per_rank(world_size, frac), model.solver_bytes_per_rank(world_size, frac)
-        assert factors.sum() == model.factor_bytes() and not model.eigen_bytes_per_rank(world_size, frac).any()
+        plan = spec.plan(world_size, frac)
+        factors, solver = plan.factor_bytes_per_rank(), solver_bytes_per_rank(spec.config, plan)
+        assert factors.sum() == spec.factor_bytes and not plan.eigen_bytes_per_rank().any()
         expected = np.zeros(world_size, dtype=np.int64)
         for name, group in plan.groups.items():
             expected[list(group.grad_workers)] += 4 * (group.layer.a_dim**2 + group.layer.g_dim**2)
@@ -986,7 +989,7 @@ class TestMemoryModelProperties:
             assert plan.decomposers[name, "g"] == (decomposer,) and decomposer in group.grad_workers
             assert plan.factor_holders[name, "a"] == plan.factor_holders[name, "g"] == (decomposer,)
         np.testing.assert_array_equal(solver, expected)
-        assert model.overhead_bytes(world_size, frac, rank="max") == (factors + solver).max()
+        assert overhead_bytes(spec, world_size, frac, rank="max") == (factors + solver).max()
 
     @given(
         st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
@@ -995,8 +998,8 @@ class TestMemoryModelProperties:
     @settings(max_examples=30, deadline=None)
     def test_mean_overhead_monotone_in_grad_worker_frac(self, dims, world_size):
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        model = KFACMemoryModel(layers, param_count=10_000)
-        overheads = [model.overhead_bytes(world_size, frac, rank="mean") for frac in (1 / world_size, 0.5, 1.0)]
+        spec = memory_spec(layers, param_count=10_000)
+        overheads = [overhead_bytes(spec, world_size, frac, rank="mean") for frac in (1 / world_size, 0.5, 1.0)]
         assert overheads[0] <= overheads[1] <= overheads[2]
 
     @given(
@@ -1007,6 +1010,6 @@ class TestMemoryModelProperties:
     def test_total_eigen_bytes_conserved_across_ranks_in_mem_opt(self, dims, world_size):
         """Under MEM-OPT every layer's eigen state exists exactly once in the world."""
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        model = KFACMemoryModel(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
-        per_rank = model.eigen_bytes_per_rank(world_size, 1.0 / world_size)
-        assert per_rank.sum() == sum(model.config.wire_policy().eigen_bytes(layer) for layer in layers)
+        spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
+        per_rank = spec.plan(world_size, 1.0 / world_size).eigen_bytes_per_rank()
+        assert per_rank.sum() == sum(spec.config.wire_policy().eigen_bytes(layer) for layer in layers)

@@ -332,24 +332,26 @@ class TestMeasuredMemoryReport:
 
     @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
     def test_live_memory_is_the_memory_model_byte_for_byte_on_every_rank(self, world, frac):
-        """The prediction above comes from the running system's own rule; this one comes from
-        ``KFACMemoryModel``, which only sees layer shapes: held factors + eigen and solver state, per rank."""
+        """The prediction above comes from the running system's own plan; this one comes from a
+        ``KFACWorkloadSpec``, which only sees layer shapes: held factors + eigen and solver state, per rank."""
         from repro.experiments import build_workload, collect_layer_shapes, measured_memory_report
-        from repro.memory import KFACMemoryModel
+        from repro.kfac import KFACConfig, KFACWorkloadSpec
+        from repro.memory import memory_breakdown, solver_bytes_per_rank
 
         workload = build_workload("mlp", seed=0)
         layers = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules)
-        model = KFACMemoryModel(layers, param_count=0)
-        factors = model.factor_bytes_per_rank(world, frac)
-        eigen = model.eigen_bytes_per_rank(world, frac)
-        solver = model.solver_bytes_per_rank(world, frac)  # the inverse squares, on the gradient workers
+        spec = KFACWorkloadSpec("mlp", layers, 0, local_batch_size=0, baseline_compute_time=0.0, config=KFACConfig())
+        plan = spec.plan(world, frac)
+        factors = plan.factor_bytes_per_rank()
+        eigen = plan.eigen_bytes_per_rank()
+        solver = solver_bytes_per_rank(spec.config, plan)  # the inverse squares, on the gradient workers
         report = measured_memory_report("mlp", world_size=world, grad_worker_frac=frac, steps=1)
         for rank, entry in enumerate(report["per_rank"]):
             assert entry["measured"]["factors"] == factors[rank]
             assert entry["measured"]["eigen"] == eigen[rank]
             assert entry["measured"]["solver"] == solver[rank]
-        assert factors.sum() == model.factor_bytes()  # every factor once
-        assert report["measured_total_max"] == model.breakdown(world, frac, rank="max").kfac_overhead
+        assert factors.sum() == spec.factor_bytes  # every factor once
+        assert report["measured_total_max"] == memory_breakdown(spec, world, frac, rank="max").kfac_overhead
 
     def test_knobs_that_read_factors_everywhere_are_predicted_too(self):
         from repro.experiments import measured_memory_report
