@@ -1,4 +1,7 @@
-"""Section 4.4 ablation: caching the eigenvalue outer product 1/(v_G v_Aᵀ + γ).
+"""Section 4.4 ablation: caching the damped eigenvalue outer product.
+
+The outer product is Eq. 16's damped spectrum, here ``1/((v_G + √γ/π)(v_A + π√γ)ᵀ)``
+with π from the eigenvalues (:func:`repro.kfac.kmath.eigenvalue_outer_product`).
 
 KAISA moves the computation of the damped eigenvalue outer product from the
 per-iteration preconditioning stage into the (infrequent) eigen-decomposition
@@ -64,7 +67,7 @@ def test_ablation_cache_speedup_summary(benchmark):
     print(
         format_table(
             ["variant", "time per preconditioning call (ms)"],
-            [["recompute 1/(vG vAᵀ + γ) every call", round(uncached_time * 1000, 3)],
+            [["recompute the damped outer product every call", round(uncached_time * 1000, 3)],
              ["cached at eigen-decomposition time", round(cached_time * 1000, 3)]],
         )
     )

@@ -252,13 +252,12 @@ def _train_bert(adaptive: bool):
     )
     if adaptive:
         # The adaptive preset's knobs on top of the workload's hyperparameters
-        # (drift-driven stretching, LM damping, pi split, CG for small layers, the eigen path).
+        # (drift-driven stretching, LM damping, CG for small layers, the eigen path).
         kfac_config = kfac_config.replace(
             solve_strategy="eigen",
             drift_tol=0.05,
             max_staleness=8 * kfac_config.inv_update_freq,
             adaptive_damping=True,
-            damping_pi_correction=True,
             small_layer_solver="cg",
             small_layer_dim=32,
         )

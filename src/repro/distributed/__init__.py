@@ -23,7 +23,6 @@ from .cost_model import (
     DeviceSpec,
     NetworkSpec,
     PerformanceModel,
-    choose_bucket_cap,
 )
 from .ddp import (
     DistributedDataParallel,
@@ -60,7 +59,6 @@ __all__ = [
     "DeviceSpec",
     "NetworkSpec",
     "PerformanceModel",
-    "choose_bucket_cap",
     "V100",
     "A100",
     "EDR_INFINIBAND",

@@ -24,18 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
-
-from .collectives import BucketManager
 
 __all__ = [
     "DeviceSpec",
     "NetworkSpec",
     "PerformanceModel",
     "amortized_update_time",
-    "choose_bucket_cap",
     "V100",
     "A100",
     "EDR_INFINIBAND",
@@ -173,62 +167,3 @@ class PerformanceModel:
     def matmul_flops(self, m: int, n: int, k: int) -> float:
         """FLOPs of an ``(m x k) @ (k x n)`` matrix multiplication."""
         return 2.0 * float(m) * float(n) * float(k)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive bucket sizing
-# ---------------------------------------------------------------------------
-
-#: Candidate fused-buffer caps (MB) evaluated by :func:`choose_bucket_cap`.
-DEFAULT_BUCKET_CAP_CANDIDATES_MB: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 25.0, 50.0, 100.0)
-
-
-def _bucket_sizes(tensor_nbytes: Sequence[int], cap_mb: float) -> list:
-    """Per-bucket byte sizes the engine would build for these tensors.
-
-    Delegates to the engine's own :class:`BucketManager` (one byte-sized
-    tensor per input) so the modeled message counts cannot drift from the
-    packing the scheduler actually performs.
-    """
-    specs = [(str(i), (int(nbytes),), np.dtype(np.uint8)) for i, nbytes in enumerate(tensor_nbytes)]
-    return [bucket.nbytes for bucket in BucketManager(cap_mb).build(specs)]
-
-
-def choose_bucket_cap(
-    network: NetworkSpec,
-    tensor_nbytes: Sequence[int],
-    world_size: int = 8,
-    candidates_mb: Sequence[float] = DEFAULT_BUCKET_CAP_CANDIDATES_MB,
-) -> float:
-    """Pick ``bucket_cap_mb`` for a tensor population from the alpha-beta model.
-
-    A hook-driven schedule posts each fused bucket as soon as its tensors are
-    ready, so all buckets except the last overlap remaining backward compute;
-    the exposed cost of a candidate cap is modeled as
-
-    * one ring-allreduce latency term (``2 (p-1) alpha``) per bucket — small
-      caps issue many messages and pay alpha repeatedly, while
-    * the *last* bucket's full transfer (latency + ring bandwidth term)
-      cannot hide behind anything — large caps leave a long serial tail.
-
-    Minimizing the sum trades message count against pipelining granularity,
-    exactly the ``bucket_cap_mb`` knob of DDP; ties prefer the smaller cap
-    (finer pipelining at equal modeled cost).  The per-bucket packing follows
-    the same greedy closing rule as
-    :class:`~repro.distributed.collectives.BucketManager`, so the modeled
-    message counts match what the engine would issue.
-    """
-    tensor_nbytes = [int(b) for b in tensor_nbytes if int(b) > 0]
-    if not tensor_nbytes:
-        return float(candidates_mb[0])
-    if world_size < 2:
-        world_size = 2  # a single rank sends nothing; size the cap for the smallest real world
-    alpha_term = 2.0 * (world_size - 1) * network.latency
-    beta_per_byte = 2.0 * (world_size - 1) / world_size / network.bandwidth
-    best_cap, best_cost = None, None
-    for cap_mb in candidates_mb:
-        sizes = _bucket_sizes(tensor_nbytes, float(cap_mb))
-        cost = len(sizes) * alpha_term + sizes[-1] * beta_per_byte + alpha_term
-        if best_cost is None or cost < best_cost:
-            best_cap, best_cost = float(cap_mb), cost
-    return best_cap

@@ -12,7 +12,7 @@ from typing import Any, Dict
 __all__ = ["CHECKPOINT_FORMAT", "check_checkpoint_format"]
 
 #: The checkpoint layout this version writes and the only one it reads back.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def check_checkpoint_format(state: Dict[str, Any], owner: str) -> None:

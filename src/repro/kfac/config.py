@@ -27,11 +27,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence, Union
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
-from ..distributed.cost_model import EDR_INFINIBAND, choose_bucket_cap
 from ..tensor import PrecisionPolicy
 from .scheduling.solvers import available_solve_strategies, solve_strategy_class
 from .strategy import DistributionPlan, LayerShapeInfo, WirePolicy, build_plan
@@ -44,6 +43,13 @@ def _as_bool(name: str, value: Any) -> bool:
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _as_float(name: str, value: Any) -> float:
+    """``value`` if it is a real number that is not a bool: ``float(True)`` would be 1.0, ``float("0.1")`` 0.1."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.bool_)):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _as_int(name: str, value: Any) -> int:
@@ -74,60 +80,53 @@ class KFACConfig:
     grad_worker_frac: float = 1.0
     precision: str = "fp32"
     assignment_balance: str = "compute"
+    #: Cache Eq. 16's damped eigenvalue outer product once per refresh
+    #: (section 4.4); read only on the "eigen" path.
     compute_eigen_outer: bool = True
     #: Fused-buffer size cap (MB) of the bucketed collective engine
     #: (:mod:`repro.distributed.collectives`) that carries every factor
-    #: allreduce, eigen broadcast and gradient broadcast, or the string
-    #: ``"auto"`` to derive the cap from the alpha-beta network model and the
-    #: layer shapes when the plan is built (:meth:`distribution_plan`,
-    #: :func:`repro.distributed.cost_model.choose_bucket_cap`); the plan
-    #: carries the number.  The cap changes the message count, never a result bit.
-    bucket_cap_mb: Union[float, str] = 25.0
+    #: allreduce, eigen broadcast and gradient broadcast; the plan carries it.
+    #: The cap changes the message count, never a result bit.
+    bucket_cap_mb: float = 25.0
     #: Normalized Frobenius factor-drift tolerance; 0 disables drift
     #: tracking (fixed cadence).  Positive values stretch stale-tolerant
     #: layers' eigen intervals and pull refreshes forward on drift spikes.
     drift_tol: float = 0.0
-    #: Cap (iterations) for a drift-stretched eigen interval; 0 means no
-    #: stretching (drift can only accelerate refreshes).
+    #: Cap (iterations) for a drift-stretched eigen interval, above
+    #: ``inv_update_freq``; 0 means no stretching (drift can only accelerate
+    #: refreshes).  Read only with ``drift_tol > 0``.
     max_staleness: int = 0
     #: Levenberg-Marquardt adaptive Tikhonov damping
     #: (:class:`~repro.kfac.scheduling.AdaptiveDampingController`); requires
     #: the trainer to feed the loss into ``KFAC.step(loss=...)``.
     adaptive_damping: bool = False
-    #: Apply the factor-trace π correction when damping the factors
-    #: (:func:`~repro.kfac.kmath.tikhonov_pi`, after torch-kfac).
-    damping_pi_correction: bool = False
     #: Per-layer solve path: "inverse" (the default: damped inverses of
-    #: Eq. 12 by float32 Cholesky on the factors' decomposer, damped
-    #: ``(π√γ, √γ/π)``, two GEMMs per step), "eigen" (the paper's
-    #: eigenbasis path, Eqs. 15-17) or "cg" (warm-started inverse-free
-    #: conjugate gradients).
+    #: Eq. 12 by float32 Cholesky on the factors' decomposer, two GEMMs per
+    #: step), "eigen" (the paper's eigenbasis path, Eqs. 15-17) or "cg"
+    #: (warm-started inverse-free conjugate gradients).  Every path damps
+    #: ``(π√γ, √γ/π)`` (:func:`~repro.kfac.kmath.split_damping`).
     solve_strategy: str = "inverse"
     #: Solver used for layers whose factor dimensions are both
-    #: <= ``small_layer_dim`` (those layers skip O(F³) eigen entirely).
+    #: <= ``small_layer_dim`` (those layers skip O(F³) eigen entirely); it
+    #: must differ from ``solve_strategy``.
     small_layer_solver: str = "cg"
     #: Factor-dimension threshold below which ``small_layer_solver`` takes
     #: over; 0 disables the small-layer routing.
     small_layer_dim: int = 0
-    #: Relative residual tolerance and iteration cap of the CG solver.
+    #: Relative residual tolerance and iteration cap of the CG solver; read
+    #: only when a path is "cg".
     cg_tol: float = 1e-8
     cg_max_iter: int = 50
 
     def __post_init__(self) -> None:
         # Canonicalize numeric types first so consumers always see float/int/bool.
-        for name in ("lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "drift_tol", "cg_tol"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("compute_eigen_outer", "adaptive_damping", "damping_pi_correction"):
+        floats = ("lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol")
+        for name in floats:
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
+        for name in ("compute_eigen_outer", "adaptive_damping"):
             object.__setattr__(self, name, _as_bool(name, getattr(self, name)))
         for name in ("factor_update_freq", "inv_update_freq", "max_staleness", "small_layer_dim", "cg_max_iter"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if isinstance(self.bucket_cap_mb, str):
-            if self.bucket_cap_mb != "auto":
-                raise ValueError(
-                    f"bucket_cap_mb must be a positive number or 'auto', got {self.bucket_cap_mb!r}"
-                )
-        else:
-            object.__setattr__(self, "bucket_cap_mb", float(self.bucket_cap_mb))
         # NaN fails no ``<=`` check below, so a non-finite float is refused here, by name.
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
@@ -141,10 +140,10 @@ class KFACConfig:
             raise ValueError("drift_tol must be >= 0")
         if self.max_staleness < 0:
             raise ValueError("max_staleness must be >= 0")
-        if self.max_staleness and self.max_staleness < self.inv_update_freq:
+        if self.max_staleness and self.max_staleness <= self.inv_update_freq:
             raise ValueError(
                 f"max_staleness ({self.max_staleness}) caps the stretched eigen interval and "
-                f"must be >= inv_update_freq ({self.inv_update_freq}), or 0 for no stretching"
+                f"must be > inv_update_freq ({self.inv_update_freq}), or 0 for no stretching"
             )
         for field_name in ("solve_strategy", "small_layer_solver"):
             value = getattr(self, field_name)
@@ -168,11 +167,36 @@ class KFACConfig:
             raise ValueError("grad_worker_frac must be in (0, 1]")
         if self.assignment_balance not in ("compute", "memory"):
             raise ValueError("assignment_balance must be 'compute' or 'memory'")
-        if not isinstance(self.bucket_cap_mb, str) and self.bucket_cap_mb <= 0.0:
+        if self.bucket_cap_mb <= 0.0:
             raise ValueError("bucket_cap_mb must be positive")
         if not isinstance(self.precision, str):
             raise TypeError(f"precision is a policy name such as 'fp16', got {type(self.precision).__name__}")
         PrecisionPolicy.from_name(self.precision)  # raises on unknown names
+        self._refuse_dead_options()
+
+    def _refuse_dead_options(self) -> None:
+        """Refuse a non-default value that no reachable solve path reads, naming the field and the paths.
+
+        The reachable paths are ``solve_strategy``, and ``small_layer_solver``
+        when ``small_layer_dim > 0`` routes layers to it.
+        """
+        defaults = {field.name: field.default for field in dataclasses.fields(self)}
+        paths = sorted({self.solve_strategy} | ({self.small_layer_solver} if self.small_layer_dim > 0 else set()))
+
+        def refuse(name: str, reason: str) -> None:
+            raise ValueError(f"{name}={getattr(self, name)!r} is never read: {reason} (solve paths {paths})")
+
+        if not self.compute_eigen_outer and "eigen" not in paths:
+            refuse("compute_eigen_outer", "only the eigen path caches an outer product")
+        for name in ("cg_tol", "cg_max_iter"):
+            if getattr(self, name) != defaults[name] and "cg" not in paths:
+                refuse(name, "only the cg path iterates")
+        if self.small_layer_dim == 0 and self.small_layer_solver != defaults["small_layer_solver"]:
+            refuse("small_layer_solver", "small_layer_dim=0 routes no layer to it")
+        if self.small_layer_dim > 0 and self.small_layer_solver == self.solve_strategy:
+            refuse("small_layer_dim", f"it routes small layers to {self.solve_strategy!r}, the solve_strategy itself")
+        if self.max_staleness > 0 and self.drift_tol == 0.0:
+            refuse("max_staleness", "drift_tol=0 stretches no interval")
 
     # ------------------------------------------------------------- presets
     @classmethod
@@ -194,12 +218,12 @@ class KFACConfig:
 
     @classmethod
     def adaptive(cls, **overrides: Any) -> "KFACConfig":
-        """Adaptive-scheduling preset: drift-driven refresh, LM damping, π, CG, on the eigen path.
+        """Adaptive-scheduling preset: drift-driven refresh, LM damping, CG, on the eigen path.
 
         Turns on every knob the :mod:`repro.kfac.scheduling` subsystem adds:
         drift tracking with interval stretching (capped at 8x the eigen
-        cadence), Levenberg-Marquardt adaptive damping with the π correction,
-        and CG solves for layers with factor dimensions <= 32.  The other
+        cadence), Levenberg-Marquardt adaptive damping, and CG solves for
+        layers with factor dimensions <= 32.  The other
         layers take the eigen path: the controller moves γ every step, which
         the eigen path applies at once, while an inverse keeps the γ of its
         refresh.  Any field can still be overridden.
@@ -208,7 +232,6 @@ class KFACConfig:
             solve_strategy="eigen",
             drift_tol=0.05,
             adaptive_damping=True,
-            damping_pi_correction=True,
             small_layer_solver="cg",
             small_layer_dim=32,
         )
@@ -264,31 +287,24 @@ class KFACConfig:
         :class:`~repro.kfac.KFAC` and the cost and memory models, and the one
         caller of :func:`~repro.kfac.strategy.build_plan`.
         ``grad_worker_frac`` and ``assignment_balance`` place the work
-        (:func:`~repro.kfac.strategy.assign_workers`).  ``bucket_cap_mb="auto"``
-        is resolved here, once, from the alpha-beta model and the factors' wire
-        payloads (each travels as it is stored: a dense one as its triangle,
-        O(F) for a diagonal one).
+        (:func:`~repro.kfac.strategy.assign_workers`).  Every rank holds
+        every running factor only when ``drift_tol > 0`` (the drift schedule
+        reads them all); each path forms its damping's π from what its ranks
+        hold.
         """
         layers = list(layers)
         policy = self.wire_policy()
         refreshes = {layer.name: solve_strategy_class(self.solver_name_for(layer)).refresh for layer in layers}
-        # π reads both factors where a layer damps: an inverse layer's decomposer and a CG layer's
-        # gradient workers hold both, an eigen layer's holders may hold neither.
-        eigen_pi = self.damping_pi_correction and "eigen" in refreshes.values()
-        bucket_cap_mb = self.bucket_cap_mb
-        if bucket_cap_mb == "auto":
-            payloads = [policy.factor_bytes(layer, which) for layer in layers for which in "ag"]
-            bucket_cap_mb = choose_bucket_cap(EDR_INFINIBAND, payloads, world_size=world_size)
         return build_plan(
             layers,
             world_size,
             self.grad_worker_frac,
             self.assignment_balance,
             policy,
-            factors_read_everywhere=self.drift_tol > 0.0 or eigen_pi,
+            factors_read_everywhere=self.drift_tol > 0.0,
             eigen_free=[name for name, refresh in refreshes.items() if refresh is None],
             inverted=[name for name, refresh in refreshes.items() if refresh == "inverse"],
             factor_update_freq=self.factor_update_freq,
             inv_update_freq=self.inv_update_freq,
-            bucket_cap_mb=bucket_cap_mb,
+            bucket_cap_mb=self.bucket_cap_mb,
         )

@@ -426,7 +426,6 @@ class KernelBackend:
         eig_g: EigenDecomposition,
         damping: float,
         inverse_outer: Optional[np.ndarray] = None,
-        pi: Optional[float] = None,
     ) -> np.ndarray:
         """Apply the Eq. 15-17 eigenbasis contraction to one gradient matrix.
 
@@ -441,12 +440,12 @@ class KernelBackend:
         :func:`~repro.kfac.kmath.structured_precondition` fast path.
         """
         if eig_a.is_structured or eig_g.is_structured:
-            return structured_precondition(grad, eig_a, eig_g, damping, inverse_outer, pi=pi)
+            return structured_precondition(grad, eig_a, eig_g, damping, inverse_outer)
         q_a = eig_a.eigenvectors.astype(np.float32, copy=False)
         q_g = eig_g.eigenvectors.astype(np.float32, copy=False)
         grad32 = grad.astype(np.float32, copy=False)
         if inverse_outer is None:
-            inverse_outer = eigenvalue_outer_product(eig_a, eig_g, damping, pi=pi)
+            inverse_outer = eigenvalue_outer_product(eig_a, eig_g, damping)
         outer32 = inverse_outer.astype(np.float32, copy=False)
         shape = (q_g.shape[0], q_a.shape[0])
         s1 = self._scratch(self._contract_scratch, shape, np.float32)

@@ -11,8 +11,13 @@ Implements the paper's equations:
   2015, section 6.3; :func:`tikhonov_pi`), installed as the symmetric square
   and travelling as its packed triangle,
 * Eqs. 15–17 — the eigen-decomposition preconditioning path of the paper,
-  including the cached eigenvalue outer product ``1/(v_G v_Aᵀ + γ)`` that
-  section 4.4 moves into the (infrequent) eigen-decomposition stage.
+  including the cached eigenvalue outer product that section 4.4 moves into
+  the (infrequent) eigen-decomposition stage, damped with the same split:
+  ``1/((v_G + √γ/π)(v_A + π√γ)ᵀ)``, π from the eigenvalues' traces.
+
+Every solve path damps by :func:`split_damping` of one π
+(:func:`tikhonov_pi` from the factors, :func:`eigenvalue_pi` from their
+spectra), formed where the damping is applied.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "kl_clip_scale_from_total",
     "split_damping",
     "tikhonov_pi",
+    "eigenvalue_pi",
 ]
 
 
@@ -341,60 +347,59 @@ def eigenvalue_outer_product(
     eig_g: EigenDecomposition,
     damping: float,
     dtype=np.float32,
-    pi: Optional[float] = None,
 ) -> np.ndarray:
-    """Precompute ``1 / (v_G v_Aᵀ + γ)`` (paper section 4.4).
+    """Precompute ``1 / ((v_G + √γ/π)(v_A + π√γ)ᵀ)``, Eq. 16's damped spectrum (paper section 4.4).
 
     The result has shape ``(dim_G, dim_A)`` and only changes when the eigen
     decompositions are updated, so computing it once per K-FAC update removes
     redundant work from every per-iteration preconditioning call.  It is a
-    function of the eigenvalues alone, so each rank that holds the
-    decompositions forms its own and it never travels.
-
-    ``pi`` enables the factor-trace π correction (see :func:`tikhonov_pi`):
-    the damping splits per factor as ``γ_a = π√γ``, ``γ_g = √γ/π`` and the
-    damped spectra are multiplied, i.e. ``1 / ((v_G + √γ/π)(v_A + π√γ)ᵀ)``.
-    ``pi=None`` (the default) keeps the uncorrected formula bit for bit.
+    function of the eigenvalues alone -- the damping splits per factor by
+    :func:`split_damping` with π from their traces (:func:`eigenvalue_pi`) --
+    so each rank that holds the decompositions forms its own and it never
+    travels.
     """
     v_g = eig_g.eigenvalues.astype(np.float64)
     v_a = eig_a.eigenvalues.astype(np.float64)
-    if pi is None:
-        outer = np.outer(v_g, v_a) + float(damping)
-    else:
-        damping_a, damping_g = split_damping(damping, pi)
-        outer = np.outer(v_g + damping_g, v_a + damping_a)
-    return (1.0 / outer).astype(dtype)
+    damping_a, damping_g = split_damping(damping, eigenvalue_pi(eig_a, eig_g))
+    return (1.0 / np.outer(v_g + damping_g, v_a + damping_a)).astype(dtype)
 
 
-def split_damping(damping: float, pi: Optional[float]) -> Tuple[float, float]:
-    """Per-factor Tikhonov damping ``(γ_a, γ_g)``: ``(γ, γ)`` without π (Eq. 12), ``(π√γ, √γ/π)`` with it.
+def split_damping(damping: float, pi: float) -> Tuple[float, float]:
+    """Per-factor Tikhonov damping ``(γ_a, γ_g) = (π√γ, √γ/π)`` (Martens & Grosse 2015, section 6.3).
 
-    The π split (:func:`tikhonov_pi`) keeps the product of the damped spectra
-    scaling like ``γ`` while respecting the factors' relative trace magnitudes.
+    The split keeps the product of the damped spectra scaling like ``γ``
+    while respecting the factors' relative trace magnitudes (:func:`tikhonov_pi`).
     """
-    if pi is None:
-        return float(damping), float(damping)
     root = float(np.sqrt(damping))
     pi = float(pi)
     return pi * root, root / pi
 
 
-def tikhonov_pi(factor_a: np.ndarray, factor_g: np.ndarray, a_repr, g_repr, eps: float = 1e-12) -> float:
+def _trace_ratio_pi(mean_a: float, mean_g: float, eps: float = 1e-12) -> float:
+    """``sqrt(mean_a / mean_g)`` of two mean diagonal entries; 1.0 if either is zero, negative or not finite."""
+    if not np.isfinite(mean_a) or not np.isfinite(mean_g) or mean_a <= eps or mean_g <= eps:
+        return 1.0
+    return float(np.sqrt(mean_a / mean_g))
+
+
+def tikhonov_pi(factor_a: np.ndarray, factor_g: np.ndarray, a_repr, g_repr) -> float:
     """Factor-trace π correction (Martens & Grosse 2015; torch-kfac's ``pi``).
 
     ``π = sqrt((tr(A)/dim_A) / (tr(G)/dim_G))`` balances the Tikhonov
     damping between the two Kronecker factors according to their relative
     scale.  Degenerate traces (zero, negative, non-finite) fall back to 1.0,
-    which reduces to the uncorrected split.  The factors come in their stored
+    the even split ``(√γ, √γ)``.  The factors come in their stored
     form and ``a_repr`` / ``g_repr`` (their
     :class:`~repro.kfac.factors.FactorRepr`) say where in the packed blocks
     the diagonal sits.
     """
-    trace_a = a_repr.trace(factor_a) / max(a_repr.dim, 1)
-    trace_g = g_repr.trace(factor_g) / max(g_repr.dim, 1)
-    if not np.isfinite(trace_a) or not np.isfinite(trace_g) or trace_a <= eps or trace_g <= eps:
-        return 1.0
-    return float(np.sqrt(trace_a / trace_g))
+    return _trace_ratio_pi(a_repr.trace(factor_a) / max(a_repr.dim, 1), g_repr.trace(factor_g) / max(g_repr.dim, 1))
+
+
+def eigenvalue_pi(eig_a: EigenDecomposition, eig_g: EigenDecomposition) -> float:
+    """:func:`tikhonov_pi` from the spectra: ``tr(A) = Σλ_A`` over the factor's blocks; an eigen holder needs no factor."""
+    means = [np.sum(eig.eigenvalues.astype(np.float64)) / max(eig.eigenvalues.size, 1) for eig in (eig_a, eig_g)]
+    return _trace_ratio_pi(*means)
 
 
 def apply_eigenbasis_left(x: np.ndarray, eigen: EigenDecomposition, transpose: bool) -> np.ndarray:
@@ -438,7 +443,6 @@ def structured_precondition(
     eig_g: EigenDecomposition,
     damping: float,
     inverse_outer: Optional[np.ndarray] = None,
-    pi: Optional[float] = None,
 ) -> np.ndarray:
     """Eqs. 15-17 for eigen decompositions in any structured representation.
 
@@ -452,7 +456,7 @@ def structured_precondition(
     """
     grad32 = grad.astype(np.float32, copy=False)
     if inverse_outer is None:
-        inverse_outer = eigenvalue_outer_product(eig_a, eig_g, damping, pi=pi)
+        inverse_outer = eigenvalue_outer_product(eig_a, eig_g, damping)
     outer32 = inverse_outer.astype(np.float32, copy=False)
     v1 = apply_eigenbasis_left(grad32, eig_g, transpose=True)  # Eq. 15
     v1 = apply_eigenbasis_right(v1, eig_a, transpose=False)
@@ -468,7 +472,6 @@ def precondition_with_eigen(
     eig_g: EigenDecomposition,
     damping: float,
     inverse_outer: Optional[np.ndarray] = None,
-    pi: Optional[float] = None,
 ) -> np.ndarray:
     """Precondition a gradient matrix with the eigen decomposition path (Eqs. 15-17).
 
@@ -482,19 +485,16 @@ def precondition_with_eigen(
     damping:
         Tikhonov damping ``γ``.
     inverse_outer:
-        Optional cached ``1/(v_G v_Aᵀ + γ)``; recomputed if not provided.
-    pi:
-        Optional π correction applied if the outer product must be
-        recomputed (a cached ``inverse_outer`` already embeds its π).
+        Optional cached :func:`eigenvalue_outer_product`; recomputed if not provided.
     """
     if eig_a.is_structured or eig_g.is_structured:
-        return structured_precondition(grad, eig_a, eig_g, damping, inverse_outer, pi=pi)
+        return structured_precondition(grad, eig_a, eig_g, damping, inverse_outer)
     q_a = eig_a.eigenvectors.astype(np.float32, copy=False)
     q_g = eig_g.eigenvectors.astype(np.float32, copy=False)
     grad32 = grad.astype(np.float32, copy=False)
     v1 = q_g.T @ grad32 @ q_a  # Eq. 15
     if inverse_outer is None:
-        inverse_outer = eigenvalue_outer_product(eig_a, eig_g, damping, pi=pi)
+        inverse_outer = eigenvalue_outer_product(eig_a, eig_g, damping)
     v2 = v1 * inverse_outer.astype(np.float32, copy=False)  # Eq. 16
     return (q_g @ v2 @ q_a.T).astype(grad.dtype, copy=False)  # Eq. 17
 

@@ -495,19 +495,18 @@ class KFACLayer:
         """
         raise NotImplementedError
 
-    def precondition(self, damping: float, pi: Optional[float] = None, grad: Optional[np.ndarray] = None) -> np.ndarray:
+    def precondition(self, damping: float, grad: Optional[np.ndarray] = None) -> np.ndarray:
         """Precondition ``grad`` (default: the current gradient) with the cached eigen decompositions.
 
-        ``pi`` is only consulted when no outer product is cached (a cached
-        ``inverse_outer`` already embeds the π in force at eigen time).
+        ``damping`` is read only when no outer product is cached (a cached
+        ``inverse_outer`` embeds the damping of its refresh); either way it is
+        split by the π of the eigenvalues (:func:`~repro.kfac.kmath.eigenvalue_outer_product`).
         """
         if not self.has_eigen:
             raise RuntimeError(f"layer {self.name!r} has no eigen decompositions")
         if grad is None:
             grad = self.get_gradient()
-        return self.kernels.precondition_contract(
-            grad, self.eigen_a, self.eigen_g, damping, self.inverse_outer, pi=pi
-        )
+        return self.kernels.precondition_contract(grad, self.eigen_a, self.eigen_g, damping, self.inverse_outer)
 
     # --------------------------------------------------------------- memory
     def factor_bytes(self) -> int:

@@ -403,18 +403,6 @@ class KFAC:
         self._count("factor_skips", [name for name in base.fold if name not in actions.fold])
         self._count("eigen_skips", [name for name in base.refresh if name not in actions.refresh])
 
-    def damping_pi(self, layer: KFACLayer) -> Optional[float]:
-        """The factor-trace π correction for ``layer``, or None when disabled.
-
-        ``None`` keeps every downstream damping formula on its uncorrected
-        branch bit for bit.
-        """
-        if not self._config.damping_pi_correction:
-            return None
-        if layer.factor_a is None or layer.factor_g is None:
-            return None
-        return tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
-
     # ------------------------------------------------------------ stage 1: factors
     # Every rank contributes its *window average*; the average over ranks is
     # folded once, where the factor is read.  ``factor_specs`` is the one
@@ -626,11 +614,12 @@ class KFAC:
                 setattr(layer, f"eigen_{which}", results[name, which].astype(dtype))
 
     def _cache_eigen_outer(self, names: Sequence[str]) -> None:
-        """After the eigen round of the refreshed layers ``names``: each eigen holder caches ``1 / (v_G v_Aᵀ + γ)``.
+        """After the eigen round of the refreshed layers ``names``: each eigen holder caches Eq. 16's damped spectrum.
 
         Formed from the eigenvalues the holder now has and the current
-        damping, so no rank ships it; ``None`` when ``compute_eigen_outer`` is
-        off.
+        damping, split by their π
+        (:func:`~repro.kfac.kmath.eigenvalue_outer_product`), so no rank
+        ships it; ``None`` when ``compute_eigen_outer`` is off.
         """
         for name in names:
             if self.rank not in self.plan.eigen_holders[name]:
@@ -638,7 +627,7 @@ class KFAC:
             layer, outer = self.layers[name], None
             if self._config.compute_eigen_outer:
                 outer = eigenvalue_outer_product(
-                    layer.eigen_a, layer.eigen_g, self.damping, self.precision.inverse_dtype, pi=self.damping_pi(layer)
+                    layer.eigen_a, layer.eigen_g, self.damping, self.precision.inverse_dtype
                 )
             layer.inverse_outer = outer
 
@@ -654,9 +643,7 @@ class KFAC:
             self._preconditioned[name] = None
             if self.groups[name].is_grad_worker(self.rank):
                 grad = gradients[name] = layer.get_gradient()
-                self._preconditioned[name] = self.solvers[name].solve(
-                    layer, grad, self.damping, pi=self.damping_pi(layer)
-                )
+                self._preconditioned[name] = self.solvers[name].solve(layer, grad, self.damping)
         return gradients
 
     # --------------------------------------------------- stage 4: scale and update

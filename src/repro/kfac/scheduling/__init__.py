@@ -14,12 +14,15 @@ what departs from it:
   the refresh forward and resets the interval to the configured base cadence.
 * :class:`AdaptiveDampingController` adjusts the Tikhonov damping ``γ`` with
   a Levenberg-Marquardt accept/shrink rule on the ratio of actual to
-  predicted loss reduction, optionally combined with the factor-trace π
-  correction (:func:`repro.kfac.kmath.tikhonov_pi`, after torch-kfac).
+  predicted loss reduction.
 * :class:`SolveStrategy` implementations decide *how* a layer's gradient is
-  preconditioned: the default π-damped inverse (Eq. 12), the paper's eigen
+  preconditioned: the default damped inverse (Eq. 12), the paper's eigen
   path (Eqs. 15-17), or a warm-started conjugate-gradient solve
-  (:func:`kronecker_cg`) that factorizes nothing at all.
+  (:func:`kronecker_cg`) that factorizes nothing at all.  All three damp
+  ``(π√γ, √γ/π)`` (:func:`repro.kfac.kmath.split_damping`, after
+  torch-kfac's ``pi=True``), π from what the solving rank holds: the
+  factors' traces (:func:`repro.kfac.kmath.tikhonov_pi`) or the
+  eigenvalues' (:func:`repro.kfac.kmath.eigenvalue_pi`).
 
 With the adaptive knobs at their defaults (``drift_tol=0``, fixed damping)
 :class:`~repro.kfac.KFAC` runs the paper's fixed-cadence step, and each knob

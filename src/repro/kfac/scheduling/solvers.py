@@ -9,7 +9,8 @@ gradients.  Three strategies sit behind one interface:
   second-order refresh (Eq. 12 with factored Tikhonov damping), ships each
   inverse in its factor's packed form, and every gradient worker
   preconditions with two GEMMs;
-* :class:`EigenSolveStrategy` -- the eigen path of Eqs. 15-17;
+* :class:`EigenSolveStrategy` -- the eigen path of Eqs. 15-17, damped by
+  the same split with π from the eigenvalues the holder received;
 * :class:`CGSolveStrategy` -- never factorize at all: solve
   ``(G + γ_g I) X (A + γ_a I) = ∇L`` by conjugate gradients on the
   Kronecker-structured operator, warm-started from the previous solution
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kmath import split_damping
+from ..kmath import split_damping, tikhonov_pi
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..layers import KFACLayer
@@ -135,7 +136,7 @@ class SolveStrategy:
     #: refresh computes nothing has no decomposers and no eigen round.
     refresh: Optional[str] = None
 
-    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         """Precondition ``grad``, the layer's current bias-folded gradient matrix (:meth:`KFACLayer.get_gradient`)."""
         raise NotImplementedError
 
@@ -166,15 +167,15 @@ class EigenSolveStrategy(SolveStrategy):
     name = "eigen"
     refresh = "eigen"
 
-    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
-        return layer.precondition(damping, pi=pi, grad=grad)
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
+        return layer.precondition(damping, grad=grad)
 
 
 class InverseSolveStrategy(SolveStrategy):
     """Damped inverses (Eq. 12), computed on the layer's decomposer and installed on each gradient worker.
 
-    The inverses carry the damping of their refresh; ``damping`` and ``pi``
-    of :meth:`solve` are not read.
+    The inverses carry the damping of their refresh; ``damping`` of
+    :meth:`solve` is not read.
     """
 
     name = "inverse"
@@ -201,7 +202,7 @@ class InverseSolveStrategy(SolveStrategy):
         """
         setattr(self, f"inv_{which}", inverse)
 
-    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
             raise RuntimeError(
                 f"layer {layer.name!r} has no installed inverses; a second-order refresh must install them before solve()"
@@ -245,7 +246,9 @@ class CGSolveStrategy(SolveStrategy):
     No factorization is ever computed: each iteration applies the damped
     Kronecker operator directly.  The previous step's solution seeds the
     next solve (DeepFormer's ``last_x0``), so after the first step only a
-    few CG iterations are needed to track the slowly moving gradient.
+    few CG iterations are needed to track the slowly moving gradient.  The
+    operator is damped ``(π√γ, √γ/π)``, π from the running factors the
+    gradient worker holds (:func:`~repro.kfac.kmath.tikhonov_pi`).
     """
 
     name = "cg"
@@ -265,9 +268,10 @@ class CGSolveStrategy(SolveStrategy):
         """``last_solution``: the float64 ``g × a`` warm start."""
         return 8 * layer.a_dim * layer.g_dim
 
-    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float, pi: Optional[float] = None) -> np.ndarray:
+    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         if layer.factor_a is None or layer.factor_g is None:
             raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
+        pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)  # a gradient worker holds both
         damping_a, damping_g = split_damping(damping, pi)
         warm = self.last_solution if self.last_solution is not None and self.last_solution.shape == grad.shape else None
         solution, iterations = kronecker_cg(

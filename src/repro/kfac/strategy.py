@@ -224,9 +224,8 @@ class DistributionPlan:
     ``refresh_offsets`` is the phase of each layer's decomposition in the
     interval (:func:`~repro.kfac.assignment.staggered_refresh_offsets`);
     :meth:`actions` turns the two cadences and the offsets into what a step does.
-    ``bucket_cap_mb`` is the fused-buffer cap every round is bucketed under
-    (``"auto"`` already resolved): the engine's scheduler and :meth:`messages`
-    both read it.
+    ``bucket_cap_mb`` is the fused-buffer cap every round is bucketed under:
+    the engine's scheduler and :meth:`messages` both read it.
     """
 
     scheme: str  # "MEM-OPT", "HYBRID-OPT" or "COMM-OPT": which one grad_worker_frac selects
@@ -478,8 +477,7 @@ def build_plan(
     is in ``eigen_free`` (its solve strategy reads the factors itself --
     ``cg`` -- so nothing is decomposed or broadcast for it); and
     by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
-    the refresh plan from factor drift on every rank, ``damping_pi_correction``
-    takes both traces on an eigen layer's holders).  Factors are allreduced world-wide as
+    the refresh plan from factor drift on every rank).  Factors are allreduced world-wide as
     the ranks' *window* averages, in the form they are stored in: a dense one
     as its packed triangle (section 4.3's optimisation, here the only layout),
     a diagonal one as O(F) elements.  The two cadences place each layer's

@@ -5,7 +5,6 @@ from .tracker import (
     MemoryBreakdown,
     max_local_batch_size,
     memory_breakdown,
-    model_parameter_bytes,
     optimizer_state_multiplier,
     overhead_bytes,
     paper_factor_bytes,

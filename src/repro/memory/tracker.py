@@ -42,11 +42,9 @@ from ..kfac.analysis import KFACWorkloadSpec
 from ..kfac.config import KFACConfig
 from ..kfac.scheduling.solvers import solve_strategy_class
 from ..kfac.strategy import DistributionPlan
-from ..nn.module import Module
 
 __all__ = [
     "MemoryBreakdown",
-    "model_parameter_bytes",
     "optimizer_state_multiplier",
     "solver_bytes_per_rank",
     "refreshed_bytes_per_rank",
@@ -109,15 +107,6 @@ class MemoryBreakdown:
             "kfac_overhead": self.kfac_overhead / MB,
             "total": self.total / MB,
         }
-
-
-def model_parameter_bytes(model_or_count, dtype_bytes: int = 4) -> int:
-    """Bytes of the model weights, from a module or a raw parameter count."""
-    if isinstance(model_or_count, Module):
-        count = model_or_count.num_parameters()
-    else:
-        count = int(model_or_count)
-    return count * dtype_bytes
 
 
 def optimizer_state_multiplier(optimizer_name: str) -> int:

@@ -97,8 +97,7 @@ class Trainer:
             # communicator averages nothing either and keeps the rank at one tracer.
             single = rank_comm is not None and rank_comm.world_size == 1
             comm = rank_comm if single else SingleProcessCommunicator()
-        # The plan's cap (including the cost-model-sized bucket_cap_mb="auto"),
-        # so gradient and factor traffic share one fusion granularity.
+        # The plan's cap, so gradient and factor traffic share one fusion granularity.
         bucket_cap_mb = 25.0 if preconditioner is None else preconditioner.plan.bucket_cap_mb
         self.ddp = DistributedDataParallel(model, comm, broadcast_initial=False, bucket_cap_mb=bucket_cap_mb)
         self.tracer = (rank_comm if rank_comm is not None else comm).tracer

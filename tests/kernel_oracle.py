@@ -17,7 +17,8 @@ and :func:`square_fold_reference` is the decay fold on full matrices, packed
 only to be compared.  :class:`SquarePathKernelBackend` decomposes as the
 backend did when factors were stored square (symmetrise, then the same LAPACK
 driver) and :func:`use_square_path` puts a whole preconditioner on it, with
-the drift norm and the π traces taken over full matrices as well.  The packed
+the drift norm and the CG path's π traces taken over full matrices as well
+(the eigen path's π is read off the square path's own eigenvalues).  The packed
 fold, the packed allreduce average, the ``?tpttr`` -> ``?syevd`` solve and
 whole trajectories must equal them to the bit on exactly symmetric windows.
 
@@ -45,7 +46,8 @@ from repro.kfac import (
     eigenvalue_outer_product,
     precondition_with_eigen,
 )
-from repro.kfac.kmath import triangle_dim
+from repro.kfac.kmath import split_damping, triangle_dim
+from repro.kfac.scheduling import CGSolveStrategy, kronecker_cg
 
 
 def as_square(factor):
@@ -93,8 +95,8 @@ class ReferenceKernelBackend(KernelBackend):
         decay = float(decay)
         return (decay * running.astype(np.float32, copy=False) + (1.0 - decay) * new).astype(store_dtype)
 
-    def precondition_contract(self, grad, eig_a, eig_g, damping, inverse_outer=None, pi=None):
-        return precondition_with_eigen(grad, eig_a, eig_g, damping, inverse_outer, pi=pi)
+    def precondition_contract(self, grad, eig_a, eig_g, damping, inverse_outer=None):
+        return precondition_with_eigen(grad, eig_a, eig_g, damping, inverse_outer)
 
     def kl_clip_accumulate(self, grads_and_precond):
         total = 0.0
@@ -163,8 +165,10 @@ def use_square_path(preconditioner):
     Storage stays as it is; every reader of a dense factor is handed the full
     matrix and computes what it computed before packed storage: the
     decompositions (:class:`SquarePathKernelBackend`), the drift (elementwise
-    Frobenius norm of the squares, snapshots included) and the π traces
-    (``np.trace``).  The ``inverse`` / ``cg`` solvers expand for themselves.
+    Frobenius norm of the squares, snapshots included) and the CG path's π
+    traces (``np.trace``; the CG solve is written out here on the squares).
+    The ``inverse`` / ``cg`` solvers expand for themselves; the eigen path's π
+    comes from the square path's eigenvalues.
     """
     oracle = SquarePathKernelBackend()
     preconditioner.kernels = oracle
@@ -183,8 +187,6 @@ def use_square_path(preconditioner):
         drift.mark_second_order = lambda name, step, a, g: mark(name, step, *squares(name, a, g))
 
     def square_pi(layer):
-        if not preconditioner.config.damping_pi_correction or layer.factor_a is None or layer.factor_g is None:
-            return None
         means = []
         for factor, dim in zip(squares(layer.name, layer.factor_a, layer.factor_g), (layer.a_dim, layer.g_dim)):
             wide = factor.astype(np.float64)
@@ -194,7 +196,26 @@ def use_square_path(preconditioner):
             return 1.0
         return float(np.sqrt(means[0] / means[1]))
 
-    preconditioner.damping_pi = square_pi
+    def square_cg(solver):
+        def solve(layer, grad, damping):
+            if layer.factor_a is None or layer.factor_g is None:
+                raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
+            square_a, square_g = layer.a_repr.to_dense(layer.factor_a), layer.g_repr.to_dense(layer.factor_g)
+            warm = solver.last_solution
+            warm = warm if warm is not None and warm.shape == grad.shape else None
+            solution, iterations = kronecker_cg(
+                square_a, square_g, grad, *split_damping(damping, square_pi(layer)),
+                x0=warm, tol=solver.tol, max_iter=solver.max_iter,
+            )  # fmt: skip
+            solver.last_solution = solution
+            solver.total_iterations += iterations
+            return solution.astype(grad.dtype)
+
+        return solve
+
+    for solver in preconditioner.solvers.values():
+        if isinstance(solver, CGSolveStrategy):
+            solver.solve = square_cg(solver)
     return preconditioner
 
 
@@ -234,19 +255,20 @@ def replicated_fold_reference(layer, step, config, offset=0):
         decompose_standalone(layer, config.damping)
 
 
-def decompose_standalone(layer, damping, pi=None):
+def decompose_standalone(layer, damping):
     """The eigen stage for one handler outside a preconditioner, through the kernel calls the step makes.
 
     The step sends every factor through ``eigen_task`` (here its one-call form
     ``structured_eigen``; one block is a ``batched_eigen_task`` of its triangle), stores the
-    results in the inverse dtype, and the layer's outer worker caches the eigenvalue outer product.
+    results in the inverse dtype, and the layer's outer worker caches the eigenvalue outer product (π-damped, π
+    from the eigenvalues).
     """
     compute, store = layer.precision.compute_dtype, layer.precision.inverse_dtype
     for which in ("a", "g"):
         factor, repr_ = getattr(layer, f"factor_{which}"), layer.factor_repr(which)
         decomposition = layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
         setattr(layer, f"eigen_{which}", decomposition.astype(store))
-    layer.inverse_outer = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, damping, dtype=store, pi=pi)
+    layer.inverse_outer = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, damping, dtype=store)
 
 
 def use_reference_kernels(preconditioner):

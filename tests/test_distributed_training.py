@@ -215,9 +215,9 @@ class TestOneEigenStagePath:
 
     @pytest.mark.parametrize(
         "frac, knobs",
-        [(0.25, {}), (0.5, {}), (1.0, {}), (0.5, {"damping_pi_correction": True, "adaptive_damping": True}),
+        [(0.25, {}), (0.5, {}), (1.0, {}), (0.5, {"adaptive_damping": True}),
          (0.5, {"precision": "fp16"}), (0.5, {"compute_eigen_outer": False})],
-        ids=["mem", "hybrid", "comm", "hybrid-pi-adaptive", "hybrid-fp16", "hybrid-no-outer"],
+        ids=["mem", "hybrid", "comm", "hybrid-adaptive", "hybrid-fp16", "hybrid-no-outer"],
     )  # fmt: skip
     def test_each_holder_forms_the_outer_product_and_the_eigen_round_carries_decompositions_only(self, frac, knobs):
         def program(comm):
@@ -245,9 +245,7 @@ class TestOneEigenStagePath:
                     if not pre.config.compute_eigen_outer:
                         assert layer.inverse_outer is None
                         continue
-                    own = eigenvalue_outer_product(
-                        layer.eigen_a, layer.eigen_g, pre.damping, pre.precision.inverse_dtype, pi=pre.damping_pi(layer)
-                    )
+                    own = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, pre.damping, pre.precision.inverse_dtype)
                     np.testing.assert_array_equal(layer.inverse_outer, own, err_msg=f"{name} at step {step}")
                 # The step's eigen round is the packed decompositions of the refreshed layers whose group has
                 # more than one member, and nothing else.
@@ -377,30 +375,18 @@ class TestShardedFactorLayout:
     @pytest.mark.parametrize(
         "knob, solver",
         [({"drift_tol": 0.05, "max_staleness": 8}, "inverse"), ({"drift_tol": 0.05, "max_staleness": 8}, "eigen"),
-         ({"damping_pi_correction": True}, "eigen")],
-        ids=["drift-inverse", "drift-eigen", "pi-eigen"],
+         ({"drift_tol": 0.05, "max_staleness": 8}, "cg")],
+        ids=["drift-inverse", "drift-eigen", "drift-cg"],
     )  # fmt: skip
     @pytest.mark.parametrize("frac", [0.25, 1.0])
     def test_knobs_every_rank_reads_factors_for_make_every_rank_hold_them(self, knob, frac, solver):
-        """``drift_tol`` derives the plan from factor drift on every rank and ``damping_pi_correction``
-        takes both traces on an eigen layer's holders; the sanitizer's plan check holds the ranks to one plan."""
+        """``drift_tol`` derives the plan from factor drift on every rank -- its one reason to hold every
+        factor everywhere; the sanitizer's plan check holds the ranks to one plan."""
         ranks = run_spmd(4, layout_program(steps=6, grad_worker_frac=frac, solve_strategy=solver, **knob), sanitize=True)
         for entry in ranks:
             assert all(entry["held"].values())
             assert entry["memory"]["factors"] == ranks[0]["all_factor_bytes"]
             np.testing.assert_array_equal(entry["params"], ranks[0]["params"])
-
-    @pytest.mark.parametrize("frac", [0.5, 1.0], ids=["mem", "comm"])
-    def test_pi_on_the_inverse_path_moves_no_bit_and_no_byte(self, frac):
-        """An inverse layer is π-damped on its decomposer, which holds both factors with or without the knob."""
-        off, on = (
-            run_spmd(2, layout_program(steps=6, grad_worker_frac=frac, damping_pi_correction=pi), sanitize=True)
-            for pi in (False, True)
-        )
-        for plain, corrected in zip(off, on):
-            np.testing.assert_array_equal(corrected["params"], plain["params"])
-            assert corrected["memory"] == plain["memory"] and corrected["held"] == plain["held"]
-        assert sum(entry["memory"]["factors"] for entry in on) == on[0]["all_factor_bytes"]
 
     def test_the_solver_that_reads_the_factors_holds_them_on_the_gradient_workers(self):
         ranks = run_spmd(4, layout_program(grad_worker_frac=0.5, solve_strategy="cg"))

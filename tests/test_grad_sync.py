@@ -7,8 +7,7 @@ MEM/HYBRID/COMM-OPT on the threaded backend at any bucket cap, under gradient
 accumulation and at world 1.  Also what the sync point puts on the wire
 (which gradients travel, in what order and dtype, the 1/n scale applied once,
 one message per planned bucket, the sanitizer's drained check), the
-registry-driven LayerNorm coverage exercised through the hooks, and the
-adaptive ``bucket_cap_mb="auto"`` selection.
+registry-driven LayerNorm coverage exercised through the hooks.
 """
 
 import numpy as np
@@ -16,11 +15,8 @@ import pytest
 
 from repro import nn, optim
 from repro.distributed import (
-    EDR_INFINIBAND,
-    ETHERNET_10G,
     BucketManager,
     DistributedDataParallel,
-    choose_bucket_cap,
     gradient_specs,
     run_spmd,
 )
@@ -276,9 +272,9 @@ class TestTrainerSync:
             # Two steps, one fused message each, five tensors in it.
             assert (messages, tensors) == (2, 10)
 
-    def test_trainer_uses_resolved_auto_cap(self):
+    def test_trainer_uses_the_plans_cap(self):
         model = build_model("mlp")
-        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb="auto")
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb=0.004)
         trainer = Trainer(
             model,
             optim.SGD(model.parameters(), lr=0.1),
@@ -671,71 +667,3 @@ class TestLayerNormRegistry:
         measured = pre.memory_usage()
         expected_factors = sum(pre.plan.policy.factor_bytes(group.layer) for group in pre.groups.values())
         assert measured["factors"] == expected_factors
-
-
-class TestChooseBucketCap:
-    def test_interior_optimum_beats_extremes(self):
-        # 200 x 1 MB tensors: one huge bucket pays a long exposed tail, tiny
-        # buckets pay hundreds of alpha terms; the optimum is in between.
-        tensors = [1 * 1024 * 1024] * 200
-        cap = choose_bucket_cap(ETHERNET_10G, tensors, world_size=16, candidates_mb=(1, 8, 1024))
-        assert cap == 8.0
-
-    def test_higher_latency_prefers_larger_buckets(self):
-        from repro.distributed import NetworkSpec
-
-        tensors = [256 * 1024] * 64
-        low_alpha = NetworkSpec(name="low", latency=1e-6, bandwidth=12.5e9)
-        high_alpha = NetworkSpec(name="high", latency=1e-3, bandwidth=12.5e9)
-        # At equal bandwidth, paying alpha more dearly pushes toward fewer,
-        # larger messages.
-        assert choose_bucket_cap(high_alpha, tensors, world_size=8) > choose_bucket_cap(
-            low_alpha, tensors, world_size=8
-        )
-
-    def test_returns_candidate_and_handles_empty(self):
-        assert choose_bucket_cap(EDR_INFINIBAND, [], world_size=8) == 1.0
-        cap = choose_bucket_cap(EDR_INFINIBAND, [123], world_size=1)
-        assert cap in (1.0, 2.0, 4.0, 8.0, 16.0, 25.0, 50.0, 100.0)
-
-    def test_config_accepts_auto_and_round_trips(self):
-        config = KFACConfig(bucket_cap_mb="auto")
-        restored = KFACConfig.from_dict(config.to_dict())
-        assert restored.bucket_cap_mb == "auto"
-        with pytest.raises(ValueError):
-            KFACConfig(bucket_cap_mb="big")
-        with pytest.raises(ValueError):
-            KFACConfig(bucket_cap_mb=-1.0)
-
-    def test_kfac_resolves_auto_cap(self):
-        model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
-        pre = KFAC(model, bucket_cap_mb="auto")
-        assert isinstance(pre.plan.bucket_cap_mb, float)
-        assert pre.plan.bucket_cap_mb > 0
-        assert pre.scheduler.buckets.bucket_cap_mb == pre.plan.bucket_cap_mb
-        # The serializable config keeps the symbolic value; the models resolve it to the engine's number.
-        assert pre.config.bucket_cap_mb == "auto"
-        shapes = [layer.shape_info() for layer in pre.layers.values()]
-        assert pre.config.distribution_plan(shapes, 1).bucket_cap_mb == pre.plan.bucket_cap_mb
-
-    def test_auto_cap_is_bitwise_neutral(self):
-        x, y = make_problem(seed=17)
-        loss_fn = nn.CrossEntropyLoss()
-
-        def run(cap):
-            def program(comm):
-                model = MLP(6, [12, 8], 3, rng=np.random.default_rng(0))
-                ddp = DistributedDataParallel(model, comm)
-                pre = KFAC(
-                    model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb=cap, comm=comm,
-                )
-                loss = loss_fn(model(Tensor(x[: 32])), y[:32])
-                loss.backward()
-                ddp.sync_gradients()
-                pre.step()
-                return np.concatenate([p.grad.ravel() for p in model.parameters()])
-
-            return run_spmd(2, program)
-
-        for a, b in zip(run(25.0), run("auto")):
-            np.testing.assert_array_equal(a, b)

@@ -52,7 +52,7 @@ class TestWorkloadSpec:
         layer = spec.layers[0]
         expected = (layer.a_dim ** 2 + layer.a_dim + layer.g_dim ** 2 + layer.g_dim + layer.a_dim * layer.g_dim) * 4
         assert spec.config.wire_policy().eigen_bytes(layer) == expected
-        without_outer = small_spec(compute_eigen_outer=False).config.wire_policy().eigen_bytes(layer)
+        without_outer = small_spec(compute_eigen_outer=False, solve_strategy="eigen").config.wire_policy().eigen_bytes(layer)
         assert expected - without_outer == layer.a_dim * layer.g_dim * 4
 
 

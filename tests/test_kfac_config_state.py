@@ -59,7 +59,8 @@ class TestKFACConfig:
         [
             dict(factor_update_freq=0),
             dict(inv_update_freq=0),
-            dict(max_staleness=50),  # positive, but below inv_update_freq=100
+            dict(max_staleness=50, drift_tol=0.05),  # positive, but below inv_update_freq=100
+            dict(max_staleness=100, drift_tol=0.05),  # equal to inv_update_freq: the drift schedule stretches nothing
             dict(factor_decay=0.0),
             dict(factor_decay=1.5),
             dict(damping=0.0),
@@ -75,6 +76,42 @@ class TestKFACConfig:
         with pytest.raises(ValueError):
             KFACConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, field, paths",
+        [(dict(compute_eigen_outer=False), "compute_eigen_outer", "['inverse']"),
+         (dict(compute_eigen_outer=False, solve_strategy="cg"), "compute_eigen_outer", "['cg']"),
+         (dict(compute_eigen_outer=False, small_layer_dim=8), "compute_eigen_outer", "['cg', 'inverse']"),
+         (dict(cg_tol=1e-6), "cg_tol", "['inverse']"),
+         (dict(cg_max_iter=5, solve_strategy="eigen"), "cg_max_iter", "['eigen']"),
+         (dict(cg_tol=1e-6, small_layer_dim=8, small_layer_solver="eigen"), "cg_tol", "['eigen', 'inverse']"),
+         (dict(small_layer_solver="eigen"), "small_layer_solver", "['inverse']"),
+         (dict(small_layer_dim=8, small_layer_solver="inverse"), "small_layer_dim", "['inverse']"),
+         (dict(small_layer_dim=8, solve_strategy="cg"), "small_layer_dim", "['cg']"),
+         (dict(max_staleness=200), "max_staleness", "['inverse']")],
+    )  # fmt: skip
+    def test_a_value_no_reachable_solve_path_reads_is_refused_naming_the_field_and_the_paths(self, kwargs, field, paths):
+        """A non-default value is refused unless a path of ``{solve_strategy}`` (plus ``small_layer_solver``
+        when ``small_layer_dim > 0``) reads it; code and dicts alike, and a checkpoint of defaults still loads."""
+        message = rf"^{field}=.* is never read: .* \(solve paths {re.escape(paths)}\)$"
+        with pytest.raises(ValueError, match=message):
+            KFACConfig(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            KFACConfig.from_dict(dict(KFACConfig().to_dict(), **kwargs))
+        assert KFACConfig.from_dict(KFACConfig().to_dict()) == KFACConfig()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(compute_eigen_outer=False, solve_strategy="eigen"),
+         dict(compute_eigen_outer=False, small_layer_dim=8, small_layer_solver="eigen"),
+         dict(cg_tol=1e-6, cg_max_iter=5, solve_strategy="cg"),
+         dict(cg_tol=1e-6, small_layer_dim=8),
+         dict(small_layer_dim=8, small_layer_solver="eigen", solve_strategy="cg"),
+         dict(max_staleness=200, drift_tol=0.05)],
+    )  # fmt: skip
+    def test_a_value_a_reachable_path_reads_is_accepted(self, kwargs):
+        config = KFACConfig(**kwargs)
+        assert KFACConfig.from_dict(config.to_dict()) == config
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "field", ["lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol"]
@@ -88,16 +125,20 @@ class TestKFACConfig:
 
     @pytest.mark.parametrize(
         "field, value, expected",
-        [("compute_eigen_outer", "false", None), ("adaptive_damping", "no", None), ("damping_pi_correction", 0.5, None),
+        [("compute_eigen_outer", "false", None), ("adaptive_damping", "no", None), ("adaptive_damping", 0.5, None),
          ("adaptive_damping", np.bool_(True), True), ("factor_update_freq", 2.5, None), ("cg_max_iter", 1.9, None),
          ("small_layer_dim", -0.5, None), ("max_staleness", True, None), ("inv_update_freq", np.bool_(True), None),
-         ("cg_max_iter", np.int64(7), 7), ("factor_update_freq", 4.0, 4)],
+         ("inv_update_freq", np.int64(7), 7), ("factor_update_freq", 4.0, 4),
+         ("lr", True, None), ("damping", "0.01", None), ("bucket_cap_mb", True, None), ("kl_clip", np.bool_(True), None),
+         ("grad_worker_frac", "1", None), ("bucket_cap_mb", "auto", None),
+         ("lr", 1, 1.0), ("damping", np.float32(0.5), 0.5), ("bucket_cap_mb", np.int64(2), 2.0)],
     )  # fmt: skip
     def test_a_value_the_cast_would_change_is_refused_naming_the_field(self, field, value, expected):
-        """Bools take only bools; integers take integers that are not bools, or floats with no fractional part."""
+        """Bools take only bools; integers take integers that are not bools, or floats with no fractional part;
+        floats take real numbers that are not bools (``float(True)`` is 1.0, ``float("0.01")`` parses)."""
         for build in (lambda: KFACConfig(**{field: value}), lambda: KFACConfig.from_dict({field: value})):
             if expected is None:
-                with pytest.raises(ValueError, match=rf"^{field} must be an? (bool|integer), got"):
+                with pytest.raises(ValueError, match=rf"^{field} must be an? (bool|integer|number), got"):
                     build()
             else:
                 config = build()
@@ -122,11 +163,11 @@ class TestKFACConfig:
         with pytest.raises(ValueError, match=rf"unknown KFACConfig fields: \['{key}'\]"):
             KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{key: value}))
 
-    def test_the_config_has_twenty_fields(self):
+    def test_the_config_has_nineteen_fields(self):
         """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member."""
         import dataclasses
 
-        assert len(dataclasses.fields(KFACConfig)) == 20
+        assert len(dataclasses.fields(KFACConfig)) == 19
 
     def test_replace_revalidates(self):
         config = KFACConfig()
@@ -215,7 +256,7 @@ class TestConfigPlacesTheWork:
     def test_the_plan_is_the_one_the_config_builds(self):
         config = KFACConfig(
             grad_worker_frac=0.5, assignment_balance="memory", factor_update_freq=2, inv_update_freq=6,
-            bucket_cap_mb="auto",
+            bucket_cap_mb=0.002,
         )  # fmt: skip
 
         def program(comm):
@@ -228,14 +269,13 @@ class TestConfigPlacesTheWork:
         assert KFAC(self.model(), **config.to_dict()).plan.digest() != digests[0][0]  # world 1 places it apart
 
     def test_kfac_keeps_only_lr_and_damping_beside_its_config(self):
-        """``factor_decay``, ``kl_clip``, ``compute_eigen_outer`` and ``damping_pi_correction`` are read from
-        the config, so no second copy can drift from it; ``lr`` and ``damping`` change during a run."""
+        """``factor_decay``, ``kl_clip`` and ``compute_eigen_outer`` are read from the config, so no second
+        copy can drift from it; ``lr`` and ``damping`` change during a run."""
         config = KFACConfig(
-            lr=0.2, damping=0.01, factor_decay=0.5, kl_clip=0.01, compute_eigen_outer=False,
-            damping_pi_correction=True,
+            lr=0.2, damping=0.01, factor_decay=0.5, kl_clip=0.01, compute_eigen_outer=False, solve_strategy="eigen",
         )  # fmt: skip
         pre = KFAC(self.model(), config)
-        for name in ("factor_decay", "kl_clip", "compute_eigen_outer", "damping_pi_correction"):
+        for name in ("factor_decay", "kl_clip", "compute_eigen_outer", "damping_pi"):
             assert not hasattr(pre, name)
         assert (pre.lr, pre.damping) == (0.2, 0.01)
         pre.lr = 0.3
@@ -720,7 +760,7 @@ class TestOneCheckpointFormat:
     def forward_loss(model, batch):
         return nn.CrossEntropyLoss()(model(Tensor(batch[0])), batch[1])
 
-    @pytest.mark.parametrize("found", [None, 0, 1, 3], ids=["no-format", "format-0", "format-1", "format-3"])
+    @pytest.mark.parametrize("found", [None, 0, 1, 2, 4], ids=["no-format", "format-0", "format-1", "format-2", "format-4"])
     def test_another_format_is_refused_naming_both_numbers(self, found):
         x, y = make_problem(4)
 
@@ -737,13 +777,13 @@ class TestOneCheckpointFormat:
             state.pop("format", None)  # as every version before the number wrote it: format 0
             if found is not None:
                 state["format"] = found
-            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 2"):
+            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 3"):
                 target.load_state_dict(state)
         # The number is checked before anything is read.
         assert fresh_pre.steps == 0 and fresh_trainer.iterations == 0
         for name, value in fresh_trainer.model.state_dict().items():
             np.testing.assert_array_equal(value, weights[name])
-        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 2
+        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 3
 
     def test_a_factor_the_plan_does_not_place_on_the_rank_raises(self):
         """MEM-OPT at world 2 places each factor on one rank; a checkpoint carrying another rank's factor was

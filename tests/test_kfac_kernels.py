@@ -535,21 +535,35 @@ class TestPreconditionContract:
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, first_copy)
 
-    def test_cached_outer_and_pi_paths(self):
+    def test_cached_and_formed_outer_paths(self):
         batched = KernelBackend()
         eig_a, eig_g = self._eigen_pair(seed=7)
         grad = np.random.default_rng(8).standard_normal((9, 12)).astype(np.float32)
         from repro.kfac import eigenvalue_outer_product
 
-        outer = eigenvalue_outer_product(eig_a, eig_g, 0.003, pi=1.7)
-        np.testing.assert_array_equal(
-            batched.precondition_contract(grad, eig_a, eig_g, 0.003, inverse_outer=outer),
-            precondition_with_eigen(grad, eig_a, eig_g, 0.003, inverse_outer=outer),
-        )
-        np.testing.assert_array_equal(
-            batched.precondition_contract(grad, eig_a, eig_g, 0.003, pi=1.7),
-            precondition_with_eigen(grad, eig_a, eig_g, 0.003, pi=1.7),
-        )
+        outer = eigenvalue_outer_product(eig_a, eig_g, 0.003)
+        for cached in (outer, None):
+            np.testing.assert_array_equal(
+                batched.precondition_contract(grad, eig_a, eig_g, 0.003, inverse_outer=cached),
+                precondition_with_eigen(grad, eig_a, eig_g, 0.003, inverse_outer=outer),
+            )
+
+    def test_the_outer_product_is_pi_damped_with_pi_from_the_eigenvalues(self):
+        """Eq. 16 under the one damping rule: ``1 / ((v_G + √γ/π)(v_A + π√γ)ᵀ)``, π from ``Σλ / n`` of each
+        factor, which is the factors' own :func:`tikhonov_pi` to rounding (``tr = Σλ``)."""
+        from repro.kfac import eigenvalue_outer_product, eigenvalue_pi
+
+        a, g = spd_factor(12, seed=3), spd_factor(9, seed=4, scale=50.0)  # traces far apart: π ≠ 1
+        eig_a, eig_g = symmetric_eigen(a), symmetric_eigen(g)
+        v_a, v_g = eig_a.eigenvalues.astype(np.float64), eig_g.eigenvalues.astype(np.float64)
+        pi = np.sqrt((v_a.sum() / 12) / (v_g.sum() / 9))
+        assert eigenvalue_pi(eig_a, eig_g) == pi and pi < 0.5
+        assert pi == pytest.approx(tikhonov_pi(pack_triangle(a), pack_triangle(g), FactorRepr.dense(12), FactorRepr.dense(9)), rel=1e-5)
+        root = np.sqrt(0.003)
+        expected = (1.0 / np.outer(v_g + root / pi, v_a + pi * root)).astype(np.float32)
+        np.testing.assert_array_equal(eigenvalue_outer_product(eig_a, eig_g, 0.003), expected)
+        zero = type(eig_g)(eig_g.eigenvectors, np.zeros_like(eig_g.eigenvalues))
+        assert eigenvalue_pi(eig_a, zero) == 1.0  # a degenerate trace splits evenly
 
 
 class TestDampedInverse:

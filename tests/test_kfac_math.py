@@ -14,9 +14,14 @@ from repro.kfac import (
     symmetric_eigen,
 )
 from repro.kfac import FactorRepr, KernelBackend, expand_triangle, pack_triangle
-from repro.kfac.kmath import eigenvalue_outer_product, triangle_dim
+from repro.kfac.kmath import eigenvalue_outer_product, split_damping, tikhonov_pi, triangle_dim
 
 RNG = np.random.default_rng(5)
+
+
+def factor_dampings(a, g, damping):
+    """``(γ_a, γ_g)``: the π split every solve path applies, π from the two factors' traces."""
+    return split_damping(damping, tikhonov_pi(pack_triangle(a), pack_triangle(g), *map(FactorRepr.dense, (len(a), len(g)))))
 
 
 def cholesky_inverse(factor, damping):
@@ -163,39 +168,40 @@ class TestSymmetricEigen:
 
 
 class TestPreconditioning:
-    """The eigen path (Eqs. 15-17) must match the explicit damped inverse (Eq. 12)."""
+    """The eigen path (Eqs. 15-17) must match the explicit damped inverse (Eq. 12), both π-damped."""
 
     @pytest.mark.parametrize("damping", [0.3, 0.03, 0.003])
     def test_eigen_path_matches_explicit_inverse(self, damping):
-        a, g = random_spd(6, 11), random_spd(4, 12)
+        a, g = random_spd(6, 11), random_spd(4, 12, scale=20.0)  # traces far apart: π ≠ 1
         grad = RNG.standard_normal((4, 6)).astype(np.float32)
         eig_a, eig_g = symmetric_eigen(a), symmetric_eigen(g)
         via_eigen = precondition_with_eigen(grad, eig_a, eig_g, damping)
-        # Explicit: vec-form (F̂ + γ I)⁻¹ vec(grad) with F̂ = A ⊗ G (row-major layout).
-        fisher = np.kron(a.astype(np.float64), g.astype(np.float64))
-        explicit = np.linalg.solve(fisher + damping * np.eye(fisher.shape[0]), grad.T.reshape(-1, order="C"))
-        explicit = explicit.reshape(6, 4).T
-        # The eigen path damps each Kronecker eigenvalue product individually,
-        # which equals the exact damped inverse of A ⊗ G.
+        # Explicit: vec-form ((A + γ_a I) ⊗ (G + γ_g I))⁻¹ vec(grad) (row-major layout).
+        damping_a, damping_g = factor_dampings(a, g, damping)
+        damped = np.kron(a.astype(np.float64) + damping_a * np.eye(6), g.astype(np.float64) + damping_g * np.eye(4))
+        explicit = np.linalg.solve(damped, grad.T.reshape(-1, order="C")).reshape(6, 4).T
+        # The eigen path damps each factor's eigenvalues by its share of the split (π from Σλ, the
+        # traces), which equals the exact inverse of the damped Kronecker product.
         np.testing.assert_allclose(via_eigen, explicit, rtol=2e-2, atol=1e-3)
 
     def test_inverse_path_matches_eigen_path_with_factored_damping(self):
-        # Eq. 12 damps the factors individually; with small damping both paths agree closely.
+        # Eq. 12 damps the factors individually, and so does the eigen path: both paths agree closely.
         a, g = random_spd(5, 13), random_spd(3, 14)
         grad = RNG.standard_normal((3, 5)).astype(np.float32)
         damping = 1e-6
-        via_inverse = precondition_with_inverse(grad, cholesky_inverse(a, damping), cholesky_inverse(g, damping))
+        damping_a, damping_g = factor_dampings(a, g, damping)
+        via_inverse = precondition_with_inverse(grad, cholesky_inverse(a, damping_a), cholesky_inverse(g, damping_g))
         via_eigen = precondition_with_eigen(grad, symmetric_eigen(a), symmetric_eigen(g), damping)
         scale = np.abs(via_eigen).max()
         np.testing.assert_allclose(via_inverse / scale, via_eigen / scale, atol=5e-2)
 
     def test_identity_factors_scale_gradient(self):
-        # With A = G = I and damping γ the preconditioned gradient is grad / (1 + γ).
+        # With A = G = I, π = 1 and each factor takes √γ: the preconditioned gradient is grad / (1 + √γ)².
         grad = RNG.standard_normal((3, 4)).astype(np.float32)
         eye_a = symmetric_eigen(np.eye(4, dtype=np.float32))
         eye_g = symmetric_eigen(np.eye(3, dtype=np.float32))
         out = precondition_with_eigen(grad, eye_a, eye_g, damping=0.5)
-        np.testing.assert_allclose(out, grad / 1.5, rtol=1e-4)
+        np.testing.assert_allclose(out, grad / (1 + np.sqrt(0.5)) ** 2, rtol=1e-4)
 
     def test_cached_outer_product_matches_recomputation(self):
         a, g = random_spd(6, 15), random_spd(5, 16)

@@ -400,9 +400,9 @@ class TestGradientWriteBack:
 
 class TestMathematicalCorrectness:
     def test_matches_explicit_fisher_inverse_on_linear_model(self):
-        """For a single Linear layer the preconditioned gradient must equal
-        (Â ⊗ Ĝ + γI)⁻¹ applied to the gradient, where Â and Ĝ are the
-        layer's empirical Kronecker factors (Eqs. 9-17)."""
+        """For a single Linear layer the eigen path's preconditioned gradient must equal
+        ((Â + π√γ I) ⊗ (Ĝ + √γ/π I))⁻¹ applied to the gradient, where Â and Ĝ are the
+        layer's empirical Kronecker factors (Eqs. 9-17) and π their trace ratio."""
         rng = np.random.default_rng(0)
         model = nn.Linear(5, 3, bias=True, rng=rng)
         x = rng.standard_normal((64, 5)).astype(np.float32)
@@ -426,8 +426,9 @@ class TestMathematicalCorrectness:
         # the equivalent matrix identity instead: solve via eigenbasis directly.
         ea, va = np.linalg.eigh(a_factor)
         eg, vg = np.linalg.eigh(g_factor)
+        pi = np.sqrt((np.trace(a_factor) / len(a_factor)) / (np.trace(g_factor) / len(g_factor)))
         v1 = vg.T @ grad_matrix @ va
-        v2 = v1 / (np.outer(eg, ea) + damping)
+        v2 = v1 / np.outer(eg + np.sqrt(damping) / pi, ea + pi * np.sqrt(damping))
         expected = vg @ v2 @ va.T
         np.testing.assert_allclose(result, expected, rtol=5e-3, atol=1e-5)
 
@@ -497,13 +498,13 @@ class TestMathematicalCorrectness:
         assert results["fp16"] == results["fp32"] // 2
 
     def test_disabling_eigen_outer_cache_gives_same_result(self):
-        """Section 4.4 ablation: caching 1/(v_G v_Aᵀ + γ) is purely a performance
+        """Section 4.4 ablation: caching the damped outer product on the eigen path is purely a performance
         optimization and must not change the preconditioned gradient."""
         x, y = make_problem(14, in_dim=6)
         results = {}
         for cached in (True, False):
             model = MLP(6, [12], 3, rng=np.random.default_rng(7))
-            pre = KFAC(model, compute_eigen_outer=cached, factor_update_freq=1, inv_update_freq=1)
+            pre = KFAC(model, compute_eigen_outer=cached, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
             loss = nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64])
             loss.backward()
             pre.step()

@@ -87,9 +87,8 @@ class TestConfigKnobs:
         "kwargs",
         [
             dict(drift_tol=0.1),
-            dict(max_staleness=800),
+            dict(drift_tol=0.1, max_staleness=800),
             dict(adaptive_damping=True),
-            dict(damping_pi_correction=True),
             dict(small_layer_dim=16),
             dict(solve_strategy="cg"),
         ],
@@ -99,12 +98,11 @@ class TestConfigKnobs:
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, **kwargs)
         run_single_process(pre, model, steps=2, with_loss=True)
-        (key, value), = kwargs.items()
+        key, value = list(kwargs.items())[-1]
         observed = {
             "drift_tol": 0.0 if pre.drift is None else pre.drift.drift_tol,
             "max_staleness": pre.config.max_staleness,
             "adaptive_damping": pre.damping_controller is not None,
-            "damping_pi_correction": pre.damping_pi(next(iter(pre.layers.values()))) is not None,
             "small_layer_dim": 16 if {s.name for s in pre.solvers.values()} == {"cg", "inverse"} else 0,
             "solve_strategy": next(iter(pre.solvers.values())).name,
         }
@@ -131,7 +129,7 @@ class TestConfigKnobs:
         config = KFACConfig.adaptive()
         assert config.drift_tol == 0.05
         assert config.adaptive_damping
-        assert config.damping_pi_correction
+        assert config.solve_strategy == "eigen"
         assert config.small_layer_dim == 32
         assert config.small_layer_solver == "cg"
         assert config.max_staleness == 8 * config.inv_update_freq
@@ -578,9 +576,9 @@ class TestKFACSchedulerIntegration:
 
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_adaptive_resume_mid_epoch_bitwise_all_strategies(self, grad_worker_frac):
-        """Satellite criterion: checkpointing mid-epoch with drift tracking,
-        interval stretching, adaptive damping and the π correction all on
-        resumes bit-identically under MEM-OPT, HYBRID-OPT and COMM-OPT."""
+        """Checkpointing mid-epoch with drift tracking, interval stretching and
+        adaptive damping all on (π-damped inverses, as on every path) resumes
+        bit-identically under MEM-OPT, HYBRID-OPT and COMM-OPT."""
         x_global, y_global = make_problem(23, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
             lr=0.05,
@@ -590,7 +588,6 @@ class TestKFACSchedulerIntegration:
             drift_tol=0.05,
             max_staleness=8,
             adaptive_damping=True,
-            damping_pi_correction=True,
         )
 
         def program(comm):
@@ -676,21 +673,19 @@ class TestKFACSchedulerIntegration:
 
     @pytest.mark.parametrize("solver", ["inverse", "cg"])
     def test_inverse_free_solvers_approximate_eigen_path(self, solver):
-        # With the π-corrected damping split, the eigen outer product equals
+        # With the π-damped split, the eigen outer product equals
         # (G + γ_g I)^-1 ⊗ (A + γ_a I)^-1 exactly — the same damped system the
         # inverse and CG strategies solve — so the paths agree to solver
-        # precision.  (Without π the legacy eigen path dampens in product
-        # space, λ_G λ_A + γ, which is a genuinely different approximation.)
-        # Step 0 is where the three read the same factors with the same π: a
-        # later refresh reads the factors as its step began, while the eigen
-        # path's π and CG's operator follow the folded ones.
+        # precision (the eigen path's π comes from Σλ, the others' from the
+        # factors' traces: equal to rounding).  Step 0 is where the three read
+        # the same factors: a later refresh reads the factors as its step
+        # began, while CG's operator follows the folded ones.
         m1, m2 = self.paired_models()
         eigen_pre = KFAC.from_config(
             m1,
             KFACConfig(
                 factor_update_freq=1,
                 inv_update_freq=1,
-                damping_pi_correction=True,
                 solve_strategy="eigen",
             ),
         )
@@ -699,10 +694,8 @@ class TestKFACSchedulerIntegration:
             KFACConfig(
                 factor_update_freq=1,
                 inv_update_freq=1,
-                damping_pi_correction=True,
                 solve_strategy=solver,
-                cg_tol=1e-10,
-                cg_max_iter=200,
+                **(dict(cg_tol=1e-10, cg_max_iter=200) if solver == "cg" else {}),
             ),
         )
         g1 = run_single_process(eigen_pre, m1, steps=1)
@@ -760,32 +753,27 @@ class TestKFACSchedulerIntegration:
         assert usage["solver"] > 0
         assert usage["total"] == usage["factors"] + usage["eigen"] + usage["solver"]
 
-    def test_pi_correction_changes_but_preserves_descent(self):
-        m1, m2 = self.paired_models()
-        plain = KFAC.from_config(
-            m1, KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
-        )
-        corrected = KFAC.from_config(
-            m2,
-            KFACConfig(
-                factor_update_freq=1, inv_update_freq=1, damping_pi_correction=True, solve_strategy="eigen"
-            ),
-        )
-        loss_fn = nn.CrossEntropyLoss()
+    def test_the_eigen_path_damps_with_pi_from_its_eigenvalues_and_preserves_descent(self):
+        """The eigen holder's outer product is ``1 / ((v_G + √γ/π)(v_A + π√γ)ᵀ)`` with π from the eigenvalues it
+        holds, not Eq. 16's ``1 / (v_G v_Aᵀ + γ)``, and the preconditioned gradient is still a descent direction."""
+        model = self.paired_models()[0]
+        pre = KFAC.from_config(model, KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen"))
         x, y = make_problem(31, samples=64, in_dim=6, classes=3)
-        for model, pre in ((m1, plain), (m2, corrected)):
-            model.zero_grad()
-            loss_fn(model(Tensor(x)), y).backward()
-            raw = [np.asarray(p.grad, dtype=np.float64).copy() for p in model.parameters()]
-            pre.step()
-            precond = [np.asarray(p.grad, dtype=np.float64) for p in model.parameters()]
-            assert all(np.isfinite(g).all() for g in precond)
-            # Positive-definite preconditioner: still a descent direction.
-            inner = sum(float(np.sum(r * p)) for r, p in zip(raw, precond))
-            assert inner > 0.0
-        g_plain = np.concatenate([p.grad.ravel() for p in m1.parameters()])
-        g_pi = np.concatenate([p.grad.ravel() for p in m2.parameters()])
-        assert not np.array_equal(g_plain, g_pi)
+        model.zero_grad()
+        nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
+        raw = [np.asarray(p.grad, dtype=np.float64).copy() for p in model.parameters()]
+        pre.step()
+        precond = [np.asarray(p.grad, dtype=np.float64) for p in model.parameters()]
+        assert all(np.isfinite(g).all() for g in precond)
+        assert sum(float(np.sum(r * p)) for r, p in zip(raw, precond)) > 0.0  # positive definite: descent
+        for layer in pre.layers.values():
+            v_a, v_g = (eig.eigenvalues.astype(np.float64) for eig in (layer.eigen_a, layer.eigen_g))
+            pi = np.sqrt((v_a.sum() / v_a.size) / (v_g.sum() / v_g.size))
+            assert pi != 1.0
+            damping_a, damping_g = split_damping(pre.damping, pi)
+            expected = (1.0 / np.outer(v_g + damping_g, v_a + damping_a)).astype(layer.inverse_outer.dtype)
+            np.testing.assert_array_equal(layer.inverse_outer, expected)
+            assert not np.array_equal(layer.inverse_outer, (1.0 / (np.outer(v_g, v_a) + pre.damping)).astype(expected.dtype))
 
     def test_adaptive_damping_moves_damping_in_training(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))

@@ -9,7 +9,6 @@ from repro.memory import (
     MemoryBreakdown,
     max_local_batch_size,
     memory_breakdown,
-    model_parameter_bytes,
     optimizer_state_multiplier,
     overhead_bytes,
     paper_factor_bytes,
@@ -39,13 +38,6 @@ def layers():
 
 
 class TestHelpers:
-    def test_model_parameter_bytes_from_module(self):
-        model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        assert model_parameter_bytes(model) == model.num_parameters() * 4
-
-    def test_model_parameter_bytes_from_count(self):
-        assert model_parameter_bytes(1000, dtype_bytes=2) == 2000
-
     def test_optimizer_state_multipliers(self):
         assert optimizer_state_multiplier("sgd") == 1
         assert optimizer_state_multiplier("adam") == 2

@@ -21,6 +21,8 @@ derandomized set of examples, so their time is the same in every CI
 configuration.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +37,7 @@ from repro.kfac import (
     KFACConfig,
     IterationTimeModel,
     KFACWorkloadSpec,
+    KernelBackend,
     LayerShapeInfo,
     apply_measured_fractions,
     model_comm_schedule,
@@ -504,7 +507,6 @@ class TestRefreshReadPointProperties:
         config = KFACConfig(
             lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq,
             grad_worker_frac=1.0 if comm_opt else 1.0 / world,
-            damping_pi_correction=True,  # eigen: every rank holds every running factor, so each can check its share
             solve_strategy=solver,
         )  # fmt: skip
 
@@ -518,7 +520,7 @@ class TestRefreshReadPointProperties:
             ddp = DistributedDataParallel(model, comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
             pre = cls(model, config, comm=comm)
-            taken, checked, inverses = [], 0, []
+            taken, solved = [], []
             for step in range(steps):
                 local = np.arange(8 * world)[(step + comm.rank) % world :: world]
                 optimizer.zero_grad()
@@ -536,32 +538,40 @@ class TestRefreshReadPointProperties:
                 ], step
                 optimizer.step()
                 for name in taken[-1].refresh if cls is KFAC else ():
-                    layer = pre.layers[name]
+                    # A decomposer holds its factor (an inverse layer's both), a gradient worker what was solved.
+                    layer, held = pre.layers[name], pre.groups[name].is_grad_worker(comm.rank)
                     read = (layer.factor_a, layer.factor_g) if step == 0 else found[name]
-                    if solver == "inverse":  # the decomposer holds both factors, a gradient worker the inverses
-                        worker = pre.groups[name].is_grad_worker(comm.rank)
-                        installed = (pre.solvers[name].inv_a, pre.solvers[name].inv_g) if worker else None
-                        inverses.append((step, name, read, installed, layer.a_repr, layer.g_repr))
-                    if comm.rank not in pre.plan.eigen_holders[name]:
-                        continue
-                    for factor, installed in zip(read, (layer.eigen_a, layer.eigen_g)):
-                        (alone,) = pre.kernels.batched_symmetric_eigen([factor], compute_dtype=pre.precision.compute_dtype)
-                        alone = alone.astype(pre.precision.inverse_dtype)
-                        np.testing.assert_array_equal(installed.eigenvalues, alone.eigenvalues, err_msg=f"{name} {step}")
-                        np.testing.assert_array_equal(installed.eigenvectors, alone.eigenvectors, err_msg=f"{name} {step}")
-                        checked += 1
+                    if solver == "inverse":
+                        installed = (pre.solvers[name].inv_a, pre.solvers[name].inv_g)
+                    else:
+                        installed = (layer.eigen_a, layer.eigen_g)
+                    solved.append((step, name, read, installed if held else None, layer.a_repr, layer.g_repr))
             pre.remove()
-            return np.concatenate([p.data.ravel() for p in model.parameters()]), taken, checked, inverses
+            return np.concatenate([p.data.ravel() for p in model.parameters()]), taken, solved
 
         ranks = run_spmd(world, lambda comm: program(comm, KFAC))
-        taken, checked = ranks[0][1], sum(rank[2] for rank in ranks)
-        held = {(step, name): (read, reprs) for rank in ranks for step, name, read, _, *reprs in rank[3] if read[0] is not None}
-        for step, name, _, installed, *_ in (entry for rank in ranks for entry in rank[3] if entry[3] is not None):
-            read, reprs = held[step, name]
-            dampings = split_damping(config.damping, tikhonov_pi(*read, *reprs))
-            for factor, damping, inverse in zip(read, dampings, installed):
-                alone = expand_symmetric(damped_inverse(factor, damping).astype(config.precision_policy().inverse_dtype))
-                np.testing.assert_array_equal(inverse, alone, err_msg=f"{name} {step}")
+        taken, checked, policy = ranks[0][1], 0, config.precision_policy()
+        factors = {
+            (step, name, which): factor
+            for rank in ranks
+            for step, name, read, *_ in rank[2]
+            for which, factor in zip("ag", read)
+            if factor is not None
+        }
+        for step, name, _, installed, *reprs in (entry for rank in ranks for entry in rank[2] if entry[3] is not None):
+            read = tuple(factors[step, name, which] for which in "ag")
+            if solver == "inverse":
+                dampings = split_damping(config.damping, tikhonov_pi(*read, *reprs))
+                for factor, damping, inverse in zip(read, dampings, installed):
+                    alone = expand_symmetric(damped_inverse(factor, damping).astype(policy.inverse_dtype))
+                    np.testing.assert_array_equal(inverse, alone, err_msg=f"{name} {step}")
+                    checked += 1
+                continue
+            for factor, eigen in zip(read, installed):
+                (alone,) = KernelBackend().batched_symmetric_eigen([factor], compute_dtype=policy.compute_dtype)
+                alone = alone.astype(policy.inverse_dtype)
+                np.testing.assert_array_equal(eigen.eigenvalues, alone.eigenvalues, err_msg=f"{name} {step}")
+                np.testing.assert_array_equal(eigen.eigenvectors, alone.eigenvectors, err_msg=f"{name} {step}")
                 checked += 1
         assert checked > 0
         for name in taken[0].refresh:
@@ -680,31 +690,38 @@ class TestModelEqualsEngineProperties:
     KNOBS = {
         "default": {},
         "drift": {"drift_tol": 0.05, "max_staleness": 8},
-        "pi": {"damping_pi_correction": True},
+        "eigen": {"solve_strategy": "eigen"},
+        "eigen-drift": {"solve_strategy": "eigen", "drift_tol": 0.05, "max_staleness": 8},
         "inverse": {"solve_strategy": "inverse"},
         "cg": {"solve_strategy": "cg"},
-        "small": {"small_layer_dim": 8},  # the layers whose factors are all <= 8 wide take CG, the rest eigen
+        "small": {"small_layer_dim": 8},  # the layers whose factors are all <= 8 wide take CG, the rest inverses
+        "eigen-small": {"solve_strategy": "eigen", "small_layer_dim": 8},
     }
 
     # (world, gradient workers per layer): MEM-, HYBRID- and COMM-OPT at every world size that has them.
     POINTS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
     # bucket_cap_mb, compute_eigen_outer, precision, assignment_balance, knob: every pair of values
-    # of two knobs appears in some row, and each row runs at every point.
+    # of two knobs appears in some row, and each row runs at every point.  compute_eigen_outer=False is
+    # read on the eigen path only, so its rows take the eigen variant of their knob ("eigen-drift" counts
+    # as "drift", "eigen-small" as "small").
     WIRES = [
         (0.001, True, "fp32", "compute", "default"),
         (25.0, True, "fp16", "memory", "default"),
-        (0.001, False, "fp64", "compute", "default"),
-        (25.0, False, "fp16", "compute", "drift"),
+        (0.001, False, "fp64", "compute", "eigen"),
+        (25.0, False, "fp16", "compute", "eigen-drift"),
         (0.001, True, "fp64", "memory", "drift"),
-        (25.0, True, "fp32", "memory", "pi"),
-        (0.001, False, "fp16", "compute", "pi"),
+        (25.0, True, "fp32", "memory", "eigen"),
+        (0.001, False, "fp16", "compute", "eigen"),
         (25.0, True, "fp64", "compute", "inverse"),
-        (0.001, False, "fp32", "memory", "inverse"),
-        (25.0, False, "fp64", "memory", "cg"),
+        (0.001, False, "fp32", "memory", "eigen"),
+        (0.001, True, "fp32", "memory", "inverse"),
+        (25.0, False, "fp64", "memory", "eigen-small"),
+        (25.0, True, "fp64", "memory", "cg"),
         (0.001, True, "fp16", "compute", "cg"),
         (0.001, True, "fp32", "memory", "small"),
-        (25.0, False, "fp16", "compute", "small"),
-        ("auto", True, "fp32", "compute", "default"),
+        (25.0, False, "fp16", "compute", "eigen-small"),
+        (1.0, True, "fp32", "compute", "default"),
+        (1.0, True, "fp64", "memory", "default"),
     ]
 
     @pytest.mark.parametrize("wire", WIRES, ids=lambda wire: "-".join(str(value) for value in wire))
@@ -812,7 +829,7 @@ class TestPackedStorageProperties:
     Embedding -> LayerNorm -> Linear -> Linear through the ``Trainer`` (diagonal A, diagonal G, dense
     factors up to and past the stacked-``eigh`` threshold; under the dense oracle all of them dense):
     the trajectory equals the square-path oracle's (``kernel_oracle.use_square_path``: every
-    decomposition, drift and π trace taken over the full symmetrised matrix) to the bit -- these
+    decomposition, drift and CG π trace taken over the full symmetrised matrix) to the bit -- these
     handlers' windows are ``syrk`` products, exactly symmetric -- every rank's ``memory_usage()`` is the
     memory model's, and the allreduce traffic is the plan's factor round plus the gradient averaging.
     """
@@ -820,7 +837,7 @@ class TestPackedStorageProperties:
     KNOBS = {
         "default": {},
         "drift": {"drift_tol": 0.05, "max_staleness": 8},
-        "pi": {"damping_pi_correction": True},
+        "eigen": {"solve_strategy": "eigen"},
         "inverse": {"solve_strategy": "inverse"},
         "cg": {"solve_strategy": "cg"},
     }
@@ -837,8 +854,8 @@ class TestPackedStorageProperties:
         (4, 1, 25.0, True, "drift", 7),
         (4, 2, 0.001, False, "drift", 36),
         (1, 1, 0.001, False, "drift", 12),
-        (3, 3, 25.0, False, "pi", 34),
-        (2, 1, 0.001, True, "pi", 9),
+        (3, 3, 25.0, False, "eigen", 34),
+        (2, 1, 0.001, True, "eigen", 9),
         (4, 4, 25.0, False, "inverse", 38),
         (3, 1, 0.001, True, "inverse", 6),
         (2, 2, 0.001, False, "cg", 35),
@@ -1013,3 +1030,88 @@ class TestMemoryModelProperties:
         spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         per_rank = spec.plan(world_size, 1.0 / world_size).eigen_bytes_per_rank()
         assert per_rank.sum() == sum(spec.config.wire_policy().eigen_bytes(layer) for layer in layers)
+
+
+class TestNoDeadKnobProperties:
+    """Every ``KFACConfig`` field at a non-default value moves a bit, a byte or a message -- or is refused.
+
+    One row per field: the value, and the context (other fields) in which its reader acts on a tiny MLP at
+    world 2.  Against the same context at the field's default, the run must differ in the parameters after
+    a few Listing 1 steps, ``plan.digest()``, a rank's ``memory_usage()`` or its comm messages / bytes;
+    a value no reachable solve path reads is refused at construction, naming the field.  A field with no
+    row fails, so a field added later needs a row here -- or is a deletion candidate.
+    """
+
+    COMMON = dict(lr=0.05, factor_update_freq=1, inv_update_freq=2)
+    ROWS = {
+        "lr": ({}, dict(lr=0.2)),
+        "factor_decay": ({}, dict(factor_decay=0.5)),
+        "damping": ({}, dict(damping=0.05)),
+        "kl_clip": ({}, dict(kl_clip=1e-6)),
+        "factor_update_freq": ({}, dict(factor_update_freq=2)),
+        "inv_update_freq": ({}, dict(inv_update_freq=3)),
+        "grad_worker_frac": ({}, dict(grad_worker_frac=0.5)),
+        "precision": ({}, dict(precision="fp16")),
+        "assignment_balance": ({"grad_worker_frac": 0.5}, dict(assignment_balance="memory")),
+        "compute_eigen_outer": ({"solve_strategy": "eigen"}, dict(compute_eigen_outer=False)),
+        "bucket_cap_mb": ({}, dict(bucket_cap_mb=1e-6)),
+        "drift_tol": ({}, dict(drift_tol=0.05)),
+        "max_staleness": ({"drift_tol": 10.0, "inv_update_freq": 1}, dict(max_staleness=8)),
+        "adaptive_damping": ({}, dict(adaptive_damping=True)),
+        "solve_strategy": ({}, dict(solve_strategy="eigen")),
+        "small_layer_solver": ({"small_layer_dim": 8}, dict(small_layer_solver="eigen")),
+        "small_layer_dim": ({}, dict(small_layer_dim=8)),
+        "cg_tol": ({"solve_strategy": "cg"}, dict(cg_tol=0.5)),
+        "cg_max_iter": ({"solve_strategy": "cg"}, dict(cg_max_iter=1)),
+    }
+    STEPS = 4
+    _observed = {}
+
+    @classmethod
+    def observe(cls, config):
+        """Per rank: the parameters' bytes after ``STEPS`` steps, the plan digest, ``memory_usage()`` and comm counts."""
+        key = tuple(sorted(config.to_dict().items()))
+        if key not in cls._observed:
+            from repro.models import MLP
+
+            rng = np.random.default_rng(3)
+            x = rng.standard_normal((32, 6)).astype(np.float32)
+            y = rng.integers(0, 3, size=32)
+            loss_fn = nn.CrossEntropyLoss()
+
+            def program(comm):
+                model = MLP(6, [8, 30], 3, rng=np.random.default_rng(4))  # factor dims 7 / 8, 9 / 30, 31 / 3
+                pre = KFAC(model, config, comm=comm)
+                ddp, optimizer = DistributedDataParallel(model, comm), optim.SGD(model.parameters(), lr=0.05)
+                for step in range(cls.STEPS):  # Listing 1, with K-FAC at its own lr (a Trainer passes the optimizer's)
+                    local = np.arange(32)[(step + comm.rank) % 2 :: 2]
+                    optimizer.zero_grad()
+                    loss = loss_fn(model(Tensor(x[local])), y[local])
+                    loss.backward()
+                    ddp.sync_gradients()
+                    pre.step(loss=float(loss.item()))
+                    optimizer.step()
+                params = np.concatenate([p.data.ravel() for p in model.parameters()]).tobytes()
+                observed = params, pre.plan.digest(), pre.memory_usage(), comm_counts(comm.tracer)
+                pre.remove()
+                return observed
+
+            cls._observed[key] = run_spmd(2, program)
+        return cls._observed[key]
+
+    @pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(KFACConfig)])
+    def test_every_field_moves_a_bit_a_byte_or_a_message_or_is_refused(self, field):
+        assert field in self.ROWS, f"KFACConfig.{field} has no row: give it a value its reader acts on"
+        context, value = self.ROWS[field]
+        assert set(value) == {field}
+        base = KFACConfig(**dict(self.COMMON, **context))
+        try:
+            config = base.replace(**value)
+        except ValueError as error:
+            assert str(error).startswith(field), error
+            return
+        assert getattr(config, field) != getattr(base, field)
+        before, after = self.observe(base), self.observe(config)
+        moved = [what for index, what in enumerate(("parameters", "plan", "state bytes", "comm"))
+                 if [rank[index] for rank in before] != [rank[index] for rank in after]]  # fmt: skip
+        assert moved, f"{field}={value[field]!r} moved nothing on its path"

@@ -356,11 +356,11 @@ class TestMeasuredMemoryReport:
     def test_knobs_that_read_factors_everywhere_are_predicted_too(self):
         from repro.experiments import measured_memory_report
 
-        # drift / π on the eigen path: both ranks hold everything; cg at MEM-OPT: the one gradient worker does;
-        # π on the inverse path: the decomposer, which holds both factors anyway.
+        # drift: both ranks hold everything, on any path; cg at MEM-OPT: the one gradient worker does; the eigen
+        # path (π from the eigenvalues its holders receive) and the inverse path: each factor's decomposer.
         for overrides, copies in (
-            ({"drift_tol": 0.05}, 2), ({"damping_pi_correction": True, "solve_strategy": "eigen"}, 2),
-            ({"damping_pi_correction": True}, 1), ({"solve_strategy": "cg"}, 1),
+            ({"drift_tol": 0.05}, 2), ({"drift_tol": 0.05, "solve_strategy": "eigen"}, 2),
+            ({"solve_strategy": "eigen"}, 1), ({}, 1), ({"solve_strategy": "cg"}, 1),
         ):  # fmt: skip
             report = measured_memory_report(
                 "mlp", world_size=2, grad_worker_frac=0.5, steps=1, kfac_overrides=overrides
