@@ -27,7 +27,7 @@ from repro.experiments import (
     write_bench_json,
 )
 from repro.kfac import KFAC, KFACConfig, KFACWorkloadSpec
-from repro.memory import overhead_bytes, paper_layout_bytes, refreshed_bytes_per_rank
+from repro.memory import overhead_bytes, paper_layout_bytes
 
 
 def print_section(title: str) -> None:
@@ -60,7 +60,7 @@ def square_storage_overhead(spec, world_size: int, grad_worker_frac: float) -> i
     for (name, which), holders in plan.factor_holders.items():
         repr_ = plan.groups[name].layer.factor_repr(which)
         per_rank[list(holders)] += spec.dtype_bytes * repr_.square_numel
-    return int((per_rank + refreshed_bytes_per_rank(spec.config, plan)).max())
+    return int((per_rank + plan.state_bytes_per_rank()).max())
 
 
 def busiest_rank_at_paper_scale(world_size: int = 64):
@@ -128,7 +128,7 @@ def measured_memory_rows():
                 report = measured_memory_report(workload_name, world_size=world, grad_worker_frac=frac, steps=1)
                 measured = [entry["measured"]["total"] for entry in report["per_rank"]]
                 plan = spec.plan(world, frac)
-                modeled = (plan.factor_bytes_per_rank() + refreshed_bytes_per_rank(spec.config, plan)).tolist()
+                modeled = (plan.factor_bytes_per_rank() + plan.state_bytes_per_rank()).tolist()
                 assert measured == modeled, f"{workload_name} world {world} {label}: live {measured} != model {modeled}"
                 rows.append(
                     {

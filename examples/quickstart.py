@@ -53,7 +53,7 @@ def main() -> None:
     usage = preconditioner.memory_usage()
     print(
         f"\nK-FAC state on this process: {usage['factors'] / 1024:.1f} KiB of factors, "
-        f"{usage['eigen'] / 1024:.1f} KiB of eigen decompositions"
+        f"{(usage['eigen'] + usage['solver']) / 1024:.1f} KiB of second-order state (inverses or eigen decompositions)"
     )
 
 

@@ -15,7 +15,7 @@ import dataclasses
 
 from ..distributed import run_spmd
 from ..kfac import KFAC, KFACConfig, IterationTimeModel, KFACWorkloadSpec
-from ..memory import overhead_bytes, paper_layout_bytes, solver_bytes_per_rank
+from ..memory import overhead_bytes, paper_layout_bytes
 from ..training import Trainer, TrainingCurve
 from .configs import SmallWorkloadConfig
 from .workloads import TrainableWorkload, build_workload, make_optimizer
@@ -219,15 +219,9 @@ def measured_memory_report(
                     break
         measured = preconditioner.memory_usage()
         plan = preconditioner.plan
-        predicted_factors = int(plan.factor_bytes_per_rank()[comm.rank])
-        predicted_eigen = int(plan.eigen_bytes_per_rank()[comm.rank])
-        predicted_solver = int(solver_bytes_per_rank(kfac_config, plan)[comm.rank])
-        predicted = {
-            "factors": predicted_factors,
-            "eigen": predicted_eigen,
-            "solver": predicted_solver,
-            "total": predicted_factors + predicted_eigen + predicted_solver,
-        }
+        predicted = {"factors": int(plan.factor_bytes_per_rank()[comm.rank])}
+        predicted.update((key, int(plan.state_bytes_per_rank(key)[comm.rank])) for key in ("eigen", "solver"))
+        predicted["total"] = sum(predicted.values())
         return {"measured": measured, "predicted": predicted}
 
     per_rank = run_spmd(world_size, program)

@@ -30,7 +30,6 @@ import numpy as np
 from ..distributed.cost_model import PerformanceModel, amortized_update_time
 from .config import KFACConfig
 from .factors import FactorRepr
-from .scheduling.solvers import solve_strategy_class
 from .strategy import DistributionPlan, LayerShapeInfo
 
 __all__ = [
@@ -243,7 +242,7 @@ class IterationTimeModel:
             # Two eigenbasis rotations per side (into and out of the basis), or
             # one product with each damped inverse; a diagonal factor's
             # identity basis (or reciprocal diagonal) contributes none.
-            products = 1.0 if self._inverted(spec, layer) else 2.0
+            products = 1.0 if plan.solvers[layer.name].refresh == "inverse" else 2.0
             precondition_flops = products * (
                 repr_basis_apply_flops(self.perf, layer.g_repr, layer.a_dim)
                 + repr_basis_apply_flops(self.perf, layer.a_repr, layer.g_dim)
@@ -254,11 +253,6 @@ class IterationTimeModel:
             times["scale_and_update"] += self.perf.compute_time(4.0 * layer.grad_numel, dtype_b)
 
         return times
-
-    @staticmethod
-    def _inverted(spec: KFACWorkloadSpec, layer: LayerShapeInfo) -> bool:
-        """Whether ``layer``'s refresh is a damped inverse (``solve_strategy="inverse"``) rather than a decomposition."""
-        return solve_strategy_class(spec.config.solver_name_for(layer)).refresh == "inverse"
 
     def _broadcast_times(self, specs, world_size: int) -> np.ndarray:
         """Per-rank time of one layer's messages, one broadcast per ``(src, group)`` channel."""
@@ -278,7 +272,7 @@ class IterationTimeModel:
         decomposition, broadcast = np.zeros(plan.world_size), np.zeros(plan.world_size)
         for name in names:
             layer = plan.groups[name].layer
-            inverted = self._inverted(spec, layer)
+            inverted = plan.solvers[name].refresh == "inverse"  # a damped inverse rather than a decomposition
             for which in ("a", "g"):
                 duration = repr_refresh_time(self.perf, layer.factor_repr(which), spec.dtype_bytes, inverted)
                 decomposition[list(plan.decomposers[name, which])] += duration

@@ -11,8 +11,10 @@ from typing import Any, Dict
 
 __all__ = ["CHECKPOINT_FORMAT", "check_checkpoint_format"]
 
-#: The checkpoint layout this version writes and the only one it reads back.
-CHECKPOINT_FORMAT = 3
+#: The checkpoint layout this version writes and the only one it reads back.  Format 4 keeps every
+#: layer's second-order state -- eigen decompositions too, which format 3 kept under ``"layers"`` --
+#: under ``"solvers"``, as the layer's solve strategy writes it.
+CHECKPOINT_FORMAT = 4
 
 
 def check_checkpoint_format(state: Dict[str, Any], owner: str) -> None:

@@ -287,23 +287,22 @@ class KFACConfig:
         :class:`~repro.kfac.KFAC` and the cost and memory models, and the one
         caller of :func:`~repro.kfac.strategy.build_plan`.
         ``grad_worker_frac`` and ``assignment_balance`` place the work
-        (:func:`~repro.kfac.strategy.assign_workers`).  Every rank holds
-        every running factor only when ``drift_tol > 0`` (the drift schedule
-        reads them all); each path forms its damping's π from what its ranks
-        hold.
+        (:func:`~repro.kfac.strategy.assign_workers`), and
+        :meth:`solver_name_for` names each layer's
+        :class:`~repro.kfac.scheduling.SolveStrategy`, whose state its
+        gradient workers hold.  Every rank holds every running factor only
+        when ``drift_tol > 0`` (the drift schedule reads them all); each path
+        forms its damping's π from what its ranks hold.
         """
         layers = list(layers)
-        policy = self.wire_policy()
-        refreshes = {layer.name: solve_strategy_class(self.solver_name_for(layer)).refresh for layer in layers}
         return build_plan(
             layers,
             world_size,
             self.grad_worker_frac,
             self.assignment_balance,
-            policy,
+            self.wire_policy(),
             factors_read_everywhere=self.drift_tol > 0.0,
-            eigen_free=[name for name, refresh in refreshes.items() if refresh is None],
-            inverted=[name for name, refresh in refreshes.items() if refresh == "inverse"],
+            solvers={layer.name: solve_strategy_class(self.solver_name_for(layer)) for layer in layers},
             factor_update_freq=self.factor_update_freq,
             inv_update_freq=self.inv_update_freq,
             bucket_cap_mb=self.bucket_cap_mb,

@@ -24,6 +24,8 @@ section 3.4, plus ``Embedding``, ``LayerNorm`` and affine ``BatchNorm2d``) that:
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
 
+A handler's second-order state lives in its solve strategy (``KFAC.solvers``).
+
 :data:`LAYER_HANDLERS`, a fixed module-type -> handler table, is the one
 statement of which modules K-FAC preconditions: :class:`~repro.kfac.KFAC`
 builds its layers from it and the shape models
@@ -57,7 +59,7 @@ from ..nn.norm import BatchNorm2d, LayerNorm
 from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
 from .kernels import KernelBackend
-from .kmath import EigenDecomposition, pack_triangle
+from .kmath import pack_triangle
 from .refresh import RefreshQueue
 from .strategy import LayerShapeInfo
 
@@ -122,8 +124,8 @@ class KFACLayer:
         self.precision = precision
         self._should_accumulate = should_accumulate
         self._grad_scale = grad_scale
-        # Kernel backend for the hot math (eigen solve, decay blend, Eq. 15-17
-        # contraction).  The owning preconditioner passes its per-instance
+        # Kernel backend for the hot math (decay blend; the solve strategies'
+        # Eq. 15-17 contraction and inverse GEMMs).  The owning preconditioner passes its per-instance
         # backend; a standalone layer builds its own, because a backend holds
         # scratch buffers that two threads must not share.
         self.kernels = kernels if kernels is not None else KernelBackend()
@@ -139,11 +141,6 @@ class KFACLayer:
         # Running-average Kronecker factors (stored in the factor dtype).
         self.factor_a: Optional[np.ndarray] = None
         self.factor_g: Optional[np.ndarray] = None
-
-        # Eigen decompositions and cached eigenvalue outer product.
-        self.eigen_a: Optional[EigenDecomposition] = None
-        self.eigen_g: Optional[EigenDecomposition] = None
-        self.inverse_outer: Optional[np.ndarray] = None
 
         self._forward_handle = module.register_forward_hook(self._forward_hook)
         self._backward_handle = module.register_full_backward_hook(self._backward_hook)
@@ -368,26 +365,13 @@ class KFACLayer:
         else:
             setattr(self, attr, self.kernels.fused_decay_update(running, window, float(factor_decay), dtype))
 
-    # ---------------------------------------------------------------- eigen
-    @property
-    def has_eigen(self) -> bool:
-        return self.eigen_a is not None and self.eigen_g is not None
-
     # --------------------------------------------------------------- state
     def state_dict(self) -> dict:
-        """All mutable per-layer K-FAC state, as plain numpy arrays.
+        """The layer's factors and window statistics, as plain numpy arrays.
 
         Includes the in-window accumulators so a checkpoint taken between two
         factor updates resumes with the exact same statistics.
         """
-
-        def pack_eigen(eigen: Optional[EigenDecomposition]):
-            if eigen is None:
-                return None
-            # order="K": ``syevd`` hands back a column-major basis, and BLAS rounds by layout, so a
-            # row-major copy would make the resumed run's preconditioned gradients differ in the last bits.
-            eigenvectors = None if eigen.eigenvectors is None else eigen.eigenvectors.copy(order="K")
-            return {"eigenvalues": eigen.eigenvalues.copy(), "eigenvectors": eigenvectors}
 
         def copy(array: Optional[np.ndarray]):
             return None if array is None else array.copy()
@@ -398,9 +382,6 @@ class KFACLayer:
             "g_repr": self.g_repr.to_state(),
             "factor_a": copy(self.factor_a),
             "factor_g": copy(self.factor_g),
-            "eigen_a": pack_eigen(self.eigen_a),
-            "eigen_g": pack_eigen(self.eigen_g),
-            "inverse_outer": copy(self.inverse_outer),
             "a_accum": copy(a_accum),
             "g_accum": copy(g_accum),
             "a_count": self._a_count,
@@ -416,7 +397,6 @@ class KFACLayer:
         every factor and accumulator must be in its repr's storage form.
         """
         factor_dtype = self.precision.factor_dtype
-        inverse_dtype = self.precision.inverse_dtype
 
         for which, repr in (("a", self.a_repr), ("g", self.g_repr)):
             try:
@@ -439,42 +419,8 @@ class KFACLayer:
                 raise ValueError(f"layer {self.name!r}: {error}") from None
             return value.astype(dtype)  # a copy: the accumulators are updated in place
 
-        def load_eigen(value, repr: FactorRepr, what: str) -> Optional[EigenDecomposition]:
-            if value is None:
-                return None
-            eigenvalues = np.asarray(value["eigenvalues"])
-            if eigenvalues.shape != (repr.dim,):
-                raise ValueError(
-                    f"layer {self.name!r}: {what} eigenvalues have shape {eigenvalues.shape}, "
-                    f"expected {(repr.dim,)}"
-                )
-            raw_vectors, expected = value["eigenvectors"], repr.eigenvector_shape
-            found = None if raw_vectors is None else np.shape(raw_vectors)
-            if found != expected:
-                raise ValueError(
-                    f"layer {self.name!r}: {what} eigenvectors have shape {found}, expected {expected} "
-                    f"for {repr.describe()} (None: the implicit identity basis)"
-                )
-            eigenvectors = None if raw_vectors is None else np.asarray(raw_vectors).astype(inverse_dtype)
-            return EigenDecomposition(
-                eigenvectors=eigenvectors, eigenvalues=eigenvalues.astype(inverse_dtype)
-            )
-
         self.factor_a = load_factor(state["factor_a"], self.a_repr, "A factor", factor_dtype)
         self.factor_g = load_factor(state["factor_g"], self.g_repr, "G factor", factor_dtype)
-        self.eigen_a = load_eigen(state["eigen_a"], self.a_repr, "A")
-        self.eigen_g = load_eigen(state["eigen_g"], self.g_repr, "G")
-        outer = state["inverse_outer"]
-        if outer is None:
-            self.inverse_outer = None
-        else:
-            outer = np.asarray(outer)
-            if outer.shape != (self.g_dim, self.a_dim):
-                raise ValueError(
-                    f"layer {self.name!r}: inverse_outer has shape {outer.shape}, "
-                    f"expected {(self.g_dim, self.a_dim)}"
-                )
-            self.inverse_outer = outer.astype(inverse_dtype)
         self.reset_accumulators()
         self._a_accum = load_factor(state["a_accum"], self.a_repr, "A accumulator", np.float32)
         self._g_accum = load_factor(state["g_accum"], self.g_repr, "G accumulator", np.float32)
@@ -495,19 +441,6 @@ class KFACLayer:
         """
         raise NotImplementedError
 
-    def precondition(self, damping: float, grad: Optional[np.ndarray] = None) -> np.ndarray:
-        """Precondition ``grad`` (default: the current gradient) with the cached eigen decompositions.
-
-        ``damping`` is read only when no outer product is cached (a cached
-        ``inverse_outer`` embeds the damping of its refresh); either way it is
-        split by the π of the eigenvalues (:func:`~repro.kfac.kmath.eigenvalue_outer_product`).
-        """
-        if not self.has_eigen:
-            raise RuntimeError(f"layer {self.name!r} has no eigen decompositions")
-        if grad is None:
-            grad = self.get_gradient()
-        return self.kernels.precondition_contract(grad, self.eigen_a, self.eigen_g, damping, self.inverse_outer)
-
     # --------------------------------------------------------------- memory
     def factor_bytes(self) -> int:
         """Bytes used by the running-average factors on this process."""
@@ -515,16 +448,6 @@ class KFACLayer:
         for factor in (self.factor_a, self.factor_g):
             if factor is not None:
                 total += factor.nbytes
-        return total
-
-    def eigen_bytes(self) -> int:
-        """Bytes used by locally cached eigen decompositions and the outer product."""
-        total = 0
-        for eig in (self.eigen_a, self.eigen_g):
-            if eig is not None:
-                total += eig.nbytes
-        if self.inverse_outer is not None:
-            total += self.inverse_outer.nbytes
         return total
 
     def remove(self) -> None:

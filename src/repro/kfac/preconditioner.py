@@ -27,10 +27,9 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 2. compute the damped inverses (the default ``inverse`` path) or the eigen
    decompositions on their assigned workers and broadcast them to the
    layer's gradient workers -- an inverse as its packed triangle, which
-   every receiver expands into the square its decomposer installed; an
-   eigen holder then caches the eigenvalue outer
-   product it forms itself (every ``inv_update_freq`` iterations).  Taking
-   the step's actions submits the factors as the step began to the rank's
+   every receiver expands into the square its decomposer installed (every
+   ``inv_update_freq`` iterations).  Taking the step's actions submits the
+   factors as the step began to the rank's
    :class:`~repro.kfac.refresh.RefreshQueue`; stage 2 takes and installs the
    results,
 3. precondition the gradients on the gradient workers and broadcast the
@@ -49,15 +48,17 @@ and refreshes, revised by a :class:`~repro.kfac.scheduling.DriftSchedule`
 when ``drift_tol > 0``.  *How* a layer is preconditioned is its
 :class:`~repro.kfac.scheduling.SolveStrategy` (the default is the damped
 inverse of Eq. 12, two GEMMs per step; the eigen path of Eqs. 15-17 is
-``solve_strategy="eigen"``).  :meth:`KFAC._bind` attaches this rank's arrays
-to the plan's specs once, and every allreduce and broadcast goes through one
-bucketed collective engine (:mod:`repro.distributed.collectives`).
+``solve_strategy="eigen"``); ``solvers[name]`` is it on this rank, the one
+home of the layer's second-order state.  :meth:`KFAC._bind` attaches this
+rank's arrays to the plan's specs once, and every allreduce and broadcast
+goes through one bucketed collective engine
+(:mod:`repro.distributed.collectives`).
 
 :class:`~repro.training.Trainer` drives :class:`KFAC` directly: it calls
 :meth:`step` with the step's loss, caps its gradient buckets at ``plan.bucket_cap_mb``
 and checkpoints :meth:`state_dict`, which with :meth:`load_state_dict`
-round-trips the running factors, eigen state, drift schedule and step counter
-(per rank), so checkpoint/resume reproduces the exact training trajectory
+round-trips the running factors, second-order state, drift schedule and step
+counter (per rank), so checkpoint/resume reproduces the exact training trajectory
 under every distribution strategy.
 
 Every refresh decision is counted per layer in the rank's one registry, the
@@ -82,11 +83,11 @@ from ..nn.module import Module
 from .base import CHECKPOINT_FORMAT, check_checkpoint_format
 from .config import KFACConfig
 from .kernels import KernelBackend
-from .kmath import eigenvalue_outer_product, kl_clip_scale_from_total, split_damping, tikhonov_pi
+from .kmath import kl_clip_scale_from_total
 from .layers import KFACLayer, make_kfac_layer
 from .refresh import RefreshQueue
-from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy, make_solve_strategy
-from .strategy import DistributionPlan, LayerWorkGroups, StepActions, pack_eigen, unpack_eigen_repr
+from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy
+from .strategy import DistributionPlan, LayerWorkGroups, StepActions
 
 __all__ = ["KFAC"]
 
@@ -155,7 +156,7 @@ class KFAC:
         # The plan says when; with drift tracking on, a per-layer schedule revises it.
         self.drift: Optional[DriftSchedule] = self._new_drift()
         self.solvers: Dict[str, SolveStrategy] = {
-            name: self._make_solver(config.solver_name_for(layer)) for name, layer in self.layers.items()
+            name: strategy.from_config(config) for name, strategy in self.plan.solvers.items()
         }
         self.damping_controller: Optional[AdaptiveDampingController] = (
             AdaptiveDampingController(config.damping) if config.adaptive_damping else None
@@ -180,10 +181,6 @@ class KFAC:
         """A fresh drift schedule, or None: at ``drift_tol=0`` the plan's actions are carried out as they are."""
         config = self._config
         return DriftSchedule(self.plan, config.drift_tol, config.max_staleness) if config.drift_tol > 0 else None
-
-    def _make_solver(self, name: str) -> SolveStrategy:
-        kwargs = {"tol": self._config.cg_tol, "max_iter": self._config.cg_max_iter} if name == "cg" else {}
-        return make_solve_strategy(name, **kwargs)
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -332,7 +329,6 @@ class KFAC:
                     self._install_decompositions(actions.refresh)
                 with self._stage("eigen_broadcast"):
                     self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
-                    self._cache_eigen_outer(actions.refresh)
                 if self.drift is not None:
                     for name in actions.refresh:
                         self.drift.mark_second_order(name, step, self.layers[name].factor_a, self.layers[name].factor_g)
@@ -422,7 +418,7 @@ class KFAC:
         self._windows: Dict[str, tuple] = {}  # layer name -> this rank's (A, G) window of the pending step
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._folded = False  # the pending step folded its windows
-        self._dampings: Dict[str, tuple] = {}  # layer name -> (γ_a, γ_g) its inverses were submitted with
+        self._dampings: Dict[str, Optional[tuple]] = {}  # layer name -> (γ_a, γ_g) its refresh was submitted with
 
     def factor_window(self, layer: KFACLayer) -> tuple:
         """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
@@ -520,41 +516,28 @@ class KFAC:
 
         ``payload`` is what the source rank sends, evaluated when the spec's
         bucket is filled; ``on_complete`` is what every member of the group,
-        the source included, does with the received array.  Both read their
-        layer (or, for the gradient round, ``_preconditioned``) when they run,
-        so a spec is bound once, at construction.
+        the source included, does with the received array: the layer's solve
+        strategy packs and receives an eigen-round spec, ``_preconditioned``
+        holds a gradient-round one.  Both run when the round does, so a spec
+        is bound once, at construction.
         """
         name, _, what = spec.key.rpartition("/")
-        layer = self.layers[name]
-        if what in ("inverse_a", "inverse_g"):
-            which = what[-1]
-            repr_, solver = layer.factor_repr(which), self.solvers[name]
-
-            def payload() -> np.ndarray:
-                return repr_.pack(getattr(solver, f"inv_{which}"))
-
-            def install(packed: np.ndarray) -> None:
-                if spec.src != self.rank:  # the source installed its own result
-                    solver.install(which, repr_.expand(packed))
-
-        elif what in ("eigen_a", "eigen_g"):
-            repr_ = layer.factor_repr(what[-1])
-
-            def payload() -> np.ndarray:
-                if getattr(layer, what) is None:
-                    raise RuntimeError("source rank does not hold the eigen decomposition to broadcast")
-                return pack_eigen(getattr(layer, what), spec.dtype)
-
-            def install(flat: np.ndarray) -> None:
-                setattr(layer, what, unpack_eigen_repr(flat, repr_, spec.dtype))
-
-        else:  # "precond_grad"
+        if what == "precond_grad":
 
             def payload() -> np.ndarray:
                 return self._preconditioned[name]
 
             def install(array: np.ndarray) -> None:
                 self._preconditioned[name] = array
+
+        else:
+            layer, solver, which, source = self.layers[name], self.solvers[name], what[-1], spec.src == self.rank
+
+            def payload() -> np.ndarray:
+                return solver.pack(which, layer)
+
+            def install(packed: np.ndarray) -> None:
+                solver.receive(which, packed, layer, source)
 
         return dataclasses.replace(spec, payload=payload if spec.src == self.rank else None, on_complete=install)
 
@@ -564,11 +547,10 @@ class KFAC:
         Called when a step's actions are first taken (:meth:`actions`), so a
         refresh reads the factors as its step began, and again by
         :meth:`_install_decompositions` for those with no fold before it (step 0);
-        the queue passes over a factor already pending.  A factor of an
-        ``inverse`` layer goes with its damping: the π split of the current
-        ``γ``, π from the layer's two factors
-        (:func:`~repro.kfac.kmath.tikhonov_pi`), which this rank holds both
-        of -- computed once per layer and step.
+        the queue passes over a factor already pending.  A factor goes with
+        the damping its layer's strategy refreshes it under
+        (:meth:`~repro.kfac.scheduling.SolveStrategy.refresh_dampings` of the
+        current ``γ``), worked out once per layer and step.
         """
         items = []
         for name, which in self._decomposed(names):
@@ -576,12 +558,10 @@ class KFAC:
             factor = getattr(layer, f"factor_{which}")
             if factor is None:
                 continue
-            damping = None
-            if self.solvers[name].refresh == "inverse":
-                if name not in self._dampings:
-                    pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)
-                    self._dampings[name] = split_damping(self.damping, pi)
-                damping = self._dampings[name]["ag".index(which)]
+            if name not in self._dampings:
+                self._dampings[name] = self.solvers[name].refresh_dampings(layer, self.damping)
+            dampings = self._dampings[name]
+            damping = None if dampings is None else dampings["ag".index(which)]
             items.append(((name, which), factor, layer.factor_repr(which), damping))
         self.refresh.submit(items)
 
@@ -594,10 +574,9 @@ class KFAC:
     def _install_decompositions(self, names: Sequence[str]) -> None:
         """Install what this rank computed for the factors it decomposes among the refreshed layers ``names``.
 
-        A decomposition goes onto its layer.  A damped inverse is installed
-        as the task returned it, in the inverse dtype, C order; the eigen
-        round then ships it to the layer's other gradient workers.  A failed
-        solve is raised before anything is replaced.
+        Each result goes into the layer's solve strategy, which the eigen round
+        then ships to the layer's other gradient workers.  A failed solve is
+        raised before anything is replaced.
         """
         self._submit(names)
         results = self.refresh.take(step=self._steps, backend=self.kernels.name)
@@ -605,31 +584,8 @@ class KFAC:
         for name, which in keys:
             if (name, which) not in results:
                 raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
-        dtype = self.precision.inverse_dtype
         for name, which in keys:
-            layer, solver = self.layers[name], self.solvers[name]
-            if solver.refresh == "inverse":
-                solver.install(which, results[name, which].astype(dtype, copy=False))
-            else:
-                setattr(layer, f"eigen_{which}", results[name, which].astype(dtype))
-
-    def _cache_eigen_outer(self, names: Sequence[str]) -> None:
-        """After the eigen round of the refreshed layers ``names``: each eigen holder caches Eq. 16's damped spectrum.
-
-        Formed from the eigenvalues the holder now has and the current
-        damping, split by their π
-        (:func:`~repro.kfac.kmath.eigenvalue_outer_product`), so no rank
-        ships it; ``None`` when ``compute_eigen_outer`` is off.
-        """
-        for name in names:
-            if self.rank not in self.plan.eigen_holders[name]:
-                continue
-            layer, outer = self.layers[name], None
-            if self._config.compute_eigen_outer:
-                outer = eigenvalue_outer_product(
-                    layer.eigen_a, layer.eigen_g, self.damping, self.precision.inverse_dtype
-                )
-            layer.inverse_outer = outer
+            self.solvers[name].install(which, results[name, which], self.layers[name])
 
     # ------------------------------------------------------ stage 3: precondition
     def _precondition_gradients(self) -> Dict[str, np.ndarray]:
@@ -677,12 +633,13 @@ class KFAC:
 
         The dict contains the format number, the step counter, the
         hyperparameters (as a :class:`KFACConfig` dict, for bookkeeping),
-        per-layer factor/eigen state, every layer's solver state and, only
-        when the config turns them on, the drift schedule (``"scheduler"``)
-        and the damping controller (``"damping_controller"``).  Different
-        ranks hold different factors (:meth:`holds_factor`) and, under
-        MEM-OPT / HYBRID-OPT, different eigen state, so each rank checkpoints
-        and restores its own dict.  The pending decompositions are not state:
+        per-layer factors (``"layers"``), every layer's second-order state as
+        its solve strategy writes it (``"solvers"``) and, only when the config
+        turns them on, the drift schedule (``"scheduler"``) and the damping
+        controller (``"damping_controller"``).  Different ranks hold different
+        factors (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT,
+        different second-order state, so each rank checkpoints and restores
+        its own dict.  The pending decompositions are not state:
         the restored step's actions read the same factors again.
         """
         state: Dict[str, Any] = {
@@ -709,10 +666,9 @@ class KFAC:
         the same :class:`KFACConfig` to resume the identical schedule.  A
         factor this rank does not hold (:meth:`holds_factor`) in the
         checkpoint raises, and so does a held factor it lacks once a factor
-        update has run, eigen state of a layer whose ``plan.eigen_holders``
-        exclude this rank, and solver state (installed inverses, CG warm
-        starts) of a layer this rank is not a gradient worker of: each was
-        written under another config.
+        update has run, and solver state (inverses, eigen decompositions, CG
+        warm starts) of a layer this rank is not a gradient worker of: each
+        was written under another config.
         """
         check_checkpoint_format(state, "KFAC")
         layer_states = state["layers"]
@@ -734,15 +690,9 @@ class KFAC:
                         f"which rank {self.rank} {'does not hold' if stored else 'holds'} under this configuration; "
                         "restore each rank from its own state_dict(), written under the same config"
                     )
-            stored = [key for key in ("eigen_a", "eigen_g", "inverse_outer") if layer_states[name][key] is not None]
-            if stored and self.rank not in self.plan.eigen_holders[name]:
-                raise ValueError(
-                    f"checkpoint has eigen state ({', '.join(stored)}) for layer {name!r}, whose eigen state rank "
-                    f"{self.rank} does not hold under this configuration; restore each rank from its own "
-                    "state_dict(), written under the same config"
-                )
             solver_state = state["solvers"][name]
-            stored = [key for key, value in solver_state.items() if value is not None and np.ndim(value) > 0]  # arrays
+            # Arrays and decompositions; a counter is not held state.
+            stored = [key for key, value in solver_state.items() if value is not None and not np.isscalar(value)]
             if stored and not self.groups[name].is_grad_worker(self.rank):
                 raise ValueError(
                     f"checkpoint has solver state ({', '.join(stored)}) for layer {name!r}, of which rank "
@@ -766,11 +716,12 @@ class KFAC:
 
     # ------------------------------------------------------------------- memory
     def memory_usage(self) -> Dict[str, int]:
-        """Bytes of K-FAC state held on *this* rank (the paper's K-FAC overhead)."""
-        factors = sum(layer.factor_bytes() for layer in self.layers.values())
-        eigen = sum(layer.eigen_bytes() for layer in self.layers.values())
-        solver = sum(s.solver_bytes() for s in self.solvers.values())
-        return {"factors": factors, "eigen": eigen, "solver": solver, "total": factors + eigen + solver}
+        """Bytes of K-FAC state held on *this* rank (the paper's K-FAC overhead): factors, then each strategy's state."""
+        usage = {"factors": sum(layer.factor_bytes() for layer in self.layers.values()), "eigen": 0, "solver": 0}
+        for solver in self.solvers.values():  # the eigen path's state counts as "eigen", the others' as "solver"
+            usage[solver.memory_key] += solver.held_bytes()
+        usage["total"] = sum(usage.values())
+        return usage
 
     def remove(self) -> None:
         """Detach every layer's hooks from the model and join the eigen worker thread."""

@@ -38,7 +38,6 @@ from .solvers import (
     SolveStrategy,
     available_solve_strategies,
     kronecker_cg,
-    make_solve_strategy,
 )
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "InverseSolveStrategy",
     "CGSolveStrategy",
     "available_solve_strategies",
-    "make_solve_strategy",
     "kronecker_cg",
 ]

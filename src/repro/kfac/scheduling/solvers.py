@@ -2,7 +2,8 @@
 
 KAISA's paper path eigen-decomposes both Kronecker factors -- O(F³) work that
 pays off when the decomposition is reused over many steps and many
-gradients.  Three strategies sit behind one interface:
+gradients.  Three strategies sit behind one interface, each the one home of
+the second-order state its path keeps on a layer's gradient workers:
 
 * :class:`InverseSolveStrategy` -- the default: the layer's decomposer
   inverts ``(A + π√γ I)`` and ``(G + √γ/π I)`` by Cholesky once per
@@ -18,9 +19,8 @@ gradients.  Three strategies sit behind one interface:
   suffice).
 
 ``KFACConfig.solve_strategy`` / ``small_layer_solver`` name one of the three
-(:func:`make_solve_strategy`).  Per-layer solver state (installed inverses,
-CG warm starts) participates in ``state_dict``/``load_state_dict`` so
-checkpoint resume stays bit-identical.
+(:func:`solve_strategy_class`), the distribution plan carries each layer's
+class (``plan.solvers``) and each rank builds its instance ``from_config``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..kmath import split_damping, tikhonov_pi
+from ..factors import FactorRepr
+from ..kmath import EigenDecomposition, eigenvalue_outer_product, split_damping, tikhonov_pi
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..config import KFACConfig
     from ..layers import KFACLayer
     from ..strategy import LayerShapeInfo, WirePolicy
 
@@ -41,10 +43,11 @@ __all__ = [
     "EigenSolveStrategy",
     "InverseSolveStrategy",
     "CGSolveStrategy",
-    "make_solve_strategy",
     "solve_strategy_class",
     "available_solve_strategies",
     "kronecker_cg",
+    "pack_eigen",
+    "unpack_eigen_repr",
 ]
 
 
@@ -63,9 +66,30 @@ def solve_strategy_class(name: str) -> type:
         ) from None
 
 
-def make_solve_strategy(name: str, **kwargs: Any) -> "SolveStrategy":
-    """Instantiate the strategy ``name`` with ``kwargs``."""
-    return solve_strategy_class(name)(**kwargs)
+def pack_eigen(eigen: EigenDecomposition, dtype=np.float32) -> np.ndarray:
+    """Pack an eigen decomposition into one flat buffer in ``dtype``: the eigen path's wire form.
+
+    The buffer is the eigenvalues followed by the stored eigenvectors:
+    ``n + k·b²`` elements (an eigenbasis is not symmetric, so its blocks stay
+    square; ``n + n²`` for a dense factor), and ``n`` for a diagonal one (the
+    identity eigenbasis is implicit and never hits the wire).
+    """
+    parts = [eigen.eigenvalues.astype(dtype).reshape(-1)]
+    if eigen.eigenvectors is not None:
+        parts.append(eigen.eigenvectors.astype(dtype).reshape(-1))
+    return np.concatenate(parts)
+
+
+def unpack_eigen_repr(packed: np.ndarray, repr: FactorRepr, dtype=np.float32) -> EigenDecomposition:
+    """Inverse of :func:`pack_eigen` for a factor in representation ``repr``."""
+    expected = repr.packed_eigen_numel
+    if packed.size != expected:
+        raise ValueError(
+            f"packed eigen buffer has {packed.size} elements, expected {expected} for {repr.describe()}"
+        )
+    eigenvalues, shape = packed[: repr.dim].astype(dtype), repr.eigenvector_shape
+    eigenvectors = None if shape is None else packed[repr.dim :].reshape(shape).astype(dtype)
+    return EigenDecomposition(eigenvectors=eigenvectors, eigenvalues=eigenvalues)
 
 
 def kronecker_cg(
@@ -121,10 +145,19 @@ def kronecker_cg(
 
 
 class SolveStrategy:
-    """How one layer's gradient is preconditioned from its Kronecker factors.
+    """How one layer's gradient is preconditioned, and the one home of the state that takes.
 
     ``solve`` runs on the layer's gradient workers every iteration and
-    returns the preconditioned gradient matrix.
+    returns the preconditioned gradient matrix.  Whatever a strategy holds
+    lives on those gradient workers and nowhere else, so one rule places,
+    prices and checkpoints it on every path: :meth:`state_bytes` per gradient
+    worker (summed by ``DistributionPlan.state_bytes_per_rank``),
+    :meth:`held_bytes` as measured, :meth:`state_dict` /
+    :meth:`load_state_dict` under the checkpoint's ``"solvers"``.  A strategy
+    with a ``refresh`` also installs factor ``which``'s result on its
+    decomposer (``install(which, result, layer)``) and ships it to the other
+    gradient workers: ``wire_shape(repr_)``, ``pack(which, layer)`` on the
+    source, ``receive(which, packed, layer, source)`` on every member.
     """
 
     name: str = "?"
@@ -135,6 +168,15 @@ class SolveStrategy:
     #: :meth:`~repro.kfac.KFACConfig.distribution_plan` alone: a layer whose
     #: refresh computes nothing has no decomposers and no eigen round.
     refresh: Optional[str] = None
+    #: Whether the refresh reads both of a layer's factors on one rank (π from both traces): the plan pairs them.
+    pairs_factors: bool = False
+    #: The :meth:`KFAC.memory_usage` key (and :class:`~repro.memory.MemoryBreakdown` category) the state counts under.
+    memory_key: str = "solver"
+
+    @classmethod
+    def from_config(cls, config: "KFACConfig") -> "SolveStrategy":
+        """The strategy with the hyperparameters of ``config`` it reads."""
+        return cls()
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         """Precondition ``grad``, the layer's current bias-folded gradient matrix (:meth:`KFACLayer.get_gradient`)."""
@@ -142,44 +184,143 @@ class SolveStrategy:
 
     @classmethod
     def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
-        """Bytes of solver state a gradient worker holds for ``layer`` under ``policy``, once it solved."""
+        """Bytes of state a gradient worker holds for ``layer`` under ``policy``, once it solved."""
         return 0
 
-    def solver_bytes(self) -> int:
-        """Bytes of cached solver state held on this rank."""
+    def refresh_dampings(self, layer: "KFACLayer", damping: float) -> Optional[Tuple[float, float]]:
+        """``(γ_a, γ_g)`` a refresh of ``layer`` applies on its decomposer under ``damping``, or None (undamped)."""
+        return None
+
+    def held_bytes(self) -> int:
+        """Bytes of state held on this rank."""
         return 0
 
     def state_dict(self) -> Dict[str, Any]:
         return {}
 
-    def load_state_dict(self, state: Dict[str, Any], layer: Optional["KFACLayer"] = None) -> None:
-        """Restore what :meth:`state_dict` wrote for ``layer``."""
+    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
+        """Restore what :meth:`state_dict` wrote for ``layer``, checked against its shapes."""
 
 
 class EigenSolveStrategy(SolveStrategy):
-    """The eigen-decomposition path of Eqs. 15-17.
+    """The eigen path of Eqs. 15-17: each gradient worker holds both decompositions and Eq. 16's damped spectrum.
 
-    The distribution plan owns the decomposition placement and
-    broadcasts; this object only delegates the per-iteration solve to
-    :meth:`KFACLayer.precondition`.
+    Each decomposition travels packed (:func:`pack_eigen`) to every gradient
+    worker, the source included, so all precondition from one layout.  With
+    ``compute_outer`` (section 4.4) the first solve after a refresh caches
+    the eigenvalue outer product under that step's ``γ``, split by the
+    eigenvalues' π (:func:`~repro.kfac.kmath.eigenvalue_outer_product`), so it
+    never travels; without it every solve forms it afresh.
     """
 
     name = "eigen"
     refresh = "eigen"
+    memory_key = "eigen"
+
+    def __init__(self, compute_outer: bool = True) -> None:
+        self.compute_outer = bool(compute_outer)
+        self.eigen_a: Optional[EigenDecomposition] = None
+        self.eigen_g: Optional[EigenDecomposition] = None
+        self.inverse_outer: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_config(cls, config: "KFACConfig") -> "EigenSolveStrategy":
+        return cls(compute_outer=config.compute_eigen_outer)
+
+    @classmethod
+    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
+        """Eigenvalues and stored eigenvectors of both factors, and with ``compute_eigen_outer`` the ``g × a`` outer product."""
+        numel = layer.a_repr.packed_eigen_numel + layer.g_repr.packed_eigen_numel
+        if policy.compute_eigen_outer:
+            numel += layer.a_dim * layer.g_dim
+        return numel * np.dtype(policy.precision.inverse_dtype).itemsize
+
+    @classmethod
+    def wire_shape(cls, repr_: FactorRepr) -> Tuple[int, ...]:
+        return (repr_.packed_eigen_numel,)
+
+    def _set(self, which: str, eigen: EigenDecomposition) -> None:
+        setattr(self, f"eigen_{which}", eigen)
+        self.inverse_outer = None  # formed afresh by the next solve
+
+    def install(self, which: str, result: EigenDecomposition, layer: "KFACLayer") -> None:
+        self._set(which, result.astype(layer.precision.inverse_dtype))
+
+    def pack(self, which: str, layer: "KFACLayer") -> np.ndarray:
+        eigen = getattr(self, f"eigen_{which}")
+        if eigen is None:
+            raise RuntimeError(f"layer {layer.name!r}: source rank holds no {which.upper()} decomposition to broadcast")
+        return pack_eigen(eigen, layer.precision.inverse_dtype)
+
+    def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer", source: bool) -> None:
+        self._set(which, unpack_eigen_repr(packed, layer.factor_repr(which), layer.precision.inverse_dtype))
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
-        return layer.precondition(damping, grad=grad)
+        if self.eigen_a is None or self.eigen_g is None:
+            raise RuntimeError(f"layer {layer.name!r} has no eigen decompositions")
+        if self.compute_outer and self.inverse_outer is None:
+            dtype = layer.precision.inverse_dtype
+            self.inverse_outer = eigenvalue_outer_product(self.eigen_a, self.eigen_g, damping, dtype)
+        return layer.kernels.precondition_contract(grad, self.eigen_a, self.eigen_g, damping, self.inverse_outer)
+
+    def held_bytes(self) -> int:
+        held = [part for part in (self.eigen_a, self.eigen_g, self.inverse_outer) if part is not None]
+        return sum(part.nbytes for part in held)
+
+    def state_dict(self) -> Dict[str, Any]:
+        def decomposition(eigen: Optional[EigenDecomposition]):
+            if eigen is None:
+                return None
+            # order="K": ``syevd`` hands back a column-major basis, and BLAS rounds by layout, so a
+            # row-major copy would make the resumed run's preconditioned gradients differ in the last bits.
+            eigenvectors = None if eigen.eigenvectors is None else eigen.eigenvectors.copy(order="K")
+            return {"eigenvalues": eigen.eigenvalues.copy(), "eigenvectors": eigenvectors}
+
+        return {
+            "eigen_a": decomposition(self.eigen_a),
+            "eigen_g": decomposition(self.eigen_g),
+            "inverse_outer": None if self.inverse_outer is None else self.inverse_outer.copy(),
+        }
+
+    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
+        """Restore both decompositions and the outer product, in the inverse dtype; a shape the layer's reprs do not hold raises naming it."""
+        dtype = layer.precision.inverse_dtype
+
+        def load(value, which: str) -> Optional[EigenDecomposition]:
+            if value is None:
+                return None
+            repr_, values, vectors = layer.factor_repr(which), np.asarray(value["eigenvalues"]), value["eigenvectors"]
+            found = (values.shape, None if vectors is None else np.shape(vectors))
+            if found != ((repr_.dim,), repr_.eigenvector_shape):
+                raise ValueError(
+                    f"layer {layer.name!r}: {which.upper()} eigenvalues and eigenvectors have shapes {found}, expected "
+                    f"{((repr_.dim,), repr_.eigenvector_shape)} for {repr_.describe()} (None: the implicit identity basis)"
+                )
+            # astype keeps the layout: a column-major basis stays column-major.
+            return EigenDecomposition(None if vectors is None else np.asarray(vectors).astype(dtype), values.astype(dtype))
+
+        eigen_a, eigen_g, outer = load(state["eigen_a"], "a"), load(state["eigen_g"], "g"), state["inverse_outer"]
+        if outer is not None:
+            outer = np.asarray(outer)
+            if outer.shape != (layer.g_dim, layer.a_dim):
+                raise ValueError(
+                    f"layer {layer.name!r}: inverse_outer has shape {outer.shape}, expected {(layer.g_dim, layer.a_dim)}"
+                )
+            outer = outer.astype(dtype)
+        self.eigen_a, self.eigen_g, self.inverse_outer = eigen_a, eigen_g, outer
 
 
 class InverseSolveStrategy(SolveStrategy):
     """Damped inverses (Eq. 12), computed on the layer's decomposer and installed on each gradient worker.
 
     The inverses carry the damping of their refresh; ``damping`` of
-    :meth:`solve` is not read.
+    :meth:`solve` is not read.  Both factors are inverted on one rank, which
+    holds both traces for π.
     """
 
     name = "inverse"
     refresh = "inverse"
+    pairs_factors = True
 
     def __init__(self) -> None:
         self.inv_a: Optional[np.ndarray] = None
@@ -191,16 +332,33 @@ class InverseSolveStrategy(SolveStrategy):
         numel = sum(math.prod(r.held_shape) for r in (layer.a_repr, layer.g_repr))
         return numel * np.dtype(policy.precision.inverse_dtype).itemsize
 
-    def install(self, which: str, inverse: np.ndarray) -> None:
+    @classmethod
+    def wire_shape(cls, repr_: FactorRepr) -> Tuple[int, ...]:
+        """The factor's packed form (:attr:`FactorRepr.packed_shape`): its blocks' triangles, ``n`` for a diagonal one."""
+        return repr_.packed_shape
+
+    def refresh_dampings(self, layer: "KFACLayer", damping: float) -> Tuple[float, float]:
+        """``damping`` split by π of the layer's two factors (:func:`~repro.kfac.kmath.tikhonov_pi`), both on the decomposer."""
+        return split_damping(damping, tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr))
+
+    def install(self, which: str, result: np.ndarray, layer: "KFACLayer") -> None:
         """Install the ``"a"`` / ``"g"`` inverse in the form the GEMMs read (:attr:`FactorRepr.held_shape`), as it is.
 
-        The decomposer installs its refresh task's result: the C-order
-        symmetric squares of the factor's blocks, mirrored on the worker.  The
-        other gradient workers install :meth:`FactorRepr.expand` of the packed
-        triangles the eigen round carries, which is the same bits, so the
-        replicas precondition bitwise alike.
+        The decomposer installs its refresh task's result, in the inverse
+        dtype: the C-order symmetric squares of the factor's blocks, mirrored
+        on the worker.  The other gradient workers install
+        :meth:`FactorRepr.expand` of the packed triangles the eigen round
+        carries (:meth:`receive`), which is the same bits, so the replicas
+        precondition bitwise alike.
         """
-        setattr(self, f"inv_{which}", inverse)
+        setattr(self, f"inv_{which}", result.astype(layer.precision.inverse_dtype, copy=False))
+
+    def pack(self, which: str, layer: "KFACLayer") -> np.ndarray:
+        return layer.factor_repr(which).pack(getattr(self, f"inv_{which}"))
+
+    def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer", source: bool) -> None:
+        if not source:  # the source installed its own result
+            setattr(self, f"inv_{which}", layer.factor_repr(which).expand(packed))
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
@@ -209,7 +367,7 @@ class InverseSolveStrategy(SolveStrategy):
             )
         return layer.kernels.precondition_inverse(grad, self.inv_a, self.inv_g)
 
-    def solver_bytes(self) -> int:
+    def held_bytes(self) -> int:
         return sum(inv.nbytes for inv in (self.inv_a, self.inv_g) if inv is not None)
 
     def state_dict(self) -> Dict[str, Any]:
@@ -264,6 +422,10 @@ class CGSolveStrategy(SolveStrategy):
         self.total_iterations = 0
 
     @classmethod
+    def from_config(cls, config: "KFACConfig") -> "CGSolveStrategy":
+        return cls(tol=config.cg_tol, max_iter=config.cg_max_iter)
+
+    @classmethod
     def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
         """``last_solution``: the float64 ``g × a`` warm start."""
         return 8 * layer.a_dim * layer.g_dim
@@ -273,14 +435,13 @@ class CGSolveStrategy(SolveStrategy):
             raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
         pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)  # a gradient worker holds both
         damping_a, damping_g = split_damping(damping, pi)
-        warm = self.last_solution if self.last_solution is not None and self.last_solution.shape == grad.shape else None
         solution, iterations = kronecker_cg(
             layer.a_repr.to_dense(layer.factor_a),
             layer.g_repr.to_dense(layer.factor_g),
             grad,
             damping_a,
             damping_g,
-            x0=warm,
+            x0=self.last_solution,
             tol=self.tol,
             max_iter=self.max_iter,
         )
@@ -288,7 +449,7 @@ class CGSolveStrategy(SolveStrategy):
         self.total_iterations += iterations
         return solution.astype(grad.dtype)
 
-    def solver_bytes(self) -> int:
+    def held_bytes(self) -> int:
         return 0 if self.last_solution is None else self.last_solution.nbytes
 
     def state_dict(self) -> Dict[str, Any]:
@@ -297,9 +458,18 @@ class CGSolveStrategy(SolveStrategy):
             "total_iterations": self.total_iterations,
         }
 
-    def load_state_dict(self, state: Dict[str, Any], layer: Optional["KFACLayer"] = None) -> None:
+    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
+        """Restore the warm start, which must be a float ``(g_dim, a_dim)`` array (raises naming the layer), as float64."""
         warm = state["last_solution"]
-        self.last_solution = None if warm is None else np.asarray(warm, dtype=np.float64)
+        if warm is not None:
+            warm, expected = np.asarray(warm), (layer.g_dim, layer.a_dim)
+            if warm.shape != expected or warm.dtype.kind != "f":
+                raise ValueError(
+                    f"layer {layer.name!r}: checkpoint CG warm start is a {warm.dtype} array of shape {warm.shape}, "
+                    f"expected floats of shape {expected}"
+                )
+            warm = warm.astype(np.float64)
+        self.last_solution = warm
         self.total_iterations = int(state["total_iterations"])
 
 

@@ -1,8 +1,9 @@
 """Work placement: MEM-OPT, COMM-OPT and HYBRID-OPT (paper section 3.1).
 
 ``grad_worker_frac`` controls how many processes act as *gradient workers* for
-each layer, i.e. how many ranks cache that layer's eigen decompositions and
-precondition its gradient locally:
+each layer, i.e. how many ranks hold that layer's second-order state (its
+damped inverses or eigen decompositions) and precondition its gradient
+locally:
 
 * ``grad_worker_frac = 1/world_size`` → **MEM-OPT** (Osawa et al. 2019): one
   gradient worker per layer; it preconditions and broadcasts the
@@ -21,9 +22,10 @@ fixed blocks of :func:`num_grad_workers` ranks otherwise (MEM-OPT is blocks of
 one).  :func:`build_plan` sees layer *shapes* and a :class:`WirePolicy`, never
 the preconditioner or a live layer, and returns **data, the same on every
 rank**: a :class:`DistributionPlan` naming the scheme, which rank decomposes
-which factor, which ranks hold each running factor and each layer's eigen
-state, and the three communication rounds of one update as unbound specs --
-``(key, shape, dtype)`` per factor allreduce, a
+which factor, which ranks hold each running factor, each layer's
+:class:`~repro.kfac.scheduling.SolveStrategy` (whose state its gradient
+workers hold), and the three communication rounds of one update as unbound
+specs -- ``(key, shape, dtype)`` per factor allreduce, a
 :class:`~repro.distributed.collectives.BroadcastSpec` without ``payload`` /
 ``on_complete`` per eigen (or damped-inverse) and preconditioned-gradient
 message.  The schedule
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -48,7 +50,9 @@ from ..distributed.collectives import BroadcastSpec, BucketManager, broadcast_me
 from ..tensor import PrecisionPolicy
 from .assignment import folds_on, greedy_lpt_assignment, next_refresh_step, staggered_refresh_offsets
 from .factors import FactorRepr
-from .kmath import EigenDecomposition
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from .scheduling.solvers import SolveStrategy
 
 __all__ = [
     "LayerShapeInfo",
@@ -59,35 +63,7 @@ __all__ = [
     "num_grad_workers",
     "assign_workers",
     "build_plan",
-    "pack_eigen",
-    "unpack_eigen_repr",
 ]
-
-
-def pack_eigen(eigen: EigenDecomposition, dtype=np.float32) -> np.ndarray:
-    """Pack an eigen decomposition into one flat buffer in ``dtype``.
-
-    The buffer is the eigenvalues followed by the stored eigenvectors:
-    ``n + k·b²`` elements (an eigenbasis is not symmetric, so its blocks stay
-    square; ``n + n²`` for a dense factor), and ``n`` for a diagonal one (the
-    identity eigenbasis is implicit and never hits the wire).
-    """
-    parts = [eigen.eigenvalues.astype(dtype).reshape(-1)]
-    if eigen.eigenvectors is not None:
-        parts.append(eigen.eigenvectors.astype(dtype).reshape(-1))
-    return np.concatenate(parts)
-
-
-def unpack_eigen_repr(packed: np.ndarray, repr: FactorRepr, dtype=np.float32) -> EigenDecomposition:
-    """Inverse of :func:`pack_eigen` for a factor in representation ``repr``."""
-    expected = repr.packed_eigen_numel
-    if packed.size != expected:
-        raise ValueError(
-            f"packed eigen buffer has {packed.size} elements, expected {expected} for {repr.describe()}"
-        )
-    eigenvalues, shape = packed[: repr.dim].astype(dtype), repr.eigenvector_shape
-    eigenvectors = None if shape is None else packed[repr.dim :].reshape(shape).astype(dtype)
-    return EigenDecomposition(eigenvectors=eigenvectors, eigenvalues=eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -160,19 +136,12 @@ class WirePolicy:
     """How K-FAC state is stored and travels: the knobs that size a tensor without moving it."""
 
     precision: PrecisionPolicy = PrecisionPolicy.fp32()
-    compute_eigen_outer: bool = True  # every eigen holder caches the eigenvalue outer product it forms itself
+    compute_eigen_outer: bool = True  # an eigen layer's gradient workers cache the eigenvalue outer product
 
     def factor_bytes(self, layer: LayerShapeInfo, which: str = "ag") -> int:
         """Bytes of ``layer``'s stored running ``"a"`` / ``"g"`` factor, or both (packed: one triangle of a dense one, O(F) for a diagonal one)."""
         numel = sum(layer.factor_repr(one).packed_numel for one in which)
         return numel * np.dtype(self.precision.factor_dtype).itemsize
-
-    def eigen_bytes(self, layer: LayerShapeInfo) -> int:
-        """Bytes of ``layer``'s eigen state on one holder: eigenvalues, stored eigenvectors, cached outer product."""
-        numel = layer.a_repr.packed_eigen_numel + layer.g_repr.packed_eigen_numel
-        if self.compute_eigen_outer:
-            numel += layer.a_dim * layer.g_dim
-        return numel * np.dtype(self.precision.inverse_dtype).itemsize
 
 
 #: One factor allreduce as the bucket manager takes it: ``(key, wire shape, dtype)``.
@@ -220,7 +189,9 @@ class DistributionPlan:
     Every mapping is keyed by layer name -- or ``(layer name, "a" | "g")`` for
     per-factor entries -- in registration order, so a step that refreshes a
     subset of layers concatenates those layers' entries and keeps the order.
-    Ranks in ``decomposers`` / ``*_holders`` are sorted tuples.
+    Ranks in ``decomposers`` / ``factor_holders`` are sorted tuples.
+    ``solvers`` is each layer's :class:`~repro.kfac.scheduling.SolveStrategy`
+    class: what its eigen round ships and its gradient workers hold.
     ``refresh_offsets`` is the phase of each layer's decomposition in the
     interval (:func:`~repro.kfac.assignment.staggered_refresh_offsets`);
     :meth:`actions` turns the two cadences and the offsets into what a step does.
@@ -232,9 +203,9 @@ class DistributionPlan:
     world_size: int
     policy: WirePolicy
     groups: Dict[str, LayerWorkGroups]  # placement
+    solvers: Dict[str, Type["SolveStrategy"]]  # what solves the layer: its gradient workers hold that state
     decomposers: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that decompose (or invert) the factor
     factor_holders: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that keep the running factor
-    eigen_holders: Dict[str, Tuple[int, ...]]  # ranks that keep the layer's eigen state
     factor_round: Dict[str, Tuple[FactorSpec, ...]]  # world-wide window allreduces
     eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh: decompositions or packed inverses
     gradient_round: Dict[str, Tuple[BroadcastSpec, ...]]  # every step
@@ -282,11 +253,16 @@ class DistributionPlan:
             per_rank[list(holders)] += self.policy.factor_bytes(self.groups[name].layer, which)
         return per_rank
 
-    def eigen_bytes_per_rank(self) -> np.ndarray:
-        """Eigen-state bytes (decompositions + cached outer product) each rank holds."""
+    def state_bytes_per_rank(self, memory_key: Optional[str] = None) -> np.ndarray:
+        """Second-order state bytes each rank holds: every layer's ``SolveStrategy.state_bytes`` on its gradient workers.
+
+        ``memory_key`` (``"eigen"`` / ``"solver"``) keeps the strategies ``memory_usage()`` counts under it.
+        """
         per_rank = np.zeros(self.world_size, dtype=np.int64)
-        for name, holders in self.eigen_holders.items():
-            per_rank[list(holders)] += self.policy.eigen_bytes(self.groups[name].layer)
+        for name, strategy in self.solvers.items():
+            if memory_key in (None, strategy.memory_key):
+                group = self.groups[name]
+                per_rank[list(group.grad_workers)] += strategy.state_bytes(group.layer, self.policy)
         return per_rank
 
     def messages(self, step: Optional[int] = None) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
@@ -358,7 +334,7 @@ def assign_workers(
       layers are placed by LPT and the ranks are partitioned into fixed
       blocks of :func:`num_grad_workers`.  A layer's gradient workers are the
       block containing its eigen worker -- only they receive and keep its
-      eigen state, the tunable memory footprint of section 3.1.  Each
+      second-order state, the tunable memory footprint of section 3.1.  Each
       gradient worker broadcasts the preconditioned gradient to its share of
       the remaining ranks, so those broadcasts are small and concurrent.
     """
@@ -400,36 +376,27 @@ def assign_workers(
 
 # A spec names one logical tensor; the collective engine fuses the specs that
 # share a (src, group) channel into capped buckets, in list order.
-def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, inverted: bool) -> Tuple[BroadcastSpec, ...]:
-    """Messages that take one layer's fresh eigen state, or damped inverses, to its gradient workers.
+def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, strategy: Type["SolveStrategy"]) -> Tuple[BroadcastSpec, ...]:
+    """Messages that take one layer's fresh refresh -- decompositions or damped inverses -- to its gradient workers.
 
-    Each decomposition travels packed (eigenvalues then stored eigenvectors,
-    in the inverse dtype so fp64 / fp16 are not truncated on the wire), and
-    nothing else: the cached outer product is a function of the eigenvalues,
-    so every holder forms its own.  A damped inverse travels in its factor's
-    packed form (:attr:`FactorRepr.packed_shape`: the triangles of its
-    blocks, the ``n`` reciprocals of a diagonal one).  A group of one moves
-    nothing: its only member computed the decompositions and keeps them
-    exactly as they are.  (Packing and unpacking them anyway would copy all
-    eigen state twice and re-lay the eigenvectors out row-major, which shifts
-    BLAS rounding in every later precondition.  An inverse has one layout
-    whatever the group: the decomposer installs the C-order square its task
-    mirrored, and every receiver expands the packed buffer into the same
-    bits.)
+    Each factor's result travels in ``strategy``'s wire form (``wire_shape``,
+    in the inverse dtype so fp64 / fp16 are not truncated on the wire): a
+    decomposition packed, eigenvalues then stored eigenvectors (the cached
+    outer product is a function of the eigenvalues: every holder forms its
+    own), a damped inverse as its blocks' triangles.  A group of one moves
+    nothing: its only member keeps its result exactly as it is (unpacking
+    would re-lay the eigenvectors out row-major, which shifts BLAS rounding in
+    every later precondition; an inverse has one layout whatever the group).
     """
     members = group.grad_workers
     if len(members) <= 1:
         return ()
     layer = group.layer
     dtype = np.dtype(policy.precision.inverse_dtype)
-    kind = "inverse" if inverted else "eigen"
-
-    def shape(which: str) -> Tuple[int, ...]:
-        repr_ = layer.factor_repr(which)
-        return repr_.packed_shape if inverted else (repr_.packed_eigen_numel,)
-
     return tuple(
-        BroadcastSpec(f"{layer.name}/{kind}_{which}", src, members, shape(which), dtype)
+        BroadcastSpec(
+            f"{layer.name}/{strategy.refresh}_{which}", src, members, strategy.wire_shape(layer.factor_repr(which)), dtype
+        )
         for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
     )
 
@@ -458,8 +425,7 @@ def build_plan(
     balance: str,
     policy: WirePolicy,
     factors_read_everywhere: bool,
-    eigen_free: Iterable[str],
-    inverted: Iterable[str],
+    solvers: Mapping[str, Type["SolveStrategy"]],
     factor_update_freq: int,
     inv_update_freq: int,
     bucket_cap_mb: float,
@@ -467,16 +433,16 @@ def build_plan(
     """The :class:`DistributionPlan` of ``layers``, its rounds bucketed under ``bucket_cap_mb``.
 
     :meth:`~repro.kfac.KFACConfig.distribution_plan` is the one caller: it
-    turns the hyperparameters into these arguments.  Placement is
-    :func:`assign_workers`; each factor is decomposed by its eigen worker --
-    or, for a layer in ``inverted``, inverted there (both of the layer's
-    factors on one rank, which holds both traces), and the eigen round ships
-    the packed inverses instead of decompositions; such a layer keeps no
-    eigen state.  A running factor is held where a plan reads it: by the
-    ranks that decompose it; by the layer's gradient workers when the layer
-    is in ``eigen_free`` (its solve strategy reads the factors itself --
-    ``cg`` -- so nothing is decomposed or broadcast for it); and
-    by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
+    turns the hyperparameters into these arguments, ``solvers`` the
+    :class:`~repro.kfac.scheduling.SolveStrategy` class of each layer.
+    Placement is :func:`assign_workers`; each factor is refreshed by its
+    eigen worker as the layer's strategy says -- decomposed, or inverted
+    (both of the layer's factors on one rank, which holds both traces, when
+    the strategy ``pairs_factors``) -- and the eigen round ships the result
+    in the strategy's wire form.  A running factor is held where a plan reads
+    it: by the ranks that decompose it; by the layer's gradient workers when
+    its strategy refreshes nothing (``cg`` reads the factors itself, so
+    nothing is decomposed or broadcast for it); and by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
     the refresh plan from factor drift on every rank).  Factors are allreduced world-wide as
     the ranks' *window* averages, in the form they are stored in: a dense one
     as its packed triangle (section 4.3's optimisation, here the only layout),
@@ -488,21 +454,22 @@ def build_plan(
     layers = list(layers)
     workers = num_grad_workers(world_size, grad_worker_frac)
     scheme = "COMM-OPT" if workers >= world_size else "MEM-OPT" if workers == 1 else "HYBRID-OPT"
-    eigen_free, inverted = frozenset(eigen_free), frozenset(inverted)
-    groups = assign_workers(layers, world_size, grad_worker_frac, balance, paired=inverted)
+    solvers = {layer.name: solvers[layer.name] for layer in layers}
+    paired = [name for name, strategy in solvers.items() if strategy.pairs_factors]
+    groups = assign_workers(layers, world_size, grad_worker_frac, balance, paired=paired)
     everyone = tuple(range(world_size))
     factor_dtype = np.dtype(policy.precision.factor_dtype)
     offsets = staggered_refresh_offsets(
         {layer.name: layer.eigen_cost for layer in layers}, world_size, factor_update_freq, inv_update_freq
     )
     plan = DistributionPlan(
-        scheme, world_size, policy, groups, {}, {}, {}, {}, {}, {},
+        scheme, world_size, policy, groups, solvers, {}, {}, {}, {}, {},
         int(factor_update_freq), int(inv_update_freq), offsets, float(bucket_cap_mb),
     )  # fmt: skip
     for layer in layers:
-        name, group = layer.name, groups[layer.name]
-        decomposed = name not in eigen_free
-        if name in inverted and group.eigen_worker_a != group.eigen_worker_g:
+        name, group, strategy = layer.name, groups[layer.name], solvers[layer.name]
+        decomposed = strategy.refresh is not None
+        if strategy.pairs_factors and group.eigen_worker_a != group.eigen_worker_g:
             raise RuntimeError(f"layer {name!r} is inverted, but its A and G factors are placed on different ranks")
         for which, eigen_worker in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
             plan.decomposers[name, which] = (eigen_worker,) if decomposed else ()
@@ -510,10 +477,9 @@ def build_plan(
                 plan.factor_holders[name, which] = everyone
             else:
                 plan.factor_holders[name, which] = plan.decomposers[name, which] if decomposed else group.grad_workers
-        plan.eigen_holders[name] = group.grad_workers if decomposed and name not in inverted else ()
         plan.factor_round[name] = tuple(
             (f"{name}/factor_{which}", layer.factor_repr(which).packed_shape, factor_dtype) for which in ("a", "g")
         )
-        plan.eigen_round[name] = _eigen_round(group, policy, name in inverted) if decomposed else ()
+        plan.eigen_round[name] = _eigen_round(group, policy, strategy) if decomposed else ()
         plan.gradient_round[name] = _gradient_round(group)
     return plan

@@ -9,8 +9,6 @@ from .tracker import (
     overhead_bytes,
     paper_factor_bytes,
     paper_layout_bytes,
-    refreshed_bytes_per_rank,
-    solver_bytes_per_rank,
 )
 from .tracker import __all__ as _tracker_all
 

@@ -2,20 +2,21 @@
 :class:`~repro.kfac.KFACWorkloadSpec` and of its plan, ``spec.plan(world_size, grad_worker_frac)``.
 
 The paper's "K-FAC memory overhead" is the per-GPU memory used by K-FAC state
-on top of regular training: the running-average Kronecker factors plus the
-eigen decompositions and the cached eigenvalue outer product -- or, on the
-default ``inverse`` path, the installed damped inverses -- held only by the
-ranks that act as *gradient workers* for a layer.  Two layouts of the
-factors are modelled:
+on top of regular training: the running-average Kronecker factors plus each
+layer's second-order state -- the eigen decompositions and the cached
+eigenvalue outer product, or, on the default ``inverse`` path, the installed
+damped inverses -- held only by the ranks that act as *gradient workers* for
+a layer.  Two layouts of the factors are modelled:
 
 * **this tree's**: a running factor lives only on the rank that decomposes it
   (the ranks allreduce their *window* factors and the average is folded where
   it is read) and a dense one is stored once, as the ``n(n+1)/2`` elements of
   its triangle, so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
-  The plan's ``factor_bytes_per_rank()`` / ``eigen_bytes_per_rank()`` sum its
-  holders for every knob that moves state, and :func:`solver_bytes_per_rank`
-  each layer's solver state (the inverse squares, CG warm starts) on its
-  gradient workers;
+  The plan's ``factor_bytes_per_rank()`` sums the factors' holders for every
+  knob that moves state, and its ``state_bytes_per_rank()`` each layer's
+  solve-strategy state (``SolveStrategy.state_bytes``: eigen state, inverse
+  squares, CG warm starts) on its gradient workers -- one rule for every
+  path, split by ``memory_usage()`` key into ``kfac_eigen`` / ``kfac_solver``;
 * **the paper's**: every rank keeps every factor as a full ``n x n`` square,
   because its factor allreduce leaves a copy of the running average
   everywhere, so the overhead is ``factors + eigen / world`` and a linear
@@ -36,18 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..kfac.analysis import KFACWorkloadSpec
-from ..kfac.config import KFACConfig
-from ..kfac.scheduling.solvers import solve_strategy_class
-from ..kfac.strategy import DistributionPlan
 
 __all__ = [
     "MemoryBreakdown",
     "optimizer_state_multiplier",
-    "solver_bytes_per_rank",
-    "refreshed_bytes_per_rank",
     "paper_factor_bytes",
     "paper_layout_bytes",
     "memory_breakdown",
@@ -125,39 +119,20 @@ def _check_rank(rank: str) -> None:
 
 
 # ------------------------------------------------------------- K-FAC state
-def solver_bytes_per_rank(config: KFACConfig, plan: DistributionPlan) -> np.ndarray:
-    """Solver-state bytes each rank holds: every layer's strategy state on its gradient workers.
-
-    The installed inverse squares of an ``inverse`` layer, the warm start of a
-    ``cg`` one (:meth:`~repro.kfac.scheduling.SolveStrategy.state_bytes`),
-    the strategy ``config`` routes the layer to; the eigen path holds none.
-    """
-    per_rank = np.zeros(plan.world_size, dtype=np.int64)
-    for group in plan.groups.values():
-        strategy = solve_strategy_class(config.solver_name_for(group.layer))
-        per_rank[list(group.grad_workers)] += strategy.state_bytes(group.layer, plan.policy)
-    return per_rank
-
-
-def refreshed_bytes_per_rank(config: KFACConfig, plan: DistributionPlan) -> np.ndarray:
-    """Each rank's refreshed state: eigen decompositions and outer products, or installed inverses (solver state)."""
-    return plan.eigen_bytes_per_rank() + solver_bytes_per_rank(config, plan)
-
-
 def paper_factor_bytes(spec: KFACWorkloadSpec) -> int:
     """What *every* rank holds in the paper's layout: all factors, every block square (``FactorRepr.square_numel``)."""
     return spec.dtype_bytes * sum(layer.factor_repr(which).square_numel for layer in spec.layers for which in "ag")
 
 
 def paper_layout_bytes(spec: KFACWorkloadSpec, world_size: int, grad_worker_frac: float, rank: str = "max") -> int:
-    """K-FAC bytes of one rank in the paper's layout: every factor square, on every rank, plus the rank's refreshed state.
+    """K-FAC bytes of one rank in the paper's layout: every factor square, on every rank, plus the rank's second-order state.
 
     ``rank`` is ``"max"``, ``"min"`` or ``"mean"``; the factors are the same
-    on every rank, so it selects over the refreshed state alone.
+    on every rank, so it selects over the second-order state alone.
     """
     _check_rank(rank)
-    refreshed = refreshed_bytes_per_rank(spec.config, spec.plan(world_size, grad_worker_frac))
-    return paper_factor_bytes(spec) + int(getattr(refreshed, rank)())
+    state = spec.plan(world_size, grad_worker_frac).state_bytes_per_rank()
+    return paper_factor_bytes(spec) + int(getattr(state, rank)())
 
 
 # -------------------------------------------------------------- breakdowns
@@ -185,7 +160,7 @@ def memory_breakdown(
     if grad_worker_frac is None:
         return result
     plan = spec.plan(world_size, grad_worker_frac)
-    state = (plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank(), solver_bytes_per_rank(spec.config, plan))
+    state = (plan.factor_bytes_per_rank(), plan.state_bytes_per_rank("eigen"), plan.state_bytes_per_rank("solver"))
     if rank == "mean":
         selected = [int(per_rank.mean()) for per_rank in state]
     else:

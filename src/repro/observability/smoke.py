@@ -15,7 +15,9 @@ layer set.  Used three ways:
   the run's config, if the ranks' running factors do not add up to every factor stored once, if a
   rank's factor bytes are not the packed triangles of the factors it holds --
   ``n(n+1)/2`` elements per dense factor, a regression to square storage --
-  if a rank's slice of the modeled K-FAC messages or bytes differs from what
+  if a rank's ``memory_usage()["total"]`` is not the models' factor plus
+  second-order state bytes of that rank (``plan.factor_bytes_per_rank()`` +
+  ``plan.state_bytes_per_rank()``), if a rank's slice of the modeled K-FAC messages or bytes differs from what
   that rank's registry counted, if rank 0 decomposed on some step other
   layers than the plan's actions say (``plan.actions(step).refresh``) --
   e.g. a regression to one refresh step; the per-step counts are printed --
@@ -248,6 +250,17 @@ def plan_digest_problems(spec, run_info) -> List[str]:
     ]
 
 
+def memory_problems(spec, run_info) -> List[str]:
+    """The ranks whose K-FAC state is not the models': held factors plus each layer's solve-strategy state."""
+    plan = _run_plan(spec, run_info)
+    modeled = plan.factor_bytes_per_rank() + plan.state_bytes_per_rank()
+    return [
+        f"rank {rank} holds {usage['total']} bytes of K-FAC state, the models {int(modeled[rank])}"
+        for rank, usage in enumerate(run_info["memory_usage"])
+        if usage["total"] != modeled[rank]
+    ]
+
+
 def staggered_refresh_problems(spec, run_info) -> List[str]:
     """Where rank 0's decompositions differ from the plan's actions, step by step."""
     plan = _run_plan(spec, run_info)
@@ -403,6 +416,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 1
+    problems = memory_problems(spec, run_info)
+    for problem in problems:
+        print(f"ERROR: {problem}: memory differs from the models", file=sys.stderr)
+    if problems:
+        return 1
     if measured.messages == 0:
         print("ERROR: trace contains no communication spans", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ from repro.kfac import (
     precondition_with_eigen,
 )
 from repro.kfac.kmath import split_damping, triangle_dim
-from repro.kfac.scheduling import CGSolveStrategy, kronecker_cg
+from repro.kfac.scheduling import CGSolveStrategy, EigenSolveStrategy, kronecker_cg
 
 
 def as_square(factor):
@@ -201,11 +201,9 @@ def use_square_path(preconditioner):
             if layer.factor_a is None or layer.factor_g is None:
                 raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
             square_a, square_g = layer.a_repr.to_dense(layer.factor_a), layer.g_repr.to_dense(layer.factor_g)
-            warm = solver.last_solution
-            warm = warm if warm is not None and warm.shape == grad.shape else None
             solution, iterations = kronecker_cg(
                 square_a, square_g, grad, *split_damping(damping, square_pi(layer)),
-                x0=warm, tol=solver.tol, max_iter=solver.max_iter,
+                x0=solver.last_solution, tol=solver.tol, max_iter=solver.max_iter,
             )  # fmt: skip
             solver.last_solution = solution
             solver.total_iterations += iterations
@@ -219,7 +217,7 @@ def use_square_path(preconditioner):
     return preconditioner
 
 
-def replicated_fold_reference(layer, step, config, offset=0):
+def replicated_fold_reference(layer, strategy, step, config, offset=0):
     """One handler's factor and eigen stages of ``step`` as every rank used to run them for itself.
 
     The base cadence written out from the rule in the README ("Scheduling"),
@@ -235,13 +233,14 @@ def replicated_fold_reference(layer, step, config, offset=0):
     folds after it.)  At world size 1 the sharded
     factor stage (window average handed over by the engine, folded by
     ``KFACLayer.fold_factor`` where it is held) and the planned refresh must
-    equal it to the bit.
+    equal it to the bit.  The decompositions go into ``strategy``, the
+    handler's :class:`~repro.kfac.scheduling.EigenSolveStrategy`.
     """
     fold_every, interval = config.factor_update_freq, config.inv_update_freq
     assert interval % fold_every == 0
     refresh = step == 0 or (step % interval == offset and step > min(fold_every, interval))
     if refresh and step > 0:
-        decompose_standalone(layer, config.damping)
+        decompose_standalone(layer, config.damping, strategy)
     if step % fold_every == 0:
         a_new, g_new = layer.compute_batch_factors()
         dtype = layer.precision.factor_dtype
@@ -252,23 +251,25 @@ def replicated_fold_reference(layer, step, config, offset=0):
             layer.factor_a = (decay * layer.factor_a.astype(np.float32, copy=False) + (1.0 - decay) * a_new).astype(dtype)
             layer.factor_g = (decay * layer.factor_g.astype(np.float32, copy=False) + (1.0 - decay) * g_new).astype(dtype)
     if step == 0:
-        decompose_standalone(layer, config.damping)
+        decompose_standalone(layer, config.damping, strategy)
 
 
-def decompose_standalone(layer, damping):
-    """The eigen stage for one handler outside a preconditioner, through the kernel calls the step makes.
+def decompose_standalone(layer, damping, strategy=None):
+    """The eigen stage for one handler outside a preconditioner, through the calls the step makes; returns the strategy.
 
     The step sends every factor through ``eigen_task`` (here its one-call form
-    ``structured_eigen``; one block is a ``batched_eigen_task`` of its triangle), stores the
-    results in the inverse dtype, and the layer's outer worker caches the eigenvalue outer product (π-damped, π
-    from the eigenvalues).
+    ``structured_eigen``; one block is a ``batched_eigen_task`` of its triangle), installs the
+    results into the layer's :class:`~repro.kfac.scheduling.EigenSolveStrategy` (``strategy``, a fresh one
+    if None) in the inverse dtype, and the strategy caches the eigenvalue outer product (π-damped, π from
+    the eigenvalues) with ``damping``.
     """
+    strategy = EigenSolveStrategy() if strategy is None else strategy
     compute, store = layer.precision.compute_dtype, layer.precision.inverse_dtype
     for which in ("a", "g"):
         factor, repr_ = getattr(layer, f"factor_{which}"), layer.factor_repr(which)
-        decomposition = layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute)
-        setattr(layer, f"eigen_{which}", decomposition.astype(store))
-    layer.inverse_outer = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, damping, dtype=store)
+        strategy.install(which, layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute), layer)
+    strategy.inverse_outer = eigenvalue_outer_product(strategy.eigen_a, strategy.eigen_g, damping, dtype=store)
+    return strategy
 
 
 def use_reference_kernels(preconditioner):

@@ -237,16 +237,16 @@ class TestOneEigenStagePath:
                 trainer.train_step((X_GLOBAL[local], Y_GLOBAL[local]))
                 refreshed = pre.plan.actions(step).refresh
                 for name in refreshed:
-                    layer = pre.layers[name]
-                    if comm.rank not in pre.plan.eigen_holders[name]:
-                        assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == (None, None, None)
+                    solver = pre.solvers[name]
+                    if not pre.groups[name].is_grad_worker(comm.rank):  # the eigen state lives on gradient workers
+                        assert (solver.eigen_a, solver.eigen_g, solver.inverse_outer) == (None, None, None)
                         continue
                     held += 1
                     if not pre.config.compute_eigen_outer:
-                        assert layer.inverse_outer is None
+                        assert solver.inverse_outer is None
                         continue
-                    own = eigenvalue_outer_product(layer.eigen_a, layer.eigen_g, pre.damping, pre.precision.inverse_dtype)
-                    np.testing.assert_array_equal(layer.inverse_outer, own, err_msg=f"{name} at step {step}")
+                    own = eigenvalue_outer_product(solver.eigen_a, solver.eigen_g, pre.damping, pre.precision.inverse_dtype)
+                    np.testing.assert_array_equal(solver.inverse_outer, own, err_msg=f"{name} at step {step}")
                 # The step's eigen round is the packed decompositions of the refreshed layers whose group has
                 # more than one member, and nothing else.
                 packed = sum(
@@ -284,8 +284,8 @@ class TestInverseRound:
                 refreshed = pre.plan.actions(step).refresh
                 for name in refreshed:
                     layer, solver, group = pre.layers[name], pre.solvers[name], pre.groups[name]
-                    assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == (None, None, None)
-                    assert pre.plan.eigen_holders[name] == ()
+                    assert not hasattr(solver, "eigen_a") and not hasattr(layer, "eigen_a")
+                    assert not pre.plan.state_bytes_per_rank("eigen").any()
                     assert group.eigen_worker_a == group.eigen_worker_g  # one rank holds both traces
                     if not group.is_grad_worker(comm.rank):
                         assert solver.inv_a is None and solver.inv_g is None

@@ -181,8 +181,7 @@ class TestFactorReprFamily:
             layer = self._handlers(block_size, dense)
             assert layer.g_repr == (FactorRepr.dense(6) if dense else repr_)
             layer.factor_a, layer.factor_g = layer.a_repr.from_dense(square_a), layer.g_repr.from_dense(square_g)
-            decompose_standalone(layer, 0.01)
-            eigen.append(layer.precondition(0.01, grad=grad))
+            eigen.append(decompose_standalone(layer, 0.01).solve(layer, grad, 0.01))
             inverses = [
                 layer.kernels.inverse_task([factor], repr, [0.1])()[0]
                 for factor, repr in ((layer.factor_a, layer.a_repr), (layer.factor_g, layer.g_repr))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import A100, DGX_A100_FABRIC, PerformanceModel
-from repro.kfac import IterationTimeModel, KFACConfig, KFACWorkloadSpec, LayerShapeInfo
+from repro.kfac import EigenSolveStrategy, IterationTimeModel, KFACConfig, KFACWorkloadSpec, LayerShapeInfo
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(KFACConfig)}
 
@@ -51,9 +51,9 @@ class TestWorkloadSpec:
         spec = small_spec()
         layer = spec.layers[0]
         expected = (layer.a_dim ** 2 + layer.a_dim + layer.g_dim ** 2 + layer.g_dim + layer.a_dim * layer.g_dim) * 4
-        assert spec.config.wire_policy().eigen_bytes(layer) == expected
-        without_outer = small_spec(compute_eigen_outer=False, solve_strategy="eigen").config.wire_policy().eigen_bytes(layer)
-        assert expected - without_outer == layer.a_dim * layer.g_dim * 4
+        assert EigenSolveStrategy.state_bytes(layer, spec.config.wire_policy()) == expected
+        policy = small_spec(compute_eigen_outer=False, solve_strategy="eigen").config.wire_policy()
+        assert expected - EigenSolveStrategy.state_bytes(layer, policy) == layer.a_dim * layer.g_dim * 4
 
 
 class TestIterationModel:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kfac import (
+    InverseSolveStrategy,
     KFACConfig,
     LayerShapeInfo,
     assign_workers,
@@ -302,7 +303,8 @@ class TestDistributionStrategy:
         plan = make_plan(LAYERS, world, 1.0)
         for name in plan.groups:
             assert plan.decomposers[name, "a"] == plan.decomposers[name, "g"] == plan.factor_holders[name, "a"]
-            assert plan.eigen_holders[name] == ()
+            assert plan.solvers[name] is InverseSolveStrategy
+        assert not plan.state_bytes_per_rank("eigen").any()
 
     def test_hybrid_partitions_receivers_among_grad_workers(self):
         groups = assign_workers(LAYERS, 8, 0.5)

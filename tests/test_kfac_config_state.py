@@ -349,8 +349,9 @@ class TestEigenBroadcastPrecision:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, precision="fp64", solve_strategy="eigen")
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.step()
-        for layer in pre.layers.values():
-            for eigen, factor in ((layer.eigen_a, layer.factor_a), (layer.eigen_g, layer.factor_g)):
+        for name, layer in pre.layers.items():
+            solver = pre.solvers[name]
+            for eigen, factor in ((solver.eigen_a, layer.factor_a), (solver.eigen_g, layer.factor_g)):
                 computed = pre.kernels.symmetric_eigen(factor, compute_dtype=np.float64).eigenvectors
                 assert eigen.eigenvectors.dtype == np.float64
                 np.testing.assert_array_equal(eigen.eigenvectors, computed)
@@ -415,8 +416,8 @@ class TestStateDictResume:
         opt_a = optim.SGD(model_a.parameters(), lr=0.1)
         train_steps(model_a, pre_a, opt_a, x, y, steps=2)  # the next step reuses step 0's decompositions
         checkpoint, model_state = pre_a.state_dict(), model_a.state_dict()
-        stored = checkpoint["layers"]["layers.0"]["eigen_a"]["eigenvectors"]
-        assert stored.flags.f_contiguous and not np.shares_memory(stored, pre_a.layers["layers.0"].eigen_a.eigenvectors)
+        stored = checkpoint["solvers"]["layers.0"]["eigen_a"]["eigenvectors"]
+        assert stored.flags.f_contiguous and not np.shares_memory(stored, pre_a.solvers["layers.0"].eigen_a.eigenvectors)
 
         model_b = MLP(33, [40], 3, rng=np.random.default_rng(77))
         model_b.load_state_dict(model_state)
@@ -760,7 +761,7 @@ class TestOneCheckpointFormat:
     def forward_loss(model, batch):
         return nn.CrossEntropyLoss()(model(Tensor(batch[0])), batch[1])
 
-    @pytest.mark.parametrize("found", [None, 0, 1, 2, 4], ids=["no-format", "format-0", "format-1", "format-2", "format-4"])
+    @pytest.mark.parametrize("found", [None, 0, 1, 2, 3, 5], ids=["no-format", "format-0", "format-1", "format-2", "format-3", "format-5"])
     def test_another_format_is_refused_naming_both_numbers(self, found):
         x, y = make_problem(4)
 
@@ -777,13 +778,34 @@ class TestOneCheckpointFormat:
             state.pop("format", None)  # as every version before the number wrote it: format 0
             if found is not None:
                 state["format"] = found
-            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 3"):
+            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 4"):
                 target.load_state_dict(state)
         # The number is checked before anything is read.
         assert fresh_pre.steps == 0 and fresh_trainer.iterations == 0
         for name, value in fresh_trainer.model.state_dict().items():
             np.testing.assert_array_equal(value, weights[name])
-        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 3
+        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 4
+
+    def test_a_format_3_eigen_checkpoint_is_refused_by_its_number(self):
+        """Format 3 kept a layer's eigen decompositions under ``"layers"``; format 4 keeps them with the layer's
+        solve strategy, under ``"solvers"``.  A format-3 dict is refused by its number before anything is read."""
+        x, y = make_problem(4)
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
+        pre = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(3)), config)
+        nn.CrossEntropyLoss()(pre.model(Tensor(x[:32])), y[:32]).backward()
+        pre.step()
+        state = pre.state_dict()
+        assert set(state["solvers"]["layers.0"]) == {"eigen_a", "eigen_g", "inverse_outer"}
+        assert not {"eigen_a", "eigen_g", "inverse_outer"} & set(state["layers"]["layers.0"])
+        # The same state in the format-3 layout.
+        for name, solver_state in state["solvers"].items():
+            state["layers"][name].update(solver_state)
+            state["solvers"][name] = {}
+        state["format"] = 3
+        fresh = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(5)), config)
+        with pytest.raises(ValueError, match=r"^KFAC checkpoint is in format 3, but this version reads only format 4"):
+            fresh.load_state_dict(state)
+        assert fresh.steps == 0 and fresh.memory_usage()["total"] == 0
 
     def test_a_factor_the_plan_does_not_place_on_the_rank_raises(self):
         """MEM-OPT at world 2 places each factor on one rank; a checkpoint carrying another rank's factor was
@@ -821,8 +843,9 @@ class TestOneCheckpointFormat:
 
     @pytest.mark.parametrize("key", ["eigen_a", "eigen_g", "inverse_outer"])
     def test_eigen_state_the_plan_does_not_place_on_the_rank_raises(self, key):
-        """MEM-OPT at world 2 keeps each layer's eigen state on one rank; a checkpoint giving rank 0 the eigen
-        state (or cached outer product) of a layer rank 1 holds is refused, naming the layer and the rank."""
+        """MEM-OPT at world 2 keeps each layer's eigen state on its one gradient worker; a checkpoint giving rank 0
+        the eigen state (or cached outer product) of a layer rank 1 holds is refused as solver state of a layer
+        rank 0 is no gradient worker of, naming the layer and the rank."""
         x, y = make_problem(12)
         config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
 
@@ -834,12 +857,12 @@ class TestOneCheckpointFormat:
             local = np.arange(32)[comm.rank :: 2]
             nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
             pre.step()
-            return pre.state_dict(), pre.plan.eigen_holders
+            return pre.state_dict(), {name: group.grad_workers for name, group in pre.groups.items()}
 
         (states, holders), (other, _) = run_spmd(2, train)
         name = next(name for name, ranks in holders.items() if ranks == (1,))
-        assert states["layers"][name][key] is None
-        states["layers"][name][key] = other["layers"][name][key]
+        assert states["solvers"][name][key] is None and other["solvers"][name][key] is not None
+        states["solvers"][name][key] = other["solvers"][name][key]
 
         def restore(comm):
             try:
@@ -849,7 +872,7 @@ class TestOneCheckpointFormat:
 
         refused, restored = run_spmd(2, restore)
         assert restored is None
-        assert f"has eigen state ({key}) for layer {name!r}, whose eigen state rank 0 does not hold" in refused
+        assert f"has solver state ({key}) for layer {name!r}, of which rank 0 is not a gradient worker" in refused
 
     @pytest.mark.parametrize("case", ["wrong-shape", "another-ranks-layer", "float64-fortran"])
     def test_inverse_state_is_checked_against_its_repr_and_rank_and_installed_c_contiguous(self, case):

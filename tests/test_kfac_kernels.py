@@ -774,20 +774,20 @@ class TestStandaloneLayerBackend:
 
     @staticmethod
     def _ready_layer(seed):
-        """A 48 -> 40 Linear handler with eigen state and a gradient to precondition."""
+        """A 48 -> 40 Linear handler with a gradient to precondition, and its eigen strategy's solve of it."""
         module = Linear(48, 40, rng=np.random.default_rng(0))
         layer = make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
         layer.factor_a, layer.factor_g = pack_triangle(spd_factor(49, seed)), pack_triangle(spd_factor(40, seed + 1))
-        decompose_standalone(layer, damping=0.003)
+        strategy = decompose_standalone(layer, damping=0.003)
         rng = np.random.default_rng(seed + 2)
         module.weight.grad = rng.standard_normal((40, 48)).astype(np.float32)
         module.bias.grad = rng.standard_normal(40).astype(np.float32)
-        return layer
+        return layer, lambda: strategy.solve(layer, layer.get_gradient(), 0.003)
 
     def test_each_standalone_layer_builds_its_own_instance(self):
-        first, second = self._ready_layer(1), self._ready_layer(1)
+        (first, solve_first), (second, solve_second) = self._ready_layer(1), self._ready_layer(1)
         assert type(first.kernels) is KernelBackend and first.kernels is not second.kernels
-        first.precondition(0.003), second.precondition(0.003)
+        solve_first(), solve_second()
         for pool in ("_contract_scratch", "_contract_scratch2"):
             (mine,), (theirs,) = getattr(first.kernels, pool).values(), getattr(second.kernels, pool).values()
             assert not np.shares_memory(mine, theirs)
@@ -799,16 +799,16 @@ class TestStandaloneLayerBackend:
         contractions interleave on the same scratch buffers.  More threads than
         cores and a short switch interval, so they really do interleave."""
         rounds, seeds = 100, (10, 20, 30, 40)
-        expected = {seed: self._ready_layer(seed).precondition(0.003).copy() for seed in seeds}
+        expected = {seed: self._ready_layer(seed)[1]().copy() for seed in seeds}
         built, wrong, errors = {}, [], []
         barrier = threading.Barrier(len(seeds))
 
         def rank(seed):
             try:
-                layer = built[seed] = self._ready_layer(seed)
+                layer, solve = built[seed] = self._ready_layer(seed)
                 barrier.wait(timeout=30)
                 for _ in range(rounds):
-                    if not np.array_equal(layer.precondition(0.003), expected[seed]):
+                    if not np.array_equal(solve(), expected[seed]):
                         wrong.append(seed)
             except Exception as error:  # reported by the assertion below
                 errors.append(error)
@@ -828,7 +828,7 @@ class TestStandaloneLayerBackend:
         total = rounds * len(seeds)
         assert not wrong, f"{len(wrong)} of {total} concurrent contractions differ from the serial result"
         # What rules the interleaving out, not luck: no two layers share an instance.
-        assert len({id(layer.kernels) for layer in built.values()}) == len(seeds)
+        assert len({id(layer.kernels) for layer, _ in built.values()}) == len(seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro import nn
 from repro.kfac import KFAC, FactorRepr
 from repro.kfac import layers as kfac_layers
 from repro.kfac.layers import KFACConv2dLayer, KFACLinearLayer, make_kfac_layer
-from repro.kfac import WirePolicy
+from repro.kfac import EigenSolveStrategy, WirePolicy
 from repro.nn import functional as F
 from repro.optim import GradScaler
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
@@ -205,8 +205,7 @@ class TestRunningAverages:
         a_new, g_new = handler.compute_batch_factors()
         fold_window(handler, a_new, g_new, factor_decay=0.95)
         assert handler.factor_a.dtype == np.float16
-        decompose_standalone(handler, damping=0.01)
-        assert handler.eigen_a.eigenvectors.dtype == np.float16
+        assert decompose_standalone(handler, damping=0.01).eigen_a.eigenvectors.dtype == np.float16
 
     def test_factor_bytes_accounting(self):
         layer, handler = make_linear_handler(4, 3)
@@ -220,8 +219,8 @@ class TestRunningAverages:
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        decompose_standalone(handler, damping=0.01)
-        assert handler.eigen_bytes() == WirePolicy(handler.precision).eigen_bytes(handler.shape_info())
+        held = decompose_standalone(handler, damping=0.01).held_bytes()
+        assert held == EigenSolveStrategy.state_bytes(handler.shape_info(), WirePolicy(handler.precision))
 
 
 class TestGradientRoundTrip:
@@ -252,15 +251,14 @@ class TestGradientRoundTrip:
     def test_precondition_requires_eigen(self):
         layer, handler = make_linear_handler()
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
-        with pytest.raises(RuntimeError):
-            handler.precondition(damping=0.01)
+        with pytest.raises(RuntimeError, match="no eigen decompositions"):
+            EigenSolveStrategy().solve(handler, handler.get_gradient(), damping=0.01)
 
     def test_precondition_after_eigen(self):
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((16, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
-        decompose_standalone(handler, damping=0.01)
-        preconditioned = handler.precondition(damping=0.01)
+        preconditioned = decompose_standalone(handler, damping=0.01).solve(handler, handler.get_gradient(), 0.01)
         assert preconditioned.shape == (3, 5)
         assert np.all(np.isfinite(preconditioned))
 

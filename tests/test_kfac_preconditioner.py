@@ -10,7 +10,7 @@ import pytest
 
 from repro import nn, optim
 from repro.distributed import run_spmd
-from repro.kfac import KFAC, KFACConfig, kmath
+from repro.kfac import KFAC, EigenSolveStrategy, KFACConfig, kmath
 from repro.kfac.kernels import KernelBackend
 from repro.kfac.layers import KFACLayer
 from repro.models import MLP, bert_tiny
@@ -151,7 +151,7 @@ class TestStepMechanics:
                 # The G factor depends on the evolving model, so its decomposition
                 # changes whenever it is recomputed (the A factor of the first layer
                 # would not, since the same input batch is fed every step).
-                eigens[name].append(layer.eigen_g.eigenvalues.copy())
+                eigens[name].append(pre.solvers[name].eigen_g.eigenvalues.copy())
         # Recomputed at step 0 and on the layer's offset in the plan: 6 and 16, or (1 is passed over) 11.
         for name, offset in pre.plan.refresh_offsets.items():
             refreshed = [step for step in range(1, 18) if not np.array_equal(eigens[name][step], eigens[name][step - 1])]
@@ -299,7 +299,7 @@ class TestPackedStorageOnTheStepPath:
         head = pre.layers["head"]
         assert head.factor_a.shape == (7 * 8 // 2,) and head.factor_g.shape == (4 * 5 // 2,)
         if solver == "eigen":
-            assert head.eigen_a.eigenvectors.shape == (7, 7)  # the eigenbasis is not symmetric: it stays square
+            assert pre.solvers["head"].eigen_a.eigenvectors.shape == (7, 7)  # the eigenbasis is not symmetric: it stays square
         else:
             assert pre.solvers["head"].inv_a.shape == (7, 7)  # the inverse travels packed and is held square
         assert pre.memory_usage()["factors"] == sum(
@@ -530,7 +530,7 @@ class TestEigenFailuresAreNamed:
     @staticmethod
     def snapshot(pre):
         return {
-            name: (layer.factor_a.copy(), layer.factor_g.copy(), layer.eigen_a, layer.eigen_g)
+            name: (layer.factor_a.copy(), layer.factor_g.copy(), pre.solvers[name].eigen_a, pre.solvers[name].eigen_g)
             for name, layer in pre.layers.items()
         }
 
@@ -540,7 +540,7 @@ class TestEigenFailuresAreNamed:
             factor_a, factor_g, eigen_a, eigen_g = before[name]
             np.testing.assert_array_equal(layer.factor_a, factor_a)
             np.testing.assert_array_equal(layer.factor_g, factor_g)
-            assert layer.eigen_a is eigen_a and layer.eigen_g is eigen_g, name
+            assert pre.solvers[name].eigen_a is eigen_a and pre.solvers[name].eigen_g is eigen_g, name
 
     @pytest.mark.parametrize("which, dim", [("a", 37), ("g", 36)])
     def test_nan_in_a_running_factor_names_the_layer_and_the_factor(self, which, dim):
@@ -664,7 +664,7 @@ class TestBadFactorWindowsAreRejected:
         for name, layer in pre.layers.items():
             # The step's refresh decomposed the factors as the step found them: the rejected window is in none.
             found = pre.kernels.batched_symmetric_eigen([before[name][0]])[0]
-            np.testing.assert_array_equal(layer.eigen_a.eigenvalues, found.eigenvalues)
+            np.testing.assert_array_equal(pre.solvers[name].eigen_a.eigenvalues, found.eigenvalues)
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: 1 for name in pre.layers}
         assert pre.steps == 3
@@ -770,20 +770,22 @@ class TestEigenWorker:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         x, y = make_problem()
         monkeypatch.setattr(KFACLayer, "__setattr__", recording_setattr)
+        monkeypatch.setattr(EigenSolveStrategy, "__setattr__", recording_setattr)  # where the eigen state lives
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=3)
         assert writers == {threading.current_thread().name}
 
-        eigen = {name: (layer.eigen_a, layer.eigen_g, layer.inverse_outer) for name, layer in pre.layers.items()}
+        solvers = pre.solvers
+        eigen = {name: (solver.eigen_a, solver.eigen_g, solver.inverse_outer) for name, solver in solvers.items()}
         copies = {name: [np.copy(part.eigenvalues) for part in state[:2]] for name, state in eigen.items()}
         nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
         assert pre.actions().refresh == tuple(pre.layers)  # the forward pass handed step 3's solves over
         wait([task.future for task in pre.refresh.tasks])
-        for name, layer in pre.layers.items():
-            assert (layer.eigen_a, layer.eigen_g, layer.inverse_outer) == eigen[name]
-            for part, kept in zip((layer.eigen_a, layer.eigen_g), copies[name]):
+        for name, solver in solvers.items():
+            assert (solver.eigen_a, solver.eigen_g, solver.inverse_outer) == eigen[name]
+            for part, kept in zip((solver.eigen_a, solver.eigen_g), copies[name]):
                 np.testing.assert_array_equal(part.eigenvalues, kept)
         pre.step()
-        assert all(layer.eigen_a is not eigen[name][0] for name, layer in pre.layers.items())
+        assert all(solver.eigen_a is not eigen[name][0] for name, solver in solvers.items())
         assert pre.refresh.tasks == []  # nothing is in flight between steps
 
     @staticmethod

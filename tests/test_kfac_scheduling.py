@@ -31,15 +31,15 @@ from repro.kfac import (
     kronecker_cg,
     make_kernel_backend,
     make_kfac_layer,
-    make_solve_strategy,
     tikhonov_pi,
 )
 from repro.kfac.assignment import folds_on
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
 from repro.kfac.kmath import damped_inverse, expand_symmetric, kl_clip_scale_from_total, split_damping
+from repro.kfac.scheduling.solvers import solve_strategy_class
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
-from repro.tensor import Tensor
+from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
 from counters import comm_counts, event_total, layer_events
@@ -347,23 +347,67 @@ class TestSolvers:
         _, cold2_iters = kronecker_cg(a, g, rhs2, 0.01, 0.01, tol=1e-10, max_iter=500)
         assert warm_iters < cold2_iters
 
-    def test_make_solve_strategy(self):
-        assert isinstance(make_solve_strategy("eigen"), EigenSolveStrategy)
-        assert isinstance(make_solve_strategy("inverse"), InverseSolveStrategy)
-        cg = make_solve_strategy("cg", tol=1e-6, max_iter=7)
-        assert isinstance(cg, CGSolveStrategy)
-        assert cg.max_iter == 7
+    def test_each_name_is_a_strategy_built_from_the_config_fields_it_reads(self):
+        assert solve_strategy_class("eigen") is EigenSolveStrategy
+        assert solve_strategy_class("inverse") is InverseSolveStrategy
+        cg = solve_strategy_class("cg").from_config(KFACConfig(solve_strategy="cg", cg_tol=1e-6, cg_max_iter=7))
+        assert isinstance(cg, CGSolveStrategy) and (cg.tol, cg.max_iter) == (1e-6, 7)
+        assert not EigenSolveStrategy.from_config(KFACConfig(solve_strategy="eigen", compute_eigen_outer=False)).compute_outer
         with pytest.raises(ValueError, match="unknown solve strategy"):
-            make_solve_strategy("cholesky")
+            solve_strategy_class("cholesky")
+
+    @staticmethod
+    def _linear_handler(in_features=2, out_features=3):
+        """A standalone ``Linear`` handler: bias-folded gradient ``(out_features, in_features + 1)``."""
+        module = nn.Linear(in_features, out_features, rng=np.random.default_rng(0))
+        return make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
 
     def test_cg_state_round_trip(self):
+        layer = self._linear_handler()
         solver = CGSolveStrategy()
         solver.last_solution = np.ones((3, 3), dtype=np.float64)
         solver.total_iterations = 12
         clone = CGSolveStrategy()
-        clone.load_state_dict(solver.state_dict())
+        clone.load_state_dict(solver.state_dict(), layer)
         np.testing.assert_array_equal(clone.last_solution, solver.last_solution)
         assert clone.total_iterations == 12
+        layer.remove()
+
+    @pytest.mark.parametrize(
+        "warm", [np.ones((3, 2)), np.ones(9), np.ones((3, 3), dtype=np.int64)], ids=["transposed", "flat", "ints"]
+    )
+    def test_a_cg_warm_start_of_another_shape_or_kind_is_refused_naming_the_layer(self, warm):
+        """A warm start the solve cannot use would be dropped by it while ``memory_usage()`` counted its bytes:
+        the load refuses anything but a float ``(g_dim, a_dim)`` array, and keeps what the strategy held."""
+        layer = self._linear_handler(2, 3)  # gradient (3, 3)
+        solver = CGSolveStrategy()
+        with pytest.raises(ValueError, match=r"layer 'lin'.*CG warm start.*\(3, 3\)"):
+            solver.load_state_dict({"last_solution": warm, "total_iterations": 4}, layer)
+        assert solver.last_solution is None and solver.total_iterations == 0 and solver.held_bytes() == 0
+        layer.remove()
+
+    @pytest.mark.parametrize("key", ["eigen_a", "eigen_g", "inverse_outer"])
+    def test_eigen_state_round_trips_bitwise_and_another_shape_is_refused_naming_the_layer(self, key):
+        """The eigen strategy checks its own checkpoint against the layer's reprs: a resumed strategy solves to the
+        bit; eigenvalues, eigenvectors or an outer product of another shape raise and leave the strategy as it was."""
+        layer = self._linear_handler(3, 2)  # A 4 x 4, G 2 x 2, outer product (2, 4)
+        layer.factor_a = layer.a_repr.from_dense(spd_factor(4, 1))
+        layer.factor_g = layer.g_repr.from_dense(spd_factor(2, 2))
+        grad = np.random.default_rng(3).standard_normal((2, 4)).astype(np.float32)
+        strategy = decompose_standalone(layer, 0.01)
+        state = strategy.state_dict()
+        resumed = EigenSolveStrategy()
+        resumed.load_state_dict(state, layer)
+        np.testing.assert_array_equal(resumed.solve(layer, grad, 0.01), strategy.solve(layer, grad, 0.01))
+        if key == "inverse_outer":
+            state[key] = state[key].T
+        else:
+            state[key] = dict(state[key], eigenvalues=state[key]["eigenvalues"][1:])
+        fresh = EigenSolveStrategy()
+        with pytest.raises(ValueError, match="layer 'lin'"):
+            fresh.load_state_dict(state, layer)
+        assert fresh.held_bytes() == 0
+        layer.remove()
 
     def test_tikhonov_pi(self):
         a = spd_factor(4, 1, scale=4.0)
@@ -491,6 +535,11 @@ class TestKFACSchedulerIntegration:
             for name, module in m2.named_modules()
         ]
         layers = [layer for layer in layers if layer is not None]
+        strategies = {layer.name: EigenSolveStrategy() for layer in layers}
+
+        def gradients():
+            return [(layer, layer.get_gradient()) for layer in layers]
+
         loss_fn = nn.CrossEntropyLoss()
         x, y = make_problem(7, samples=128, in_dim=6, classes=3)
         rng = np.random.default_rng(8)
@@ -499,8 +548,8 @@ class TestKFACSchedulerIntegration:
             m2.zero_grad()
             loss_fn(m2(Tensor(x[idx])), y[idx]).backward()
             for layer in layers:
-                replicated_fold_reference(layer, step, config, offsets[layer.name])
-            pairs = [(layer.get_gradient(), layer.precondition(config.damping)) for layer in layers]
+                replicated_fold_reference(layer, strategies[layer.name], step, config, offsets[layer.name])
+            pairs = [(grad, strategies[layer.name].solve(layer, grad, config.damping)) for layer, grad in gradients()]
             total = sum(float(np.sum(g.astype(np.float64) * p.astype(np.float64))) for g, p in pairs)
             nu = kl_clip_scale_from_total(total, config.lr, config.kl_clip)
             for layer, (_, precond) in zip(layers, pairs):
@@ -734,7 +783,8 @@ class TestKFACSchedulerIntegration:
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=3)
         layer = pre.layers["layers.0"]
-        assert layer.factor_a.shape == (7 * 8 // 2,) and not layer.has_eigen
+        assert layer.factor_a.shape == (7 * 8 // 2,)
+        assert pre.plan.decomposers["layers.0", "a"] == () and pre.memory_usage()["eigen"] == 0  # nothing decomposed
         clone_model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         clone_model.load_state_dict(model.state_dict())
         clone = KFAC.from_config(clone_model, config)
@@ -766,14 +816,14 @@ class TestKFACSchedulerIntegration:
         precond = [np.asarray(p.grad, dtype=np.float64) for p in model.parameters()]
         assert all(np.isfinite(g).all() for g in precond)
         assert sum(float(np.sum(r * p)) for r, p in zip(raw, precond)) > 0.0  # positive definite: descent
-        for layer in pre.layers.values():
-            v_a, v_g = (eig.eigenvalues.astype(np.float64) for eig in (layer.eigen_a, layer.eigen_g))
+        for solver in pre.solvers.values():
+            v_a, v_g = (eig.eigenvalues.astype(np.float64) for eig in (solver.eigen_a, solver.eigen_g))
             pi = np.sqrt((v_a.sum() / v_a.size) / (v_g.sum() / v_g.size))
             assert pi != 1.0
             damping_a, damping_g = split_damping(pre.damping, pi)
-            expected = (1.0 / np.outer(v_g + damping_g, v_a + damping_a)).astype(layer.inverse_outer.dtype)
-            np.testing.assert_array_equal(layer.inverse_outer, expected)
-            assert not np.array_equal(layer.inverse_outer, (1.0 / (np.outer(v_g, v_a) + pre.damping)).astype(expected.dtype))
+            expected = (1.0 / np.outer(v_g + damping_g, v_a + damping_a)).astype(solver.inverse_outer.dtype)
+            np.testing.assert_array_equal(solver.inverse_outer, expected)
+            assert not np.array_equal(solver.inverse_outer, (1.0 / (np.outer(v_g, v_a) + pre.damping)).astype(expected.dtype))
 
     def test_adaptive_damping_moves_damping_in_training(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))

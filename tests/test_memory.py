@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kfac import KFACConfig, KFACWorkloadSpec, LayerShapeInfo
+from repro.kfac import EigenSolveStrategy, KFACConfig, KFACWorkloadSpec, LayerShapeInfo
 from repro.memory import (
     MB,
     MemoryBreakdown,
@@ -12,7 +12,6 @@ from repro.memory import (
     optimizer_state_multiplier,
     overhead_bytes,
     paper_factor_bytes,
-    solver_bytes_per_rank,
 )
 from repro.models import MLP
 
@@ -78,7 +77,7 @@ class TestWorkloadSpecMemory:
     def test_max_rank_takes_factors_and_eigen_state_of_one_rank_together(self):
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
         plan = spec.plan(8, 1 / 8)
-        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
+        factors, eigen = plan.factor_bytes_per_rank(), plan.state_bytes_per_rank("eigen")
         busiest = memory_breakdown(spec, 8, 1 / 8, rank="max")
         assert busiest.kfac_overhead == (factors + eigen).max()
         assert (busiest.kfac_factors, busiest.kfac_eigen) in set(zip(factors.tolist(), eigen.tolist()))
@@ -107,14 +106,14 @@ class TestWorkloadSpecMemory:
 
     def test_comm_opt_every_rank_holds_all_eigen(self):
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
-        per_rank = spec.plan(8, 1.0).eigen_bytes_per_rank()
+        per_rank = spec.plan(8, 1.0).state_bytes_per_rank("eigen")
         assert len(set(per_rank.tolist())) == 1
-        assert per_rank[0] == sum(spec.config.wire_policy().eigen_bytes(l) for l in layers())
+        assert per_rank[0] == sum(EigenSolveStrategy.state_bytes(l, spec.config.wire_policy()) for l in layers())
 
     def test_mem_opt_eigen_memory_spread_across_ranks(self):
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
-        per_rank = spec.plan(8, 1 / 8).eigen_bytes_per_rank()
-        assert per_rank.sum() == sum(spec.config.wire_policy().eigen_bytes(l) for l in layers())
+        per_rank = spec.plan(8, 1 / 8).state_bytes_per_rank("eigen")
+        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes(l, spec.config.wire_policy()) for l in layers())
         assert np.count_nonzero(per_rank) <= len(layers())
 
     def test_fp16_precision_halves_overhead(self):
@@ -151,8 +150,9 @@ class TestWorkloadSpecMemory:
     def test_the_inverse_path_holds_inverse_squares_on_the_gradient_workers_and_no_eigen_state(self, world, frac):
         spec = workload(layers(), param_count=1_000_000)
         plan = spec.plan(world, frac)
-        assert not plan.eigen_bytes_per_rank().any()
-        per_rank = solver_bytes_per_rank(spec.config, plan)
+        assert not plan.state_bytes_per_rank("eigen").any()
+        per_rank = plan.state_bytes_per_rank("solver")
+        assert (per_rank == plan.state_bytes_per_rank()).all()
         squares = [4 * (l.a_dim**2 + l.g_dim**2) for l in layers()]
         workers = max(1, round(frac * world))
         assert per_rank.sum() == workers * sum(squares)  # each layer's inverses on its gradient workers
@@ -183,26 +183,42 @@ class TestWorkloadSpecMemory:
         with pytest.raises(ValueError):
             max_local_batch_size(spec, 1 << 30, 8, 1.0)
 
-    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
-    def test_matches_live_preconditioner_measurement(self, solver):
-        """The planning model must agree with the bytes a real KFAC instance reports."""
+    @pytest.mark.parametrize("world", [1, 2])
+    @pytest.mark.parametrize("solver", ["inverse", "eigen", "cg"])
+    def test_matches_live_preconditioner_measurement(self, solver, world):
+        """The planning model must agree with the bytes a real KFAC instance reports, rank by rank, on every path.
+
+        At world 2 (MEM-OPT) each rank is the one gradient worker of one of the two layers, so the
+        second-order state -- eigen, inverse or CG warm start -- is held where the plan's one rule puts it.
+        """
         from repro import nn
+        from repro.distributed import run_spmd
         from repro.kfac import KFAC
         from repro.tensor import Tensor
 
-        model = MLP(8, [16], 4, rng=np.random.default_rng(0))
-        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy=solver)
-        pre = KFAC(model, config)
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy=solver, grad_worker_frac=1 / world)
         x = np.random.default_rng(1).standard_normal((32, 8)).astype(np.float32)
         y = np.random.default_rng(2).integers(0, 4, 32)
-        nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
-        pre.step()
-        measured = pre.memory_usage()
 
-        shapes = [layer.shape_info() for layer in pre.layers.values()]
-        spec = workload(shapes, param_count=model.num_parameters(), config=config)
-        plan = spec.plan(1, 1.0)
-        assert spec.factor_bytes == measured["factors"]
-        assert plan.eigen_bytes_per_rank()[0] == measured["eigen"]
-        assert solver_bytes_per_rank(config, plan)[0] == measured["solver"]
-        assert (measured["eigen"] > 0) == (solver == "eigen") != (measured["solver"] > 0)
+        def program(comm):
+            model = MLP(8, [16], 4, rng=np.random.default_rng(0))
+            pre = KFAC(model, config, comm=comm)
+            local = slice(comm.rank, None, world)
+            nn.CrossEntropyLoss()(model(Tensor(x[local])), y[local]).backward()
+            pre.step()
+            return pre.memory_usage(), [layer.shape_info() for layer in pre.layers.values()], model.num_parameters()
+
+        ranks = run_spmd(world, program)
+        spec = workload(ranks[0][1], param_count=ranks[0][2], config=config)
+        plan = spec.plan(world, config.grad_worker_frac)
+        factors, state = plan.factor_bytes_per_rank(), plan.state_bytes_per_rank()
+        for rank, (measured, *_) in enumerate(ranks):
+            assert measured["factors"] == factors[rank], rank
+            assert measured["eigen"] == plan.state_bytes_per_rank("eigen")[rank], rank
+            assert measured["solver"] == plan.state_bytes_per_rank("solver")[rank], rank
+            assert measured["total"] == factors[rank] + state[rank], rank
+        assert sum(measured["factors"] for measured, *_ in ranks) == spec.factor_bytes
+        held = {key: sum(measured[key] for measured, *_ in ranks) for key in ("eigen", "solver")}
+        assert (held["eigen"] > 0) == (solver == "eigen") != (held["solver"] > 0)
+        if world > 1:  # each rank holds the state of its own layer only
+            assert len(set(state.tolist())) == world and state.all()

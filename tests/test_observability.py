@@ -533,6 +533,22 @@ class TestSmokeRefreshGate:
         run_info["plan_digests"][1] = recapped.plan(2, 0.5).digest()
         assert [problem.split(" follows")[0] for problem in plan_digest_problems(spec, run_info)] == ["rank 1"]
 
+    def test_a_rank_whose_memory_is_not_the_models_is_named(self):
+        from repro.kfac import KFACWorkloadSpec
+        from repro.kfac.strategy import LayerShapeInfo
+        from repro.observability.smoke import memory_problems
+
+        layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5))]
+        spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, KFACConfig(grad_worker_frac=0.5))
+        plan = spec.plan(2, 0.5)
+        totals = plan.factor_bytes_per_rank() + plan.state_bytes_per_rank()
+        assert plan.state_bytes_per_rank().all()  # the inverses are part of what each rank must hold
+        run_info = {"world_size": 2, "memory_usage": [{"total": int(total)} for total in totals]}
+        assert memory_problems(spec, run_info) == []
+        # A rank that dropped (or never installed) a layer's inverses holds only its factors.
+        run_info["memory_usage"][1]["total"] = int(plan.factor_bytes_per_rank()[1])
+        assert [problem.split(" holds")[0] for problem in memory_problems(spec, run_info)] == ["rank 1"]
+
     def test_a_missing_negative_or_oversized_hidden_time_is_named(self):
         from repro.observability.smoke import eigen_overlap_problems
 

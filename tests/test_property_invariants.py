@@ -37,6 +37,7 @@ from repro.kfac import (
     KFACConfig,
     IterationTimeModel,
     KFACWorkloadSpec,
+    EigenSolveStrategy,
     KernelBackend,
     LayerShapeInfo,
     apply_measured_fractions,
@@ -47,7 +48,7 @@ from repro.kfac import (
 from repro.kfac.kmath import damped_inverse, expand_symmetric, split_damping, tikhonov_pi
 from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
 from repro.kfac.refresh import RefreshQueue
-from repro.memory import overhead_bytes, solver_bytes_per_rank
+from repro.memory import overhead_bytes
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor
 
@@ -541,10 +542,11 @@ class TestRefreshReadPointProperties:
                     # A decomposer holds its factor (an inverse layer's both), a gradient worker what was solved.
                     layer, held = pre.layers[name], pre.groups[name].is_grad_worker(comm.rank)
                     read = (layer.factor_a, layer.factor_g) if step == 0 else found[name]
+                    strategy = pre.solvers[name]
                     if solver == "inverse":
-                        installed = (pre.solvers[name].inv_a, pre.solvers[name].inv_g)
+                        installed = (strategy.inv_a, strategy.inv_g)
                     else:
-                        installed = (layer.eigen_a, layer.eigen_g)
+                        installed = (strategy.eigen_a, strategy.eigen_g)
                     solved.append((step, name, read, installed if held else None, layer.a_repr, layer.g_repr))
             pre.remove()
             return np.concatenate([p.data.ravel() for p in model.parameters()]), taken, solved
@@ -741,8 +743,6 @@ class TestModelEqualsEngineProperties:
     ):
         world, workers = point
         bucket_cap_mb, compute_eigen_outer, precision, balance, knob = wire
-        if knob == "inverse":
-            blocks = None  # the inverse solver has no block-diagonal path
         dim = block_size * (blocks or 2)
         config = KFACConfig(
             factor_update_freq=1,
@@ -818,9 +818,15 @@ class TestModelEqualsEngineProperties:
         decomposers = {rank for owners in plan.decomposers.values() for rank in owners}
         assert set(np.flatnonzero(stages["eigen_decomposition"])) == decomposers
 
-        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
+        # Each rank's whole memory_usage(): its running factors and its layers' solve-strategy state.
+        modeled = {
+            "factors": plan.factor_bytes_per_rank(),
+            "eigen": plan.state_bytes_per_rank("eigen"),
+            "solver": plan.state_bytes_per_rank("solver"),
+        }
+        modeled["total"] = modeled["factors"] + plan.state_bytes_per_rank()
         for rank, (usage, *_) in enumerate(ranks):
-            assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
+            assert usage == {key: per_rank[rank] for key, per_rank in modeled.items()}, f"rank {rank}: {usage}"
 
 
 class TestPackedStorageProperties:
@@ -940,10 +946,11 @@ class TestPackedStorageProperties:
         shapes = packed[0]["shapes"]
         assert all(shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1 for shape in shapes) == dense_factors
         plan = memory_spec(shapes, config=config).plan(world, config.grad_worker_frac)
-        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
+        factors, eigen = plan.factor_bytes_per_rank(), plan.state_bytes_per_rank("eigen")
         for rank, entry in enumerate(packed):
             usage = entry["memory"]
             assert (usage["factors"], usage["eigen"]) == (factors[rank], eigen[rank]), f"rank {rank}: {usage}"
+            assert usage["total"] == factors[rank] + plan.state_bytes_per_rank()[rank], f"rank {rank}: {usage}"
         if knob == "default":  # every factor held once in the world: b(b+1)/2 elements per block
             once = sum(
                 r.dim // r.block_size * r.block_size * (r.block_size + 1) // 2 for s in shapes for r in (s.a_repr, s.g_repr)
@@ -978,7 +985,7 @@ class TestMemoryModelProperties:
         spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         frac = min(workers, world_size) / world_size
         plan = spec.plan(world_size, frac)
-        factors, eigen = plan.factor_bytes_per_rank(), plan.eigen_bytes_per_rank()
+        factors, eigen = plan.factor_bytes_per_rank(), plan.state_bytes_per_rank("eigen")
         assert factors.sum() == spec.factor_bytes == sum(a * (a + 1) // 2 + g * (g + 1) // 2 for a, g in dims) * 4
         assert np.all(eigen[factors > 0] > 0)  # whoever decomposes a factor is one of its gradient workers
         assert overhead_bytes(spec, world_size, frac, rank="max") == (factors + eigen).max()
@@ -997,8 +1004,8 @@ class TestMemoryModelProperties:
         spec = memory_spec(layers, param_count=10_000)  # the default solve path
         frac = min(workers, world_size) / world_size
         plan = spec.plan(world_size, frac)
-        factors, solver = plan.factor_bytes_per_rank(), solver_bytes_per_rank(spec.config, plan)
-        assert factors.sum() == spec.factor_bytes and not plan.eigen_bytes_per_rank().any()
+        factors, solver = plan.factor_bytes_per_rank(), plan.state_bytes_per_rank("solver")
+        assert factors.sum() == spec.factor_bytes and not plan.state_bytes_per_rank("eigen").any()
         expected = np.zeros(world_size, dtype=np.int64)
         for name, group in plan.groups.items():
             expected[list(group.grad_workers)] += 4 * (group.layer.a_dim**2 + group.layer.g_dim**2)
@@ -1028,8 +1035,8 @@ class TestMemoryModelProperties:
         """Under MEM-OPT every layer's eigen state exists exactly once in the world."""
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
         spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
-        per_rank = spec.plan(world_size, 1.0 / world_size).eigen_bytes_per_rank()
-        assert per_rank.sum() == sum(spec.config.wire_policy().eigen_bytes(layer) for layer in layers)
+        per_rank = spec.plan(world_size, 1.0 / world_size).state_bytes_per_rank("eigen")
+        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes(layer, spec.config.wire_policy()) for layer in layers)
 
 
 class TestNoDeadKnobProperties:

@@ -336,15 +336,15 @@ class TestMeasuredMemoryReport:
         ``KFACWorkloadSpec``, which only sees layer shapes: held factors + eigen and solver state, per rank."""
         from repro.experiments import build_workload, collect_layer_shapes, measured_memory_report
         from repro.kfac import KFACConfig, KFACWorkloadSpec
-        from repro.memory import memory_breakdown, solver_bytes_per_rank
+        from repro.memory import memory_breakdown
 
         workload = build_workload("mlp", seed=0)
         layers = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules)
         spec = KFACWorkloadSpec("mlp", layers, 0, local_batch_size=0, baseline_compute_time=0.0, config=KFACConfig())
         plan = spec.plan(world, frac)
         factors = plan.factor_bytes_per_rank()
-        eigen = plan.eigen_bytes_per_rank()
-        solver = solver_bytes_per_rank(spec.config, plan)  # the inverse squares, on the gradient workers
+        eigen = plan.state_bytes_per_rank("eigen")
+        solver = plan.state_bytes_per_rank("solver")  # the inverse squares, on the gradient workers
         report = measured_memory_report("mlp", world_size=world, grad_worker_frac=frac, steps=1)
         for rank, entry in enumerate(report["per_rank"]):
             assert entry["measured"]["factors"] == factors[rank]
@@ -372,11 +372,11 @@ class TestMeasuredMemoryReport:
             once = sum(entry["measured"]["factors"] for entry in sharded["per_rank"])
             assert held == copies * once, overrides
 
-    @pytest.mark.parametrize("solver", ["inverse", "cg"])
-    def test_solver_state_is_predicted_from_layer_shapes_not_read_off_the_solvers(self, solver, monkeypatch):
+    @pytest.mark.parametrize("solver, key", [("inverse", "solver"), ("cg", "solver"), ("eigen", "eigen")])
+    def test_solver_state_is_predicted_from_layer_shapes_not_read_off_the_solvers(self, solver, key, monkeypatch):
         """Each strategy states its bytes from the layer's shape and reprs; a live solver that over-reports is caught."""
         from repro.experiments import measured_memory_report
-        from repro.kfac import CGSolveStrategy, InverseSolveStrategy
+        from repro.kfac import CGSolveStrategy, EigenSolveStrategy, InverseSolveStrategy
 
         def run():
             report = measured_memory_report(
@@ -385,12 +385,12 @@ class TestMeasuredMemoryReport:
             return [(entry["measured"], entry["predicted"]) for entry in report["per_rank"]]
 
         for measured, predicted in run():
-            assert measured == predicted and predicted["solver"] > 0
-        cls = {"inverse": InverseSolveStrategy, "cg": CGSolveStrategy}[solver]
-        reported = cls.solver_bytes
-        monkeypatch.setattr(cls, "solver_bytes", lambda self: 2 * reported(self))
+            assert measured == predicted and predicted[key] > 0
+        cls = {"inverse": InverseSolveStrategy, "cg": CGSolveStrategy, "eigen": EigenSolveStrategy}[solver]
+        reported = cls.held_bytes
+        monkeypatch.setattr(cls, "held_bytes", lambda self: 2 * reported(self))
         for measured, predicted in run():
-            assert measured["solver"] > predicted["solver"] and measured != predicted
+            assert measured[key] > predicted[key] and measured != predicted
 
     @pytest.mark.parametrize("solver, state", [("inverse", "solver"), ("eigen", "eigen")])
     def test_comm_opt_holds_more_eigen_state_than_mem_opt(self, solver, state):
