@@ -101,8 +101,8 @@ class KFACConfig:
     #: the trainer to feed the loss into ``KFAC.step(loss=...)``.
     adaptive_damping: bool = False
     #: Per-layer solve path: "inverse" (the default: damped inverses of
-    #: Eq. 12 by float32 Cholesky on the factors' decomposer, two GEMMs per
-    #: step), "eigen" (the paper's eigenbasis path, Eqs. 15-17) or "cg"
+    #: Eq. 12 by float32 Cholesky on the factors' decomposer, two ``?symm``
+    #: per step), "eigen" (the paper's eigenbasis path, Eqs. 15-17) or "cg"
     #: (warm-started inverse-free conjugate gradients).  Every path damps
     #: ``(π√γ, √γ/π)`` (:func:`~repro.kfac.kmath.split_damping`).
     solve_strategy: str = "inverse"

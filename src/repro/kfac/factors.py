@@ -18,7 +18,7 @@ reads the block size instead of assuming ``np.ndarray`` squares:
   is O(F·b) instead of O(F²);
 * **communication** — the stored form is the wire form: allreduce specs carry
   the packed payload (:attr:`~FactorRepr.packed_shape`), and a damped inverse
-  travels as the triangles of its blocks (:meth:`~FactorRepr.pack`);
+  travels, and is checkpointed, as the triangles of its blocks;
 * **eigen / inverse** — the blocks are solved one by one through the kernel
   backend's batched seam (one block is the dense call); ``b = 1`` is a clamp
   or ``1 / (d + γ)`` with an implicit identity basis (:attr:`~FactorRepr.elementwise`);
@@ -113,10 +113,12 @@ class FactorRepr:
 
     @property
     def held_shape(self) -> Tuple[int, ...]:
-        """Shape of a held per-block square array (an eigenbasis, an installed inverse).
+        """Shape of a held per-block square array: an eigenbasis, a structured installed inverse.
 
         ``(n, n)`` for one block, ``(k, b, b)`` for several, ``(n,)`` when
-        :attr:`elementwise` (an inverse is ``n`` reciprocals).
+        :attr:`elementwise` (an inverse is ``n`` reciprocals).  A dense
+        factor's damped inverse is not held square: it is one triangle of a
+        buffer it shares with another (:class:`~repro.kfac.kmath.TriangleView`).
         """
         if self.num_blocks == 1:
             return (self.dim, self.dim)
@@ -159,15 +161,8 @@ class FactorRepr:
         starts = np.arange(0, self.packed_numel, self.block_size * (self.block_size + 1) // 2)
         return (starts[:, None] + within).ravel()
 
-    def pack(self, held: np.ndarray) -> np.ndarray:
-        """The packed form of a held symmetric array (:attr:`held_shape`): its blocks' triangles, concatenated."""
-        if self.elementwise:
-            return held
-        b = self.block_size
-        return np.concatenate([pack_triangle(square) for square in held.reshape(-1, b, b)])
-
     def expand(self, packed: np.ndarray) -> np.ndarray:
-        """The held form (:attr:`held_shape`) of a packed symmetric array, as a fresh array: inverse of :meth:`pack`."""
+        """The held form (:attr:`held_shape`) of a packed symmetric array, as a fresh array: its blocks' squares."""
         if self.elementwise:
             return packed.copy()
         return self.stack([expand_symmetric(block) for block in self.blocks(packed)])

@@ -3,17 +3,20 @@
 The per-iteration cost of the preconditioner is dominated by a handful of
 dense kernels: the damped Cholesky inverse or the symmetric
 eigendecomposition of the Kronecker factors, the exponential-decay factor
-update, the preconditioned-gradient products (two GEMMs with the inverses,
+update, the preconditioned-gradient products (two ``?symm`` with the inverses,
 or the Eqs. 15-17 contraction) and the KL-clip inner-product accumulation.
 They sit behind one class, :class:`KernelBackend` (named ``batched``):
 
 * **damped inverse** (:meth:`KernelBackend.inverse_task`, the default
   path's refresh): ``?potrf`` + ``?potri`` on the damped factor, expanded
-  from its triangle with ``?tpttr`` (all bound beside ``?syevd`` and called
-  without the interpreter lock) and mirrored into the symmetric square that
-  is installed, block by block; a diagonal factor (blocks of one) is
-  ``1 / (d + γ)``.  Each step then preconditions with
-  ``G⁻¹ · V · A⁻¹`` (:meth:`KernelBackend.precondition_inverse`): two GEMMs;
+  from its triangle with ``?tpttr`` and packed back with ``?trttp`` (all
+  bound beside ``?syevd`` and called without the interpreter lock), block by
+  block; a diagonal factor (blocks of one) is ``1 / (d + γ)``.  A dense
+  inverse is held as one triangle of a buffer it shares with another
+  (:class:`~repro.kfac.kmath.TriangleView`), and each step preconditions with
+  ``G⁻¹ · V · A⁻¹`` (:meth:`KernelBackend.precondition_inverse`): one
+  ``?symm`` per side (bound from ``scipy.linalg.cython_blas``), which reads
+  that triangle alone;
 
 * **eigendecomposition** over shape-grouped factor stacks: small factors
   (dim <= :data:`STACK_EIGH_MAX_DIM`) are stacked and decomposed in one
@@ -56,13 +59,15 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
 ``sum(a*b)`` KL-clip) live on as the oracle in ``tests/kernel_oracle.py``;
 ``tests/test_kfac_kernels.py`` holds the backend to it in tiers:
 
-* ``fused_decay_update``, ``precondition_contract``, ``precondition_inverse``
-  -- **bitwise** equal for float32 state (identical elementwise/BLAS
-  operations in the identical order);
-* ``inverse_task`` -- its square's packed triangle is **bitwise** the
-  ``?potri`` result SciPy's ``lapack.spotrf`` / ``spotri`` give on the
-  expanded damped square, and within float32 resolution of a float64
-  ``np.linalg.inv``;
+* ``fused_decay_update``, ``precondition_contract`` -- **bitwise** equal
+  for float32 state (identical elementwise/BLAS operations in the identical
+  order);
+* ``inverse_task`` -- its packed triangle is **bitwise** the ``?potri``
+  result SciPy's ``lapack.spotrf`` / ``spotri`` give on the expanded damped
+  square, and within float32 resolution of a float64 ``np.linalg.inv``;
+* ``precondition_inverse``'s ``?symm`` -- within float32 resolution of the
+  dense products on generated shapes, and **bitwise** numpy's GEMM on the
+  BERT shapes (pinned, so a BLAS that rounds otherwise surfaces);
 * the ``syevd`` call itself -- **bitwise** the eigenvalues and eigenvectors
   SciPy's own wrapper of that driver returns on the expanded square (the same
   routine on the same lower triangle; SciPy is the test-side reference,
@@ -97,7 +102,9 @@ from .kmath import (
     kl_clip_scale_from_total,
     precondition_with_inverse,
     structured_precondition,
+    symm_product,
     triangle_dim,
+    TriangleView,
 )
 
 __all__ = ["KernelBackend", "make_kernel_backend", "STACK_EIGH_MAX_DIM"]
@@ -350,11 +357,11 @@ class KernelBackend:
         finite, expands it damped and solves; an error carries the failing
         member's position as ``error.batch_index``.  The solve runs in at
         least single precision (:func:`~repro.kfac.kmath.eigh_solve_dtype`)
-        and each result is the inverse as it is installed
-        (:attr:`~repro.kfac.factors.FactorRepr.held_shape`): every block's
-        ``?potrf`` + ``?potri`` on its damped square, mirrored into the C-order
-        symmetric square (:func:`~repro.kfac.kmath.inverse_of_expanded`),
-        bitwise what a receiver expands from its packed triangle; an
+        and each result is the inverse in the factor's packed form
+        (:attr:`~repro.kfac.factors.FactorRepr.packed_shape`), the one form
+        every holder installs and the eigen round carries: every block's
+        ``?potrf`` + ``?potri`` on its damped square, packed by ``?trttp``
+        (:func:`~repro.kfac.kmath.inverse_of_expanded`); an
         :attr:`~repro.kfac.factors.FactorRepr.elementwise` factor's is
         ``1 / (d + γ)``, O(F).
         """
@@ -382,10 +389,10 @@ class KernelBackend:
             inverses = []
             for index, (factor, damping) in enumerate(zip(factors, dampings)):
                 with _member(index):
-                    squares = [
+                    triangles = [
                         inverse_of_expanded(expand_damped(block, damping, solve_dtype)) for block in repr.blocks(factor)
                     ]
-                inverses.append(repr.stack(squares))
+                inverses.append(triangles[0] if len(triangles) == 1 else np.concatenate(triangles))
             return inverses
 
         return solve_each
@@ -457,20 +464,21 @@ class KernelBackend:
         out = np.matmul(s1, q_a.T)  # Eq. 17 (fresh result array)
         return out.astype(grad.dtype, copy=False)
 
-    def precondition_inverse(self, grad: np.ndarray, inv_a: np.ndarray, inv_g: np.ndarray) -> np.ndarray:
-        """``G⁻¹ · grad · A⁻¹`` with installed damped inverses: two GEMMs.
+    def precondition_inverse(self, grad: np.ndarray, inv_a, inv_g) -> np.ndarray:
+        """``G⁻¹ · grad · A⁻¹`` with installed damped inverses: one ``?symm`` per side.
 
-        The first product goes into a per-shape scratch buffer, the second
-        into the fresh result; for float32 inputs that is bitwise
+        A dense inverse is a triangle view (:class:`~repro.kfac.kmath.TriangleView`),
+        read one triangle each; the first product goes into a per-shape scratch buffer,
+        the second into the fresh result, in float32.  That is bitwise
         :func:`~repro.kfac.kmath.precondition_with_inverse`, which takes the
         structured (1-D diagonal, block-stacked) inverses.
         """
-        if inv_a.ndim != 2 or inv_g.ndim != 2:
+        if not isinstance(inv_a, TriangleView) or not isinstance(inv_g, TriangleView):
             return precondition_with_inverse(grad, inv_a, inv_g)
-        inv_g32 = inv_g.astype(np.float32, copy=False)
-        scratch = self._scratch(self._contract_scratch, (inv_g.shape[0], grad.shape[1]), np.float32)
-        np.matmul(inv_g32, grad.astype(np.float32, copy=False), out=scratch)
-        return np.matmul(scratch, inv_a.astype(np.float32, copy=False)).astype(grad.dtype, copy=False)
+        grad32 = np.ascontiguousarray(grad, dtype=np.float32)
+        scratch = self._scratch(self._contract_scratch, grad32.shape, np.float32)
+        symm_product(inv_g.astype(np.float32), grad32, "left", out=scratch)
+        return symm_product(inv_a.astype(np.float32), scratch, "right").astype(grad.dtype, copy=False)
 
     # --------------------------------------------------------------- kl clip
     def kl_clip_accumulate(self, grads_and_precond: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:

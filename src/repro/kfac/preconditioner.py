@@ -27,8 +27,9 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 2. compute the damped inverses (the default ``inverse`` path) or the eigen
    decompositions on their assigned workers and broadcast them to the
    layer's gradient workers -- an inverse as its packed triangle, which
-   every receiver expands into the square its decomposer installed (every
-   ``inv_update_freq`` iterations).  Taking the step's actions submits the
+   every holder, its decomposer included, installs into its one triangle of
+   a buffer shared with another inverse (every ``inv_update_freq``
+   iterations).  Taking the step's actions submits the
    factors as the step began to the rank's
    :class:`~repro.kfac.refresh.RefreshQueue`; stage 2 takes and installs the
    results,
@@ -47,7 +48,7 @@ communication rounds as unbound specs, and in
 and refreshes, revised by a :class:`~repro.kfac.scheduling.DriftSchedule`
 when ``drift_tol > 0``.  *How* a layer is preconditioned is its
 :class:`~repro.kfac.scheduling.SolveStrategy` (the default is the damped
-inverse of Eq. 12, two GEMMs per step; the eigen path of Eqs. 15-17 is
+inverse of Eq. 12, one ``?symm`` per side per step; the eigen path of Eqs. 15-17 is
 ``solve_strategy="eigen"``); ``solvers[name]`` is it on this rank, the one
 home of the layer's second-order state.  :meth:`KFAC._bind` attaches this
 rank's arrays to the plan's specs once, and every allreduce and broadcast
@@ -86,7 +87,7 @@ from .kernels import KernelBackend
 from .kmath import kl_clip_scale_from_total
 from .layers import KFACLayer, make_kfac_layer
 from .refresh import RefreshQueue
-from .scheduling import AdaptiveDampingController, DriftSchedule, SolveStrategy
+from .scheduling import AdaptiveDampingController, DriftSchedule, InverseSolveStrategy, SolveStrategy
 from .strategy import DistributionPlan, LayerWorkGroups, StepActions
 
 __all__ = ["KFAC"]
@@ -158,6 +159,15 @@ class KFAC:
         self.solvers: Dict[str, SolveStrategy] = {
             name: strategy.from_config(config) for name, strategy in self.plan.solvers.items()
         }
+        # The damped inverses this rank will hold, two to a buffer, as the plan prices them.
+        InverseSolveStrategy.hold(
+            {
+                layer: self.solvers[name]
+                for name, layer in self.layers.items()
+                if isinstance(self.solvers[name], InverseSolveStrategy) and self.groups[name].is_grad_worker(self.rank)
+            },
+            self.precision.inverse_dtype,
+        )
         self.damping_controller: Optional[AdaptiveDampingController] = (
             AdaptiveDampingController(config.damping) if config.adaptive_damping else None
         )
@@ -531,13 +541,13 @@ class KFAC:
                 self._preconditioned[name] = array
 
         else:
-            layer, solver, which, source = self.layers[name], self.solvers[name], what[-1], spec.src == self.rank
+            layer, solver, which = self.layers[name], self.solvers[name], what[-1]
 
             def payload() -> np.ndarray:
                 return solver.pack(which, layer)
 
             def install(packed: np.ndarray) -> None:
-                solver.receive(which, packed, layer, source)
+                solver.receive(which, packed, layer)
 
         return dataclasses.replace(spec, payload=payload if spec.src == self.rank else None, on_complete=install)
 

@@ -8,8 +8,10 @@ the second-order state its path keeps on a layer's gradient workers:
 * :class:`InverseSolveStrategy` -- the default: the layer's decomposer
   inverts ``(A + π√γ I)`` and ``(G + √γ/π I)`` by Cholesky once per
   second-order refresh (Eq. 12 with factored Tikhonov damping), ships each
-  inverse in its factor's packed form, and every gradient worker
-  preconditions with two GEMMs;
+  inverse in its factor's packed form, and every gradient worker holds a
+  dense one as one triangle, two inverses to a square
+  (:func:`~repro.kfac.kmath.hold_triangles`), and preconditions with one
+  ``?symm`` per side;
 * :class:`EigenSolveStrategy` -- the eigen path of Eqs. 15-17, damped by
   the same split with π from the eigenvalues the holder received;
 * :class:`CGSolveStrategy` -- never factorize at all: solve
@@ -26,12 +28,22 @@ class (``plan.solvers``) and each rank builds its instance ``from_config``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..factors import FactorRepr
-from ..kmath import EigenDecomposition, eigenvalue_outer_product, split_damping, tikhonov_pi
+from ..kmath import (
+    EigenDecomposition,
+    TriangleView,
+    eigenvalue_outer_product,
+    hold_triangles,
+    pack_triangle,
+    pair_triangles,
+    split_damping,
+    tikhonov_pi,
+    triangle_buffer_shape,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..config import KFACConfig
@@ -150,14 +162,14 @@ class SolveStrategy:
     ``solve`` runs on the layer's gradient workers every iteration and
     returns the preconditioned gradient matrix.  Whatever a strategy holds
     lives on those gradient workers and nowhere else, so one rule places,
-    prices and checkpoints it on every path: :meth:`state_bytes` per gradient
-    worker (summed by ``DistributionPlan.state_bytes_per_rank``),
+    prices and checkpoints it on every path: :meth:`state_bytes` of the layers
+    a gradient worker holds (per rank, by ``DistributionPlan.state_bytes_per_rank``),
     :meth:`held_bytes` as measured, :meth:`state_dict` /
     :meth:`load_state_dict` under the checkpoint's ``"solvers"``.  A strategy
     with a ``refresh`` also installs factor ``which``'s result on its
     decomposer (``install(which, result, layer)``) and ships it to the other
     gradient workers: ``wire_shape(repr_)``, ``pack(which, layer)`` on the
-    source, ``receive(which, packed, layer, source)`` on every member.
+    source, ``receive(which, packed, layer)`` on every member.
     """
 
     name: str = "?"
@@ -183,8 +195,8 @@ class SolveStrategy:
         raise NotImplementedError
 
     @classmethod
-    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
-        """Bytes of state a gradient worker holds for ``layer`` under ``policy``, once it solved."""
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
+        """Bytes a gradient worker of all of ``layers`` (each solved by this strategy) holds under ``policy``, once solved."""
         return 0
 
     def refresh_dampings(self, layer: "KFACLayer", damping: float) -> Optional[Tuple[float, float]]:
@@ -228,11 +240,14 @@ class EigenSolveStrategy(SolveStrategy):
         return cls(compute_outer=config.compute_eigen_outer)
 
     @classmethod
-    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
-        """Eigenvalues and stored eigenvectors of both factors, and with ``compute_eigen_outer`` the ``g × a`` outer product."""
-        numel = layer.a_repr.packed_eigen_numel + layer.g_repr.packed_eigen_numel
-        if policy.compute_eigen_outer:
-            numel += layer.a_dim * layer.g_dim
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
+        """Per layer: both factors' eigenvalues and stored eigenvectors, with ``compute_eigen_outer`` the ``g × a`` outer product."""
+        numel = sum(
+            layer.a_repr.packed_eigen_numel
+            + layer.g_repr.packed_eigen_numel
+            + (layer.a_dim * layer.g_dim if policy.compute_eigen_outer else 0)
+            for layer in layers
+        )
         return numel * np.dtype(policy.precision.inverse_dtype).itemsize
 
     @classmethod
@@ -252,7 +267,7 @@ class EigenSolveStrategy(SolveStrategy):
             raise RuntimeError(f"layer {layer.name!r}: source rank holds no {which.upper()} decomposition to broadcast")
         return pack_eigen(eigen, layer.precision.inverse_dtype)
 
-    def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer", source: bool) -> None:
+    def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer") -> None:
         self._set(which, unpack_eigen_repr(packed, layer.factor_repr(which), layer.precision.inverse_dtype))
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
@@ -315,7 +330,12 @@ class InverseSolveStrategy(SolveStrategy):
 
     The inverses carry the damping of their refresh; ``damping`` of
     :meth:`solve` is not read.  Both factors are inverted on one rank, which
-    holds both traces for π.
+    holds both traces for π.  A dense inverse is held as one triangle
+    (:class:`~repro.kfac.kmath.TriangleView`) of a buffer it shares with
+    another the rank holds: :meth:`hold` places them as
+    :func:`~repro.kfac.kmath.pair_triangles` pairs them, and
+    :meth:`state_bytes` prices them by the same rule.  A diagonal factor's is
+    its ``(n,)`` reciprocals, a block-diagonal one's its ``(k, b, b)`` squares.
     """
 
     name = "inverse"
@@ -323,14 +343,45 @@ class InverseSolveStrategy(SolveStrategy):
     pairs_factors = True
 
     def __init__(self) -> None:
-        self.inv_a: Optional[np.ndarray] = None
-        self.inv_g: Optional[np.ndarray] = None
+        self.inv_a: Optional[Any] = None
+        self.inv_g: Optional[Any] = None
+        self.triangles: Dict[str, TriangleView] = {}  # "a" / "g" -> where a dense inverse goes (:meth:`hold`)
+
+    @staticmethod
+    def _dense(layers) -> List[Tuple[Any, str, int]]:
+        """``(layer, "a" | "g", dim)`` of every dense (one-block) factor of ``layers``, in order: the triangles."""
+        return [
+            (layer, which, repr_.dim)
+            for layer in layers
+            for which, repr_ in (("a", layer.a_repr), ("g", layer.g_repr))
+            if repr_.num_blocks == 1
+        ]
 
     @classmethod
-    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
-        """``inv_a`` and ``inv_g`` as installed (:attr:`FactorRepr.held_shape`): ``k·b²``, ``n`` for a diagonal one."""
-        numel = sum(math.prod(r.held_shape) for r in (layer.a_repr, layer.g_repr))
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
+        """The dense inverses in the buffers :meth:`hold` shares them in, the structured ones as held.
+
+        Each group :func:`~repro.kfac.kmath.pair_triangles` makes of the dense
+        inverses' dimensions takes its
+        :func:`~repro.kfac.kmath.triangle_buffer_shape`.
+        """
+        dims = [dim for _, _, dim in cls._dense(layers)]
+        numel = sum(math.prod(triangle_buffer_shape([dims[i] for i in group])) for group in pair_triangles(dims))
+        numel += sum(
+            math.prod(r.held_shape) for layer in layers for r in (layer.a_repr, layer.g_repr) if r.num_blocks > 1
+        )
         return numel * np.dtype(policy.precision.inverse_dtype).itemsize
+
+    @classmethod
+    def hold(cls, solved: Dict["KFACLayer", "InverseSolveStrategy"], dtype) -> None:
+        """Give the dense inverses of the layers ``solved`` maps to their strategies their triangles, in ``dtype``.
+
+        :func:`~repro.kfac.kmath.hold_triangles` pairs them, so a gradient
+        worker's inverses take the bytes :meth:`state_bytes` prices.
+        """
+        dense = cls._dense(solved)
+        for (layer, which, _), view in zip(dense, hold_triangles([dim for _, _, dim in dense], dtype)):
+            solved[layer].triangles[which] = view
 
     @classmethod
     def wire_shape(cls, repr_: FactorRepr) -> Tuple[int, ...]:
@@ -341,24 +392,29 @@ class InverseSolveStrategy(SolveStrategy):
         """``damping`` split by π of the layer's two factors (:func:`~repro.kfac.kmath.tikhonov_pi`), both on the decomposer."""
         return split_damping(damping, tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr))
 
-    def install(self, which: str, result: np.ndarray, layer: "KFACLayer") -> None:
-        """Install the ``"a"`` / ``"g"`` inverse in the form the GEMMs read (:attr:`FactorRepr.held_shape`), as it is.
+    def install(self, which: str, packed: np.ndarray, layer: "KFACLayer") -> None:
+        """Install the ``"a"`` / ``"g"`` inverse from its packed form, in the inverse dtype: every holder's one path.
 
-        The decomposer installs its refresh task's result, in the inverse
-        dtype: the C-order symmetric squares of the factor's blocks, mirrored
-        on the worker.  The other gradient workers install
-        :meth:`FactorRepr.expand` of the packed triangles the eigen round
-        carries (:meth:`receive`), which is the same bits, so the replicas
-        precondition bitwise alike.
+        The decomposer installs its refresh task's result, the other gradient
+        workers what the eigen round carries, a restore what the checkpoint
+        kept: the same packed bits.  A dense inverse goes into its triangle
+        (:meth:`~repro.kfac.kmath.TriangleView.install`, nothing allocated),
+        a block-diagonal one is expanded into its squares
+        (:meth:`FactorRepr.expand`), a diagonal one kept as its reciprocals.
         """
-        setattr(self, f"inv_{which}", result.astype(layer.precision.inverse_dtype, copy=False))
+        repr_ = layer.factor_repr(which)
+        if repr_.num_blocks == 1:
+            held = self.triangles[which]
+            held.install(packed)
+        else:
+            held = repr_.expand(packed.astype(layer.precision.inverse_dtype, copy=False))
+        setattr(self, f"inv_{which}", held)
 
     def pack(self, which: str, layer: "KFACLayer") -> np.ndarray:
-        return layer.factor_repr(which).pack(getattr(self, f"inv_{which}"))
+        return _packed(getattr(self, f"inv_{which}"))
 
-    def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer", source: bool) -> None:
-        if not source:  # the source installed its own result
-            setattr(self, f"inv_{which}", layer.factor_repr(which).expand(packed))
+    def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer") -> None:
+        self.install(which, packed, layer)
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         if self.inv_a is None or self.inv_g is None:
@@ -371,31 +427,38 @@ class InverseSolveStrategy(SolveStrategy):
         return sum(inv.nbytes for inv in (self.inv_a, self.inv_g) if inv is not None)
 
     def state_dict(self) -> Dict[str, Any]:
-        return {
-            "inv_a": None if self.inv_a is None else self.inv_a.copy(),
-            "inv_g": None if self.inv_g is None else self.inv_g.copy(),
-        }
+        """Each inverse in its packed form, the one :meth:`install` takes, whichever partner shares its buffer."""
+        held = {"inv_a": self.inv_a, "inv_g": self.inv_g}
+        return {key: None if inverse is None else _packed(inverse) for key, inverse in held.items()}
 
     def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
-        """Restore ``inv_a`` / ``inv_g``, each checked against its factor's repr and cast to the layer's inverse dtype.
+        """Install ``inv_a`` / ``inv_g`` from their packed forms, each checked against its factor's repr.
 
-        The cast is C-contiguous, the layout every holder installs: the BLAS
-        rounding of the two GEMMs depends on it.  A shape the repr does not
-        install, or a non-float array, raises naming the layer and factor.
+        A shape that is not the factor's packed form
+        (:attr:`FactorRepr.packed_shape`), or a non-float array, raises naming
+        the layer and factor before anything is installed.
         """
-        loaded = []
+        for which in ("a", "g"):
+            value, expected = state[f"inv_{which}"], layer.factor_repr(which).packed_shape
+            if value is not None and (np.shape(value) != expected or np.asarray(value).dtype.kind != "f"):
+                value = np.asarray(value)
+                raise ValueError(
+                    f"layer {layer.name!r}: checkpoint inverse of the {which.upper()} factor is a {value.dtype} "
+                    f"array of shape {value.shape}, expected floats of shape {expected} (its packed form)"
+                )
         for which in ("a", "g"):
             value = state[f"inv_{which}"]
-            if value is not None:
-                value, expected = np.asarray(value), layer.factor_repr(which).held_shape
-                if value.shape != expected or value.dtype.kind != "f":
-                    raise ValueError(
-                        f"layer {layer.name!r}: checkpoint inverse of the {which.upper()} factor is a {value.dtype} "
-                        f"array of shape {value.shape}, expected floats of shape {expected}"
-                    )
-                value = np.array(value, dtype=layer.precision.inverse_dtype, order="C")
-            loaded.append(value)
-        self.inv_a, self.inv_g = loaded
+            if value is None:
+                setattr(self, f"inv_{which}", None)
+            else:
+                self.install(which, np.asarray(value), layer)
+
+
+def _packed(held) -> np.ndarray:
+    """A held inverse in its packed form, as a fresh array: a triangle's, the blocks' triangles, the reciprocals."""
+    if isinstance(held, TriangleView):
+        return held.packed()
+    return held.copy() if held.ndim == 1 else np.concatenate([pack_triangle(square) for square in held])
 
 
 class CGSolveStrategy(SolveStrategy):
@@ -426,9 +489,9 @@ class CGSolveStrategy(SolveStrategy):
         return cls(tol=config.cg_tol, max_iter=config.cg_max_iter)
 
     @classmethod
-    def state_bytes(cls, layer: "LayerShapeInfo", policy: "WirePolicy") -> int:
-        """``last_solution``: the float64 ``g × a`` warm start."""
-        return 8 * layer.a_dim * layer.g_dim
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
+        """``last_solution`` per layer: the float64 ``g × a`` warm start."""
+        return sum(8 * layer.a_dim * layer.g_dim for layer in layers)
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         if layer.factor_a is None or layer.factor_g is None:

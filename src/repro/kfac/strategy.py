@@ -254,15 +254,19 @@ class DistributionPlan:
         return per_rank
 
     def state_bytes_per_rank(self, memory_key: Optional[str] = None) -> np.ndarray:
-        """Second-order state bytes each rank holds: every layer's ``SolveStrategy.state_bytes`` on its gradient workers.
+        """Second-order state bytes each rank holds: ``SolveStrategy.state_bytes`` of the layers it is a gradient worker of.
 
-        ``memory_key`` (``"eigen"`` / ``"solver"``) keeps the strategies ``memory_usage()`` counts under it.
+        Each strategy prices a rank's layers together: the inverse path pairs
+        their dense inverses two to a buffer.  ``memory_key`` (``"eigen"`` /
+        ``"solver"``) keeps the strategies ``memory_usage()`` counts under it.
         """
         per_rank = np.zeros(self.world_size, dtype=np.int64)
-        for name, strategy in self.solvers.items():
-            if memory_key in (None, strategy.memory_key):
-                group = self.groups[name]
-                per_rank[list(group.grad_workers)] += strategy.state_bytes(group.layer, self.policy)
+        for rank in range(self.world_size):
+            held: Dict[Type["SolveStrategy"], List[LayerShapeInfo]] = {}
+            for name, strategy in self.solvers.items():
+                if memory_key in (None, strategy.memory_key) and self.groups[name].is_grad_worker(rank):
+                    held.setdefault(strategy, []).append(self.groups[name].layer)
+            per_rank[rank] = sum(strategy.state_bytes(layers, self.policy) for strategy, layers in held.items())
         return per_rank
 
     def messages(self, step: Optional[int] = None) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:

@@ -13,10 +13,11 @@ a layer.  Two layouts of the factors are modelled:
   it is read) and a dense one is stored once, as the ``n(n+1)/2`` elements of
   its triangle, so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
   The plan's ``factor_bytes_per_rank()`` sums the factors' holders for every
-  knob that moves state, and its ``state_bytes_per_rank()`` each layer's
-  solve-strategy state (``SolveStrategy.state_bytes``: eigen state, inverse
-  squares, CG warm starts) on its gradient workers -- one rule for every
-  path, split by ``memory_usage()`` key into ``kfac_eigen`` / ``kfac_solver``;
+  knob that moves state, and its ``state_bytes_per_rank()`` each strategy's
+  state of the layers a rank is a gradient worker of
+  (``SolveStrategy.state_bytes``: eigen state, damped inverses two to a
+  buffer, CG warm starts) -- one rule for every path, split by
+  ``memory_usage()`` key into ``kfac_eigen`` / ``kfac_solver``;
 * **the paper's**: every rank keeps every factor as a full ``n x n`` square,
   because its factor allreduce leaves a copy of the running average
   everywhere, so the overhead is ``factors + eigen / world`` and a linear

@@ -39,6 +39,7 @@ from repro.kfac import (
     KFACConfig,
     KFACEmbeddingLayer,
     KFACLayerNormLayer,
+    InverseSolveStrategy,
     KernelBackend,
     make_kfac_layer,
     pack_triangle,
@@ -182,12 +183,13 @@ class TestFactorReprFamily:
             assert layer.g_repr == (FactorRepr.dense(6) if dense else repr_)
             layer.factor_a, layer.factor_g = layer.a_repr.from_dense(square_a), layer.g_repr.from_dense(square_g)
             eigen.append(decompose_standalone(layer, 0.01).solve(layer, grad, 0.01))
-            inverses = [
-                layer.kernels.inverse_task([factor], repr, [0.1])()[0]
-                for factor, repr in ((layer.factor_a, layer.a_repr), (layer.factor_g, layer.g_repr))
-            ]
-            assert inverses[1].shape == layer.g_repr.held_shape
-            inverse.append(layer.kernels.precondition_inverse(grad, *inverses))
+            strategy = InverseSolveStrategy()
+            InverseSolveStrategy.hold({layer: strategy}, layer.precision.inverse_dtype)
+            for which, factor, repr in (("a", layer.factor_a, layer.a_repr), ("g", layer.factor_g, layer.g_repr)):
+                (packed,) = layer.kernels.inverse_task([factor], repr, [0.1])()
+                assert packed.shape == repr.packed_shape  # every holder installs the packed form
+                strategy.install(which, packed, layer)
+            inverse.append(strategy.solve(layer, grad, 0.1))
             layer.remove()
         if repr_.num_blocks == 1 or repr_.block_size == 1:
             np.testing.assert_array_equal(eigen[0], eigen[1])

@@ -51,9 +51,9 @@ class TestWorkloadSpec:
         spec = small_spec()
         layer = spec.layers[0]
         expected = (layer.a_dim ** 2 + layer.a_dim + layer.g_dim ** 2 + layer.g_dim + layer.a_dim * layer.g_dim) * 4
-        assert EigenSolveStrategy.state_bytes(layer, spec.config.wire_policy()) == expected
+        assert EigenSolveStrategy.state_bytes([layer], spec.config.wire_policy()) == expected
         policy = small_spec(compute_eigen_outer=False, solve_strategy="eigen").config.wire_policy()
-        assert expected - EigenSolveStrategy.state_bytes(layer, policy) == layer.a_dim * layer.g_dim * 4
+        assert expected - EigenSolveStrategy.state_bytes([layer], policy) == layer.a_dim * layer.g_dim * 4
 
 
 class TestIterationModel:

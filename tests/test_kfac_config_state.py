@@ -31,7 +31,7 @@ from repro.kfac import (
     pack_eigen,
     unpack_eigen_repr,
 )
-from repro.kfac.kmath import EigenDecomposition
+from repro.kfac.kmath import EigenDecomposition, TriangleView, expand_symmetric, triangle_dim
 from repro.models import MLP
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
@@ -761,7 +761,7 @@ class TestOneCheckpointFormat:
     def forward_loss(model, batch):
         return nn.CrossEntropyLoss()(model(Tensor(batch[0])), batch[1])
 
-    @pytest.mark.parametrize("found", [None, 0, 1, 2, 3, 5], ids=["no-format", "format-0", "format-1", "format-2", "format-3", "format-5"])
+    @pytest.mark.parametrize("found", [None, 0, 1, 2, 3, 4, 6], ids=["no-format", *(f"format-{n}" for n in (0, 1, 2, 3, 4, 6))])
     def test_another_format_is_refused_naming_both_numbers(self, found):
         x, y = make_problem(4)
 
@@ -778,13 +778,13 @@ class TestOneCheckpointFormat:
             state.pop("format", None)  # as every version before the number wrote it: format 0
             if found is not None:
                 state["format"] = found
-            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 4"):
+            with pytest.raises(ValueError, match=rf"^{owner} checkpoint is in format {found or 0}, but this version reads only format 5"):
                 target.load_state_dict(state)
         # The number is checked before anything is read.
         assert fresh_pre.steps == 0 and fresh_trainer.iterations == 0
         for name, value in fresh_trainer.model.state_dict().items():
             np.testing.assert_array_equal(value, weights[name])
-        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 4
+        assert pre.state_dict()["format"] == trainer.state_dict()["format"] == CHECKPOINT_FORMAT == 5
 
     def test_a_format_3_eigen_checkpoint_is_refused_by_its_number(self):
         """Format 3 kept a layer's eigen decompositions under ``"layers"``; format 4 keeps them with the layer's
@@ -803,9 +803,73 @@ class TestOneCheckpointFormat:
             state["solvers"][name] = {}
         state["format"] = 3
         fresh = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(5)), config)
-        with pytest.raises(ValueError, match=r"^KFAC checkpoint is in format 3, but this version reads only format 4"):
+        with pytest.raises(ValueError, match=r"^KFAC checkpoint is in format 3, but this version reads only format 5"):
             fresh.load_state_dict(state)
         assert fresh.steps == 0 and fresh.memory_usage()["total"] == 0
+
+    def test_a_format_4_inverse_checkpoint_is_refused_by_its_number(self):
+        """Format 4 kept each damped inverse as its symmetric square; format 5 keeps its packed triangle, whichever
+        inverse shares its buffer.  A format-4 dict is refused by its number before anything is read."""
+        x, y = make_problem(4)
+        pre = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(3)), factor_update_freq=1, inv_update_freq=1)
+        nn.CrossEntropyLoss()(pre.model(Tensor(x[:32])), y[:32]).backward()
+        pre.step()
+        state = pre.state_dict()
+        layer = pre.layers["layers.0"]
+        assert state["solvers"]["layers.0"]["inv_a"].shape == layer.a_repr.packed_shape  # the triangle, not a square
+        # The same state in the format-4 layout.
+        for solver_state in state["solvers"].values():
+            for key, packed in solver_state.items():
+                solver_state[key] = expand_symmetric(packed)
+        state["format"] = 4
+        fresh = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(5)), factor_update_freq=1, inv_update_freq=1)
+        with pytest.raises(ValueError, match=r"^KFAC checkpoint is in format 4, but this version reads only format 5"):
+            fresh.load_state_dict(state)
+        assert fresh.steps == 0 and fresh.memory_usage()["total"] == 0
+
+    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (2, 1.0)])
+    def test_a_format_5_round_trip_restores_the_triangles_bitwise_and_resumes_bit_identically(self, world, frac):
+        """The packed inverses a rank checkpoints are installed back into its triangles bit for bit, and the
+        resumed run's next steps give the parameters of the run that never stopped."""
+        x, y = make_problem(21, in_dim=6)
+        config = KFACConfig(grad_worker_frac=frac, factor_update_freq=1, inv_update_freq=3, lr=0.05)
+
+        def build(comm):
+            model = MLP(6, [16, 16, 9], 3, rng=np.random.default_rng(2))  # A 7 / 17 / 17 / 10, G 16 / 16 / 9 / 3
+            pre = KFAC.from_config(model, config, comm=comm)
+            return pre, optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+
+        def step(pre, opt, index, comm):
+            local = np.arange(32 * index, 32 * index + 32)[comm.rank :: comm.world_size] % len(x)
+            opt.zero_grad()
+            nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
+            DistributedDataParallel(pre.model, comm).sync_gradients(1.0 / comm.world_size)
+            pre.step()
+            opt.step()
+
+        def program(comm):
+            pre, opt = build(comm)
+            for index in range(4):
+                step(pre, opt, index, comm)
+            state, weights, moments = pre.state_dict(), pre.model.state_dict(), opt.state_dict()
+            for index in range(4, 7):
+                step(pre, opt, index, comm)
+            straight = np.concatenate([p.data.ravel() for p in pre.model.parameters()])
+            resumed, resumed_opt = build(comm)
+            resumed.load_state_dict(state)
+            resumed.model.load_state_dict(weights)
+            resumed_opt.load_state_dict(moments)
+            restored = resumed.state_dict()["solvers"]
+            for name, solver_state in state["solvers"].items():
+                for key, packed in solver_state.items():
+                    if packed is not None:
+                        assert restored[name][key].tobytes() == packed.tobytes(), (name, key)
+            for index in range(4, 7):
+                step(resumed, resumed_opt, index, comm)
+            return straight, np.concatenate([p.data.ravel() for p in resumed.model.parameters()])
+
+        for straight, resumed in run_spmd(world, program):
+            assert straight.tobytes() == resumed.tobytes()
 
     def test_a_factor_the_plan_does_not_place_on_the_rank_raises(self):
         """MEM-OPT at world 2 places each factor on one rank; a checkpoint carrying another rank's factor was
@@ -874,11 +938,12 @@ class TestOneCheckpointFormat:
         assert restored is None
         assert f"has solver state ({key}) for layer {name!r}, of which rank 0 is not a gradient worker" in refused
 
-    @pytest.mark.parametrize("case", ["wrong-shape", "another-ranks-layer", "float64-fortran"])
-    def test_inverse_state_is_checked_against_its_repr_and_rank_and_installed_c_contiguous(self, case):
-        """MEM-OPT at world 2 under the default ``inverse`` path: a checkpoint inverse of the wrong shape, or of a
-        layer whose gradient workers exclude the rank, raises at load naming the layer (and the factor); a right
-        one in another dtype and layout is installed in the inverse dtype, C-contiguous, with the same values."""
+    @pytest.mark.parametrize("case", ["wrong-shape", "another-ranks-layer", "float64"])
+    def test_inverse_state_is_checked_against_its_repr_and_rank_and_installed_in_the_inverse_dtype(self, case):
+        """MEM-OPT at world 2 under the default ``inverse`` path: a checkpoint inverse of the wrong shape (a
+        square: format 5 keeps triangles), or of a layer whose gradient workers exclude the rank, raises at load
+        naming the layer (and the factor); a right one in another dtype is installed in the inverse dtype, with
+        the same values."""
         x, y = make_problem(13, in_dim=5)
         config = KFACConfig.mem_opt(2, factor_update_freq=1, inv_update_freq=10)
 
@@ -896,15 +961,19 @@ class TestOneCheckpointFormat:
         mine = next(name for name, ranks in workers.items() if ranks == (0,))
         theirs = next(name for name, ranks in workers.items() if ranks == (1,))
         original = state["solvers"][mine]["inv_a"]
-        assert original.dtype == np.float32 and original.ndim == 2
+        n = triangle_dim(original.size)
+        assert original.dtype == np.float32 and original.ndim == 1
         if case == "wrong-shape":
-            state["solvers"][mine]["inv_a"] = np.zeros((4, 4))
-            expected = rf"layer {mine!r}: checkpoint inverse of the A factor is a float64 array of shape \(4, 4\)"
+            state["solvers"][mine]["inv_a"] = expand_symmetric(original).astype(np.float64)
+            expected = (
+                rf"layer {mine!r}: checkpoint inverse of the A factor is a float64 array of shape \({n}, {n}\), "
+                rf"expected floats of shape \({original.size},\)"
+            )
         elif case == "another-ranks-layer":
             state["solvers"][theirs] = other["solvers"][theirs]
             expected = rf"solver state \(inv_a, inv_g\) for layer {theirs!r}, of which rank 0 is not a gradient worker"
         else:
-            state["solvers"][mine]["inv_a"] = np.asfortranarray(original.astype(np.float64))
+            state["solvers"][mine]["inv_a"] = original.astype(np.float64)
             expected = None
 
         def restore(comm):
@@ -917,7 +986,8 @@ class TestOneCheckpointFormat:
 
         loaded, _ = run_spmd(2, restore)
         if expected is None:
-            assert loaded.dtype == np.float32 and loaded.flags.c_contiguous and loaded.tobytes() == original.tobytes()
+            assert isinstance(loaded, TriangleView) and loaded.dtype == np.float32
+            assert loaded.packed().tobytes() == original.tobytes()
         else:
             assert re.search(expected, loaded), loaded
 

@@ -17,13 +17,18 @@ the stacked/``syevd`` eigen solvers are exact eigendecompositions but not
 bit-identical to the oracle's ``syevr``.
 """
 
+import ctypes
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cython_blas, lapack
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
@@ -51,10 +56,11 @@ from repro.kfac.kernels import STACK_EIGH_MAX_DIM
 from repro.kfac.kmath import (
     expand_symmetric,
     expand_triangle,
-    mirror_upper,
+    hold_triangles,
     pack_triangle,
     precondition_with_inverse,
     split_damping,
+    symm_product,
     tikhonov_pi,
 )
 from repro.kfac.refresh import RefreshQueue
@@ -567,7 +573,7 @@ class TestPreconditionContract:
 
 
 class TestDampedInverse:
-    """The refresh task of the default path: the π-damped Cholesky inverse of a factor, and its two-GEMM solve."""
+    """The refresh task of the default path: the π-damped Cholesky inverse of a factor, packed, and its ``?symm`` solve."""
 
     @staticmethod
     def assert_float32_close(actual, expected):
@@ -587,9 +593,8 @@ class TestDampedInverse:
         for packed, repr_, factor, damping in ((packed_a, repr_a, a, damping_a), (packed_g, repr_g, g, damping_g)):
             (inverse,) = backend.inverse_task([packed], repr_, [damping])()
             n = repr_.dim
-            assert inverse.shape == (n, n) and inverse.dtype == np.float32 and inverse.flags.c_contiguous
-            assert inverse.tobytes() == inverse.T.copy().tobytes()  # the installed square is exactly symmetric
-            self.assert_float32_close(inverse, np.linalg.inv(factor.astype(np.float64) + damping * np.eye(n)))
+            assert inverse.shape == repr_.packed_shape and inverse.dtype == np.float32  # the packed triangle
+            self.assert_float32_close(expand_symmetric(inverse), np.linalg.inv(factor.astype(np.float64) + damping * np.eye(n)))
 
     def test_diagonal_inverse_is_the_reciprocal_of_the_damped_diagonal(self):
         diagonal = np.random.default_rng(3).random(57).astype(np.float32)
@@ -604,15 +609,16 @@ class TestDampedInverse:
         blocks = np.stack([spd_factor(16, seed=index) for index in range(3)])
         packed = np.concatenate([pack_triangle(block) for block in blocks])  # stored as three triangles
         (inverse,) = KernelBackend().inverse_task([packed], repr_, [0.02])()
-        assert inverse.shape == repr_.held_shape == (3, 16, 16)
-        # It travels as the blocks' triangles, and a receiver expands the very bits the decomposer holds.
-        assert repr_.pack(inverse).shape == repr_.packed_shape == (3 * 16 * 17 // 2,)
-        assert repr_.expand(repr_.pack(inverse)).tobytes() == inverse.tobytes()
+        # It is the blocks' triangles, the form it travels in; every holder expands the same bits.
+        assert inverse.shape == repr_.packed_shape == (3 * 16 * 17 // 2,)
+        held = repr_.expand(inverse)
+        assert held.shape == repr_.held_shape == (3, 16, 16)
+        assert np.concatenate([pack_triangle(block) for block in held]).tobytes() == inverse.tobytes()
         full = np.zeros((48, 48))
         for index, block in enumerate(blocks):
             full[16 * index : 16 * index + 16, 16 * index : 16 * index + 16] = block
         expected = np.linalg.inv(full + 0.02 * np.eye(48))
-        for index, block in enumerate(inverse):
+        for index, block in enumerate(held):
             np.testing.assert_array_equal(block, block.T)
             self.assert_float32_close(block, expected[16 * index : 16 * index + 16, 16 * index : 16 * index + 16])
 
@@ -626,32 +632,27 @@ class TestDampedInverse:
         assert info == 0
         inverse, info = lapack.spotri(cholesky, lower=1)
         assert info == 0
-        # Column by column of the lower triangle, compared as bits apart from the sign of an off-diagonal zero.
-        expected = inverse.T[np.triu_indices(dim)]
-        np.testing.assert_array_equal(pack_triangle(result), expected)
-        assert result.tobytes() == expand_symmetric(expected).tobytes()
+        # Column by column of the lower triangle: the same bits, the sign of every zero included.
+        assert result.tobytes() == inverse.T[np.triu_indices(dim)].tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 33, 129, 513])
-    def test_the_installed_square_is_bitwise_what_a_receiver_expands_from_its_triangle(self, dim):
-        """The source installs the square its task mirrored; a receiver, ``expand_symmetric`` of its packed
-        triangle.  Both are the same bits, off-diagonal zeros of either sign included."""
-        rng = np.random.default_rng(dim)
+    def test_every_holder_installs_the_packed_triangle_bitwise_in_every_slot(self, dim):
+        """The decomposer and every receiver install the one packed triangle into their view, wherever
+        the view sits in its buffer: reading it back gives the same bits, zeros of either sign included, and the
+        partner's half of the buffer is not touched."""
         factor = spd_factor(dim, seed=dim)
         factor[np.abs(factor) < np.median(np.abs(factor))] = 0.0  # sparse: the inverse carries exact zeros
-        (square,) = KernelBackend().inverse_task([pack_triangle(factor)], FactorRepr.dense(dim), [0.5])()
-        assert square.flags.c_contiguous and square.tobytes() == expand_symmetric(pack_triangle(square)).tobytes()
-        # The mirror itself, on a triangle with signed zeros: every entry of either sign at every position.
-        lower = rng.standard_normal((dim, dim)).astype(np.float32)
-        lower[rng.random((dim, dim)) < 0.3] = 0.0
-        lower[rng.random((dim, dim)) < 0.3] = -0.0
-        buffer = np.asfortranarray(np.tril(lower))  # column-major, lower triangle filled, zeros above
-        assert np.signbit(buffer).any() and buffer.ravel(order="K")[buffer.ravel(order="K") == 0].size
-        mirrored = mirror_upper(buffer.T)
-        triangle = pack_triangle(buffer.T)  # the row-major upper triangle, its signed zeros kept
-        assert mirrored.flags.c_contiguous
-        assert mirrored.tobytes() == expand_symmetric(triangle).tobytes()
-        assert mirrored.tobytes() == expand_symmetric(pack_triangle(mirrored)).tobytes()
-        assert np.einsum("ii->i", mirrored).tobytes() == np.einsum("ii->i", buffer).tobytes()  # signed zeros kept there
+        (packed,) = KernelBackend().inverse_task([pack_triangle(factor)], FactorRepr.dense(dim), [0.5])()
+        packed[::3] = -0.0  # and a signed zero at every third position
+        for dims in ([dim], [dim, dim], [dim + 1, dim], [dim, dim - 1] if dim > 1 else [dim]):
+            views = hold_triangles(dims, np.float32)
+            for index, view in enumerate(views):
+                if view.dim != dim:
+                    continue
+                view.buffer[...] = np.nan  # what is not the view's stays NaN
+                view.install(packed)
+                assert view.packed().tobytes() == packed.tobytes(), (dims, index)
+                assert np.isnan(view.buffer).sum() == view.buffer.size - packed.size, (dims, index)
 
     def test_an_indefinite_damped_factor_raises_through_take_naming_layer_factor_and_member(self):
         backend = KernelBackend()
@@ -666,16 +667,18 @@ class TestDampedInverse:
         assert raised.value.__cause__.batch_index == 1 and queue.tasks == []
         queue.close()
 
-    def test_the_two_gemm_solve_is_bitwise_the_plain_expression_into_fresh_arrays(self):
+    def test_the_symm_solve_is_bitwise_the_plain_function_into_fresh_arrays(self):
         backend = KernelBackend()
-        inv_a = expand_symmetric(pack_triangle(np.linalg.inv(spd_factor(12, seed=4)).astype(np.float32)))
-        inv_g = expand_symmetric(pack_triangle(np.linalg.inv(spd_factor(9, seed=5)).astype(np.float32)))
+        inv_a, inv_g = hold_triangles([12, 9], np.float32)  # alone: neither has a neighbour
+        inv_a.install(pack_triangle(np.linalg.inv(spd_factor(12, seed=4)).astype(np.float32)))
+        inv_g.install(pack_triangle(np.linalg.inv(spd_factor(9, seed=5)).astype(np.float32)))
+        square_a, square_g = expand_symmetric(inv_a.packed()), expand_symmetric(inv_g.packed())
         rng, results = np.random.default_rng(6), []
         for _ in range(3):  # repeat: scratch reuse must not perturb results
             grad = rng.standard_normal((9, 12)).astype(np.float32)
             results.append(backend.precondition_inverse(grad, inv_a, inv_g))
-            np.testing.assert_array_equal(results[-1], (inv_g @ grad) @ inv_a)
             np.testing.assert_array_equal(results[-1], precondition_with_inverse(grad, inv_a, inv_g))
+            np.testing.assert_allclose(results[-1], (square_g @ grad) @ square_a, rtol=1e-5, atol=1e-6)
         assert not np.shares_memory(results[0], results[1])
 
     def test_structured_inverses_apply_like_their_dense_matrices(self):
@@ -688,6 +691,127 @@ class TestDampedInverse:
             full_g[4 * index : 4 * index + 4, 4 * index : 4 * index + 4] = block
         actual = KernelBackend().precondition_inverse(grad, inv_a, blocks)
         np.testing.assert_allclose(actual, full_g @ grad @ np.diag(inv_a), rtol=1e-5, atol=1e-6)
+
+
+def symmetric(n, seed, dtype):
+    """A random symmetric ``n × n`` matrix in ``dtype``."""
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return (m + m.T).astype(dtype)
+
+
+class TestSymmetricTriangles:
+    """A dense damped inverse is held as one triangle of a buffer two share, and ``?symm`` reads that triangle alone."""
+
+    @staticmethod
+    def installed(dims, dtype, seed):
+        """``hold_triangles(dims)`` with a random symmetric matrix installed in each view (partner halves NaN first)."""
+        views = hold_triangles(dims, dtype)
+        for view in views:
+            view.buffer[...] = np.nan
+        squares = [symmetric(n, seed + index, dtype) for index, n in enumerate(dims)]
+        for view, square in zip(views, squares):
+            view.install(pack_triangle(square))
+        return views, squares
+
+    @given(st.integers(1, 70), st.integers(1, 40), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_the_product_is_the_dense_product_in_every_slot_on_both_sides(self, n, m, dtype, seed):
+        """Every slot -- two of ``n`` sharing ``(n+1) × n`` (upper, lower), ``n+1`` and ``n`` sharing ``(n+1)²``
+        (lower, upper) and one alone -- gives ``S @ x`` and ``x @ S`` within 1e-6 relative, and with every
+        element outside the view NaN the product stays finite: the partner's triangle is never read."""
+        rng = np.random.default_rng(seed)
+        for dims in ([n, n], [n + 1, n], [n]):
+            views, squares = self.installed(dims, dtype, seed)
+            for view, square in zip(views, squares):
+                wide = square.astype(np.float64)
+                for side, x in (("left", (view.dim, m)), ("right", (m, view.dim))):
+                    x = rng.standard_normal(x).astype(dtype)
+                    product = symm_product(view, x, side)
+                    expected = wide @ x if side == "left" else x @ wide
+                    assert product.dtype == dtype and np.isfinite(product).all(), (dims, side)
+                    scale = np.abs(wide).max() * np.abs(x).max() * view.dim  # relative to the largest possible sum
+                    assert np.abs(product - expected).max() <= 1e-6 * scale, (dims, side)
+
+    #: Run at one BLAS thread, the benchmark's setting: how a GEMM splits over threads moves its bits.
+    BERT_SHAPES = """
+import numpy as np
+from repro.kfac.kmath import hold_triangles, pack_triangle, symm_product
+differ = []
+for n in (512, 513, 128, 129, 2, 3):
+    for dims in ([n, n], [n + 1, n], [n]):
+        views = hold_triangles(dims, np.float32)
+        for view in views:
+            view.buffer[...] = np.nan
+        squares = [np.random.default_rng(n + i).standard_normal((d, d)) for i, d in enumerate(dims)]
+        squares = [(square + square.T).astype(np.float32) for square in squares]
+        for view, square in zip(views, squares):
+            view.install(pack_triangle(square))
+        for view, square in zip(views, squares):
+            if view.dim != n:
+                continue
+            for m in (128, 129, 512, 513):
+                rng = np.random.default_rng(m)
+                left, right = rng.standard_normal((n, m)).astype(np.float32), rng.standard_normal((m, n)).astype(np.float32)
+                if symm_product(view, left, "left").tobytes() != (square @ left).tobytes():
+                    differ.append(("left", dims, m))
+                if symm_product(view, right, "right").tobytes() != (right @ square).tobytes():
+                    differ.append(("right", dims, m))
+print(differ)
+"""
+
+    def test_the_bert_shapes_are_bitwise_numpys_gemm(self):
+        """On the BERT factor shapes (512 / 513 / 128 / 129 / 2 / 3 against 128 / 129 / 512 / 513) the ``?symm``
+        product is numpy's GEMM to the bit, in every slot and on both sides, with NaN partners: pinned, so a BLAS
+        that rounds the two differently surfaces here (the trajectories' hashes rest on it).  It runs in a
+        process at one BLAS thread, as the benchmark does."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.BERT_SHAPES], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_a_triangle_is_installed_in_place_and_read_back(self):
+        views = hold_triangles([9, 10, 9, 4], np.float32)
+        assert [view.dim for view in views] == [9, 10, 9, 4]
+        assert views[0].buffer is views[1].buffer  # the 10 beside the first 9; the other 9 and the 4 alone
+        assert views[0].buffer.shape == (10, 10) and views[2].buffer.shape == (9, 9) and views[3].buffer.shape == (4, 4)
+        before = [view.buffer for view in views]
+        for index, view in enumerate(views):
+            view.install(pack_triangle(symmetric(view.dim, index, np.float32)))
+        assert all(view.buffer is buffer for view, buffer in zip(views, before))  # nothing allocated
+        with pytest.raises(ValueError, match="not one of dimension 9"):
+            views[0].install(np.zeros(10, np.float32))
+        with pytest.raises(TypeError, match="one dtype"):
+            symm_product(views[0], np.zeros((9, 2)), "left")
+        with pytest.raises(ValueError, match="cannot multiply"):
+            symm_product(views[0], np.zeros((2, 8), np.float32), "right")
+
+    def test_scipys_openblas_runs_on_one_thread(self):
+        """Importing the kernels leaves the OpenBLAS behind SciPy's capsules on one thread, so its pool never spins
+        against NumPy's beside the step's GEMMs (README "Kernels")."""
+        library = ctypes.CDLL(cython_blas.__file__)
+        getter = getattr(library, "scipy_openblas_get_num_threads", None) or getattr(library, "openblas_get_num_threads", None)
+        if getter is None:
+            pytest.skip("SciPy links a BLAS other than OpenBLAS")
+        assert getter() == 1
+
+    @pytest.mark.parametrize("precision", ["fp16", "fp64"])
+    def test_other_inverse_dtypes_precondition_in_float32(self, precision):
+        """fp16 and fp64 policies hold their triangles in their inverse dtype and precondition in float32, as the
+        square inverses did: the triangle is cast, then one ``?symm`` per side."""
+        policy = PrecisionPolicy.from_name(precision)
+        (inv_a,), (inv_g,) = hold_triangles([7], policy.inverse_dtype), hold_triangles([5], policy.inverse_dtype)
+        square_a, square_g = symmetric(7, 1, np.float32), symmetric(5, 2, np.float32)
+        inv_a.install(pack_triangle(square_a))
+        inv_g.install(pack_triangle(square_g))
+        assert inv_a.buffer.dtype == policy.inverse_dtype
+        grad = np.random.default_rng(3).standard_normal((5, 7)).astype(np.float32)
+        cast_a = expand_symmetric(inv_a.packed()).astype(np.float32)
+        cast_g = expand_symmetric(inv_g.packed()).astype(np.float32)
+        result = KernelBackend().precondition_inverse(grad, inv_a, inv_g)
+        assert result.dtype == np.float32
+        np.testing.assert_allclose(result, (cast_g @ grad) @ cast_a, rtol=1e-5, atol=1e-5)
+        assert result.tobytes() == precondition_with_inverse(grad, inv_a, inv_g).tobytes()
 
 
 class TestKlClipAccumulate:

@@ -220,7 +220,7 @@ class TestRunningAverages:
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         held = decompose_standalone(handler, damping=0.01).held_bytes()
-        assert held == EigenSolveStrategy.state_bytes(handler.shape_info(), WirePolicy(handler.precision))
+        assert held == EigenSolveStrategy.state_bytes([handler.shape_info()], WirePolicy(handler.precision))
 
 
 class TestGradientRoundTrip:

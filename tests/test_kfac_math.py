@@ -26,8 +26,15 @@ def factor_dampings(a, g, damping):
 
 def cholesky_inverse(factor, damping):
     """``(factor + γI)⁻¹`` as a square, from the kernel backend's Cholesky task (one dense factor)."""
-    (square,) = KernelBackend().inverse_task([pack_triangle(factor)], FactorRepr.dense(factor.shape[0]), [damping])()
-    return square
+    return kmath.expand_symmetric(held_inverse(factor, damping).packed())
+
+
+def held_inverse(factor, damping):
+    """``(factor + γI)⁻¹`` as a holder keeps it: the task's packed triangle installed in a view of its own square."""
+    (packed,) = KernelBackend().inverse_task([pack_triangle(factor)], FactorRepr.dense(factor.shape[0]), [damping])()
+    (view,) = kmath.hold_triangles([factor.shape[0]], np.float32)
+    view.install(packed)
+    return view
 
 
 def random_spd(n, seed=0, scale=1.0):
@@ -190,7 +197,7 @@ class TestPreconditioning:
         grad = RNG.standard_normal((3, 5)).astype(np.float32)
         damping = 1e-6
         damping_a, damping_g = factor_dampings(a, g, damping)
-        via_inverse = precondition_with_inverse(grad, cholesky_inverse(a, damping_a), cholesky_inverse(g, damping_g))
+        via_inverse = precondition_with_inverse(grad, held_inverse(a, damping_a), held_inverse(g, damping_g))
         via_eigen = precondition_with_eigen(grad, symmetric_eigen(a), symmetric_eigen(g), damping)
         scale = np.abs(via_eigen).max()
         np.testing.assert_allclose(via_inverse / scale, via_eigen / scale, atol=5e-2)

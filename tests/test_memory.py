@@ -108,12 +108,12 @@ class TestWorkloadSpecMemory:
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
         per_rank = spec.plan(8, 1.0).state_bytes_per_rank("eigen")
         assert len(set(per_rank.tolist())) == 1
-        assert per_rank[0] == sum(EigenSolveStrategy.state_bytes(l, spec.config.wire_policy()) for l in layers())
+        assert per_rank[0] == sum(EigenSolveStrategy.state_bytes([l], spec.config.wire_policy()) for l in layers())
 
     def test_mem_opt_eigen_memory_spread_across_ranks(self):
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
         per_rank = spec.plan(8, 1 / 8).state_bytes_per_rank("eigen")
-        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes(l, spec.config.wire_policy()) for l in layers())
+        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes([l], spec.config.wire_policy()) for l in layers())
         assert np.count_nonzero(per_rank) <= len(layers())
 
     def test_fp16_precision_halves_overhead(self):
@@ -183,25 +183,30 @@ class TestWorkloadSpecMemory:
         with pytest.raises(ValueError):
             max_local_batch_size(spec, 1 << 30, 8, 1.0)
 
-    @pytest.mark.parametrize("world", [1, 2])
+    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (4, 0.5)], ids=["w1", "w2-mem-opt", "w4-hybrid-opt"])
     @pytest.mark.parametrize("solver", ["inverse", "eigen", "cg"])
-    def test_matches_live_preconditioner_measurement(self, solver, world):
+    def test_matches_live_preconditioner_measurement(self, solver, world, frac):
         """The planning model must agree with the bytes a real KFAC instance reports, rank by rank, on every path.
 
-        At world 2 (MEM-OPT) each rank is the one gradient worker of one of the two layers, so the
-        second-order state -- eigen, inverse or CG warm start -- is held where the plan's one rule puts it.
+        Six layers of dims 9 / 17 (A) and 16 / 4 (G): in every row some rank holds an odd count of one
+        dimension, so the inverse path's pairing leaves one of them alone (its square) beside ``n+1`` / ``n``
+        and ``n`` / ``n`` pairs.  At world 2 (MEM-OPT) each rank is the one gradient worker of its layers, at
+        world 4 (HYBRID-OPT) two ranks are, so the second-order state -- eigen, inverse or CG warm start -- is
+        held where the plan's one rule puts it.
         """
+        from collections import Counter
+
         from repro import nn
         from repro.distributed import run_spmd
         from repro.kfac import KFAC
         from repro.tensor import Tensor
 
-        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy=solver, grad_worker_frac=1 / world)
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy=solver, grad_worker_frac=frac)
         x = np.random.default_rng(1).standard_normal((32, 8)).astype(np.float32)
         y = np.random.default_rng(2).integers(0, 4, 32)
 
         def program(comm):
-            model = MLP(8, [16], 4, rng=np.random.default_rng(0))
+            model = MLP(8, [16] * 5, 4, rng=np.random.default_rng(0))
             pre = KFAC(model, config, comm=comm)
             local = slice(comm.rank, None, world)
             nn.CrossEntropyLoss()(model(Tensor(x[local])), y[local]).backward()
@@ -211,14 +216,38 @@ class TestWorkloadSpecMemory:
         ranks = run_spmd(world, program)
         spec = workload(ranks[0][1], param_count=ranks[0][2], config=config)
         plan = spec.plan(world, config.grad_worker_frac)
+        held_dims = [
+            Counter(d for group in plan.groups.values() if group.is_grad_worker(rank) for d in (group.layer.a_dim, group.layer.g_dim))
+            for rank in range(world)
+        ]
+        assert any(count % 2 and count > 1 for dims in held_dims for count in dims.values())
         factors, state = plan.factor_bytes_per_rank(), plan.state_bytes_per_rank()
         for rank, (measured, *_) in enumerate(ranks):
             assert measured["factors"] == factors[rank], rank
             assert measured["eigen"] == plan.state_bytes_per_rank("eigen")[rank], rank
             assert measured["solver"] == plan.state_bytes_per_rank("solver")[rank], rank
             assert measured["total"] == factors[rank] + state[rank], rank
-        assert sum(measured["factors"] for measured, *_ in ranks) == spec.factor_bytes
+        if solver != "cg" or frac * world == 1:  # cg keeps a factor on each of its layer's gradient workers
+            assert sum(measured["factors"] for measured, *_ in ranks) == spec.factor_bytes
         held = {key: sum(measured[key] for measured, *_ in ranks) for key in ("eigen", "solver")}
         assert (held["eigen"] > 0) == (solver == "eigen") != (held["solver"] > 0)
-        if world > 1:  # each rank holds the state of its own layer only
-            assert len(set(state.tolist())) == world and state.all()
+        assert state.all()  # every rank is a gradient worker of some layer
+
+    def test_tiny_bert_holds_its_inverses_two_to_a_square_at_world_1(self):
+        """The ``bert`` workload's damped inverses after one step take the paired bytes, not the squares' 5 526 144.
+
+        Dense dims 513 ×2, 512 ×2, 129 ×10, 128 ×10 and 2 ×5 pair as (513, 513), (512, 512), five (129, 129),
+        five (128, 128) and two (2, 2), one 2 alone; the five diagonal G factors of 128 keep their reciprocals:
+        514·513 + 513·512 + 5·130·129 + 5·129·128 + 2·3·2 + 2² + 5·128 = 693 404 float32 elements.
+        """
+        from repro.experiments import build_workload
+        from repro.kfac import KFAC
+
+        built = build_workload("bert", seed=0)
+        pre = KFAC.from_config(built.model, built.config.kfac_config(), skip_modules=built.kfac_skip_modules)
+        built.forward_loss(built.model, next(iter(built.train_loader))).backward()
+        pre.step()
+        usage = pre.memory_usage()
+        pre.remove()
+        assert usage["solver"] == 4 * 693_404 == pre.plan.state_bytes_per_rank("solver")[0]
+        assert usage["total"] == usage["factors"] + usage["solver"] == 5_547_228

@@ -638,5 +638,5 @@ class TestOptimizerStateDict:
         )
         state = trainer.state_dict()
         del state["format"], state["optimizer"]  # as written before the optimizer was serialized
-        with pytest.raises(ValueError, match="format 0, but this version reads only format 4"):
+        with pytest.raises(ValueError, match="format 0, but this version reads only format 5"):
             trainer.load_state_dict(state)
