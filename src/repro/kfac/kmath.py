@@ -593,7 +593,7 @@ class TriangleView:
     partner, the whole square alone.
     """
 
-    __slots__ = ("buffer", "row", "col", "dim", "lower", "nbytes", "_window", "_address", "_uplo", "_n", "_ld")
+    __slots__ = ("buffer", "row", "col", "dim", "lower", "nbytes", "_window", "_address", "_uplo", "_n", "_ld", "_calls")
 
     def __init__(self, buffer: np.ndarray, row: int, col: int, dim: int, lower: bool, share: int) -> None:
         window = buffer[row : row + dim, col : col + dim]
@@ -605,6 +605,7 @@ class TriangleView:
         # Column-major, as BLAS reads the memory, the row-major upper triangle is the lower one.
         self._uplo = b"U" if lower else b"L"
         self._n, self._ld = ctypes.c_int(dim), ctypes.c_int(buffer.shape[1])
+        self._calls: dict = {}  # (side, operand shape, dtype) -> its checked ``?symm`` arguments (_prepare_symm)
 
     @property
     def dtype(self) -> np.dtype:
@@ -642,7 +643,7 @@ class TriangleView:
 
     def astype(self, dtype) -> "TriangleView":
         """This view in ``dtype``: itself, or the same triangle of a converted copy of the buffer."""
-        if np.dtype(dtype) == self.dtype:
+        if self.buffer.dtype == dtype:
             return self
         share = self.nbytes // self.buffer.itemsize
         return TriangleView(self.buffer.astype(dtype), self.row, self.col, self.dim, self.lower, share)
@@ -732,29 +733,29 @@ def symm_product(triangle: TriangleView, x: np.ndarray, side: str, out: Optional
     and the call runs without the interpreter lock.
     """
     x = np.ascontiguousarray(x)
+    call = triangle._calls.get((side, x.shape, x.dtype)) or _prepare_symm(triangle, x, side)
+    routine, flag, uplo, m, n, alpha, address, ld, beta, width = call
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    routine(flag, uplo, m, n, alpha, address, ld, _address(x), width, beta, _address(out), width)
+    return out
+
+
+def _prepare_symm(triangle: TriangleView, x: np.ndarray, side: str) -> tuple:
+    """Check ``x`` against ``triangle`` once and keep the ``?symm`` arguments that hold while its shape does.
+
+    Everything but the operands' addresses: the view's buffer never moves.
+    """
     dtype, (rows, columns) = x.dtype, x.shape
     if triangle.dtype != dtype or dtype not in _SYMM:
         raise TypeError(f"?symm multiplies float32 or float64 operands of one dtype, got {triangle.dtype} and {dtype}")
     if (rows if side == "left" else columns) != triangle.dim:
         raise ValueError(f"cannot multiply a symmetric matrix of dimension {triangle.dim} by an array of {x.shape}")
-    if out is None:
-        out = np.empty((rows, columns), dtype=dtype)
-    (alpha, beta), width = _UNIT_ADDRESS[dtype], ctypes.c_int(max(columns, 1))
-    _SYMM[dtype](
-        b"R" if side == "left" else b"L",
-        triangle._uplo,
-        ctypes.c_int(columns),
-        ctypes.c_int(rows),
-        alpha,
-        triangle._address,
-        triangle._ld,
-        _address(x),
-        width,
-        beta,
-        _address(out),
-        width,
-    )
-    return out
+    (alpha, beta), flag = _UNIT_ADDRESS[dtype], b"R" if side == "left" else b"L"
+    m, n, width = ctypes.c_int(columns), ctypes.c_int(rows), ctypes.c_int(max(columns, 1))
+    call = (_SYMM[dtype], flag, triangle._uplo, m, n, alpha, triangle._address, triangle._ld, beta, width)
+    triangle._calls[side, x.shape, dtype] = call
+    return call
 
 
 def precondition_with_inverse(grad: np.ndarray, inv_a, inv_g) -> np.ndarray:

@@ -341,7 +341,8 @@ class KFACLayer:
 
     def reset_accumulators(self) -> None:
         products, self._products = self._products, []
-        RefreshQueue.drop([task for _, task in products])
+        if products:
+            self.queue.drop([task for _, task in products])
         self._a_accum = None
         self._g_accum = None
         self._a_count = 0

@@ -12,7 +12,9 @@ depend on the thread that runs it, so neither does the trajectory.  A task
 holds references to its inputs, not copies, until it has run or is dropped: a
 fold never writes a published running factor (it makes a new array), so a
 task the worker starts after its step's fold still solves the factors the step
-began with.
+began with.  The worker is one thread looping over two lines, products ahead of
+solves; a task the step takes itself leaves its line, so nothing a step queued
+outlives it.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import functools
+import threading
 import time
+import weakref
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,25 +37,41 @@ from .kernels import STACK_EIGH_MAX_DIM
 __all__ = ["RefreshQueue"]
 
 
-def _solve(task: Callable[[], list]) -> tuple:
-    """``(results, error, seconds)`` of one task: the worker's and the caller's solves are kept alike."""
-    start = time.perf_counter()
-    try:
-        return task(), None, time.perf_counter() - start
-    except Exception as error:  # raised by take(), once every task has returned
-        return None, error, time.perf_counter() - start
+def _work(ready: threading.Condition, lines: Tuple[deque, deque]) -> None:
+    """The worker thread: run the oldest queued product, else the oldest solve, until it meets a ``None``."""
+    while True:
+        with ready:
+            ready.wait_for(lambda: lines[0] or lines[1])
+            task = (lines[0] or lines[1]).popleft()
+            if task is None:
+                return
+            task.future.set_running_or_notify_cancel()
+        task.future.set_result(task.run())
 
 
-@dataclasses.dataclass
+def _enqueue(ready: threading.Condition, line: deque, task: Optional["_Task"]) -> None:
+    """Append ``task`` to the worker's ``line`` and wake the worker."""
+    with ready:
+        line.append(task)
+        ready.notify()
+
+
+@dataclasses.dataclass(eq=False)
 class _Task:
     keys: List[Hashable]  # ``(layer name, "a" | "g")`` of each factor the task is for
     solve: Optional[Callable]  # None once run or dropped, or when making the task already failed
     what: str  # "eigendecomposition", "damped inverse" or "statistics product", for the error message
-    future: Future = dataclasses.field(default_factory=Future)  # of ``_solve(solve)``, on whichever thread
+    future: Future = dataclasses.field(default_factory=Future)  # of :meth:`run`, on whichever thread
+    line: int = 1  # the worker's line it is queued in: 0 for a product, 1 for a solve
 
     def run(self) -> tuple:
+        """``(results, error, seconds)`` of the solve, which the task lets go of: either thread runs it alike."""
         solve, self.solve = self.solve, None
-        return _solve(solve)
+        start = time.perf_counter()
+        try:
+            return solve(), None, time.perf_counter() - start
+        except Exception as error:  # raised by take(), once every task has returned
+            return None, error, time.perf_counter() - start
 
 
 class RefreshQueue:
@@ -69,27 +89,25 @@ class RefreshQueue:
         self.make_task, self.tracer, self.name = make_task, tracer, name
         self.tasks: List[_Task] = []  # pending solves, in submission order
         self._lines = (deque(), deque())  # what the worker runs next: products first, then solves
+        self._ready = threading.Condition()  # guards the lines and every task's leaving them
         self._stats_ms = (0.0, 0.0, 0.0)  # the step's products so far: solve, caller, hidden
-        self._worker: Optional[ThreadPoolExecutor] = None
-
-    @property
-    def worker(self) -> ThreadPoolExecutor:
-        """The one worker thread, started on first use and joined by :meth:`close`."""
-        if self._worker is None:
-            self._worker = ThreadPoolExecutor(1, thread_name_prefix=self.name)
-        return self._worker
+        self.worker: Optional[threading.Thread] = None  # started by the first task, joined by close()
 
     def _dispatch(self, task: _Task, line: int) -> None:
-        self._lines[line].append(task)
-        self.worker.submit(self._run_next)
+        if self.worker is None:
+            self.worker = threading.Thread(target=_work, args=(self._ready, self._lines), name=self.name, daemon=True)
+            self._stop = weakref.finalize(self, _enqueue, self._ready, self._lines[0], None)  # once collected, too
+            self.worker.start()
+        task.line = line
+        _enqueue(self._ready, self._lines[line], task)
 
-    def _run_next(self) -> None:
-        """On the worker: run the oldest product no caller took (``Future.cancel``), else the oldest such solve."""
-        for line in self._lines:
-            while line:
-                task = line.popleft()
-                if task.future.set_running_or_notify_cancel():
-                    return task.future.set_result(task.run())
+    def _claim(self, task: _Task) -> bool:
+        """Cancel ``task`` and take it out of the worker's line if it still waits there: True when the caller has it."""
+        with self._ready:  # the worker starts what it takes from a line under the same lock
+            if task.future.done() or not task.future.cancel():
+                return False
+            self._lines[task.line].remove(task)
+            return True
 
     def submit(self, factors: Iterable[Tuple[Hashable, np.ndarray, FactorRepr, Optional[float]]]) -> None:
         """Make the task of each ``(key, factor, repr, damping)`` now and queue it; a key already pending is skipped.
@@ -135,7 +153,7 @@ class RefreshQueue:
         part no caller waited for.
         """
         start = time.perf_counter()
-        here = [task.future.cancel() and task.run() for task in tasks]
+        here = [self._claim(task) and task.run() for task in tasks]
         outcomes = [mine or task.future.result() for mine, task in zip(here, tasks)]
         wait_ms = (time.perf_counter() - start) * 1e3
         for task, (_, error, _) in zip(tasks, outcomes):
@@ -171,10 +189,9 @@ class RefreshQueue:
         outcomes, self._stats_ms = self._settle(tasks, "stats", self._stats_ms)
         return [result for result, _, _ in outcomes]
 
-    @staticmethod
-    def drop(tasks: Sequence[_Task]) -> None:
+    def drop(self, tasks: Sequence[_Task]) -> None:
         """Cancel ``tasks`` the worker has not started and wait for the one it runs; each lets go of its inputs."""
-        wait([task.future for task in tasks if not task.future.cancel()])
+        wait([task.future for task in tasks if not self._claim(task)])
         for task in tasks:
             task.solve = None
 
@@ -184,8 +201,9 @@ class RefreshQueue:
         self.tasks, self._stats_ms = [], (0.0, 0.0, 0.0)
 
     def close(self) -> None:
-        """:meth:`cancel`, then join the worker thread; safe to call again."""
+        """:meth:`cancel`, then join the worker thread once it has run the products still queued; safe to call again."""
         self.cancel()
-        if self._worker is not None:
-            self._worker.shutdown(wait=True)
-            self._worker = None
+        if self.worker is not None:
+            self._stop()
+            self.worker.join()
+            self.worker = None

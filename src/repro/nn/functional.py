@@ -23,7 +23,9 @@ only differ in how they view their data as a slab:
 * the fused :class:`Conv2dFunction` node works channel-major with the batch
   innermost, ``A = C``, ``B = N``, so every one of the ``kh*kw`` copies moves
   runs of ``out_w*N`` contiguous floats and the whole layer is one GEMM
-  ``(out_c, C*kh*kw) @ (C*kh*kw, out_h*out_w*N)``.
+  ``(out_c, C*kh*kw) @ (C*kh*kw, out_h*out_w*N)``.  At stride 1 its input
+  gradient is the same extraction over the padded output gradient and one
+  GEMM more, with no fold (:func:`_conv_input_grad`).
 
 Public tensors are ``NCHW`` throughout.
 """
@@ -66,13 +68,21 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # --------------------------------------------------------------------------
 # The slab kernel: one patch extraction, one fold
 # --------------------------------------------------------------------------
-def _padded_slab(slab: np.ndarray, padding: int) -> np.ndarray:
-    """An ``(A, H, W, B)`` view as a contiguous array with ``padding`` zeros around H and W."""
-    if padding == 0:
+def _padded_slab(slab: np.ndarray, padding) -> np.ndarray:
+    """An ``(A, H, W, B)`` view as a contiguous array with ``padding`` zeros around H and W.
+
+    ``padding`` is one amount for both axes or ``(ph, pw)``; a negative amount
+    crops that many rows (columns) from each side instead.
+    """
+    ph, pw = (padding, padding) if isinstance(padding, int) else padding
+    crop_h, crop_w = max(-ph, 0), max(-pw, 0)
+    slab = slab[:, crop_h : slab.shape[1] - crop_h, crop_w : slab.shape[2] - crop_w]
+    ph, pw = max(ph, 0), max(pw, 0)
+    if ph == pw == 0:
         return np.ascontiguousarray(slab)
     a, h, w, b = slab.shape
-    padded = np.zeros((a, h + 2 * padding, w + 2 * padding, b), dtype=slab.dtype)
-    padded[:, padding : padding + h, padding : padding + w] = slab
+    padded = np.zeros((a, h + 2 * ph, w + 2 * pw, b), dtype=slab.dtype)
+    padded[:, ph : ph + h, pw : pw + w] = slab
     return padded
 
 
@@ -179,12 +189,36 @@ def conv_patch_matrix(x: np.ndarray, kernel: Tuple[int, int], stride: int, paddi
     return patches.reshape(x.shape[1] * kh * kw, -1)
 
 
+def _conv_input_grad(weight: np.ndarray, grad2: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
+    """A convolution's input gradient ``(N, C, H, W)`` from its output gradient ``grad2`` ``(out_c, out_h*out_w*N)``.
+
+    At stride 1 it is the correlation of the output gradient, zero-padded by
+    ``(kh-1-p, kw-1-p)``, with the flipped, channel-transposed kernel: the
+    forward's own patch extraction and one GEMM
+    ``(C, out_c*kh*kw) @ (out_c*kh*kw, H*W*N)``.  At a larger stride that
+    correlation would run over a dilated gradient, mostly zeros, so the
+    gradient of the patches ``(C*kh*kw, out_c) @ grad2`` is folded back
+    instead (:func:`_fold_patches`, kh*kw strided scatter-adds).
+    """
+    n, c, h, w = x_shape
+    out_c, _, kh, kw = weight.shape
+    out_h, out_w = conv_output_size(h, kh, stride, padding), conv_output_size(w, kw, stride, padding)
+    if stride == 1:
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        slab = _padded_slab(grad2.reshape(out_c, out_h, out_w, n), (kh - 1 - padding, kw - 1 - padding))
+        grad_x = flipped @ _extract_patches(slab, (kh, kw), 1).reshape(out_c * kh * kw, -1)
+        return np.ascontiguousarray(grad_x.reshape(c, h, w, n).transpose(3, 0, 1, 2))
+    grad_patches = (weight.reshape(out_c, -1).T @ grad2).reshape(c, kh, kw, out_h, out_w, n)
+    return np.ascontiguousarray(_fold_patches(grad_patches, h, w, stride, padding).transpose(3, 0, 1, 2))
+
+
 class Conv2dFunction(Function):
     """A whole ``Conv2d`` call as one autograd node: one GEMM forward, two backward.
 
     ``cols`` (the patch matrix, see :func:`conv_patch_matrix`) is built once
     in ``forward`` and kept on the node for ``backward`` and for whoever
-    observes the call through a forward hook (``output._ctx.cols``).
+    observes the call through a forward hook (``output._ctx.cols``).  The
+    input gradient is :func:`_conv_input_grad`'s.
     """
 
     def forward(self, x, weight, bias=None, *, stride, padding):
@@ -200,18 +234,15 @@ class Conv2dFunction(Function):
         return np.ascontiguousarray(out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2))
 
     def backward(self, grad):
-        weight, (n, c, h, w), stride, padding = self.saved
-        out_c, _, kh, kw = weight.shape
-        out_h, out_w = grad.shape[2:]
+        weight, x_shape, stride, padding = self.saved
         needs_x, needs_weight = self.needs_input_grad[:2]
-        grad2 = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(out_c, -1)
+        grad2 = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(weight.shape[0], -1)
         grad_x = grad_weight = None
         if needs_weight:
             # grad2 @ colsᵀ, taken as (cols @ grad2ᵀ)ᵀ: BLAS is ~2x faster with the long axis leading.
             grad_weight = (self.cols @ grad2.T).T.reshape(weight.shape)
         if needs_x:
-            grad_patches = (weight.reshape(out_c, -1).T @ grad2).reshape(c, kh, kw, out_h, out_w, n)
-            grad_x = np.ascontiguousarray(_fold_patches(grad_patches, h, w, stride, padding).transpose(3, 0, 1, 2))
+            grad_x = _conv_input_grad(weight, grad2, x_shape, stride, padding)
         if len(self.parents) == 2:
             return grad_x, grad_weight
         return grad_x, grad_weight, (grad2.sum(axis=1) if self.needs_input_grad[2] else None)

@@ -3,6 +3,7 @@ against the composites they replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from composite_oracle import (
     attention_composite,
@@ -51,6 +52,16 @@ def backward_through(conv_fn, arrays, dtype, stride, padding, probe=None):
     return out.data, [None if p is None else p.grad for p in parents], probe
 
 
+def fold_reference(weight, probe, x_shape, stride, padding):
+    """The input gradient of a conv with output gradient ``probe`` ``(N, out_c, out_h, out_w)``, by the fold."""
+    n, c, h, w = x_shape
+    out_c, _, kh, kw = weight.shape
+    out_h, out_w = probe.shape[2:]
+    grad2 = np.ascontiguousarray(probe.transpose(1, 2, 3, 0)).reshape(out_c, -1)
+    patches = (weight.reshape(out_c, -1).T @ grad2).reshape(c, kh, kw, out_h, out_w, n)
+    return F._fold_patches(patches, h, w, stride, padding).transpose(3, 0, 1, 2)
+
+
 class TestConv2dNode:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -95,10 +106,10 @@ class TestConv2dNode:
         assert out.shape == (2, 3, 5, 6) and out.data.flags.c_contiguous
 
     def test_constant_input_skips_grad_x_and_keeps_weight_grads(self, monkeypatch):
-        """A conv on data (the stem) never folds a gradient back to its input."""
-        folds = []
-        fold = F._fold_patches
-        monkeypatch.setattr(F, "_fold_patches", lambda *args: folds.append(1) or fold(*args))
+        """A conv on data (the stem) never computes a gradient for its input."""
+        calls = []
+        input_grad = F._conv_input_grad
+        monkeypatch.setattr(F, "_conv_input_grad", lambda *args: calls.append(1) or input_grad(*args))
         arrays = conv_problem(3, True)
         probe = np.random.default_rng(1).standard_normal((2, 3, 5, 6)).astype(np.float32)
 
@@ -111,11 +122,52 @@ class TestConv2dNode:
             return x.grad, weight.grad, bias.grad
 
         _, weight_grad, bias_grad = run(True)
-        assert len(folds) == 1
+        assert len(calls) == 1
         grad_x, const_weight_grad, const_bias_grad = run(False)
-        assert len(folds) == 1 and grad_x is None
+        assert len(calls) == 1 and grad_x is None
         np.testing.assert_array_equal(const_weight_grad, weight_grad)
         np.testing.assert_array_equal(const_bias_grad, bias_grad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.tuples(st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 2, 3, 5])),
+        data=st.data(),
+        batch=st.integers(1, 4),
+        channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stride_one_input_gradient_is_the_fold_without_folding(self, kernel, data, batch, channels, dtype, seed):
+        """At stride 1 the input gradient is one correlation GEMM: the folded patch gradient within rounding."""
+        (kh, kw), (in_c, out_c) = kernel, channels
+        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
+        height, width = data.draw(st.integers(kh, 9), label="height"), data.draw(st.integers(kw, 9), label="width")
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((batch, in_c, height, width)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.standard_normal((out_c, in_c, kh, kw)).astype(dtype), requires_grad=True)
+        folds = []
+        with pytest.MonkeyPatch.context() as patch:
+            fold = F._fold_patches
+            patch.setattr(F, "_fold_patches", lambda *args: folds.append(1) or fold(*args))
+            out = F.conv2d(x, weight, None, 1, padding)
+            probe = rng.standard_normal(out.shape).astype(dtype)
+            (out * Tensor(probe)).sum().backward()
+        assert folds == []
+        reference = fold_reference(weight.data, probe, x.shape, 1, padding)
+        assert x.grad.dtype == dtype and x.grad.flags.c_contiguous
+        tol = 1e-12 if dtype is np.float64 else 1e-5
+        assert np.abs(x.grad - reference).max() <= tol * np.abs(reference).max()
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+    def test_stride_two_input_gradient_takes_the_fold(self, monkeypatch, kernel, padding):
+        folds = []
+        fold = F._fold_patches
+        monkeypatch.setattr(F, "_fold_patches", lambda *args: folds.append(1) or fold(*args))
+        x, weight, bias = conv_problem(kernel, False, seed=4)
+        _, (grad_x, _, _), probe = backward_through(F.conv2d, (x, weight, bias), np.float64, 2, padding)
+        assert len(folds) == 1
+        np.testing.assert_array_equal(grad_x, fold_reference(weight, probe, x.shape, 2, padding))
 
     def test_frozen_weight_gets_no_gradient(self):
         x, weight, _ = conv_problem(3, False)

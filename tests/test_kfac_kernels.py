@@ -54,6 +54,7 @@ from repro.kfac import (
 )
 from repro.kfac.kernels import STACK_EIGH_MAX_DIM
 from repro.kfac.kmath import (
+    TriangleView,
     expand_symmetric,
     expand_triangle,
     hold_triangles,
@@ -785,6 +786,24 @@ print(differ)
             symm_product(views[0], np.zeros((9, 2)), "left")
         with pytest.raises(ValueError, match="cannot multiply"):
             symm_product(views[0], np.zeros((2, 8), np.float32), "right")
+
+    def test_a_prepared_call_reads_the_triangle_as_it_stands(self):
+        """A view prepares its ``?symm`` call once per side and operand shape: a later install is read through it,
+        bitwise what an unprepared view of the same buffer gives, and a wrong dtype or dimension is still refused."""
+        views, _ = self.installed([9, 8], np.float32, 3)
+        rng = np.random.default_rng(4)
+        shapes = {"left": (9, 5), "right": (3, 9)}
+        operands = {side: rng.standard_normal(shape).astype(np.float32) for side, shape in shapes.items()}
+        for side, x in operands.items():
+            symm_product(views[0], x, side)
+        views[0].install(pack_triangle(symmetric(9, 7, np.float32)))
+        fresh = TriangleView(views[0].buffer, views[0].row, views[0].col, 9, views[0].lower, views[0].nbytes // 4)
+        for side, x in operands.items():
+            assert symm_product(views[0], x, side).tobytes() == symm_product(fresh, x, side).tobytes()
+        with pytest.raises(TypeError, match="one dtype"):
+            symm_product(views[0], operands["left"].astype(np.float64), "left")
+        with pytest.raises(ValueError, match="cannot multiply"):
+            symm_product(views[0], operands["right"], "left")
 
     def test_scipys_openblas_runs_on_one_thread(self):
         """Importing the kernels leaves the OpenBLAS behind SciPy's capsules on one thread, so its pool never spins

@@ -50,12 +50,12 @@ def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, se
 def blocked_eigen_worker(pre):
     """Occupy ``pre``'s eigen worker until the block exits: every solve submitted meanwhile waits in its queue."""
     release = threading.Event()
-    blocker = pre.refresh.worker.submit(release.wait, 10)
+    blocker = pre.refresh.defer(("blocker", "a"), lambda: release.wait(10))  # products run ahead of solves
     try:
         yield
     finally:
         release.set()
-        blocker.result(timeout=10)
+        blocker.future.result(timeout=10)
 
 
 class TestConstruction:
@@ -888,19 +888,43 @@ class TestEigenWorker:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         x, y = make_problem()
         training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)  # step 1 refreshes nothing
-        worker, release = pre.refresh.worker, threading.Event()
-        blocker = worker.submit(release.wait, 10)
-        shutdown = worker.shutdown
+        release = threading.Event()
+        blocker = pre.refresh.defer(("blocker", "a"), lambda: release.wait(10))  # products run ahead of solves
+        worker = pre.refresh.worker
+        join = worker.join
         # remove() joins the worker last; only then may the blocker return.
-        monkeypatch.setattr(worker, "shutdown", lambda wait=True: (release.set(), shutdown(wait=wait)))
+        monkeypatch.setattr(worker, "join", lambda *args: (release.set(), join(*args)))
         nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()
         futures = [task.future for task in pre.refresh.tasks]
         assert len(futures) == 6  # four factors above dimension 32, the 11 and the 3 stacked alone
         start = time.perf_counter()
         pre.remove()
         assert time.perf_counter() - start < 5  # no solve queued behind the blocker was waited for
-        assert blocker.done() and all(future.cancelled() for future in futures)
-        assert not any(thread.is_alive() for thread in worker._threads)
+        assert blocker.future.done() and all(future.cancelled() for future in futures)
+        assert not worker.is_alive()
+
+    def test_a_late_worker_starts_nothing_the_steps_took_themselves(self, monkeypatch):
+        """Gated through two steps that solve and form everything on the caller, the worker, once released, starts
+        the next task and nothing of those steps."""
+        model = MLP(10, [40, 36], 3, rng=np.random.default_rng(0))
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        x, y = make_problem()
+        started, start = [], Future.set_running_or_notify_cancel
+
+        def spy(future):
+            if threading.current_thread().name.startswith(pre.refresh.name):
+                started.append(future)
+            return start(future)
+
+        monkeypatch.setattr(Future, "set_running_or_notify_cancel", spy)
+        gate = threading.Event()
+        gated = pre.refresh.defer(("gate", "a"), lambda: gate.wait(10))
+        training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=2)
+        after = pre.refresh.defer(("after", "a"), lambda: None)
+        gate.set()
+        after.future.result(timeout=10)
+        assert started == [gated.future, after.future]
+        pre.remove()
 
     def test_a_stacked_eigh_that_does_not_converge_names_the_one_member_that_fails(self, monkeypatch):
         model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))  # A 7, 17, 17 and G 16, 16, 3: two stacks of two

@@ -51,12 +51,12 @@ class Recorder:
 def blocked(queue):
     """Occupy ``queue``'s worker until the block exits: every task submitted meanwhile waits behind it."""
     release = threading.Event()
-    blocker = queue.worker.submit(release.wait, 10)
+    blocker = queue.defer(("blocker", "a"), lambda: release.wait(10))  # products run ahead of solves
     try:
         yield
     finally:
         release.set()
-        blocker.result(timeout=10)
+        blocker.future.result(timeout=10)
 
 
 def make_queue(task):
@@ -297,7 +297,7 @@ def test_drop_withdraws_the_unstarted_products_and_lets_go_of_their_inputs():
         ref = weakref.ref(buffer)
         task = queue.defer(("l0", "a"), lambda buffer=buffer: buffer * 2)
         del buffer
-        RefreshQueue.drop([task])
+        queue.drop([task])
         gc.collect()
         assert task.future.cancelled() and ref() is None
     queue.close()
