@@ -1,16 +1,16 @@
 """Functional building blocks: the fused layer nodes, log-softmax, one-hot.
 
 ``Conv2d``, ``BatchNorm2d``, ``Linear``, ``LayerNorm``, ``GELU``, softmax, the
-attention core and the masked-LM loss each run as a single autograd node
+attention core and softmax cross entropy each run as a single autograd node
 (:class:`Conv2dFunction`, :class:`BatchNorm2dFunction`, :class:`LinearFunction`,
 :class:`LayerNormFunction`, :class:`GeluFunction`, :class:`SoftmaxFunction`,
-:class:`AttentionFunction`, :class:`MaskedLMLossFunction`) whose backward is
-written out by hand, ``needs_input_grad``-aware.  A layer node keeps the one
-buffer the layer's K-FAC statistics are the second moment of -- the patch
-matrix, the flattened activation, ``x_hat`` -- so the handlers in
-:mod:`repro.kfac.layers` read ``output._ctx`` instead of rebuilding it; the
-buffer dies with the graph.  ``log_softmax`` (under ``CrossEntropyLoss``) is
-still a composite of tensor ops.
+:class:`AttentionFunction`, :class:`CrossEntropyFunction`) whose backward is
+written out by hand, ``needs_input_grad``-aware, in its inputs' dtype.  A
+layer node keeps the one buffer the layer's K-FAC statistics are the second
+moment of -- the patch matrix, the flattened activation, ``x_hat`` -- so the
+handlers in :mod:`repro.kfac.layers` read ``output._ctx`` instead of
+rebuilding it; the buffer dies with the graph.  ``log_softmax`` is a public
+composite of tensor ops that no loss uses.
 
 Patch extraction has one implementation (:func:`_extract_patches` and its
 adjoint :func:`_fold_patches`) that works on a *slab* ``(A, H, W, B)`` -- the
@@ -55,7 +55,7 @@ __all__ = [
     "scaled_dot_product_attention",
     "log_softmax",
     "gelu",
-    "masked_lm_loss",
+    "cross_entropy",
     "one_hot",
 ]
 
@@ -574,47 +574,57 @@ def gelu(x: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Fused masked-LM loss
+# Fused softmax cross entropy
 # --------------------------------------------------------------------------
-class MaskedLMLossFunction(Function):
-    """Mean cross entropy over the positions whose target is not ``ignore_index``, as one node.
+class CrossEntropyFunction(Function):
+    """Mean softmax cross entropy over the rows whose target is not ``ignore_index``, as one node.
 
-    Gathers the valid rows of the ``(N, L, V)`` logits, takes their
-    log-softmax and the mean negative log-likelihood of the targets; the
-    rows' softmax stays on the node, so ``backward`` writes ``(softmax -
-    onehot) / n`` into the valid rows of a zero gradient.  With every position
-    ignored the loss is zero and so is its gradient.
+    Gathers the valid rows of the ``(..., C)`` logits and takes the mean of
+    ``logsumexp - (1-ε)·logit[target] - ε·mean(logits)`` (label smoothing ``ε``
+    in closed form) in the logits' dtype; the rows' softmax stays on the node,
+    so ``backward`` writes ``(softmax - ((1-ε)·onehot + ε/C)) / n`` into the
+    valid rows of a zero gradient.  With every row ignored the loss is zero
+    and so is its gradient.
     """
 
-    def forward(self, logits, targets, *, ignore_index):
+    def forward(self, logits, targets, *, ignore_index, label_smoothing):
         flat_targets = targets.reshape(-1)
         valid = np.flatnonzero(flat_targets != ignore_index)
         picked = (np.arange(valid.size), flat_targets[valid])
         probs = logits.reshape(-1, logits.shape[-1])[valid]
-        self.save_for_backward(logits.shape, valid, picked, probs)
+        self.save_for_backward(logits.shape, valid, picked, probs, label_smoothing)
         if valid.size == 0:
             return np.zeros((), dtype=logits.dtype)
         probs -= probs.max(axis=-1, keepdims=True)
         target_logits = probs[picked]
+        if label_smoothing:
+            target_logits = (1.0 - label_smoothing) * target_logits + label_smoothing * probs.mean(axis=-1)
         np.exp(probs, out=probs)
         normalizer = probs.sum(axis=-1, keepdims=True)
         probs /= normalizer
         return -(target_logits - np.log(normalizer[:, 0])).mean()
 
     def backward(self, grad):
-        shape, valid, picked, probs = self.saved
+        shape, valid, picked, probs, label_smoothing = self.saved
         grad_logits = np.zeros(shape, dtype=probs.dtype)
         if valid.size:
-            rows = probs * (grad / valid.size)
-            rows[picked] -= grad / valid.size
+            scale = grad / valid.size
+            rows = probs * scale
+            rows[picked] -= (1.0 - label_smoothing) * scale
+            if label_smoothing:
+                rows -= label_smoothing / shape[-1] * scale
             grad_logits.reshape(-1, shape[-1])[valid] = rows
         return (grad_logits,)
 
 
-def masked_lm_loss(logits: Tensor, targets: np.ndarray, ignore_index: int = -100) -> Tensor:
-    """Masked-LM cross entropy of ``(N, L, V)`` logits against ``(N, L)`` integer targets as a single node."""
+def cross_entropy(
+    logits: Tensor, targets: np.ndarray, ignore_index: int = -100, label_smoothing: float = 0.0
+) -> Tensor:
+    """Softmax cross entropy of ``(..., C)`` logits against integer targets of the leading shape, as a single node."""
     targets = np.asarray(targets, dtype=np.int64)
-    return MaskedLMLossFunction.apply(logits, targets, ignore_index=int(ignore_index))
+    return CrossEntropyFunction.apply(
+        logits, targets, ignore_index=int(ignore_index), label_smoothing=float(label_smoothing)
+    )
 
 
 def one_hot(indices: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:

@@ -1,13 +1,16 @@
-"""Loss functions for the paper's workloads."""
+"""Loss functions for the paper's workloads.
+
+``CrossEntropyLoss`` and ``MaskedLMCrossEntropyLoss`` are thin wrappers over
+the one softmax cross-entropy node, :func:`repro.nn.functional.cross_entropy`;
+the others are composites of tensor ops.
+"""
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from ..tensor import Tensor
-from .functional import log_softmax, masked_lm_loss
+from .functional import cross_entropy
 from .module import Module
 
 __all__ = [
@@ -30,14 +33,7 @@ class CrossEntropyLoss(Module):
         self.label_smoothing = float(label_smoothing)
 
     def forward(self, logits: Tensor, targets) -> Tensor:
-        targets = np.asarray(targets, dtype=np.int64)
-        n, num_classes = logits.shape
-        logp = log_softmax(logits, axis=-1)
-        nll = -logp[np.arange(n), targets].mean()
-        if self.label_smoothing > 0.0:
-            smooth = -logp.mean(axis=-1).mean()
-            return (1.0 - self.label_smoothing) * nll + self.label_smoothing * smooth
-        return nll
+        return cross_entropy(logits, targets, label_smoothing=self.label_smoothing)
 
 
 class MaskedLMCrossEntropyLoss(Module):
@@ -52,7 +48,7 @@ class MaskedLMCrossEntropyLoss(Module):
         self.ignore_index = int(ignore_index)
 
     def forward(self, logits: Tensor, targets) -> Tensor:
-        return masked_lm_loss(logits, targets, self.ignore_index)
+        return cross_entropy(logits, targets, self.ignore_index)
 
 
 class BCEWithLogitsLoss(Module):

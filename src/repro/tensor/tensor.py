@@ -647,8 +647,8 @@ class Mean(Function):
 class Max(Function):
     def forward(self, a, axis, keepdims):
         out = a.max(axis=axis, keepdims=True)
-        mask = (a == out)
-        mask = mask / mask.sum(axis=axis, keepdims=True)
+        mask = (a == out).astype(a.dtype)
+        mask /= mask.sum(axis=axis, keepdims=True)
         self.save_for_backward(mask, axis, keepdims, a.shape)
         if not keepdims:
             out = np.squeeze(out, axis=axis) if axis is not None else out.reshape(())

@@ -6,7 +6,7 @@ matmul and elementwise tensor ops, so both the values and the gradients of
 :func:`repro.nn.functional.linear` / :func:`repro.nn.functional.layer_norm` /
 :func:`repro.nn.functional.gelu` / :func:`repro.nn.functional.softmax` /
 :func:`repro.nn.functional.scaled_dot_product_attention` /
-:func:`repro.nn.functional.masked_lm_loss` can be compared against an
+:func:`repro.nn.functional.cross_entropy` can be compared against an
 independent derivation by the tape.  :func:`use_composite_transformer` puts a
 whole model back on them.
 """
@@ -102,18 +102,23 @@ def attention_composite(q: Tensor, k: Tensor, v: Tensor, bias, scale: float, dro
     return weights @ v  # (N, H, L, d)
 
 
-def masked_lm_loss_composite(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
-    """reshape -> gather valid rows -> log-softmax -> gather targets -> mean."""
-    targets = np.asarray(targets, dtype=np.int64)
-    n, length, vocab = logits.shape
-    flat_logits = logits.reshape(n * length, vocab)
-    flat_targets = targets.reshape(-1)
+def cross_entropy_composite(logits: Tensor, targets, ignore_index: int = -100, label_smoothing: float = 0.0) -> Tensor:
+    """reshape -> gather valid rows -> log-softmax -> gather targets -> mean (plus the smoothing term's two means).
+
+    ``nn.CrossEntropyLoss`` ran this chain (without the gather) before the
+    fused node; the smoothed loss is ``(1-ε)·nll + ε·mean(-log_softmax)``.
+    """
+    flat_targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    flat_logits = logits.reshape(-1, logits.shape[-1])
     valid = np.nonzero(flat_targets != ignore_index)[0]
     if valid.size == 0:
         return (flat_logits * 0.0).sum()
-    selected = flat_logits[valid]
-    logp = F.log_softmax(selected, axis=-1)
-    return -logp[np.arange(valid.size), flat_targets[valid]].mean()
+    logp = F.log_softmax(flat_logits[valid], axis=-1)
+    nll = -logp[np.arange(valid.size), flat_targets[valid]].mean()
+    if label_smoothing > 0.0:
+        smooth = -logp.mean(axis=-1).mean()
+        return (1.0 - label_smoothing) * nll + label_smoothing * smooth
+    return nll
 
 
 def attention_forward_composite(self, x: Tensor, attention_mask=None) -> Tensor:
@@ -139,5 +144,5 @@ def use_composite_transformer(monkeypatch) -> None:
     monkeypatch.setattr(
         nn.MaskedLMCrossEntropyLoss,
         "forward",
-        lambda self, logits, targets: masked_lm_loss_composite(logits, targets, self.ignore_index),
+        lambda self, logits, targets: cross_entropy_composite(logits, targets, self.ignore_index),
     )

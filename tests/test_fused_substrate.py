@@ -1,4 +1,4 @@
-"""The fused autograd nodes (Conv2d, BatchNorm2d, Linear, LayerNorm, GELU, softmax, attention, masked-LM loss)
+"""The fused autograd nodes (Conv2d, BatchNorm2d, Linear, LayerNorm, GELU, softmax, attention, cross entropy)
 against the composites they replaced."""
 
 import numpy as np
@@ -9,10 +9,10 @@ from composite_oracle import (
     attention_composite,
     batchnorm2d_composite,
     conv2d_composite,
+    cross_entropy_composite,
     gelu_composite,
     layernorm_composite,
     linear_composite,
-    masked_lm_loss_composite,
     softmax_composite,
 )
 from gradcheck import check_gradient, graph_nodes, numerical_gradient
@@ -649,8 +649,8 @@ class TestMaskedLMLossNode:
     def test_matches_composite(self, case, dtype):
         logits, targets = mlm_problem(MLM_TARGETS[case])
         probe = np.asarray(1.7)
-        got = run_layer(F.masked_lm_loss, (logits,), dtype, probe, extra=(targets, IGNORE))
-        assert_matches(got, run_layer(masked_lm_loss_composite, (logits,), dtype, probe, extra=(targets, IGNORE)))
+        got = run_layer(F.cross_entropy, (logits,), dtype, probe, extra=(targets, IGNORE))
+        assert_matches(got, run_layer(cross_entropy_composite, (logits,), dtype, probe, extra=(targets, IGNORE)))
         out, (grad,) = got
         assert out.shape == ()
         ignored = targets == IGNORE
@@ -664,14 +664,14 @@ class TestMaskedLMLossNode:
     def test_gradcheck_float64(self, case):
         logits, targets = mlm_problem(MLM_TARGETS[case], seed=1, vocab=5)
         targets = np.minimum(targets, 4)
-        check_gradient(lambda t: F.masked_lm_loss(t, targets, IGNORE), logits, atol=1e-7, rtol=1e-6)
+        check_gradient(lambda t: F.cross_entropy(t, targets, IGNORE), logits, atol=1e-7, rtol=1e-6)
 
     def test_module_records_exactly_one_node_and_backward_repeats(self):
         logits, targets = mlm_problem(MLM_TARGETS["duplicate_targets"], seed=2)
         source = Tensor(logits.astype(np.float32), requires_grad=True)
         loss = nn.MaskedLMCrossEntropyLoss()(source, targets)
         (node,) = graph_nodes(loss)
-        assert isinstance(node, F.MaskedLMLossFunction) and node.parents == (source,)
+        assert isinstance(node, F.CrossEntropyFunction) and node.parents == (source,)
         loss.backward()
         first = source.grad.copy()
         loss.backward()
@@ -680,8 +680,72 @@ class TestMaskedLMLossNode:
         # Another ignore_index is honoured the same way.
         targets = np.where(targets == IGNORE, 0, targets)
         other = nn.MaskedLMCrossEntropyLoss(ignore_index=0)(Tensor(logits.astype(np.float32)), targets)
-        reference = masked_lm_loss_composite(Tensor(logits.astype(np.float32)), targets, ignore_index=0)
+        reference = cross_entropy_composite(Tensor(logits.astype(np.float32)), targets, ignore_index=0)
         np.testing.assert_allclose(other.data, reference.data, **NODE_TOL)
+
+
+@st.composite
+def cross_entropy_problems(draw):
+    """Float64 logits of ``leading + (C,)`` and targets with about a third of the rows ignored."""
+    leading = draw(st.sampled_from([(1,), (5,), (9,), (2, 3), (3, 4)]))
+    classes = draw(st.integers(2, 7))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal(leading + (classes,)) * draw(st.sampled_from([0.5, 3.0, 20.0]))
+    targets = rng.integers(0, classes, size=leading)
+    targets[rng.random(leading) < draw(st.sampled_from([0.0, 0.35, 1.0]))] = IGNORE
+    return logits, targets
+
+
+class TestCrossEntropyNode:
+    """``F.cross_entropy``: ``(..., C)`` logits, ignored rows and closed-form label smoothing in one node."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=cross_entropy_problems(), smoothing=st.sampled_from([0.0, 0.1, 0.3]))
+    def test_matches_composite_in_float64(self, problem, smoothing):
+        logits, targets = problem
+        probe = np.asarray(0.7)
+        got = run_layer(F.cross_entropy, (logits,), np.float64, probe, extra=(targets, IGNORE, smoothing))
+        ref = run_layer(cross_entropy_composite, (logits,), np.float64, probe, extra=(targets, IGNORE, smoothing))
+        (out, (grad,)), (ref_out, (ref_grad,)) = got, ref
+        assert out.dtype == grad.dtype == np.float64 and out.shape == () and grad.shape == logits.shape
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-14)
+        ignored = targets == IGNORE
+        assert not grad[ignored].any()
+        if ignored.all():
+            assert out.item() == 0.0 and not grad.any()  # a zero loss that backpropagates zeros
+        else:
+            # The closed form: (softmax - ((1-ε)·onehot + ε/C)) / n on every kept row.
+            rows = logits[~ignored]
+            softmax = np.exp(rows - rows.max(axis=-1, keepdims=True))
+            softmax /= softmax.sum(axis=-1, keepdims=True)
+            smoothed = (1.0 - smoothing) * np.eye(logits.shape[-1])[targets[~ignored]] + smoothing / logits.shape[-1]
+            np.testing.assert_allclose(grad[~ignored], probe * (softmax - smoothed) / rows.shape[0], atol=1e-14)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("leading", [(4,), (2, 3)])
+    def test_gradcheck_float64(self, leading, smoothing):
+        rng = np.random.default_rng(3)
+        logits = rng.standard_normal(leading + (5,)) * 2.0
+        targets = rng.integers(0, 5, size=leading)
+        targets.reshape(-1)[1] = IGNORE
+        check_gradient(lambda t: F.cross_entropy(t, targets, IGNORE, smoothing), logits, atol=1e-7, rtol=1e-6)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_float32_logits_get_a_float32_loss_and_gradient(self, smoothing):
+        logits = Tensor(np.random.default_rng(4).standard_normal((6, 4)).astype(np.float32), requires_grad=True)
+        loss = F.cross_entropy(logits, np.array([0, 3, 1, IGNORE, 2, 2]), label_smoothing=smoothing)
+        loss.backward()
+        assert loss.dtype == logits.grad.dtype == np.float32
+
+    def test_module_records_exactly_one_node_whose_only_parent_is_the_logits(self):
+        source = Tensor(np.random.default_rng(5).standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        loss = nn.CrossEntropyLoss(label_smoothing=0.1)(source, [0, 2, 1, 1])
+        (node,) = graph_nodes(loss)
+        assert isinstance(node, F.CrossEntropyFunction) and node.parents == (source,)
+        reference = cross_entropy_composite(source, [0, 2, 1, 1], label_smoothing=0.1)
+        np.testing.assert_allclose(loss.data, reference.data, **NODE_TOL)
 
 
 # ------------------------------------------------------------------------------ module hooks

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad, is_grad_enabled, float16, float32
 from repro.tensor import tensor as tape
 from repro.tensor.tensor import _unbroadcast
@@ -113,6 +114,18 @@ class TestReductionsAndShapes:
     def test_max_reduction(self):
         data = np.array([[1.0, 5.0], [7.0, 2.0]], dtype=np.float32)
         np.testing.assert_allclose(Tensor(data).max(axis=1).numpy(), [5.0, 7.0])
+
+    @pytest.mark.parametrize("axis, keepdims", [(1, False), (0, True), (None, False)])
+    def test_max_gradient_keeps_the_input_dtype_and_splits_ties(self, axis, keepdims):
+        data = np.array([[1.0, 5.0, 5.0], [7.0, 2.0, 3.0]], dtype=np.float32)
+        t = Tensor(data, requires_grad=True)
+        t.max(axis=axis, keepdims=keepdims).sum().backward()
+        assert t.grad.dtype == np.float32
+        expected = {1: [[0, 0.5, 0.5], [1, 0, 0]], 0: [[0, 1, 1], [1, 0, 0]], None: [[0, 0, 0], [1, 0, 0]]}[axis]
+        np.testing.assert_array_equal(t.grad, np.asarray(expected, dtype=np.float32))
+        # The composite log-softmax (max, sub, exp, sum, log) stays in float32 too.
+        F.log_softmax(t, axis=-1).sum().backward()
+        assert t.grad.dtype == np.float32
 
     def test_var(self):
         data = np.random.default_rng(0).random((5, 3)).astype(np.float32)
