@@ -117,7 +117,7 @@ def test_structured_eigen_times_at_paper_widths(benchmark):
         for dim, dense_feasible in [(64, True), (512, True), (1024, True), (30522, False)]:
             vector = rng.standard_normal(dim).astype(np.float32) ** 2
             repr_ = FactorRepr.diagonal(dim)
-            diag_time = min_time(lambda: backend.structured_eigen(vector, repr_))
+            diag_time = min_time(lambda: backend.eigen_task([vector], repr_)()[0])
             dense_time = None
             if dense_feasible:
                 dense = np.diag(vector)
@@ -134,7 +134,7 @@ def test_structured_eigen_times_at_paper_widths(benchmark):
         blocks = rng.standard_normal((16, 64, 64)).astype(np.float32)
         blocks = np.einsum("bij,bkj->bik", blocks, blocks) / 64
         packed = np.concatenate([pack_triangle(block) for block in blocks])
-        block_time = min_time(lambda: backend.structured_eigen(packed, block_repr))
+        block_time = min_time(lambda: backend.eigen_task([packed], block_repr)()[0])
         dense_block = block_repr.to_dense(packed)
         dense_block_time = min_time(lambda: backend.symmetric_eigen(dense_block), rounds=3)
         return rows, {"repr": block_repr.describe(), "block_s": block_time, "dense_s": dense_block_time}

@@ -34,7 +34,8 @@ def main() -> None:
     )
     reduction = result.iteration_reduction_percent()
     if reduction is not None:
-        print(f"\nKAISA needed {reduction:.1f}% fewer iterations than SGD to reach the target "
+        direction = "fewer" if reduction >= 0 else "more"
+        print(f"\nKAISA needed {abs(reduction):.1f}% {direction} iterations than SGD to reach the target "
               "(the paper reports ~40% fewer epochs for ResNet-32 on CIFAR-10).")
 
 

@@ -5,7 +5,11 @@ dense kernels: the damped Cholesky inverse or the symmetric
 eigendecomposition of the Kronecker factors, the exponential-decay factor
 update, the preconditioned-gradient products (two ``?symm`` with the inverses,
 or the Eqs. 15-17 contraction) and the KL-clip inner-product accumulation.
-They sit behind one class, :class:`KernelBackend` (named ``batched``):
+They sit behind one class, :class:`KernelBackend` (named ``batched``), which
+exposes each refresh kernel once, as the two-half task the
+:class:`~repro.kfac.refresh.RefreshQueue` runs (:meth:`KernelBackend.eigen_task`,
+:meth:`KernelBackend.inverse_task`: the call checks and keeps the factors,
+the callable it returns solves):
 
 * **damped inverse** (:meth:`KernelBackend.inverse_task`, the default
   path's refresh): ``?potrf`` + ``?potri`` on the damped factor, expanded
@@ -34,9 +38,9 @@ They sit behind one class, :class:`KernelBackend` (named ``batched``):
   non-finite factor -- and the ``syevd`` path a non-zero LAPACK ``info``, the
   stacked ``eigh`` a failure to converge, which it re-solves member by member
   to place -- with an error that says which member of the group failed
-  (``error.batch_index``), before anything is installed.  Every path comes
-  in two halves (:meth:`KernelBackend.eigen_task`), the tasks of
-  :class:`~repro.kfac.refresh.RefreshQueue`;
+  (``error.batch_index``), before anything is installed.  Every dense
+  group goes through :meth:`KernelBackend.batched_eigen_task`, the one
+  eigen seam a backend overrides;
 * **decay fold into a fresh array**: ``new *= 1-decay; blend =
   running*decay; blend += new`` on the window average the caller hands over:
   one allocation, the result, and no held scratch buffer.  A published
@@ -51,9 +55,9 @@ They sit behind one class, :class:`KernelBackend` (named ``batched``):
 The contraction scratch is mutable per-instance state, so backends are
 instantiated per owner: sharing one instance across the threaded ranks of a
 :class:`~repro.distributed.backend.ThreadedWorld` would race.  Other kernels
-are a subclass that overrides the ops it accelerates, assigned to a
-preconditioner's ``kernels`` and to each of its layers' (as
-``tests/kernel_oracle.py`` does with the oracle).
+are a subclass that overrides the ops it accelerates (for the eigen refresh,
+``batched_eigen_task``), assigned to a preconditioner's ``kernels`` and to
+each of its layers' (as ``tests/kernel_oracle.py`` does with the oracle).
 
 The plain expressions these kernels replaced (``syevr``, temporaries, a
 ``sum(a*b)`` KL-clip) live on as the oracle in ``tests/kernel_oracle.py``;
@@ -72,7 +76,7 @@ The plain expressions these kernels replaced (``syevr``, temporaries, a
   SciPy's own wrapper of that driver returns on the expanded square (the same
   routine on the same lower triangle; SciPy is the test-side reference,
   ``src/`` does not call it);
-* ``batched_symmetric_eigen`` -- ``syevd`` and the stacked path are exact
+* ``batched_eigen_task`` -- ``syevd`` and the stacked path are exact
   eigendecompositions but not bit-identical to ``syevr``, so parity with the
   oracle is asserted on the *preconditioned gradients* (which are invariant to
   the eigenbasis ambiguity) at float32 resolution (``rtol=5e-3`` with an
@@ -99,7 +103,6 @@ from .kmath import (
     expand_for_eigen,
     expand_triangle,
     inverse_of_expanded,
-    kl_clip_scale_from_total,
     precondition_with_inverse,
     structured_precondition,
     symm_product,
@@ -159,11 +162,6 @@ class KernelBackend:
             pool[key] = buffer
         return buffer
 
-    def scratch_bytes(self) -> int:
-        """Bytes currently held in reusable scratch buffers (observability)."""
-        pools = (self._contract_scratch, self._contract_scratch2)
-        return sum(buffer.nbytes for pool in pools for buffer in pool.values())
-
     # ----------------------------------------------------------------- eigen
     def symmetric_eigen(
         self,
@@ -172,34 +170,13 @@ class KernelBackend:
         clamp_negative: bool = True,
         eigh_dtype=None,
     ) -> EigenDecomposition:
-        """Eigendecompose one symmetric Kronecker factor: its packed triangle, or the square matrix (packed on entry)."""
-        return self.batched_symmetric_eigen(
-            [factor], compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
-        )[0]
+        """Eigendecompose one symmetric Kronecker factor: its packed triangle, or the square matrix (packed on entry).
 
-    def batched_symmetric_eigen(
-        self,
-        factors: Sequence[np.ndarray],
-        compute_dtype=np.float32,
-        clamp_negative: bool = True,
-        eigh_dtype=None,
-    ) -> List[EigenDecomposition]:
-        """Decompose dense symmetric factors of one dimension as one group.
-
-        Each factor is the packed triangle a dense
-        :class:`~repro.kfac.factors.FactorRepr` stores (1-D, ``n(n+1)/2``
-        elements), or a square matrix, which is packed on entry; all must share
-        one dimension (callers group by it before dispatch).  A factor of
-        several blocks does not belong here -- :meth:`eigen_task` passes its
-        blocks' triangles.  Results are per-matrix identical regardless
-        of batch composition (LAPACK is applied matrix-by-matrix under the
-        hood), so distributed plans stay deterministic even though different
-        ranks batch different factor subsets.  An error raised by the solve
-        of one member carries its position as ``error.batch_index``.
+        :meth:`batched_eigen_task` of the one factor, run at once.
         """
         return self.batched_eigen_task(
-            factors, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
-        )()
+            [factor], compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
+        )()[0]
 
     def batched_eigen_task(
         self,
@@ -208,7 +185,16 @@ class KernelBackend:
         clamp_negative: bool = True,
         eigh_dtype=None,
     ) -> Callable[[], List[EigenDecomposition]]:
-        """:meth:`batched_symmetric_eigen` in two halves: this call checks ``factors``, the callable it returns solves.
+        """Decompose dense symmetric factors of one dimension as one group, in two halves: the one eigen seam.
+
+        Each factor is the packed triangle a dense
+        :class:`~repro.kfac.factors.FactorRepr` stores (1-D, ``n(n+1)/2``
+        elements), or a square matrix, which is packed on entry.  A factor of
+        several blocks does not belong here -- :meth:`eigen_task` passes its
+        blocks' triangles, so a backend that overrides this method covers
+        every eigen refresh.  Results are per-matrix identical whatever the
+        group (LAPACK is applied matrix by matrix), so distributed plans stay
+        deterministic although ranks group different factor subsets.
 
         This call checks the group's shapes (one dimension) and keeps
         references to the factors; the callable checks each is finite,
@@ -225,7 +211,7 @@ class KernelBackend:
             return list
         dims = sorted({factor.shape[0] if factor.ndim == 2 else triangle_dim(factor.size) for factor in factors})
         if len(dims) > 1:
-            raise ValueError(f"batched_symmetric_eigen requires same-shape factors, got dimensions {dims}")
+            raise ValueError(f"batched_eigen_task requires same-shape factors, got dimensions {dims}")
         n = dims[0]
         compute_dtype = np.dtype(compute_dtype)
         solve_dtype = eigh_solve_dtype(compute_dtype, eigh_dtype)
@@ -270,19 +256,6 @@ class KernelBackend:
             ]
 
         return solve_stack
-
-    def structured_eigen(
-        self,
-        factor: np.ndarray,
-        repr: FactorRepr,
-        compute_dtype=np.float32,
-        clamp_negative: bool = True,
-        eigh_dtype=None,
-    ) -> EigenDecomposition:
-        """Eigendecompose one factor stored in its packed representation: :meth:`eigen_task` of it, run at once."""
-        return self.eigen_task(
-            [factor], repr, compute_dtype=compute_dtype, clamp_negative=clamp_negative, eigh_dtype=eigh_dtype
-        )()[0]
 
     def eigen_task(
         self,
@@ -487,12 +460,6 @@ class KernelBackend:
         for grad, precond in grads_and_precond:
             total += float(np.einsum("ij,ij->", grad, precond, dtype=np.float64))
         return total
-
-    def kl_clip_scale(
-        self, grads_and_precond: Sequence[Tuple[np.ndarray, np.ndarray]], lr: float, kl_clip: float
-    ) -> float:
-        """The ``nu`` rescale factor from the accumulated inner products."""
-        return kl_clip_scale_from_total(self.kl_clip_accumulate(grads_and_precond), lr, kl_clip)
 
 
 def make_kernel_backend(name: str = KernelBackend.name) -> KernelBackend:

@@ -54,7 +54,6 @@ __all__ = [
     "pair_triangles",
     "triangle_buffer_shape",
     "hold_triangles",
-    "damped_inverse",
     "expand_damped",
     "inverse_of_expanded",
     "kl_clip_scale",
@@ -537,26 +536,19 @@ def precondition_with_eigen(
     return (q_g @ v2 @ q_a.T).astype(grad.dtype, copy=False)  # Eq. 17
 
 
-def damped_inverse(factor: np.ndarray, damping: float, solve_dtype=np.float32) -> np.ndarray:
-    """The packed triangle of ``(factor + γI)⁻¹`` (Eq. 12), by Cholesky in ``solve_dtype``.
+def expand_damped(factor: np.ndarray, damping: float, solve_dtype=np.float32) -> np.ndarray:
+    """The read half of a damped inverse (Eq. 12): :func:`expand_for_eigen`, then ``γ`` added to the diagonal.
 
     ``factor`` is a dense factor's packed triangle, or a square whose upper
-    triangle is read.  The two halves are public, like
-    :func:`symmetric_eigen`'s: :func:`expand_damped` reads the factor,
-    :func:`inverse_of_expanded` solves what it expanded.
+    triangle is read; :func:`inverse_of_expanded` solves what this returns.
     """
-    return inverse_of_expanded(expand_damped(factor, damping, solve_dtype))
-
-
-def expand_damped(factor: np.ndarray, damping: float, solve_dtype=np.float32) -> np.ndarray:
-    """The read half of :func:`damped_inverse`: :func:`expand_for_eigen`, then ``γ`` added to the diagonal."""
     square = expand_for_eigen(factor, solve_dtype)
     np.einsum("ii->i", square)[...] += damping
     return square
 
 
 def inverse_of_expanded(square: np.ndarray) -> np.ndarray:
-    """The solve half of :func:`damped_inverse`: ``?potrf`` and ``?potri`` on ``square``, then ``?trttp``.
+    """The solve half of a damped inverse: ``?potrf`` and ``?potri`` on ``square``, then ``?trttp``.
 
     ``square`` is a buffer :func:`expand_damped` returned: column-major,
     lower triangle filled, zeros above it.  It is overwritten, and the
@@ -631,7 +623,7 @@ class TriangleView:
         _copy_triangle(upper.T if self.lower else upper, self._window, self.lower)
 
     def packed(self) -> np.ndarray:
-        """The held triangle as :meth:`install` takes it, in a fresh array: the inverse's wire and checkpoint form."""
+        """The held triangle as :meth:`install` takes it, in a fresh array: the inverse's checkpoint form."""
         n, work = self.dim, _lapack_dtype(self.dtype)
         if not self.lower and work == self.dtype:
             out = np.empty(n * (n + 1) // 2, dtype=work)

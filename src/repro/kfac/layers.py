@@ -395,7 +395,9 @@ class KFACLayer:
         The checkpoint's representation tags must match the layer's current
         representations — a checkpoint taken with structured factors cannot be
         silently reinterpreted by a forced-dense layer (or vice versa) — and
-        every factor and accumulator must be in its repr's storage form.
+        every factor and accumulator must be a float array in its repr's
+        storage form; anything else raises naming the layer before anything
+        is restored.
         """
         factor_dtype = self.precision.factor_dtype
 
@@ -414,17 +416,21 @@ class KFACLayer:
             if value is None:
                 return None
             value = np.asarray(value)
+            if value.dtype.kind != "f":
+                raise ValueError(f"layer {self.name!r}: checkpoint {what} is a {value.dtype} array, expected floats")
             try:
                 repr.check_packed(value, what)
             except ValueError as error:
                 raise ValueError(f"layer {self.name!r}: {error}") from None
             return value.astype(dtype)  # a copy: the accumulators are updated in place
 
-        self.factor_a = load_factor(state["factor_a"], self.a_repr, "A factor", factor_dtype)
-        self.factor_g = load_factor(state["factor_g"], self.g_repr, "G factor", factor_dtype)
+        factor_a = load_factor(state["factor_a"], self.a_repr, "A factor", factor_dtype)
+        factor_g = load_factor(state["factor_g"], self.g_repr, "G factor", factor_dtype)
+        a_accum = load_factor(state["a_accum"], self.a_repr, "A accumulator", np.float32)
+        g_accum = load_factor(state["g_accum"], self.g_repr, "G accumulator", np.float32)
+        self.factor_a, self.factor_g = factor_a, factor_g
         self.reset_accumulators()
-        self._a_accum = load_factor(state["a_accum"], self.a_repr, "A accumulator", np.float32)
-        self._g_accum = load_factor(state["g_accum"], self.g_repr, "G accumulator", np.float32)
+        self._a_accum, self._g_accum = a_accum, g_accum
         self._a_count = int(state["a_count"])
         self._g_count = int(state["g_count"])
 

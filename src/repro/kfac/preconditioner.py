@@ -26,13 +26,14 @@ A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
    iterations),
 2. compute the damped inverses (the default ``inverse`` path) or the eigen
    decompositions on their assigned workers and broadcast them to the
-   layer's gradient workers -- an inverse as its packed triangle, which
-   every holder, its decomposer included, installs into its one triangle of
-   a buffer shared with another inverse (every ``inv_update_freq``
-   iterations).  Taking the step's actions submits the
-   factors as the step began to the rank's
-   :class:`~repro.kfac.refresh.RefreshQueue`; stage 2 takes and installs the
-   results,
+   layer's gradient workers (every ``inv_update_freq`` iterations).  Taking
+   the step's actions submits the factors as the step began to the rank's
+   :class:`~repro.kfac.refresh.RefreshQueue`; stage 2 takes the results,
+   and each holder installs each one once: a group of one's decomposer
+   directly, every other holder, the decomposer included, from the eigen
+   round, whose payload is the result itself in its wire form (an inverse's
+   packed triangle, installed into the holder's one triangle of a shared
+   buffer),
 3. precondition the gradients on the gradient workers and broadcast the
    result to the gradient receivers (every iteration),
 4. apply the KL-clip scaling and write the preconditioned gradients back into
@@ -429,6 +430,7 @@ class KFAC:
         self._rejected_windows: List[str] = []  # layers whose averaged window was not finite this step
         self._folded = False  # the pending step folded its windows
         self._dampings: Dict[str, Optional[tuple]] = {}  # layer name -> (γ_a, γ_g) its refresh was submitted with
+        self._payloads: Dict[tuple, Any] = {}  # (layer name, "a" | "g") -> the refresh result the eigen round ships
 
     def factor_window(self, layer: KFACLayer) -> tuple:
         """This rank's ``(A, G)`` window average of ``layer`` for the pending step, in the factor dtype.
@@ -527,9 +529,10 @@ class KFAC:
         ``payload`` is what the source rank sends, evaluated when the spec's
         bucket is filled; ``on_complete`` is what every member of the group,
         the source included, does with the received array: the layer's solve
-        strategy packs and receives an eigen-round spec, ``_preconditioned``
-        holds a gradient-round one.  Both run when the round does, so a spec
-        is bound once, at construction.
+        strategy packs this rank's refresh result (``_payloads``) and
+        receives an eigen-round spec, ``_preconditioned`` holds a
+        gradient-round one.  Both run when the round does, so a spec is bound
+        once, at construction.
         """
         name, _, what = spec.key.rpartition("/")
         if what == "precond_grad":
@@ -544,7 +547,7 @@ class KFAC:
             layer, solver, which = self.layers[name], self.solvers[name], what[-1]
 
             def payload() -> np.ndarray:
-                return solver.pack(which, layer)
+                return solver.pack(self._payloads[name, which], layer)
 
             def install(packed: np.ndarray) -> None:
                 solver.receive(which, packed, layer)
@@ -582,10 +585,12 @@ class KFAC:
         ]
 
     def _install_decompositions(self, names: Sequence[str]) -> None:
-        """Install what this rank computed for the factors it decomposes among the refreshed layers ``names``.
+        """Take what this rank computed for the factors it decomposes among the refreshed layers ``names``.
 
-        Each result goes into the layer's solve strategy, which the eigen round
-        then ships to the layer's other gradient workers.  A failed solve is
+        A layer with no eigen round (a group of one) installs its result into
+        its solve strategy here.  Any other result is kept as the eigen
+        round's payload (``_payloads``, until the step ends), and the round
+        installs it on every member, this rank included.  A failed solve is
         raised before anything is replaced.
         """
         self._submit(names)
@@ -595,7 +600,10 @@ class KFAC:
             if (name, which) not in results:
                 raise RuntimeError(f"layer {name!r} has no {which.upper()} factor to decompose")
         for name, which in keys:
-            self.solvers[name].install(which, results[name, which], self.layers[name])
+            if self.plan.eigen_round[name]:
+                self._payloads[name, which] = results[name, which]
+            else:
+                self.solvers[name].install(which, results[name, which], self.layers[name])
 
     # ------------------------------------------------------ stage 3: precondition
     def _precondition_gradients(self) -> Dict[str, np.ndarray]:

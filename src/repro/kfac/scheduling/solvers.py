@@ -20,6 +20,12 @@ the second-order state its path keeps on a layer's gradient workers:
   (gradients change slowly between steps, so a handful of iterations
   suffice).
 
+A refreshed factor goes from the decomposer's task to its holders by one
+path, and each holder installs it once: in a group of one the decomposer
+installs the task's result (``install``); otherwise that result, in its wire
+form (``pack``), is the eigen round's payload and every member, the
+decomposer included, installs what the round delivers (``receive``).
+
 ``KFACConfig.solve_strategy`` / ``small_layer_solver`` name one of the three
 (:func:`solve_strategy_class`), the distribution plan carries each layer's
 class (``plan.solvers``) and each rank builds its instance ``from_config``.
@@ -166,10 +172,12 @@ class SolveStrategy:
     a gradient worker holds (per rank, by ``DistributionPlan.state_bytes_per_rank``),
     :meth:`held_bytes` as measured, :meth:`state_dict` /
     :meth:`load_state_dict` under the checkpoint's ``"solvers"``.  A strategy
-    with a ``refresh`` also installs factor ``which``'s result on its
-    decomposer (``install(which, result, layer)``) and ships it to the other
-    gradient workers: ``wire_shape(repr_)``, ``pack(which, layer)`` on the
-    source, ``receive(which, packed, layer)`` on every member.
+    with a ``refresh`` also takes factor ``which``'s refresh result (what the
+    decomposer's task returned) to each gradient worker, to be installed
+    once: ``install(which, result, layer)`` in a group of one, else
+    ``pack(result, layer)`` (a pure function of it, shaped
+    ``wire_shape(repr_)``) as the eigen round's payload and
+    ``receive(which, packed, layer)`` on every member, the source included.
     """
 
     name: str = "?"
@@ -259,13 +267,13 @@ class EigenSolveStrategy(SolveStrategy):
         self.inverse_outer = None  # formed afresh by the next solve
 
     def install(self, which: str, result: EigenDecomposition, layer: "KFACLayer") -> None:
+        """A group of one's result as its task returned it, in the inverse dtype: a column-major basis stays so."""
         self._set(which, result.astype(layer.precision.inverse_dtype))
 
-    def pack(self, which: str, layer: "KFACLayer") -> np.ndarray:
-        eigen = getattr(self, f"eigen_{which}")
-        if eigen is None:
-            raise RuntimeError(f"layer {layer.name!r}: source rank holds no {which.upper()} decomposition to broadcast")
-        return pack_eigen(eigen, layer.precision.inverse_dtype)
+    @staticmethod
+    def pack(result: EigenDecomposition, layer: "KFACLayer") -> np.ndarray:
+        """The eigen round's payload for ``result``: :func:`pack_eigen` in the inverse dtype."""
+        return pack_eigen(result, layer.precision.inverse_dtype)
 
     def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer") -> None:
         self._set(which, unpack_eigen_repr(packed, layer.factor_repr(which), layer.precision.inverse_dtype))
@@ -298,25 +306,36 @@ class EigenSolveStrategy(SolveStrategy):
         }
 
     def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
-        """Restore both decompositions and the outer product, in the inverse dtype; a shape the layer's reprs do not hold raises naming it."""
+        """Restore both decompositions and the outer product, in the inverse dtype.
+
+        A shape the layer's reprs do not hold, or a non-float array, raises
+        naming the layer before anything is restored.
+        """
         dtype = layer.precision.inverse_dtype
+
+        def floats(array, what: str) -> np.ndarray:
+            array = np.asarray(array)
+            if array.dtype.kind != "f":
+                raise ValueError(f"layer {layer.name!r}: checkpoint {what} is a {array.dtype} array, expected floats")
+            return array
 
         def load(value, which: str) -> Optional[EigenDecomposition]:
             if value is None:
                 return None
-            repr_, values, vectors = layer.factor_repr(which), np.asarray(value["eigenvalues"]), value["eigenvectors"]
-            found = (values.shape, None if vectors is None else np.shape(vectors))
+            repr_, values, vectors = layer.factor_repr(which), value["eigenvalues"], value["eigenvectors"]
+            values, vectors = floats(values, "eigenvalues"), None if vectors is None else floats(vectors, "eigenvectors")
+            found = (values.shape, None if vectors is None else vectors.shape)
             if found != ((repr_.dim,), repr_.eigenvector_shape):
                 raise ValueError(
                     f"layer {layer.name!r}: {which.upper()} eigenvalues and eigenvectors have shapes {found}, expected "
                     f"{((repr_.dim,), repr_.eigenvector_shape)} for {repr_.describe()} (None: the implicit identity basis)"
                 )
             # astype keeps the layout: a column-major basis stays column-major.
-            return EigenDecomposition(None if vectors is None else np.asarray(vectors).astype(dtype), values.astype(dtype))
+            return EigenDecomposition(None if vectors is None else vectors.astype(dtype), values.astype(dtype))
 
         eigen_a, eigen_g, outer = load(state["eigen_a"], "a"), load(state["eigen_g"], "g"), state["inverse_outer"]
         if outer is not None:
-            outer = np.asarray(outer)
+            outer = floats(outer, "inverse_outer")
             if outer.shape != (layer.g_dim, layer.a_dim):
                 raise ValueError(
                     f"layer {layer.name!r}: inverse_outer has shape {outer.shape}, expected {(layer.g_dim, layer.a_dim)}"
@@ -395,10 +414,11 @@ class InverseSolveStrategy(SolveStrategy):
     def install(self, which: str, packed: np.ndarray, layer: "KFACLayer") -> None:
         """Install the ``"a"`` / ``"g"`` inverse from its packed form, in the inverse dtype: every holder's one path.
 
-        The decomposer installs its refresh task's result, the other gradient
-        workers what the eigen round carries, a restore what the checkpoint
-        kept: the same packed bits.  A dense inverse goes into its triangle
-        (:meth:`~repro.kfac.kmath.TriangleView.install`, nothing allocated),
+        A group of one's decomposer installs its refresh task's result, every
+        member of a larger group (the source included) what the eigen round
+        carries, a restore what the checkpoint kept: the same packed bits,
+        once each.  A dense inverse goes into its triangle
+        (:meth:`~repro.kfac.kmath.TriangleView.install`),
         a block-diagonal one is expanded into its squares
         (:meth:`FactorRepr.expand`), a diagonal one kept as its reciprocals.
         """
@@ -410,8 +430,10 @@ class InverseSolveStrategy(SolveStrategy):
             held = repr_.expand(packed.astype(layer.precision.inverse_dtype, copy=False))
         setattr(self, f"inv_{which}", held)
 
-    def pack(self, which: str, layer: "KFACLayer") -> np.ndarray:
-        return _packed(getattr(self, f"inv_{which}"))
+    @staticmethod
+    def pack(result: np.ndarray, layer: "KFACLayer") -> np.ndarray:
+        """The eigen round's payload for ``result``: the task's packed inverse is already the wire form."""
+        return result
 
     def receive(self, which: str, packed: np.ndarray, layer: "KFACLayer") -> None:
         self.install(which, packed, layer)

@@ -257,8 +257,8 @@ def replicated_fold_reference(layer, strategy, step, config, offset=0):
 def decompose_standalone(layer, damping, strategy=None):
     """The eigen stage for one handler outside a preconditioner, through the calls the step makes; returns the strategy.
 
-    The step sends every factor through ``eigen_task`` (here its one-call form
-    ``structured_eigen``; one block is a ``batched_eigen_task`` of its triangle), installs the
+    The step sends every factor through ``eigen_task`` (one block is a ``batched_eigen_task`` of its
+    triangle), installs the
     results into the layer's :class:`~repro.kfac.scheduling.EigenSolveStrategy` (``strategy``, a fresh one
     if None) in the inverse dtype, and the strategy caches the eigenvalue outer product (π-damped, π from
     the eigenvalues) with ``damping``.
@@ -267,7 +267,7 @@ def decompose_standalone(layer, damping, strategy=None):
     compute, store = layer.precision.compute_dtype, layer.precision.inverse_dtype
     for which in ("a", "g"):
         factor, repr_ = getattr(layer, f"factor_{which}"), layer.factor_repr(which)
-        strategy.install(which, layer.kernels.structured_eigen(factor, repr_, compute_dtype=compute), layer)
+        strategy.install(which, layer.kernels.eigen_task([factor], repr_, compute_dtype=compute)()[0], layer)
     strategy.inverse_outer = eigenvalue_outer_product(strategy.eigen_a, strategy.eigen_g, damping, dtype=store)
     return strategy
 

@@ -7,12 +7,14 @@ produce exactly the same training trajectory, and all replicas must stay
 synchronized.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
-from repro.kfac import KFAC, eigenvalue_outer_product
+from repro.kfac import KFAC, EigenSolveStrategy, InverseSolveStrategy, eigenvalue_outer_product
 from repro.kfac.kmath import TriangleView
 from repro.models import MLP
 from repro.tensor import Tensor
@@ -355,6 +357,85 @@ def layout_program(steps=3, **kfac_kwargs):
         }
 
     return program
+
+
+class TestInstallOnce:
+    """Each holder installs each refreshed factor once, the decomposer included; no held inverse is read back.
+
+    In a group of more than one the decomposer's refresh result is the eigen
+    round's payload as it is (``SolveStrategy.pack`` of the result), and every
+    member installs what the round delivers: the decomposer installs nothing
+    of its own before it, and reads nothing back out of a held slot to ship.
+    """
+
+    # The calls that put a refreshed factor into a strategy: InverseSolveStrategy.receive is its install.
+    INSTALLS = ((InverseSolveStrategy, "install"), (EigenSolveStrategy, "install"), (EigenSolveStrategy, "receive"))
+
+    @pytest.mark.parametrize(
+        "world, frac, solver, precision",
+        [
+            (2, 1.0, "inverse", "fp32"),
+            (2, 1.0, "inverse", "fp16"),
+            (2, 1.0, "eigen", "fp32"),
+            (4, 0.5, "inverse", "fp32"),
+            (4, 0.5, "inverse", "fp16"),
+            (4, 0.5, "eigen", "fp32"),
+        ],
+        ids=["comm-inverse", "comm-inverse-fp16", "comm-eigen", "hybrid-inverse", "hybrid-inverse-fp16", "hybrid-eigen"],
+    )
+    def test_every_holder_installs_each_refreshed_factor_once_and_reads_nothing_back(
+        self, monkeypatch, world, frac, solver, precision
+    ):
+        lock, installs, reads = threading.Lock(), {}, []
+
+        def counted(cls, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                with lock:
+                    installs[id(self)] = installs.get(id(self), 0) + 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        for cls, method in self.INSTALLS:
+            counted(cls, method)
+        packed = TriangleView.packed
+
+        def read_back(view):
+            reads.append(view)
+            return packed(view)
+
+        monkeypatch.setattr(TriangleView, "packed", read_back)
+
+        def program(comm):
+            model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
+            pre = KFAC(
+                model, lr=0.05, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=frac, comm=comm,
+                solve_strategy=solver, precision=precision,
+            )  # fmt: skip
+            loss_fn, batch_rng, refreshed = nn.CrossEntropyLoss(), np.random.default_rng(99), 0
+            for _ in range(4):
+                local = batch_rng.integers(0, len(X_GLOBAL), 32)[comm.rank :: comm.world_size]
+                model.zero_grad()
+                loss_fn(model(Tensor(X_GLOBAL[local])), Y_GLOBAL[local]).backward()
+                held = [name for name in pre.actions().refresh if pre.groups[name].is_grad_worker(comm.rank)]
+                before = {name: installs.get(id(pre.solvers[name]), 0) for name in held}
+                pre.step()
+                for name in held:  # the A and the G factor, once each
+                    assert installs.get(id(pre.solvers[name]), 0) - before[name] == 2, (comm.rank, name)
+                refreshed += len(held)
+            return refreshed, pre
+
+        ranks = run_spmd(world, program)
+        assert all(refreshed > 0 for refreshed, _ in ranks)
+        assert any(len(pre.plan.eigen_round[name]) for _, pre in ranks for name in pre.layers)  # a round ran
+        assert reads == []  # no step read a held inverse back
+        for _, pre in ranks:
+            pre.state_dict()
+        assert bool(reads) == (solver == "inverse")  # a checkpoint is what reads them
+        for _, pre in ranks:
+            pre.remove()
 
 
 class TestShardedFactorLayout:

@@ -230,7 +230,7 @@ class TestStructuredEigen:
     def test_diagonal_eigen_is_the_clamped_vector(self, backend_cls):
         backend = backend_cls()
         vec = np.array([2.0, -1.0, 0.5, 3.0], dtype=np.float32)
-        eigen = backend.structured_eigen(vec, FactorRepr.diagonal(4))
+        eigen = backend.eigen_task([vec], FactorRepr.diagonal(4))()[0]
         assert eigen.eigenvectors is None  # implicit identity basis
         np.testing.assert_array_equal(eigen.eigenvalues, np.maximum(vec, 0.0))
 
@@ -241,7 +241,7 @@ class TestStructuredEigen:
         rng = np.random.default_rng(5)
         blocks = rng.standard_normal((3, 4, 4)).astype(np.float32)
         blocks = np.einsum("bij,bkj->bik", blocks, blocks) / 4 + np.eye(4, dtype=np.float32)
-        eigen = backend.structured_eigen(np.concatenate([pack_triangle(block) for block in blocks]), repr_)
+        eigen = backend.eigen_task([np.concatenate([pack_triangle(block) for block in blocks])], repr_)()[0]
         assert eigen.eigenvectors.shape == (3, 4, 4)
         assert eigen.eigenvalues.shape == (12,)
         values = eigen.eigenvalues.reshape(3, 4)
@@ -256,7 +256,7 @@ class TestStructuredEigen:
         blocks = rng.standard_normal((2, 4, 4)).astype(np.float32)
         blocks = np.einsum("bij,bkj->bik", blocks, blocks) / 4 + np.eye(4, dtype=np.float32)
         packed = np.concatenate([pack_triangle(block) for block in blocks])
-        structured = backend.structured_eigen(packed, repr_)
+        structured = backend.eigen_task([packed], repr_)()[0]
         dense = backend.symmetric_eigen(repr_.to_dense(packed))
         np.testing.assert_allclose(
             np.sort(structured.eigenvalues), np.sort(dense.eigenvalues), atol=1e-4

@@ -1031,6 +1031,42 @@ class TestOneCheckpointFormat:
             for ours, built, original in digests:
                 assert ours == built == original
 
+    @pytest.mark.parametrize("dtype", [bool, "<U32"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "factor_a", "factor_g", "a_accum", "g_accum",
+            "eigen_a/eigenvalues", "eigen_a/eigenvectors", "eigen_g/eigenvalues", "eigen_g/eigenvectors", "inverse_outer",
+        ],
+    )  # fmt: skip
+    def test_a_non_float_checkpoint_array_is_refused_naming_the_layer(self, key, dtype):
+        """A layer's factors and accumulators and the eigen path's state load only from float arrays, as the
+        inverse and CG states do: a bool or string array in their place raises naming the layer, not a cast."""
+        x, y = make_problem(14, in_dim=5)
+
+        def build():
+            model = MLP(5, [16], 3, rng=np.random.default_rng(1))
+            return KFAC(model, lr=0.1, factor_update_freq=1, inv_update_freq=10, solve_strategy="eigen")
+
+        pre = build()
+        for step in range(2):  # the second backward fills the accumulators a checkpoint keeps
+            pre.model.zero_grad()
+            nn.CrossEntropyLoss()(pre.model(Tensor(x[32 * step : 32 * step + 32])), y[32 * step : 32 * step + 32]).backward()
+            if step == 0:
+                pre.step()
+        state, name = pre.state_dict(), next(iter(pre.layers))
+        where, _, part = key.partition("/")
+        if where in state["layers"][name]:
+            holder, field = state["layers"][name], where
+        else:
+            holder, field = (state["solvers"][name][where], part) if part else (state["solvers"][name], where)
+        assert holder[field].dtype.kind == "f"
+        holder[field] = holder[field].astype(dtype)
+        message = rf"layer {name!r}: checkpoint .* is a {re.escape(str(np.dtype(dtype)))} array, expected floats"
+        with pytest.raises(ValueError, match=message):
+            build().load_state_dict(state)
+        pre.remove()
+
 
 class TestLayerRegistry:
     """``LAYER_HANDLERS`` is the one fixed table of what K-FAC preconditions, and the shape models read it."""

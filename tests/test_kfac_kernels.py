@@ -47,6 +47,7 @@ from repro.kfac import (
     KFACConfig,
     KernelBackend,
     kl_clip_scale,
+    kl_clip_scale_from_total,
     make_kernel_backend,
     make_kfac_layer,
     precondition_with_eigen,
@@ -186,7 +187,7 @@ class TestBatchedEigen:
     def test_matches_reference_eigenvalues_and_reconstruction(self, dim):
         backend = KernelBackend()
         factors = [spd_factor(dim, seed) for seed in range(4)]
-        batched = backend.batched_symmetric_eigen(factors)
+        batched = backend.batched_eigen_task(factors)()
         for factor, decomposition in zip(factors, batched):
             assert_valid_eigen(decomposition, factor)
             reference = reference_symmetric_eigen(factor)
@@ -198,7 +199,7 @@ class TestBatchedEigen:
         backend = KernelBackend()
         factor = spd_factor(16, 3)
         single = backend.symmetric_eigen(factor)
-        batch = backend.batched_symmetric_eigen([factor])[0]
+        batch = backend.batched_eigen_task([factor])()[0]
         np.testing.assert_array_equal(single.eigenvalues, batch.eigenvalues)
         np.testing.assert_array_equal(single.eigenvectors, batch.eigenvectors)
 
@@ -207,13 +208,13 @@ class TestBatchedEigen:
         shares a batch with 1 or 7 peers (ranks batch different subsets)."""
         backend = KernelBackend()
         target = spd_factor(8, 42)
-        alone = backend.batched_symmetric_eigen([target])[0]
-        crowd = backend.batched_symmetric_eigen([spd_factor(8, s) for s in range(7)] + [target])[-1]
+        alone = backend.batched_eigen_task([target])()[0]
+        crowd = backend.batched_eigen_task([spd_factor(8, s) for s in range(7)] + [target])()[-1]
         np.testing.assert_array_equal(alone.eigenvalues, crowd.eigenvalues)
         np.testing.assert_array_equal(alone.eigenvectors, crowd.eigenvectors)
 
     def test_empty_batch(self):
-        assert KernelBackend().batched_symmetric_eigen([]) == []
+        assert KernelBackend().batched_eigen_task([])() == []
 
     @pytest.mark.parametrize("kind, dim", [("dense", 8), ("dense", 40), ("diagonal", 5)])
     def test_a_non_finite_factor_is_rejected_with_its_batch_index(self, kind, dim):
@@ -225,22 +226,22 @@ class TestBatchedEigen:
             factor = np.ones(dim, dtype=np.float32)
             factor[2] = np.inf
             with pytest.raises(ValueError, match=message) as raised:
-                backend.structured_eigen(factor, FactorRepr.diagonal(dim))
+                backend.eigen_task([factor], FactorRepr.diagonal(dim))()[0]
             assert raised.value.batch_index == 0
             return
         repr_ = FactorRepr.dense(dim)
         good, bad = repr_.from_dense(spd_factor(dim, 1)), repr_.from_dense(spd_factor(dim, 2))
         bad[3] = np.nan
         with pytest.raises(ValueError, match=message) as raised:
-            backend.batched_symmetric_eigen([good, bad])
+            backend.batched_eigen_task([good, bad])()
         assert raised.value.batch_index == 1
 
     def test_mismatched_shapes_raise(self):
         backend = KernelBackend()
         with pytest.raises(ValueError, match="same-shape"):
-            backend.batched_symmetric_eigen([spd_factor(4), spd_factor(5)])
+            backend.batched_eigen_task([spd_factor(4), spd_factor(5)])()
         with pytest.raises(ValueError, match="square"):
-            backend.batched_symmetric_eigen([np.ones((3, 4), dtype=np.float32)])
+            backend.batched_eigen_task([np.ones((3, 4), dtype=np.float32)])()
 
     @pytest.mark.parametrize("dim", [4, 64])
     def test_rank_deficient_factor(self, dim):
@@ -250,7 +251,7 @@ class TestBatchedEigen:
         v = rng.standard_normal(dim).astype(np.float32)
         factor = np.outer(v, v).astype(np.float32)
         for backend in (ReferenceKernelBackend(), KernelBackend()):
-            decomposition = backend.batched_symmetric_eigen([factor])[0]
+            decomposition = backend.batched_eigen_task([factor])()[0]
             assert np.all(decomposition.eigenvalues >= 0.0)
             assert_valid_eigen(decomposition, factor, rtol=1e-3, atol=1e-3)
 
@@ -258,13 +259,13 @@ class TestBatchedEigen:
         """The 1x1 (no-bias) and 2x2 LayerNorm A factors go through the
         stacked path; a diagonal G factor stays diagonal."""
         backend = KernelBackend()
-        one = backend.batched_symmetric_eigen([np.array([[2.5]], dtype=np.float32)])[0]
+        one = backend.batched_eigen_task([np.array([[2.5]], dtype=np.float32)])()[0]
         np.testing.assert_allclose(one.eigenvalues, [2.5])
         np.testing.assert_allclose(np.abs(one.eigenvectors), [[1.0]])
         two = np.array([[1.0, 0.3], [0.3, 2.0]], dtype=np.float32)
-        assert_valid_eigen(backend.batched_symmetric_eigen([two])[0], two)
+        assert_valid_eigen(backend.batched_eigen_task([two])()[0], two)
         diag = np.diag(np.array([3.0, 1.0, 2.0], dtype=np.float32))
-        decomposition = backend.batched_symmetric_eigen([diag])[0]
+        decomposition = backend.batched_eigen_task([diag])()[0]
         np.testing.assert_allclose(decomposition.eigenvalues, [1.0, 2.0, 3.0], atol=1e-6)
 
     def test_compute_dtype_honored(self):
@@ -395,7 +396,7 @@ class TestFusedDecayUpdate:
         plain = 0.9 * published + (1.0 - 0.9) * window
         assert result.dtype == plain.dtype == np.float32 and result.tobytes() == plain.tobytes()
         np.testing.assert_array_equal(new, scaled)  # the window average is consumed as the staging buffer
-        assert backend.scratch_bytes() == 0  # and no scratch pool is held for the fold
+        assert not backend._contract_scratch and not backend._contract_scratch2  # and no scratch pool is held for the fold
 
     def test_non_float32_falls_back_to_reference(self):
         reference, batched = ReferenceKernelBackend(), KernelBackend()
@@ -486,8 +487,8 @@ class TestPackedVsSquareStorage:
             before = [factor.copy() for factor in factors]
             for factor in factors:
                 factor.setflags(write=not frozen)
-            actual = packed_backend.batched_symmetric_eigen(factors, compute_dtype=compute)
-            expected = square_backend.batched_symmetric_eigen(factors, compute_dtype=compute)
+            actual = packed_backend.batched_eigen_task(factors, compute_dtype=compute)()
+            expected = square_backend.batched_eigen_task(factors, compute_dtype=compute)()
             for got, want, factor, untouched in zip(actual, expected, factors, before):
                 np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues, err_msg=f"dim {dim}")
                 np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors, err_msg=f"dim {dim}")
@@ -500,14 +501,14 @@ class TestPackedVsSquareStorage:
             np.testing.assert_array_equal(from_square.eigenvectors, alone.eigenvectors)
 
     def test_a_vector_that_is_no_triangle_is_rejected(self):
-        """A 1-D array is a packed triangle here; a diagonal factor's vector goes through ``structured_eigen``."""
+        """A 1-D array is a packed triangle here; a diagonal factor's vector goes through ``eigen_task``."""
         backend = KernelBackend()
         with pytest.raises(ValueError, match="not the packed triangle"):
-            backend.batched_symmetric_eigen([np.ones(5, dtype=np.float32)])
+            backend.batched_eigen_task([np.ones(5, dtype=np.float32)])()
         with pytest.raises(ValueError, match="same-shape"):
-            backend.batched_symmetric_eigen([np.ones(6, dtype=np.float32), np.ones(10, dtype=np.float32)])
+            backend.batched_eigen_task([np.ones(6, dtype=np.float32), np.ones(10, dtype=np.float32)])()
         with pytest.raises(ValueError, match="expected"):
-            backend.structured_eigen(np.ones(5, dtype=np.float32), FactorRepr.dense(3))
+            backend.eigen_task([np.ones(5, dtype=np.float32)], FactorRepr.dense(3))()[0]
 
 
 class TestPreconditionContract:
@@ -845,7 +846,7 @@ class TestKlClipAccumulate:
         # Tolerance tier: einsum reduces in a different order than sum(a*b).
         np.testing.assert_allclose(batched, reference, rtol=1e-12)
         np.testing.assert_allclose(
-            KernelBackend().kl_clip_scale(pairs, 0.1, 0.001),
+            kl_clip_scale_from_total(KernelBackend().kl_clip_accumulate(pairs), 0.1, 0.001),
             kl_clip_scale(pairs, 0.1, 0.001),
             rtol=1e-12,
         )
@@ -853,9 +854,8 @@ class TestKlClipAccumulate:
     def test_reference_backend_is_bitwise_oracle(self):
         rng = np.random.default_rng(7)
         pairs = [(rng.standard_normal((4, 4)), rng.standard_normal((4, 4))) for _ in range(3)]
-        assert ReferenceKernelBackend().kl_clip_scale(pairs, 0.1, 0.001) == kl_clip_scale(
-            pairs, 0.1, 0.001
-        )
+        reference = ReferenceKernelBackend().kl_clip_accumulate(pairs)
+        assert kl_clip_scale_from_total(reference, 0.1, 0.001) == kl_clip_scale(pairs, 0.1, 0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,7 +1206,7 @@ class TestCustomBackend:
             actual = backend.symmetric_eigen(factor)
             np.testing.assert_array_equal(actual.eigenvalues, builtin.eigenvalues)
             np.testing.assert_array_equal(actual.eigenvectors, builtin.eigenvectors)
-            (grouped,) = backend.batched_symmetric_eigen([factor])
+            (grouped,) = backend.batched_eigen_task([factor])()
             np.testing.assert_array_equal(grouped.eigenvectors, builtin.eigenvectors)
         # Above the stacking threshold the solver is the public single-factor one.
         wide = spd_factor(STACK_EIGH_MAX_DIM + 8, 2)

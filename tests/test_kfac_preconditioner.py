@@ -664,7 +664,7 @@ class TestBadFactorWindowsAreRejected:
         self.assert_factors_equal(pre, before)
         for name, layer in pre.layers.items():
             # The step's refresh decomposed the factors as the step found them: the rejected window is in none.
-            found = pre.kernels.batched_symmetric_eigen([before[name][0]])[0]
+            found = pre.kernels.batched_eigen_task([before[name][0]])()[0]
             np.testing.assert_array_equal(pre.solvers[name].eigen_a.eigenvalues, found.eigenvalues)
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: 1 for name in pre.layers}

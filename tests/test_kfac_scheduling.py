@@ -35,7 +35,7 @@ from repro.kfac import (
 )
 from repro.kfac.assignment import folds_on
 from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
-from repro.kfac.kmath import damped_inverse, kl_clip_scale_from_total, split_damping
+from repro.kfac.kmath import kl_clip_scale_from_total, split_damping
 from repro.kfac.scheduling.solvers import solve_strategy_class
 from repro.kfac.strategy import LayerShapeInfo
 from repro.models import MLP
@@ -770,8 +770,10 @@ class TestKFACSchedulerIntegration:
                 layer, solver = pre.layers[name], pre.solvers[name]
                 factor_a, factor_g = found[name]
                 damping_a, damping_g = split_damping(pre.damping, tikhonov_pi(factor_a, factor_g, layer.a_repr, layer.g_repr))
-                assert solver.inv_a.packed().tobytes() == damped_inverse(factor_a, damping_a).tobytes()
-                assert solver.inv_g.packed().tobytes() == damped_inverse(factor_g, damping_g).tobytes()
+                (inv_a,) = pre.kernels.inverse_task([factor_a], layer.a_repr, [damping_a])()
+                (inv_g,) = pre.kernels.inverse_task([factor_g], layer.g_repr, [damping_g])()
+                assert solver.inv_a.packed().tobytes() == inv_a.tobytes()
+                assert solver.inv_g.packed().tobytes() == inv_g.tobytes()
                 refreshed += 1
         assert refreshed == 3 * len(pre.layers)  # steps 2, 3 and 4: step 1 would re-read step 0's factors
 

@@ -45,7 +45,7 @@ from repro.kfac import (
     precondition_with_eigen,
     symmetric_eigen,
 )
-from repro.kfac.kmath import damped_inverse, split_damping, tikhonov_pi
+from repro.kfac.kmath import split_damping, tikhonov_pi
 from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
 from repro.kfac.refresh import RefreshQueue
 from repro.memory import overhead_bytes
@@ -580,13 +580,14 @@ class TestRefreshReadPointProperties:
             read = tuple(factors[step, name, which] for which in "ag")
             if solver == "inverse":
                 dampings = split_damping(config.damping, tikhonov_pi(*read, *reprs))
-                for factor, damping, inverse in zip(read, dampings, installed):
-                    alone = damped_inverse(factor, damping).astype(policy.inverse_dtype)
+                for factor, damping, inverse, repr_ in zip(read, dampings, installed, reprs):
+                    (alone,) = KernelBackend().inverse_task([factor], repr_, [damping])()
+                    alone = alone.astype(policy.inverse_dtype)
                     assert inverse.tobytes() == alone.tobytes(), f"{name} {step}"
                     checked += 1
                 continue
             for factor, eigen in zip(read, installed):
-                (alone,) = KernelBackend().batched_symmetric_eigen([factor], compute_dtype=policy.compute_dtype)
+                (alone,) = KernelBackend().batched_eigen_task([factor], compute_dtype=policy.compute_dtype)()
                 alone = alone.astype(policy.inverse_dtype)
                 np.testing.assert_array_equal(eigen.eigenvalues, alone.eigenvalues, err_msg=f"{name} {step}")
                 np.testing.assert_array_equal(eigen.eigenvectors, alone.eigenvectors, err_msg=f"{name} {step}")
