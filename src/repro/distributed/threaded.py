@@ -7,7 +7,10 @@ in a group issue their collectives in the same order, so matching calls find
 each other without any global coordinator.  The backend moves real NumPy data
 (so correctness properties such as "all replicas stay bit-identical" can be
 tested), and each rank counts the collectives that complete on it in its
-communicator's tracer (:mod:`repro.distributed.backend`).
+communicator's tracer (:mod:`repro.distributed.backend`).  When one rank's
+program raises, :func:`run_spmd` aborts the world: the ranks blocked in a
+collective or the barrier wake and raise, and so does every later post, so a
+failing SPMD program fails at once instead of after the collective timeout.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class ThreadedWork(WorkHandle):
         # Under sanitize mode, a posted-but-never-finished handle is lost
         # communication: the peers' matching calls will block forever.
         try:
-            if self._finished:
+            if self._finished or self._world.aborted_by is not None:  # an aborted world leaves posts unfinished
                 return
             sanitizer = getattr(self._world, "sanitizer", None)
             if sanitizer is None:
@@ -124,6 +127,7 @@ class ThreadedWorld:
         self._lock = threading.Lock()
         self._slots: Dict[Tuple, _CollectiveSlot] = {}
         self._poisoned: Optional[SanitizerError] = None
+        self._aborted_by: Optional[int] = None
         if sanitize is None:
             sanitize = sanitize_enabled()
         self.sanitizer: Optional[CollectiveSanitizer] = None
@@ -146,14 +150,40 @@ class ThreadedWorld:
         """
         with self._lock:
             self._poisoned = error
-            for slot in self._slots.values():
-                slot.ready.set()
+            self._wake_locked()
         if abort_barrier:
             self._barrier.abort()
 
     def _check_poisoned(self) -> None:
         if self._poisoned is not None and self.sanitizer is not None:
             raise self.sanitizer.propagated()
+
+    @property
+    def aborted_by(self) -> Optional[int]:
+        """The rank whose failure aborted the world (the first to call :meth:`abort`), or None."""
+        return self._aborted_by
+
+    def abort(self, rank: int) -> None:
+        """Fail fast after ``rank``'s program raised, with the sanitizer on or off.
+
+        Every rank waiting on a collective or in the barrier wakes and raises,
+        and every later post raises, instead of waiting out the timeout for a
+        rank that will never arrive.  Idempotent; the first caller is kept.
+        """
+        with self._lock:
+            if self._aborted_by is None:
+                self._aborted_by = rank
+            self._wake_locked()
+        self._barrier.abort()
+
+    def _wake_locked(self) -> None:
+        """Release every pending rendezvous (the waiters re-check the world's state before trusting a slot)."""
+        for slot in self._slots.values():
+            slot.ready.set()
+
+    def _check_aborted(self) -> None:
+        if self._aborted_by is not None:
+            raise RuntimeError(f"world aborted: rank {self._aborted_by} failed")
 
     def communicator(self, rank: int) -> "ThreadedCommunicator":
         if not 0 <= rank < self.world_size:
@@ -211,6 +241,8 @@ class ThreadedWorld:
         slot = self._slot(key, len(group))
         is_producer_complete = False
         with self._lock:
+            # Under the lock abort() wakes the slots with: a post either sees the abort or is woken by it.
+            self._check_aborted()
             if value is not None:
                 slot.values[rank] = value
             if reducer is not None:
@@ -234,6 +266,7 @@ class ThreadedWorld:
         completed = slot.ready.wait(self.timeout)
         if self._poisoned is not None:
             self._check_poisoned()
+        self._check_aborted()
         if not completed:
             if self.sanitizer is not None:
                 raise SanitizerError(
@@ -259,6 +292,7 @@ class ThreadedWorld:
             self._check_poisoned()
             if self.sanitizer is not None and self.sanitizer.violation is not None:
                 raise self.sanitizer.propagated() from None
+            self._check_aborted()
             raise
 
 
@@ -366,10 +400,12 @@ def run_spmd(
 ) -> List[object]:
     """Run ``fn(comm)`` on every rank of a fresh :class:`ThreadedWorld` and collect results.
 
-    Exceptions raised on any rank are re-raised in the caller after all
-    threads have finished (so a failing rank cannot silently hang the test).
-    ``sanitize`` forces the collective sanitizer on/off for this world
-    (default: the ``REPRO_SANITIZE`` environment toggle).
+    A rank that raises aborts the world (:meth:`ThreadedWorld.abort`), so
+    its peers raise at their next collective instead of waiting out the
+    timeout; once every thread has finished, the caller gets a
+    ``RuntimeError`` naming the first rank that failed, chained to that
+    rank's exception.  ``sanitize`` forces the collective sanitizer on/off
+    for this world (default: the ``REPRO_SANITIZE`` environment toggle).
     """
     world = ThreadedWorld(world_size, sanitize=sanitize)
     results: List[object] = [None] * world_size
@@ -380,13 +416,13 @@ def run_spmd(
             results[rank] = fn(world.communicator(rank))
         except BaseException as exc:  # noqa: BLE001 - propagate to the main thread
             errors[rank] = exc
+            world.abort(rank)
 
     threads = [threading.Thread(target=target, args=(rank,), daemon=True) for rank in range(world_size)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    for rank, error in enumerate(errors):
-        if error is not None:
-            raise RuntimeError(f"rank {rank} failed") from error
+    if world.aborted_by is not None:
+        raise RuntimeError(f"rank {world.aborted_by} failed") from errors[world.aborted_by]
     return results

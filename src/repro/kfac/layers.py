@@ -3,9 +3,10 @@
 Each supported module type gets a handler (``Linear``, ``Conv2d`` per paper
 section 3.4, plus ``Embedding``, ``LayerNorm`` and affine ``BatchNorm2d``) that:
 
-* observes the forward call (module forward hook) and the gradient w.r.t. the
-  layer output during the backward pass (module full backward hook, fired by
-  the autograd tape in reverse-layer order),
+* observes the forward call (module forward hook) and, on a step that
+  accumulates, the gradient w.r.t. that call's output during the backward pass
+  (a tensor hook the forward hook registers on the output only then, so a
+  step that folds nothing adds no hook to the graph),
 * accumulates the Kronecker factor statistics ``A = a aᵀ`` and ``G = g gᵀ``
   across the mini-batches of a gradient-accumulation window (section 4.2),
   reading, never rebuilding: the activation is the buffer the call's fused
@@ -143,7 +144,6 @@ class KFACLayer:
         self.factor_g: Optional[np.ndarray] = None
 
         self._forward_handle = module.register_forward_hook(self._forward_hook)
-        self._backward_handle = module.register_full_backward_hook(self._backward_hook)
 
     # --------------------------------------------------------------- shapes
     @property
@@ -187,21 +187,27 @@ class KFACLayer:
 
     # ---------------------------------------------------------------- hooks
     def _forward_hook(self, module: Module, inputs, output) -> None:
+        """Accumulate A from the call and, if its output is differentiated, arm G capture on that output.
+
+        The decision is the step's, taken here once per call: a step that
+        folds nothing registers no tensor hook at all.
+        """
         if not module.training or not self._should_accumulate():
             return
         x = inputs[0]
         self._accumulate_a(x.data if isinstance(x, Tensor) else np.asarray(x), output)
+        if isinstance(output, Tensor) and output.requires_grad:
+            output.register_hook(self._output_grad_hook)
 
-    def _backward_hook(self, module: Module, grad_input, grad_output) -> None:
-        """Full backward hook: accumulate G statistics from the output gradient.
+    def _output_grad_hook(self, grad: np.ndarray) -> None:
+        """Accumulate G statistics from the gradient w.r.t. one armed call's output.
 
-        Fired by the autograd tape once per backward pass through the module,
-        in reverse-layer order.
+        Fired by the autograd tape once per backward pass through that output,
+        when its incoming gradient is complete (before the call's own node
+        runs, which never writes the gradient it receives).  A layer removed
+        since the forward call ignores it.
         """
-        if not module.training or not self._should_accumulate():
-            return
-        grad = grad_output[0]
-        if grad is None:
+        if self._forward_handle is None:
             return
         scale = self._grad_scale()
         if scale != 1.0:
@@ -253,7 +259,8 @@ class KFACLayer:
 
         It reads its buffers uncopied, as nothing writes them after the hook: the node's ``x2`` / ``cols``
         (``LinearFunction`` adds its bias into ``out``) and the output gradient (the tape sums into a fresh
-        array, ``grads[pid] + pgrad``; ``grad / scale`` is fresh).
+        array, ``grads[pid] + pgrad``; ``grad / scale`` is fresh; no node's ``backward`` writes the gradient
+        it receives, which ``tests/test_backward_precision.py`` checks on every workload).
         """
         if defer and self.queue is not None:
             self._products.append((which, self.queue.defer((self.name, which), product)))
@@ -389,15 +396,19 @@ class KFACLayer:
             "g_count": self._g_count,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state from :meth:`state_dict`, honoring the precision policy.
+    def state_loader(self, state: dict) -> Callable[[], None]:
+        """Check ``state`` (a :meth:`state_dict`) against this layer; return the function that restores it.
+
+        Arrays are cast to the layer's precision policy (factors) or float32
+        (accumulators).
 
         The checkpoint's representation tags must match the layer's current
         representations — a checkpoint taken with structured factors cannot be
         silently reinterpreted by a forced-dense layer (or vice versa) — and
         every factor and accumulator must be a float array in its repr's
-        storage form; anything else raises naming the layer before anything
-        is restored.
+        storage form; anything else raises naming the layer, here, before
+        anything is restored.  The returned function cannot fail, so a caller
+        restoring many layers checks them all before it changes any.
         """
         factor_dtype = self.precision.factor_dtype
 
@@ -428,11 +439,15 @@ class KFACLayer:
         factor_g = load_factor(state["factor_g"], self.g_repr, "G factor", factor_dtype)
         a_accum = load_factor(state["a_accum"], self.a_repr, "A accumulator", np.float32)
         g_accum = load_factor(state["g_accum"], self.g_repr, "G accumulator", np.float32)
-        self.factor_a, self.factor_g = factor_a, factor_g
-        self.reset_accumulators()
-        self._a_accum, self._g_accum = a_accum, g_accum
-        self._a_count = int(state["a_count"])
-        self._g_count = int(state["g_count"])
+        a_count, g_count = int(state["a_count"]), int(state["g_count"])
+
+        def restore() -> None:
+            self.factor_a, self.factor_g = factor_a, factor_g
+            self.reset_accumulators()
+            self._a_accum, self._g_accum = a_accum, g_accum
+            self._a_count, self._g_count = a_count, g_count
+
+        return restore
 
     # ------------------------------------------------------------- gradient
     def get_gradient(self) -> np.ndarray:
@@ -458,9 +473,10 @@ class KFACLayer:
         return total
 
     def remove(self) -> None:
-        """Detach the forward and backward hooks from the wrapped module and drop the window."""
-        self._forward_handle.remove()
-        self._backward_handle.remove()
+        """Detach the forward hook from the wrapped module (outputs armed earlier stop capturing) and drop the window."""
+        if self._forward_handle is not None:
+            self._forward_handle.remove()
+            self._forward_handle = None
         self.reset_accumulators()
 
 
@@ -534,8 +550,11 @@ class KFACConv2dLayer(KFACLayer):
         self._add_bias_folded_a(cols)
 
     def _accumulate_g(self, grad_output: np.ndarray) -> None:
-        # One row per output location of each sample; undo the 1/N batch averaging of the loss.
-        self._add_g_stat(grad_output.transpose(0, 2, 3, 1), grad_output.shape[0])
+        # One row per output location of each sample: the rows of g2ᵀ, where g2 is the (out_c, L*N) matrix
+        # of the gradient in the conv output's own channel-major layout (a view then, a copy otherwise), so
+        # G = g2 g2ᵀ is one syrk.  Undo the 1/N batch averaging of the loss.
+        g2 = grad_output.transpose(1, 2, 3, 0).reshape(self.g_dim, -1)
+        self._add_g_stat(g2.T, grad_output.shape[0])
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -635,7 +654,7 @@ class _KFACScaleShiftLayer(KFACLayer):
 
     def _add_x_hat_stat(self, x_hat: np.ndarray) -> None:
         """Fold the normalized activations into A: ``Σ [x̂, 1]ᵀ [x̂, 1]`` over every element."""
-        flat = x_hat.astype(np.float32, copy=False).reshape(-1)
+        flat = x_hat.astype(np.float32, copy=False).ravel(order="K")  # a view in whatever order x̂ is laid out
         # The packed triangle of the 2x2 (or 1x1) matrix, written directly: [Σx̂², Σx̂, count].
         contribution = np.empty(self.a_repr.packed_numel, dtype=np.float32)
         contribution[0] = flat @ flat

@@ -686,7 +686,8 @@ class KFAC:
         checkpoint raises, and so does a held factor it lacks once a factor
         update has run, and solver state (inverses, eigen decompositions, CG
         warm starts) of a layer this rank is not a gradient worker of: each
-        was written under another config.
+        was written under another config.  Every check runs before anything
+        is assigned: a refused checkpoint leaves the instance as it was.
         """
         check_checkpoint_format(state, "KFAC")
         layer_states = state["layers"]
@@ -717,16 +718,19 @@ class KFAC:
                     f"{self.rank} is not a gradient worker under this configuration; restore each rank from its "
                     "own state_dict(), written under the same config"
                 )
-        self._steps = steps
+        restores = []
         for name, layer in self.layers.items():
-            layer.load_state_dict(layer_states[name])
-            self.solvers[name].load_state_dict(state["solvers"][name], layer)
-        if self.drift is not None:
-            self.drift = self._new_drift()
-            self.drift.load_state_dict(state["scheduler"])
-        if self.damping_controller is not None:
+            restores += [layer.state_loader(layer_states[name]), self.solvers[name].state_loader(state["solvers"][name], layer)]
+        drift = self.drift
+        if drift is not None:
+            drift = self._new_drift()
+            drift.load_state_dict(state["scheduler"])
+        if self.damping_controller is not None:  # the last check: it assigns only once all its values convert
             self.damping_controller.load_state_dict(state["damping_controller"])
             self.damping = self.damping_controller.damping
+        self._steps, self.drift = steps, drift
+        for restore in restores:
+            restore()
         # Factor bookkeeping refers to this instance's own history, not the
         # checkpoint's: after a restore the next step() runs its factor
         # stages afresh.

@@ -95,9 +95,8 @@ class AdaptiveDampingController:
         return {"damping": self.damping, "last_rho": self.last_rho, "pending": self._pending}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict`."""
-        self.damping = float(state["damping"])
-        rho = state["last_rho"]
-        self.last_rho = None if rho is None else float(rho)
-        pending = state["pending"]
-        self._pending = None if pending is None else (float(pending[0]), float(pending[1]))
+        """Restore :meth:`state_dict`: every value is converted before any is assigned."""
+        rho, pending = state["last_rho"], state["pending"]
+        damping, rho = float(state["damping"]), None if rho is None else float(rho)
+        pending = None if pending is None else (float(pending[0]), float(pending[1]))
+        self.damping, self.last_rho, self._pending = damping, rho, pending

@@ -34,7 +34,7 @@ class (``plan.solvers``) and each rank builds its instance ``from_config``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,7 +219,16 @@ class SolveStrategy:
         return {}
 
     def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
-        """Restore what :meth:`state_dict` wrote for ``layer``, checked against its shapes."""
+        """Restore what :meth:`state_dict` wrote for ``layer``, checked against its shapes (:meth:`state_loader`)."""
+        self.state_loader(state, layer)()
+
+    def state_loader(self, state: Dict[str, Any], layer: "KFACLayer") -> Callable[[], None]:
+        """Check what :meth:`state_dict` wrote against ``layer``'s shapes; return the function that restores it.
+
+        Whatever is wrong raises here, naming the layer; the returned function
+        cannot fail, so a caller restoring many layers checks them all first.
+        """
+        return lambda: None
 
 
 class EigenSolveStrategy(SolveStrategy):
@@ -305,8 +314,8 @@ class EigenSolveStrategy(SolveStrategy):
             "inverse_outer": None if self.inverse_outer is None else self.inverse_outer.copy(),
         }
 
-    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
-        """Restore both decompositions and the outer product, in the inverse dtype.
+    def state_loader(self, state: Dict[str, Any], layer: "KFACLayer") -> Callable[[], None]:
+        """Both decompositions and the outer product, in the inverse dtype.
 
         A shape the layer's reprs do not hold, or a non-float array, raises
         naming the layer before anything is restored.
@@ -341,7 +350,11 @@ class EigenSolveStrategy(SolveStrategy):
                     f"layer {layer.name!r}: inverse_outer has shape {outer.shape}, expected {(layer.g_dim, layer.a_dim)}"
                 )
             outer = outer.astype(dtype)
-        self.eigen_a, self.eigen_g, self.inverse_outer = eigen_a, eigen_g, outer
+
+        def restore() -> None:
+            self.eigen_a, self.eigen_g, self.inverse_outer = eigen_a, eigen_g, outer
+
+        return restore
 
 
 class InverseSolveStrategy(SolveStrategy):
@@ -453,7 +466,7 @@ class InverseSolveStrategy(SolveStrategy):
         held = {"inv_a": self.inv_a, "inv_g": self.inv_g}
         return {key: None if inverse is None else _packed(inverse) for key, inverse in held.items()}
 
-    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
+    def state_loader(self, state: Dict[str, Any], layer: "KFACLayer") -> Callable[[], None]:
         """Install ``inv_a`` / ``inv_g`` from their packed forms, each checked against its factor's repr.
 
         A shape that is not the factor's packed form
@@ -468,12 +481,16 @@ class InverseSolveStrategy(SolveStrategy):
                     f"layer {layer.name!r}: checkpoint inverse of the {which.upper()} factor is a {value.dtype} "
                     f"array of shape {value.shape}, expected floats of shape {expected} (its packed form)"
                 )
-        for which in ("a", "g"):
-            value = state[f"inv_{which}"]
-            if value is None:
-                setattr(self, f"inv_{which}", None)
-            else:
-                self.install(which, np.asarray(value), layer)
+
+        def restore() -> None:
+            for which in ("a", "g"):
+                value = state[f"inv_{which}"]
+                if value is None:
+                    setattr(self, f"inv_{which}", None)
+                else:
+                    self.install(which, np.asarray(value), layer)
+
+        return restore
 
 
 def _packed(held) -> np.ndarray:
@@ -543,8 +560,8 @@ class CGSolveStrategy(SolveStrategy):
             "total_iterations": self.total_iterations,
         }
 
-    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
-        """Restore the warm start, which must be a float ``(g_dim, a_dim)`` array (raises naming the layer), as float64."""
+    def state_loader(self, state: Dict[str, Any], layer: "KFACLayer") -> Callable[[], None]:
+        """The warm start, which must be a float ``(g_dim, a_dim)`` array (raises naming the layer), as float64."""
         warm = state["last_solution"]
         if warm is not None:
             warm, expected = np.asarray(warm), (layer.g_dim, layer.a_dim)
@@ -554,8 +571,12 @@ class CGSolveStrategy(SolveStrategy):
                     f"expected floats of shape {expected}"
                 )
             warm = warm.astype(np.float64)
-        self.last_solution = warm
-        self.total_iterations = int(state["total_iterations"])
+        total_iterations = int(state["total_iterations"])
+
+        def restore() -> None:
+            self.last_solution, self.total_iterations = warm, total_iterations
+
+        return restore
 
 
 #: Strategy name -> class.

@@ -27,7 +27,15 @@ only differ in how they view their data as a slab:
   gradient is the same extraction over the padded output gradient and one
   GEMM more, with no fold (:func:`_conv_input_grad`).
 
-Public tensors are ``NCHW`` throughout.
+Public tensors have ``NCHW`` shapes throughout; only their memory order
+varies.  A conv's output is the ``NCHW``-shaped transposed view of the
+C-contiguous ``(C, H, W, N)`` array its GEMM wrote, and so is its input
+gradient.  Elementwise NumPy results follow their inputs' memory order, so
+batch norm, ReLU and residual sums keep that channel-major layout, and the
+next conv's ``x.transpose(1, 2, 3, 0)`` -- like the backward's
+``grad.transpose(1, 2, 3, 0)`` -- is already contiguous.  Code that needs a
+contiguous ``NCHW`` array asks for one (``np.ascontiguousarray``); a reshape
+that cannot be a view copies.
 """
 
 from __future__ import annotations
@@ -190,7 +198,11 @@ def conv_patch_matrix(x: np.ndarray, kernel: Tuple[int, int], stride: int, paddi
 
 
 def _conv_input_grad(weight: np.ndarray, grad2: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
-    """A convolution's input gradient ``(N, C, H, W)`` from its output gradient ``grad2`` ``(out_c, out_h*out_w*N)``.
+    """A convolution's input gradient from its output gradient ``grad2`` ``(out_c, out_h*out_w*N)``.
+
+    The result has the input's ``(N, C, H, W)`` shape and is the transposed
+    view of a C-contiguous ``(C, H, W, N)`` array: the backward of a conv
+    below reads it without a copy.
 
     At stride 1 it is the correlation of the output gradient, zero-padded by
     ``(kh-1-p, kw-1-p)``, with the flipped, channel-transposed kernel: the
@@ -207,9 +219,9 @@ def _conv_input_grad(weight: np.ndarray, grad2: np.ndarray, x_shape, stride: int
         flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         slab = _padded_slab(grad2.reshape(out_c, out_h, out_w, n), (kh - 1 - padding, kw - 1 - padding))
         grad_x = flipped @ _extract_patches(slab, (kh, kw), 1).reshape(out_c * kh * kw, -1)
-        return np.ascontiguousarray(grad_x.reshape(c, h, w, n).transpose(3, 0, 1, 2))
+        return grad_x.reshape(c, h, w, n).transpose(3, 0, 1, 2)
     grad_patches = (weight.reshape(out_c, -1).T @ grad2).reshape(c, kh, kw, out_h, out_w, n)
-    return np.ascontiguousarray(_fold_patches(grad_patches, h, w, stride, padding).transpose(3, 0, 1, 2))
+    return np.ascontiguousarray(_fold_patches(grad_patches, h, w, stride, padding)).transpose(3, 0, 1, 2)
 
 
 class Conv2dFunction(Function):
@@ -218,7 +230,10 @@ class Conv2dFunction(Function):
     ``cols`` (the patch matrix, see :func:`conv_patch_matrix`) is built once
     in ``forward`` and kept on the node for ``backward`` and for whoever
     observes the call through a forward hook (``output._ctx.cols``).  The
-    input gradient is :func:`_conv_input_grad`'s.
+    output is the ``NCHW``-shaped view of the GEMM's ``(out_c, out_h, out_w, N)``
+    result, not a copy, so an output gradient in the same memory order is the
+    ``(out_c, out_h*out_w*N)`` matrix the backward GEMMs read as it stands.
+    The input gradient is :func:`_conv_input_grad`'s.
     """
 
     def forward(self, x, weight, bias=None, *, stride, padding):
@@ -231,7 +246,7 @@ class Conv2dFunction(Function):
         out_h = conv_output_size(h, kh, stride, padding)
         out_w = conv_output_size(w, kw, stride, padding)
         self.save_for_backward(weight, x.shape, stride, padding)
-        return np.ascontiguousarray(out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2))
+        return out.reshape(out_c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def backward(self, grad):
         weight, x_shape, stride, padding = self.saved

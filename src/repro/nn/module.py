@@ -33,9 +33,10 @@ class Module:
     Provides parameter/submodule registration, recursive traversal,
     train/eval mode, state dict save/load, and hooks.  Forward hooks receive
     ``(module, inputs, output)`` after every forward call and are the
-    mechanism the K-FAC preconditioner uses to capture layer inputs; full
-    backward hooks receive ``(module, grad_input, grad_output)`` during the
-    backward pass (the event K-FAC's G-factor capture is driven by).  All registrations return a
+    mechanism the K-FAC preconditioner uses to capture layer inputs (and, on a
+    step that accumulates, to hook the call's output tensor for its gradient);
+    full backward hooks receive ``(module, grad_input, grad_output)`` during
+    the backward pass.  All registrations return a
     :class:`~repro.tensor.RemovableHandle`.
     """
 

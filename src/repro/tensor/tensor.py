@@ -8,8 +8,7 @@ mirrors the parts of PyTorch that K-FAC relies on:
   once all of its consumers have contributed, as in PyTorch's engine), so
   leaf gradients finalize eagerly in reverse-layer order,
 * ``Tensor.register_hook`` observing a tensor's incoming gradient (the ``g``
-  in the Kronecker factor ``G = g gᵀ`` is captured one level up, via
-  ``Module.register_full_backward_hook``),
+  in the Kronecker factor ``G = g gᵀ``: K-FAC hooks a layer call's output),
 * a ``no_grad`` context manager used for evaluation and factor bookkeeping.
 
 Only floating point dtypes are supported; integer inputs (e.g. token ids or
@@ -262,8 +261,9 @@ class Tensor:
         # of at its position in a global post-order walk.  A leaf's gradient
         # is therefore *finalized* — accumulated into ``.grad`` — the moment
         # the owning layer's local backward completes, in reverse-layer order,
-        # while earlier layers are still backpropagating, and module full
-        # backward hooks (K-FAC's G capture) fire in that order too.
+        # while earlier layers are still backpropagating, and tensor hooks
+        # (K-FAC's G capture) and module full backward hooks fire in that
+        # order too.
         # Scheduling is a deterministic function of the graph structure, so
         # every data-parallel rank observes the identical event order.
         consumers: dict[int, int] = {}

@@ -5,6 +5,11 @@ a float32 model's whole backward -- and with it K-FAC's G statistics -- is
 float32; one float64 constant on the path (a ``bool / int`` mask) would
 promote everything below it.  The float32 gradients agree with the same
 graph differentiated in float64 to 1e-5 in relative norm.
+
+Two more properties of every node hold on all the workloads: no ``backward``
+writes the gradient it receives (K-FAC's output hooks and their deferred
+products read that buffer uncopied while the tape runs on), and the
+channel-major memory order of conv outputs changes a step by rounding only.
 """
 
 import numpy as np
@@ -12,6 +17,7 @@ import pytest
 
 import repro
 from repro.experiments import build_workload
+from repro.nn import functional as F
 from repro.tensor.tensor import Function
 
 SEED = 901
@@ -84,5 +90,42 @@ def test_float32_gradients_agree_with_the_same_graph_differentiated_in_float64(n
     for param_name, param in workload.model.named_parameters():
         expected = reference[param_name]
         assert param.grad.dtype == np.float32 and expected.dtype == np.float64, param_name
+        difference = np.linalg.norm(param.grad - expected) / np.linalg.norm(expected)
+        assert difference <= 1e-5, (param_name, difference)
+
+
+@pytest.mark.parametrize("name", ["cifar_resnet", "bert", "mlp", "unet", "mask_rcnn"])
+def test_no_node_writes_the_gradient_it_receives(name, monkeypatch):
+    """Each incoming gradient is bitwise the same after the node's ``backward`` as before it."""
+    called, written = [], []
+
+    def checked(node, grad, original):
+        before = grad.copy()
+        grads = original(node, grad)
+        called.append(type(node).__name__)
+        if not np.array_equal(grad, before, equal_nan=True):
+            written.append(type(node).__name__)
+        return grads
+
+    wrap_backwards(monkeypatch, checked)
+    _, loss = first_batch_loss(name)
+    loss.backward()
+    assert len(called) > 5 and written == []
+
+
+@pytest.mark.parametrize("name", ["cifar_resnet", "unet", "mask_rcnn"])
+def test_channel_major_conv_outputs_change_the_step_by_rounding_only(name, monkeypatch):
+    """Loss and every parameter gradient within 1e-5 relative norm of the step with C-contiguous conv outputs."""
+    workload, loss = first_batch_loss(name)
+    loss.backward()
+    forward = F.Conv2dFunction.forward
+    with monkeypatch.context() as patch:
+        patch.setattr(F.Conv2dFunction, "forward", lambda node, *args, **kwargs: np.ascontiguousarray(forward(node, *args, **kwargs)))
+        reference_workload, reference_loss = first_batch_loss(name)
+        reference_loss.backward()
+    assert abs(loss.item() - reference_loss.item()) <= 1e-5 * abs(reference_loss.item())
+    reference = dict(reference_workload.model.named_parameters())
+    for param_name, param in workload.model.named_parameters():
+        expected = reference[param_name].grad
         difference = np.linalg.norm(param.grad - expected) / np.linalg.norm(expected)
         assert difference <= 1e-5, (param_name, difference)

@@ -1,6 +1,7 @@
 """Tests for the communication backends, their per-rank registries, the cost model and data-parallel helpers."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,32 @@ class TestThreadedWorld:
 
         with pytest.raises(RuntimeError):
             run_spmd(2, program)
+
+    @pytest.mark.parametrize("wait", ["allreduce", "barrier"])
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+    def test_a_failing_rank_aborts_the_world_instead_of_timing_out_its_peers(self, sanitize, wait):
+        """Rank 1 raises while rank 0 waits for it: rank 0 wakes at once, a later post raises, ``run_spmd`` names rank 1."""
+        waiting, woken = threading.Event(), []
+
+        def program(comm):
+            if comm.rank == 1:
+                waiting.wait(5.0)
+                time.sleep(0.1)  # rank 0 is inside the collective by now
+                raise ValueError("boom")
+            calls = {"allreduce": lambda: comm.allreduce_average(np.ones(4, dtype=np.float32)), "barrier": comm.barrier}
+            waiting.set()
+            for call in (calls[wait], calls["allreduce"]):  # the wait it is in, then a later post
+                try:
+                    call()
+                except RuntimeError as error:
+                    woken.append(str(error))
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"^rank 1 failed$") as raised:
+            run_spmd(2, program, sanitize=sanitize)
+        assert time.perf_counter() - start < 5.0  # the world's collective timeout is 60 s
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert woken == ["world aborted: rank 1 failed"] * 2
 
 
 class TestFlattenAndSampler:

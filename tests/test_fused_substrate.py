@@ -100,10 +100,11 @@ class TestConv2dNode:
             if ref is not None:
                 np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
 
-    def test_output_is_contiguous_nchw(self):
+    def test_output_is_nchw_shaped_and_channel_major(self):
+        """The output is the ``NCHW`` view of the GEMM's ``(C, H, W, N)`` array, which the next conv reads as is."""
         x, weight, bias = conv_problem(3, True)
         out = F.conv2d(*tensors((x, weight, bias), np.float32), 1, 1)
-        assert out.shape == (2, 3, 5, 6) and out.data.flags.c_contiguous
+        assert out.shape == (2, 3, 5, 6) and out.data.transpose(1, 2, 3, 0).flags.c_contiguous
 
     def test_constant_input_skips_grad_x_and_keeps_weight_grads(self, monkeypatch):
         """A conv on data (the stem) never computes a gradient for its input."""
@@ -154,7 +155,7 @@ class TestConv2dNode:
             (out * Tensor(probe)).sum().backward()
         assert folds == []
         reference = fold_reference(weight.data, probe, x.shape, 1, padding)
-        assert x.grad.dtype == dtype and x.grad.flags.c_contiguous
+        assert x.grad.shape == x.shape and x.grad.dtype == dtype and x.grad.transpose(1, 2, 3, 0).flags.c_contiguous
         tol = 1e-12 if dtype is np.float64 else 1e-5
         assert np.abs(x.grad - reference).max() <= tol * np.abs(reference).max()
 

@@ -1067,6 +1067,33 @@ class TestOneCheckpointFormat:
             build().load_state_dict(state)
         pre.remove()
 
+    def test_a_refused_checkpoint_leaves_every_layer_and_the_step_count_as_they_were(self):
+        """Every layer's and solver's state is checked before any is assigned: a bool ``factor_a`` in the last
+        layer of a trained 3-layer MLP raises and leaves every factor, window, solver state and ``steps`` byte-equal."""
+        x, y = make_problem(15, in_dim=5)
+
+        def trained(seed, steps):
+            model = MLP(5, [16, 8], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, lr=0.1, factor_update_freq=1, inv_update_freq=1)
+            for step in range(steps):
+                model.zero_grad()
+                batch = slice(32 * step, 32 * step + 32)
+                nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
+                pre.step()
+            return pre
+
+        source, target = trained(1, 3), trained(2, 2)
+        state = source.state_dict()
+        assert len(state["layers"]) == 3
+        last = list(state["layers"])[-1]
+        state["layers"][last]["factor_a"] = state["layers"][last]["factor_a"].astype(bool)
+        before = pickle.dumps(target.state_dict())
+        with pytest.raises(ValueError, match=rf"layer {last!r}: checkpoint A factor is a bool array"):
+            target.load_state_dict(state)
+        assert target.steps == 2 and pickle.dumps(target.state_dict()) == before
+        for pre in (source, target):
+            pre.remove()
+
 
 class TestLayerRegistry:
     """``LAYER_HANDLERS`` is the one fixed table of what K-FAC preconditions, and the shape models read it."""

@@ -9,7 +9,7 @@ import pytest
 from repro import nn
 from repro.kfac import KFAC, FactorRepr
 from repro.kfac import layers as kfac_layers
-from repro.kfac.layers import KFACConv2dLayer, KFACLinearLayer, make_kfac_layer
+from repro.kfac.layers import KFACConv2dLayer, KFACLayer, KFACLinearLayer, make_kfac_layer
 from repro.kfac import EigenSolveStrategy, WirePolicy
 from repro.nn import functional as F
 from repro.optim import GradScaler
@@ -148,6 +148,24 @@ class TestFactorAccumulation:
         cols, _, _ = F.im2col(x, layer.kernel_size, layer.stride, layer.padding)
         rows = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
         np.testing.assert_allclose(a_new, rows.T @ rows / rows.shape[0], rtol=1e-4)
+
+    def test_conv_g_from_a_channel_major_gradient_equals_the_nchw_contiguous_one(self, monkeypatch):
+        """A conv's output gradient in its own ``(C, H, W, N)`` memory order is read in place; any order gives one G."""
+        layer, handler = make_conv_handler(out_channels=4)
+        rng = np.random.default_rng(7)  # its own stream: the module's RNG feeds the tests after this one
+        x = Tensor(rng.standard_normal((3, 2, 5, 6)).astype(np.float32))
+        probe = rng.standard_normal((4, 5, 6, 3)).astype(np.float32)  # (C, H, W, N), as the conv's GEMM writes it
+        stats = []
+        add_g_stat = KFACLayer._add_g_stat
+        monkeypatch.setattr(KFACLayer, "_add_g_stat", lambda self, grad, *args: stats.append(grad) or add_g_stat(self, grad, *args))
+        factors = []
+        for grad in (probe.transpose(3, 0, 1, 2), np.ascontiguousarray(probe.transpose(3, 0, 1, 2))):
+            layer(x).backward(grad)
+            factors.append(window_matrices(handler)[1])
+        assert np.shares_memory(stats[0], probe)  # no copy of the channel-major gradient
+        rows = probe.transpose(3, 1, 2, 0).reshape(-1, 4).astype(np.float64) * 3  # undo the 1/N of the loss
+        np.testing.assert_allclose(factors[0], factors[1], rtol=1e-6, atol=1e-6 * np.abs(factors[1]).max())
+        np.testing.assert_allclose(factors[0], rows.T @ rows / rows.shape[0], rtol=1e-5)
 
     def test_grad_scale_unscales_g_factor(self):
         """AMP integration (section 4.1): G statistics are divided by the loss scale."""

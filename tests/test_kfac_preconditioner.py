@@ -10,6 +10,7 @@ import pytest
 
 from repro import nn, optim
 from repro.distributed import run_spmd
+from repro.experiments import build_workload
 from repro.kfac import KFAC, EigenSolveStrategy, KFACConfig, kmath
 from repro.kfac.kernels import KernelBackend
 from repro.kfac.layers import KFACLayer
@@ -120,6 +121,26 @@ class TestStepMechanics:
         original = model.layers[0].weight.grad.copy()
         pre.step()
         assert not np.allclose(model.layers[0].weight.grad, original)
+
+    def test_a_step_that_folds_nothing_registers_no_tensor_hook(self, monkeypatch):
+        """G capture is armed per call only on steps that accumulate: at cadence 2, one output hook per layer, then none."""
+        workload = build_workload("cifar_resnet", seed=3)
+        pre = KFAC(workload.model, factor_update_freq=2, inv_update_freq=4)
+        optimizer = optim.SGD(workload.model.parameters(), lr=0.05)
+        registered = []
+        register = Tensor.register_hook
+        monkeypatch.setattr(Tensor, "register_hook", lambda tensor, hook: registered.append(hook) or register(tensor, hook))
+        counts = []
+        for step, batch in zip(range(4), workload.train_loader):
+            registered.clear()
+            optimizer.zero_grad()
+            workload.forward_loss(workload.model, batch).backward()
+            counts.append(len(registered))
+            assert len(pre.plan.actions(step).fold) == (len(pre.layers) if step % 2 == 0 else 0)
+            pre.step()
+            optimizer.step()
+        pre.remove()
+        assert counts == [len(pre.layers), 0, len(pre.layers), 0]
 
     def test_preconditioned_gradient_is_descent_direction(self):
         model = MLP(6, [12], 3, rng=np.random.default_rng(0))
