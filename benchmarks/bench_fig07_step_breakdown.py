@@ -102,7 +102,7 @@ def _traced_mlp_run() -> MetricsReport:
     x = rng.standard_normal((512, 16)).astype(np.float32)
     y = rng.integers(0, 5, 512)
     model = MLP(16, [64, 64], 5, rng=np.random.default_rng(1))
-    config = KFACConfig(lr=0.05, factor_update_freq=5, inv_update_freq=10)
+    config = KFACConfig(factor_update_freq=5, inv_update_freq=10)
     preconditioner = KFAC.from_config(model, config)
     tracer = preconditioner.tracer
     tracer.enabled = True
@@ -112,7 +112,7 @@ def _traced_mlp_run() -> MetricsReport:
         idx = np.random.default_rng(step).integers(0, 512, 64)
         optimizer.zero_grad()
         loss_fn(model(Tensor(x[idx])), y[idx]).backward()
-        preconditioner.step()
+        preconditioner.step(lr=optimizer.param_groups[0]["lr"])
         optimizer.step()
     return MetricsReport.from_tracers(tracer)
 

@@ -10,6 +10,9 @@ Demonstrates the three BERT-specific features of the paper:
 * factors are stored in half precision and the GradScaler's loss scale is
   removed from the G factors (sections 3.3 and 4.1).
 
+The ``Trainer`` passes LAMB's rate to every ``KFAC.step(lr=...)``, the KL
+clip's learning rate.
+
 Run with::
 
     python examples/bert_masked_lm.py
@@ -36,7 +39,6 @@ def main() -> None:
     optimizer = optim.LAMB(model.parameters(), lr=8e-3, weight_decay=0.01)
     scaler = optim.GradScaler(init_scale=2.0 ** 10)
     config = KFACConfig(
-        lr=8e-3,
         damping=0.01,
         kl_clip=0.01,
         factor_update_freq=5,

@@ -22,7 +22,7 @@ bit, if a row's result differs from MEM-OPT's (in any bit on the inverse
 path, beyond rounding on the eigen path), if a rank's
 ``preconditioner.plan.scheme`` is not the row's label, or if a ``Trainer``
 running the HYBRID-OPT job ends anywhere but the hand-written Listing-1 loop
-does, bit for bit.
+does, bit for bit (both pass the optimizer's rate to ``KFAC.step(lr=...)``).
 
 Run with::
 
@@ -71,7 +71,6 @@ def run_strategy(grad_worker_frac: float, solver: str, bucket_cap_mb: float = 25
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         config = KFACConfig.hybrid(
             grad_worker_frac,
-            lr=0.05,
             factor_update_freq=2,
             inv_update_freq=4,
             bucket_cap_mb=bucket_cap_mb,
@@ -86,7 +85,7 @@ def run_strategy(grad_worker_frac: float, solver: str, bucket_cap_mb: float = 25
             optimizer.zero_grad()
             loss_fn(model(Tensor(FEATURES[local])), LABELS[local]).backward()
             ddp.sync_gradients()
-            preconditioner.step()
+            preconditioner.step(lr=optimizer.param_groups[0]["lr"])
             optimizer.step()
         final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
         memory[rank] = preconditioner.memory_usage()
@@ -207,7 +206,7 @@ def run_trainer(grad_worker_frac: float, solver: str):
         DistributedDataParallel(model, comm)  # broadcast rank 0's weights
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         config = KFACConfig.hybrid(
-            grad_worker_frac, lr=0.05, factor_update_freq=2, inv_update_freq=4, solve_strategy=solver
+            grad_worker_frac, factor_update_freq=2, inv_update_freq=4, solve_strategy=solver
         )
         preconditioner = KFAC.from_config(model, config, comm=comm)
         trainer = Trainer(

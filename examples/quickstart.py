@@ -1,8 +1,9 @@
 """Quickstart: add KAISA (K-FAC) to an existing training loop in two lines.
 
 This mirrors Listing 1 of the paper: construct the preconditioner once, then
-call ``preconditioner.step()`` right before ``optimizer.step()``.  The
-hyperparameters live in a validated, serializable :class:`KFACConfig`;
+call ``preconditioner.step(lr=...)`` right before ``optimizer.step()``, with
+the rate the optimizer is about to apply (the KL clip's learning rate).  The
+K-FAC hyperparameters live in a validated, serializable :class:`KFACConfig`;
 ``KFACConfig.comm_opt()`` / ``.hybrid()`` / ``.mem_opt(world_size)`` select
 the paper's section-3.1 distribution strategies by name.
 
@@ -32,7 +33,7 @@ def main() -> None:
     optimizer = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
 
     # The two KAISA lines (Listing 1): create the preconditioner, call step().
-    config = KFACConfig.comm_opt(lr=0.1, factor_update_freq=2, inv_update_freq=4)
+    config = KFACConfig.comm_opt(factor_update_freq=2, inv_update_freq=4)
     preconditioner = KFAC.from_config(model, config)
 
     loss_fn = nn.CrossEntropyLoss()
@@ -41,7 +42,7 @@ def main() -> None:
             optimizer.zero_grad()
             loss = loss_fn(model(Tensor(features)), labels)
             loss.backward()
-            preconditioner.step()  # precondition gradients in place
+            preconditioner.step(lr=optimizer.param_groups[0]["lr"])  # precondition gradients in place
             optimizer.step()
 
         model.eval()

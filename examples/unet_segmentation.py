@@ -4,7 +4,8 @@ The paper applies K-FAC to *all* convolutional layers of a U-Net trained on
 brain-MRI tumour segmentation and reports a 25.4% shorter time to the target
 Dice similarity coefficient.  This example trains the CPU-scale U-Net analogue
 on synthetic blob segmentation, with and without the preconditioner, and
-reports the Dice curves.
+reports the Dice curves.  The ``Trainer`` passes ADAM's rate to every
+``KFAC.step(lr=...)``, the KL clip's learning rate.
 
 Run with::
 
@@ -47,7 +48,7 @@ def train_once(use_kfac: bool, epochs: int = 12) -> TrainingCurve:
     preconditioner = None
     if use_kfac:
         # All Conv2d layers are preconditioned, exactly as in the paper.
-        preconditioner = KFAC(model, lr=3e-3, factor_update_freq=4, inv_update_freq=8)
+        preconditioner = KFAC(model, factor_update_freq=4, inv_update_freq=8)
     trainer = Trainer(model, optimizer, forward_loss, preconditioner=preconditioner)
     curve = TrainingCurve(name="KAISA" if use_kfac else "ADAM")
     trainer.fit(loader, epochs=epochs, evaluate_fn=evaluate, curve=curve)

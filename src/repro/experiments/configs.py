@@ -95,7 +95,7 @@ class SmallWorkloadConfig:
     target_metric: float
     baseline_optimizer: str
     baseline_lr: float
-    kfac_lr: float
+    kfac_lr: float  # the KAISA side's optimizer rate; the Trainer passes it to KFAC.step for the KL clip
     damping: float = 0.003
     factor_update_freq: int = 5
     inv_update_freq: int = 10
@@ -112,7 +112,6 @@ class SmallWorkloadConfig:
         a strategy sweep); the result is re-validated.
         """
         base = KFACConfig(
-            lr=self.kfac_lr,
             damping=self.damping,
             kl_clip=self.kl_clip,
             factor_update_freq=self.factor_update_freq,

@@ -79,7 +79,7 @@ def _train(
     )
     preconditioner = None
     if use_kfac:
-        kfac_config = workload.config.kfac_config(lr=lr, grad_worker_frac=grad_worker_frac)
+        kfac_config = workload.config.kfac_config(grad_worker_frac=grad_worker_frac)
         # Split overrides into config fields (hyperparameters) and per-run
         # constructor arguments (communicator, skipped modules, ...).
         config_fields = {f.name for f in dataclasses.fields(KFACConfig)}
@@ -201,9 +201,7 @@ def measured_memory_report(
             weight_decay=config.weight_decay,
         )
         overrides = {"factor_update_freq": 1, "inv_update_freq": 1, **(kfac_overrides or {})}
-        kfac_config = config.kfac_config(lr=config.kfac_lr, grad_worker_frac=grad_worker_frac).replace(
-            **overrides
-        )
+        kfac_config = config.kfac_config(grad_worker_frac=grad_worker_frac).replace(**overrides)
         preconditioner = KFAC.from_config(
             workload.model, kfac_config, comm=comm, skip_modules=workload.kfac_skip_modules
         )

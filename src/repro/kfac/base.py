@@ -13,7 +13,8 @@ __all__ = ["CHECKPOINT_FORMAT", "check_checkpoint_format"]
 
 #: The checkpoint layout this version writes and the only one it reads back.  Every layer's second-order
 #: state is under ``"solvers"``, as the layer's solve strategy writes it (since format 4); format 5 keeps a
-#: damped inverse in its packed form, whichever inverse shares its buffer, where format 4 kept squares.
+#: damped inverse in its packed form, whichever inverse shares its buffer, where format 4 kept squares.  The
+#: ``"config"`` entry is bookkeeping no load reads, so a config field's removal needs no new number.
 CHECKPOINT_FORMAT = 5
 
 

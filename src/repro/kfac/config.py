@@ -19,7 +19,9 @@ is a frozen dataclass that
 Construct the preconditioner from a config with ``KFAC(model, config)``;
 per-run objects (the communicator, the grad scaler, skipped modules) stay
 out of the config because they are not serializable state.  Nothing else
-about the run is passed beside it: no strategy or precision object.
+about the run is passed beside it: no strategy or precision object.  The
+learning rate is not a field either: the KL clip uses the rate the optimizer
+is about to apply, which the caller passes to ``KFAC.step(lr)`` every step.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ class KFACConfig:
     COMM-OPT, anything in between is HYBRID-OPT.
     """
 
-    lr: float = 0.1
     factor_decay: float = 0.95
     damping: float = 0.003
     kl_clip: float = 0.001
@@ -120,7 +121,7 @@ class KFACConfig:
 
     def __post_init__(self) -> None:
         # Canonicalize numeric types first so consumers always see float/int/bool.
-        floats = ("lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol")
+        floats = ("factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol")
         for name in floats:
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         for name in ("compute_eigen_outer", "adaptive_damping"):
@@ -132,8 +133,6 @@ class KFACConfig:
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
-        if self.lr < 0.0:
-            raise ValueError("lr must be >= 0")
         if self.factor_update_freq < 1 or self.inv_update_freq < 1:
             raise ValueError("update frequencies must be >= 1")
         if self.drift_tol < 0.0:

@@ -4,18 +4,21 @@ Usage mirrors the paper's Listing 1, driven by a validated config::
 
     model = ...                                   # any repro.nn model
     optimizer = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
-    config = KFACConfig.hybrid(grad_worker_frac=0.5, lr=0.1)
+    config = KFACConfig.hybrid(grad_worker_frac=0.5)
     preconditioner = KFAC(model, config)
 
     for data, target in loader:
         optimizer.zero_grad()
         loss = criterion(model(data), target)
         loss.backward()
-        preconditioner.step()                      # precondition gradients in-place
+        preconditioner.step(lr=optimizer.param_groups[0]["lr"])  # precondition gradients in-place
         optimizer.step()
 
-(``KFAC(model, lr=0.1, ...)`` builds the :class:`KFACConfig` from the keyword
-hyperparameters, so both spellings validate through the same rules.)
+(``KFAC(model, damping=0.003, ...)`` builds the :class:`KFACConfig` from the
+keyword hyperparameters, so both spellings validate through the same rules.)
+``step`` takes the rate the optimizer is about to apply, the one source of
+the KL clip's ``lr``: a schedule moves it, and the preconditioner keeps no
+copy of it.
 
 A call to :meth:`KFAC.step` performs the four stages of Figure 3 / section 3.4:
 
@@ -110,7 +113,7 @@ class KFAC:
         """Register ``model``'s layers and build this rank's plans.
 
         Hyperparameters come either as a :class:`KFACConfig` or as its fields
-        by keyword (``KFAC(model, lr=0.1, precision="fp16")``); all validation
+        by keyword (``KFAC(model, damping=0.01, precision="fp16")``); all validation
         lives in :class:`KFACConfig`, so code, checkpoints and experiment
         manifests are checked by the same rules.  Per-run objects (the
         communicator -- whose tracer the preconditioner records into --, grad
@@ -125,10 +128,7 @@ class KFAC:
             raise TypeError("pass either a KFACConfig or keyword hyperparameters, not both")
 
         self.model = model
-        self._config = config
-        # The two hyperparameters that change during a run (step(lr=...), adaptive damping).
-        self.lr = config.lr
-        self.damping = config.damping
+        self.config = config  # the one copy of the hyperparameters: nothing here mirrors a field
         self.grad_scaler = grad_scaler
         self.comm = comm if comm is not None else SingleProcessCommunicator()
         self.tracer = self.comm.tracer
@@ -190,7 +190,7 @@ class KFAC:
 
     def _new_drift(self) -> Optional[DriftSchedule]:
         """A fresh drift schedule, or None: at ``drift_tol=0`` the plan's actions are carried out as they are."""
-        config = self._config
+        config = self.config
         return DriftSchedule(self.plan, config.drift_tol, config.max_staleness) if config.drift_tol > 0 else None
 
     # ----------------------------------------------------------- construction
@@ -266,7 +266,7 @@ class KFAC:
 
     @property
     def grad_worker_frac(self) -> float:
-        return self._config.grad_worker_frac
+        return self.config.grad_worker_frac
 
     @property
     def kernel_backend(self) -> str:
@@ -274,12 +274,12 @@ class KFAC:
         return self.kernels.name
 
     @property
-    def config(self) -> KFACConfig:
-        """The :class:`KFACConfig` this instance was built with, at the current ``lr``."""
-        return self._config.replace(lr=self.lr)
+    def damping(self) -> float:
+        """The γ this step damps with: the adaptive controller's when there is one, else ``config.damping``."""
+        return self.config.damping if self.damping_controller is None else self.damping_controller.damping
 
     # --------------------------------------------------------------------- step
-    def step(self, lr: Optional[float] = None, loss: Optional[float] = None) -> None:
+    def step(self, lr: float, loss: Optional[float] = None) -> None:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
         In order: run the factor round of ``fold`` and fold the averaged
@@ -288,14 +288,15 @@ class KFAC:
         factors as the step found them) and run the eigen round;
         precondition and run the gradient round; apply the KL clip and write
         the gradients back.
+        ``lr`` is the rate the following ``optimizer.step()`` applies (the
+        KL clip's η; ``optimizer.param_groups[0]["lr"]``).
         ``loss`` (this step's training loss) feeds the Levenberg-Marquardt
         adaptive damping controller when ``adaptive_damping`` is configured;
         it is ignored otherwise.
         """
-        if lr is not None:
-            if not 0.0 <= float(lr) < np.inf:  # a NaN lr turns the KL clip off, an infinite one zeroes the update
-                raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
-            self.lr = float(lr)
+        lr = float(lr)
+        if not 0.0 <= lr < np.inf:  # a NaN lr turns the KL clip off, an infinite one zeroes the update
+            raise ValueError(f"lr must be finite and >= 0, got {lr!r}")
         step, sanitizer = self._steps, getattr(self.comm, "sanitizer", None)
         if sanitizer is not None:
             # Label this rank's position in the program so schedule-divergence
@@ -350,12 +351,12 @@ class KFAC:
                 # Fills in the layers this rank did not precondition itself; no message where it did.
                 self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.gradient_round])
             with self._stage("scale_and_update"):
-                nu, raw_total = self._apply_preconditioned_gradients(gradients)
+                nu, raw_total = self._apply_preconditioned_gradients(gradients, lr)
             if mean_loss is not None:
                 # First-order predicted reduction of the update just written:
                 # the parameter delta is -lr·ν·precond, so ⟨grad, Δw⟩ predicts
                 # a decrease of lr·ν·Σ⟨grad, precond⟩.
-                self.damping_controller.record_prediction(mean_loss, self.lr * nu * raw_total)
+                self.damping_controller.record_prediction(mean_loss, lr * nu * raw_total)
             self._steps += 1
             self._begin_factor_window()
 
@@ -367,11 +368,11 @@ class KFAC:
         # damping adjustment and the SPMD plan stays in lock step.
         mean_loss = float(self.comm.allreduce_average(np.asarray([float(loss)], dtype=np.float64))[0])
         previous = self.damping
-        self.damping = self.damping_controller.observe_loss(mean_loss)
-        if self.damping != previous:
-            self.tracer.counter_add("kfac/damping_shrinks" if self.damping < previous else "kfac/damping_grows")
+        damping = self.damping_controller.observe_loss(mean_loss)
+        if damping != previous:
+            self.tracer.counter_add("kfac/damping_shrinks" if damping < previous else "kfac/damping_grows")
             self.tracer.instant(
-                "kfac/damping_adjusted", category="scheduling", step=self._steps, old=previous, new=self.damping
+                "kfac/damping_adjusted", category="scheduling", step=self._steps, old=previous, new=damping
             )
         return mean_loss
 
@@ -517,7 +518,7 @@ class KFAC:
             if self.accept_factor_window(layer, received["a"], received["g"]):
                 for held in ("a", "g"):
                     if self.holds_factor(name, held):
-                        layer.fold_factor(held, received[held], self._config.factor_decay)
+                        layer.fold_factor(held, received[held], self.config.factor_decay)
 
     # -------------------------------------------------------- stage 2: eigen decomp
     # Which rank decomposes which factor, which ranks keep the results and
@@ -621,8 +622,8 @@ class KFAC:
         return gradients
 
     # --------------------------------------------------- stage 4: scale and update
-    def _apply_preconditioned_gradients(self, gradients: Dict[str, np.ndarray]) -> tuple:
-        """Write back ν-scaled preconditioned gradients; return ``(ν, Σ⟨grad, precond⟩)``.
+    def _apply_preconditioned_gradients(self, gradients: Dict[str, np.ndarray], lr: float) -> tuple:
+        """Write back preconditioned gradients scaled by ν at the rate ``lr``; return ``(ν, Σ⟨grad, precond⟩)``.
 
         ``gradients`` holds the gradient matrices stage 3 already built (the
         layers this rank preconditioned); the others are read here.  Each
@@ -640,7 +641,7 @@ class KFAC:
         self._preconditioned = {}  # the views of the received buckets are released with ``pairs``
         # One backend-accumulated Σ⟨grad, precond⟩ feeds both ν and the damping controller's prediction.
         raw_total = self.kernels.kl_clip_accumulate(pairs)
-        nu = kl_clip_scale_from_total(raw_total, self.lr, self._config.kl_clip)
+        nu = kl_clip_scale_from_total(raw_total, lr, self.config.kl_clip)
         for layer, (_, precond) in zip(self.layers.values(), pairs):
             layer.set_gradient(precond, nu)
         return nu, raw_total
@@ -680,13 +681,14 @@ class KFAC:
         instance's config writes are read, and the plan is never changed.
         The registered layers must match the checkpoint exactly (same names,
         same shapes); arrays are cast to this instance's precision policy.
-        Hyperparameters are *not* overwritten — construct the instance from
-        the same :class:`KFACConfig` to resume the identical schedule.  A
-        factor this rank does not hold (:meth:`holds_factor`) in the
-        checkpoint raises, and so does a held factor it lacks once a factor
-        update has run, and solver state (inverses, eigen decompositions, CG
-        warm starts) of a layer this rank is not a gradient worker of: each
-        was written under another config.  Every check runs before anything
+        The ``"config"`` key is bookkeeping and is never read (a format-5
+        dict whose config still has an ``lr`` loads as any other): construct
+        the instance from the same :class:`KFACConfig` to resume the
+        identical schedule.  A factor this rank does not hold
+        (:meth:`holds_factor`) in the checkpoint raises, and so does a held
+        factor it lacks once a factor update has run, and solver state
+        (inverses, eigen decompositions, CG warm starts) of a layer this rank
+        is not a gradient worker of: each was written under another config.  Every check runs before anything
         is assigned: a refused checkpoint leaves the instance as it was.
         """
         check_checkpoint_format(state, "KFAC")
@@ -727,7 +729,6 @@ class KFAC:
             drift.load_state_dict(state["scheduler"])
         if self.damping_controller is not None:  # the last check: it assigns only once all its values convert
             self.damping_controller.load_state_dict(state["damping_controller"])
-            self.damping = self.damping_controller.damping
         self._steps, self.drift = steps, drift
         for restore in restores:
             restore()

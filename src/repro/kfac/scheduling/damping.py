@@ -40,7 +40,8 @@ class AdaptiveDampingController:
        the damping the current step must use;
     2. :meth:`record_prediction` at the *end* of the step, with the same
        loss and the first-order predicted reduction of the update just
-       written (``lr · ν · Σ⟨grad, precond⟩``).
+       written (``lr · ν · Σ⟨grad, precond⟩``, with the ``lr`` the step was
+       passed: the rate the optimizer applies).
     """
 
     def __init__(

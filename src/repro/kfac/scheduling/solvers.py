@@ -171,7 +171,7 @@ class SolveStrategy:
     prices and checkpoints it on every path: :meth:`state_bytes` of the layers
     a gradient worker holds (per rank, by ``DistributionPlan.state_bytes_per_rank``),
     :meth:`held_bytes` as measured, :meth:`state_dict` /
-    :meth:`load_state_dict` under the checkpoint's ``"solvers"``.  A strategy
+    :meth:`state_loader` under the checkpoint's ``"solvers"``.  A strategy
     with a ``refresh`` also takes factor ``which``'s refresh result (what the
     decomposer's task returned) to each gradient worker, to be installed
     once: ``install(which, result, layer)`` in a group of one, else
@@ -217,10 +217,6 @@ class SolveStrategy:
 
     def state_dict(self) -> Dict[str, Any]:
         return {}
-
-    def load_state_dict(self, state: Dict[str, Any], layer: "KFACLayer") -> None:
-        """Restore what :meth:`state_dict` wrote for ``layer``, checked against its shapes (:meth:`state_loader`)."""
-        self.state_loader(state, layer)()
 
     def state_loader(self, state: Dict[str, Any], layer: "KFACLayer") -> Callable[[], None]:
         """Check what :meth:`state_dict` wrote against ``layer``'s shapes; return the function that restores it.

@@ -76,8 +76,8 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # --------------------------------------------------------------------------
 # The slab kernel: one patch extraction, one fold
 # --------------------------------------------------------------------------
-def _padded_slab(slab: np.ndarray, padding) -> np.ndarray:
-    """An ``(A, H, W, B)`` view as a contiguous array with ``padding`` zeros around H and W.
+def _padded_slab(slab: np.ndarray, padding, fill: float = 0.0) -> np.ndarray:
+    """An ``(A, H, W, B)`` view as a contiguous array with ``padding`` rows and columns of ``fill`` around H and W.
 
     ``padding`` is one amount for both axes or ``(ph, pw)``; a negative amount
     crops that many rows (columns) from each side instead.
@@ -89,7 +89,8 @@ def _padded_slab(slab: np.ndarray, padding) -> np.ndarray:
     if ph == pw == 0:
         return np.ascontiguousarray(slab)
     a, h, w, b = slab.shape
-    padded = np.zeros((a, h + 2 * ph, w + 2 * pw, b), dtype=slab.dtype)
+    shape = (a, h + 2 * ph, w + 2 * pw, b)
+    padded = np.zeros(shape, dtype=slab.dtype) if fill == 0 else np.full(shape, fill, dtype=slab.dtype)
     padded[:, ph : ph + h, pw : pw + w] = slab
     return padded
 

@@ -97,7 +97,6 @@ def run_traced_bert(
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         preconditioner = KFAC(
             model,
-            lr=0.05,
             factor_update_freq=factor_update_freq,
             inv_update_freq=inv_update_freq,
             grad_worker_frac=grad_worker_frac,

@@ -2,13 +2,11 @@
 
 from .dtypes import (
     PrecisionPolicy,
-    dtype_size,
     float16,
     float32,
     float64,
     get_default_dtype,
     resolve_dtype,
-    set_default_dtype,
 )
 from .tensor import Function, RemovableHandle, Tensor, is_grad_enabled, no_grad
 
@@ -23,7 +21,5 @@ __all__ = [
     "float32",
     "float64",
     "get_default_dtype",
-    "set_default_dtype",
     "resolve_dtype",
-    "dtype_size",
 ]

@@ -17,7 +17,8 @@ float16 = np.float16
 float32 = np.float32
 float64 = np.float64
 
-_DEFAULT_DTYPE = np.float32
+#: The dtype of new tensors built from Python data: a constant, since threaded ranks share the process.
+_DEFAULT_DTYPE = np.dtype(np.float32)
 
 _NAME_TO_DTYPE = {
     "float16": np.float16,
@@ -31,18 +32,10 @@ _NAME_TO_DTYPE = {
     "double": np.float64,
 }
 
-_DTYPE_SIZE = {np.dtype(np.float16): 2, np.dtype(np.float32): 4, np.dtype(np.float64): 8}
-
 
 def get_default_dtype() -> np.dtype:
     """Return the default floating point dtype used for new tensors."""
-    return np.dtype(_DEFAULT_DTYPE)
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the default floating point dtype used for new tensors."""
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolve_dtype(dtype)
+    return _DEFAULT_DTYPE
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -61,11 +54,6 @@ def resolve_dtype(dtype) -> np.dtype:
     if resolved.kind != "f":
         raise ValueError(f"only floating dtypes are supported, got {resolved}")
     return resolved
-
-
-def dtype_size(dtype) -> int:
-    """Number of bytes per element for ``dtype``."""
-    return _DTYPE_SIZE[np.dtype(resolve_dtype(dtype))]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Training loop used by the examples, tests and benchmarks.
 
 The loop follows the paper's Listing 1 ordering exactly: backward, gradient
-synchronization (data parallel), ``preconditioner.step()``,
-``optimizer.step()``.  Gradient accumulation (section 4.2) and AMP loss
-scaling (section 4.1) slot in around that ordering the same way they do in
-the reference implementation.
+synchronization (data parallel), ``preconditioner.step(lr)`` at the rate the
+optimizer is about to apply, ``optimizer.step()``.  Gradient accumulation
+(section 4.2) and AMP loss scaling (section 4.1) slot in around that ordering
+the same way they do in the reference implementation.
 
 Gradient synchronization is one call,
 :meth:`~repro.distributed.ddp.DistributedDataParallel.sync_gradients`, made
@@ -47,7 +47,9 @@ class Trainer:
     preconditioner:
         Optional :class:`repro.kfac.KFAC` (anything else raises
         ``TypeError``); its ``step(lr=..., loss=...)`` is invoked between the
-        gradient synchronization and the optimizer step (the loss feeds its
+        gradient synchronization and the optimizer step, with the rate the
+        optimizer is about to apply (``param_groups[0]["lr"]``, after any
+        schedule), the KL clip's one source of it (the loss feeds its
         adaptive damping when configured and is ignored otherwise), and its
         state is included in :meth:`state_dict` for checkpoint/resume.
     iteration_time:

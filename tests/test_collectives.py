@@ -564,7 +564,7 @@ class TestKFACOverlapBitwise:
                 loss = loss_fn(model(Tensor(x[sl])), y[sl])
                 loss.backward()
                 ddp.sync_gradients()
-                pre.step()
+                pre.step(lr=0.1)
             return np.concatenate([p.grad.ravel() for p in model.parameters()])
 
         return run_spmd(world_size, program)
@@ -585,7 +585,7 @@ class TestKFACOverlapBitwise:
             pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, bucket_cap_mb=bucket_cap_mb)
             loss = loss_fn(model(Tensor(x[:32])), y[:32])
             loss.backward()
-            pre.step()
+            pre.step(lr=0.1)
             return np.concatenate([p.grad.ravel() for p in model.parameters()])
 
         np.testing.assert_array_equal(run(ALONE_CAP_MB), run(DEFAULT_CAP_MB))
@@ -613,7 +613,7 @@ class TestKFACOverlapBitwise:
                 loss = loss_fn(model(Tensor(x[sl])), y[sl])
                 loss.backward()
                 ddp.sync_gradients()
-                pre.step()
+                pre.step(lr=0.1)
                 return comm_counts(comm.tracer)
 
             return run_spmd(self.WORLD, program)

@@ -37,7 +37,7 @@ def data_parallel_program(world_size, steps=8, use_kfac=True, grad_worker_frac=1
         optimizer = optim.SGD(model.parameters(), lr=lr, momentum=0.9)
         preconditioner = None
         if use_kfac:
-            kwargs = dict(lr=lr, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac, comm=comm)
+            kwargs = dict(factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac, comm=comm)
             if kfac_kwargs:
                 kwargs.update(kfac_kwargs)
             preconditioner = KFAC(model, **kwargs)
@@ -51,7 +51,7 @@ def data_parallel_program(world_size, steps=8, use_kfac=True, grad_worker_frac=1
             loss.backward()
             ddp.sync_gradients()
             if preconditioner is not None:
-                preconditioner.step()
+                preconditioner.step(lr=lr)
             optimizer.step()
         return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -136,7 +136,7 @@ class TestDistributedKFAC:
 
         model = MLP(6, [16], 3, rng=np.random.default_rng(1))
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-        preconditioner = KFAC(model, lr=0.05, factor_update_freq=2, inv_update_freq=4)
+        preconditioner = KFAC(model, factor_update_freq=2, inv_update_freq=4)
         loss_fn = nn.CrossEntropyLoss()
         batch_rng = np.random.default_rng(99)
         for _ in range(6):
@@ -144,7 +144,7 @@ class TestDistributedKFAC:
             optimizer.zero_grad()
             loss = loss_fn(model(Tensor(X_GLOBAL[indices])), Y_GLOBAL[indices])
             loss.backward()
-            preconditioner.step()
+            preconditioner.step(lr=0.05)
             optimizer.step()
         single = np.concatenate([p.data.ravel() for p in model.parameters()])
         # Micro-batch splitting changes factor statistics slightly (per-shard
@@ -165,7 +165,7 @@ class TestDistributedKFAC:
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(X_GLOBAL[:16])), Y_GLOBAL[:16]).backward()
                 ddp.sync_gradients()
-                pre.step()
+                pre.step(lr=0.1)
                 return pre.memory_usage()
 
             return program
@@ -201,7 +201,7 @@ class TestDistributedKFAC:
                     optimizer.zero_grad()
                     loss_fn(model(Tensor(X_GLOBAL[:16])), Y_GLOBAL[:16]).backward()
                     ddp.sync_gradients()
-                    pre.step()
+                    pre.step(lr=0.1)
                     optimizer.step()
                 return comm_counts(comm.tracer)["broadcast"][1]
 
@@ -225,7 +225,7 @@ class TestOneEigenStagePath:
         def program(comm):
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
             pre = KFAC(
-                model, lr=0.05, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm,
+                model, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm,
                 solve_strategy="eigen", **knobs,
             )  # fmt: skip
             loss_fn = nn.CrossEntropyLoss()
@@ -273,7 +273,7 @@ class TestInverseRound:
     def test_every_gradient_worker_installs_the_same_inverse_and_the_round_carries_triangles_only(self, frac):
         def program(comm):
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
-            pre = KFAC(model, lr=0.05, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm)
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=2, grad_worker_frac=frac, comm=comm)
             loss_fn = nn.CrossEntropyLoss()
             trainer = Trainer(
                 model, optim.SGD(model.parameters(), lr=0.05, momentum=0.9),
@@ -326,7 +326,7 @@ def layout_program(steps=3, **kfac_kwargs):
 
     def program(comm):
         model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
-        pre = KFAC(model, lr=0.05, factor_update_freq=2, inv_update_freq=4, comm=comm, **kfac_kwargs)
+        pre = KFAC(model, factor_update_freq=2, inv_update_freq=4, comm=comm, **kfac_kwargs)
         loss_fn = nn.CrossEntropyLoss()
         trainer = Trainer(
             model,
@@ -411,7 +411,7 @@ class TestInstallOnce:
         def program(comm):
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
             pre = KFAC(
-                model, lr=0.05, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=frac, comm=comm,
+                model, factor_update_freq=1, inv_update_freq=1, grad_worker_frac=frac, comm=comm,
                 solve_strategy=solver, precision=precision,
             )  # fmt: skip
             loss_fn, batch_rng, refreshed = nn.CrossEntropyLoss(), np.random.default_rng(99), 0
@@ -421,7 +421,7 @@ class TestInstallOnce:
                 loss_fn(model(Tensor(X_GLOBAL[local])), Y_GLOBAL[local]).backward()
                 held = [name for name in pre.actions().refresh if pre.groups[name].is_grad_worker(comm.rank)]
                 before = {name: installs.get(id(pre.solvers[name]), 0) for name in held}
-                pre.step()
+                pre.step(lr=0.05)
                 for name in held:  # the A and the G factor, once each
                     assert installs.get(id(pre.solvers[name]), 0) - before[name] == 2, (comm.rank, name)
                 refreshed += len(held)
@@ -504,7 +504,7 @@ class TestBadWindowsAreContainedOnEveryRank:
             model = MLP(6, [16, 8], 3, rng=np.random.default_rng(5))
             ddp = DistributedDataParallel(model, comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            pre = KFAC(model, lr=0.05, factor_update_freq=1, inv_update_freq=2, comm=comm, **kfac_kwargs)
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=2, comm=comm, **kfac_kwargs)
             loss_fn = nn.CrossEntropyLoss()
             batch_rng = np.random.default_rng(99)
             report = {}
@@ -520,7 +520,7 @@ class TestBadWindowsAreContainedOnEveryRank:
                         key: None if factor is None else factor.copy()
                         for key, factor in TestBadWindowsAreContainedOnEveryRank.factors(pre).items()
                     }
-                pre.step()
+                pre.step(lr=0.05)
                 if step == bad_step:
                     after = TestBadWindowsAreContainedOnEveryRank.factors(pre)
                     report["layers.2 untouched"] = all(

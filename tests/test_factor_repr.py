@@ -321,7 +321,7 @@ class TestStructuredVsDenseParity:
             batch = slice(step * 16, step * 16 + 16)
             optimizer.zero_grad()
             loss_fn(model(ids[batch]), labels[batch]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             optimizer.step()
         return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -342,7 +342,7 @@ class TestStructuredVsDenseParity:
             assert layer.a_repr.num_blocks == layer.g_repr.num_blocks == 1
         ids, labels = make_token_problem(seed=2, samples=16)
         nn.CrossEntropyLoss()(model(ids), labels).backward()
-        pre.step()
+        pre.step(lr=0.1)
         emb = next(l for l in pre.layers.values() if isinstance(l, KFACEmbeddingLayer))
         assert emb.factor_a.shape == (13 * 14 // 2,)  # "full" since packed storage: the triangle of the 13x13
         # The forced-dense factor is exactly the embedded diagonal.
@@ -415,7 +415,7 @@ class TestCheckpointRepr:
             batch = slice(step * 16, step * 16 + 16)
             optimizer.zero_grad()
             loss_fn(model(ids[batch]), labels[batch]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             optimizer.step()
         return model, pre, (ids, labels)
 
@@ -439,7 +439,7 @@ class TestCheckpointRepr:
 
         model.zero_grad()
         loss_fn(model(ids[48:80]), labels[48:80]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         grads_original = np.concatenate([p.grad.ravel() for p in model.parameters()])
 
         restored = MixNet(seed=99)
@@ -449,7 +449,7 @@ class TestCheckpointRepr:
         assert pre2.steps == steps_at_checkpoint
         restored.zero_grad()
         loss_fn(restored(ids[48:80]), labels[48:80]).backward()
-        pre2.step()
+        pre2.step(lr=0.1)
         grads_restored = np.concatenate([p.grad.ravel() for p in restored.parameters()])
         np.testing.assert_array_equal(grads_original, grads_restored)
 
@@ -544,7 +544,7 @@ class TestBatchNorm2dHandler:
             loss.backward()
             if pre is not None:
                 assert any(isinstance(l, KFACBatchNorm2dLayer) for l in pre.layers.values())
-                pre.step()
+                pre.step(lr=0.1)
             return model.bn.running_mean.copy(), model.bn.running_var.copy()
 
         base_mean, base_var = run(with_kfac=False)
@@ -608,7 +608,7 @@ class TestModelCoverage:
         x = RNG.standard_normal((4, 3, 32, 32)).astype(np.float32)
         labels = RNG.integers(0, 10, 4)
         nn.CrossEntropyLoss()(model(Tensor(x)), labels).backward()
-        pre.step()
+        pre.step(lr=0.1)
         for p in model.parameters():
             assert np.all(np.isfinite(p.grad))
 
@@ -627,7 +627,7 @@ class TestModelCoverage:
         logits = model(ids)
         loss = nn.CrossEntropyLoss()(logits.reshape(-1, logits.shape[-1]), labels.reshape(-1))
         loss.backward()
-        pre.step()
+        pre.step(lr=0.1)
         for p in model.parameters():
             assert np.all(np.isfinite(p.grad))
 
@@ -642,7 +642,7 @@ class TestSanitizerReprDivergence:
             dense = comm.rank == 1  # spmd-ignore: SPMD101 - fault injection
             pre = kfac_class(dense)(model, factor_update_freq=1, inv_update_freq=1, comm=comm)
             nn.CrossEntropyLoss()(model(ids), labels).backward()
-            pre.step()
+            pre.step(lr=0.1)
 
         with pytest.raises(RuntimeError) as excinfo:
             run_spmd(2, program, sanitize=True)
@@ -661,7 +661,7 @@ class TestSanitizerReprDivergence:
             sl = slice(comm.rank * n, (comm.rank + 1) * n)
             nn.CrossEntropyLoss()(model(ids[sl]), labels[sl]).backward()
             ddp.sync_gradients()
-            pre.step()
+            pre.step(lr=0.1)
             return np.concatenate([p.grad.ravel() for p in model.parameters()])
 
         results = run_spmd(2, program, sanitize=True)

@@ -57,8 +57,10 @@ def build_model(kind, seed=0):
     return MLP(6, [12, 8], 3, rng=rng)
 
 
-def listing_one_step(model, optimizer, forward_loss, ddp, pre, batches):
-    """The paper's Listing 1 by hand: backward over the micro-batches, sync, ``KFAC.step``, ``optimizer.step``."""
+def listing_one_step(model, optimizer, forward_loss, ddp, pre, batches, rate=None):
+    """The paper's Listing 1 by hand: backward over the micro-batches, sync, ``KFAC.step``, ``optimizer.step``.
+
+    ``KFAC.step`` takes the rate the optimizer is about to apply, or ``rate`` when one is given."""
     model.train()
     optimizer.zero_grad()
     total = 0.0
@@ -68,7 +70,7 @@ def listing_one_step(model, optimizer, forward_loss, ddp, pre, batches):
         loss.backward()
     ddp.sync_gradients(1.0 / len(batches))
     if pre is not None:
-        pre.step(lr=optimizer.param_groups[0]["lr"], loss=total / len(batches))
+        pre.step(lr=optimizer.param_groups[0]["lr"] if rate is None else rate, loss=total / len(batches))
     optimizer.step()
     return total / len(batches)
 
@@ -79,7 +81,10 @@ class TestListingOneParity:
     WORLD = 4
     STEPS = 3
 
-    def _train(self, frac, cap, by_hand, kind="mlp", factor_freq=1, micro=1, world=WORLD, seed=11, kl_clip=0.001):
+    def _train(
+        self, frac, cap, by_hand, kind="mlp", factor_freq=1, micro=1, world=WORLD, seed=11, kl_clip=0.001, steps=STEPS,
+        schedule=False, rate=None,
+    ):  # fmt: skip
         x, y = make_problem(seed=seed)
         loss_fn = nn.CrossEntropyLoss()
 
@@ -97,17 +102,24 @@ class TestListingOneParity:
             )
             pre = KFAC.from_config(model, config, comm=comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
+            scheduler = optim.WarmupCosine(optimizer, total_steps=10, warmup_steps=3) if schedule else None
             if by_hand:
                 ddp = DistributedDataParallel(model, comm, broadcast_initial=False, bucket_cap_mb=pre.plan.bucket_cap_mb)
-                step = lambda batches: listing_one_step(model, optimizer, forward_loss, ddp, pre, batches)
+
+                def step(batches):
+                    loss = listing_one_step(model, optimizer, forward_loss, ddp, pre, batches, rate)
+                    if scheduler is not None:
+                        scheduler.step()
+                    return loss
+
             else:
-                trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre, comm=comm)
+                trainer = Trainer(model, optimizer, forward_loss, preconditioner=pre, lr_scheduler=scheduler, comm=comm)
                 step = trainer.train_step
             n = x.shape[0] // comm.world_size
             xs, ys = x[comm.rank * n : (comm.rank + 1) * n], y[comm.rank * n : (comm.rank + 1) * n]
             size = xs.shape[0] // micro
             batches = [(xs[i * size : (i + 1) * size], ys[i * size : (i + 1) * size]) for i in range(micro)]
-            losses = [step(batches) for _ in range(self.STEPS)]
+            losses = [step(batches) for _ in range(steps)]
             return losses, np.concatenate([p.data.ravel() for p in model.parameters()])
 
         return run_spmd(world, program)
@@ -128,6 +140,15 @@ class TestListingOneParity:
     def test_infrequent_factor_updates(self):
         # A factor window every 2 steps: off-iterations carry only the gradient buckets.
         self._assert_same(0.5, 0.001, factor_freq=2)
+
+    @pytest.mark.parametrize("world", [1, 2])
+    def test_a_scheduled_rate_reaches_the_kl_clip_as_the_trainer_passes_it(self, world):
+        """Under ``WarmupCosine`` the hand-written loop passes ``optimizer.param_groups[0]["lr"]`` to
+        ``KFAC.step``, as the ``Trainer`` does, and gets its bits; passing the base rate instead moves them."""
+        self._assert_same(1.0, 0.001, world=world, schedule=True, steps=8)
+        trainer = self._train(1.0, 0.001, by_hand=False, world=world, schedule=True, steps=8)
+        base_rate = self._train(1.0, 0.001, by_hand=True, world=world, schedule=True, steps=8, rate=0.05)
+        assert not np.array_equal(trainer[0][1], base_rate[0][1])
 
     def test_grad_accumulation(self):
         # A KL clip this wide never binds, so the update carries the 1/n scale (a binding clip would absorb it).
@@ -308,7 +329,7 @@ class TestTrainerSync:
                 posted.clear()
                 loss_fn(model(Tensor(x[sl])), y[sl]).backward()
                 expected = pre.plan.messages(step=pre.steps)["factor"]
-                pre.step()
+                pre.step(lr=0.1)
                 rounds.append((list(posted), expected))
                 for param in model.parameters():
                     param.grad = None
@@ -648,7 +669,7 @@ class TestLayerNormRegistry:
         # The forward hook captured A stats; the full backward hook captured G.
         assert norm_layer.has_accumulated_data
         before = model.norm.weight.grad.copy()
-        pre.step()
+        pre.step(lr=0.1)
         after = model.norm.weight.grad
         assert np.all(np.isfinite(after))
         assert not np.array_equal(before, after)  # actually preconditioned
@@ -663,7 +684,7 @@ class TestLayerNormRegistry:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         x, y = make_problem(seed=1)
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         measured = pre.memory_usage()
         expected_factors = sum(pre.plan.policy.factor_bytes(group.layer) for group in pre.groups.values())
         assert measured["factors"] == expected_factors

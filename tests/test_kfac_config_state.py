@@ -69,7 +69,6 @@ class TestKFACConfig:
             dict(grad_worker_frac=1.5),
             dict(precision="fp8"),
             dict(assignment_balance="latency"),
-            dict(lr=-1.0),  # lr=0 stays legal: warm-up schedules pass it
         ],
     )
     def test_invalid_fields_raise(self, kwargs):
@@ -114,7 +113,7 @@ class TestKFACConfig:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "field", ["lr", "factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol"]
+        "field", ["factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol"]
     )
     def test_a_non_finite_float_is_refused_naming_the_field(self, field, value):
         """NaN fails no ``<=`` check (``drift_tol=nan`` would silently turn drift off): code and dicts alike refuse it."""
@@ -128,10 +127,10 @@ class TestKFACConfig:
         [("compute_eigen_outer", "false", None), ("adaptive_damping", "no", None), ("adaptive_damping", 0.5, None),
          ("adaptive_damping", np.bool_(True), True), ("factor_update_freq", 2.5, None), ("cg_max_iter", 1.9, None),
          ("small_layer_dim", -0.5, None), ("max_staleness", True, None), ("inv_update_freq", np.bool_(True), None),
-         ("inv_update_freq", np.int64(7), 7), ("factor_update_freq", 4.0, 4),
-         ("lr", True, None), ("damping", "0.01", None), ("bucket_cap_mb", True, None), ("kl_clip", np.bool_(True), None),
+         ("inv_update_freq", np.int64(7), 7), ("factor_update_freq", 4.0, 4), ("factor_decay", True, None),
+         ("damping", "0.01", None), ("bucket_cap_mb", True, None), ("kl_clip", np.bool_(True), None),
          ("grad_worker_frac", "1", None), ("bucket_cap_mb", "auto", None),
-         ("lr", 1, 1.0), ("damping", np.float32(0.5), 0.5), ("bucket_cap_mb", np.int64(2), 2.0)],
+         ("factor_decay", 1, 1.0), ("damping", np.float32(0.5), 0.5), ("bucket_cap_mb", np.int64(2), 2.0)],
     )  # fmt: skip
     def test_a_value_the_cast_would_change_is_refused_naming_the_field(self, field, value, expected):
         """Bools take only bools; integers take integers that are not bools, or floats with no fractional part;
@@ -145,29 +144,33 @@ class TestKFACConfig:
                 assert getattr(config, field) == expected and type(getattr(config, field)) is type(expected)
 
     def test_dict_round_trip(self):
-        config = KFACConfig(lr=0.05, damping=0.01, factor_update_freq=2, inv_update_freq=6, precision="fp16")
+        config = KFACConfig(damping=0.01, factor_update_freq=2, inv_update_freq=6, precision="fp16")
         data = config.to_dict()
         assert data["damping"] == 0.01
         assert KFACConfig.from_dict(data) == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
-            KFACConfig.from_dict({"lr": 0.1, "momentum": 0.9})
+            KFACConfig.from_dict({"damping": 0.1, "momentum": 0.9})
 
     @pytest.mark.parametrize(
         "key, value",
         [("comm_overlap", False), ("adaptive_schedule", False), ("triangular_comm", False), ("dense_factors", False),
-         ("kernel_backend", "reference")],
+         ("kernel_backend", "reference"), ("lr", 0.1)],
     )  # fmt: skip
     def test_a_retired_key_raises_like_any_unknown_key(self, key, value):
         with pytest.raises(ValueError, match=rf"unknown KFACConfig fields: \['{key}'\]"):
             KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{key: value}))
 
-    def test_the_config_has_nineteen_fields(self):
-        """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member."""
+    def test_the_config_has_eighteen_fields(self):
+        """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member.
+
+        The learning rate is not one: ``KFAC.step(lr)`` takes the optimizer's, so a config ``lr`` is refused."""
         import dataclasses
 
-        assert len(dataclasses.fields(KFACConfig)) == 19
+        assert len(dataclasses.fields(KFACConfig)) == 18
+        with pytest.raises(TypeError):
+            KFACConfig(lr=0.1)
 
     def test_replace_revalidates(self):
         config = KFACConfig()
@@ -186,23 +189,29 @@ class TestKFACConfig:
         assert KFACConfig(precision="fp64").precision_policy() == PrecisionPolicy.fp64()
 
     def test_kfac_from_config_and_config_property(self):
+        """``config`` is the config the instance was built with, the same object, after any number of steps."""
         model = MLP(4, [8], 2, rng=np.random.default_rng(0))
-        config = KFACConfig(lr=0.2, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=1.0)
+        config = KFACConfig(factor_update_freq=2, inv_update_freq=4, grad_worker_frac=1.0, adaptive_damping=True)
         pre = KFAC.from_config(model, config)
-        assert pre.config == config
-        assert pre.lr == 0.2
+        x, y = make_problem(1, in_dim=4, classes=2)
+        for step in range(3):
+            loss = nn.CrossEntropyLoss()(model(Tensor(x[16 * step : 16 * step + 16])), y[16 * step : 16 * step + 16])
+            loss.backward()
+            pre.step(lr=0.3 / (step + 1), loss=float(loss.item()))
+            assert pre.config is config
+        assert KFACConfig.from_dict(pre.state_dict()["config"]) == config
 
     def test_from_config_rejects_non_config(self):
         model = MLP(4, [8], 2, rng=np.random.default_rng(0))
         with pytest.raises(TypeError):
-            KFAC.from_config(model, {"lr": 0.1})
+            KFAC.from_config(model, {"damping": 0.1})
 
     def test_workload_config_unification(self):
         from repro.experiments.configs import SMALL_WORKLOADS
 
         config = SMALL_WORKLOADS["mlp"].kfac_config(grad_worker_frac=0.5)
         assert isinstance(config, KFACConfig)
-        assert config.lr == SMALL_WORKLOADS["mlp"].kfac_lr
+        assert config.damping == SMALL_WORKLOADS["mlp"].damping
         assert config.grad_worker_frac == 0.5
 
 
@@ -268,18 +277,22 @@ class TestConfigPlacesTheWork:
         assert all(ours == built == digests[0][0] for ours, built in digests)
         assert KFAC(self.model(), **config.to_dict()).plan.digest() != digests[0][0]  # world 1 places it apart
 
-    def test_kfac_keeps_only_lr_and_damping_beside_its_config(self):
-        """``factor_decay``, ``kl_clip`` and ``compute_eigen_outer`` are read from the config, so no second
-        copy can drift from it; ``lr`` and ``damping`` change during a run."""
+    def test_kfac_keeps_no_hyperparameter_beside_its_config(self):
+        """``factor_decay``, ``kl_clip`` and ``compute_eigen_outer`` are read from the config, the rate from each
+        ``step(lr)``, and ``damping`` is the config's -- or the adaptive controller's γ -- so no second copy can
+        drift from its source."""
         config = KFACConfig(
-            lr=0.2, damping=0.01, factor_decay=0.5, kl_clip=0.01, compute_eigen_outer=False, solve_strategy="eigen",
+            damping=0.01, factor_decay=0.5, kl_clip=0.01, compute_eigen_outer=False, solve_strategy="eigen",
         )  # fmt: skip
         pre = KFAC(self.model(), config)
-        for name in ("factor_decay", "kl_clip", "compute_eigen_outer", "damping_pi"):
+        for name in ("lr", "factor_decay", "kl_clip", "compute_eigen_outer", "damping_pi"):
             assert not hasattr(pre, name)
-        assert (pre.lr, pre.damping) == (0.2, 0.01)
-        pre.lr = 0.3
-        assert pre.config == config.replace(lr=0.3)
+        assert pre.damping == 0.01 and pre.config is config
+        with pytest.raises(AttributeError):
+            pre.damping = 0.3
+        adaptive = KFAC(self.model(), config.replace(adaptive_damping=True))
+        adaptive.damping_controller.damping = 0.02
+        assert adaptive.damping == 0.02 and adaptive.config.damping == 0.01
 
 
 class TestEigenBroadcastPrecision:
@@ -348,7 +361,7 @@ class TestEigenBroadcastPrecision:
         model = MLP(6, [8], 3, rng=np.random.default_rng(0))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, precision="fp64", solve_strategy="eigen")
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         for name, layer in pre.layers.items():
             solver = pre.solvers[name]
             for eigen, factor in ((solver.eigen_a, layer.factor_a), (solver.eigen_g, layer.factor_g)):
@@ -358,14 +371,14 @@ class TestEigenBroadcastPrecision:
                 assert eigen.eigenvectors.flags.c_contiguous == computed.flags.c_contiguous
 
 
-def train_steps(model, pre, opt, x, y, steps, batch=32):
+def train_steps(model, pre, opt, x, y, steps, batch=32, lr=0.1):
     loss_fn = nn.CrossEntropyLoss()
     rng = np.random.default_rng(5)
     for _ in range(steps):
         idx = rng.integers(0, len(x), batch)
         opt.zero_grad()
         loss_fn(model(Tensor(x[idx])), y[idx]).backward()
-        pre.step()
+        pre.step(lr=lr)
         opt.step()
 
 
@@ -374,7 +387,7 @@ class TestStateDictResume:
     def test_state_dict_round_trip_single_process_bitwise(self, solver):
         """Checkpoint -> restore -> next step must reproduce the gradients exactly."""
         x, y = make_problem(1)
-        config = KFACConfig(lr=0.1, factor_update_freq=2, inv_update_freq=4, solve_strategy=solver)
+        config = KFACConfig(factor_update_freq=2, inv_update_freq=4, solve_strategy=solver)
 
         model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
         pre_a = KFAC.from_config(model_a, config)
@@ -389,7 +402,7 @@ class TestStateDictResume:
         batch = np.random.default_rng(9).integers(0, len(x), 32)
         model_a.zero_grad()
         loss_fn(model_a(Tensor(x[batch])), y[batch]).backward()
-        pre_a.step()
+        pre_a.step(lr=0.1)
         grads_a = np.concatenate([p.grad.ravel() for p in model_a.parameters()])
 
         # Restore into a fresh model + preconditioner and repeat that step.
@@ -400,7 +413,7 @@ class TestStateDictResume:
         assert pre_b.steps == 4
         model_b.zero_grad()
         loss_fn(model_b(Tensor(x[batch])), y[batch]).backward()
-        pre_b.step()
+        pre_b.step(lr=0.1)
         grads_b = np.concatenate([p.grad.ravel() for p in model_b.parameters()])
 
         np.testing.assert_array_equal(grads_a, grads_b)
@@ -410,7 +423,7 @@ class TestStateDictResume:
         re-laid it out row-major made BLAS round the resumed run's next precondition differently
         (found by the generated resume suite in ``test_property_invariants.py``)."""
         x, y = make_problem(2, in_dim=33)
-        config = KFACConfig(lr=0.1, factor_update_freq=1, inv_update_freq=4, solve_strategy="eigen")
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=4, solve_strategy="eigen")
         model_a = MLP(33, [40], 3, rng=np.random.default_rng(3))
         pre_a = KFAC.from_config(model_a, config)
         opt_a = optim.SGD(model_a.parameters(), lr=0.1)
@@ -427,7 +440,7 @@ class TestStateDictResume:
         for model, pre in ((model_a, pre_a), (model_b, pre_b)):
             model.zero_grad()
             nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             grads.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
         np.testing.assert_array_equal(grads[0], grads[1])
 
@@ -437,12 +450,12 @@ class TestStateDictResume:
         refresh when the uninterrupted run does -- on the distribution plan's offsets, before, between
         and after two staggered steps -- bit for bit."""
         x, y = make_problem(6)
-        config = KFACConfig(lr=0.1, factor_update_freq=cadence[0], inv_update_freq=cadence[1])
+        config = KFACConfig(factor_update_freq=cadence[0], inv_update_freq=cadence[1])
 
         def one_step(model, pre, batch):
             model.zero_grad()
             nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             return np.concatenate([p.grad.ravel() for p in model.parameters()])
 
         model_a = MLP(6, [12], 3, rng=np.random.default_rng(3))
@@ -493,7 +506,7 @@ class TestStateDictResume:
             pre2.load_state_dict(state)
             clone.zero_grad()
             nn.CrossEntropyLoss()(clone(Tensor(x[16:32])), y[16:32]).backward()  # second micro-batch, same window
-            pre2.step()
+            pre2.step(lr=0.1)
             return np.concatenate([p.grad.ravel() for p in clone.parameters()])
 
         first = resume()
@@ -526,7 +539,7 @@ class TestStateDictResume:
         x, y = make_problem(3)
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         pre_other = KFAC(other)
         with pytest.raises(ValueError, match="does not match"):
             pre_other.load_state_dict(pre.state_dict())
@@ -537,7 +550,7 @@ class TestStateDictResume:
         x, y = make_problem(4)
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         state = pre.state_dict()
         first = next(iter(state["layers"]))
         state["layers"][first]["factor_a"] = np.eye(2, dtype=np.float32)
@@ -552,7 +565,7 @@ class TestStateDictResume:
         HYBRID-OPT and COMM-OPT under the threaded multi-worker communicator."""
         x_global, y_global = make_problem(11, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
-            lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac, solve_strategy=solver
+            factor_update_freq=2, inv_update_freq=4, grad_worker_frac=grad_worker_frac, solve_strategy=solver
         )
 
         def program(comm):
@@ -568,7 +581,7 @@ class TestStateDictResume:
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
                 ddp.sync_gradients()
-                pre.step()
+                pre.step(lr=0.05)
                 optimizer.step()
 
             checkpoint = pre.state_dict()  # per-rank state (eigen placement differs by strategy)
@@ -580,7 +593,7 @@ class TestStateDictResume:
             model.zero_grad()
             loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
             ddp.sync_gradients()
-            pre.step()
+            pre.step(lr=0.05)
             grads_original = np.concatenate([p.grad.ravel() for p in model.parameters()])
 
             # Restored run: fresh model + preconditioner, same step.
@@ -592,7 +605,7 @@ class TestStateDictResume:
             restored.zero_grad()
             loss_fn(restored(Tensor(x_global[local])), y_global[local]).backward()
             restored_ddp.sync_gradients()
-            pre2.step()
+            pre2.step(lr=0.05)
             grads_restored = np.concatenate([p.grad.ravel() for p in restored.parameters()])
             return grads_original, grads_restored
 
@@ -793,7 +806,7 @@ class TestOneCheckpointFormat:
         config = KFACConfig(factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         pre = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(3)), config)
         nn.CrossEntropyLoss()(pre.model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         state = pre.state_dict()
         assert set(state["solvers"]["layers.0"]) == {"eigen_a", "eigen_g", "inverse_outer"}
         assert not {"eigen_a", "eigen_g", "inverse_outer"} & set(state["layers"]["layers.0"])
@@ -813,7 +826,7 @@ class TestOneCheckpointFormat:
         x, y = make_problem(4)
         pre = KFAC(MLP(6, [12], 3, rng=np.random.default_rng(3)), factor_update_freq=1, inv_update_freq=1)
         nn.CrossEntropyLoss()(pre.model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         state = pre.state_dict()
         layer = pre.layers["layers.0"]
         assert state["solvers"]["layers.0"]["inv_a"].shape == layer.a_repr.packed_shape  # the triangle, not a square
@@ -831,8 +844,26 @@ class TestOneCheckpointFormat:
     def test_a_format_5_round_trip_restores_the_triangles_bitwise_and_resumes_bit_identically(self, world, frac):
         """The packed inverses a rank checkpoints are installed back into its triangles bit for bit, and the
         resumed run's next steps give the parameters of the run that never stopped."""
+        self.resume_bit_identically(world, frac, written=lambda state: state)
+
+    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5)])
+    def test_a_format_5_checkpoint_whose_config_carries_an_lr_resumes_bit_identically(self, world, frac):
+        """Format 5 was also written while ``KFACConfig`` had an ``lr`` field, recorded under ``"config"``.  A
+        load reads no ``"config"`` key, so such a dict restores and resumes as any other; the config dict
+        itself is refused by ``from_dict`` like any unknown field."""
+
+        def with_an_lr(state):
+            with pytest.raises(ValueError, match=r"unknown KFACConfig fields: \['lr'\]"):
+                KFACConfig.from_dict(dict(state["config"], lr=0.05))
+            return dict(state, config=dict(state["config"], lr=0.05))
+
+        self.resume_bit_identically(world, frac, written=with_an_lr)
+
+    @staticmethod
+    def resume_bit_identically(world, frac, written):
+        """Four steps, a checkpoint loaded as ``written(state)`` into a fresh run, three more steps on both."""
         x, y = make_problem(21, in_dim=6)
-        config = KFACConfig(grad_worker_frac=frac, factor_update_freq=1, inv_update_freq=3, lr=0.05)
+        config = KFACConfig(grad_worker_frac=frac, factor_update_freq=1, inv_update_freq=3)
 
         def build(comm):
             model = MLP(6, [16, 16, 9], 3, rng=np.random.default_rng(2))  # A 7 / 17 / 17 / 10, G 16 / 16 / 9 / 3
@@ -844,7 +875,7 @@ class TestOneCheckpointFormat:
             opt.zero_grad()
             nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
             DistributedDataParallel(pre.model, comm).sync_gradients(1.0 / comm.world_size)
-            pre.step()
+            pre.step(lr=0.05)
             opt.step()
 
         def program(comm):
@@ -856,7 +887,7 @@ class TestOneCheckpointFormat:
                 step(pre, opt, index, comm)
             straight = np.concatenate([p.data.ravel() for p in pre.model.parameters()])
             resumed, resumed_opt = build(comm)
-            resumed.load_state_dict(state)
+            resumed.load_state_dict(written(state))
             resumed.model.load_state_dict(weights)
             resumed_opt.load_state_dict(moments)
             restored = resumed.state_dict()["solvers"]
@@ -885,7 +916,7 @@ class TestOneCheckpointFormat:
             assert pre.plan.scheme == "MEM-OPT"
             local = np.arange(32)[comm.rank :: 2]
             nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             return pre.state_dict()
 
         states = run_spmd(2, train)
@@ -920,7 +951,7 @@ class TestOneCheckpointFormat:
             pre = build(comm)
             local = np.arange(32)[comm.rank :: 2]
             nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             return pre.state_dict(), {name: group.grad_workers for name, group in pre.groups.items()}
 
         (states, holders), (other, _) = run_spmd(2, train)
@@ -954,7 +985,7 @@ class TestOneCheckpointFormat:
             pre = build(comm)
             local = np.arange(32)[comm.rank :: 2]
             nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             return pre.state_dict(), {name: group.grad_workers for name, group in pre.groups.items()}
 
         (state, workers), (other, _) = run_spmd(2, train)
@@ -996,7 +1027,7 @@ class TestOneCheckpointFormat:
         """After every restore -- drift off, drift on, and drift off with a stray ``"scheduler"`` whose phases
         are not the plan's -- the plan is still the one the config builds for the world."""
         x, y = make_problem(6)
-        base = KFACConfig.mem_opt(world, lr=0.1, factor_update_freq=5, inv_update_freq=10)
+        base = KFACConfig.mem_opt(world, factor_update_freq=5, inv_update_freq=10)
 
         def build(comm, config):
             return KFAC.from_config(MLP(6, [12], 3, rng=np.random.default_rng(3)), config, comm=comm)
@@ -1010,7 +1041,7 @@ class TestOneCheckpointFormat:
                     local = np.random.default_rng(step).integers(0, len(x), 32)[comm.rank :: world]
                     pre.model.zero_grad()
                     nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
-                    pre.step()
+                    pre.step(lr=0.1)
                 state = pre.state_dict()
                 checkpoints = [state]
                 if config.drift_tol == 0:
@@ -1046,14 +1077,14 @@ class TestOneCheckpointFormat:
 
         def build():
             model = MLP(5, [16], 3, rng=np.random.default_rng(1))
-            return KFAC(model, lr=0.1, factor_update_freq=1, inv_update_freq=10, solve_strategy="eigen")
+            return KFAC(model, factor_update_freq=1, inv_update_freq=10, solve_strategy="eigen")
 
         pre = build()
         for step in range(2):  # the second backward fills the accumulators a checkpoint keeps
             pre.model.zero_grad()
             nn.CrossEntropyLoss()(pre.model(Tensor(x[32 * step : 32 * step + 32])), y[32 * step : 32 * step + 32]).backward()
             if step == 0:
-                pre.step()
+                pre.step(lr=0.1)
         state, name = pre.state_dict(), next(iter(pre.layers))
         where, _, part = key.partition("/")
         if where in state["layers"][name]:
@@ -1074,12 +1105,12 @@ class TestOneCheckpointFormat:
 
         def trained(seed, steps):
             model = MLP(5, [16, 8], 3, rng=np.random.default_rng(seed))
-            pre = KFAC(model, lr=0.1, factor_update_freq=1, inv_update_freq=1)
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
             for step in range(steps):
                 model.zero_grad()
                 batch = slice(32 * step, 32 * step + 32)
                 nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
-                pre.step()
+                pre.step(lr=0.1)
             return pre
 
         source, target = trained(1, 3), trained(2, 2)
@@ -1195,7 +1226,7 @@ class TestEmbeddingLayer:
         model = pre.model
         loss = nn.CrossEntropyLoss()(model(ids), labels)
         loss.backward()
-        pre.step()
+        pre.step(lr=0.1)
         # Factor memory for the table is O(V), not O(V²).
         emb_layer = next(l for l in pre.layers.values() if isinstance(l, KFACEmbeddingLayer))
         assert emb_layer.factor_a.shape == (vocab,)
@@ -1221,7 +1252,7 @@ class TestEmbeddingLayer:
         loss = nn.CrossEntropyLoss()(model(ids), labels)
         loss.backward()
         before = model.embedding.weight.grad.copy()
-        pre.step()
+        pre.step(lr=0.1)
         after = model.embedding.weight.grad
         assert not np.allclose(before, after)
         assert np.all(np.isfinite(after))

@@ -152,7 +152,7 @@ class TestOneBackend:
         assert pre.kernel_backend == "counting"
         x, y = make_problem(0, samples=16)
         nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
-        pre.step()
+        pre.step(lr=0.1)
         assert CountingBackend.calls > 0
 
     def test_unknown_backend_raises(self):
@@ -992,7 +992,6 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
     loss_fn = nn.CrossEntropyLoss()
     model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))
     config = KFACConfig(
-        lr=0.05,
         factor_update_freq=2,
         inv_update_freq=2 if adaptive else 4,
         grad_worker_frac=grad_worker_frac,
@@ -1098,7 +1097,7 @@ class TestTrainingParity:
         tracer.enabled = True
         model.zero_grad()
         loss_fn(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         dispatches = [record for record in tracer.instants if record.name == "kfac/kernel_dispatch"]
         assert len(dispatches) == 1
         attrs = dispatches[0].attrs
@@ -1130,7 +1129,7 @@ class TestCheckpointBackendFlip:
         for indices in batches:
             model.zero_grad()
             loss_fn(model(Tensor(x[indices])), y[indices]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             snapshots.append(
                 np.concatenate([np.asarray(p.grad).ravel().copy() for p in model.parameters()])
             )

@@ -31,7 +31,7 @@ def make_problem(seed=0, samples=256, in_dim=10, classes=3):
     return x, y
 
 
-def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, seed=0):
+def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, seed=0, lr=0.1):
     rng = np.random.default_rng(seed)
     loss_fn = nn.CrossEntropyLoss()
     losses = []
@@ -41,7 +41,7 @@ def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, se
         loss = loss_fn(model(Tensor(x[idx])), y[idx])
         loss.backward()
         if preconditioner is not None:
-            preconditioner.step()
+            preconditioner.step(lr=lr)
         optimizer.step()
         losses.append(loss.item())
     return losses
@@ -96,7 +96,7 @@ class TestConstruction:
         with pytest.raises(TypeError):
             KFAC(model, momentum=0.9)  # not a KFACConfig field
         with pytest.raises(TypeError):
-            KFAC(model, KFACConfig(), lr=0.2)  # a config or keyword hyperparameters, not both
+            KFAC(model, KFACConfig(), damping=0.2)  # a config or keyword hyperparameters, not both
 
     def test_precision_from_string(self):
         model = MLP(4, [8], 2, rng=RNG)
@@ -119,7 +119,7 @@ class TestStepMechanics:
         loss = nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32])
         loss.backward()
         original = model.layers[0].weight.grad.copy()
-        pre.step()
+        pre.step(lr=0.1)
         assert not np.allclose(model.layers[0].weight.grad, original)
 
     def test_a_step_that_folds_nothing_registers_no_tensor_hook(self, monkeypatch):
@@ -137,7 +137,7 @@ class TestStepMechanics:
             workload.forward_loss(workload.model, batch).backward()
             counts.append(len(registered))
             assert len(pre.plan.actions(step).fold) == (len(pre.layers) if step % 2 == 0 else 0)
-            pre.step()
+            pre.step(lr=0.1)
             optimizer.step()
         pre.remove()
         assert counts == [len(pre.layers), 0, len(pre.layers), 0]
@@ -149,7 +149,7 @@ class TestStepMechanics:
         loss = nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64])
         loss.backward()
         grads_before = {id(p): p.grad.copy() for p in model.parameters() if p.grad is not None}
-        pre.step()
+        pre.step(lr=0.1)
         inner = sum(
             float(np.sum(grads_before[id(p)] * p.grad)) for p in model.parameters() if id(p) in grads_before
         )
@@ -166,7 +166,7 @@ class TestStepMechanics:
         for step in range(18):
             opt.zero_grad()
             loss_fn(model(Tensor(x[:32])), y[:32]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             opt.step()
             for name, layer in pre.layers.items():
                 # The G factor depends on the evolving model, so its decomposition
@@ -187,39 +187,51 @@ class TestStepMechanics:
         for expected in range(1, 4):
             model.zero_grad()
             loss_fn(model(Tensor(x[:16])), y[:16]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             assert pre.steps == expected
 
     def test_step_without_forward_data_raises(self):
         model = MLP(4, [8], 2, rng=RNG)
         pre = KFAC(model)
         with pytest.raises(RuntimeError):
-            pre.step()
+            pre.step(lr=0.1)
 
-    def test_lr_override_in_step(self):
-        model = MLP(4, [8], 2, rng=RNG)
+    def test_the_kl_clip_takes_the_rate_each_step_is_passed(self):
+        """``step(lr)`` is the clip's one source of the rate: a bare step is refused and no copy is kept.
+
+        With the clip active, ``lr · ν`` is fixed, so a step at five times the rate writes a fifth of
+        the gradient, and a later step at the first rate writes the first step's bits again."""
         x, y = make_problem(5, in_dim=4, classes=2)
-        pre = KFAC(model, lr=0.1)
-        nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
-        pre.step(lr=0.5)
-        assert pre.lr == 0.5
+        written = []
+        for lr in (0.1, 0.5, 0.1):
+            model = MLP(4, [8], 2, rng=np.random.default_rng(5))
+            pre = KFAC(model, kl_clip=1e-6, factor_update_freq=1, inv_update_freq=1)
+            nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
+            with pytest.raises(TypeError):
+                pre.step()
+            pre.step(lr=lr)
+            assert not hasattr(pre, "lr") and "lr" not in pre.state_dict()["config"]
+            written.append(np.concatenate([p.grad.ravel() for p in model.parameters()]))
+        np.testing.assert_array_equal(written[0], written[2])
+        np.testing.assert_allclose(5.0 * written[1], written[0], rtol=1e-5, atol=1e-12)
+        with pytest.raises(TypeError):
+            KFAC(MLP(4, [8], 2, rng=np.random.default_rng(5)), lr=0.1)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
     def test_a_non_finite_or_negative_lr_is_refused_before_any_state_is_touched(self, lr):
         """A NaN lr would turn the KL clip off and an infinite one zero every gradient; a zero lr (warm-up) is legal."""
         model = MLP(4, [8], 2, rng=np.random.default_rng(5))
         x, y = make_problem(5, in_dim=4, classes=2)
-        pre = KFAC(model, lr=0.1, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
         grads = [p.grad.copy() for p in model.parameters()]
         with pytest.raises(ValueError, match="^lr must be finite and >= 0"):
             pre.step(lr=lr)
-        assert (pre.lr, pre.steps) == (0.1, 0)
+        assert pre.steps == 0
         assert all(np.array_equal(p.grad, grad) for p, grad in zip(model.parameters(), grads))
         assert all(layer.factor_a is None for layer in pre.layers.values())
-        assert pre.state_dict()["config"]["lr"] == 0.1
         pre.step(lr=0.0)
-        assert (pre.lr, pre.steps) == (0.0, 1)
+        assert pre.steps == 1
 
     def test_profiler_records_all_stages(self):
         """The Figure-7 stage profile is read off the tracer's ``kfac/<stage>`` spans."""
@@ -228,7 +240,7 @@ class TestStepMechanics:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         pre.comm.tracer.enabled = True
         nn.CrossEntropyLoss()(model(Tensor(x[:16])), y[:16]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         report = MetricsReport.from_tracers(pre.comm.tracer)
         stages = (
             "factor_compute", "factor_allreduce", "eigen_decomposition", "eigen_broadcast",
@@ -249,10 +261,10 @@ class TestStepMechanics:
         model_unclipped.load_state_dict(model_clipped.state_dict())
         x, y = make_problem(8, in_dim=6)
         for model, kl_clip in ((model_clipped, 1e-6), (model_unclipped, 1e6)):
-            pre = KFAC(model, lr=1.0, kl_clip=kl_clip, factor_update_freq=1, inv_update_freq=1)
+            pre = KFAC(model, kl_clip=kl_clip, factor_update_freq=1, inv_update_freq=1)
             loss = nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64])
             loss.backward()
-            pre.step()
+            pre.step(lr=1.0)
         clipped_norm = np.linalg.norm(model_clipped.layers[0].weight.grad)
         unclipped_norm = np.linalg.norm(model_unclipped.layers[0].weight.grad)
         assert clipped_norm < unclipped_norm
@@ -269,7 +281,7 @@ class TestStepMechanics:
             loss = loss_fn(model(Tensor(x[:32])), y[:32])
             scaler.scale(loss).backward()
             scaler.unscale_(opt)
-            pre.step()
+            pre.step(lr=0.1)
             scaler.step(opt)
             scaler.update()
         for layer in pre.layers.values():
@@ -308,7 +320,7 @@ class TestPackedStorageOnTheStepPath:
             model.zero_grad()
             out = model(ids)
             (out * out).mean().backward()
-            pre.step()
+            pre.step(lr=0.1)
         return pre, calls
 
     @pytest.mark.parametrize("solver", ["inverse", "eigen"])
@@ -343,7 +355,7 @@ class TestPackedStorageOnTheStepPath:
                 nn.Conv2d(2, 5, 3, padding=1, rng=rng), nn.ReLU(), nn.Conv2d(5, 40, 3, stride=2, rng=rng),
                 nn.GlobalAvgPool2d(), nn.Linear(40, 3, rng=rng),
             )  # fmt: skip
-            pre = KFAC(model, lr=0.05, factor_update_freq=1, inv_update_freq=2)
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=2)
             if oracle:
                 use_square_path(pre)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -352,7 +364,7 @@ class TestPackedStorageOnTheStepPath:
                 optimizer.zero_grad()
                 out = model(x)
                 (out * out).mean().backward()
-                pre.step()
+                pre.step(lr=0.05)
                 optimizer.step()
             return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -386,7 +398,7 @@ class TestGradientWriteBack:
             assert families == {"KFACConv2dLayer", "KFACLinearLayer"}
         buffers = {id(param): param.grad for param in model.parameters()}
         before = {id(param): param.grad.copy() for param in model.parameters()}
-        pre.step()
+        pre.step(lr=0.1)
         in_place = 0
         for param in model.parameters():
             grad, buffer = param.grad, buffers[id(param)]
@@ -403,14 +415,14 @@ class TestGradientWriteBack:
     def test_a_gradient_that_cannot_be_written_in_place_is_replaced_by_a_contiguous_copy(self):
         """Read-only, Fortran-ordered and float64 gradients: same values as the in-place write, nobody's array written."""
         reference, reference_pre = self.preconditioned("text")
-        reference_pre.step()
+        reference_pre.step(lr=0.1)
         model, pre = self.preconditioned("text")
         frozen = model.head.weight.grad
         frozen.flags.writeable = False
         fortran = model.embed.weight.grad = np.asfortranarray(model.embed.weight.grad)
         model.norm.weight.grad = model.norm.weight.grad.astype(np.float64)
         kept = [frozen.copy(), fortran.copy()]
-        pre.step()
+        pre.step(lr=0.1)
         np.testing.assert_array_equal(frozen, kept[0])
         np.testing.assert_array_equal(fortran, kept[1])
         assert model.head.weight.grad is not frozen and model.embed.weight.grad is not fortran
@@ -431,13 +443,13 @@ class TestMathematicalCorrectness:
         y = rng.integers(0, 3, 64)
         damping = 0.01
         pre = KFAC(
-            model, damping=damping, kl_clip=1e12, lr=1e-6, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen"
+            model, damping=damping, kl_clip=1e12, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen"
         )
         loss = nn.CrossEntropyLoss()(model(Tensor(x)), y)
         loss.backward()
         grad_matrix = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
 
-        pre.step()
+        pre.step(lr=1e-6)
         result = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
 
         handler = next(iter(pre.layers.values()))
@@ -461,10 +473,10 @@ class TestMathematicalCorrectness:
         x = rng.standard_normal((64, 5)).astype(np.float32)
         y = rng.integers(0, 3, 64)
         damping = 0.01
-        pre = KFAC(model, damping=damping, kl_clip=1e12, lr=1e-6, factor_update_freq=1, inv_update_freq=1)
+        pre = KFAC(model, damping=damping, kl_clip=1e12, factor_update_freq=1, inv_update_freq=1)
         nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
         grad_matrix = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
-        pre.step()
+        pre.step(lr=1e-6)
         result = np.concatenate([model.weight.grad, model.bias.grad.reshape(-1, 1)], axis=1).astype(np.float64)
 
         handler = next(iter(pre.layers.values()))
@@ -487,11 +499,12 @@ class TestMathematicalCorrectness:
         sgd_losses = training_loop(model_sgd, None, optim.SGD(model_sgd.parameters(), lr=0.05, momentum=0.9), x, y, steps=40)
         kfac_losses = training_loop(
             model_kfac,
-            KFAC(model_kfac, lr=0.05, factor_update_freq=2, inv_update_freq=4),
+            KFAC(model_kfac, factor_update_freq=2, inv_update_freq=4),
             optim.SGD(model_kfac.parameters(), lr=0.05, momentum=0.9),
             x,
             y,
             steps=40,
+            lr=0.05,
         )
         assert np.mean(kfac_losses[-10:]) < np.mean(sgd_losses[-10:])
 
@@ -501,7 +514,7 @@ class TestMathematicalCorrectness:
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
         before = pre.memory_usage()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         after = pre.memory_usage()
         assert before["total"] == 0
         assert after["factors"] > 0 and after["eigen"] > 0
@@ -515,7 +528,7 @@ class TestMathematicalCorrectness:
         for name, model, precision in (("fp32", model32, "fp32"), ("fp16", model16, "fp16")):
             pre = KFAC(model, precision=precision, factor_update_freq=1, inv_update_freq=1)
             nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             results[name] = pre.memory_usage()["total"]
         assert results["fp16"] == results["fp32"] // 2
 
@@ -529,7 +542,7 @@ class TestMathematicalCorrectness:
             pre = KFAC(model, compute_eigen_outer=cached, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
             loss = nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64])
             loss.backward()
-            pre.step()
+            pre.step(lr=0.1)
             results[cached] = model.layers[0].weight.grad.copy()
         np.testing.assert_allclose(results[True], results[False], rtol=1e-5)
 
@@ -580,7 +593,7 @@ class TestEigenFailuresAreNamed:
         self.assert_untouched(pre, before)
         # The same through the public step: the decay fold keeps the NaN, the eigen stage names it.
         with pytest.raises(ValueError, match=rf"{which.upper()} factor of layer '{name}'"):
-            pre.step()
+            pre.step(lr=0.1)
 
     def test_nan_in_a_stacked_path_factor_names_the_layer_and_the_factor(self):
         """A factor of dimension <= 32 is decomposed by the stacked ``eigh``, which would return NaNs silently."""
@@ -637,8 +650,8 @@ class TestEigenFailuresAreNamed:
                 nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64]).backward()  # starts step 2's solves
                 if fail:
                     with pytest.raises(np.linalg.LinAlgError, match="info=3"):
-                        pre.step()
-                pre.step()
+                        pre.step(lr=0.1)
+                pre.step(lr=0.1)
             pre.remove()
             factors = {name: (layer.factor_a, layer.factor_g) for name, layer in pre.layers.items()}
             return factors, layer_events(pre.tracer, "factor_updates", pre.layers)
@@ -681,7 +694,7 @@ class TestBadFactorWindowsAreRejected:
         with np.errstate(all="ignore"):
             opt.zero_grad()
             nn.CrossEntropyLoss()(model(Tensor(bad)), y[32:64]).backward()
-            pre.step()  # no raise: the step runs on the factors it had
+            pre.step(lr=0.1)  # no raise: the step runs on the factors it had
         self.assert_factors_equal(pre, before)
         for name, layer in pre.layers.items():
             # The step's refresh decomposed the factors as the step found them: the rejected window is in none.
@@ -693,7 +706,7 @@ class TestBadFactorWindowsAreRejected:
         # The bad batch is gone with its window: a clean step folds and decomposes as ever.
         opt.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x[64:96])), y[64:96]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         for name, layer in pre.layers.items():
             assert np.isfinite(layer.factor_a).all() and np.isfinite(layer.factor_g).all()
             assert not np.array_equal(layer.factor_a, before[name][0])
@@ -729,7 +742,7 @@ class TestBadFactorWindowsAreRejected:
         opt.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.layers["layers.2"].accumulators()[1][0] = np.inf
-        pre.step()
+        pre.step(lr=0.1)
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: int(name == "layers.2") for name in pre.layers}
         state = pre.state_dict()
@@ -747,12 +760,12 @@ class TestBadFactorWindowsAreRejected:
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.layers["layers.2"].accumulators()[0][1] = np.nan
         with pytest.raises(ValueError, match=r"first factor window of layer\(s\) \['layers.2'\] is not finite"):
-            pre.step()
+            pre.step(lr=0.1)
         assert pre.steps == 0 and pre.layers["layers.2"].factor_a is None
         # Nothing of the failed attempt is kept: the same step with clean statistics goes through.
         model.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         assert pre.steps == 1 and np.isfinite(pre.layers["layers.2"].factor_a).all()
 
 
@@ -806,7 +819,7 @@ class TestEigenWorker:
             assert (solver.eigen_a, solver.eigen_g, solver.inverse_outer) == eigen[name]
             for part, kept in zip((solver.eigen_a, solver.eigen_g), copies[name]):
                 np.testing.assert_array_equal(part.eigenvalues, kept)
-        pre.step()
+        pre.step(lr=0.1)
         assert all(solver.eigen_a is not eigen[name][0] for name, solver in solvers.items())
         assert pre.refresh.tasks == []  # nothing is in flight between steps
 
@@ -829,7 +842,7 @@ class TestEigenWorker:
             with block(pre):
                 nn.CrossEntropyLoss()(model(Tensor(mine[0][:32])), mine[1][:32]).backward()
                 with pytest.raises(ValueError, match=r"factor of layer '[^']+' failed: .* contains infs or NaNs") as raised:
-                    pre.step()
+                    pre.step(lr=0.1)
             pre.remove()
             return decomposed, str(raised.value)
 
@@ -875,7 +888,7 @@ class TestEigenWorker:
                 optimizer.zero_grad()
                 with block(pre):
                     nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
-                    pre.step()
+                    pre.step(lr=0.1)
                 optimizer.step()
                 gauges.append(tuple(pre.tracer.gauges()[f"kfac/eigen_{part}_ms"] for part in ("solve", "caller")))
                 trajectory.append([param.data.copy() for param in model.parameters()])
@@ -898,7 +911,7 @@ class TestEigenWorker:
         pre.tracer.enabled = True
         x, y = make_problem(3, in_dim=6)
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
-        pre.step()
+        pre.step(lr=0.1)
         (dispatch,) = [record for record in pre.tracer.instants if record.name == "kfac/kernel_dispatch"]
         # The 41s and the 40s go one by one, so the step can take any of them; the 17s and the 16s stay stacked.
         assert sorted(dispatch.attrs["batch_sizes"]) == [1] * 6 + [2, 2]
@@ -962,7 +975,7 @@ class TestEigenWorker:
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         with pytest.raises(np.linalg.LinAlgError, match="did not converge") as raised:
-            pre.step()
+            pre.step(lr=0.1)
         assert str(raised.value).startswith("eigendecomposition of the A factor of layer 'layers.4' failed")
         assert raised.value.__cause__.batch_index == 1
         pre.remove()

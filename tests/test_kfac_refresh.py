@@ -354,7 +354,7 @@ def train(mode, kind="tokens", world=1, cadence=(1, 1), steps=12):
         model = TokenNet() if kind == "tokens" else ConvNet()
         ddp = DistributedDataParallel(model, comm)
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-        pre = KFAC(model, lr=0.05, factor_update_freq=cadence[0], inv_update_freq=cadence[1], comm=comm)
+        pre = KFAC(model, factor_update_freq=cadence[0], inv_update_freq=cadence[1], comm=comm)
         set_products(pre, mode)
         for inputs, targets in model_batches(kind, steps, comm.rank, comm.world_size):
             optimizer.zero_grad()
@@ -362,7 +362,7 @@ def train(mode, kind="tokens", world=1, cadence=(1, 1), steps=12):
                 out = model(Tensor(inputs[part]) if kind == "conv" else inputs[part])
                 ((out - Tensor(targets[part])) ** 2).mean().backward()
             ddp.sync_gradients()
-            pre.step()
+            pre.step(lr=0.05)
             optimizer.step()
         pre.remove()
         return np.concatenate([p.data.ravel() for p in model.parameters()])
@@ -405,7 +405,7 @@ def test_a_checkpoint_between_backward_and_step_is_byte_equal_to_the_hooks_own_p
             model.zero_grad()
             ((model(ids) - Tensor(targets)) ** 2).mean().backward()
             if step < 4:
-                pre.step()
+                pre.step(lr=0.1)
         pending = sum(len(layer._products) for layer in pre.layers.values())
         state = pickle.dumps(pre.state_dict())
         assert not any(layer._products for layer in pre.layers.values())

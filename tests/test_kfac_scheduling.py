@@ -368,7 +368,7 @@ class TestSolvers:
         solver.last_solution = np.ones((3, 3), dtype=np.float64)
         solver.total_iterations = 12
         clone = CGSolveStrategy()
-        clone.load_state_dict(solver.state_dict(), layer)
+        clone.state_loader(solver.state_dict(), layer)()
         np.testing.assert_array_equal(clone.last_solution, solver.last_solution)
         assert clone.total_iterations == 12
         layer.remove()
@@ -382,7 +382,7 @@ class TestSolvers:
         layer = self._linear_handler(2, 3)  # gradient (3, 3)
         solver = CGSolveStrategy()
         with pytest.raises(ValueError, match=r"layer 'lin'.*CG warm start.*\(3, 3\)"):
-            solver.load_state_dict({"last_solution": warm, "total_iterations": 4}, layer)
+            solver.state_loader({"last_solution": warm, "total_iterations": 4}, layer)()
         assert solver.last_solution is None and solver.total_iterations == 0 and solver.held_bytes() == 0
         layer.remove()
 
@@ -397,7 +397,7 @@ class TestSolvers:
         strategy = decompose_standalone(layer, 0.01)
         state = strategy.state_dict()
         resumed = EigenSolveStrategy()
-        resumed.load_state_dict(state, layer)
+        resumed.state_loader(state, layer)()
         np.testing.assert_array_equal(resumed.solve(layer, grad, 0.01), strategy.solve(layer, grad, 0.01))
         if key == "inverse_outer":
             state[key] = state[key].T
@@ -405,7 +405,7 @@ class TestSolvers:
             state[key] = dict(state[key], eigenvalues=state[key]["eigenvalues"][1:])
         fresh = EigenSolveStrategy()
         with pytest.raises(ValueError, match="layer 'lin'"):
-            fresh.load_state_dict(state, layer)
+            fresh.state_loader(state, layer)()
         assert fresh.held_bytes() == 0
         layer.remove()
 
@@ -481,8 +481,8 @@ class TestAdaptiveDamping:
 # ---------------------------------------------------------------------------
 
 
-def run_single_process(pre, model, steps=9, seed=7, with_loss=False):
-    """Drive `steps` preconditioned steps; return per-step flattened grads."""
+def run_single_process(pre, model, steps=9, seed=7, with_loss=False, lr=0.1):
+    """Drive `steps` preconditioned steps at the rate ``lr``; return per-step flattened grads."""
     loss_fn = nn.CrossEntropyLoss()
     x, y = make_problem(seed, samples=128, in_dim=6, classes=3)
     rng = np.random.default_rng(seed + 1)
@@ -493,9 +493,9 @@ def run_single_process(pre, model, steps=9, seed=7, with_loss=False):
         loss = loss_fn(model(Tensor(x[idx])), y[idx])
         loss.backward()
         if with_loss and pre.damping_controller is not None:
-            pre.step(loss=float(loss.item()))
+            pre.step(lr, loss=float(loss.item()))
         else:
-            pre.step()
+            pre.step(lr)
         grads.append(np.concatenate([np.asarray(p.grad).ravel().copy() for p in model.parameters()]))
     return grads
 
@@ -551,7 +551,7 @@ class TestKFACSchedulerIntegration:
                 replicated_fold_reference(layer, strategies[layer.name], step, config, offsets[layer.name])
             pairs = [(grad, strategies[layer.name].solve(layer, grad, config.damping)) for layer, grad in gradients()]
             total = sum(float(np.sum(g.astype(np.float64) * p.astype(np.float64))) for g, p in pairs)
-            nu = kl_clip_scale_from_total(total, config.lr, config.kl_clip)
+            nu = kl_clip_scale_from_total(total, 0.1, config.kl_clip)
             for layer, (_, precond) in zip(layers, pairs):
                 layer.set_gradient(precond * nu)
             reference = np.concatenate([np.asarray(p.grad).ravel() for p in m2.parameters()])
@@ -566,7 +566,7 @@ class TestKFACSchedulerIntegration:
         gradient broadcasts in between."""
         x_global, y_global = make_problem(17, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
-            lr=0.05, factor_update_freq=5, inv_update_freq=10, grad_worker_frac=grad_worker_frac
+            factor_update_freq=5, inv_update_freq=10, grad_worker_frac=grad_worker_frac
         )
         world = ThreadedWorld(4)
         traffic, steps = {}, 18  # step -> rank -> {op: bytes the rank counted}
@@ -590,7 +590,7 @@ class TestKFACSchedulerIntegration:
                 loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
                 ddp.sync_gradients()
                 before = comm_counts(comm.tracer)
-                pre.step()
+                pre.step(lr=0.05)
                 after = comm_counts(comm.tracer)
                 moved = traffic.setdefault(step, {})[comm.rank] = {op: after[op][1] - before[op][1] for op in after}
                 # This rank's slice of the plan: the messages whose group contains it.
@@ -630,7 +630,6 @@ class TestKFACSchedulerIntegration:
         bit-identically under MEM-OPT, HYBRID-OPT and COMM-OPT."""
         x_global, y_global = make_problem(23, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
-            lr=0.05,
             factor_update_freq=1,
             inv_update_freq=2,
             grad_worker_frac=grad_worker_frac,
@@ -652,7 +651,7 @@ class TestKFACSchedulerIntegration:
                 loss = loss_fn(mdl(Tensor(x_global[local])), y_global[local])
                 loss.backward()
                 sync.sync_gradients()
-                precond.step(loss=float(loss.item()))
+                precond.step(lr=0.05, loss=float(loss.item()))
                 return np.concatenate([p.grad.ravel().copy() for p in mdl.parameters()])
 
             # 5 warmup steps: mid-cycle w.r.t. both cadences and the drift plan.
@@ -765,7 +764,7 @@ class TestKFACSchedulerIntegration:
             nn.CrossEntropyLoss()(model(Tensor(x[32 * step : 32 * step + 32])), y[32 * step : 32 * step + 32]).backward()
             refresh = pre.actions().refresh if step else ()
             found = {name: (pre.layers[name].factor_a.copy(), pre.layers[name].factor_g.copy()) for name in refresh}
-            pre.step()
+            pre.step(lr=0.1)
             for name in refresh:
                 layer, solver = pre.layers[name], pre.solvers[name]
                 factor_a, factor_g = found[name]
@@ -814,7 +813,7 @@ class TestKFACSchedulerIntegration:
         model.zero_grad()
         nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
         raw = [np.asarray(p.grad, dtype=np.float64).copy() for p in model.parameters()]
-        pre.step()
+        pre.step(lr=0.1)
         precond = [np.asarray(p.grad, dtype=np.float64) for p in model.parameters()]
         assert all(np.isfinite(g).all() for g in precond)
         assert sum(float(np.sum(r * p)) for r, p in zip(raw, precond)) > 0.0  # positive definite: descent
@@ -840,10 +839,26 @@ class TestKFACSchedulerIntegration:
         assert pre.damping != config.damping
         assert pre.tracer.gauges()["kfac/damping"] == pre.damping
 
+    def test_damping_is_the_controllers_gamma_after_every_step_and_after_a_restore(self):
+        """``KFAC.damping`` reads the controller's γ: no copy is mirrored by a step or by a load."""
+        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, adaptive_damping=True)
+        pre = KFAC.from_config(model, config)
+        seen = []
+        for steps in range(1, 7):
+            run_single_process(pre, model, steps=1, seed=steps, with_loss=True)
+            assert pre.damping == pre.damping_controller.damping == pre.tracer.gauges()["kfac/damping"]
+            seen.append(pre.damping)
+        assert len(set(seen)) > 1 and pre.config.damping == config.damping
+        fresh = KFAC.from_config(MLP(6, [16], 3, rng=np.random.default_rng(6)), config)
+        assert fresh.damping == config.damping
+        fresh.load_state_dict(pre.state_dict())
+        assert fresh.damping == fresh.damping_controller.damping == pre.damping
+
     def test_trainer_feeds_loss_to_adaptive_damping(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         config = KFACConfig(
-            lr=0.05, factor_update_freq=1, inv_update_freq=1, adaptive_damping=True
+            factor_update_freq=1, inv_update_freq=1, adaptive_damping=True
         )
         pre = KFAC.from_config(model, config)
         optimizer = optim.SGD(model.parameters(), lr=0.05)
@@ -862,10 +877,9 @@ class TestKFACSchedulerIntegration:
 
     def test_trainer_matches_listing_one_with_drift(self):
         """With layers skipping factor updates, a ``Trainer`` stays bitwise
-        identical to a hand-written Listing-1 loop (backward, ``KFAC.step()``,
+        identical to a hand-written Listing-1 loop (backward, ``KFAC.step(lr)``,
         ``optimizer.step()``)."""
         config = KFACConfig(
-            lr=0.05,
             factor_update_freq=1,
             inv_update_freq=2,
             drift_tol=1.0,
@@ -892,7 +906,7 @@ class TestKFACSchedulerIntegration:
                 optimizer.zero_grad()
                 loss = forward_loss(model, (x[:32], y[:32]))
                 loss.backward()
-                pre.step(lr=0.05)
+                pre.step(lr=optimizer.param_groups[0]["lr"])
                 optimizer.step()
                 losses.append(float(loss.item()))
             results.append(

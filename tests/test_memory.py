@@ -210,7 +210,7 @@ class TestWorkloadSpecMemory:
             pre = KFAC(model, config, comm=comm)
             local = slice(comm.rank, None, world)
             nn.CrossEntropyLoss()(model(Tensor(x[local])), y[local]).backward()
-            pre.step()
+            pre.step(lr=0.1)
             return pre.memory_usage(), [layer.shape_info() for layer in pre.layers.values()], model.num_parameters()
 
         ranks = run_spmd(world, program)
@@ -246,7 +246,7 @@ class TestWorkloadSpecMemory:
         built = build_workload("bert", seed=0)
         pre = KFAC.from_config(built.model, built.config.kfac_config(), skip_modules=built.kfac_skip_modules)
         built.forward_loss(built.model, next(iter(built.train_loader))).backward()
-        pre.step()
+        pre.step(lr=built.config.kfac_lr)
         usage = pre.memory_usage()
         pre.remove()
         assert usage["solver"] == 4 * 693_404 == pre.plan.state_bytes_per_rank("solver")[0]

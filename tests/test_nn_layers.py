@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from composite_oracle import attention_forward_composite
-from gradcheck import graph_nodes
+from gradcheck import check_gradient, graph_nodes
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad
@@ -139,6 +139,65 @@ class TestPooling:
         x = RNG.random((1, 1, 7, 7)).astype(np.float32)
         out = nn.MaxPool2d(3, stride=2, padding=1)(Tensor(x))
         assert out.shape == (1, 1, 4, 4)
+
+    def test_maxpool_pads_with_minus_infinity(self):
+        """A border window of negative values has a negative maximum: the padding is never the maximum."""
+        x = Tensor(-np.arange(1, 17, dtype=np.float32).reshape(1, 1, 4, 4), requires_grad=True)
+        out = nn.MaxPool2d(3, stride=2, padding=1)(x)
+        np.testing.assert_array_equal(out.numpy().reshape(2, 2), [[-1, -2], [-5, -6]])
+        out.sum().backward()
+        assert x.grad.reshape(-1)[[0, 1, 4, 5]].tolist() == [1, 1, 1, 1] and x.grad.sum() == 4
+
+    @staticmethod
+    def im2col_pool(x, grad, kernel, stride, padding, reduce):
+        """Pooling written over the public ``(N, C*kh*kw, L)`` im2col, zero-padded: the oracle on positive inputs."""
+        n, c = x.shape[:2]
+        cols, out_h, out_w = F.im2col(x, kernel, stride, padding)
+        cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
+        grad = grad.reshape(n, c, 1, out_h * out_w)
+        if reduce == "max":
+            argmax = cols.argmax(axis=2)[:, :, None]
+            out = np.take_along_axis(cols, argmax, axis=2)
+            grad_cols = np.zeros(cols.shape, dtype=grad.dtype)
+            np.put_along_axis(grad_cols, argmax, grad, axis=2)
+        else:
+            out, grad_cols = cols.mean(axis=2), np.broadcast_to(grad / cols.shape[2], cols.shape)
+        grad_x = F.col2im(grad_cols.reshape(n, -1, out_h * out_w), x.shape, kernel, stride, padding)
+        return out.reshape(n, c, out_h, out_w), grad_x
+
+    @pytest.mark.parametrize("kernel, stride, padding", [(2, 2, 0), (3, 2, 1), (3, 1, 1), (2, 1, 0)])
+    def test_on_positive_inputs_max_pooling_is_the_im2col_one_bitwise_and_average_pooling_to_rounding(
+        self, kernel, stride, padding
+    ):
+        rng = np.random.default_rng(kernel * 10 + stride + padding)
+        x = (rng.random((3, 4, 9, 7)) + 0.5).astype(np.float32)
+        for module, reduce in ((nn.MaxPool2d, "max"), (nn.AvgPool2d, "avg")):
+            tensor = Tensor(x, requires_grad=True)
+            out = module(kernel, stride=stride, padding=padding)(tensor)
+            grad = rng.standard_normal(out.shape).astype(np.float32)
+            out.backward(grad)
+            expected, expected_grad = self.im2col_pool(x, grad, (kernel, kernel), stride, padding, reduce)
+            if reduce == "max":
+                np.testing.assert_array_equal(out.numpy(), expected)
+                np.testing.assert_array_equal(tensor.grad, expected_grad)
+            else:
+                np.testing.assert_allclose(out.numpy(), expected, rtol=1e-6)
+                np.testing.assert_allclose(tensor.grad, expected_grad, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("module", [nn.MaxPool2d, nn.AvgPool2d])
+    def test_float64_gradcheck_with_padding(self, module):
+        x = np.random.default_rng(4).standard_normal((2, 3, 6, 5))
+        pool = module(3, stride=2, padding=1)
+        check_gradient(lambda t: (pool(t) * pool(t)).sum(), x, atol=1e-6, rtol=1e-5)
+
+    @pytest.mark.parametrize("module", [nn.MaxPool2d, nn.AvgPool2d])
+    def test_a_pool_after_a_conv_stays_channel_major(self, module):
+        conv = nn.Conv2d(2, 4, 3, padding=1, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).standard_normal((3, 2, 8, 8)).astype(np.float32), requires_grad=True)
+        out = module(3, stride=2, padding=1)(conv(x))
+        assert out.shape == (3, 4, 4, 4) and out.data.transpose(1, 2, 3, 0).flags.c_contiguous
+        out.sum().backward()
+        assert x.grad.shape == x.shape and np.isfinite(x.grad).all()
 
 
 class TestUpsample:

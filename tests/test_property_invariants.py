@@ -206,14 +206,14 @@ class TestStrategyEquivalenceProperties:
             )
             ddp = DistributedDataParallel(model, comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            pre = KFAC(model, lr=0.05, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=frac, comm=comm)
+            pre = KFAC(model, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=frac, comm=comm)
             loss_fn = nn.MSELoss()
             for step in range(self.STEPS):
                 local = np.arange(16)[(step + comm.rank) % 2 :: 2][comm.rank // 2 :: 2]
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(x[local])), target[local]).backward()
                 ddp.sync_gradients()
-                pre.step()
+                pre.step(lr=0.05)
                 optimizer.step()
             return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -265,7 +265,6 @@ class TestShardedFactorLayoutProperties:
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
             pre = KFAC(
                 model,
-                lr=0.05,
                 factor_update_freq=factor_freq,
                 inv_update_freq=factor_freq * inv_multiple,
                 grad_worker_frac=frac,
@@ -281,7 +280,7 @@ class TestShardedFactorLayoutProperties:
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(x[local])), target[local]).backward()
                 ddp.sync_gradients()
-                pre.step()
+                pre.step(lr=0.05)
                 optimizer.step()
             return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -371,7 +370,7 @@ class TestStaggeredRefreshProperties:
             model = nn.Sequential(*blocks, nn.Linear(widths[-1], out_features, bias=bias, rng=net_rng))
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
             config = KFACConfig(
-                lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac,
+                factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac,
                 **self.KNOBS[knob],
             )  # fmt: skip
             return model, optimizer, KFAC(model, config, comm=comm)
@@ -388,7 +387,7 @@ class TestStaggeredRefreshProperties:
                 if poisoned and step == inv_freq and comm.rank == 0:
                     list(pre.layers.values())[-1].accumulators()[1][0] = np.inf  # one rank's window: rejected on every rank
                 taken, events = pre.actions(), decisions(comm)  # the actions the hooks read in this forward pass
-                pre.step()
+                pre.step(lr=0.05)
                 after = comm_counts(comm.tracer)
                 posted[step] = {op: (after[op][0] - before[op][0], after[op][1] - before[op][1]) for op in after}
                 posted[step]["actions"] = taken
@@ -522,7 +521,7 @@ class TestRefreshReadPointProperties:
         x = rng.standard_normal((8 * world, in_features)).astype(np.float32)
         target = rng.standard_normal((8 * world, 2)).astype(np.float32)
         config = KFACConfig(
-            lr=0.05, factor_update_freq=factor_freq, inv_update_freq=inv_freq,
+            factor_update_freq=factor_freq, inv_update_freq=inv_freq,
             grad_worker_frac=1.0 if comm_opt else 1.0 / world,
             solve_strategy=solver,
         )  # fmt: skip
@@ -547,7 +546,7 @@ class TestRefreshReadPointProperties:
                 found = {name: (layer.factor_a, layer.factor_g) for name, layer in pre.layers.items()}
                 found = {name: tuple(None if f is None else f.copy() for f in pair) for name, pair in found.items()}
                 published = [f for layer in pre.layers.values() for f in (layer.factor_a, layer.factor_g) if f is not None]
-                pre.step()
+                pre.step(lr=0.05)
                 # A published running factor is never written: the fold makes a new array, so a refresh task
                 # holding the old one solves what its step began with.
                 assert [f.tobytes() for f in published] == [
@@ -664,7 +663,6 @@ class TestFusedOptimizerProperties:
             optimizer = optimizer_cls(params, **hyper) if fused else LoopOptimizer(name, params, **hyper)
             pre = KFAC(
                 model,
-                lr=hyper["lr"],
                 factor_update_freq=2,
                 inv_update_freq=4,
                 grad_worker_frac=min(workers, world) / world,
@@ -792,7 +790,7 @@ class TestModelEqualsEngineProperties:
             pre = KFAC(model, config, comm=comm)
             local = slice(comm.rank, None, world)
             nn.MSELoss()(model(tokens[local]), target[local]).backward()
-            pre.step()  # no gradient averaging: K-FAC's collectives are the only ones in the registry
+            pre.step(lr=0.1)  # no gradient averaging: K-FAC's collectives are the only ones in the registry
             return pre.memory_usage(), list(pre.layers), comm_counts(comm.tracer), pre.plan.digest()
 
         previous = KFACEmbeddingLayer.g_block_size
@@ -910,7 +908,6 @@ class TestPackedStorageProperties:
         from repro.training import Trainer
 
         config = KFACConfig(
-            lr=0.05,
             factor_update_freq=1,
             inv_update_freq=2,
             grad_worker_frac=workers / world,
@@ -1077,9 +1074,8 @@ class TestNoDeadKnobProperties:
     row fails, so a field added later needs a row here -- or is a deletion candidate.
     """
 
-    COMMON = dict(lr=0.05, factor_update_freq=1, inv_update_freq=2)
+    COMMON = dict(factor_update_freq=1, inv_update_freq=2)
     ROWS = {
-        "lr": ({}, dict(lr=0.2)),
         "factor_decay": ({}, dict(factor_decay=0.5)),
         "damping": ({}, dict(damping=0.05)),
         "kl_clip": ({}, dict(kl_clip=1e-6)),
@@ -1118,13 +1114,13 @@ class TestNoDeadKnobProperties:
                 model = MLP(6, [8, 30], 3, rng=np.random.default_rng(4))  # factor dims 7 / 8, 9 / 30, 31 / 3
                 pre = KFAC(model, config, comm=comm)
                 ddp, optimizer = DistributedDataParallel(model, comm), optim.SGD(model.parameters(), lr=0.05)
-                for step in range(cls.STEPS):  # Listing 1, with K-FAC at its own lr (a Trainer passes the optimizer's)
+                for step in range(cls.STEPS):  # Listing 1
                     local = np.arange(32)[(step + comm.rank) % 2 :: 2]
                     optimizer.zero_grad()
                     loss = loss_fn(model(Tensor(x[local])), y[local])
                     loss.backward()
                     ddp.sync_gradients()
-                    pre.step(loss=float(loss.item()))
+                    pre.step(lr=optimizer.param_groups[0]["lr"], loss=float(loss.item()))
                     optimizer.step()
                 params = np.concatenate([p.data.ravel() for p in model.parameters()]).tobytes()
                 observed = params, pre.plan.digest(), pre.memory_usage(), comm_counts(comm.tracer)

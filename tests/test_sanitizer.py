@@ -136,7 +136,7 @@ class TestScheduleDivergence:
             pre = KFAC(model, grad_worker_frac=0.25 if comm.rank == 1 else 0.5, comm=comm)
             nn.CrossEntropyLoss()(model(Tensor(x)), y).backward()
             try:
-                pre.step()
+                pre.step(lr=0.1)
             except SanitizerError as error:
                 outcomes[comm.rank] = (error.kind, "kfac/reprs" in str(error))
                 raise

@@ -176,7 +176,7 @@ class TestTrainer:
     def test_trainer_with_kfac_and_scheduler(self):
         model, forward_loss, batches, x, y = self._components(5)
         opt = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
-        pre = KFAC(model, lr=0.1, factor_update_freq=2, inv_update_freq=4)
+        pre = KFAC(model, factor_update_freq=2, inv_update_freq=4)
         sched = optim.WarmupCosine(opt, total_steps=40, warmup_steps=4)
         trainer = Trainer(model, opt, forward_loss, preconditioner=pre, lr_scheduler=sched)
         for batch in batches * 3:
