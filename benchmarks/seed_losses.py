@@ -4,9 +4,12 @@
     python3 benchmarks/seed_losses.py --workload resnet_w1 --seeds 901-940 --steps 151 --perturb-ulp --out C.json
     python3 benchmarks/seed_losses.py --compare A.json B.json
 
-For every seed both trainers of ``benchmarks/e2e`` (``worker.Side``: the
-workload's model, data order, optimizer and K-FAC config exactly as the
-benchmark builds them) run ``--steps`` ``Trainer`` steps, and the mean
+``--workload`` is a benchmark workload or one of :data:`LOCAL_WORKLOADS`, the
+repo's other models with ``BatchNorm2d`` (``unet_w1``, ``mask_rcnn_w1``), which
+the benchmark does not time.  For every seed both trainers of
+``benchmarks/e2e`` (``worker.Side``: the workload's model, data order,
+optimizer and K-FAC config exactly as the benchmark builds them) run
+``--steps`` ``Trainer`` steps, and the mean
 training loss of the last 10 steps is printed per seed and trainer.  At world
 size > 1 a step's loss is the mean of the ranks' losses.  BLAS is pinned to
 one thread and ``REPRO_*`` toggles are cleared, as ``run.py`` does for its
@@ -52,6 +55,8 @@ from worker import Side  # noqa: E402
 #: Steps averaged into a seed's loss (the benchmark's ``final_loss`` window).
 TAIL = 10
 KINDS = ("kaisa", "baseline")
+#: Workloads of this script only, built by ``worker.Side`` like the benchmark's own.
+LOCAL_WORKLOADS = {w.name: w for w in (Workload("unet_w1", "unet", world=1), Workload("mask_rcnn_w1", "mask_rcnn", world=1))}
 
 
 def seed_range(text: str) -> List[int]:
@@ -104,7 +109,7 @@ def compare(path_a: Path, path_b: Path) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=list(WORKLOADS), default="resnet_w1")
+    parser.add_argument("--workload", choices=[*WORKLOADS, *LOCAL_WORKLOADS], default="resnet_w1")
     parser.add_argument("--seeds", default="901-940", help="inclusive range, e.g. 901-940")
     parser.add_argument("--steps", type=int, default=151, help="Trainer steps per trainer and seed")
     parser.add_argument("--perturb-ulp", action="store_true", help="move the first parameter's first element by one ulp")
@@ -117,7 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.steps < 1:
         parser.error("--steps must be at least 1")
 
-    workload = WORKLOADS[args.workload]
+    workload = {**WORKLOADS, **LOCAL_WORKLOADS}[args.workload]
     result = {"workload": workload.name, "steps": args.steps, "perturb_ulp": args.perturb_ulp, "seeds": {}}
     print(f"{workload.name}: last-{TAIL}-step mean loss after {args.steps} steps"
           f"{' (first parameter moved by one ulp)' if args.perturb_ulp else ''}")  # fmt: skip

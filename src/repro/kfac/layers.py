@@ -1,7 +1,7 @@
 """Per-layer K-FAC handlers: factor computation and gradient preconditioning.
 
 Each supported module type gets a handler (``Linear``, ``Conv2d`` per paper
-section 3.4, plus ``Embedding``, ``LayerNorm`` and affine ``BatchNorm2d``) that:
+section 3.4, plus ``Embedding`` and ``LayerNorm``) that:
 
 * observes the forward call (module forward hook) and, on a step that
   accumulates, the gradient w.r.t. that call's output during the backward pass
@@ -20,7 +20,9 @@ section 3.4, plus ``Embedding``, ``LayerNorm`` and affine ``BatchNorm2d``) that:
   packed (``?trttp``) as it enters the accumulator, and the window, the
   allreduce, the running factor and the checkpoint all hold the triangle;
   under :class:`~repro.kfac.KFAC`, with a core spare, the rank's worker forms
-  it, not the hook, and the fold takes it (:meth:`KFACLayer.accumulators`),
+  it, not the hook, for a factor at least
+  :data:`~repro.kfac.refresh.MIN_DEFERRED_BLOCK` wide, and the fold takes it
+  (:meth:`KFACLayer.accumulators`),
 * maintains exponential running averages of the factors (section 2.1.2),
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
@@ -33,30 +35,23 @@ builds its layers from it and the shape models
 (:func:`~repro.experiments.collect_layer_shapes`) read their shapes off the
 same handlers.  :func:`make_kfac_layer` walks the module's MRO over the
 table, so a subclass of a listed module type gets its base's handler.  A new
-module type is one handler class plus one table row.
+module type is one handler class plus one table row; an unlisted one, such as
+``BatchNorm2d``, is left to the optimizer as it is.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, List, Mapping, Optional, Tuple, Type
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
 from ..nn.conv import Conv2d
 from ..nn.embedding import Embedding
-from ..nn.functional import (
-    BatchNorm2dFunction,
-    Conv2dFunction,
-    LayerNormFunction,
-    LinearFunction,
-    batch_normalize,
-    conv_patch_matrix,
-    layer_normalize,
-)
+from ..nn.functional import Conv2dFunction, LayerNormFunction, LinearFunction, conv_patch_matrix, layer_normalize
 from ..nn.linear import Linear
 from ..nn.module import Module
-from ..nn.norm import BatchNorm2d, LayerNorm
+from ..nn.norm import LayerNorm
 from ..tensor import PrecisionPolicy, Tensor
 from .factors import FactorRepr
 from .kernels import KernelBackend
@@ -70,7 +65,6 @@ __all__ = [
     "KFACConv2dLayer",
     "KFACEmbeddingLayer",
     "KFACLayerNormLayer",
-    "KFACBatchNorm2dLayer",
     "LAYER_HANDLERS",
     "make_kfac_layer",
 ]
@@ -97,19 +91,9 @@ def _forward_node(output, node_type):
 class KFACLayer:
     """Base class holding K-FAC state for a single preconditioned module."""
 
-    #: Whose worker forms the dense statistics products: the owning ``KFAC.refresh``, or None (in the hook).
+    #: Whose worker forms the wide factors' statistics products (:meth:`RefreshQueue.takes`): the owning
+    #: ``KFAC.refresh``, or None (every product in the hook).
     queue: Optional[RefreshQueue] = None
-
-    @classmethod
-    def supports(cls, module: Module) -> bool:
-        """Whether this handler should actually be built for ``module``.
-
-        :data:`LAYER_HANDLERS` finds the handler class by module type; this
-        hook lets a handler decline specific instances (a ``BatchNorm2d``
-        without ``affine`` has no parameters), which are then skipped exactly
-        as an unlisted type is.
-        """
-        return True
 
     def __init__(
         self,
@@ -138,6 +122,7 @@ class KFACLayer:
         self._a_count = 0
         self._g_count = 0
         self._products: List[Tuple[str, object]] = []  # (factor, task) deferred to the queue, in submission order
+        self._wide: Dict[str, bool] = {}  # per factor, decided at its first product: whether a queue may take it
 
         # Running-average Kronecker factors (stored in the factor dtype).
         self.factor_a: Optional[np.ndarray] = None
@@ -254,15 +239,21 @@ class KFACLayer:
         accum = getattr(self, f"_{which}_accum")
         setattr(self, f"_{which}_accum", contribution if accum is None else np.add(accum, contribution, out=accum))
 
-    def _add_product(self, which: str, product: Callable[[], np.ndarray], count: int, defer: bool = True) -> None:
+    def _add_product(self, which: str, product: Callable[[], np.ndarray], count: int) -> None:
         """Accumulate ``product()``, factor ``which``'s contribution of ``count`` rows: on the :attr:`queue`'s worker if any.
+
+        Whether a queue takes the factor (:meth:`RefreshQueue.takes`) is decided once per factor, so all of its
+        products run on one side and are added in the order of the calls either way.
 
         It reads its buffers uncopied, as nothing writes them after the hook: the node's ``x2`` / ``cols``
         (``LinearFunction`` adds its bias into ``out``) and the output gradient (the tape sums into a fresh
         array, ``grads[pid] + pgrad``; ``grad / scale`` is fresh; no node's ``backward`` writes the gradient
         it receives, which ``tests/test_backward_precision.py`` checks on every workload).
         """
-        if defer and self.queue is not None:
+        wide = self._wide.get(which)
+        if wide is None:
+            wide = self._wide[which] = RefreshQueue.takes(self.factor_repr(which))
+        if wide and self.queue is not None:
             self._products.append((which, self.queue.defer((self.name, which), product)))
         else:
             self._accumulate(which, product())
@@ -290,7 +281,7 @@ class KFACLayer:
 
     def _add_g_stat(self, grad: np.ndarray, row_scale: float = 1.0) -> None:
         """Accumulate ``Σ (s·row)ᵀ (s·row)`` over ``grad``'s rows for ``s = row_scale``: the product, then ``s²`` on its result."""
-        repr_ = self.g_repr  # an elementwise G is O(F) squares: formed in the hook, like the norm layers' sums
+        repr_ = self.g_repr
 
         def product() -> np.ndarray:
             contribution = self._row_outer_contribution(grad.reshape(-1, grad.shape[-1]), repr_)
@@ -298,7 +289,7 @@ class KFACLayer:
                 contribution *= float(row_scale) ** 2
             return contribution
 
-        self._add_product("g", product, grad.size // grad.shape[-1], defer=not repr_.elementwise)
+        self._add_product("g", product, grad.size // grad.shape[-1])
 
     def _add_diagonal_g_stat(self, squares: np.ndarray, count: int) -> None:
         """Accumulate per-feature G second moments (normalization handlers).
@@ -627,7 +618,7 @@ class KFACEmbeddingLayer(KFACLayer):
 
 
 class _KFACScaleShiftLayer(KFACLayer):
-    """Shared by the normalization handlers: the affine part ``y = w * x̂ + b`` per feature.
+    """The normalization handler's base: the affine part ``y = w * x̂ + b`` per feature.
 
     An elementwise scale-and-shift has a Fisher block that is diagonal per
     feature.  It is folded into the Kronecker template the same way
@@ -661,7 +652,7 @@ class _KFACScaleShiftLayer(KFACLayer):
         if self.has_bias:
             contribution[1] = flat.sum()
             contribution[2] = flat.size
-        self._add_product("a", lambda: contribution, flat.size, defer=False)
+        self._add_product("a", lambda: contribution, flat.size)
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -702,40 +693,6 @@ class KFACLayerNormLayer(_KFACScaleShiftLayer):
         self._add_diagonal_g_stat(squares, rows.shape[0])
 
 
-class KFACBatchNorm2dLayer(_KFACScaleShiftLayer):
-    """K-FAC handler for :class:`~repro.nn.norm.BatchNorm2d` modules (2x2 A, diagonal G).
-
-    Every ``(sample, channel, spatial)`` element is one activation row and the
-    G statistics are per-channel second moments.  The handler is
-    *running-stat aware*: the Kronecker statistics use the batch-normalized
-    activations the training-mode forward produced (``output._ctx.x_hat``; a
-    call that recorded no graph gets them from the same kernel), and the
-    module's ``running_mean``/``running_var`` buffers are never read or
-    written here, so preconditioning leaves the inference statistics
-    untouched.
-    """
-
-    @classmethod
-    def supports(cls, module: Module) -> bool:
-        # Without the affine transform there are no parameters to precondition.
-        return bool(getattr(module, "affine", False))
-
-    @property
-    def g_dim(self) -> int:
-        return self.module.num_features
-
-    def _accumulate_a(self, x: np.ndarray, output) -> None:
-        node = _forward_node(output, BatchNorm2dFunction)
-        self._add_x_hat_stat(node.x_hat if node is not None else batch_normalize(x, self.module.eps)[0])
-
-    def _accumulate_g(self, grad_output: np.ndarray) -> None:
-        grad = grad_output.astype(np.float32, copy=False)
-        squares = np.einsum("nchw,nchw->c", grad, grad)
-        # Undo the 1/N batch averaging of the loss (Conv2d convention).
-        squares *= float(grad.shape[0]) ** 2
-        self._add_diagonal_g_stat(squares, grad.size // self.g_dim)
-
-
 #: Module type -> handler class: the modules K-FAC preconditions, read-only.
 LAYER_HANDLERS: Mapping[Type[Module], Type[KFACLayer]] = MappingProxyType(
     {
@@ -743,7 +700,6 @@ LAYER_HANDLERS: Mapping[Type[Module], Type[KFACLayer]] = MappingProxyType(
         Conv2d: KFACConv2dLayer,
         Embedding: KFACEmbeddingLayer,
         LayerNorm: KFACLayerNormLayer,
-        BatchNorm2d: KFACBatchNorm2dLayer,
     }
 )
 
@@ -756,12 +712,8 @@ def make_kfac_layer(
     grad_scale: Callable[[], float],
     kernels: Optional[KernelBackend] = None,
 ) -> Optional[KFACLayer]:
-    """The :data:`LAYER_HANDLERS` handler of ``module``'s most specific listed type.
-
-    ``None`` when no type in its MRO is listed or the handler's
-    :meth:`~KFACLayer.supports` declines the instance.
-    """
+    """The :data:`LAYER_HANDLERS` handler of ``module``'s most specific listed type, or ``None`` if none is listed."""
     handler_cls = next((LAYER_HANDLERS[klass] for klass in type(module).__mro__ if klass in LAYER_HANDLERS), None)
-    if handler_cls is None or not handler_cls.supports(module):
+    if handler_cls is None:
         return None
     return handler_cls(name, module, precision, should_accumulate, grad_scale, kernels=kernels)

@@ -2,10 +2,11 @@
 
 A refresh decomposes -- or, on the default ``inverse`` path, inverts -- the
 running factors as they stood when its step began (paper section 3.4, stage
-2), while forward and backward still run; the layer hooks' dense statistics
-products (stage 1, :meth:`RefreshQueue.defer`) go ahead of every solve not
-started, as the step's fold needs them first.  :class:`RefreshQueue` alone
-decides which thread runs what, and when.  A task is any zero-argument
+2), while forward and backward still run; the layer hooks' statistics
+products of factors at least :data:`MIN_DEFERRED_BLOCK` wide (stage 1,
+:meth:`RefreshQueue.defer`) go ahead of every solve not started, as the step's
+fold needs them first.  :class:`RefreshQueue` alone decides which thread runs
+what, and when.  A task is any zero-argument
 callable, such as :meth:`~repro.kfac.kernels.KernelBackend.eigen_task`'s or
 :meth:`~repro.kfac.kernels.KernelBackend.inverse_task`'s; its result does not
 depend on the thread that runs it, so neither does the trajectory.  A task
@@ -34,7 +35,13 @@ import numpy as np
 from .factors import FactorRepr
 from .kernels import STACK_EIGH_MAX_DIM
 
-__all__ = ["RefreshQueue"]
+__all__ = ["RefreshQueue", "MIN_DEFERRED_BLOCK"]
+
+#: Narrowest factor block whose statistics products the worker forms; a narrower factor's are formed in its
+#: hook.  Measured crossover on two cores: handing the worker a 0.1-0.5 ms product (the conv factors of
+#: ``cifar_resnet``, at most 144 wide) costs the step more than forming it, while a 512-wide one (BERT's FFN
+#: factors, 2-3 ms) still hides behind forward and backward.
+MIN_DEFERRED_BLOCK = 256
 
 
 def _work(ready: threading.Condition, lines: Tuple[deque, deque]) -> None:
@@ -138,6 +145,11 @@ class RefreshQueue:
                 task.future.set_result((None, error, 0.0))
             else:
                 self._dispatch(task, 1)
+
+    @staticmethod
+    def takes(repr_: FactorRepr) -> bool:
+        """Whether the worker forms the statistics products of a factor stored as ``repr_``."""
+        return repr_.block_size >= MIN_DEFERRED_BLOCK
 
     def defer(self, key: Hashable, product: Callable[[], np.ndarray]) -> _Task:
         """Queue ``product`` (factor ``key``'s statistic) ahead of the solves, to run in this context (its ``np.errstate``)."""

@@ -51,7 +51,7 @@ def data_parallel_program(world_size, steps=8, use_kfac=True, grad_worker_frac=1
             loss.backward()
             ddp.sync_gradients()
             if preconditioner is not None:
-                preconditioner.step(lr=lr)
+                preconditioner.step(lr=optimizer.param_groups[0]["lr"])
             optimizer.step()
         return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -201,7 +201,7 @@ class TestDistributedKFAC:
                     optimizer.zero_grad()
                     loss_fn(model(Tensor(X_GLOBAL[:16])), Y_GLOBAL[:16]).backward()
                     ddp.sync_gradients()
-                    pre.step(lr=0.1)
+                    pre.step(lr=optimizer.param_groups[0]["lr"])
                     optimizer.step()
                 return comm_counts(comm.tracer)["broadcast"][1]
 

@@ -17,10 +17,11 @@ Acceptance coverage for :class:`FactorRepr`:
   paths);
 * checkpoints store the representation tags, resume bitwise, and refuse to
   load a packed factor into a handler with a different representation;
-* the new BatchNorm2d handler: brute-force factor verification, numerical
-  gradient checks of the affine parameters, running-stat preservation;
-* every parameterized module of the real models is preconditioned
-  (ResNet-20 with BatchNorm, BERT-tiny including the embedding tables);
+* ``BatchNorm2d`` gets no handler: its gradients and running statistics are
+  the optimizer's alone;
+* every ``Conv2d`` and ``Linear`` of the real models is preconditioned and no
+  ``BatchNorm2d`` is (ResNet-20), and BERT-tiny is preconditioned including
+  its embedding tables;
 * the SPMD sanitizer flags rank-divergent representation choices at step 0
   instead of deadlocking inside a mismatched allreduce, and the static lint
   stays clean on uniform repr dispatch.
@@ -35,7 +36,6 @@ from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import (
     KFAC,
     FactorRepr,
-    KFACBatchNorm2dLayer,
     KFACConfig,
     KFACEmbeddingLayer,
     KFACLayerNormLayer,
@@ -52,7 +52,6 @@ from repro.models import MLP, bert_tiny, cifar_resnet20
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
-from gradcheck import numerical_gradient
 from kernel_oracle import DenseFactorKFAC, ReferenceKernelBackend, decompose_standalone, force_dense, kfac_class
 
 RNG = np.random.default_rng(404)
@@ -301,7 +300,7 @@ class TestCostModelRepr:
 class TestStructuredVsDenseParity:
     """The dense oracle is the historical dense implementation verbatim;
     on the eigen path the structured fast paths must match it bitwise (the
-    LayerNorm/BatchNorm/Embedding statistics are exactly (block-)diagonal, so
+    LayerNorm/Embedding statistics are exactly (block-)diagonal, so
     even the dense eigensolve sees the same spectrum).  On the inverse path a
     diagonal factor's ``1 / (d + γ)`` is not bitwise what a Cholesky of the
     embedded diagonal returns (``(1/√x)²``), so there they agree to float32
@@ -321,7 +320,7 @@ class TestStructuredVsDenseParity:
             batch = slice(step * 16, step * 16 + 16)
             optimizer.zero_grad()
             loss_fn(model(ids[batch]), labels[batch]).backward()
-            pre.step(lr=0.1)
+            pre.step(lr=optimizer.param_groups[0]["lr"])
             optimizer.step()
         return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -415,7 +414,7 @@ class TestCheckpointRepr:
             batch = slice(step * 16, step * 16 + 16)
             optimizer.zero_grad()
             loss_fn(model(ids[batch]), labels[batch]).backward()
-            pre.step(lr=0.1)
+            pre.step(lr=optimizer.param_groups[0]["lr"])
             optimizer.step()
         return model, pre, (ids, labels)
 
@@ -483,46 +482,15 @@ class TestCheckpointRepr:
 
 
 # --------------------------------------------------------------------------- BatchNorm2d
-class TestBatchNorm2dHandler:
-    def make_handler(self, features=3, affine=True):
-        module = nn.BatchNorm2d(features, affine=affine)
-        handler = make_kfac_layer(
-            "bn", module, PrecisionPolicy.fp32(), should_accumulate=lambda: True, grad_scale=lambda: 1.0
-        )
-        return module, handler
+class TestBatchNorm2dNotPreconditioned:
+    """K-FAC preconditions ``Conv2d`` and ``Linear`` (paper section 3.4): a ``BatchNorm2d`` gets no handler."""
 
-    def test_registered_only_for_affine(self):
-        module, handler = self.make_handler()
-        assert isinstance(handler, KFACBatchNorm2dLayer)
-        assert handler.a_repr.describe() == "dense:2"
-        assert handler.g_repr.describe() == "diagonal:3"
-        _, none_handler = self.make_handler(affine=False)
-        assert none_handler is None
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_no_handler(self, affine):
+        module = nn.BatchNorm2d(3, affine=affine)
+        assert make_kfac_layer("bn", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
 
-    def test_factors_match_brute_force(self):
-        module, handler = self.make_handler(features=3)
-        x = RNG.standard_normal((4, 3, 5, 5)).astype(np.float32)
-        out = module(Tensor(x))
-        out.mean().backward()
-        a_new, g_new = handler.compute_batch_factors()
-
-        # A: second moment of the [x_hat, 1] rows, x_hat from *batch* stats.
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean
-        var = np.mean(centered * centered, axis=(0, 2, 3), keepdims=True)
-        x_hat = (centered / np.sqrt(var + module.eps)).reshape(-1, 1)
-        rows = np.concatenate([x_hat, np.ones_like(x_hat)], axis=1)
-        # The off-diagonal entry is the mean of x_hat, zero up to float32 cancellation noise.
-        np.testing.assert_allclose(handler.a_repr.to_dense(a_new), rows.T @ rows / rows.shape[0], rtol=1e-5, atol=1e-6)
-
-        # G: per-channel second moments of the (batch-size scaled) output
-        # gradient rows, stored as a diagonal vector.
-        grad_out = np.full((4, 3, 5, 5), 1.0 / (4 * 3 * 5 * 5), dtype=np.float32)  # d(mean)/d(out)
-        g_rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, 3) * 4
-        np.testing.assert_allclose(g_new, np.mean(g_rows**2, axis=0), rtol=1e-5)
-        assert g_new.shape == (3,)
-
-    def test_running_stats_untouched_by_preconditioning(self):
+    def test_its_gradients_and_running_stats_are_the_optimizers_alone(self):
         class BNNet(nn.Module):
             def __init__(self):
                 super().__init__()
@@ -543,67 +511,25 @@ class TestBatchNorm2dHandler:
             loss = nn.CrossEntropyLoss()(model(Tensor(x)), labels)
             loss.backward()
             if pre is not None:
-                assert any(isinstance(l, KFACBatchNorm2dLayer) for l in pre.layers.values())
+                assert sorted(pre.layers) == ["conv", "head"]
                 pre.step(lr=0.1)
-            return model.bn.running_mean.copy(), model.bn.running_var.copy()
+            bn = model.bn
+            return [array.copy() for array in (bn.weight.grad, bn.bias.grad, bn.running_mean, bn.running_var)]
 
-        base_mean, base_var = run(with_kfac=False)
-        kfac_mean, kfac_var = run(with_kfac=True)
-        np.testing.assert_array_equal(base_mean, kfac_mean)
-        np.testing.assert_array_equal(base_var, kfac_var)
-
-    def test_affine_parameter_gradcheck(self):
-        """The handler's get_gradient columns match finite differences of the loss."""
-        module, handler = self.make_handler(features=3)
-        x = RNG.standard_normal((4, 3, 5, 5)).astype(np.float64)
-        target = RNG.standard_normal((4, 3, 5, 5)).astype(np.float64)
-
-        def loss_value():
-            out = module(Tensor(x))
-            diff = out - Tensor(target)
-            return (diff * diff).mean()
-
-        module.zero_grad()
-        loss_value().backward()
-        grad_matrix = handler.get_gradient()  # columns [dL/dw, dL/db]
-
-        def loss_for_weight(w):
-            module.weight.data[...] = w
-            return float(loss_value().data)
-
-        def loss_for_bias(b):
-            module.bias.data[...] = b
-            return float(loss_value().data)
-
-        numeric_w = numerical_gradient(loss_for_weight, module.weight.data.copy())
-        numeric_b = numerical_gradient(loss_for_bias, module.bias.data.copy())
-        np.testing.assert_allclose(grad_matrix[:, 0], numeric_w, atol=5e-3)
-        np.testing.assert_allclose(grad_matrix[:, 1], numeric_b, atol=5e-3)
-
-    def test_set_gradient_round_trip(self):
-        module, handler = self.make_handler(features=4)
-        out = module(Tensor(RNG.standard_normal((2, 4, 3, 3)).astype(np.float32)))
-        out.sum().backward()
-        matrix = handler.get_gradient()
-        assert matrix.shape == (4, 2)
-        update = RNG.standard_normal(matrix.shape).astype(np.float32)
-        handler.set_gradient(update)
-        np.testing.assert_allclose(module.weight.grad, update[:, 0])
-        np.testing.assert_allclose(module.bias.grad, update[:, 1])
+        for plain, preconditioned in zip(run(with_kfac=False), run(with_kfac=True)):
+            np.testing.assert_array_equal(plain, preconditioned)
 
 
 # --------------------------------------------------------------------------- model coverage
 class TestModelCoverage:
-    def test_resnet20_every_parameterized_module_preconditioned(self):
+    def test_resnet20_every_conv_and_linear_preconditioned_and_no_batch_norm(self):
         model = cifar_resnet20(rng=np.random.default_rng(0))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
         handled = {id(layer.module) for layer in pre.layers.values()}
         for name, module in model.named_modules():
-            if isinstance(module, (nn.Linear, nn.Conv2d)) or (
-                isinstance(module, nn.BatchNorm2d) and module.affine
-            ):
+            if isinstance(module, (nn.Linear, nn.Conv2d)):
                 assert id(module) in handled, f"{name} is not preconditioned"
-        assert sum(isinstance(l, KFACBatchNorm2dLayer) for l in pre.layers.values()) > 0
+        assert {type(layer.module) for layer in pre.layers.values()} == {nn.Conv2d, nn.Linear}
 
         x = RNG.standard_normal((4, 3, 32, 32)).astype(np.float32)
         labels = RNG.integers(0, 10, 4)

@@ -22,7 +22,6 @@ from repro.kfac import (
     FactorRepr,
     KFACConfig,
     LAYER_HANDLERS,
-    KFACBatchNorm2dLayer,
     KFACConv2dLayer,
     KFACEmbeddingLayer,
     KFACLayerNormLayer,
@@ -371,14 +370,14 @@ class TestEigenBroadcastPrecision:
                 assert eigen.eigenvectors.flags.c_contiguous == computed.flags.c_contiguous
 
 
-def train_steps(model, pre, opt, x, y, steps, batch=32, lr=0.1):
+def train_steps(model, pre, opt, x, y, steps, batch=32):
     loss_fn = nn.CrossEntropyLoss()
     rng = np.random.default_rng(5)
     for _ in range(steps):
         idx = rng.integers(0, len(x), batch)
         opt.zero_grad()
         loss_fn(model(Tensor(x[idx])), y[idx]).backward()
-        pre.step(lr=lr)
+        pre.step(lr=opt.param_groups[0]["lr"])
         opt.step()
 
 
@@ -581,7 +580,7 @@ class TestStateDictResume:
                 optimizer.zero_grad()
                 loss_fn(model(Tensor(x_global[local])), y_global[local]).backward()
                 ddp.sync_gradients()
-                pre.step(lr=0.05)
+                pre.step(lr=optimizer.param_groups[0]["lr"])
                 optimizer.step()
 
             checkpoint = pre.state_dict()  # per-rank state (eigen placement differs by strategy)
@@ -875,7 +874,7 @@ class TestOneCheckpointFormat:
             opt.zero_grad()
             nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
             DistributedDataParallel(pre.model, comm).sync_gradients(1.0 / comm.world_size)
-            pre.step(lr=0.05)
+            pre.step(lr=opt.param_groups[0]["lr"])
             opt.step()
 
         def program(comm):
@@ -1135,12 +1134,12 @@ class TestLayerRegistry:
             nn.Conv2d: KFACConv2dLayer,
             nn.Embedding: KFACEmbeddingLayer,
             nn.LayerNorm: KFACLayerNormLayer,
-            nn.BatchNorm2d: KFACBatchNorm2dLayer,
         }
         with pytest.raises(TypeError):
             LAYER_HANDLERS[nn.Linear] = KFACEmbeddingLayer  # fixed: no run-time registration
-        bn = nn.BatchNorm2d(4, affine=False)
-        assert make_kfac_layer("bn", bn, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
+        for affine in (True, False):  # BatchNorm2d is not preconditioned (paper section 3.4), like any unlisted type
+            bn = nn.BatchNorm2d(4, affine=affine)
+            assert make_kfac_layer("bn", bn, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
 
     def test_resolve_walks_mro(self):
         class MyLinear(nn.Linear):
@@ -1162,6 +1161,20 @@ class TestLayerRegistry:
         assert collect_layer_shapes(workload.model, skip_modules=skip, include_structured=True) == engine
         dense = [shape for shape in engine if shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1]
         assert collect_layer_shapes(workload.model, skip_modules=skip) == dense
+
+    @pytest.mark.parametrize("name", ["cifar_resnet", "unet", "mask_rcnn"])
+    def test_the_run_and_the_models_register_the_same_layers_and_no_batch_norm(self, name):
+        """On every model with ``BatchNorm2d``, the live run and the cost and memory models name the same layers."""
+        workload = build_workload(name)
+        skip = workload.kfac_skip_modules
+        pre = KFAC(workload.model, skip_modules=skip)
+        names = list(pre.layers)
+        pre.remove()
+        shapes = collect_layer_shapes(workload.model, skip_modules=skip, include_structured=True)
+        assert [shape.name for shape in shapes] == names
+        modules = dict(workload.model.named_modules())
+        assert any(isinstance(module, nn.BatchNorm2d) for module in modules.values())
+        assert not any(isinstance(modules[layer], nn.BatchNorm2d) for layer in names)
 
 
 class TestEmbeddingLayer:

@@ -74,9 +74,10 @@ class TestHandlerCreation:
         assert handler.g_dim == 4
 
     def test_unsupported_module_returns_none(self):
-        # Affine BatchNorm2d is supported now; a norm without parameters is not.
-        bn = nn.BatchNorm2d(4, affine=False)
-        assert make_kfac_layer("bn", bn, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
+        # BatchNorm2d is not in the table, with or without its affine parameters (paper section 3.4).
+        for affine in (True, False):
+            bn = nn.BatchNorm2d(4, affine=affine)
+            assert make_kfac_layer("bn", bn, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
 
     def test_shape_info(self):
         _, handler = make_linear_handler(5, 7)
@@ -291,7 +292,6 @@ class TestGradientRoundTrip:
 #: and how many activation rows one sample of that input contributes to A.
 NODE_KINDS = {
     "conv": ((2, 6, 6), "cols", 3 * 3),
-    "bn": ((2, 6, 6), "x_hat", 2 * 6 * 6),
     "linear": ((5, 4), "x2", 5),
     "ln": ((5, 4), "x_hat", 5 * 4),
 }
@@ -304,8 +304,6 @@ class TestForwardNodeReuse:
     def make(kind):
         if kind == "conv":
             module = nn.Conv2d(2, 3, 3, stride=2, padding=1, bias=True, rng=np.random.default_rng(0))
-        elif kind == "bn":
-            module = nn.BatchNorm2d(2)
         elif kind == "linear":
             module = nn.Linear(4, 3, rng=np.random.default_rng(0))
         else:
@@ -323,7 +321,6 @@ class TestForwardNodeReuse:
             raise AssertionError("handler recomputed what the forward node holds")
 
         monkeypatch.setattr(kfac_layers, "conv_patch_matrix", fail)
-        monkeypatch.setattr(kfac_layers, "batch_normalize", fail)
         monkeypatch.setattr(kfac_layers, "layer_normalize", fail)
 
     @pytest.mark.parametrize("kind", list(NODE_KINDS))
@@ -429,12 +426,6 @@ def layer_norm_rows(x, eps):
     return (centered / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)).reshape(-1, 1)
 
 
-def batch_norm_rows(x, eps):
-    x = np.asarray(x, dtype=np.float64)
-    centered = x - x.mean(axis=(0, 2, 3), keepdims=True)
-    return (centered / np.sqrt((centered**2).mean(axis=(0, 2, 3), keepdims=True) + eps)).reshape(-1, 1)
-
-
 def make_handler(module, scale=1.0, dense_factors=False, precision=None):
     handler = make_kfac_layer("layer", module, precision or PrecisionPolicy.fp32(), lambda: True, lambda: scale)
     return force_dense(handler) if dense_factors else handler
@@ -483,12 +474,8 @@ class TestNodeStatistics:
         assert a_new.dtype == np.float32
         np.testing.assert_allclose(a_new, concat_gemm_a([x]), rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("kind", ["ln", "bn"])
-    def test_norm_factors_match_the_oracle_over_two_micro_batches(self, kind):
-        if kind == "ln":
-            layer, shapes, normalize = nn.LayerNorm(6), [(3, 5, 6), (4, 5, 6)], layer_norm_rows
-        else:
-            layer, shapes, normalize = nn.BatchNorm2d(6), [(3, 6, 4, 2), (5, 6, 4, 2)], batch_norm_rows
+    def test_norm_factors_match_the_oracle_over_two_micro_batches(self):
+        layer, shapes = nn.LayerNorm(6), [(3, 5, 6), (4, 5, 6)]
         layer.weight.data = RNG.uniform(0.5, 1.5, 6).astype(np.float32)
         handler = make_handler(layer)
         grads = capture_output_grads(layer)
@@ -498,25 +485,21 @@ class TestNodeStatistics:
         a_new, g_new = handler.compute_batch_factors()
         assert a_new.shape == (3,)  # the triangle of the 2x2: [Σx̂², Σx̂, count] / count
         a_new = handler.a_repr.to_dense(a_new)
-        x_hat = [normalize(x, layer.eps) for x in batches]
+        x_hat = [layer_norm_rows(x, layer.eps) for x in batches]
         np.testing.assert_allclose(a_new, concat_gemm_a(x_hat), rtol=1e-5, atol=1e-6)
         assert a_new[1, 1] == 1.0  # count / count
-        if kind == "bn":  # (N, C, H, W) -> one row per (sample, location), scaled by the batch size N
-            grads = [g.transpose(0, 2, 3, 1).reshape(-1, 6) * (g.shape[0] / (g.size // 6)) for g in grads]
         assert g_new.shape == (6,)  # stored as its diagonal
         np.testing.assert_allclose(g_new, np.diag(scaled_gemm_g(grads)), rtol=1e-4)
 
-    @pytest.mark.parametrize("kind", ["linear", "ln", "bn"])
+    @pytest.mark.parametrize("kind", ["linear", "ln"])
     def test_grad_scaler_scale_is_divided_out_of_g(self, kind):
         """AMP (section 4.1): a loss scale != 1 leaves the G statistic where scale 1 puts it."""
 
         def run(scale):
             if kind == "linear":
                 layer, shape = nn.Linear(6, 4, rng=np.random.default_rng(0)), (3, 5, 6)
-            elif kind == "ln":
-                layer, shape = nn.LayerNorm(6), (3, 5, 6)
             else:
-                layer, shape = nn.BatchNorm2d(6), (3, 6, 4, 2)
+                layer, shape = nn.LayerNorm(6), (3, 5, 6)
             scaler = GradScaler(init_scale=scale)
             handler = make_handler(layer, scale=scaler.get_scale())
             x = np.random.default_rng(5).standard_normal(shape).astype(np.float32)

@@ -31,7 +31,7 @@ def make_problem(seed=0, samples=256, in_dim=10, classes=3):
     return x, y
 
 
-def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, seed=0, lr=0.1):
+def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, seed=0):
     rng = np.random.default_rng(seed)
     loss_fn = nn.CrossEntropyLoss()
     losses = []
@@ -41,7 +41,7 @@ def training_loop(model, preconditioner, optimizer, x, y, steps=30, batch=64, se
         loss = loss_fn(model(Tensor(x[idx])), y[idx])
         loss.backward()
         if preconditioner is not None:
-            preconditioner.step(lr=lr)
+            preconditioner.step(lr=optimizer.param_groups[0]["lr"])
         optimizer.step()
         losses.append(loss.item())
     return losses
@@ -137,7 +137,7 @@ class TestStepMechanics:
             workload.forward_loss(workload.model, batch).backward()
             counts.append(len(registered))
             assert len(pre.plan.actions(step).fold) == (len(pre.layers) if step % 2 == 0 else 0)
-            pre.step(lr=0.1)
+            pre.step(lr=optimizer.param_groups[0]["lr"])
             optimizer.step()
         pre.remove()
         assert counts == [len(pre.layers), 0, len(pre.layers), 0]
@@ -166,7 +166,7 @@ class TestStepMechanics:
         for step in range(18):
             opt.zero_grad()
             loss_fn(model(Tensor(x[:32])), y[:32]).backward()
-            pre.step(lr=0.1)
+            pre.step(lr=opt.param_groups[0]["lr"])
             opt.step()
             for name, layer in pre.layers.items():
                 # The G factor depends on the evolving model, so its decomposition
@@ -281,7 +281,7 @@ class TestStepMechanics:
             loss = loss_fn(model(Tensor(x[:32])), y[:32])
             scaler.scale(loss).backward()
             scaler.unscale_(opt)
-            pre.step(lr=0.1)
+            pre.step(lr=opt.param_groups[0]["lr"])
             scaler.step(opt)
             scaler.update()
         for layer in pre.layers.values():
@@ -364,7 +364,7 @@ class TestPackedStorageOnTheStepPath:
                 optimizer.zero_grad()
                 out = model(x)
                 (out * out).mean().backward()
-                pre.step(lr=0.05)
+                pre.step(lr=optimizer.param_groups[0]["lr"])
                 optimizer.step()
             return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -504,7 +504,6 @@ class TestMathematicalCorrectness:
             x,
             y,
             steps=40,
-            lr=0.05,
         )
         assert np.mean(kfac_losses[-10:]) < np.mean(sgd_losses[-10:])
 
@@ -773,7 +772,8 @@ class TestEigenWorker:
     """The rank's eigen worker solves what a step's actions read; the step solves what the worker has not
     started, installs it, raises its errors and leaves nothing running."""
 
-    def test_twenty_preconditioners_built_and_removed_leave_no_thread_behind(self):
+    def test_twenty_preconditioners_built_and_removed_leave_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr("repro.kfac.refresh.MIN_DEFERRED_BLOCK", 0)  # these narrow factors' products go to the worker
         x, y = make_problem()
         start, running = threading.active_count(), set(threading.enumerate())
         for seed in range(20):
@@ -888,7 +888,7 @@ class TestEigenWorker:
                 optimizer.zero_grad()
                 with block(pre):
                     nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
-                    pre.step(lr=0.1)
+                    pre.step(lr=optimizer.param_groups[0]["lr"])
                 optimizer.step()
                 gauges.append(tuple(pre.tracer.gauges()[f"kfac/eigen_{part}_ms"] for part in ("solve", "caller")))
                 trajectory.append([param.data.copy() for param in model.parameters()])

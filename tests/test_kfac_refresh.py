@@ -1,5 +1,8 @@
 """The refresh queue: plain callables (and the kernel backend's tasks) as tasks, then the hooks' statistics
-products it takes over from a preconditioner's layers, held bitwise to forming them in the hooks."""
+products it takes over from a preconditioner's layers, held bitwise to forming them in the hooks.
+
+Only a factor at least ``refresh.MIN_DEFERRED_BLOCK`` wide hands its products over; the small models below are
+narrower, so the tests of the worker's products set the crossover to 0 (:func:`every_factor_wide`)."""
 
 import contextlib
 import gc
@@ -17,7 +20,7 @@ from repro.distributed import DistributedDataParallel, run_spmd
 from repro.kfac import KFAC
 from repro.kfac.factors import FactorRepr
 from repro.kfac.kernels import STACK_EIGH_MAX_DIM, KernelBackend
-from repro.kfac.refresh import RefreshQueue
+from repro.kfac.refresh import MIN_DEFERRED_BLOCK, RefreshQueue
 from repro.observability import Tracer
 from repro.tensor import Tensor
 
@@ -304,8 +307,14 @@ def test_drop_withdraws_the_unstarted_products_and_lets_go_of_their_inputs():
 
 
 # ---------------------------------------------------------------- products under a preconditioner
+@pytest.fixture
+def every_factor_wide(monkeypatch):
+    """The crossover at 0: every factor's products are handed to the queue, as a wide factor's are."""
+    monkeypatch.setattr("repro.kfac.refresh.MIN_DEFERRED_BLOCK", 0)
+
+
 class TokenNet(nn.Module):
-    """Embedding (a deferred G, a token-count A formed in the hook), LayerNorm (both formed in the hook), two Linear."""
+    """Embedding (a token-count A formed in the hook, a G product), LayerNorm (A and G sums), two Linear."""
 
     def __init__(self):
         super().__init__()
@@ -318,7 +327,7 @@ class TokenNet(nn.Module):
 
 
 class ConvNet(nn.Module):
-    """Conv2d (patch-matrix A, transposed output-gradient G, both deferred), BatchNorm2d, Linear."""
+    """Conv2d (patch-matrix A, transposed output-gradient G), a BatchNorm2d K-FAC leaves alone, Linear."""
 
     def __init__(self):
         super().__init__()
@@ -330,28 +339,53 @@ class ConvNet(nn.Module):
         return self.fc(self.bn(self.conv(x)).relu().reshape(x.shape[0], -1))
 
 
+class WideNet(nn.Module):
+    """Two Linear, each with one factor at the default crossover (the A of ``fc2``, the G of ``fc1``) and one below."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(5)
+        self.fc1, self.fc2 = nn.Linear(8, 256, rng=rng), nn.Linear(255, 3, rng=rng)
+
+    def forward(self, x):
+        return self.fc2(self.fc1(x).relu()[:, :255])
+
+
+MODELS = {"tokens": TokenNet, "conv": ConvNet, "wide": WideNet}
+
+
 def model_batches(kind, steps, rank, world):
     rng = np.random.default_rng(11)
     for _ in range(steps):
         if kind == "tokens":
             inputs, targets = rng.integers(0, 20, (12, 6)), rng.standard_normal((12, 6, 3)).astype(np.float32)
         else:
-            inputs, targets = rng.standard_normal((12, 2, 5, 5)).astype(np.float32), rng.standard_normal((12, 3)).astype(np.float32)
+            shape = (12, 2, 5, 5) if kind == "conv" else (12, 8)
+            inputs, targets = rng.standard_normal(shape).astype(np.float32), rng.standard_normal((12, 3)).astype(np.float32)
         yield inputs[rank::world], targets[rank::world]
 
 
 def set_products(pre, mode):
-    """``inline``: every product formed in its hook; ``idle``: a worker that starts nothing, so the step's thread
-    takes every product (and solve); ``worker``: the rank's worker as it runs, whatever the host's core count."""
+    """``inline``: every product formed in its hook; ``idle``: tasks queued where no thread takes them, so the
+    step's thread claims and runs every product (and solve); ``worker``: the rank's worker as it runs, whatever
+    the host's core count."""
+    queue = pre.refresh
     for layer in pre.layers.values():
-        layer.queue = None if mode == "inline" else pre.refresh
+        layer.queue = None if mode == "inline" else queue
     if mode == "idle":
-        pre.refresh._run_next = lambda: None
+        queue._dispatch = lambda task, line: (setattr(task, "line", line), queue._lines[line].append(task))
+
+
+def assert_the_caller_ran_every_product(pre):
+    """No worker thread started, and every product's time was the caller's."""
+    gauges = pre.refresh.tracer.gauges()
+    assert pre.refresh.worker is None
+    assert gauges["kfac/stats_caller_ms"] == gauges["kfac/stats_solve_ms"] > 0.0
 
 
 def train(mode, kind="tokens", world=1, cadence=(1, 1), steps=12):
     def program(comm):
-        model = TokenNet() if kind == "tokens" else ConvNet()
+        model = MODELS[kind]()
         ddp = DistributedDataParallel(model, comm)
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
         pre = KFAC(model, factor_update_freq=cadence[0], inv_update_freq=cadence[1], comm=comm)
@@ -359,17 +393,20 @@ def train(mode, kind="tokens", world=1, cadence=(1, 1), steps=12):
         for inputs, targets in model_batches(kind, steps, comm.rank, comm.world_size):
             optimizer.zero_grad()
             for part in np.array_split(np.arange(len(inputs)), 3):  # three micro-batches: the sums' order shows
-                out = model(Tensor(inputs[part]) if kind == "conv" else inputs[part])
+                out = model(inputs[part] if kind == "tokens" else Tensor(inputs[part]))
                 ((out - Tensor(targets[part])) ** 2).mean().backward()
             ddp.sync_gradients()
-            pre.step(lr=0.05)
+            pre.step(lr=optimizer.param_groups[0]["lr"])
             optimizer.step()
+        if mode == "idle":
+            assert_the_caller_ran_every_product(pre)
         pre.remove()
         return np.concatenate([p.data.ravel() for p in model.parameters()])
 
     return run_spmd(world, program)
 
 
+@pytest.mark.usefixtures("every_factor_wide")
 @pytest.mark.parametrize("kind", ["tokens", "conv"])
 @pytest.mark.parametrize("cadence", [(1, 1), (5, 10)], ids=["1-1", "5-10"])
 @pytest.mark.parametrize("world", [1, 2])
@@ -382,6 +419,46 @@ def test_products_on_the_worker_or_the_caller_give_the_parameters_of_products_in
         assert params.tobytes() == inline[0].tobytes()
 
 
+@pytest.mark.parametrize(
+    "repr_, taken",
+    [
+        (FactorRepr.dense(MIN_DEFERRED_BLOCK - 1), False),
+        (FactorRepr.dense(MIN_DEFERRED_BLOCK), True),
+        (FactorRepr(2 * MIN_DEFERRED_BLOCK, MIN_DEFERRED_BLOCK), True),
+        (FactorRepr(4 * MIN_DEFERRED_BLOCK, MIN_DEFERRED_BLOCK // 2), False),  # wide, in narrow blocks
+        (FactorRepr.diagonal(4 * MIN_DEFERRED_BLOCK), False),
+    ],
+    ids=lambda value: value.describe() if isinstance(value, FactorRepr) else None,
+)
+def test_the_worker_takes_a_factor_by_the_width_of_its_blocks(repr_, taken):
+    assert RefreshQueue.takes(repr_) is taken
+
+
+def test_only_a_factor_at_least_the_crossover_wide_hands_its_products_to_the_worker():
+    assert WideNet().fc1.out_features == MIN_DEFERRED_BLOCK  # the narrowest wide factor
+    model = WideNet()
+    pre = KFAC(model)
+    set_products(pre, "worker")
+    inputs, targets = next(model_batches("wide", 1, 0, 1))
+    ((model(Tensor(inputs)) - Tensor(targets)) ** 2).mean().backward()
+    assert {name: [which for which, _ in layer._products] for name, layer in pre.layers.items()} == {
+        "fc1": ["g"],
+        "fc2": ["a"],
+    }
+    assert all(part is not None for layer in pre.layers.values() for part in layer.accumulators())
+    pre.remove()
+
+
+@pytest.mark.parametrize("world", [1, 2])
+def test_a_wide_factor_on_the_worker_beside_a_narrow_one_in_its_hook_gives_the_parameters_of_products_in_the_hooks(
+    world,
+):
+    inline = train("inline", "wide", world)
+    for params in train("worker", "wide", world) + inline[1:]:
+        assert params.tobytes() == inline[0].tobytes()
+
+
+@pytest.mark.usefixtures("every_factor_wide")
 def test_products_racing_the_step_at_a_one_microsecond_switch_interval_change_no_bit():
     """The hooks hand the worker the node's buffers uncopied while forward and backward go on: nothing writes them."""
     inline = train("inline", world=2, steps=6)
@@ -395,6 +472,7 @@ def test_products_racing_the_step_at_a_one_microsecond_switch_interval_change_no
         assert params.tobytes() == inline[0].tobytes()
 
 
+@pytest.mark.usefixtures("every_factor_wide")
 @pytest.mark.parametrize("mode", ["worker", "idle"])
 def test_a_checkpoint_between_backward_and_step_is_byte_equal_to_the_hooks_own_products(mode):
     def state_after_backward(mode):
@@ -409,14 +487,17 @@ def test_a_checkpoint_between_backward_and_step_is_byte_equal_to_the_hooks_own_p
         pending = sum(len(layer._products) for layer in pre.layers.values())
         state = pickle.dumps(pre.state_dict())
         assert not any(layer._products for layer in pre.layers.values())
+        if mode == "idle":
+            assert_the_caller_ran_every_product(pre)
         pre.remove()
         return state, pending
 
     (synchronous, none), (deferred, pending) = state_after_backward("inline"), state_after_backward(mode)
-    assert none == 0 and pending == 5  # fc1 and fc2 A and G, the embedding's G
+    assert none == 0 and pending == 6  # fc1 and fc2 A and G, the embedding's G, the norm's A
     assert deferred == synchronous
 
 
+@pytest.mark.usefixtures("every_factor_wide")
 def test_a_node_buffer_a_product_reads_dies_with_the_graph_once_the_product_is_taken():
     layer = nn.Linear(6, 4, rng=np.random.default_rng(0))
     pre = KFAC(layer)
