@@ -5,8 +5,8 @@ Quantifies what the FactorRepr refactor buys at the paper's layer widths:
 * **Allreduce payloads** — every factor travels in the form it is stored in.
   A diagonal factor of dimension ``F`` costs exactly ``F`` elements (O(F)),
   never the square ``F²``: the BERT-Large vocabulary table's A factor drops
-  from ~3.7 GB to 122 KB per allreduce, which is what makes preconditioning
-  embedding tables feasible at all.  A dense factor is symmetric and travels
+  from ~3.7 GB to 122 KB per allreduce (a model figure: K-FAC leaves
+  ``Embedding`` to the optimizer, so no handler holds one).  A dense factor is symmetric and travels
   once, as the ``F(F+1)/2`` elements of its packed triangle.
 * **Eigen solves** — the diagonal "decomposition" is a clamped copy (O(F))
   against the dense ``O(F³)`` ``eigh``; a factor of several blocks decomposes

@@ -162,7 +162,7 @@ def _timed_bert_steps(world_size: int):
                 if trainer.iterations >= steps:
                     break
         times = [span.duration * 1e3 for span in comm.tracer.spans if span.name == "trainer/step"]
-        shapes = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules, include_structured=True)
+        shapes = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules)
         return times, preconditioner.plan, shapes, kfac_config
 
     ranks = run_spmd(world_size, program)

@@ -19,7 +19,7 @@ ResNet depths are scaled by their relative FLOP counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,20 +42,14 @@ __all__ = [
 PAPER_WORKLOAD_NAMES = ("resnet18", "resnet50", "resnet101", "resnet152", "mask_rcnn", "bert_large")
 
 
-def collect_layer_shapes(
-    model: Module,
-    skip_modules: Sequence[Module] = (),
-    include_structured: bool = False,
-) -> List[LayerShapeInfo]:
+def collect_layer_shapes(model: Module, skip_modules: Sequence[Module] = ()) -> List[LayerShapeInfo]:
     """The K-FAC layer shapes of an instantiated model, read off the handlers :class:`~repro.kfac.KFAC` would build.
 
     Each module gets its :data:`~repro.kfac.layers.LAYER_HANDLERS` handler
     (:func:`~repro.kfac.layers.make_kfac_layer`, named as ``KFAC`` names it),
     whose :meth:`~repro.kfac.KFACLayer.shape_info` is taken before its hooks
-    are removed again.  ``include_structured=True`` keeps every layer, so the
-    result is ``KFAC(model, skip_modules=...)``'s shapes; the default keeps
-    only the layers whose two factors are dense (Linear / Conv2d), the
-    population the paper's Tables 4-5 cost.
+    are removed again, so the result is ``KFAC(model, skip_modules=...)``'s
+    shapes.
     """
     skip = {id(m) for m in skip_modules}
     kernels = KernelBackend()
@@ -68,10 +62,8 @@ def collect_layer_shapes(
         )
         if layer is None:
             continue
-        shape = layer.shape_info()
+        shapes.append(layer.shape_info())
         layer.remove()
-        if include_structured or shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1:
-            shapes.append(shape)
     return shapes
 
 

@@ -1,14 +1,14 @@
 """The one Kronecker-factor representation: ``k`` diagonal blocks, each stored as a packed triangle.
 
-A Kronecker factor (Eq. 9) is symmetric, and several are *exactly*
+A Kronecker factor (Eq. 9) is symmetric, and some are *exactly*
 structured: the affine part of a normalization layer has a provably diagonal
-G (no feature-feature cross terms are estimated), and an embedding lookup has
-a diagonal A (token frequencies).  :class:`FactorRepr` describes every factor
-as ``k = dim // block_size`` diagonal blocks of size ``b``: a dense factor is
-one block (``b = dim``), a diagonal one ``dim`` blocks of one (``b = 1``),
-and anything between is a block-diagonal approximation (the Embedding
-handler's ``g_block_size``, DeepFormer's ``diag_blocks``).  Every subsystem
-reads the block size instead of assuming ``np.ndarray`` squares:
+G (no feature-feature cross terms are estimated).  :class:`FactorRepr`
+describes every factor as ``k = dim // block_size`` diagonal blocks of size
+``b``: a dense factor is one block (``b = dim``), a diagonal one ``dim``
+blocks of one (``b = 1``), and anything between is a block-diagonal
+approximation (DeepFormer's ``diag_blocks``; no handler picks one, the tests
+force it).  Every subsystem reads the block size instead of assuming
+``np.ndarray`` squares:
 
 * **storage** — each block is held once, as the ``b(b+1)/2`` elements of its
   upper triangle row by row (LAPACK's packed format,
@@ -26,8 +26,9 @@ reads the block size instead of assuming ``np.ndarray`` squares:
   feed the byte/flop accounting of ``kfac/analysis.py`` and
   ``distributed/cost_model.py``.
 
-Dense stays the default (Linear / Conv2d); forcing dense on a structured
-layer is the tests' parity oracle (``tests/kernel_oracle.py``).  Nothing on
+Dense is every handler's representation but ``LayerNorm``'s diagonal G;
+forcing dense on a structured layer, or blocks on a dense one, is the tests'
+parity oracle (``tests/kernel_oracle.py``).  Nothing on
 the default step path needs the square matrix: the fold is elementwise and
 the solves expand each triangle into the buffer LAPACK overwrites.
 :meth:`FactorRepr.to_dense` / :meth:`~FactorRepr.from_dense` are the only

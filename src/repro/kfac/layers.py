@@ -1,7 +1,7 @@
 """Per-layer K-FAC handlers: factor computation and gradient preconditioning.
 
 Each supported module type gets a handler (``Linear``, ``Conv2d`` per paper
-section 3.4, plus ``Embedding`` and ``LayerNorm``) that:
+section 3.4, plus ``LayerNorm``) that:
 
 * observes the forward call (module forward hook) and, on a step that
   accumulates, the gradient w.r.t. that call's output during the backward pass
@@ -27,7 +27,10 @@ section 3.4, plus ``Embedding`` and ``LayerNorm``) that:
 * exposes the bias-folded gradient matrix and writes the preconditioned
   gradient back into the module's parameter ``.grad`` fields.
 
-A handler's second-order state lives in its solve strategy (``KFAC.solvers``).
+A handler's factor representations are fixed when it is built (its
+:attr:`~KFACLayer.a_repr` / :attr:`~KFACLayer.g_repr`): dense, except the
+``LayerNorm`` handler's diagonal G.  A handler's second-order state lives in
+its solve strategy (``KFAC.solvers``).
 
 :data:`LAYER_HANDLERS`, a fixed module-type -> handler table, is the one
 statement of which modules K-FAC preconditions: :class:`~repro.kfac.KFAC`
@@ -36,7 +39,7 @@ builds its layers from it and the shape models
 same handlers.  :func:`make_kfac_layer` walks the module's MRO over the
 table, so a subclass of a listed module type gets its base's handler.  A new
 module type is one handler class plus one table row; an unlisted one, such as
-``BatchNorm2d``, is left to the optimizer as it is.
+``BatchNorm2d`` or ``Embedding``, is left to the optimizer as it is.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
 import numpy as np
 
 from ..nn.conv import Conv2d
-from ..nn.embedding import Embedding
 from ..nn.functional import Conv2dFunction, LayerNormFunction, LinearFunction, conv_patch_matrix, layer_normalize
 from ..nn.linear import Linear
 from ..nn.module import Module
@@ -63,7 +65,6 @@ __all__ = [
     "KFACLayer",
     "KFACLinearLayer",
     "KFACConv2dLayer",
-    "KFACEmbeddingLayer",
     "KFACLayerNormLayer",
     "LAYER_HANDLERS",
     "make_kfac_layer",
@@ -115,6 +116,9 @@ class KFACLayer:
         # scratch buffers that two threads must not share.
         self.kernels = kernels if kernels is not None else KernelBackend()
         self.has_bias = getattr(module, "bias", None) is not None
+        # How each factor is stored, reduced and solved (dense; a handler with a structured factor replaces it).
+        self.a_repr = FactorRepr.dense(self.a_dim)
+        self.g_repr = FactorRepr.dense(self.g_dim)
 
         # Accumulated raw statistics for the current factor-update window.
         self._a_accum: Optional[np.ndarray] = None
@@ -140,22 +144,6 @@ class KFACLayer:
         raise NotImplementedError
 
     # --------------------------------------------------------- representation
-    def _a_repr_impl(self) -> FactorRepr:
-        """Subclass hook: natural representation of the A factor (default dense)."""
-        return FactorRepr.dense(self.a_dim)
-
-    def _g_repr_impl(self) -> FactorRepr:
-        """Subclass hook: natural representation of the G factor (default dense)."""
-        return FactorRepr.dense(self.g_dim)
-
-    @property
-    def a_repr(self) -> FactorRepr:
-        return self._a_repr_impl()
-
-    @property
-    def g_repr(self) -> FactorRepr:
-        return self._g_repr_impl()
-
     def factor_repr(self, which: str) -> FactorRepr:
         """Representation of factor ``"a"`` or ``"g"``."""
         return self.a_repr if which == "a" else self.g_repr
@@ -211,7 +199,7 @@ class KFACLayer:
         """Default G statistics: flatten leading dims to rows of size ``g_dim``.
 
         Shared by handlers whose output last dimension is the G factor
-        dimension (Linear, Embedding); spatial handlers (Conv2d) override.
+        dimension (Linear); spatial handlers (Conv2d) override.
         """
         # Undo the 1/N averaging of the loss so G estimates E[g gᵀ] per sample.
         self._add_g_stat(grad_output, grad_output.size // grad_output.shape[-1])
@@ -222,12 +210,9 @@ class KFACLayer:
 
         Each block is one product of its (once-cast) columns with their own
         transpose, i.e. ``syrk``, packed to its triangle -- one block is the
-        whole buffer; an elementwise factor keeps only per-coordinate squares.
-        No square beyond one block is ever built.
+        whole buffer.  No square beyond one block is ever built.
         """
         rows32 = rows.astype(np.float32, copy=False)
-        if repr.elementwise:
-            return np.sum(rows32 * rows32, axis=0)
         packed, b = np.empty(repr.packed_numel, dtype=np.float32), repr.block_size
         for start, triangle in zip(range(0, repr.dim, b), repr.blocks(packed)):
             columns = rows32[:, start : start + b]
@@ -290,24 +275,6 @@ class KFACLayer:
             return contribution
 
         self._add_product("g", product, grad.size // grad.shape[-1])
-
-    def _add_diagonal_g_stat(self, squares: np.ndarray, count: int) -> None:
-        """Accumulate per-feature G second moments (normalization handlers).
-
-        The values go to the diagonal positions of the packed factor: the
-        whole vector of the natural elementwise storage, the diagonal of the
-        forced-dense oracle's triangle.
-        """
-        self._g_accum = self._add_to_diagonal(self._g_accum, self.g_repr, squares)
-        self._g_count += count
-
-    @staticmethod
-    def _add_to_diagonal(accum: Optional[np.ndarray], repr: FactorRepr, values: np.ndarray) -> np.ndarray:
-        """``accum`` (zeros if ``None``) with ``values`` added on the diagonal: no cross terms, no dense temporary."""
-        if accum is None:
-            accum = np.zeros(repr.packed_shape, dtype=np.float32)
-        accum[repr.diagonal_positions()] += values
-        return accum
 
     # -------------------------------------------------------------- factors
     def accumulators(self) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -564,61 +531,8 @@ class KFACConv2dLayer(KFACLayer):
         _write_gradient(self.module.weight, matrix, scale)
 
 
-class KFACEmbeddingLayer(KFACLayer):
-    """K-FAC handler for :class:`~repro.nn.embedding.Embedding` modules.
-
-    An embedding lookup is a linear layer applied to one-hot inputs, so its
-    activation factor is ``A = E[one_hot one_hotᵀ]`` — a diagonal matrix of
-    token frequencies of size ``num_embeddings`` — and its gradient factor is
-    built from the per-position gradients of the looked-up vectors.  The A
-    factor is stored in its natural diagonal representation (a length-V
-    vector of counts via bincount), so storage, allreduce bytes and the
-    "eigen" stage are all O(V) and production vocabularies (paper section
-    5.2 excluded them at V² cost) precondition end-to-end without a guard.
-
-    Set :attr:`g_block_size` (a class attribute, or on an instance before the
-    first accumulation) to approximate the ``embedding_dim x embedding_dim``
-    G factor as block-diagonal — the DeepFormer ``diag_blocks`` trick for
-    very wide embeddings.  ``None`` (default) keeps G dense.
-    """
-
-    #: Optional block size for a block-diagonal G approximation; must divide
-    #: ``embedding_dim``.  ``None`` keeps the exact dense G.
-    g_block_size: Optional[int] = None
-
-    @property
-    def a_dim(self) -> int:
-        return self.module.num_embeddings
-
-    @property
-    def g_dim(self) -> int:
-        return self.module.embedding_dim
-
-    def _a_repr_impl(self) -> FactorRepr:
-        return FactorRepr.diagonal(self.a_dim)
-
-    def _g_repr_impl(self) -> FactorRepr:
-        return FactorRepr(self.g_dim, self.g_dim if self.g_block_size is None else self.g_block_size)
-
-    def _accumulate_a(self, x: np.ndarray, output) -> None:
-        ids = np.asarray(x).reshape(-1).astype(np.int64)
-        counts = np.bincount(ids, minlength=self.module.num_embeddings).astype(np.float32)
-        self._a_accum = self._add_to_diagonal(self._a_accum, self.a_repr, counts)
-        self._a_count += ids.size
-
-    def get_gradient(self) -> np.ndarray:
-        weight_grad = self.module.weight.grad
-        if weight_grad is None:
-            raise RuntimeError(f"layer {self.name!r} has no weight gradient")
-        # The handler convention is (g_dim, a_dim); the weight is (vocab, dim).
-        return weight_grad.astype(np.float32, copy=False).T
-
-    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
-        _write_gradient(self.module.weight, matrix.T, scale)
-
-
-class _KFACScaleShiftLayer(KFACLayer):
-    """The normalization handler's base: the affine part ``y = w * x̂ + b`` per feature.
+class KFACLayerNormLayer(KFACLayer):
+    """K-FAC handler for :class:`~repro.nn.norm.LayerNorm` modules: the affine part ``y = w * x̂ + b`` per feature.
 
     An elementwise scale-and-shift has a Fisher block that is diagonal per
     feature.  It is folded into the Kronecker template the same way
@@ -634,17 +548,28 @@ class _KFACScaleShiftLayer(KFACLayer):
     stack of ``[dL/dw, dL/db]`` columns, preconditioned by the standard eigen
     machinery (the dense oracle of the tests restores the historical
     dense-diagonal storage bitwise).
+
+    ``x̂`` is the one the forward call's node computed (``output._ctx.x_hat``,
+    read in place and never retained here); a call that recorded no graph gets
+    it from the kernel the node itself calls.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.g_repr = FactorRepr.diagonal(self.g_dim)
 
     @property
     def a_dim(self) -> int:
         return 1 + (1 if self.has_bias else 0)
 
-    def _g_repr_impl(self) -> FactorRepr:
-        return FactorRepr.diagonal(self.g_dim)
+    @property
+    def g_dim(self) -> int:
+        return self.module.normalized_shape
 
-    def _add_x_hat_stat(self, x_hat: np.ndarray) -> None:
+    def _accumulate_a(self, x: np.ndarray, output) -> None:
         """Fold the normalized activations into A: ``Σ [x̂, 1]ᵀ [x̂, 1]`` over every element."""
+        node = _forward_node(output, LayerNormFunction)
+        x_hat = node.x_hat if node is not None else layer_normalize(x, self.module.eps)[0]
         flat = x_hat.astype(np.float32, copy=False).ravel(order="K")  # a view in whatever order x̂ is laid out
         # The packed triangle of the 2x2 (or 1x1) matrix, written directly: [Σx̂², Σx̂, count].
         contribution = np.empty(self.a_repr.packed_numel, dtype=np.float32)
@@ -653,6 +578,21 @@ class _KFACScaleShiftLayer(KFACLayer):
             contribution[1] = flat.sum()
             contribution[2] = flat.size
         self._add_product("a", lambda: contribution, flat.size)
+
+    def _accumulate_g(self, grad_output: np.ndarray) -> None:
+        """Add the per-feature second moments to the diagonal positions of the packed G accumulator.
+
+        The whole vector of the natural diagonal storage; the diagonal of the
+        forced-dense oracle's triangle.  No cross terms, no dense temporary.
+        """
+        rows = grad_output.reshape(-1, grad_output.shape[-1]).astype(np.float32, copy=False)
+        squares = np.einsum("nf,nf->f", rows, rows)
+        # Undo the 1/N loss averaging, matching the dense handlers.
+        squares *= float(rows.shape[0]) ** 2
+        if self._g_accum is None:
+            self._g_accum = np.zeros(self.g_repr.packed_shape, dtype=np.float32)
+        self._g_accum[self.g_repr.diagonal_positions()] += squares
+        self._g_count += rows.shape[0]
 
     def get_gradient(self) -> np.ndarray:
         weight_grad = self.module.weight.grad
@@ -669,36 +609,11 @@ class _KFACScaleShiftLayer(KFACLayer):
             _write_gradient(self.module.bias, matrix[:, 1], scale)
 
 
-class KFACLayerNormLayer(_KFACScaleShiftLayer):
-    """K-FAC handler for :class:`~repro.nn.norm.LayerNorm` modules (2x2 A, diagonal G).
-
-    ``x̂`` is the one the forward call's node computed (``output._ctx.x_hat``,
-    read in place and never retained here); a call that recorded no graph gets
-    it from the kernel the node itself calls.
-    """
-
-    @property
-    def g_dim(self) -> int:
-        return self.module.normalized_shape
-
-    def _accumulate_a(self, x: np.ndarray, output) -> None:
-        node = _forward_node(output, LayerNormFunction)
-        self._add_x_hat_stat(node.x_hat if node is not None else layer_normalize(x, self.module.eps)[0])
-
-    def _accumulate_g(self, grad_output: np.ndarray) -> None:
-        rows = grad_output.reshape(-1, grad_output.shape[-1]).astype(np.float32, copy=False)
-        squares = np.einsum("nf,nf->f", rows, rows)
-        # Undo the 1/N loss averaging, matching the dense handlers.
-        squares *= float(rows.shape[0]) ** 2
-        self._add_diagonal_g_stat(squares, rows.shape[0])
-
-
 #: Module type -> handler class: the modules K-FAC preconditions, read-only.
 LAYER_HANDLERS: Mapping[Type[Module], Type[KFACLayer]] = MappingProxyType(
     {
         Linear: KFACLinearLayer,
         Conv2d: KFACConv2dLayer,
-        Embedding: KFACEmbeddingLayer,
         LayerNorm: KFACLayerNormLayer,
     }
 )

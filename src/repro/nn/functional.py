@@ -17,8 +17,9 @@ adjoint :func:`_fold_patches`) that works on a *slab* ``(A, H, W, B)`` -- the
 spatial axes in the middle, anything before and after them.  The two callers
 only differ in how they view their data as a slab:
 
-* the public ``im2col`` / ``col2im`` / ``unfold`` keep their ``(N, C, H, W)
-  -> (N, C*kh*kw, out_h*out_w)`` contract (pooling and the tests use it):
+* the public ``im2col`` / ``col2im`` keep their ``(N, C, H, W)
+  -> (N, C*kh*kw, out_h*out_w)`` contract (the benchmark's layer probes and
+  the tests' differentiable ``unfold`` use it):
   ``A = N*C``, ``B = 1``;
 * the fused :class:`Conv2dFunction` node works channel-major with the batch
   innermost, ``A = C``, ``B = N``, so every one of the ``kh*kw`` copies moves
@@ -51,7 +52,6 @@ __all__ = [
     "conv_output_size",
     "im2col",
     "col2im",
-    "unfold",
     "conv_patch_matrix",
     "conv2d",
     "batch_normalize",
@@ -162,24 +162,6 @@ def col2im(
     out_w = conv_output_size(w, kw, stride, padding)
     patches = cols.reshape(n * c, kh, kw, out_h, out_w, 1)
     return _fold_patches(patches, h, w, stride, padding).reshape(n, c, h, w)
-
-
-class Unfold(Function):
-    """Differentiable im2col: ``(N,C,H,W) -> (N, C*kh*kw, out_h*out_w)``."""
-
-    def forward(self, x, kernel, stride, padding):
-        cols, out_h, out_w = im2col(x, kernel, stride, padding)
-        self.save_for_backward(x.shape, kernel, stride, padding)
-        return cols
-
-    def backward(self, grad):
-        x_shape, kernel, stride, padding = self.saved
-        return (col2im(grad, x_shape, kernel, stride, padding),)
-
-
-def unfold(x: Tensor, kernel: Tuple[int, int], stride: int = 1, padding: int = 0) -> Tensor:
-    """Differentiable patch extraction on a :class:`Tensor`."""
-    return Unfold.apply(x, kernel=tuple(kernel), stride=int(stride), padding=int(padding))
 
 
 # --------------------------------------------------------------------------

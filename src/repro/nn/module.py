@@ -3,21 +3,14 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-import weakref
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
-from ..tensor import RemovableHandle, Tensor, is_grad_enabled
+from ..tensor import RemovableHandle, Tensor
 from ..tensor.tensor import _register_hook
 
 __all__ = ["Parameter", "Module", "RemovableHandle"]
-
-
-def _remove_handles(handles) -> None:
-    """weakref.finalize callback: detach a dead call's input-tensor hooks."""
-    for handle in handles:
-        handle.remove()
 
 
 class Parameter(Tensor):
@@ -31,13 +24,14 @@ class Module:
     """Base class for neural network modules.
 
     Provides parameter/submodule registration, recursive traversal,
-    train/eval mode, state dict save/load, and hooks.  Forward hooks receive
-    ``(module, inputs, output)`` after every forward call and are the
-    mechanism the K-FAC preconditioner uses to capture layer inputs (and, on a
-    step that accumulates, to hook the call's output tensor for its gradient);
-    full backward hooks receive ``(module, grad_input, grad_output)`` during
-    the backward pass.  All registrations return a
-    :class:`~repro.tensor.RemovableHandle`.
+    train/eval mode, state dict save/load, and forward hooks.  A forward hook
+    receives ``(module, inputs, output)`` after every forward call and
+    returns nothing; it is the mechanism the K-FAC preconditioner uses to
+    capture layer inputs and, on a step that accumulates, to put a tensor
+    hook (:meth:`Tensor.register_hook <repro.tensor.Tensor.register_hook>`)
+    on the call's output for its gradient.  A module has no backward hooks of
+    its own: the output's tensor hook is the one way to see a call's output
+    gradient.  Registration returns a :class:`~repro.tensor.RemovableHandle`.
     """
 
     def __init__(self) -> None:
@@ -45,7 +39,6 @@ class Module:
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._forward_hooks: Dict[int, Callable] = {}
-        self._backward_hooks: Dict[int, Callable] = {}
         self.training = True
 
     # -------------------------------------------------------------- registry
@@ -69,24 +62,6 @@ class Module:
         only its own registration (idempotently).
         """
         return _register_hook(self._forward_hooks, hook)
-
-    def register_full_backward_hook(self, hook: Callable) -> RemovableHandle:
-        """Register ``hook(module, grad_input, grad_output)`` fired during backward.
-
-        The hook runs once per forward call whose output participates in a
-        ``backward()`` pass, after the module's local backward has completed.
-        ``grad_output`` is a one-element tuple holding the gradient w.r.t.
-        the module output.  ``grad_input`` is a tuple with one entry per
-        positional tensor input (``None`` for inputs that do not require
-        grad); each entry is that input tensor's *total finalized* gradient —
-        summed over every consumer in the graph, not just this module — and
-        the hook waits for those totals, so when an input also feeds other
-        branches (e.g. a residual skip) the event fires only once the shared
-        gradient is complete.  This differs from PyTorch's per-module
-        ``grad_input``; K-FAC only consumes ``grad_output``.  Hooks fire in
-        registration order.
-        """
-        return _register_hook(self._backward_hooks, hook)
 
     # ------------------------------------------------------------- traversal
     def parameters(self) -> Iterator[Parameter]:
@@ -132,29 +107,40 @@ class Module:
 
     # ------------------------------------------------------------ state dict
     def state_dict(self, prefix: str = "") -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {}
-        for name, param in self._parameters.items():
-            state[prefix + name] = param.data.copy()
-        for name, buf in self._buffers.items():
-            state[prefix + name] = np.array(buf)
-        for mod_name, module in self._modules.items():
-            state.update(module.state_dict(prefix=f"{prefix}{mod_name}."))
-        return state
+        return {key: array.copy() for key, _, _, array in self._state_entries(prefix)}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, param in self._parameters.items():
-            key = prefix + name
+        """Load every parameter and buffer from ``state``: all of them, or none.
+
+        Every key is checked first: a missing parameter or buffer raises
+        ``KeyError`` and an array of another shape ``ValueError``, before
+        anything is assigned.
+        """
+        loads = []
+        for key, module, name, current in self._state_entries(prefix):
             if key not in state:
-                raise KeyError(f"missing parameter {key!r} in state dict")
-            param.data = np.asarray(state[key], dtype=param.data.dtype).reshape(param.data.shape).copy()
-        for name in self._buffers:
-            key = prefix + name
-            if key in state:
-                buf = np.asarray(state[key])
-                self._buffers[name] = buf
-                object.__setattr__(self, name, buf)
+                kind = "parameter" if name in module._parameters else "buffer"
+                raise KeyError(f"missing {kind} {key!r} in state dict")
+            value = np.asarray(state[key])
+            if value.shape != current.shape:
+                raise ValueError(f"{key!r} has shape {value.shape} in the state dict, {current.shape} in the module")
+            loads.append((module, name, value))
+        for module, name, value in loads:
+            param = module._parameters.get(name)
+            if param is not None:
+                param.data = value.astype(param.data.dtype)  # a copy: a parameter never aliases the state dict
+            else:
+                module._buffers[name] = value
+                object.__setattr__(module, name, value)
+
+    def _state_entries(self, prefix: str) -> Iterator[Tuple[str, "Module", str, np.ndarray]]:
+        """``(key, module, name, array)`` of every parameter and buffer, in :meth:`state_dict`'s order."""
+        for name, param in self._parameters.items():
+            yield prefix + name, self, name, param.data
+        for name, buf in self._buffers.items():
+            yield prefix + name, self, name, np.asarray(buf)
         for mod_name, module in self._modules.items():
-            module.load_state_dict(state, prefix=f"{prefix}{mod_name}.")
+            yield from module._state_entries(f"{prefix}{mod_name}.")
 
     # --------------------------------------------------------------- forward
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
@@ -164,63 +150,7 @@ class Module:
         output = self.forward(*args, **kwargs)
         for hook in tuple(self._forward_hooks.values()):
             hook(self, args, output)
-        if self._backward_hooks and isinstance(output, Tensor) and output.requires_grad and is_grad_enabled():
-            self._attach_backward_event(args, output)
         return output
-
-    def _attach_backward_event(self, args: tuple, output: Tensor) -> None:
-        """Arrange for this call's full backward hooks to fire during backprop.
-
-        One closure per forward call: the output's incoming gradient and the
-        gradients of every grad-requiring positional tensor input are
-        collected from tape hooks; when the last of them arrives the module
-        hooks run with ``(module, grad_input, grad_output)``.  The tape walks
-        the graph in reverse topological order, so across a network the
-        events fire in reverse-layer order.  State resets after firing so
-        a second ``backward()`` over the same graph fires the hooks again.
-        """
-        tensor_inputs = tuple(a for a in args if isinstance(a, Tensor))
-        watched = [(index, t) for index, t in enumerate(tensor_inputs) if t.requires_grad]
-        state = {
-            "grad_output": None,
-            "grad_input": [None] * len(tensor_inputs),
-            "remaining": len(watched),
-        }
-
-        def fire() -> None:
-            grad_input = tuple(state["grad_input"])
-            grad_output = (state["grad_output"],)
-            # Reset for a potential repeat backward over the same graph.
-            state["grad_output"] = None
-            state["grad_input"] = [None] * len(tensor_inputs)
-            state["remaining"] = len(watched)
-            for hook in tuple(self._backward_hooks.values()):
-                hook(self, grad_input, grad_output)
-
-        def on_output_grad(grad: np.ndarray) -> None:
-            state["grad_output"] = grad
-            if state["remaining"] == 0:
-                fire()
-
-        output.register_hook(on_output_grad)
-
-        def on_input_grad(grad: np.ndarray, index: int) -> None:
-            state["grad_input"][index] = grad
-            state["remaining"] -= 1
-            if state["remaining"] == 0 and state["grad_output"] is not None:
-                fire()
-
-        input_handles = [
-            tensor.register_hook(lambda grad, index=index: on_input_grad(grad, index))
-            for index, tensor in watched
-        ]
-        if input_handles:
-            # The output hook dies with the per-call output tensor, but the
-            # inputs may be long-lived (an embedding being optimized, an
-            # adversarial-example loop): drop their per-call closures once
-            # this call's graph is collected, so repeated forwards through a
-            # persistent tensor do not accumulate stale hooks.
-            weakref.finalize(output, _remove_handles, input_handles)
 
     def __repr__(self) -> str:
         lines = [self.__class__.__name__ + "("]

@@ -190,7 +190,7 @@ def workload_spec_for_run(tracers, run_info):
     return KFACWorkloadSpec(
         name="bert_tiny_traced",
         # Everything K-FAC registers: the norm layers' diagonal-G factors are on the wire too.
-        layers=collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules, include_structured=True),
+        layers=collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules),
         param_count=sum(int(p.data.size) for p in workload.model.parameters()),
         local_batch_size=16,
         baseline_compute_time=max(compute_time, 1e-6),

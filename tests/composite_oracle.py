@@ -1,7 +1,8 @@
 """The composite forward passes the fused nodes replaced.
 
-Kept as the test oracle: many small autograd nodes built from ``F.unfold``,
-matmul and elementwise tensor ops, so both the values and the gradients of
+Kept as the test oracle: many small autograd nodes built from :func:`unfold`
+(a differentiable ``F.im2col``, kept here since only tests call it), matmul
+and elementwise tensor ops, so both the values and the gradients of
 :func:`repro.nn.functional.conv2d` / :class:`repro.nn.BatchNorm2d` /
 :func:`repro.nn.functional.linear` / :func:`repro.nn.functional.layer_norm` /
 :func:`repro.nn.functional.gelu` / :func:`repro.nn.functional.softmax` /
@@ -20,6 +21,25 @@ import numpy as np
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor
+from repro.tensor.tensor import Function
+
+
+class Unfold(Function):
+    """Differentiable im2col: ``(N,C,H,W) -> (N, C*kh*kw, out_h*out_w)``."""
+
+    def forward(self, x, kernel, stride, padding):
+        cols, out_h, out_w = F.im2col(x, kernel, stride, padding)
+        self.save_for_backward(x.shape, kernel, stride, padding)
+        return cols
+
+    def backward(self, grad):
+        x_shape, kernel, stride, padding = self.saved
+        return (F.col2im(grad, x_shape, kernel, stride, padding),)
+
+
+def unfold(x: Tensor, kernel, stride: int = 1, padding: int = 0) -> Tensor:
+    """Differentiable patch extraction on a :class:`Tensor`."""
+    return Unfold.apply(x, kernel=tuple(kernel), stride=int(stride), padding=int(padding))
 
 
 def conv2d_composite(x: Tensor, weight: Tensor, bias, stride: int, padding: int) -> Tensor:
@@ -28,7 +48,7 @@ def conv2d_composite(x: Tensor, weight: Tensor, bias, stride: int, padding: int)
     out_c, _, kh, kw = weight.shape
     out_h = F.conv_output_size(h, kh, stride, padding)
     out_w = F.conv_output_size(w, kw, stride, padding)
-    cols = F.unfold(x, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
+    cols = unfold(x, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
     out = weight.reshape(out_c, -1) @ cols  # broadcasts to (N, out_c, L)
     if bias is not None:
         out = out + bias.reshape(1, out_c, 1)

@@ -58,3 +58,17 @@ def graph_nodes(out: Tensor) -> list:
             nodes.append(tensor._ctx)
             stack.extend(tensor._ctx.parents)
     return nodes
+
+
+def on_output_grad(module, hook):
+    """Call ``hook(grad)`` with the gradient w.r.t. each differentiated output of ``module``, once per backward.
+
+    A forward hook puts a tensor hook on the call's output, as K-FAC's layers
+    capture G; returns the forward hook's handle (removing it arms no later call).
+    """
+
+    def arm(_module, _inputs, output):
+        if isinstance(output, Tensor) and output.requires_grad:
+            output.register_hook(hook)
+
+    return module.register_forward_hook(arm)

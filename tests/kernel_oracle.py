@@ -28,9 +28,11 @@ these kernels swaps them in with :func:`use_reference_kernels`.
 
 It is also the *dense oracle* of the structured representations:
 :func:`force_dense` puts one handler's factors on one block whatever its
-natural block size (diagonal, a block-diagonal ``g_block_size``), and
-:class:`DenseFactorKFAC` builds a preconditioner whose every layer is on it.
-The structured fast paths must reproduce it bit for bit.
+natural block size (``LayerNorm``'s diagonal G), and :class:`DenseFactorKFAC`
+builds a preconditioner whose every layer is on it.  The structured fast
+paths must reproduce it bit for bit.  :func:`force_blocks` goes the other
+way: it puts a dense factor on diagonal blocks, the representation no
+handler picks.
 """
 
 from __future__ import annotations
@@ -288,8 +290,18 @@ def force_dense(layer):
     inside :meth:`DenseFactorKFAC._register_model`): statistics, storage,
     wire shapes and eigensolves all follow it.
     """
-    layer._a_repr_impl = lambda: FactorRepr.dense(layer.a_dim)
-    layer._g_repr_impl = lambda: FactorRepr.dense(layer.g_dim)
+    layer.a_repr, layer.g_repr = FactorRepr.dense(layer.a_dim), FactorRepr.dense(layer.g_dim)
+    return layer
+
+
+def force_blocks(layer, which, block_size):
+    """``layer`` with factor ``which`` (``"a"`` / ``"g"``) as diagonal blocks of ``block_size``; returns it.
+
+    No handler picks a block-diagonal factor, so this is how the multi-block
+    path (and, at ``block_size=1``, a diagonal factor formed from rows) runs
+    end to end.  Apply when :func:`force_dense` is applied.
+    """
+    setattr(layer, f"{which}_repr", FactorRepr(layer.factor_repr(which).dim, block_size))
     return layer
 
 

@@ -20,8 +20,8 @@ Acceptance coverage for :class:`FactorRepr`:
 * ``BatchNorm2d`` gets no handler: its gradients and running statistics are
   the optimizer's alone;
 * every ``Conv2d`` and ``Linear`` of the real models is preconditioned and no
-  ``BatchNorm2d`` is (ResNet-20), and BERT-tiny is preconditioned including
-  its embedding tables;
+  ``BatchNorm2d`` is (ResNet-20), and every ``Linear`` and ``LayerNorm`` of
+  BERT-tiny is, but none of its embedding tables;
 * the SPMD sanitizer flags rank-divergent representation choices at step 0
   instead of deadlocking inside a mismatched allreduce, and the static lint
   stays clean on uniform repr dispatch.
@@ -37,7 +37,6 @@ from repro.kfac import (
     KFAC,
     FactorRepr,
     KFACConfig,
-    KFACEmbeddingLayer,
     KFACLayerNormLayer,
     InverseSolveStrategy,
     KernelBackend,
@@ -52,7 +51,14 @@ from repro.models import MLP, bert_tiny, cifar_resnet20
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
-from kernel_oracle import DenseFactorKFAC, ReferenceKernelBackend, decompose_standalone, force_dense, kfac_class
+from kernel_oracle import (
+    DenseFactorKFAC,
+    ReferenceKernelBackend,
+    decompose_standalone,
+    force_blocks,
+    force_dense,
+    kfac_class,
+)
 
 RNG = np.random.default_rng(404)
 
@@ -64,7 +70,7 @@ def spmd_failure(excinfo) -> SanitizerError:
 
 
 class MixNet(nn.Module):
-    """Embedding -> LayerNorm -> Linear: one handler of every repr family."""
+    """Embedding -> LayerNorm -> Linear: the table is the optimizer's alone, then a diagonal G and dense factors."""
 
     def __init__(self, seed=0, vocab=13, dim=8, classes=4):
         super().__init__()
@@ -162,11 +168,10 @@ class TestFactorReprFamily:
 
     @staticmethod
     def _handlers(block_size, dense):
-        """An Embedding(5, 6) handler whose G has ``block_size`` (A is diagonal), or its :func:`force_dense` oracle."""
-        module = nn.Embedding(5, 6, rng=np.random.default_rng(0))
-        layer = make_kfac_layer("emb", module, PrecisionPolicy.fp32(), lambda: False, lambda: 1.0)
-        layer.g_block_size = block_size
-        return force_dense(layer) if dense else layer
+        """A bias-free Linear(5, 6) handler whose G has ``block_size`` (A is dense), or its :func:`force_dense` oracle."""
+        module = nn.Linear(5, 6, bias=False, rng=np.random.default_rng(0))
+        layer = make_kfac_layer("linear", module, PrecisionPolicy.fp32(), lambda: False, lambda: 1.0)
+        return force_dense(layer) if dense else force_blocks(layer, "g", block_size)
 
     @pytest.mark.parametrize("dim, block_size", FAMILY)
     def test_eigen_inverse_and_precondition_match_the_dense_oracle(self, dim, block_size):
@@ -194,7 +199,8 @@ class TestFactorReprFamily:
             np.testing.assert_array_equal(eigen[0], eigen[1])
         else:
             np.testing.assert_allclose(eigen[0], eigen[1], rtol=1e-4, atol=1e-6)
-        # A's 1 / (d + γ) is not bitwise a Cholesky of the embedded diagonal ((1/√x)²): float32 rounding.
+        # A diagonal G's 1 / (d + γ) is not bitwise a Cholesky of the embedded diagonal ((1/√x)²), nor a block's
+        # Cholesky the one of the whole: float32 rounding.
         np.testing.assert_allclose(inverse[0], inverse[1], rtol=1e-4, atol=1e-6)
 
     def test_validation_rejects_bad_constructions(self):
@@ -300,7 +306,7 @@ class TestCostModelRepr:
 class TestStructuredVsDenseParity:
     """The dense oracle is the historical dense implementation verbatim;
     on the eigen path the structured fast paths must match it bitwise (the
-    LayerNorm/Embedding statistics are exactly (block-)diagonal, so
+    LayerNorm's G statistics are exactly diagonal, so
     even the dense eigensolve sees the same spectrum).  On the inverse path a
     diagonal factor's ``1 / (d + γ)`` is not bitwise what a Cholesky of the
     embedded diagonal returns (``(1/√x)²``), so there they agree to float32
@@ -342,10 +348,10 @@ class TestStructuredVsDenseParity:
         ids, labels = make_token_problem(seed=2, samples=16)
         nn.CrossEntropyLoss()(model(ids), labels).backward()
         pre.step(lr=0.1)
-        emb = next(l for l in pre.layers.values() if isinstance(l, KFACEmbeddingLayer))
-        assert emb.factor_a.shape == (13 * 14 // 2,)  # "full" since packed storage: the triangle of the 13x13
+        norm = pre.layers["norm"]
+        assert norm.factor_g.shape == (8 * 9 // 2,)  # "full" since packed storage: the triangle of the 8x8
         # The forced-dense factor is exactly the embedded diagonal.
-        dense = emb.a_repr.to_dense(emb.factor_a)
+        dense = norm.g_repr.to_dense(norm.factor_g)
         assert np.diag(dense).sum() > 0
         np.testing.assert_array_equal(dense, np.diag(np.diag(dense)))
 
@@ -423,11 +429,10 @@ class TestCheckpointRepr:
         state = pre.state_dict()
         by_layer = {name: s for name, s in state["layers"].items()}
         tags = {name: (s["a_repr"], s["g_repr"]) for name, s in by_layer.items()}
-        assert tags["embedding"] == ({"dim": 13, "block_size": 1}, {"dim": 8, "block_size": 8})  # diagonal, dense
+        assert list(tags) == ["norm", "head"]  # the embedding table is not preconditioned
         assert tags["norm"] == ({"dim": 2, "block_size": 2}, {"dim": 8, "block_size": 1})  # dense, diagonal
         assert tags["head"] == ({"dim": 9, "block_size": 9}, {"dim": 4, "block_size": 4})
         # Packed factors are stored in packed form.
-        assert by_layer["embedding"]["factor_a"].shape == (13,)
         assert by_layer["norm"]["factor_g"].shape == (8,)
 
     def test_resume_reproduces_structured_step_bitwise(self):
@@ -469,15 +474,15 @@ class TestCheckpointRepr:
     def test_malformed_repr_tag_is_a_value_error_naming_layer_and_factor(self, which, tag):
         _, pre, _ = self._trained()
         state = pre.state_dict()
-        state["layers"]["embedding"][f"{which}_repr"] = tag
+        state["layers"]["norm"][f"{which}_repr"] = tag
         fresh = KFAC(MixNet(seed=5), factor_update_freq=1, inv_update_freq=2)
-        with pytest.raises(ValueError, match=f"layer 'embedding': malformed {which.upper()} factor repr tag"):
+        with pytest.raises(ValueError, match=f"layer 'norm': malformed {which.upper()} factor repr tag"):
             fresh.load_state_dict(state)
 
     def test_repr_mismatch_is_rejected(self):
         _, pre, _ = self._trained(dense_factors=False)
         fresh = DenseFactorKFAC(MixNet(seed=5))
-        with pytest.raises(ValueError, match="stores the A factor as diagonal:13"):
+        with pytest.raises(ValueError, match="stores the G factor as diagonal:8"):
             fresh.load_state_dict(pre.state_dict())
 
 
@@ -538,15 +543,18 @@ class TestModelCoverage:
         for p in model.parameters():
             assert np.all(np.isfinite(p.grad))
 
-    def test_bert_tiny_fully_preconditioned_including_embeddings(self):
+    def test_bert_tiny_every_linear_and_layer_norm_preconditioned_and_no_embedding(self):
         model = bert_tiny(vocab_size=50, rng=np.random.default_rng(0))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)  # no skip_modules
-        embedding_handlers = [l for l in pre.layers.values() if isinstance(l, KFACEmbeddingLayer)]
+        handled = {id(layer.module) for layer in pre.layers.values()}
+        modules = dict(model.named_modules())
+        assert sum(isinstance(module, nn.Embedding) for module in modules.values()) >= 2  # token + position tables
+        for name, module in modules.items():
+            assert (id(module) in handled) == isinstance(module, (nn.Linear, nn.LayerNorm)), name
         norm_handlers = [l for l in pre.layers.values() if isinstance(l, KFACLayerNormLayer)]
-        assert len(embedding_handlers) >= 2  # token + position tables
         assert len(norm_handlers) >= 2
-        for handler in embedding_handlers:
-            assert handler.a_repr == FactorRepr.diagonal(handler.a_dim)
+        for handler in norm_handlers:
+            assert handler.g_repr == FactorRepr.diagonal(handler.g_dim)
 
         ids = RNG.integers(0, 50, (2, 12))
         labels = RNG.integers(0, 50, (2, 12))

@@ -15,7 +15,7 @@ from composite_oracle import (
     linear_composite,
     softmax_composite,
 )
-from gradcheck import check_gradient, graph_nodes, numerical_gradient
+from gradcheck import check_gradient, graph_nodes, numerical_gradient, on_output_grad
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad
@@ -763,13 +763,13 @@ class ConvNet(nn.Module):
         return self.bn2(self.conv2(self.bn1(self.conv1(x)).relu()))
 
 
-def test_full_backward_hooks_fire_once_per_backward_in_reverse_layer_order():
+def test_output_gradient_hooks_fire_once_per_backward_in_reverse_layer_order():
     net = ConvNet()
     order = []
     for name, module in net.named_modules():
         if name:
-            module.register_full_backward_hook(lambda m, gi, go, name=name: order.append((name, go[0].shape)))
-    # The input requires grad, so conv1's event too waits for its local backward.
+            on_output_grad(module, lambda grad, name=name: order.append((name, grad.shape)))
+    # The input requires grad too; each hook still fires once, when its output's gradient is complete.
     x = Tensor(np.random.default_rng(1).standard_normal((2, 2, 6, 6)).astype(np.float32), requires_grad=True)
     loss = (net(x) ** 2).sum()
     loss.backward()
@@ -801,17 +801,13 @@ def test_linear_layernorm_hooks_fire_once_per_backward_in_reverse_layer_order(in
     order = []
     for name, module in net.named_modules():
         if name:
-            module.register_full_backward_hook(lambda m, gi, go, name=name: order.append((name, go[0].shape)))
+            on_output_grad(module, lambda grad, name=name: order.append((name, grad.shape)))
     x = Tensor(np.random.default_rng(1).standard_normal((2, 5, 4)).astype(np.float32), requires_grad=input_requires_grad)
     out = net(x)
     assert len(graph_nodes(out)) == 4  # fc1, norm, relu, fc2
     loss = (out**2).sum()
     loss.backward()
     expected = [("fc2", (2, 5, 3)), ("norm", (2, 5, 6)), ("fc1", (2, 5, 6))]
-    if not input_requires_grad:
-        # fc1 has no input gradient to wait for, so its event is its output gradient -- the very tape
-        # event norm's waits for -- and the module that registered on that tensor first (fc1) goes first.
-        expected = [expected[0], expected[2], expected[1]]
     assert order == expected
     assert (x.grad is not None) == input_requires_grad
     first = {name: p.grad.copy() for name, p in net.named_parameters()}

@@ -666,7 +666,7 @@ class TestLayerNormRegistry:
         x, y = make_problem(seed=1)
         loss = nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32])
         loss.backward()
-        # The forward hook captured A stats; the full backward hook captured G.
+        # The forward hook captured A stats; the tensor hook it armed on the output captured G.
         assert norm_layer.has_accumulated_data
         before = model.norm.weight.grad.copy()
         pre.step(lr=0.1)

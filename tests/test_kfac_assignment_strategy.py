@@ -111,7 +111,7 @@ def workload_shapes(name):
     from repro.experiments.model_shapes import collect_layer_shapes
 
     built = build_workload(name, seed=0)
-    return collect_layer_shapes(built.model, skip_modules=built.kfac_skip_modules, include_structured=True)
+    return collect_layer_shapes(built.model, skip_modules=built.kfac_skip_modules)
 
 
 class TestStaggeredRefreshOffsets:

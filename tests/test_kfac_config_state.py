@@ -4,7 +4,8 @@ Covers the public API: `KFACConfig` validation and serialization,
 checkpoint/resume of `KFAC` and the `Trainer` that drives it (round-trips
 bit-identical under every distribution strategy on the threaded multi-worker
 backend), and the fixed layer-handler table `LAYER_HANDLERS` that `KFAC` and
-the shape models read (Embedding among its rows).
+the shape models read (``Linear``, ``Conv2d`` and ``LayerNorm``; ``BatchNorm2d`` and
+``Embedding`` are left to the optimizer).
 """
 
 import pickle
@@ -23,7 +24,6 @@ from repro.kfac import (
     KFACConfig,
     LAYER_HANDLERS,
     KFACConv2dLayer,
-    KFACEmbeddingLayer,
     KFACLayerNormLayer,
     KFACLinearLayer,
     make_kfac_layer,
@@ -1132,121 +1132,17 @@ class TestLayerRegistry:
         assert dict(LAYER_HANDLERS) == {
             nn.Linear: KFACLinearLayer,
             nn.Conv2d: KFACConv2dLayer,
-            nn.Embedding: KFACEmbeddingLayer,
             nn.LayerNorm: KFACLayerNormLayer,
         }
         with pytest.raises(TypeError):
-            LAYER_HANDLERS[nn.Linear] = KFACEmbeddingLayer  # fixed: no run-time registration
-        for affine in (True, False):  # BatchNorm2d is not preconditioned (paper section 3.4), like any unlisted type
-            bn = nn.BatchNorm2d(4, affine=affine)
-            assert make_kfac_layer("bn", bn, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
+            LAYER_HANDLERS[nn.Linear] = KFACLayerNormLayer  # fixed: no run-time registration
+        # BatchNorm2d and Embedding are not preconditioned (paper section 3.4), like any unlisted type.
+        unlisted = [nn.BatchNorm2d(4, affine=True), nn.BatchNorm2d(4, affine=False), nn.Embedding(5, 3)]
+        for module in unlisted:
+            assert make_kfac_layer("unlisted", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0) is None
 
-    def test_resolve_walks_mro(self):
-        class MyLinear(nn.Linear):
-            pass
-
-        module = MyLinear(3, 2, rng=np.random.default_rng(0))
-        handler = make_kfac_layer("mine", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-        assert type(handler) is KFACLinearLayer
-        handler.remove()
-
-    @pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDERS))
-    def test_shape_models_read_the_table(self, name):
-        """``collect_layer_shapes`` is ``KFAC``'s layer shapes; without structured layers, the dense/dense ones."""
-        workload = build_workload(name)
-        skip = workload.kfac_skip_modules
-        pre = KFAC(workload.model, skip_modules=skip)
-        engine = [layer.shape_info() for layer in pre.layers.values()]
-        pre.remove()
-        assert collect_layer_shapes(workload.model, skip_modules=skip, include_structured=True) == engine
-        dense = [shape for shape in engine if shape.a_repr.num_blocks == shape.g_repr.num_blocks == 1]
-        assert collect_layer_shapes(workload.model, skip_modules=skip) == dense
-
-    @pytest.mark.parametrize("name", ["cifar_resnet", "unet", "mask_rcnn"])
-    def test_the_run_and_the_models_register_the_same_layers_and_no_batch_norm(self, name):
-        """On every model with ``BatchNorm2d``, the live run and the cost and memory models name the same layers."""
-        workload = build_workload(name)
-        skip = workload.kfac_skip_modules
-        pre = KFAC(workload.model, skip_modules=skip)
-        names = list(pre.layers)
-        pre.remove()
-        shapes = collect_layer_shapes(workload.model, skip_modules=skip, include_structured=True)
-        assert [shape.name for shape in shapes] == names
-        modules = dict(workload.model.named_modules())
-        assert any(isinstance(module, nn.BatchNorm2d) for module in modules.values())
-        assert not any(isinstance(modules[layer], nn.BatchNorm2d) for layer in names)
-
-
-class TestEmbeddingLayer:
-    def make_handler(self, vocab=11, dim=4):
-        module = nn.Embedding(vocab, dim, rng=np.random.default_rng(0))
-        handler = make_kfac_layer("emb", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-        return module, handler
-
-    def test_dims(self):
-        _, handler = self.make_handler(11, 4)
-        assert isinstance(handler, KFACEmbeddingLayer)
-        assert handler.a_dim == 11 and handler.g_dim == 4
-
-    def test_a_factor_is_token_frequency_diagonal(self):
-        module, handler = self.make_handler(7, 3)
-        ids = np.array([[0, 2, 2], [5, 0, 2]])
-        module(ids).sum().backward()
-        a_new, g_new = handler.compute_batch_factors()
-        counts = np.bincount(ids.ravel(), minlength=7).astype(np.float64)
-        # A is exactly diagonal, so the handler stores the packed vector.
-        assert a_new.shape == (7,)
-        assert handler.a_repr == FactorRepr.diagonal(7)
-        np.testing.assert_allclose(a_new, counts / ids.size, rtol=1e-6)
-        assert g_new.shape == (6,)  # dense: the triangle of the 3x3
-
-    def test_gradient_round_trip(self):
-        module, handler = self.make_handler(6, 3)
-        ids = np.array([[1, 4], [2, 1]])
-        (module(ids) ** 2).sum().backward()
-        grad = handler.get_gradient().copy()  # a view of weight.grad, which set_gradient writes in place
-        assert grad.shape == (3, 6)  # (g_dim, a_dim) convention
-        np.testing.assert_allclose(grad.T, module.weight.grad, rtol=1e-6)
-        handler.set_gradient(grad * 0.5)
-        np.testing.assert_allclose(module.weight.grad, grad.T * 0.5, rtol=1e-6)
-
-    def test_oversized_vocab_is_preconditioned_diagonally(self):
-        """Big tables get an O(V) diagonal A factor instead of being skipped.
-
-        The old vocab-size guard existed to avoid allocating a dense vocab²
-        factor; with the diagonal representation the factor is a vector, so
-        even huge embedding tables are preconditioned.
-        """
-        vocab = 32768
-        big = nn.Embedding(vocab, 4, rng=np.random.default_rng(0))
-        handler = make_kfac_layer("big", big, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-        assert isinstance(handler, KFACEmbeddingLayer)
-        assert handler.a_repr == FactorRepr.diagonal(vocab)
-
-        class WithBigEmbedding(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.embedding = big
-                self.head = nn.Linear(4, 2, rng=np.random.default_rng(1))
-
-            def forward(self, ids):
-                return self.head(self.embedding(ids).mean(axis=1))
-
-        pre = KFAC(WithBigEmbedding(), factor_update_freq=1, inv_update_freq=1)
-        assert any(isinstance(l, KFACEmbeddingLayer) for l in pre.layers.values())
-        ids = np.random.default_rng(2).integers(0, vocab, (8, 5))
-        labels = np.random.default_rng(3).integers(0, 2, 8)
-        model = pre.model
-        loss = nn.CrossEntropyLoss()(model(ids), labels)
-        loss.backward()
-        pre.step(lr=0.1)
-        # Factor memory for the table is O(V), not O(V²).
-        emb_layer = next(l for l in pre.layers.values() if isinstance(l, KFACEmbeddingLayer))
-        assert emb_layer.factor_a.shape == (vocab,)
-        assert np.all(np.isfinite(model.embedding.weight.grad))
-
-    def test_full_preconditioned_step_on_embedding_model(self):
-        """Embedding preconditioning end-to-end: the new-workload proof."""
+    def test_an_embedding_is_left_to_the_optimizer(self):
+        """``Embedding -> Linear`` with no ``skip_modules``: only the Linear is registered, the table's gradient is backward's."""
 
         class TinyClassifier(nn.Module):
             def __init__(self):
@@ -1259,15 +1155,47 @@ class TestEmbeddingLayer:
 
         model = TinyClassifier()
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
-        assert sum(isinstance(l, KFACEmbeddingLayer) for l in pre.layers.values()) == 1
+        assert list(pre.layers) == ["head"]
         ids = np.random.default_rng(2).integers(0, 9, (32, 5))
         labels = np.random.default_rng(3).integers(0, 4, 32)
-        loss = nn.CrossEntropyLoss()(model(ids), labels)
-        loss.backward()
-        before = model.embedding.weight.grad.copy()
+        nn.CrossEntropyLoss()(model(ids), labels).backward()
+        table_grad, head_grad = model.embedding.weight.grad, model.head.weight.grad.copy()
+        written = table_grad.copy()
         pre.step(lr=0.1)
-        after = model.embedding.weight.grad
-        assert not np.allclose(before, after)
-        assert np.all(np.isfinite(after))
-        # Preconditioning must keep a descent direction.
-        assert float(np.sum(before * after)) > 0
+        assert model.embedding.weight.grad is table_grad
+        np.testing.assert_array_equal(table_grad, written)
+        assert not np.array_equal(model.head.weight.grad, head_grad)  # the Linear is preconditioned
+        pre.remove()
+
+    def test_resolve_walks_mro(self):
+        class MyLinear(nn.Linear):
+            pass
+
+        module = MyLinear(3, 2, rng=np.random.default_rng(0))
+        handler = make_kfac_layer("mine", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
+        assert type(handler) is KFACLinearLayer
+        handler.remove()
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDERS))
+    def test_shape_models_read_the_table(self, name):
+        """``collect_layer_shapes`` is ``KFAC``'s layer shapes."""
+        workload = build_workload(name)
+        skip = workload.kfac_skip_modules
+        pre = KFAC(workload.model, skip_modules=skip)
+        engine = [layer.shape_info() for layer in pre.layers.values()]
+        pre.remove()
+        assert collect_layer_shapes(workload.model, skip_modules=skip) == engine
+
+    @pytest.mark.parametrize("name", ["cifar_resnet", "unet", "mask_rcnn"])
+    def test_the_run_and_the_models_register_the_same_layers_and_no_batch_norm(self, name):
+        """On every model with ``BatchNorm2d``, the live run and the cost and memory models name the same layers."""
+        workload = build_workload(name)
+        skip = workload.kfac_skip_modules
+        pre = KFAC(workload.model, skip_modules=skip)
+        names = list(pre.layers)
+        pre.remove()
+        shapes = collect_layer_shapes(workload.model, skip_modules=skip)
+        assert [shape.name for shape in shapes] == names
+        modules = dict(workload.model.named_modules())
+        assert any(isinstance(module, nn.BatchNorm2d) for module in modules.values())
+        assert not any(isinstance(modules[layer], nn.BatchNorm2d) for layer in names)

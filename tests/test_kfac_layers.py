@@ -15,6 +15,7 @@ from repro.nn import functional as F
 from repro.optim import GradScaler
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
 
+from gradcheck import on_output_grad
 from kernel_oracle import decompose_standalone, force_dense, kfac_class
 
 RNG = np.random.default_rng(21)
@@ -433,7 +434,7 @@ def make_handler(module, scale=1.0, dense_factors=False, precision=None):
 
 def capture_output_grads(module):
     grads = []
-    module.register_full_backward_hook(lambda m, gi, go: grads.append(go[0].copy()))
+    on_output_grad(module, lambda grad: grads.append(grad.copy()))
     return grads
 
 

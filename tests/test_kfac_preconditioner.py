@@ -69,16 +69,14 @@ class TestConstruction:
         model = bert_tiny(vocab_size=30, rng=RNG)
         pre_all = KFAC(model)
         pre_skipped = KFAC(model, skip_modules=model.kfac_excluded_modules())
-        # The exclusions are the MLM head (Linear) and the token/position
-        # embeddings (Embedding is a registered layer type).  The embedding
-        # LayerNorm is *not* excluded: LayerNorm is a registered layer type
-        # and only the embedding tables / head are on the skip list.
-        assert len(pre_skipped.layers) == len(pre_all.layers) - 3
+        # The skip list holds the MLM head (Linear) and the token/position
+        # embeddings, but only the head is a registered layer type: no
+        # Embedding is registered either way.  The embedding LayerNorm is
+        # *not* excluded: LayerNorm is a registered layer type and only the
+        # embedding tables / head are on the skip list.
+        assert len(pre_skipped.layers) == len(pre_all.layers) - 1
         assert all("mlm_head" not in name for name in pre_skipped.layers)
-        assert all(
-            not isinstance(layer.module, nn.Embedding) for layer in pre_skipped.layers.values()
-        )
-        assert any(isinstance(layer.module, nn.Embedding) for layer in pre_all.layers.values())
+        assert not any(isinstance(layer.module, nn.Embedding) for layer in pre_all.layers.values())
         assert any(isinstance(layer.module, nn.LayerNorm) for layer in pre_skipped.layers.values())
 
     def test_model_without_supported_layers_raises(self):
@@ -291,7 +289,7 @@ class TestStepMechanics:
 
 
 class _TextNet(nn.Module):
-    """Embedding -> LayerNorm -> Linear: three of the four handler families in one backward."""
+    """Embedding -> LayerNorm -> Linear: the table left to the optimizer, then two of the three handler families."""
 
     def __init__(self, rng):
         super().__init__()
@@ -389,18 +387,19 @@ class TestGradientWriteBack:
         return model, pre
 
     @pytest.mark.parametrize("kind", ["text", "conv"])
-    def test_linear_conv_embedding_and_layernorm_gradients_stay_contiguous_in_their_dtype(self, kind):
+    def test_linear_conv_and_layernorm_gradients_stay_contiguous_in_their_dtype(self, kind):
         model, pre = self.preconditioned(kind)
         families = {type(layer).__name__ for layer in pre.layers.values()}
         if kind == "text":
-            assert families == {"KFACEmbeddingLayer", "KFACLayerNormLayer", "KFACLinearLayer"}
+            assert families == {"KFACLayerNormLayer", "KFACLinearLayer"}
         else:
             assert families == {"KFACConv2dLayer", "KFACLinearLayer"}
-        buffers = {id(param): param.grad for param in model.parameters()}
-        before = {id(param): param.grad.copy() for param in model.parameters()}
+        preconditioned = [param for layer in pre.layers.values() for param in layer.module.parameters()]
+        buffers = {id(param): param.grad for param in preconditioned}
+        before = {id(param): param.grad.copy() for param in preconditioned}
         pre.step(lr=0.1)
         in_place = 0
-        for param in model.parameters():
+        for param in preconditioned:
             grad, buffer = param.grad, buffers[id(param)]
             assert grad.flags.c_contiguous and grad.dtype == before[id(param)].dtype and grad.shape == param.data.shape
             assert grad.base is None or grad.base.size == grad.size  # no slice of a larger matrix kept alive
@@ -417,15 +416,15 @@ class TestGradientWriteBack:
         reference, reference_pre = self.preconditioned("text")
         reference_pre.step(lr=0.1)
         model, pre = self.preconditioned("text")
-        frozen = model.head.weight.grad
+        frozen = model.norm.bias.grad
         frozen.flags.writeable = False
-        fortran = model.embed.weight.grad = np.asfortranarray(model.embed.weight.grad)
+        fortran = model.head.weight.grad = np.asfortranarray(model.head.weight.grad)
         model.norm.weight.grad = model.norm.weight.grad.astype(np.float64)
         kept = [frozen.copy(), fortran.copy()]
         pre.step(lr=0.1)
         np.testing.assert_array_equal(frozen, kept[0])
         np.testing.assert_array_equal(fortran, kept[1])
-        assert model.head.weight.grad is not frozen and model.embed.weight.grad is not fortran
+        assert model.norm.bias.grad is not frozen and model.head.weight.grad is not fortran
         assert model.norm.weight.grad.dtype == np.float64
         for param, twin in zip(model.parameters(), reference.parameters()):
             assert param.grad.flags.c_contiguous and param.grad.flags.writeable

@@ -314,7 +314,7 @@ def every_factor_wide(monkeypatch):
 
 
 class TokenNet(nn.Module):
-    """Embedding (a token-count A formed in the hook, a G product), LayerNorm (A and G sums), two Linear."""
+    """Embedding (left to the optimizer), LayerNorm (A and G sums), two Linear."""
 
     def __init__(self):
         super().__init__()
@@ -493,7 +493,7 @@ def test_a_checkpoint_between_backward_and_step_is_byte_equal_to_the_hooks_own_p
         return state, pending
 
     (synchronous, none), (deferred, pending) = state_after_backward("inline"), state_after_backward(mode)
-    assert none == 0 and pending == 6  # fc1 and fc2 A and G, the embedding's G, the norm's A
+    assert none == 0 and pending == 5  # fc1 and fc2 A and G, the norm's A
     assert deferred == synchronous
 
 

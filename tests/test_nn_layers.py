@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from composite_oracle import attention_forward_composite
-from gradcheck import check_gradient, graph_nodes
+from gradcheck import check_gradient, graph_nodes, on_output_grad
 from repro import nn
 from repro.nn import functional as F
 from repro.tensor import Tensor, no_grad
@@ -413,13 +413,14 @@ class TestAttentionModuleOnTheNode:
         (module, _), x, probe = attention_pair()
         order = []
         for name in ("query", "key", "value", "out"):
-            getattr(module, name).register_full_backward_hook(lambda m, gi, go, name=name: order.append(name))
+            on_output_grad(getattr(module, name), lambda grad, name=name: order.append(name))
         loss = (module(Tensor(x, requires_grad=True), PADDING["ragged"]) * Tensor(probe)).sum()
         loss.backward()
-        # The output projection first, then the three sibling projections in the order the composite tape ran them.
-        assert order == ["out", "query", "key", "value"]
+        # The output projection first, then the three sibling projections, the reverse of the order they ran in:
+        # each output's gradient is complete once the tape has passed every consumer of it.
+        assert order == ["out", "value", "key", "query"]
         loss.backward()
-        assert order == ["out", "query", "key", "value"] * 2
+        assert order == ["out", "value", "key", "query"] * 2
 
 
 class TestLosses:

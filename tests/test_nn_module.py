@@ -1,11 +1,15 @@
 """Tests for Module/Parameter registration, traversal, state dicts and hooks."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
+
+from gradcheck import on_output_grad
 
 
 class TinyNet(Module):
@@ -98,6 +102,27 @@ class TestStateDict:
         bn2.load_state_dict(bn1.state_dict())
         np.testing.assert_allclose(bn1._buffers["running_mean"], bn2._buffers["running_mean"])
 
+    @pytest.mark.parametrize(
+        "key, fault, error",
+        [("1.weight", "missing", KeyError), ("1.running_mean", "missing", KeyError), ("1.running_var", "shape", ValueError)],
+    )
+    def test_a_refused_load_assigns_nothing(self, key, fault, error):
+        """A missing parameter or buffer, or a wrong shape, raises before any entry is assigned."""
+        rng = np.random.default_rng(0)
+        source = nn.Sequential(nn.Conv2d(2, 3, 1, rng=rng), nn.BatchNorm2d(3))
+        source(Tensor(rng.random((4, 2, 5, 5)).astype(np.float32)))  # running statistics away from their init
+        target = nn.Sequential(nn.Conv2d(2, 3, 1, rng=rng), nn.BatchNorm2d(3))
+        state = source.state_dict()
+        if fault == "missing":
+            del state[key]
+        else:
+            state[key] = state[key][:2]
+        before = target.state_dict()
+        with pytest.raises(error, match=re.escape(repr(key))):
+            target.load_state_dict(state)
+        for name, value in target.state_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
 
 class TestHooks:
     def test_forward_hook_called_with_inputs_and_output(self):
@@ -185,47 +210,35 @@ class TestHooks:
             net.fc1.register_forward_hook("not-a-hook")
 
 
-class TestFullBackwardHooks:
+class TestOutputGradientHooks:
+    """A forward hook that arms a tensor hook on the call's output sees its gradient: how K-FAC captures G."""
+
     def _run(self, net, batch=2):
         out = net(Tensor(np.ones((batch, 4), dtype=np.float32)))
         out.sum().backward()
         return out
 
-    def test_hook_receives_grad_output_and_grad_input(self):
+    def test_hook_receives_the_output_gradient(self):
         net = TinyNet()
-        events = []
-        net.fc2.register_full_backward_hook(
-            lambda module, grad_input, grad_output: events.append((module, grad_input, grad_output))
-        )
+        grads = []
+        on_output_grad(net.fc2, grads.append)
         self._run(net)
-        assert len(events) == 1
-        module, grad_input, grad_output = events[0]
-        assert module is net.fc2
-        assert grad_output[0].shape == (2, 2)
-        np.testing.assert_allclose(grad_output[0], 1.0)
-        # fc2's input is fc1's (ReLU'd) activation, which requires grad.
-        assert len(grad_input) == 1 and grad_input[0].shape == (2, 8)
-
-    def test_grad_input_none_for_non_grad_inputs(self):
-        net = TinyNet()
-        events = []
-        net.fc1.register_full_backward_hook(lambda m, gi, go: events.append(gi))
-        self._run(net)
-        # The data input does not require grad -> no grad_input entry value.
-        assert events == [(None,)]
+        assert len(grads) == 1
+        assert grads[0].shape == (2, 2)
+        np.testing.assert_allclose(grads[0], 1.0)
 
     def test_hooks_fire_in_reverse_layer_order(self):
         net = TinyNet()
         order = []
-        net.fc1.register_full_backward_hook(lambda m, gi, go: order.append("fc1"))
-        net.fc2.register_full_backward_hook(lambda m, gi, go: order.append("fc2"))
+        on_output_grad(net.fc1, lambda grad: order.append("fc1"))
+        on_output_grad(net.fc2, lambda grad: order.append("fc2"))
         self._run(net)
         assert order == ["fc2", "fc1"]
 
     def test_fires_once_per_backward(self):
         net = TinyNet()
         count = []
-        net.fc1.register_full_backward_hook(lambda m, gi, go: count.append(1))
+        on_output_grad(net.fc1, lambda grad: count.append(1))
         x = Tensor(np.ones((2, 4), dtype=np.float32))
         out = net(x).sum()
         out.backward()
@@ -237,16 +250,16 @@ class TestFullBackwardHooks:
 
         net = TinyNet()
         count = []
-        net.fc1.register_full_backward_hook(lambda m, gi, go: count.append(1))
+        on_output_grad(net.fc1, lambda grad: count.append(1))
         net(Tensor(np.ones((1, 4), dtype=np.float32)))
         with no_grad():
-            net(Tensor(np.ones((1, 4), dtype=np.float32)))
+            assert not net(Tensor(np.ones((1, 4), dtype=np.float32))).requires_grad  # nothing to arm
         assert count == []
 
     def test_removal_handle(self):
         net = TinyNet()
         count = []
-        handle = net.fc1.register_full_backward_hook(lambda m, gi, go: count.append(1))
+        handle = on_output_grad(net.fc1, lambda grad: count.append(1))
         self._run(net)
         handle.remove()
         handle.remove()

