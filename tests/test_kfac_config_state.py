@@ -1167,6 +1167,33 @@ class TestLayerRegistry:
         assert not np.array_equal(model.head.weight.grad, head_grad)  # the Linear is preconditioned
         pre.remove()
 
+    @pytest.mark.parametrize(
+        "module, diagonal_g",
+        [
+            (nn.Linear(5, 3, rng=np.random.default_rng(0)), False),
+            (nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)), False),
+            (nn.LayerNorm(4), True),
+        ],
+        ids=["linear", "conv", "layer_norm"],
+    )
+    def test_factor_reprs_are_fixed_at_construction(self, module, diagonal_g):
+        """Each handler's ``a_repr`` / ``g_repr`` is set once: dense, but ``LayerNorm``'s diagonal G; a step keeps them."""
+        model = nn.Sequential(module)
+        pre = KFAC(model, factor_update_freq=1, inv_update_freq=1)
+        (layer,) = pre.layers.values()
+        assert layer.a_repr == FactorRepr.dense(layer.a_dim)
+        assert layer.g_repr == (FactorRepr.diagonal(layer.g_dim) if diagonal_g else FactorRepr.dense(layer.g_dim))
+        a_repr, g_repr = layer.a_repr, layer.g_repr
+        shape = (6, 5) if isinstance(module, nn.Linear) else (6, 2, 4, 4) if isinstance(module, nn.Conv2d) else (6, 4)
+        model(Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))).sum().backward()
+        pre.step(lr=0.1)
+        assert layer.a_repr is a_repr and layer.g_repr is g_repr
+        assert layer.factor_repr("a") is a_repr and layer.factor_repr("g") is g_repr
+        info = layer.shape_info()
+        assert info.a_repr is a_repr and info.g_repr is g_repr
+        assert layer.factor_a.shape == a_repr.packed_shape and layer.factor_g.shape == g_repr.packed_shape
+        pre.remove()
+
     def test_resolve_walks_mro(self):
         class MyLinear(nn.Linear):
             pass

@@ -104,7 +104,12 @@ class TestStateDict:
 
     @pytest.mark.parametrize(
         "key, fault, error",
-        [("1.weight", "missing", KeyError), ("1.running_mean", "missing", KeyError), ("1.running_var", "shape", ValueError)],
+        [
+            ("1.weight", "missing", KeyError),
+            ("1.running_mean", "missing", KeyError),
+            ("1.running_var", "shape", ValueError),
+            ("0.weight", "shape", ValueError),
+        ],
     )
     def test_a_refused_load_assigns_nothing(self, key, fault, error):
         """A missing parameter or buffer, or a wrong shape, raises before any entry is assigned."""
