@@ -21,13 +21,6 @@ class beside the model's single-refresh-step and heaviest-step figures
 does, with ``OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1``, or the BLAS pools of
 two ranks fight over the cores and a decomposition step reads three times its
 cost.
-
-A last test compares the adaptive scheduling subsystem against the fixed
-cadence on the BERT workload: a live training run under both configurations
-(same seed, same data order) counts eigendecompositions and factor updates in
-the rank's registry (``kfac/<event>/<layer>``), the measured fractions are
-mapped onto the BERT-Large modeled spec via ``apply_measured_fractions``, and
-the numbers go to ``BENCH_adaptive_schedule.json``.
 """
 
 from pathlib import Path
@@ -43,7 +36,6 @@ from repro.kfac import (
     KFACConfig,
     KFACWorkloadSpec,
     IterationTimeModel,
-    apply_measured_fractions,
 )
 from repro.models import MLP
 from repro.observability import MetricsReport
@@ -52,7 +44,6 @@ from repro.training import Trainer
 
 from conftest import print_section
 
-ADAPTIVE_OUTPUT = Path(__file__).with_name("BENCH_adaptive_schedule.json")
 STEP_CLASS_OUTPUT = Path(__file__).with_name("BENCH_step_breakdown.json")
 WORLD_SIZE = 64
 FRACS = [1 / 64, 1 / 16, 1 / 4, 1 / 2, 1.0]
@@ -227,149 +218,3 @@ def test_fig07_step_time_by_interval_class(benchmark):
             "modeled": modeled,
         }
     write_bench_json(STEP_CLASS_OUTPUT, "step_breakdown", {"live_workload": "bert", "timed_intervals": CLASS_INTERVALS, **payload})
-
-
-# --------------------------------------------------------------------------
-# Adaptive scheduling vs fixed cadence (BERT)
-# --------------------------------------------------------------------------
-
-ADAPTIVE_STEPS = 40
-ADAPTIVE_SEED = 0
-
-
-def _counted(preconditioner, event: str) -> int:
-    """``kfac/<event>`` over the preconditioner's layers, from its rank's registry."""
-    counters = preconditioner.tracer.counters()
-    return int(sum(counters.get(f"kfac/{event}/{name}", 0) for name in preconditioner.layers))
-
-
-def _train_bert(adaptive: bool):
-    """Train the small BERT workload for ADAPTIVE_STEPS optimizer steps."""
-    workload = build_workload("bert", seed=ADAPTIVE_SEED)
-    config = workload.config
-    kfac_config = config.kfac_config(grad_worker_frac=1.0).replace(
-        factor_update_freq=2, inv_update_freq=4
-    )
-    if adaptive:
-        # The adaptive preset's knobs on top of the workload's hyperparameters
-        # (drift-driven stretching, LM damping, CG for small layers, the eigen path).
-        kfac_config = kfac_config.replace(
-            solve_strategy="eigen",
-            drift_tol=0.05,
-            max_staleness=8 * kfac_config.inv_update_freq,
-            adaptive_damping=True,
-            small_layer_solver="cg",
-            small_layer_dim=32,
-        )
-    preconditioner = KFAC.from_config(
-        workload.model, kfac_config, skip_modules=workload.kfac_skip_modules
-    )
-    optimizer = optim.SGD(workload.model.parameters(), lr=config.kfac_lr, momentum=0.9)
-    trainer = Trainer(
-        workload.model, optimizer, workload.forward_loss, preconditioner=preconditioner
-    )
-    losses = []
-    done = 0
-    while done < ADAPTIVE_STEPS:
-        for batch in workload.train_loader:
-            losses.append(float(trainer.train_step(batch)))
-            done += 1
-            if done >= ADAPTIVE_STEPS:
-                break
-    return losses, preconditioner
-
-
-def test_adaptive_schedule_vs_fixed_cadence(benchmark):
-    """Adaptive scheduling does strictly less second-order work than the fixed
-    cadence on the BERT workload at (approximately) equal final loss, and the
-    measured skip fractions price into strictly lower modeled eigen and
-    factor-communication cost on the BERT-Large layer set."""
-
-    def run_both():
-        return _train_bert(adaptive=False), _train_bert(adaptive=True)
-
-    (fixed_losses, fixed_pre), (adaptive_losses, adaptive_pre) = benchmark.pedantic(
-        run_both, iterations=1, rounds=1
-    )
-
-    fixed_final = float(np.mean(fixed_losses[-5:]))
-    adaptive_final = float(np.mean(adaptive_losses[-5:]))
-    fixed_eigen = _counted(fixed_pre, "eigen_updates")
-    adaptive_eigen = _counted(adaptive_pre, "eigen_updates")
-    fixed_factor = _counted(fixed_pre, "factor_updates")
-    adaptive_factor = _counted(adaptive_pre, "factor_updates")
-
-    # Modeled cost on the real BERT-Large layer set with the measured fractions.
-    spec = paper_workload_spec("bert_large")
-    adaptive_spec = apply_measured_fractions(spec, adaptive_pre)
-    factor_fraction, eigen_fraction = adaptive_spec.factor_update_fraction, adaptive_spec.eigen_update_fraction
-    model = IterationTimeModel()
-    fixed_breakdown = model.kfac_breakdown(spec, WORLD_SIZE, 1.0)
-    adaptive_breakdown = model.kfac_breakdown(adaptive_spec, WORLD_SIZE, 1.0)
-    # Amortised factor-allreduce bytes per iteration (every rank participates).
-    fixed_factor_bytes = spec.factor_bytes / spec.config.factor_update_freq
-    adaptive_factor_bytes = adaptive_spec.factor_bytes * factor_fraction / adaptive_spec.config.factor_update_freq
-
-    rows = [
-        ["final loss (mean last 5)", round(fixed_final, 4), round(adaptive_final, 4)],
-        ["eigendecompositions", fixed_eigen, adaptive_eigen],
-        ["factor updates", fixed_factor, adaptive_factor],
-        ["eigen update fraction", 1.0, round(eigen_fraction, 4)],
-        ["factor update fraction", 1.0, round(factor_fraction, 4)],
-        ["modeled eigen time (ms/iter)", round(fixed_breakdown.eigen_decomposition * 1e3, 3),
-         round(adaptive_breakdown.eigen_decomposition * 1e3, 3)],
-        ["modeled factor comm (ms/iter)", round(fixed_breakdown.factor_allreduce * 1e3, 3),
-         round(adaptive_breakdown.factor_allreduce * 1e3, 3)],
-        ["modeled factor comm (bytes/iter)", round(fixed_factor_bytes), round(adaptive_factor_bytes)],
-    ]
-    print_section(
-        f"Adaptive scheduling vs fixed cadence - BERT ({ADAPTIVE_STEPS} live steps; "
-        f"modeled: BERT-Large, {WORLD_SIZE} GPUs, COMM-OPT)"
-    )
-    print(format_table(["metric", "fixed", "adaptive"], rows))
-
-    # Strictly less second-order work...
-    assert adaptive_eigen < fixed_eigen
-    assert adaptive_factor < fixed_factor
-    assert eigen_fraction < 1.0 and factor_fraction < 1.0
-    # ...which prices into strictly lower modeled eigen + factor-comm cost...
-    assert adaptive_breakdown.eigen_decomposition < fixed_breakdown.eigen_decomposition
-    assert adaptive_breakdown.factor_allreduce < fixed_breakdown.factor_allreduce
-    assert adaptive_factor_bytes < fixed_factor_bytes
-    # ...at (approximately) equal final loss.
-    assert abs(adaptive_final - fixed_final) <= 0.05 * fixed_final
-
-    write_bench_json(
-        ADAPTIVE_OUTPUT,
-        "adaptive_schedule",
-        {
-            "live_workload": "bert",
-            "steps": ADAPTIVE_STEPS,
-            "modeled_workload": spec.name,
-            "world_size": WORLD_SIZE,
-            "grad_worker_frac": 1.0,
-            "fixed": {
-                "final_loss": fixed_final,
-                "eigendecompositions": fixed_eigen,
-                "factor_updates": fixed_factor,
-                "modeled_eigen_time": fixed_breakdown.eigen_decomposition,
-                "modeled_factor_allreduce_time": fixed_breakdown.factor_allreduce,
-                "modeled_factor_comm_bytes_per_iter": fixed_factor_bytes,
-            },
-            "adaptive": {
-                "final_loss": adaptive_final,
-                "eigendecompositions": adaptive_eigen,
-                "factor_updates": adaptive_factor,
-                "eigen_update_fraction": eigen_fraction,
-                "factor_update_fraction": factor_fraction,
-                "damping": {
-                    "value": adaptive_pre.damping,
-                    "shrinks": int(adaptive_pre.tracer.counters().get("kfac/damping_shrinks", 0)),
-                    "grows": int(adaptive_pre.tracer.counters().get("kfac/damping_grows", 0)),
-                },
-                "modeled_eigen_time": adaptive_breakdown.eigen_decomposition,
-                "modeled_factor_allreduce_time": adaptive_breakdown.factor_allreduce,
-                "modeled_factor_comm_bytes_per_iter": adaptive_factor_bytes,
-            },
-        },
-    )

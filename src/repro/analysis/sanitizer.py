@@ -1,7 +1,7 @@
 """Runtime SPMD sanitizer: collective-schedule cross-checking and buffer races.
 
-The async comm stack (:mod:`repro.distributed.collectives`, the adaptive
-K-FAC scheduler) rests on invariants no backend enforces:
+The async comm stack (:mod:`repro.distributed.collectives`, the K-FAC
+step's plan) rests on invariants no backend enforces:
 
 * every rank posts the *same* collectives in the *same* order on the *same*
   groups (op, dtype, shape, fusion plan) — divergence means a silent
@@ -243,7 +243,7 @@ class CollectiveSanitizer:
     * ``barrier_check`` — run by the backend's barrier when all ranks have
       arrived: per-group posted-sequence counts must agree;
     * ``check_consistent`` — rendezvous-free agreement check for values that
-      must be identical on every rank (e.g. the adaptive K-FAC refresh plan).
+      must be identical on every rank (e.g. a K-FAC step's actions and damping).
 
     A violation poisons the world through the bound callback (waking every
     blocked rank) before raising, so a divergent program *fails* instead of
@@ -434,7 +434,7 @@ class CollectiveSanitizer:
         Each rank reports ``fingerprint`` under a unique, strictly program-
         ordered ``tag`` (e.g. ``"kfac/plan:123"``); the first reporter pins
         the expected value and later reporters compare against it.  Used for
-        the adaptive K-FAC refresh plan, which every rank must derive
+        a K-FAC step's actions and damping, which every rank must derive
         identically from allreduced state.
         """
         if self.world_size <= 1:

@@ -37,17 +37,9 @@ __all__ = [
     "ETHERNET_10G",
 ]
 
-def amortized_update_time(duration: float, update_freq: int, update_fraction: float = 1.0) -> float:
-    """Per-iteration share of a stage that runs every ``update_freq`` steps.
-
-    ``update_fraction`` scales the base cadence to what was *actually*
-    performed — :func:`repro.kfac.apply_measured_fractions` reads the
-    performed/expected update ratios off a live run, so a layer set that skipped half its
-    eigen refreshes charges half the amortised decomposition time.  The
-    fixed cadence is ``update_fraction=1.0``; values above 1 model
-    drift-triggered refreshes beyond the base schedule.
-    """
-    return float(duration) * max(float(update_fraction), 0.0) / max(int(update_freq), 1)
+def amortized_update_time(duration: float, update_freq: int) -> float:
+    """Per-iteration share of a stage that runs every ``update_freq`` steps."""
+    return float(duration) / max(int(update_freq), 1)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from .analysis import (
     IterationBreakdown,
     IterationTimeModel,
     KFACWorkloadSpec,
-    apply_measured_fractions,
     model_comm_schedule,
 )
 from .assignment import AssignmentResult, greedy_lpt_assignment, makespan, round_robin_assignment
@@ -40,14 +39,10 @@ from .layers import (
 from .preconditioner import KFAC
 from .scheduling import (
     AdaptiveDampingController,
-    CGSolveStrategy,
-    DriftSchedule,
     EigenSolveStrategy,
     InverseSolveStrategy,
     SolveStrategy,
     available_solve_strategies,
-    factor_drift,
-    kronecker_cg,
 )
 from .scheduling.solvers import pack_eigen, unpack_eigen_repr
 from .strategy import (
@@ -100,17 +95,12 @@ __all__ = [
     "KFACWorkloadSpec",
     "CommSchedule",
     "model_comm_schedule",
-    "apply_measured_fractions",
     "eigenvalue_outer_product",
     "eigenvalue_pi",
     "tikhonov_pi",
-    "DriftSchedule",
-    "factor_drift",
     "AdaptiveDampingController",
     "SolveStrategy",
     "EigenSolveStrategy",
     "InverseSolveStrategy",
-    "CGSolveStrategy",
     "available_solve_strategies",
-    "kronecker_cg",
 ]

@@ -21,7 +21,6 @@ is priced on the critical path.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -41,7 +40,6 @@ __all__ = [
     "IterationTimeModel",
     "CommSchedule",
     "model_comm_schedule",
-    "apply_measured_fractions",
 ]
 
 
@@ -90,12 +88,6 @@ class KFACWorkloadSpec:
     config: KFACConfig
     samples_per_input: float = 1.0  # rows contributed to the factors per example (spatial positions for convs)
     grad_accumulation_steps: int = 1
-    #: Performed-vs-base-cadence update ratios (1.0 = the fixed schedule).
-    #: :func:`apply_measured_fractions` sets them from what a live
-    #: preconditioner counted, to model the skipped factor/eigen work and
-    #: communication.
-    factor_update_fraction: float = 1.0
-    eigen_update_fraction: float = 1.0
     optimizer: str = "sgd"  # sizes the optimizer state of the memory read
     activation_bytes_per_sample: int = 0  # the memory read's activation estimate, per local sample
 
@@ -215,21 +207,17 @@ class IterationTimeModel:
         # per row (one triangle of each block's outer product, which is what
         # ``syrk`` computes; diagonal: the squared-row sum).
         factor_flops = sum(2.0 * rows * (l.a_repr.packed_numel + l.g_repr.packed_numel) for l in spec.layers)
-        times["factor_compute"][:] = amortized_update_time(
-            self.perf.compute_time(factor_flops, dtype_b), f_freq, spec.factor_update_fraction
-        )
+        times["factor_compute"][:] = amortized_update_time(self.perf.compute_time(factor_flops, dtype_b), f_freq)
 
         # --- factor allreduce (all ranks, bucketed into one volume) ---------
         factor_bytes = sum(
             _nbytes(shape, dtype) for entries in plan.factor_round.values() for _, shape, dtype in entries
         )
-        times["factor_allreduce"][:] = amortized_update_time(
-            self.perf.allreduce_time(factor_bytes, world_size), f_freq, spec.factor_update_fraction
-        )
+        times["factor_allreduce"][:] = amortized_update_time(self.perf.allreduce_time(factor_bytes, world_size), f_freq)
 
         # --- eigen decomposition (the plan's decomposers only), eigen broadcast
         decomposition, broadcast = self._refresh_times(spec, plan, [layer.name for layer in spec.layers])
-        per_iteration = amortized_update_time(1.0, k_freq, spec.eigen_update_fraction)
+        per_iteration = amortized_update_time(1.0, k_freq)
         times["eigen_decomposition"] = per_iteration * decomposition
         times["eigen_broadcast"] = per_iteration * broadcast
 
@@ -242,7 +230,7 @@ class IterationTimeModel:
             # Two eigenbasis rotations per side (into and out of the basis), or
             # one product with each damped inverse; a diagonal factor's
             # identity basis (or reciprocal diagonal) contributes none.
-            products = 1.0 if plan.solvers[layer.name].refresh == "inverse" else 2.0
+            products = 1.0 if plan.solver.refresh == "inverse" else 2.0
             precondition_flops = products * (
                 repr_basis_apply_flops(self.perf, layer.g_repr, layer.a_dim)
                 + repr_basis_apply_flops(self.perf, layer.a_repr, layer.g_dim)
@@ -272,7 +260,7 @@ class IterationTimeModel:
         decomposition, broadcast = np.zeros(plan.world_size), np.zeros(plan.world_size)
         for name in names:
             layer = plan.groups[name].layer
-            inverted = plan.solvers[name].refresh == "inverse"  # a damped inverse rather than a decomposition
+            inverted = plan.solver.refresh == "inverse"  # a damped inverse rather than a decomposition
             for which in ("a", "g"):
                 duration = repr_refresh_time(self.perf, layer.factor_repr(which), spec.dtype_bytes, inverted)
                 decomposition[list(plan.decomposers[name, which])] += duration
@@ -400,14 +388,12 @@ def model_comm_schedule(
 
     # --- factor allreduce (world-wide; every rank participates) ------------
     factor_time = sum(perf.allreduce_time(nbytes, len(members)) for members, nbytes in messages["factor"])
-    factor_per_iter = amortized_update_time(factor_time, plan.factor_update_freq, spec.factor_update_fraction)
+    factor_per_iter = amortized_update_time(factor_time, plan.factor_update_freq)
 
     # --- eigen broadcast (per refresh), gradient broadcast (every step) ----
     broadcast_time = np.zeros(world_size)  # per-rank amortised time of the broadcast rounds
     for members, nbytes in messages["eigen"]:
-        broadcast_time[list(members)] += amortized_update_time(
-            perf.broadcast_time(nbytes, len(members)), plan.inv_update_freq, spec.eigen_update_fraction
-        )
+        broadcast_time[list(members)] += amortized_update_time(perf.broadcast_time(nbytes, len(members)), plan.inv_update_freq)
     for members, nbytes in messages["gradient"]:
         broadcast_time[list(members)] += perf.broadcast_time(nbytes, len(members))
     broadcast_max = float(np.max(broadcast_time)) if world_size else 0.0
@@ -430,38 +416,4 @@ def model_comm_schedule(
         kfac_comm_time=float(factor_per_iter + broadcast_max),
         iteration_time=float(compute + comm),
         rounds=rounds,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Measured refresh decisions -> modeled update fractions
-# ---------------------------------------------------------------------------
-
-
-def apply_measured_fractions(spec: KFACWorkloadSpec, preconditioner) -> KFACWorkloadSpec:
-    """A copy of ``spec`` carrying the update fractions ``preconditioner`` (a live :class:`~repro.kfac.KFAC`) measured.
-
-    The performed factor and eigen updates are the ``kfac/factor_updates/<layer>``
-    and ``kfac/eigen_updates/<layer>`` counters of its rank's registry, the
-    expected ones what the plan's base cadence performs over the same steps
-    (:meth:`~repro.kfac.strategy.DistributionPlan.base_updates`): exactly 1.0
-    while ``drift_tol`` is 0.  The
-    registry counts for the life of the communicator, so measure a
-    preconditioner built on it from step 0.  Feed the result back into
-    :class:`IterationTimeModel` / :func:`model_comm_schedule` to model the
-    iteration time of the adaptive schedule: skipped factor updates shrink
-    the amortised factor compute and allreduce terms, skipped eigen refreshes
-    shrink the decomposition and eigen-broadcast terms.
-    """
-    counters = preconditioner.tracer.counters()
-    base_folds, base_refreshes = preconditioner.plan.base_updates(preconditioner.steps)
-
-    def fraction(event: str, expected: int) -> float:
-        performed = sum(counters.get(f"kfac/{event}/{name}", 0.0) for name in preconditioner.layers)
-        return performed / expected if expected else 1.0
-
-    return dataclasses.replace(
-        spec,
-        factor_update_fraction=fraction("factor_updates", base_folds),
-        eigen_update_fraction=fraction("eigen_updates", base_refreshes),
     )

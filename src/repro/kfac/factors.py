@@ -32,7 +32,7 @@ parity oracle (``tests/kernel_oracle.py``).  Nothing on
 the default step path needs the square matrix: the fold is elementwise and
 the solves expand each triangle into the buffer LAPACK overwrites.
 :meth:`FactorRepr.to_dense` / :meth:`~FactorRepr.from_dense` are the only
-conversions, for the readers that do (the ``cg`` solver, tests).
+conversions, for the readers that do (the tests).
 """
 
 from __future__ import annotations
@@ -197,17 +197,6 @@ class FactorRepr:
     def trace(self, packed: np.ndarray) -> float:
         """Trace of the represented matrix, computed on the packed form (float64)."""
         return float(np.sum(np.asarray(packed)[self.diagonal_positions()].astype(np.float64)))
-
-    def frobenius_norm(self, packed: np.ndarray) -> float:
-        """Frobenius norm of the represented matrix (float64), computed on the packed form.
-
-        A packed triangle holds each off-diagonal entry of its block once, so
-        the full-matrix norm is ``sqrt(2·Σp² − Σdiag²)`` (exactly ``Σp²`` when
-        every element is a diagonal one).
-        """
-        packed = np.asarray(packed, dtype=np.float64)
-        diagonal = packed[self.diagonal_positions()]
-        return float(np.sqrt(2.0 * float(np.vdot(packed, packed)) - float(np.vdot(diagonal, diagonal))))
 
     # ---------------------------------------------------------- serialization
     def to_state(self) -> dict:

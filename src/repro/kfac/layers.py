@@ -409,8 +409,19 @@ class KFACLayer:
 
     # ------------------------------------------------------------- gradient
     def get_gradient(self) -> np.ndarray:
-        """Return the bias-folded gradient matrix of shape ``(g_dim, a_dim)``."""
-        raise NotImplementedError
+        """Return the bias-folded gradient matrix of shape ``(g_dim, a_dim)``.
+
+        The weight gradient as one row per output feature (a conv kernel's
+        ``(in_channels, kh, kw)`` flattened), the bias gradient as the last column.
+        """
+        weight_grad = self.module.weight.grad
+        if weight_grad is None:
+            raise RuntimeError(f"layer {self.name!r} has no weight gradient")
+        grad = weight_grad.reshape(len(weight_grad), -1).astype(np.float32, copy=False)
+        if self.has_bias:
+            bias_grad = self.module.bias.grad.astype(np.float32, copy=False).reshape(-1, 1)
+            grad = np.concatenate([grad, bias_grad], axis=1)
+        return grad
 
     def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
         """Write ``scale * matrix`` (a preconditioned gradient matrix) back into the module parameters' gradients.
@@ -419,7 +430,10 @@ class KFACLayer:
         (see :func:`_write_gradient`), so a matrix :meth:`get_gradient`
         returned earlier may read the new values afterwards.
         """
-        raise NotImplementedError
+        if self.has_bias:
+            _write_gradient(self.module.bias, matrix[:, -1], scale)
+            matrix = matrix[:, :-1]
+        _write_gradient(self.module.weight, matrix, scale)
 
     # --------------------------------------------------------------- memory
     def factor_bytes(self) -> int:
@@ -461,22 +475,6 @@ class KFACLinearLayer(KFACLayer):
         rows = node.x2 if node is not None else x.reshape(-1, x.shape[-1])
         self._add_bias_folded_a(rows.T)
 
-    def get_gradient(self) -> np.ndarray:
-        weight_grad = self.module.weight.grad
-        if weight_grad is None:
-            raise RuntimeError(f"layer {self.name!r} has no weight gradient")
-        grad = weight_grad.astype(np.float32, copy=False)
-        if self.has_bias:
-            bias_grad = self.module.bias.grad.astype(np.float32, copy=False).reshape(-1, 1)
-            grad = np.concatenate([grad, bias_grad], axis=1)
-        return grad
-
-    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
-        if self.has_bias:
-            _write_gradient(self.module.bias, matrix[:, -1], scale)
-            matrix = matrix[:, :-1]
-        _write_gradient(self.module.weight, matrix, scale)
-
 
 class KFACConv2dLayer(KFACLayer):
     """K-FAC handler for :class:`~repro.nn.conv.Conv2d` modules.
@@ -513,22 +511,6 @@ class KFACConv2dLayer(KFACLayer):
         # G = g2 g2ᵀ is one syrk.  Undo the 1/N batch averaging of the loss.
         g2 = grad_output.transpose(1, 2, 3, 0).reshape(self.g_dim, -1)
         self._add_g_stat(g2.T, grad_output.shape[0])
-
-    def get_gradient(self) -> np.ndarray:
-        weight_grad = self.module.weight.grad
-        if weight_grad is None:
-            raise RuntimeError(f"layer {self.name!r} has no weight gradient")
-        grad = weight_grad.reshape(self.module.out_channels, -1).astype(np.float32, copy=False)
-        if self.has_bias:
-            bias_grad = self.module.bias.grad.astype(np.float32, copy=False).reshape(-1, 1)
-            grad = np.concatenate([grad, bias_grad], axis=1)
-        return grad
-
-    def set_gradient(self, matrix: np.ndarray, scale: float = 1.0) -> None:
-        if self.has_bias:
-            _write_gradient(self.module.bias, matrix[:, -1], scale)
-            matrix = matrix[:, :-1]
-        _write_gradient(self.module.weight, matrix, scale)
 
 
 class KFACLayerNormLayer(KFACLayer):

@@ -49,8 +49,7 @@ COMM-OPT, anything between is HYBRID-OPT.  The config builds one
 (:meth:`KFACConfig.distribution_plan`): who decomposes, who holds, the three
 communication rounds as unbound specs, and in
 :meth:`~repro.kfac.strategy.DistributionPlan.actions` the layers a step folds
-and refreshes, revised by a :class:`~repro.kfac.scheduling.DriftSchedule`
-when ``drift_tol > 0``.  *How* a layer is preconditioned is its
+and refreshes.  *How* a layer is preconditioned is its
 :class:`~repro.kfac.scheduling.SolveStrategy` (the default is the damped
 inverse of Eq. 12, one ``?symm`` per side per step; the eigen path of Eqs. 15-17 is
 ``solve_strategy="eigen"``); ``solvers[name]`` is it on this rank, the one
@@ -62,16 +61,15 @@ goes through one bucketed collective engine
 :class:`~repro.training.Trainer` drives :class:`KFAC` directly: it calls
 :meth:`step` with the step's loss, caps its gradient buckets at ``plan.bucket_cap_mb``
 and checkpoints :meth:`state_dict`, which with :meth:`load_state_dict`
-round-trips the running factors, second-order state, drift schedule and step
-counter (per rank), so checkpoint/resume reproduces the exact training trajectory
-under every distribution strategy.
+round-trips the running factors, second-order state, damping controller and
+step counter (per rank), so checkpoint/resume reproduces the exact training
+trajectory under every distribution strategy.
 
 Every refresh decision is counted per layer in the rank's one registry, the
 communicator's tracer (``comm.tracer``), as ``kfac/<event>/<layer>``:
-``factor_updates``, ``eigen_updates``, ``factor_skips``, ``eigen_skips``,
-``drift_triggers`` and ``factor_windows_rejected``, beside
+``factor_updates``, ``eigen_updates`` and ``factor_windows_rejected``, beside
 ``kfac/damping_shrinks`` / ``kfac/damping_grows`` and the ``kfac/damping``
-gauge; :func:`~repro.kfac.analysis.apply_measured_fractions` reads them back.
+gauge.
 """
 
 from __future__ import annotations
@@ -85,13 +83,13 @@ import numpy as np
 from ..distributed.backend import Communicator, SingleProcessCommunicator
 from ..distributed.collectives import AllreduceSpec, BroadcastSpec, OverlapScheduler
 from ..nn.module import Module
-from .base import CHECKPOINT_FORMAT, check_checkpoint_format
+from .base import CHECKPOINT_FORMAT, check_checkpoint_format, refuse_removed_entries
 from .config import KFACConfig
 from .kernels import KernelBackend
 from .kmath import kl_clip_scale_from_total
 from .layers import KFACLayer, make_kfac_layer
 from .refresh import RefreshQueue
-from .scheduling import AdaptiveDampingController, DriftSchedule, InverseSolveStrategy, SolveStrategy
+from .scheduling import AdaptiveDampingController, InverseSolveStrategy, SolveStrategy
 from .strategy import DistributionPlan, LayerWorkGroups, StepActions
 
 __all__ = ["KFAC"]
@@ -155,20 +153,18 @@ class KFAC:
             [layer.shape_info() for layer in self.layers.values()], self.comm.world_size
         )
         self.groups: Dict[str, LayerWorkGroups] = self.plan.groups
-        # The plan says when; with drift tracking on, a per-layer schedule revises it.
-        self.drift: Optional[DriftSchedule] = self._new_drift()
-        self.solvers: Dict[str, SolveStrategy] = {
-            name: strategy.from_config(config) for name, strategy in self.plan.solvers.items()
-        }
-        # The damped inverses this rank will hold, two to a buffer, as the plan prices them.
-        InverseSolveStrategy.hold(
-            {
-                layer: self.solvers[name]
-                for name, layer in self.layers.items()
-                if isinstance(self.solvers[name], InverseSolveStrategy) and self.groups[name].is_grad_worker(self.rank)
-            },
-            self.precision.inverse_dtype,
-        )
+        # One instance per layer: each holds that layer's second-order state.
+        self.solvers: Dict[str, SolveStrategy] = {name: self.plan.solver.from_config(config) for name in self.layers}
+        if self.plan.solver is InverseSolveStrategy:
+            # The damped inverses this rank will hold, two to a buffer, as the plan prices them.
+            InverseSolveStrategy.hold(
+                {
+                    layer: self.solvers[name]
+                    for name, layer in self.layers.items()
+                    if self.groups[name].is_grad_worker(self.rank)
+                },
+                self.precision.inverse_dtype,
+            )
         self.damping_controller: Optional[AdaptiveDampingController] = (
             AdaptiveDampingController(config.damping) if config.adaptive_damping else None
         )
@@ -187,11 +183,6 @@ class KFAC:
         if dampings is None:
             return self.kernels.eigen_task(factors, repr_, compute_dtype=compute_dtype)
         return self.kernels.inverse_task(factors, repr_, dampings, compute_dtype=compute_dtype)
-
-    def _new_drift(self) -> Optional[DriftSchedule]:
-        """A fresh drift schedule, or None: at ``drift_tol=0`` the plan's actions are carried out as they are."""
-        config = self.config
-        return DriftSchedule(self.plan, config.drift_tol, config.max_staleness) if config.drift_tol > 0 else None
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -221,7 +212,7 @@ class KFAC:
                 self.layers[layer.name] = layer
 
     def actions(self) -> StepActions:
-        """What the pending step does: the plan's :meth:`~repro.kfac.strategy.DistributionPlan.actions`, revised by drift.
+        """What the pending step does: the plan's :meth:`~repro.kfac.strategy.DistributionPlan.actions`.
 
         Taken once per step -- by the first K-FAC layer's forward hook, or by
         :meth:`step` itself -- and kept until it ends, so the hooks and the
@@ -231,8 +222,6 @@ class KFAC:
         """
         if self._actions is None:
             self._actions = self.plan.actions(self._steps)
-            if self.drift is not None:
-                self._actions = self.drift.revise(self._actions)
             self._submit(self._actions.refresh)
         return self._actions
 
@@ -283,7 +272,7 @@ class KFAC:
         """Precondition all registered layer gradients in place (Listing 1): carry out this step's :meth:`actions`.
 
         In order: run the factor round of ``fold`` and fold the averaged
-        windows, once even when the step is retried; observe drift; take this
+        windows, once even when the step is retried; take this
         rank's decompositions or inverses of ``refresh`` (solved on the
         factors as the step found them) and run the eigen round;
         precondition and run the gradient round; apply the KL clip and write
@@ -322,8 +311,6 @@ class KFAC:
                 self._fold_factors(actions.fold)
                 self._check_first_windows()
                 self._count("factor_updates", actions.fold)
-                if self.drift is not None:
-                    self._observe_drift(actions)
                 self._folded = True
             if sanitizer is not None:
                 # The actions and damping are functions of allreduced state
@@ -341,9 +328,6 @@ class KFAC:
                     self._install_decompositions(actions.refresh)
                 with self._stage("eigen_broadcast"):
                     self.scheduler.run_broadcasts([self._bound[spec.key, spec.src] for spec in actions.eigen_round])
-                if self.drift is not None:
-                    for name in actions.refresh:
-                        self.drift.mark_second_order(name, step, self.layers[name].factor_a, self.layers[name].factor_g)
                 self._count("eigen_updates", actions.refresh)
             with self._stage("precondition"):
                 gradients = self._precondition_gradients()
@@ -391,25 +375,6 @@ class KFAC:
                 "activations or output gradients, e.g. an overflowed loss-scaled step) and "
                 "there are no earlier factors to keep"
             )
-
-    def _observe_drift(self, actions: StepActions) -> None:
-        """Observe the drift of the layers ``actions`` folded (``drift_tol > 0``); a spike revises the next step.
-
-        Post-allreduce, every rank holds and observes the identical factors,
-        so every rank revises identically without extra communication.  A
-        trigger pulls the layer's refresh to the next step, whose actions are
-        then known when it begins.  What the revision passed over of the
-        plan's own actions for this step is counted as ``factor_skips`` /
-        ``eigen_skips``.
-        """
-        step = actions.step
-        for name in actions.fold:
-            layer = self.layers[name]
-            if self.drift.observe_factors(name, step, layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr):
-                self._count("drift_triggers", [name])
-        base = self.plan.actions(step)
-        self._count("factor_skips", [name for name in base.fold if name not in actions.fold])
-        self._count("eigen_skips", [name for name in base.refresh if name not in actions.refresh])
 
     # ------------------------------------------------------------ stage 1: factors
     # Every rank contributes its *window average*; the average over ranks is
@@ -654,9 +619,8 @@ class KFAC:
         hyperparameters (as a :class:`KFACConfig` dict, for bookkeeping),
         per-layer factors (``"layers"``), every layer's second-order state as
         its solve strategy writes it (``"solvers"``) and, only when the config
-        turns them on, the drift schedule (``"scheduler"``) and the damping
-        controller (``"damping_controller"``).  Different ranks hold different
-        factors (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT,
+        turns it on, the damping controller (``"damping_controller"``).
+        Different ranks hold different factors (:meth:`holds_factor`) and, under MEM-OPT / HYBRID-OPT,
         different second-order state, so each rank checkpoints and restores
         its own dict.  The pending decompositions are not state:
         the restored step's actions read the same factors again.
@@ -668,8 +632,6 @@ class KFAC:
             "layers": {name: layer.state_dict() for name, layer in self.layers.items()},
             "solvers": {name: solver.state_dict() for name, solver in self.solvers.items()},
         }
-        if self.drift is not None:
-            state["scheduler"] = self.drift.state_dict()
         if self.damping_controller is not None:
             state["damping_controller"] = self.damping_controller.state_dict()
         return state
@@ -677,8 +639,10 @@ class KFAC:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore state saved by :meth:`state_dict` on this rank, under the same config.
 
-        The format number is checked first; then only the keys this
-        instance's config writes are read, and the plan is never changed.
+        The format number is checked first, then that no entry of a removed
+        feature is present (:func:`~repro.kfac.base.refuse_removed_entries`);
+        then only the keys this instance's config writes are read, and the
+        plan is never changed.
         The registered layers must match the checkpoint exactly (same names,
         same shapes); arrays are cast to this instance's precision policy.
         The ``"config"`` key is bookkeeping and is never read (a format-5
@@ -687,11 +651,13 @@ class KFAC:
         identical schedule.  A factor this rank does not hold
         (:meth:`holds_factor`) in the checkpoint raises, and so does a held
         factor it lacks once a factor update has run, and solver state
-        (inverses, eigen decompositions, CG warm starts) of a layer this rank
-        is not a gradient worker of: each was written under another config.  Every check runs before anything
-        is assigned: a refused checkpoint leaves the instance as it was.
+        (inverses, eigen decompositions) of a layer this rank is not a
+        gradient worker of: each was written under another config.  Every
+        check runs before anything is assigned: a refused checkpoint leaves
+        the instance as it was.
         """
         check_checkpoint_format(state, "KFAC")
+        refuse_removed_entries(state)
         layer_states = state["layers"]
         missing = sorted(set(self.layers) - set(layer_states))
         unexpected = sorted(set(layer_states) - set(self.layers))
@@ -723,13 +689,9 @@ class KFAC:
         restores = []
         for name, layer in self.layers.items():
             restores += [layer.state_loader(layer_states[name]), self.solvers[name].state_loader(state["solvers"][name], layer)]
-        drift = self.drift
-        if drift is not None:
-            drift = self._new_drift()
-            drift.load_state_dict(state["scheduler"])
         if self.damping_controller is not None:  # the last check: it assigns only once all its values convert
             self.damping_controller.load_state_dict(state["damping_controller"])
-        self._steps, self.drift = steps, drift
+        self._steps = steps
         for restore in restores:
             restore()
         # Factor bookkeeping refers to this instance's own history, not the

@@ -1,8 +1,8 @@
-"""Per-layer solve strategies: damped inverse, eigen, warm-started CG.
+"""Per-layer solve strategies: damped inverse and eigen.
 
 KAISA's paper path eigen-decomposes both Kronecker factors -- O(F³) work that
 pays off when the decomposition is reused over many steps and many
-gradients.  Three strategies sit behind one interface, each the one home of
+gradients.  Two strategies sit behind one interface, each the one home of
 the second-order state its path keeps on a layer's gradient workers:
 
 * :class:`InverseSolveStrategy` -- the default: the layer's decomposer
@@ -13,12 +13,7 @@ the second-order state its path keeps on a layer's gradient workers:
   (:func:`~repro.kfac.kmath.hold_triangles`), and preconditions with one
   ``?symm`` per side;
 * :class:`EigenSolveStrategy` -- the eigen path of Eqs. 15-17, damped by
-  the same split with π from the eigenvalues the holder received;
-* :class:`CGSolveStrategy` -- never factorize at all: solve
-  ``(G + γ_g I) X (A + γ_a I) = ∇L`` by conjugate gradients on the
-  Kronecker-structured operator, warm-started from the previous solution
-  (gradients change slowly between steps, so a handful of iterations
-  suffice).
+  the same split with π from the eigenvalues the holder received.
 
 A refreshed factor goes from the decomposer's task to its holders by one
 path, and each holder installs it once: in a group of one the decomposer
@@ -26,9 +21,9 @@ installs the task's result (``install``); otherwise that result, in its wire
 form (``pack``), is the eigen round's payload and every member, the
 decomposer included, installs what the round delivers (``receive``).
 
-``KFACConfig.solve_strategy`` / ``small_layer_solver`` name one of the three
-(:func:`solve_strategy_class`), the distribution plan carries each layer's
-class (``plan.solvers``) and each rank builds its instance ``from_config``.
+``KFACConfig.solve_strategy`` names one of the two
+(:func:`solve_strategy_class`), the distribution plan carries the class
+(``plan.solver``) and each rank builds one instance per layer ``from_config``.
 """
 
 from __future__ import annotations
@@ -60,10 +55,8 @@ __all__ = [
     "SolveStrategy",
     "EigenSolveStrategy",
     "InverseSolveStrategy",
-    "CGSolveStrategy",
     "solve_strategy_class",
     "available_solve_strategies",
-    "kronecker_cg",
     "pack_eigen",
     "unpack_eigen_repr",
 ]
@@ -110,58 +103,6 @@ def unpack_eigen_repr(packed: np.ndarray, repr: FactorRepr, dtype=np.float32) ->
     return EigenDecomposition(eigenvectors=eigenvectors, eigenvalues=eigenvalues)
 
 
-def kronecker_cg(
-    factor_a: np.ndarray,
-    factor_g: np.ndarray,
-    rhs: np.ndarray,
-    damping_a: float,
-    damping_g: float,
-    x0: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-) -> Tuple[np.ndarray, int]:
-    """Solve ``(G + γ_g I) X (A + γ_a I) = rhs`` by conjugate gradients.
-
-    The operator is the Kronecker product of two symmetric positive
-    (semi-)definite matrices plus damping, hence SPD under the Frobenius
-    inner product — plain CG applies, with each operator application costing
-    two small matmuls instead of ever forming or factorizing the Kronecker
-    product.  ``factor_a`` / ``factor_g`` are square matrices
-    (:meth:`FactorRepr.to_dense` of the stored form).  Runs in float64;
-    returns ``(solution, iterations)``.
-    """
-    a64 = factor_a.astype(np.float64)
-    g64 = factor_g.astype(np.float64)
-    a64 = a64 + float(damping_a) * np.eye(a64.shape[0])
-    g64 = g64 + float(damping_g) * np.eye(g64.shape[0])
-    b = rhs.astype(np.float64)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return g64 @ x @ a64
-
-    x = np.zeros_like(b) if x0 is None else x0.astype(np.float64, copy=True)
-    r = b - apply(x)
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    threshold = float(tol) * max(float(np.linalg.norm(b)), np.finfo(np.float64).tiny)
-    iterations = 0
-    for _ in range(int(max_iter)):
-        if np.sqrt(rs) <= threshold:
-            break
-        ap = apply(p)
-        denom = float(np.vdot(p, ap))
-        if denom <= 0.0 or not np.isfinite(denom):
-            break  # round-off broke positive-definiteness; keep the best iterate
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.vdot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        iterations += 1
-    return x, iterations
-
-
 class SolveStrategy:
     """How one layer's gradient is preconditioned, and the one home of the state that takes.
 
@@ -172,7 +113,7 @@ class SolveStrategy:
     a gradient worker holds (per rank, by ``DistributionPlan.state_bytes_per_rank``),
     :meth:`held_bytes` as measured, :meth:`state_dict` /
     :meth:`state_loader` under the checkpoint's ``"solvers"``.  A strategy
-    with a ``refresh`` also takes factor ``which``'s refresh result (what the
+    takes factor ``which``'s refresh result (what the
     decomposer's task returned) to each gradient worker, to be installed
     once: ``install(which, result, layer)`` in a group of one, else
     ``pack(result, layer)`` (a pure function of it, shaped
@@ -182,12 +123,9 @@ class SolveStrategy:
 
     name: str = "?"
     #: What a second-order refresh computes for the layer on its decomposer:
-    #: ``"eigen"`` (the decompositions of Eqs. 15-17), ``"inverse"`` (the
-    #: damped inverses of Eq. 12) or None (nothing: the strategy reads the
-    #: running factors itself).  Read off the class by
-    #: :meth:`~repro.kfac.KFACConfig.distribution_plan` alone: a layer whose
-    #: refresh computes nothing has no decomposers and no eigen round.
-    refresh: Optional[str] = None
+    #: ``"eigen"`` (the decompositions of Eqs. 15-17) or ``"inverse"`` (the
+    #: damped inverses of Eq. 12); it names the eigen round's messages.
+    refresh: str = "?"
     #: Whether the refresh reads both of a layer's factors on one rank (π from both traces): the plan pairs them.
     pairs_factors: bool = False
     #: The :meth:`KFAC.memory_usage` key (and :class:`~repro.memory.MemoryBreakdown` category) the state counts under.
@@ -496,84 +434,5 @@ def _packed(held) -> np.ndarray:
     return held.copy() if held.ndim == 1 else np.concatenate([pack_triangle(square) for square in held])
 
 
-class CGSolveStrategy(SolveStrategy):
-    """Inverse-free conjugate-gradient solves, warm-started across steps.
-
-    No factorization is ever computed: each iteration applies the damped
-    Kronecker operator directly.  The previous step's solution seeds the
-    next solve (DeepFormer's ``last_x0``), so after the first step only a
-    few CG iterations are needed to track the slowly moving gradient.  The
-    operator is damped ``(π√γ, √γ/π)``, π from the running factors the
-    gradient worker holds (:func:`~repro.kfac.kmath.tikhonov_pi`).
-    """
-
-    name = "cg"
-
-    def __init__(self, tol: float = 1e-8, max_iter: int = 50) -> None:
-        if tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.last_solution: Optional[np.ndarray] = None
-        self.total_iterations = 0
-
-    @classmethod
-    def from_config(cls, config: "KFACConfig") -> "CGSolveStrategy":
-        return cls(tol=config.cg_tol, max_iter=config.cg_max_iter)
-
-    @classmethod
-    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
-        """``last_solution`` per layer: the float64 ``g × a`` warm start."""
-        return sum(8 * layer.a_dim * layer.g_dim for layer in layers)
-
-    def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
-        if layer.factor_a is None or layer.factor_g is None:
-            raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
-        pi = tikhonov_pi(layer.factor_a, layer.factor_g, layer.a_repr, layer.g_repr)  # a gradient worker holds both
-        damping_a, damping_g = split_damping(damping, pi)
-        solution, iterations = kronecker_cg(
-            layer.a_repr.to_dense(layer.factor_a),
-            layer.g_repr.to_dense(layer.factor_g),
-            grad,
-            damping_a,
-            damping_g,
-            x0=self.last_solution,
-            tol=self.tol,
-            max_iter=self.max_iter,
-        )
-        self.last_solution = solution
-        self.total_iterations += iterations
-        return solution.astype(grad.dtype)
-
-    def held_bytes(self) -> int:
-        return 0 if self.last_solution is None else self.last_solution.nbytes
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "last_solution": None if self.last_solution is None else self.last_solution.copy(),
-            "total_iterations": self.total_iterations,
-        }
-
-    def state_loader(self, state: Dict[str, Any], layer: "KFACLayer") -> Callable[[], None]:
-        """The warm start, which must be a float ``(g_dim, a_dim)`` array (raises naming the layer), as float64."""
-        warm = state["last_solution"]
-        if warm is not None:
-            warm, expected = np.asarray(warm), (layer.g_dim, layer.a_dim)
-            if warm.shape != expected or warm.dtype.kind != "f":
-                raise ValueError(
-                    f"layer {layer.name!r}: checkpoint CG warm start is a {warm.dtype} array of shape {warm.shape}, "
-                    f"expected floats of shape {expected}"
-                )
-            warm = warm.astype(np.float64)
-        total_iterations = int(state["total_iterations"])
-
-        def restore() -> None:
-            self.last_solution, self.total_iterations = warm, total_iterations
-
-        return restore
-
-
 #: Strategy name -> class.
-_SOLVERS: Dict[str, type] = {cls.name: cls for cls in (EigenSolveStrategy, InverseSolveStrategy, CGSolveStrategy)}
+_SOLVERS: Dict[str, type] = {cls.name: cls for cls in (EigenSolveStrategy, InverseSolveStrategy)}

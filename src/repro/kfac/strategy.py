@@ -22,9 +22,9 @@ fixed blocks of :func:`num_grad_workers` ranks otherwise (MEM-OPT is blocks of
 one).  :func:`build_plan` sees layer *shapes* and a :class:`WirePolicy`, never
 the preconditioner or a live layer, and returns **data, the same on every
 rank**: a :class:`DistributionPlan` naming the scheme, which rank decomposes
-which factor, which ranks hold each running factor, each layer's
-:class:`~repro.kfac.scheduling.SolveStrategy` (whose state its gradient
-workers hold), and the three communication rounds of one update as unbound
+which factor, which ranks hold each running factor, the
+:class:`~repro.kfac.scheduling.SolveStrategy` (whose state each layer's
+gradient workers hold), and the three communication rounds of one update as unbound
 specs -- ``(key, shape, dtype)`` per factor allreduce, a
 :class:`~repro.distributed.collectives.BroadcastSpec` without ``payload`` /
 ``on_complete`` per eigen (or damped-inverse) and preconditioned-gradient
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -153,9 +153,7 @@ class StepActions:
     """What one step does: the layers that ``fold`` their factors and ``refresh`` their decompositions.
 
     Both are layer names in registration order; the rounds they post are read
-    off the plan the actions came from (:meth:`DistributionPlan.actions`).  A
-    drift revision (:mod:`repro.kfac.scheduling.drift`) is
-    ``dataclasses.replace`` of either tuple: the rounds follow.
+    off the plan the actions came from (:meth:`DistributionPlan.actions`).
     """
 
     step: int
@@ -190,8 +188,8 @@ class DistributionPlan:
     per-factor entries -- in registration order, so a step that refreshes a
     subset of layers concatenates those layers' entries and keeps the order.
     Ranks in ``decomposers`` / ``factor_holders`` are sorted tuples.
-    ``solvers`` is each layer's :class:`~repro.kfac.scheduling.SolveStrategy`
-    class: what its eigen round ships and its gradient workers hold.
+    ``solver`` is the :class:`~repro.kfac.scheduling.SolveStrategy` class of
+    every layer: what its eigen round ships and its gradient workers hold.
     ``refresh_offsets`` is the phase of each layer's decomposition in the
     interval (:func:`~repro.kfac.assignment.staggered_refresh_offsets`);
     :meth:`actions` turns the two cadences and the offsets into what a step does.
@@ -203,9 +201,9 @@ class DistributionPlan:
     world_size: int
     policy: WirePolicy
     groups: Dict[str, LayerWorkGroups]  # placement
-    solvers: Dict[str, Type["SolveStrategy"]]  # what solves the layer: its gradient workers hold that state
+    solver: Type["SolveStrategy"]  # what solves every layer: its gradient workers hold that state
     decomposers: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that decompose (or invert) the factor
-    factor_holders: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that keep the running factor
+    factor_holders: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that keep the running factor: its decomposers
     factor_round: Dict[str, Tuple[FactorSpec, ...]]  # world-wide window allreduces
     eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh: decompositions or packed inverses
     gradient_round: Dict[str, Tuple[BroadcastSpec, ...]]  # every step
@@ -241,11 +239,6 @@ class DistributionPlan:
         interval = self.inv_update_freq
         return [self.actions(2 * interval + phase) for phase in range(interval)]
 
-    def base_updates(self, steps: int) -> Tuple[int, int]:
-        """``(folds, decompositions)`` the base cadence performs over all layers in its first ``steps`` steps."""
-        performed = [self.actions(step) for step in range(steps)]
-        return sum(len(actions.fold) for actions in performed), sum(len(actions.refresh) for actions in performed)
-
     def factor_bytes_per_rank(self) -> np.ndarray:
         """Running-factor bytes each rank holds."""
         per_rank = np.zeros(self.world_size, dtype=np.int64)
@@ -256,17 +249,16 @@ class DistributionPlan:
     def state_bytes_per_rank(self, memory_key: Optional[str] = None) -> np.ndarray:
         """Second-order state bytes each rank holds: ``SolveStrategy.state_bytes`` of the layers it is a gradient worker of.
 
-        Each strategy prices a rank's layers together: the inverse path pairs
-        their dense inverses two to a buffer.  ``memory_key`` (``"eigen"`` /
-        ``"solver"``) keeps the strategies ``memory_usage()`` counts under it.
+        The strategy prices a rank's layers together: the inverse path pairs
+        their dense inverses two to a buffer.  With ``memory_key`` (``"eigen"``
+        / ``"solver"``) only state ``memory_usage()`` counts under that key.
         """
         per_rank = np.zeros(self.world_size, dtype=np.int64)
+        if memory_key not in (None, self.solver.memory_key):
+            return per_rank
         for rank in range(self.world_size):
-            held: Dict[Type["SolveStrategy"], List[LayerShapeInfo]] = {}
-            for name, strategy in self.solvers.items():
-                if memory_key in (None, strategy.memory_key) and self.groups[name].is_grad_worker(rank):
-                    held.setdefault(strategy, []).append(self.groups[name].layer)
-            per_rank[rank] = sum(strategy.state_bytes(layers, self.policy) for strategy, layers in held.items())
+            held = [group.layer for group in self.groups.values() if group.is_grad_worker(rank)]
+            per_rank[rank] = self.solver.state_bytes(held, self.policy)
         return per_rank
 
     def messages(self, step: Optional[int] = None) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
@@ -428,8 +420,7 @@ def build_plan(
     grad_worker_frac: float,
     balance: str,
     policy: WirePolicy,
-    factors_read_everywhere: bool,
-    solvers: Mapping[str, Type["SolveStrategy"]],
+    solver: Type["SolveStrategy"],
     factor_update_freq: int,
     inv_update_freq: int,
     bucket_cap_mb: float,
@@ -437,17 +428,14 @@ def build_plan(
     """The :class:`DistributionPlan` of ``layers``, its rounds bucketed under ``bucket_cap_mb``.
 
     :meth:`~repro.kfac.KFACConfig.distribution_plan` is the one caller: it
-    turns the hyperparameters into these arguments, ``solvers`` the
-    :class:`~repro.kfac.scheduling.SolveStrategy` class of each layer.
+    turns the hyperparameters into these arguments, ``solver`` the
+    :class:`~repro.kfac.scheduling.SolveStrategy` class of every layer.
     Placement is :func:`assign_workers`; each factor is refreshed by its
-    eigen worker as the layer's strategy says -- decomposed, or inverted
-    (both of the layer's factors on one rank, which holds both traces, when
-    the strategy ``pairs_factors``) -- and the eigen round ships the result
-    in the strategy's wire form.  A running factor is held where a plan reads
-    it: by the ranks that decompose it; by the layer's gradient workers when
-    its strategy refreshes nothing (``cg`` reads the factors itself, so
-    nothing is decomposed or broadcast for it); and by every rank when ``factors_read_everywhere`` (``drift_tol > 0`` derives
-    the refresh plan from factor drift on every rank).  Factors are allreduced world-wide as
+    eigen worker as the strategy says -- decomposed, or inverted (both of
+    the layer's factors on one rank, which holds both traces, when the
+    strategy ``pairs_factors``) -- and the eigen round ships the result in
+    the strategy's wire form.  A running factor is held by the one rank that
+    reads it: its decomposer.  Factors are allreduced world-wide as
     the ranks' *window* averages, in the form they are stored in: a dense one
     as its packed triangle (section 4.3's optimisation, here the only layout),
     a diagonal one as O(F) elements.  The two cadences place each layer's
@@ -458,32 +446,25 @@ def build_plan(
     layers = list(layers)
     workers = num_grad_workers(world_size, grad_worker_frac)
     scheme = "COMM-OPT" if workers >= world_size else "MEM-OPT" if workers == 1 else "HYBRID-OPT"
-    solvers = {layer.name: solvers[layer.name] for layer in layers}
-    paired = [name for name, strategy in solvers.items() if strategy.pairs_factors]
+    paired = [layer.name for layer in layers] if solver.pairs_factors else []
     groups = assign_workers(layers, world_size, grad_worker_frac, balance, paired=paired)
-    everyone = tuple(range(world_size))
     factor_dtype = np.dtype(policy.precision.factor_dtype)
     offsets = staggered_refresh_offsets(
         {layer.name: layer.eigen_cost for layer in layers}, world_size, factor_update_freq, inv_update_freq
     )
     plan = DistributionPlan(
-        scheme, world_size, policy, groups, solvers, {}, {}, {}, {}, {},
+        scheme, world_size, policy, groups, solver, {}, {}, {}, {}, {},
         int(factor_update_freq), int(inv_update_freq), offsets, float(bucket_cap_mb),
     )  # fmt: skip
     for layer in layers:
-        name, group, strategy = layer.name, groups[layer.name], solvers[layer.name]
-        decomposed = strategy.refresh is not None
-        if strategy.pairs_factors and group.eigen_worker_a != group.eigen_worker_g:
+        name, group = layer.name, groups[layer.name]
+        if solver.pairs_factors and group.eigen_worker_a != group.eigen_worker_g:
             raise RuntimeError(f"layer {name!r} is inverted, but its A and G factors are placed on different ranks")
         for which, eigen_worker in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
-            plan.decomposers[name, which] = (eigen_worker,) if decomposed else ()
-            if factors_read_everywhere:
-                plan.factor_holders[name, which] = everyone
-            else:
-                plan.factor_holders[name, which] = plan.decomposers[name, which] if decomposed else group.grad_workers
+            plan.decomposers[name, which] = plan.factor_holders[name, which] = (eigen_worker,)
         plan.factor_round[name] = tuple(
             (f"{name}/factor_{which}", layer.factor_repr(which).packed_shape, factor_dtype) for which in ("a", "g")
         )
-        plan.eigen_round[name] = _eigen_round(group, policy, strategy) if decomposed else ()
+        plan.eigen_round[name] = _eigen_round(group, policy, solver)
         plan.gradient_round[name] = _gradient_round(group)
     return plan

@@ -87,8 +87,8 @@ class BertModel(nn.Module):
         return self.mlm_head(self.encode(token_ids, attention_mask=attention_mask))
 
     def kfac_excluded_modules(self) -> list[nn.Module]:
-        """Modules that must not be preconditioned (embeddings and MLM head)."""
-        return [self.token_embedding, self.position_embedding, self.mlm_head]
+        """Modules that must not be preconditioned: the MLM head (no handler registers an embedding)."""
+        return [self.mlm_head]
 
 
 def bert_tiny(vocab_size: int = 1000, rng=None) -> BertModel:

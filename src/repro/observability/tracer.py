@@ -12,8 +12,8 @@ can be merged onto one timeline afterwards.  Three event kinds are recorded:
   result is awaited, overlapping whatever the rank computes in between —
   are recorded with :meth:`Tracer.record_span` and carry a ``lane`` tag
   instead of a stack depth.
-* **instants** — zero-duration marks (a bucket was posted, a factor refresh
-  was skipped, damping changed), with attributes.
+* **instants** — zero-duration marks (a bucket was posted, a factor window
+  was rejected, damping changed), with attributes.
 * **counters / gauges** — a monotonically accumulated value per name
   (:meth:`counter_add`) and a last-value-wins sample per name
   (:meth:`gauge_set`).

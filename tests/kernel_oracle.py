@@ -16,9 +16,8 @@ Since dense factors are stored as packed triangles the oracle is also the
 and :func:`square_fold_reference` is the decay fold on full matrices, packed
 only to be compared.  :class:`SquarePathKernelBackend` decomposes as the
 backend did when factors were stored square (symmetrise, then the same LAPACK
-driver) and :func:`use_square_path` puts a whole preconditioner on it, with
-the drift norm and the CG path's π traces taken over full matrices as well
-(the eigen path's π is read off the square path's own eigenvalues).  The packed
+driver) and :func:`use_square_path` puts a whole preconditioner on it (the
+eigen path's π is read off the square path's own eigenvalues).  The packed
 fold, the packed allreduce average, the ``?tpttr`` -> ``?syevd`` solve and
 whole trajectories must equal them to the bit on exactly symmetric windows.
 
@@ -48,8 +47,8 @@ from repro.kfac import (
     eigenvalue_outer_product,
     precondition_with_eigen,
 )
-from repro.kfac.kmath import split_damping, triangle_dim
-from repro.kfac.scheduling import CGSolveStrategy, EigenSolveStrategy, kronecker_cg
+from repro.kfac.kmath import triangle_dim
+from repro.kfac.scheduling import EigenSolveStrategy
 
 
 def as_square(factor):
@@ -164,58 +163,15 @@ class SquarePathKernelBackend(KernelBackend):
 def use_square_path(preconditioner):
     """Put ``preconditioner`` on the square path: the trajectory oracle for packed storage; returns it.
 
-    Storage stays as it is; every reader of a dense factor is handed the full
-    matrix and computes what it computed before packed storage: the
-    decompositions (:class:`SquarePathKernelBackend`), the drift (elementwise
-    Frobenius norm of the squares, snapshots included) and the CG path's π
-    traces (``np.trace``; the CG solve is written out here on the squares).
-    The ``inverse`` / ``cg`` solvers expand for themselves; the eigen path's π
-    comes from the square path's eigenvalues.
+    Storage stays as it is; the decompositions expand every dense factor to
+    the full matrix and compute what they computed before packed storage
+    (:class:`SquarePathKernelBackend`).  The ``inverse`` solver expands for
+    itself; the eigen path's π comes from the square path's eigenvalues.
     """
     oracle = SquarePathKernelBackend()
     preconditioner.kernels = oracle
     for layer in preconditioner.layers.values():
         layer.kernels = oracle
-
-    def squares(name, factor_a, factor_g):
-        layer = preconditioner.layers[name]
-        pairs = ((factor_a, layer.a_repr), (factor_g, layer.g_repr))
-        return [f if f is None or r.elementwise else r.to_dense(f) for f, r in pairs]
-
-    drift = preconditioner.drift  # None at drift_tol=0: nothing reads the factors to plan the refresh
-    if drift is not None:
-        observe, mark = drift.observe_factors, drift.mark_second_order
-        drift.observe_factors = lambda name, step, a, g, *reprs: observe(name, step, *squares(name, a, g))
-        drift.mark_second_order = lambda name, step, a, g: mark(name, step, *squares(name, a, g))
-
-    def square_pi(layer):
-        means = []
-        for factor, dim in zip(squares(layer.name, layer.factor_a, layer.factor_g), (layer.a_dim, layer.g_dim)):
-            wide = factor.astype(np.float64)
-            trace = np.trace(wide) if wide.ndim == 2 else np.sum(wide)
-            means.append(float(trace) / max(dim, 1))
-        if not all(np.isfinite(mean) and mean > 1e-12 for mean in means):
-            return 1.0
-        return float(np.sqrt(means[0] / means[1]))
-
-    def square_cg(solver):
-        def solve(layer, grad, damping):
-            if layer.factor_a is None or layer.factor_g is None:
-                raise RuntimeError(f"layer {layer.name!r} has no factors to solve against")
-            square_a, square_g = layer.a_repr.to_dense(layer.factor_a), layer.g_repr.to_dense(layer.factor_g)
-            solution, iterations = kronecker_cg(
-                square_a, square_g, grad, *split_damping(damping, square_pi(layer)),
-                x0=solver.last_solution, tol=solver.tol, max_iter=solver.max_iter,
-            )  # fmt: skip
-            solver.last_solution = solution
-            solver.total_iterations += iterations
-            return solution.astype(grad.dtype)
-
-        return solve
-
-    for solver in preconditioner.solvers.values():
-        if isinstance(solver, CGSolveStrategy):
-            solver.solve = square_cg(solver)
     return preconditioner
 
 

@@ -451,29 +451,6 @@ class TestShardedFactorLayout:
             assert len(holders) == 1, f"{key} held by {holders}"
         assert sum(entry["memory"]["factors"] for entry in ranks) == ranks[0]["all_factor_bytes"]
 
-    @pytest.mark.parametrize(
-        "knob, solver",
-        [({"drift_tol": 0.05, "max_staleness": 8}, "inverse"), ({"drift_tol": 0.05, "max_staleness": 8}, "eigen"),
-         ({"drift_tol": 0.05, "max_staleness": 8}, "cg")],
-        ids=["drift-inverse", "drift-eigen", "drift-cg"],
-    )  # fmt: skip
-    @pytest.mark.parametrize("frac", [0.25, 1.0])
-    def test_knobs_every_rank_reads_factors_for_make_every_rank_hold_them(self, knob, frac, solver):
-        """``drift_tol`` derives the plan from factor drift on every rank -- its one reason to hold every
-        factor everywhere; the sanitizer's plan check holds the ranks to one plan."""
-        ranks = run_spmd(4, layout_program(steps=6, grad_worker_frac=frac, solve_strategy=solver, **knob), sanitize=True)
-        for entry in ranks:
-            assert all(entry["held"].values())
-            assert entry["memory"]["factors"] == ranks[0]["all_factor_bytes"]
-            np.testing.assert_array_equal(entry["params"], ranks[0]["params"])
-
-    def test_the_solver_that_reads_the_factors_holds_them_on_the_gradient_workers(self):
-        ranks = run_spmd(4, layout_program(grad_worker_frac=0.5, solve_strategy="cg"))
-        for (name, which), _ in ranks[0]["held"].items():
-            for entry in ranks:
-                assert entry["held"][(name, which)] == entry["grad_worker"][name]
-        assert sum(entry["memory"]["factors"] for entry in ranks) == 2 * ranks[0]["all_factor_bytes"]
-
     @SOLVERS
     def test_strategies_agree_after_20_steps_at_any_bucket_cap(self, solver):
         """MEM / HYBRID / COMM-OPT are one algorithm; the bucket cap changes

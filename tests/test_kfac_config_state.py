@@ -58,8 +58,7 @@ class TestKFACConfig:
         [
             dict(factor_update_freq=0),
             dict(inv_update_freq=0),
-            dict(max_staleness=50, drift_tol=0.05),  # positive, but below inv_update_freq=100
-            dict(max_staleness=100, drift_tol=0.05),  # equal to inv_update_freq: the drift schedule stretches nothing
+            dict(solve_strategy="cg"),
             dict(factor_decay=0.0),
             dict(factor_decay=1.5),
             dict(damping=0.0),
@@ -74,48 +73,24 @@ class TestKFACConfig:
         with pytest.raises(ValueError):
             KFACConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs, field, paths",
-        [(dict(compute_eigen_outer=False), "compute_eigen_outer", "['inverse']"),
-         (dict(compute_eigen_outer=False, solve_strategy="cg"), "compute_eigen_outer", "['cg']"),
-         (dict(compute_eigen_outer=False, small_layer_dim=8), "compute_eigen_outer", "['cg', 'inverse']"),
-         (dict(cg_tol=1e-6), "cg_tol", "['inverse']"),
-         (dict(cg_max_iter=5, solve_strategy="eigen"), "cg_max_iter", "['eigen']"),
-         (dict(cg_tol=1e-6, small_layer_dim=8, small_layer_solver="eigen"), "cg_tol", "['eigen', 'inverse']"),
-         (dict(small_layer_solver="eigen"), "small_layer_solver", "['inverse']"),
-         (dict(small_layer_dim=8, small_layer_solver="inverse"), "small_layer_dim", "['inverse']"),
-         (dict(small_layer_dim=8, solve_strategy="cg"), "small_layer_dim", "['cg']"),
-         (dict(max_staleness=200), "max_staleness", "['inverse']")],
-    )  # fmt: skip
-    def test_a_value_no_reachable_solve_path_reads_is_refused_naming_the_field_and_the_paths(self, kwargs, field, paths):
-        """A non-default value is refused unless a path of ``{solve_strategy}`` (plus ``small_layer_solver``
-        when ``small_layer_dim > 0``) reads it; code and dicts alike, and a checkpoint of defaults still loads."""
-        message = rf"^{field}=.* is never read: .* \(solve paths {re.escape(paths)}\)$"
+    def test_a_value_no_reachable_solve_path_reads_is_refused_naming_the_field_and_the_paths(self):
+        """``compute_eigen_outer=False`` is refused unless ``solve_strategy`` is the eigen path that reads it;
+        code and dicts alike, and a checkpoint of defaults still loads."""
+        message = r"^compute_eigen_outer=False is never read: .* \(solve_strategy 'inverse'\)$"
         with pytest.raises(ValueError, match=message):
-            KFACConfig(**kwargs)
+            KFACConfig(compute_eigen_outer=False)
         with pytest.raises(ValueError, match=message):
-            KFACConfig.from_dict(dict(KFACConfig().to_dict(), **kwargs))
+            KFACConfig.from_dict(dict(KFACConfig().to_dict(), compute_eigen_outer=False))
         assert KFACConfig.from_dict(KFACConfig().to_dict()) == KFACConfig()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(compute_eigen_outer=False, solve_strategy="eigen"),
-         dict(compute_eigen_outer=False, small_layer_dim=8, small_layer_solver="eigen"),
-         dict(cg_tol=1e-6, cg_max_iter=5, solve_strategy="cg"),
-         dict(cg_tol=1e-6, small_layer_dim=8),
-         dict(small_layer_dim=8, small_layer_solver="eigen", solve_strategy="cg"),
-         dict(max_staleness=200, drift_tol=0.05)],
-    )  # fmt: skip
-    def test_a_value_a_reachable_path_reads_is_accepted(self, kwargs):
-        config = KFACConfig(**kwargs)
+    def test_a_value_a_reachable_path_reads_is_accepted(self):
+        config = KFACConfig(compute_eigen_outer=False, solve_strategy="eigen")
         assert KFACConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize(
-        "field", ["factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb", "drift_tol", "cg_tol"]
-    )
+    @pytest.mark.parametrize("field", ["factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb"])
     def test_a_non_finite_float_is_refused_naming_the_field(self, field, value):
-        """NaN fails no ``<=`` check (``drift_tol=nan`` would silently turn drift off): code and dicts alike refuse it."""
+        """NaN fails no ``<=`` check (``damping=nan`` would pass ``damping <= 0``): code and dicts alike refuse it."""
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             KFACConfig(**{field: value})
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
@@ -124,8 +99,8 @@ class TestKFACConfig:
     @pytest.mark.parametrize(
         "field, value, expected",
         [("compute_eigen_outer", "false", None), ("adaptive_damping", "no", None), ("adaptive_damping", 0.5, None),
-         ("adaptive_damping", np.bool_(True), True), ("factor_update_freq", 2.5, None), ("cg_max_iter", 1.9, None),
-         ("small_layer_dim", -0.5, None), ("max_staleness", True, None), ("inv_update_freq", np.bool_(True), None),
+         ("adaptive_damping", np.bool_(True), True), ("factor_update_freq", 2.5, None), ("inv_update_freq", 1.9, None),
+         ("inv_update_freq", -0.5, None), ("factor_update_freq", True, None), ("inv_update_freq", np.bool_(True), None),
          ("inv_update_freq", np.int64(7), 7), ("factor_update_freq", 4.0, 4), ("factor_decay", True, None),
          ("damping", "0.01", None), ("bucket_cap_mb", True, None), ("kl_clip", np.bool_(True), None),
          ("grad_worker_frac", "1", None), ("bucket_cap_mb", "auto", None),
@@ -155,19 +130,20 @@ class TestKFACConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("comm_overlap", False), ("adaptive_schedule", False), ("triangular_comm", False), ("dense_factors", False),
-         ("kernel_backend", "reference"), ("lr", 0.1)],
+         ("kernel_backend", "reference"), ("lr", 0.1), ("drift_tol", 0.0), ("max_staleness", 0),
+         ("small_layer_solver", "cg"), ("small_layer_dim", 0), ("cg_tol", 1e-8), ("cg_max_iter", 50)],
     )  # fmt: skip
     def test_a_retired_key_raises_like_any_unknown_key(self, key, value):
         with pytest.raises(ValueError, match=rf"unknown KFACConfig fields: \['{key}'\]"):
             KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{key: value}))
 
-    def test_the_config_has_eighteen_fields(self):
+    def test_the_config_has_twelve_fields(self):
         """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member.
 
         The learning rate is not one: ``KFAC.step(lr)`` takes the optimizer's, so a config ``lr`` is refused."""
         import dataclasses
 
-        assert len(dataclasses.fields(KFACConfig)) == 18
+        assert len(dataclasses.fields(KFACConfig)) == 12
         with pytest.raises(TypeError):
             KFACConfig(lr=0.1)
 
@@ -445,7 +421,7 @@ class TestStateDictResume:
 
     @pytest.mark.parametrize("cadence, steps_before", [((2, 4), 5), ((5, 10), 3), ((5, 10), 8)])
     def test_resume_of_checkpoint_without_plan_stays_on_cadence(self, cadence, steps_before):
-        """A checkpoint stores no plan (with drift off, no schedule either): resumed mid-interval it must
+        """A checkpoint stores no plan and no schedule: resumed mid-interval it must
         refresh when the uninterrupted run does -- on the distribution plan's offsets, before, between
         and after two staggered steps -- bit for bit."""
         x, y = make_problem(6)
@@ -1023,8 +999,7 @@ class TestOneCheckpointFormat:
 
     @pytest.mark.parametrize("world", [1, 2])
     def test_a_restore_never_changes_the_plan(self, world):
-        """After every restore -- drift off, drift on, and drift off with a stray ``"scheduler"`` whose phases
-        are not the plan's -- the plan is still the one the config builds for the world."""
+        """After every restore, on either solve path, the plan is still the one the config builds for the world."""
         x, y = make_problem(6)
         base = KFACConfig.mem_opt(world, factor_update_freq=5, inv_update_freq=10)
 
@@ -1033,7 +1008,7 @@ class TestOneCheckpointFormat:
 
         def program(comm):
             digests = []
-            for config in (base, base.replace(drift_tol=0.05, max_staleness=20)):
+            for config in (base, base.replace(solve_strategy="eigen")):
                 pre = build(comm, config)
                 assert any(pre.plan.refresh_offsets.values())
                 for step in range(7):
@@ -1041,23 +1016,15 @@ class TestOneCheckpointFormat:
                     pre.model.zero_grad()
                     nn.CrossEntropyLoss()(pre.model(Tensor(x[local])), y[local]).backward()
                     pre.step(lr=0.1)
-                state = pre.state_dict()
-                checkpoints = [state]
-                if config.drift_tol == 0:
-                    assert "scheduler" not in state
-                    entry = dict(factor_interval=5, eigen_interval=10, next_factor_step=10, next_eigen_step=10,
-                                 snapshot_a=None, snapshot_g=None, last_drift=None, last_eigen_step=0)  # fmt: skip
-                    checkpoints.append(dict(state, scheduler={"layers": {name: dict(entry) for name in pre.layers}}))
-                for checkpoint in checkpoints:
-                    restored = build(comm, config)
-                    restored.load_state_dict(checkpoint)
-                    shapes = [layer.shape_info() for layer in restored.layers.values()]
-                    built = restored.config.distribution_plan(shapes, restored.world_size).digest()
-                    digests.append((restored.plan.digest(), built, pre.plan.digest()))
+                restored = build(comm, config)
+                restored.load_state_dict(pre.state_dict())
+                shapes = [layer.shape_info() for layer in restored.layers.values()]
+                built = restored.config.distribution_plan(shapes, restored.world_size).digest()
+                digests.append((restored.plan.digest(), built, pre.plan.digest()))
             return digests
 
         for digests in run_spmd(world, program):
-            assert len(digests) == 3
+            assert len(digests) == 2
             for ours, built, original in digests:
                 assert ours == built == original
 
@@ -1071,7 +1038,7 @@ class TestOneCheckpointFormat:
     )  # fmt: skip
     def test_a_non_float_checkpoint_array_is_refused_naming_the_layer(self, key, dtype):
         """A layer's factors and accumulators and the eigen path's state load only from float arrays, as the
-        inverse and CG states do: a bool or string array in their place raises naming the layer, not a cast."""
+        inverse state does: a bool or string array in their place raises naming the layer, not a cast."""
         x, y = make_problem(14, in_dim=5)
 
         def build():
@@ -1121,6 +1088,43 @@ class TestOneCheckpointFormat:
         with pytest.raises(ValueError, match=rf"layer {last!r}: checkpoint A factor is a bool array"):
             target.load_state_dict(state)
         assert target.steps == 2 and pickle.dumps(target.state_dict()) == before
+        for pre in (source, target):
+            pre.remove()
+
+    @pytest.mark.parametrize("solve_strategy", ["inverse", "eigen"])
+    @pytest.mark.parametrize("entry", ["scheduler", "last_solution"])
+    def test_a_checkpoint_of_a_removed_feature_is_refused_by_name_and_leaves_the_instance_as_it_was(
+        self, entry, solve_strategy
+    ):
+        """A format-5 dict written with the drift schedule on carries a ``"scheduler"`` entry, one written on the CG
+        path a layer's ``last_solution``: either raises naming the entry and the feature, and assigns nothing."""
+        x, y = make_problem(15, in_dim=5)
+
+        def trained(seed, steps):
+            model = MLP(5, [16, 8], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, solve_strategy=solve_strategy)
+            for step in range(steps):
+                model.zero_grad()
+                batch = slice(32 * step, 32 * step + 32)
+                nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch]).backward()
+                pre.step(lr=0.1)
+            return pre
+
+        source, target = trained(1, 3), trained(2, 2)
+        state = source.state_dict()
+        last = list(state["layers"])[-1]
+        if entry == "scheduler":
+            state["scheduler"] = {"layers": {name: {"eigen_interval": 1} for name in state["layers"]}}
+            where, feature = "'scheduler'", "drift-driven refresh schedule"
+        else:
+            state["solvers"][last] = {"last_solution": np.zeros((3, 9)), "total_iterations": 4}
+            where, feature = f"'solvers/{last}/last_solution'", "conjugate-gradient solve strategy"
+        before = pickle.dumps(target.state_dict())
+        with pytest.raises(ValueError, match=rf"checkpoint entry {where} was written by the {feature}"):
+            target.load_state_dict(state)
+        assert target.steps == 2 and pickle.dumps(target.state_dict()) == before
+        target.load_state_dict(source.state_dict())  # without the entry it is an ordinary format-5 checkpoint
+        assert target.steps == 3
         for pre in (source, target):
             pre.remove()
 

@@ -6,7 +6,7 @@ oracle (bitwise for the decay fold and the preconditioning contraction,
 tolerance-tiered for the eigendecomposition and the einsum KL accumulation),
 degenerate factors, the no-copy regression tests on buffer identity,
 end-to-end oracle-vs-backend training parity across all three distribution
-strategies x sync/overlap x adaptive due-subsets and mixed precision,
+strategies x sync/overlap and mixed precision,
 and checkpoint resume with the kernels flipped between save and load.
 "reference" below always means the oracle's kernels, swapped into a
 preconditioner with ``use_reference_kernels``.
@@ -985,22 +985,19 @@ def make_preconditioner(model, config, backend, **run_objects):
     return use_reference_kernels(pre) if backend == "reference" else pre
 
 
-def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
-                     precision="fp32", comm=None, steps=6, seed=11):
+def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, precision="fp32", comm=None, steps=6, seed=11):
     """Train a small MLP for ``steps``; return per-step parameter snapshots."""
     x, y = make_problem(seed, samples=128)
     loss_fn = nn.CrossEntropyLoss()
     model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))
     config = KFACConfig(
         factor_update_freq=2,
-        inv_update_freq=2 if adaptive else 4,
+        inv_update_freq=4,
         grad_worker_frac=grad_worker_frac,
         precision=precision,
         # "sync": a cap below any tensor, one message per tensor; otherwise the fused
         # default.
         bucket_cap_mb=1e-6 if mode == "sync" else 25.0,
-        drift_tol=0.5 if adaptive else 0.0,
-        max_staleness=8 if adaptive else 0,
         solve_strategy="eigen",  # the kernels the oracle replaces
     )
     pre = make_preconditioner(model, config, backend, comm=comm)
@@ -1025,10 +1022,9 @@ def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, adaptive=False,
 
 class TestTrainingParity:
     @pytest.mark.parametrize("mode", ["sync", "overlap"])
-    @pytest.mark.parametrize("adaptive", [False, True])
-    def test_single_process_parity(self, mode, adaptive):
-        reference, _ = train_trajectory("reference", mode=mode, adaptive=adaptive)
-        batched, _ = train_trajectory("batched", mode=mode, adaptive=adaptive)
+    def test_single_process_parity(self, mode):
+        reference, _ = train_trajectory("reference", mode=mode)
+        batched, _ = train_trajectory("batched", mode=mode)
         for expected, actual in zip(reference, batched):
             np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
 
@@ -1048,33 +1044,6 @@ class TestTrainingParity:
 
         for result in run_spmd(4, program):
             for expected, actual in zip(result["reference"], result["batched"]):
-                np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
-
-    @pytest.mark.parametrize("grad_worker_frac", [0.25, 1.0])
-    def test_distributed_adaptive_due_subsets(self, grad_worker_frac):
-        """Batched eigen only ever sees the adaptive scheduler's due layers;
-        plans (which depend on bitwise-identical factors) match across
-        backends, so trajectories agree at the eigh tolerance."""
-
-        def program(comm):
-            out = {}
-            for backend in ("reference", "batched"):
-                before = comm.tracer.counters()
-                snapshots, _ = train_trajectory(
-                    backend, grad_worker_frac=grad_worker_frac, adaptive=True, comm=comm, steps=8
-                )
-                # What this run's refresh decisions added to the rank's registry.
-                decisions = {
-                    key: value - before.get(key, 0.0) for key, value in comm.tracer.counters().items() if key.startswith("kfac/")
-                }
-                out[backend] = (snapshots, decisions)
-            return out
-
-        for result in run_spmd(4, program):
-            (ref_snaps, ref_totals) = result["reference"]
-            (bat_snaps, bat_totals) = result["batched"]
-            assert ref_totals == bat_totals  # identical due-set decisions
-            for expected, actual in zip(ref_snaps, bat_snaps):
                 np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64", "amp"])

@@ -338,10 +338,6 @@ class TestPackedStorageOnTheStepPath:
             getattr(layer, f"factor_{which}").nbytes for layer in pre.layers.values() for which in "ag"
         )
 
-    def test_the_factor_reading_solver_is_the_caller_that_does(self, monkeypatch):
-        _, calls = self.run(monkeypatch, solve_strategy="cg")
-        assert calls and {repr_.describe().split(":")[0] for repr_ in calls} == {"dense", "diagonal"}
-
     def test_conv_factors_follow_the_square_path_to_float32_rounding(self):
         """Conv2d windows need not be symmetric to the last bit (no ``syrk`` guarantee on a strided
         product), so against the square path, which symmetrises, the claim is rounding, not bits."""
@@ -744,7 +740,7 @@ class TestBadFactorWindowsAreRejected:
         rejected = layer_events(pre.tracer, "factor_windows_rejected", pre.layers)
         assert rejected == {name: int(name == "layers.2") for name in pre.layers}
         state = pre.state_dict()
-        assert "scheduler" not in state  # with drift off the plan alone says when; nothing of it is stored
+        assert "scheduler" not in state  # the plan alone says when; nothing of it is stored
         clone = MLP(10, [16, 12], 3, rng=np.random.default_rng(1))
         restored = KFAC(clone, factor_update_freq=1, inv_update_freq=1)
         restored.load_state_dict(state)

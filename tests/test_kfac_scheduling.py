@@ -1,12 +1,10 @@
-"""Tests for the adaptive second-order scheduling subsystem.
+"""Tests for the plan's cadence and the `repro.kfac.scheduling` package.
 
 Covers the plan's actions (the base cadence, including cadences that need
-not nest), the `repro.kfac.scheduling` package (their drift revision,
-Levenberg-Marquardt adaptive damping, inverse-free solve strategies), its
-KFACConfig knobs, the planned-step-equals-fixed-cadence oracle (a hand-written Listing-1 K-FAC
-step as the reference), mid-epoch
-checkpoint resume with drift tracking on under all three distribution
-strategies, and the measured-fraction hooks into the analytic cost model.
+not nest), the solve strategies and Levenberg-Marquardt adaptive damping,
+their KFACConfig knobs, the planned-step-equals-fixed-cadence oracle (a
+hand-written Listing-1 K-FAC step as the reference) and mid-epoch checkpoint
+resume with adaptive damping on under all three distribution strategies.
 """
 
 import threading
@@ -19,22 +17,16 @@ from repro.distributed import DistributedDataParallel, ThreadedWorld, run_spmd
 from repro.kfac import (
     KFAC,
     AdaptiveDampingController,
-    CGSolveStrategy,
-    DriftSchedule,
     EigenSolveStrategy,
     FactorRepr,
     InverseSolveStrategy,
     KFACConfig,
-    apply_measured_fractions,
     available_solve_strategies,
-    factor_drift,
-    kronecker_cg,
     make_kernel_backend,
     make_kfac_layer,
     tikhonov_pi,
 )
 from repro.kfac.assignment import folds_on
-from repro.kfac.analysis import IterationTimeModel, KFACWorkloadSpec, model_comm_schedule
 from repro.kfac.kmath import kl_clip_scale_from_total, split_damping
 from repro.kfac.scheduling.solvers import solve_strategy_class
 from repro.kfac.strategy import LayerShapeInfo
@@ -83,241 +75,69 @@ class TestConfigKnobs:
         assert [step for step in range(1, 13) if plan.actions(step).fold] == [3, 6, 9, 10]
         assert plan.actions(10).fold == plan.actions(10).refresh == ("l",)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(drift_tol=0.1),
-            dict(drift_tol=0.1, max_staleness=800),
-            dict(adaptive_damping=True),
-            dict(small_layer_dim=16),
-            dict(solve_strategy="cg"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(adaptive_damping=True), dict(solve_strategy="eigen")])
     def test_adaptive_knobs_require_adaptive_schedule(self, kwargs):
-        """Each adaptive knob reaches the scheduling subsystem on its own, with no enabling flag."""
+        """Each knob reaches the scheduling package on its own, with no enabling flag."""
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, **kwargs)
         run_single_process(pre, model, steps=2, with_loss=True)
         key, value = list(kwargs.items())[-1]
         observed = {
-            "drift_tol": 0.0 if pre.drift is None else pre.drift.drift_tol,
-            "max_staleness": pre.config.max_staleness,
             "adaptive_damping": pre.damping_controller is not None,
-            "small_layer_dim": 16 if {s.name for s in pre.solvers.values()} == {"cg", "inverse"} else 0,
             "solve_strategy": next(iter(pre.solvers.values())).name,
         }
         assert observed[key] == value
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(drift_tol=-0.1),
-            dict(max_staleness=-1),
-            dict(max_staleness=50),  # positive but below inv_update_freq=100
-            dict(solve_strategy="cholesky"),
-            dict(small_layer_solver="cholesky"),
-            dict(small_layer_dim=-1),
-            dict(cg_tol=0.0),
-            dict(cg_max_iter=0),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(solve_strategy="cholesky"), dict(solve_strategy="cg")])
     def test_invalid_adaptive_values_raise(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="solve_strategy must be one of"):
             KFACConfig(**kwargs)
 
-    def test_adaptive_preset(self):
-        config = KFACConfig.adaptive()
-        assert config.drift_tol == 0.05
-        assert config.adaptive_damping
-        assert config.solve_strategy == "eigen"
-        assert config.small_layer_dim == 32
-        assert config.small_layer_solver == "cg"
-        assert config.max_staleness == 8 * config.inv_update_freq
-        # overrides win, and max_staleness follows an overridden eigen cadence
-        custom = KFACConfig.adaptive(inv_update_freq=20, factor_update_freq=3)
-        assert custom.max_staleness == 160
-        assert KFACConfig.adaptive(max_staleness=500).max_staleness == 500
-
     def test_round_trip_preserves_adaptive_fields(self):
-        config = KFACConfig.adaptive(drift_tol=0.2, solve_strategy="inverse")
+        config = KFACConfig(adaptive_damping=True, solve_strategy="eigen")
         assert KFACConfig.from_dict(config.to_dict()) == config
 
     def test_registry_names(self):
-        assert {"eigen", "inverse", "cg"} <= set(available_solve_strategies())
+        assert available_solve_strategies() == ["eigen", "inverse"]
 
 
 # ---------------------------------------------------------------------------
-# The plan's actions and their drift revision
+# The plan's actions
 # ---------------------------------------------------------------------------
 
 
-class TestActionsAndDriftSchedule:
-    def run_plan(self, drift, steps, factors, skips=None, start=0):
-        """Drive ``drift`` like KFAC.step does; return per-step ``(fold, refresh)`` (and append the skips)."""
-        plan = []
-        for step in range(start, start + steps):
-            base = drift.plan.actions(step)
-            actions = drift.revise(base)
-            for name in actions.fold:
-                assert not drift.observe_factors(name, step, factors[name], factors[name])
-            refresh = drift.refreshes(step)
-            for name in refresh:
-                drift.mark_second_order(name, step, factors[name], factors[name])
-            if skips is not None:
-                skips.append((
-                    [name for name in base.fold if name not in actions.fold],
-                    [name for name in base.refresh if name not in refresh],
-                ))  # fmt: skip
-            plan.append((actions.fold, refresh))
-        return plan
-
-    def test_zero_drift_tol_matches_fixed_cadence(self):
-        """With drift off the plan's actions are the schedule: the fixed cadence, nothing else to consult."""
+class TestActions:
+    def test_the_plans_actions_are_the_fixed_cadence(self):
+        """The plan's actions are the schedule: the fixed cadence, nothing else to consult."""
         plan = make_plan(["a", "b"], factor_update_freq=3, inv_update_freq=6)
         for step in range(20):
             actions = plan.actions(step)
             assert actions.fold == (("a", "b") if step % 3 == 0 else ())
             assert actions.refresh == (("a", "b") if step % 6 == 0 else ())
-        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        assert KFAC(model, factor_update_freq=3, inv_update_freq=6).drift is None  # and no revision exists
 
     @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10)], ids=lambda c: f"{c[0]}/{c[1]}")
-    def test_fixed_cadence_skips_nothing_on_cadences_that_do_not_nest(self, cadence):
-        """A refresh at offset 0 restarts the folds, so the base cadence folds on ``step % K % F == 0``,
-        a tolerant drift revision of constant factors folds exactly there and skips nothing, and the
-        base count is what the actions perform."""
+    def test_fixed_cadence_folds_on_cadences_that_do_not_nest(self, cadence):
+        """A refresh at offset 0 restarts the folds, so the base cadence folds on ``step % K % F == 0``."""
         factor_update_freq, inv_update_freq = cadence
         plan = make_plan(["a"], factor_update_freq, inv_update_freq)
         folded = [step for step in range(42) if plan.actions(step).fold]
         assert folded == [step for step in range(42) if step % inv_update_freq % factor_update_freq == 0]
         assert folded == [step for step in range(42) if folds_on(step, factor_update_freq, inv_update_freq)]
-        skips = []
-        revised = self.run_plan(DriftSchedule(plan, drift_tol=0.05), 42, {"a": spd_factor(4, 1)}, skips)
-        assert revised == [(plan.actions(step).fold, plan.actions(step).refresh) for step in range(42)]
-        assert skips == [([], [])] * 42
-        assert plan.base_updates(42) == (len(folded), sum(1 for _, refresh in revised if refresh))
 
     @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10)], ids=lambda c: f"{c[0]}/{c[1]}")
-    def test_fixed_cadence_measures_unit_fractions_on_cadences_that_do_not_nest(self, cadence):
+    def test_fixed_cadence_counts_what_its_actions_perform_on_cadences_that_do_not_nest(self, cadence):
         model = MLP(6, [], 3, rng=np.random.default_rng(5))  # one layer
         pre = KFAC(model, factor_update_freq=cadence[0], inv_update_freq=cadence[1])
         run_single_process(pre, model, steps=42)
-        assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
-        assert event_total(pre, "factor_updates") == pre.plan.base_updates(42)[0]
-        spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
-        assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
+        performed = [pre.plan.actions(step) for step in range(42)]
+        assert event_total(pre, "factor_updates") == sum(len(actions.fold) for actions in performed)
+        assert event_total(pre, "eigen_updates") == sum(len(actions.refresh) for actions in performed)
 
     def test_second_order_due_forces_factor_update(self):
         # inv freq not a multiple of factor freq: the eigen step at 10 is not
-        # a base factor step, but factors must refresh with it -- in the
-        # plan's actions and in a drift revision of them alike.
+        # a base factor step, but factors must refresh with it.
         plan = make_plan(["a"], factor_update_freq=3, inv_update_freq=10)
         assert (plan.actions(10).fold, plan.actions(10).refresh) == (("a",), ("a",))
-        revised = self.run_plan(DriftSchedule(plan, drift_tol=0.05), 12, {"a": spd_factor(4, 1)})
-        assert revised[10] == (("a",), ("a",))
-
-    def test_drift_pulls_refresh_forward(self):
-        drift = DriftSchedule(make_plan(["a"], factor_update_freq=1, inv_update_freq=6), drift_tol=0.05)
-        base = spd_factor(4, 1)
-        # Step 0: factor + eigen refresh, snapshot taken.
-        assert drift.revise(drift.plan.actions(0)).fold == ("a",)
-        drift.observe_factors("a", 0, base, base)
-        assert drift.refreshes(0) == ("a",)
-        drift.mark_second_order("a", 0, base, base)
-        # Step 1: same factors -> tiny drift, no refresh due.
-        drift.observe_factors("a", 1, base, base)
-        assert drift.refreshes(1) == ()
-        # Step 2: factors change massively -> refresh pulled to the next step, known when it begins.
-        shifted = (base * 10.0).astype(np.float32)
-        assert drift.observe_factors("a", 2, shifted, shifted)
-        assert drift.state_dict()["layers"]["a"]["last_drift"] > 0.05
-        assert drift.refreshes(2) == ()
-        assert drift.revise(drift.plan.actions(3)).refresh == ("a",)
-
-    def test_stale_layer_stretches_interval_to_cap(self):
-        plan = make_plan(["a"], factor_update_freq=1, inv_update_freq=2)
-        drift = DriftSchedule(plan, drift_tol=0.5, max_staleness=8)
-        skips = []
-        revised = self.run_plan(drift, 30, {"a": spd_factor(4, 1)}, skips)
-        # Zero drift forever: the eigen interval doubles 2 -> 4 -> 8 and caps.
-        assert drift.state_dict()["layers"]["a"]["eigen_interval"] == 8
-        assert any(eigen_skipped == ["a"] for _, eigen_skipped in skips)
-        fixed_eigen_updates = 15  # steps 0,2,...,28
-        assert sum(1 for _, refresh in revised if refresh) < fixed_eigen_updates == plan.base_updates(30)[1]
-
-    def test_state_dict_round_trip_continues_identically(self):
-        plan = make_plan(["a", "b"], factor_update_freq=1, inv_update_freq=2)
-
-        def build():
-            return DriftSchedule(plan, drift_tol=0.3, max_staleness=8)
-
-        factors = {"a": spd_factor(4, 1), "b": spd_factor(3, 2)}
-        original = build()
-        self.run_plan(original, 7, factors)
-        resumed = build()
-        resumed.load_state_dict(original.state_dict())
-        skips_a, skips_b = [], []
-        plan_a = self.run_plan(original, 9, factors, skips_a, start=7)
-        plan_b = self.run_plan(resumed, 9, factors, skips_b, start=7)
-        assert plan_a == plan_b
-        assert skips_a == skips_b
-
-    def test_layer_mismatch_raises(self):
-        drift = DriftSchedule(make_plan(["a"], 1, 2), drift_tol=0.1)
-        other = DriftSchedule(make_plan(["b"], 1, 2), drift_tol=0.1)
-        with pytest.raises(ValueError, match="does not match"):
-            drift.load_state_dict(other.state_dict())
-
-    def test_only_a_positive_drift_tol_builds_a_schedule(self):
-        """The config validates the knobs once; the preconditioner builds a revision only when drift is on."""
-        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        assert KFAC(model, factor_update_freq=1, inv_update_freq=2).drift is None
-        assert isinstance(KFAC(model, factor_update_freq=1, inv_update_freq=2, drift_tol=0.1).drift, DriftSchedule)
-        with pytest.raises(ValueError, match="max_staleness"):
-            KFACConfig(factor_update_freq=1, inv_update_freq=10, drift_tol=0.1, max_staleness=5)
-
-    def test_factor_drift_normalization(self):
-        base = spd_factor(4, 3)
-        assert factor_drift(base, base) == 0.0
-        assert factor_drift(base * 2.0, base) == pytest.approx(1.0, rel=1e-5)
-
-    @pytest.mark.parametrize("dim", [1, 2, 5, 33])
-    def test_drift_of_packed_triangles_is_the_full_matrix_drift(self, dim):
-        """A stored triangle holds every off-diagonal entry once; the drift ``drift_tol`` is compared
-        with stays the Frobenius quantity over the whole matrix, not over the triangle."""
-        repr_ = FactorRepr.dense(dim)
-        old = spd_factor(dim, 3)
-        new = (old + 0.3 * np.diag(np.arange(1.0, dim + 1.0))).astype(np.float32)  # moves the diagonal only
-        square = factor_drift(new, old)
-        packed = factor_drift(repr_.from_dense(new), repr_.from_dense(old), repr_)
-        assert packed == pytest.approx(square, rel=1e-12)
-        if dim > 1:  # over the triangle alone the same change reads larger: the off-diagonal mass is halved
-            assert factor_drift(repr_.from_dense(new), repr_.from_dense(old)) > square * 1.001
-        # The other representations hold exactly the nonzero entries.
-        diagonal = FactorRepr.diagonal(dim)
-        assert factor_drift(np.diag(new), np.diag(old), diagonal) == factor_drift(np.diag(new), np.diag(old))
-
-    def test_packed_factors_make_the_refresh_decisions_square_ones_make(self):
-        """``drift_tol`` sits between the full-matrix drift and what the bare triangle would read."""
-        repr_ = FactorRepr.dense(6)
-        base = spd_factor(6, 1)
-        moved = (base + 0.2 * np.eye(6)).astype(np.float32)
-        full, bare = factor_drift(moved, base), factor_drift(repr_.from_dense(moved), repr_.from_dense(base))
-        assert full < bare
-        tol = 0.5 * (full + bare)
-        plans = []
-        plan = make_plan(["a"], factor_update_freq=1, inv_update_freq=6)
-        for pack, reprs in ((lambda f: f, ()), (repr_.from_dense, (repr_, repr_))):
-            drift = DriftSchedule(plan, drift_tol=tol)
-            drift.observe_factors("a", 0, pack(base), pack(base), *reprs)
-            drift.mark_second_order("a", 0, pack(base), pack(base))
-            triggered = drift.observe_factors("a", 1, pack(moved), pack(moved), *reprs)
-            plans.append((drift.refreshes(1), triggered))
-            restored = DriftSchedule(plan, drift_tol=tol)
-            restored.load_state_dict(drift.state_dict())  # the snapshot round-trips in the layout it was taken in
-            np.testing.assert_array_equal(restored.state_dict()["layers"]["a"]["snapshot_a"], pack(base))
-        assert plans == [((), False), ((), False)]
-
 
 # ---------------------------------------------------------------------------
 # Solvers
@@ -325,33 +145,9 @@ class TestActionsAndDriftSchedule:
 
 
 class TestSolvers:
-    def test_kronecker_cg_matches_direct_inverse(self):
-        a = spd_factor(6, 1)
-        g = spd_factor(4, 2)
-        rhs = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
-        solution, iters = kronecker_cg(a, g, rhs, 0.01, 0.01, tol=1e-12, max_iter=200)
-        inv_a = np.linalg.inv(a.astype(np.float64) + 0.01 * np.eye(6))
-        inv_g = np.linalg.inv(g.astype(np.float64) + 0.01 * np.eye(4))
-        expected = inv_g @ rhs.astype(np.float64) @ inv_a
-        np.testing.assert_allclose(solution, expected, rtol=1e-6, atol=1e-8)
-        assert iters > 0
-
-    def test_kronecker_cg_warm_start_converges_faster(self):
-        a = spd_factor(8, 1)
-        g = spd_factor(8, 2)
-        rhs = np.random.default_rng(3).standard_normal((8, 8)).astype(np.float32)
-        cold, cold_iters = kronecker_cg(a, g, rhs, 0.01, 0.01, tol=1e-10, max_iter=500)
-        # Slightly perturbed right-hand side, seeded with the previous answer.
-        rhs2 = rhs + 1e-4 * np.random.default_rng(4).standard_normal(rhs.shape).astype(np.float32)
-        _, warm_iters = kronecker_cg(a, g, rhs2, 0.01, 0.01, x0=cold, tol=1e-10, max_iter=500)
-        _, cold2_iters = kronecker_cg(a, g, rhs2, 0.01, 0.01, tol=1e-10, max_iter=500)
-        assert warm_iters < cold2_iters
-
     def test_each_name_is_a_strategy_built_from_the_config_fields_it_reads(self):
         assert solve_strategy_class("eigen") is EigenSolveStrategy
         assert solve_strategy_class("inverse") is InverseSolveStrategy
-        cg = solve_strategy_class("cg").from_config(KFACConfig(solve_strategy="cg", cg_tol=1e-6, cg_max_iter=7))
-        assert isinstance(cg, CGSolveStrategy) and (cg.tol, cg.max_iter) == (1e-6, 7)
         assert not EigenSolveStrategy.from_config(KFACConfig(solve_strategy="eigen", compute_eigen_outer=False)).compute_outer
         with pytest.raises(ValueError, match="unknown solve strategy"):
             solve_strategy_class("cholesky")
@@ -361,30 +157,6 @@ class TestSolvers:
         """A standalone ``Linear`` handler: bias-folded gradient ``(out_features, in_features + 1)``."""
         module = nn.Linear(in_features, out_features, rng=np.random.default_rng(0))
         return make_kfac_layer("lin", module, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
-
-    def test_cg_state_round_trip(self):
-        layer = self._linear_handler()
-        solver = CGSolveStrategy()
-        solver.last_solution = np.ones((3, 3), dtype=np.float64)
-        solver.total_iterations = 12
-        clone = CGSolveStrategy()
-        clone.state_loader(solver.state_dict(), layer)()
-        np.testing.assert_array_equal(clone.last_solution, solver.last_solution)
-        assert clone.total_iterations == 12
-        layer.remove()
-
-    @pytest.mark.parametrize(
-        "warm", [np.ones((3, 2)), np.ones(9), np.ones((3, 3), dtype=np.int64)], ids=["transposed", "flat", "ints"]
-    )
-    def test_a_cg_warm_start_of_another_shape_or_kind_is_refused_naming_the_layer(self, warm):
-        """A warm start the solve cannot use would be dropped by it while ``memory_usage()`` counted its bytes:
-        the load refuses anything but a float ``(g_dim, a_dim)`` array, and keeps what the strategy held."""
-        layer = self._linear_handler(2, 3)  # gradient (3, 3)
-        solver = CGSolveStrategy()
-        with pytest.raises(ValueError, match=r"layer 'lin'.*CG warm start.*\(3, 3\)"):
-            solver.state_loader({"last_solution": warm, "total_iterations": 4}, layer)()
-        assert solver.last_solution is None and solver.total_iterations == 0 and solver.held_bytes() == 0
-        layer.remove()
 
     @pytest.mark.parametrize("key", ["eigen_a", "eigen_g", "inverse_outer"])
     def test_eigen_state_round_trips_bitwise_and_another_shape_is_refused_naming_the_layer(self, key):
@@ -508,7 +280,7 @@ class TestKFACSchedulerIntegration:
 
     @pytest.mark.parametrize("cadence", [(2, 4), (5, 10)], ids=["one-refresh-step", "staggered"])
     def test_scheduler_path_bitwise_equals_fixed_path(self, cadence):
-        """Acceptance criterion: at drift_tol=0 the planned step is bitwise the
+        """Acceptance criterion: the planned step is bitwise the
         base-cadence K-FAC step of Listing 1, written out by hand below from
         the layer primitives (fold on step % F, decompose each layer on its
         offset in the plan's ``refresh_offsets``, precondition and KL-clip
@@ -559,7 +331,7 @@ class TestKFACSchedulerIntegration:
 
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_scheduler_path_bitwise_equals_fixed_path_distributed(self, grad_worker_frac):
-        """At drift_tol=0 every rank plans, and communicates on, exactly the
+        """Every rank plans, and communicates on, exactly the
         base cadence: factor traffic on step % 5, a layer's eigen traffic on
         its offset in the plan's ``refresh_offsets`` (none under MEM-OPT,
         whose eigen groups have one member), and nothing but (MEM/HYBRID-OPT's)
@@ -581,7 +353,7 @@ class TestKFACSchedulerIntegration:
             batch_rng = np.random.default_rng(99)
             for step in range(steps):
                 actions = pre.actions()
-                assert actions == pre.plan.actions(step)  # no revision at drift_tol=0
+                assert actions == pre.plan.actions(step)
                 assert (len(actions.refresh) > 0) == (step in (0, 6, 11, 16))  # step 1 has nothing new to read: passed over
                 assert actions.fold == (tuple(pre.layers) if step % 5 == 0 else ())
                 indices = batch_rng.integers(0, len(x_global), 32)
@@ -599,9 +371,6 @@ class TestKFACSchedulerIntegration:
                 assert moved["broadcast"] == sum(
                     nbytes for members, nbytes in modeled["eigen"] + modeled["gradient"] if comm.rank in members
                 ), step
-            spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
-            assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
-            assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
             # Every layer exactly once per interval: step 0, then 6 and 16, or (step 1 passed over) 11.
             assert set(layer_events(pre.tracer, "eigen_updates", pre.layers).values()) <= {2, 3}
 
@@ -625,16 +394,14 @@ class TestKFACSchedulerIntegration:
 
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
     def test_adaptive_resume_mid_epoch_bitwise_all_strategies(self, grad_worker_frac):
-        """Checkpointing mid-epoch with drift tracking, interval stretching and
-        adaptive damping all on (π-damped inverses, as on every path) resumes
-        bit-identically under MEM-OPT, HYBRID-OPT and COMM-OPT."""
+        """Checkpointing mid-epoch with adaptive damping on (π-damped inverses,
+        as on every path) resumes bit-identically under MEM-OPT, HYBRID-OPT and
+        COMM-OPT."""
         x_global, y_global = make_problem(23, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
             factor_update_freq=1,
             inv_update_freq=2,
             grad_worker_frac=grad_worker_frac,
-            drift_tol=0.05,
-            max_staleness=8,
             adaptive_damping=True,
         )
 
@@ -654,7 +421,7 @@ class TestKFACSchedulerIntegration:
                 precond.step(lr=0.05, loss=float(loss.item()))
                 return np.concatenate([p.grad.ravel().copy() for p in mdl.parameters()])
 
-            # 5 warmup steps: mid-cycle w.r.t. both cadences and the drift plan.
+            # 5 warmup steps: mid-cycle w.r.t. both cadences.
             for _ in range(5):
                 one_step(model, ddp, pre, batch_rng.integers(0, len(x_global), 32))
             checkpoint = pre.state_dict()
@@ -675,59 +442,22 @@ class TestKFACSchedulerIntegration:
             for a, b in zip(grads_original, grads_restored):
                 np.testing.assert_array_equal(a, b)
 
-    def test_adaptive_schedule_skips_eigen_work(self):
-        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        config = KFACConfig(
-            factor_update_freq=1,
-            inv_update_freq=2,
-            drift_tol=1.0,  # everything is stale-tolerant -> maximal stretch
-            max_staleness=8,
-            solve_strategy="eigen",
-        )
-        pre = KFAC.from_config(model, config)
-        run_single_process(pre, model, steps=16)
-        assert event_total(pre, "eigen_skips") > 0
-        spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
-        assert spec.eigen_update_fraction < 1.0
-        assert spec.factor_update_fraction <= 1.0
-        assert all(solver.name == "eigen" for solver in pre.solvers.values())
-
     def test_fixed_path_counts_are_neutral(self):
-        """Opportunities are counted on each layer's own phase: a staggered plan skips nothing, after any number of steps."""
+        """Refreshes are counted on each layer's own phase: a staggered plan skips nothing, after any number of steps."""
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         pre = KFAC.from_config(model, KFACConfig(factor_update_freq=5, inv_update_freq=10))
         assert sorted(pre.plan.refresh_offsets.values()) == [1, 6]
         for steps, refreshes in ((1, 2), (6, 3), (5, 4), (10, 6)):  # in all: 1, 7, 12, 22 steps
             run_single_process(pre, model, steps=steps)
-            spec = apply_measured_fractions(TestModeledFractions().small_spec(), pre)
-            assert spec.factor_update_fraction == spec.eigen_update_fraction == 1.0
-            assert event_total(pre, "factor_skips") == event_total(pre, "eigen_skips") == 0
-            assert event_total(pre, "drift_triggers") == 0
             assert event_total(pre, "eigen_updates") == refreshes  # steps 0 + 0, 6, 11, 16, 21
             assert event_total(pre, "factor_updates") == 2 * -(-pre.steps // 5)  # 2 layers x steps {0, 5, 10, ...}
 
-    def test_small_layer_routing(self):
-        # First Linear: a_dim=5, g_dim=4 (<= 8 -> cg); second: a_dim=5, g_dim=16.
-        model = MLP(4, [4], 16, rng=np.random.default_rng(5))
-        config = KFACConfig(
-            small_layer_dim=8, small_layer_solver="cg"
-        )
-        pre = KFAC.from_config(model, config)
-        names = {pre.solvers[name].name for name in pre.solvers}
-        assert names == {"cg", "inverse"}
-        by_dim = {max(layer.a_dim, layer.g_dim): pre.solvers[name].name for name, layer in pre.layers.items()}
-        assert by_dim[5] == "cg"
-        assert by_dim[16] == "inverse"
-
-    @pytest.mark.parametrize("solver", ["inverse", "cg"])
-    def test_inverse_free_solvers_approximate_eigen_path(self, solver):
+    def test_the_inverse_path_approximates_the_eigen_path(self):
         # With the π-damped split, the eigen outer product equals
         # (G + γ_g I)^-1 ⊗ (A + γ_a I)^-1 exactly — the same damped system the
-        # inverse and CG strategies solve — so the paths agree to solver
-        # precision (the eigen path's π comes from Σλ, the others' from the
-        # factors' traces: equal to rounding).  Step 0 is where the three read
-        # the same factors: a later refresh reads the factors as its step
-        # began, while CG's operator follows the folded ones.
+        # inverse strategy solves — so the paths agree to solver precision
+        # (the eigen path's π comes from Σλ, the inverse's from the factors'
+        # traces: equal to rounding).
         m1, m2 = self.paired_models()
         eigen_pre = KFAC.from_config(
             m1,
@@ -742,8 +472,7 @@ class TestKFACSchedulerIntegration:
             KFACConfig(
                 factor_update_freq=1,
                 inv_update_freq=1,
-                solve_strategy=solver,
-                **(dict(cg_tol=1e-10, cg_max_iter=200) if solver == "cg" else {}),
+                solve_strategy="inverse",
             ),
         )
         g1 = run_single_process(eigen_pre, m1, steps=1)
@@ -775,23 +504,6 @@ class TestKFACSchedulerIntegration:
                 assert solver.inv_g.packed().tobytes() == inv_g.tobytes()
                 refreshed += 1
         assert refreshed == 3 * len(pre.layers)  # steps 2, 3 and 4: step 1 would re-read step 0's factors
-
-    def test_the_factor_reading_solver_expands_the_stored_triangle_and_round_trips(self):
-        """``cg`` is the reader that needs the whole matrix: it expands the stored triangle itself, and its
-        state resumes bit for bit beside packed factors."""
-        config = KFACConfig(factor_update_freq=1, inv_update_freq=2, solve_strategy="cg")
-        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        pre = KFAC.from_config(model, config)
-        run_single_process(pre, model, steps=3)
-        layer = pre.layers["layers.0"]
-        assert layer.factor_a.shape == (7 * 8 // 2,)
-        assert pre.plan.decomposers["layers.0", "a"] == () and pre.memory_usage()["eigen"] == 0  # nothing decomposed
-        clone_model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        clone_model.load_state_dict(model.state_dict())
-        clone = KFAC.from_config(clone_model, config)
-        clone.load_state_dict(pre.state_dict())
-        for a, b in zip(run_single_process(pre, model, steps=2), run_single_process(clone, clone_model, steps=2)):
-            np.testing.assert_array_equal(a, b)
 
     def test_inverse_solver_reports_memory(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
@@ -875,16 +587,10 @@ class TestKFACSchedulerIntegration:
         counters = trainer.tracer.counters()
         assert counters.get("kfac/damping_shrinks", 0) + counters.get("kfac/damping_grows", 0) > 0
 
-    def test_trainer_matches_listing_one_with_drift(self):
-        """With layers skipping factor updates, a ``Trainer`` stays bitwise
-        identical to a hand-written Listing-1 loop (backward, ``KFAC.step(lr)``,
-        ``optimizer.step()``)."""
-        config = KFACConfig(
-            factor_update_freq=1,
-            inv_update_freq=2,
-            drift_tol=1.0,
-            max_staleness=8,
-        )
+    def test_trainer_matches_listing_one(self):
+        """A ``Trainer`` stays bitwise identical to a hand-written Listing-1 loop
+        (backward, ``KFAC.step(lr)``, ``optimizer.step()``)."""
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=2)
         loss_fn = nn.CrossEntropyLoss()
         x, y = make_problem(41, samples=128, in_dim=6, classes=3)
 
@@ -917,81 +623,10 @@ class TestKFACSchedulerIntegration:
 
     def test_scheduler_state_survives_via_from_config_round_trip(self):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        config = KFACConfig.adaptive(factor_update_freq=1, inv_update_freq=2, max_staleness=16)
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=2, adaptive_damping=True, solve_strategy="eigen")
         pre = KFAC.from_config(model, config)
         run_single_process(pre, model, steps=5, with_loss=True)
         state = pre.state_dict()
-        assert "scheduler" in state and "solvers" in state and "damping_controller" in state
-        # Config dict in the state round-trips all the adaptive knobs.
-        assert KFACConfig.from_dict(state["config"]).drift_tol == config.drift_tol
-
-
-
-# ---------------------------------------------------------------------------
-# Cost-model integration
-# ---------------------------------------------------------------------------
-
-
-class TestModeledFractions:
-    def small_spec(self, **overrides):
-        layers = [
-            LayerShapeInfo(name="fc1", a_dim=33, g_dim=64, grad_numel=33 * 64),
-            LayerShapeInfo(name="fc2", a_dim=65, g_dim=10, grad_numel=65 * 10),
-        ]
-        defaults = dict(
-            name="toy",
-            layers=layers,
-            param_count=sum(l.grad_numel for l in layers),
-            local_batch_size=32,
-            baseline_compute_time=0.1,
-            config=KFACConfig(factor_update_freq=10, inv_update_freq=100),
-        )
-        defaults.update(overrides)
-        return KFACWorkloadSpec(**defaults)
-
-    def test_fractions_scale_stage_times(self):
-        model = IterationTimeModel()
-        full = model.kfac_breakdown(self.small_spec(), world_size=8, grad_worker_frac=1.0)
-        half = model.kfac_breakdown(
-            self.small_spec(factor_update_fraction=0.5, eigen_update_fraction=0.25),
-            world_size=8,
-            grad_worker_frac=1.0,
-        )
-        assert half.factor_compute == pytest.approx(full.factor_compute * 0.5)
-        assert half.factor_allreduce == pytest.approx(full.factor_allreduce * 0.5)
-        assert half.eigen_decomposition == pytest.approx(full.eigen_decomposition * 0.25)
-        assert half.eigen_broadcast == pytest.approx(full.eigen_broadcast * 0.25)
-        assert half.precondition == full.precondition  # per-iteration stages untouched
-
-    def test_fractions_scale_comm_schedule(self):
-        full = model_comm_schedule(self.small_spec(), world_size=8, grad_worker_frac=0.5)
-        skipped = model_comm_schedule(
-            self.small_spec(factor_update_fraction=0.5, eigen_update_fraction=0.5),
-            world_size=8,
-            grad_worker_frac=0.5,
-        )
-        assert skipped.kfac_comm_time < full.kfac_comm_time
-        assert skipped.iteration_time < full.iteration_time
-
-    def test_apply_measured_fractions_from_live_run(self):
-        model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        config = KFACConfig(
-            factor_update_freq=1,
-            inv_update_freq=2,
-            drift_tol=1.0,
-            max_staleness=8,
-        )
-        pre = KFAC.from_config(model, config)
-        run_single_process(pre, model, steps=16)
-        spec = apply_measured_fractions(self.small_spec(), pre)
-        base_folds, base_refreshes = pre.plan.base_updates(16)
-        assert spec.eigen_update_fraction == event_total(pre, "eigen_updates") / base_refreshes < 1.0
-        assert spec.factor_update_fraction == event_total(pre, "factor_updates") / base_folds
-        lean = IterationTimeModel().kfac_breakdown(spec, world_size=8, grad_worker_frac=1.0)
-        full = IterationTimeModel().kfac_breakdown(self.small_spec(), world_size=8, grad_worker_frac=1.0)
-        assert lean.eigen_decomposition < full.eigen_decomposition
-
-    def test_a_preconditioner_that_never_stepped_measures_unity(self):
-        pre = KFAC(MLP(6, [16], 3, rng=np.random.default_rng(5)))
-        spec = apply_measured_fractions(self.small_spec(), pre)
-        assert (spec.factor_update_fraction, spec.eigen_update_fraction) == (1.0, 1.0)
+        assert set(state) == {"format", "steps", "config", "layers", "solvers", "damping_controller"}
+        # Config dict in the state round-trips every knob.
+        assert KFACConfig.from_dict(state["config"]) == config

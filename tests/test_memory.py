@@ -184,14 +184,14 @@ class TestWorkloadSpecMemory:
             max_local_batch_size(spec, 1 << 30, 8, 1.0)
 
     @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (4, 0.5)], ids=["w1", "w2-mem-opt", "w4-hybrid-opt"])
-    @pytest.mark.parametrize("solver", ["inverse", "eigen", "cg"])
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     def test_matches_live_preconditioner_measurement(self, solver, world, frac):
         """The planning model must agree with the bytes a real KFAC instance reports, rank by rank, on every path.
 
         Six layers of dims 9 / 17 (A) and 16 / 4 (G): in every row some rank holds an odd count of one
         dimension, so the inverse path's pairing leaves one of them alone (its square) beside ``n+1`` / ``n``
         and ``n`` / ``n`` pairs.  At world 2 (MEM-OPT) each rank is the one gradient worker of its layers, at
-        world 4 (HYBRID-OPT) two ranks are, so the second-order state -- eigen, inverse or CG warm start -- is
+        world 4 (HYBRID-OPT) two ranks are, so the second-order state -- eigen or inverse -- is
         held where the plan's one rule puts it.
         """
         from collections import Counter
@@ -227,8 +227,7 @@ class TestWorkloadSpecMemory:
             assert measured["eigen"] == plan.state_bytes_per_rank("eigen")[rank], rank
             assert measured["solver"] == plan.state_bytes_per_rank("solver")[rank], rank
             assert measured["total"] == factors[rank] + state[rank], rank
-        if solver != "cg" or frac * world == 1:  # cg keeps a factor on each of its layer's gradient workers
-            assert sum(measured["factors"] for measured, *_ in ranks) == spec.factor_bytes
+        assert sum(measured["factors"] for measured, *_ in ranks) == spec.factor_bytes
         held = {key: sum(measured[key] for measured, *_ in ranks) for key in ("eigen", "solver")}
         assert (held["eigen"] > 0) == (solver == "eigen") != (held["solver"] > 0)
         assert state.all()  # every rank is a gradient worker of some layer

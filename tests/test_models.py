@@ -133,12 +133,13 @@ class TestBert:
         masked = model(tokens, attention_mask=np.array([[1, 1, 1, 0, 0, 0]])).numpy()
         assert not np.allclose(full, masked)
 
-    def test_kfac_excluded_modules_are_embeddings_and_head(self):
+    def test_kfac_excluded_modules_are_the_head(self):
+        """The embeddings need no exclusion: no handler registers an ``Embedding``."""
         model = models.bert_tiny(vocab_size=50, rng=RNG)
-        excluded = model.kfac_excluded_modules()
-        assert model.mlm_head in excluded
-        assert model.token_embedding in excluded
-        assert model.position_embedding in excluded
+        assert model.kfac_excluded_modules() == [model.mlm_head]
+        pre = KFAC(model, skip_modules=model.kfac_excluded_modules())
+        assert not {"token_embedding", "position_embedding", "mlm_head"} & set(pre.layers)
+        pre.remove()
 
     def test_bert_config_validation(self):
         with pytest.raises(ValueError):

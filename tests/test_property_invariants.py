@@ -40,7 +40,6 @@ from repro.kfac import (
     EigenSolveStrategy,
     KernelBackend,
     LayerShapeInfo,
-    apply_measured_fractions,
     model_comm_schedule,
     precondition_with_eigen,
     symmetric_eigen,
@@ -319,30 +318,24 @@ class TestStaggeredRefreshProperties:
 
     Linear -> LayerNorm -> Tanh blocks of generated widths under MEM-, HYBRID- and COMM-OPT: replicas
     agree to the bit, the strategies agree, a run killed between two staggered steps resumes to the
-    bit, every step folds and decomposes exactly the layers of its actions (``plan.actions(step)``
-    with drift off, their drift revision with it on), and with drift off every step's K-FAC messages
-    and bytes are the plan's for that step.
+    bit, every step folds and decomposes exactly the layers of its actions (``plan.actions(step)``),
+    and every step's K-FAC messages and bytes are the plan's for that step.
     """
 
-    KNOBS = {"default": {}, "drift": {"drift_tol": 0.05, "max_staleness": 40}}
-
-    # world, (factor_update_freq, inv_update_freq), knob, resume at, poison the window of the fold on
+    # world, (factor_update_freq, inv_update_freq), resume at, poison the window of the fold on
     # step inv_update_freq (the staggered step after it then reads the factors as last accepted).
     ROWS = [
-        (1, (5, 10), "default", 8, False),  # resumed between step 6's refresh and step 11's
-        (2, (5, 10), "default", 3, True),  # between the passed-over step 1 and step 6
-        (3, (5, 10), "drift", 8, False),
-        (4, (5, 10), "default", 7, True),
-        (2, (4, 8), "default", 3, False),  # one fold-free step may carry work
-        (3, (5, 5), "default", 6, True),  # every fold is followed by the interval's one staggered step
-        (2, (6, 12), "drift", 9, True),
-        (4, (3, 7), "default", 4, False),  # not nested: every offset 0, a refresh forces its fold
-        (3, (2, 4), "default", 3, True),  # no fold-free step left: one refresh step
-        (1, (3, 10), "drift", 5, False),
+        (1, (5, 10), 8, False),  # resumed between step 6's refresh and step 11's
+        (2, (5, 10), 3, True),  # between the passed-over step 1 and step 6
+        (4, (5, 10), 7, True),
+        (2, (4, 8), 3, False),  # one fold-free step may carry work
+        (3, (5, 5), 6, True),  # every fold is followed by the interval's one staggered step
+        (4, (3, 7), 4, False),  # not nested: every offset 0, a refresh forces its fold
+        (3, (2, 4), 3, True),  # no fold-free step left: one refresh step
     ]
 
-    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}-{}-{}-{}-at{}{}".format(
-        row[0], *row[1], row[2], row[3], "-poisoned" if row[4] else ""))  # fmt: skip
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}-{}-{}-at{}{}".format(
+        row[0], *row[1], row[2], "-poisoned" if row[3] else ""))  # fmt: skip
     @given(
         in_features=st.integers(min_value=1, max_value=9),
         hidden=st.lists(st.integers(min_value=2, max_value=24), min_size=2, max_size=4),
@@ -354,7 +347,7 @@ class TestStaggeredRefreshProperties:
     def test_strategies_agree_resume_is_bit_identical_and_each_step_posts_the_plans_messages(
         self, row, in_features, hidden, out_features, bias, seed
     ):
-        world, (factor_freq, inv_freq), knob, resume_at, poisoned = row
+        world, (factor_freq, inv_freq), resume_at, poisoned = row
         last = resume_at + inv_freq + 3  # past one whole interval after the resume
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((24, in_features)).astype(np.float32)
@@ -369,10 +362,7 @@ class TestStaggeredRefreshProperties:
                 blocks += [nn.Linear(fan_in, fan_out, bias=bias, rng=net_rng), nn.LayerNorm(fan_out), nn.Tanh()]
             model = nn.Sequential(*blocks, nn.Linear(widths[-1], out_features, bias=bias, rng=net_rng))
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            config = KFACConfig(
-                factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac,
-                **self.KNOBS[knob],
-            )  # fmt: skip
+            config = KFACConfig(factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac)
             return model, optimizer, KFAC(model, config, comm=comm)
 
         def train(comm, model, optimizer, pre, first, last):
@@ -407,8 +397,6 @@ class TestStaggeredRefreshProperties:
             checkpoint = (model.state_dict(), optimizer.state_dict(), pre.state_dict())
             uninterrupted, posted = train(comm, model, optimizer, pre, resume_at, last)
             counted = decisions(comm)
-            spec = KFACWorkloadSpec("generated", [], 0, 1, 1.0, pre.config)
-            measured = apply_measured_fractions(spec, pre)
 
             model2, optimizer2, pre2 = build(comm, frac)  # the process was killed: everything is rebuilt
             for target_object, state in zip((model2, optimizer2, pre2), checkpoint):
@@ -423,7 +411,7 @@ class TestStaggeredRefreshProperties:
             grad_sync = gradient_specs(model, world)  # what sync_gradients posts
             grad_buckets = BucketManager(25.0).build([(s.key, s.shape, s.dtype) for s in grad_sync])
             grad_sync = (len(grad_buckets), sum(bucket.nbytes for bucket in grad_buckets))
-            return uninterrupted, resumed, {**before_kill, **posted}, pre.plan, (counted, measured), grad_sync
+            return uninterrupted, resumed, {**before_kill, **posted}, pre.plan, counted, grad_sync
 
         fractions = sorted({1.0 / world, min(2, world) / world, 1.0})
         results = {frac: run_spmd(world, lambda comm, frac=frac: program(comm, frac)) for frac in fractions}
@@ -431,7 +419,7 @@ class TestStaggeredRefreshProperties:
         staggers = factor_freq >= 3 and inv_freq % factor_freq == 0 and (inv_freq - 1) // 2 > inv_freq // factor_freq
         assert (set(offsets.values()) != {0}) == staggers, offsets
         for frac, ranks in results.items():
-            for rank, (uninterrupted, resumed, posted, plan, (counted, measured), grad_sync) in enumerate(ranks):
+            for rank, (uninterrupted, resumed, posted, plan, counted, grad_sync) in enumerate(ranks):
                 assert np.all(np.isfinite(resumed))
                 np.testing.assert_array_equal(resumed, uninterrupted)
                 np.testing.assert_array_equal(resumed, ranks[0][1])  # and the replicas agree to the bit
@@ -440,8 +428,7 @@ class TestStaggeredRefreshProperties:
                 assert rejected == (1 if poisoned else 0)
                 for step in range(last):
                     # Each layer folded / decomposed on this step once, or not at all: the step's actions, the
-                    # plan's own with drift off, with it on their revision -- what the hooks read.  A drift
-                    # spike revises the next step's actions, so they are known when that step begins.
+                    # plan's own -- what the hooks read.
                     taken, done = posted[step]["actions"], posted[step]["done"]
                     performed = {
                         event: tuple(name for name in plan.groups if done.get(f"kfac/{event}/{name}", 0.0))
@@ -449,14 +436,9 @@ class TestStaggeredRefreshProperties:
                     }
                     assert {done.get(f"kfac/{event}/{name}", 0.0) for event in performed
                             for name in plan.groups} <= {0.0, 1.0}, step  # fmt: skip
-                    expected = taken if knob == "drift" else plan.actions(step)
+                    expected = plan.actions(step)
                     assert taken == expected, step
                     assert (performed["factor_updates"], performed["eigen_updates"]) == (expected.fold, expected.refresh), step
-                if knob == "drift":
-                    continue  # drift moves layers off the base cadence: no whole rounds to count
-                # Cadences that nest or not: the base count is what the plan performs, with no skip.
-                assert (measured.factor_update_fraction, measured.eigen_update_fraction) == (1.0, 1.0)
-                assert not any(key.startswith(("kfac/factor_skips/", "kfac/eigen_skips/")) for key in counted)
                 for step in range(last):
                     modeled = plan.messages(step=step)
                     # This rank's slice of the plan (the channels that contain it), plus the gradient averaging.
@@ -710,37 +692,26 @@ class TestModelEqualsEngineProperties:
 
     KNOBS = {
         "default": {},
-        "drift": {"drift_tol": 0.05, "max_staleness": 8},
         "eigen": {"solve_strategy": "eigen"},
-        "eigen-drift": {"solve_strategy": "eigen", "drift_tol": 0.05, "max_staleness": 8},
         "inverse": {"solve_strategy": "inverse"},
-        "cg": {"solve_strategy": "cg"},
-        "small": {"small_layer_dim": 8},  # the layers whose factors are all <= 8 wide take CG, the rest inverses
-        "eigen-small": {"solve_strategy": "eigen", "small_layer_dim": 8},
     }
 
     # (world, gradient workers per layer): MEM-, HYBRID- and COMM-OPT at every world size that has them.
     POINTS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
     # bucket_cap_mb, compute_eigen_outer, precision, assignment_balance, knob: every pair of values
     # of two knobs appears in some row, and each row runs at every point.  compute_eigen_outer=False is
-    # read on the eigen path only, so its rows take the eigen variant of their knob ("eigen-drift" counts
-    # as "drift", "eigen-small" as "small").
+    # read on the eigen path only, so its rows take the eigen knob.
     WIRES = [
         (0.001, True, "fp32", "compute", "default"),
         (25.0, True, "fp16", "memory", "default"),
         (0.001, False, "fp64", "compute", "eigen"),
-        (25.0, False, "fp16", "compute", "eigen-drift"),
-        (0.001, True, "fp64", "memory", "drift"),
+        (25.0, False, "fp16", "compute", "eigen"),
         (25.0, True, "fp32", "memory", "eigen"),
         (0.001, False, "fp16", "compute", "eigen"),
         (25.0, True, "fp64", "compute", "inverse"),
         (0.001, False, "fp32", "memory", "eigen"),
         (0.001, True, "fp32", "memory", "inverse"),
-        (25.0, False, "fp64", "memory", "eigen-small"),
-        (25.0, True, "fp64", "memory", "cg"),
-        (0.001, True, "fp16", "compute", "cg"),
-        (0.001, True, "fp32", "memory", "small"),
-        (25.0, False, "fp16", "compute", "eigen-small"),
+        (0.001, True, "fp16", "compute", "inverse"),
         (1.0, True, "fp32", "compute", "default"),
         (1.0, True, "fp64", "memory", "default"),
     ]
@@ -860,17 +831,15 @@ class TestPackedStorageProperties:
     Embedding -> LayerNorm -> Linear -> Linear through the ``Trainer`` (the table left to the optimizer, a
     diagonal G, dense factors up to and past the stacked-``eigh`` threshold; under the dense oracle all of them dense):
     the trajectory equals the square-path oracle's (``kernel_oracle.use_square_path``: every
-    decomposition, drift and CG π trace taken over the full symmetrised matrix) to the bit -- these
+    decomposition taken over the full symmetrised matrix) to the bit -- these
     handlers' windows are ``syrk`` products, exactly symmetric -- every rank's ``memory_usage()`` is the
     memory model's, and the allreduce traffic is the plan's factor round plus the gradient averaging.
     """
 
     KNOBS = {
         "default": {},
-        "drift": {"drift_tol": 0.05, "max_staleness": 8},
         "eigen": {"solve_strategy": "eigen"},
         "inverse": {"solve_strategy": "inverse"},
-        "cg": {"solve_strategy": "cg"},
     }
     STEPS = 5
 
@@ -882,15 +851,10 @@ class TestPackedStorageProperties:
         (2, 1, 0.001, False, "default", 40),
         (2, 2, 25.0, True, "default", 5),
         (3, 2, 0.001, False, "default", 32),
-        (4, 1, 25.0, True, "drift", 7),
-        (4, 2, 0.001, False, "drift", 36),
-        (1, 1, 0.001, False, "drift", 12),
         (3, 3, 25.0, False, "eigen", 34),
         (2, 1, 0.001, True, "eigen", 9),
         (4, 4, 25.0, False, "inverse", 38),
         (3, 1, 0.001, True, "inverse", 6),
-        (2, 2, 0.001, False, "cg", 35),
-        (4, 3, 25.0, True, "cg", 4),
     ]
 
     @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}gw{}-{}-{}-{}-h{}".format(
@@ -981,10 +945,7 @@ class TestPackedStorageProperties:
             )
             assert sum(entry["memory"]["factors"] for entry in packed) == 4 * once
 
-        # Every rank's allreduces are the factor round and the gradient averaging, both every step
-        # (a drift-stretched plan refreshes layers on steps of their own, so no whole rounds to count).
-        if knob == "drift":
-            return
+        # Every rank's allreduces are the factor round and the gradient averaging, both every step.
         (grad_messages, grad_bytes), factor_round = packed[0]["grad_sync"], packed[0]["factor_round"]
         for entry in packed:
             messages, nbytes, _ = entry["counted"]
@@ -1090,14 +1051,8 @@ class TestNoDeadKnobProperties:
         "assignment_balance": ({"grad_worker_frac": 0.5}, dict(assignment_balance="memory")),
         "compute_eigen_outer": ({"solve_strategy": "eigen"}, dict(compute_eigen_outer=False)),
         "bucket_cap_mb": ({}, dict(bucket_cap_mb=1e-6)),
-        "drift_tol": ({}, dict(drift_tol=0.05)),
-        "max_staleness": ({"drift_tol": 10.0, "inv_update_freq": 1}, dict(max_staleness=8)),
         "adaptive_damping": ({}, dict(adaptive_damping=True)),
         "solve_strategy": ({}, dict(solve_strategy="eigen")),
-        "small_layer_solver": ({"small_layer_dim": 8}, dict(small_layer_solver="eigen")),
-        "small_layer_dim": ({}, dict(small_layer_dim=8)),
-        "cg_tol": ({"solve_strategy": "cg"}, dict(cg_tol=0.5)),
-        "cg_max_iter": ({"solve_strategy": "cg"}, dict(cg_max_iter=1)),
     }
     STEPS = 4
     _observed = {}
