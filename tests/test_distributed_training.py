@@ -442,7 +442,9 @@ class TestShardedFactorLayout:
     """A running factor lives only on the ranks whose own plan reads it (``KFAC.holds_factor``)."""
 
     @SOLVERS
-    @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
+    @pytest.mark.parametrize(
+        "world, frac", [(2, 0.5), (2, 1.0), (3, 1 / 3), (3, 2 / 3), (3, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)]
+    )
     def test_default_knobs_store_each_factor_once_on_the_rank_that_decomposes_it(self, world, frac, solver):
         ranks = run_spmd(world, layout_program(grad_worker_frac=frac, solve_strategy=solver))
         for key in ranks[0]["held"]:

@@ -334,9 +334,7 @@ class TestStructuredVsDenseParity:
     def test_inverse_path_parity_to_float32_rounding(self):
         structured, dense = self.single_process(False, "inverse"), self.single_process(True, "inverse")
         np.testing.assert_allclose(structured, dense, rtol=1e-4, atol=1e-6)
-        distributed = [self._train(forced, 0.5, solver="inverse") for forced in (False, True)]
-        for structured, dense in zip(*distributed):
-            np.testing.assert_allclose(structured, dense, rtol=1e-4, atol=1e-6)
+        # Distributed: test_inverse_path_distributed_parity_to_float32_rounding.
 
     def test_forced_dense_stores_full_matrices(self):
         model = MixNet(seed=3)
@@ -394,6 +392,18 @@ class TestStructuredVsDenseParity:
         for rank in range(self.WORLD):
             np.testing.assert_array_equal(
                 structured[rank], dense[rank], err_msg=f"rank {rank} {mode} frac={frac}"
+            )
+
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 1.0], ids=["mem-opt", "hybrid-opt", "comm-opt"])
+    @pytest.mark.parametrize("mode", ["sync", "overlap"])
+    def test_inverse_path_distributed_parity_to_float32_rounding(self, frac, mode):
+        """The inverse path inverts the structured and the forced-dense factor with different kernels, so the
+        two agree to float32 rounding, under every strategy and bucket cap."""
+        structured = self._train(False, frac, mode, solver="inverse")
+        dense = self._train(True, frac, mode, solver="inverse")
+        for rank in range(self.WORLD):
+            np.testing.assert_allclose(
+                structured[rank], dense[rank], rtol=1e-4, atol=1e-6, err_msg=f"rank {rank} {mode} frac={frac}"
             )
 
 

@@ -61,12 +61,17 @@ class TestKFACConfig:
             dict(solve_strategy="cg"),
             dict(factor_decay=0.0),
             dict(factor_decay=1.5),
+            dict(factor_decay=-0.5),
             dict(damping=0.0),
+            dict(damping=-0.01),
             dict(kl_clip=0.0),
+            dict(kl_clip=-0.001),
             dict(grad_worker_frac=0.0),
             dict(grad_worker_frac=1.5),
             dict(precision="fp8"),
             dict(assignment_balance="latency"),
+            dict(bucket_cap_mb=0.0),
+            dict(bucket_cap_mb=-1.0),
         ],
     )
     def test_invalid_fields_raise(self, kwargs):
@@ -136,6 +141,20 @@ class TestKFACConfig:
     def test_a_retired_key_raises_like_any_unknown_key(self, key, value):
         with pytest.raises(ValueError, match=rf"unknown KFACConfig fields: \['{key}'\]"):
             KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{key: value}))
+
+    @pytest.mark.parametrize(
+        "key", ["drift_tol", "max_staleness", "small_layer_solver", "small_layer_dim", "cg_tol", "cg_max_iter"]
+    )
+    def test_a_removed_field_is_no_keyword_of_the_config_or_the_preconditioner(self, key):
+        """The drift schedule's, the CG solver's and small-layer routing's fields are gone from every entry point."""
+        assert not hasattr(KFACConfig(), key)
+        with pytest.raises(TypeError, match=key):
+            KFACConfig(**{key: 1})
+        with pytest.raises(TypeError, match=key):
+            KFACConfig().replace(**{key: 1})
+        model = MLP(5, [4], 3, rng=np.random.default_rng(0))
+        with pytest.raises(TypeError, match=key):
+            KFAC(model, **{key: 1})
 
     def test_the_config_has_twelve_fields(self):
         """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member.
@@ -815,13 +834,13 @@ class TestOneCheckpointFormat:
             fresh.load_state_dict(state)
         assert fresh.steps == 0 and fresh.memory_usage()["total"] == 0
 
-    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (2, 1.0)])
+    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (2, 1.0), (3, 1 / 3), (4, 0.5)])
     def test_a_format_5_round_trip_restores_the_triangles_bitwise_and_resumes_bit_identically(self, world, frac):
         """The packed inverses a rank checkpoints are installed back into its triangles bit for bit, and the
         resumed run's next steps give the parameters of the run that never stopped."""
         self.resume_bit_identically(world, frac, written=lambda state: state)
 
-    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5)])
+    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (4, 0.5)])
     def test_a_format_5_checkpoint_whose_config_carries_an_lr_resumes_bit_identically(self, world, frac):
         """Format 5 was also written while ``KFACConfig`` had an ``lr`` field, recorded under ``"config"``.  A
         load reads no ``"config"`` key, so such a dict restores and resumes as any other; the config dict
@@ -997,7 +1016,7 @@ class TestOneCheckpointFormat:
         else:
             assert re.search(expected, loaded), loaded
 
-    @pytest.mark.parametrize("world", [1, 2])
+    @pytest.mark.parametrize("world", [1, 2, 3])
     def test_a_restore_never_changes_the_plan(self, world):
         """After every restore, on either solve path, the plan is still the one the config builds for the world."""
         x, y = make_problem(6)

@@ -6,7 +6,7 @@ oracle (bitwise for the decay fold and the preconditioning contraction,
 tolerance-tiered for the eigendecomposition and the einsum KL accumulation),
 degenerate factors, the no-copy regression tests on buffer identity,
 end-to-end oracle-vs-backend training parity across all three distribution
-strategies x sync/overlap and mixed precision,
+strategies x sync/overlap, staggered due-subsets and mixed precision,
 and checkpoint resume with the kernels flipped between save and load.
 "reference" below always means the oracle's kernels, swapped into a
 preconditioner with ``use_reference_kernels``.
@@ -32,6 +32,7 @@ from scipy.linalg import cython_blas, lapack
 
 from repro import nn, optim
 from repro.distributed import DistributedDataParallel, run_spmd
+from counters import layer_events
 from kernel_oracle import (
     ReferenceKernelBackend,
     SquarePathKernelBackend,
@@ -985,14 +986,16 @@ def make_preconditioner(model, config, backend, **run_objects):
     return use_reference_kernels(pre) if backend == "reference" else pre
 
 
-def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, precision="fp32", comm=None, steps=6, seed=11):
-    """Train a small MLP for ``steps``; return per-step parameter snapshots."""
+def train_trajectory(backend, mode="sync", grad_worker_frac=1.0, precision="fp32", comm=None, steps=6, seed=11,
+                     cadence=(2, 4)):  # fmt: skip
+    """Train a small MLP for ``steps`` at ``cadence`` (factor, inverse update frequency); return per-step
+    parameter snapshots."""
     x, y = make_problem(seed, samples=128)
     loss_fn = nn.CrossEntropyLoss()
     model = MLP(6, [16, 16], 3, rng=np.random.default_rng(5))
     config = KFACConfig(
-        factor_update_freq=2,
-        inv_update_freq=4,
+        factor_update_freq=cadence[0],
+        inv_update_freq=cadence[1],
         grad_worker_frac=grad_worker_frac,
         precision=precision,
         # "sync": a cap below any tensor, one message per tensor; otherwise the fused
@@ -1044,6 +1047,46 @@ class TestTrainingParity:
 
         for result in run_spmd(4, program):
             for expected, actual in zip(result["reference"], result["batched"]):
+                np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
+
+    @pytest.mark.parametrize("mode", ["sync", "overlap"])
+    def test_single_process_parity_on_staggered_due_subsets(self, mode):
+        """At cadence 5 / 10 one layer refreshes on offset 1 and two on offset 6: the batched eigen kernels see
+        only each step's due layers, perform the reference's refreshes, and agree at the eigh tolerance."""
+        reference, reference_pre = train_trajectory("reference", mode=mode, cadence=(5, 10), steps=18)
+        batched, batched_pre = train_trajectory("batched", mode=mode, cadence=(5, 10), steps=18)
+        assert sorted(batched_pre.plan.refresh_offsets.values()) == [1, 6, 6]
+        refreshes = layer_events(batched_pre.tracer, "eigen_updates", batched_pre.layers)
+        assert refreshes == layer_events(reference_pre.tracer, "eigen_updates", reference_pre.layers)
+        assert sorted(refreshes.values()) == [2, 3, 3]  # steps 0, 11 / steps 0, 6, 16
+        for expected, actual in zip(reference, batched):
+            np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
+
+    @pytest.mark.parametrize("grad_worker_frac", [0.5, 1.0])
+    def test_distributed_staggered_due_subsets(self, grad_worker_frac):
+        """At world 2 the plan staggers the three layers' refreshes; each rank's batched eigen kernels
+        decompose only the due layers, count the reference's decisions and agree at the eigh tolerance."""
+
+        def program(comm):
+            out = {}
+            for backend in ("reference", "batched"):
+                before = comm.tracer.counters()
+                snapshots, pre = train_trajectory(
+                    backend, grad_worker_frac=grad_worker_frac, comm=comm, cadence=(5, 10), steps=12
+                )
+                assert len(set(pre.plan.refresh_offsets.values())) > 1
+                # What this run's refresh decisions added to the rank's registry.
+                decisions = {
+                    key: value - before.get(key, 0.0) for key, value in comm.tracer.counters().items() if key.startswith("kfac/")
+                }
+                out[backend] = (snapshots, decisions)
+            return out
+
+        for result in run_spmd(2, program):
+            (ref_snaps, ref_totals) = result["reference"]
+            (bat_snaps, bat_totals) = result["batched"]
+            assert ref_totals == bat_totals  # identical due-set decisions
+            for expected, actual in zip(ref_snaps, bat_snaps):
                 np.testing.assert_allclose(actual, expected, rtol=EIGH_RTOL, atol=EIGH_ATOL)
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64", "amp"])

@@ -263,6 +263,34 @@ class TestGradientRoundTrip:
         handler.set_gradient(grad)
         np.testing.assert_allclose(layer.weight.grad, original_weight_grad, rtol=1e-6)
 
+    @pytest.mark.parametrize(
+        "kernel, bias",
+        [(None, True), (None, False), (1, True), (1, False), (3, True), (3, False)],
+        ids=["linear", "linear-no-bias", "conv1x1", "conv1x1-no-bias", "conv3x3", "conv3x3-no-bias"],
+    )
+    def test_linear_and_conv_share_the_bias_folded_matrix_and_write_it_back_scaled(self, kernel, bias):
+        """One output row per output feature -- a conv kernel's ``(in_channels, kh, kw)`` flattened -- with the
+        bias gradient as the last column; ``set_gradient`` writes ``scale * matrix`` back in the weights' shapes."""
+        if kernel is None:
+            layer, handler = make_linear_handler(4, 3, bias=bias)
+            x, weight_shape = RNG.standard_normal((5, 4)), (3, 4)
+        else:
+            layer, handler = make_conv_handler(2, 3, kernel, bias=bias)
+            x, weight_shape = RNG.standard_normal((2, 2, 5, 5)), (3, 2, kernel, kernel)
+        run_forward_backward(layer, Tensor(x.astype(np.float32)))
+        weight_grad = layer.weight.grad.reshape(3, -1)
+        expected = np.concatenate([weight_grad, layer.bias.grad[:, None]], axis=1) if bias else weight_grad
+        grad = handler.get_gradient()
+        assert grad.shape == (handler.g_dim, handler.a_dim)
+        np.testing.assert_array_equal(grad, expected)
+
+        update = RNG.standard_normal(grad.shape).astype(np.float32)
+        handler.set_gradient(update, scale=0.5)
+        assert layer.weight.grad.shape == weight_shape
+        np.testing.assert_array_equal(handler.get_gradient(), update * np.float32(0.5))
+        if bias:
+            np.testing.assert_array_equal(layer.bias.grad, update[:, -1] * np.float32(0.5))
+
     def test_get_gradient_without_backward_raises(self):
         _, handler = make_linear_handler()
         with pytest.raises(RuntimeError):

@@ -133,6 +133,19 @@ class TestActions:
         assert event_total(pre, "factor_updates") == sum(len(actions.fold) for actions in performed)
         assert event_total(pre, "eigen_updates") == sum(len(actions.refresh) for actions in performed)
 
+    @pytest.mark.parametrize("cadence", [(3, 7), (2, 5), (4, 6), (5, 10), (3, 9), (5, 5)], ids=lambda c: f"{c[0]}/{c[1]}")
+    def test_after_step_0_each_layer_refreshes_every_interval_from_the_latest_fold(self, cadence):
+        """Nested, staggered or not: every layer refreshes on step 0, then exactly ``inv_update_freq`` steps apart,
+        and each refresh reads a fold of its own step or of the step before (a staggered offset)."""
+        factor_update_freq, inv_update_freq = cadence
+        plan = make_plan(["a", "b", "c"], factor_update_freq, inv_update_freq)
+        for name in ("a", "b", "c"):
+            refreshed = [step for step in range(60) if name in plan.actions(step).refresh]
+            folded = {step for step in range(60) if name in plan.actions(step).fold}
+            assert refreshed[0] == 0 and len(refreshed) > 2, refreshed
+            assert np.diff(refreshed[1:]).tolist() == [inv_update_freq] * (len(refreshed) - 2), refreshed
+            assert all(step in folded or step - 1 in folded for step in refreshed), (refreshed, sorted(folded))
+
     def test_second_order_due_forces_factor_update(self):
         # inv freq not a multiple of factor freq: the eigen step at 10 is not
         # a base factor step, but factors must refresh with it.
@@ -278,7 +291,10 @@ class TestKFACSchedulerIntegration:
         m2 = MLP(6, [16], 3, rng=np.random.default_rng(5))
         return m1, m2
 
-    @pytest.mark.parametrize("cadence", [(2, 4), (5, 10)], ids=["one-refresh-step", "staggered"])
+    @pytest.mark.parametrize(
+        "cadence", [(2, 4), (5, 10), (1, 1), (3, 3), (4, 8)],
+        ids=["one-refresh-step", "staggered", "every-step", "refresh-on-every-fold", "staggered-4-8"],
+    )  # fmt: skip
     def test_scheduler_path_bitwise_equals_fixed_path(self, cadence):
         """Acceptance criterion: the planned step is bitwise the
         base-cadence K-FAC step of Listing 1, written out by hand below from
@@ -329,16 +345,17 @@ class TestKFACSchedulerIntegration:
             reference = np.concatenate([np.asarray(p.grad).ravel() for p in m2.parameters()])
             np.testing.assert_array_equal(planned[step], reference, err_msg=f"step {step}")
 
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
-    def test_scheduler_path_bitwise_equals_fixed_path_distributed(self, grad_worker_frac):
+    def test_scheduler_path_bitwise_equals_fixed_path_distributed(self, grad_worker_frac, solver):
         """Every rank plans, and communicates on, exactly the
-        base cadence: factor traffic on step % 5, a layer's eigen traffic on
-        its offset in the plan's ``refresh_offsets`` (none under MEM-OPT,
-        whose eigen groups have one member), and nothing but (MEM/HYBRID-OPT's)
-        gradient broadcasts in between."""
+        base cadence on either solve path: factor traffic on step % 5, a layer's
+        second-order traffic on its offset in the plan's ``refresh_offsets`` (none
+        under MEM-OPT, whose eigen groups have one member), and nothing but
+        (MEM/HYBRID-OPT's) gradient broadcasts in between."""
         x_global, y_global = make_problem(17, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
-            factor_update_freq=5, inv_update_freq=10, grad_worker_frac=grad_worker_frac
+            factor_update_freq=5, inv_update_freq=10, grad_worker_frac=grad_worker_frac, solve_strategy=solver
         )
         world = ThreadedWorld(4)
         traffic, steps = {}, 18  # step -> rank -> {op: bytes the rank counted}
@@ -392,17 +409,19 @@ class TestKFACSchedulerIntegration:
             assert (moved["broadcast"] > plain) == (step in (0, 6, 11, 16) and grad_worker_frac > 0.25), (step, moved)
         assert (plain == 0) == (grad_worker_frac == 1.0)
 
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @pytest.mark.parametrize("grad_worker_frac", [0.25, 0.5, 1.0])
-    def test_adaptive_resume_mid_epoch_bitwise_all_strategies(self, grad_worker_frac):
-        """Checkpointing mid-epoch with adaptive damping on (π-damped inverses,
-        as on every path) resumes bit-identically under MEM-OPT, HYBRID-OPT and
-        COMM-OPT."""
+    def test_adaptive_resume_mid_epoch_bitwise_all_strategies(self, grad_worker_frac, solver):
+        """Checkpointing mid-epoch with adaptive damping on (π-damped inverses or
+        eigenbases, as on every path) resumes bit-identically under MEM-OPT,
+        HYBRID-OPT and COMM-OPT."""
         x_global, y_global = make_problem(23, samples=256, in_dim=6, classes=3)
         config = KFACConfig(
             factor_update_freq=1,
             inv_update_freq=2,
             grad_worker_frac=grad_worker_frac,
             adaptive_damping=True,
+            solve_strategy=solver,
         )
 
         def program(comm):
@@ -538,10 +557,11 @@ class TestKFACSchedulerIntegration:
             np.testing.assert_array_equal(solver.inverse_outer, expected)
             assert not np.array_equal(solver.inverse_outer, (1.0 / (np.outer(v_g, v_a) + pre.damping)).astype(expected.dtype))
 
-    def test_adaptive_damping_moves_damping_in_training(self):
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_adaptive_damping_moves_damping_in_training(self, solver):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         config = KFACConfig(
-            factor_update_freq=1, inv_update_freq=1, adaptive_damping=True
+            factor_update_freq=1, inv_update_freq=1, adaptive_damping=True, solve_strategy=solver
         )
         pre = KFAC.from_config(model, config)
         assert pre.damping_controller is not None
@@ -551,10 +571,11 @@ class TestKFACSchedulerIntegration:
         assert pre.damping != config.damping
         assert pre.tracer.gauges()["kfac/damping"] == pre.damping
 
-    def test_damping_is_the_controllers_gamma_after_every_step_and_after_a_restore(self):
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_damping_is_the_controllers_gamma_after_every_step_and_after_a_restore(self, solver):
         """``KFAC.damping`` reads the controller's γ: no copy is mirrored by a step or by a load."""
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
-        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, adaptive_damping=True)
+        config = KFACConfig(factor_update_freq=1, inv_update_freq=1, adaptive_damping=True, solve_strategy=solver)
         pre = KFAC.from_config(model, config)
         seen = []
         for steps in range(1, 7):
@@ -567,10 +588,11 @@ class TestKFACSchedulerIntegration:
         fresh.load_state_dict(pre.state_dict())
         assert fresh.damping == fresh.damping_controller.damping == pre.damping
 
-    def test_trainer_feeds_loss_to_adaptive_damping(self):
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
+    def test_trainer_feeds_loss_to_adaptive_damping(self, solver):
         model = MLP(6, [16], 3, rng=np.random.default_rng(5))
         config = KFACConfig(
-            factor_update_freq=1, inv_update_freq=1, adaptive_damping=True
+            factor_update_freq=1, inv_update_freq=1, adaptive_damping=True, solve_strategy=solver
         )
         pre = KFAC.from_config(model, config)
         optimizer = optim.SGD(model.parameters(), lr=0.05)

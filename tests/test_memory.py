@@ -183,16 +183,20 @@ class TestWorkloadSpecMemory:
         with pytest.raises(ValueError):
             max_local_batch_size(spec, 1 << 30, 8, 1.0)
 
-    @pytest.mark.parametrize("world, frac", [(1, 1.0), (2, 0.5), (4, 0.5)], ids=["w1", "w2-mem-opt", "w4-hybrid-opt"])
+    @pytest.mark.parametrize(
+        "world, frac",
+        [(1, 1.0), (2, 0.5), (2, 1.0), (3, 2 / 3), (3, 1.0), (4, 0.5), (4, 1.0)],
+        ids=["w1", "w2-mem-opt", "w2-comm-opt", "w3-hybrid-opt", "w3-comm-opt", "w4-hybrid-opt", "w4-comm-opt"],
+    )
     @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     def test_matches_live_preconditioner_measurement(self, solver, world, frac):
         """The planning model must agree with the bytes a real KFAC instance reports, rank by rank, on every path.
 
         Six layers of dims 9 / 17 (A) and 16 / 4 (G): in every row some rank holds an odd count of one
         dimension, so the inverse path's pairing leaves one of them alone (its square) beside ``n+1`` / ``n``
-        and ``n`` / ``n`` pairs.  At world 2 (MEM-OPT) each rank is the one gradient worker of its layers, at
-        world 4 (HYBRID-OPT) two ranks are, so the second-order state -- eigen or inverse -- is
-        held where the plan's one rule puts it.
+        and ``n`` / ``n`` pairs.  Under MEM-OPT each rank is the one gradient worker of its layers, under
+        HYBRID-OPT two ranks are and under COMM-OPT every rank is, so the second-order state -- eigen or
+        inverse -- is held where the plan's one rule puts it.
         """
         from collections import Counter
 

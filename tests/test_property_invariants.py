@@ -187,10 +187,12 @@ class TestStrategyEquivalenceProperties:
         bias=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @settings(max_examples=8, deadline=None, derandomize=True)
-    def test_strategies_agree_after_six_steps(self, leading, in_features, hidden, out_features, bias, seed):
+    def test_strategies_agree_after_six_steps(self, solver, leading, in_features, hidden, out_features, bias, seed):
         """Linear -> LayerNorm -> Linear on ``(batch, *leading, features)`` activations: the fused
-        nodes flatten them, the handlers read the nodes, and every strategy ends on the same parameters."""
+        nodes flatten them, the handlers read the nodes, and every strategy ends on the same parameters,
+        on either solve path."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((16, *leading, in_features)).astype(np.float32)
         target = rng.standard_normal((16, *leading, out_features)).astype(np.float32)
@@ -205,7 +207,9 @@ class TestStrategyEquivalenceProperties:
             )
             ddp = DistributedDataParallel(model, comm)
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            pre = KFAC(model, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=frac, comm=comm)
+            pre = KFAC(
+                model, factor_update_freq=2, inv_update_freq=4, grad_worker_frac=frac, solve_strategy=solver, comm=comm
+            )
             loss_fn = nn.MSELoss()
             for step in range(self.STEPS):
                 local = np.arange(16)[(step + comm.rank) % 2 :: 2][comm.rank // 2 :: 2]
@@ -244,10 +248,12 @@ class TestShardedFactorLayoutProperties:
         resume_at=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=10_000),
     )
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_each_factor_is_stored_once_and_kill_and_resume_is_bit_identical(
-        self, world, workers, balance, in_features, hidden, out_features, bias, factor_freq, inv_multiple, resume_at, seed
-    ):
+        self, solver, world, workers, balance, in_features, hidden, out_features, bias, factor_freq, inv_multiple,
+        resume_at, seed,
+    ):  # fmt: skip
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((16, in_features)).astype(np.float32)
         target = rng.standard_normal((16, out_features)).astype(np.float32)
@@ -268,6 +274,7 @@ class TestShardedFactorLayoutProperties:
                 inv_update_freq=factor_freq * inv_multiple,
                 grad_worker_frac=frac,
                 assignment_balance=balance,
+                solve_strategy=solver,
                 comm=comm,
             )
             return model, optimizer, pre
@@ -323,19 +330,24 @@ class TestStaggeredRefreshProperties:
     """
 
     # world, (factor_update_freq, inv_update_freq), resume at, poison the window of the fold on
-    # step inv_update_freq (the staggered step after it then reads the factors as last accepted).
+    # step inv_update_freq (the staggered step after it then reads the factors as last accepted),
+    # solve strategy: the plan's cadence is the same on both paths.
     ROWS = [
-        (1, (5, 10), 8, False),  # resumed between step 6's refresh and step 11's
-        (2, (5, 10), 3, True),  # between the passed-over step 1 and step 6
-        (4, (5, 10), 7, True),
-        (2, (4, 8), 3, False),  # one fold-free step may carry work
-        (3, (5, 5), 6, True),  # every fold is followed by the interval's one staggered step
-        (4, (3, 7), 4, False),  # not nested: every offset 0, a refresh forces its fold
-        (3, (2, 4), 3, True),  # no fold-free step left: one refresh step
+        (1, (5, 10), 8, False, "inverse"),  # resumed between step 6's refresh and step 11's
+        (2, (5, 10), 3, True, "inverse"),  # between the passed-over step 1 and step 6
+        (3, (5, 10), 8, False, "eigen"),
+        (4, (5, 10), 7, True, "inverse"),
+        (2, (4, 8), 3, False, "inverse"),  # one fold-free step may carry work
+        (3, (5, 5), 6, True, "inverse"),  # every fold is followed by the interval's one staggered step
+        (2, (6, 12), 9, True, "eigen"),
+        (4, (3, 7), 4, False, "inverse"),  # not nested: every offset 0, a refresh forces its fold
+        (3, (2, 4), 3, True, "inverse"),  # no fold-free step left: one refresh step
+        (1, (3, 10), 5, False, "eigen"),  # not nested, at world 1
     ]
 
-    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}-{}-{}-at{}{}".format(
-        row[0], *row[1], row[2], "-poisoned" if row[3] else ""))  # fmt: skip
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}-{}-{}-at{}{}{}".format(
+        row[0], *row[1], row[2], "-poisoned" if row[3] else "",
+        "" if row[4] == "inverse" else f"-{row[4]}"))  # fmt: skip
     @given(
         in_features=st.integers(min_value=1, max_value=9),
         hidden=st.lists(st.integers(min_value=2, max_value=24), min_size=2, max_size=4),
@@ -347,7 +359,7 @@ class TestStaggeredRefreshProperties:
     def test_strategies_agree_resume_is_bit_identical_and_each_step_posts_the_plans_messages(
         self, row, in_features, hidden, out_features, bias, seed
     ):
-        world, (factor_freq, inv_freq), resume_at, poisoned = row
+        world, (factor_freq, inv_freq), resume_at, poisoned, solve_strategy = row
         last = resume_at + inv_freq + 3  # past one whole interval after the resume
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((24, in_features)).astype(np.float32)
@@ -362,7 +374,10 @@ class TestStaggeredRefreshProperties:
                 blocks += [nn.Linear(fan_in, fan_out, bias=bias, rng=net_rng), nn.LayerNorm(fan_out), nn.Tanh()]
             model = nn.Sequential(*blocks, nn.Linear(widths[-1], out_features, bias=bias, rng=net_rng))
             optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
-            config = KFACConfig(factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac)
+            config = KFACConfig(
+                factor_update_freq=factor_freq, inv_update_freq=inv_freq, grad_worker_frac=frac,
+                solve_strategy=solve_strategy,
+            )  # fmt: skip
             return model, optimizer, KFAC(model, config, comm=comm)
 
         def train(comm, model, optimizer, pre, first, last):
@@ -712,8 +727,13 @@ class TestModelEqualsEngineProperties:
         (0.001, False, "fp32", "memory", "eigen"),
         (0.001, True, "fp32", "memory", "inverse"),
         (0.001, True, "fp16", "compute", "inverse"),
+        (0.001, True, "fp64", "memory", "default"),
+        (25.0, False, "fp64", "memory", "eigen"),
+        (25.0, True, "fp64", "memory", "inverse"),
         (1.0, True, "fp32", "compute", "default"),
         (1.0, True, "fp64", "memory", "default"),
+        (1.0, False, "fp16", "compute", "eigen"),
+        (1.0, True, "fp16", "memory", "inverse"),
     ]
 
     @pytest.mark.parametrize("wire", WIRES, ids=lambda wire: "-".join(str(value) for value in wire))
@@ -851,10 +871,15 @@ class TestPackedStorageProperties:
         (2, 1, 0.001, False, "default", 40),
         (2, 2, 25.0, True, "default", 5),
         (3, 2, 0.001, False, "default", 32),
+        (4, 1, 25.0, True, "default", 7),
         (3, 3, 25.0, False, "eigen", 34),
         (2, 1, 0.001, True, "eigen", 9),
+        (4, 2, 0.001, False, "eigen", 36),
+        (2, 2, 0.001, False, "eigen", 35),
         (4, 4, 25.0, False, "inverse", 38),
         (3, 1, 0.001, True, "inverse", 6),
+        (1, 1, 0.001, False, "inverse", 12),
+        (4, 3, 25.0, True, "inverse", 4),
     ]
 
     @pytest.mark.parametrize("row", ROWS, ids=lambda row: "w{}gw{}-{}-{}-{}-h{}".format(
@@ -1009,10 +1034,11 @@ class TestMemoryModelProperties:
         st.lists(st.tuples(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=64)), min_size=1, max_size=8),
         st.integers(min_value=2, max_value=32),
     )
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @settings(max_examples=30, deadline=None)
-    def test_mean_overhead_monotone_in_grad_worker_frac(self, dims, world_size):
+    def test_mean_overhead_monotone_in_grad_worker_frac(self, solver, dims, world_size):
         layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
-        spec = memory_spec(layers, param_count=10_000)
+        spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy=solver))
         overheads = [overhead_bytes(spec, world_size, frac, rank="mean") for frac in (1 / world_size, 0.5, 1.0)]
         assert overheads[0] <= overheads[1] <= overheads[2]
 

@@ -332,26 +332,32 @@ class TestMeasuredMemoryReport:
             assert entry["measured"] == entry["predicted"]
         assert report["measured_total_max"] >= report["measured_total_mean"]
 
+    @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @pytest.mark.parametrize("world, frac", [(2, 0.5), (2, 1.0), (4, 0.25), (4, 0.5), (4, 1.0)])
-    def test_live_memory_is_the_memory_model_byte_for_byte_on_every_rank(self, world, frac):
+    def test_live_memory_is_the_memory_model_byte_for_byte_on_every_rank(self, world, frac, solver):
         """The prediction above comes from the running system's own plan; this one comes from a
-        ``KFACWorkloadSpec``, which only sees layer shapes: held factors + eigen and solver state, per rank."""
+        ``KFACWorkloadSpec``, which only sees layer shapes: held factors + eigen and solver state, per rank,
+        on either solve path."""
         from repro.experiments import build_workload, collect_layer_shapes, measured_memory_report
         from repro.kfac import KFACConfig, KFACWorkloadSpec
         from repro.memory import memory_breakdown
 
         workload = build_workload("mlp", seed=0)
         layers = collect_layer_shapes(workload.model, skip_modules=workload.kfac_skip_modules)
-        spec = KFACWorkloadSpec("mlp", layers, 0, local_batch_size=0, baseline_compute_time=0.0, config=KFACConfig())
+        config = KFACConfig(solve_strategy=solver)
+        spec = KFACWorkloadSpec("mlp", layers, 0, local_batch_size=0, baseline_compute_time=0.0, config=config)
         plan = spec.plan(world, frac)
         factors = plan.factor_bytes_per_rank()
         eigen = plan.state_bytes_per_rank("eigen")
-        solver = plan.state_bytes_per_rank("solver")  # the inverse squares, on the gradient workers
-        report = measured_memory_report("mlp", world_size=world, grad_worker_frac=frac, steps=1)
+        inverses = plan.state_bytes_per_rank("solver")  # the inverse triangles, on the gradient workers
+        report = measured_memory_report(
+            "mlp", world_size=world, grad_worker_frac=frac, steps=1, kfac_overrides={"solve_strategy": solver}
+        )
         for rank, entry in enumerate(report["per_rank"]):
             assert entry["measured"]["factors"] == factors[rank]
             assert entry["measured"]["eigen"] == eigen[rank]
-            assert entry["measured"]["solver"] == solver[rank]
+            assert entry["measured"]["solver"] == inverses[rank]
+        assert (eigen.sum() > 0) == (solver == "eigen") != (inverses.sum() > 0)
         assert factors.sum() == spec.factor_bytes  # every factor once
         assert report["measured_total_max"] == memory_breakdown(spec, world, frac, rank="max").kfac_overhead
 
