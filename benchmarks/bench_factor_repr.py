@@ -170,13 +170,10 @@ def test_memory_model_charges_packed_factor_bytes(benchmark):
     vocab, hidden = 30522, 1024
 
     def build(structured):
-        a_repr = FactorRepr.diagonal(vocab) if structured else None
+        a_repr = FactorRepr.diagonal(vocab) if structured else FactorRepr.dense(vocab)
         layers = [
-            LayerShapeInfo(
-                name="token_embedding", a_dim=vocab, g_dim=hidden,
-                grad_numel=vocab * hidden, a_repr=a_repr,
-            ),
-            LayerShapeInfo(name="intermediate", a_dim=hidden, g_dim=4 * hidden, grad_numel=4 * hidden * hidden),
+            LayerShapeInfo("token_embedding", a_repr, FactorRepr.dense(hidden)),
+            LayerShapeInfo.dense("intermediate", hidden, 4 * hidden),
         ]
         return KFACWorkloadSpec(
             "bert_large", layers, param_count=vocab * hidden + 4 * hidden * hidden, local_batch_size=0,

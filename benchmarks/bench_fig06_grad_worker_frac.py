@@ -21,7 +21,6 @@ import dataclasses
 import pytest
 
 from repro.experiments import PAPER_RESULTS, format_table, paper_workload_spec, sweep_grad_worker_frac
-from repro.kfac import IterationTimeModel
 
 from conftest import (
     busiest_rank_at_paper_scale,

@@ -17,7 +17,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.experiments import (
     build_workload,
@@ -57,9 +56,9 @@ def square_storage_overhead(spec, world_size: int, grad_worker_frac: float) -> i
     """
     plan = spec.plan(world_size, grad_worker_frac)
     per_rank = np.zeros(world_size, dtype=np.int64)
-    for (name, which), holders in plan.factor_holders.items():
-        repr_ = plan.groups[name].layer.factor_repr(which)
-        per_rank[list(holders)] += spec.dtype_bytes * repr_.square_numel
+    for group in plan.groups.values():
+        for which in ("a", "g"):
+            per_rank[group.decomposer(which)] += spec.dtype_bytes * group.layer.factor_repr(which).square_numel
     return int((per_rank + plan.state_bytes_per_rank()).max())
 
 

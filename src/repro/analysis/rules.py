@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Finding", "Rule", "DEFAULT_RULES", "all_rule_ids"]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Sequence, Union
 
 import numpy as np
 

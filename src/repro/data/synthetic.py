@@ -21,8 +21,7 @@ Every dataset is deterministic given its seed, supports ``__len__`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

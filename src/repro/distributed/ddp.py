@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..nn.module import Module, Parameter
+from ..nn.module import Module
 from .backend import Communicator
 from .collectives import AllreduceSpec, OverlapScheduler
 

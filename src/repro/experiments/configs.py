@@ -12,8 +12,8 @@ batch sizes and update frequencies because the synthetic datasets are small).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from ..kfac.config import KFACConfig
 

@@ -14,10 +14,9 @@ import numpy as np
 import dataclasses
 
 from ..distributed import run_spmd
-from ..kfac import KFAC, KFACConfig, IterationTimeModel, KFACWorkloadSpec
+from ..kfac import KFAC, IterationTimeModel, KFACWorkloadSpec
 from ..memory import overhead_bytes, paper_layout_bytes
 from ..training import Trainer, TrainingCurve
-from .configs import SmallWorkloadConfig
 from .workloads import TrainableWorkload, build_workload, make_optimizer
 
 __all__ = [
@@ -64,9 +63,7 @@ def _train(
     use_kfac: bool,
     grad_worker_frac: float,
     epochs: Optional[int],
-    seed: int,
     iteration_time: Optional[float] = None,
-    kfac_kwargs: Optional[dict] = None,
 ) -> TrainingCurve:
     config = workload.config
     lr = config.kfac_lr if use_kfac else config.baseline_lr
@@ -79,18 +76,8 @@ def _train(
     )
     preconditioner = None
     if use_kfac:
-        kfac_config = workload.config.kfac_config(grad_worker_frac=grad_worker_frac)
-        # Split overrides into config fields (hyperparameters) and per-run
-        # constructor arguments (communicator, skipped modules, ...).
-        config_fields = {f.name for f in dataclasses.fields(KFACConfig)}
-        extras = {}
-        for key, value in (kfac_kwargs or {}).items():
-            if key in config_fields:
-                kfac_config = kfac_config.replace(**{key: value})
-            else:
-                extras[key] = value
-        skip_modules = extras.pop("skip_modules", workload.kfac_skip_modules)
-        preconditioner = KFAC.from_config(workload.model, kfac_config, skip_modules=skip_modules, **extras)
+        kfac_config = config.kfac_config(grad_worker_frac=grad_worker_frac)
+        preconditioner = KFAC.from_config(workload.model, kfac_config, skip_modules=workload.kfac_skip_modules)
     trainer = Trainer(
         workload.model,
         optimizer,
@@ -127,11 +114,11 @@ def run_convergence_comparison(
     baseline_workload = build_workload(name, seed=seed, **kwargs)
     kaisa_workload = build_workload(name, seed=seed, **kwargs)
     baseline_curve = _train(
-        baseline_workload, use_kfac=False, grad_worker_frac=grad_worker_frac, epochs=epochs, seed=seed,
+        baseline_workload, use_kfac=False, grad_worker_frac=grad_worker_frac, epochs=epochs,
         iteration_time=baseline_iteration_time,
     )
     kaisa_curve = _train(
-        kaisa_workload, use_kfac=True, grad_worker_frac=grad_worker_frac, epochs=epochs, seed=seed,
+        kaisa_workload, use_kfac=True, grad_worker_frac=grad_worker_frac, epochs=epochs,
         iteration_time=kaisa_iteration_time,
     )
     return ConvergenceResult(
@@ -183,11 +170,11 @@ def measured_memory_report(
     Trains ``steps`` optimization steps of a real (small) workload under the
     requested distribution strategy with factor and eigen updates every
     iteration, then reads :meth:`KFAC.memory_usage` on every rank.  The
-    analytic per-rank prediction for the *same registered layers* (the
-    holders of the run's :class:`~repro.kfac.strategy.DistributionPlan`,
-    summed -- whatever the knobs) is returned alongside, so paper-style
-    memory tables (Tables 4/5) can print a live-measured column next to the
-    modeled one and the two can be checked against each other byte-exactly.
+    analytic per-rank prediction for the *same registered layers* (the run's
+    :class:`~repro.kfac.strategy.DistributionPlan`, summed per rank) is
+    returned alongside, so paper-style memory tables (Tables 4/5) can print a
+    live-measured column next to the modeled one and the two can be checked
+    against each other byte-exactly.
     """
 
     def program(comm):

@@ -18,7 +18,6 @@ ResNet depths are scaled by their relative FLOP counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -69,12 +68,12 @@ def collect_layer_shapes(model: Module, skip_modules: Sequence[Module] = ()) -> 
 
 def _linear_shape(name: str, in_features: int, out_features: int, bias: bool = True) -> LayerShapeInfo:
     a_dim = in_features + (1 if bias else 0)
-    return LayerShapeInfo(name=name, a_dim=a_dim, g_dim=out_features, grad_numel=a_dim * out_features)
+    return LayerShapeInfo.dense(name, a_dim, out_features)
 
 
 def _conv_shape(name: str, in_channels: int, out_channels: int, kernel: int, bias: bool = False) -> LayerShapeInfo:
     a_dim = in_channels * kernel * kernel + (1 if bias else 0)
-    return LayerShapeInfo(name=name, a_dim=a_dim, g_dim=out_channels, grad_numel=a_dim * out_channels)
+    return LayerShapeInfo.dense(name, a_dim, out_channels)
 
 
 def _bert_large_shapes() -> Tuple[List[LayerShapeInfo], int]:

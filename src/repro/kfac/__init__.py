@@ -50,7 +50,6 @@ from .strategy import (
     LayerShapeInfo,
     LayerWorkGroups,
     StepActions,
-    WirePolicy,
     assign_workers,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "DistributionPlan",
     "StepActions",
-    "WirePolicy",
     "assign_workers",
     "pack_eigen",
     "unpack_eigen_repr",

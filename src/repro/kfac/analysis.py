@@ -108,8 +108,8 @@ class KFACWorkloadSpec:
         packed triangles (:class:`~repro.kfac.factors.FactorRepr`): ``n(n+1)/2``
         dense, ``n`` diagonal, matching what the handlers actually allocate.
         """
-        policy = self.config.wire_policy()
-        return sum(policy.factor_bytes(layer) for layer in self.layers)
+        precision = self.config.precision_policy()
+        return sum(layer.factor_bytes(precision) for layer in self.layers)
 
     @property
     def gradient_bytes(self) -> int:
@@ -215,7 +215,7 @@ class IterationTimeModel:
         )
         times["factor_allreduce"][:] = amortized_update_time(self.perf.allreduce_time(factor_bytes, world_size), f_freq)
 
-        # --- eigen decomposition (the plan's decomposers only), eigen broadcast
+        # --- eigen decomposition (each factor's decomposer only), eigen broadcast
         decomposition, broadcast = self._refresh_times(spec, plan, [layer.name for layer in spec.layers])
         per_iteration = amortized_update_time(1.0, k_freq)
         times["eigen_decomposition"] = per_iteration * decomposition
@@ -230,7 +230,7 @@ class IterationTimeModel:
             # Two eigenbasis rotations per side (into and out of the basis), or
             # one product with each damped inverse; a diagonal factor's
             # identity basis (or reciprocal diagonal) contributes none.
-            products = 1.0 if plan.solver.refresh == "inverse" else 2.0
+            products = 1.0 if plan.solver.name == "inverse" else 2.0
             precondition_flops = products * (
                 repr_basis_apply_flops(self.perf, layer.g_repr, layer.a_dim)
                 + repr_basis_apply_flops(self.perf, layer.a_repr, layer.g_dim)
@@ -259,11 +259,11 @@ class IterationTimeModel:
         """Per-rank ``(decomposition or inverse, eigen broadcast)`` time of one step that refreshes the layers ``names``."""
         decomposition, broadcast = np.zeros(plan.world_size), np.zeros(plan.world_size)
         for name in names:
-            layer = plan.groups[name].layer
-            inverted = plan.solver.refresh == "inverse"  # a damped inverse rather than a decomposition
+            group = plan.groups[name]
+            inverted = plan.solver.name == "inverse"  # a damped inverse rather than a decomposition
             for which in ("a", "g"):
-                duration = repr_refresh_time(self.perf, layer.factor_repr(which), spec.dtype_bytes, inverted)
-                decomposition[list(plan.decomposers[name, which])] += duration
+                duration = repr_refresh_time(self.perf, group.layer.factor_repr(which), spec.dtype_bytes, inverted)
+                decomposition[group.decomposer(which)] += duration
             broadcast += self._broadcast_times(plan.eigen_round[name], plan.world_size)
         return decomposition, broadcast
 

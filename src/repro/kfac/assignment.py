@@ -10,8 +10,8 @@ cost) or, alternatively, ``O(N^2)`` when balancing for memory instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Mapping
 
 __all__ = [
     "AssignmentResult",

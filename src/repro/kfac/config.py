@@ -35,7 +35,7 @@ import numpy as np
 
 from ..tensor import PrecisionPolicy
 from .scheduling.solvers import available_solve_strategies, solve_strategy_class
-from .strategy import DistributionPlan, LayerShapeInfo, WirePolicy, build_plan
+from .strategy import DistributionPlan, LayerShapeInfo, build_plan
 
 __all__ = ["KFACConfig"]
 
@@ -81,9 +81,6 @@ class KFACConfig:
     grad_worker_frac: float = 1.0
     precision: str = "fp32"
     assignment_balance: str = "compute"
-    #: Cache Eq. 16's damped eigenvalue outer product once per refresh
-    #: (section 4.4); read only on the "eigen" path.
-    compute_eigen_outer: bool = True
     #: Fused-buffer size cap (MB) of the bucketed collective engine
     #: (:mod:`repro.distributed.collectives`) that carries every factor
     #: allreduce, eigen broadcast and gradient broadcast; the plan carries it.
@@ -103,8 +100,7 @@ class KFACConfig:
         # Canonicalize numeric types first so consumers always see float/int/bool.
         for name in ("factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb"):
             object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        for name in ("compute_eigen_outer", "adaptive_damping"):
-            object.__setattr__(self, name, _as_bool(name, getattr(self, name)))
+        object.__setattr__(self, "adaptive_damping", _as_bool("adaptive_damping", self.adaptive_damping))
         for name in ("factor_update_freq", "inv_update_freq"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         # NaN fails no ``<=`` check below, so a non-finite float is refused here, by name.
@@ -133,11 +129,6 @@ class KFACConfig:
         if not isinstance(self.precision, str):
             raise TypeError(f"precision is a policy name such as 'fp16', got {type(self.precision).__name__}")
         PrecisionPolicy.from_name(self.precision)  # raises on unknown names
-        if not self.compute_eigen_outer and self.solve_strategy != "eigen":
-            raise ValueError(
-                "compute_eigen_outer=False is never read: only the eigen path caches an outer product "
-                f"(solve_strategy {self.solve_strategy!r})"
-            )
 
     # ------------------------------------------------------------- presets
     @classmethod
@@ -179,10 +170,6 @@ class KFACConfig:
     def precision_policy(self) -> PrecisionPolicy:
         return PrecisionPolicy.from_name(self.precision)
 
-    def wire_policy(self) -> WirePolicy:
-        """How state is stored and travels: the precision policy and ``compute_eigen_outer``."""
-        return WirePolicy(self.precision_policy(), self.compute_eigen_outer)
-
     def distribution_plan(self, layers: Sequence[LayerShapeInfo], world_size: int) -> DistributionPlan:
         """The :class:`~repro.kfac.strategy.DistributionPlan` a run with these hyperparameters follows.
 
@@ -199,7 +186,7 @@ class KFACConfig:
             world_size,
             self.grad_worker_frac,
             self.assignment_balance,
-            self.wire_policy(),
+            self.precision_policy(),
             solver=solve_strategy_class(self.solve_strategy),
             factor_update_freq=self.factor_update_freq,
             inv_update_freq=self.inv_update_freq,

@@ -149,14 +149,7 @@ class KFACLayer:
         return self.a_repr if which == "a" else self.g_repr
 
     def shape_info(self) -> LayerShapeInfo:
-        return LayerShapeInfo(
-            name=self.name,
-            a_dim=self.a_dim,
-            g_dim=self.g_dim,
-            grad_numel=self.g_dim * self.a_dim,
-            a_repr=self.a_repr,
-            g_repr=self.g_repr,
-        )
+        return LayerShapeInfo(self.name, self.a_repr, self.g_repr)
 
     # ---------------------------------------------------------------- hooks
     def _forward_hook(self, module: Module, inputs, output) -> None:

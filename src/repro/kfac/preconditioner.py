@@ -154,7 +154,7 @@ class KFAC:
         )
         self.groups: Dict[str, LayerWorkGroups] = self.plan.groups
         # One instance per layer: each holds that layer's second-order state.
-        self.solvers: Dict[str, SolveStrategy] = {name: self.plan.solver.from_config(config) for name in self.layers}
+        self.solvers: Dict[str, SolveStrategy] = {name: self.plan.solver() for name in self.layers}
         if self.plan.solver is InverseSolveStrategy:
             # The damped inverses this rank will hold, two to a buffer, as the plan prices them.
             InverseSolveStrategy.hold(
@@ -420,11 +420,11 @@ class KFAC:
     def holds_factor(self, name: str, which: str) -> bool:
         """Whether this rank keeps layer ``name``'s running ``"a"`` / ``"g"`` factor.
 
-        A lookup in the plan's ``factor_holders`` (the rule is
-        :func:`~repro.kfac.strategy.build_plan`'s); a factor this rank does
-        not hold stays ``None``.
+        The rank that refreshes it keeps it
+        (:meth:`~repro.kfac.strategy.LayerWorkGroups.decomposer`); a factor
+        this rank does not hold stays ``None``.
         """
-        return self.rank in self.plan.factor_holders[name, which]
+        return self.groups[name].decomposer(which) == self.rank
 
     def accept_factor_window(self, layer: KFACLayer, window_a: np.ndarray, window_g: np.ndarray) -> bool:
         """Whether ``layer``'s averaged window pair may be folded: the same answer on every rank.
@@ -545,10 +545,8 @@ class KFAC:
         self.refresh.submit(items)
 
     def _decomposed(self, names: Sequence[str]) -> List[tuple]:
-        """``(layer, "a" | "g")`` of every factor this rank decomposes (``plan.decomposers``) among the layers ``names``."""
-        return [
-            (name, which) for name in names for which in ("a", "g") if self.rank in self.plan.decomposers[name, which]
-        ]
+        """``(layer, "a" | "g")`` of every factor this rank decomposes (the factors it holds) among the layers ``names``."""
+        return [(name, which) for name in names for which in ("a", "g") if self.holds_factor(name, which)]
 
     def _install_decompositions(self, names: Sequence[str]) -> None:
         """Take what this rank computed for the factors it decomposes among the refreshed layers ``names``.
@@ -640,8 +638,10 @@ class KFAC:
         """Restore state saved by :meth:`state_dict` on this rank, under the same config.
 
         The format number is checked first, then that no entry of a removed
-        feature is present (:func:`~repro.kfac.base.refuse_removed_entries`);
-        then only the keys this instance's config writes are read, and the
+        feature is present (:func:`~repro.kfac.base.refuse_removed_entries`),
+        then that the checkpoint was written under this ``solve_strategy``
+        (each layer's solver entries) and ``adaptive_damping`` (the damping
+        controller's); only the keys this config writes are read, and the
         plan is never changed.
         The registered layers must match the checkpoint exactly (same names,
         same shapes); arrays are cast to this instance's precision policy.
@@ -665,6 +665,19 @@ class KFAC:
             raise ValueError(
                 "preconditioner state does not match the registered layers "
                 f"(missing: {missing}, unexpected: {unexpected})"
+            )
+        for name, solver in self.solvers.items():
+            written, kept = sorted(state["solvers"].get(name, {})), sorted(solver.state_dict())
+            if written != kept:
+                raise ValueError(
+                    f"checkpoint solver state of layer {name!r} has entries {written}, but solve_strategy "
+                    f"{self.config.solve_strategy!r} keeps {kept}; restore it under the solve_strategy that wrote it"
+                )
+        adaptive = self.config.adaptive_damping
+        if ("damping_controller" in state) != adaptive:
+            raise ValueError(
+                f"checkpoint has {'no' if adaptive else 'a'} 'damping_controller' entry, but adaptive_damping is "
+                f"{adaptive}; restore it under the adaptive_damping that wrote it"
             )
         steps = int(state["steps"])
         for name in self.layers:

@@ -23,7 +23,7 @@ decomposer included, installs what the round delivers (``receive``).
 
 ``KFACConfig.solve_strategy`` names one of the two
 (:func:`solve_strategy_class`), the distribution plan carries the class
-(``plan.solver``) and each rank builds one instance per layer ``from_config``.
+(``plan.solver``) and each rank builds one instance per layer.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from ..kmath import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..config import KFACConfig
+    from ...tensor import PrecisionPolicy
     from ..layers import KFACLayer
-    from ..strategy import LayerShapeInfo, WirePolicy
+    from ..strategy import LayerShapeInfo
 
 __all__ = [
     "SolveStrategy",
@@ -121,28 +121,22 @@ class SolveStrategy:
     ``receive(which, packed, layer)`` on every member, the source included.
     """
 
-    name: str = "?"
     #: What a second-order refresh computes for the layer on its decomposer:
     #: ``"eigen"`` (the decompositions of Eqs. 15-17) or ``"inverse"`` (the
     #: damped inverses of Eq. 12); it names the eigen round's messages.
-    refresh: str = "?"
+    name: str = "?"
     #: Whether the refresh reads both of a layer's factors on one rank (π from both traces): the plan pairs them.
     pairs_factors: bool = False
     #: The :meth:`KFAC.memory_usage` key (and :class:`~repro.memory.MemoryBreakdown` category) the state counts under.
     memory_key: str = "solver"
-
-    @classmethod
-    def from_config(cls, config: "KFACConfig") -> "SolveStrategy":
-        """The strategy with the hyperparameters of ``config`` it reads."""
-        return cls()
 
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         """Precondition ``grad``, the layer's current bias-folded gradient matrix (:meth:`KFACLayer.get_gradient`)."""
         raise NotImplementedError
 
     @classmethod
-    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
-        """Bytes a gradient worker of all of ``layers`` (each solved by this strategy) holds under ``policy``, once solved."""
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], precision: "PrecisionPolicy") -> int:
+        """Bytes a gradient worker of all of ``layers`` (each solved by this strategy) holds under ``precision``, once solved."""
         return 0
 
     def refresh_dampings(self, layer: "KFACLayer", damping: float) -> Optional[Tuple[float, float]]:
@@ -169,37 +163,27 @@ class EigenSolveStrategy(SolveStrategy):
     """The eigen path of Eqs. 15-17: each gradient worker holds both decompositions and Eq. 16's damped spectrum.
 
     Each decomposition travels packed (:func:`pack_eigen`) to every gradient
-    worker, the source included, so all precondition from one layout.  With
-    ``compute_outer`` (section 4.4) the first solve after a refresh caches
-    the eigenvalue outer product under that step's ``γ``, split by the
-    eigenvalues' π (:func:`~repro.kfac.kmath.eigenvalue_outer_product`), so it
-    never travels; without it every solve forms it afresh.
+    worker, the source included, so all precondition from one layout.  The
+    first solve after a refresh caches the eigenvalue outer product under that
+    step's ``γ``, split by the eigenvalues' π (section 4.4,
+    :func:`~repro.kfac.kmath.eigenvalue_outer_product`), so it never travels.
     """
 
     name = "eigen"
-    refresh = "eigen"
     memory_key = "eigen"
 
-    def __init__(self, compute_outer: bool = True) -> None:
-        self.compute_outer = bool(compute_outer)
+    def __init__(self) -> None:
         self.eigen_a: Optional[EigenDecomposition] = None
         self.eigen_g: Optional[EigenDecomposition] = None
         self.inverse_outer: Optional[np.ndarray] = None
 
     @classmethod
-    def from_config(cls, config: "KFACConfig") -> "EigenSolveStrategy":
-        return cls(compute_outer=config.compute_eigen_outer)
-
-    @classmethod
-    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
-        """Per layer: both factors' eigenvalues and stored eigenvectors, with ``compute_eigen_outer`` the ``g × a`` outer product."""
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], precision: "PrecisionPolicy") -> int:
+        """Per layer: both factors' eigenvalues and stored eigenvectors, and the ``g × a`` outer product."""
         numel = sum(
-            layer.a_repr.packed_eigen_numel
-            + layer.g_repr.packed_eigen_numel
-            + (layer.a_dim * layer.g_dim if policy.compute_eigen_outer else 0)
-            for layer in layers
+            layer.a_repr.packed_eigen_numel + layer.g_repr.packed_eigen_numel + layer.grad_numel for layer in layers
         )
-        return numel * np.dtype(policy.precision.inverse_dtype).itemsize
+        return numel * np.dtype(precision.inverse_dtype).itemsize
 
     @classmethod
     def wire_shape(cls, repr_: FactorRepr) -> Tuple[int, ...]:
@@ -224,7 +208,7 @@ class EigenSolveStrategy(SolveStrategy):
     def solve(self, layer: "KFACLayer", grad: np.ndarray, damping: float) -> np.ndarray:
         if self.eigen_a is None or self.eigen_g is None:
             raise RuntimeError(f"layer {layer.name!r} has no eigen decompositions")
-        if self.compute_outer and self.inverse_outer is None:
+        if self.inverse_outer is None:
             dtype = layer.precision.inverse_dtype
             self.inverse_outer = eigenvalue_outer_product(self.eigen_a, self.eigen_g, damping, dtype)
         return layer.kernels.precondition_contract(grad, self.eigen_a, self.eigen_g, damping, self.inverse_outer)
@@ -305,7 +289,6 @@ class InverseSolveStrategy(SolveStrategy):
     """
 
     name = "inverse"
-    refresh = "inverse"
     pairs_factors = True
 
     def __init__(self) -> None:
@@ -324,7 +307,7 @@ class InverseSolveStrategy(SolveStrategy):
         ]
 
     @classmethod
-    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], policy: "WirePolicy") -> int:
+    def state_bytes(cls, layers: Sequence["LayerShapeInfo"], precision: "PrecisionPolicy") -> int:
         """The dense inverses in the buffers :meth:`hold` shares them in, the structured ones as held.
 
         Each group :func:`~repro.kfac.kmath.pair_triangles` makes of the dense
@@ -336,7 +319,7 @@ class InverseSolveStrategy(SolveStrategy):
         numel += sum(
             math.prod(r.held_shape) for layer in layers for r in (layer.a_repr, layer.g_repr) if r.num_blocks > 1
         )
-        return numel * np.dtype(policy.precision.inverse_dtype).itemsize
+        return numel * np.dtype(precision.inverse_dtype).itemsize
 
     @classmethod
     def hold(cls, solved: Dict["KFACLayer", "InverseSolveStrategy"], dtype) -> None:

@@ -19,10 +19,11 @@ locally:
 The three schemes are one placement function of that number,
 :func:`assign_workers`: per-factor LPT when every rank is a gradient worker,
 fixed blocks of :func:`num_grad_workers` ranks otherwise (MEM-OPT is blocks of
-one).  :func:`build_plan` sees layer *shapes* and a :class:`WirePolicy`, never
+one).  :func:`build_plan` sees layer *shapes* and a precision policy, never
 the preconditioner or a live layer, and returns **data, the same on every
-rank**: a :class:`DistributionPlan` naming the scheme, which rank decomposes
-which factor, which ranks hold each running factor, the
+rank**: a :class:`DistributionPlan` naming the scheme, the placement (which
+rank decomposes and keeps each running factor, which ranks are each layer's
+gradient workers), the
 :class:`~repro.kfac.scheduling.SolveStrategy` (whose state each layer's
 gradient workers hold), and the three communication rounds of one update as unbound
 specs -- ``(key, shape, dtype)`` per factor allreduce, a
@@ -57,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 __all__ = [
     "LayerShapeInfo",
     "LayerWorkGroups",
-    "WirePolicy",
     "StepActions",
     "DistributionPlan",
     "num_grad_workers",
@@ -68,33 +68,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LayerShapeInfo:
-    """Shape information the placement needs about one K-FAC-preconditioned layer.
+    """Shape information the placement needs about one K-FAC-preconditioned layer: its two factor representations.
 
-    ``a_repr``/``g_repr`` carry the factor representations; they default to
-    dense (``None`` in the constructor keeps every pre-structured call site
-    working), in which case all costs reduce to the historical dense
-    formulas bit for bit.
+    The factor dimensions and the size of the (bias-folded) ``g × a``
+    gradient matrix follow from them.
     """
 
     name: str
-    a_dim: int  # dimension of the A (activation) Kronecker factor
-    g_dim: int  # dimension of the G (gradient) Kronecker factor
-    grad_numel: int  # number of elements in the (bias-folded) gradient matrix
-    a_repr: Optional[FactorRepr] = None
-    g_repr: Optional[FactorRepr] = None
+    a_repr: FactorRepr  # the A (activation) Kronecker factor
+    g_repr: FactorRepr  # the G (gradient) Kronecker factor
 
-    def __post_init__(self) -> None:
-        if self.a_repr is None:
-            object.__setattr__(self, "a_repr", FactorRepr.dense(self.a_dim))
-        if self.g_repr is None:
-            object.__setattr__(self, "g_repr", FactorRepr.dense(self.g_dim))
-        for which, repr in (("a", self.a_repr), ("g", self.g_repr)):
-            dim = self.a_dim if which == "a" else self.g_dim
-            if repr.dim != dim:
-                raise ValueError(
-                    f"layer {self.name!r}: {which}_repr {repr.describe()} does not match "
-                    f"{which}_dim={dim}"
-                )
+    @classmethod
+    def dense(cls, name: str, a_dim: int, g_dim: int) -> "LayerShapeInfo":
+        """A layer whose two factors are dense."""
+        return cls(name, FactorRepr.dense(a_dim), FactorRepr.dense(g_dim))
+
+    @property
+    def a_dim(self) -> int:
+        return self.a_repr.dim
+
+    @property
+    def g_dim(self) -> int:
+        return self.g_repr.dim
+
+    @property
+    def grad_numel(self) -> int:
+        """Elements of the bias-folded gradient matrix."""
+        return self.a_dim * self.g_dim
 
     @property
     def eigen_cost(self) -> float:
@@ -113,6 +113,11 @@ class LayerShapeInfo:
     def factor_repr(self, which: str) -> FactorRepr:
         return self.a_repr if which == "a" else self.g_repr
 
+    def factor_bytes(self, precision: PrecisionPolicy, which: str = "ag") -> int:
+        """Bytes of the stored running ``"a"`` / ``"g"`` factor, or both (packed: one triangle of a dense one, O(F) for a diagonal one)."""
+        numel = sum(self.factor_repr(one).packed_numel for one in which)
+        return numel * np.dtype(precision.factor_dtype).itemsize
+
 
 @dataclass
 class LayerWorkGroups:
@@ -124,24 +129,15 @@ class LayerWorkGroups:
     grad_workers: Tuple[int, ...]
     receiver_map: Dict[int, Tuple[int, ...]]  # grad worker -> receivers it broadcasts to
 
+    def decomposer(self, which: str) -> int:
+        """The rank that refreshes factor ``"a"`` / ``"g"`` (decomposes or inverts it) and the one that keeps it."""
+        return self.eigen_worker_a if which == "a" else self.eigen_worker_g
+
     def is_grad_worker(self, rank: int) -> bool:
         return rank in self.grad_workers
 
     def receivers_of(self, rank: int) -> Tuple[int, ...]:
         return self.receiver_map.get(rank, ())
-
-
-@dataclass(frozen=True)
-class WirePolicy:
-    """How K-FAC state is stored and travels: the knobs that size a tensor without moving it."""
-
-    precision: PrecisionPolicy = PrecisionPolicy.fp32()
-    compute_eigen_outer: bool = True  # an eigen layer's gradient workers cache the eigenvalue outer product
-
-    def factor_bytes(self, layer: LayerShapeInfo, which: str = "ag") -> int:
-        """Bytes of ``layer``'s stored running ``"a"`` / ``"g"`` factor, or both (packed: one triangle of a dense one, O(F) for a diagonal one)."""
-        numel = sum(layer.factor_repr(one).packed_numel for one in which)
-        return numel * np.dtype(self.precision.factor_dtype).itemsize
 
 
 #: One factor allreduce as the bucket manager takes it: ``(key, wire shape, dtype)``.
@@ -184,12 +180,11 @@ class StepActions:
 class DistributionPlan:
     """One K-FAC update as data: who computes, who holds, what moves and when.  Identical on every rank.
 
-    Every mapping is keyed by layer name -- or ``(layer name, "a" | "g")`` for
-    per-factor entries -- in registration order, so a step that refreshes a
-    subset of layers concatenates those layers' entries and keeps the order.
-    Ranks in ``decomposers`` / ``factor_holders`` are sorted tuples.
-    ``solver`` is the :class:`~repro.kfac.scheduling.SolveStrategy` class of
-    every layer: what its eigen round ships and its gradient workers hold.
+    Every mapping is keyed by layer name in registration order, so a step
+    that refreshes a subset of layers concatenates those layers' entries and
+    keeps the order.  Which rank refreshes and keeps each running factor is
+    its group's :meth:`LayerWorkGroups.decomposer`.  ``solver`` is the
+    :class:`~repro.kfac.scheduling.SolveStrategy` class of every layer: what its eigen round ships and its gradient workers hold.
     ``refresh_offsets`` is the phase of each layer's decomposition in the
     interval (:func:`~repro.kfac.assignment.staggered_refresh_offsets`);
     :meth:`actions` turns the two cadences and the offsets into what a step does.
@@ -199,11 +194,9 @@ class DistributionPlan:
 
     scheme: str  # "MEM-OPT", "HYBRID-OPT" or "COMM-OPT": which one grad_worker_frac selects
     world_size: int
-    policy: WirePolicy
+    precision: PrecisionPolicy  # the dtypes that size the factors and the second-order state
     groups: Dict[str, LayerWorkGroups]  # placement
     solver: Type["SolveStrategy"]  # what solves every layer: its gradient workers hold that state
-    decomposers: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that decompose (or invert) the factor
-    factor_holders: Dict[Tuple[str, str], Tuple[int, ...]]  # ranks that keep the running factor: its decomposers
     factor_round: Dict[str, Tuple[FactorSpec, ...]]  # world-wide window allreduces
     eigen_round: Dict[str, Tuple[BroadcastSpec, ...]]  # after a refresh: decompositions or packed inverses
     gradient_round: Dict[str, Tuple[BroadcastSpec, ...]]  # every step
@@ -242,8 +235,9 @@ class DistributionPlan:
     def factor_bytes_per_rank(self) -> np.ndarray:
         """Running-factor bytes each rank holds."""
         per_rank = np.zeros(self.world_size, dtype=np.int64)
-        for (name, which), holders in self.factor_holders.items():
-            per_rank[list(holders)] += self.policy.factor_bytes(self.groups[name].layer, which)
+        for group in self.groups.values():
+            for which in ("a", "g"):
+                per_rank[group.decomposer(which)] += group.layer.factor_bytes(self.precision, which)
         return per_rank
 
     def state_bytes_per_rank(self, memory_key: Optional[str] = None) -> np.ndarray:
@@ -258,7 +252,7 @@ class DistributionPlan:
             return per_rank
         for rank in range(self.world_size):
             held = [group.layer for group in self.groups.values() if group.is_grad_worker(rank)]
-            per_rank[rank] = self.solver.state_bytes(held, self.policy)
+            per_rank[rank] = self.solver.state_bytes(held, self.precision)
         return per_rank
 
     def messages(self, step: Optional[int] = None) -> Dict[str, List[Tuple[Tuple[int, ...], int]]]:
@@ -372,7 +366,9 @@ def assign_workers(
 
 # A spec names one logical tensor; the collective engine fuses the specs that
 # share a (src, group) channel into capped buckets, in list order.
-def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, strategy: Type["SolveStrategy"]) -> Tuple[BroadcastSpec, ...]:
+def _eigen_round(
+    group: LayerWorkGroups, precision: PrecisionPolicy, strategy: Type["SolveStrategy"]
+) -> Tuple[BroadcastSpec, ...]:
     """Messages that take one layer's fresh refresh -- decompositions or damped inverses -- to its gradient workers.
 
     Each factor's result travels in ``strategy``'s wire form (``wire_shape``,
@@ -388,12 +384,13 @@ def _eigen_round(group: LayerWorkGroups, policy: WirePolicy, strategy: Type["Sol
     if len(members) <= 1:
         return ()
     layer = group.layer
-    dtype = np.dtype(policy.precision.inverse_dtype)
+    dtype = np.dtype(precision.inverse_dtype)
     return tuple(
         BroadcastSpec(
-            f"{layer.name}/{strategy.refresh}_{which}", src, members, strategy.wire_shape(layer.factor_repr(which)), dtype
-        )
-        for which, src in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g))
+            f"{layer.name}/{strategy.name}_{which}", group.decomposer(which), members,
+            strategy.wire_shape(layer.factor_repr(which)), dtype,
+        )  # fmt: skip
+        for which in ("a", "g")
     )
 
 
@@ -419,7 +416,7 @@ def build_plan(
     world_size: int,
     grad_worker_frac: float,
     balance: str,
-    policy: WirePolicy,
+    precision: PrecisionPolicy,
     solver: Type["SolveStrategy"],
     factor_update_freq: int,
     inv_update_freq: int,
@@ -448,23 +445,21 @@ def build_plan(
     scheme = "COMM-OPT" if workers >= world_size else "MEM-OPT" if workers == 1 else "HYBRID-OPT"
     paired = [layer.name for layer in layers] if solver.pairs_factors else []
     groups = assign_workers(layers, world_size, grad_worker_frac, balance, paired=paired)
-    factor_dtype = np.dtype(policy.precision.factor_dtype)
+    factor_dtype = np.dtype(precision.factor_dtype)
     offsets = staggered_refresh_offsets(
         {layer.name: layer.eigen_cost for layer in layers}, world_size, factor_update_freq, inv_update_freq
     )
     plan = DistributionPlan(
-        scheme, world_size, policy, groups, solver, {}, {}, {}, {}, {},
+        scheme, world_size, precision, groups, solver, {}, {}, {},
         int(factor_update_freq), int(inv_update_freq), offsets, float(bucket_cap_mb),
     )  # fmt: skip
     for layer in layers:
         name, group = layer.name, groups[layer.name]
         if solver.pairs_factors and group.eigen_worker_a != group.eigen_worker_g:
             raise RuntimeError(f"layer {name!r} is inverted, but its A and G factors are placed on different ranks")
-        for which, eigen_worker in (("a", group.eigen_worker_a), ("g", group.eigen_worker_g)):
-            plan.decomposers[name, which] = plan.factor_holders[name, which] = (eigen_worker,)
         plan.factor_round[name] = tuple(
             (f"{name}/factor_{which}", layer.factor_repr(which).packed_shape, factor_dtype) for which in ("a", "g")
         )
-        plan.eigen_round[name] = _eigen_round(group, policy, solver)
+        plan.eigen_round[name] = _eigen_round(group, precision, solver)
         plan.gradient_round[name] = _gradient_round(group)
     return plan

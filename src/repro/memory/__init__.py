@@ -10,6 +10,8 @@ from .tracker import (
     paper_factor_bytes,
     paper_layout_bytes,
 )
-from .tracker import __all__ as _tracker_all
 
-__all__ = [*_tracker_all, "MB"]
+__all__ = [
+    "MB", "MemoryBreakdown", "max_local_batch_size", "memory_breakdown", "optimizer_state_multiplier",
+    "overhead_bytes", "paper_factor_bytes", "paper_layout_bytes",
+]

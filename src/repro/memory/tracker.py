@@ -12,8 +12,8 @@ a layer.  Two layouts of the factors are modelled:
   (the ranks allreduce their *window* factors and the average is folded where
   it is read) and a dense one is stored once, as the ``n(n+1)/2`` elements of
   its triangle, so per-rank state is ``(factors + eigen) / world`` at MEM-OPT.
-  The plan's ``factor_bytes_per_rank()`` sums the factors' holders for every
-  knob that moves state, and its ``state_bytes_per_rank()`` the strategy's
+  The plan's ``factor_bytes_per_rank()`` sums each factor on the rank that
+  decomposes it, and its ``state_bytes_per_rank()`` the strategy's
   state of the layers a rank is a gradient worker of
   (``SolveStrategy.state_bytes``: eigen state, or damped inverses two to a
   buffer) -- one rule for every path, split by

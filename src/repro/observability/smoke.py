@@ -119,7 +119,7 @@ def run_traced_bert(
                 gauges = comm.tracer.gauges()
                 eigen_gauges.append(tuple(gauges.get(f"kfac/eigen_{part}_ms") for part in ("solve", "hidden", "caller")))
         plan = preconditioner.plan
-        registered = sum(plan.policy.factor_bytes(group.layer) for group in plan.groups.values())
+        registered = sum(group.layer.factor_bytes(plan.precision) for group in plan.groups.values())
         # From the dimensions, not from what the arrays or the plan say: k·b(b+1)/2 per factor held.
         itemsize = preconditioner.precision.factor_dtype.itemsize
         triangles = itemsize * sum(

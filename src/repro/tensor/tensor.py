@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from ..nn.loss import dice_coefficient

@@ -13,8 +13,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.analysis import all_rule_ids, lint_paths, lint_sources, result_payload
 from repro.analysis.lint import main as lint_main
 

@@ -15,7 +15,6 @@ channel-major memory order of conv outputs changes a step by rounding only.
 import numpy as np
 import pytest
 
-import repro
 from repro.experiments import build_workload
 from repro.nn import functional as F
 from repro.tensor.tensor import Function

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import nn, optim
+from repro import nn
 from repro.distributed import (
     AllreduceSpec,
     BroadcastSpec,

@@ -218,8 +218,8 @@ class TestOneEigenStagePath:
     @pytest.mark.parametrize(
         "frac, knobs",
         [(0.25, {}), (0.5, {}), (1.0, {}), (0.5, {"adaptive_damping": True}),
-         (0.5, {"precision": "fp16"}), (0.5, {"compute_eigen_outer": False})],
-        ids=["mem", "hybrid", "comm", "hybrid-adaptive", "hybrid-fp16", "hybrid-no-outer"],
+         (0.5, {"precision": "fp16"}), (1.0, {"adaptive_damping": True})],
+        ids=["mem", "hybrid", "comm", "hybrid-adaptive", "hybrid-fp16", "comm-adaptive"],
     )  # fmt: skip
     def test_each_holder_forms_the_outer_product_and_the_eigen_round_carries_decompositions_only(self, frac, knobs):
         def program(comm):
@@ -244,9 +244,6 @@ class TestOneEigenStagePath:
                         assert (solver.eigen_a, solver.eigen_g, solver.inverse_outer) == (None, None, None)
                         continue
                     held += 1
-                    if not pre.config.compute_eigen_outer:
-                        assert solver.inverse_outer is None
-                        continue
                     own = eigenvalue_outer_product(solver.eigen_a, solver.eigen_g, pre.damping, pre.precision.inverse_dtype)
                     np.testing.assert_array_equal(solver.inverse_outer, own, err_msg=f"{name} at step {step}")
                 # The step's eigen round is the packed decompositions of the refreshed layers whose group has
@@ -348,12 +345,12 @@ def layout_program(steps=3, **kfac_kwargs):
                 for which in ("a", "g")
             },
             "decomposes": {
-                (name, which): comm.rank in pre.plan.decomposers[name, which]
+                (name, which): pre.groups[name].decomposer(which) == comm.rank
                 for name in pre.layers
                 for which in ("a", "g")
             },
             "grad_worker": {name: pre.groups[name].is_grad_worker(comm.rank) for name in pre.layers},
-            "all_factor_bytes": sum(pre.plan.policy.factor_bytes(group.layer) for group in pre.groups.values()),
+            "all_factor_bytes": sum(group.layer.factor_bytes(pre.plan.precision) for group in pre.groups.values()),
         }
 
     return program

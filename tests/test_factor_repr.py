@@ -44,9 +44,9 @@ from repro.kfac import (
 )
 from repro.kfac.analysis import KFACWorkloadSpec, repr_basis_apply_flops, repr_eigen_time
 from repro.distributed.cost_model import PerformanceModel
-from repro.kfac.strategy import LayerShapeInfo, WirePolicy
+from repro.kfac.strategy import LayerShapeInfo
 from repro.memory import paper_factor_bytes
-from repro.models import MLP, bert_tiny, cifar_resnet20
+from repro.models import bert_tiny, cifar_resnet20
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
@@ -127,8 +127,8 @@ class TestFactorReprFamily:
         assert repr_.num_blocks == k and repr_.packed_shape == (repr_.packed_numel,)
         assert repr_.packed_numel == np.count_nonzero(np.triu(mask)) == k * b * (b + 1) // 2  # each block once
         assert repr_.square_numel == np.count_nonzero(mask) == k * b * b  # the paper's layout
-        layer = LayerShapeInfo("layer", 1, dim, dim, g_repr=repr_)
-        assert WirePolicy().factor_bytes(layer, "g") == 4 * np.count_nonzero(np.triu(mask))  # what the plan charges
+        layer = LayerShapeInfo("layer", FactorRepr.dense(1), repr_)
+        assert layer.factor_bytes(PrecisionPolicy.fp32(), "g") == 4 * np.count_nonzero(np.triu(mask))  # what the plan charges
         if block_size == dim:
             assert repr_.packed_numel == dim * (dim + 1) // 2  # one triangle
             assert repr_.eigenvector_shape == (dim, dim)  # the eigenbasis is not symmetric: it stays square
@@ -282,11 +282,8 @@ class TestCostModelRepr:
 
     def test_memory_model_charges_packed_bytes(self):
         n, other = 512, 16
-        structured = LayerShapeInfo(
-            name="emb", a_dim=n, g_dim=other, grad_numel=n * other,
-            a_repr=FactorRepr.diagonal(n),
-        )
-        dense = LayerShapeInfo(name="emb", a_dim=n, g_dim=other, grad_numel=n * other)
+        structured = LayerShapeInfo("emb", FactorRepr.diagonal(n), FactorRepr.dense(other))
+        dense = LayerShapeInfo.dense("emb", n, other)
         structured_spec, dense_spec = (
             KFACWorkloadSpec("emb", [layer], n * other, local_batch_size=0, baseline_compute_time=0.0, config=KFACConfig())
             for layer in (structured, dense)

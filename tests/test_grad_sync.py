@@ -686,5 +686,5 @@ class TestLayerNormRegistry:
         nn.CrossEntropyLoss()(model(Tensor(x[:32])), y[:32]).backward()
         pre.step(lr=0.1)
         measured = pre.memory_usage()
-        expected_factors = sum(pre.plan.policy.factor_bytes(group.layer) for group in pre.groups.values())
+        expected_factors = sum(group.layer.factor_bytes(pre.plan.precision) for group in pre.groups.values())
         assert measured["factors"] == expected_factors

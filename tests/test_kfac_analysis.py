@@ -7,6 +7,7 @@ import pytest
 
 from repro.distributed import A100, DGX_A100_FABRIC, PerformanceModel
 from repro.kfac import EigenSolveStrategy, IterationTimeModel, KFACConfig, KFACWorkloadSpec, LayerShapeInfo
+from repro.tensor import PrecisionPolicy
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(KFACConfig)}
 
@@ -16,9 +17,9 @@ def small_spec(**overrides):
     knobs = {"factor_update_freq": 50, "inv_update_freq": 500}
     knobs.update({key: overrides.pop(key) for key in list(overrides) if key in CONFIG_FIELDS})
     layers = [
-        LayerShapeInfo("conv1", a_dim=147, g_dim=64, grad_numel=147 * 64),
-        LayerShapeInfo("conv2", a_dim=576, g_dim=128, grad_numel=576 * 128),
-        LayerShapeInfo("fc", a_dim=2049, g_dim=1000, grad_numel=2049 * 1000),
+        LayerShapeInfo.dense("conv1", 147, 64),
+        LayerShapeInfo.dense("conv2", 576, 128),
+        LayerShapeInfo.dense("fc", 2049, 1000),
     ]
     defaults = dict(
         name="toy",
@@ -51,9 +52,8 @@ class TestWorkloadSpec:
         spec = small_spec()
         layer = spec.layers[0]
         expected = (layer.a_dim ** 2 + layer.a_dim + layer.g_dim ** 2 + layer.g_dim + layer.a_dim * layer.g_dim) * 4
-        assert EigenSolveStrategy.state_bytes([layer], spec.config.wire_policy()) == expected
-        policy = small_spec(compute_eigen_outer=False, solve_strategy="eigen").config.wire_policy()
-        assert expected - EigenSolveStrategy.state_bytes([layer], policy) == layer.a_dim * layer.g_dim * 4
+        assert EigenSolveStrategy.state_bytes([layer], spec.config.precision_policy()) == expected
+        assert EigenSolveStrategy.state_bytes([layer], PrecisionPolicy.fp64()) == 2 * expected
 
 
 class TestIterationModel:

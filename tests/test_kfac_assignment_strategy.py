@@ -13,12 +13,12 @@ from repro.kfac import (
     makespan,
     round_robin_assignment,
 )
-from repro.kfac.assignment import AssignmentResult, staggered_refresh_offsets
+from repro.kfac.assignment import staggered_refresh_offsets
 from repro.kfac.strategy import num_grad_workers
 
 
 def layer(name, a_dim, g_dim):
-    return LayerShapeInfo(name=name, a_dim=a_dim, g_dim=g_dim, grad_numel=a_dim * g_dim)
+    return LayerShapeInfo.dense(name, a_dim, g_dim)
 
 
 LAYERS = [layer("l0", 64, 32), layer("l1", 128, 64), layer("l2", 32, 16), layer("l3", 256, 128), layer("l4", 16, 8)]
@@ -299,8 +299,8 @@ class TestDistributionStrategy:
             assert after.eigen_worker_a == leader
         # The default solve path pairs every layer, and the plan builder holds it to that.
         plan = make_plan(LAYERS, world, 1.0)
-        for name in plan.groups:
-            assert plan.decomposers[name, "a"] == plan.decomposers[name, "g"] == plan.factor_holders[name, "a"]
+        for group in plan.groups.values():
+            assert group.decomposer("a") == group.decomposer("g")
         assert plan.solver is InverseSolveStrategy and not plan.state_bytes_per_rank("eigen").any()
 
     def test_hybrid_partitions_receivers_among_grad_workers(self):

@@ -35,7 +35,7 @@ from repro.models import MLP
 from repro.tensor import PrecisionPolicy, Tensor
 from repro.training import Trainer
 
-from counters import event_total, layer_events
+from counters import layer_events
 
 RNG = np.random.default_rng(101)
 
@@ -78,20 +78,6 @@ class TestKFACConfig:
         with pytest.raises(ValueError):
             KFACConfig(**kwargs)
 
-    def test_a_value_no_reachable_solve_path_reads_is_refused_naming_the_field_and_the_paths(self):
-        """``compute_eigen_outer=False`` is refused unless ``solve_strategy`` is the eigen path that reads it;
-        code and dicts alike, and a checkpoint of defaults still loads."""
-        message = r"^compute_eigen_outer=False is never read: .* \(solve_strategy 'inverse'\)$"
-        with pytest.raises(ValueError, match=message):
-            KFACConfig(compute_eigen_outer=False)
-        with pytest.raises(ValueError, match=message):
-            KFACConfig.from_dict(dict(KFACConfig().to_dict(), compute_eigen_outer=False))
-        assert KFACConfig.from_dict(KFACConfig().to_dict()) == KFACConfig()
-
-    def test_a_value_a_reachable_path_reads_is_accepted(self):
-        config = KFACConfig(compute_eigen_outer=False, solve_strategy="eigen")
-        assert KFACConfig.from_dict(config.to_dict()) == config
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["factor_decay", "damping", "kl_clip", "grad_worker_frac", "bucket_cap_mb"])
     def test_a_non_finite_float_is_refused_naming_the_field(self, field, value):
@@ -103,7 +89,7 @@ class TestKFACConfig:
 
     @pytest.mark.parametrize(
         "field, value, expected",
-        [("compute_eigen_outer", "false", None), ("adaptive_damping", "no", None), ("adaptive_damping", 0.5, None),
+        [("adaptive_damping", "false", None), ("adaptive_damping", "no", None), ("adaptive_damping", 0.5, None),
          ("adaptive_damping", np.bool_(True), True), ("factor_update_freq", 2.5, None), ("inv_update_freq", 1.9, None),
          ("inv_update_freq", -0.5, None), ("factor_update_freq", True, None), ("inv_update_freq", np.bool_(True), None),
          ("inv_update_freq", np.int64(7), 7), ("factor_update_freq", 4.0, 4), ("factor_decay", True, None),
@@ -136,17 +122,21 @@ class TestKFACConfig:
         "key, value",
         [("comm_overlap", False), ("adaptive_schedule", False), ("triangular_comm", False), ("dense_factors", False),
          ("kernel_backend", "reference"), ("lr", 0.1), ("drift_tol", 0.0), ("max_staleness", 0),
-         ("small_layer_solver", "cg"), ("small_layer_dim", 0), ("cg_tol", 1e-8), ("cg_max_iter", 50)],
+         ("small_layer_solver", "cg"), ("small_layer_dim", 0), ("cg_tol", 1e-8), ("cg_max_iter", 50),
+         ("compute_eigen_outer", True)],
     )  # fmt: skip
     def test_a_retired_key_raises_like_any_unknown_key(self, key, value):
         with pytest.raises(ValueError, match=rf"unknown KFACConfig fields: \['{key}'\]"):
             KFACConfig.from_dict(dict(KFACConfig().to_dict(), **{key: value}))
 
     @pytest.mark.parametrize(
-        "key", ["drift_tol", "max_staleness", "small_layer_solver", "small_layer_dim", "cg_tol", "cg_max_iter"]
-    )
+        "key",
+        ["drift_tol", "max_staleness", "small_layer_solver", "small_layer_dim", "cg_tol", "cg_max_iter",
+         "compute_eigen_outer"],
+    )  # fmt: skip
     def test_a_removed_field_is_no_keyword_of_the_config_or_the_preconditioner(self, key):
-        """The drift schedule's, the CG solver's and small-layer routing's fields are gone from every entry point."""
+        """The drift schedule's, the CG solver's, small-layer routing's and the uncached eigen solve's fields are
+        gone from every entry point."""
         assert not hasattr(KFACConfig(), key)
         with pytest.raises(TypeError, match=key):
             KFACConfig(**{key: 1})
@@ -156,13 +146,13 @@ class TestKFACConfig:
         with pytest.raises(TypeError, match=key):
             KFAC(model, **{key: 1})
 
-    def test_the_config_has_twelve_fields(self):
+    def test_the_config_has_eleven_fields(self):
         """Every field is a hyperparameter that changes a result, a byte or a time; none selects a registry member.
 
         The learning rate is not one: ``KFAC.step(lr)`` takes the optimizer's, so a config ``lr`` is refused."""
         import dataclasses
 
-        assert len(dataclasses.fields(KFACConfig)) == 12
+        assert len(dataclasses.fields(KFACConfig)) == 11
         with pytest.raises(TypeError):
             KFACConfig(lr=0.1)
 
@@ -236,8 +226,8 @@ class TestConfigPlacesTheWork:
     def test_precision_is_a_config_name(self):
         pre = KFAC(self.model(), precision="fp16")
         assert pre.config.precision == "fp16"
-        assert pre.precision == pre.plan.policy.precision == KFACConfig(precision="fp16").precision_policy()
-        assert pre.plan.policy.precision.factor_dtype == np.float16
+        assert pre.precision == pre.plan.precision == KFACConfig(precision="fp16").precision_policy()
+        assert pre.plan.precision.factor_dtype == np.float16
 
     def test_repro_kfac_has_no_distribution_strategy_class(self):
         import repro.kfac
@@ -272,14 +262,12 @@ class TestConfigPlacesTheWork:
         assert KFAC(self.model(), **config.to_dict()).plan.digest() != digests[0][0]  # world 1 places it apart
 
     def test_kfac_keeps_no_hyperparameter_beside_its_config(self):
-        """``factor_decay``, ``kl_clip`` and ``compute_eigen_outer`` are read from the config, the rate from each
-        ``step(lr)``, and ``damping`` is the config's -- or the adaptive controller's γ -- so no second copy can
-        drift from its source."""
-        config = KFACConfig(
-            damping=0.01, factor_decay=0.5, kl_clip=0.01, compute_eigen_outer=False, solve_strategy="eigen",
-        )  # fmt: skip
+        """``factor_decay`` and ``kl_clip`` are read from the config, the rate from each ``step(lr)``, and
+        ``damping`` is the config's -- or the adaptive controller's γ -- so no second copy can drift from its
+        source."""
+        config = KFACConfig(damping=0.01, factor_decay=0.5, kl_clip=0.01, solve_strategy="eigen")
         pre = KFAC(self.model(), config)
-        for name in ("lr", "factor_decay", "kl_clip", "compute_eigen_outer", "damping_pi"):
+        for name in ("lr", "factor_decay", "kl_clip", "damping_pi"):
             assert not hasattr(pre, name)
         assert pre.damping == 0.01 and pre.config is config
         with pytest.raises(AttributeError):
@@ -1108,6 +1096,46 @@ class TestOneCheckpointFormat:
             target.load_state_dict(state)
         assert target.steps == 2 and pickle.dumps(target.state_dict()) == before
         for pre in (source, target):
+            pre.remove()
+
+    @pytest.mark.parametrize(
+        "written, loaded, refused",
+        [({"solve_strategy": "eigen"}, {}, r"checkpoint solver state of layer '[^']+' has entries \['eigen_a', 'eigen_g', "
+          r"'inverse_outer'\], but solve_strategy 'inverse' keeps \['inv_a', 'inv_g'\]"),
+         ({}, {"solve_strategy": "eigen"}, r"checkpoint solver state of layer '[^']+' has entries \['inv_a', 'inv_g'\], "
+          r"but solve_strategy 'eigen' keeps \['eigen_a', 'eigen_g', 'inverse_outer'\]"),
+         ({}, {"adaptive_damping": True}, r"checkpoint has no 'damping_controller' entry, but adaptive_damping is True"),
+         ({"adaptive_damping": True}, {}, r"checkpoint has a 'damping_controller' entry, but adaptive_damping is False")],
+        ids=["eigen-into-inverse", "inverse-into-eigen", "plain-into-adaptive", "adaptive-into-plain"],
+    )  # fmt: skip
+    def test_a_checkpoint_of_another_solve_path_or_damping_mode_is_refused_by_name_and_assigns_nothing(
+        self, written, loaded, refused
+    ):
+        """The solver state a layer keeps is its solve path's, and the damping controller exists only under
+        ``adaptive_damping``: a dict written under the other value of either field raises naming the layer or the
+        entry and the field, before anything is assigned, and loads under the config that wrote it."""
+        x, y = make_problem(15, in_dim=5)
+
+        def trained(seed, steps, **knobs):
+            model = MLP(5, [16, 8], 3, rng=np.random.default_rng(seed))
+            pre = KFAC(model, factor_update_freq=1, inv_update_freq=1, **knobs)
+            for step in range(steps):
+                model.zero_grad()
+                batch = slice(32 * step, 32 * step + 32)
+                loss = nn.CrossEntropyLoss()(model(Tensor(x[batch])), y[batch])
+                loss.backward()
+                pre.step(lr=0.1, loss=float(loss.item()))
+            return pre
+
+        source, target = trained(1, 3, **written), trained(2, 2, **loaded)
+        state, before = source.state_dict(), pickle.dumps(target.state_dict())
+        with pytest.raises(ValueError, match=refused):
+            target.load_state_dict(state)
+        assert target.steps == 2 and pickle.dumps(target.state_dict()) == before
+        resumed = trained(2, 0, **written)
+        resumed.load_state_dict(state)
+        assert resumed.steps == 3
+        for pre in (source, target, resumed):
             pre.remove()
 
     @pytest.mark.parametrize("solve_strategy", ["inverse", "eigen"])

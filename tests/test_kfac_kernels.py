@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cython_blas, lapack
 
 from repro import nn, optim
-from repro.distributed import DistributedDataParallel, run_spmd
+from repro.distributed import run_spmd
 from counters import layer_events
 from kernel_oracle import (
     ReferenceKernelBackend,

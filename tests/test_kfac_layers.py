@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.kfac import KFAC, FactorRepr
+from repro.kfac import FactorRepr
 from repro.kfac import layers as kfac_layers
 from repro.kfac.layers import KFACConv2dLayer, KFACLayer, KFACLinearLayer, make_kfac_layer
-from repro.kfac import EigenSolveStrategy, WirePolicy
+from repro.kfac import EigenSolveStrategy
 from repro.nn import functional as F
 from repro.optim import GradScaler
 from repro.tensor import PrecisionPolicy, Tensor, no_grad
@@ -84,6 +84,25 @@ class TestHandlerCreation:
         _, handler = make_linear_handler(5, 7)
         info = handler.shape_info()
         assert info.a_dim == 6 and info.g_dim == 7 and info.grad_numel == 42
+
+    @pytest.mark.parametrize(
+        "module, x",
+        [(lambda: nn.Linear(5, 7, rng=np.random.default_rng(0)), (4, 5)),
+         (lambda: nn.Linear(5, 7, bias=False, rng=np.random.default_rng(0)), (4, 5)),
+         (lambda: nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)), (2, 2, 5, 5)),
+         (lambda: nn.Conv2d(2, 3, 1, bias=False, rng=np.random.default_rng(0)), (2, 2, 5, 5)),
+         (lambda: nn.LayerNorm(6), (3, 4, 6))],
+        ids=["linear", "linear-no-bias", "conv3x3", "conv1x1-no-bias", "layernorm"],
+    )  # fmt: skip
+    def test_the_shape_info_gradient_is_the_handlers_gradient(self, module, x):
+        """``grad_numel`` (``a_dim * g_dim``, what the models price a write-back by) is the size of the bias-folded
+        matrix ``get_gradient()`` returns, on every handler in the table."""
+        layer = module()
+        handler = make_kfac_layer("layer", layer, PrecisionPolicy.fp32(), lambda: True, lambda: 1.0)
+        run_forward_backward(layer, Tensor(RNG.standard_normal(x).astype(np.float32)))
+        info = handler.shape_info()
+        assert (info.a_repr, info.g_repr) == (handler.a_repr, handler.g_repr)
+        assert handler.get_gradient().size == info.grad_numel
 
 
 class TestFactorAccumulation:
@@ -232,15 +251,15 @@ class TestRunningAverages:
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         assert handler.factor_bytes() == (5 * 6 // 2 + 3 * 4 // 2) * 4  # each symmetric factor stored once
-        policy = WirePolicy(handler.precision)  # the one formula the plan, the models and the reports use
-        assert policy.factor_bytes(handler.shape_info()) == handler.factor_bytes()
+        # the one formula the plan, the models and the reports use
+        assert handler.shape_info().factor_bytes(handler.precision) == handler.factor_bytes()
 
     def test_expected_eigen_bytes_matches_actual(self):
         layer, handler = make_linear_handler(4, 3)
         run_forward_backward(layer, Tensor(RNG.standard_normal((4, 4)).astype(np.float32)))
         fold_window(handler, *handler.compute_batch_factors(), factor_decay=0.95)
         held = decompose_standalone(handler, damping=0.01).held_bytes()
-        assert held == EigenSolveStrategy.state_bytes([handler.shape_info()], WirePolicy(handler.precision))
+        assert held == EigenSolveStrategy.state_bytes([handler.shape_info()], handler.precision)
 
 
 class TestGradientRoundTrip:

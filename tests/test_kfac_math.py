@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from kernel_oracle import scipy_syevd
 from repro.kfac import kmath
 from repro.kfac import (
-    EigenDecomposition,
     kl_clip_scale,
     precondition_with_eigen,
     precondition_with_inverse,

@@ -526,19 +526,36 @@ class TestMathematicalCorrectness:
             results[name] = pre.memory_usage()["total"]
         assert results["fp16"] == results["fp32"] // 2
 
-    def test_disabling_eigen_outer_cache_gives_same_result(self):
-        """Section 4.4 ablation: caching the damped outer product on the eigen path is purely a performance
-        optimization and must not change the preconditioned gradient."""
+    @pytest.mark.parametrize("factor_update_freq, inv_update_freq", [(1, 1), (1, 3), (2, 4)])
+    def test_the_cached_eigen_outer_product_changes_no_bit(self, factor_update_freq, inv_update_freq):
+        """Section 4.4: the eigen path caches Eq. 16's damped outer product once per refresh.  On refresh steps and
+        on the steps that reuse it, every preconditioned gradient is bitwise the contraction that forms the outer
+        product afresh (``precondition_contract`` with none passed)."""
         x, y = make_problem(14, in_dim=6)
-        results = {}
-        for cached in (True, False):
-            model = MLP(6, [12], 3, rng=np.random.default_rng(7))
-            pre = KFAC(model, compute_eigen_outer=cached, factor_update_freq=1, inv_update_freq=1, solve_strategy="eigen")
-            loss = nn.CrossEntropyLoss()(model(Tensor(x[:64])), y[:64])
-            loss.backward()
-            pre.step(lr=0.1)
-            results[cached] = model.layers[0].weight.grad.copy()
-        np.testing.assert_allclose(results[True], results[False], rtol=1e-5)
+        model = MLP(6, [12, 8], 3, rng=np.random.default_rng(7))
+        pre = KFAC(
+            model, factor_update_freq=factor_update_freq, inv_update_freq=inv_update_freq, solve_strategy="eigen"
+        )
+        fresh, solved = KernelBackend(), []
+
+        def checked(solver):
+            solve = solver.solve
+
+            def checked_solve(layer, grad, damping):
+                cached = solve(layer, grad, damping)
+                assert solver.inverse_outer is not None
+                formed = fresh.precondition_contract(grad, solver.eigen_a, solver.eigen_g, damping)
+                assert cached.tobytes() == formed.tobytes(), layer.name
+                solved.append(layer.name)
+                return cached
+
+            return checked_solve
+
+        for solver in pre.solvers.values():
+            solver.solve = checked(solver)
+        training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), x, y, steps=7)
+        assert solved == list(pre.layers) * 7
+        pre.remove()
 
 
 class TestEigenFailuresAreNamed:
@@ -831,7 +848,7 @@ class TestEigenWorker:
             )
             mine = x[comm.rank :: 2], y[comm.rank :: 2]
             training_loop(model, pre, optim.SGD(model.parameters(), lr=0.05), *mine, steps=2, batch=32)
-            decomposed = [(name, which) for (name, which), ranks in pre.plan.decomposers.items() if comm.rank in ranks]
+            decomposed = [(name, which) for name in pre.layers for which in ("a", "g") if pre.holds_factor(name, which)]
             for name, which in decomposed:
                 getattr(pre.layers[name], f"factor_{which}")[0] = np.nan
             with block(pre):

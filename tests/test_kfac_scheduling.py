@@ -50,7 +50,7 @@ def make_problem(seed=0, samples=256, in_dim=6, classes=3):
 
 def make_plan(names, factor_update_freq, inv_update_freq):
     """The one-rank plan of equal-sized layers ``names`` under the two cadences."""
-    layers = [LayerShapeInfo(name, 4, 4, 16) for name in names]
+    layers = [LayerShapeInfo.dense(name, 4, 4) for name in names]
     config = KFACConfig(factor_update_freq=factor_update_freq, inv_update_freq=inv_update_freq)
     return config.distribution_plan(layers, 1)
 
@@ -158,10 +158,12 @@ class TestActions:
 
 
 class TestSolvers:
-    def test_each_name_is_a_strategy_built_from_the_config_fields_it_reads(self):
+    def test_each_name_is_a_strategy_and_names_its_eigen_round(self):
         assert solve_strategy_class("eigen") is EigenSolveStrategy
         assert solve_strategy_class("inverse") is InverseSolveStrategy
-        assert not EigenSolveStrategy.from_config(KFACConfig(solve_strategy="eigen", compute_eigen_outer=False)).compute_outer
+        for name in ("eigen", "inverse"):
+            plan = KFACConfig(solve_strategy=name).distribution_plan([LayerShapeInfo.dense("l", 4, 3)], 2)
+            assert [spec.key for spec in plan.eigen_round["l"]] == [f"l/{name}_a", f"l/{name}_g"]
         with pytest.raises(ValueError, match="unknown solve strategy"):
             solve_strategy_class("cholesky")
 

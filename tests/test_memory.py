@@ -30,9 +30,9 @@ def workload(layers, param_count, config=None, **fields):
 
 def layers():
     return [
-        LayerShapeInfo("conv1", a_dim=147, g_dim=64, grad_numel=147 * 64),
-        LayerShapeInfo("conv2", a_dim=576, g_dim=128, grad_numel=576 * 128),
-        LayerShapeInfo("fc", a_dim=513, g_dim=100, grad_numel=513 * 100),
+        LayerShapeInfo.dense("conv1", 147, 64),
+        LayerShapeInfo.dense("conv2", 576, 128),
+        LayerShapeInfo.dense("fc", 513, 100),
     ]
 
 
@@ -108,12 +108,12 @@ class TestWorkloadSpecMemory:
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
         per_rank = spec.plan(8, 1.0).state_bytes_per_rank("eigen")
         assert len(set(per_rank.tolist())) == 1
-        assert per_rank[0] == sum(EigenSolveStrategy.state_bytes([l], spec.config.wire_policy()) for l in layers())
+        assert per_rank[0] == sum(EigenSolveStrategy.state_bytes([l], spec.config.precision_policy()) for l in layers())
 
     def test_mem_opt_eigen_memory_spread_across_ranks(self):
         spec = workload(layers(), param_count=1_000_000, config=EIGEN)
         per_rank = spec.plan(8, 1 / 8).state_bytes_per_rank("eigen")
-        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes([l], spec.config.wire_policy()) for l in layers())
+        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes([l], spec.config.precision_policy()) for l in layers())
         assert np.count_nonzero(per_rank) <= len(layers())
 
     def test_fp16_precision_halves_overhead(self):
@@ -141,10 +141,12 @@ class TestWorkloadSpecMemory:
         with pytest.raises(ValueError):  # the baseline breakdown refuses it too
             memory_breakdown(spec, 8, None, rank="median")
 
-    def test_outer_product_can_be_excluded(self):
-        with_outer = workload(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=True))
-        without = workload(layers(), 1_000_000, config=EIGEN.replace(compute_eigen_outer=False))
-        assert overhead_bytes(with_outer, 4, 1.0) > overhead_bytes(without, 4, 1.0)
+    def test_every_eigen_holder_is_charged_the_cached_outer_product(self):
+        """Section 4.4: each gradient worker of an eigen layer holds both decompositions and the ``g × a`` damped
+        outer product it caches once per refresh."""
+        spec = workload(layers(), 1_000_000, config=EIGEN)
+        per_layer = [4 * (l.a_dim**2 + l.a_dim + l.g_dim**2 + l.g_dim + l.a_dim * l.g_dim) for l in layers()]
+        assert spec.plan(4, 1.0).state_bytes_per_rank("eigen").tolist() == [sum(per_layer)] * 4
 
     @pytest.mark.parametrize("world, frac", [(8, 1 / 8), (8, 0.5), (8, 1.0)])
     def test_the_inverse_path_holds_inverse_squares_on_the_gradient_workers_and_no_eigen_state(self, world, frac):

@@ -7,7 +7,7 @@ from composite_oracle import attention_forward_composite
 from gradcheck import check_gradient, graph_nodes, on_output_grad
 from repro import nn
 from repro.nn import functional as F
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
 from repro.tensor import tensor as tape
 
 RNG = np.random.default_rng(11)

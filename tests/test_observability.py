@@ -499,7 +499,7 @@ class TestSmokeRefreshGate:
         from repro.kfac.strategy import LayerShapeInfo
         from repro.observability.smoke import staggered_refresh_problems
 
-        layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5, 3))]
+        layers = [LayerShapeInfo.dense(f"l{index}", dim, dim) for index, dim in enumerate((9, 7, 5, 3))]
         config = KFACConfig(factor_update_freq=5, inv_update_freq=10, grad_worker_frac=0.5)
         spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, config)
         plan = spec.plan(2, 0.5)
@@ -522,7 +522,7 @@ class TestSmokeRefreshGate:
         from repro.kfac.strategy import LayerShapeInfo
         from repro.observability.smoke import plan_digest_problems
 
-        layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5))]
+        layers = [LayerShapeInfo.dense(f"l{index}", dim, dim) for index, dim in enumerate((9, 7, 5))]
         config = KFACConfig(factor_update_freq=5, inv_update_freq=10, grad_worker_frac=0.5)
         spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, config)
         run_info = {"world_size": 2, "plan_digests": [spec.plan(2, 0.5).digest()] * 2}
@@ -537,7 +537,7 @@ class TestSmokeRefreshGate:
         from repro.kfac.strategy import LayerShapeInfo
         from repro.observability.smoke import memory_problems
 
-        layers = [LayerShapeInfo(f"l{index}", dim, dim, dim * dim) for index, dim in enumerate((9, 7, 5))]
+        layers = [LayerShapeInfo.dense(f"l{index}", dim, dim) for index, dim in enumerate((9, 7, 5))]
         spec = KFACWorkloadSpec("toy", layers, 0, 1, 1.0, KFACConfig(grad_worker_frac=0.5))
         plan = spec.plan(2, 0.5)
         totals = plan.factor_bytes_per_rank() + plan.state_bytes_per_rank()

@@ -305,9 +305,9 @@ class TestShardedFactorLayoutProperties:
             for name, layer in pre2.layers.items():
                 for which in ("a", "g"):
                     held = getattr(layer, f"factor_{which}") is not None
-                    decomposes = comm.rank in pre2.plan.decomposers[name, which]
+                    decomposes = pre2.groups[name].decomposer(which) == comm.rank
                     layout[(name, which)] = (held, decomposes, pre2.holds_factor(name, which))
-            registered = sum(pre2.plan.policy.factor_bytes(group.layer) for group in pre2.groups.values())
+            registered = sum(group.layer.factor_bytes(pre2.plan.precision) for group in pre2.groups.values())
             return uninterrupted, resumed, layout, pre2.memory_usage()["factors"], registered
 
         ranks = run_spmd(world, program)
@@ -698,7 +698,7 @@ class TestModelEqualsEngineProperties:
     optionally block-diagonal through ``kernel_oracle.force_blocks``, dense factors) with nothing else on
     the wire: every rank's plan must be the one a ``KFACWorkloadSpec`` of the same config builds, the
     communication log the plan's messages and ``model_comm_schedule``'s, the modeled decompositions
-    the plan's decomposers', and every rank's ``memory_usage()`` the memory model -- for every knob
+    the decomposers the plan's groups name, and every rank's ``memory_usage()`` the memory model -- for every knob
     that sizes, routes or places state.  The two ``hidden``-wide Linear layers give a rank that holds
     both an odd count of one dimension (``hidden`` three times without a bias) or ``n+1`` beside ``n``
     (with one), so the inverse path's pairing leaves one square alone beside its paired triangles, at
@@ -713,27 +713,26 @@ class TestModelEqualsEngineProperties:
 
     # (world, gradient workers per layer): MEM-, HYBRID- and COMM-OPT at every world size that has them.
     POINTS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
-    # bucket_cap_mb, compute_eigen_outer, precision, assignment_balance, knob: every pair of values
-    # of two knobs appears in some row, and each row runs at every point.  compute_eigen_outer=False is
-    # read on the eigen path only, so its rows take the eigen knob.
+    # bucket_cap_mb, precision, assignment_balance, knob: every pair of values of two knobs appears
+    # in some row, and each row runs at every point.
     WIRES = [
-        (0.001, True, "fp32", "compute", "default"),
-        (25.0, True, "fp16", "memory", "default"),
-        (0.001, False, "fp64", "compute", "eigen"),
-        (25.0, False, "fp16", "compute", "eigen"),
-        (25.0, True, "fp32", "memory", "eigen"),
-        (0.001, False, "fp16", "compute", "eigen"),
-        (25.0, True, "fp64", "compute", "inverse"),
-        (0.001, False, "fp32", "memory", "eigen"),
-        (0.001, True, "fp32", "memory", "inverse"),
-        (0.001, True, "fp16", "compute", "inverse"),
-        (0.001, True, "fp64", "memory", "default"),
-        (25.0, False, "fp64", "memory", "eigen"),
-        (25.0, True, "fp64", "memory", "inverse"),
-        (1.0, True, "fp32", "compute", "default"),
-        (1.0, True, "fp64", "memory", "default"),
-        (1.0, False, "fp16", "compute", "eigen"),
-        (1.0, True, "fp16", "memory", "inverse"),
+        (0.001, "fp32", "compute", "default"),
+        (25.0, "fp16", "memory", "default"),
+        (0.001, "fp64", "compute", "eigen"),
+        (25.0, "fp16", "compute", "eigen"),
+        (25.0, "fp32", "memory", "eigen"),
+        (0.001, "fp16", "compute", "eigen"),
+        (25.0, "fp64", "compute", "inverse"),
+        (0.001, "fp32", "memory", "eigen"),
+        (0.001, "fp32", "memory", "inverse"),
+        (0.001, "fp16", "compute", "inverse"),
+        (0.001, "fp64", "memory", "default"),
+        (25.0, "fp64", "memory", "eigen"),
+        (25.0, "fp64", "memory", "inverse"),
+        (1.0, "fp32", "compute", "default"),
+        (1.0, "fp64", "memory", "default"),
+        (1.0, "fp16", "compute", "eigen"),
+        (1.0, "fp16", "memory", "inverse"),
     ]
 
     @pytest.mark.parametrize("wire", WIRES, ids=lambda wire: "-".join(str(value) for value in wire))
@@ -752,7 +751,7 @@ class TestModelEqualsEngineProperties:
         self, point, wire, vocab, blocks, block_size, hidden, out_features, bias, seed
     ):
         world, workers = point
-        bucket_cap_mb, compute_eigen_outer, precision, balance, knob = wire
+        bucket_cap_mb, precision, balance, knob = wire
         dim = block_size * (blocks or 2)
         config = KFACConfig(
             factor_update_freq=1,
@@ -760,7 +759,6 @@ class TestModelEqualsEngineProperties:
             grad_worker_frac=workers / world,
             assignment_balance=balance,
             bucket_cap_mb=bucket_cap_mb,
-            compute_eigen_outer=compute_eigen_outer,
             precision=precision,
             **self.KNOBS[knob],
         )
@@ -799,11 +797,11 @@ class TestModelEqualsEngineProperties:
         blocked_g = FactorRepr(dim, dim if blocks is None else block_size)
         extra = 1 if bias else 0
         shapes = [
-            LayerShapeInfo("1", 2, dim, 2 * dim, g_repr=FactorRepr.diagonal(dim)),
-            LayerShapeInfo("2", dim + extra, dim, (dim + extra) * dim, g_repr=blocked_g),
-            LayerShapeInfo("4", dim + extra, hidden, (dim + extra) * hidden),
-            LayerShapeInfo("6", hidden + extra, hidden, (hidden + extra) * hidden),
-            LayerShapeInfo("8", hidden + extra, out_features, (hidden + extra) * out_features),
+            LayerShapeInfo("1", FactorRepr.dense(2), FactorRepr.diagonal(dim)),
+            LayerShapeInfo("2", FactorRepr.dense(dim + extra), blocked_g),
+            LayerShapeInfo.dense("4", dim + extra, hidden),
+            LayerShapeInfo.dense("6", hidden + extra, hidden),
+            LayerShapeInfo.dense("8", hidden + extra, out_features),
         ]
         assert ranks[0][1] == [shape.name for shape in shapes]
 
@@ -831,7 +829,7 @@ class TestModelEqualsEngineProperties:
         assert schedule.messages_per_update == sum(len(sent) for sent in modeled.values())
         assert schedule.comm_bytes_per_update == sum(nbytes for sent in modeled.values() for _, nbytes in sent)
         stages = IterationTimeModel().stage_times_per_rank(spec, world, config.grad_worker_frac)
-        decomposers = {rank for owners in plan.decomposers.values() for rank in owners}
+        decomposers = {group.decomposer(which) for group in plan.groups.values() for which in ("a", "g")}
         assert set(np.flatnonzero(stages["eigen_decomposition"])) == decomposers
 
         # Each rank's whole memory_usage(): its running factors and its layers' solve-strategy state.
@@ -991,7 +989,7 @@ class TestMemoryModelProperties:
     )
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_factors_are_stored_once_and_the_busiest_rank_counts_them_with_its_eigen_state(self, dims, world_size, workers):
-        layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
+        layers = [LayerShapeInfo.dense(f"l{i}", a, g) for i, (a, g) in enumerate(dims)]
         spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         frac = min(workers, world_size) / world_size
         plan = spec.plan(world_size, frac)
@@ -1014,7 +1012,7 @@ class TestMemoryModelProperties:
     ):
         """A rank's dense inverses cost the fewest elements that hold them two to a buffer, pairs differing in
         dimension by at most one: ``(n+1)·n`` for two of ``n``, ``(n+1)²`` for ``n+1`` and ``n``, ``n²`` alone."""
-        layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
+        layers = [LayerShapeInfo.dense(f"l{i}", a, g) for i, (a, g) in enumerate(dims)]
         spec = memory_spec(layers, param_count=10_000)  # the default solve path
         frac = min(workers, world_size) / world_size
         plan = spec.plan(world_size, frac)
@@ -1024,9 +1022,8 @@ class TestMemoryModelProperties:
         for name, group in plan.groups.items():
             for rank in group.grad_workers:
                 held[rank] += [group.layer.a_dim, group.layer.g_dim]
-            (decomposer,) = plan.decomposers[name, "a"]
-            assert plan.decomposers[name, "g"] == (decomposer,) and decomposer in group.grad_workers
-            assert plan.factor_holders[name, "a"] == plan.factor_holders[name, "g"] == (decomposer,)
+            decomposer = group.decomposer("a")
+            assert group.decomposer("g") == decomposer and decomposer in group.grad_workers
         np.testing.assert_array_equal(solver, [4 * fewest_paired_elements(rank_dims) for rank_dims in held])
         assert overhead_bytes(spec, world_size, frac, rank="max") == (factors + solver).max()
 
@@ -1037,7 +1034,7 @@ class TestMemoryModelProperties:
     @pytest.mark.parametrize("solver", ["inverse", "eigen"])
     @settings(max_examples=30, deadline=None)
     def test_mean_overhead_monotone_in_grad_worker_frac(self, solver, dims, world_size):
-        layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
+        layers = [LayerShapeInfo.dense(f"l{i}", a, g) for i, (a, g) in enumerate(dims)]
         spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy=solver))
         overheads = [overhead_bytes(spec, world_size, frac, rank="mean") for frac in (1 / world_size, 0.5, 1.0)]
         assert overheads[0] <= overheads[1] <= overheads[2]
@@ -1049,10 +1046,10 @@ class TestMemoryModelProperties:
     @settings(max_examples=30, deadline=None)
     def test_total_eigen_bytes_conserved_across_ranks_in_mem_opt(self, dims, world_size):
         """Under MEM-OPT every layer's eigen state exists exactly once in the world."""
-        layers = [LayerShapeInfo(f"l{i}", a, g, a * g) for i, (a, g) in enumerate(dims)]
+        layers = [LayerShapeInfo.dense(f"l{i}", a, g) for i, (a, g) in enumerate(dims)]
         spec = memory_spec(layers, param_count=10_000, config=KFACConfig(solve_strategy="eigen"))
         per_rank = spec.plan(world_size, 1.0 / world_size).state_bytes_per_rank("eigen")
-        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes([layer], spec.config.wire_policy()) for layer in layers)
+        assert per_rank.sum() == sum(EigenSolveStrategy.state_bytes([layer], spec.config.precision_policy()) for layer in layers)
 
 
 class TestNoDeadKnobProperties:
@@ -1075,7 +1072,6 @@ class TestNoDeadKnobProperties:
         "grad_worker_frac": ({}, dict(grad_worker_frac=0.5)),
         "precision": ({}, dict(precision="fp16")),
         "assignment_balance": ({"grad_worker_frac": 0.5}, dict(assignment_balance="memory")),
-        "compute_eigen_outer": ({"solve_strategy": "eigen"}, dict(compute_eigen_outer=False)),
         "bucket_cap_mb": ({}, dict(bucket_cap_mb=1e-6)),
         "adaptive_damping": ({}, dict(adaptive_damping=True)),
         "solve_strategy": ({}, dict(solve_strategy="eigen")),

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.analysis import BufferAccessChecker, CollectiveSanitizer, SanitizerError
+from repro.analysis import BufferAccessChecker, SanitizerError
 from repro.analysis.sanitizer import sanitize_enabled
 from repro.distributed import (
     AllreduceSpec,

@@ -1,7 +1,6 @@
 """Finite-difference gradient checks for the autograd engine and nn.functional."""
 
 import numpy as np
-import pytest
 
 from repro import nn
 from repro.nn import functional as F

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.tensor import Tensor, no_grad, is_grad_enabled, float16, float32
+from repro.tensor import Tensor, no_grad, is_grad_enabled, float16
 from repro.tensor import tensor as tape
 from repro.tensor.tensor import _unbroadcast
 
